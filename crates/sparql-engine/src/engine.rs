@@ -63,10 +63,10 @@ pub enum EvalMode {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Enable the optimizer (BGP reordering, TopK fusion, and — gated by
-    /// the flags below — FILTER pushdown and merge joins). Disabling it
-    /// models an engine that takes queries literally (useful for the
-    /// ablation experiments).
+    /// Enable the optimizer (BGP reordering and join-shape planning, TopK
+    /// fusion, and — gated by the flags below — FILTER pushdown and merge
+    /// joins). Disabling it models an engine that takes queries literally
+    /// (the ablation experiments' baseline and the tests' plan oracle).
     pub optimize: bool,
     /// Evaluator selection (columnar unless testing against an oracle).
     pub eval_mode: EvalMode,

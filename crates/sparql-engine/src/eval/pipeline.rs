@@ -702,6 +702,19 @@ enum ProbeIndex {
     Nested,
 }
 
+/// The left batch being probed: rows `..next_left` have been matched, and
+/// `pairs[emitted..]` are matches not yet handed downstream.
+struct Probing {
+    batch: IdTable,
+    shape: JoinShape,
+    /// The batch's key column while the merge claim holds for it; `None`
+    /// probes by hash.
+    merge_col: Option<usize>,
+    next_left: usize,
+    pairs: Vec<(u32, u32)>,
+    emitted: usize,
+}
+
 /// Streaming join (inner or left): the right input is materialized as the
 /// build side (charged against the budget as it accumulates — joins are
 /// half pipeline-breaker), the left streams through as the probe side.
@@ -711,6 +724,12 @@ enum ProbeIndex {
 /// input order, compatible right rows in ascending right-index order, an
 /// unmatched marker for left joins), so the per-batch strategy choice and
 /// any mid-stream merge→hash demotion are invisible downstream.
+///
+/// Probe-side state stays O(batch) whatever the fan-out: a left batch is
+/// matched only as far as the next output window needs (plus the rest of
+/// the left row that filled it), and each window is assembled on its own
+/// pull. Windows are cut exactly where assembling the whole batch at once
+/// would cut them — full `batch_rows` windows, then the batch's remainder.
 struct JoinOp<'e> {
     left: BoxOp<'e>,
     right: BoxOp<'e>,
@@ -722,7 +741,7 @@ struct JoinOp<'e> {
     /// probing) the moment a left batch refutes it.
     merge: Option<MergeState>,
     probe: Option<ProbeCache>,
-    staged: Option<Staged>,
+    probing: Option<Probing>,
     done: bool,
 }
 
@@ -743,7 +762,7 @@ impl<'e> JoinOp<'e> {
             right_table: None,
             merge: None,
             probe: None,
-            staged: None,
+            probing: None,
             done: false,
         }
     }
@@ -774,6 +793,41 @@ impl<'e> JoinOp<'e> {
         self.right_table = Some(acc);
         Ok(())
     }
+
+    /// Start probing a fresh left batch: check the left half of the merge
+    /// claim batch-incrementally (demoting to hash probing for good when it
+    /// fails) and make sure the hash index fits the batch's bound-ness.
+    fn start_probing(&mut self, batch: IdTable) {
+        let right = self.right_table.as_ref().expect("build side materialized");
+        let shape = JoinShape::new(&batch, right);
+        let mut merge_col = None;
+        if let Some(ms) = &mut self.merge {
+            let lc = batch
+                .column_index(self.merge_key.expect("merge state implies key"))
+                .expect("key column is static in the left schema");
+            let col = batch.col(lc);
+            let sorted = col.all_present()
+                && col.ids().windows(2).all(|w| w[0] <= w[1])
+                && ms.prev.is_none_or(|p| p <= col.ids()[0]);
+            if sorted {
+                ms.prev = col.ids().last().copied();
+                merge_col = Some(lc);
+            } else {
+                self.merge = None;
+            }
+        }
+        if merge_col.is_none() {
+            prepare_probe_index(&batch, right, &shape, &mut self.probe);
+        }
+        self.probing = Some(Probing {
+            batch,
+            shape,
+            merge_col,
+            next_left: 0,
+            pairs: Vec::new(),
+            emitted: 0,
+        });
+    }
 }
 
 impl<'e> Operator<'e> for JoinOp<'e> {
@@ -784,8 +838,32 @@ impl<'e> Operator<'e> for JoinOp<'e> {
     fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
         let target = batch_rows.max(1);
         loop {
-            if let Some(w) = take_window(&mut self.staged, target) {
-                return Ok(Some(w));
+            if let Some(p) = &mut self.probing {
+                let right = self.right_table.as_ref().expect("build side materialized");
+                if p.pairs.len() - p.emitted < target && p.next_left < p.batch.len() {
+                    p.pairs.drain(..p.emitted);
+                    p.emitted = 0;
+                    match (&mut self.merge, p.merge_col) {
+                        (Some(ms), Some(lc)) => {
+                            merge_probe(p, right, ms, lc, self.kind, target, &mut ev.meter)?
+                        }
+                        _ => {
+                            let index = self.probe.as_ref().expect("probe index built");
+                            hash_probe(p, right, index, self.kind, target, &mut ev.meter)?
+                        }
+                    }
+                }
+                if p.emitted < p.pairs.len() {
+                    let end = (p.emitted + target).min(p.pairs.len());
+                    let window = &p.pairs[p.emitted..end];
+                    p.emitted = end;
+                    let out = assemble_join(&p.batch, right, p.shape.out_vars.clone(), window);
+                    if end == p.pairs.len() && p.next_left == p.batch.len() {
+                        self.probing = None; // batch finished: release it now
+                    }
+                    return Ok(Some(out));
+                }
+                self.probing = None;
             }
             if self.done {
                 return Ok(None);
@@ -793,8 +871,8 @@ impl<'e> Operator<'e> for JoinOp<'e> {
             if self.right_table.is_none() {
                 self.build_side(ev, target)?;
             }
-            let batch = match self.left.next_batch(ev, target)? {
-                Some(b) => b,
+            match self.left.next_batch(ev, target)? {
+                Some(batch) => self.start_probing(batch),
                 None => {
                     self.done = true;
                     // The rewrite counter records a merge join that held its
@@ -808,72 +886,7 @@ impl<'e> Operator<'e> for JoinOp<'e> {
                     }
                     return Ok(None);
                 }
-            };
-            let JoinOp {
-                right_table,
-                merge,
-                probe,
-                kind,
-                merge_key,
-                ..
-            } = self;
-            let right = right_table.as_ref().expect("build side materialized");
-            let shape = JoinShape::new(&batch, right);
-
-            // Left half of the merge claim, checked batch-incrementally.
-            let mut merge_key_col = None;
-            if merge.is_some() {
-                let lc = batch
-                    .column_index(merge_key.expect("merge state implies key"))
-                    .expect("key column is static in the left schema");
-                let col = batch.col(lc);
-                let ok = col.all_present()
-                    && col.ids().windows(2).all(|w| w[0] <= w[1])
-                    && merge
-                        .as_ref()
-                        .and_then(|m| m.prev)
-                        .is_none_or(|p| p <= col.ids()[0]);
-                if ok {
-                    merge_key_col = Some(lc);
-                } else {
-                    *merge = None;
-                }
             }
-
-            let pairs = match (&mut *merge, merge_key_col) {
-                (Some(ms), Some(lc)) => {
-                    let lk = batch.col(lc).ids();
-                    let rk = right.col(ms.r_key).ids();
-                    let mut pairs: Vec<(u32, u32)> = Vec::new();
-                    for (li, &key) in lk.iter().enumerate() {
-                        while ms.run < rk.len() && rk[ms.run] < key {
-                            ms.run += 1;
-                        }
-                        let mut ri = ms.run;
-                        let mut matched = false;
-                        while ri < rk.len() && rk[ri] == key {
-                            if shape.compatible(&batch, right, li, ri) {
-                                pairs.push((li as u32, ri as u32));
-                                matched = true;
-                            }
-                            ri += 1;
-                        }
-                        if !matched && *kind == JoinKind::Left {
-                            pairs.push((li as u32, NO_MATCH));
-                        }
-                        ev.meter
-                            .charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-                    }
-                    ms.prev = lk.last().copied();
-                    pairs
-                }
-                _ => hash_probe(&batch, right, &shape, probe, *kind, &mut ev.meter)?,
-            };
-            if pairs.is_empty() {
-                continue;
-            }
-            let out = assemble_join(&batch, right, shape.out_vars, &pairs);
-            self.staged = Some(Staged { table: out, off: 0 });
         }
     }
 
@@ -882,105 +895,162 @@ impl<'e> Operator<'e> for JoinOp<'e> {
         if let Some(r) = &self.right_table {
             acc = add2(acc, (r.len() as u64, r.estimated_bytes()));
         }
-        add2(acc, staged_live(&self.staged))
+        if let Some(p) = &self.probing {
+            let pending = (p.pairs.len() - p.emitted) as u64;
+            acc = add2(acc, (p.batch.len() as u64, p.batch.estimated_bytes()));
+            acc = add2(acc, (pending, p.pairs.len() as u64 * 8));
+        }
+        acc
     }
 }
 
-/// Hash-probe one left batch against the materialized right side,
-/// replicating [`join`]'s key selection and pair order exactly. The key
-/// positions are chosen per batch (bound-ness of the *batch*, not the whole
-/// left input, is what's observable here); any choice yields the same pair
-/// list because bucket membership plus the compatibility check equals the
-/// full compatibility predicate whenever the key columns are all-present.
-fn hash_probe(
+/// Merge-probe left rows from `p.next_left` on until `target` pairs are
+/// pending or the batch is exhausted: the right-side run pointer only ever
+/// moves forward, across rows and batches alike.
+fn merge_probe(
+    p: &mut Probing,
+    right: &IdTable,
+    ms: &mut MergeState,
+    lc: usize,
+    kind: JoinKind,
+    target: usize,
+    meter: &mut BudgetMeter,
+) -> Result<()> {
+    let lk = p.batch.col(lc).ids();
+    let rk = right.col(ms.r_key).ids();
+    while p.next_left < lk.len() && p.pairs.len() < target {
+        let (li, key) = (p.next_left, lk[p.next_left]);
+        while ms.run < rk.len() && rk[ms.run] < key {
+            ms.run += 1;
+        }
+        let mut ri = ms.run;
+        let mut matched = false;
+        while ri < rk.len() && rk[ri] == key {
+            if p.shape.compatible(&p.batch, right, li, ri) {
+                p.pairs.push((li as u32, ri as u32));
+                matched = true;
+            }
+            ri += 1;
+        }
+        if !matched && kind == JoinKind::Left {
+            p.pairs.push((li as u32, NO_MATCH));
+        }
+        meter.charge_intermediate(p.pairs.len() as u64, p.pairs.len() as u64 * 8)?;
+        p.next_left += 1;
+    }
+    Ok(())
+}
+
+/// Make `probe` the hash index over `right` for this left batch,
+/// replicating [`join`]'s key selection. The key positions are chosen per
+/// batch (bound-ness of the *batch*, not the whole left input, is what's
+/// observable here); any choice yields the same pair list because bucket
+/// membership plus the compatibility check equals the full compatibility
+/// predicate whenever the key columns are all-present.
+fn prepare_probe_index(
     batch: &IdTable,
     right: &IdTable,
     shape: &JoinShape,
     probe: &mut Option<ProbeCache>,
-    kind: JoinKind,
-    meter: &mut BudgetMeter,
-) -> Result<Vec<(u32, u32)>> {
+) {
     let key_positions: Vec<usize> = (0..shape.shared_len())
         .filter(|&k| {
             batch.col(shape.l_idx[k]).all_present() && right.col(shape.r_idx[k]).all_present()
         })
         .collect();
-    let rebuild = match probe.as_ref() {
-        Some(pc) => pc.key_positions != key_positions,
-        None => true,
-    };
-    if rebuild {
-        let index = if key_positions.len() == 1 {
-            let rk = right.col(shape.r_idx[key_positions[0]]);
-            let mut m: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(right.len());
-            for (ri, &id) in rk.ids().iter().enumerate() {
-                m.entry(id).or_default().push(ri as u32);
-            }
-            ProbeIndex::One(m)
-        } else if !key_positions.is_empty() || shape.shared_len() == 0 {
-            let mut m: HashMap<Vec<TermId>, Vec<u32>> = HashMap::with_capacity(right.len());
-            for ri in 0..right.len() {
-                let key: Vec<TermId> = key_positions
-                    .iter()
-                    .map(|&k| right.col(shape.r_idx[k]).ids()[ri])
-                    .collect();
-                m.entry(key).or_default().push(ri as u32);
-            }
-            ProbeIndex::Many(m)
-        } else {
-            ProbeIndex::Nested
-        };
-        *probe = Some(ProbeCache {
-            key_positions: key_positions.clone(),
-            index,
-        });
+    if probe
+        .as_ref()
+        .is_some_and(|pc| pc.key_positions == key_positions)
+    {
+        return;
     }
-    let index = &probe.as_ref().expect("probe index built").index;
+    let index = if key_positions.len() == 1 {
+        let rk = right.col(shape.r_idx[key_positions[0]]);
+        let mut m: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(right.len());
+        for (ri, &id) in rk.ids().iter().enumerate() {
+            m.entry(id).or_default().push(ri as u32);
+        }
+        ProbeIndex::One(m)
+    } else if !key_positions.is_empty() || shape.shared_len() == 0 {
+        let mut m: HashMap<Vec<TermId>, Vec<u32>> = HashMap::with_capacity(right.len());
+        for ri in 0..right.len() {
+            let key: Vec<TermId> = key_positions
+                .iter()
+                .map(|&k| right.col(shape.r_idx[k]).ids()[ri])
+                .collect();
+            m.entry(key).or_default().push(ri as u32);
+        }
+        ProbeIndex::Many(m)
+    } else {
+        ProbeIndex::Nested
+    };
+    *probe = Some(ProbeCache {
+        key_positions,
+        index,
+    });
+}
 
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for li in 0..batch.len() {
-        let mut matched = false;
-        match index {
+/// Hash-probe left rows from `p.next_left` on until `target` pairs are
+/// pending or the batch is exhausted, in [`join`]'s pair order exactly.
+fn hash_probe(
+    p: &mut Probing,
+    right: &IdTable,
+    probe: &ProbeCache,
+    kind: JoinKind,
+    target: usize,
+    meter: &mut BudgetMeter,
+) -> Result<()> {
+    let Probing {
+        batch,
+        shape,
+        next_left,
+        pairs,
+        ..
+    } = p;
+    let key_positions = &probe.key_positions;
+    let mut key: Vec<TermId> = Vec::with_capacity(key_positions.len());
+    while *next_left < batch.len() && pairs.len() < target {
+        let li = *next_left;
+        let before = pairs.len();
+        let bucket: Option<&[u32]> = match &probe.index {
             ProbeIndex::One(m) => {
                 let id = batch.col(shape.l_idx[key_positions[0]]).ids()[li];
-                if let Some(candidates) = m.get(&id) {
-                    for &ri in candidates {
-                        if shape.compatible(batch, right, li, ri as usize) {
-                            pairs.push((li as u32, ri));
-                            matched = true;
-                        }
-                    }
-                }
+                Some(m.get(&id).map_or(&[], Vec::as_slice))
             }
             ProbeIndex::Many(m) => {
-                let key: Vec<TermId> = key_positions
-                    .iter()
-                    .map(|&k| batch.col(shape.l_idx[k]).ids()[li])
-                    .collect();
-                if let Some(candidates) = m.get(&key) {
-                    for &ri in candidates {
-                        if shape.compatible(batch, right, li, ri as usize) {
-                            pairs.push((li as u32, ri));
-                            matched = true;
-                        }
+                key.clear();
+                key.extend(
+                    key_positions
+                        .iter()
+                        .map(|&k| batch.col(shape.l_idx[k]).ids()[li]),
+                );
+                Some(m.get(&key).map_or(&[], Vec::as_slice))
+            }
+            ProbeIndex::Nested => None,
+        };
+        match bucket {
+            Some(candidates) => {
+                for &ri in candidates {
+                    if shape.compatible(batch, right, li, ri as usize) {
+                        pairs.push((li as u32, ri));
                     }
                 }
             }
-            ProbeIndex::Nested => {
+            None => {
                 for ri in 0..right.len() {
                     if shape.compatible(batch, right, li, ri) {
                         pairs.push((li as u32, ri as u32));
-                        matched = true;
                     }
                 }
             }
         }
-        if !matched && kind == JoinKind::Left {
+        if pairs.len() == before && kind == JoinKind::Left {
             pairs.push((li as u32, NO_MATCH));
         }
         meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
+        *next_left += 1;
     }
-    Ok(pairs)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

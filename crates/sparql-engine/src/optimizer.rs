@@ -2,13 +2,19 @@
 //!
 //! Three passes run over the translated plan, in order:
 //!
-//! 1. **BGP reordering** permutes the triple patterns inside each basic
+//! 1. **BGP planning** permutes the triple patterns inside each basic
 //!    graph pattern greedily by estimated cardinality, propagating which
 //!    variables are bound by earlier patterns (index-nested-loop order),
 //!    and fuses `Slice ∘ OrderBy` into bounded [`Plan::TopK`]. This mirrors
 //!    what production RDF engines do with flat queries — and what they
 //!    *cannot* do across subquery boundaries, which is why the paper's
-//!    naive one-subquery-per-operator generation is slow.
+//!    naive one-subquery-per-operator generation is slow. It also picks
+//!    the join *shape*: a BGP whose subject stars touch only through
+//!    value variables is split into hash-joined per-star BGPs when the
+//!    statistics say so ([`Optimizer::plan_bgp`]), and an OPTIONAL sitting
+//!    on an inner join sinks onto the one input it extends
+//!    ([`sink_optional`]). Both keep the result *bag*; row order of an
+//!    un-ORDERed result may differ from the literal plan's.
 //! 2. **FILTER pushdown** splits conjunctive filters and sinks
 //!    single-variable conjuncts into the BGP that binds their variable
 //!    ([`crate::algebra::PushedFilter`]), through joins, the *left* side of
@@ -131,14 +137,22 @@ impl<'a> Optimizer<'a> {
     fn reorder(&mut self, plan: &mut Plan) {
         match plan {
             Plan::Bgp {
-                patterns, graph, ..
+                patterns,
+                graph,
+                filters,
             } => {
-                let graph = graph.clone();
-                self.reorder_bgp(patterns, &graph);
+                if let Some(split) = self.plan_bgp(patterns, graph, filters) {
+                    *plan = split;
+                }
             }
-            Plan::Join(a, b) | Plan::LeftJoin(a, b) | Plan::Union(a, b) => {
+            Plan::Join(a, b) | Plan::Union(a, b) => {
                 self.reorder(a);
                 self.reorder(b);
+            }
+            Plan::LeftJoin(a, b) => {
+                self.reorder(a);
+                self.reorder(b);
+                sink_optional(plan);
             }
             Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
                 self.reorder(left);
@@ -166,21 +180,15 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    fn graph_uris(&self, graph: &GraphRef) -> Vec<String> {
-        match graph {
-            GraphRef::Default => self.default_graphs.to_vec(),
-            GraphRef::Named(uri) => vec![uri.clone()],
-        }
-    }
-
     /// The graphs a BGP will actually scan, mirroring the evaluators'
     /// resolution: an empty `FROM` list means the whole dataset.
     fn effective_graphs(&self, graph: &GraphRef) -> Vec<String> {
         match graph {
+            GraphRef::Named(uri) => vec![uri.clone()],
             GraphRef::Default if self.default_graphs.is_empty() => {
                 self.dataset.graph_uris().map(str::to_string).collect()
             }
-            _ => self.graph_uris(graph),
+            GraphRef::Default => self.default_graphs.to_vec(),
         }
     }
 
@@ -192,15 +200,15 @@ impl<'a> Optimizer<'a> {
         self.stats_cache[uri].clone()
     }
 
-    /// Estimate the matches of one pattern, treating variables in `bound` as
-    /// bound positions.
+    /// Estimate the matches of one pattern over the graphs `uris` (the
+    /// BGP's [`Optimizer::effective_graphs`]: what the evaluators will
+    /// actually scan), treating variables in `bound` as bound positions.
     fn estimate_pattern(
         &mut self,
         pattern: &TriplePattern,
         bound: &HashSet<String>,
-        graph: &GraphRef,
+        uris: &[String],
     ) -> f64 {
-        let uris = self.graph_uris(graph);
         let resolve = |dataset: &Dataset, uri: &str, t: &PatternTerm| -> Option<Option<TermId>> {
             // Outer None = constant not in graph (pattern matches nothing);
             // inner None = unbound position.
@@ -218,7 +226,7 @@ impl<'a> Optimizer<'a> {
             }
         };
         let mut total = 0.0;
-        for uri in &uris {
+        for uri in uris {
             let (s, p, o) = (
                 resolve(self.dataset, uri, &pattern.subject),
                 resolve(self.dataset, uri, &pattern.predicate),
@@ -447,20 +455,116 @@ impl<'a> Optimizer<'a> {
             .collect()
     }
 
-    /// Greedy reorder: repeatedly pick the cheapest pattern given variables
-    /// bound so far, heavily penalizing Cartesian products.
-    fn reorder_bgp(&mut self, patterns: &mut Vec<TriplePattern>, graph: &GraphRef) {
+    /// Plan one BGP: permute its patterns into the greedy left-deep order
+    /// and, when the BGP is a *value join* of several subject stars that
+    /// hash-joining would run at least [`BUSHY_MARGIN`]× cheaper, return
+    /// the `Join(Bgp(c₁), Bgp(c₂), …)` that replaces it.
+    ///
+    /// The components come from [`value_join_components`]; each is ordered
+    /// greedily on its own. The two shapes are compared in estimated index
+    /// entries visited: the left-deep nested loop pays the running
+    /// cardinality after every pattern (each intermediate row probes the
+    /// next pattern), the bushy plan pays that per component plus each
+    /// component's output once for the hash build/probe. The join's own
+    /// output is the same either way and is left out.
+    fn plan_bgp(
+        &mut self,
+        patterns: &mut Vec<TriplePattern>,
+        graph: &GraphRef,
+        filters: &mut Vec<PushedFilter>,
+    ) -> Option<Plan> {
         if patterns.len() <= 1 {
-            return;
+            return None;
         }
+        let uris = self.effective_graphs(graph);
+        let components = value_join_components(patterns);
+        if components.len() < 2 {
+            self.greedy_order(patterns, &uris);
+            return None;
+        }
+        let mut stars: Vec<Vec<TriplePattern>> = components
+            .into_iter()
+            .map(|members| members.into_iter().map(|i| patterns[i].clone()).collect())
+            .collect();
+        let left_deep = self.greedy_order(patterns, &uris);
+        let sized: Vec<BgpEstimate> = stars
+            .iter_mut()
+            .map(|star| self.greedy_order(star, &uris))
+            .collect();
+        let bushy: f64 = sized.iter().map(|e| e.cost + e.card).sum();
+        if left_deep.cost <= BUSHY_MARGIN * bushy {
+            return None;
+        }
+
+        // Join order: the largest star leads — it streams through as the
+        // probe side and is never materialized — then always the smallest
+        // star sharing a variable with what is already joined, as the
+        // build (right) side. A star that connects to nothing would be a
+        // Cartesian product; that stays with the nested loop.
+        let mut remaining: Vec<(Vec<TriplePattern>, f64)> = stars
+            .into_iter()
+            .zip(sized.iter().map(|e| e.card))
+            .collect();
+        let mut lead = 0;
+        for (i, (_, card)) in remaining.iter().enumerate() {
+            if *card > remaining[lead].1 {
+                lead = i;
+            }
+        }
+        let mut order = vec![remaining.remove(lead).0];
+        while !remaining.is_empty() {
+            let mut next: Option<usize> = None;
+            for (i, (star, card)) in remaining.iter().enumerate() {
+                let connected = star.iter().flat_map(|p| p.variables()).any(|v| {
+                    let mut joined = order.iter().flatten().flat_map(|p| p.variables());
+                    joined.any(|w| w == v)
+                });
+                if connected && next.is_none_or(|n| *card < remaining[n].1) {
+                    next = Some(i);
+                }
+            }
+            order.push(remaining.remove(next?).0);
+        }
+
+        // Already-pushed filters (a re-optimized plan) follow the first
+        // star that binds their variable.
+        let mut pending = std::mem::take(filters);
+        let mut plan: Option<Plan> = None;
+        for star in order {
+            let (mine, rest) = pending
+                .into_iter()
+                .partition(|f| star.iter().any(|p| p.variables().any(|v| v == f.var)));
+            pending = rest;
+            let bgp = Plan::Bgp {
+                patterns: star,
+                graph: graph.clone(),
+                filters: mine,
+            };
+            plan = Some(match plan {
+                None => bgp,
+                Some(left) => Plan::Join(Box::new(left), Box::new(bgp)),
+            });
+        }
+        plan
+    }
+
+    /// Greedy reorder in place: repeatedly pick the cheapest pattern given
+    /// variables bound so far, heavily penalizing Cartesian products.
+    /// Returns what the order is estimated to cost.
+    fn greedy_order(&mut self, patterns: &mut Vec<TriplePattern>, uris: &[String]) -> BgpEstimate {
         let mut remaining: Vec<TriplePattern> = std::mem::take(patterns);
         let mut bound: HashSet<String> = HashSet::new();
-        let mut ordered = Vec::with_capacity(remaining.len());
+        let mut estimate = BgpEstimate {
+            cost: 0.0,
+            card: 1.0,
+        };
         while !remaining.is_empty() {
             let mut best_idx = 0;
             let mut best_cost = f64::INFINITY;
+            let mut best_matches = 0.0;
             for (i, pat) in remaining.iter().enumerate() {
-                let mut cost = self.estimate_pattern(pat, &bound, graph);
+                let matches = self.estimate_pattern(pat, &bound, uris);
+                let mut cost = matches;
                 let connected = bound.is_empty() || pat.variables().any(|v| bound.contains(v));
                 if !connected {
                     // Disconnected pattern → Cartesian product. Defer.
@@ -469,15 +573,182 @@ impl<'a> Optimizer<'a> {
                 if cost < best_cost {
                     best_cost = cost;
                     best_idx = i;
+                    best_matches = matches;
                 }
             }
             let chosen = remaining.swap_remove(best_idx);
             for v in chosen.variables() {
                 bound.insert(v.to_string());
             }
-            ordered.push(chosen);
+            patterns.push(chosen);
+            estimate.card *= best_matches;
+            estimate.cost += estimate.card;
         }
-        *patterns = ordered;
+        estimate
+    }
+}
+
+/// How many times cheaper (in estimated index entries visited) the bushy
+/// plan must be before [`Optimizer::plan_bgp`] splits a BGP. A constant on
+/// purpose, not a knob: the estimates rest on uniformity assumptions that
+/// are easily off by a small factor, and a wrongly split selective BGP
+/// scans a whole star where the nested loop would have probed a few rows,
+/// so near-ties stay left-deep.
+const BUSHY_MARGIN: f64 = 2.0;
+
+/// Estimated work of one BGP in a fixed pattern order.
+struct BgpEstimate {
+    /// Index entries visited: the running cardinality summed over patterns.
+    cost: f64,
+    /// Output rows.
+    card: f64,
+}
+
+/// Partition a BGP's patterns (by index, each part ascending, parts in
+/// first-pattern order) into the components connected through *entity
+/// variables* — variables in subject position somewhere in the BGP. What is
+/// left connecting two components is a *value variable* (object- or
+/// predicate-only, like a shared `?genre`): no index leads from one
+/// component's entities to the other's, only equality of values does.
+fn value_join_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
+    let entities: HashSet<&str> = patterns.iter().filter_map(|p| p.subject.as_var()).collect();
+    // component[i] = smallest pattern index in i's component.
+    let mut component: Vec<usize> = (0..patterns.len()).collect();
+    for i in 0..patterns.len() {
+        for j in 0..i {
+            let linked = patterns[i]
+                .variables()
+                .any(|v| entities.contains(v) && patterns[j].variables().any(|w| w == v));
+            if linked && component[i] != component[j] {
+                let keep = component[i].min(component[j]);
+                let merge = component[i].max(component[j]);
+                for c in component.iter_mut().filter(|c| **c == merge) {
+                    *c = keep;
+                }
+            }
+        }
+    }
+    let mut parts: Vec<Vec<usize>> = Vec::new();
+    let mut part_of = vec![0; patterns.len()];
+    for (i, &first) in component.iter().enumerate() {
+        if first == i {
+            part_of[i] = parts.len();
+            parts.push(vec![i]);
+        } else {
+            parts[part_of[first]].push(i);
+        }
+    }
+    parts
+}
+
+/// Second half of pass 1: sink an OPTIONAL below the inner join it sits on,
+/// `LeftJoin(Join(A, B), C)` → `Join(LeftJoin(A, C), B)` (or the mirror
+/// image onto `B`), so the optional side is probed once per row of the
+/// input it extends rather than once per row of the join's fan-out.
+///
+/// Legal when `C` touches only one join input: none of `C`'s variables
+/// occurs in the other input, and every variable it shares with its host is
+/// bound in every host row (it comes from a BGP on the host's required
+/// spine, not from an OPTIONAL or UNION). Then the rows of `C` compatible
+/// with a joined row are exactly those compatible with its host half, and
+/// both shapes produce the same bag.
+fn sink_optional(plan: &mut Plan) {
+    let Plan::LeftJoin(join, optional) = &*plan else {
+        return;
+    };
+    let Plan::Join(a, b) = &**join else {
+        return;
+    };
+    let mut vars = HashSet::new();
+    output_vars(optional, &mut vars);
+    let onto_left = if optional_attaches(&vars, a, b) {
+        true
+    } else if optional_attaches(&vars, b, a) {
+        false
+    } else {
+        return;
+    };
+    let Plan::LeftJoin(join, optional) = std::mem::replace(plan, Plan::Unit) else {
+        unreachable!()
+    };
+    let Plan::Join(a, b) = *join else {
+        unreachable!()
+    };
+    let (host, other) = if onto_left { (a, b) } else { (b, a) };
+    // The host may itself be a join (three stars): keep sinking.
+    let mut sunk = Plan::LeftJoin(host, optional);
+    sink_optional(&mut sunk);
+    *plan = if onto_left {
+        Plan::Join(Box::new(sunk), other)
+    } else {
+        Plan::Join(other, Box::new(sunk))
+    };
+}
+
+/// The legality rule of [`sink_optional`] for moving an OPTIONAL with
+/// output schema `vars` onto `host`.
+fn optional_attaches(vars: &HashSet<&str>, host: &Plan, other: &Plan) -> bool {
+    let mut other_vars = HashSet::new();
+    output_vars(other, &mut other_vars);
+    if !vars.is_disjoint(&other_vars) {
+        return false;
+    }
+    let (mut host_vars, mut host_bound) = (HashSet::new(), HashSet::new());
+    output_vars(host, &mut host_vars);
+    always_bound_vars(host, &mut host_bound);
+    let mut shared = vars.intersection(&host_vars).peekable();
+    shared.peek().is_some() && shared.all(|v| host_bound.contains(v))
+}
+
+/// The output schema of `plan`, as a set.
+fn output_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
+    match plan {
+        Plan::Unit => {}
+        Plan::Bgp { patterns, .. } => out.extend(patterns.iter().flat_map(|p| p.variables())),
+        Plan::Join(a, b) | Plan::LeftJoin(a, b) | Plan::Union(a, b) => {
+            output_vars(a, out);
+            output_vars(b, out);
+        }
+        Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
+            output_vars(left, out);
+            output_vars(right, out);
+        }
+        Plan::Filter(_, p)
+        | Plan::Distinct(p)
+        | Plan::SortedDistinct { input: p, .. }
+        | Plan::OrderBy(_, p)
+        | Plan::TopK { input: p, .. }
+        | Plan::Slice { input: p, .. } => output_vars(p, out),
+        Plan::Extend(var, _, p) => {
+            output_vars(p, out);
+            out.insert(var);
+        }
+        Plan::Group { keys, aggs, .. } => {
+            out.extend(keys.iter().map(String::as_str));
+            out.extend(aggs.iter().map(|a| a.output.as_str()));
+        }
+        Plan::Project(vars, _) => out.extend(vars.iter().map(String::as_str)),
+    }
+}
+
+/// Variables bound in every output row of `plan` because a BGP pattern on
+/// its required spine binds them. Deliberately shallow: anything but BGPs,
+/// inner joins, the preserved side of left joins and filters claims nothing.
+fn always_bound_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
+    match plan {
+        Plan::Bgp { patterns, .. } => out.extend(patterns.iter().flat_map(|p| p.variables())),
+        Plan::Join(a, b) => {
+            always_bound_vars(a, out);
+            always_bound_vars(b, out);
+        }
+        Plan::MergeJoin { left, right, .. } => {
+            always_bound_vars(left, out);
+            always_bound_vars(right, out);
+        }
+        Plan::LeftJoin(a, _) | Plan::MergeLeftJoin { left: a, .. } | Plan::Filter(_, a) => {
+            always_bound_vars(a, out)
+        }
+        _ => {}
     }
 }
 
@@ -651,8 +922,8 @@ mod tests {
             TriplePattern::new(var("e"), konst("http://x/label"), var("l")),
             TriplePattern::new(var("e"), konst("http://x/award"), var("a")),
         ];
-        let graph = GraphRef::Default;
-        opt.reorder_bgp(&mut patterns, &graph);
+        let split = opt.plan_bgp(&mut patterns, &GraphRef::Default, &mut Vec::new());
+        assert!(split.is_none());
         // The rare award pattern should be evaluated first.
         assert_eq!(patterns[0].predicate, konst("http://x/award"));
     }
@@ -669,8 +940,8 @@ mod tests {
             TriplePattern::new(var("y"), konst("http://x/award"), var("a")),
             TriplePattern::new(var("x"), konst("http://x/award"), var("a2")),
         ];
-        let graph = GraphRef::Default;
-        opt.reorder_bgp(&mut patterns, &graph);
+        let split = opt.plan_bgp(&mut patterns, &GraphRef::Default, &mut Vec::new());
+        assert!(split.is_none());
         // The two rare award patterns come first; the big label scan is
         // deferred to last, where it joins on an already-bound ?x.
         assert_eq!(
@@ -898,6 +1169,248 @@ mod tests {
             matches!(&plan, Plan::Join(..)),
             "object-leading order must not merge on ?e: {plan:?}"
         );
+    }
+
+    /// 200 films, each typed, with one of 4 genres, one of 3 countries and
+    /// two actors; every other film has a director, and film 7 alone
+    /// carries the label "X".
+    fn film_dataset() -> Dataset {
+        let mut g = Graph::new();
+        for i in 0..200 {
+            let film = iri(&format!("http://x/film{i}"));
+            let mut add = |p: &str, o: Term| {
+                g.insert(&Triple::new(film.clone(), iri(&format!("http://x/{p}")), o));
+            };
+            add("type", iri("http://x/Film"));
+            add("genre", iri(&format!("http://x/genre{}", i % 4)));
+            add("country", iri(&format!("http://x/country{}", i % 3)));
+            add("starring", iri(&format!("http://x/actor{}", i % 50)));
+            add("starring", iri(&format!("http://x/actor{}", 50 + i % 70)));
+            if i % 2 == 0 {
+                add("director", iri(&format!("http://x/director{}", i % 20)));
+            }
+            if i == 7 {
+                add("label", Term::string("X"));
+            }
+        }
+        let mut ds = Dataset::new();
+        ds.insert_graph("http://g", g);
+        ds
+    }
+
+    fn tp(s: &str, p: &str, o: PatternTerm) -> TriplePattern {
+        TriplePattern::new(var(s), konst(&format!("http://x/{p}")), o)
+    }
+
+    fn bgp(patterns: Vec<TriplePattern>) -> Plan {
+        Plan::Bgp {
+            patterns,
+            graph: GraphRef::Default,
+            filters: Vec::new(),
+        }
+    }
+
+    /// One side of the Q9 shape: a film star binding the value variables
+    /// `?genre` and `?country`.
+    fn film_star(film: &str, actor: &str) -> Vec<TriplePattern> {
+        vec![
+            tp(film, "type", konst("http://x/Film")),
+            tp(film, "genre", var("genre")),
+            tp(film, "country", var("country")),
+            tp(film, "starring", var(actor)),
+        ]
+    }
+
+    fn bgp_vars(plan: &Plan) -> HashSet<&str> {
+        let Plan::Bgp { patterns, .. } = plan else {
+            panic!("expected a BGP, got {plan:?}")
+        };
+        patterns.iter().flat_map(|p| p.variables()).collect()
+    }
+
+    #[test]
+    fn value_join_of_two_stars_splits_into_hash_joined_bgps() {
+        let ds = film_dataset();
+        let graphs = vec!["http://g".to_string()];
+        let mut patterns = film_star("film1", "actor1");
+        patterns.extend(film_star("film2", "actor2"));
+        let mut plan = bgp(patterns);
+        Optimizer::new(&ds, &graphs).optimize(&mut plan);
+        let Plan::Join(left, right) = &plan else {
+            panic!("expected a join of two stars, got {plan:?}")
+        };
+        // Each child holds exactly one film's patterns; the stars touch
+        // only through the value variables, which become the hash key.
+        let (l, r) = (bgp_vars(left), bgp_vars(right));
+        assert_eq!(l, HashSet::from(["film1", "genre", "country", "actor1"]));
+        assert_eq!(r, HashSet::from(["film2", "genre", "country", "actor2"]));
+        let keys: HashSet<&str> = l.intersection(&r).copied().collect();
+        assert_eq!(keys, HashSet::from(["genre", "country"]));
+        for side in [left, right] {
+            assert!(matches!(&**side, Plan::Bgp { patterns, .. } if patterns.len() == 4));
+        }
+    }
+
+    #[test]
+    fn stars_chains_and_selective_value_joins_stay_left_deep() {
+        let ds = film_dataset();
+        let graphs = vec!["http://g".to_string()];
+        let stays_one_bgp = |patterns: Vec<TriplePattern>, why: &str| {
+            let n = patterns.len();
+            let mut plan = bgp(patterns);
+            Optimizer::new(&ds, &graphs).optimize(&mut plan);
+            assert!(
+                matches!(&plan, Plan::Bgp { patterns, .. } if patterns.len() == n),
+                "{why}: {plan:?}"
+            );
+        };
+        stays_one_bgp(film_star("film", "actor"), "a star is one component");
+        stays_one_bgp(
+            vec![tp("film", "genre", var("genre"))],
+            "a single pattern has nothing to split",
+        );
+        // cs1's `movies` shape: ?actor links the two patterns as an entity
+        // (it is somebody's subject), so the nested loop follows an index.
+        stays_one_bgp(
+            vec![
+                tp("film", "starring", var("actor")),
+                tp("actor", "birthPlace", var("place")),
+                tp("film", "type", konst("http://x/Film")),
+            ],
+            "a chain through an entity variable is one component",
+        );
+        // Two stars sharing ?g, but one of them is a single labelled film:
+        // the nested loop probes ~50 films of its genre, the bushy plan
+        // would scan every film. The cost guard must refuse.
+        stays_one_bgp(
+            vec![
+                tp("b", "label", PatternTerm::Const(Term::string("X"))),
+                tp("b", "genre", var("g")),
+                tp("a", "genre", var("g")),
+                tp("a", "type", konst("http://x/Film")),
+            ],
+            "a selective value join is cheaper left-deep",
+        );
+        // Stars sharing no variable at all are a Cartesian product, not a
+        // value join: nothing to hash on.
+        let mut cross = film_star("film1", "actor1");
+        cross.push(tp("other", "label", var("l")));
+        stays_one_bgp(cross, "disconnected components stay a nested loop");
+    }
+
+    #[test]
+    fn optionals_sink_below_the_value_join_onto_their_star() {
+        let ds = film_dataset();
+        let graphs = vec!["http://g".to_string()];
+        let director = |film: &str, d: &str| Box::new(bgp(vec![tp(film, "director", var(d))]));
+        let mut patterns = film_star("film1", "actor1");
+        patterns.extend(film_star("film2", "actor2"));
+        // The Q9 plan: both OPTIONALs on top of the flattened BGP.
+        let mut plan = Plan::LeftJoin(
+            Box::new(Plan::LeftJoin(
+                Box::new(bgp(patterns)),
+                director("film1", "director1"),
+            )),
+            director("film2", "director2"),
+        );
+        Optimizer::new(&ds, &graphs).optimize(&mut plan);
+        let Plan::Join(left, right) = &plan else {
+            panic!("expected the join on top, got {plan:?}")
+        };
+        for (side, film, d) in [(left, "film1", "director1"), (right, "film2", "director2")] {
+            let Plan::LeftJoin(star, optional) = &**side else {
+                panic!("expected an OPTIONAL per star, got {side:?}")
+            };
+            assert!(bgp_vars(star).contains(film), "{side:?}");
+            assert_eq!(bgp_vars(optional), HashSet::from([film, d]));
+        }
+    }
+
+    #[test]
+    fn optional_sinking_is_refused_when_it_could_change_the_result() {
+        let a = || Box::new(bgp(film_star("film1", "actor1")));
+        let b = || Box::new(bgp(film_star("film2", "actor2")));
+        let refused = |mut plan: Plan, why: &str| {
+            let before = plan.clone();
+            sink_optional(&mut plan);
+            assert_eq!(plan, before, "{why}");
+        };
+        // C mentions variables of both join inputs.
+        refused(
+            Plan::LeftJoin(
+                Box::new(Plan::Join(a(), b())),
+                Box::new(bgp(vec![tp("film1", "remakeOf", var("film2"))])),
+            ),
+            "an OPTIONAL spanning both sides must stay above the join",
+        );
+        // C introduces ?actor2, which B also binds: below the join it
+        // would be matched against A alone.
+        refused(
+            Plan::LeftJoin(
+                Box::new(Plan::Join(a(), b())),
+                Box::new(bgp(vec![tp("film1", "starring", var("actor2"))])),
+            ),
+            "a variable shared with the other side blocks the sink",
+        );
+        // The variable C shares with its host comes from an OPTIONAL
+        // (possibly unbound in A's rows).
+        let host_with_optional = Box::new(Plan::LeftJoin(
+            a(),
+            Box::new(bgp(vec![tp("film1", "director", var("director1"))])),
+        ));
+        refused(
+            Plan::LeftJoin(
+                Box::new(Plan::Join(host_with_optional, b())),
+                Box::new(bgp(vec![tp("director1", "birthPlace", var("place"))])),
+            ),
+            "a possibly-unbound shared variable blocks the sink",
+        );
+        // … or from a UNION.
+        let host_union = Box::new(Plan::Union(a(), a()));
+        refused(
+            Plan::LeftJoin(
+                Box::new(Plan::Join(host_union, b())),
+                Box::new(bgp(vec![tp("film1", "director", var("director1"))])),
+            ),
+            "a UNION host proves nothing bound",
+        );
+        // The legal case, for contrast — onto the right input this time.
+        let mut plan = Plan::LeftJoin(
+            Box::new(Plan::Join(a(), b())),
+            Box::new(bgp(vec![tp("film2", "director", var("director2"))])),
+        );
+        sink_optional(&mut plan);
+        assert!(
+            matches!(&plan, Plan::Join(l, r)
+                if matches!(&**l, Plan::Bgp { .. }) && matches!(&**r, Plan::LeftJoin(..))),
+            "{plan:?}"
+        );
+    }
+
+    #[test]
+    fn estimates_resolve_the_whole_dataset_without_from() {
+        // Regression: `estimate_pattern` used the raw FROM list, so a query
+        // without FROM estimated every pattern at 0 and kept written order.
+        let ds = build_dataset();
+        let written = || {
+            vec![
+                TriplePattern::new(var("e"), konst("http://x/label"), var("l")),
+                TriplePattern::new(var("e"), konst("http://x/award"), var("a")),
+            ]
+        };
+        let with_from = vec!["http://g".to_string()];
+        let (mut a, mut b) = (written(), written());
+        Optimizer::new(&ds, &with_from).plan_bgp(&mut a, &GraphRef::Default, &mut Vec::new());
+        Optimizer::new(&ds, &[]).plan_bgp(&mut b, &GraphRef::Default, &mut Vec::new());
+        assert_eq!(a, b, "same single-graph dataset, same order");
+        assert_eq!(a[0].predicate, konst("http://x/award"));
+
+        let engine = crate::Engine::new(Arc::new(ds));
+        let body = "{ ?e <http://x/label> ?l . ?e <http://x/award> ?a }";
+        let scanned = |q: String| engine.execute_with_stats(&q).unwrap().1.rows_scanned;
+        let from = scanned(format!("SELECT * FROM <http://g> WHERE {body}"));
+        assert_eq!(from, scanned(format!("SELECT * WHERE {body}")));
+        assert_eq!(from, 4, "2 award triples, one label probe each");
     }
 
     #[test]
@@ -1206,8 +1719,8 @@ mod tests {
             TriplePattern::new(var("e"), konst("http://x/label"), var("l")),
             TriplePattern::new(var("e"), konst("http://x/missing"), var("m")),
         ];
-        let graph = GraphRef::Default;
-        opt.reorder_bgp(&mut patterns, &graph);
+        let split = opt.plan_bgp(&mut patterns, &GraphRef::Default, &mut Vec::new());
+        assert!(split.is_none());
         assert_eq!(patterns[0].predicate, konst("http://x/missing"));
     }
 }

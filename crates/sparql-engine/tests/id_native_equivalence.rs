@@ -15,6 +15,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdf_model::{Dataset, Graph, Literal, Term, Triple};
+use sparql_engine::algebra::Plan;
 use sparql_engine::{Engine, EngineConfig, EvalMode};
 
 fn iri(s: &str) -> Term {
@@ -102,7 +103,34 @@ fn yago_graph() -> Graph {
     yago
 }
 
-/// Build the two-graph dataset in either storage state: `compacted` uses
+/// 60 films over 3 genres × 2 countries, two actors each, a director on
+/// every fourth: large enough that joining two film stars on the *value*
+/// variables `?g`/`?c` is estimated (and is) far cheaper as a hash join of
+/// two scans than as one nested loop, so the optimizer splits those BGPs.
+fn film_graph() -> Graph {
+    let mut g = Graph::with_delta_threshold(usize::MAX);
+    for i in 0..60 {
+        let film = iri(&format!("http://films.org/film{i}"));
+        let mut add = |p: &str, o: String| {
+            g.insert(&Triple::new(
+                film.clone(),
+                iri(&format!("http://films.org/{p}")),
+                iri(&format!("http://films.org/{o}")),
+            ));
+        };
+        add("type", "Film".into());
+        add("genre", format!("genre{}", i % 3));
+        add("country", format!("country{}", (i / 3) % 2));
+        add("starring", format!("actor{}", i % 25));
+        add("starring", format!("actor{}", 25 + i % 17));
+        if i % 4 == 0 {
+            add("director", format!("director{}", i % 5));
+        }
+    }
+    g
+}
+
+/// Build the three-graph dataset in either storage state: `compacted` uses
 /// `insert_graph` (slab-resident), otherwise `insert_shared` hands over the
 /// graphs as-is so every triple stays in the mutable delta and all scans
 /// take the slab+delta merge path.
@@ -111,11 +139,14 @@ fn dataset(compacted: bool) -> Arc<Dataset> {
     if compacted {
         ds.insert_graph("http://dbpedia.org", movie_graph());
         ds.insert_graph("http://yago-knowledge.org", yago_graph());
+        ds.insert_graph("http://films.org", film_graph());
     } else {
-        let movies = movie_graph();
+        let (movies, films) = (movie_graph(), film_graph());
         assert!(movies.delta_len() > 0, "test graph should stay in delta");
+        assert!(films.delta_len() > 0, "test graph should stay in delta");
         ds.insert_shared("http://dbpedia.org", Arc::new(movies));
         ds.insert_shared("http://yago-knowledge.org", Arc::new(yago_graph()));
+        ds.insert_shared("http://films.org", Arc::new(films));
     }
     Arc::new(ds)
 }
@@ -123,9 +154,51 @@ fn dataset(compacted: bool) -> Arc<Dataset> {
 const PREFIXES: &str = "PREFIX dbpp: <http://dbpedia.org/property/>\n\
                         PREFIX dbpr: <http://dbpedia.org/resource/>\n";
 
+/// Value joins over the film graph: subject stars that touch only through
+/// object variables. The optimizer turns each flattened BGP into hash-joined
+/// per-star BGPs (asserted by `value_join_bgps_split_and_cut_scans`), and
+/// every evaluator must run the resulting join tree with the same scans.
+fn value_join_queries() -> Vec<String> {
+    let star = |n: u8| {
+        format!(
+            "?f{n} f:type f:Film . ?f{n} f:genre ?g . ?f{n} f:country ?c . \
+             ?f{n} f:starring ?a{n} ."
+        )
+    };
+    let q = |body: String| {
+        format!(
+            "PREFIX f: <http://films.org/>\nSELECT * FROM <http://films.org> WHERE {{ {body} }}"
+        )
+    };
+    vec![
+        // Two stars sharing ?g and ?c: the two-key hash join.
+        q(format!("{} {}", star(1), star(2))),
+        // Three stars: ?f1 shares ?g with ?f2 and ?c with the directed ?f3.
+        q("?f1 f:type f:Film . ?f1 f:genre ?g . ?f1 f:country ?c . \
+           ?f2 f:type f:Film . ?f2 f:genre ?g . \
+           ?f3 f:director f:director0 . ?f3 f:country ?c . ?f3 f:starring ?a3 ."
+            .into()),
+        // A single-variable FILTER on a join key, pushed into one star.
+        q(format!("{} {} FILTER ( ?g = f:genre1 )", star(1), star(2))),
+        // The Q9 shape as the frame API flattens it — both stars in one
+        // BGP, the OPTIONALs after it — each sunk below the join.
+        q(format!(
+            "{} {} OPTIONAL {{ ?f1 f:director ?d1 }} OPTIONAL {{ ?f2 f:director ?d2 }}",
+            star(1),
+            star(2)
+        )),
+    ]
+}
+
 /// Every query shape exercised by the end-to-end suite, plus cross-graph,
-/// expression-heavy, and aggregate-heavy variants.
+/// expression-heavy, aggregate-heavy, and value-join variants.
 fn queries() -> Vec<String> {
+    let mut all = dbpedia_queries();
+    all.extend(value_join_queries());
+    all
+}
+
+fn dbpedia_queries() -> Vec<String> {
     let q = |body: &str| format!("{PREFIXES}{body}");
     vec![
         q("SELECT ?movie ?actor FROM <http://dbpedia.org> WHERE { ?movie dbpp:starring ?actor }"),
@@ -448,6 +521,72 @@ fn merge_join_fires_and_pushdown_cuts_scans() {
             s_on.rows_scanned,
             s_off.rows_scanned
         );
+    }
+}
+
+/// Whether `plan` joins two BGP-rooted inputs (a split value join,
+/// possibly with OPTIONALs sunk onto the stars; a merge join when both
+/// stars happen to scan in join-key order).
+fn joins_bgp_stars(plan: &Plan) -> bool {
+    fn star(p: &Plan) -> bool {
+        match p {
+            Plan::Bgp { .. } => true,
+            Plan::LeftJoin(host, _) => star(host),
+            Plan::Join(a, b)
+            | Plan::MergeJoin {
+                left: a, right: b, ..
+            } => star(a) && star(b),
+            _ => false,
+        }
+    }
+    match plan {
+        Plan::Join(a, b)
+        | Plan::MergeJoin {
+            left: a, right: b, ..
+        } => star(a) && star(b),
+        Plan::Project(_, p) | Plan::Filter(_, p) => joins_bgp_stars(p),
+        _ => false,
+    }
+}
+
+#[test]
+fn value_join_bgps_split_and_cut_scans() {
+    // The plan shape is the point of these queries: each one must actually
+    // run as a join of per-star BGPs, scanning strictly less than the
+    // literal (optimizer-off) nested loop over the same patterns.
+    for compacted in [true, false] {
+        let ds = dataset(compacted);
+        let on = Engine::new(Arc::clone(&ds));
+        let literal = Engine::with_config(
+            Arc::clone(&ds),
+            EngineConfig {
+                optimize: false,
+                ..EngineConfig::new()
+            },
+        );
+        for q in value_join_queries() {
+            let prepared = on.prepare(&q).unwrap();
+            assert!(
+                joins_bgp_stars(prepared.plan()),
+                "value join must split (compacted={compacted}):\n{q}\n{:#?}",
+                prepared.plan()
+            );
+            let (mut a, s_on) = on.execute_with_stats(&q).unwrap();
+            let (mut b, s_off) = literal.execute_with_stats(&q).unwrap();
+            // Multisets: a split BGP emits hash-join pair order, the
+            // nested loop emits extension order; SPARQL leaves the order
+            // of an un-ORDERed result unspecified.
+            a.canonicalize();
+            b.canonicalize();
+            assert_eq!(a, b, "split changed the result bag for:\n{q}");
+            assert!(!a.is_empty(), "vacuous value join:\n{q}");
+            assert!(
+                s_on.rows_scanned < s_off.rows_scanned,
+                "split must cut scans ({} vs {}) for:\n{q}",
+                s_on.rows_scanned,
+                s_off.rows_scanned
+            );
+        }
     }
 }
 
@@ -784,6 +923,72 @@ proptest! {
                 prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
             }
         }
+    }
+
+    #[test]
+    fn value_join_stars_agree_with_literal_plan_and_reference(
+        triples in proptest::collection::vec((0u8..30, 0u8..3, 0u8..3), 40..120),
+        stars in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0u8..4), 1..4),
+            2..4,
+        ),
+        layout in any::<bool>(),
+    ) {
+        // Random two-/three-star BGPs: star `i` has subject ?e{i} and 1–3
+        // patterns whose objects are one of the two shared value variables
+        // (?x0/?x1), a private variable, or a constant. 30 subjects over 3
+        // objects make the value-variable fan-out large, so the cost guard
+        // splits a good share of these — and whichever way it decides, optimizer
+        // on ≡ optimizer off ≡ the term reference as bags (a split BGP
+        // emits hash-join order, the nested loop extension order), with
+        // exact scan parity between the evaluators running the same plan.
+        let mut g = if layout { Graph::new() } else { Graph::with_delta_threshold(usize::MAX) };
+        for (s, p, o) in &triples {
+            g.insert(&Triple::new(
+                Term::iri(format!("http://test/s{s}")),
+                Term::iri(format!("http://test/p{p}")),
+                Term::iri(format!("http://test/o{o}")),
+            ));
+        }
+        let mut ds = Dataset::new();
+        if layout {
+            ds.insert_graph("http://test/g", g);
+        } else {
+            ds.insert_shared("http://test/g", Arc::new(g));
+        }
+        let ds = Arc::new(ds);
+
+        let mut q = "SELECT * FROM <http://test/g> WHERE {\n".to_string();
+        for (i, star) in stars.iter().enumerate() {
+            for (n, (p, object)) in star.iter().enumerate() {
+                let object = match object {
+                    // Every star's first pattern binds ?x0, so the stars
+                    // always connect through at least one value variable.
+                    _ if n == 0 => "?x0".to_string(),
+                    0 => "?x0".to_string(),
+                    1 => "?x1".to_string(),
+                    2 => format!("?w{i}_{n}"),
+                    _ => format!("<http://test/o{}>", (i + n) % 3),
+                };
+                q.push_str(&format!("  ?e{i} <http://test/p{p}> {object} .\n"));
+            }
+        }
+        q.push('}');
+
+        let literal = Engine::with_config(
+            Arc::clone(&ds),
+            EngineConfig { optimize: false, ..EngineConfig::new() },
+        );
+        let mut expected = literal.execute(&q).unwrap();
+        expected.canonicalize();
+        let mut scans = Vec::new();
+        for (name, engine) in &engines(ds, true) {
+            let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
+            t.canonicalize();
+            prop_assert_eq!(&t, &expected, "{} vs literal plan: {}", name, q);
+            scans.push(stats.rows_scanned);
+        }
+        prop_assert!(scans.windows(2).all(|w| w[0] == w[1]), "scan parity {:?}: {}", scans, q);
     }
 
     #[test]

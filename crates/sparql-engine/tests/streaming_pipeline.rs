@@ -203,6 +203,76 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
     assert_eq!(stats.rows_scanned, stats_m.rows_scanned, "no LIMIT: parity");
 }
 
+/// 300 films over 2 genres × 2 countries with two actors each: every film
+/// star row (600) pairs with the 150 rows of the 75 films sharing its genre
+/// and country, so the flattened film-pair query fans out ×150.
+fn film_dataset() -> Arc<Dataset> {
+    let mut g = Graph::new();
+    for i in 0..300 {
+        let film = Term::iri(format!("http://x/film{i}"));
+        let mut add = |p: &str, o: String| {
+            g.insert(&Triple::new(
+                film.clone(),
+                Term::iri(format!("http://x/{p}")),
+                Term::iri(format!("http://x/{o}")),
+            ));
+        };
+        add("type", "Film".into());
+        add("genre", format!("genre{}", i % 2));
+        add("country", format!("country{}", (i / 2) % 2));
+        add("starring", format!("actor{}", i % 40));
+        add("starring", format!("actor{}", 40 + i % 55));
+    }
+    g.compact();
+    let mut ds = Dataset::new();
+    ds.insert_graph(GRAPH, g);
+    Arc::new(ds)
+}
+
+#[test]
+fn fan_out_join_stages_one_window_not_one_left_batch() {
+    const STAR: u64 = 600;
+    const FAN_OUT: u64 = 150;
+    let ds = film_dataset();
+    let star = |n: u8| {
+        format!(
+            "?film{n} <http://x/type> <http://x/Film> . ?film{n} <http://x/genre> ?genre . \
+             ?film{n} <http://x/country> ?country . ?film{n} <http://x/starring> ?actor{n} ."
+        )
+    };
+    let q = format!(
+        "SELECT * FROM <{GRAPH}> WHERE {{ {} {} }}",
+        star(1),
+        star(2)
+    );
+    let streaming = engine(&ds, true, QueryBudget::unlimited());
+    let materializing = engine(&ds, false, QueryBudget::unlimited());
+    let (expected, stats_m) = drain(&materializing, &q, 4096);
+    assert_eq!(expected.len() as u64, STAR * FAN_OUT);
+    // The optimizer split the value join: one scan set per star (the
+    // nested loop would re-probe the second star per first-star row).
+    assert_eq!(stats_m.rows_scanned, 2 * 1500);
+
+    for batch in [1usize, 7, 64, 256, 4096] {
+        let (rows, stats) = drain(&streaming, &q, batch);
+        // Same rows in the same order as assembling everything at once.
+        assert_eq!(rows, expected, "batch {batch}");
+        assert_eq!(stats.rows_scanned, stats_m.rows_scanned, "batch {batch}");
+        if batch == 7 || batch == 256 {
+            // The build side, one left row's matches beyond the window
+            // being filled, and O(batch) everywhere else (scan levels, the
+            // probed batch, pending pairs, the emitted batch) — never a
+            // whole left batch's ×150 output.
+            let bound = STAR + FAN_OUT + 16 * batch as u64;
+            assert!(
+                stats.peak_live_rows <= bound,
+                "batch {batch}: peak {} rows exceeds {bound}",
+                stats.peak_live_rows
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property test: random shapes × random batch sizes
 // ---------------------------------------------------------------------------

@@ -43,6 +43,13 @@ RDFFRAMES_THREADS=4 cargo test -q
 echo "==> cargo test (RDFFRAMES_BATCH_ROWS=7)"
 RDFFRAMES_BATCH_ROWS=7 cargo test -q
 
+# The benchmark package sits outside the workspace (BENCHMARK.json runs it
+# from its own manifest), so the root `cargo test` never reaches its tests:
+# argument parsing, the metric tables, and a scale-64 smoke of all six
+# workloads checked against `evaluate_reference`.
+echo "==> cargo test (benchmark package)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # Budget-meter arithmetic is saturating by contract; run the enforcement
 # suite under the dev profile (debug assertions ON, so any overflow in
 # meter arithmetic aborts instead of wrapping). `cargo test -q` above
