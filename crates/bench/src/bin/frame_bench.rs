@@ -37,10 +37,11 @@ use bench::casestudies::{self, CaseParams};
 use bench::data;
 use bench::queries;
 use rdf_model::Dataset;
+use rdfframes_core::model::{compile, generator};
 use rdfframes_core::{
     EmbeddedEndpoint, Endpoint, EndpointConfig, InProcessEndpoint, RDFFrame, WireFormat,
 };
-use sparql_engine::EngineConfig;
+use sparql_engine::{Engine, EngineConfig, ExecStats};
 
 const RUNS: usize = 5;
 
@@ -192,6 +193,20 @@ fn run<E: Endpoint>(frame: &RDFFrame, endpoint: &E) -> Outcome {
     }
 }
 
+/// The engine's exact work counts for one frame (index entries scanned,
+/// join candidate pairs tested): what the timings above are made of, and —
+/// unlike them — identical on every run.
+fn work_counts(frame: &RDFFrame, dataset: &Arc<Dataset>) -> ExecStats {
+    let model = generator::build_query_model(frame).expect("query model");
+    let compiled = compile::compile(&model).expect("plan compilation");
+    let engine = Engine::new(Arc::clone(dataset));
+    let prepared = engine.prepare_plan(compiled.plan, compiled.from);
+    engine
+        .execute_prepared(&prepared, None)
+        .expect("engine execution")
+        .1
+}
+
 struct MemOutcome {
     median: Duration,
     peak_bytes: usize,
@@ -336,6 +351,9 @@ fn main() {
         let _ = writeln!(json, "      \"id\": \"{}\",", w.id);
         let _ = writeln!(json, "      \"kind\": \"{}\",", w.kind);
         let _ = writeln!(json, "      \"rows\": {},", out_embedded.rows);
+        let work = work_counts(&w.frame, &dataset);
+        let _ = writeln!(json, "      \"rows_scanned\": {},", work.rows_scanned);
+        let _ = writeln!(json, "      \"join_candidates\": {},", work.join_candidates);
         let _ = writeln!(
             json,
             "      \"embedded_ms\": {:.3},",

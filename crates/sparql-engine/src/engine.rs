@@ -103,7 +103,7 @@ pub struct EngineConfig {
     /// so each `execute_*`/`cursor` call gets the full allowance.
     pub budget: QueryBudget,
     /// Worker threads for the columnar evaluator's parallel operators (BGP
-    /// extension, single-key hash join, mergeable GROUP BY). `1` (the
+    /// extension, hash-join probe, mergeable GROUP BY). `1` (the
     /// default) runs fully sequential; `n > 1` fans large inputs out over a
     /// shared work-stealing pool. Results are byte-identical at any thread
     /// count, and `rows_scanned` parity is exact. The oracle evaluators
@@ -166,6 +166,12 @@ pub struct ExecStats {
     /// Left (OPTIONAL) joins that executed as order-preserving merge joins
     /// (columnar evaluator only).
     pub merge_left_joins: u64,
+    /// Candidate pairs the joins handed to the per-pair compatibility check
+    /// — from index lookups and merge runs alike (columnar evaluator only).
+    /// An exact, repeatable work count, identical on the streaming and
+    /// materializing paths: a join whose count far exceeds its input plus
+    /// output rows is keying on too little.
+    pub join_candidates: u64,
     /// DISTINCT operators that deduplicated by linear run detection over
     /// sorted input instead of hashing (columnar evaluator only).
     pub sorted_distincts: u64,
@@ -338,6 +344,7 @@ impl Engine {
                     rows_scanned: evaluator.rows_scanned(),
                     merge_joins: evaluator.merge_joins(),
                     merge_left_joins: evaluator.merge_left_joins(),
+                    join_candidates: evaluator.join_candidates(),
                     sorted_distincts: evaluator.sorted_distincts(),
                     sorted_groups: evaluator.sorted_groups(),
                     par_workers: evaluator.threads() as u64,
@@ -487,6 +494,7 @@ impl QueryCursor<'_> {
             rows_scanned: self.evaluator.rows_scanned(),
             merge_joins: self.evaluator.merge_joins(),
             merge_left_joins: self.evaluator.merge_left_joins(),
+            join_candidates: self.evaluator.join_candidates(),
             sorted_distincts: self.evaluator.sorted_distincts(),
             sorted_groups: self.evaluator.sorted_groups(),
             par_workers: self.evaluator.threads() as u64,

@@ -10,9 +10,10 @@
 //!   (a gather-index vector plus one value vector per newly-bound
 //!   variable). No per-row `Vec` is ever allocated; previously-bound
 //!   columns are carried forward with a single contiguous gather.
-//! - **Hash joins** pick their key columns with a bitmap popcount
-//!   ([`Column::all_present`]), build on raw `&[TermId]` column slices,
-//!   and emit output columns by gathering over the matched pair list.
+//! - **Hash joins** key every build row on all the shared variables it
+//!   binds (`join_index`: presence groups found by bitmap popcount, keys
+//!   hashed off raw `&[TermId]` column slices), and emit output columns by
+//!   gathering over the matched pair list.
 //! - **DISTINCT** and **GROUP BY** key directly off column slices,
 //!   hashing `u64`-encoded cells (id + presence), never terms.
 //! - **Aggregates** run id-native where the shape allows: `COUNT[DISTINCT]`
@@ -46,7 +47,10 @@ use crate::expr::{ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRow
 use crate::pool::TermPool;
 use crate::results::{Column, IdTable, SolutionTable};
 
+mod join_index;
 pub(crate) mod pipeline;
+
+use join_index::{merge_candidates, JoinIndex, RowMasks, Sides};
 
 /// Inputs below this row count run sequentially even with parallelism on:
 /// the fan-out overhead (task queueing, per-chunk state) dwarfs the work.
@@ -91,6 +95,7 @@ pub struct Evaluator<'a> {
     meter: BudgetMeter,
     merge_joins: u64,
     merge_left_joins: u64,
+    join_candidates: u64,
     sorted_distincts: u64,
     sorted_groups: u64,
     /// `ORDER BY ?var` via the dataset's cached term-rank permutation
@@ -117,6 +122,7 @@ impl<'a> Evaluator<'a> {
             meter: BudgetMeter::unlimited(),
             merge_joins: 0,
             merge_left_joins: 0,
+            join_candidates: 0,
             sorted_distincts: 0,
             sorted_groups: 0,
             rank_sort: true,
@@ -127,7 +133,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Enable `n`-way parallel execution of the hot operators (BGP
-    /// extension, single-key hash join, mergeable GROUP BY). `n <= 1`
+    /// extension, hash-join probe, mergeable GROUP BY). `n <= 1`
     /// disables it. Output is byte-identical to sequential execution —
     /// chunk results are folded back in chunk order, which reproduces row
     /// order exactly — and `rows_scanned` parity is exact.
@@ -164,6 +170,13 @@ impl<'a> Evaluator<'a> {
     /// left joins (run-time sortedness check passed).
     pub fn merge_left_joins(&self) -> u64 {
         self.merge_left_joins
+    }
+
+    /// Candidate pairs the joins tested with [`JoinShape::compatible`] so
+    /// far — index lookups and merge runs alike (an exact work count: what a
+    /// join costs beyond reading its inputs and writing its output).
+    pub fn join_candidates(&self) -> u64 {
+        self.join_candidates
     }
 
     /// Number of [`Plan::SortedDistinct`] nodes that deduplicated by run
@@ -262,14 +275,7 @@ impl<'a> Evaluator<'a> {
             Plan::Join(a, b) => {
                 let left = self.eval_ids(a)?;
                 let right = self.eval_ids(b)?;
-                join(
-                    left,
-                    right,
-                    JoinKind::Inner,
-                    &mut self.meter,
-                    self.par.as_ref(),
-                    &mut self.par_stats,
-                )
+                self.join(left, right, JoinKind::Inner, None)
             }
             Plan::MergeJoin { left, right, key } => {
                 let left = self.eval_ids(left)?;
@@ -284,14 +290,7 @@ impl<'a> Evaluator<'a> {
             Plan::LeftJoin(a, b) => {
                 let left = self.eval_ids(a)?;
                 let right = self.eval_ids(b)?;
-                join(
-                    left,
-                    right,
-                    JoinKind::Left,
-                    &mut self.meter,
-                    self.par.as_ref(),
-                    &mut self.par_stats,
-                )
+                self.join(left, right, JoinKind::Left, None)
             }
             Plan::Union(a, b) => {
                 let left = self.eval_ids(a)?;
@@ -764,26 +763,84 @@ impl<'a> Evaluator<'a> {
         key: &str,
         kind: JoinKind,
     ) -> Result<IdTable> {
-        if let (Some(lc), Some(rc)) = (left.column_index(key), right.column_index(key)) {
-            let sorted = |t: &IdTable, c: usize| {
-                t.col(c).all_present() && t.col(c).ids().windows(2).all(|w| w[0] <= w[1])
-            };
-            if sorted(&left, lc) && sorted(&right, rc) {
-                match kind {
-                    JoinKind::Inner => self.merge_joins += 1,
-                    JoinKind::Left => self.merge_left_joins += 1,
-                }
-                return merge_join(left, right, lc, rc, kind, &mut self.meter);
-            }
+        let keys = left.column_index(key).zip(right.column_index(key));
+        let merge = keys.filter(|&(lc, rc)| sorted_key(left.col(lc)) && sorted_key(right.col(rc)));
+        match (merge, kind) {
+            (None, _) => {}
+            (Some(_), JoinKind::Inner) => self.merge_joins += 1,
+            (Some(_), JoinKind::Left) => self.merge_left_joins += 1,
         }
-        join(
-            left,
-            right,
+        self.join(left, right, kind, merge)
+    }
+
+    /// Columnar join (inner or left) with SPARQL compatibility semantics: a
+    /// pair list from the one probe loop ([`Sides::probe`], which fixes the
+    /// pair order and checks the list against the budget between left
+    /// rows), then output columns gathered over it — shared columns take
+    /// the left value when present and fall back to the right side.
+    ///
+    /// Candidates come from a [`JoinIndex`] over the right input (every
+    /// build row keyed on all the shared variables it binds; charged to the
+    /// budget once, when built) or, with `merge_keys` — the inputs' key
+    /// columns, verified sorted and fully bound by the caller — from the
+    /// right side's key run, a linear two-pointer merge. Same loop, same
+    /// pair order: the merge rewrite is invisible downstream, differential
+    /// oracles included.
+    ///
+    /// With a parallel context, left chunks probe the one shared index and
+    /// their pair lists are concatenated in chunk order — the sequential
+    /// pair list byte for byte, since a left row's candidates do not depend
+    /// on which chunk it fell into.
+    fn join(
+        &mut self,
+        left: IdTable,
+        right: IdTable,
+        kind: JoinKind,
+        merge_keys: Option<(usize, usize)>,
+    ) -> Result<IdTable> {
+        let shape = JoinShape::new(&left.vars, &right.vars);
+        let sides = Sides {
+            shape: &shape,
+            left: &left,
+            right: &right,
             kind,
-            &mut self.meter,
-            self.par.as_ref(),
-            &mut self.par_stats,
-        )
+        };
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let (rows, all) = (0..left.len(), usize::MAX);
+        if let Some((lc, rc)) = merge_keys {
+            let mut run = 0usize;
+            let key_run = merge_candidates(left.col(lc).ids(), right.col(rc).ids(), &mut run);
+            let (_, tested) = sides.probe(rows, all, &mut pairs, &mut self.meter, key_run)?;
+            self.join_candidates += tested;
+            return Ok(assemble_join(&left, &right, shape.out_vars, &pairs));
+        }
+        let mut index = JoinIndex::new(&right, &shape);
+        let masks = index.prepare(&left, &right, &shape);
+        self.meter.charge_intermediate(0, index.estimated_bytes())?;
+        let lookups = || index.candidates(&masks, &left, &shape.l_idx);
+        if let Some(p) = self.par.as_ref().filter(|_| left.len() >= PAR_MIN_ROWS) {
+            let chunk = par_chunk_size(left.len(), p.threads);
+            let shared = SharedMeter::new(&self.meter, left.len().div_ceil(chunk));
+            let run = p.pool.run_chunks(left.len(), chunk, |ci, range| {
+                let (mut out, mut wm) = (Vec::new(), shared.worker(ci));
+                let (_, tested) = sides.probe(range, all, &mut out, &mut wm, lookups())?;
+                Ok::<_, EngineError>((out, tested))
+            });
+            self.par_stats.chunks += run.chunks;
+            self.par_stats.steals += run.steals;
+            let merge_start = Instant::now();
+            let chunks: Result<Vec<_>> = run.results.into_iter().collect();
+            shared.finish(&mut self.meter)?;
+            for (mut out, tested) in chunks? {
+                pairs.append(&mut out);
+                self.join_candidates += tested;
+            }
+            self.par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
+        } else {
+            let (_, tested) = sides.probe(rows, all, &mut pairs, &mut self.meter, lookups())?;
+            self.join_candidates += tested;
+        }
+        Ok(assemble_join(&left, &right, shape.out_vars, &pairs))
     }
 
     /// Pattern-level slot for one position: a constant bound to its local id
@@ -1791,186 +1848,6 @@ enum JoinKind {
 /// Marker for "left row had no match" in the pair list of a left join.
 const NO_MATCH: u32 = u32::MAX;
 
-/// Columnar hash join with SPARQL compatibility semantics.
-///
-/// Key selection: the shared variables bound in *every* row of both inputs
-/// (one bitmap popcount per column, no row scan) form the hash key;
-/// remaining shared variables are checked per candidate pair with
-/// unbound-is-compatible semantics. The match phase produces a `(left row,
-/// right row)` pair list; output columns are then assembled by gathering
-/// over it — shared columns take the left value when present and fall back
-/// to the right side. Falls back to nested loop when no always-bound shared
-/// variable exists.
-///
-/// The pair list is the allocation a cross-product-shaped join balloons
-/// before any output column exists, so every probe strategy checks it
-/// against the budget between left rows (overshoot bounded by one left
-/// row's candidates).
-///
-/// With a parallel context, the single-key path runs partitioned: each
-/// build chunk indexes its own right-row range, and each probe chunk walks
-/// *all* chunk maps in chunk order — right-row indexes ascend within a
-/// chunk map and across maps, so every left row sees its candidates in
-/// exactly the sequential bucket order, and concatenating per-chunk pair
-/// lists in chunk order reproduces the sequential pair list byte for byte.
-fn join(
-    left: IdTable,
-    right: IdTable,
-    kind: JoinKind,
-    meter: &mut BudgetMeter,
-    par: Option<&ParCtx>,
-    par_stats: &mut ParStats,
-) -> Result<IdTable> {
-    let shape = JoinShape::new(&left, &right);
-
-    // Positions (within the shared vars) usable as hash key.
-    let key_positions: Vec<usize> = (0..shape.shared_len())
-        .filter(|&k| {
-            left.col(shape.l_idx[k]).all_present() && right.col(shape.r_idx[k]).all_present()
-        })
-        .collect();
-    let l_idx = &shape.l_idx;
-    let r_idx = &shape.r_idx;
-
-    let compatible = |li: usize, ri: usize| -> bool { shape.compatible(&left, &right, li, ri) };
-
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    if key_positions.len() == 1 {
-        // Single-column key (the common case): hash raw ids.
-        let lk = left.col(l_idx[key_positions[0]]);
-        let rk = right.col(r_idx[key_positions[0]]);
-        let par_run = par.filter(|_| left.len() >= PAR_MIN_ROWS);
-        if let Some(p) = par_run {
-            // Partitioned build: each chunk indexes its right-row range.
-            let build_chunk = par_chunk_size(right.len(), p.threads);
-            let build = p.pool.run_chunks(right.len(), build_chunk, |_ci, range| {
-                let mut m: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(range.len());
-                for ri in range {
-                    m.entry(rk.ids()[ri]).or_default().push(ri as u32);
-                }
-                m
-            });
-            par_stats.chunks += build.chunks;
-            par_stats.steals += build.steals;
-            let maps = build.results;
-            // Chunked probe: a left row probes every chunk map in chunk
-            // order, seeing candidates in ascending right-row order — the
-            // sequential bucket order.
-            let probe_chunk = par_chunk_size(left.len(), p.threads);
-            let n_chunks = left.len().div_ceil(probe_chunk);
-            let shared = SharedMeter::new(meter, n_chunks);
-            let maps_ref = &maps;
-            let compatible_ref = &compatible;
-            let probe = p.pool.run_chunks(left.len(), probe_chunk, |ci, range| {
-                let mut wm = shared.worker(ci);
-                let mut out: Vec<(u32, u32)> = Vec::new();
-                for li in range {
-                    let id = lk.ids()[li];
-                    let mut matched = false;
-                    for m in maps_ref {
-                        if let Some(candidates) = m.get(&id) {
-                            for &ri in candidates {
-                                if compatible_ref(li, ri as usize) {
-                                    out.push((li as u32, ri));
-                                    matched = true;
-                                }
-                            }
-                        }
-                    }
-                    if !matched && kind == JoinKind::Left {
-                        out.push((li as u32, NO_MATCH));
-                    }
-                    wm.charge_intermediate(out.len() as u64, out.len() as u64 * 8)?;
-                }
-                Ok::<_, EngineError>(out)
-            });
-            par_stats.chunks += probe.chunks;
-            par_stats.steals += probe.steals;
-            let merge_start = Instant::now();
-            let mut chunk_err: Option<EngineError> = None;
-            for r in probe.results {
-                match r {
-                    Ok(mut v) => pairs.append(&mut v),
-                    Err(e) => {
-                        chunk_err.get_or_insert(e);
-                    }
-                }
-            }
-            par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-            shared.finish(meter)?;
-            if let Some(e) = chunk_err {
-                return Err(e);
-            }
-        } else {
-            let mut table: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(right.len());
-            for (ri, &id) in rk.ids().iter().enumerate() {
-                table.entry(id).or_default().push(ri as u32);
-            }
-            for (li, &id) in lk.ids().iter().enumerate() {
-                let mut matched = false;
-                if let Some(candidates) = table.get(&id) {
-                    for &ri in candidates {
-                        if compatible(li, ri as usize) {
-                            pairs.push((li as u32, ri));
-                            matched = true;
-                        }
-                    }
-                }
-                if !matched && kind == JoinKind::Left {
-                    pairs.push((li as u32, NO_MATCH));
-                }
-                meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-            }
-        }
-    } else if !key_positions.is_empty() || shape.shared_len() == 0 {
-        // Multi-column (or empty = cross-product bucket) key.
-        let mut table: HashMap<Vec<TermId>, Vec<u32>> = HashMap::with_capacity(right.len());
-        for ri in 0..right.len() {
-            let key: Vec<TermId> = key_positions
-                .iter()
-                .map(|&k| right.col(r_idx[k]).ids()[ri])
-                .collect();
-            table.entry(key).or_default().push(ri as u32);
-        }
-        for li in 0..left.len() {
-            let key: Vec<TermId> = key_positions
-                .iter()
-                .map(|&k| left.col(l_idx[k]).ids()[li])
-                .collect();
-            let mut matched = false;
-            if let Some(candidates) = table.get(&key) {
-                for &ri in candidates {
-                    if compatible(li, ri as usize) {
-                        pairs.push((li as u32, ri));
-                        matched = true;
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                pairs.push((li as u32, NO_MATCH));
-            }
-            meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-        }
-    } else {
-        // Nested loop with compatibility semantics.
-        for li in 0..left.len() {
-            let mut matched = false;
-            for ri in 0..right.len() {
-                if compatible(li, ri) {
-                    pairs.push((li as u32, ri as u32));
-                    matched = true;
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                pairs.push((li as u32, NO_MATCH));
-            }
-            meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-        }
-    }
-
-    Ok(assemble_join(&left, &right, shape.out_vars, &pairs))
-}
-
 /// Join-shape setup shared by the hash and merge join implementations —
 /// the shared-variable column indexes, the output schema, and the per-pair
 /// compatibility check — so the two paths cannot drift apart (the merge
@@ -1986,26 +1863,20 @@ struct JoinShape {
 }
 
 impl JoinShape {
-    fn new(left: &IdTable, right: &IdTable) -> Self {
-        let shared: Vec<&String> = left
-            .vars
-            .iter()
-            .filter(|v| right.vars.contains(v))
-            .collect();
-        let mut out_vars = left.vars.clone();
-        for v in &right.vars {
+    /// From the two inputs' schemas (stable across the batches of a
+    /// streaming join, so its operator builds the shape once).
+    fn new(left: &[String], right: &[String]) -> Self {
+        let position = |vars: &[String], v: &String| vars.iter().position(|x| x == v);
+        let mut out_vars = left.to_vec();
+        for v in right {
             if !out_vars.contains(v) {
                 out_vars.push(v.clone());
             }
         }
-        let l_idx: Vec<usize> = shared
+        let shared = left
             .iter()
-            .map(|v| left.column_index(v).expect("shared var in left"))
-            .collect();
-        let r_idx: Vec<usize> = shared
-            .iter()
-            .map(|v| right.column_index(v).expect("shared var in right"))
-            .collect();
+            .filter_map(|v| Some((position(left, v)?, position(right, v)?)));
+        let (l_idx, r_idx) = shared.unzip();
         JoinShape {
             out_vars,
             l_idx,
@@ -2013,16 +1884,11 @@ impl JoinShape {
         }
     }
 
-    fn shared_len(&self) -> usize {
-        self.l_idx.len()
-    }
-
     /// SPARQL compatibility: every shared variable bound on both sides must
     /// agree; unbound is compatible with anything.
     fn compatible(&self, left: &IdTable, right: &IdTable, li: usize, ri: usize) -> bool {
-        for k in 0..self.shared_len() {
-            if let (Some(a), Some(b)) = (left.get(li, self.l_idx[k]), right.get(ri, self.r_idx[k]))
-            {
+        for (&lc, &rc) in self.l_idx.iter().zip(&self.r_idx) {
+            if let (Some(a), Some(b)) = (left.get(li, lc), right.get(ri, rc)) {
                 if a != b {
                     return false;
                 }
@@ -2032,52 +1898,10 @@ impl JoinShape {
     }
 }
 
-/// Order-preserving merge join (inner or left): both inputs sorted
-/// non-decreasing on their key column (all slots bound — verified by the
-/// caller). Emits pairs in exactly the order the hash join produces — left
-/// rows in input order, each one's matches in ascending right-row order,
-/// and (for the left flavor) an unmatched-left marker in place — so the
-/// rewrite is invisible to everything downstream, including the
-/// differential oracles. Remaining shared variables get the same per-pair
-/// compatibility check the hash join applies (same [`JoinShape`]): a left
-/// row whose key-run candidates all fail it counts as unmatched, exactly
-/// like the hash join's bucket probe.
-fn merge_join(
-    left: IdTable,
-    right: IdTable,
-    l_key: usize,
-    r_key: usize,
-    kind: JoinKind,
-    meter: &mut BudgetMeter,
-) -> Result<IdTable> {
-    let shape = JoinShape::new(&left, &right);
-    let compatible = |li: usize, ri: usize| -> bool { shape.compatible(&left, &right, li, ri) };
-
-    let lk = left.col(l_key).ids();
-    let rk = right.col(r_key).ids();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    // `run` marks the start of the right-side run for the current left key;
-    // both sides ascend, so it only ever moves forward.
-    let mut run = 0usize;
-    for (li, &key) in lk.iter().enumerate() {
-        while run < rk.len() && rk[run] < key {
-            run += 1;
-        }
-        let mut ri = run;
-        let mut matched = false;
-        while ri < rk.len() && rk[ri] == key {
-            if compatible(li, ri) {
-                pairs.push((li as u32, ri as u32));
-                matched = true;
-            }
-            ri += 1;
-        }
-        if !matched && kind == JoinKind::Left {
-            pairs.push((li as u32, NO_MATCH));
-        }
-        meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-    }
-    Ok(assemble_join(&left, &right, shape.out_vars, &pairs))
+/// The run-time half of every merge claim: the key column fully bound and
+/// non-decreasing.
+fn sorted_key(col: &Column) -> bool {
+    col.all_present() && col.ids().windows(2).all(|w| w[0] <= w[1])
 }
 
 /// Body of [`Plan::Project`] over an owned table: move projected columns
@@ -2282,6 +2106,13 @@ mod tests {
         Some(TermId(v))
     }
 
+    fn hash_join(a: IdTable, b: IdTable, kind: JoinKind) -> IdTable {
+        let ds = Dataset::new();
+        Evaluator::new(&ds, Vec::new())
+            .join(a, b, kind, None)
+            .unwrap()
+    }
+
     fn rows_of(t: &IdTable) -> Vec<Vec<Option<TermId>>> {
         (0..t.len())
             .map(|r| (0..t.vars.len()).map(|c| t.get(r, c)).collect())
@@ -2292,15 +2123,7 @@ mod tests {
     fn inner_join_on_shared() {
         let a = tbl(&["x", "y"], vec![vec![i(1), i(10)], vec![i(2), i(20)]]);
         let b = tbl(&["x", "z"], vec![vec![i(1), i(100)], vec![i(3), i(300)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let j = hash_join(a, b, JoinKind::Inner);
         assert_eq!(j.vars, vec!["x", "y", "z"]);
         assert_eq!(rows_of(&j), vec![vec![i(1), i(10), i(100)]]);
     }
@@ -2309,15 +2132,7 @@ mod tests {
     fn left_join_keeps_unmatched() {
         let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
         let b = tbl(&["x", "z"], vec![vec![i(1), i(100)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Left,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let j = hash_join(a, b, JoinKind::Left);
         assert_eq!(j.len(), 2);
         assert_eq!(rows_of(&j)[1], vec![i(2), None]);
     }
@@ -2328,15 +2143,7 @@ mod tests {
         // output): unbound is compatible with anything.
         let a = tbl(&["x", "g"], vec![vec![i(1), None], vec![i(2), i(9)]]);
         let b = tbl(&["x", "g"], vec![vec![i(1), i(7)], vec![i(2), i(8)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let j = hash_join(a, b, JoinKind::Inner);
         // Row (1, None) joins (1, 7) → (1, 7); row (2, 9) vs (2, 8) clash.
         assert_eq!(rows_of(&j), vec![vec![i(1), i(7)]]);
     }
@@ -2345,15 +2152,7 @@ mod tests {
     fn cross_product_when_no_shared() {
         let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
         let b = tbl(&["y"], vec![vec![i(3)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let j = hash_join(a, b, JoinKind::Inner);
         assert_eq!(j.len(), 2);
     }
 
@@ -2371,15 +2170,7 @@ mod tests {
     fn bag_semantics_preserved() {
         let a = tbl(&["x"], vec![vec![i(1)], vec![i(1)]]);
         let b = tbl(&["x"], vec![vec![i(1)], vec![i(1)]]);
-        let j = join(
-            a,
-            b,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let j = hash_join(a, b, JoinKind::Inner);
         // 2 × 2 duplicates → 4 rows.
         assert_eq!(j.len(), 4);
     }
@@ -2387,15 +2178,7 @@ mod tests {
     #[test]
     fn unit_table_is_join_identity() {
         let a = tbl(&["x"], vec![vec![i(1)], vec![i(2)]]);
-        let j = join(
-            IdTable::unit(),
-            a,
-            JoinKind::Inner,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
+        let j = hash_join(IdTable::unit(), a, JoinKind::Inner);
         assert_eq!(j.vars, vec!["x"]);
         assert_eq!(j.len(), 2);
     }
@@ -2416,24 +2199,13 @@ mod tests {
                 vec![i(4), i(9), i(102)], // joins the unbound-?g left row
             ],
         );
-        let via_hash = join(
-            left.clone(),
-            right.clone(),
-            JoinKind::Left,
-            &mut BudgetMeter::unlimited(),
-            None,
-            &mut ParStats::default(),
-        )
-        .unwrap();
-        let via_merge = merge_join(
-            left,
-            right,
-            0,
-            0,
-            JoinKind::Left,
-            &mut BudgetMeter::unlimited(),
-        )
-        .unwrap();
+        let via_hash = hash_join(left.clone(), right.clone(), JoinKind::Left);
+        let ds = Dataset::new();
+        let mut ev = Evaluator::new(&ds, Vec::new());
+        let via_merge = ev.join(left, right, JoinKind::Left, Some((0, 0))).unwrap();
+        // The merge run tests every same-?x row; the hash index keys the
+        // (x, g) rows on both and tested one pair fewer.
+        assert_eq!(ev.join_candidates(), 3);
         assert_eq!(rows_of(&via_hash), rows_of(&via_merge));
         assert_eq!(via_hash.vars, via_merge.vars);
         // Row 2 (x=2) must appear unmatched, in place.

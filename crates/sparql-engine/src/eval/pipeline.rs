@@ -683,33 +683,19 @@ fn extend_level_seq<'e>(
 /// across batches) and the previous batch's last left key (the boundary
 /// half of the incremental sortedness check).
 struct MergeState {
+    l_key: usize,
     r_key: usize,
     run: usize,
     prev: Option<TermId>,
-}
-
-/// Cached probe index over the materialized right side, keyed by the key
-/// positions it was built for (rebuilt only when a left batch's bound-ness
-/// changes the usable key set).
-struct ProbeCache {
-    key_positions: Vec<usize>,
-    index: ProbeIndex,
-}
-
-enum ProbeIndex {
-    One(HashMap<TermId, Vec<u32>>),
-    Many(HashMap<Vec<TermId>, Vec<u32>>),
-    Nested,
 }
 
 /// The left batch being probed: rows `..next_left` have been matched, and
 /// `pairs[emitted..]` are matches not yet handed downstream.
 struct Probing {
     batch: IdTable,
-    shape: JoinShape,
-    /// The batch's key column while the merge claim holds for it; `None`
-    /// probes by hash.
-    merge_col: Option<usize>,
+    /// The batch's presence masks for the join index; `None` while the
+    /// merge claim holds and the batch probes by key run.
+    masks: Option<RowMasks>,
     next_left: usize,
     pairs: Vec<(u32, u32)>,
     emitted: usize,
@@ -719,9 +705,9 @@ struct Probing {
 /// build side (charged against the budget as it accumulates — joins are
 /// half pipeline-breaker), the left streams through as the probe side.
 ///
-/// Every probe strategy — merge run, single-/multi-key hash, cross-product
-/// bucket, nested loop — emits the identical pair list (per left row in
-/// input order, compatible right rows in ascending right-index order, an
+/// Both probe strategies — a merge run, or the [`JoinIndex`] shared with
+/// the materializing [`join`] — emit the identical pair list (per left row
+/// in input order, compatible right rows in ascending right-index order, an
 /// unmatched marker for left joins), so the per-batch strategy choice and
 /// any mid-stream merge→hash demotion are invisible downstream.
 ///
@@ -735,33 +721,31 @@ struct JoinOp<'e> {
     right: BoxOp<'e>,
     kind: JoinKind,
     merge_key: Option<&'e str>,
-    vars: Vec<String>,
+    shape: JoinShape,
     right_table: Option<IdTable>,
     /// `Some` while the merge-join claim survives; demoted to `None` (hash
     /// probing) the moment a left batch refutes it.
     merge: Option<MergeState>,
-    probe: Option<ProbeCache>,
+    /// Hash index over the build side: created by the first batch that
+    /// probes by hash, extended when a later batch brings a new presence
+    /// mask.
+    index: Option<JoinIndex>,
     probing: Option<Probing>,
     done: bool,
 }
 
 impl<'e> JoinOp<'e> {
     fn new(left: BoxOp<'e>, right: BoxOp<'e>, kind: JoinKind, merge_key: Option<&'e str>) -> Self {
-        let mut vars = left.vars().to_vec();
-        for v in right.vars() {
-            if !vars.contains(v) {
-                vars.push(v.clone());
-            }
-        }
+        let shape = JoinShape::new(left.vars(), right.vars());
         JoinOp {
             left,
             right,
             kind,
             merge_key,
-            vars,
+            shape,
             right_table: None,
             merge: None,
-            probe: None,
+            index: None,
             probing: None,
             done: false,
         }
@@ -777,18 +761,17 @@ impl<'e> JoinOp<'e> {
             ev.meter
                 .charge_intermediate(acc.len() as u64, acc.estimated_bytes())?;
         }
-        if let Some(key) = self.merge_key {
-            let left_has = self.left.vars().iter().any(|v| v == key);
-            if let (true, Some(rc)) = (left_has, acc.column_index(key)) {
-                let col = acc.col(rc);
-                if col.all_present() && col.ids().windows(2).all(|w| w[0] <= w[1]) {
-                    self.merge = Some(MergeState {
-                        r_key: rc,
-                        run: 0,
-                        prev: None,
-                    });
-                }
-            }
+        let keys = self.merge_key.and_then(|key| {
+            let l_key = self.left.vars().iter().position(|v| v == key)?;
+            Some((l_key, acc.column_index(key)?))
+        });
+        if let Some((l_key, r_key)) = keys.filter(|&(_, rc)| sorted_key(acc.col(rc))) {
+            self.merge = Some(MergeState {
+                l_key,
+                r_key,
+                run: 0,
+                prev: None,
+            });
         }
         self.right_table = Some(acc);
         Ok(())
@@ -796,43 +779,39 @@ impl<'e> JoinOp<'e> {
 
     /// Start probing a fresh left batch: check the left half of the merge
     /// claim batch-incrementally (demoting to hash probing for good when it
-    /// fails) and make sure the hash index fits the batch's bound-ness.
-    fn start_probing(&mut self, batch: IdTable) {
+    /// fails) and make sure the hash index covers the batch's presence
+    /// masks, charging the index's size to the budget.
+    fn start_probing(&mut self, batch: IdTable, meter: &mut BudgetMeter) -> Result<()> {
         let right = self.right_table.as_ref().expect("build side materialized");
-        let shape = JoinShape::new(&batch, right);
-        let mut merge_col = None;
-        if let Some(ms) = &mut self.merge {
-            let lc = batch
-                .column_index(self.merge_key.expect("merge state implies key"))
-                .expect("key column is static in the left schema");
-            let col = batch.col(lc);
-            let sorted = col.all_present()
-                && col.ids().windows(2).all(|w| w[0] <= w[1])
-                && ms.prev.is_none_or(|p| p <= col.ids()[0]);
-            if sorted {
-                ms.prev = col.ids().last().copied();
-                merge_col = Some(lc);
-            } else {
-                self.merge = None;
-            }
-        }
-        if merge_col.is_none() {
-            prepare_probe_index(&batch, right, &shape, &mut self.probe);
+        let claim_holds = self.merge.as_mut().is_some_and(|ms| {
+            let col = batch.col(ms.l_key);
+            let sorted = sorted_key(col) && ms.prev.is_none_or(|p| p <= col.ids()[0]);
+            ms.prev = col.ids().last().copied();
+            sorted
+        });
+        let mut masks = None;
+        if !claim_holds {
+            self.merge = None;
+            let index = self
+                .index
+                .get_or_insert_with(|| JoinIndex::new(right, &self.shape));
+            masks = Some(index.prepare(&batch, right, &self.shape));
+            meter.charge_intermediate(0, index.estimated_bytes())?;
         }
         self.probing = Some(Probing {
             batch,
-            shape,
-            merge_col,
+            masks,
             next_left: 0,
             pairs: Vec::new(),
             emitted: 0,
         });
+        Ok(())
     }
 }
 
 impl<'e> Operator<'e> for JoinOp<'e> {
     fn vars(&self) -> &[String] {
-        &self.vars
+        &self.shape.out_vars
     }
 
     fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
@@ -843,21 +822,35 @@ impl<'e> Operator<'e> for JoinOp<'e> {
                 if p.pairs.len() - p.emitted < target && p.next_left < p.batch.len() {
                     p.pairs.drain(..p.emitted);
                     p.emitted = 0;
-                    match (&mut self.merge, p.merge_col) {
-                        (Some(ms), Some(lc)) => {
-                            merge_probe(p, right, ms, lc, self.kind, target, &mut ev.meter)?
+                    let sides = Sides {
+                        shape: &self.shape,
+                        left: &p.batch,
+                        right,
+                        kind: self.kind,
+                    };
+                    let (rest, meter) = (p.next_left..p.batch.len(), &mut ev.meter);
+                    let (next, tested) = match (&p.masks, &mut self.merge) {
+                        (Some(masks), _) => {
+                            let index = self.index.as_ref().expect("index prepared");
+                            let lookups = index.candidates(masks, &p.batch, &self.shape.l_idx);
+                            sides.probe(rest, target, &mut p.pairs, meter, lookups)?
                         }
-                        _ => {
-                            let index = self.probe.as_ref().expect("probe index built");
-                            hash_probe(p, right, index, self.kind, target, &mut ev.meter)?
+                        (None, Some(ms)) => {
+                            let lk = p.batch.col(ms.l_key).ids();
+                            let key_run =
+                                merge_candidates(lk, right.col(ms.r_key).ids(), &mut ms.run);
+                            sides.probe(rest, target, &mut p.pairs, meter, key_run)?
                         }
-                    }
+                        (None, None) => unreachable!("a batch without masks holds the merge claim"),
+                    };
+                    p.next_left = next;
+                    ev.join_candidates += tested;
                 }
                 if p.emitted < p.pairs.len() {
                     let end = (p.emitted + target).min(p.pairs.len());
                     let window = &p.pairs[p.emitted..end];
                     p.emitted = end;
-                    let out = assemble_join(&p.batch, right, p.shape.out_vars.clone(), window);
+                    let out = assemble_join(&p.batch, right, self.shape.out_vars.clone(), window);
                     if end == p.pairs.len() && p.next_left == p.batch.len() {
                         self.probing = None; // batch finished: release it now
                     }
@@ -872,7 +865,7 @@ impl<'e> Operator<'e> for JoinOp<'e> {
                 self.build_side(ev, target)?;
             }
             match self.left.next_batch(ev, target)? {
-                Some(batch) => self.start_probing(batch),
+                Some(batch) => self.start_probing(batch, &mut ev.meter)?,
                 None => {
                     self.done = true;
                     // The rewrite counter records a merge join that held its
@@ -895,6 +888,9 @@ impl<'e> Operator<'e> for JoinOp<'e> {
         if let Some(r) = &self.right_table {
             acc = add2(acc, (r.len() as u64, r.estimated_bytes()));
         }
+        if let Some(index) = &self.index {
+            acc = add2(acc, (0, index.estimated_bytes()));
+        }
         if let Some(p) = &self.probing {
             let pending = (p.pairs.len() - p.emitted) as u64;
             acc = add2(acc, (p.batch.len() as u64, p.batch.estimated_bytes()));
@@ -902,155 +898,6 @@ impl<'e> Operator<'e> for JoinOp<'e> {
         }
         acc
     }
-}
-
-/// Merge-probe left rows from `p.next_left` on until `target` pairs are
-/// pending or the batch is exhausted: the right-side run pointer only ever
-/// moves forward, across rows and batches alike.
-fn merge_probe(
-    p: &mut Probing,
-    right: &IdTable,
-    ms: &mut MergeState,
-    lc: usize,
-    kind: JoinKind,
-    target: usize,
-    meter: &mut BudgetMeter,
-) -> Result<()> {
-    let lk = p.batch.col(lc).ids();
-    let rk = right.col(ms.r_key).ids();
-    while p.next_left < lk.len() && p.pairs.len() < target {
-        let (li, key) = (p.next_left, lk[p.next_left]);
-        while ms.run < rk.len() && rk[ms.run] < key {
-            ms.run += 1;
-        }
-        let mut ri = ms.run;
-        let mut matched = false;
-        while ri < rk.len() && rk[ri] == key {
-            if p.shape.compatible(&p.batch, right, li, ri) {
-                p.pairs.push((li as u32, ri as u32));
-                matched = true;
-            }
-            ri += 1;
-        }
-        if !matched && kind == JoinKind::Left {
-            p.pairs.push((li as u32, NO_MATCH));
-        }
-        meter.charge_intermediate(p.pairs.len() as u64, p.pairs.len() as u64 * 8)?;
-        p.next_left += 1;
-    }
-    Ok(())
-}
-
-/// Make `probe` the hash index over `right` for this left batch,
-/// replicating [`join`]'s key selection. The key positions are chosen per
-/// batch (bound-ness of the *batch*, not the whole left input, is what's
-/// observable here); any choice yields the same pair list because bucket
-/// membership plus the compatibility check equals the full compatibility
-/// predicate whenever the key columns are all-present.
-fn prepare_probe_index(
-    batch: &IdTable,
-    right: &IdTable,
-    shape: &JoinShape,
-    probe: &mut Option<ProbeCache>,
-) {
-    let key_positions: Vec<usize> = (0..shape.shared_len())
-        .filter(|&k| {
-            batch.col(shape.l_idx[k]).all_present() && right.col(shape.r_idx[k]).all_present()
-        })
-        .collect();
-    if probe
-        .as_ref()
-        .is_some_and(|pc| pc.key_positions == key_positions)
-    {
-        return;
-    }
-    let index = if key_positions.len() == 1 {
-        let rk = right.col(shape.r_idx[key_positions[0]]);
-        let mut m: HashMap<TermId, Vec<u32>> = HashMap::with_capacity(right.len());
-        for (ri, &id) in rk.ids().iter().enumerate() {
-            m.entry(id).or_default().push(ri as u32);
-        }
-        ProbeIndex::One(m)
-    } else if !key_positions.is_empty() || shape.shared_len() == 0 {
-        let mut m: HashMap<Vec<TermId>, Vec<u32>> = HashMap::with_capacity(right.len());
-        for ri in 0..right.len() {
-            let key: Vec<TermId> = key_positions
-                .iter()
-                .map(|&k| right.col(shape.r_idx[k]).ids()[ri])
-                .collect();
-            m.entry(key).or_default().push(ri as u32);
-        }
-        ProbeIndex::Many(m)
-    } else {
-        ProbeIndex::Nested
-    };
-    *probe = Some(ProbeCache {
-        key_positions,
-        index,
-    });
-}
-
-/// Hash-probe left rows from `p.next_left` on until `target` pairs are
-/// pending or the batch is exhausted, in [`join`]'s pair order exactly.
-fn hash_probe(
-    p: &mut Probing,
-    right: &IdTable,
-    probe: &ProbeCache,
-    kind: JoinKind,
-    target: usize,
-    meter: &mut BudgetMeter,
-) -> Result<()> {
-    let Probing {
-        batch,
-        shape,
-        next_left,
-        pairs,
-        ..
-    } = p;
-    let key_positions = &probe.key_positions;
-    let mut key: Vec<TermId> = Vec::with_capacity(key_positions.len());
-    while *next_left < batch.len() && pairs.len() < target {
-        let li = *next_left;
-        let before = pairs.len();
-        let bucket: Option<&[u32]> = match &probe.index {
-            ProbeIndex::One(m) => {
-                let id = batch.col(shape.l_idx[key_positions[0]]).ids()[li];
-                Some(m.get(&id).map_or(&[], Vec::as_slice))
-            }
-            ProbeIndex::Many(m) => {
-                key.clear();
-                key.extend(
-                    key_positions
-                        .iter()
-                        .map(|&k| batch.col(shape.l_idx[k]).ids()[li]),
-                );
-                Some(m.get(&key).map_or(&[], Vec::as_slice))
-            }
-            ProbeIndex::Nested => None,
-        };
-        match bucket {
-            Some(candidates) => {
-                for &ri in candidates {
-                    if shape.compatible(batch, right, li, ri as usize) {
-                        pairs.push((li as u32, ri));
-                    }
-                }
-            }
-            None => {
-                for ri in 0..right.len() {
-                    if shape.compatible(batch, right, li, ri) {
-                        pairs.push((li as u32, ri as u32));
-                    }
-                }
-            }
-        }
-        if pairs.len() == before && kind == JoinKind::Left {
-            pairs.push((li as u32, NO_MATCH));
-        }
-        meter.charge_intermediate(pairs.len() as u64, pairs.len() as u64 * 8)?;
-        *next_left += 1;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1815,5 +1662,133 @@ impl<'e> Operator<'e> for SliceOp<'e> {
 
     fn live_size(&self) -> (u64, u64) {
         self.input.live_size()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::super::join_index::tests::{nested_loop_pairs, rows_strategy, table};
+    use super::*;
+
+    /// Test source: hands a table out in `batch_rows` windows.
+    struct TableOp {
+        vars: Vec<String>,
+        staged: Option<Staged>,
+    }
+
+    impl<'e> Operator<'e> for TableOp {
+        fn vars(&self) -> &[String] {
+            &self.vars
+        }
+
+        fn next_batch(&mut self, _ev: &mut Evaluator<'e>, n: usize) -> Result<Option<IdTable>> {
+            Ok(take_window(&mut self.staged, n))
+        }
+
+        fn live_size(&self) -> (u64, u64) {
+            staged_live(&self.staged)
+        }
+    }
+
+    fn source<'e>(t: &IdTable) -> BoxOp<'e> {
+        Box::new(TableOp {
+            vars: t.vars.clone(),
+            staged: Some(Staged {
+                table: t.clone(),
+                off: 0,
+            }),
+        })
+    }
+
+    #[test]
+    fn join_index_is_live_state_and_charged_to_the_memory_budget() {
+        let rows = |n: u32| -> Vec<Vec<u8>> {
+            (0..n)
+                .map(|i| vec![1 + (i % 200) as u8, 1 + (i % 7) as u8, 0, 0, 0])
+                .collect()
+        };
+        let (left, right) = (table('l', 2, &rows(10)), table('r', 2, &rows(1000)));
+        let ds = Dataset::new();
+
+        let mut ev = Evaluator::new(&ds, Vec::new());
+        let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
+        op.next_batch(&mut ev, 4).unwrap().expect("rows join");
+        let index_bytes = op.index.as_ref().expect("hash probing").estimated_bytes();
+        let table_bytes = right.estimated_bytes();
+        assert!(op.live_size().1 >= table_bytes + index_bytes);
+
+        // A cap the build table fits under and its index does not: both
+        // executors refuse with the typed error instead of building on.
+        assert!(table_bytes < index_bytes);
+        let budget = QueryBudget::unlimited().with_max_memory_bytes(index_bytes - 1);
+        let exhausted = |r: Result<Option<IdTable>>| {
+            matches!(
+                r,
+                Err(EngineError::ResourceExhausted {
+                    resource: crate::budget::ResourceKind::MemoryBytes,
+                    ..
+                })
+            )
+        };
+        let mut ev = Evaluator::new(&ds, Vec::new());
+        ev.set_budget(&budget);
+        let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
+        assert!(exhausted(op.next_batch(&mut ev, 4)));
+        let joined = ev.join(left.clone(), right.clone(), JoinKind::Inner, None);
+        assert!(exhausted(joined.map(Some)));
+        // One byte more and the same join runs to completion.
+        ev.set_budget(&QueryBudget::unlimited().with_max_memory_bytes(index_bytes));
+        let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
+        assert!(matches!(op.next_batch(&mut ev, 4), Ok(Some(_))));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random partially-bound inputs (left sides on both sides of the
+        /// 256-row parallel gate): the streaming `JoinOp` at batch sizes 1,
+        /// 7 and 256 and the materializing `join` on 1 and 4 threads all
+        /// produce the nested-loop join, row for row, and test the same
+        /// number of candidates doing it.
+        #[test]
+        fn join_op_and_join_agree_with_the_nested_loop(
+            shared in 1usize..6,
+            left_rows in rows_strategy(0..330),
+            right_rows in rows_strategy(0..60),
+        ) {
+            let left = table('l', shared, &left_rows);
+            let right = table('r', shared, &right_rows);
+            let ds = Dataset::new();
+            for kind in [JoinKind::Inner, JoinKind::Left] {
+                let pairs = nested_loop_pairs(&left, &right, kind);
+                let out_vars = JoinShape::new(&left.vars, &right.vars).out_vars;
+                let expected = assemble_join(&left, &right, out_vars, &pairs);
+
+                let mut tested = Vec::new();
+                for threads in [1, 4] {
+                    let mut ev = Evaluator::new(&ds, Vec::new());
+                    ev.set_threads(threads);
+                    let got = ev.join(left.clone(), right.clone(), kind, None).unwrap();
+                    prop_assert_eq!(&got, &expected, "{:?}, {} threads", kind, threads);
+                    let fanned_out = threads > 1 && left.len() >= PAR_MIN_ROWS;
+                    prop_assert_eq!(ev.par_stats.chunks > 0, fanned_out);
+                    tested.push(ev.join_candidates);
+                }
+                for batch in [1usize, 7, 256] {
+                    let mut ev = Evaluator::new(&ds, Vec::new());
+                    let mut op = JoinOp::new(source(&left), source(&right), kind, None);
+                    let mut got = IdTable::with_vars(op.vars().to_vec());
+                    while let Some(b) = op.next_batch(&mut ev, batch).unwrap() {
+                        prop_assert!(!b.is_empty() && b.len() <= batch);
+                        got.append(&b);
+                    }
+                    prop_assert_eq!(&got, &expected, "{:?}, batch {}", kind, batch);
+                    tested.push(ev.join_candidates);
+                }
+                prop_assert!(tested.iter().all(|&t| t == tested[0]), "{:?}", tested);
+            }
+        }
     }
 }

@@ -190,11 +190,52 @@ fn value_join_queries() -> Vec<String> {
     ]
 }
 
+/// Outer-join-then-join shapes over the film graph: the frame API's full
+/// outer join is `(A OPTIONAL B) UNION (B OPTIONAL A)`, so what it hands the
+/// next join shares variables that are bound in some rows only — here `?f`
+/// in every row, `?c` in the genre-0 rows of the first branch and all of the
+/// second, `?d` in all of the first and every fourth row of the second. The
+/// hash join keys each build row on what it binds; the oracles nested-loop.
+fn outer_join_queries() -> Vec<String> {
+    let outer = "{ { ?f f:director ?d } OPTIONAL { ?f f:country ?c . ?f f:genre f:genre0 } } \
+                 UNION \
+                 { { ?f f:country ?c } OPTIONAL { ?f f:director ?d } }";
+    let bgp = "?f f:type f:Film . ?f f:country ?c . ?f f:starring ?a";
+    let directed = "?f f:director ?d . ?f f:country ?c . ?f f:genre ?g";
+    let q = |body: String| {
+        format!(
+            "PREFIX f: <http://films.org/>\nSELECT * FROM <http://films.org> WHERE {{ {body} }}"
+        )
+    };
+    vec![
+        // The outer join on the build side, two shared variables.
+        q(format!("{{ {bgp} }} {{ {outer} }}")),
+        // The same with the outer join probing.
+        q(format!("{{ {outer} }} {{ {bgp} }}")),
+        // Three shared variables, two of them partially bound.
+        q(format!("{{ {directed} }} {{ {outer} }}")),
+        // Under a LeftJoin: unmatched BGP rows survive with ?d unbound.
+        q(format!("{{ {bgp} }} OPTIONAL {{ {outer} }}")),
+        // Partially bound on both sides at once.
+        q(format!("{{ {outer} }} {{ {outer} }}")),
+        // A value join with *no* shared variable bound in every row: ?c is
+        // unbound in the second branch's unstarred rows, ?g in the first's.
+        q("{ ?f1 f:country ?c . ?f1 f:genre ?g . ?f1 f:starring ?a } \
+           { { { ?f2 f:director ?d . ?f2 f:country ?c } \
+               OPTIONAL { ?f2 f:genre ?g . ?f2 f:starring f:actor0 } } \
+             UNION \
+             { { ?f2 f:director ?d . ?f2 f:genre ?g } \
+               OPTIONAL { ?f2 f:country ?c . ?f2 f:starring f:actor0 } } }"
+            .into()),
+    ]
+}
+
 /// Every query shape exercised by the end-to-end suite, plus cross-graph,
-/// expression-heavy, aggregate-heavy, and value-join variants.
+/// expression-heavy, aggregate-heavy, value-join and outer-join variants.
 fn queries() -> Vec<String> {
     let mut all = dbpedia_queries();
     all.extend(value_join_queries());
+    all.extend(outer_join_queries());
     all
 }
 
@@ -437,6 +478,32 @@ fn compacted_and_uncompacted_storage_agree() {
         b.canonicalize();
         assert_eq!(a, b, "storage layouts diverge for:\n{q}");
         assert_eq!(stats_a.rows_scanned, stats_b.rows_scanned, "{q}");
+    }
+}
+
+#[test]
+fn outer_join_shapes_are_keyed_on_every_bound_variable() {
+    // Candidates a join tests beyond its matches are wasted work. Keyed on
+    // the shared variables bound in *every* row, the last shape has no key
+    // at all (120 × 30 pairs nested-loop); keyed per row on what the row
+    // binds, each shape tests fewer than two candidates per result row — on
+    // both layouts, and pull-based or materialized alike.
+    for compacted in [true, false] {
+        let engine = Engine::new(dataset(compacted));
+        for q in outer_join_queries() {
+            let (t, stats) = engine.execute_with_stats(&q).unwrap();
+            assert!(!t.is_empty(), "{q}");
+            assert!(
+                stats.join_candidates <= 2 * t.len() as u64,
+                "{} candidates for {} rows (compacted={compacted}):\n{q}",
+                stats.join_candidates,
+                t.len()
+            );
+            let prepared = engine.prepare(&q).unwrap();
+            let mut cursor = engine.cursor(&prepared, 7).unwrap();
+            while cursor.next_batch().unwrap().is_some() {}
+            assert_eq!(cursor.stats().join_candidates, stats.join_candidates, "{q}");
+        }
     }
 }
 

@@ -205,7 +205,8 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
 
 /// 300 films over 2 genres × 2 countries with two actors each: every film
 /// star row (600) pairs with the 150 rows of the 75 films sharing its genre
-/// and country, so the flattened film-pair query fans out ×150.
+/// and country, so the flattened film-pair query fans out ×150. Every
+/// fourth film also has a director (the outer-join test's optional part).
 fn film_dataset() -> Arc<Dataset> {
     let mut g = Graph::new();
     for i in 0..300 {
@@ -222,6 +223,9 @@ fn film_dataset() -> Arc<Dataset> {
         add("country", format!("country{}", (i / 2) % 2));
         add("starring", format!("actor{}", i % 40));
         add("starring", format!("actor{}", 40 + i % 55));
+        if i % 4 == 0 {
+            add("director", format!("director{}", i % 5));
+        }
     }
     g.compact();
     let mut ds = Dataset::new();
@@ -258,6 +262,10 @@ fn fan_out_join_stages_one_window_not_one_left_batch() {
         // Same rows in the same order as assembling everything at once.
         assert_eq!(rows, expected, "batch {batch}");
         assert_eq!(stats.rows_scanned, stats_m.rows_scanned, "batch {batch}");
+        // Both key columns are bound in every row: the two-key hash offers
+        // exactly the matches, however the probe side is cut into batches.
+        assert_eq!(stats.join_candidates, STAR * FAN_OUT, "batch {batch}");
+        assert_eq!(stats_m.join_candidates, STAR * FAN_OUT);
         if batch == 7 || batch == 256 {
             // The build side, one left row's matches beyond the window
             // being filled, and O(batch) everywhere else (scan levels, the
@@ -268,6 +276,50 @@ fn fan_out_join_stages_one_window_not_one_left_batch() {
                 stats.peak_live_rows <= bound,
                 "batch {batch}: peak {} rows exceeds {bound}",
                 stats.peak_live_rows
+            );
+        }
+    }
+}
+
+#[test]
+fn join_candidates_do_not_depend_on_batching() {
+    // A full outer join — (A OPTIONAL B) UNION (B OPTIONAL A), as the frame
+    // API spells it — joined to a BGP on ?film (bound everywhere), ?country
+    // and ?d (each bound in some rows only), on either side of the join and
+    // under an OPTIONAL. Whatever way the probe side is batched, the rows
+    // are keyed on what they bind: same pairs tested, same rows out.
+    let ds = film_dataset();
+    let outer = "{ { ?film <http://x/director> ?d } \
+                   OPTIONAL { ?film <http://x/country> ?country . \
+                              ?film <http://x/genre> <http://x/genre0> } } \
+                 UNION \
+                 { { ?film <http://x/country> ?country } \
+                   OPTIONAL { ?film <http://x/director> ?d } }";
+    let bgp = "?film <http://x/genre> ?genre . ?film <http://x/country> ?country . \
+               ?film <http://x/starring> ?actor";
+    let streaming = engine(&ds, true, QueryBudget::unlimited());
+    let materializing = engine(&ds, false, QueryBudget::unlimited());
+    for body in [
+        format!("{{ {bgp} }} {{ {outer} }}"),
+        format!("{{ {outer} }} {{ {bgp} }}"),
+        format!("{{ {bgp} }} OPTIONAL {{ {outer} }}"),
+    ] {
+        let q = format!("SELECT * FROM <{GRAPH}> WHERE {{ {body} }}");
+        let (expected, stats_m) = drain(&materializing, &q, 4096);
+        assert!(!expected.is_empty());
+        assert!(stats_m.join_candidates > 0);
+        let (_, stats_e) = materializing.execute_with_stats(&q).unwrap();
+        assert_eq!(stats_e.join_candidates, stats_m.join_candidates, "{q}");
+        for batch in [1usize, 7, 256] {
+            let (rows, stats) = drain(&streaming, &q, batch);
+            assert_eq!(rows, expected, "batch {batch}: {q}");
+            assert_eq!(
+                stats.rows_scanned, stats_m.rows_scanned,
+                "batch {batch}: {q}"
+            );
+            assert_eq!(
+                stats.join_candidates, stats_m.join_candidates,
+                "batch {batch}: {q}"
             );
         }
     }
@@ -375,6 +427,13 @@ proptest! {
             stats_s.rows_scanned,
             stats_m.rows_scanned,
             "scan work diverges for {} @ batch {}",
+            &q,
+            batch_rows
+        );
+        prop_assert_eq!(
+            stats_s.join_candidates,
+            stats_m.join_candidates,
+            "join work diverges for {} @ batch {}",
             &q,
             batch_rows
         );
