@@ -240,7 +240,9 @@ fn run(engine: &Engine, sparql: &str) -> Outcome {
     Outcome {
         median: samples[samples.len() / 2],
         rows,
-        rows_scanned: stats.rows_scanned,
+        // Comparable across evaluators: what the columnar one read plus
+        // what its shared subplans' replays stood in for.
+        rows_scanned: stats.unshared_scans(),
         merge_joins: stats.merge_joins,
         merge_left_joins: stats.merge_left_joins,
         sorted_distincts: stats.sorted_distincts,

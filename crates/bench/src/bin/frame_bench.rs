@@ -193,18 +193,19 @@ fn run<E: Endpoint>(frame: &RDFFrame, endpoint: &E) -> Outcome {
     }
 }
 
-/// The engine's exact work counts for one frame (index entries scanned,
-/// join candidate pairs tested): what the timings above are made of, and —
-/// unlike them — identical on every run.
-fn work_counts(frame: &RDFFrame, dataset: &Arc<Dataset>) -> ExecStats {
+/// The engine's exact work counts for one frame (index entries scanned and
+/// replayed, join candidate pairs tested) and the number of shared subplans
+/// its plan has (spools, on the streaming path): what the timings above are
+/// made of, and — unlike them — identical on every run.
+fn work_counts(frame: &RDFFrame, dataset: &Arc<Dataset>) -> (ExecStats, usize) {
     let model = generator::build_query_model(frame).expect("query model");
     let compiled = compile::compile(&model).expect("plan compilation");
     let engine = Engine::new(Arc::clone(dataset));
     let prepared = engine.prepare_plan(compiled.plan, compiled.from);
-    engine
+    let (_, stats) = engine
         .execute_prepared(&prepared, None)
-        .expect("engine execution")
-        .1
+        .expect("engine execution");
+    (stats, prepared.explain().matches("(shared #").count())
 }
 
 struct MemOutcome {
@@ -351,8 +352,10 @@ fn main() {
         let _ = writeln!(json, "      \"id\": \"{}\",", w.id);
         let _ = writeln!(json, "      \"kind\": \"{}\",", w.kind);
         let _ = writeln!(json, "      \"rows\": {},", out_embedded.rows);
-        let work = work_counts(&w.frame, &dataset);
+        let (work, spools) = work_counts(&w.frame, &dataset);
         let _ = writeln!(json, "      \"rows_scanned\": {},", work.rows_scanned);
+        let _ = writeln!(json, "      \"shared_scans\": {},", work.shared_scans);
+        let _ = writeln!(json, "      \"spools\": {spools},");
         let _ = writeln!(json, "      \"join_candidates\": {},", work.join_candidates);
         let _ = writeln!(
             json,

@@ -7,9 +7,9 @@
 //! after the last operation that returned `Ok` — and the recovered
 //! dataset is indistinguishable from an in-memory oracle at that prefix:
 //! every workload query (Q1–Q19) produces cell-identical frames *and*
-//! identical `rows_scanned` work counters. Corruption at rest (bit flips)
-//! must surface as typed errors or recover a valid prefix — never panic,
-//! never produce a silently wrong dataset.
+//! identical `rows_scanned` and `shared_scans` work counters. Corruption
+//! at rest (bit flips) must surface as typed errors or recover a valid
+//! prefix — never panic, never produce a silently wrong dataset.
 //!
 //! Everything is deterministic: crash points are enumerated from a
 //! fault-free dry run's byte count, queries run embedded, and the proptest
@@ -213,12 +213,14 @@ fn assert_query_parity(a: &Dataset, b: &Dataset) -> Result<(), String> {
                 ))
             }
         }
-        if ea.rows_scanned() != eb.rows_scanned() {
+        let (sa, sb) = (
+            (ea.rows_scanned(), ea.shared_scans()),
+            (eb.rows_scanned(), eb.shared_scans()),
+        );
+        if sa != sb {
             return Err(format!(
-                "{}: rows_scanned {} != {}",
-                q.id,
-                ea.rows_scanned(),
-                eb.rows_scanned()
+                "{}: (rows_scanned, shared_scans) {sa:?} != {sb:?}",
+                q.id
             ));
         }
     }

@@ -14,9 +14,11 @@
 //! 2. **DataFrame identity**: both paths produce the *same* DataFrame —
 //!    schema, row order, cell types and values — against the XML wire
 //!    format (and TSV for the case studies).
-//! 3. **Work parity**: `rows_scanned` on the embedded cursor equals the
-//!    engine's count for the rendered text (pagination permitting — the
-//!    wire side is checked to have served a single chunk).
+//! 3. **Work parity**: `rows_scanned` and `shared_scans` on the embedded
+//!    cursor equal the engine's counts for the rendered text (pagination
+//!    permitting — the wire side is checked to have served a single chunk),
+//!    and their sum equals the `rows_scanned` of the `TermReference` oracle,
+//!    which evaluates every occurrence of a repeated subplan.
 
 use std::sync::Arc;
 
@@ -28,6 +30,7 @@ use rdfframes_core::model::{compile, generator, render};
 use rdfframes_core::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint, RDFFrame, WireFormat};
 use sparql_engine::algebra::translate_query;
 use sparql_engine::parser::parse_query;
+use sparql_engine::{Engine, EngineConfig, EvalMode};
 
 const SCALE: usize = 150;
 
@@ -61,7 +64,7 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
     // 2. Identical DataFrames end to end.
     let embedded = EmbeddedEndpoint::new(Arc::clone(ds));
     let wire_ep = wire_endpoint(Arc::clone(ds), wire);
-    let scanned_before = embedded.rows_scanned();
+    let scanned_before = (embedded.rows_scanned(), embedded.shared_scans());
     let df_embedded = frame
         .execute(&embedded)
         .unwrap_or_else(|e| panic!("{id}: embedded execution failed: {e}"));
@@ -77,18 +80,38 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
         "{id}: empty result at test scale proves nothing"
     );
 
-    // 3. rows_scanned parity (single-chunk wire executions only — the
-    // paper's HTTP model re-evaluates per page, which multiplies the wire
-    // side's work by the page count).
+    // 3. Scan parity (single-chunk wire executions only — the paper's HTTP
+    // model re-evaluates per page, which multiplies the wire side's work by
+    // the page count).
     if wire_ep.stats().requests() == 1 {
         let (_, stats) = wire_ep
             .engine()
             .execute_with_stats(&sparql)
             .unwrap_or_else(|e| panic!("{id}: direct engine execution failed: {e}"));
         assert_eq!(
-            embedded.rows_scanned() - scanned_before,
+            embedded.rows_scanned() - scanned_before.0,
             stats.rows_scanned,
             "{id}: embedded cursor scanned a different number of index entries"
+        );
+        assert_eq!(
+            embedded.shared_scans() - scanned_before.1,
+            stats.shared_scans,
+            "{id}: embedded cursor replayed a different number of index entries"
+        );
+        let oracle = Engine::with_config(
+            Arc::clone(ds),
+            EngineConfig {
+                eval_mode: EvalMode::TermReference,
+                ..EngineConfig::new()
+            },
+        );
+        let (_, unshared) = oracle
+            .execute_with_stats(&sparql)
+            .unwrap_or_else(|e| panic!("{id}: oracle execution failed: {e}"));
+        assert_eq!(
+            stats.unshared_scans(),
+            unshared.rows_scanned,
+            "{id}: scans read + scans replayed differ from evaluating every occurrence"
         );
     }
 }

@@ -38,10 +38,8 @@ fn join_rows(literal: &Engine, from: &[String], plan: &Plan) -> u64 {
         let prepared = literal.prepare_plan(p.clone(), from.to_vec());
         literal.execute_prepared(&prepared, None).unwrap().0.len() as u64
     };
-    let below =
-        |children: &[&Plan]| -> u64 { children.iter().map(|c| join_rows(literal, from, c)).sum() };
+    let below: u64 = plan.children().map(|c| join_rows(literal, from, c)).sum();
     match plan {
-        Plan::Unit | Plan::Bgp { .. } => 0,
         Plan::Join(l, r)
         | Plan::LeftJoin(l, r)
         | Plan::MergeJoin {
@@ -49,17 +47,8 @@ fn join_rows(literal: &Engine, from: &[String], plan: &Plan) -> u64 {
         }
         | Plan::MergeLeftJoin {
             left: l, right: r, ..
-        } => rows(l) + rows(r) + rows(plan) + below(&[l, r]),
-        Plan::Union(l, r) => below(&[l, r]),
-        Plan::Filter(_, input)
-        | Plan::Extend(_, _, input)
-        | Plan::Project(_, input)
-        | Plan::Distinct(input)
-        | Plan::OrderBy(_, input)
-        | Plan::Group { input, .. }
-        | Plan::SortedDistinct { input, .. }
-        | Plan::TopK { input, .. }
-        | Plan::Slice { input, .. } => below(&[input]),
+        } => rows(l) + rows(r) + rows(plan) + below,
+        _ => below,
     }
 }
 

@@ -42,8 +42,8 @@ fn endpoint(ds: &Arc<Dataset>, threads: usize) -> EmbeddedEndpoint {
 /// Execute `frame` on both endpoints, assert identical frames and work
 /// counts, and return whether the parallel run actually chunked anything.
 fn assert_same(id: &str, frame: &RDFFrame, seq: &EmbeddedEndpoint, par: &EmbeddedEndpoint) -> bool {
-    let scanned_seq_before = seq.rows_scanned();
-    let scanned_par_before = par.rows_scanned();
+    let scans = |ep: &EmbeddedEndpoint| (ep.rows_scanned(), ep.shared_scans());
+    let (seq_before, par_before) = (scans(seq), scans(par));
     let chunks_before = par.stats().par_chunks();
     let df_seq = frame
         .execute(seq)
@@ -56,10 +56,11 @@ fn assert_same(id: &str, frame: &RDFFrame, seq: &EmbeddedEndpoint, par: &Embedde
         !df_seq.is_empty(),
         "{id}: empty result at test scale proves nothing"
     );
+    let (seq_after, par_after) = (scans(seq), scans(par));
     assert_eq!(
-        seq.rows_scanned() - scanned_seq_before,
-        par.rows_scanned() - scanned_par_before,
-        "{id}: thread count changed the scan work count"
+        (seq_after.0 - seq_before.0, seq_after.1 - seq_before.1),
+        (par_after.0 - par_before.0, par_after.1 - par_before.1),
+        "{id}: thread count changed the scan work counts (rows_scanned, shared_scans)"
     );
     par.stats().par_chunks() > chunks_before
 }

@@ -8,8 +8,8 @@
 //!    committed epoch prefix: the state after the last mutation that
 //!    returned `Ok`. The recovered dataset is physically identical to an
 //!    in-memory oracle at that prefix, and the workload queries (Q1–Q19)
-//!    produce cell-identical frames with identical `rows_scanned`. No
-//!    reader ever observes a torn or uncommitted epoch.
+//!    produce cell-identical frames with identical `rows_scanned` and
+//!    `shared_scans`. No reader ever observes a torn or uncommitted epoch.
 //! 2. **Overload shedding.** With admission limit `k` and more than `k`
 //!    concurrent queries, the excess get a typed, retryable
 //!    [`FrameError::Overloaded`] — they never hang and never panic —
@@ -237,12 +237,14 @@ fn assert_query_parity(a: &Dataset, b: &Dataset) -> Result<(), String> {
                 ))
             }
         }
-        if ea.rows_scanned() != eb.rows_scanned() {
+        let (sa, sb) = (
+            (ea.rows_scanned(), ea.shared_scans()),
+            (eb.rows_scanned(), eb.shared_scans()),
+        );
+        if sa != sb {
             return Err(format!(
-                "{}: rows_scanned {} != {}",
-                q.id,
-                ea.rows_scanned(),
-                eb.rows_scanned()
+                "{}: (rows_scanned, shared_scans) {sa:?} != {sb:?}",
+                q.id
             ));
         }
     }

@@ -5,8 +5,10 @@
 //! same property end to end through the RDFFrames stack: every synthetic
 //! Table 2 query and all three case studies must produce **identical
 //! DataFrames** (schema, row order, cell values) and identical
-//! `rows_scanned` work counts whether the embedded engine streams
-//! batches through the pull-based pipeline or fully materializes first —
+//! `rows_scanned` and `shared_scans` work counts (index entries read, and
+//! index entries a shared subplan's replays stood in for) whether the
+//! embedded engine streams batches through the pull-based pipeline or fully
+//! materializes first —
 //! at every batch size in the sweep (1, 7, 256, 65536) and over both
 //! storage layouts (compacted slabs and an all-delta overlay).
 //!
@@ -81,13 +83,15 @@ fn workload() -> Vec<(String, RDFFrame)> {
     all
 }
 
-/// One workload execution, returning (DataFrame, rows scanned by it).
-fn run(frame: &RDFFrame, ep: &EmbeddedEndpoint, id: &str) -> (dataframe::DataFrame, u64) {
-    let before = ep.rows_scanned();
+/// One workload execution, returning the DataFrame and the
+/// `(rows_scanned, shared_scans)` it added.
+fn run(frame: &RDFFrame, ep: &EmbeddedEndpoint, id: &str) -> (dataframe::DataFrame, (u64, u64)) {
+    let before = (ep.rows_scanned(), ep.shared_scans());
     let df = frame
         .execute(ep)
         .unwrap_or_else(|e| panic!("{id}: execution failed: {e}"));
-    (df, ep.rows_scanned() - before)
+    let scans = (ep.rows_scanned() - before.0, ep.shared_scans() - before.1);
+    (df, scans)
 }
 
 fn sweep_layout(ds: &Arc<Dataset>, layout: &str) {
@@ -110,7 +114,7 @@ fn sweep_layout(ds: &Arc<Dataset>, layout: &str) {
             );
             assert_eq!(
                 scanned_base, scanned_stream,
-                "{id} @ batch {batch_rows} ({layout}): streaming changed the scan work count"
+                "{id} @ batch {batch_rows} ({layout}): streaming changed the scan work counts"
             );
         }
     }

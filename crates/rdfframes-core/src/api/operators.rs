@@ -166,7 +166,8 @@ pub enum Operator {
     },
     /// `cache()` — a logical marker with no effect on the generated query;
     /// in the paper's Python it shares the recorded prefix between frames,
-    /// which Rust clones give us for free.
+    /// which Rust clones give us for free. Reuse of the *result* is the
+    /// engine's job: it detects repeated subplans structurally.
     Cache,
 }
 

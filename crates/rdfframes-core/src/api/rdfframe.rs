@@ -231,8 +231,12 @@ impl RDFFrame {
         self.push(Operator::Head { k, offset })
     }
 
-    /// Logical marker matching the paper's `.cache()`; recording is
-    /// value-semantic in Rust so this is a no-op kept for listing parity.
+    /// The paper's `.cache()`: marks a frame that later frames are derived
+    /// from more than once. It changes nothing in the generated query, and
+    /// nothing needs it: a frame that is used several times is inlined once
+    /// per use, the engine recognises the structurally equal subplans and
+    /// evaluates each once, replaying the result to every use — with or
+    /// without this marker (see "Shared subplans" in `ARCHITECTURE.md`).
     pub fn cache(self) -> Self {
         self.push(Operator::Cache)
     }

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use dataframe::DataFrame;
 use rdf_model::Dataset;
-use sparql_engine::{Engine, EngineConfig, PreparedQuery, SolutionTable};
+use sparql_engine::{Engine, EngineConfig, ExecStats, PreparedQuery, SolutionTable};
 
 use crate::client::convert::cursor_to_dataframe;
 use crate::client::{engine_error, Endpoint, EndpointStats, PlanCache, PLAN_CACHE_CAP};
@@ -61,6 +61,14 @@ struct ModelPlanCache {
     plans: Mutex<HashMap<String, (u64, Arc<PreparedQuery>)>>,
 }
 
+/// Cumulative scan work of an endpoint's executions: index entries read, and
+/// index entries that replays of shared subplans stood in for.
+#[derive(Default)]
+struct ScanCounters {
+    rows_scanned: AtomicU64,
+    shared_scans: AtomicU64,
+}
+
 /// An endpoint that executes query models inside the engine process,
 /// columnar end to end.
 #[derive(Clone)]
@@ -68,7 +76,7 @@ pub struct EmbeddedEndpoint {
     engine: Engine,
     batch_rows: usize,
     stats: Arc<EndpointStats>,
-    rows_scanned: Arc<AtomicU64>,
+    scans: Arc<ScanCounters>,
     plans: Arc<PlanCache>,
     model_plans: Arc<ModelPlanCache>,
 }
@@ -87,7 +95,7 @@ impl EmbeddedEndpoint {
             engine: Engine::with_config(dataset, config),
             batch_rows: default_batch_rows(),
             stats: Arc::new(EndpointStats::default()),
-            rows_scanned: Arc::new(AtomicU64::new(0)),
+            scans: Arc::new(ScanCounters::default()),
             plans: Arc::new(PlanCache::default()),
             model_plans: Arc::new(ModelPlanCache::default()),
         }
@@ -106,7 +114,7 @@ impl EmbeddedEndpoint {
 
     /// A new endpoint over `dataset` that keeps this endpoint's engine
     /// configuration and batch size and **shares** its statistics, scan
-    /// counter, and both plan caches (Arc-cloned).
+    /// counters, and both plan caches (Arc-cloned).
     /// [`SnapshotServer`](crate::client::SnapshotServer) uses this to
     /// publish dataset epochs: every cached plan is stamped with the
     /// stats generation it was optimized under, so queries against the new
@@ -117,7 +125,7 @@ impl EmbeddedEndpoint {
             engine: Engine::with_config(dataset, self.engine.config().clone()),
             batch_rows: self.batch_rows,
             stats: Arc::clone(&self.stats),
-            rows_scanned: Arc::clone(&self.rows_scanned),
+            scans: Arc::clone(&self.scans),
             plans: Arc::clone(&self.plans),
             model_plans: Arc::clone(&self.model_plans),
         }
@@ -141,7 +149,24 @@ impl EmbeddedEndpoint {
     /// work metric the engine reports for string queries, for
     /// embedded-vs-wire parity checks).
     pub fn rows_scanned(&self) -> u64 {
-        self.rows_scanned.load(Ordering::Relaxed)
+        self.scans.rows_scanned.load(Ordering::Relaxed)
+    }
+
+    /// Cumulative index entries that replays of shared subplans stood in
+    /// for ([`ExecStats::shared_scans`]): `rows_scanned() + shared_scans()`
+    /// is what evaluating every occurrence would have read.
+    pub fn shared_scans(&self) -> u64 {
+        self.scans.shared_scans.load(Ordering::Relaxed)
+    }
+
+    fn count_scans(&self, stats: &ExecStats) {
+        let scans = &self.scans;
+        scans
+            .rows_scanned
+            .fetch_add(stats.rows_scanned, Ordering::Relaxed);
+        scans
+            .shared_scans
+            .fetch_add(stats.shared_scans, Ordering::Relaxed);
     }
 
     /// Compile, optimize, evaluate, and decode a query model.
@@ -162,8 +187,7 @@ impl EmbeddedEndpoint {
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))
             .map_err(engine_error)?;
-        self.rows_scanned
-            .fetch_add(stats.rows_scanned, Ordering::Relaxed);
+        self.count_scans(&stats);
         self.stats
             .rows_returned
             .fetch_add(table.rows.len() as u64, Ordering::Relaxed);
@@ -180,8 +204,7 @@ impl EmbeddedEndpoint {
         // Harvest statistics only after the drain: the streaming cursor
         // evaluates (and counts) as batches are pulled.
         let stats = cursor.stats();
-        self.rows_scanned
-            .fetch_add(stats.rows_scanned, Ordering::Relaxed);
+        self.count_scans(&stats);
         self.stats
             .par_chunks
             .fetch_add(stats.par_chunks, Ordering::Relaxed);

@@ -14,7 +14,7 @@ use crate::ast::{
 use crate::error::{EngineError, Result};
 
 /// Which graph a BGP is matched against.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GraphRef {
     /// The query's default graph(s) (`FROM`, or the whole dataset).
     Default,
@@ -23,7 +23,7 @@ pub enum GraphRef {
 }
 
 /// One aggregate computed by a [`Plan::Group`] node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AggSpec {
     /// Aggregate operation.
     pub op: AggOp,
@@ -43,7 +43,7 @@ pub struct AggSpec {
 /// that binds `var`, *before* the row is extended — rejected rows never
 /// reach later patterns, so downstream index scans (and the `rows_scanned`
 /// work metric) shrink identically on every evaluator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PushedFilter {
     /// The one variable the expression references.
     pub var: String,
@@ -77,7 +77,7 @@ pub fn attach_filters<'f>(
 }
 
 /// A logical query plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Plan {
     /// The unit table: one empty solution.
     Unit,
@@ -200,6 +200,28 @@ impl Plan {
             (Plan::Unit, p) | (p, Plan::Unit) => p,
             (a, b) => Plan::Join(Box::new(a), Box::new(b)),
         }
+    }
+
+    /// The node's inputs, left before right — the order every evaluator
+    /// visits them in.
+    pub fn children(&self) -> impl Iterator<Item = &Plan> {
+        let (a, b): (Option<&Plan>, Option<&Plan>) = match self {
+            Plan::Unit | Plan::Bgp { .. } => (None, None),
+            Plan::Join(a, b) | Plan::LeftJoin(a, b) | Plan::Union(a, b) => (Some(a), Some(b)),
+            Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
+                (Some(left), Some(right))
+            }
+            Plan::Filter(_, p)
+            | Plan::Extend(_, _, p)
+            | Plan::Project(_, p)
+            | Plan::Distinct(p)
+            | Plan::OrderBy(_, p) => (Some(p), None),
+            Plan::Group { input, .. }
+            | Plan::SortedDistinct { input, .. }
+            | Plan::TopK { input, .. }
+            | Plan::Slice { input, .. } => (Some(input), None),
+        };
+        a.into_iter().chain(b)
     }
 }
 

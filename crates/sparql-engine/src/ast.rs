@@ -7,7 +7,7 @@
 use rdf_model::Term;
 
 /// A term position in a triple pattern: a variable or a constant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PatternTerm {
     /// `?name` variable.
     Var(String),
@@ -26,7 +26,7 @@ impl PatternTerm {
 }
 
 /// A triple pattern.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TriplePattern {
     /// Subject position.
     pub subject: PatternTerm,
@@ -55,7 +55,7 @@ impl TriplePattern {
 }
 
 /// Comparison operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -72,7 +72,7 @@ pub enum CmpOp {
 }
 
 /// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArithOp {
     /// `+`
     Add,
@@ -85,7 +85,7 @@ pub enum ArithOp {
 }
 
 /// Built-in functions supported by the engine.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Func {
     /// `STR(x)` — lexical form.
     Str,
@@ -115,7 +115,7 @@ pub enum Func {
 }
 
 /// Aggregate operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggOp {
     /// `COUNT`
     Count,
@@ -132,7 +132,7 @@ pub enum AggOp {
 }
 
 /// A SPARQL expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// Variable reference.
     Var(String),
@@ -313,7 +313,7 @@ impl GroupGraphPattern {
 }
 
 /// Sort direction plus key expression.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct OrderKey {
     /// Key expression (usually a variable).
     pub expr: Expr,

@@ -157,26 +157,39 @@ impl Default for EngineConfig {
 /// Execution statistics for one query.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
-    /// Index entries scanned during evaluation.
+    /// Index entries actually read during evaluation — what
+    /// [`QueryBudget::max_rows_scanned`] charges. The columnar evaluator
+    /// evaluates a repeated subplan once, so its replays add nothing here.
     pub rows_scanned: u64,
+    /// Index entries that replays of shared subplans stood in for (columnar
+    /// evaluator only; zero for a plan without a repeated subtree). Exact:
+    /// identical on the streaming and materializing paths at every batch
+    /// size and thread count, and `rows_scanned + shared_scans` is what the
+    /// oracle evaluators, which evaluate every occurrence, report as
+    /// `rows_scanned` (a `LIMIT`'s early exit aside).
+    pub shared_scans: u64,
     /// Inner joins that executed as order-preserving merge joins instead of
     /// hash joins (columnar evaluator only; the oracle evaluators always
-    /// hash).
+    /// hash). Counts executions: a join inside a shared subplan runs, and
+    /// counts, once however many parents read it.
     pub merge_joins: u64,
     /// Left (OPTIONAL) joins that executed as order-preserving merge joins
-    /// (columnar evaluator only).
+    /// (columnar evaluator only; counts executions, like `merge_joins`).
     pub merge_left_joins: u64,
     /// Candidate pairs the joins handed to the per-pair compatibility check
     /// — from index lookups and merge runs alike (columnar evaluator only).
     /// An exact, repeatable work count, identical on the streaming and
     /// materializing paths: a join whose count far exceeds its input plus
-    /// output rows is keying on too little.
+    /// output rows is keying on too little. Counts executions, so a join
+    /// inside a shared subplan contributes its candidates once.
     pub join_candidates: u64,
     /// DISTINCT operators that deduplicated by linear run detection over
-    /// sorted input instead of hashing (columnar evaluator only).
+    /// sorted input instead of hashing (columnar evaluator only; counts
+    /// executions, like `merge_joins`).
     pub sorted_distincts: u64,
     /// GROUP BY operators that grouped by linear run detection over sorted
-    /// input instead of hashing (columnar evaluator only).
+    /// input instead of hashing (columnar evaluator only; counts
+    /// executions, like `merge_joins`).
     pub sorted_groups: u64,
     /// Configured worker count the query ran with (1 = sequential).
     pub par_workers: u64,
@@ -202,6 +215,15 @@ pub struct ExecStats {
     pub batches_emitted: u64,
 }
 
+impl ExecStats {
+    /// `rows_scanned + shared_scans`: the index entries an evaluator that
+    /// evaluates every occurrence of a repeated subplan reads — the number
+    /// to compare across evaluators.
+    pub fn unshared_scans(&self) -> u64 {
+        self.rows_scanned + self.shared_scans
+    }
+}
+
 /// A query that has been parsed, translated, and optimized once and can be
 /// executed any number of times (the plan is immutable; evaluation state
 /// lives in per-call evaluators).
@@ -225,6 +247,14 @@ impl PreparedQuery {
     /// query's `FROM` list; empty = whole dataset).
     pub fn from_graphs(&self) -> &[String] {
         &self.from
+    }
+
+    /// The plan as it will execute, as an indented S-expression
+    /// ([`Plan::to_sse`]): a subplan the columnar executors evaluate once is
+    /// printed at its first occurrence as `(shared #k …)` and as `(ref #k)`
+    /// wherever else it is read.
+    pub fn explain(&self) -> String {
+        self.plan.to_sse()
     }
 }
 
@@ -342,6 +372,7 @@ impl Engine {
                 let par = evaluator.par_stats();
                 let stats = ExecStats {
                     rows_scanned: evaluator.rows_scanned(),
+                    shared_scans: evaluator.shared_scans(),
                     merge_joins: evaluator.merge_joins(),
                     merge_left_joins: evaluator.merge_left_joins(),
                     join_candidates: evaluator.join_candidates(),
@@ -492,6 +523,7 @@ impl QueryCursor<'_> {
         let par = self.evaluator.par_stats();
         ExecStats {
             rows_scanned: self.evaluator.rows_scanned(),
+            shared_scans: self.evaluator.shared_scans(),
             merge_joins: self.evaluator.merge_joins(),
             merge_left_joins: self.evaluator.merge_left_joins(),
             join_candidates: self.evaluator.join_candidates(),

@@ -49,8 +49,10 @@ use crate::results::{Column, IdTable, SolutionTable};
 
 mod join_index;
 pub(crate) mod pipeline;
+pub(crate) mod share;
 
 use join_index::{merge_candidates, JoinIndex, RowMasks, Sides};
+use share::{Replay, Shared};
 
 /// Inputs below this row count run sequentially even with parallelism on:
 /// the fan-out overhead (task queueing, per-chunk state) dwarfs the work.
@@ -91,6 +93,12 @@ pub struct Evaluator<'a> {
     caches: EvalCaches,
     pool: TermPool<'a>,
     rows_scanned: u64,
+    /// Index entries replayed results stood in for ([`share`]).
+    shared_scans: u64,
+    /// Sharing classes of the plan under materializing evaluation, and each
+    /// class's memoized table once its first occurrence has been evaluated.
+    shared: Shared,
+    memo: Vec<Option<Replay<IdTable>>>,
     /// Budget enforcement state ([`crate::budget`]); inactive by default.
     meter: BudgetMeter,
     merge_joins: u64,
@@ -119,6 +127,9 @@ impl<'a> Evaluator<'a> {
             caches: EvalCaches::new(),
             pool: TermPool::new(dataset.interner()),
             rows_scanned: 0,
+            shared_scans: 0,
+            shared: Shared::default(),
+            memo: Vec::new(),
             meter: BudgetMeter::unlimited(),
             merge_joins: 0,
             merge_left_joins: 0,
@@ -155,9 +166,17 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Total index entries scanned so far (a deterministic work metric used
-    /// by benchmarks alongside wall-clock time).
+    /// by benchmarks alongside wall-clock time). Entries actually read: a
+    /// shared subplan's replays add nothing here.
     pub fn rows_scanned(&self) -> u64 {
         self.rows_scanned
+    }
+
+    /// Index entries that replays of shared subplans stood in for — what
+    /// evaluating every occurrence would have read on top of
+    /// [`Evaluator::rows_scanned`].
+    pub fn shared_scans(&self) -> u64 {
+        self.shared_scans
     }
 
     /// Number of [`Plan::MergeJoin`] nodes that actually ran as merge joins
@@ -205,7 +224,7 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluate a plan to a materialized solution table.
     pub fn eval(&mut self, plan: &Plan) -> Result<SolutionTable> {
-        let table = self.eval_ids(plan)?;
+        let table = self.eval_to_ids(plan)?;
         Ok(self.materialize(table))
     }
 
@@ -214,7 +233,7 @@ impl<'a> Evaluator<'a> {
     /// Pagination endpoints re-execute per chunk; slicing *before* term
     /// materialization means only the shipped page allocates terms.
     pub fn eval_page(&mut self, plan: &Plan, offset: usize, limit: usize) -> Result<SolutionTable> {
-        let mut table = self.eval_ids(plan)?;
+        let mut table = self.eval_to_ids(plan)?;
         table.slice(offset, Some(limit));
         Ok(self.materialize(table))
     }
@@ -222,7 +241,12 @@ impl<'a> Evaluator<'a> {
     /// Evaluate a plan to the raw columnar id table *without* materializing
     /// terms — the embedded execution path ([`crate::engine::QueryCursor`])
     /// hands these columns straight to the client together with the pool.
+    ///
+    /// Every evaluation enters here: the plan's sharing classes are found
+    /// once, and each is then evaluated once (`eval_ids`).
     pub fn eval_to_ids(&mut self, plan: &Plan) -> Result<IdTable> {
+        self.shared = Shared::of(plan);
+        self.memo = (0..self.shared.len()).map(|_| None).collect();
         self.eval_ids(plan)
     }
 
@@ -257,11 +281,32 @@ impl<'a> Evaluator<'a> {
     /// operators whose hot loops can balloon *before* producing output
     /// (BGP extension, join pair emission, group accumulation) carry
     /// additional in-loop checks of their own.
+    ///
+    /// It is also where a shared subplan ([`share`]) is evaluated once: the
+    /// first occurrence memoizes its table together with the scans producing
+    /// it took, every later occurrence is handed the table (the last one by
+    /// move) and reports those scans as `shared_scans`.
     fn eval_ids(&mut self, plan: &Plan) -> Result<IdTable> {
+        let class = self.shared.class(plan);
+        if let Some(memo) = class.and_then(|k| self.memo[k].as_mut()) {
+            let (t, scans) = memo.replay(0);
+            self.shared_scans += scans;
+            return Ok(t);
+        }
+        let before = self.rows_scanned + self.shared_scans;
         let t = self.eval_ids_node(plan)?;
         self.meter
             .charge_intermediate(t.len() as u64, t.estimated_bytes())?;
-        Ok(t)
+        Ok(match class {
+            Some(k) => {
+                debug_assert!(self.shared.is_first(k, plan));
+                let scans = self.rows_scanned + self.shared_scans - before;
+                let size = (t.len() as u64, t.estimated_bytes());
+                let memo = self.memo[k].insert(Replay::new(self.shared.readers(k)));
+                memo.push(t, scans, size)
+            }
+            None => t,
+        })
     }
 
     fn eval_ids_node(&mut self, plan: &Plan) -> Result<IdTable> {

@@ -5,10 +5,12 @@
 //! staging state between calls. The contract with the materializing path
 //! ([`Evaluator::eval_to_ids`]) is strict: the concatenation of all emitted
 //! batches is byte-identical to the materialized table for every batch
-//! size, `rows_scanned` totals match exactly (fully drained plans), and
-//! order-aware rewrite counters (`merge_joins`, `sorted_distincts`,
-//! `sorted_groups`) reach the same values because every sortedness claim is
-//! re-verified incrementally (batch-local checks plus run boundaries).
+//! size, `rows_scanned` and `shared_scans` totals match exactly (fully
+//! drained plans; a subplan that occurs more than once runs once on both
+//! paths, behind a [`Spool`] here), and order-aware rewrite counters
+//! (`merge_joins`, `sorted_distincts`, `sorted_groups`) reach the same
+//! values because every sortedness claim is re-verified incrementally
+//! (batch-local checks plus run boundaries).
 //!
 //! Streaming operators (BGP extension, join probe, filter/extend/project,
 //! slice) keep live state bounded by the batch size; pipeline breakers
@@ -22,6 +24,9 @@
 //! its limit is satisfied, so `LIMIT` queries legitimately scan *fewer*
 //! index entries than the materializing path (the early-exit carve-out in
 //! the differential oracle).
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use rdf_model::ScanPos;
 
@@ -54,73 +59,254 @@ pub(crate) type BoxOp<'e> = Box<dyn Operator<'e> + 'e>;
 ///
 /// Graph resolution happens eagerly here (same [`EngineError::UnknownGraph`]
 /// timing as the materializing path, which resolves before any scan).
+///
+/// The plan's sharing classes ([`share`]) each become one source operator
+/// behind a [`Spool`] with a [`SpoolReader`] per occurrence; a plan without a
+/// repeated subtree builds one operator per node and no spool.
 pub(crate) fn build<'e>(ev: &Evaluator<'e>, plan: &'e Plan) -> Result<BoxOp<'e>> {
-    Ok(match plan {
-        Plan::Unit => Box::new(UnitOp { done: false }),
-        Plan::Bgp {
-            patterns,
-            graph,
-            filters,
-        } => Box::new(BgpOp::new(ev, patterns, graph, filters)?),
-        Plan::Join(a, b) => Box::new(JoinOp::new(
-            build(ev, a)?,
-            build(ev, b)?,
-            JoinKind::Inner,
-            None,
-        )),
-        Plan::LeftJoin(a, b) => Box::new(JoinOp::new(
-            build(ev, a)?,
-            build(ev, b)?,
-            JoinKind::Left,
-            None,
-        )),
-        Plan::MergeJoin { left, right, key } => Box::new(JoinOp::new(
-            build(ev, left)?,
-            build(ev, right)?,
-            JoinKind::Inner,
-            Some(key),
-        )),
-        Plan::MergeLeftJoin { left, right, key } => Box::new(JoinOp::new(
-            build(ev, left)?,
-            build(ev, right)?,
-            JoinKind::Left,
-            Some(key),
-        )),
-        Plan::Union(a, b) => Box::new(UnionOp::new(build(ev, a)?, build(ev, b)?)),
-        Plan::Filter(expr, p) => Box::new(FilterOp {
-            input: build(ev, p)?,
-            expr,
-        }),
-        Plan::Extend(var, expr, p) => Box::new(ExtendOp::new(build(ev, p)?, var, expr)),
-        Plan::Group {
-            keys,
-            aggs,
-            input,
-            sorted_on,
-        } => Box::new(GroupOp::new(build(ev, input)?, keys, aggs, sorted_on)),
-        Plan::Project(vars, p) => Box::new(ProjectOp {
-            input: build(ev, p)?,
-            vars: vars.clone(),
-        }),
-        Plan::Distinct(p) => Box::new(DistinctOp::new(build(ev, p)?, None)),
-        Plan::SortedDistinct { order, input } => {
-            Box::new(DistinctOp::new(build(ev, input)?, Some(order)))
+    let shared = Shared::of(plan);
+    let spools = (0..shared.len()).map(|_| None).collect();
+    let mut builder = Builder { ev, shared, spools };
+    builder.node(plan)
+}
+
+struct Builder<'a, 'e> {
+    ev: &'a Evaluator<'e>,
+    shared: Shared,
+    /// Per sharing class: its spool, once the first occurrence is built.
+    spools: Vec<Option<Rc<RefCell<Spool<'e>>>>>,
+}
+
+impl<'e> Builder<'_, 'e> {
+    /// The operator for one occurrence: a reader on its class's spool
+    /// (building the spool's source from the first occurrence), or the
+    /// node's own operator.
+    fn node(&mut self, plan: &'e Plan) -> Result<BoxOp<'e>> {
+        let Some(k) = self.shared.class(plan) else {
+            return self.operator(plan);
+        };
+        let (spool, first) = match self.spools[k].clone() {
+            Some(spool) => (spool, false),
+            None => {
+                debug_assert!(self.shared.is_first(k, plan));
+                let source = self.operator(plan)?;
+                let spool = Spool::new(source, self.shared.readers(k));
+                let spool = Rc::new(RefCell::new(spool));
+                self.spools[k] = Some(Rc::clone(&spool));
+                (spool, true)
+            }
+        };
+        Ok(Box::new(SpoolReader::new(spool, first)))
+    }
+
+    fn operator(&mut self, plan: &'e Plan) -> Result<BoxOp<'e>> {
+        Ok(match plan {
+            Plan::Unit => Box::new(UnitOp { done: false }),
+            Plan::Bgp {
+                patterns,
+                graph,
+                filters,
+            } => Box::new(BgpOp::new(self.ev, patterns, graph, filters)?),
+            Plan::Join(a, b) => Box::new(JoinOp::new(
+                self.node(a)?,
+                self.node(b)?,
+                JoinKind::Inner,
+                None,
+            )),
+            Plan::LeftJoin(a, b) => Box::new(JoinOp::new(
+                self.node(a)?,
+                self.node(b)?,
+                JoinKind::Left,
+                None,
+            )),
+            Plan::MergeJoin { left, right, key } => Box::new(JoinOp::new(
+                self.node(left)?,
+                self.node(right)?,
+                JoinKind::Inner,
+                Some(key),
+            )),
+            Plan::MergeLeftJoin { left, right, key } => Box::new(JoinOp::new(
+                self.node(left)?,
+                self.node(right)?,
+                JoinKind::Left,
+                Some(key),
+            )),
+            Plan::Union(a, b) => Box::new(UnionOp::new(self.node(a)?, self.node(b)?)),
+            Plan::Filter(expr, p) => Box::new(FilterOp {
+                input: self.node(p)?,
+                expr,
+            }),
+            Plan::Extend(var, expr, p) => Box::new(ExtendOp::new(self.node(p)?, var, expr)),
+            Plan::Group {
+                keys,
+                aggs,
+                input,
+                sorted_on,
+            } => Box::new(GroupOp::new(self.node(input)?, keys, aggs, sorted_on)),
+            Plan::Project(vars, p) => Box::new(ProjectOp {
+                input: self.node(p)?,
+                vars: vars.clone(),
+            }),
+            Plan::Distinct(p) => Box::new(DistinctOp::new(self.node(p)?, None)),
+            Plan::SortedDistinct { order, input } => {
+                Box::new(DistinctOp::new(self.node(input)?, Some(order)))
+            }
+            Plan::OrderBy(keys, p) => Box::new(SortOp::new(self.node(p)?, keys, None)),
+            Plan::TopK { keys, k, input } => {
+                Box::new(SortOp::new(self.node(input)?, keys, Some(*k)))
+            }
+            Plan::Slice {
+                limit,
+                offset,
+                input,
+            } => Box::new(SliceOp {
+                input: self.node(input)?,
+                offset: *offset,
+                limit: *limit,
+                skipped: 0,
+                emitted: 0,
+                done: false,
+            }),
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shared subplans
+// ---------------------------------------------------------------------------
+
+/// One sharing class of the plan, evaluated once: the single source
+/// operator plus the pulls its readers have not all consumed yet.
+///
+/// The first reader to need pull *i* takes it from the source; the others
+/// replay it ([`Replay`]: cloned for all but the last, released once the
+/// slowest has passed it). Concatenated, every reader sees exactly the
+/// batches a private copy of the source would have produced, so everything
+/// downstream — results, order, sortedness claims — is unchanged.
+///
+/// The retained pulls are this operator's live state. They are charged to
+/// the budget's intermediate-rows and memory axes as they stand after each
+/// source pull (peak, like a join's build table) and reported once, by the
+/// spool's first reader, in `live_size`. A reader that stops pulling before
+/// the source is exhausted — the one case is a reader under a satisfied
+/// [`SliceOp`] — pins everything its siblings pull from then on until the
+/// pipeline is dropped; the siblings still receive the full stream.
+struct Spool<'e> {
+    vars: Vec<String>,
+    /// Dropped as soon as it is exhausted or has failed.
+    source: Option<BoxOp<'e>>,
+    /// A pull is `None` for the exhausting one, so the scans it took are
+    /// replayed like any other's.
+    pulls: Replay<Option<IdTable>>,
+    /// The source's error, latched: every reader's next pull returns it, so
+    /// none mistakes a failed stream for a short one.
+    failed: Option<EngineError>,
+}
+
+impl<'e> Spool<'e> {
+    fn new(source: BoxOp<'e>, readers: usize) -> Self {
+        Spool {
+            vars: source.vars().to_vec(),
+            source: Some(source),
+            pulls: Replay::new(readers),
+            failed: None,
         }
-        Plan::OrderBy(keys, p) => Box::new(SortOp::new(build(ev, p)?, keys, None)),
-        Plan::TopK { keys, k, input } => Box::new(SortOp::new(build(ev, input)?, keys, Some(*k))),
-        Plan::Slice {
-            limit,
-            offset,
-            input,
-        } => Box::new(SliceOp {
-            input: build(ev, input)?,
-            offset: *offset,
-            limit: *limit,
-            skipped: 0,
-            emitted: 0,
+    }
+
+    /// Pull `i` for one reader: replayed if some reader already took it
+    /// from the source, pulled from the source otherwise.
+    fn pull(&mut self, i: usize, ev: &mut Evaluator<'e>, n: usize) -> Result<Option<IdTable>> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        if i < self.pulls.len() {
+            let (batch, scans) = self.pulls.replay(i);
+            ev.shared_scans += scans;
+            return Ok(batch);
+        }
+        let pulled = self.pull_source(ev, n);
+        match &pulled {
+            Ok(Some(_)) => {}
+            Ok(None) => self.source = None,
+            Err(e) => {
+                self.failed = Some(e.clone());
+                self.source = None;
+            }
+        }
+        pulled
+    }
+
+    fn pull_source(&mut self, ev: &mut Evaluator<'e>, n: usize) -> Result<Option<IdTable>> {
+        let source = self
+            .source
+            .as_mut()
+            .expect("a reader past the exhausting pull never pulls again");
+        let before = ev.rows_scanned + ev.shared_scans;
+        let batch = source.next_batch(ev, n)?;
+        let scans = ev.rows_scanned + ev.shared_scans - before;
+        let size = batch
+            .as_ref()
+            .map_or((0, 0), |t| (t.len() as u64, t.estimated_bytes()));
+        let own = self.pulls.push(batch, scans, size);
+        let (rows, bytes) = self.pulls.retained();
+        ev.meter.charge_intermediate(rows, bytes)?;
+        Ok(own)
+    }
+
+    fn live_size(&self) -> (u64, u64) {
+        let source = self.source.as_ref().map_or((0, 0), |s| s.live_size());
+        add2(source, self.pulls.retained())
+    }
+}
+
+/// One occurrence of a sharing class: a cursor over its [`Spool`].
+struct SpoolReader<'e> {
+    spool: Rc<RefCell<Spool<'e>>>,
+    vars: Vec<String>,
+    /// The next pull this reader consumes.
+    next: usize,
+    /// The spool's first reader reports the spool's live state.
+    first: bool,
+    done: bool,
+}
+
+impl<'e> SpoolReader<'e> {
+    fn new(spool: Rc<RefCell<Spool<'e>>>, first: bool) -> Self {
+        let vars = spool.borrow().vars.clone();
+        SpoolReader {
+            spool,
+            vars,
+            next: 0,
+            first,
             done: false,
-        }),
-    })
+        }
+    }
+}
+
+impl<'e> Operator<'e> for SpoolReader<'e> {
+    fn vars(&self) -> &[String] {
+        &self.vars
+    }
+
+    fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
+        if self.done {
+            return Ok(None);
+        }
+        // The source pulls its own inputs while this spool is borrowed;
+        // they are other spools (the plan DAG is acyclic), never this one.
+        let batch = self.spool.borrow_mut().pull(self.next, ev, batch_rows)?;
+        self.next += 1;
+        self.done = batch.is_none();
+        Ok(batch)
+    }
+
+    fn live_size(&self) -> (u64, u64) {
+        if self.first {
+            self.spool.borrow().live_size()
+        } else {
+            (0, 0)
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1742,6 +1928,98 @@ mod tests {
         ev.set_budget(&QueryBudget::unlimited().with_max_memory_bytes(index_bytes));
         let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
         assert!(matches!(op.next_batch(&mut ev, 4), Ok(Some(_))));
+    }
+
+    /// Test source: `batches` one-row batches, then the error (or the end).
+    struct FlakyOp {
+        vars: Vec<String>,
+        batches: u32,
+        then: Option<EngineError>,
+    }
+
+    impl<'e> Operator<'e> for FlakyOp {
+        fn vars(&self) -> &[String] {
+            &self.vars
+        }
+
+        fn next_batch(&mut self, ev: &mut Evaluator<'e>, _n: usize) -> Result<Option<IdTable>> {
+            if self.batches == 0 {
+                return self.then.clone().map_or(Ok(None), Err);
+            }
+            self.batches -= 1;
+            ev.rows_scanned += 10;
+            Ok(Some(table('s', 1, &[vec![1, 0, 0, 0]])))
+        }
+
+        fn live_size(&self) -> (u64, u64) {
+            (0, 0)
+        }
+    }
+
+    fn spool_readers<'e>(source: FlakyOp, readers: usize) -> Vec<SpoolReader<'e>> {
+        let spool = Rc::new(RefCell::new(Spool::new(Box::new(source), readers)));
+        (0..readers)
+            .map(|r| SpoolReader::new(Rc::clone(&spool), r == 0))
+            .collect()
+    }
+
+    #[test]
+    fn a_spool_is_read_once_replayed_exactly_and_counted_once() {
+        let ds = Dataset::new();
+        let mut ev = Evaluator::new(&ds, Vec::new());
+        let source = FlakyOp {
+            vars: vec!["s0".into(), "s_row".into()],
+            batches: 3,
+            then: None,
+        };
+        let mut readers = spool_readers(source, 3);
+        let batch_bytes = table('s', 1, &[vec![1, 0, 0, 0]]).estimated_bytes();
+        // Reader 0 drains the source: three batches and the exhausting pull.
+        while readers[0].next_batch(&mut ev, 8).unwrap().is_some() {}
+        assert_eq!((ev.rows_scanned, ev.shared_scans), (30, 0));
+        // Everything is retained for the two readers still at the start —
+        // and reported by the spool's first reader alone.
+        assert_eq!(readers[0].live_size(), (3, 3 * batch_bytes));
+        assert_eq!(readers[1].live_size(), (0, 0));
+        assert_eq!(readers[2].live_size(), (0, 0));
+        // Each replay stands in for the scans of the pull it repeats.
+        assert!(readers[1].next_batch(&mut ev, 8).unwrap().is_some());
+        assert_eq!((ev.rows_scanned, ev.shared_scans), (30, 10));
+        while readers[2].next_batch(&mut ev, 8).unwrap().is_some() {}
+        assert_eq!((ev.rows_scanned, ev.shared_scans), (30, 40));
+        // The slowest reader now stands after the first batch.
+        assert_eq!(readers[0].live_size(), (2, 2 * batch_bytes));
+        while readers[1].next_batch(&mut ev, 8).unwrap().is_some() {}
+        assert_eq!((ev.rows_scanned, ev.shared_scans), (30, 60));
+        assert_eq!(readers[0].live_size(), (0, 0));
+        // Exhausted readers stay exhausted, at no further cost.
+        for r in &mut readers {
+            assert!(r.next_batch(&mut ev, 8).unwrap().is_none());
+        }
+        assert_eq!((ev.rows_scanned, ev.shared_scans), (30, 60));
+    }
+
+    #[test]
+    fn a_failed_shared_source_fails_every_reader() {
+        let ds = Dataset::new();
+        let mut ev = Evaluator::new(&ds, Vec::new());
+        let boom = EngineError::UnknownGraph("http://gone".into());
+        let source = FlakyOp {
+            vars: vec!["s0".into(), "s_row".into()],
+            batches: 1,
+            then: Some(boom.clone()),
+        };
+        let mut readers = spool_readers(source, 3);
+        assert!(readers[0].next_batch(&mut ev, 8).unwrap().is_some());
+        assert!(readers[1].next_batch(&mut ev, 8).unwrap().is_some());
+        assert_eq!(readers[0].next_batch(&mut ev, 8), Err(boom.clone()));
+        // Reader 1 is past the retained batch, reader 2 still before it:
+        // neither is told the stream simply ended, now or on a later poll.
+        for r in &mut readers {
+            assert_eq!(r.next_batch(&mut ev, 8), Err(boom.clone()));
+            assert_eq!(r.next_batch(&mut ev, 8), Err(boom.clone()));
+        }
+        assert!(readers[0].spool.borrow().source.is_none());
     }
 
     proptest! {

@@ -30,8 +30,10 @@
 //! evaluators survive as differential-testing oracles and benchmarking
 //! baselines, selected via [`engine::EvalMode`]: the PR 1 row-at-a-time
 //! id-native pipeline ([`eval_rows`]) and the seed term-materialized one
-//! ([`eval_reference`]). All three agree on results *and* on the
-//! `rows_scanned` work metric.
+//! ([`eval_reference`]). All three agree on results *and* on scan work: the
+//! oracles evaluate every occurrence of a repeated subplan, the columnar
+//! evaluator evaluates it once, and its `rows_scanned + shared_scans` is
+//! exactly their `rows_scanned`.
 
 pub mod algebra;
 pub mod ast;
@@ -48,6 +50,7 @@ pub mod parser;
 pub mod pool;
 pub mod regex_lite;
 pub mod results;
+mod sse;
 
 pub use budget::{BudgetMeter, QueryBudget, ResourceKind};
 pub use engine::{

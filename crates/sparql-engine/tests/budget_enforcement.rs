@@ -256,3 +256,183 @@ fn grouping_and_ordinary_joins_are_metered_too() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Shared subplans: what a replay costs on each budget axis
+// ---------------------------------------------------------------------------
+
+/// `n` subjects with a `p` value each, every other one also with a `q`
+/// value.
+fn outer_join_dataset(n: usize) -> Arc<Dataset> {
+    let mut g = Graph::new();
+    for i in 0..n {
+        let s = Term::iri(format!("http://x/s{i}"));
+        g.insert(&Triple::new(
+            s.clone(),
+            Term::iri("http://x/p"),
+            Term::integer(i as i64),
+        ));
+        if i % 2 == 0 {
+            g.insert(&Triple::new(
+                s,
+                Term::iri("http://x/q"),
+                Term::integer(-(i as i64)),
+            ));
+        }
+    }
+    let mut ds = Dataset::new();
+    ds.insert_graph(GRAPH, g);
+    Arc::new(ds)
+}
+
+/// The shape of the paper's case study 1: a frame (`?s p ?v`) joined to the
+/// full outer join — `(A OPTIONAL B) UNION (B OPTIONAL A)` — of two frames
+/// derived from it. `A` is read three times and `B` twice.
+const OUTER_JOIN: &str = "SELECT * FROM <http://g> WHERE { \
+     { { ?s <http://x/p> ?v } OPTIONAL { ?s <http://x/q> ?w } } UNION \
+     { { ?s <http://x/q> ?w } OPTIONAL { ?s <http://x/p> ?v } } \
+     { ?s <http://x/p> ?v } }";
+
+/// Drain `q` through a cursor, polling once more after the first error.
+fn drain_cursor(
+    engine: &Engine,
+    q: &str,
+    batch_rows: usize,
+) -> Result<(usize, sparql_engine::ExecStats), (EngineError, EngineError)> {
+    let prepared = engine.prepare(q).unwrap();
+    let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
+    let mut rows = 0;
+    loop {
+        match cursor.next_batch() {
+            Ok(Some(batch)) => rows += batch.len,
+            Ok(None) => return Ok((rows, cursor.stats())),
+            Err(first) => {
+                let again = cursor
+                    .next_batch()
+                    .map(|b| b.map(|b| b.len))
+                    .expect_err("a failed shared source must not turn into a short stream");
+                return Err((first, again));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_replay_is_free_on_the_scan_axis() {
+    let ds = outer_join_dataset(600);
+    let free = engine(&ds, EvalMode::Columnar, QueryBudget::unlimited());
+    let prepared = free.prepare(OUTER_JOIN).unwrap();
+    let explain = prepared.explain();
+    assert_eq!(explain.matches("(shared #").count(), 2, "{explain}");
+    assert_eq!(explain.matches("(ref #").count(), 3, "{explain}");
+    let (table, stats) = free.execute_with_stats(OUTER_JOIN).unwrap();
+    assert_eq!(table.len(), 900);
+    // One scan of `p` (600) and one of `q` (300); the three replays stood
+    // in for a second and third scan of `p` and a second of `q`.
+    assert_eq!((stats.rows_scanned, stats.shared_scans), (900, 1500));
+
+    // The budget charges what is read: the shared plan completes under a
+    // cap of exactly its own `rows_scanned`, eagerly and pull by pull …
+    let exact = QueryBudget::unlimited().with_max_rows_scanned(stats.rows_scanned);
+    let capped = engine(&ds, EvalMode::Columnar, exact.clone());
+    assert_eq!(capped.execute(OUTER_JOIN).unwrap().len(), 900);
+    let (rows, streamed) = drain_cursor(&capped, OUTER_JOIN, 64).unwrap();
+    assert_eq!(
+        (rows, streamed.rows_scanned, streamed.shared_scans),
+        (900, 900, 1500)
+    );
+    // … which evaluating every occurrence does not fit under …
+    for mode in [EvalMode::IdNative, EvalMode::TermReference] {
+        let (_, unshared) = engine(&ds, mode, QueryBudget::unlimited())
+            .execute_with_stats(OUTER_JOIN)
+            .unwrap();
+        assert_eq!(unshared.rows_scanned, stats.unshared_scans(), "{mode:?}");
+        assert!(matches!(
+            engine(&ds, mode, exact.clone()).execute(OUTER_JOIN),
+            Err(EngineError::ResourceExhausted {
+                resource: ResourceKind::RowsScanned,
+                ..
+            })
+        ));
+    }
+    // … and one entry less still stops the shared plan, typed.
+    let short = QueryBudget::unlimited().with_max_rows_scanned(stats.rows_scanned - 1);
+    let starved = engine(&ds, EvalMode::Columnar, short);
+    let expected = EngineError::ResourceExhausted {
+        resource: ResourceKind::RowsScanned,
+        limit: stats.rows_scanned - 1,
+        observed: stats.rows_scanned,
+    };
+    assert_eq!(starved.execute(OUTER_JOIN).unwrap_err(), expected);
+    // The trip happens inside a shared source: every later poll — whichever
+    // reader it reaches — reports the same error, never a short stream.
+    let (first, again) = drain_cursor(&starved, OUTER_JOIN, 64).unwrap_err();
+    assert_eq!((first, again), (expected.clone(), expected));
+}
+
+#[test]
+fn a_spool_s_retention_is_charged_to_the_memory_axis() {
+    // `{A} UNION {A}`: the union drains its left reader before it touches
+    // the right one, so the spool ends up retaining all of `A` — 2000 rows
+    // of two columns — while every operator around it holds one batch.
+    let ds = outer_join_dataset(2000);
+    let q = "SELECT * FROM <http://g> WHERE { \
+             { ?s <http://x/p> ?v } UNION { ?s <http://x/p> ?v } }";
+    let free = engine(&ds, EvalMode::Columnar, QueryBudget::unlimited());
+    let (rows, stats) = drain_cursor(&free, q, 64).unwrap();
+    assert_eq!(
+        (rows, stats.rows_scanned, stats.shared_scans),
+        (4000, 2000, 2000)
+    );
+    assert!(stats.peak_live_rows >= 2000, "{}", stats.peak_live_rows);
+    assert!(
+        stats.peak_live_bytes >= 2000 * 2 * 4,
+        "{}",
+        stats.peak_live_bytes
+    );
+
+    // A cap a batch fits under many times over and the retention does not.
+    let budget = QueryBudget::unlimited().with_max_memory_bytes(2000 * 2 * 4 / 2);
+    let capped = engine(&ds, EvalMode::Columnar, budget);
+    let (first, again) = drain_cursor(&capped, q, 64).unwrap_err();
+    assert!(
+        matches!(
+            first,
+            EngineError::ResourceExhausted {
+                resource: ResourceKind::MemoryBytes,
+                ..
+            }
+        ),
+        "{first:?}"
+    );
+    assert_eq!(first, again);
+    assert!(matches!(
+        capped.execute(q),
+        Err(EngineError::ResourceExhausted {
+            resource: ResourceKind::MemoryBytes,
+            ..
+        })
+    ));
+}
+
+#[test]
+fn a_reader_parked_under_a_limit_does_not_starve_its_sibling() {
+    // The left reader of `?s p ?v` stops after three rows; the right one
+    // still receives all 500 — and the spool keeps them for the reader that
+    // will never come back, until the cursor is dropped.
+    let ds = outer_join_dataset(500);
+    let q = "SELECT * FROM <http://g> WHERE { \
+             { SELECT ?s ?v WHERE { ?s <http://x/p> ?v } LIMIT 3 } UNION \
+             { ?s <http://x/p> ?v } }";
+    let engine = engine(&ds, EvalMode::Columnar, QueryBudget::unlimited());
+    let explain = engine.prepare(q).unwrap().explain();
+    assert_eq!(explain.matches("(ref #0)").count(), 1, "{explain}");
+    let expected = engine.execute(q).unwrap();
+    assert_eq!(expected.len(), 503);
+    let (rows, stats) = drain_cursor(&engine, q, 2).unwrap();
+    assert_eq!(rows, 503);
+    // Read once; only the two batches the left reader took were replayed.
+    assert_eq!(stats.rows_scanned, 500);
+    assert!(stats.shared_scans < 500, "{}", stats.shared_scans);
+    assert!(stats.peak_live_rows >= 496, "{}", stats.peak_live_rows);
+}

@@ -423,7 +423,9 @@ fn engines(ds: Arc<Dataset>, optimize: bool) -> Vec<(&'static str, Engine)> {
 }
 
 /// Run every query on every evaluator and demand identical bags and
-/// identical `rows_scanned`.
+/// identical scan work: the columnar evaluator's `rows_scanned +
+/// shared_scans` (it evaluates a repeated subplan once) against the oracles'
+/// `rows_scanned` (they evaluate every occurrence; their `shared_scans` is 0).
 fn assert_all_paths_agree(ds: Arc<Dataset>, optimize: bool, label: &str) {
     let engines = engines(ds, optimize);
     for q in queries() {
@@ -433,7 +435,7 @@ fn assert_all_paths_agree(ds: Arc<Dataset>, optimize: bool, label: &str) {
                 .execute_with_stats(&q)
                 .unwrap_or_else(|e| panic!("{name} failed ({label}): {e}\n{q}"));
             t.canonicalize();
-            results.push((name, t, stats.rows_scanned));
+            results.push((name, t, stats.unshared_scans()));
         }
         let (base_name, base_table, base_scanned) = &results[0];
         for (name, table, scanned) in &results[1..] {
@@ -478,6 +480,7 @@ fn compacted_and_uncompacted_storage_agree() {
         b.canonicalize();
         assert_eq!(a, b, "storage layouts diverge for:\n{q}");
         assert_eq!(stats_a.rows_scanned, stats_b.rows_scanned, "{q}");
+        assert_eq!(stats_a.shared_scans, stats_b.shared_scans, "{q}");
     }
 }
 
@@ -897,7 +900,7 @@ proptest! {
         for (name, engine) in &engines {
             let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
             t.canonicalize();
-            results.push((name, t, stats.rows_scanned));
+            results.push((name, t, stats.unshared_scans()));
         }
         for pair in results.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -933,7 +936,7 @@ proptest! {
         for (name, engine) in &engines {
             let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
             t.canonicalize();
-            results.push((name, t, stats.rows_scanned));
+            results.push((name, t, stats.unshared_scans()));
         }
         for pair in results.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -983,7 +986,7 @@ proptest! {
             for (name, engine) in &engines {
                 let (mut t, stats) = engine.execute_with_stats(q).unwrap();
                 t.canonicalize();
-                results.push((name, t, stats.rows_scanned));
+                results.push((name, t, stats.unshared_scans()));
             }
             for pair in results.windows(2) {
                 prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -1053,7 +1056,7 @@ proptest! {
             let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
             t.canonicalize();
             prop_assert_eq!(&t, &expected, "{} vs literal plan: {}", name, q);
-            scans.push(stats.rows_scanned);
+            scans.push(stats.unshared_scans());
         }
         prop_assert!(scans.windows(2).all(|w| w[0] == w[1]), "scan parity {:?}: {}", scans, q);
     }

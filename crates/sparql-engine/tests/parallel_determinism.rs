@@ -81,7 +81,13 @@ const QUERIES: &[&str] = &[
     // DISTINCT + ORDER BY exercises order sensitivity downstream of the
     // parallel operators.
     "SELECT DISTINCT ?c FROM <http://g> WHERE { ?s <http://x/q> ?c } ORDER BY ?c",
+    // A repeated subplan: the `?s p ?v` scan feeds the join and, again, the
+    // aggregate below it — evaluated once, replayed once.
+    SHARED_SCAN,
 ];
+
+const SHARED_SCAN: &str = "SELECT ?s ?v ?n FROM <http://g> WHERE { ?s <http://x/p> ?v . \
+     { SELECT ?s (COUNT(?v) AS ?n) WHERE { ?s <http://x/p> ?v } GROUP BY ?s } }";
 
 #[test]
 fn parallel_results_are_byte_identical_to_sequential() {
@@ -93,9 +99,11 @@ fn parallel_results_are_byte_identical_to_sequential() {
         let (t4, s4) = par.execute_with_stats(q).unwrap();
         assert_eq!(t1, t4, "threads changed the result of {q}");
         assert_eq!(
-            s1.rows_scanned, s4.rows_scanned,
-            "threads changed the scan work count of {q}"
+            (s1.rows_scanned, s1.shared_scans),
+            (s4.rows_scanned, s4.shared_scans),
+            "threads changed the scan work counts of {q}"
         );
+        assert_eq!(s1.shared_scans > 0, *q == SHARED_SCAN, "{q}");
     }
 }
 
@@ -210,5 +218,6 @@ fn generous_budgets_are_invisible_under_parallelism() {
         let (t_cap, s_cap) = budgeted.execute_with_stats(q).unwrap();
         assert_eq!(t_free, t_cap, "unhit budget changed the result of {q}");
         assert_eq!(s_free.rows_scanned, s_cap.rows_scanned);
+        assert_eq!(s_free.shared_scans, s_cap.shared_scans);
     }
 }

@@ -4,8 +4,10 @@
 //! sizes.
 //!
 //! **The LIMIT carve-out.** The parity oracle everywhere else in this
-//! repository is *exact* `rows_scanned` equality between evaluators and
-//! between streaming and materializing execution. `LIMIT` is the one
+//! repository is *exact* scan equality: `rows_scanned` (entries read) and
+//! `shared_scans` (entries a shared subplan's replays stood in for) each
+//! match between streaming and materializing execution, and their sum is
+//! the oracle evaluators' `rows_scanned`. `LIMIT` is the one
 //! deliberate exception: the streaming slice stops pulling its upstream
 //! once the limit is satisfied, so upstream scans never run — streaming
 //! legitimately scans *fewer* index entries. Results (rows, order, bytes)
@@ -74,6 +76,12 @@ fn drain(engine: &Engine, q: &str, batch_rows: usize) -> (Vec<Vec<Option<Term>>>
         }
     }
     (rows, cursor.stats())
+}
+
+/// The two scan counters that must match between streaming and
+/// materializing execution of a fully drained plan.
+fn scans(stats: &ExecStats) -> (u64, u64) {
+    (stats.rows_scanned, stats.shared_scans)
 }
 
 #[test]
@@ -200,7 +208,7 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
         "materializing peak {} should cover the whole result",
         stats_m.peak_live_rows
     );
-    assert_eq!(stats.rows_scanned, stats_m.rows_scanned, "no LIMIT: parity");
+    assert_eq!(scans(&stats), scans(&stats_m), "no LIMIT: parity");
 }
 
 /// 300 films over 2 genres × 2 countries with two actors each: every film
@@ -261,7 +269,7 @@ fn fan_out_join_stages_one_window_not_one_left_batch() {
         let (rows, stats) = drain(&streaming, &q, batch);
         // Same rows in the same order as assembling everything at once.
         assert_eq!(rows, expected, "batch {batch}");
-        assert_eq!(stats.rows_scanned, stats_m.rows_scanned, "batch {batch}");
+        assert_eq!(scans(&stats), scans(&stats_m), "batch {batch}");
         // Both key columns are bound in every row: the two-key hash offers
         // exactly the matches, however the probe side is cut into batches.
         assert_eq!(stats.join_candidates, STAR * FAN_OUT, "batch {batch}");
@@ -313,10 +321,7 @@ fn join_candidates_do_not_depend_on_batching() {
         for batch in [1usize, 7, 256] {
             let (rows, stats) = drain(&streaming, &q, batch);
             assert_eq!(rows, expected, "batch {batch}: {q}");
-            assert_eq!(
-                stats.rows_scanned, stats_m.rows_scanned,
-                "batch {batch}: {q}"
-            );
+            assert_eq!(scans(&stats), scans(&stats_m), "batch {batch}: {q}");
             assert_eq!(
                 stats.join_candidates, stats_m.join_candidates,
                 "batch {batch}: {q}"
@@ -390,8 +395,9 @@ proptest! {
     /// Random BGP (+ optional OPTIONAL tail, + optional GROUP BY head)
     /// over a random graph in a random storage layout: the streaming
     /// cursor must produce byte-identical rows in identical order with
-    /// identical `rows_scanned` as the materializing cursor, at any batch
-    /// size (none of these shapes has a LIMIT, so the carve-out is moot).
+    /// identical `rows_scanned` and `shared_scans` as the materializing
+    /// cursor, at any batch size (none of these shapes has a LIMIT, so the
+    /// carve-out is moot).
     #[test]
     fn random_shapes_stream_identically(
         triples in proptest::collection::vec((0u8..6, 0u8..3, 0u8..6), 1..40),
@@ -424,8 +430,8 @@ proptest! {
         let (rows_m, stats_m) = drain(&materializing, &q, batch_rows);
         prop_assert_eq!(rows_s, rows_m, "rows diverge for {} @ batch {}", &q, batch_rows);
         prop_assert_eq!(
-            stats_s.rows_scanned,
-            stats_m.rows_scanned,
+            scans(&stats_s),
+            scans(&stats_m),
             "scan work diverges for {} @ batch {}",
             &q,
             batch_rows
