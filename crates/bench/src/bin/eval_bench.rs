@@ -2,10 +2,10 @@
 //!
 //! Runs a BGP-heavy query, a GROUP BY-heavy query, and an aggregate-heavy
 //! numeric query (MIN/MAX/SUM/AVG over `dbpp:runtime`) on the synthetic
-//! DBpedia-style dataset against all three evaluators — the seed term-
-//! materialized reference ([`sparql_engine::eval_reference`]), the PR 1
-//! row-at-a-time id-native pipeline ([`sparql_engine::eval_rows`]), and the
-//! columnar default ([`sparql_engine::eval`]) — reporting median wall-clock
+//! DBpedia-style dataset against both evaluators — the seed term-
+//! materialized reference ([`sparql_engine::eval_reference`]) and the
+//! columnar default ([`sparql_engine::eval`], through `execute`: the
+//! operator pipeline drained in one pull) — reporting median wall-clock
 //! time, the deterministic `rows_scanned` work metric, and the number of
 //! heap allocations per execution (via a counting global allocator). A
 //! fourth, textually misordered BGP is run with the optimizer on and off to
@@ -159,7 +159,7 @@ fn queries() -> Vec<QuerySpec> {
         },
         QuerySpec {
             id: "sorted_agg",
-            kind: "GROUP BY the leading sort var of the POS starring scan → run detection",
+            kind: "GROUP BY the leading sort var of the POS starring scan (claim counted, hash grouping)",
             sparql: format!(
                 "{prefixes}SELECT ?actor (COUNT(?movie) AS ?movies) \
                  (COUNT(DISTINCT ?movie) AS ?distinct_movies) \
@@ -212,7 +212,7 @@ struct Outcome {
     merge_left_joins: u64,
     /// DISTINCTs that deduplicated by run detection (columnar only).
     sorted_distincts: u64,
-    /// GROUP BYs that grouped by run detection (columnar only).
+    /// GROUP BYs whose sorted-input claim held (columnar only).
     sorted_groups: u64,
     /// Heap allocations for one (post-warmup) execution.
     allocs: u64,
@@ -364,7 +364,6 @@ fn main() {
         )
     };
     let reference = mode_engine(EvalMode::TermReference);
-    let id_rows = mode_engine(EvalMode::IdNative);
     let columnar = mode_engine(EvalMode::Columnar);
 
     let mut json = String::new();
@@ -373,49 +372,40 @@ fn main() {
     let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"triples\": {},", dataset.total_triples());
     let _ = writeln!(json, "  \"runs\": {RUNS},");
-    let _ = writeln!(
-        json,
-        "  \"evaluators\": [\"reference\", \"id_native_rows\", \"columnar\"],"
-    );
+    let _ = writeln!(json, "  \"evaluators\": [\"reference\", \"columnar\"],");
     let _ = writeln!(json, "  \"queries\": [");
 
     println!(
-        "\n{:<16} {:>13} {:>13} {:>13} {:>8} {:>8} {:>12} {:>8}",
-        "query", "ref (ms)", "rows (ms)", "col (ms)", "vs ref", "vs rows", "rows_scanned", "rows"
+        "\n{:<16} {:>13} {:>13} {:>8} {:>12} {:>8}",
+        "query", "ref (ms)", "col (ms)", "vs ref", "rows_scanned", "rows"
     );
     let specs = queries();
     for spec in &specs {
         let ref_out = run(&reference, &spec.sparql);
-        let rows_out = run(&id_rows, &spec.sparql);
         let col_out = run(&columnar, &spec.sparql);
-        for (name, out) in [("id_native_rows", &rows_out), ("columnar", &col_out)] {
-            assert_eq!(
-                ref_out.rows, out.rows,
-                "{}: {name} disagrees on result size",
-                spec.id
-            );
-            assert_eq!(
-                ref_out.rows_scanned, out.rows_scanned,
-                "{}: {name} disagrees on work metric",
-                spec.id
-            );
-        }
+        assert_eq!(
+            ref_out.rows, col_out.rows,
+            "{}: the evaluators disagree on result size",
+            spec.id
+        );
+        assert_eq!(
+            ref_out.rows_scanned, col_out.rows_scanned,
+            "{}: the evaluators disagree on the work metric",
+            spec.id
+        );
         let vs_ref = ref_out.median.as_secs_f64() / col_out.median.as_secs_f64().max(1e-12);
-        let vs_rows = rows_out.median.as_secs_f64() / col_out.median.as_secs_f64().max(1e-12);
         println!(
-            "{:<16} {:>13.3} {:>13.3} {:>13.3} {:>7.2}x {:>7.2}x {:>12} {:>8}",
+            "{:<16} {:>13.3} {:>13.3} {:>7.2}x {:>12} {:>8}",
             spec.id,
             ref_out.median.as_secs_f64() * 1e3,
-            rows_out.median.as_secs_f64() * 1e3,
             col_out.median.as_secs_f64() * 1e3,
             vs_ref,
-            vs_rows,
             ref_out.rows_scanned,
             ref_out.rows
         );
         println!(
-            "{:<16} allocs: ref {} | rows {} | columnar {}",
-            "", ref_out.allocs, rows_out.allocs, col_out.allocs
+            "{:<16} allocs: ref {} | columnar {}",
+            "", ref_out.allocs, col_out.allocs
         );
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"id\": \"{}\",", spec.id);
@@ -427,20 +417,14 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "      \"id_native_rows_ms\": {:.3},",
-            rows_out.median.as_secs_f64() * 1e3
-        );
-        let _ = writeln!(
-            json,
             "      \"columnar_ms\": {:.3},",
             col_out.median.as_secs_f64() * 1e3
         );
         let _ = writeln!(json, "      \"speedup_vs_reference\": {vs_ref:.3},");
-        let _ = writeln!(json, "      \"speedup_vs_id_native_rows\": {vs_rows:.3},");
         let _ = writeln!(
             json,
-            "      \"allocations\": {{ \"reference\": {}, \"id_native_rows\": {}, \"columnar\": {} }},",
-            ref_out.allocs, rows_out.allocs, col_out.allocs
+            "      \"allocations\": {{ \"reference\": {}, \"columnar\": {} }},",
+            ref_out.allocs, col_out.allocs
         );
         let _ = writeln!(json, "      \"rows_scanned\": {},", ref_out.rows_scanned);
         let _ = writeln!(json, "      \"merge_joins\": {},", col_out.merge_joins);
@@ -625,13 +609,11 @@ fn main() {
     assert_eq!(ordered_out.rows, textual_out.rows);
     let speedup = textual_out.median.as_secs_f64() / ordered_out.median.as_secs_f64().max(1e-12);
     println!(
-        "{:<16} {:>13.3} {:>13.3} {:>13} {:>7.2}x {:>8} {:>12} {:>8}  (optimizer off vs on, columnar)",
+        "{:<16} {:>13.3} {:>13.3} {:>7.2}x {:>12} {:>8}  (optimizer off vs on, columnar)",
         mis.id,
         textual_out.median.as_secs_f64() * 1e3,
         ordered_out.median.as_secs_f64() * 1e3,
-        "-",
         speedup,
-        "-",
         ordered_out.rows_scanned,
         ordered_out.rows
     );

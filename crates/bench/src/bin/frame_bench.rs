@@ -17,19 +17,9 @@
 //! Every path must return the same number of rows. Results go to
 //! `BENCH_frames.json`.
 //!
-//! A second section measures the streaming pull-based pipeline against
-//! full materialization on the embedded path: same workloads, same
-//! endpoint type, `EngineConfig::streaming` toggled — reporting median
-//! wall time and **peak live heap** per run via a counting global
-//! allocator. The result `DataFrame` is O(result) on both sides; the
-//! difference is the intermediate state (the materialized `IdTable`,
-//! sort scratch, …) that streaming never holds.
-//!
 //! Usage: `cargo run --release -p bench --bin frame_bench [--scale N] [N]`
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,84 +31,9 @@ use rdfframes_core::model::{compile, generator};
 use rdfframes_core::{
     EmbeddedEndpoint, Endpoint, EndpointConfig, InProcessEndpoint, RDFFrame, WireFormat,
 };
-use sparql_engine::{Engine, EngineConfig, ExecStats};
+use sparql_engine::{Engine, ExecStats};
 
 const RUNS: usize = 5;
-
-/// Global allocator wrapper keeping a live-bytes counter and a
-/// high-water mark, so a benchmark run can report its true peak heap
-/// (every allocation in the process, not just tracked tables).
-struct CountingAlloc {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl CountingAlloc {
-    fn grow(&self, by: usize) {
-        let live = self.live.fetch_add(by, Ordering::Relaxed) + by;
-        self.peak.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn shrink(&self, by: usize) {
-        self.live.fetch_sub(by, Ordering::Relaxed);
-    }
-
-    /// Current live bytes.
-    fn live_bytes(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
-    }
-
-    /// Drop the high-water mark back to the current live level; the next
-    /// [`Self::peak_bytes`] read covers only allocations made after this.
-    fn reset_peak(&self) {
-        self.peak.store(self.live_bytes(), Ordering::Relaxed);
-    }
-
-    fn peak_bytes(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            self.grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        self.shrink(layout.size());
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc_zeroed(layout) };
-        if !p.is_null() {
-            self.grow(layout.size());
-        }
-        p
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
-            if new_size >= layout.size() {
-                self.grow(new_size - layout.size());
-            } else {
-                self.shrink(layout.size() - new_size);
-            }
-        }
-        p
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc {
-    live: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
 
 struct Workload {
     id: &'static str,
@@ -195,7 +110,7 @@ fn run<E: Endpoint>(frame: &RDFFrame, endpoint: &E) -> Outcome {
 
 /// The engine's exact work counts for one frame (index entries scanned and
 /// replayed, join candidate pairs tested) and the number of shared subplans
-/// its plan has (spools, on the streaming path): what the timings above are
+/// its plan has (one spool each): what the timings above are
 /// made of, and — unlike them — identical on every run.
 fn work_counts(frame: &RDFFrame, dataset: &Arc<Dataset>) -> (ExecStats, usize) {
     let model = generator::build_query_model(frame).expect("query model");
@@ -206,41 +121,6 @@ fn work_counts(frame: &RDFFrame, dataset: &Arc<Dataset>) -> (ExecStats, usize) {
         .execute_prepared(&prepared, None)
         .expect("engine execution");
     (stats, prepared.explain().matches("(shared #").count())
-}
-
-struct MemOutcome {
-    median: Duration,
-    peak_bytes: usize,
-    rows: usize,
-}
-
-/// Like [`run`], but also report the median per-run peak of *newly live*
-/// heap (high-water mark minus the live bytes at run start, so the
-/// resident dataset and endpoint caches don't drown the signal).
-fn run_measuring_heap<E: Endpoint>(frame: &RDFFrame, endpoint: &E) -> MemOutcome {
-    let warm = frame
-        .execute(endpoint)
-        .unwrap_or_else(|e| panic!("execution failed: {e}"));
-    let rows = warm.len();
-    drop(warm);
-    let mut times = Vec::with_capacity(RUNS);
-    let mut peaks = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let base = ALLOC.live_bytes();
-        ALLOC.reset_peak();
-        let start = Instant::now();
-        let df = frame.execute(endpoint).unwrap();
-        times.push(start.elapsed());
-        peaks.push(ALLOC.peak_bytes().saturating_sub(base));
-        assert_eq!(df.len(), rows, "non-deterministic result size");
-    }
-    times.sort();
-    peaks.sort();
-    MemOutcome {
-        median: times[times.len() / 2],
-        peak_bytes: peaks[peaks.len() / 2],
-        rows,
-    }
 }
 
 fn parse_args() -> usize {
@@ -380,74 +260,6 @@ fn main() {
         let _ = writeln!(json, "      \"speedup_vs_wire_none\": {vs_none:.3},");
         let _ = writeln!(json, "      \"speedup_vs_wire_tsv\": {vs_tsv:.3},");
         let _ = writeln!(json, "      \"speedup_vs_wire_xml\": {vs_xml:.3}");
-        let _ = writeln!(json, "    }}{}", if i + 1 < n { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
-
-    // Streaming pipeline vs full materialization, embedded path only:
-    // identical results by construction (the differential suites pin
-    // that); here the question is wall time and peak live heap.
-    let streaming_ep = EmbeddedEndpoint::new(Arc::clone(&dataset));
-    let materializing_ep = EmbeddedEndpoint::with_engine_config(
-        Arc::clone(&dataset),
-        EngineConfig {
-            streaming: false,
-            ..EngineConfig::new()
-        },
-    );
-    println!(
-        "\n{:<18} {:>12} {:>12} {:>12} {:>12} {:>9}",
-        "workload", "stream (ms)", "mat (ms)", "stream MB", "mat MB", "strm/mat"
-    );
-    let _ = writeln!(json, "  \"streaming_vs_materializing\": [");
-    for (i, w) in specs.iter().enumerate() {
-        let out_stream = run_measuring_heap(&w.frame, &streaming_ep);
-        let out_mat = run_measuring_heap(&w.frame, &materializing_ep);
-        assert_eq!(
-            out_stream.rows, out_mat.rows,
-            "{}: streaming disagrees on result size",
-            w.id
-        );
-        let mb = |b: usize| b as f64 / (1024.0 * 1024.0);
-        // > 1 means streaming holds *more* heap than materializing.
-        let ratio = mb(out_stream.peak_bytes) / mb(out_mat.peak_bytes).max(1e-9);
-        println!(
-            "{:<18} {:>12.3} {:>12.3} {:>12.2} {:>12.2} {:>8.2}x  ({} rows)",
-            w.id,
-            out_stream.median.as_secs_f64() * 1e3,
-            out_mat.median.as_secs_f64() * 1e3,
-            mb(out_stream.peak_bytes),
-            mb(out_mat.peak_bytes),
-            ratio,
-            out_stream.rows
-        );
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"id\": \"{}\",", w.id);
-        let _ = writeln!(json, "      \"rows\": {},", out_stream.rows);
-        let _ = writeln!(
-            json,
-            "      \"streaming_ms\": {:.3},",
-            out_stream.median.as_secs_f64() * 1e3
-        );
-        let _ = writeln!(
-            json,
-            "      \"materializing_ms\": {:.3},",
-            out_mat.median.as_secs_f64() * 1e3
-        );
-        let _ = writeln!(
-            json,
-            "      \"streaming_peak_mb\": {:.3},",
-            mb(out_stream.peak_bytes)
-        );
-        let _ = writeln!(
-            json,
-            "      \"materializing_peak_mb\": {:.3},",
-            mb(out_mat.peak_bytes)
-        );
-        let _ = writeln!(
-            json,
-            "      \"streaming_over_materializing_peak_heap\": {ratio:.3}"
-        );
         let _ = writeln!(json, "    }}{}", if i + 1 < n { "," } else { "" });
     }
     let _ = writeln!(json, "  ]");

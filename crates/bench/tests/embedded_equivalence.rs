@@ -15,7 +15,8 @@
 //!    schema, row order, cell types and values — against the XML wire
 //!    format (and TSV for the case studies).
 //! 3. **Work parity**: `rows_scanned` and `shared_scans` on the embedded
-//!    cursor equal the engine's counts for the rendered text (pagination
+//!    cursor — at its default batch size and drained in one unbounded pull
+//!    alike — equal the engine's counts for the rendered text (pagination
 //!    permitting — the wire side is checked to have served a single chunk),
 //!    and their sum equals the `rows_scanned` of the `TermReference` oracle,
 //!    which evaluates every occurrence of a repeated subplan.
@@ -79,6 +80,24 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
         !df_embedded.is_empty(),
         "{id}: empty result at test scale proves nothing"
     );
+    let scanned = (
+        embedded.rows_scanned() - scanned_before.0,
+        embedded.shared_scans() - scanned_before.1,
+    );
+    // The same cursor drained in one unbounded pull, as `execute` does.
+    let one_pull = EmbeddedEndpoint::new(Arc::clone(ds)).with_batch_rows(usize::MAX);
+    let df_one_pull = frame
+        .execute(&one_pull)
+        .unwrap_or_else(|e| panic!("{id}: unbounded embedded execution failed: {e}"));
+    assert_eq!(
+        df_embedded, df_one_pull,
+        "{id}: batch size changed the frame"
+    );
+    assert_eq!(
+        scanned,
+        (one_pull.rows_scanned(), one_pull.shared_scans()),
+        "{id}: batch size changed the scan work"
+    );
 
     // 3. Scan parity (single-chunk wire executions only — the paper's HTTP
     // model re-evaluates per page, which multiplies the wire side's work by
@@ -89,13 +108,11 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
             .execute_with_stats(&sparql)
             .unwrap_or_else(|e| panic!("{id}: direct engine execution failed: {e}"));
         assert_eq!(
-            embedded.rows_scanned() - scanned_before.0,
-            stats.rows_scanned,
+            scanned.0, stats.rows_scanned,
             "{id}: embedded cursor scanned a different number of index entries"
         );
         assert_eq!(
-            embedded.shared_scans() - scanned_before.1,
-            stats.shared_scans,
+            scanned.1, stats.shared_scans,
             "{id}: embedded cursor replayed a different number of index entries"
         );
         let oracle = Engine::with_config(

@@ -7,14 +7,14 @@
 //! DataFrames** (schema, row order, cell values) and identical
 //! `rows_scanned` and `shared_scans` work counts (index entries read, and
 //! index entries a shared subplan's replays stood in for) whether the
-//! embedded engine streams batches through the pull-based pipeline or fully
-//! materializes first —
-//! at every batch size in the sweep (1, 7, 256, 65536) and over both
-//! storage layouts (compacted slabs and an all-delta overlay).
+//! embedded engine is drained in one unbounded pull — materializing, what
+//! `execute` does — or batch by batch, at every batch size in the sweep
+//! (1, 7, 256, 16384, 65536) and over both storage layouts (compacted slabs
+//! and an all-delta overlay).
 //!
 //! Scan parity is exact here because nothing in this corpus carries a
-//! `LIMIT`: the streaming slice's early exit (the one sanctioned scan
-//! divergence — see `streaming_pipeline.rs`) never engages.
+//! `LIMIT`: the slice's early exit (the one sanctioned scan divergence —
+//! see `streaming_pipeline.rs`) never engages.
 
 use std::sync::Arc;
 
@@ -23,24 +23,16 @@ use bench::data;
 use bench::queries;
 use rdf_model::{Dataset, Graph};
 use rdfframes_core::{EmbeddedEndpoint, RDFFrame};
-use sparql_engine::EngineConfig;
 
 /// Big enough for multi-thousand-row intermediates (so batching is
-/// genuinely exercised), small enough to keep the 4-batch × 2-layout
+/// genuinely exercised), small enough to keep the 5-batch × 2-layout
 /// sweep fast.
 const SCALE: usize = 100;
 
-const BATCH_SWEEP: [usize; 4] = [1, 7, 256, 65_536];
+const BATCH_SWEEP: [usize; 5] = [1, 7, 256, 16_384, 65_536];
 
-fn endpoint(ds: &Arc<Dataset>, streaming: bool, batch_rows: usize) -> EmbeddedEndpoint {
-    EmbeddedEndpoint::with_engine_config(
-        Arc::clone(ds),
-        EngineConfig {
-            streaming,
-            ..EngineConfig::new()
-        },
-    )
-    .with_batch_rows(batch_rows)
+fn endpoint(ds: &Arc<Dataset>, batch_rows: usize) -> EmbeddedEndpoint {
+    EmbeddedEndpoint::new(Arc::clone(ds)).with_batch_rows(batch_rows)
 }
 
 /// Rebuild every graph with auto-compaction disabled so all triples sit
@@ -95,10 +87,9 @@ fn run(frame: &RDFFrame, ep: &EmbeddedEndpoint, id: &str) -> (dataframe::DataFra
 }
 
 fn sweep_layout(ds: &Arc<Dataset>, layout: &str) {
-    // The materializing baseline is batch-size-independent (batching a
-    // materialized table only slices it), so compute it once per frame
-    // and hold every streaming batch size to it.
-    let baseline = endpoint(ds, false, 16_384);
+    // The materializing baseline is the unbounded pull; compute it once
+    // per frame and hold every bounded batch size to it.
+    let baseline = endpoint(ds, usize::MAX);
     for (id, frame) in workload() {
         let (df_base, scanned_base) = run(&frame, &baseline, &id);
         assert!(
@@ -106,7 +97,7 @@ fn sweep_layout(ds: &Arc<Dataset>, layout: &str) {
             "{id}: empty result at test scale proves nothing"
         );
         for batch_rows in BATCH_SWEEP {
-            let streaming = endpoint(ds, true, batch_rows);
+            let streaming = endpoint(ds, batch_rows);
             let (df_stream, scanned_stream) = run(&frame, &streaming, &id);
             assert_eq!(
                 df_base, df_stream,

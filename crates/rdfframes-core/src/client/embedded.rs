@@ -201,8 +201,8 @@ impl EmbeddedEndpoint {
             .cursor(&prepared, self.batch_rows)
             .map_err(engine_error)?;
         let df = cursor_to_dataframe(&mut cursor)?;
-        // Harvest statistics only after the drain: the streaming cursor
-        // evaluates (and counts) as batches are pulled.
+        // Harvest statistics only after the drain: the cursor evaluates
+        // (and counts) as batches are pulled.
         let stats = cursor.stats();
         self.count_scans(&stats);
         self.stats

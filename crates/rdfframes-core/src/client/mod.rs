@@ -124,8 +124,7 @@ pub struct EndpointStats {
     /// High-water mark of rows simultaneously live in any one embedded
     /// execution's pipeline (max of
     /// [`sparql_engine::ExecStats::peak_live_rows`] across requests):
-    /// O(batch size + breaker state) under streaming, O(result) when
-    /// `streaming` is off.
+    /// O(batch size + breaker state).
     pub peak_live_rows: AtomicU64,
 }
 
@@ -338,7 +337,8 @@ impl InProcessEndpoint {
     fn serve_chunk(&self, sparql: &str, offset: usize, limit: usize) -> Result<SolutionTable> {
         let limit = limit.min(self.config.max_rows_per_request);
         // Plan once per query text; evaluate per chunk (the HTTP model).
-        // Paging inside the engine means only shipped rows materialize terms.
+        // Paging inside the engine means evaluation stops when the chunk is
+        // full and only shipped rows materialize terms.
         let prepared = self.plans.get_or_prepare(&self.engine, sparql)?;
         let (mut table, exec_stats) = self
             .engine

@@ -224,11 +224,7 @@ fn run_partial_with_no_assembled_rows_is_an_error() {
 fn budget_trips_propagate_through_wire_path_on_every_evaluator() {
     let cross = "SELECT ?a ?b ?c ?d FROM <http://g> WHERE { \
                  ?a <http://x/starring> ?b . ?c <http://x/starring> ?d }";
-    for eval_mode in [
-        EvalMode::Columnar,
-        EvalMode::IdNative,
-        EvalMode::TermReference,
-    ] {
+    for eval_mode in [EvalMode::Columnar, EvalMode::TermReference] {
         let ep = InProcessEndpoint::with_config(
             dataset(4000),
             EndpointConfig {

@@ -99,9 +99,9 @@ pub enum Plan {
     /// this when interesting-order tracking proves both sides sorted, and
     /// the columnar evaluator runs a linear merge over the key column
     /// slices instead of building a hash table (with a defensive run-time
-    /// sortedness check that falls back to the hash join). Row-oriented
-    /// evaluators treat it exactly as [`Plan::Join`]; the merge emits pairs
-    /// in the same left-major order the hash join does, so all evaluators
+    /// sortedness check that falls back to the hash join). The reference
+    /// evaluator treats it exactly as [`Plan::Join`]; the merge emits pairs
+    /// in the same left-major order the hash join does, so the evaluators
     /// stay row-for-row identical.
     MergeJoin {
         /// Left input (sorted on `key`).
@@ -117,7 +117,7 @@ pub enum Plan {
     /// into this, and the columnar evaluator runs a linear merge that emits
     /// unmatched left rows in place — exactly the hash left join's pair
     /// order — with the same run-time sortedness check + hash fallback.
-    /// Row-oriented evaluators treat it exactly as [`Plan::LeftJoin`].
+    /// The reference evaluator treats it exactly as [`Plan::LeftJoin`].
     MergeLeftJoin {
         /// Left (preserved) input, sorted on `key`.
         left: Box<Plan>,
@@ -146,10 +146,10 @@ pub enum Plan {
         /// keys (ascending global [`rdf_model::TermId`] order). Empty
         /// straight out of translation; the optimizer fills it when
         /// interesting-order tracking proves the input sorted with the keys
-        /// as a prefix, letting the columnar evaluator detect group runs
-        /// over raw id column slices instead of hashing (with a run-time
-        /// sortedness check + hash fallback). Groups come out in
-        /// first-occurrence order either way, so the rewrite is invisible.
+        /// as a prefix. Purely informational today: the columnar evaluator
+        /// verifies the claim at run time and counts it
+        /// (`ExecStats::sorted_groups`) but groups by hashing either way —
+        /// run detection measured no faster.
         sorted_on: Vec<String>,
     },
     /// Projection to the named columns.
@@ -160,9 +160,10 @@ pub enum Plan {
     /// `order` (the input's full interesting-order sequence). Never produced
     /// by translation. The columnar evaluator deduplicates by linear run
     /// detection over raw id column slices when `order` covers every output
-    /// column (verified at run time together with sortedness; hash fallback
-    /// otherwise). Keeps first occurrences in input order, exactly like
-    /// [`Plan::Distinct`], which row-oriented evaluators run it as.
+    /// column (verified at run time together with sortedness, batch by
+    /// batch; it switches to hashing, for good, the moment either fails).
+    /// Keeps first occurrences in input order, exactly like
+    /// [`Plan::Distinct`], which the reference evaluator runs it as.
     SortedDistinct {
         /// The variable sequence the input is sorted by.
         order: Vec<String>,

@@ -5,9 +5,9 @@
 //! clock until the machine falls over. [`QueryBudget`] caps the four
 //! resources a runaway query consumes — index entries scanned,
 //! intermediate result rows, estimated intermediate memory, and elapsed
-//! time — and [`BudgetMeter`] is the cheap per-evaluation counter all
-//! three evaluators poll from their hot loops (BGP extension, join pair
-//! emission, group accumulation) and the embedded cursor polls per batch.
+//! time — and [`BudgetMeter`] is the cheap per-evaluation counter both
+//! evaluators poll from their hot loops (BGP extension, join pair
+//! emission, group accumulation) and the cursor polls per batch.
 //!
 //! Violations surface as the typed
 //! [`EngineError::ResourceExhausted`] — never a panic, never an OOM. The

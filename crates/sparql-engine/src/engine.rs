@@ -11,7 +11,7 @@
 //!   translate + optimize front half into a reusable [`PreparedQuery`] so a
 //!   paginating endpoint stops re-planning the same text per chunk
 //!   (re-*evaluation* per chunk remains, as a cursor-less HTTP server
-//!   requires).
+//!   requires — but a page stops evaluating once it is full).
 //! - **Embedded plans**: [`Engine::prepare_plan`] accepts an
 //!   already-compiled [`Plan`] (no SPARQL text anywhere), and
 //!   [`Engine::cursor`] evaluates a prepared query *once* and yields the
@@ -19,15 +19,16 @@
 //!   [`ColumnBatch`]) instead of a fully `Term`-materialized table — the
 //!   in-process fast path for clients that consume columns.
 //!
-//! Evaluation is columnar and id-native by default: the whole pipeline runs
-//! on `u32` [`rdf_model::TermId`]s in struct-of-arrays batches and terms are
-//! materialized once at the end (see [`crate::eval`]). Two earlier
-//! evaluators are kept selectable for differential testing and baseline
-//! benchmarking: the PR 1 row-at-a-time id-native pipeline
-//! ([`EvalMode::IdNative`], [`crate::eval_rows`]) and the seed
-//! term-materialized one ([`EvalMode::TermReference`],
-//! [`crate::eval_reference`]). All three produce identical bags and
-//! identical `rows_scanned` work counts.
+//! Both run the same executor: a [`QueryCursor`] over the pull-based
+//! operator pipeline ([`crate::eval`]), which works on `u32`
+//! [`rdf_model::TermId`]s in struct-of-arrays batches. `execute*` is that
+//! cursor drained in one unbounded pull (a page: pulled `limit` rows at a
+//! time behind a slice) with the ids decoded to terms at the end. The seed
+//! term-materialized evaluator stays selectable as the differential-testing
+//! oracle and benchmark baseline ([`EvalMode::TermReference`],
+//! [`crate::eval_reference`]); it produces identical bags and, counting
+//! every occurrence of a subplan the executor evaluates once, identical
+//! `rows_scanned` work counts.
 
 use std::sync::Arc;
 
@@ -39,7 +40,6 @@ use crate::error::Result;
 use crate::eval::pipeline::{self, BoxOp};
 use crate::eval::Evaluator;
 use crate::eval_reference::ReferenceEvaluator;
-use crate::eval_rows::RowEvaluator;
 use crate::optimizer::Optimizer;
 use crate::parser::parse_query;
 use crate::pool::TermPool;
@@ -48,14 +48,12 @@ use crate::results::{IdTable, SolutionTable};
 /// Which evaluator executes plans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// Columnar id-native pipeline (struct-of-arrays [`crate::results::IdTable`],
-    /// vectorized BGP extension and joins): the default.
+    /// Columnar id-native operator pipeline (struct-of-arrays
+    /// [`crate::results::IdTable`] batches, vectorized BGP extension and
+    /// joins): the default, and what [`Engine::cursor`] always runs.
     #[default]
     Columnar,
-    /// The PR 1 row-at-a-time id-native pipeline (rows of `Option<TermId>`),
-    /// kept as a correctness oracle and perf baseline.
-    IdNative,
-    /// The seed term-materialized evaluator, kept as a correctness oracle
+    /// The seed term-materialized evaluator, kept as the correctness oracle
     /// and perf baseline.
     TermReference,
 }
@@ -86,9 +84,10 @@ pub struct EngineConfig {
     /// sorted on a sequence covering every output column (no effect with
     /// `optimize` off; columnar evaluator only). Pure physical rewrite.
     pub sorted_distinct: bool,
-    /// Group by linear run detection when the grouping keys are a prefix of
-    /// the input's sort order (no effect with `optimize` off; columnar
-    /// evaluator only). Pure physical rewrite.
+    /// Annotate GROUP BY with the input's sort order when the grouping keys
+    /// are a prefix of it (no effect with `optimize` off). Grouping hashes
+    /// either way; a claim that holds at run time is counted in
+    /// [`ExecStats::sorted_groups`].
     pub sorted_group_by: bool,
     /// Sort `ORDER BY ?var` by the dataset's cached term-rank permutation
     /// instead of materializing per-row key terms (columnar evaluator
@@ -102,23 +101,13 @@ pub struct EngineConfig {
     /// The deadline clock starts when an evaluator is created for a query,
     /// so each `execute_*`/`cursor` call gets the full allowance.
     pub budget: QueryBudget,
-    /// Worker threads for the columnar evaluator's parallel operators (BGP
-    /// extension, hash-join probe, mergeable GROUP BY). `1` (the
-    /// default) runs fully sequential; `n > 1` fans large inputs out over a
-    /// shared work-stealing pool. Results are byte-identical at any thread
-    /// count, and `rows_scanned` parity is exact. The oracle evaluators
-    /// ([`EvalMode::IdNative`], [`EvalMode::TermReference`]) always run
-    /// sequentially.
+    /// Worker threads for the columnar executor's one parallel operator,
+    /// BGP extension. `1` (the default) runs fully sequential; `n > 1` fans
+    /// large blocks of input rows out over a shared work-stealing pool.
+    /// Results are byte-identical at any thread count, and `rows_scanned`
+    /// parity is exact. The oracle ([`EvalMode::TermReference`]) always
+    /// runs sequentially.
     pub threads: usize,
-    /// Run [`Engine::cursor`] queries through the pull-based streaming
-    /// operator pipeline (bounded live state: each batch is produced on
-    /// demand, operators hold only their own state) instead of eagerly
-    /// materializing the whole result up front. Results, result order, and
-    /// `rows_scanned` are identical either way (the LIMIT early-exit is the
-    /// one documented scan-count exception); this flag only changes *when*
-    /// work happens and how much memory is live. Affects only the cursor
-    /// path — `execute*` always materializes, that is its contract.
-    pub streaming: bool,
 }
 
 impl EngineConfig {
@@ -143,7 +132,6 @@ impl EngineConfig {
             rank_order_by: true,
             budget: QueryBudget::unlimited(),
             threads,
-            streaming: true,
         }
     }
 }
@@ -163,33 +151,34 @@ pub struct ExecStats {
     pub rows_scanned: u64,
     /// Index entries that replays of shared subplans stood in for (columnar
     /// evaluator only; zero for a plan without a repeated subtree). Exact:
-    /// identical on the streaming and materializing paths at every batch
-    /// size and thread count, and `rows_scanned + shared_scans` is what the
-    /// oracle evaluators, which evaluate every occurrence, report as
-    /// `rows_scanned` (a `LIMIT`'s early exit aside).
+    /// identical at every batch size and thread count, and
+    /// `rows_scanned + shared_scans` is what the oracle, which evaluates
+    /// every occurrence, reports as `rows_scanned` (the early exit of a
+    /// satisfied `LIMIT` or page aside).
     pub shared_scans: u64,
     /// Inner joins that executed as order-preserving merge joins instead of
-    /// hash joins (columnar evaluator only; the oracle evaluators always
-    /// hash). Counts executions: a join inside a shared subplan runs, and
-    /// counts, once however many parents read it.
+    /// hash joins (columnar evaluator only; the oracle always hashes).
+    /// Counts executions: a join inside a shared subplan runs, and counts,
+    /// once however many parents read it.
     pub merge_joins: u64,
     /// Left (OPTIONAL) joins that executed as order-preserving merge joins
     /// (columnar evaluator only; counts executions, like `merge_joins`).
     pub merge_left_joins: u64,
     /// Candidate pairs the joins handed to the per-pair compatibility check
     /// — from index lookups and merge runs alike (columnar evaluator only).
-    /// An exact, repeatable work count, identical on the streaming and
-    /// materializing paths: a join whose count far exceeds its input plus
-    /// output rows is keying on too little. Counts executions, so a join
-    /// inside a shared subplan contributes its candidates once.
+    /// An exact, repeatable work count, identical at every batch size: a
+    /// join whose count far exceeds its input plus output rows is keying on
+    /// too little. Counts executions, so a join inside a shared subplan
+    /// contributes its candidates once.
     pub join_candidates: u64,
     /// DISTINCT operators that deduplicated by linear run detection over
     /// sorted input instead of hashing (columnar evaluator only; counts
     /// executions, like `merge_joins`).
     pub sorted_distincts: u64,
-    /// GROUP BY operators that grouped by linear run detection over sorted
-    /// input instead of hashing (columnar evaluator only; counts
-    /// executions, like `merge_joins`).
+    /// GROUP BY operators whose input did arrive sorted with the grouping
+    /// keys as an order prefix, as the optimizer claimed (columnar evaluator
+    /// only; counts executions, like `merge_joins`). Informational: grouping
+    /// hashes either way.
     pub sorted_groups: u64,
     /// Configured worker count the query ran with (1 = sequential).
     pub par_workers: u64,
@@ -202,16 +191,16 @@ pub struct ExecStats {
     /// Nanoseconds spent folding parallel chunk results back together in
     /// chunk order (the deterministic merge phases).
     pub par_merge_nanos: u64,
-    /// Peak rows simultaneously live across the cursor's operator pipeline
-    /// (operator state plus the batch being emitted), sampled after every
-    /// batch. On the streaming path this is O(batch size + breaker state),
-    /// not O(result); on the materializing path it is the full result size.
-    /// Zero on the `execute*` paths, which don't track liveness.
+    /// Peak rows simultaneously live across the operator pipeline (operator
+    /// state plus the batch being emitted), sampled after every batch:
+    /// O(batch size + breaker state) for a cursor, the whole result for
+    /// `execute*`'s one unbounded pull. Zero for the oracle.
     pub peak_live_rows: u64,
     /// Peak estimated heap bytes simultaneously live (same sampling as
     /// [`ExecStats::peak_live_rows`]).
     pub peak_live_bytes: u64,
-    /// Batches the cursor handed to the consumer (zero on `execute*`).
+    /// Batches the pipeline handed out (one for an unpaged `execute*` with
+    /// a non-empty result; zero for the oracle).
     pub batches_emitted: u64,
 }
 
@@ -250,7 +239,7 @@ impl PreparedQuery {
     }
 
     /// The plan as it will execute, as an indented S-expression
-    /// ([`Plan::to_sse`]): a subplan the columnar executors evaluate once is
+    /// ([`Plan::to_sse`]): a subplan the columnar executor evaluates once is
     /// printed at its first occurrence as `(shared #k …)` and as `(ref #k)`
     /// wherever else it is read.
     pub fn explain(&self) -> String {
@@ -336,9 +325,9 @@ impl Engine {
 
     /// Execute and return only rows `[offset, offset+limit)` of the result.
     ///
-    /// On the id-native path the slice happens *before* term
-    /// materialization, so a paginating endpoint only pays for the rows it
-    /// actually ships.
+    /// The page is a slice on the pipeline's root: evaluation stops once
+    /// the page is full and only its rows are decoded to terms, so a
+    /// paginating endpoint pays for what it ships (plus the rows it skips).
     pub fn execute_page(
         &self,
         query: &str,
@@ -349,60 +338,39 @@ impl Engine {
         self.execute_prepared(&prepared, Some((offset, limit)))
     }
 
-    /// Evaluate a prepared query, optionally materializing only the page
-    /// `[offset, offset+limit)`. Each call re-evaluates from scratch (the
-    /// HTTP pagination model); the saving over [`Engine::execute_page`] is
-    /// the parse + translate + optimize front half.
+    /// Evaluate a prepared query, optionally only the page
+    /// `[offset, offset+limit)`. Each call evaluates from scratch (the HTTP
+    /// pagination model); the saving over [`Engine::execute_page`] is the
+    /// parse + translate + optimize front half.
+    ///
+    /// The columnar arm is [`Engine::cursor`]'s pipeline, drained: in one
+    /// unbounded pull without a page — every operator then makes a single
+    /// pass over its whole input — and `limit` rows at a time with one, so
+    /// that a full page ends the evaluation early.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedQuery,
         page: Option<(usize, usize)>,
     ) -> Result<(SolutionTable, ExecStats)> {
-        let plan = &prepared.plan;
         match self.config.eval_mode {
             EvalMode::Columnar => {
-                let mut evaluator = Evaluator::new(&self.dataset, prepared.from.clone());
-                evaluator.set_rank_sort(self.config.rank_order_by);
-                evaluator.set_budget(&self.config.budget);
-                evaluator.set_threads(self.config.threads);
-                let table = match page {
-                    None => evaluator.eval(plan)?,
-                    Some((offset, limit)) => evaluator.eval_page(plan, offset, limit)?,
-                };
-                let par = evaluator.par_stats();
-                let stats = ExecStats {
-                    rows_scanned: evaluator.rows_scanned(),
-                    shared_scans: evaluator.shared_scans(),
-                    merge_joins: evaluator.merge_joins(),
-                    merge_left_joins: evaluator.merge_left_joins(),
-                    join_candidates: evaluator.join_candidates(),
-                    sorted_distincts: evaluator.sorted_distincts(),
-                    sorted_groups: evaluator.sorted_groups(),
-                    par_workers: evaluator.threads() as u64,
-                    par_chunks: par.chunks,
-                    par_steals: par.steals,
-                    par_merge_nanos: par.merge_nanos,
-                    ..ExecStats::default()
-                };
-                Ok((table, stats))
-            }
-            EvalMode::IdNative => {
-                let mut evaluator = RowEvaluator::new(&self.dataset, prepared.from.clone());
-                evaluator.set_budget(&self.config.budget);
-                let table = match page {
-                    None => evaluator.eval(plan)?,
-                    Some((offset, limit)) => evaluator.eval_page(plan, offset, limit)?,
-                };
-                let stats = ExecStats {
-                    rows_scanned: evaluator.rows_scanned(),
-                    ..ExecStats::default()
-                };
-                Ok((table, stats))
+                let pull = page.map_or(usize::MAX, |(_, limit)| limit);
+                let mut cursor = self.open(prepared, page, pull)?;
+                let mut table = SolutionTable::with_vars(cursor.vars().to_vec());
+                while let Some(batch) = cursor.next_batch()? {
+                    let width = batch.vars().len();
+                    table.rows.extend((0..batch.len).map(|row| {
+                        (0..width)
+                            .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
+                            .collect()
+                    }));
+                }
+                Ok((table, cursor.stats()))
             }
             EvalMode::TermReference => {
                 let mut evaluator = ReferenceEvaluator::new(&self.dataset, prepared.from.clone());
                 evaluator.set_budget(&self.config.budget);
-                let mut table = evaluator.eval(plan)?;
+                let mut table = evaluator.eval(&prepared.plan)?;
                 if let Some((offset, limit)) = page {
                     crate::results::slice_rows(&mut table.rows, offset, Some(limit));
                 }
@@ -420,21 +388,30 @@ impl Engine {
     /// materialized by the engine; the consumer decodes ids through the
     /// cursor's pool (typically once per *distinct* id).
     ///
-    /// With [`EngineConfig::streaming`] on (the default) the plan compiles
-    /// into a pull-based operator pipeline and each `next_batch` call does
-    /// just enough work to produce one batch: live memory stays bounded by
-    /// the batch size plus any pipeline breaker's own state, and a `LIMIT`
-    /// stops pulling (and therefore scanning) as soon as it is satisfied.
-    /// With it off, evaluation is eager — the whole result materializes
-    /// here and batches are windows over it. Both modes produce
-    /// byte-identical batches in the same order.
+    /// The plan compiles into a pull-based operator pipeline and each
+    /// `next_batch` call does just enough work to produce one batch: live
+    /// memory stays bounded by the batch size plus any pipeline breaker's
+    /// own state, and a `LIMIT` stops pulling (and therefore scanning) as
+    /// soon as it is satisfied. Batches concatenate to the same bytes in the
+    /// same order whatever `batch_rows` is.
     ///
-    /// The cursor always runs the columnar evaluator — the id-table layout
+    /// The cursor always runs the columnar executor — the id-table layout
     /// *is* the interface — regardless of the configured [`EvalMode`] (the
-    /// oracle modes exist for differential testing of the string path).
+    /// oracle mode exists for differential testing of the string path).
     pub fn cursor<'a>(
         &'a self,
         prepared: &'a PreparedQuery,
+        batch_rows: usize,
+    ) -> Result<QueryCursor<'a>> {
+        self.open(prepared, None, batch_rows)
+    }
+
+    /// The cursor behind every columnar entry point: the pipeline of
+    /// `prepared`, restricted to `page` when given.
+    fn open<'a>(
+        &'a self,
+        prepared: &'a PreparedQuery,
+        page: Option<(usize, usize)>,
         batch_rows: usize,
     ) -> Result<QueryCursor<'a>> {
         // The cursor keeps its own meter (sharing the evaluation's deadline
@@ -446,53 +423,36 @@ impl Engine {
         evaluator.set_rank_sort(self.config.rank_order_by);
         evaluator.set_budget(&self.config.budget);
         evaluator.set_threads(self.config.threads);
-        let (source, peak_rows, peak_bytes) = if self.config.streaming {
-            let op = pipeline::build(&evaluator, &prepared.plan)?;
-            (Source::Streamed(op), 0, 0)
-        } else {
-            let table = evaluator.eval_to_ids(&prepared.plan)?;
-            // Eager evaluation held the full result live by construction.
-            let (rows, bytes) = (table.len() as u64, table.estimated_bytes());
-            (Source::Materialized { table, pos: 0 }, rows, bytes)
-        };
-        let vars = match &source {
-            Source::Streamed(op) => op.vars().to_vec(),
-            Source::Materialized { table, .. } => table.vars.clone(),
-        };
+        let mut source = pipeline::build(&evaluator, &prepared.plan)?;
+        if let Some((offset, limit)) = page {
+            source = pipeline::paged(source, offset, limit);
+        }
         Ok(QueryCursor {
             evaluator,
+            vars: source.vars().to_vec(),
             source,
-            vars,
             batch_rows: batch_rows.max(1),
             meter,
             emitted: 0,
             batches_emitted: 0,
-            peak_live_rows: peak_rows,
-            peak_live_bytes: peak_bytes,
+            peak_live_rows: 0,
+            peak_live_bytes: 0,
         })
     }
-}
-
-/// Where a cursor's batches come from.
-enum Source<'a> {
-    /// Pull-based operator pipeline: each batch is computed on demand.
-    Streamed(BoxOp<'a>),
-    /// Eagerly evaluated result; batches are copied windows over it.
-    Materialized { table: IdTable, pos: usize },
 }
 
 /// Streaming columnar view over one query's result.
 ///
 /// Owns the evaluator (and therefore the term pool that can resolve every
 /// id the query produces — dataset-global ids and query-local overflow ids
-/// from computed expressions alike) plus the batch source: the operator
-/// pipeline when streaming, the materialized table otherwise.
+/// from computed expressions alike) plus the operator pipeline the batches
+/// are pulled from.
 /// [`QueryCursor::next_batch`] yields the result in `batch_rows`-bounded
 /// [`ColumnBatch`]es; consumers build typed columns without ever seeing a
 /// row-materialized [`Term`] table.
 pub struct QueryCursor<'a> {
     evaluator: Evaluator<'a>,
-    source: Source<'a>,
+    source: BoxOp<'a>,
     vars: Vec<String>,
     batch_rows: usize,
     meter: BudgetMeter,
@@ -509,16 +469,15 @@ impl QueryCursor<'_> {
     }
 
     /// Index entries scanned so far (same metric as
-    /// [`ExecStats::rows_scanned`]). On the streaming path this grows as
-    /// batches are pulled; read it after draining for the whole-query
-    /// number the `execute*` paths report.
+    /// [`ExecStats::rows_scanned`]). Grows as batches are pulled; read it
+    /// after draining for the whole-query number `execute*` reports.
     pub fn rows_scanned(&self) -> u64 {
         self.evaluator.rows_scanned()
     }
 
     /// Execution statistics so far (work metric, rewrite counters, peak
-    /// live-memory high-water marks). Streaming counters are final only
-    /// once the cursor is drained.
+    /// live-memory high-water marks), final only once the cursor is
+    /// drained.
     pub fn stats(&self) -> ExecStats {
         let par = self.evaluator.par_stats();
         ExecStats {
@@ -546,53 +505,36 @@ impl QueryCursor<'_> {
 
     /// The next window of rows, or `Ok(None)` when the result is exhausted.
     ///
-    /// On the streaming path this is where evaluation happens: the root
-    /// operator is pulled for up to `batch_rows` rows and every budget axis
-    /// (scan, memory, deadline) is enforced inside the pull. The deadline
-    /// is additionally checked here even when no work remains, so a
-    /// consumer that drains a large result slowly is still cancelled.
+    /// This is where evaluation happens: the root operator is pulled for up
+    /// to `batch_rows` rows and every budget axis (scan, memory, deadline)
+    /// is enforced inside the pull. The deadline is additionally checked
+    /// here even when no work remains, so a consumer that drains a large
+    /// result slowly is still cancelled.
     pub fn next_batch(&mut self) -> Result<Option<ColumnBatch<'_>>> {
         self.meter.check_deadline()?;
-        let window = match &mut self.source {
-            Source::Streamed(op) => {
-                let out = op.next_batch(&mut self.evaluator, self.batch_rows)?;
-                let (live_rows, live_bytes) = op.live_size();
-                let (out_rows, out_bytes) = match &out {
-                    Some(t) => (t.len() as u64, t.estimated_bytes()),
-                    None => (0, 0),
-                };
-                self.peak_live_rows = self.peak_live_rows.max(live_rows.saturating_add(out_rows));
-                self.peak_live_bytes = self
-                    .peak_live_bytes
-                    .max(live_bytes.saturating_add(out_bytes));
-                out
-            }
-            Source::Materialized { table, pos } => {
-                if *pos >= table.len() {
-                    None
-                } else {
-                    let len = self.batch_rows.min(table.len() - *pos);
-                    let idx: Vec<u32> = (*pos as u32..(*pos + len) as u32).collect();
-                    *pos += len;
-                    Some(table.gather_rows(&idx))
-                }
-            }
+        let out = self
+            .source
+            .next_batch(&mut self.evaluator, self.batch_rows)?;
+        let (live_rows, live_bytes) = self.source.live_size();
+        let (out_rows, out_bytes) = match &out {
+            Some(t) => (t.len() as u64, t.estimated_bytes()),
+            None => (0, 0),
         };
-        match window {
-            None => Ok(None),
-            Some(t) => {
-                let start = self.emitted;
-                let len = t.len();
-                self.emitted += len;
-                self.batches_emitted += 1;
-                Ok(Some(ColumnBatch {
-                    table: t,
-                    pool: self.evaluator.pool(),
-                    start,
-                    len,
-                }))
-            }
-        }
+        self.peak_live_rows = self.peak_live_rows.max(live_rows.saturating_add(out_rows));
+        self.peak_live_bytes = self
+            .peak_live_bytes
+            .max(live_bytes.saturating_add(out_bytes));
+        let Some(table) = out else { return Ok(None) };
+        let start = self.emitted;
+        let len = table.len();
+        self.emitted += len;
+        self.batches_emitted += 1;
+        Ok(Some(ColumnBatch {
+            table,
+            pool: self.evaluator.pool(),
+            start,
+            len,
+        }))
     }
 }
 
@@ -679,14 +621,10 @@ mod tests {
     #[test]
     fn out_of_range_pages_come_back_empty_on_every_evaluator() {
         // `offset > len` (and saturating offset+limit arithmetic) must
-        // yield an empty table — never a panic or a debug overflow — on all
-        // three evaluators, through both the page API and query text.
+        // yield an empty table — never a panic or a debug overflow — on
+        // both evaluators, through both the page API and query text.
         let q = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o } ORDER BY ?o";
-        for eval_mode in [
-            EvalMode::Columnar,
-            EvalMode::IdNative,
-            EvalMode::TermReference,
-        ] {
+        for eval_mode in [EvalMode::Columnar, EvalMode::TermReference] {
             let engine = Engine::with_config(
                 dataset(),
                 EngineConfig {
@@ -726,21 +664,18 @@ mod tests {
         let engine = Engine::new(dataset());
         let q = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o } ORDER BY ?o";
         let prepared = engine.prepare(q).unwrap();
-        let expected = engine.execute(q).unwrap();
+        let (expected, stats) = engine.execute_with_stats(q).unwrap();
+        // `execute` is the unbounded pull: one batch holding the result.
+        assert_eq!(stats.batches_emitted, 1);
+        assert!(stats.peak_live_rows >= 10, "{}", stats.peak_live_rows);
 
-        for streaming in [true, false] {
-            let engine = Engine::with_config(
-                dataset(),
-                EngineConfig {
-                    streaming,
-                    ..EngineConfig::new()
-                },
-            );
-            let mut cursor = engine.cursor(&prepared, 4).unwrap();
+        for (batch_rows, sizes) in [(4, vec![4, 4, 2]), (1, vec![1; 10]), (usize::MAX, vec![10])] {
+            let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
             assert_eq!(cursor.vars(), expected.vars.as_slice());
             let mut rebuilt: Vec<Vec<Option<Term>>> = Vec::new();
             let mut batch_sizes = Vec::new();
             while let Some(batch) = cursor.next_batch().unwrap() {
+                assert_eq!(batch.start, rebuilt.len());
                 batch_sizes.push(batch.len);
                 for row in 0..batch.len {
                     rebuilt.push(
@@ -750,13 +685,12 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(batch_sizes, vec![4, 4, 2], "streaming={streaming}");
-            assert_eq!(rebuilt, expected.rows, "streaming={streaming}");
+            assert_eq!(batch_sizes, sizes, "batch_rows={batch_rows}");
+            assert_eq!(rebuilt, expected.rows, "batch_rows={batch_rows}");
             // Work metric matches the string path (read after draining:
-            // the streaming cursor scans as batches are pulled).
-            let (_, stats) = engine.execute_with_stats(q).unwrap();
+            // the cursor scans as batches are pulled).
             assert_eq!(cursor.rows_scanned(), stats.rows_scanned);
-            assert_eq!(cursor.stats().batches_emitted, 3);
+            assert_eq!(cursor.stats().batches_emitted, sizes.len() as u64);
         }
     }
 

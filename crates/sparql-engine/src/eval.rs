@@ -3,32 +3,41 @@
 //! Implements the SPARQL multiset semantics of the paper's Section 5.2 over
 //! the struct-of-arrays [`IdTable`]: one dense `Vec<TermId>` per variable
 //! column plus a presence bitmap, instead of a `Vec<Option<TermId>>` per
-//! row. The operators are batch-oriented:
+//! row. There is one executor: [`pipeline`] compiles a plan into pull-based
+//! operators, and every entry point of [`crate::engine::Engine`] drains that
+//! pipeline — `execute*` with one unbounded pull, a cursor batch by batch.
+//! This module holds what the operators share: the execution context
+//! ([`Evaluator`]: term pool, expression caches, budget meter, work
+//! counters, the parallel pool) and the batch kernels they call.
 //!
-//! - **BGP extension** walks the store's sorted-slab access paths
-//!   ([`rdf_model::Graph`]) and appends match results into *column buffers*
-//!   (a gather-index vector plus one value vector per newly-bound
-//!   variable). No per-row `Vec` is ever allocated; previously-bound
-//!   columns are carried forward with a single contiguous gather.
-//! - **Hash joins** key every build row on all the shared variables it
-//!   binds (`join_index`: presence groups found by bitmap popcount, keys
-//!   hashed off raw `&[TermId]` column slices), and emit output columns by
-//!   gathering over the matched pair list.
-//! - **DISTINCT** and **GROUP BY** key directly off column slices,
-//!   hashing `u64`-encoded cells (id + presence), never terms.
+//! - **BGP extension** ([`Evaluator::extend_rows`], [`bgp_scan_rows`])
+//!   walks the store's sorted-slab access paths ([`rdf_model::Graph`]) and
+//!   appends match results into *column buffers* (a gather-index vector
+//!   plus one value vector per newly-bound variable). No per-row `Vec` is
+//!   ever allocated; previously-bound columns are carried forward with a
+//!   single contiguous gather.
+//! - **Joins** key every build row on all the shared variables it binds
+//!   (`join_index`: presence groups found by bitmap popcount, keys hashed
+//!   off raw `&[TermId]` column slices) or walk a sorted key run, and emit
+//!   output columns by gathering over the matched pair list
+//!   ([`JoinShape`], [`assemble_join`]).
+//! - **Filter / extend / project** ([`Evaluator::filter_table`],
+//!   [`Evaluator::extend_table`], [`project_table`]) are row-independent
+//!   bodies applied per batch; **ORDER BY / top-k**
+//!   ([`Evaluator::sort_rows`], [`Evaluator::top_k`]) sort by the dataset's
+//!   term-rank permutation when every key is a plain variable.
 //! - **Aggregates** run id-native where the shape allows: `COUNT[DISTINCT]`
-//!   over a column counts ids; `MIN`/`MAX`/`SUM`/`AVG` over a
-//!   numeric-literal column accumulate parsed `i64`/`f64` values without
-//!   materializing a single [`Term`] per row (mixed-type columns fall back
-//!   to term-based [`AggState`]); DISTINCT inputs of general expressions
-//!   intern through the [`TermPool`] and dedup on ids.
+//!   over a column counts ids; `MIN`/`MAX`/`SUM`/`AVG` over a column
+//!   accumulate parsed `i64`/`f64` values per group ([`NumericAccum`])
+//!   without materializing a single [`Term`] per row, and hand the group
+//!   over to the term-based [`AggState`] the moment a value turns out not
+//!   to be a number.
 //!
 //! Terms are materialized only at expression/sort boundaries (through a
-//! reused scratch row) and at the final projection. The two earlier
-//! evaluators — PR 1's row-at-a-time id-native pipeline
-//! ([`crate::eval_rows`]) and the seed term-materialized one
-//! ([`crate::eval_reference`]) — are kept as differential-testing oracles:
-//! all three produce identical bags and identical `rows_scanned` counts.
+//! reused scratch row) and when a result is decoded. The seed
+//! term-materialized evaluator ([`crate::eval_reference`]) is the one
+//! differential-testing oracle: identical bags, and the same scan work once
+//! the subplans this executor evaluates once are counted per occurrence.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -36,16 +45,17 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rdf_model::term::{Literal, TypedValue};
 use rdf_model::{Dataset, Graph, GraphIdMap, Term, TermId};
 
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{AggOp, Expr, OrderKey, PatternTerm, TriplePattern};
 use crate::budget::{BudgetMeter, OpMeter, QueryBudget, SharedMeter};
 use crate::error::{EngineError, Result};
-use crate::expr::{ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRowCtx, PushedEval};
+use crate::expr::{
+    ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRowCtx, NumericAccum, PushedEval,
+};
 use crate::pool::TermPool;
-use crate::results::{Column, IdTable, SolutionTable};
+use crate::results::{Column, IdTable};
 
 mod join_index;
 pub(crate) mod pipeline;
@@ -66,8 +76,7 @@ fn par_chunk_size(len: usize, threads: usize) -> usize {
 }
 
 /// Parallel execution context: a shared work-stealing pool plus the
-/// configured degree. Cloning shares the pool.
-#[derive(Clone)]
+/// configured degree.
 struct ParCtx {
     pool: Arc<rayon::ThreadPool>,
     threads: usize,
@@ -86,7 +95,8 @@ pub struct ParStats {
     pub merge_nanos: u64,
 }
 
-/// Columnar id-native plan evaluator bound to a dataset.
+/// Execution context of one query over one dataset: what every operator of
+/// the [`pipeline`] reads and updates while the plan runs.
 pub struct Evaluator<'a> {
     dataset: &'a Dataset,
     default_graphs: Vec<String>,
@@ -95,10 +105,6 @@ pub struct Evaluator<'a> {
     rows_scanned: u64,
     /// Index entries replayed results stood in for ([`share`]).
     shared_scans: u64,
-    /// Sharing classes of the plan under materializing evaluation, and each
-    /// class's memoized table once its first occurrence has been evaluated.
-    shared: Shared,
-    memo: Vec<Option<Replay<IdTable>>>,
     /// Budget enforcement state ([`crate::budget`]); inactive by default.
     meter: BudgetMeter,
     merge_joins: u64,
@@ -128,8 +134,6 @@ impl<'a> Evaluator<'a> {
             pool: TermPool::new(dataset.interner()),
             rows_scanned: 0,
             shared_scans: 0,
-            shared: Shared::default(),
-            memo: Vec::new(),
             meter: BudgetMeter::unlimited(),
             merge_joins: 0,
             merge_left_joins: 0,
@@ -143,11 +147,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Enable `n`-way parallel execution of the hot operators (BGP
-    /// extension, hash-join probe, mergeable GROUP BY). `n <= 1`
-    /// disables it. Output is byte-identical to sequential execution —
-    /// chunk results are folded back in chunk order, which reproduces row
-    /// order exactly — and `rows_scanned` parity is exact.
+    /// Enable `n`-way parallel BGP extension (the one operator that fans
+    /// out, [`Evaluator::extend_rows`]). `n <= 1` disables it. Output is
+    /// byte-identical to sequential execution — chunk results are folded
+    /// back in chunk order, which reproduces row order exactly — and
+    /// `rows_scanned` parity is exact.
     pub fn set_threads(&mut self, n: usize) {
         self.par = (n > 1).then(|| ParCtx {
             pool: rayon::ThreadPool::global(n),
@@ -179,14 +183,15 @@ impl<'a> Evaluator<'a> {
         self.shared_scans
     }
 
-    /// Number of [`Plan::MergeJoin`] nodes that actually ran as merge joins
-    /// (the run-time sortedness check passed; 0 means every join hashed).
+    /// Number of [`Plan::MergeJoin`] nodes that ran as merge joins from
+    /// their first left row to their last (the run-time sortedness check
+    /// never failed; 0 means every join hashed at least part of its input).
     pub fn merge_joins(&self) -> u64 {
         self.merge_joins
     }
 
-    /// Number of [`Plan::MergeLeftJoin`] nodes that actually ran as merge
-    /// left joins (run-time sortedness check passed).
+    /// Number of [`Plan::MergeLeftJoin`] nodes that ran as merge left joins
+    /// throughout (same rule as [`Evaluator::merge_joins`]).
     pub fn merge_left_joins(&self) -> u64 {
         self.merge_left_joins
     }
@@ -198,14 +203,14 @@ impl<'a> Evaluator<'a> {
         self.join_candidates
     }
 
-    /// Number of [`Plan::SortedDistinct`] nodes that deduplicated by run
-    /// detection instead of hashing.
+    /// Number of [`Plan::SortedDistinct`] nodes that deduplicated their
+    /// whole input by run detection, never hashing a row.
     pub fn sorted_distincts(&self) -> u64 {
         self.sorted_distincts
     }
 
-    /// Number of [`Plan::Group`] nodes that grouped by run detection
-    /// instead of hashing.
+    /// Number of [`Plan::Group`] nodes whose `sorted_on` claim held over
+    /// their whole input. A counter only: grouping always hashes.
     pub fn sorted_groups(&self) -> u64 {
         self.sorted_groups
     }
@@ -220,186 +225,6 @@ impl<'a> Evaluator<'a> {
     /// created here, so call this right before evaluation starts.
     pub fn set_budget(&mut self, budget: &QueryBudget) {
         self.meter = BudgetMeter::new(budget);
-    }
-
-    /// Evaluate a plan to a materialized solution table.
-    pub fn eval(&mut self, plan: &Plan) -> Result<SolutionTable> {
-        let table = self.eval_to_ids(plan)?;
-        Ok(self.materialize(table))
-    }
-
-    /// Evaluate a plan and materialize only rows `[offset, offset+limit)`.
-    ///
-    /// Pagination endpoints re-execute per chunk; slicing *before* term
-    /// materialization means only the shipped page allocates terms.
-    pub fn eval_page(&mut self, plan: &Plan, offset: usize, limit: usize) -> Result<SolutionTable> {
-        let mut table = self.eval_to_ids(plan)?;
-        table.slice(offset, Some(limit));
-        Ok(self.materialize(table))
-    }
-
-    /// Evaluate a plan to the raw columnar id table *without* materializing
-    /// terms — the embedded execution path ([`crate::engine::QueryCursor`])
-    /// hands these columns straight to the client together with the pool.
-    ///
-    /// Every evaluation enters here: the plan's sharing classes are found
-    /// once, and each is then evaluated once (`eval_ids`).
-    pub fn eval_to_ids(&mut self, plan: &Plan) -> Result<IdTable> {
-        self.shared = Shared::of(plan);
-        self.memo = (0..self.shared.len()).map(|_| None).collect();
-        self.eval_ids(plan)
-    }
-
-    /// Consume the evaluator, keeping its term pool alive so ids from an
-    /// [`Evaluator::eval_to_ids`] table (including computed overflow terms)
-    /// stay resolvable after evaluation ends.
-    pub fn into_pool(self) -> TermPool<'a> {
-        self.pool
-    }
-
-    /// Resolve ids to owned terms (the single materialization point).
-    fn materialize(&self, table: IdTable) -> SolutionTable {
-        let width = table.vars.len();
-        let mut rows = Vec::with_capacity(table.len());
-        for i in 0..table.len() {
-            rows.push(
-                (0..width)
-                    .map(|c| table.get(i, c).map(|id| self.pool.resolve(id).clone()))
-                    .collect(),
-            );
-        }
-        SolutionTable {
-            vars: table.vars,
-            rows,
-        }
-    }
-
-    /// Evaluate a plan to a columnar id table (the internal hot path).
-    ///
-    /// Every operator's output passes through this chokepoint, where its
-    /// row count and estimated footprint are checked against the budget —
-    /// operators whose hot loops can balloon *before* producing output
-    /// (BGP extension, join pair emission, group accumulation) carry
-    /// additional in-loop checks of their own.
-    ///
-    /// It is also where a shared subplan ([`share`]) is evaluated once: the
-    /// first occurrence memoizes its table together with the scans producing
-    /// it took, every later occurrence is handed the table (the last one by
-    /// move) and reports those scans as `shared_scans`.
-    fn eval_ids(&mut self, plan: &Plan) -> Result<IdTable> {
-        let class = self.shared.class(plan);
-        if let Some(memo) = class.and_then(|k| self.memo[k].as_mut()) {
-            let (t, scans) = memo.replay(0);
-            self.shared_scans += scans;
-            return Ok(t);
-        }
-        let before = self.rows_scanned + self.shared_scans;
-        let t = self.eval_ids_node(plan)?;
-        self.meter
-            .charge_intermediate(t.len() as u64, t.estimated_bytes())?;
-        Ok(match class {
-            Some(k) => {
-                debug_assert!(self.shared.is_first(k, plan));
-                let scans = self.rows_scanned + self.shared_scans - before;
-                let size = (t.len() as u64, t.estimated_bytes());
-                let memo = self.memo[k].insert(Replay::new(self.shared.readers(k)));
-                memo.push(t, scans, size)
-            }
-            None => t,
-        })
-    }
-
-    fn eval_ids_node(&mut self, plan: &Plan) -> Result<IdTable> {
-        match plan {
-            Plan::Unit => Ok(IdTable::unit()),
-            Plan::Bgp {
-                patterns,
-                graph,
-                filters,
-            } => self.eval_bgp(patterns, graph, filters),
-            Plan::Join(a, b) => {
-                let left = self.eval_ids(a)?;
-                let right = self.eval_ids(b)?;
-                self.join(left, right, JoinKind::Inner, None)
-            }
-            Plan::MergeJoin { left, right, key } => {
-                let left = self.eval_ids(left)?;
-                let right = self.eval_ids(right)?;
-                self.join_sorted(left, right, key, JoinKind::Inner)
-            }
-            Plan::MergeLeftJoin { left, right, key } => {
-                let left = self.eval_ids(left)?;
-                let right = self.eval_ids(right)?;
-                self.join_sorted(left, right, key, JoinKind::Left)
-            }
-            Plan::LeftJoin(a, b) => {
-                let left = self.eval_ids(a)?;
-                let right = self.eval_ids(b)?;
-                self.join(left, right, JoinKind::Left, None)
-            }
-            Plan::Union(a, b) => {
-                let left = self.eval_ids(a)?;
-                let right = self.eval_ids(b)?;
-                Ok(union(left, right))
-            }
-            Plan::Filter(expr, p) => {
-                let t = self.eval_ids(p)?;
-                Ok(self.filter_table(expr, t))
-            }
-            Plan::Extend(var, expr, p) => {
-                let t = self.eval_ids(p)?;
-                Ok(self.extend_table(var, expr, t))
-            }
-            Plan::Group {
-                keys,
-                aggs,
-                input,
-                sorted_on,
-            } => {
-                let t = self.eval_ids(input)?;
-                self.eval_group(keys, aggs, sorted_on, t)
-            }
-            Plan::Project(vars, p) => {
-                let t = self.eval_ids(p)?;
-                Ok(project_table(vars, t))
-            }
-            Plan::Distinct(p) => {
-                let t = self.eval_ids(p)?;
-                Ok(hash_distinct(t))
-            }
-            Plan::SortedDistinct { order, input } => {
-                let mut t = self.eval_ids(input)?;
-                match sorted_distinct_mask(&t, order) {
-                    Some(keep) => {
-                        self.sorted_distincts += 1;
-                        t.filter_mask(&keep);
-                        Ok(t)
-                    }
-                    // Coverage or sortedness claim failed at run time: the
-                    // hash path produces the identical keep-first bag.
-                    None => Ok(hash_distinct(t)),
-                }
-            }
-            Plan::OrderBy(keys, p) => {
-                let mut t = self.eval_ids(p)?;
-                self.sort_rows(&mut t, keys);
-                Ok(t)
-            }
-            Plan::TopK { keys, k, input } => {
-                let mut t = self.eval_ids(input)?;
-                self.top_k(&mut t, keys, *k);
-                Ok(t)
-            }
-            Plan::Slice {
-                limit,
-                offset,
-                input,
-            } => {
-                let mut t = self.eval_ids(input)?;
-                t.slice(*offset, *limit);
-                Ok(t)
-            }
-        }
     }
 
     fn resolve_graphs(&self, graph: &GraphRef) -> Result<Vec<(Arc<Graph>, Arc<GraphIdMap>)>> {
@@ -430,179 +255,11 @@ impl<'a> Evaluator<'a> {
         Ok(graphs)
     }
 
-    /// Vectorized index-nested-loop evaluation of a BGP in pattern order.
-    ///
-    /// Per pattern, matches are recorded as a gather-index vector (`src`,
-    /// which input row produced the match) plus one dense value vector per
-    /// variable the pattern newly binds. The next table is then assembled
-    /// column-at-a-time: carried columns gather contiguously, new columns
-    /// take the value vectors verbatim. Scan results stream straight into
-    /// these buffers — no row objects exist at any point.
-    ///
-    /// Pushed filters ([`PushedFilter`]) are tested inside the match
-    /// callback of the pattern that binds their variable: a failing
-    /// candidate returns before anything is appended, so it neither
-    /// occupies the gather/value buffers nor feeds later patterns' scans.
-    fn eval_bgp(
-        &mut self,
-        patterns: &[TriplePattern],
-        graph: &GraphRef,
-        filters: &[PushedFilter],
-    ) -> Result<IdTable> {
-        let graphs = self.resolve_graphs(graph)?;
-
-        // Variable schema in first-mention order.
-        let mut vars: Vec<String> = Vec::new();
-        for p in patterns {
-            for v in p.variables() {
-                if !vars.iter().any(|x| x == v) {
-                    vars.push(v.to_string());
-                }
-            }
-        }
-        let width = vars.len();
-        let var_idx: HashMap<&str, usize> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.as_str(), i))
-            .collect();
-
-        // Borrow the fields the scan callback needs up front so it never
-        // re-borrows `self` (the work counter accumulates locally).
-        let dataset = self.dataset;
-        let pool = &self.pool;
-        let mut scanned = 0u64;
-
-        // Compile each pushed filter at its shared attachment pattern
-        // ([`crate::algebra::attach_filters`]).
-        let mut pattern_filters: Vec<Vec<(usize, PushedEval)>> =
-            crate::algebra::attach_filters(patterns, filters, |v| var_idx[v])
-                .into_iter()
-                .map(|routed| {
-                    routed
-                        .into_iter()
-                        .map(|(col, f)| (col, PushedEval::compile(&f.var, &f.expr, pool)))
-                        .collect()
-                })
-                .collect();
-
-        // One all-absent row: the BGP extension identity.
-        let mut cur: Vec<Column> = (0..width).map(|_| Column::absent(1)).collect();
-        let mut cur_len = 1usize;
-        // A variable is bound in *all* rows once any earlier pattern
-        // mentioned it (every surviving row passed through that pattern).
-        let mut bound = vec![false; width];
-
-        for (pi, pattern) in patterns.iter().enumerate() {
-            if cur_len == 0 {
-                break;
-            }
-            // Resolve constants once per (pattern, graph) — local ids via
-            // the dataset-wide interner, no per-row string hashing. A graph
-            // where some constant does not occur contributes no matches.
-            let pats: Vec<(&Graph, &GraphIdMap, [Slot; 3])> = graphs
-                .iter()
-                .filter_map(|(g, map)| {
-                    let s = Self::pattern_slot(dataset, &pattern.subject, map, &var_idx)?;
-                    let p = Self::pattern_slot(dataset, &pattern.predicate, map, &var_idx)?;
-                    let o = Self::pattern_slot(dataset, &pattern.object, map, &var_idx)?;
-                    Some((g.as_ref(), map.as_ref(), [s, p, o]))
-                })
-                .collect();
-
-            // Classify the pattern's positions (graph-independent): which
-            // columns the pattern newly binds (one value vector each), and
-            // which positions repeat a newly-bound variable (`?x ?p ?x`)
-            // and therefore need an equality check per match.
-            let terms = [&pattern.subject, &pattern.predicate, &pattern.object];
-            let mut free_cols: Vec<usize> = Vec::new(); // col per value slot
-            let mut primaries: Vec<(usize, usize)> = Vec::new(); // (slot, position)
-            let mut dup_checks: Vec<(usize, usize)> = Vec::new(); // (position, position)
-            for (pos, term) in terms.iter().enumerate() {
-                if let PatternTerm::Var(v) = term {
-                    let col = var_idx[v.as_str()];
-                    if bound[col] {
-                        continue;
-                    }
-                    match free_cols.iter().position(|&c| c == col) {
-                        Some(slot) => dup_checks.push((primaries[slot].1, pos)),
-                        None => {
-                            let slot = free_cols.len();
-                            free_cols.push(col);
-                            primaries.push((slot, pos));
-                        }
-                    }
-                }
-            }
-
-            // Filters firing at this pattern, routed to the value slot
-            // their variable binds into. Owned (not borrowed from
-            // `pattern_filters`): the parallel path clones them per chunk,
-            // and each compiled filter serves exactly this one pattern, so
-            // its memo's lifetime is unchanged.
-            let mut checks: Vec<(usize, PushedEval)> = std::mem::take(&mut pattern_filters[pi])
-                .into_iter()
-                .map(|(col, pe)| {
-                    let slot = free_cols
-                        .iter()
-                        .position(|c| *c == col)
-                        .expect("filter var is newly bound at its attachment pattern");
-                    (slot, pe)
-                })
-                .collect();
-
-            let n_slots = free_cols.len();
-            let (pat_src, mut pat_vals, pat_scanned) = self.extend_rows(
-                0..cur_len,
-                &pats,
-                &cur,
-                &bound,
-                &primaries,
-                &dup_checks,
-                &mut checks,
-                n_slots,
-            )?;
-            scanned += pat_scanned;
-
-            // Assemble the next table column-at-a-time.
-            let total = pat_src.len();
-            let mut next: Vec<Column> = Vec::with_capacity(width);
-            for (col, cur_col) in cur.iter().enumerate() {
-                if bound[col] {
-                    let mut out = Column::with_capacity(total);
-                    out.gather_from(cur_col, &pat_src);
-                    next.push(out);
-                } else if let Some(slot) = free_cols.iter().position(|&c| c == col) {
-                    next.push(Column::from_ids(std::mem::take(&mut pat_vals[slot])));
-                } else {
-                    next.push(Column::absent(total));
-                }
-            }
-            cur = next;
-            cur_len = total;
-            // Per-pattern intermediates never reach the operator-output
-            // chokepoint, so check each assembled table here.
-            if self.meter.is_active() {
-                let bytes = cur
-                    .iter()
-                    .fold(0u64, |a, c| a.saturating_add(c.estimated_bytes()));
-                self.meter.charge_intermediate(cur_len as u64, bytes)?;
-            }
-            for &col in &free_cols {
-                bound[col] = true;
-            }
-        }
-        self.rows_scanned += scanned;
-        drop(var_idx);
-        Ok(IdTable::from_columns(vars, cur, cur_len))
-    }
-
     /// Extend the input rows `rows` (drawn from `cur`/`bound`) through one
     /// pattern's resolved graph scans, choosing between the sequential loop
-    /// and the chunked parallel fan-out. Factored out of [`Self::eval_bgp`]
-    /// so the streaming pipeline's BGP operator reuses the identical
-    /// decision and loop bodies — result, `rows_scanned`, and parallel
-    /// chunk-accounting parity is inherited rather than re-implemented.
+    /// and the chunked parallel fan-out — the one place the pool is used.
+    /// The BGP operator calls it for a fresh block of input rows; its
+    /// resumable row-by-row loop runs the same body.
     ///
     /// Parallel path: the rows fan out over chunks; each chunk runs the
     /// identical loop body with its own buffers, filter clones, caches, and
@@ -696,13 +353,13 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Borrow the evaluator's term pool (the embedded cursor resolves
-    /// result ids through it while streaming batches out).
+    /// result ids through it while handing batches out).
     pub(crate) fn pool(&self) -> &TermPool<'a> {
         &self.pool
     }
 
     /// Body of [`Plan::Filter`] over an owned table. Row-independent, so
-    /// the streaming pipeline applies it batch-at-a-time with identical
+    /// the pipeline applies it batch-at-a-time with identical
     /// results.
     fn filter_table(&mut self, expr: &Expr, mut t: IdTable) -> IdTable {
         let mut keep = Vec::with_capacity(t.len());
@@ -796,98 +453,6 @@ impl<'a> Evaluator<'a> {
         Some((col, self.pool.lookup(konst), negate))
     }
 
-    /// Join (inner or left) of two inputs the optimizer proved sorted on
-    /// `key`. Verifies the claim at run time (both key columns fully bound
-    /// and non-decreasing — one linear pass, far cheaper than a hash build)
-    /// and falls back to the hash join if storage reality disagrees with
-    /// the static analysis.
-    fn join_sorted(
-        &mut self,
-        left: IdTable,
-        right: IdTable,
-        key: &str,
-        kind: JoinKind,
-    ) -> Result<IdTable> {
-        let keys = left.column_index(key).zip(right.column_index(key));
-        let merge = keys.filter(|&(lc, rc)| sorted_key(left.col(lc)) && sorted_key(right.col(rc)));
-        match (merge, kind) {
-            (None, _) => {}
-            (Some(_), JoinKind::Inner) => self.merge_joins += 1,
-            (Some(_), JoinKind::Left) => self.merge_left_joins += 1,
-        }
-        self.join(left, right, kind, merge)
-    }
-
-    /// Columnar join (inner or left) with SPARQL compatibility semantics: a
-    /// pair list from the one probe loop ([`Sides::probe`], which fixes the
-    /// pair order and checks the list against the budget between left
-    /// rows), then output columns gathered over it — shared columns take
-    /// the left value when present and fall back to the right side.
-    ///
-    /// Candidates come from a [`JoinIndex`] over the right input (every
-    /// build row keyed on all the shared variables it binds; charged to the
-    /// budget once, when built) or, with `merge_keys` — the inputs' key
-    /// columns, verified sorted and fully bound by the caller — from the
-    /// right side's key run, a linear two-pointer merge. Same loop, same
-    /// pair order: the merge rewrite is invisible downstream, differential
-    /// oracles included.
-    ///
-    /// With a parallel context, left chunks probe the one shared index and
-    /// their pair lists are concatenated in chunk order — the sequential
-    /// pair list byte for byte, since a left row's candidates do not depend
-    /// on which chunk it fell into.
-    fn join(
-        &mut self,
-        left: IdTable,
-        right: IdTable,
-        kind: JoinKind,
-        merge_keys: Option<(usize, usize)>,
-    ) -> Result<IdTable> {
-        let shape = JoinShape::new(&left.vars, &right.vars);
-        let sides = Sides {
-            shape: &shape,
-            left: &left,
-            right: &right,
-            kind,
-        };
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let (rows, all) = (0..left.len(), usize::MAX);
-        if let Some((lc, rc)) = merge_keys {
-            let mut run = 0usize;
-            let key_run = merge_candidates(left.col(lc).ids(), right.col(rc).ids(), &mut run);
-            let (_, tested) = sides.probe(rows, all, &mut pairs, &mut self.meter, key_run)?;
-            self.join_candidates += tested;
-            return Ok(assemble_join(&left, &right, shape.out_vars, &pairs));
-        }
-        let mut index = JoinIndex::new(&right, &shape);
-        let masks = index.prepare(&left, &right, &shape);
-        self.meter.charge_intermediate(0, index.estimated_bytes())?;
-        let lookups = || index.candidates(&masks, &left, &shape.l_idx);
-        if let Some(p) = self.par.as_ref().filter(|_| left.len() >= PAR_MIN_ROWS) {
-            let chunk = par_chunk_size(left.len(), p.threads);
-            let shared = SharedMeter::new(&self.meter, left.len().div_ceil(chunk));
-            let run = p.pool.run_chunks(left.len(), chunk, |ci, range| {
-                let (mut out, mut wm) = (Vec::new(), shared.worker(ci));
-                let (_, tested) = sides.probe(range, all, &mut out, &mut wm, lookups())?;
-                Ok::<_, EngineError>((out, tested))
-            });
-            self.par_stats.chunks += run.chunks;
-            self.par_stats.steals += run.steals;
-            let merge_start = Instant::now();
-            let chunks: Result<Vec<_>> = run.results.into_iter().collect();
-            shared.finish(&mut self.meter)?;
-            for (mut out, tested) in chunks? {
-                pairs.append(&mut out);
-                self.join_candidates += tested;
-            }
-            self.par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-        } else {
-            let (_, tested) = sides.probe(rows, all, &mut pairs, &mut self.meter, lookups())?;
-            self.join_candidates += tested;
-        }
-        Ok(assemble_join(&left, &right, shape.out_vars, &pairs))
-    }
-
     /// Pattern-level slot for one position: a constant bound to its local id
     /// (`None` when the constant is absent from the graph) or a variable's
     /// column index.
@@ -905,602 +470,6 @@ impl<'a> Evaluator<'a> {
                 Some(Slot::Bound(local))
             }
         }
-    }
-
-    fn eval_group(
-        &mut self,
-        keys: &[String],
-        aggs: &[AggSpec],
-        sorted_on: &[String],
-        input: IdTable,
-    ) -> Result<IdTable> {
-        let key_indices: Vec<Option<usize>> = keys.iter().map(|k| input.column_index(k)).collect();
-
-        // Per-aggregate execution plan, id-native where the shape allows:
-        //
-        // - `COUNT[ DISTINCT](?v)` counts ids straight off the column.
-        // - `SUM/AVG/MIN/MAX(?v)` over a column whose bound values are all
-        //   numeric literals (no NaN) accumulates parsed `i64`/`f64`
-        //   without materializing a term per row; mixed-type columns fall
-        //   back to the general term path.
-        // - `SAMPLE(?v)` takes the first bound id.
-        // - Everything else evaluates the expression per row (the
-        //   materialization boundary for aggregates).
-        enum AggPlan<'e> {
-            Star,
-            CountCol { idx: usize, distinct: bool },
-            NumericCol { idx: usize, distinct: bool },
-            SampleCol { idx: usize },
-            General(&'e Expr),
-        }
-        // The numeric precheck is O(rows); memoize per column so repeated
-        // aggregates over one column (MIN+MAX+SUM+AVG of ?v) scan it once.
-        let mut numeric_memo: HashMap<usize, bool> = HashMap::new();
-        let plans: Vec<AggPlan> = aggs
-            .iter()
-            .map(|spec| match &spec.expr {
-                None => AggPlan::Star,
-                Some(Expr::Var(v)) => match input.column_index(v) {
-                    Some(idx) => match spec.op {
-                        AggOp::Count => AggPlan::CountCol {
-                            idx,
-                            distinct: spec.distinct,
-                        },
-                        AggOp::Sample => AggPlan::SampleCol { idx },
-                        AggOp::Sum | AggOp::Avg | AggOp::Min | AggOp::Max => {
-                            let numeric = *numeric_memo
-                                .entry(idx)
-                                .or_insert_with(|| self.numeric_column(input.col(idx)));
-                            if numeric {
-                                AggPlan::NumericCol {
-                                    idx,
-                                    distinct: spec.distinct,
-                                }
-                            } else {
-                                AggPlan::General(spec.expr.as_ref().unwrap())
-                            }
-                        }
-                    },
-                    // Variable absent from the input: the general path
-                    // produces the op's empty/unbound result.
-                    None => AggPlan::General(spec.expr.as_ref().unwrap()),
-                },
-                Some(e) => AggPlan::General(e),
-            })
-            .collect();
-
-        enum AggAccum {
-            Terms(AggState),
-            CountIds {
-                seen: Option<HashSet<TermId>>,
-                count: usize,
-            },
-            Numeric(NumericAccum),
-            First(Option<TermId>),
-        }
-        let fresh_accums = |aggs: &[AggSpec], plans: &[AggPlan]| -> Vec<AggAccum> {
-            aggs.iter()
-                .zip(plans)
-                .map(|(a, plan)| match plan {
-                    AggPlan::CountCol { distinct, .. } => AggAccum::CountIds {
-                        seen: distinct.then(HashSet::new),
-                        count: 0,
-                    },
-                    AggPlan::NumericCol { distinct, .. } => {
-                        AggAccum::Numeric(NumericAccum::new(*distinct))
-                    }
-                    AggPlan::SampleCol { .. } => AggAccum::First(None),
-                    // General exprs: DISTINCT dedups on pool ids.
-                    _ => AggAccum::Terms(AggState::new_id_distinct(a.op, a.distinct)),
-                })
-                .collect()
-        };
-
-        // Group index: encoded id-tuple key → position in `groups`. Hashing
-        // u64-encoded cells (bijective), never terms. The common single-key
-        // case hashes one u64 with no per-row allocation. Over an input the
-        // optimizer proved sorted with the keys as an order prefix, hashing
-        // disappears entirely: equal keys are adjacent, so a strict
-        // increase on the prefix columns *is* a group boundary
-        // (`GroupIndex::Sorted`). Both strategies emit groups in
-        // first-occurrence order, so they are interchangeable row for row.
-        enum GroupIndex {
-            One(HashMap<u64, usize>),
-            Many(HashMap<Vec<u64>, usize>),
-            /// Run detection over these (fully bound, presorted — verified
-            /// below) key-prefix columns.
-            Sorted(Vec<usize>),
-        }
-        let sorted_cols = self.sorted_group_columns(sorted_on, keys, &input);
-
-        // Rough per-group footprint (key ids + accumulator state) for the
-        // memory axis: grouping state is the one allocation that grows
-        // without a corresponding operator output until the loop ends.
-        let group_bytes =
-            (keys.len() as u64).saturating_mul(16) + (aggs.len() as u64).saturating_mul(64);
-
-        // Parallel grouping: eligible when the input is large, grouping is
-        // by hash (run detection is already one cheap sequential pass), and
-        // every aggregate merges across chunks without order sensitivity —
-        // COUNT/COUNT(*) (count sums / seen-set unions), SAMPLE (first
-        // non-empty in chunk order), and id-native MIN/MAX (strict-
-        // improvement merge in chunk order preserves first-wins ties).
-        // `f64` SUM/AVG stay sequential: float addition is non-associative
-        // and byte-identical output is the contract.
-        let par_eligible = sorted_cols.is_none()
-            && input.len() >= PAR_MIN_ROWS
-            && plans.iter().zip(aggs).all(|(plan, spec)| match plan {
-                AggPlan::Star | AggPlan::CountCol { .. } | AggPlan::SampleCol { .. } => true,
-                AggPlan::NumericCol { .. } => matches!(spec.op, AggOp::Min | AggOp::Max),
-                AggPlan::General(_) => false,
-            });
-        if par_eligible {
-            if let Some(p) = self.par.clone() {
-                // Chunk-local accumulator restricted to the mergeable
-                // shapes (mirrors the sequential accumulators exactly).
-                enum ParAccum {
-                    Count {
-                        seen: Option<HashSet<TermId>>,
-                        count: usize,
-                    },
-                    MinMax(Option<(TermId, NumVal)>),
-                    First(Option<TermId>),
-                }
-                // Encoded group key: bijective cell codes, so code equality
-                // is cell equality (same contract as the sequential index).
-                #[derive(Clone, PartialEq, Eq, Hash)]
-                enum KeyEnc {
-                    One(u64),
-                    Many(Vec<u64>),
-                }
-                let fresh_par = |plans: &[AggPlan]| -> Vec<ParAccum> {
-                    plans
-                        .iter()
-                        .map(|plan| match plan {
-                            AggPlan::Star => ParAccum::Count {
-                                seen: None,
-                                count: 0,
-                            },
-                            AggPlan::CountCol { distinct, .. } => ParAccum::Count {
-                                seen: distinct.then(HashSet::new),
-                                count: 0,
-                            },
-                            AggPlan::NumericCol { .. } => ParAccum::MinMax(None),
-                            AggPlan::SampleCol { .. } => ParAccum::First(None),
-                            AggPlan::General(_) => unreachable!("gated out of the parallel path"),
-                        })
-                        .collect()
-                };
-
-                let chunk = par_chunk_size(input.len(), p.threads);
-                let n_chunks = input.len().div_ceil(chunk);
-                let shared = SharedMeter::new(&self.meter, n_chunks);
-                let pool = &self.pool;
-                let input_ref = &input;
-                let plans_ref = &plans;
-                let key_idx_ref = &key_indices;
-                let single_key = key_indices.len() == 1;
-                let run = p.pool.run_chunks(input.len(), chunk, |ci, range| {
-                    let mut wm = shared.worker(ci);
-                    let mut map: HashMap<KeyEnc, usize> = HashMap::new();
-                    let mut groups: Vec<(KeyEnc, Vec<Option<TermId>>, Vec<ParAccum>)> = Vec::new();
-                    for i in range {
-                        // Same per-row budget shape as the sequential loop;
-                        // the shared meter sums live group state across
-                        // chunks (that memory really is held concurrently).
-                        wm.charge_intermediate(
-                            groups.len() as u64,
-                            (groups.len() as u64).saturating_mul(group_bytes),
-                        )?;
-                        let enc = if single_key {
-                            KeyEnc::One(match key_idx_ref[0] {
-                                Some(c) => input_ref.col(c).hash_code(i),
-                                None => 0,
-                            })
-                        } else {
-                            KeyEnc::Many(
-                                key_idx_ref
-                                    .iter()
-                                    .map(|ki| match ki {
-                                        Some(c) => input_ref.col(*c).hash_code(i),
-                                        None => 0,
-                                    })
-                                    .collect(),
-                            )
-                        };
-                        let slot = map.entry(enc.clone()).or_insert(usize::MAX);
-                        let gi = if *slot == usize::MAX {
-                            *slot = groups.len();
-                            let key: Vec<Option<TermId>> = key_idx_ref
-                                .iter()
-                                .map(|ki| ki.and_then(|c| input_ref.get(i, c)))
-                                .collect();
-                            groups.push((enc, key, fresh_par(plans_ref)));
-                            groups.len() - 1
-                        } else {
-                            *slot
-                        };
-                        for ((accum, plan), spec) in
-                            groups[gi].2.iter_mut().zip(plans_ref.iter()).zip(aggs)
-                        {
-                            match (accum, plan) {
-                                (ParAccum::Count { count, .. }, AggPlan::Star) => *count += 1,
-                                (
-                                    ParAccum::Count { seen, count },
-                                    AggPlan::CountCol { idx, .. },
-                                ) => {
-                                    if let Some(id) = input_ref.get(i, *idx) {
-                                        match seen {
-                                            Some(set) => {
-                                                if set.insert(id) {
-                                                    *count += 1;
-                                                }
-                                            }
-                                            None => *count += 1,
-                                        }
-                                    }
-                                }
-                                (ParAccum::MinMax(best), AggPlan::NumericCol { idx, .. }) => {
-                                    if let Some(id) = input_ref.get(i, *idx) {
-                                        let v = match pool.resolve(id) {
-                                            Term::Literal(l) => match l.parsed {
-                                                TypedValue::Integer(x) => NumVal::I(x),
-                                                TypedValue::Double(d) => NumVal::D(d),
-                                                _ => unreachable!("numeric_column checked"),
-                                            },
-                                            _ => unreachable!("numeric_column checked"),
-                                        };
-                                        let better = match spec.op {
-                                            AggOp::Min => Ordering::Less,
-                                            _ => Ordering::Greater,
-                                        };
-                                        if best.is_none_or(|(_, m)| v.cmp_sparql(m) == better) {
-                                            *best = Some((id, v));
-                                        }
-                                    }
-                                }
-                                (ParAccum::First(first), AggPlan::SampleCol { idx }) => {
-                                    if first.is_none() {
-                                        *first = input_ref.get(i, *idx);
-                                    }
-                                }
-                                _ => unreachable!("accumulator/plan shape mismatch"),
-                            }
-                        }
-                    }
-                    Ok::<_, EngineError>(groups)
-                });
-                self.par_stats.chunks += run.chunks;
-                self.par_stats.steals += run.steals;
-
-                // Merge chunk groups in chunk order: chunk concatenation
-                // order is row order, so the first chunk (and within it the
-                // first row) to produce a key is the global first
-                // occurrence — the sequential group order exactly.
-                let merge_start = Instant::now();
-                let mut global: HashMap<KeyEnc, usize> = HashMap::new();
-                let mut merged: Vec<(Vec<Option<TermId>>, Vec<ParAccum>)> = Vec::new();
-                let mut chunk_err: Option<EngineError> = None;
-                for r in run.results {
-                    let chunk_groups = match r {
-                        Ok(g) => g,
-                        Err(e) => {
-                            chunk_err.get_or_insert(e);
-                            continue;
-                        }
-                    };
-                    for (enc, key, accums) in chunk_groups {
-                        let slot = global.entry(enc).or_insert(usize::MAX);
-                        if *slot == usize::MAX {
-                            *slot = merged.len();
-                            merged.push((key, accums));
-                            continue;
-                        }
-                        let dst = &mut merged[*slot].1;
-                        for ((d, s), spec) in dst.iter_mut().zip(accums).zip(aggs) {
-                            match (d, s) {
-                                (
-                                    ParAccum::Count { seen: None, count },
-                                    ParAccum::Count {
-                                        seen: None,
-                                        count: c2,
-                                    },
-                                ) => *count += c2,
-                                (
-                                    ParAccum::Count {
-                                        seen: Some(set),
-                                        count,
-                                    },
-                                    ParAccum::Count {
-                                        seen: Some(other), ..
-                                    },
-                                ) => {
-                                    // Distinct count = size of the union.
-                                    for id in other {
-                                        if set.insert(id) {
-                                            *count += 1;
-                                        }
-                                    }
-                                }
-                                (ParAccum::MinMax(best), ParAccum::MinMax(theirs)) => {
-                                    if let Some((id, v)) = theirs {
-                                        let better = match spec.op {
-                                            AggOp::Min => Ordering::Less,
-                                            _ => Ordering::Greater,
-                                        };
-                                        // Strict improvement only: a tie
-                                        // keeps the earlier chunk's id
-                                        // (first-wins, like row order).
-                                        if best.is_none_or(|(_, m)| v.cmp_sparql(m) == better) {
-                                            *best = Some((id, v));
-                                        }
-                                    }
-                                }
-                                (ParAccum::First(first), ParAccum::First(theirs)) => {
-                                    if first.is_none() {
-                                        *first = theirs;
-                                    }
-                                }
-                                _ => unreachable!("accumulator shape mismatch across chunks"),
-                            }
-                        }
-                    }
-                }
-                self.par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-                shared.finish(&mut self.meter)?;
-                if let Some(e) = chunk_err {
-                    return Err(e);
-                }
-                self.meter.charge_intermediate(
-                    merged.len() as u64,
-                    (merged.len() as u64).saturating_mul(group_bytes),
-                )?;
-
-                // Finish on the main thread in merged (= sequential) order:
-                // every interned term and its order match the sequential
-                // path, keeping the pool state identical too.
-                let mut out_vars: Vec<String> = keys.to_vec();
-                out_vars.extend(aggs.iter().map(|a| a.output.clone()));
-                let mut key_cols: Vec<Column> = (0..keys.len())
-                    .map(|_| Column::with_capacity(merged.len()))
-                    .collect();
-                let mut agg_cols: Vec<Column> = (0..aggs.len())
-                    .map(|_| Column::with_capacity(merged.len()))
-                    .collect();
-                let n_groups = merged.len();
-                for (key, accums) in merged {
-                    for (col, v) in key_cols.iter_mut().zip(key) {
-                        col.push(v);
-                    }
-                    for (col, accum) in agg_cols.iter_mut().zip(accums) {
-                        let value: Option<TermId> = match accum {
-                            ParAccum::Count { count, .. } => {
-                                Some(self.pool.intern(Term::integer(count as i64)))
-                            }
-                            ParAccum::MinMax(best) => best.map(|(id, _)| id),
-                            ParAccum::First(id) => id,
-                        };
-                        col.push(value);
-                    }
-                }
-                key_cols.extend(agg_cols);
-                return Ok(IdTable::from_columns(out_vars, key_cols, n_groups));
-            }
-        }
-
-        let mut index = match sorted_cols {
-            Some(cols) => {
-                self.sorted_groups += 1;
-                GroupIndex::Sorted(cols)
-            }
-            None if key_indices.len() == 1 => GroupIndex::One(HashMap::new()),
-            None => GroupIndex::Many(HashMap::new()),
-        };
-        let mut groups: Vec<(Vec<Option<TermId>>, Vec<AggAccum>)> = Vec::new();
-
-        let implicit_single_group = keys.is_empty();
-        if implicit_single_group {
-            if let GroupIndex::Many(m) = &mut index {
-                m.insert(Vec::new(), 0);
-            }
-            groups.push((Vec::new(), fresh_accums(aggs, &plans)));
-        }
-
-        for i in 0..input.len() {
-            self.meter.charge_intermediate(
-                groups.len() as u64,
-                (groups.len() as u64).saturating_mul(group_bytes),
-            )?;
-            // `None` = this row starts a new group; `Some(gi)` = it joins
-            // group `gi` (any earlier one for the hash strategies, always
-            // the most recent for run detection).
-            let existing: Option<usize> = match &mut index {
-                GroupIndex::One(m) => {
-                    let enc = match key_indices[0] {
-                        Some(c) => input.col(c).hash_code(i),
-                        None => 0,
-                    };
-                    let slot = m.entry(enc).or_insert(usize::MAX);
-                    if *slot == usize::MAX {
-                        *slot = groups.len();
-                        None
-                    } else {
-                        Some(*slot)
-                    }
-                }
-                GroupIndex::Many(m) => {
-                    let key_enc: Vec<u64> = key_indices
-                        .iter()
-                        .map(|ki| match ki {
-                            Some(c) => input.col(*c).hash_code(i),
-                            None => 0,
-                        })
-                        .collect();
-                    let slot = m.entry(key_enc).or_insert(usize::MAX);
-                    if *slot == usize::MAX {
-                        *slot = groups.len();
-                        None
-                    } else {
-                        Some(*slot)
-                    }
-                }
-                GroupIndex::Sorted(cols) => {
-                    // Presorted input: a neighbor differing on any prefix
-                    // column starts a new group; equal neighbors extend the
-                    // last one. (Non-adjacency of equal keys is impossible
-                    // — sortedness was verified.)
-                    if i == 0 || lex_cmp_prev(&input, cols, i) != Ordering::Equal {
-                        None
-                    } else {
-                        Some(groups.len() - 1)
-                    }
-                }
-            };
-            let gi = match existing {
-                Some(gi) => gi,
-                None => {
-                    let gi = groups.len();
-                    let key: Vec<Option<TermId>> = key_indices
-                        .iter()
-                        .map(|ki| ki.and_then(|c| input.get(i, c)))
-                        .collect();
-                    groups.push((key, fresh_accums(aggs, &plans)));
-                    gi
-                }
-            };
-            for (accum, plan) in groups[gi].1.iter_mut().zip(&plans) {
-                match (accum, plan) {
-                    (AggAccum::Terms(state), AggPlan::Star) => state.push_star(),
-                    (AggAccum::Terms(state), AggPlan::General(e)) => {
-                        let value = {
-                            let buf = &mut self.scratch;
-                            input.read_row(i, buf);
-                            let ctx = IdRowCtx {
-                                vars: &input.vars,
-                                row: buf,
-                                pool: &self.pool,
-                            };
-                            eval_expr(e, ctx, &mut self.caches)
-                        };
-                        state.push_pooled(value, &mut self.pool);
-                    }
-                    (AggAccum::CountIds { seen, count }, AggPlan::CountCol { idx, .. }) => {
-                        if let Some(id) = input.get(i, *idx) {
-                            match seen {
-                                Some(set) => {
-                                    if set.insert(id) {
-                                        *count += 1;
-                                    }
-                                }
-                                None => *count += 1,
-                            }
-                        }
-                    }
-                    (AggAccum::Numeric(acc), AggPlan::NumericCol { idx, .. }) => {
-                        if let Some(id) = input.get(i, *idx) {
-                            let v = match self.pool.resolve(id) {
-                                Term::Literal(l) => match l.parsed {
-                                    TypedValue::Integer(x) => NumVal::I(x),
-                                    TypedValue::Double(d) => NumVal::D(d),
-                                    _ => unreachable!("numeric_column checked"),
-                                },
-                                _ => unreachable!("numeric_column checked"),
-                            };
-                            acc.push(id, v);
-                        }
-                    }
-                    (AggAccum::First(first), AggPlan::SampleCol { idx }) => {
-                        if first.is_none() {
-                            *first = input.get(i, *idx);
-                        }
-                    }
-                    _ => unreachable!("accumulator/plan shape mismatch"),
-                }
-            }
-        }
-
-        let mut out_vars: Vec<String> = keys.to_vec();
-        out_vars.extend(aggs.iter().map(|a| a.output.clone()));
-        let mut key_cols: Vec<Column> = (0..keys.len())
-            .map(|_| Column::with_capacity(groups.len()))
-            .collect();
-        let mut agg_cols: Vec<Column> = (0..aggs.len())
-            .map(|_| Column::with_capacity(groups.len()))
-            .collect();
-        let n_groups = groups.len();
-        for (key, accums) in groups {
-            for (col, v) in key_cols.iter_mut().zip(key) {
-                col.push(v);
-            }
-            for ((col, accum), spec) in agg_cols.iter_mut().zip(accums).zip(aggs) {
-                // Aggregate results are computed terms; intern them so the
-                // column stays id-native for downstream operators.
-                let value: Option<TermId> = match accum {
-                    AggAccum::Terms(state) => state.finish().map(|t| self.pool.intern(t)),
-                    AggAccum::CountIds { count, .. } => {
-                        Some(self.pool.intern(Term::integer(count as i64)))
-                    }
-                    AggAccum::Numeric(acc) => acc.finish(spec.op, &mut self.pool),
-                    AggAccum::First(id) => id,
-                };
-                col.push(value);
-            }
-        }
-        key_cols.extend(agg_cols);
-        Ok(IdTable::from_columns(out_vars, key_cols, n_groups))
-    }
-
-    /// Validate a [`Plan::Group`]'s `sorted_on` claim against the actual
-    /// input, returning the prefix column indexes to run-detect on, or
-    /// `None` for the hash fallback. Checks (all linear or cheaper): the
-    /// annotation is present, its variables and the grouping keys name the
-    /// same column set, every prefix column exists and is fully bound, and
-    /// the rows really are lexicographically non-decreasing on the prefix
-    /// sequence — the same trust-but-verify contract as the merge joins.
-    fn sorted_group_columns(
-        &self,
-        sorted_on: &[String],
-        keys: &[String],
-        input: &IdTable,
-    ) -> Option<Vec<usize>> {
-        if sorted_on.is_empty() {
-            return None;
-        }
-        // Set equality with the keys (the optimizer guarantees it; a stale
-        // or hand-built plan must not silently misgroup).
-        if !keys.iter().all(|k| sorted_on.contains(k))
-            || !sorted_on.iter().all(|v| keys.contains(v))
-        {
-            return None;
-        }
-        let cols: Vec<usize> = sorted_on
-            .iter()
-            .map(|v| input.column_index(v))
-            .collect::<Option<Vec<_>>>()?;
-        if cols.iter().any(|&c| !input.col(c).all_present()) {
-            return None;
-        }
-        let sorted = (1..input.len()).all(|i| lex_cmp_prev(input, &cols, i) != Ordering::Greater);
-        sorted.then_some(cols)
-    }
-
-    /// Is every bound value in the column a numeric literal (and no NaN,
-    /// whose SPARQL ordering falls back to lexical comparison)? One linear
-    /// id scan; terms are inspected by reference, never cloned.
-    fn numeric_column(&self, col: &Column) -> bool {
-        for i in 0..col.len() {
-            if let Some(id) = col.get(i) {
-                match self.pool.resolve(id) {
-                    Term::Literal(l) => match l.parsed {
-                        TypedValue::Integer(_) => {}
-                        TypedValue::Double(d) if !d.is_nan() => {}
-                        _ => return false,
-                    },
-                    _ => return false,
-                }
-            }
-        }
-        true
     }
 
     /// Compute the ORDER BY key terms for every row (the materialization
@@ -1679,10 +648,10 @@ fn compare_keyed(keys: &[OrderKey], a: &KeyedRow, b: &KeyedRow) -> Ordering {
 /// append matches as a gather index (the *global* input row number) plus
 /// one value per newly-bound slot.
 ///
-/// Factored out of [`Evaluator::eval_bgp`] so the sequential path (whole
-/// range, the evaluator's [`BudgetMeter`]) and each parallel chunk
-/// (sub-range, a [`crate::budget::WorkerMeter`]) run the identical loop
-/// body: concatenating chunk results in chunk order reproduces the
+/// The sequential path (whole range, the evaluator's [`BudgetMeter`]) and
+/// each parallel chunk (sub-range, a [`crate::budget::WorkerMeter`]) of
+/// [`Evaluator::extend_rows`] run this one loop body: concatenating chunk
+/// results in chunk order reproduces the
 /// sequential match order exactly (gather indexes ascend within and across
 /// chunks), and summing the returned scan counts reproduces `rows_scanned`
 /// exactly (per-row scan work is independent of the partitioning).
@@ -1775,115 +744,6 @@ enum Slot {
     Var(usize),
 }
 
-/// A numeric value as SPARQL compares it: `i64` when both sides are
-/// integers, `f64` otherwise. The column precheck guarantees no NaN.
-#[derive(Debug, Clone, Copy)]
-enum NumVal {
-    I(i64),
-    D(f64),
-}
-
-impl NumVal {
-    fn as_f64(self) -> f64 {
-        match self {
-            NumVal::I(i) => i as f64,
-            NumVal::D(d) => d,
-        }
-    }
-
-    /// SPARQL numeric comparison (mirrors `Term::value_cmp` on two numeric
-    /// literals, which `order_cmp` delegates to).
-    fn cmp_sparql(self, other: NumVal) -> Ordering {
-        match (self, other) {
-            (NumVal::I(a), NumVal::I(b)) => a.cmp(&b),
-            _ => self
-                .as_f64()
-                .partial_cmp(&other.as_f64())
-                .expect("NaN excluded by numeric_column"),
-        }
-    }
-}
-
-/// Id-native accumulator for `SUM`/`AVG`/`MIN`/`MAX` over a numeric-literal
-/// column. Mirrors [`AggState`]'s arithmetic exactly (wrapping integer sum,
-/// `f64` shadow sum in row order, first-wins ties for MIN/MAX) but never
-/// materializes a term: MIN/MAX track the winning *id*, which downstream
-/// operators and the final projection resolve like any other binding.
-struct NumericAccum {
-    seen: Option<HashSet<TermId>>,
-    count: usize,
-    int_sum: i64,
-    f_sum: f64,
-    integral: bool,
-    min: Option<(TermId, NumVal)>,
-    max: Option<(TermId, NumVal)>,
-}
-
-impl NumericAccum {
-    fn new(distinct: bool) -> Self {
-        NumericAccum {
-            seen: distinct.then(HashSet::new),
-            count: 0,
-            int_sum: 0,
-            f_sum: 0.0,
-            integral: true,
-            min: None,
-            max: None,
-        }
-    }
-
-    fn push(&mut self, id: TermId, v: NumVal) {
-        if let Some(seen) = &mut self.seen {
-            if !seen.insert(id) {
-                return;
-            }
-        }
-        self.count += 1;
-        match v {
-            NumVal::I(i) => {
-                self.int_sum = self.int_sum.wrapping_add(i);
-                self.f_sum += i as f64;
-            }
-            NumVal::D(d) => {
-                self.integral = false;
-                self.f_sum += d;
-            }
-        }
-        if self
-            .min
-            .is_none_or(|(_, m)| v.cmp_sparql(m) == Ordering::Less)
-        {
-            self.min = Some((id, v));
-        }
-        if self
-            .max
-            .is_none_or(|(_, m)| v.cmp_sparql(m) == Ordering::Greater)
-        {
-            self.max = Some((id, v));
-        }
-    }
-
-    fn finish(self, op: AggOp, pool: &mut TermPool) -> Option<TermId> {
-        match op {
-            AggOp::Sum => Some(if self.integral {
-                pool.intern(Term::integer(self.int_sum))
-            } else {
-                pool.intern(Term::Literal(Literal::double(self.f_sum)))
-            }),
-            AggOp::Avg => Some(if self.count == 0 {
-                pool.intern(Term::integer(0))
-            } else {
-                pool.intern(Term::Literal(Literal::double(
-                    self.f_sum / self.count as f64,
-                )))
-            }),
-            AggOp::Min => self.min.map(|(id, _)| id),
-            AggOp::Max => self.max.map(|(id, _)| id),
-            _ => unreachable!("NumericCol only plans SUM/AVG/MIN/MAX"),
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JoinKind {
     Inner,
@@ -1909,7 +769,7 @@ struct JoinShape {
 
 impl JoinShape {
     /// From the two inputs' schemas (stable across the batches of a
-    /// streaming join, so its operator builds the shape once).
+    /// join, so its operator builds the shape once).
     fn new(left: &[String], right: &[String]) -> Self {
         let position = |vars: &[String], v: &String| vars.iter().position(|x| x == v);
         let mut out_vars = left.to_vec();
@@ -1951,7 +811,7 @@ fn sorted_key(col: &Column) -> bool {
 
 /// Body of [`Plan::Project`] over an owned table: move projected columns
 /// out instead of cloning id vectors and bitmaps. Pure column shuffling —
-/// the streaming pipeline applies it per batch.
+/// the pipeline applies it per batch.
 fn project_table(vars: &[String], t: IdTable) -> IdTable {
     let rows = t.len();
     let (t_vars, t_cols, _) = t.into_parts();
@@ -1970,68 +830,6 @@ fn project_table(vars: &[String], t: IdTable) -> IdTable {
         out_cols.push(col);
     }
     IdTable::from_columns(vars.to_vec(), out_cols, rows)
-}
-
-/// Hash-based DISTINCT (keeps first occurrences): the general path, and the
-/// fallback when a [`Plan::SortedDistinct`] claim fails at run time.
-fn hash_distinct(mut t: IdTable) -> IdTable {
-    let width = t.vars.len();
-    let mut keep = Vec::with_capacity(t.len());
-    if width == 1 {
-        // Single column: dedup on bare u64 codes, no row keys.
-        let mut seen: HashSet<u64> = HashSet::with_capacity(t.len());
-        let col = t.col(0);
-        for i in 0..t.len() {
-            keep.push(seen.insert(col.hash_code(i)));
-        }
-    } else {
-        let mut seen: HashSet<Vec<u64>> = HashSet::with_capacity(t.len());
-        for i in 0..t.len() {
-            let key: Vec<u64> = (0..width).map(|c| t.col(c).hash_code(i)).collect();
-            keep.push(seen.insert(key));
-        }
-    }
-    t.filter_mask(&keep);
-    t
-}
-
-/// Linear run-detection DISTINCT over a table claimed sorted on `order`.
-///
-/// Eligibility is re-verified here, not trusted: every order variable must
-/// be a column, every column must appear in the order (otherwise rows equal
-/// on the order columns could still differ and run detection would
-/// over-delete), every order column must be fully bound, and the rows must
-/// actually be lexicographically non-decreasing on the order sequence. The
-/// sortedness check and the dedup are one fused pass: a strictly greater
-/// neighbor starts a new run (keep), an equal neighbor is a duplicate
-/// (drop — order covers all columns, so order-equal means row-equal), and
-/// an out-of-order neighbor aborts to `None` (hash fallback).
-fn sorted_distinct_mask(t: &IdTable, order: &[String]) -> Option<Vec<bool>> {
-    let cols: Vec<usize> = order
-        .iter()
-        .map(|v| t.column_index(v))
-        .collect::<Option<Vec<_>>>()?;
-    // Coverage: duplicate-named columns are clones by construction
-    // (projection copies the first occurrence), so name coverage is column
-    // coverage.
-    if !t.vars.iter().all(|v| order.contains(v)) {
-        return None;
-    }
-    if cols.iter().any(|&c| !t.col(c).all_present()) {
-        return None;
-    }
-    let mut keep = Vec::with_capacity(t.len());
-    if !t.is_empty() {
-        keep.push(true);
-    }
-    for i in 1..t.len() {
-        match lex_cmp_prev(t, &cols, i) {
-            Ordering::Greater => return None, // claim was wrong: fall back
-            Ordering::Less => keep.push(true),
-            Ordering::Equal => keep.push(false),
-        }
-    }
-    Some(keep)
 }
 
 /// Compare rows `i-1` and `i` lexicographically on `cols` by raw id (the
@@ -2094,50 +892,18 @@ fn assemble_join(
     IdTable::from_columns(out_vars, cols, rows)
 }
 
-/// Bag union with schema alignment (column-at-a-time concatenation).
-fn union(left: IdTable, right: IdTable) -> IdTable {
-    let mut vars = left.vars.clone();
-    for v in &right.vars {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let total = left.len() + right.len();
-    let mut cols = Vec::with_capacity(vars.len());
-    for v in &vars {
-        let mut col = Column::with_capacity(total);
-        match left.column_index(v) {
-            Some(lc) => {
-                for i in 0..left.len() {
-                    col.push(left.get(i, lc));
-                }
-            }
-            None => {
-                for _ in 0..left.len() {
-                    col.push(None);
-                }
-            }
-        }
-        match right.column_index(v) {
-            Some(rc) => {
-                for i in 0..right.len() {
-                    col.push(right.get(i, rc));
-                }
-            }
-            None => {
-                for _ in 0..right.len() {
-                    col.push(None);
-                }
-            }
-        }
-        cols.push(col);
-    }
-    IdTable::from_columns(vars, cols, total)
-}
-
 #[cfg(test)]
 mod tests {
+    //! The operators' semantics on hand-built tables, at every pull size
+    //! (`pipeline::tests::BATCHES`): joins against the nested-loop
+    //! definition, union, DISTINCT's order claim, and the numeric
+    //! accumulators against [`AggState`].
+
+    use super::join_index::tests::nested_loop_pairs;
+    use super::pipeline::tests::{drain, source, BATCHES};
+    use super::pipeline::{DistinctOp, GroupOp, JoinOp, UnionOp};
     use super::*;
+    use rdf_model::term::Literal;
 
     fn tbl(vars: &[&str], rows: Vec<Vec<Option<TermId>>>) -> IdTable {
         let mut t = IdTable::with_vars(vars.iter().map(|s| s.to_string()).collect());
@@ -2151,11 +917,33 @@ mod tests {
         Some(TermId(v))
     }
 
-    fn hash_join(a: IdTable, b: IdTable, kind: JoinKind) -> IdTable {
+    /// `JoinOp` over the two tables (a merge join on `merge_key` when
+    /// given): the nested-loop join at every pull size, or the test fails.
+    /// Returns the joined table, the candidates tested and the merge joins
+    /// counted.
+    fn join_op(
+        a: &IdTable,
+        b: &IdTable,
+        kind: JoinKind,
+        merge_key: Option<&'static str>,
+    ) -> (IdTable, u64, u64) {
         let ds = Dataset::new();
-        Evaluator::new(&ds, Vec::new())
-            .join(a, b, kind, None)
-            .unwrap()
+        let pairs = nested_loop_pairs(a, b, kind);
+        let out_vars = JoinShape::new(&a.vars, &b.vars).out_vars;
+        let expected = assemble_join(a, b, out_vars, &pairs);
+        let mut counters = Vec::new();
+        for batch in BATCHES {
+            let mut ev = Evaluator::new(&ds, Vec::new());
+            let mut op = JoinOp::new(source(a), source(b), kind, merge_key);
+            assert_eq!(drain(&mut op, &mut ev, batch), expected, "batch {batch}");
+            counters.push((ev.join_candidates, ev.merge_joins + ev.merge_left_joins));
+        }
+        assert!(counters.iter().all(|c| *c == counters[0]), "{counters:?}");
+        (expected, counters[0].0, counters[0].1)
+    }
+
+    fn hash_join(a: IdTable, b: IdTable, kind: JoinKind) -> IdTable {
+        join_op(&a, &b, kind, None).0
     }
 
     fn rows_of(t: &IdTable) -> Vec<Vec<Option<TermId>>> {
@@ -2205,10 +993,14 @@ mod tests {
     fn union_aligns_schemas() {
         let a = tbl(&["x", "y"], vec![vec![i(1), i(2)]]);
         let b = tbl(&["y", "z"], vec![vec![i(5), i(6)]]);
-        let u = union(a, b);
-        assert_eq!(u.vars, vec!["x", "y", "z"]);
-        assert_eq!(rows_of(&u)[0], vec![i(1), i(2), None]);
-        assert_eq!(rows_of(&u)[1], vec![None, i(5), i(6)]);
+        let ds = Dataset::new();
+        for batch in BATCHES {
+            let mut ev = Evaluator::new(&ds, Vec::new());
+            let u = drain(&mut UnionOp::new(source(&a), source(&b)), &mut ev, batch);
+            assert_eq!(u.vars, vec!["x", "y", "z"]);
+            assert_eq!(rows_of(&u)[0], vec![i(1), i(2), None]);
+            assert_eq!(rows_of(&u)[1], vec![None, i(5), i(6)]);
+        }
     }
 
     #[test]
@@ -2244,17 +1036,35 @@ mod tests {
                 vec![i(4), i(9), i(102)], // joins the unbound-?g left row
             ],
         );
-        let via_hash = hash_join(left.clone(), right.clone(), JoinKind::Left);
-        let ds = Dataset::new();
-        let mut ev = Evaluator::new(&ds, Vec::new());
-        let via_merge = ev.join(left, right, JoinKind::Left, Some((0, 0))).unwrap();
+        let (via_hash, hash_tested, hash_merges) = join_op(&left, &right, JoinKind::Left, None);
+        let (via_merge, merge_tested, merges) = join_op(&left, &right, JoinKind::Left, Some("x"));
         // The merge run tests every same-?x row; the hash index keys the
         // (x, g) rows on both and tested one pair fewer.
-        assert_eq!(ev.join_candidates(), 3);
+        assert_eq!((merge_tested, merges), (3, 1));
+        assert_eq!((hash_tested, hash_merges), (2, 0));
         assert_eq!(rows_of(&via_hash), rows_of(&via_merge));
         assert_eq!(via_hash.vars, via_merge.vars);
         // Row 2 (x=2) must appear unmatched, in place.
         assert_eq!(rows_of(&via_merge)[1], vec![i(2), i(7), None]);
+        // A left side out of key order refutes the claim: same rows as the
+        // hash join, and no merge join counted.
+        let unsorted = left.gather_rows(&[2, 0, 1]);
+        assert_eq!(join_op(&unsorted, &right, JoinKind::Left, Some("x")).2, 0);
+    }
+
+    /// `DistinctOp` over `t` under the claim "sorted on `order`": the output
+    /// (which must not depend on the pull size) and whether the claim held.
+    fn sorted_distinct(t: &IdTable, order: &[String]) -> (Vec<Vec<Option<TermId>>>, bool) {
+        let ds = Dataset::new();
+        let mut outcomes = Vec::new();
+        for batch in BATCHES {
+            let mut ev = Evaluator::new(&ds, Vec::new());
+            let mut op = DistinctOp::new(source(t), Some(order));
+            let out = drain(&mut op, &mut ev, batch);
+            outcomes.push((rows_of(&out), ev.sorted_distincts == 1));
+        }
+        assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{outcomes:?}");
+        outcomes.swap_remove(0)
     }
 
     #[test]
@@ -2271,61 +1081,117 @@ mod tests {
                 vec![i(2), i(3)],
             ],
         );
-        assert_eq!(
-            sorted_distinct_mask(&t, &order),
-            Some(vec![true, false, true, true, false])
+        let kept = vec![vec![i(1), i(5)], vec![i(1), i(6)], vec![i(2), i(3)]];
+        assert_eq!(sorted_distinct(&t, &order), (kept.clone(), true));
+        // Out of order from the fourth row on — after run detection has
+        // already let rows through: the claim is refuted, and the hash set
+        // that takes over knows those rows (exact keep-first bag).
+        let late = tbl(
+            &["a", "b"],
+            vec![
+                vec![i(1), i(5)],
+                vec![i(1), i(6)],
+                vec![i(2), i(3)],
+                vec![i(1), i(6)],
+                vec![i(0), i(9)],
+                vec![i(2), i(3)],
+                vec![i(0), i(9)],
+            ],
         );
-        // Out-of-order rows: the claim is rejected (hash fallback).
-        let unsorted = tbl(&["a", "b"], vec![vec![i(2), i(1)], vec![i(1), i(1)]]);
-        assert_eq!(sorted_distinct_mask(&unsorted, &order), None);
-        // A column the order does not cover: rejected.
-        let extra = tbl(&["a", "c"], vec![vec![i(1), i(1)]]);
-        assert_eq!(sorted_distinct_mask(&extra, &order), None);
-        // An unbound slot in an order column: rejected.
-        let unbound = tbl(&["a", "b"], vec![vec![i(1), None]]);
-        assert_eq!(sorted_distinct_mask(&unbound, &order), None);
+        let mut late_kept = kept.clone();
+        late_kept.push(vec![i(0), i(9)]);
+        assert_eq!(sorted_distinct(&late, &order), (late_kept, false));
+        // A column the order does not cover: never claimed.
+        let extra = tbl(&["a", "c"], vec![vec![i(1), i(1)], vec![i(1), i(2)]]);
+        assert_eq!(sorted_distinct(&extra, &order), (rows_of(&extra), false));
+        // An unbound slot in an order column: refuted.
+        let unbound = tbl(&["a", "b"], vec![vec![i(1), None], vec![i(1), None]]);
+        assert_eq!(
+            sorted_distinct(&unbound, &order),
+            (vec![vec![i(1), None]], false)
+        );
         // Empty input is trivially sorted.
         let empty = tbl(&["a", "b"], vec![]);
-        assert_eq!(sorted_distinct_mask(&empty, &order), Some(vec![]));
+        assert_eq!(sorted_distinct(&empty, &order), (vec![], true));
     }
 
     #[test]
     fn numeric_accum_matches_agg_state() {
-        use crate::ast::AggOp;
-        use rdf_model::Interner;
-
         // SUM/AVG/MIN/MAX over mixed int/double values, with and without
-        // DISTINCT, must agree with the term-based AggState.
-        let mut interner = Interner::new();
-        let values = [
+        // DISTINCT, must agree with the term-based AggState — also when the
+        // column stops being numeric at the first, a middle or the last row
+        // of a group (which is then demoted, alone, mid-stream), grouped and
+        // ungrouped, whatever the pull size.
+        let numbers = [
             Term::integer(5),
             Term::integer(5),
             Term::Literal(Literal::double(2.5)),
             Term::integer(-3),
             Term::Literal(Literal::double(5.0)),
         ];
-        let ids: Vec<TermId> = values.iter().map(|t| interner.intern(t.clone())).collect();
-        for op in [AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max] {
-            for distinct in [false, true] {
-                let mut pool = TermPool::new(&interner);
-                let mut fast = NumericAccum::new(distinct);
-                let mut slow = AggState::new(op, distinct);
-                for (t, &id) in values.iter().zip(&ids) {
-                    let v = match t {
-                        Term::Literal(l) => match l.parsed {
-                            TypedValue::Integer(x) => NumVal::I(x),
-                            TypedValue::Double(d) => NumVal::D(d),
-                            _ => unreachable!(),
-                        },
-                        _ => unreachable!(),
-                    };
-                    fast.push(id, v);
-                    slow.push(Some(t.clone()));
+        let intruders = [
+            Some(Term::iri("http://x/not-a-number")),
+            Some(Term::string("abc")),
+            Some(Term::Literal(Literal::double(f64::NAN))),
+            None, // unbound: contributes nothing, demotes nothing
+        ];
+        let ops = [AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max];
+        let aggs: Vec<AggSpec> = ops
+            .iter()
+            .flat_map(|&op| [false, true].map(|distinct| (op, distinct)))
+            .map(|(op, distinct)| AggSpec {
+                op,
+                distinct,
+                expr: Some(Expr::Var("v".into())),
+                output: format!("{op:?}{distinct}"),
+            })
+            .collect();
+        let keys = ["g".to_string()];
+        let ds = Dataset::new();
+
+        let mut cases: Vec<Vec<Option<Term>>> = vec![numbers.iter().cloned().map(Some).collect()];
+        for intruder in &intruders {
+            for at in [0, 2, numbers.len()] {
+                let mut column = cases[0].clone();
+                column.insert(at, intruder.clone());
+                cases.push(column);
+            }
+        }
+        for column in &cases {
+            // Group 1 gets `column`, group 2 the plain numbers, interleaved.
+            let mut rows: Vec<(u32, Option<Term>)> = Vec::new();
+            for (k, v) in column.iter().enumerate() {
+                rows.push((1, v.clone()));
+                rows.extend(numbers.get(k).map(|n| (2, Some(n.clone()))));
+            }
+            for keys in [&keys[..], &[]] {
+                for batch in BATCHES {
+                    let mut ev = Evaluator::new(&ds, Vec::new());
+                    let mut input = IdTable::with_vars(vec!["g".into(), "v".into()]);
+                    for (g, v) in &rows {
+                        let v = v.clone().map(|t| ev.pool.intern(t));
+                        input.push_row(&[i(*g), v]);
+                    }
+                    let mut op = GroupOp::new(source(&input), keys, &aggs, &[]);
+                    let out = drain(&mut op, &mut ev, batch);
+                    let groups: &[u32] = if keys.is_empty() { &[0] } else { &[1, 2] };
+                    assert_eq!(out.len(), groups.len());
+                    for (r, g) in groups.iter().enumerate() {
+                        for (a, spec) in aggs.iter().enumerate() {
+                            let mut slow = AggState::new(spec.op, spec.distinct);
+                            for (_, v) in rows.iter().filter(|(rg, _)| *g == 0 || rg == g) {
+                                slow.push(v.clone());
+                            }
+                            let fast = out.get(r, keys.len() + a);
+                            assert_eq!(
+                                fast.map(|id| ev.pool.resolve(id).clone()),
+                                slow.finish(),
+                                "{} of {column:?}, group {g}, batch {batch}",
+                                spec.output
+                            );
+                        }
+                    }
                 }
-                let fast_term = fast
-                    .finish(op, &mut pool)
-                    .map(|id| pool.resolve(id).clone());
-                assert_eq!(fast_term, slow.finish(), "{op:?} distinct={distinct}");
             }
         }
     }

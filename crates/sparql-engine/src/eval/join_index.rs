@@ -1,6 +1,6 @@
 //! Presence-aware hash-join index, and the one probe loop behind every join
-//! of the materializing evaluator ([`super::Evaluator::join`])
-//! and of the streaming [`super::pipeline`] join operator alike.
+//! the [`super::pipeline`] join operator runs — by hash or by merge, one
+//! window of output at a time or its whole input at once.
 //!
 //! SPARQL joins on *compatibility*: a shared variable constrains a pair only
 //! when both rows bind it. So the hash key of a pair is not a property of the
@@ -26,7 +26,7 @@ use rdf_model::hash::FxHasher;
 use rdf_model::TermId;
 
 use super::{JoinKind, JoinShape, NO_MATCH};
-use crate::budget::OpMeter;
+use crate::budget::BudgetMeter;
 use crate::error::Result;
 use crate::results::IdTable;
 
@@ -292,12 +292,12 @@ impl Sides<'_> {
     /// budget between left rows (overshoot bounded by one left row's
     /// candidates). Returns the next unprobed left row and the number of
     /// candidates tested.
-    pub(super) fn probe<M: OpMeter>(
+    pub(super) fn probe(
         &self,
         rows: Range<usize>,
         target: usize,
         pairs: &mut Vec<(u32, u32)>,
-        meter: &mut M,
+        meter: &mut BudgetMeter,
         mut candidates: impl FnMut(usize, &mut Vec<u32>),
     ) -> Result<(usize, u64)> {
         let (shape, left, right) = (self.shape, self.left, self.right);
@@ -329,7 +329,6 @@ pub(super) mod tests {
     use proptest::prelude::*;
 
     use super::*;
-    use crate::budget::BudgetMeter;
 
     /// One join input: the first `shared` cells of each row become the
     /// columns `s0..` (named alike on both sides; cell 0 = unbound, `v` =

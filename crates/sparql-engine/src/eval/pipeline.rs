@@ -1,29 +1,32 @@
-//! Pull-based streaming operator pipeline over the columnar evaluator.
+//! The executor: a pull-based operator pipeline over the columnar kernels.
 //!
-//! Each plan node becomes an [`Operator`] that produces its output batch
+//! Each plan node becomes an [`Operator`] that produces its output a batch
 //! at a time by pulling batches from its inputs, holding only per-operator
-//! staging state between calls. The contract with the materializing path
-//! ([`Evaluator::eval_to_ids`]) is strict: the concatenation of all emitted
-//! batches is byte-identical to the materialized table for every batch
-//! size, `rows_scanned` and `shared_scans` totals match exactly (fully
-//! drained plans; a subplan that occurs more than once runs once on both
-//! paths, behind a [`Spool`] here), and order-aware rewrite counters
-//! (`merge_joins`, `sorted_distincts`, `sorted_groups`) reach the same
-//! values because every sortedness claim is re-verified incrementally
-//! (batch-local checks plus run boundaries).
+//! staging state between calls. How much a pull asks for is the caller's
+//! choice and changes nothing but *when* work happens: `Engine::execute*`
+//! drains the root with one unbounded pull — every operator then makes
+//! exactly one pass over its whole input, BGP levels breadth-first, one
+//! probe batch per join, one table per breaker — while a cursor pulls
+//! `batch_rows` at a time and a page pulls its `limit`. The concatenation of
+//! the emitted batches is byte-identical for every pull size, and so are the
+//! work counters of a fully drained plan: `rows_scanned` and `shared_scans`
+//! (a subplan that occurs more than once runs once, behind a [`Spool`]),
+//! `join_candidates`, and the rewrite counters (`merge_joins`,
+//! `sorted_distincts`, `sorted_groups`), because every sortedness claim is
+//! verified incrementally (batch-local checks plus run boundaries).
 //!
 //! Streaming operators (BGP extension, join probe, filter/extend/project,
-//! slice) keep live state bounded by the batch size; pipeline breakers
-//! (sort, top-k, group, distinct, the join build side, union's nothing —
-//! union streams too) materialize only their own input or their own
-//! accumulation state and charge it against the budget as it grows, so
-//! `max_intermediate_rows`/`max_memory_bytes` bound *peak live state* per
-//! operator rather than whole-query materialization.
+//! union, slice) keep live state bounded by the pull size; pipeline breakers
+//! (sort, top-k, group, distinct, the join build side) hold only their own
+//! input or their own accumulation state and charge it against the budget
+//! as it grows, so `max_intermediate_rows`/`max_memory_bytes` bound *peak
+//! live state* per operator — which under an unbounded pull is the whole
+//! intermediate result.
 //!
-//! The one deliberate divergence: [`SliceOp`] stops pulling upstream once
-//! its limit is satisfied, so `LIMIT` queries legitimately scan *fewer*
-//! index entries than the materializing path (the early-exit carve-out in
-//! the differential oracle).
+//! The one pull-size-dependent count: [`SliceOp`] stops pulling upstream
+//! once its limit is satisfied, so a `LIMIT` — or a page, which is a slice
+//! on the root ([`paged`]) — scans *fewer* index entries the smaller the
+//! pulls are (the early-exit carve-out in the differential oracle).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -57,8 +60,8 @@ pub(crate) type BoxOp<'e> = Box<dyn Operator<'e> + 'e>;
 
 /// Build the operator pipeline for a plan.
 ///
-/// Graph resolution happens eagerly here (same [`EngineError::UnknownGraph`]
-/// timing as the materializing path, which resolves before any scan).
+/// Graph resolution happens eagerly here, so [`EngineError::UnknownGraph`]
+/// surfaces before any scan.
 ///
 /// The plan's sharing classes ([`share`]) each become one source operator
 /// behind a [`Spool`] with a [`SpoolReader`] per occurrence; a plan without a
@@ -68,6 +71,13 @@ pub(crate) fn build<'e>(ev: &Evaluator<'e>, plan: &'e Plan) -> Result<BoxOp<'e>>
     let spools = (0..shared.len()).map(|_| None).collect();
     let mut builder = Builder { ev, shared, spools };
     builder.node(plan)
+}
+
+/// Restrict a pipeline to rows `[offset, offset + limit)` of its output: the
+/// page of a paginating endpoint is a [`SliceOp`] on the root, early exit
+/// included.
+pub(crate) fn paged<'e>(input: BoxOp<'e>, offset: usize, limit: usize) -> BoxOp<'e> {
+    Box::new(SliceOp::new(input, offset, Some(limit)))
 }
 
 struct Builder<'a, 'e> {
@@ -159,14 +169,7 @@ impl<'e> Builder<'_, 'e> {
                 limit,
                 offset,
                 input,
-            } => Box::new(SliceOp {
-                input: self.node(input)?,
-                offset: *offset,
-                limit: *limit,
-                skipped: 0,
-                emitted: 0,
-                done: false,
-            }),
+            } => Box::new(SliceOp::new(self.node(input)?, *offset, *limit)),
         })
     }
 }
@@ -340,7 +343,7 @@ fn take_window(staged: &mut Option<Staged>, n: usize) -> Option<IdTable> {
         *staged = None;
         t
     } else {
-        let end = (s.off + n).min(len);
+        let end = s.off.saturating_add(n).min(len);
         let idx: Vec<u32> = (s.off as u32..end as u32).collect();
         let w = s.table.gather_rows(&idx);
         s.off = end;
@@ -365,38 +368,6 @@ fn staged_live(staged: &Option<Staged>) -> (u64, u64) {
 
 fn add2(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
     (a.0.saturating_add(b.0), a.1.saturating_add(b.1))
-}
-
-/// Incremental sortedness check for one batch against `cols`, carrying the
-/// previous batch's last key row in `prev` so run boundaries that cross
-/// batch edges are verified too. Returns `false` (claim refuted) on any
-/// unbound key cell, in-batch inversion, or boundary inversion; on success
-/// updates `prev` to this batch's last key row.
-fn batch_sorted_on(t: &IdTable, cols: &[usize], prev: &mut Option<Vec<TermId>>) -> bool {
-    if t.is_empty() {
-        return true;
-    }
-    for &c in cols {
-        if !t.col(c).all_present() {
-            return false;
-        }
-    }
-    if let Some(p) = prev.as_ref() {
-        for (k, &c) in cols.iter().enumerate() {
-            match p[k].cmp(&t.col(c).ids()[0]) {
-                Ordering::Less => break,
-                Ordering::Equal => continue,
-                Ordering::Greater => return false,
-            }
-        }
-    }
-    for i in 1..t.len() {
-        if lex_cmp_prev(t, cols, i) == Ordering::Greater {
-            return false;
-        }
-    }
-    *prev = Some(cols.iter().map(|&c| t.col(c).ids()[t.len() - 1]).collect());
-    true
 }
 
 // ---------------------------------------------------------------------------
@@ -469,11 +440,12 @@ struct Level<'e> {
     upstream_done: bool,
 }
 
-/// Streaming BGP: a cascade of [`Level`]s, one per pattern, each extending
-/// input batches depth-first. Both this and the materializing
-/// breadth-first pass emit rows in lexicographic per-level match-index
-/// order and fully drain every input row's scans, so the concatenated
-/// output and the scan totals are identical at any batch size.
+/// BGP: a cascade of [`Level`]s, one per pattern, each extending input
+/// batches depth-first — which an unbounded pull turns into one
+/// breadth-first pass per level. Either way rows come out in lexicographic
+/// per-level match-index order and every input row's scans are fully
+/// drained, so the concatenated output and the scan totals are identical at
+/// any batch size.
 struct BgpOp<'e> {
     vars: Vec<String>,
     graphs: Vec<(Arc<Graph>, Arc<GraphIdMap>)>,
@@ -491,7 +463,7 @@ impl<'e> BgpOp<'e> {
     ) -> Result<Self> {
         let graphs = ev.resolve_graphs(graph)?;
 
-        // Variable schema in first-mention order (same as `eval_bgp`).
+        // Variable schema in first-mention order.
         let mut vars: Vec<String> = Vec::new();
         for p in patterns {
             for v in p.variables() {
@@ -607,8 +579,7 @@ impl<'e> BgpOp<'e> {
 
     /// Extend pending input rows of level `k`, either through the parallel
     /// block fan-out (fresh block of rows, no partial state — delegates to
-    /// [`Evaluator::extend_rows`], the same entry point the materializing
-    /// path uses) or the sequential resumable loop.
+    /// [`Evaluator::extend_rows`]) or the sequential resumable loop.
     fn extend_level(&mut self, ev: &mut Evaluator<'e>, k: usize, target: usize) -> Result<()> {
         let par_block = {
             let lvl = &self.levels[k];
@@ -648,8 +619,9 @@ impl<'e> BgpOp<'e> {
         extend_level_seq(graphs, lvl, ev, target)
     }
 
-    /// Assemble the level's match buffers into a staged output table
-    /// (identical column assembly to `eval_bgp`'s per-pattern step).
+    /// Assemble the level's match buffers into a staged output table:
+    /// carried columns gather contiguously, new columns take the value
+    /// vectors verbatim.
     fn flush_level(&mut self, ev: &mut Evaluator<'e>, k: usize) -> Result<()> {
         let BgpOp { vars, levels, .. } = self;
         let lvl = &mut levels[k];
@@ -728,7 +700,7 @@ impl<'e> Operator<'e> for BgpOp<'e> {
     fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
         let target = batch_rows.max(1);
         if self.levels.is_empty() {
-            // No patterns: the identity (matches `eval_bgp` on `[]`).
+            // No patterns: the identity.
             if self.identity_emitted {
                 return Ok(None);
             }
@@ -887,22 +859,27 @@ struct Probing {
     emitted: usize,
 }
 
-/// Streaming join (inner or left): the right input is materialized as the
-/// build side (charged against the budget as it accumulates — joins are
-/// half pipeline-breaker), the left streams through as the probe side.
+/// Join (inner or left) with SPARQL compatibility semantics: the right
+/// input is materialized as the build side (charged against the budget as
+/// it accumulates — joins are half pipeline-breaker), the left streams
+/// through as the probe side. Output columns are gathered over the pair
+/// list — shared columns take the left value when present and fall back to
+/// the right side's.
 ///
-/// Both probe strategies — a merge run, or the [`JoinIndex`] shared with
-/// the materializing [`join`] — emit the identical pair list (per left row
-/// in input order, compatible right rows in ascending right-index order, an
-/// unmatched marker for left joins), so the per-batch strategy choice and
-/// any mid-stream merge→hash demotion are invisible downstream.
+/// Both probe strategies — a merge run over inputs the optimizer proved
+/// sorted on the key (verified here, batch by batch), or the [`JoinIndex`] —
+/// go through the one probe loop ([`Sides::probe`]) and emit the identical
+/// pair list (per left row in input order, compatible right rows in
+/// ascending right-index order, an unmatched marker for left joins), so the
+/// per-batch strategy choice and any mid-stream merge→hash demotion are
+/// invisible downstream, differential oracle included.
 ///
 /// Probe-side state stays O(batch) whatever the fan-out: a left batch is
 /// matched only as far as the next output window needs (plus the rest of
 /// the left row that filled it), and each window is assembled on its own
 /// pull. Windows are cut exactly where assembling the whole batch at once
 /// would cut them — full `batch_rows` windows, then the batch's remainder.
-struct JoinOp<'e> {
+pub(super) struct JoinOp<'e> {
     left: BoxOp<'e>,
     right: BoxOp<'e>,
     kind: JoinKind,
@@ -921,7 +898,12 @@ struct JoinOp<'e> {
 }
 
 impl<'e> JoinOp<'e> {
-    fn new(left: BoxOp<'e>, right: BoxOp<'e>, kind: JoinKind, merge_key: Option<&'e str>) -> Self {
+    pub(super) fn new(
+        left: BoxOp<'e>,
+        right: BoxOp<'e>,
+        kind: JoinKind,
+        merge_key: Option<&'e str>,
+    ) -> Self {
         let shape = JoinShape::new(left.vars(), right.vars());
         JoinOp {
             left,
@@ -939,7 +921,7 @@ impl<'e> JoinOp<'e> {
 
     /// Drain and materialize the build (right) side, then check the
     /// merge-join claim's right half (key column fully bound and
-    /// non-decreasing — the same check `join_sorted` runs).
+    /// non-decreasing — one linear pass, far cheaper than a hash build).
     fn build_side(&mut self, ev: &mut Evaluator<'e>, target: usize) -> Result<()> {
         let mut acc = IdTable::with_vars(self.right.vars().to_vec());
         while let Some(b) = self.right.next_batch(ev, target)? {
@@ -1033,7 +1015,7 @@ impl<'e> Operator<'e> for JoinOp<'e> {
                     ev.join_candidates += tested;
                 }
                 if p.emitted < p.pairs.len() {
-                    let end = (p.emitted + target).min(p.pairs.len());
+                    let end = p.emitted.saturating_add(target).min(p.pairs.len());
                     let window = &p.pairs[p.emitted..end];
                     p.emitted = end;
                     let out = assemble_join(&p.batch, right, self.shape.out_vars.clone(), window);
@@ -1055,8 +1037,8 @@ impl<'e> Operator<'e> for JoinOp<'e> {
                 None => {
                     self.done = true;
                     // The rewrite counter records a merge join that held its
-                    // claim over the *entire* left input — exactly when the
-                    // materializing `join_sorted` would have taken it.
+                    // claim over the *entire* left input, whatever the pull
+                    // size cut it into.
                     if self.merge_key.is_some() && self.merge.is_some() {
                         match self.kind {
                             JoinKind::Inner => ev.merge_joins += 1,
@@ -1091,8 +1073,8 @@ impl<'e> Operator<'e> for JoinOp<'e> {
 // ---------------------------------------------------------------------------
 
 /// Bag union: stream the left input, then the right, aligning each batch
-/// to the combined schema (same column-at-a-time alignment as [`union`]).
-struct UnionOp<'e> {
+/// to the combined schema column by column.
+pub(super) struct UnionOp<'e> {
     left: BoxOp<'e>,
     right: BoxOp<'e>,
     vars: Vec<String>,
@@ -1100,7 +1082,7 @@ struct UnionOp<'e> {
 }
 
 impl<'e> UnionOp<'e> {
-    fn new(left: BoxOp<'e>, right: BoxOp<'e>) -> Self {
+    pub(super) fn new(left: BoxOp<'e>, right: BoxOp<'e>) -> Self {
         let mut vars = left.vars().to_vec();
         for v in right.vars() {
             if !vars.contains(v) {
@@ -1262,64 +1244,131 @@ impl<'e> Operator<'e> for ProjectOp<'e> {
 // Grouping
 // ---------------------------------------------------------------------------
 
-/// A sortedness claim tracked incrementally across batches: refuted once,
-/// refuted forever. Controls only the rewrite *counters* (`sorted_groups`,
-/// `sorted_distincts`) — the streaming operators always use hash state, so
-/// a refuted claim changes no output (hash and run-detection strategies
-/// are pinned to emit identical first-occurrence bags).
+/// A sortedness claim tracked incrementally across batches. Every claim is
+/// re-verified here, never trusted: the claimed columns must be fully bound
+/// and the rows lexicographically non-decreasing on them, across batch edges
+/// too (`prev` carries the last row's key over). Its owner drops it the
+/// moment a batch refutes it.
 struct SortedClaim {
     cols: Vec<usize>,
     prev: Option<Vec<TermId>>,
-    valid: bool,
 }
 
 impl SortedClaim {
-    fn check(&mut self, batch: &IdTable) {
-        if self.valid && !batch_sorted_on(batch, &self.cols, &mut self.prev) {
-            self.valid = false;
+    /// A claim on `order`, or `None` when it names a variable that is not a
+    /// column of `schema`.
+    fn new(order: &[String], schema: &[String]) -> Option<Self> {
+        let cols: Option<Vec<usize>> = order
+            .iter()
+            .map(|v| schema.iter().position(|c| c == v))
+            .collect();
+        Some(SortedClaim {
+            cols: cols?,
+            prev: None,
+        })
+    }
+
+    /// Verify the next batch, telling `run_start` for each of its rows
+    /// whether it begins a new run (differs from the row before it on the
+    /// claimed columns) — one fused pass, the whole of run-detection
+    /// DISTINCT. Returns whether the claim still holds; a batch that refutes
+    /// it has reported some prefix of its rows.
+    fn check(&mut self, batch: &IdTable, mut run_start: impl FnMut(bool)) -> bool {
+        let cols = &self.cols;
+        if batch.is_empty() {
+            return true;
         }
+        if !cols.iter().all(|&c| batch.col(c).all_present()) {
+            return false;
+        }
+        for i in 0..batch.len() {
+            let ord = match (i, &self.prev) {
+                (0, None) => Ordering::Less,
+                (0, Some(prev)) => {
+                    let first = cols.iter().map(|&c| batch.col(c).ids()[0]);
+                    prev.iter().copied().cmp(first)
+                }
+                _ => lex_cmp_prev(batch, cols, i),
+            };
+            if ord == Ordering::Greater {
+                return false;
+            }
+            run_start(ord == Ordering::Less);
+        }
+        let last = batch.len() - 1;
+        self.prev = Some(cols.iter().map(|&c| batch.col(c).ids()[last]).collect());
+        true
     }
 }
 
-/// Per-aggregate streaming plan. Mirrors `eval_group`'s id-native plans
-/// except `SUM/AVG/MIN/MAX` over a column, which needs a whole-input
-/// numeric precheck the streaming operator cannot run — those degrade to
-/// the general term path, whose results are pinned identical to the
-/// numeric accumulator by `numeric_accum_matches_agg_state`.
-enum StreamAggPlan<'e> {
+/// Per-aggregate plan, id-native where the shape allows:
+///
+/// - `COUNT[ DISTINCT](?v)` counts ids straight off the column.
+/// - `SUM/AVG/MIN/MAX(?v)` accumulates parsed `i64`/`f64` per group without
+///   materializing a term per row, until a group meets a bound value that is
+///   not a (non-NaN) numeric literal — that group alone is handed over to
+///   the general term path ([`NumericAccum::demote`]).
+/// - `SAMPLE(?v)` takes the first bound id.
+/// - Everything else evaluates the expression per row (the materialization
+///   boundary for aggregates); DISTINCT dedups on pool ids.
+enum AggPlan<'e> {
     Star,
     CountCol { idx: usize, distinct: bool },
+    NumericCol { idx: usize },
     SampleCol { idx: usize },
     General(&'e Expr),
 }
 
-enum StreamAccum {
+enum Accum {
     Terms(Box<AggState>),
     CountIds {
         seen: Option<HashSet<TermId>>,
         count: usize,
     },
+    Numeric(NumericAccum),
     First(Option<TermId>),
 }
 
-enum StreamGroupIndex {
+impl Accum {
+    /// Feed one bound value of a [`AggPlan::NumericCol`] aggregate: into the
+    /// numeric accumulator while this group's values are numbers, into the
+    /// [`AggState`] it was demoted to from the first one that is not.
+    fn push_col(&mut self, id: TermId, op: AggOp, pool: &mut TermPool) {
+        if let Accum::Numeric(acc) = self {
+            if acc.push(id, pool.resolve(id)) {
+                return;
+            }
+            let acc = std::mem::replace(acc, NumericAccum::new(false));
+            *self = Accum::Terms(Box::new(acc.demote(op, pool)));
+        }
+        let Accum::Terms(state) = self else {
+            unreachable!("a NumericCol accumulator is Numeric or Terms")
+        };
+        state.push_pooled(Some(pool.resolve(id).clone()), pool);
+    }
+}
+
+enum GroupIndex {
     One(HashMap<u64, usize>),
     Many(HashMap<Vec<u64>, usize>),
 }
 
-/// Streaming GROUP BY: a pipeline breaker whose live state is the group
-/// table, not the input — rows accumulate into per-group accumulators
-/// batch by batch and the output is emitted only at input exhaustion, in
-/// first-occurrence order (the order every materializing strategy emits).
-struct GroupOp<'e> {
+/// GROUP BY: a pipeline breaker whose live state is the group table, not
+/// the input — rows accumulate into per-group accumulators batch by batch
+/// and the output is emitted only at input exhaustion, in first-occurrence
+/// order. The group index hashes `u64`-encoded cells (bijective), never
+/// terms; the common single-key case hashes one `u64` with no per-row
+/// allocation. A `sorted_on` claim is verified only to count it
+/// (`sorted_groups`): run detection measured no faster than the hash index.
+pub(super) struct GroupOp<'e> {
     input: BoxOp<'e>,
     keys: &'e [String],
     aggs: &'e [AggSpec],
     vars: Vec<String>,
     key_indices: Vec<Option<usize>>,
-    plans: Vec<StreamAggPlan<'e>>,
-    index: StreamGroupIndex,
-    groups: Vec<(Vec<Option<TermId>>, Vec<StreamAccum>)>,
+    plans: Vec<AggPlan<'e>>,
+    index: GroupIndex,
+    groups: Vec<(Vec<Option<TermId>>, Vec<Accum>)>,
     claim: Option<SortedClaim>,
     group_bytes: u64,
     staged: Option<Staged>,
@@ -1327,7 +1376,7 @@ struct GroupOp<'e> {
 }
 
 impl<'e> GroupOp<'e> {
-    fn new(
+    pub(super) fn new(
         input: BoxOp<'e>,
         keys: &'e [String],
         aggs: &'e [AggSpec],
@@ -1338,39 +1387,41 @@ impl<'e> GroupOp<'e> {
             .iter()
             .map(|k| child.iter().position(|v| v == k))
             .collect();
-        let plans: Vec<StreamAggPlan<'e>> = aggs
+        let plans: Vec<AggPlan<'e>> = aggs
             .iter()
             .map(|spec| match &spec.expr {
-                None => StreamAggPlan::Star,
+                None => AggPlan::Star,
                 Some(Expr::Var(v)) => match child.iter().position(|c| c == v) {
                     Some(idx) => match spec.op {
-                        AggOp::Count => StreamAggPlan::CountCol {
+                        AggOp::Count => AggPlan::CountCol {
                             idx,
                             distinct: spec.distinct,
                         },
-                        AggOp::Sample => StreamAggPlan::SampleCol { idx },
+                        AggOp::Sample => AggPlan::SampleCol { idx },
                         AggOp::Sum | AggOp::Avg | AggOp::Min | AggOp::Max => {
-                            StreamAggPlan::General(spec.expr.as_ref().unwrap())
+                            AggPlan::NumericCol { idx }
                         }
                     },
-                    None => StreamAggPlan::General(spec.expr.as_ref().unwrap()),
+                    // Variable absent from the input: the general path
+                    // produces the op's empty/unbound result.
+                    None => AggPlan::General(spec.expr.as_ref().unwrap()),
                 },
-                Some(e) => StreamAggPlan::General(e),
+                Some(e) => AggPlan::General(e),
             })
             .collect();
 
         let mut index = if key_indices.len() == 1 {
-            StreamGroupIndex::One(HashMap::new())
+            GroupIndex::One(HashMap::new())
         } else {
-            StreamGroupIndex::Many(HashMap::new())
+            GroupIndex::Many(HashMap::new())
         };
-        let mut groups: Vec<(Vec<Option<TermId>>, Vec<StreamAccum>)> = Vec::new();
+        let mut groups: Vec<(Vec<Option<TermId>>, Vec<Accum>)> = Vec::new();
         if keys.is_empty() {
             // Implicit single group (aggregation without GROUP BY).
-            if let StreamGroupIndex::Many(m) = &mut index {
+            if let GroupIndex::Many(m) = &mut index {
                 m.insert(Vec::new(), 0);
             }
-            groups.push((Vec::new(), fresh_stream_accums(aggs, &plans)));
+            groups.push((Vec::new(), fresh_accums(aggs, &plans)));
         }
 
         // Static half of the `sorted_on` claim (the batch-local half runs
@@ -1379,22 +1430,15 @@ impl<'e> GroupOp<'e> {
         let eligible = !sorted_on.is_empty()
             && keys.iter().all(|k| sorted_on.contains(k))
             && sorted_on.iter().all(|v| keys.contains(v));
-        let claim = if eligible {
-            sorted_on
-                .iter()
-                .map(|v| child.iter().position(|c| c == v))
-                .collect::<Option<Vec<_>>>()
-                .map(|cols| SortedClaim {
-                    cols,
-                    prev: None,
-                    valid: true,
-                })
-        } else {
-            None
-        };
+        let claim = eligible
+            .then(|| SortedClaim::new(sorted_on, child))
+            .flatten();
 
         let mut vars: Vec<String> = keys.to_vec();
         vars.extend(aggs.iter().map(|a| a.output.clone()));
+        // Rough per-group footprint (key ids + accumulator state) for the
+        // memory axis: grouping state is the one allocation that grows
+        // without a corresponding operator output until the input ends.
         let group_bytes =
             (keys.len() as u64).saturating_mul(16) + (aggs.len() as u64).saturating_mul(64);
         GroupOp {
@@ -1413,11 +1457,10 @@ impl<'e> GroupOp<'e> {
         }
     }
 
-    /// Fold one input batch into the group table (the identical per-row
-    /// body as `eval_group`'s sequential loop, hash strategies only).
+    /// Fold one input batch into the group table.
     fn accumulate(&mut self, ev: &mut Evaluator<'e>, batch: &IdTable) -> Result<()> {
-        if let Some(claim) = &mut self.claim {
-            claim.check(batch);
+        if self.claim.as_mut().is_some_and(|c| !c.check(batch, |_| {})) {
+            self.claim = None;
         }
         let GroupOp {
             aggs,
@@ -1434,7 +1477,7 @@ impl<'e> GroupOp<'e> {
                 (groups.len() as u64).saturating_mul(*group_bytes),
             )?;
             let existing: Option<usize> = match index {
-                StreamGroupIndex::One(m) => {
+                GroupIndex::One(m) => {
                     let enc = match key_indices[0] {
                         Some(c) => batch.col(c).hash_code(i),
                         None => 0,
@@ -1447,7 +1490,7 @@ impl<'e> GroupOp<'e> {
                         Some(*slot)
                     }
                 }
-                StreamGroupIndex::Many(m) => {
+                GroupIndex::Many(m) => {
                     let key_enc: Vec<u64> = key_indices
                         .iter()
                         .map(|ki| match ki {
@@ -1472,14 +1515,14 @@ impl<'e> GroupOp<'e> {
                         .iter()
                         .map(|ki| ki.and_then(|c| batch.get(i, c)))
                         .collect();
-                    groups.push((key, fresh_stream_accums(aggs, plans)));
+                    groups.push((key, fresh_accums(aggs, plans)));
                     gi
                 }
             };
-            for (accum, plan) in groups[gi].1.iter_mut().zip(plans.iter()) {
+            for ((accum, plan), spec) in groups[gi].1.iter_mut().zip(plans.iter()).zip(*aggs) {
                 match (accum, plan) {
-                    (StreamAccum::Terms(state), StreamAggPlan::Star) => state.push_star(),
-                    (StreamAccum::Terms(state), StreamAggPlan::General(e)) => {
+                    (Accum::Terms(state), AggPlan::Star) => state.push_star(),
+                    (Accum::Terms(state), AggPlan::General(e)) => {
                         let value = {
                             let buf = &mut ev.scratch;
                             batch.read_row(i, buf);
@@ -1492,10 +1535,7 @@ impl<'e> GroupOp<'e> {
                         };
                         state.push_pooled(value, &mut ev.pool);
                     }
-                    (
-                        StreamAccum::CountIds { seen, count },
-                        StreamAggPlan::CountCol { idx, .. },
-                    ) => {
+                    (Accum::CountIds { seen, count }, AggPlan::CountCol { idx, .. }) => {
                         if let Some(id) = batch.get(i, *idx) {
                             match seen {
                                 Some(set) => {
@@ -1507,7 +1547,12 @@ impl<'e> GroupOp<'e> {
                             }
                         }
                     }
-                    (StreamAccum::First(first), StreamAggPlan::SampleCol { idx }) => {
+                    (accum, AggPlan::NumericCol { idx }) => {
+                        if let Some(id) = batch.get(i, *idx) {
+                            accum.push_col(id, spec.op, &mut ev.pool);
+                        }
+                    }
+                    (Accum::First(first), AggPlan::SampleCol { idx }) => {
                         if first.is_none() {
                             *first = batch.get(i, *idx);
                         }
@@ -1519,13 +1564,12 @@ impl<'e> GroupOp<'e> {
         Ok(())
     }
 
-    /// Emit the group table (first-occurrence order, identical interning
-    /// sequence to `eval_group`'s finish loop).
+    /// Emit the group table in first-occurrence order. Aggregate results
+    /// are computed terms; interning them keeps the columns id-native for
+    /// downstream operators.
     fn finish(&mut self, ev: &mut Evaluator<'e>) -> Result<()> {
-        if let Some(claim) = &self.claim {
-            if claim.valid {
-                ev.sorted_groups += 1;
-            }
+        if self.claim.is_some() {
+            ev.sorted_groups += 1;
         }
         let groups = std::mem::take(&mut self.groups);
         let n_groups = groups.len();
@@ -1539,13 +1583,14 @@ impl<'e> GroupOp<'e> {
             for (col, v) in key_cols.iter_mut().zip(key) {
                 col.push(v);
             }
-            for (col, accum) in agg_cols.iter_mut().zip(accums) {
+            for ((col, accum), spec) in agg_cols.iter_mut().zip(accums).zip(self.aggs) {
                 let value: Option<TermId> = match accum {
-                    StreamAccum::Terms(state) => state.finish().map(|t| ev.pool.intern(t)),
-                    StreamAccum::CountIds { count, .. } => {
+                    Accum::Terms(state) => state.finish().map(|t| ev.pool.intern(t)),
+                    Accum::CountIds { count, .. } => {
                         Some(ev.pool.intern(Term::integer(count as i64)))
                     }
-                    StreamAccum::First(id) => id,
+                    Accum::Numeric(acc) => acc.finish(spec.op, &mut ev.pool),
+                    Accum::First(id) => id,
                 };
                 col.push(value);
             }
@@ -1557,16 +1602,17 @@ impl<'e> GroupOp<'e> {
     }
 }
 
-fn fresh_stream_accums(aggs: &[AggSpec], plans: &[StreamAggPlan]) -> Vec<StreamAccum> {
+fn fresh_accums(aggs: &[AggSpec], plans: &[AggPlan]) -> Vec<Accum> {
     aggs.iter()
         .zip(plans)
         .map(|(a, plan)| match plan {
-            StreamAggPlan::CountCol { distinct, .. } => StreamAccum::CountIds {
+            AggPlan::CountCol { distinct, .. } => Accum::CountIds {
                 seen: distinct.then(HashSet::new),
                 count: 0,
             },
-            StreamAggPlan::SampleCol { .. } => StreamAccum::First(None),
-            _ => StreamAccum::Terms(Box::new(AggState::new_id_distinct(a.op, a.distinct))),
+            AggPlan::NumericCol { .. } => Accum::Numeric(NumericAccum::new(a.distinct)),
+            AggPlan::SampleCol { .. } => Accum::First(None),
+            _ => Accum::Terms(Box::new(AggState::new_id_distinct(a.op, a.distinct))),
         })
         .collect()
 }
@@ -1601,48 +1647,116 @@ impl<'e> Operator<'e> for GroupOp<'e> {
 // Distinct
 // ---------------------------------------------------------------------------
 
-/// Streaming DISTINCT (plain and order-claimed): a persistent seen-set
-/// keeps first occurrences across batches — the exact keep-first bag both
-/// `hash_distinct` and the sorted run-detection path produce. The order
-/// claim (when present) is verified incrementally purely to drive the
-/// `sorted_distincts` counter.
-struct DistinctOp<'e> {
+/// What a [`DistinctOp`] has let through so far — its accumulating state.
+enum Seen {
+    /// The order claim holds: the input arrives sorted on a sequence
+    /// covering every column, so a row is new exactly when it differs from
+    /// its predecessor and nothing is hashed. The emitted rows are kept as
+    /// id columns (4 bytes a cell) for one reason: should a later batch
+    /// refute the claim, they are what the hash set is built from.
+    Runs {
+        claim: SortedClaim,
+        emitted: IdTable,
+    },
+    /// Single column: bare `u64` cell codes, no row keys.
+    One(HashSet<u64>),
+    Many(HashSet<Vec<u64>>),
+}
+
+impl Seen {
+    /// An empty seen-set for rows `width` columns wide.
+    fn hashed(width: usize) -> Seen {
+        if width == 1 {
+            Seen::One(HashSet::new())
+        } else {
+            Seen::Many(HashSet::new())
+        }
+    }
+
+    /// `(rows, estimated bytes)` of the state — the one figure both the
+    /// budget is charged and `peak_live_bytes` reports.
+    fn size(&self, width: usize) -> (u64, u64) {
+        match self {
+            Seen::Runs { emitted, .. } => (emitted.len() as u64, emitted.estimated_bytes()),
+            Seen::One(seen) => (seen.len() as u64, seen.len() as u64 * 8),
+            Seen::Many(seen) => {
+                let rows = seen.len() as u64;
+                (rows, rows.saturating_mul(8 * width.max(1) as u64))
+            }
+        }
+    }
+
+    /// Keep-first mask of `t` against everything seen before it.
+    fn hash_mask(&mut self, t: &IdTable) -> Vec<bool> {
+        match self {
+            Seen::One(seen) => {
+                let col = t.col(0);
+                (0..t.len())
+                    .map(|i| seen.insert(col.hash_code(i)))
+                    .collect()
+            }
+            Seen::Many(seen) => (0..t.len())
+                .map(|i| seen.insert(t.columns().iter().map(|c| c.hash_code(i)).collect()))
+                .collect(),
+            Seen::Runs { .. } => unreachable!("hashing starts once the claim is gone"),
+        }
+    }
+}
+
+/// DISTINCT (plain and order-claimed): keeps first occurrences across
+/// batches, by run detection while a [`Plan::SortedDistinct`]'s claim holds
+/// and through a persistent seen-set otherwise. Both emit the identical
+/// keep-first bag, so a claim refuted mid-stream — the rows emitted so far
+/// are then exactly the distinct rows seen so far, and seed the set — is
+/// invisible downstream.
+pub(super) struct DistinctOp<'e> {
     input: BoxOp<'e>,
-    seen_one: Option<HashSet<u64>>,
-    seen_many: Option<HashSet<Vec<u64>>>,
-    claim: Option<SortedClaim>,
+    seen: Seen,
     done: bool,
 }
 
 impl<'e> DistinctOp<'e> {
-    fn new(input: BoxOp<'e>, order: Option<&'e [String]>) -> Self {
+    pub(super) fn new(input: BoxOp<'e>, order: Option<&'e [String]>) -> Self {
         let child = input.vars();
-        let width = child.len();
         // Static half of the order claim: every order var is a column and
-        // every column is covered by the order (else order-equal rows could
-        // differ and the claim is ineligible, same as `sorted_distinct_mask`).
-        let claim = order.and_then(|order| {
-            let cols: Option<Vec<usize>> = order
-                .iter()
-                .map(|v| child.iter().position(|c| c == v))
-                .collect();
-            let covered = child.iter().all(|v| order.contains(v));
-            match (cols, covered) {
-                (Some(cols), true) => Some(SortedClaim {
-                    cols,
-                    prev: None,
-                    valid: true,
-                }),
-                _ => None,
-            }
-        });
+        // every column is covered by the order — otherwise order-equal rows
+        // could still differ and run detection would over-delete.
+        // (Duplicate-named columns are clones by construction, so name
+        // coverage is column coverage.)
+        let claim = order
+            .filter(|order| child.iter().all(|v| order.contains(v)))
+            .and_then(|order| SortedClaim::new(order, child));
+        let seen = match claim {
+            Some(claim) => Seen::Runs {
+                claim,
+                emitted: IdTable::with_vars(child.to_vec()),
+            },
+            None => Seen::hashed(child.len()),
+        };
         DistinctOp {
             input,
-            seen_one: (width == 1).then(HashSet::new),
-            seen_many: (width != 1).then(HashSet::new),
-            claim,
+            seen,
             done: false,
         }
+    }
+
+    /// Drop the rows of `t` already let through; remember the rest.
+    fn keep_first(&mut self, t: &mut IdTable) {
+        if let Seen::Runs { claim, emitted } = &mut self.seen {
+            let mut keep = Vec::with_capacity(t.len());
+            if claim.check(t, |run_start| keep.push(run_start)) {
+                t.filter_mask(&keep);
+                emitted.append(t);
+                return;
+            }
+            // Refuted: from here on, hash — starting with this batch, none
+            // of which has been let through yet.
+            let emitted = std::mem::take(emitted);
+            self.seen = Seen::hashed(t.vars.len());
+            self.seen.hash_mask(&emitted);
+        }
+        let keep = self.seen.hash_mask(t);
+        t.filter_mask(&keep);
     }
 }
 
@@ -1659,37 +1773,15 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
             match self.input.next_batch(ev, batch_rows)? {
                 None => {
                     self.done = true;
-                    if let Some(claim) = &self.claim {
-                        if claim.valid {
-                            ev.sorted_distincts += 1;
-                        }
+                    if matches!(self.seen, Seen::Runs { .. }) {
+                        ev.sorted_distincts += 1;
                     }
                     return Ok(None);
                 }
                 Some(mut t) => {
-                    if let Some(claim) = &mut self.claim {
-                        claim.check(&t);
-                    }
-                    let width = t.vars.len();
-                    let mut keep = Vec::with_capacity(t.len());
-                    let mut live = 0u64;
-                    if let Some(seen) = &mut self.seen_one {
-                        let col = t.col(0);
-                        for i in 0..t.len() {
-                            keep.push(seen.insert(col.hash_code(i)));
-                        }
-                        live = seen.len() as u64;
-                    } else if let Some(seen) = &mut self.seen_many {
-                        for i in 0..t.len() {
-                            let key: Vec<u64> = (0..width).map(|c| t.col(c).hash_code(i)).collect();
-                            keep.push(seen.insert(key));
-                        }
-                        live = seen.len() as u64;
-                    }
-                    // The seen-set is this breaker's accumulating state.
-                    ev.meter
-                        .charge_intermediate(live, live.saturating_mul(8 * width.max(1) as u64))?;
-                    t.filter_mask(&keep);
+                    self.keep_first(&mut t);
+                    let (rows, bytes) = self.seen.size(t.vars.len());
+                    ev.meter.charge_intermediate(rows, bytes)?;
                     if !t.is_empty() {
                         return Ok(Some(t));
                     }
@@ -1699,13 +1791,10 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
     }
 
     fn live_size(&self) -> (u64, u64) {
-        let rows = self
-            .seen_one
-            .as_ref()
-            .map(|s| s.len() as u64)
-            .or_else(|| self.seen_many.as_ref().map(|s| s.len() as u64))
-            .unwrap_or(0);
-        add2(self.input.live_size(), (rows, rows.saturating_mul(16)))
+        add2(
+            self.input.live_size(),
+            self.seen.size(self.input.vars().len()),
+        )
     }
 }
 
@@ -1789,8 +1878,8 @@ impl<'e> Operator<'e> for SortOp<'e> {
 
 /// OFFSET/LIMIT with genuine early termination: once `limit` rows have
 /// been emitted the operator stops pulling upstream entirely, so upstream
-/// scans never run — the one place streaming legitimately does *less* scan
-/// work than the materializing path (the documented parity carve-out).
+/// scans never run — the one place small pulls legitimately do *less* scan
+/// work than an unbounded one (the documented parity carve-out).
 struct SliceOp<'e> {
     input: BoxOp<'e>,
     offset: usize,
@@ -1798,6 +1887,19 @@ struct SliceOp<'e> {
     skipped: usize,
     emitted: usize,
     done: bool,
+}
+
+impl<'e> SliceOp<'e> {
+    fn new(input: BoxOp<'e>, offset: usize, limit: Option<usize>) -> Self {
+        SliceOp {
+            input,
+            offset,
+            limit,
+            skipped: 0,
+            emitted: 0,
+            done: false,
+        }
+    }
 }
 
 impl<'e> Operator<'e> for SliceOp<'e> {
@@ -1852,11 +1954,15 @@ impl<'e> Operator<'e> for SliceOp<'e> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use proptest::prelude::*;
 
     use super::super::join_index::tests::{nested_loop_pairs, rows_strategy, table};
     use super::*;
+
+    /// The pull sizes every operator test sweeps: one row, an odd handful, a
+    /// typical batch, and the unbounded pull `execute` makes.
+    pub(in crate::eval) const BATCHES: [usize; 4] = [1, 7, 256, usize::MAX];
 
     /// Test source: hands a table out in `batch_rows` windows.
     struct TableOp {
@@ -1878,7 +1984,7 @@ mod tests {
         }
     }
 
-    fn source<'e>(t: &IdTable) -> BoxOp<'e> {
+    pub(in crate::eval) fn source<'e>(t: &IdTable) -> BoxOp<'e> {
         Box::new(TableOp {
             vars: t.vars.clone(),
             staged: Some(Staged {
@@ -1886,6 +1992,22 @@ mod tests {
                 off: 0,
             }),
         })
+    }
+
+    /// Drain `op` in pulls of `batch` rows, holding every batch to the
+    /// operator contract (never empty, never over-long).
+    pub(in crate::eval) fn drain<'e>(
+        op: &mut dyn Operator<'e>,
+        ev: &mut Evaluator<'e>,
+        batch: usize,
+    ) -> IdTable {
+        let mut all = IdTable::with_vars(op.vars().to_vec());
+        while let Some(b) = op.next_batch(ev, batch).unwrap() {
+            assert!(!b.is_empty() && b.len() <= batch, "batch {batch}");
+            all.append(&b);
+        }
+        assert!(op.next_batch(ev, batch).unwrap().is_none(), "stays dry");
+        all
     }
 
     #[test]
@@ -1905,8 +2027,8 @@ mod tests {
         let table_bytes = right.estimated_bytes();
         assert!(op.live_size().1 >= table_bytes + index_bytes);
 
-        // A cap the build table fits under and its index does not: both
-        // executors refuse with the typed error instead of building on.
+        // A cap the build table fits under and its index does not: every
+        // pull size refuses with the typed error instead of building on.
         assert!(table_bytes < index_bytes);
         let budget = QueryBudget::unlimited().with_max_memory_bytes(index_bytes - 1);
         let exhausted = |r: Result<Option<IdTable>>| {
@@ -1922,12 +2044,61 @@ mod tests {
         ev.set_budget(&budget);
         let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
         assert!(exhausted(op.next_batch(&mut ev, 4)));
-        let joined = ev.join(left.clone(), right.clone(), JoinKind::Inner, None);
-        assert!(exhausted(joined.map(Some)));
+        let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
+        assert!(exhausted(op.next_batch(&mut ev, usize::MAX)));
         // One byte more and the same join runs to completion.
         ev.set_budget(&QueryBudget::unlimited().with_max_memory_bytes(index_bytes));
         let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
         assert!(matches!(op.next_batch(&mut ev, 4), Ok(Some(_))));
+    }
+
+    #[test]
+    fn distinct_state_has_one_size_for_live_bytes_and_the_memory_budget() {
+        // 400 distinct rows, 1 / 3 / 5 columns wide, fed unsorted (hash set)
+        // and sorted under a claim (retained id columns): what `live_size`
+        // reports is what the budget is charged, to the byte.
+        let ds = Dataset::new();
+        for width in [1usize, 3, 5] {
+            let vars: Vec<String> = (0..width).map(|c| format!("v{c}")).collect();
+            let mut sorted = IdTable::with_vars(vars.clone());
+            for r in 0..400u32 {
+                sorted.push_row(&vec![Some(TermId(r)); width]);
+            }
+            let reversed: Vec<u32> = (0..400).rev().collect();
+            for (input, order) in [(sorted.gather_rows(&reversed), None), (sorted, Some(&vars))] {
+                let mut ev = Evaluator::new(&ds, Vec::new());
+                let mut op = DistinctOp::new(source(&input), order.map(|o| o.as_slice()));
+                assert_eq!(drain(&mut op, &mut ev, 64), input);
+                assert_eq!(ev.sorted_distincts, order.is_some() as u64);
+                let (rows, bytes) = op.live_size();
+                let expected = match order {
+                    None => 400 * 8 * width as u64,
+                    Some(_) => input.estimated_bytes(),
+                };
+                assert_eq!((rows, bytes), (400, expected), "width {width}");
+
+                // One byte short of that trips the memory axis on the last
+                // batch; the exact figure lets the operator finish.
+                for (cap, fits) in [(bytes - 1, false), (bytes, true)] {
+                    let mut ev = Evaluator::new(&ds, Vec::new());
+                    ev.set_budget(&QueryBudget::unlimited().with_max_memory_bytes(cap));
+                    let mut op = DistinctOp::new(source(&input), order.map(|o| o.as_slice()));
+                    let mut outcome = Ok(());
+                    while outcome.is_ok() {
+                        match op.next_batch(&mut ev, 64) {
+                            Ok(Some(_)) => {}
+                            Ok(None) => break,
+                            Err(e) => outcome = Err(e),
+                        }
+                    }
+                    assert_eq!(
+                        outcome.is_ok(),
+                        fits,
+                        "width {width}, cap {cap}: {outcome:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// Test source: `batches` one-row batches, then the error (or the end).
@@ -2025,11 +2196,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-        /// Random partially-bound inputs (left sides on both sides of the
-        /// 256-row parallel gate): the streaming `JoinOp` at batch sizes 1,
-        /// 7 and 256 and the materializing `join` on 1 and 4 threads all
-        /// produce the nested-loop join, row for row, and test the same
-        /// number of candidates doing it.
+        /// Random partially-bound inputs: `JoinOp` at every pull size —
+        /// one row to unbounded — produces the nested-loop join, row for
+        /// row, and tests the same number of candidates doing it.
         #[test]
         fn join_op_and_join_agree_with_the_nested_loop(
             shared in 1usize..6,
@@ -2045,23 +2214,10 @@ mod tests {
                 let expected = assemble_join(&left, &right, out_vars, &pairs);
 
                 let mut tested = Vec::new();
-                for threads in [1, 4] {
-                    let mut ev = Evaluator::new(&ds, Vec::new());
-                    ev.set_threads(threads);
-                    let got = ev.join(left.clone(), right.clone(), kind, None).unwrap();
-                    prop_assert_eq!(&got, &expected, "{:?}, {} threads", kind, threads);
-                    let fanned_out = threads > 1 && left.len() >= PAR_MIN_ROWS;
-                    prop_assert_eq!(ev.par_stats.chunks > 0, fanned_out);
-                    tested.push(ev.join_candidates);
-                }
-                for batch in [1usize, 7, 256] {
+                for batch in BATCHES {
                     let mut ev = Evaluator::new(&ds, Vec::new());
                     let mut op = JoinOp::new(source(&left), source(&right), kind, None);
-                    let mut got = IdTable::with_vars(op.vars().to_vec());
-                    while let Some(b) = op.next_batch(&mut ev, batch).unwrap() {
-                        prop_assert!(!b.is_empty() && b.len() <= batch);
-                        got.append(&b);
-                    }
+                    let got = drain(&mut op, &mut ev, batch);
                     prop_assert_eq!(&got, &expected, "{:?}, batch {}", kind, batch);
                     tested.push(ev.join_candidates);
                 }

@@ -5,22 +5,21 @@
 //! that are joined back together) arrives as a plan *tree* with the reused
 //! subtree inlined once per use. [`Shared::of`] hash-conses that tree into a
 //! DAG — structurally equal subtrees are one node — and names every DAG
-//! node with more than one parent edge a **class**. Both columnar executors
-//! evaluate a class once and hand the result to each parent edge through a
-//! [`Replay`]: the streaming pipeline batch by batch (a spool with one
-//! cursor per reader), the materializing evaluator as one memoized table.
+//! node with more than one parent edge a **class**. The pipeline evaluates a
+//! class once and hands the result to each parent edge through a [`Replay`],
+//! pull by pull: a spool with one cursor per reader.
 //!
-//! The oracles (`eval_rows`, `eval_reference`) never look at this module:
-//! they evaluate every occurrence, which is what makes them the unshared
-//! reference the shared executors are checked against.
+//! The oracle (`eval_reference`) never looks at this module: it evaluates
+//! every occurrence, which is what makes it the unshared reference the
+//! sharing executor is checked against.
 //!
 //! **Visiting order is part of the contract.** Classes are keyed by the
 //! address of each occurrence's root, and a class nested inside another
 //! class is only reachable through the outer class's *first* occurrence in
 //! pre-order (left input before right) — repeats are never descended into,
-//! here or by an executor. Both executors therefore build a class from the
-//! first occurrence they meet, visiting inputs left before right exactly
-//! like [`Plan::children`]; [`Shared::is_first`] lets them assert it.
+//! here or by the pipeline builder. The builder therefore builds a class
+//! from the first occurrence it meets, visiting inputs left before right
+//! exactly like [`Plan::children`]; [`Shared::is_first`] lets it assert it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -82,7 +81,7 @@ impl Shared {
         shared
     }
 
-    /// Number of classes (spools, memoized tables).
+    /// Number of classes (one spool each).
     pub(crate) fn len(&self) -> usize {
         self.classes.len()
     }

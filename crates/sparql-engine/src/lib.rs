@@ -26,14 +26,15 @@
 //! column per variable plus a presence bitmap), scans append into reused
 //! column buffers, and joins, `DISTINCT`, and grouping hash integers off
 //! column slices. Terms are materialized only at expression/sort boundaries
-//! and the final projection — see [`eval`] and [`pool`]. Two earlier
-//! evaluators survive as differential-testing oracles and benchmarking
-//! baselines, selected via [`engine::EvalMode`]: the PR 1 row-at-a-time
-//! id-native pipeline ([`eval_rows`]) and the seed term-materialized one
-//! ([`eval_reference`]). All three agree on results *and* on scan work: the
-//! oracles evaluate every occurrence of a repeated subplan, the columnar
-//! evaluator evaluates it once, and its `rows_scanned + shared_scans` is
-//! exactly their `rows_scanned`.
+//! and when a result is decoded — see [`eval`] and [`pool`]. There is one
+//! executor, a pull-based operator pipeline that [`engine::Engine::execute`]
+//! drains in one pull and [`engine::Engine::cursor`] batch by batch, and one
+//! oracle, the seed term-materialized evaluator ([`eval_reference`],
+//! [`engine::EvalMode::TermReference`]), kept for differential testing and
+//! as a benchmarking baseline. The two agree on results *and* on scan work:
+//! the oracle evaluates every occurrence of a repeated subplan, the executor
+//! evaluates it once, and its `rows_scanned + shared_scans` is exactly the
+//! oracle's `rows_scanned`.
 
 pub mod algebra;
 pub mod ast;
@@ -42,7 +43,6 @@ pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod eval_reference;
-pub mod eval_rows;
 pub mod expr;
 pub mod lexer;
 pub mod optimizer;

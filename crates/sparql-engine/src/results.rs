@@ -1,20 +1,18 @@
 //! Query result representations.
 //!
-//! Three row layouts exist on purpose:
+//! Two layouts exist on purpose:
 //!
-//! - [`IdTable`] is the default evaluator's *internal* representation: a
+//! - [`IdTable`] is the executor's *internal* representation: a
 //!   struct-of-arrays table with one dense `Vec<TermId>` per variable column
 //!   plus a presence bitmap (`None`/unbound is a cleared bit, the slot holds
 //!   a zero filler). Joins, DISTINCT, and grouping read column slices
 //!   sequentially and hash integers; BGP extension appends into column
-//!   buffers instead of allocating a `Vec` per row. It never leaves the
-//!   engine.
-//! - [`RowTable`] is the row-major id layout (`Vec<Option<TermId>>` per
-//!   row) used by the PR 1 row-at-a-time evaluator, kept as a differential
-//!   oracle and benchmark baseline ([`crate::eval_rows`]).
-//! - [`SolutionTable`] is the *public* boundary type: cells are owned
-//!   [`Term`] values, materialized exactly once when a query finishes (or a
-//!   page of it is shipped).
+//!   buffers instead of allocating a `Vec` per row. Every batch an operator
+//!   hands on is one; it leaves the engine only wrapped in a
+//!   [`crate::engine::ColumnBatch`].
+//! - [`SolutionTable`] is the *public* boundary type of the string path:
+//!   cells are owned [`Term`] values, decoded exactly once when a query
+//!   finishes (or a page of it is shipped).
 
 use rdf_model::{Term, TermId};
 
@@ -244,8 +242,8 @@ impl IdTable {
         &self.cols[idx]
     }
 
-    /// Borrow all columns (the streaming BGP operator hands them to the
-    /// shared scan-loop body, which takes a column slice).
+    /// Borrow all columns (the BGP operator hands them to the scan-loop
+    /// body, which takes a column slice).
     pub(crate) fn columns(&self) -> &[Column] {
         &self.cols
     }
@@ -319,10 +317,18 @@ impl IdTable {
     }
 
     /// Concatenate another table's rows onto this one, column-wise. Both
-    /// tables must share the same schema (the streaming pipeline's
-    /// accumulating operators append same-plan batches).
+    /// tables must share the same schema (the pipeline's accumulating
+    /// operators append same-plan batches).
+    ///
+    /// Onto an empty table this is one bulk copy per column: under an
+    /// unbounded pull a breaker's whole input arrives as a single batch.
     pub(crate) fn append(&mut self, other: &IdTable) {
         debug_assert_eq!(self.vars, other.vars);
+        if self.rows == 0 {
+            self.cols.clone_from(&other.cols);
+            self.rows = other.rows;
+            return;
+        }
         for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
             for i in 0..other.rows {
                 dst.push(src.get(i));
@@ -356,49 +362,6 @@ impl IdTable {
         self.cols
             .iter()
             .fold(0u64, |acc, c| acc.saturating_add(c.estimated_bytes()))
-    }
-}
-
-/// Internal row-major id table (`Option<TermId>` per cell) used by the PR 1
-/// row-at-a-time evaluator kept in [`crate::eval_rows`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RowTable {
-    /// Column (variable) names.
-    pub vars: Vec<String>,
-    /// Rows; each row is parallel to `vars`. `None` = unbound.
-    pub rows: Vec<Vec<Option<TermId>>>,
-}
-
-impl RowTable {
-    /// Empty table with a schema.
-    pub fn with_vars(vars: Vec<String>) -> Self {
-        RowTable {
-            vars,
-            rows: Vec::new(),
-        }
-    }
-
-    /// The unit table: no columns, one empty row (join identity).
-    pub fn unit() -> Self {
-        RowTable {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.vars.iter().position(|v| v == name)
     }
 }
 
@@ -524,17 +487,6 @@ mod tests {
         t.canonicalize();
         assert_eq!(t.rows[0], vec![None]);
         assert_eq!(t.rows[1], vec![Some(Term::integer(1))]);
-    }
-
-    #[test]
-    fn row_table_unit_and_columns() {
-        let u = RowTable::unit();
-        assert_eq!(u.len(), 1);
-        let mut t = RowTable::with_vars(vec!["a".into(), "b".into()]);
-        assert!(t.is_empty());
-        t.rows.push(vec![Some(TermId(3)), None]);
-        assert_eq!(t.column_index("b"), Some(1));
-        assert_eq!(t.column_index("z"), None);
     }
 
     #[test]

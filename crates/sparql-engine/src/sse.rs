@@ -2,7 +2,7 @@
 //!
 //! The notation follows the SPARQL S-expression idiom (`(project (?s)
 //! (bgp (triple ?s ?p ?o)))`), one plan node per line. A subplan the
-//! columnar executors evaluate once ([`crate::eval::share`]) is printed in
+//! columnar executor evaluates once ([`crate::eval::share`]) is printed in
 //! full at its first occurrence as `(shared #k …)` and as `(ref #k)` at every
 //! other one, so the text shows the DAG that runs rather than the tree that
 //! was written.

@@ -43,11 +43,7 @@ fn engine(ds: &Arc<Dataset>, eval_mode: EvalMode, budget: QueryBudget) -> Engine
     )
 }
 
-const ALL_MODES: [EvalMode; 3] = [
-    EvalMode::Columnar,
-    EvalMode::IdNative,
-    EvalMode::TermReference,
-];
+const ALL_MODES: [EvalMode; 2] = [EvalMode::Columnar, EvalMode::TermReference];
 
 #[test]
 fn runaway_cross_join_trips_every_axis_on_every_evaluator() {
@@ -164,36 +160,27 @@ fn error_is_value_not_panic_and_engine_stays_usable() {
 fn cursor_path_enforces_budgets() {
     let ds = dataset(4000);
     let budget = QueryBudget::unlimited().with_max_intermediate_rows(50_000);
-    // Materializing cursor (streaming off): evaluation is eager, so the
-    // violation surfaces at cursor creation.
-    let tripped = Engine::with_config(
-        Arc::clone(&ds),
-        EngineConfig {
-            budget: budget.clone(),
-            streaming: false,
-            ..EngineConfig::new()
-        },
-    );
-    let prepared = tripped.prepare(CROSS_JOIN).unwrap();
+    // `execute` pulls the whole result in one piece: it trips with the
+    // typed error.
+    let streaming = engine(&ds, EvalMode::Columnar, budget);
     assert!(matches!(
-        tripped.cursor(&prepared, 1024),
+        streaming.execute(CROSS_JOIN),
         Err(EngineError::ResourceExhausted {
             resource: ResourceKind::IntermediateRows,
             ..
         })
     ));
 
-    // Streaming cursor: creation only compiles the pipeline, so budget
-    // violations surface while draining instead. The bare cross join
-    // streams with bounded live state and would complete; an ORDER BY on
-    // top is a pipeline breaker that must accumulate its input — the same
-    // typed trip, now raised from inside `next_batch`.
-    let streaming = engine(&ds, EvalMode::Columnar, budget);
+    // Cursor creation only compiles the pipeline, so budget violations
+    // surface while draining instead. The bare cross join streams with
+    // bounded live state and would complete; an ORDER BY on top is a
+    // pipeline breaker that must accumulate its input — the same typed
+    // trip, raised from inside `next_batch`.
     let ordered = format!("{CROSS_JOIN} ORDER BY ?a");
     let prepared = streaming.prepare(&ordered).unwrap();
     let mut cursor = streaming
         .cursor(&prepared, 1024)
-        .expect("streaming cursor creation does no evaluation");
+        .expect("cursor creation does no evaluation");
     let err = loop {
         match cursor.next_batch() {
             Ok(Some(_)) => continue,
@@ -332,7 +319,7 @@ fn a_replay_is_free_on_the_scan_axis() {
     assert_eq!((stats.rows_scanned, stats.shared_scans), (900, 1500));
 
     // The budget charges what is read: the shared plan completes under a
-    // cap of exactly its own `rows_scanned`, eagerly and pull by pull …
+    // cap of exactly its own `rows_scanned`, in one pull and batch by batch …
     let exact = QueryBudget::unlimited().with_max_rows_scanned(stats.rows_scanned);
     let capped = engine(&ds, EvalMode::Columnar, exact.clone());
     assert_eq!(capped.execute(OUTER_JOIN).unwrap().len(), 900);
@@ -342,19 +329,18 @@ fn a_replay_is_free_on_the_scan_axis() {
         (900, 900, 1500)
     );
     // … which evaluating every occurrence does not fit under …
-    for mode in [EvalMode::IdNative, EvalMode::TermReference] {
-        let (_, unshared) = engine(&ds, mode, QueryBudget::unlimited())
-            .execute_with_stats(OUTER_JOIN)
-            .unwrap();
-        assert_eq!(unshared.rows_scanned, stats.unshared_scans(), "{mode:?}");
-        assert!(matches!(
-            engine(&ds, mode, exact.clone()).execute(OUTER_JOIN),
-            Err(EngineError::ResourceExhausted {
-                resource: ResourceKind::RowsScanned,
-                ..
-            })
-        ));
-    }
+    let oracle = EvalMode::TermReference;
+    let (_, unshared) = engine(&ds, oracle, QueryBudget::unlimited())
+        .execute_with_stats(OUTER_JOIN)
+        .unwrap();
+    assert_eq!(unshared.rows_scanned, stats.unshared_scans());
+    assert!(matches!(
+        engine(&ds, oracle, exact.clone()).execute(OUTER_JOIN),
+        Err(EngineError::ResourceExhausted {
+            resource: ResourceKind::RowsScanned,
+            ..
+        })
+    ));
     // … and one entry less still stops the shared plan, typed.
     let short = QueryBudget::unlimited().with_max_rows_scanned(stats.rows_scanned - 1);
     let starved = engine(&ds, EvalMode::Columnar, short);

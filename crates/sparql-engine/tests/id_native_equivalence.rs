@@ -1,14 +1,16 @@
-//! Differential tests: the columnar evaluator against the PR 1 row-at-a-time
-//! id-native evaluator and the seed term-materialized reference evaluator.
+//! Differential tests: the columnar id-native executor against the seed
+//! term-materialized reference evaluator.
 //!
 //! Every query from the end-to-end suite (plus aggregate-heavy shapes) runs
-//! on all three paths; results must be identical after `canonicalize()` and
-//! the deterministic work metric (`rows_scanned`) must match exactly — the
-//! refactors change the row representation, not the access-path order. The
-//! whole matrix additionally runs against both storage states of the graphs
-//! (compacted slabs via `Dataset::insert_graph` and delta-resident via
-//! `Dataset::insert_shared`), so slab scans, delta scans, and merged scans
-//! all feed every evaluator. A proptest further checks that terms projected
+//! three ways ([`legs`]) — the executor drained by `execute`'s one unbounded
+//! pull, the executor drained by a cursor seven rows at a time, and the
+//! oracle; results must be identical after `canonicalize()` and the
+//! deterministic work metric (`rows_scanned`) must match exactly — the
+//! executor changes the row representation and when work happens, not the
+//! access-path order. The whole matrix additionally runs against both
+//! storage states of the graphs (compacted slabs via `Dataset::insert_graph`
+//! and delta-resident via `Dataset::insert_shared`), so slab scans, delta
+//! scans, and merged scans all feed every leg. A proptest further checks that terms projected
 //! out of id-native joins round-trip through the dataset's shared interner.
 
 use std::sync::Arc;
@@ -16,7 +18,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rdf_model::{Dataset, Graph, Literal, Term, Triple};
 use sparql_engine::algebra::Plan;
-use sparql_engine::{Engine, EngineConfig, EvalMode};
+use sparql_engine::{Engine, EngineConfig, EvalMode, ExecStats, SolutionTable};
 
 fn iri(s: &str) -> Term {
     Term::iri(s.to_string())
@@ -195,7 +197,7 @@ fn value_join_queries() -> Vec<String> {
 /// next join shares variables that are bound in some rows only — here `?f`
 /// in every row, `?c` in the genre-0 rows of the first branch and all of the
 /// second, `?d` in all of the first and every fourth row of the second. The
-/// hash join keys each build row on what it binds; the oracles nested-loop.
+/// hash join keys each build row on what it binds; the oracle nested-loops.
 fn outer_join_queries() -> Vec<String> {
     let outer = "{ { ?f f:director ?d } OPTIONAL { ?f f:country ?c . ?f f:genre f:genre0 } } \
                  UNION \
@@ -398,45 +400,78 @@ fn dbpedia_queries() -> Vec<String> {
     ]
 }
 
-/// The three evaluators, same optimizer setting.
-fn engines(ds: Arc<Dataset>, optimize: bool) -> Vec<(&'static str, Engine)> {
+/// One way of running a query: an engine and, for the cursor leg, the batch
+/// size its result is pulled in (`None`: `execute`, one unbounded pull).
+struct Leg {
+    name: &'static str,
+    engine: Engine,
+    batch: Option<usize>,
+}
+
+impl Leg {
+    fn run(&self, q: &str) -> sparql_engine::Result<(SolutionTable, ExecStats)> {
+        let Some(batch) = self.batch else {
+            return self.engine.execute_with_stats(q);
+        };
+        let prepared = self.engine.prepare(q)?;
+        let mut cursor = self.engine.cursor(&prepared, batch)?;
+        let mut table = SolutionTable::with_vars(cursor.vars().to_vec());
+        while let Some(b) = cursor.next_batch()? {
+            for row in 0..b.len {
+                let cell = |c| b.get(c, row).map(|id| b.resolve(id).clone());
+                table.rows.push((0..b.vars().len()).map(cell).collect());
+            }
+        }
+        Ok((table, cursor.stats()))
+    }
+}
+
+/// The three legs of the suite, same optimizer setting: the executor drained
+/// in one unbounded pull, the executor drained in batches of 7, the oracle.
+fn legs(ds: Arc<Dataset>, optimize: bool) -> Vec<Leg> {
     [
-        ("columnar", EvalMode::Columnar),
-        ("id-native-rows", EvalMode::IdNative),
-        ("reference", EvalMode::TermReference),
+        ("columnar, one pull", EvalMode::Columnar, None),
+        ("columnar, batches of 7", EvalMode::Columnar, Some(7)),
+        ("reference", EvalMode::TermReference, None),
     ]
     .into_iter()
-    .map(|(name, eval_mode)| {
-        (
-            name,
-            Engine::with_config(
-                Arc::clone(&ds),
-                EngineConfig {
-                    optimize,
-                    eval_mode,
-                    ..EngineConfig::new()
-                },
-            ),
-        )
+    .map(|(name, eval_mode, batch)| Leg {
+        name,
+        engine: Engine::with_config(
+            Arc::clone(&ds),
+            EngineConfig {
+                optimize,
+                eval_mode,
+                ..EngineConfig::new()
+            },
+        ),
+        batch,
     })
     .collect()
 }
 
-/// Run every query on every evaluator and demand identical bags and
-/// identical scan work: the columnar evaluator's `rows_scanned +
-/// shared_scans` (it evaluates a repeated subplan once) against the oracles'
-/// `rows_scanned` (they evaluate every occurrence; their `shared_scans` is 0).
-fn assert_all_paths_agree(ds: Arc<Dataset>, optimize: bool, label: &str) {
-    let engines = engines(ds, optimize);
-    for q in queries() {
-        let mut results = Vec::new();
-        for (name, engine) in &engines {
-            let (mut t, stats) = engine
-                .execute_with_stats(&q)
-                .unwrap_or_else(|e| panic!("{name} failed ({label}): {e}\n{q}"));
+/// Run `q` on every leg: canonical table and unshared scan work of each —
+/// the executor's `rows_scanned + shared_scans` (it evaluates a repeated
+/// subplan once), the oracle's `rows_scanned` (it evaluates every
+/// occurrence; its `shared_scans` is 0).
+fn run_all(legs: &[Leg], q: &str, label: &str) -> Vec<(&'static str, SolutionTable, u64)> {
+    legs.iter()
+        .map(|leg| {
+            let (mut t, stats) = leg
+                .run(q)
+                .unwrap_or_else(|e| panic!("{} failed ({label}): {e}\n{q}", leg.name));
             t.canonicalize();
-            results.push((name, t, stats.unshared_scans()));
-        }
+            (leg.name, t, stats.unshared_scans())
+        })
+        .collect()
+}
+
+/// Run every query on every leg and demand identical bags and identical
+/// scan work.
+fn assert_all_paths_agree(ds: Arc<Dataset>, optimize: bool, label: &str) {
+    let legs = legs(ds, optimize);
+    for q in queries() {
+        let results = run_all(&legs, &q, label);
         let (base_name, base_table, base_scanned) = &results[0];
         for (name, table, scanned) in &results[1..] {
             assert_eq!(
@@ -490,7 +525,7 @@ fn outer_join_shapes_are_keyed_on_every_bound_variable() {
     // the shared variables bound in *every* row, the last shape has no key
     // at all (120 × 30 pairs nested-loop); keyed per row on what the row
     // binds, each shape tests fewer than two candidates per result row — on
-    // both layouts, and pull-based or materialized alike.
+    // both layouts, and whatever the pull size.
     for compacted in [true, false] {
         let engine = Engine::new(dataset(compacted));
         for q in outer_join_queries() {
@@ -513,7 +548,7 @@ fn outer_join_shapes_are_keyed_on_every_bound_variable() {
 #[test]
 fn pushdown_and_merge_rewrites_preserve_results() {
     // The two physical rewrites on vs off, across both storage layouts and
-    // all three evaluators: identical bags everywhere (scan counts differ —
+    // all three legs: identical bags everywhere (scan counts differ —
     // that is the point of the rewrites).
     for compacted in [true, false] {
         let ds = dataset(compacted);
@@ -526,17 +561,13 @@ fn pushdown_and_merge_rewrites_preserve_results() {
                 ..EngineConfig::new()
             },
         );
-        let rewriting = engines(Arc::clone(&ds), true);
+        let rewriting = legs(Arc::clone(&ds), true);
         for q in queries() {
             let (mut base, _) = plain
                 .execute_with_stats(&q)
                 .unwrap_or_else(|e| panic!("plain engine failed: {e}\n{q}"));
             base.canonicalize();
-            for (name, engine) in &rewriting {
-                let (mut t, _) = engine
-                    .execute_with_stats(&q)
-                    .unwrap_or_else(|e| panic!("{name} failed: {e}\n{q}"));
-                t.canonicalize();
+            for (name, t, _) in run_all(&rewriting, &q, "rewrites on") {
                 assert_eq!(
                     base, t,
                     "rewrites changed results on {name} (compacted={compacted}) for:\n{q}"
@@ -745,16 +776,19 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
 #[test]
 fn paged_execution_matches_full_execution() {
     let ds = dataset(true);
-    let engines = engines(ds, true);
+    let legs = legs(ds, true);
     let q = format!(
         "{PREFIXES} SELECT ?movie ?actor FROM <http://dbpedia.org> \
          WHERE {{ ?movie dbpp:starring ?actor }} ORDER BY ?movie ?actor"
     );
-    let full = engines[0].1.execute(&q).unwrap();
+    let (full, full_stats) = legs[0].engine.execute_with_stats(&q).unwrap();
     for offset in 0..=full.len() + 1 {
-        let (page, _) = engines[0].1.execute_page(&q, offset, 2).unwrap();
-        for (name, engine) in &engines[1..] {
-            let (other, _) = engine.execute_page(&q, offset, 2).unwrap();
+        let (page, stats) = legs[0].engine.execute_page(&q, offset, 2).unwrap();
+        // A page is a LIMIT: it may stop early, it never reads more.
+        assert!(stats.rows_scanned <= full_stats.rows_scanned);
+        for leg in &legs[1..] {
+            let (other, _) = leg.engine.execute_page(&q, offset, 2).unwrap();
+            let name = leg.name;
             assert_eq!(page, other, "page at offset {offset} diverges on {name}");
         }
         let lo = offset.min(full.rows.len());
@@ -894,14 +928,8 @@ proptest! {
         patterns in proptest::collection::vec(pattern_strategy(), 1..4),
     ) {
         let ds = build_two_graph_dataset(&triples);
-        let engines = engines(ds, true);
         let q = render_query(&patterns);
-        let mut results = Vec::new();
-        for (name, engine) in &engines {
-            let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
-            t.canonicalize();
-            results.push((name, t, stats.unshared_scans()));
-        }
+        let results = run_all(&legs(ds, true), &q, "random");
         for pair in results.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
             prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -931,13 +959,7 @@ proptest! {
         b.canonicalize();
         prop_assert_eq!(&a, &b, "pushdown changed results: {}", q);
         // And the rewritten plan still holds exact cross-evaluator parity.
-        let engines = engines(ds, true);
-        let mut results = Vec::new();
-        for (name, engine) in &engines {
-            let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
-            t.canonicalize();
-            results.push((name, t, stats.unshared_scans()));
-        }
+        let results = run_all(&legs(ds, true), &q, "pushdown on");
         for pair in results.windows(2) {
             prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
             prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -955,13 +977,17 @@ proptest! {
         // BGPs (graph `a` compacted, graph `b` delta-resident) wrapped in
         // DISTINCT and in GROUP BY, executed with the sorted fast paths on
         // vs off — identical bags — and with exact result + `rows_scanned`
-        // parity across all three evaluators on the rewritten plans.
+        // parity across all three legs on the rewritten plans. SUM and MIN
+        // ride along over a neighbouring variable: IRIs, so every group's
+        // numeric accumulator is demoted at its first bound value.
         let ds = build_two_graph_dataset(&triples);
         let body = render_query(&patterns);
         let pattern_block = body.strip_prefix("SELECT * ").unwrap();
         let distinct_q = format!("SELECT DISTINCT * {pattern_block}");
+        let agg_var = (group_var + 1) % 4;
         let group_q = format!(
-            "SELECT ?v{group_var} (COUNT(*) AS ?n) {pattern_block} GROUP BY ?v{group_var}"
+            "SELECT ?v{group_var} (COUNT(*) AS ?n) (SUM(?v{agg_var}) AS ?sum) \
+             (MIN(?v{agg_var}) AS ?min) {pattern_block} GROUP BY ?v{group_var}"
         );
         let sorted = Engine::new(Arc::clone(&ds));
         let hashed = Engine::with_config(
@@ -981,13 +1007,7 @@ proptest! {
             prop_assert_eq!(&a, &b, "sorted fast path changed results: {}", q);
             prop_assert_eq!(s_a.rows_scanned, s_b.rows_scanned, "scan work drifted: {}", q);
             // Cross-evaluator parity on the rewritten plan.
-            let engines = engines(Arc::clone(&ds), true);
-            let mut results = Vec::new();
-            for (name, engine) in &engines {
-                let (mut t, stats) = engine.execute_with_stats(q).unwrap();
-                t.canonicalize();
-                results.push((name, t, stats.unshared_scans()));
-            }
+            let results = run_all(&legs(Arc::clone(&ds), true), q, "sorted paths on");
             for pair in results.windows(2) {
                 prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
                 prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
@@ -1052,11 +1072,9 @@ proptest! {
         let mut expected = literal.execute(&q).unwrap();
         expected.canonicalize();
         let mut scans = Vec::new();
-        for (name, engine) in &engines(ds, true) {
-            let (mut t, stats) = engine.execute_with_stats(&q).unwrap();
-            t.canonicalize();
+        for (name, t, scanned) in run_all(&legs(ds, true), &q, "optimizer on") {
             prop_assert_eq!(&t, &expected, "{} vs literal plan: {}", name, q);
-            scans.push(stats.unshared_scans());
+            scans.push(scanned);
         }
         prop_assert!(scans.windows(2).all(|w| w[0] == w[1]), "scan parity {:?}: {}", scans, q);
     }

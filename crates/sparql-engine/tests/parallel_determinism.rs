@@ -18,8 +18,9 @@ use sparql_engine::{Engine, EngineConfig, EngineError, QueryBudget, ResourceKind
 
 const GRAPH: &str = "http://g";
 
-/// Enough rows that every parallel-eligible operator crosses the
-/// `PAR_MIN_ROWS` gate and gets split into several chunks per worker.
+/// Enough rows that BGP extension — the one operator that fans out —
+/// crosses the `PAR_MIN_ROWS` gate and gets split into several chunks per
+/// worker.
 const N: usize = 3000;
 
 fn dataset() -> Arc<Dataset> {
@@ -59,10 +60,10 @@ fn engine(ds: &Arc<Dataset>, threads: usize) -> Engine {
     )
 }
 
-/// Queries covering every parallelized operator: multi-pattern BGP
-/// extension (with pushed filters), hash join via shared variables,
-/// and mergeable GROUP BY aggregates (COUNT / COUNT DISTINCT / MIN / MAX /
-/// SAMPLE), plus ORDER BY so row order is part of the contract.
+/// Queries putting every kind of operator downstream of a parallel BGP
+/// extension (with pushed filters): hash join via shared variables, GROUP
+/// BY aggregates (COUNT / COUNT DISTINCT / MIN / MAX / SAMPLE), plus ORDER
+/// BY so row order is part of the contract.
 const QUERIES: &[&str] = &[
     // Pure BGP extension over two patterns + a pushed numeric filter.
     "SELECT ?s ?v ?c FROM <http://g> WHERE { \
@@ -70,7 +71,7 @@ const QUERIES: &[&str] = &[
     // Three-pattern BGP where the optional-density r predicate shrinks it.
     "SELECT ?s ?v ?l FROM <http://g> WHERE { \
        ?s <http://x/p> ?v . ?s <http://x/q> ?c . ?s <http://x/r> ?l }",
-    // GROUP BY with the full mergeable aggregate set.
+    // GROUP BY over a fanned-out BGP, one aggregate of every kind.
     "SELECT ?c (COUNT(?s) AS ?n) (COUNT(DISTINCT ?v) AS ?dv) \
             (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SAMPLE(?s) AS ?any) \
      FROM <http://g> WHERE { ?s <http://x/p> ?v . ?s <http://x/q> ?c } \

@@ -8,7 +8,7 @@
 //! - **Equality**: optimized and unoptimized plans produce identical bags on
 //!   every evaluator (reordering is a pure physical rewrite).
 //! - **Effectiveness**: the reordered plan scans strictly fewer index
-//!   entries (`rows_scanned`), and all three evaluators agree on the
+//!   entries (`rows_scanned`), and both evaluators agree on the
 //!   reordered count exactly.
 
 use std::sync::Arc;
@@ -74,11 +74,7 @@ fn engine(ds: &Arc<Dataset>, optimize: bool, eval_mode: EvalMode) -> Engine {
     )
 }
 
-const MODES: [EvalMode; 3] = [
-    EvalMode::Columnar,
-    EvalMode::IdNative,
-    EvalMode::TermReference,
-];
+const MODES: [EvalMode; 2] = [EvalMode::Columnar, EvalMode::TermReference];
 
 #[test]
 fn reordering_preserves_results_on_all_evaluators() {

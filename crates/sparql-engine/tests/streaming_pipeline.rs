@@ -1,23 +1,32 @@
-//! Streaming-pipeline satellites: LIMIT early exit, bounded live memory,
-//! budget semantics, and telemetry — plus a property test that random
-//! BGP/OPTIONAL/GROUP BY shapes stream byte-identically at random batch
-//! sizes.
+//! Pipeline satellites: LIMIT early exit, bounded live memory, budget
+//! semantics, telemetry, the two kernels that live in the operators
+//! (run-detection DISTINCT, id-native numeric aggregates) — plus a property
+//! test that random BGP/OPTIONAL/GROUP BY shapes come out byte-identical at
+//! random batch sizes.
+//!
+//! "Materializing" in this suite *is* the unbounded pull: a cursor drained
+//! with `batch_rows = usize::MAX`, which is what `execute` does.
 //!
 //! **The LIMIT carve-out.** The parity oracle everywhere else in this
 //! repository is *exact* scan equality: `rows_scanned` (entries read) and
 //! `shared_scans` (entries a shared subplan's replays stood in for) each
-//! match between streaming and materializing execution, and their sum is
-//! the oracle evaluators' `rows_scanned`. `LIMIT` is the one
-//! deliberate exception: the streaming slice stops pulling its upstream
-//! once the limit is satisfied, so upstream scans never run — streaming
-//! legitimately scans *fewer* index entries. Results (rows, order, bytes)
-//! remain identical; only the work count drops.
+//! match at every batch size, and their sum is the oracle evaluator's
+//! `rows_scanned`. `LIMIT` (and a page, which is one) is the one deliberate
+//! exception: the slice stops pulling its upstream once the limit is
+//! satisfied, so upstream scans never run — small pulls legitimately scan
+//! *fewer* index entries than the unbounded one. Results (rows, order,
+//! bytes) remain identical; only the work count drops.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use rdf_model::{Dataset, Graph, Term, Triple};
-use sparql_engine::{Engine, EngineConfig, EngineError, ExecStats, QueryBudget, ResourceKind};
+use sparql_engine::algebra::{GraphRef, Plan};
+use sparql_engine::ast::{PatternTerm, TriplePattern};
+use sparql_engine::{
+    Engine, EngineConfig, EngineError, EvalMode, ExecStats, PreparedQuery, QueryBudget,
+    ResourceKind,
+};
 
 const GRAPH: &str = "http://g";
 
@@ -49,22 +58,31 @@ fn dataset(n: usize, delta_resident: bool) -> Arc<Dataset> {
     Arc::new(ds)
 }
 
-fn engine(ds: &Arc<Dataset>, streaming: bool, budget: QueryBudget) -> Engine {
+fn engine(ds: &Arc<Dataset>, budget: QueryBudget) -> Engine {
     Engine::with_config(
         Arc::clone(ds),
         EngineConfig {
-            streaming,
             budget,
             ..EngineConfig::new()
         },
     )
 }
 
+/// The pull sizes the batch sweeps cover, the unbounded one included.
+const BATCHES: [usize; 5] = [1, 7, 256, 16_384, usize::MAX];
+
 /// Drain a cursor completely, returning term-materialized rows (in cursor
 /// order) and the post-drain statistics.
 fn drain(engine: &Engine, q: &str, batch_rows: usize) -> (Vec<Vec<Option<Term>>>, ExecStats) {
-    let prepared = engine.prepare(q).unwrap();
-    let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
+    drain_prepared(engine, &engine.prepare(q).unwrap(), batch_rows)
+}
+
+fn drain_prepared(
+    engine: &Engine,
+    prepared: &PreparedQuery,
+    batch_rows: usize,
+) -> (Vec<Vec<Option<Term>>>, ExecStats) {
+    let mut cursor = engine.cursor(prepared, batch_rows).unwrap();
     let mut rows = Vec::new();
     while let Some(batch) = cursor.next_batch().unwrap() {
         for row in 0..batch.len {
@@ -78,8 +96,8 @@ fn drain(engine: &Engine, q: &str, batch_rows: usize) -> (Vec<Vec<Option<Term>>>
     (rows, cursor.stats())
 }
 
-/// The two scan counters that must match between streaming and
-/// materializing execution of a fully drained plan.
+/// The two scan counters that must match at every batch size for a fully
+/// drained plan.
 fn scans(stats: &ExecStats) -> (u64, u64) {
     (stats.rows_scanned, stats.shared_scans)
 }
@@ -90,15 +108,17 @@ fn limit_early_exit_reduces_scan_work_on_both_layouts() {
     let q = format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }} LIMIT 10");
     for delta_resident in [false, true] {
         let ds = dataset(N, delta_resident);
-        let streaming = engine(&ds, true, QueryBudget::unlimited());
-        let materializing = engine(&ds, false, QueryBudget::unlimited());
-        let (rows_s, stats_s) = drain(&streaming, &q, 16);
-        let (rows_m, stats_m) = drain(&materializing, &q, 16);
+        let engine = engine(&ds, QueryBudget::unlimited());
+        let (rows_s, stats_s) = drain(&engine, &q, 16);
+        let (rows_m, stats_m) = drain(&engine, &q, usize::MAX);
         // Same ten rows, same order — the carve-out never changes results.
         assert_eq!(rows_s, rows_m, "delta_resident={delta_resident}");
         assert_eq!(rows_s.len(), 10);
-        // The materializing path scans the whole index range; the
-        // streaming slice stops pulling after one 16-row batch.
+        // `execute` is the unbounded pull, to the entry.
+        let (_, stats_e) = engine.execute_with_stats(&q).unwrap();
+        assert_eq!(scans(&stats_e), scans(&stats_m));
+        // The unbounded pull scans the whole index range; pulled 16 rows at
+        // a time, the slice stops pulling after one batch.
         assert!(
             stats_m.rows_scanned >= N as u64,
             "delta_resident={delta_resident}: materializing scanned {}",
@@ -126,25 +146,29 @@ const CROSS_JOIN: &str = "SELECT ?a ?b ?c ?d FROM <http://g> WHERE { \
 #[test]
 fn streaming_completes_under_budget_that_trips_materialization() {
     // Scale 250 → 62 500 result rows: far over the 10 000-row intermediate
-    // budget when materialized, comfortably under it per 200-row streaming
+    // budget when pulled in one piece, comfortably under it per 200-row
     // batch. (Batches stay below the 256-row parallel gate so the outcome
     // is identical at any RDFFRAMES_THREADS setting.)
     let ds = dataset(250, false);
     let budget = QueryBudget::unlimited().with_max_intermediate_rows(10_000);
+    let streaming = engine(&ds, budget);
 
-    let materializing = engine(&ds, false, budget.clone());
-    let err = materializing
-        .execute(CROSS_JOIN)
-        .expect_err("full materialization must trip the budget");
-    assert!(matches!(
-        err,
-        EngineError::ResourceExhausted {
-            resource: ResourceKind::IntermediateRows,
-            ..
-        }
-    ));
+    let tripped = |r: Result<(), EngineError>| {
+        matches!(
+            r,
+            Err(EngineError::ResourceExhausted {
+                resource: ResourceKind::IntermediateRows,
+                ..
+            })
+        )
+    };
+    // The unbounded pull holds the whole result: `execute` and a cursor
+    // asked for everything at once trip alike.
+    assert!(tripped(streaming.execute(CROSS_JOIN).map(drop)));
+    let prepared = streaming.prepare(CROSS_JOIN).unwrap();
+    let mut unbounded = streaming.cursor(&prepared, usize::MAX).unwrap();
+    assert!(tripped(unbounded.next_batch().map(drop)));
 
-    let streaming = engine(&ds, true, budget.clone());
     let (rows, stats) = drain(&streaming, CROSS_JOIN, 200);
     assert_eq!(rows.len(), 250 * 250, "streaming must produce every row");
     assert!(
@@ -184,8 +208,8 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
     let ds = dataset(N, false);
     let q = format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }}");
 
-    let streaming = engine(&ds, true, QueryBudget::unlimited());
-    let (rows, stats) = drain(&streaming, &q, BATCH);
+    let engine = engine(&ds, QueryBudget::unlimited());
+    let (rows, stats) = drain(&engine, &q, BATCH);
     assert_eq!(rows.len(), N);
     assert!(
         stats.batches_emitted >= (N / BATCH) as u64,
@@ -201,11 +225,11 @@ fn peak_live_rows_tracks_batch_size_not_result_size() {
         stats.peak_live_rows
     );
 
-    let materializing = engine(&ds, false, QueryBudget::unlimited());
-    let (_, stats_m) = drain(&materializing, &q, BATCH);
+    let (_, stats_m) = drain(&engine, &q, usize::MAX);
+    assert_eq!(stats_m.batches_emitted, 1);
     assert!(
         stats_m.peak_live_rows >= N as u64,
-        "materializing peak {} should cover the whole result",
+        "the unbounded pull's peak {} should cover the whole result",
         stats_m.peak_live_rows
     );
     assert_eq!(scans(&stats), scans(&stats_m), "no LIMIT: parity");
@@ -257,15 +281,14 @@ fn fan_out_join_stages_one_window_not_one_left_batch() {
         star(1),
         star(2)
     );
-    let streaming = engine(&ds, true, QueryBudget::unlimited());
-    let materializing = engine(&ds, false, QueryBudget::unlimited());
-    let (expected, stats_m) = drain(&materializing, &q, 4096);
+    let streaming = engine(&ds, QueryBudget::unlimited());
+    let (expected, stats_m) = drain(&streaming, &q, usize::MAX);
     assert_eq!(expected.len() as u64, STAR * FAN_OUT);
     // The optimizer split the value join: one scan set per star (the
     // nested loop would re-probe the second star per first-star row).
     assert_eq!(stats_m.rows_scanned, 2 * 1500);
 
-    for batch in [1usize, 7, 64, 256, 4096] {
+    for batch in [1usize, 7, 64, 256, 4096, 16_384] {
         let (rows, stats) = drain(&streaming, &q, batch);
         // Same rows in the same order as assembling everything at once.
         assert_eq!(rows, expected, "batch {batch}");
@@ -305,20 +328,19 @@ fn join_candidates_do_not_depend_on_batching() {
                    OPTIONAL { ?film <http://x/director> ?d } }";
     let bgp = "?film <http://x/genre> ?genre . ?film <http://x/country> ?country . \
                ?film <http://x/starring> ?actor";
-    let streaming = engine(&ds, true, QueryBudget::unlimited());
-    let materializing = engine(&ds, false, QueryBudget::unlimited());
+    let streaming = engine(&ds, QueryBudget::unlimited());
     for body in [
         format!("{{ {bgp} }} {{ {outer} }}"),
         format!("{{ {outer} }} {{ {bgp} }}"),
         format!("{{ {bgp} }} OPTIONAL {{ {outer} }}"),
     ] {
         let q = format!("SELECT * FROM <{GRAPH}> WHERE {{ {body} }}");
-        let (expected, stats_m) = drain(&materializing, &q, 4096);
+        let (expected, stats_m) = drain(&streaming, &q, usize::MAX);
         assert!(!expected.is_empty());
         assert!(stats_m.join_candidates > 0);
-        let (_, stats_e) = materializing.execute_with_stats(&q).unwrap();
+        let (_, stats_e) = streaming.execute_with_stats(&q).unwrap();
         assert_eq!(stats_e.join_candidates, stats_m.join_candidates, "{q}");
-        for batch in [1usize, 7, 256] {
+        for batch in [1usize, 7, 256, 16_384] {
             let (rows, stats) = drain(&streaming, &q, batch);
             assert_eq!(rows, expected, "batch {batch}: {q}");
             assert_eq!(scans(&stats), scans(&stats_m), "batch {batch}: {q}");
@@ -326,6 +348,179 @@ fn join_candidates_do_not_depend_on_batching() {
                 stats.join_candidates, stats_m.join_candidates,
                 "batch {batch}: {q}"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The two kernels that live in the operators
+// ---------------------------------------------------------------------------
+
+fn var(v: &str) -> PatternTerm {
+    PatternTerm::Var(v.into())
+}
+
+fn scan(s: PatternTerm, p: &str, o: PatternTerm) -> Plan {
+    Plan::Bgp {
+        patterns: vec![TriplePattern::new(
+            s,
+            PatternTerm::Const(Term::iri(format!("http://x/{p}"))),
+            o,
+        )],
+        graph: GraphRef::Named(GRAPH.into()),
+        filters: Vec::new(),
+    }
+}
+
+/// Drain a hand-built plan, taken literally, through a columnar cursor.
+fn drain_plan(
+    ds: &Arc<Dataset>,
+    plan: &Plan,
+    batch_rows: usize,
+) -> (Vec<Vec<Option<Term>>>, ExecStats) {
+    let literal = Engine::with_config(
+        Arc::clone(ds),
+        EngineConfig {
+            optimize: false,
+            ..EngineConfig::new()
+        },
+    );
+    let prepared = literal.prepare_plan(plan.clone(), Vec::new());
+    drain_prepared(&literal, &prepared, batch_rows)
+}
+
+fn reference_rows(ds: &Arc<Dataset>, plan: &Plan) -> Vec<Vec<Option<Term>>> {
+    let oracle = Engine::with_config(
+        Arc::clone(ds),
+        EngineConfig {
+            optimize: false,
+            eval_mode: EvalMode::TermReference,
+            ..EngineConfig::new()
+        },
+    );
+    let prepared = oracle.prepare_plan(plan.clone(), Vec::new());
+    oracle.execute_prepared(&prepared, None).unwrap().0.rows
+}
+
+#[test]
+fn a_false_sorted_distinct_claim_still_yields_the_keep_first_bag() {
+    // `?s p ?o` twice over: the POS scan hands out (o, s) in id order, the
+    // union repeats it — sorted on [o, s] for the first 500 rows, out of
+    // order (and all duplicates) from row 501 on. A plan that claims the
+    // union sorted is wrong only after run detection has let 500 rows
+    // through; the hash set that takes over must know every one of them.
+    let ds = dataset(500, false);
+    let one = || scan(var("s"), "p", var("o"));
+    let order = vec!["o".to_string(), "s".to_string()];
+    let lying = Plan::SortedDistinct {
+        order: order.clone(),
+        input: Box::new(Plan::Union(Box::new(one()), Box::new(one()))),
+    };
+    let expected = reference_rows(&ds, &lying);
+    assert_eq!(expected.len(), 500);
+    for batch in BATCHES {
+        let (rows, stats) = drain_plan(&ds, &lying, batch);
+        assert_eq!(rows, expected, "batch {batch}");
+        assert_eq!(stats.sorted_distincts, 0, "batch {batch}");
+    }
+
+    // The same claim over one scan is true: counted, same rows, and the
+    // state kept is id columns — below the hash set's u64-per-cell keys.
+    let honest = Plan::SortedDistinct {
+        order,
+        input: Box::new(one()),
+    };
+    let hashing = Plan::Distinct(Box::new(one()));
+    for batch in BATCHES {
+        let (rows, stats) = drain_plan(&ds, &honest, batch);
+        let (hashed_rows, hashed) = drain_plan(&ds, &hashing, batch);
+        assert_eq!(rows, expected, "batch {batch}");
+        assert_eq!(hashed_rows, expected, "batch {batch}");
+        assert_eq!((stats.sorted_distincts, hashed.sorted_distincts), (1, 0));
+        assert!(
+            stats.peak_live_bytes < hashed.peak_live_bytes,
+            "batch {batch}: {} vs {}",
+            stats.peak_live_bytes,
+            hashed.peak_live_bytes
+        );
+    }
+}
+
+#[test]
+fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
+    // Five groups of five values each. `clean` is numeric throughout (ints
+    // and doubles); the others meet something that is not a number — an
+    // IRI, a plain string, NaN, nothing at all — at the first, a middle or
+    // the last row of the group (scan order within a group is value-id
+    // order, i.e. insertion order of first appearance).
+    let numbers = || {
+        vec![
+            Some(Term::integer(5)),
+            Some(Term::Literal(rdf_model::Literal::double(2.5))),
+            Some(Term::integer(-3)),
+            Some(Term::Literal(rdf_model::Literal::double(5.0))),
+        ]
+    };
+    let intruders = [
+        ("iri", Some(Term::iri("http://x/not-a-number"))),
+        ("string", Some(Term::string("abc"))),
+        (
+            "nan",
+            Some(Term::Literal(rdf_model::Literal::double(f64::NAN))),
+        ),
+        ("unbound", None),
+    ];
+    let mut g = Graph::new();
+    let mut add = |group: String, values: Vec<Option<Term>>| {
+        for (k, v) in values.into_iter().enumerate() {
+            let row = Term::iri(format!("http://x/{group}/row{k}"));
+            let group = Term::iri(format!("http://x/{group}"));
+            g.insert(&Triple::new(row.clone(), Term::iri("http://x/in"), group));
+            if let Some(v) = v {
+                g.insert(&Triple::new(row, Term::iri("http://x/v"), v));
+            }
+        }
+    };
+    add("clean".into(), numbers());
+    for (name, intruder) in &intruders {
+        for at in [0, 2, 4] {
+            let mut values = numbers();
+            values.insert(at, intruder.clone());
+            add(format!("{name}{at}"), values);
+        }
+    }
+    g.compact();
+    let mut ds = Dataset::new();
+    ds.insert_graph(GRAPH, g);
+    let ds = Arc::new(ds);
+
+    let aggs = "(MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) \
+                (MIN(DISTINCT ?v) AS ?dlo) (MAX(DISTINCT ?v) AS ?dhi) \
+                (SUM(DISTINCT ?v) AS ?dsum) (AVG(DISTINCT ?v) AS ?davg)";
+    let body = "?row <http://x/in> ?g OPTIONAL { ?row <http://x/v> ?v }";
+    for q in [
+        format!("SELECT ?g {aggs} FROM <{GRAPH}> WHERE {{ {body} }} GROUP BY ?g"),
+        format!("SELECT {aggs} FROM <{GRAPH}> WHERE {{ {body} }}"),
+        // All-numeric, ungrouped: no group is ever demoted.
+        format!(
+            "SELECT {aggs} FROM <{GRAPH}> WHERE {{ \
+             ?row <http://x/in> <http://x/clean> . ?row <http://x/v> ?v }}"
+        ),
+    ] {
+        let oracle = Engine::with_config(
+            Arc::clone(&ds),
+            EngineConfig {
+                eval_mode: EvalMode::TermReference,
+                ..EngineConfig::new()
+            },
+        );
+        let expected = oracle.execute(&q).unwrap().rows;
+        assert!(!expected.is_empty());
+        let engine = engine(&ds, QueryBudget::unlimited());
+        assert_eq!(engine.execute(&q).unwrap().rows, expected, "{q}");
+        for batch in BATCHES {
+            let (rows, _) = drain(&engine, &q, batch);
+            assert_eq!(rows, expected, "batch {batch}: {q}");
         }
     }
 }
@@ -393,11 +588,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random BGP (+ optional OPTIONAL tail, + optional GROUP BY head)
-    /// over a random graph in a random storage layout: the streaming
-    /// cursor must produce byte-identical rows in identical order with
-    /// identical `rows_scanned` and `shared_scans` as the materializing
-    /// cursor, at any batch size (none of these shapes has a LIMIT, so the
-    /// carve-out is moot).
+    /// over a random graph in a random storage layout: a cursor at any
+    /// batch size must produce byte-identical rows in identical order with
+    /// identical `rows_scanned` and `shared_scans` as the unbounded pull
+    /// (none of these shapes has a LIMIT, so the carve-out is moot).
     #[test]
     fn random_shapes_stream_identically(
         triples in proptest::collection::vec((0u8..6, 0u8..3, 0u8..6), 1..40),
@@ -424,10 +618,9 @@ proptest! {
         } else {
             format!("SELECT * FROM <{GRAPH}> WHERE {{\n{body}}}")
         };
-        let streaming = engine(&ds, true, QueryBudget::unlimited());
-        let materializing = engine(&ds, false, QueryBudget::unlimited());
-        let (rows_s, stats_s) = drain(&streaming, &q, batch_rows);
-        let (rows_m, stats_m) = drain(&materializing, &q, batch_rows);
+        let engine = engine(&ds, QueryBudget::unlimited());
+        let (rows_s, stats_s) = drain(&engine, &q, batch_rows);
+        let (rows_m, stats_m) = drain(&engine, &q, usize::MAX);
         prop_assert_eq!(rows_s, rows_m, "rows diverge for {} @ batch {}", &q, batch_rows);
         prop_assert_eq!(
             scans(&stats_s),
