@@ -1,24 +1,15 @@
-//! Parallel-execution and concurrent-serving benchmark.
+//! Concurrent-serving benchmark.
 //!
 //! Two experiments over one synthetic dataset:
 //!
-//! 1. **Parallel speedup** — the embedded endpoint runs case studies 1 and
-//!    3 (plus synthetic Q1) with the engine's work-stealing pool at 1, 2, 4,
-//!    and 8 threads. Every thread count must produce the same number of
-//!    rows (the evaluator's determinism contract says the *content* is
-//!    byte-identical too; the test suite asserts that — here we record
-//!    latency). Speedups are relative to `threads = 1` on **this
-//!    machine**: on a single-core container the pool adds coordination
-//!    overhead and the honest speedup is ≤ 1.
-//!
-//! 2. **Concurrent serving** — a [`SnapshotServer`] serves 1/2/4/8 reader
+//! 1. **Concurrent serving** — a [`SnapshotServer`] serves 1/2/4/8 reader
 //!    threads executing a one-hop RDFFrames query while a writer loops
 //!    `update()` (append one triple → publish a new epoch). Reported:
 //!    aggregate queries/s, per-query p50/p99 latency, and epochs published
 //!    during the window — readers never block on the writer beyond the
 //!    epoch pointer swap.
 //!
-//! 3. **Durability tax** — the same readers-vs-writer race, with the
+//! 2. **Durability tax** — the same readers-vs-writer race, with the
 //!    writer's publications running durability off (plain
 //!    [`SnapshotServer`]), WAL-commit-per-update, and WAL-per-update with
 //!    threshold-coalesced checkpoints ([`DurableSnapshotServer`] over a
@@ -26,11 +17,6 @@
 //!    qps/p99, and the store's commit/checkpoint counters. The backing
 //!    store is in-memory, so the tax measured is WAL serialization and
 //!    checkpoint copying — real `fsync` cost comes on top of this floor.
-//!
-//! 4. **Overload** — submitters hammer a [`DurableSnapshotServer`] whose
-//!    admission limit is far below the offered concurrency; reported:
-//!    submitted/admitted/shed counts (which must reconcile exactly) and
-//!    the accepted-query throughput while shedding.
 //!
 //! Results go to `BENCH_concurrent.json`.
 //!
@@ -41,20 +27,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::casestudies::{self, CaseParams};
 use bench::data;
-use bench::queries;
 use rdf_model::persist::{MemVfs, Vfs};
 use rdf_model::{Term, Triple};
-use rdfframes_core::{
-    DurableSnapshotServer, EmbeddedEndpoint, FrameError, RDFFrame, ServingConfig, SnapshotServer,
-};
-use sparql_engine::EngineConfig;
+use rdfframes_core::{DurableSnapshotServer, ServingConfig, SnapshotServer};
 
-/// Timed repetitions per (workload, thread-count) cell.
-const RUNS: usize = 5;
-/// Engine thread counts swept in the parallel-speedup experiment.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Reader thread counts swept in the concurrent-serving experiment.
 const READERS: [usize; 4] = [1, 2, 4, 8];
 /// Measurement window per reader count.
@@ -81,59 +58,6 @@ fn parse_args() -> usize {
         }
     }
     scale
-}
-
-struct Workload {
-    id: &'static str,
-    frame: RDFFrame,
-}
-
-fn workloads(scale: usize) -> Vec<Workload> {
-    let p = CaseParams::for_scale(scale);
-    let mut out = vec![
-        Workload {
-            id: "cs1_movie_genre",
-            frame: casestudies::movie_genre_classification(p.prolific),
-        },
-        Workload {
-            id: "cs3_kg_embedding",
-            frame: casestudies::kg_embedding(),
-        },
-    ];
-    if let Some(q1) = queries::all_queries().into_iter().find(|d| d.id == "Q1") {
-        out.push(Workload {
-            id: "q1_players",
-            frame: q1.frame,
-        });
-    }
-    out
-}
-
-struct Cell {
-    median: Duration,
-    rows: usize,
-    par_chunks: u64,
-}
-
-fn run(frame: &RDFFrame, endpoint: &EmbeddedEndpoint) -> Cell {
-    let warm = frame
-        .execute(endpoint)
-        .unwrap_or_else(|e| panic!("execution failed: {e}"));
-    let rows = warm.len();
-    let chunks_before = endpoint.stats().par_chunks();
-    let mut samples = Vec::with_capacity(RUNS);
-    for _ in 0..RUNS {
-        let start = Instant::now();
-        let df = frame.execute(endpoint).unwrap();
-        samples.push(start.elapsed());
-        assert_eq!(df.len(), rows, "non-deterministic result size");
-    }
-    samples.sort();
-    Cell {
-        median: samples[samples.len() / 2],
-        rows,
-        par_chunks: endpoint.stats().par_chunks() - chunks_before,
-    }
 }
 
 /// Percentile (nearest-rank) of a sorted latency sample.
@@ -241,7 +165,7 @@ fn write_triple(n: u64) -> Triple {
     )
 }
 
-/// Writer-side durability swept by experiment 3.
+/// Writer-side durability swept by the durability-tax experiment.
 #[derive(Clone, Copy, PartialEq)]
 enum Durability {
     /// Plain [`SnapshotServer`]: publish is a pointer swap, nothing survives
@@ -367,7 +291,7 @@ struct TaxOutcome {
     checkpoints: u64,
 }
 
-/// Experiment 3 cell: readers race a writer whose publications run at the
+/// Durability-tax cell: readers race a writer whose publications run at the
 /// given durability level; both sides' latencies are sampled.
 fn serve_tax(scale: usize, mode: Durability) -> TaxOutcome {
     let server = TaxServer::build(scale, mode);
@@ -427,76 +351,6 @@ fn serve_tax(scale: usize, mode: Durability) -> TaxOutcome {
     }
 }
 
-/// Offered concurrency in the overload experiment — far above the limit.
-const OVERLOAD_SUBMITTERS: usize = 8;
-/// Admission limit the overload experiment pins the server at.
-const OVERLOAD_MAX_IN_FLIGHT: usize = 2;
-
-struct OverloadOutcome {
-    submitted: u64,
-    admitted: u64,
-    shed: u64,
-    completed: u64,
-    accepted_qps: f64,
-}
-
-/// Experiment 4: hammer the governed front door with far more concurrency
-/// than the admission limit; every rejection must be a typed
-/// [`FrameError::Overloaded`], and the counters must reconcile exactly.
-fn overload(scale: usize) -> OverloadOutcome {
-    let server = seed_durable(
-        scale,
-        ServingConfig {
-            max_in_flight: OVERLOAD_MAX_IN_FLIGHT,
-            max_waiters: 0,
-            max_wait: Duration::ZERO,
-            checkpoint_wal_bytes: None,
-            ..ServingConfig::default()
-        },
-    );
-    let frame = data::dbpedia_graph().feature_domain_range("dbpp:starring", "movie", "actor");
-    let stop = AtomicBool::new(false);
-    let completed: u64 = std::thread::scope(|scope| {
-        let mut submitters = Vec::new();
-        for _ in 0..OVERLOAD_SUBMITTERS {
-            submitters.push(scope.spawn(|| {
-                let mut ok = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    match server.execute(&frame) {
-                        Ok(df) => {
-                            assert!(!df.is_empty());
-                            ok += 1;
-                        }
-                        Err(FrameError::Overloaded(_)) => {}
-                        Err(e) => panic!("unexpected error under overload: {e}"),
-                    }
-                }
-                ok
-            }));
-        }
-        std::thread::sleep(SERVE_WINDOW);
-        stop.store(true, Ordering::Relaxed);
-        submitters
-            .into_iter()
-            .map(|s| s.join().expect("submitter panicked"))
-            .sum()
-    });
-    let stats = server.stats();
-    assert_eq!(
-        stats.admitted + stats.shed,
-        stats.submitted,
-        "admission counters must reconcile"
-    );
-    assert_eq!(stats.admitted, completed, "every admitted query completed");
-    OverloadOutcome {
-        submitted: stats.submitted,
-        admitted: stats.admitted,
-        shed: stats.shed,
-        completed,
-        accepted_qps: completed as f64 / SERVE_WINDOW.as_secs_f64(),
-    }
-}
-
 fn main() {
     let scale = parse_args();
     let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -514,76 +368,8 @@ fn main() {
     let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"triples\": {},", dataset.total_triples());
     let _ = writeln!(json, "  \"hardware_threads\": {hardware},");
-    let _ = writeln!(json, "  \"runs\": {RUNS},");
 
-    // ── Experiment 1: parallel speedup ────────────────────────────────
-    println!(
-        "\n{:<18} {:>8} {:>12} {:>10} {:>12} {:>10}",
-        "workload", "threads", "median (ms)", "speedup", "par_chunks", "rows"
-    );
-    let _ = writeln!(json, "  \"parallel_speedup\": [");
-    let specs = workloads(scale);
-    for (wi, w) in specs.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"id\": \"{}\",", w.id);
-        let _ = writeln!(json, "      \"by_threads\": [");
-        let mut base = Duration::ZERO;
-        let mut base_rows = 0usize;
-        for (ti, &threads) in THREADS.iter().enumerate() {
-            let endpoint = EmbeddedEndpoint::with_engine_config(
-                Arc::clone(&dataset),
-                EngineConfig {
-                    threads,
-                    ..EngineConfig::new()
-                },
-            );
-            let cell = run(&w.frame, &endpoint);
-            if ti == 0 {
-                base = cell.median;
-                base_rows = cell.rows;
-            } else {
-                assert_eq!(
-                    cell.rows, base_rows,
-                    "{}: thread count changed the result size",
-                    w.id
-                );
-            }
-            let speedup = base.as_secs_f64() / cell.median.as_secs_f64().max(1e-12);
-            println!(
-                "{:<18} {:>8} {:>12.3} {:>9.2}x {:>12} {:>10}",
-                w.id,
-                threads,
-                cell.median.as_secs_f64() * 1e3,
-                speedup,
-                cell.par_chunks,
-                cell.rows
-            );
-            let _ = writeln!(json, "        {{");
-            let _ = writeln!(json, "          \"threads\": {threads},");
-            let _ = writeln!(
-                json,
-                "          \"median_ms\": {:.3},",
-                cell.median.as_secs_f64() * 1e3
-            );
-            let _ = writeln!(json, "          \"speedup_vs_1\": {speedup:.3},");
-            let _ = writeln!(json, "          \"par_chunks\": {},", cell.par_chunks);
-            let _ = writeln!(json, "          \"rows\": {}", cell.rows);
-            let _ = writeln!(
-                json,
-                "        }}{}",
-                if ti + 1 < THREADS.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(json, "      ]");
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if wi + 1 < specs.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-
-    // ── Experiment 2: concurrent serving ──────────────────────────────
+    // ── Experiment 1: concurrent serving ──────────────────────────────
     println!(
         "\n{:<8} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10}",
         "readers", "queries", "qps", "p50 (ms)", "p99 (ms)", "epochs", "final rows"
@@ -625,7 +411,7 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
 
-    // ── Experiment 3: durability tax ──────────────────────────────────
+    // ── Experiment 2: durability tax ──────────────────────────────────
     println!(
         "\n{:<26} {:>12} {:>12} {:>8} {:>10} {:>10} {:>8} {:>6}",
         "durability",
@@ -685,29 +471,7 @@ fn main() {
             if mi + 1 < modes.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "  ],");
-
-    // ── Experiment 4: overload shedding ───────────────────────────────
-    let over = overload(scale);
-    println!(
-        "\noverload: {} submitters vs limit {} → submitted {} admitted {} shed {} ({:.1} accepted qps)",
-        OVERLOAD_SUBMITTERS,
-        OVERLOAD_MAX_IN_FLIGHT,
-        over.submitted,
-        over.admitted,
-        over.shed,
-        over.accepted_qps
-    );
-    let _ = writeln!(json, "  \"overload\": {{");
-    let _ = writeln!(json, "    \"submitters\": {OVERLOAD_SUBMITTERS},");
-    let _ = writeln!(json, "    \"max_in_flight\": {OVERLOAD_MAX_IN_FLIGHT},");
-    let _ = writeln!(json, "    \"window_ms\": {},", SERVE_WINDOW.as_millis());
-    let _ = writeln!(json, "    \"submitted\": {},", over.submitted);
-    let _ = writeln!(json, "    \"admitted\": {},", over.admitted);
-    let _ = writeln!(json, "    \"shed\": {},", over.shed);
-    let _ = writeln!(json, "    \"completed\": {},", over.completed);
-    let _ = writeln!(json, "    \"accepted_qps\": {:.1}", over.accepted_qps);
-    let _ = writeln!(json, "  }}");
+    let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
 
     std::fs::write("BENCH_concurrent.json", &json).expect("write BENCH_concurrent.json");

@@ -23,7 +23,7 @@ fn prepare(engine: &Engine, frame: &RDFFrame) -> PreparedQuery {
     engine.prepare_plan(compiled.plan, compiled.from)
 }
 
-/// The counters that measure work done (the `par_*`, `peak_live_*` and
+/// The counters that measure work done (the `peak_live_*` and
 /// `batches_emitted` fields describe how it was scheduled).
 fn work(stats: &ExecStats) -> [u64; 7] {
     [

@@ -20,7 +20,7 @@
 //!    OPTIONALs, UNIONs, GROUP BY, DISTINCT, ORDER BY and LIMIT, nested in
 //!    another repeated subtree, on both sides of one join — produce the
 //!    oracle's rows in the oracle's order, satisfy the scan identity, and do
-//!    so at every batch size and thread count.
+//!    so at every batch size.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -419,26 +419,22 @@ proptest! {
             prop_assert!(stats.shared_scans > 0 || unshared.rows_scanned == 0, "{}", &explain);
         }
 
-        // Batch sizes (the unbounded pull of `execute` included) × thread
-        // counts.
-        for threads in [1usize, 4] {
-            let engine = engine(&ds, EngineConfig { threads, ..EngineConfig::new() });
-            for batch in [1usize, 7, 256, 16_384, usize::MAX] {
-                let (rows, s) = drain(&engine, &prepared, batch);
-                let at = format!("{threads} threads, batch {batch}");
-                prop_assert_eq!(&rows, &expected.rows, "{}\n{}", &at, &explain);
-                if early_exit && batch != usize::MAX {
-                    // The LIMIT carve-out: the smaller the pulls, the
-                    // earlier the exit.
-                    prop_assert!(s.rows_scanned <= stats.rows_scanned, "{}\n{}", &at, &explain);
-                    prop_assert!(s.unshared_scans() <= stats.unshared_scans(), "{}\n{}", &at, &explain);
-                } else {
-                    prop_assert_eq!(
-                        (s.rows_scanned, s.shared_scans),
-                        (stats.rows_scanned, stats.shared_scans),
-                        "{}\n{}", &at, &explain
-                    );
-                }
+        // Batch sizes (the unbounded pull of `execute` included).
+        for batch in [1usize, 7, 256, 16_384, usize::MAX] {
+            let (rows, s) = drain(&columnar, &prepared, batch);
+            let at = format!("batch {batch}");
+            prop_assert_eq!(&rows, &expected.rows, "{}\n{}", &at, &explain);
+            if early_exit && batch != usize::MAX {
+                // The LIMIT carve-out: the smaller the pulls, the
+                // earlier the exit.
+                prop_assert!(s.rows_scanned <= stats.rows_scanned, "{}\n{}", &at, &explain);
+                prop_assert!(s.unshared_scans() <= stats.unshared_scans(), "{}\n{}", &at, &explain);
+            } else {
+                prop_assert_eq!(
+                    (s.rows_scanned, s.shared_scans),
+                    (stats.rows_scanned, stats.shared_scans),
+                    "{}\n{}", &at, &explain
+                );
             }
         }
     }

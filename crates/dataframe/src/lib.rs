@@ -8,6 +8,8 @@
 //! joins (inner/left/right/full outer), hash group-by with aggregation,
 //! sorting, slicing, and CSV I/O.
 
+#![forbid(unsafe_code)]
+
 pub mod cell;
 pub mod csv;
 pub mod describe;

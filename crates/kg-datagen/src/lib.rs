@@ -19,6 +19,8 @@
 //!
 //! All generators are deterministic given a seed.
 
+#![forbid(unsafe_code)]
+
 pub mod dblp;
 pub mod dbpedia;
 pub mod names;

@@ -19,6 +19,8 @@
 //! - [`prefix`]: prefix map / CURIE expansion used by the RDFFrames API.
 //! - [`vocab`]: well-known vocabulary constants.
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod error;
 pub mod graph;

@@ -39,8 +39,8 @@ const DEFAULT_BATCH_ROWS: usize = 16_384;
 
 /// The default batch size, overridable through `RDFFRAMES_BATCH_ROWS` (so
 /// whole test suites can re-run under a pathological batch size without
-/// code changes, mirroring `RDFFRAMES_THREADS`). Explicit
-/// [`EmbeddedEndpoint::with_batch_rows`] calls always win over the env.
+/// code changes). Explicit [`EmbeddedEndpoint::with_batch_rows`] calls always
+/// win over the env.
 fn default_batch_rows() -> usize {
     std::env::var("RDFFRAMES_BATCH_ROWS")
         .ok()
@@ -205,9 +205,6 @@ impl EmbeddedEndpoint {
         // (and counts) as batches are pulled.
         let stats = cursor.stats();
         self.count_scans(&stats);
-        self.stats
-            .par_chunks
-            .fetch_add(stats.par_chunks, Ordering::Relaxed);
         self.stats
             .batches_emitted
             .fetch_add(stats.batches_emitted, Ordering::Relaxed);

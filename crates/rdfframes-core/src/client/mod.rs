@@ -113,10 +113,6 @@ pub struct EndpointStats {
     /// Requests that ended in an error (rejection, budget trip, or wire
     /// encoding failure). Always ≤ `requests`.
     pub errors: AtomicU64,
-    /// Parallel work chunks executed by the engine on behalf of this
-    /// endpoint (sum of [`sparql_engine::ExecStats::par_chunks`] across
-    /// served requests). Zero when the engine runs single-threaded.
-    pub par_chunks: AtomicU64,
     /// Cursor batches the embedded path streamed into dataframes (sum of
     /// [`sparql_engine::ExecStats::batches_emitted`] across requests).
     /// Zero on wire-only endpoints.
@@ -142,11 +138,6 @@ impl EndpointStats {
     /// Requests that ended in an error so far.
     pub fn errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
-    }
-
-    /// Parallel work chunks executed so far on behalf of this endpoint.
-    pub fn par_chunks(&self) -> u64 {
-        self.par_chunks.load(Ordering::Relaxed)
     }
 
     /// Cursor batches streamed so far by embedded executions.
@@ -340,16 +331,13 @@ impl InProcessEndpoint {
         // Paging inside the engine means evaluation stops when the chunk is
         // full and only shipped rows materialize terms.
         let prepared = self.plans.get_or_prepare(&self.engine, sparql)?;
-        let (mut table, exec_stats) = self
+        let (mut table, _) = self
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))
             .map_err(engine_error)?;
         self.stats
             .rows_returned
             .fetch_add(table.rows.len() as u64, Ordering::Relaxed);
-        self.stats
-            .par_chunks
-            .fetch_add(exec_stats.par_chunks, Ordering::Relaxed);
         match self.config.wire {
             WireFormat::None => {}
             WireFormat::Tsv => {

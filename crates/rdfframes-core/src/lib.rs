@@ -37,6 +37,8 @@
 //! assert!(sparql.contains("HAVING"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod client;
 pub mod error;

@@ -21,8 +21,6 @@
 //! charge must trip the limit, not wrap in a debug build.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::error::{EngineError, Result};
@@ -257,232 +255,6 @@ impl BudgetMeter {
             limit,
             observed,
         }
-    }
-}
-
-/// The meter surface the hot loops charge against, so one loop body serves
-/// both the sequential path (a `&mut BudgetMeter`) and a parallel worker
-/// (a [`WorkerMeter`] charging shared atomics).
-pub trait OpMeter {
-    /// See [`BudgetMeter::charge_scan`].
-    fn charge_scan(&mut self, n: u64) -> Result<bool>;
-    /// See [`BudgetMeter::charge_intermediate`].
-    fn charge_intermediate(&mut self, rows: u64, bytes: u64) -> Result<()>;
-}
-
-impl OpMeter for BudgetMeter {
-    #[inline]
-    fn charge_scan(&mut self, n: u64) -> Result<bool> {
-        BudgetMeter::charge_scan(self, n)
-    }
-
-    #[inline]
-    fn charge_intermediate(&mut self, rows: u64, bytes: u64) -> Result<()> {
-        BudgetMeter::charge_intermediate(self, rows, bytes)
-    }
-}
-
-/// Shared budget accounting for one parallel operator.
-///
-/// Forked from the evaluation's [`BudgetMeter`] before a fan-out and folded
-/// back afterwards ([`SharedMeter::finish`]): workers charge scans into one
-/// shared atomic total (seeded with the parent's count, so the cap covers
-/// the whole evaluation, not each operator separately) and publish their
-/// live buffer sizes into per-chunk slots whose *sum* is checked against
-/// the intermediate-rows/memory caps — the parallel buffers are exactly the
-/// allocation the sequential loop accumulated in one place.
-///
-/// The first limit violation is recorded once ([`SharedMeter::trip`]);
-/// every other worker observes the flag at its next checkpoint and bails
-/// with the same typed error, so overshoot stays bounded by the in-flight
-/// work between checkpoints — one hot-loop iteration per worker instead of
-/// one per evaluation.
-#[derive(Debug)]
-pub struct SharedMeter {
-    active: bool,
-    max_rows_scanned: u64,
-    max_intermediate_rows: u64,
-    max_memory_bytes: u64,
-    deadline: Option<(Instant, u64)>,
-    started: Option<Instant>,
-    /// Parent meter's scan count when this operator forked.
-    base_scanned: u64,
-    /// Scans charged by this operator's workers.
-    scanned: AtomicU64,
-    /// Per-chunk live buffer sizes (rows, bytes), summed at checkpoints.
-    buf_rows: Vec<AtomicU64>,
-    buf_bytes: Vec<AtomicU64>,
-    tripped: AtomicBool,
-    trip_error: Mutex<Option<EngineError>>,
-}
-
-impl SharedMeter {
-    /// Fork shared accounting for an operator fanning out over `slots`
-    /// chunks.
-    pub fn new(parent: &BudgetMeter, slots: usize) -> Self {
-        SharedMeter {
-            active: parent.active,
-            max_rows_scanned: parent.max_rows_scanned,
-            max_intermediate_rows: parent.max_intermediate_rows,
-            max_memory_bytes: parent.max_memory_bytes,
-            deadline: parent.deadline,
-            started: parent.started,
-            base_scanned: parent.rows_scanned,
-            scanned: AtomicU64::new(0),
-            buf_rows: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            buf_bytes: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            tripped: AtomicBool::new(false),
-            trip_error: Mutex::new(None),
-        }
-    }
-
-    /// Meter handle for the worker processing chunk `slot`.
-    pub fn worker(&self, slot: usize) -> WorkerMeter<'_> {
-        WorkerMeter {
-            shared: self,
-            slot,
-            until_poll: POLL_INTERVAL,
-        }
-    }
-
-    /// Fold the shared scan total back into the parent meter and surface
-    /// the first trip, if any.
-    pub fn finish(&self, parent: &mut BudgetMeter) -> Result<()> {
-        parent.rows_scanned = self
-            .base_scanned
-            .saturating_add(self.scanned.load(Ordering::Relaxed));
-        if self.tripped.load(Ordering::Acquire) {
-            if let Some(err) = self.trip_error.lock().expect("trip slot").clone() {
-                return Err(err);
-            }
-        }
-        Ok(())
-    }
-
-    /// Record the first violation; later trips keep the original error.
-    fn trip(&self, err: EngineError) -> EngineError {
-        let mut slot = self.trip_error.lock().expect("trip slot");
-        let first = slot.get_or_insert_with(|| err.clone()).clone();
-        self.tripped.store(true, Ordering::Release);
-        first
-    }
-
-    /// The recorded error if some worker already tripped.
-    fn already_tripped(&self) -> Option<EngineError> {
-        if !self.tripped.load(Ordering::Acquire) {
-            return None;
-        }
-        self.trip_error.lock().expect("trip slot").clone()
-    }
-
-    fn deadline_exceeded(&self) -> Option<EngineError> {
-        let (deadline, limit_ms) = self.deadline?;
-        let now = Instant::now();
-        if now < deadline {
-            return None;
-        }
-        let observed = self
-            .started
-            .map(|s| now.duration_since(s).as_millis().min(u64::MAX as u128) as u64)
-            .unwrap_or(limit_ms);
-        Some(EngineError::ResourceExhausted {
-            resource: ResourceKind::Deadline,
-            limit: limit_ms,
-            observed,
-        })
-    }
-}
-
-/// One worker's charging handle over a [`SharedMeter`]. Scan charges go to
-/// the shared total immediately (exact accounting); the poll counter and
-/// buffer publication are worker-local, so checkpoint cost matches the
-/// sequential meter's.
-#[derive(Debug)]
-pub struct WorkerMeter<'s> {
-    shared: &'s SharedMeter,
-    slot: usize,
-    until_poll: u64,
-}
-
-impl OpMeter for WorkerMeter<'_> {
-    #[inline]
-    fn charge_scan(&mut self, n: u64) -> Result<bool> {
-        let shared = self.shared;
-        if !shared.active {
-            return Ok(false);
-        }
-        let total = shared
-            .base_scanned
-            .saturating_add(shared.scanned.fetch_add(n, Ordering::Relaxed))
-            .saturating_add(n);
-        if total > shared.max_rows_scanned {
-            return Err(shared.trip(EngineError::ResourceExhausted {
-                resource: ResourceKind::RowsScanned,
-                limit: shared.max_rows_scanned,
-                observed: total,
-            }));
-        }
-        if let Some(rest) = self.until_poll.checked_sub(n) {
-            if rest > 0 {
-                self.until_poll = rest;
-                return Ok(false);
-            }
-        }
-        self.until_poll = POLL_INTERVAL;
-        if let Some(err) = shared.already_tripped() {
-            return Err(err);
-        }
-        if let Some(err) = shared.deadline_exceeded() {
-            return Err(shared.trip(err));
-        }
-        Ok(true)
-    }
-
-    #[inline]
-    fn charge_intermediate(&mut self, rows: u64, bytes: u64) -> Result<()> {
-        let shared = self.shared;
-        if !shared.active {
-            return Ok(());
-        }
-        // Publish this chunk's live buffer size and check the cross-chunk
-        // sum — chunk outputs all stay allocated until the merge, so the
-        // sum is the operator's actual footprint, same as the sequential
-        // loop's single growing buffer.
-        shared.buf_rows[self.slot].store(rows, Ordering::Relaxed);
-        shared.buf_bytes[self.slot].store(bytes, Ordering::Relaxed);
-        let total_rows = shared
-            .buf_rows
-            .iter()
-            .fold(0u64, |a, v| a.saturating_add(v.load(Ordering::Relaxed)));
-        if total_rows > shared.max_intermediate_rows {
-            return Err(shared.trip(EngineError::ResourceExhausted {
-                resource: ResourceKind::IntermediateRows,
-                limit: shared.max_intermediate_rows,
-                observed: total_rows,
-            }));
-        }
-        let total_bytes = shared
-            .buf_bytes
-            .iter()
-            .fold(0u64, |a, v| a.saturating_add(v.load(Ordering::Relaxed)));
-        if total_bytes > shared.max_memory_bytes {
-            return Err(shared.trip(EngineError::ResourceExhausted {
-                resource: ResourceKind::MemoryBytes,
-                limit: shared.max_memory_bytes,
-                observed: total_bytes,
-            }));
-        }
-        self.until_poll = self.until_poll.saturating_sub(1);
-        if self.until_poll == 0 {
-            self.until_poll = POLL_INTERVAL;
-            if let Some(err) = shared.already_tripped() {
-                return Err(err);
-            }
-            if let Some(err) = shared.deadline_exceeded() {
-                return Err(shared.trip(err));
-            }
-        }
-        Ok(())
     }
 }
 

@@ -101,26 +101,12 @@ pub struct EngineConfig {
     /// The deadline clock starts when an evaluator is created for a query,
     /// so each `execute_*`/`cursor` call gets the full allowance.
     pub budget: QueryBudget,
-    /// Worker threads for the columnar executor's one parallel operator,
-    /// BGP extension. `1` (the default) runs fully sequential; `n > 1` fans
-    /// large blocks of input rows out over a shared work-stealing pool.
-    /// Results are byte-identical at any thread count, and `rows_scanned`
-    /// parity is exact. The oracle ([`EvalMode::TermReference`]) always
-    /// runs sequentially.
-    pub threads: usize,
 }
 
 impl EngineConfig {
     /// The default configuration: optimizer on (all rewrites), columnar
-    /// evaluation. Thread count comes from `RDFFRAMES_THREADS` when set
-    /// (so whole test suites can re-run parallel without code changes),
-    /// defaulting to 1.
+    /// evaluation.
     pub fn new() -> Self {
-        let threads = std::env::var("RDFFRAMES_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1)
-            .max(1);
         EngineConfig {
             optimize: true,
             eval_mode: EvalMode::Columnar,
@@ -131,7 +117,6 @@ impl EngineConfig {
             sorted_group_by: true,
             rank_order_by: true,
             budget: QueryBudget::unlimited(),
-            threads,
         }
     }
 }
@@ -151,7 +136,7 @@ pub struct ExecStats {
     pub rows_scanned: u64,
     /// Index entries that replays of shared subplans stood in for (columnar
     /// evaluator only; zero for a plan without a repeated subtree). Exact:
-    /// identical at every batch size and thread count, and
+    /// identical at every batch size, and
     /// `rows_scanned + shared_scans` is what the oracle, which evaluates
     /// every occurrence, reports as `rows_scanned` (the early exit of a
     /// satisfied `LIMIT` or page aside).
@@ -180,17 +165,6 @@ pub struct ExecStats {
     /// only; counts executions, like `merge_joins`). Informational: grouping
     /// hashes either way.
     pub sorted_groups: u64,
-    /// Configured worker count the query ran with (1 = sequential).
-    pub par_workers: u64,
-    /// Chunks processed by parallel operator runs (0 when sequential or
-    /// every input stayed under the parallel threshold).
-    pub par_chunks: u64,
-    /// Chunk tasks executed by a worker other than the one they were queued
-    /// on (work stealing actually rebalanced).
-    pub par_steals: u64,
-    /// Nanoseconds spent folding parallel chunk results back together in
-    /// chunk order (the deterministic merge phases).
-    pub par_merge_nanos: u64,
     /// Peak rows simultaneously live across the operator pipeline (operator
     /// state plus the batch being emitted), sampled after every batch:
     /// O(batch size + breaker state) for a cursor, the whole result for
@@ -422,7 +396,6 @@ impl Engine {
         let mut evaluator = Evaluator::new(&self.dataset, prepared.from.clone());
         evaluator.set_rank_sort(self.config.rank_order_by);
         evaluator.set_budget(&self.config.budget);
-        evaluator.set_threads(self.config.threads);
         let mut source = pipeline::build(&evaluator, &prepared.plan)?;
         if let Some((offset, limit)) = page {
             source = pipeline::paged(source, offset, limit);
@@ -479,7 +452,6 @@ impl QueryCursor<'_> {
     /// live-memory high-water marks), final only once the cursor is
     /// drained.
     pub fn stats(&self) -> ExecStats {
-        let par = self.evaluator.par_stats();
         ExecStats {
             rows_scanned: self.evaluator.rows_scanned(),
             shared_scans: self.evaluator.shared_scans(),
@@ -488,10 +460,6 @@ impl QueryCursor<'_> {
             join_candidates: self.evaluator.join_candidates(),
             sorted_distincts: self.evaluator.sorted_distincts(),
             sorted_groups: self.evaluator.sorted_groups(),
-            par_workers: self.evaluator.threads() as u64,
-            par_chunks: par.chunks,
-            par_steals: par.steals,
-            par_merge_nanos: par.merge_nanos,
             peak_live_rows: self.peak_live_rows,
             peak_live_bytes: self.peak_live_bytes,
             batches_emitted: self.batches_emitted,

@@ -8,14 +8,14 @@
 //! pipeline — `execute*` with one unbounded pull, a cursor batch by batch.
 //! This module holds what the operators share: the execution context
 //! ([`Evaluator`]: term pool, expression caches, budget meter, work
-//! counters, the parallel pool) and the batch kernels they call.
+//! counters) and the batch kernels they call.
 //!
-//! - **BGP extension** ([`Evaluator::extend_rows`], [`bgp_scan_rows`])
-//!   walks the store's sorted-slab access paths ([`rdf_model::Graph`]) and
-//!   appends match results into *column buffers* (a gather-index vector
-//!   plus one value vector per newly-bound variable). No per-row `Vec` is
-//!   ever allocated; previously-bound columns are carried forward with a
-//!   single contiguous gather.
+//! - **BGP extension** (the pipeline's `BgpOp`) walks the store's
+//!   sorted-slab access paths ([`rdf_model::Graph`]) and appends match
+//!   results into *column buffers* (a gather-index vector plus one value
+//!   vector per newly-bound variable). No per-row `Vec` is ever allocated;
+//!   previously-bound columns are carried forward with a single contiguous
+//!   gather.
 //! - **Joins** key every build row on all the shared variables it binds
 //!   (`join_index`: presence groups found by bitmap popcount, keys hashed
 //!   off raw `&[TermId]` column slices) or walk a sorted key run, and emit
@@ -41,15 +41,13 @@
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::ops::Range;
 use std::sync::Arc;
-use std::time::Instant;
 
 use rdf_model::{Dataset, Graph, GraphIdMap, Term, TermId};
 
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{AggOp, Expr, OrderKey, PatternTerm, TriplePattern};
-use crate::budget::{BudgetMeter, OpMeter, QueryBudget, SharedMeter};
+use crate::budget::{BudgetMeter, QueryBudget};
 use crate::error::{EngineError, Result};
 use crate::expr::{
     ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRowCtx, NumericAccum, PushedEval,
@@ -63,37 +61,6 @@ pub(crate) mod share;
 
 use join_index::{merge_candidates, JoinIndex, RowMasks, Sides};
 use share::{Replay, Shared};
-
-/// Inputs below this row count run sequentially even with parallelism on:
-/// the fan-out overhead (task queueing, per-chunk state) dwarfs the work.
-const PAR_MIN_ROWS: usize = 256;
-
-/// Chunk size for a parallel operator: aim for ~4 chunks per worker (so
-/// work stealing can rebalance skew) but never chunks so small the
-/// per-chunk setup dominates.
-fn par_chunk_size(len: usize, threads: usize) -> usize {
-    len.div_ceil(threads.max(1) * 4).max(128)
-}
-
-/// Parallel execution context: a shared work-stealing pool plus the
-/// configured degree.
-struct ParCtx {
-    pool: Arc<rayon::ThreadPool>,
-    threads: usize,
-}
-
-/// Observability counters for parallel operator runs (exposed through
-/// [`crate::engine::ExecStats`]).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ParStats {
-    /// Chunks executed across all parallel operator runs.
-    pub chunks: u64,
-    /// Chunk tasks a worker stole from another worker's queue.
-    pub steals: u64,
-    /// Nanoseconds spent in the single-threaded merge phases that fold
-    /// chunk results back together in chunk order.
-    pub merge_nanos: u64,
-}
 
 /// Execution context of one query over one dataset: what every operator of
 /// the [`pipeline`] reads and updates while the plan runs.
@@ -118,10 +85,6 @@ pub struct Evaluator<'a> {
     /// Reused row buffer for expression contexts (the only place the
     /// columnar layout is transposed back to a row).
     scratch: Vec<Option<TermId>>,
-    /// Parallel execution context (`None` = sequential, the default).
-    par: Option<ParCtx>,
-    /// Counters from parallel operator runs.
-    par_stats: ParStats,
 }
 
 impl<'a> Evaluator<'a> {
@@ -142,31 +105,7 @@ impl<'a> Evaluator<'a> {
             sorted_groups: 0,
             rank_sort: true,
             scratch: Vec::new(),
-            par: None,
-            par_stats: ParStats::default(),
         }
-    }
-
-    /// Enable `n`-way parallel BGP extension (the one operator that fans
-    /// out, [`Evaluator::extend_rows`]). `n <= 1` disables it. Output is
-    /// byte-identical to sequential execution — chunk results are folded
-    /// back in chunk order, which reproduces row order exactly — and
-    /// `rows_scanned` parity is exact.
-    pub fn set_threads(&mut self, n: usize) {
-        self.par = (n > 1).then(|| ParCtx {
-            pool: rayon::ThreadPool::global(n),
-            threads: n,
-        });
-    }
-
-    /// Configured parallelism degree (1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.threads)
-    }
-
-    /// Counters from parallel operator runs so far.
-    pub fn par_stats(&self) -> ParStats {
-        self.par_stats
     }
 
     /// Total index entries scanned so far (a deterministic work metric used
@@ -253,103 +192,6 @@ impl<'a> Evaluator<'a> {
             graphs.push((Arc::clone(g), Arc::clone(map)));
         }
         Ok(graphs)
-    }
-
-    /// Extend the input rows `rows` (drawn from `cur`/`bound`) through one
-    /// pattern's resolved graph scans, choosing between the sequential loop
-    /// and the chunked parallel fan-out — the one place the pool is used.
-    /// The BGP operator calls it for a fresh block of input rows; its
-    /// resumable row-by-row loop runs the same body.
-    ///
-    /// Parallel path: the rows fan out over chunks; each chunk runs the
-    /// identical loop body with its own buffers, filter clones, caches, and
-    /// a worker handle on the shared budget. Concatenating results in chunk
-    /// order reproduces the sequential output byte for byte.
-    #[allow(clippy::too_many_arguments)]
-    fn extend_rows(
-        &mut self,
-        rows: Range<usize>,
-        pats: &[(&Graph, &GraphIdMap, [Slot; 3])],
-        cur: &[Column],
-        bound: &[bool],
-        primaries: &[(usize, usize)],
-        dup_checks: &[(usize, usize)],
-        checks: &mut Vec<(usize, PushedEval)>,
-        n_slots: usize,
-    ) -> Result<(Vec<u32>, Vec<Vec<TermId>>, u64)> {
-        let len = rows.len();
-        let pool = &self.pool;
-        match &self.par {
-            Some(p) if len >= PAR_MIN_ROWS => {
-                let chunk = par_chunk_size(len, p.threads);
-                let n_chunks = len.div_ceil(chunk);
-                let shared = SharedMeter::new(&self.meter, n_chunks);
-                let start = rows.start;
-                let checks_ref = &*checks;
-                let run = p.pool.run_chunks(len, chunk, |ci, range| {
-                    let range = range.start + start..range.end + start;
-                    let mut chunk_checks = checks_ref.clone();
-                    let mut chunk_caches = EvalCaches::new();
-                    let mut wm = shared.worker(ci);
-                    bgp_scan_rows(
-                        range,
-                        pats,
-                        cur,
-                        bound,
-                        primaries,
-                        dup_checks,
-                        &mut chunk_checks,
-                        n_slots,
-                        pool,
-                        &mut chunk_caches,
-                        &mut wm,
-                    )
-                });
-                self.par_stats.chunks += run.chunks;
-                self.par_stats.steals += run.steals;
-                let merge_start = Instant::now();
-                let mut src: Vec<u32> = Vec::new();
-                let mut vals: Vec<Vec<TermId>> = (0..n_slots).map(|_| Vec::new()).collect();
-                let mut pat_scanned = 0u64;
-                let mut chunk_err: Option<EngineError> = None;
-                for r in run.results {
-                    match r {
-                        Ok((s, v, n)) => {
-                            pat_scanned += n;
-                            src.extend_from_slice(&s);
-                            for (dst, sv) in vals.iter_mut().zip(v) {
-                                dst.extend(sv);
-                            }
-                        }
-                        Err(e) => {
-                            chunk_err.get_or_insert(e);
-                        }
-                    }
-                }
-                self.par_stats.merge_nanos += merge_start.elapsed().as_nanos() as u64;
-                // Fold worker scan charges back and surface the first
-                // recorded trip (sequential behavior: a tripped pattern
-                // does not update `rows_scanned`).
-                shared.finish(&mut self.meter)?;
-                if let Some(e) = chunk_err {
-                    return Err(e);
-                }
-                Ok((src, vals, pat_scanned))
-            }
-            _ => bgp_scan_rows(
-                rows,
-                pats,
-                cur,
-                bound,
-                primaries,
-                dup_checks,
-                checks,
-                n_slots,
-                pool,
-                &mut self.caches,
-                &mut self.meter,
-            ),
-        }
     }
 
     /// Borrow the evaluator's term pool (the embedded cursor resolves
@@ -642,101 +484,7 @@ fn compare_keyed(keys: &[OrderKey], a: &KeyedRow, b: &KeyedRow) -> Ordering {
     a.1.cmp(&b.1)
 }
 
-/// One BGP extension pass over the input rows in `rows` for a single
-/// pattern: refine the pattern's slots against each row, scan every graph's
-/// access path, apply duplicate-variable and pushed-filter checks, and
-/// append matches as a gather index (the *global* input row number) plus
-/// one value per newly-bound slot.
-///
-/// The sequential path (whole range, the evaluator's [`BudgetMeter`]) and
-/// each parallel chunk (sub-range, a [`crate::budget::WorkerMeter`]) of
-/// [`Evaluator::extend_rows`] run this one loop body: concatenating chunk
-/// results in chunk order reproduces the
-/// sequential match order exactly (gather indexes ascend within and across
-/// chunks), and summing the returned scan counts reproduces `rows_scanned`
-/// exactly (per-row scan work is independent of the partitioning).
-#[allow(clippy::too_many_arguments)]
-fn bgp_scan_rows<M: OpMeter>(
-    rows: Range<usize>,
-    pats: &[(&Graph, &GraphIdMap, [Slot; 3])],
-    cur: &[Column],
-    bound: &[bool],
-    primaries: &[(usize, usize)],
-    dup_checks: &[(usize, usize)],
-    checks: &mut [(usize, PushedEval)],
-    n_slots: usize,
-    pool: &TermPool,
-    caches: &mut EvalCaches,
-    meter: &mut M,
-) -> Result<(Vec<u32>, Vec<Vec<TermId>>, u64)> {
-    let mut src: Vec<u32> = Vec::new();
-    let mut vals: Vec<Vec<TermId>> = (0..n_slots).map(|_| Vec::new()).collect();
-    let mut scanned = 0u64;
-    for i in rows {
-        let row_start = scanned;
-        for (g, map, slots) in pats {
-            // Refine slots against row `i`: an already-bound variable whose
-            // global id has no local id in this graph can match nothing
-            // here.
-            let mut refined = [None; 3];
-            let mut ok = true;
-            for (pos, slot) in slots.iter().enumerate() {
-                refined[pos] = match slot {
-                    Slot::Bound(local) => Some(*local),
-                    Slot::Var(col) if bound[*col] => match map.to_local(cur[*col].ids()[i]) {
-                        Some(local) => Some(local),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    Slot::Var(_) => None,
-                };
-            }
-            if !ok {
-                continue;
-            }
-            let row = i as u32;
-            scanned += g.for_each_match(refined[0], refined[1], refined[2], |ms, mp, mo| {
-                let m = [ms, mp, mo];
-                if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
-                    return;
-                }
-                // Translate newly-bound values first: pushed filters test
-                // global ids, and a rejected candidate must touch no
-                // buffer at all.
-                let mut globals = [TermId(0); 3];
-                for &(slot, pos) in primaries {
-                    globals[slot] = map.to_global(m[pos]);
-                }
-                for (slot, pe) in checks.iter_mut() {
-                    if !pe.test(globals[*slot], pool, caches) {
-                        return;
-                    }
-                }
-                src.push(row);
-                for &(slot, _) in primaries {
-                    vals[slot].push(globals[slot]);
-                }
-            });
-        }
-        // Budget checkpoint between rows: the scan work this row added,
-        // plus (when the periodic poll fires) the match buffers' current
-        // size. `for_each_match` has no early exit, so overshoot is
-        // bounded by one row's matches per executing worker.
-        if meter.charge_scan(scanned - row_start)? {
-            let bytes = (src.len() as u64).saturating_mul(4).saturating_add(
-                vals.iter()
-                    .fold(0u64, |a, v| a.saturating_add(v.len() as u64 * 4)),
-            );
-            meter.charge_intermediate(src.len() as u64, bytes)?;
-        }
-    }
-    Ok((src, vals, scanned))
-}
-
 /// Pattern-level binding of one triple position.
-#[derive(Clone, Copy)]
 enum Slot {
     /// Constant, resolved to the graph's local id.
     Bound(TermId),

@@ -105,8 +105,7 @@ struct Table {
 }
 
 /// The index over a join's build (right) side. Built once, extended only by
-/// [`JoinIndex::prepare`]; probing is read-only, so parallel probe chunks
-/// share it.
+/// [`JoinIndex::prepare`]; probing is read-only.
 pub(super) struct JoinIndex {
     groups: Vec<Group>,
     tables: Vec<Table>,

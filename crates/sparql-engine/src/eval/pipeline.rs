@@ -403,7 +403,7 @@ impl<'e> Operator<'e> for UnitOp {
 
 /// Suspension point of a level's scan: which `(graph, pattern)` entry, and
 /// where inside its index range (`None` = restart the entry from its
-/// beginning — only produced transiently by [`extend_level_seq`]).
+/// beginning — only produced transiently by [`BgpOp::extend_level`]).
 struct Scan {
     entry: usize,
     at: Option<ScanPos>,
@@ -577,46 +577,107 @@ impl<'e> BgpOp<'e> {
         })
     }
 
-    /// Extend pending input rows of level `k`, either through the parallel
-    /// block fan-out (fresh block of rows, no partial state — delegates to
-    /// [`Evaluator::extend_rows`]) or the sequential resumable loop.
+    /// Extend pending input rows of level `k`: refine the pattern's slots
+    /// against each row, scan every graph's access path, apply
+    /// duplicate-variable and pushed-filter checks, and append matches as a
+    /// gather index plus one value per newly-bound slot, charging the budget
+    /// per scan segment. Resumable — the match visitor stops the index scan
+    /// once `target` matches are buffered and records a [`ScanPos`] to resume
+    /// from, so a batch never overshoots its size while every visited index
+    /// entry is still processed exactly once.
     fn extend_level(&mut self, ev: &mut Evaluator<'e>, k: usize, target: usize) -> Result<()> {
-        let par_block = {
-            let lvl = &self.levels[k];
-            ev.par.is_some()
-                && lvl.scan.is_none()
-                && lvl.src.is_empty()
-                && lvl.input.len() - lvl.pos >= PAR_MIN_ROWS
-        };
         let BgpOp { graphs, levels, .. } = self;
-        let lvl = &mut levels[k];
-        if par_block {
-            let pats_view: Vec<(&Graph, &GraphIdMap, [Slot; 3])> = lvl
-                .pats
-                .iter()
-                .map(|&(gix, slots)| {
-                    let (g, m) = &graphs[gix];
-                    (g.as_ref(), m.as_ref(), slots)
-                })
-                .collect();
-            let n_slots = lvl.free_cols.len();
-            let (src, vals, scanned) = ev.extend_rows(
-                lvl.pos..lvl.input.len(),
-                &pats_view,
-                lvl.input.columns(),
-                &lvl.bound,
-                &lvl.primaries,
-                &lvl.dup_checks,
-                &mut lvl.checks,
-                n_slots,
-            )?;
-            ev.rows_scanned += scanned;
-            lvl.src = src;
-            lvl.vals = vals;
-            lvl.pos = lvl.input.len();
-            return Ok(());
+        let Level {
+            pats,
+            dup_checks,
+            primaries,
+            checks,
+            src,
+            vals,
+            input,
+            bound,
+            pos,
+            scan,
+            ..
+        } = &mut levels[k];
+        let cur = input.columns();
+        let len = input.len();
+        let pool = &ev.pool;
+        let caches = &mut ev.caches;
+        let meter = &mut ev.meter;
+        while *pos < len {
+            let i = *pos;
+            let (start_entry, mut resume_at) = match scan.take() {
+                Some(s) => (s.entry, s.at),
+                None => {
+                    if src.len() >= target {
+                        return Ok(());
+                    }
+                    (0, None)
+                }
+            };
+            for (entry, (gix, slots)) in pats.iter().enumerate().skip(start_entry) {
+                let (g, map) = &graphs[*gix];
+                let at = resume_at.take();
+                // Refine slots against row `i` (a bound variable with no local
+                // id in this graph can match nothing here).
+                let mut refined = [None; 3];
+                let mut ok = true;
+                for (ppos, slot) in slots.iter().enumerate() {
+                    refined[ppos] = match slot {
+                        Slot::Bound(local) => Some(*local),
+                        Slot::Var(col) if bound[*col] => match map.to_local(cur[*col].ids()[i]) {
+                            Some(local) => Some(local),
+                            None => {
+                                ok = false;
+                                break;
+                            }
+                        },
+                        Slot::Var(_) => None,
+                    };
+                }
+                if !ok {
+                    continue;
+                }
+                let row = i as u32;
+                let map_ref = map.as_ref();
+                let (visited, stopped) =
+                    g.for_each_match_from(refined[0], refined[1], refined[2], at, |ms, mp, mo| {
+                        let m = [ms, mp, mo];
+                        if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
+                            return src.len() < target;
+                        }
+                        let mut globals = [TermId(0); 3];
+                        for &(slot, ppos) in primaries.iter() {
+                            globals[slot] = map_ref.to_global(m[ppos]);
+                        }
+                        for (slot, pe) in checks.iter_mut() {
+                            if !pe.test(globals[*slot], pool, caches) {
+                                return src.len() < target;
+                            }
+                        }
+                        src.push(row);
+                        for &(slot, _) in primaries.iter() {
+                            vals[slot].push(globals[slot]);
+                        }
+                        src.len() < target
+                    });
+                ev.rows_scanned += visited;
+                if meter.charge_scan(visited)? {
+                    let bytes = (src.len() as u64).saturating_mul(4).saturating_add(
+                        vals.iter()
+                            .fold(0u64, |a, v| a.saturating_add(v.len() as u64 * 4)),
+                    );
+                    meter.charge_intermediate(src.len() as u64, bytes)?;
+                }
+                if let Some(p) = stopped {
+                    *scan = Some(Scan { entry, at: Some(p) });
+                    return Ok(());
+                }
+            }
+            *pos += 1;
         }
-        extend_level_seq(graphs, lvl, ev, target)
+        Ok(())
     }
 
     /// Assemble the level's match buffers into a staged output table:
@@ -726,111 +787,6 @@ impl<'e> Operator<'e> for BgpOp<'e> {
         }
         acc
     }
-}
-
-/// Sequential resumable extension of one level: the same per-row scan body
-/// as [`bgp_scan_rows`] (dup checks, pushed filters, gather/value buffers,
-/// per-segment budget charges), plus suspension — the match visitor stops
-/// the index scan once `target` matches are buffered and records a
-/// [`ScanPos`] to resume from, so a batch never overshoots its size while
-/// every visited index entry is still processed exactly once.
-fn extend_level_seq<'e>(
-    graphs: &[(Arc<Graph>, Arc<GraphIdMap>)],
-    lvl: &mut Level<'e>,
-    ev: &mut Evaluator<'e>,
-    target: usize,
-) -> Result<()> {
-    let Level {
-        pats,
-        dup_checks,
-        primaries,
-        checks,
-        src,
-        vals,
-        input,
-        bound,
-        pos,
-        scan,
-        ..
-    } = lvl;
-    let cur = input.columns();
-    let len = input.len();
-    let pool = &ev.pool;
-    let caches = &mut ev.caches;
-    let meter = &mut ev.meter;
-    while *pos < len {
-        let i = *pos;
-        let (start_entry, mut resume_at) = match scan.take() {
-            Some(s) => (s.entry, s.at),
-            None => {
-                if src.len() >= target {
-                    return Ok(());
-                }
-                (0, None)
-            }
-        };
-        for (entry, (gix, slots)) in pats.iter().enumerate().skip(start_entry) {
-            let (g, map) = &graphs[*gix];
-            let at = resume_at.take();
-            // Refine slots against row `i` (a bound variable with no local
-            // id in this graph can match nothing here).
-            let mut refined = [None; 3];
-            let mut ok = true;
-            for (ppos, slot) in slots.iter().enumerate() {
-                refined[ppos] = match slot {
-                    Slot::Bound(local) => Some(*local),
-                    Slot::Var(col) if bound[*col] => match map.to_local(cur[*col].ids()[i]) {
-                        Some(local) => Some(local),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    Slot::Var(_) => None,
-                };
-            }
-            if !ok {
-                continue;
-            }
-            let row = i as u32;
-            let map_ref = map.as_ref();
-            let (visited, stopped) =
-                g.for_each_match_from(refined[0], refined[1], refined[2], at, |ms, mp, mo| {
-                    let m = [ms, mp, mo];
-                    if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
-                        return src.len() < target;
-                    }
-                    let mut globals = [TermId(0); 3];
-                    for &(slot, ppos) in primaries.iter() {
-                        globals[slot] = map_ref.to_global(m[ppos]);
-                    }
-                    for (slot, pe) in checks.iter_mut() {
-                        if !pe.test(globals[*slot], pool, caches) {
-                            return src.len() < target;
-                        }
-                    }
-                    src.push(row);
-                    for &(slot, _) in primaries.iter() {
-                        vals[slot].push(globals[slot]);
-                    }
-                    src.len() < target
-                });
-            ev.rows_scanned += visited;
-            if meter.charge_scan(visited)? {
-                let bytes = (src.len() as u64).saturating_mul(4).saturating_add(
-                    vals.iter()
-                        .fold(0u64, |a, v| a.saturating_add(v.len() as u64 * 4)),
-                );
-                meter.charge_intermediate(src.len() as u64, bytes)?;
-            }
-            if let Some(p) = stopped {
-                *scan = Some(Scan { entry, at: Some(p) });
-                return Ok(());
-            }
-        }
-        *pos += 1;
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------

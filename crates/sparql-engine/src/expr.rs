@@ -750,12 +750,6 @@ pub fn eval_single_var_filter(
 /// candidate. General expressions memoize their verdict per candidate id
 /// (sound: the expression is deterministic in its one variable), so a value
 /// appearing in thousands of scan matches is evaluated once.
-///
-/// `Clone` resets nothing except sharing the memo snapshot: parallel BGP
-/// extension clones the compiled filters into each row chunk, so each worker
-/// memoizes independently (the memo is a cache, not state — verdicts are
-/// deterministic in the candidate id).
-#[derive(Clone)]
 pub enum PushedEval<'e> {
     /// `?v =/!= <non-literal constant>`: raw id comparison. `id` is `None`
     /// when the constant is interned nowhere (it can equal nothing).

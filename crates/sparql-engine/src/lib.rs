@@ -36,6 +36,8 @@
 //! evaluates it once, and its `rows_scanned + shared_scans` is exactly the
 //! oracle's `rows_scanned`.
 
+#![forbid(unsafe_code)]
+
 pub mod algebra;
 pub mod ast;
 pub mod budget;

@@ -145,11 +145,11 @@ const CROSS_JOIN: &str = "SELECT ?a ?b ?c ?d FROM <http://g> WHERE { \
 
 #[test]
 fn streaming_completes_under_budget_that_trips_materialization() {
-    // Scale 250 → 62 500 result rows: far over the 10 000-row intermediate
-    // budget when pulled in one piece, comfortably under it per 200-row
-    // batch. (Batches stay below the 256-row parallel gate so the outcome
-    // is identical at any RDFFRAMES_THREADS setting.)
-    let ds = dataset(250, false);
+    // Scale 300 → 90 000 result rows: far over the 10 000-row intermediate
+    // budget when pulled in one piece, comfortably under it per 1 000-row
+    // batch — every BGP level honours the pull target, however many input
+    // rows it holds.
+    let ds = dataset(300, false);
     let budget = QueryBudget::unlimited().with_max_intermediate_rows(10_000);
     let streaming = engine(&ds, budget);
 
@@ -169,8 +169,8 @@ fn streaming_completes_under_budget_that_trips_materialization() {
     let mut unbounded = streaming.cursor(&prepared, usize::MAX).unwrap();
     assert!(tripped(unbounded.next_batch().map(drop)));
 
-    let (rows, stats) = drain(&streaming, CROSS_JOIN, 200);
-    assert_eq!(rows.len(), 250 * 250, "streaming must produce every row");
+    let (rows, stats) = drain(&streaming, CROSS_JOIN, 1_000);
+    assert_eq!(rows.len(), 300 * 300, "streaming must produce every row");
     assert!(
         stats.peak_live_rows < 10_000,
         "live state exceeded the budget it claims to respect: {}",
@@ -182,7 +182,7 @@ fn streaming_completes_under_budget_that_trips_materialization() {
     // overshoot (one batch past the limit, never the whole N² result).
     let ordered = format!("{CROSS_JOIN} ORDER BY ?a");
     let prepared = streaming.prepare(&ordered).unwrap();
-    let mut cursor = streaming.cursor(&prepared, 200).unwrap();
+    let mut cursor = streaming.cursor(&prepared, 1_000).unwrap();
     let err = loop {
         match cursor.next_batch() {
             Ok(Some(_)) => continue,

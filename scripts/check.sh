@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command: formatting, lints, the full test
-# suite, and a small-scale smoke run of both benchmark binaries (which
-# exercises dataset generation, both execution paths, and the JSON
+# suite, and a small-scale smoke run of the three workspace bench binaries
+# (which exercises dataset generation, both execution paths, and the JSON
 # writers end to end).
 #
 # Usage: scripts/check.sh [--no-bench]
@@ -27,19 +27,11 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo test"
 cargo test -q
 
-# Thread-count invariance: the whole suite again with the work-stealing
-# pool on. Any test whose result, work count, or error type depends on
-# the number of engine threads is a determinism-contract violation and
-# fails here.
-echo "==> cargo test (RDFFRAMES_THREADS=4)"
-RDFFRAMES_THREADS=4 cargo test -q
-
 # Batch-size invariance: the whole suite again with a tiny ambient cursor
 # batch (7 rows), so every embedded execution streams hundreds of batches
 # through the pull-based pipeline instead of a handful. Any test whose
 # result or work count depends on the batch size fails here. (Suites that
-# must control batching — e.g. the parallel-gate assertions — pin their
-# own batch size and are unaffected.)
+# must control batching pin their own batch size and are unaffected.)
 echo "==> cargo test (RDFFRAMES_BATCH_ROWS=7)"
 RDFFRAMES_BATCH_ROWS=7 cargo test -q
 
