@@ -1,0 +1,161 @@
+//! What an embedded result costs in allocations and bytes, counted, not timed.
+//!
+//! `cursor_to_dataframe` fills a column-major, dictionary-coded frame: one
+//! dictionary entry per *distinct* term and a `u32` code per cell. So around
+//! `EmbeddedEndpoint::execute_model_direct` nothing may allocate per row or
+//! per cell — beyond what draining the same cursor allocates on its own, only
+//! the (doubling) code columns, dictionary and id memo, and a decoded term
+//! that is not already an `Arc` of the dataset's — and the frame it returns
+//! holds at most eight bytes per cell (a doubled `Vec<u32>`) plus its
+//! dictionary. A row-major frame (one `Vec` per row, a 24-byte `Cell` per
+//! cell) fails both bounds; the counts repeat exactly from run to run.
+//!
+//! This binary installs its own counting allocator, which is why it is one
+//! `#[test]`: nothing else may allocate while a window is open.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use bench::{casestudies, data, queries};
+use dataframe::Cell;
+use rdfframes_core::model::{generator, render};
+use rdfframes_core::{EmbeddedEndpoint, RDFFrame};
+
+const SCALE: usize = 64;
+/// Small enough that every frame here takes several batches.
+const BATCH_ROWS: usize = 64;
+/// Allocations allowed per column per doubling of the row count: the code
+/// column and the per-batch block each grow by doubling. (The dictionary and
+/// the id memo grow the same way, inside the allowance for distinct terms.)
+const PER_DOUBLING: usize = 2;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are side effects only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Run `f`; return its result, the allocations it made, and the bytes it
+/// left live (its result included, while the caller holds it).
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (allocations, live) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        LIVE_BYTES.load(Ordering::Relaxed),
+    );
+    let out = f();
+    (
+        out,
+        ALLOCATIONS.load(Ordering::Relaxed) - allocations,
+        LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(live),
+    )
+}
+
+fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
+    let model = generator::build_query_model(frame).unwrap();
+    // Warm the plan cache: compile and optimize are not what is counted.
+    let warm = endpoint.execute_model_direct(&model).unwrap();
+    let prepared = endpoint.cached_model_plan(&model).expect("plan cached");
+
+    // What an execution allocates without building a frame: the cache key
+    // and the pipeline's own state and batches.
+    let (drained, pipeline, _) = counted(|| {
+        let _key = render::render(&model);
+        let mut cursor = endpoint.engine().cursor(&prepared, BATCH_ROWS).unwrap();
+        let mut rows = 0;
+        while let Some(batch) = cursor.next_batch().unwrap() {
+            rows += batch.len;
+        }
+        rows
+    });
+
+    let (df, allocations, live) = counted(|| endpoint.execute_model_direct(&model).unwrap());
+    assert_eq!(df, warm);
+    assert_eq!(df.len(), drained);
+    let (rows, columns) = (df.len(), df.columns().len());
+    assert!(
+        rows > 4 * BATCH_ROWS,
+        "{id}: {rows} rows is too few to tell"
+    );
+
+    // Distinct terms of the result, counted from its cells.
+    let exact: HashSet<String> = (df.rows().iter())
+        .flat_map(|r| r.to_vec())
+        .filter(|c| !c.is_null())
+        .map(|c| format!("{c:?}"))
+        .collect();
+    assert_eq!(
+        df.dictionary().len(),
+        exact.len() + 1,
+        "{id}: one entry per term"
+    );
+
+    let doublings = rows.ilog2() as usize + 1;
+    let allowed = pipeline + exact.len() + PER_DOUBLING * columns * doublings;
+    assert!(
+        allocations <= allowed,
+        "{id}: {allocations} allocations for {rows} x {columns} cells of {} terms \
+         (drain alone {pipeline}, allowed {allowed})",
+        exact.len()
+    );
+
+    let strings: usize = (df.dictionary().iter())
+        .map(|c| match c {
+            Cell::Uri(s) | Cell::Str(s) => s.len(),
+            _ => 0,
+        })
+        .sum();
+    let allowed = 8 * rows * columns + 64 * df.dictionary().len() + strings;
+    assert!(
+        live <= allowed,
+        "{id}: the frame holds {live} bytes for {rows} x {columns} cells and {} entries \
+         (allowed {allowed})",
+        df.dictionary().len()
+    );
+
+    // Exact counts: a second execution reads the same.
+    let (again, allocations_again, live_again) =
+        counted(|| endpoint.execute_model_direct(&model).unwrap());
+    assert_eq!(
+        (allocations_again, live_again, &again),
+        (allocations, live, &df),
+        "{id}"
+    );
+}
+
+#[test]
+fn embedded_frames_allocate_per_distinct_term_not_per_cell() {
+    let ds = data::build_dataset(SCALE);
+    let endpoint = EmbeddedEndpoint::new(Arc::clone(&ds)).with_batch_rows(BATCH_ROWS);
+    let q9 = queries::all_queries()
+        .into_iter()
+        .find(|q| q.id == "Q9")
+        .expect("Q9 in the catalogue");
+    check("Q9", &q9.frame, &endpoint);
+    check("cs3", &casestudies::kg_embedding(), &endpoint);
+}

@@ -110,8 +110,10 @@ impl PartialEq for Cell {
             (Cell::Int(a), Cell::Int(b)) => a == b,
             (Cell::Bool(a), Cell::Bool(b)) => a == b,
             (Cell::Float(a), Cell::Float(b)) => a.to_bits() == b.to_bits(),
+            // Bit equality of the float image — exactly what `Hash` feeds, so
+            // `Int(0) != Float(-0.0)` just as `Float(0.0) != Float(-0.0)`.
             (Cell::Int(a), Cell::Float(b)) | (Cell::Float(b), Cell::Int(a)) => {
-                *b == *a as f64 && b.fract() == 0.0
+                (*a as f64).to_bits() == b.to_bits()
             }
             _ => false,
         }
@@ -182,6 +184,12 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(Cell::Int(3));
         assert!(set.contains(&Cell::Float(3.0)));
+        // Regression: `Int(0) == Float(-0.0)` held while the two hashed
+        // apart and `Float(0.0) != Float(-0.0)` — neither hash-consistent
+        // nor transitive.
+        assert_eq!(Cell::Int(0), Cell::Float(0.0));
+        assert_ne!(Cell::Int(0), Cell::Float(-0.0));
+        assert_ne!(Cell::Float(0.0), Cell::Float(-0.0));
     }
 
     #[test]

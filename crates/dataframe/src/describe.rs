@@ -1,6 +1,9 @@
 //! Column summaries: the `df.describe()` data-exploration helper the
 //! machine-learning workflow expects after data preparation.
 
+use std::cmp::Ordering;
+use std::collections::HashSet;
+
 use crate::cell::Cell;
 use crate::frame::DataFrame;
 
@@ -30,9 +33,9 @@ pub fn describe(df: &DataFrame) -> Vec<ColumnSummary> {
         .map(|name| {
             let mut count = 0usize;
             let mut nulls = 0usize;
-            let mut distinct = std::collections::HashSet::new();
-            let mut min: Option<Cell> = None;
-            let mut max: Option<Cell> = None;
+            let mut distinct = HashSet::new();
+            let mut min: Option<&Cell> = None;
+            let mut max: Option<&Cell> = None;
             let mut numeric_sum = 0.0f64;
             let mut numeric_count = 0usize;
             for cell in df.column(name).expect("column exists") {
@@ -41,18 +44,12 @@ pub fn describe(df: &DataFrame) -> Vec<ColumnSummary> {
                     continue;
                 }
                 count += 1;
-                distinct.insert(cell.clone());
-                if min
-                    .as_ref()
-                    .is_none_or(|m| cell.total_cmp(m) == std::cmp::Ordering::Less)
-                {
-                    min = Some(cell.clone());
+                distinct.insert(cell);
+                if min.is_none_or(|m| cell.total_cmp(m) == Ordering::Less) {
+                    min = Some(cell);
                 }
-                if max
-                    .as_ref()
-                    .is_none_or(|m| cell.total_cmp(m) == std::cmp::Ordering::Greater)
-                {
-                    max = Some(cell.clone());
+                if max.is_none_or(|m| cell.total_cmp(m) == Ordering::Greater) {
+                    max = Some(cell);
                 }
                 if let Some(v) = cell.as_f64() {
                     numeric_sum += v;
@@ -64,8 +61,8 @@ pub fn describe(df: &DataFrame) -> Vec<ColumnSummary> {
                 count,
                 nulls,
                 distinct: distinct.len(),
-                min,
-                max,
+                min: min.cloned(),
+                max: max.cloned(),
                 mean: (numeric_count > 0).then(|| numeric_sum / numeric_count as f64),
             }
         })

@@ -1,9 +1,10 @@
 //! Group-by with aggregation.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::cell::Cell;
-use crate::frame::DataFrame;
+use crate::frame::{canonical, DataFrame};
 
 /// Aggregation functions (mirrors the RDFFrames aggregate set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +31,78 @@ pub struct GroupBy<'a> {
     keys: Vec<String>,
 }
 
+/// One aggregate's running state over one group. Values are borrowed from
+/// the frame's dictionary; distinct values are counted by canonical id.
+#[derive(Default)]
+struct State<'a> {
+    count: usize,
+    distinct: HashSet<u32>,
+    sum: f64,
+    int_sum: i64,
+    /// A value other than an `Int` was seen: the sum is the float one.
+    inexact: bool,
+    min: Option<&'a Cell>,
+    max: Option<&'a Cell>,
+    sample: Option<&'a Cell>,
+}
+
+impl<'a> State<'a> {
+    fn push(&mut self, cell: &'a Cell, id: u32, wants_distinct: bool) {
+        if cell.is_null() {
+            return;
+        }
+        self.count += 1;
+        if wants_distinct {
+            self.distinct.insert(id);
+        }
+        match cell {
+            Cell::Int(i) => {
+                self.int_sum = self.int_sum.wrapping_add(*i);
+                self.sum += *i as f64;
+            }
+            Cell::Float(f) => {
+                self.inexact = true;
+                self.sum += f;
+            }
+            _ => self.inexact = true,
+        }
+        if self.min.is_none_or(|m| cell.total_cmp(m) == Ordering::Less) {
+            self.min = Some(cell);
+        }
+        if self
+            .max
+            .is_none_or(|m| cell.total_cmp(m) == Ordering::Greater)
+        {
+            self.max = Some(cell);
+        }
+        self.sample.get_or_insert(cell);
+    }
+
+    fn finish(self, f: AggFn) -> Cell {
+        match f {
+            AggFn::Count => Cell::Int(self.count as i64),
+            AggFn::CountDistinct => Cell::Int(self.distinct.len() as i64),
+            AggFn::Sum => {
+                if self.inexact {
+                    Cell::Float(self.sum)
+                } else {
+                    Cell::Int(self.int_sum)
+                }
+            }
+            AggFn::Avg => {
+                if self.count == 0 {
+                    Cell::Null
+                } else {
+                    Cell::Float(self.sum / self.count as f64)
+                }
+            }
+            AggFn::Min => self.min.cloned().unwrap_or(Cell::Null),
+            AggFn::Max => self.max.cloned().unwrap_or(Cell::Null),
+            AggFn::Sample => self.sample.cloned().unwrap_or(Cell::Null),
+        }
+    }
+}
+
 impl<'a> GroupBy<'a> {
     pub(crate) fn new(frame: &'a DataFrame, keys: &[&str]) -> Self {
         GroupBy {
@@ -39,117 +112,36 @@ impl<'a> GroupBy<'a> {
     }
 
     /// Aggregate: each `(function, source column, output name)` produces one
-    /// output column after the key columns.
+    /// output column after the key columns. Groups come out in order of
+    /// first appearance, keyed by the first row's cells.
     pub fn agg(&self, specs: &[(AggFn, &str, &str)]) -> DataFrame {
-        let key_idx: Vec<Option<usize>> = self
-            .keys
-            .iter()
-            .map(|k| self.frame.column_index(k))
-            .collect();
+        let frame = self.frame;
+        let key_idx: Vec<Option<usize>> = self.keys.iter().map(|k| frame.column_index(k)).collect();
         let src_idx: Vec<Option<usize>> = specs
             .iter()
-            .map(|(_, src, _)| self.frame.column_index(src))
+            .map(|(_, src, _)| frame.column_index(src))
             .collect();
 
-        struct State {
-            count: usize,
-            distinct: HashSet<Cell>,
-            sum: f64,
-            int_sum: i64,
-            integral: bool,
-            min: Option<Cell>,
-            max: Option<Cell>,
-            sample: Option<Cell>,
-        }
-        impl State {
-            fn new() -> Self {
-                State {
-                    count: 0,
-                    distinct: HashSet::new(),
-                    sum: 0.0,
-                    int_sum: 0,
-                    integral: true,
-                    min: None,
-                    max: None,
-                    sample: None,
-                }
-            }
-            fn push(&mut self, cell: &Cell, wants_distinct: bool) {
-                if cell.is_null() {
-                    return;
-                }
-                self.count += 1;
-                if wants_distinct {
-                    self.distinct.insert(cell.clone());
-                }
-                match cell {
-                    Cell::Int(i) => {
-                        self.int_sum = self.int_sum.wrapping_add(*i);
-                        self.sum += *i as f64;
-                    }
-                    Cell::Float(f) => {
-                        self.integral = false;
-                        self.sum += f;
-                    }
-                    _ => self.integral = false,
-                }
-                if self
-                    .min
-                    .as_ref()
-                    .is_none_or(|m| cell.total_cmp(m) == std::cmp::Ordering::Less)
-                {
-                    self.min = Some(cell.clone());
-                }
-                if self
-                    .max
-                    .as_ref()
-                    .is_none_or(|m| cell.total_cmp(m) == std::cmp::Ordering::Greater)
-                {
-                    self.max = Some(cell.clone());
-                }
-                if self.sample.is_none() {
-                    self.sample = Some(cell.clone());
-                }
-            }
-            fn finish(self, f: AggFn) -> Cell {
-                match f {
-                    AggFn::Count => Cell::Int(self.count as i64),
-                    AggFn::CountDistinct => Cell::Int(self.distinct.len() as i64),
-                    AggFn::Sum => {
-                        if self.integral {
-                            Cell::Int(self.int_sum)
-                        } else {
-                            Cell::Float(self.sum)
-                        }
-                    }
-                    AggFn::Avg => {
-                        if self.count == 0 {
-                            Cell::Null
-                        } else {
-                            Cell::Float(self.sum / self.count as f64)
-                        }
-                    }
-                    AggFn::Min => self.min.unwrap_or(Cell::Null),
-                    AggFn::Max => self.max.unwrap_or(Cell::Null),
-                    AggFn::Sample => self.sample.unwrap_or(Cell::Null),
-                }
-            }
-        }
-
-        let mut order: Vec<Vec<Cell>> = Vec::new();
-        let mut groups: HashMap<Vec<Cell>, Vec<State>> = HashMap::new();
-        for row in self.frame.rows() {
-            let key: Vec<Cell> = key_idx
+        // Rows group by the canonical ids of their key cells (a missing key
+        // column reads as null, id 0); `groups` holds each group's first
+        // row and one state per spec, in order of first appearance.
+        let canon = &canonical(&[&frame.dict])[0];
+        let mut group_of: HashMap<Vec<u32>, usize> = HashMap::new();
+        let mut groups: Vec<(usize, Vec<State<'a>>)> = Vec::new();
+        for r in 0..frame.len {
+            let key: Vec<u32> = key_idx
                 .iter()
-                .map(|i| i.map_or(Cell::Null, |i| row[i].clone()))
+                .map(|i| i.map_or(0, |i| canon[frame.codes[i][r] as usize]))
                 .collect();
-            let states = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                specs.iter().map(|_| State::new()).collect()
+            let g = *group_of.entry(key).or_insert_with(|| {
+                groups.push((r, specs.iter().map(|_| State::default()).collect()));
+                groups.len() - 1
             });
             for (si, (f, _, _)) in specs.iter().enumerate() {
                 if let Some(idx) = src_idx[si] {
-                    states[si].push(&row[idx], matches!(f, AggFn::CountDistinct));
+                    let code = frame.codes[idx][r] as usize;
+                    let wants_distinct = matches!(f, AggFn::CountDistinct);
+                    groups[g].1[si].push(&frame.dict[code], canon[code], wants_distinct);
                 }
             }
         }
@@ -157,12 +149,17 @@ impl<'a> GroupBy<'a> {
         let mut columns = self.keys.clone();
         columns.extend(specs.iter().map(|(_, _, out)| out.to_string()));
         let mut out = DataFrame::new(columns);
-        for key in order {
-            let states = groups.remove(&key).expect("group present");
-            let mut row = key;
-            for (state, (f, _, _)) in states.into_iter().zip(specs) {
-                row.push(state.finish(*f));
-            }
+        for (first, states) in groups {
+            let mut row: Vec<Cell> = key_idx
+                .iter()
+                .map(|i| i.map_or(Cell::Null, |i| frame.row(first).cell(i).clone()))
+                .collect();
+            row.extend(
+                states
+                    .into_iter()
+                    .zip(specs)
+                    .map(|(s, (f, _, _))| s.finish(*f)),
+            );
             out.push_row(row);
         }
         out

@@ -2,8 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::cell::Cell;
-use crate::frame::DataFrame;
+use crate::frame::{canonical, merged_dict, DataFrame};
 
 /// Join types matching the RDFFrames API (`Z`, `⟕`, `⟖`, `⟗`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +26,10 @@ pub enum JoinType {
 /// The hash index is built on the *smaller* input and probed with the
 /// larger, so index construction cost tracks `min(|L|, |R|)`. Output row
 /// order follows the probe side; the joined bag is identical either way.
+///
+/// Keys are compared as cells — once per dictionary entry, through
+/// [`canonical`] — and the rows are then matched and gathered as codes: the
+/// output's dictionary is the left one followed by the right one.
 pub fn join_frames(
     left: &DataFrame,
     right: &DataFrame,
@@ -43,125 +46,116 @@ pub fn join_frames(
 
     // Output schema: all left columns, then right columns except the key.
     let mut columns: Vec<String> = left.columns().to_vec();
-    let mut right_cols: Vec<(usize, String)> = Vec::new();
+    let mut right_cols: Vec<usize> = Vec::new();
     for (i, c) in right.columns().iter().enumerate() {
         if i == ri {
             continue;
         }
-        let name = if columns.contains(c) {
+        columns.push(if columns.contains(c) {
             format!("{c}_right")
         } else {
             c.clone()
-        };
-        columns.push(name.clone());
-        right_cols.push((i, name));
+        });
+        right_cols.push(i);
     }
-    let width = columns.len();
-    let left_width = left.columns().len();
-    let mut out = DataFrame::new(columns);
-
-    let emit = |l_row: Option<&Vec<Cell>>, r_row: Option<&Vec<Cell>>, key: Option<&Cell>| {
-        let mut row = Vec::with_capacity(width);
-        match l_row {
-            Some(l) => row.extend(l.iter().cloned()),
-            None => {
-                // Right-only row: key column takes the right key value.
-                for c in 0..left_width {
-                    if c == li {
-                        row.push(key.cloned().unwrap_or(Cell::Null));
-                    } else {
-                        row.push(Cell::Null);
-                    }
-                }
-            }
-        }
-        for (src, _) in &right_cols {
-            match r_row {
-                Some(r) => row.push(r[*src].clone()),
-                None => row.push(Cell::Null),
-            }
-        }
-        row
-    };
 
     // Build on the smaller side, probe with the larger (ties keep the
     // classic build-right orientation). Null keys are never indexed. One
-    // swap-aware loop serves both orientations: `emit` and the outer-join
-    // rules stay phrased in left/right terms, only build/probe flip.
-    let build_right = right.rows().len() <= left.rows().len();
-    let (build, build_key, probe, probe_key) = if build_right {
-        (right, ri, left, li)
-    } else {
-        (left, li, right, ri)
-    };
-    // A probe row with no match survives when its own side is preserved.
-    let keep_unmatched_probe = if build_right {
-        matches!(how, JoinType::Left | JoinType::Outer)
-    } else {
-        matches!(how, JoinType::Right | JoinType::Outer)
-    };
-    let keep_unmatched_build = if build_right {
-        matches!(how, JoinType::Right | JoinType::Outer)
-    } else {
-        matches!(how, JoinType::Left | JoinType::Outer)
-    };
-    // Orient a (probe, build) pair back to (left, right) for `emit`.
-    fn orient<'a>(
-        build_right: bool,
-        p_row: Option<&'a Vec<Cell>>,
-        b_row: Option<&'a Vec<Cell>>,
-    ) -> (Option<&'a Vec<Cell>>, Option<&'a Vec<Cell>>) {
+    // swap-aware loop serves both orientations: the outer-join rules stay
+    // phrased in left/right terms, only build/probe flip.
+    let canon = canonical(&[&left.dict, &right.dict]);
+    let build_right = right.len() <= left.len();
+    let ((build, build_ids), (probe, probe_ids)) = {
+        let (l, r) = ((&left.codes[li], &canon[0]), (&right.codes[ri], &canon[1]));
         if build_right {
+            (r, l)
+        } else {
+            (l, r)
+        }
+    };
+    // An unmatched row survives when its own side is preserved.
+    let keep_left = matches!(how, JoinType::Left | JoinType::Outer);
+    let keep_right = matches!(how, JoinType::Right | JoinType::Outer);
+    let (keep_unmatched_probe, keep_unmatched_build) = if build_right {
+        (keep_left, keep_right)
+    } else {
+        (keep_right, keep_left)
+    };
+
+    let mut index: HashMap<u32, Vec<usize>> = HashMap::with_capacity(build.len());
+    for (i, &code) in build.iter().enumerate() {
+        if code != 0 {
+            index.entry(build_ids[code as usize]).or_default().push(i);
+        }
+    }
+    // The output as (left row, right row) pairs, `None` where a side is
+    // absent. A 1:1 join emits one pair per probe row; reserving that lower
+    // bound avoids most regrowth (duplicates regrow as needed).
+    let mut l_rows: Vec<Option<usize>> = Vec::with_capacity(probe.len());
+    let mut r_rows: Vec<Option<usize>> = Vec::with_capacity(probe.len());
+    let mut emit = |p_row: Option<usize>, b_row: Option<usize>| {
+        let (l, r) = if build_right {
             (p_row, b_row)
         } else {
             (b_row, p_row)
-        }
-    }
-    let as_lr = |p_row, b_row| orient(build_right, p_row, b_row);
-
-    let mut index: HashMap<&Cell, Vec<usize>> = HashMap::with_capacity(build.rows().len());
-    for (i, row) in build.rows().iter().enumerate() {
-        if !row[build_key].is_null() {
-            index.entry(&row[build_key]).or_default().push(i);
-        }
-    }
-    // A 1:1 join emits one row per probe row; reserving that lower bound
-    // avoids most output-vector regrowth (duplicates regrow as needed).
-    out.reserve(probe.rows().len());
-    let mut build_matched = vec![false; build.rows().len()];
-    for p_row in probe.rows() {
-        let key = &p_row[probe_key];
-        let matches = if key.is_null() { None } else { index.get(key) };
+        };
+        l_rows.push(l);
+        r_rows.push(r);
+    };
+    let mut build_matched = vec![false; build.len()];
+    for (p, &code) in probe.iter().enumerate() {
+        let matches = (code != 0)
+            .then(|| index.get(&probe_ids[code as usize]))
+            .flatten();
         match matches {
-            Some(indices) => {
-                for &i in indices {
-                    build_matched[i] = true;
-                    let (l, r) = as_lr(Some(p_row), Some(&build.rows()[i]));
-                    out.push_row(emit(l, r, Some(key)));
+            Some(rows) => {
+                for &b in rows {
+                    build_matched[b] = true;
+                    emit(Some(p), Some(b));
                 }
             }
-            None => {
-                if keep_unmatched_probe {
-                    let (l, r) = as_lr(Some(p_row), None);
-                    out.push_row(emit(l, r, Some(key)));
-                }
-            }
+            None if keep_unmatched_probe => emit(Some(p), None),
+            None => {}
         }
     }
     if keep_unmatched_build {
-        for (i, b_row) in build.rows().iter().enumerate() {
-            if !build_matched[i] {
-                let (l, r) = as_lr(None, Some(b_row));
-                out.push_row(emit(l, r, Some(&b_row[build_key])));
-            }
+        for (b, _) in build_matched.iter().enumerate().filter(|(_, m)| !**m) {
+            emit(None, Some(b));
         }
     }
-    out
+
+    let (dict, shifted) = merged_dict(left, right);
+    let right_code = |col: usize, r: usize| shifted(right.codes[col][r]);
+    let mut codes: Vec<Vec<u32>> = Vec::with_capacity(columns.len());
+    for (c, col) in left.codes.iter().enumerate() {
+        let pairs = l_rows.iter().zip(&r_rows);
+        codes.push(
+            pairs
+                .map(|pair| match pair {
+                    (Some(l), _) => col[*l],
+                    // Right-only row: the key column takes the right key.
+                    (None, Some(r)) if c == li => right_code(ri, *r),
+                    _ => 0,
+                })
+                .collect(),
+        );
+    }
+    for &src in &right_cols {
+        let column = r_rows.iter().map(|r| r.map_or(0, |r| right_code(src, r)));
+        codes.push(column.collect());
+    }
+    DataFrame {
+        columns,
+        dict,
+        codes,
+        len: l_rows.len(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Cell;
 
     fn left() -> DataFrame {
         let mut df = DataFrame::new(vec!["actor".into(), "country".into()]);

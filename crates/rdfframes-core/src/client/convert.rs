@@ -1,19 +1,24 @@
 //! Conversion between engine results and dataframes.
 //!
-//! Two converters live here:
+//! A [`DataFrame`] stores one dictionary of cells and `u32` codes per
+//! column, filled through one interface (`intern` a cell, `append` a block
+//! of code columns). The two converters here differ only in what shares a
+//! dictionary entry:
 //!
+//! - the columnar converter ([`cursor_to_dataframe`]) — the embedded path —
+//!   memoizes `TermId → code` over the cursor's id batches: a term is
+//!   decoded ([`term_to_cell`]) once per *distinct* id, every repeat is a
+//!   4-byte code, and the memo grows with the ids seen, never with the
+//!   dataset's interner;
 //! - the row converters ([`table_to_dataframe`], [`append_table`]) over
-//!   term-materialized [`SolutionTable`]s — the wire path;
-//! - the columnar converter ([`cursor_to_dataframe`]) over a
-//!   [`QueryCursor`]'s `TermId` batches — the embedded path. Each *distinct*
-//!   id is decoded to a [`Cell`] exactly once ([`CellInterner`]); repeated
-//!   IRI/string values share one `Arc<str>` allocation across the whole
-//!   frame, and numeric literals parse to `i64`/`f64` once instead of per
-//!   cell.
+//!   term-materialized [`SolutionTable`]s — the wire path — intern every
+//!   cell as it comes. A decoded page has no ids, only strings from outside,
+//!   and finding repeats means hashing each one with a keyed hash: measured
+//!   on `paper_wire_xml`, a value-keyed memo cost more than the whole of the
+//!   append it replaced (`BENCH_columnar_frame.json`).
 
-use std::collections::HashMap;
-
-use dataframe::{Cell, DataFrame};
+use dataframe::{AppendError, Cell, DataFrame};
+use rdf_model::hash::FxHashMap;
 use rdf_model::term::TypedValue;
 use rdf_model::{Term, TermId};
 use sparql_engine::{QueryCursor, SolutionTable};
@@ -40,21 +45,11 @@ pub fn term_to_cell(term: &Term) -> Cell {
 ///
 /// Fallible because the table may have been decoded from a wire chunk a
 /// fault corrupted: a ragged row (width ≠ header) is reported as a
-/// [`FrameError::Transport`] instead of tripping the dataframe's width
-/// assertion — the wire path must never panic on malformed input.
+/// [`FrameError::Transport`] — the wire path must never panic on malformed
+/// input.
 pub fn table_to_dataframe(table: &SolutionTable) -> Result<DataFrame> {
-    let width = table.vars.len();
     let mut df = DataFrame::new(table.vars.clone());
-    for row in &table.rows {
-        if row.len() != width {
-            return Err(ragged_row(row.len(), width));
-        }
-        df.push_row(
-            row.iter()
-                .map(|c| c.as_ref().map_or(Cell::Null, term_to_cell))
-                .collect(),
-        );
-    }
+    append_rows(&mut df, table)?;
     Ok(df)
 }
 
@@ -64,65 +59,33 @@ fn ragged_row(got: usize, want: usize) -> FrameError {
     ))
 }
 
-/// Memoized id → cell decoding for the embedded path.
-///
-/// A query result usually binds the same term many times (entities repeat
-/// across rows); decoding per *distinct* [`TermId`] turns the per-cell cost
-/// into an `Arc` clone (URIs/strings) or a copy (numbers/booleans).
-#[derive(Debug, Default)]
-pub struct CellInterner {
-    memo: HashMap<TermId, Cell>,
+fn bad_block(e: AppendError) -> FrameError {
+    FrameError::Transport(format!("malformed result chunk: {e}"))
 }
 
-impl CellInterner {
-    /// Fresh interner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cell for `id`, decoding `term` on first sight only.
-    pub fn cell(&mut self, id: TermId, term: &Term) -> Cell {
-        self.memo
-            .entry(id)
-            .or_insert_with(|| term_to_cell(term))
-            .clone()
-    }
-}
-
-/// Drain a [`QueryCursor`] into a dataframe, building typed cell columns
-/// straight from the cursor's id columns (no intermediate
-/// [`SolutionTable`], no per-cell term materialization).
+/// Drain a [`QueryCursor`] into a dataframe, mapping each batch's id
+/// columns straight to dictionary codes (no intermediate [`SolutionTable`],
+/// no per-cell term materialization, nothing allocated per row or per cell).
 pub fn cursor_to_dataframe(cursor: &mut QueryCursor<'_>) -> Result<DataFrame> {
-    let vars = cursor.vars().to_vec();
-    let width = vars.len();
-    if width == 0 {
-        // Zero-column results (every pattern position constant) still carry
-        // a row count — e.g. one empty row for "the triple exists" — which
-        // column transposition cannot represent. Drain the cursor and count
-        // (batches are how a streaming cursor reports rows at all).
-        let mut df = DataFrame::new(vars);
-        while let Some(batch) = cursor.next_batch().map_err(engine_error)? {
-            for _ in 0..batch.len {
-                df.push_row(Vec::new());
-            }
-        }
-        return Ok(df);
-    }
-    let mut cols: Vec<Vec<Cell>> = (0..width).map(|_| Vec::new()).collect();
-    let mut interner = CellInterner::new();
+    let mut df = DataFrame::new(cursor.vars().to_vec());
+    let mut memo: FxHashMap<TermId, u32> = FxHashMap::default();
+    let mut block: Vec<Vec<u32>> = vec![Vec::new(); df.columns().len()];
     while let Some(batch) = cursor.next_batch().map_err(engine_error)? {
-        for (c, col) in cols.iter_mut().enumerate() {
-            let ids = batch.column_ids(c);
-            for (i, &id) in ids.iter().enumerate() {
-                col.push(if batch.is_present(c, i) {
-                    interner.cell(id, batch.resolve(id))
+        for (c, codes) in block.iter_mut().enumerate() {
+            codes.clear();
+            codes.extend(batch.column_ids(c).iter().enumerate().map(|(i, &id)| {
+                if batch.is_present(c, i) {
+                    *memo
+                        .entry(id)
+                        .or_insert_with(|| df.intern(term_to_cell(batch.resolve(id))))
                 } else {
-                    Cell::Null
-                });
-            }
+                    0
+                }
+            }));
         }
+        df.append(batch.len, &block).map_err(bad_block)?;
     }
-    Ok(DataFrame::from_cell_columns(vars, cols))
+    Ok(df)
 }
 
 /// Append a solution table's rows to an existing dataframe with the same
@@ -131,27 +94,30 @@ pub fn cursor_to_dataframe(cursor: &mut QueryCursor<'_>) -> Result<DataFrame> {
 /// A chunk whose header differs from the accumulated frame's (schema
 /// drift) or whose rows are ragged is a [`FrameError::Transport`]: a
 /// damaged response, worth re-requesting — re-execution per chunk makes the
-/// retry safe.
+/// retry safe, and a refused chunk leaves rows and dictionary untouched.
 pub fn append_table(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
     if df.columns() != table.vars.as_slice() {
         return Err(FrameError::Transport(
             "endpoint returned inconsistent schemas across chunks".into(),
         ));
     }
+    append_rows(df, table)
+}
+
+fn append_rows(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
     let width = table.vars.len();
-    // Validate every row before appending any: a retry after a mid-chunk
-    // error must not find half the bad chunk already merged.
+    // Validate every row before interning any cell: a retry after a
+    // mid-chunk error must not find half the bad chunk already merged.
     if let Some(row) = table.rows.iter().find(|r| r.len() != width) {
         return Err(ragged_row(row.len(), width));
     }
+    let mut block: Vec<Vec<u32>> = vec![Vec::with_capacity(table.rows.len()); width];
     for row in &table.rows {
-        df.push_row(
-            row.iter()
-                .map(|c| c.as_ref().map_or(Cell::Null, term_to_cell))
-                .collect(),
-        );
+        for (codes, term) in block.iter_mut().zip(row) {
+            codes.push(term.as_ref().map_or(0, |t| df.intern(term_to_cell(t))));
+        }
     }
-    Ok(())
+    df.append(table.rows.len(), &block).map_err(bad_block)
 }
 
 #[cfg(test)]
@@ -234,11 +200,15 @@ mod tests {
             rows: vec![vec![Some(Term::integer(1)), Some(Term::integer(2))]],
         };
         let mut df = table_to_dataframe(&ok).unwrap();
+        let before = df.clone();
         assert!(matches!(
             append_table(&mut df, &ragged),
             Err(FrameError::Transport(_))
         ));
-        // Nothing from the bad chunk was merged — a retry starts clean.
+        // Nothing from the bad chunk was merged — no row, and no dictionary
+        // entry for its `3` either: a retry starts clean.
         assert_eq!(df.len(), 1);
+        assert_eq!(df, before);
+        assert_eq!(df.dictionary().len(), before.dictionary().len());
     }
 }

@@ -11,8 +11,8 @@
 //!    ([`crate::model::compile`]),
 //! 2. runs the shared optimizer pass and evaluates **once**
 //!    ([`sparql_engine::Engine::cursor`]),
-//! 3. streams the columnar `TermId` result batches into typed dataframe
-//!    columns, decoding each distinct term a single time
+//! 3. maps the columnar `TermId` result batches straight to the dataframe's
+//!    dictionary codes, decoding each distinct term a single time
 //!    ([`crate::client::convert::cursor_to_dataframe`]).
 //!
 //! The [`Executor`](crate::exec::Executor) picks this path automatically

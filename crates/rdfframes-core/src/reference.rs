@@ -8,7 +8,7 @@
 //! engine must equal the dataframe this interpreter produces by executing
 //! the operators one by one.
 
-use dataframe::{Cell, DataFrame};
+use dataframe::{Cell, DataFrame, RowView};
 use rdf_model::{Dataset, Graph, Term};
 use sparql_engine::regex_lite::Regex;
 
@@ -137,13 +137,13 @@ pub fn compat_join(left: &DataFrame, right: &DataFrame, how: JoinType) -> DataFr
         .collect();
     let mut out = DataFrame::new(columns);
 
-    let compatible = |l: &[Cell], r: &[Cell]| -> bool {
+    let compatible = |l: RowView<'_>, r: RowView<'_>| -> bool {
         l_idx
             .iter()
             .zip(&r_idx)
             .all(|(&li, &ri)| l[li].is_null() || r[ri].is_null() || l[li] == r[ri])
     };
-    let merge = |l: &[Cell], r: &[Cell]| -> Vec<Cell> {
+    let merge = |l: RowView<'_>, r: RowView<'_>| -> Vec<Cell> {
         let mut row = l.to_vec();
         row.resize(width, Cell::Null);
         for (i, &t) in r_targets.iter().enumerate() {
@@ -167,15 +167,15 @@ pub fn compat_join(left: &DataFrame, right: &DataFrame, how: JoinType) -> DataFr
         let mut index: std::collections::HashMap<Vec<&Cell>, Vec<usize>> =
             std::collections::HashMap::with_capacity(right.len());
         for (ri, r) in right.rows().iter().enumerate() {
-            let key: Vec<&Cell> = key_positions.iter().map(|&k| &r[r_idx[k]]).collect();
+            let key: Vec<&Cell> = key_positions.iter().map(|&k| r.cell(r_idx[k])).collect();
             index.entry(key).or_default().push(ri);
         }
         for l in left.rows() {
-            let key: Vec<&Cell> = key_positions.iter().map(|&k| &l[l_idx[k]]).collect();
+            let key: Vec<&Cell> = key_positions.iter().map(|&k| l.cell(l_idx[k])).collect();
             let mut matched = false;
             if let Some(candidates) = index.get(&key) {
                 for &ri in candidates {
-                    let r = &right.rows()[ri];
+                    let r = right.row(ri);
                     if compatible(l, r) {
                         out.push_row(merge(l, r));
                         matched = true;
@@ -466,7 +466,7 @@ pub fn apply_operators<R: FrameResolver + ?Sized>(
                 let mut filtered = DataFrame::new(df.columns().to_vec());
                 for (row, k) in df.rows().iter().zip(keep) {
                     if k {
-                        filtered.push_row(row.clone());
+                        filtered.push_row(row.to_vec());
                     }
                 }
                 df = filtered;

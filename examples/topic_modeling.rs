@@ -57,7 +57,7 @@ fn main() {
     let mut tf: HashMap<&str, usize> = HashMap::new();
     let title_idx = df.column_index("title").unwrap();
     for row in df.rows() {
-        if let Some(title) = row[title_idx].as_str() {
+        if let Some(title) = row.cell(title_idx).as_str() {
             for word in title.split_whitespace() {
                 if word.len() > 3 && !STOPWORDS.contains(&word) {
                     *tf.entry(word).or_insert(0) += 1;
