@@ -6,6 +6,9 @@
 //! 3. **Round trips** — one compact query vs per-operator engine calls
 //!    (the "generate one SPARQL query, never more" guideline), with a
 //!    simulated per-request HTTP overhead.
+//! 4. **Budget governor** — all four budget axes armed but never hit vs
+//!    unlimited, on the embedded path: the meter must be invisible (same
+//!    rows, same `rows_scanned`) and its wall-clock overhead is printed.
 //!
 //! Usage: `ablation [scale] [runs]` (defaults: scale 2000, 3 runs).
 
@@ -14,12 +17,11 @@ use std::time::Duration;
 
 use bench::casestudies::{self, CaseParams};
 use bench::{baselines, data, harness};
-use rdfframes_core::{EndpointConfig, Executor, InProcessEndpoint};
+use rdfframes_core::{EmbeddedEndpoint, EndpointConfig, Executor, InProcessEndpoint};
+use sparql_engine::{EngineConfig, QueryBudget};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2000);
-    let runs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let (scale, runs) = harness::scale_and_runs("ablation");
     let params = CaseParams::for_scale(scale);
     println!("Ablations — scale {scale}, {runs} runs");
     let ds = data::build_dataset(scale);
@@ -105,5 +107,46 @@ fn main() {
         "\nendpoint served {} requests, {} rows total",
         slow.stats().requests(),
         slow.stats().rows_returned()
+    );
+
+    // --- 4. Budgets armed on all four axes but never hit ------------------
+    // The governor's contract is that an armed-but-unhit budget is
+    // invisible: same rows, same scan work, wall clock within noise (the
+    // bar has been < 2 %).
+    let unlimited = EmbeddedEndpoint::new(Arc::clone(&ds));
+    let armed = EmbeddedEndpoint::with_engine_config(
+        Arc::clone(&ds),
+        EngineConfig {
+            budget: QueryBudget::unlimited()
+                .with_max_rows_scanned(u64::MAX / 2)
+                .with_max_intermediate_rows(u64::MAX / 2)
+                .with_max_memory_bytes(u64::MAX / 2)
+                .with_deadline(Duration::from_secs(3600)),
+            ..EngineConfig::new()
+        },
+    );
+    let measurements = vec![
+        harness::measure("budgets unlimited", runs, || cs1.execute(&unlimited)),
+        harness::measure("budgets armed, never hit", runs, || cs1.execute(&armed)),
+    ];
+    harness::print_panel(
+        "Ablation 4: budgets armed on all four axes but never hit vs unlimited (CS1, embedded)",
+        &measurements,
+    );
+    let (off, on) = (&measurements[0], &measurements[1]);
+    assert!(
+        off.error.is_none() && on.error.is_none(),
+        "budget ablation failed: {off:?} / {on:?}"
+    );
+    assert_eq!(off.rows, on.rows, "budget meter changed the result");
+    assert_eq!(
+        unlimited.rows_scanned(),
+        armed.rows_scanned(),
+        "budget meter changed the work metric"
+    );
+    println!(
+        "armed-budget overhead: {:+.2}% ({} index entries scanned per run either way)",
+        (on.secs() / off.secs().max(1e-12) - 1.0) * 100.0,
+        armed.rows_scanned() / (runs as u64 + 1)
     );
 }

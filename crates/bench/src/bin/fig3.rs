@@ -11,9 +11,7 @@ use bench::casestudies::{self, CaseParams};
 use bench::{baselines, data, harness};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2000);
-    let runs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let (scale, runs) = harness::scale_and_runs("fig3");
     let params = CaseParams::for_scale(scale);
     println!("Figure 3 reproduction — scale {scale}, {runs} runs, params {params:?}");
 

@@ -13,9 +13,7 @@ use bench::{baselines, data, harness};
 use rdf_model::ntriples;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2000);
-    let runs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let (scale, runs) = harness::scale_and_runs("fig4");
     let params = CaseParams::for_scale(scale);
     println!("Figure 4 reproduction — scale {scale}, {runs} runs, params {params:?}");
 

@@ -9,9 +9,7 @@
 use bench::{baselines, data, harness, queries};
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let scale: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(2000);
-    let runs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let (scale, runs) = harness::scale_and_runs("fig5");
     println!("Figure 5 reproduction — scale {scale}, {runs} runs");
 
     let ds = data::build_dataset(scale);

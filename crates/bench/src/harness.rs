@@ -64,6 +64,31 @@ where
     }
 }
 
+/// The `[scale] [runs]` arguments every experiment binary takes (defaults:
+/// scale 2000, 3 runs). An argument that is not a positive integer, or a
+/// third argument, is a usage error — the process exits with status 2
+/// rather than silently running the default scale.
+pub fn scale_and_runs(bin: &str) -> (usize, usize) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_scale_and_runs(&args).unwrap_or_else(|bad| {
+        eprintln!("{bin}: unexpected argument `{bad}`");
+        eprintln!("usage: {bin} [scale] [runs]  (positive integers; defaults 2000 3)");
+        std::process::exit(2);
+    })
+}
+
+/// `Err` carries the offending argument.
+fn parse_scale_and_runs(args: &[String]) -> std::result::Result<(usize, usize), &str> {
+    let mut parsed = [2000usize, 3];
+    if let Some(extra) = args.get(parsed.len()) {
+        return Err(extra);
+    }
+    for (slot, arg) in parsed.iter_mut().zip(args) {
+        *slot = arg.parse().ok().filter(|&n| n > 0).ok_or(arg.as_str())?;
+    }
+    Ok((parsed[0], parsed[1]))
+}
+
 /// Print one figure panel as an aligned table.
 pub fn print_panel(title: &str, measurements: &[Measurement]) {
     println!("\n=== {title} ===");
@@ -101,5 +126,22 @@ pub fn print_ratios(title: &str, rows: &[(String, f64, Option<f64>, Option<f64>)
             fmt(naive_ratio),
             fmt(ours_ratio)
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale_and_runs;
+
+    #[test]
+    fn scale_and_runs_default_parse_and_reject() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_scale_and_runs(&args(&[])), Ok((2000, 3)));
+        assert_eq!(parse_scale_and_runs(&args(&["64"])), Ok((64, 3)));
+        assert_eq!(parse_scale_and_runs(&args(&["64", "1"])), Ok((64, 1)));
+        assert_eq!(parse_scale_and_runs(&args(&["--scale"])), Err("--scale"));
+        assert_eq!(parse_scale_and_runs(&args(&["64", "x"])), Err("x"));
+        assert_eq!(parse_scale_and_runs(&args(&["64", "0"])), Err("0"));
+        assert_eq!(parse_scale_and_runs(&args(&["64", "1", "9"])), Err("9"));
     }
 }

@@ -8,8 +8,8 @@
 //!   topic modeling, knowledge-graph embedding) with their RDFFrames code
 //!   and expert queries.
 //! - [`queries`]: the 15-query synthetic workload of Table 2.
-//! - [`harness`]: timing/reporting utilities shared by the `fig3`, `fig4`,
-//!   `fig5` binaries and the Criterion benches.
+//! - [`harness`]: argument parsing and timing/reporting utilities shared by
+//!   the `fig3`, `fig4`, `fig5` and `ablation` binaries.
 
 pub mod baselines;
 pub mod casestudies;

@@ -20,16 +20,15 @@
 //! plain (cached-plan, no-wire-format) [`Endpoint::query_chunk`] contract,
 //! so an `EmbeddedEndpoint` is a drop-in `Endpoint` everywhere.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dataframe::DataFrame;
 use rdf_model::Dataset;
 use sparql_engine::{Engine, EngineConfig, ExecStats, PreparedQuery, SolutionTable};
 
 use crate::client::convert::cursor_to_dataframe;
-use crate::client::{engine_error, Endpoint, EndpointStats, PlanCache, PLAN_CACHE_CAP};
+use crate::client::{engine_error, prepare_cached, Endpoint, EndpointStats, PlanCache};
 use crate::error::Result;
 use crate::model::compile::compile;
 use crate::model::{render, QueryModel};
@@ -49,18 +48,6 @@ fn default_batch_rows() -> usize {
         .max(1)
 }
 
-/// Prepared plans for *model* executions, keyed by the model's rendered
-/// SPARQL text. The rendered string is used purely as an identity key — it
-/// is never parsed; the cached plan was built by the direct
-/// [`compile`] → [`Engine::prepare_plan`] path. Like
-/// [`PlanCache`](crate::client::PlanCache), every entry is stamped with the
-/// [`Dataset::stats_generation`] it was optimized under, so plans re-optimize
-/// after `append_triples` instead of re-serving a stale join order.
-#[derive(Default)]
-struct ModelPlanCache {
-    plans: Mutex<HashMap<String, (u64, Arc<PreparedQuery>)>>,
-}
-
 /// Cumulative scan work of an endpoint's executions: index entries read, and
 /// index entries that replays of shared subplans stood in for.
 #[derive(Default)]
@@ -78,7 +65,7 @@ pub struct EmbeddedEndpoint {
     stats: Arc<EndpointStats>,
     scans: Arc<ScanCounters>,
     plans: Arc<PlanCache>,
-    model_plans: Arc<ModelPlanCache>,
+    model_plans: Arc<PlanCache>,
 }
 
 impl EmbeddedEndpoint {
@@ -97,7 +84,7 @@ impl EmbeddedEndpoint {
             stats: Arc::new(EndpointStats::default()),
             scans: Arc::new(ScanCounters::default()),
             plans: Arc::new(PlanCache::default()),
-            model_plans: Arc::new(ModelPlanCache::default()),
+            model_plans: Arc::new(PlanCache::default()),
         }
     }
 
@@ -182,7 +169,7 @@ impl EmbeddedEndpoint {
     /// The raw-SPARQL request body ([`Endpoint::query_chunk`] charges the
     /// request/error counters around it, mirroring the wire endpoint).
     fn serve_chunk(&self, sparql: &str, offset: usize, limit: usize) -> Result<SolutionTable> {
-        let prepared = self.plans.get_or_prepare(&self.engine, sparql)?;
+        let prepared = prepare_cached(&self.plans, &self.engine, sparql)?;
         let (table, stats) = self
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))
@@ -222,55 +209,24 @@ impl EmbeddedEndpoint {
     /// generation moves. Repeated executions of the same model — the
     /// benchmark loop, a dashboard refresh — skip compile *and* optimize.
     fn model_plan(&self, model: &QueryModel) -> Result<Arc<PreparedQuery>> {
+        // The rendered text is purely an identity key — it is never parsed.
         let key = render::render(model);
         let generation = self.engine.dataset().stats_generation();
-        {
-            let plans = self
-                .model_plans
-                .plans
-                .lock()
-                .expect("model plan cache poisoned");
-            if let Some((stamped, prepared)) = plans.get(&key) {
-                if *stamped == generation {
-                    return Ok(Arc::clone(prepared));
-                }
-                // Stale: statistics moved since this plan was optimized.
-            }
-        }
-        // Compile + optimize outside the lock; a concurrent duplicate
-        // preparation is harmless (last insert wins, plans are equivalent).
-        let compiled = compile(model)?;
-        let prepared = Arc::new(self.engine.prepare_plan(compiled.plan, compiled.from));
-        let mut plans = self
-            .model_plans
-            .plans
-            .lock()
-            .expect("model plan cache poisoned");
-        if plans.len() >= PLAN_CACHE_CAP {
-            plans.clear();
-        }
-        plans.insert(key, (generation, Arc::clone(&prepared)));
-        Ok(prepared)
+        self.model_plans.get_or_prepare(&key, generation, || {
+            let compiled = compile(model)?;
+            Ok(self.engine.prepare_plan(compiled.plan, compiled.from))
+        })
     }
 
     /// Model plans currently cached (observability for tests/benches).
     pub fn cached_model_plans(&self) -> usize {
-        self.model_plans
-            .plans
-            .lock()
-            .expect("model plan cache poisoned")
-            .len()
+        self.model_plans.len()
     }
 
     /// The cached prepared plan for a model, if present (observability for
     /// tests — e.g. asserting that an append re-optimized the plan).
     pub fn cached_model_plan(&self, model: &QueryModel) -> Option<Arc<PreparedQuery>> {
-        self.model_plans
-            .plans
-            .lock()
-            .expect("model plan cache poisoned")
-            .get(&render::render(model))
-            .map(|(_, prepared)| Arc::clone(prepared))
+        self.model_plans.get(&render::render(model))
     }
 }
 

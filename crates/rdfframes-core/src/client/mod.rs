@@ -19,7 +19,7 @@ pub mod xml;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dataframe::DataFrame;
@@ -171,7 +171,11 @@ pub trait Endpoint {
     }
 }
 
-/// Cached prepared plans by query text, shared across endpoint clones.
+/// Cached prepared plans by query text, shared across endpoint clones and
+/// epochs. Both endpoints key it by SPARQL text: the wire surface by the
+/// text it was sent, [`EmbeddedEndpoint`]'s model surface by the model's
+/// rendered text (an identity key only — that plan is compiled directly and
+/// the text never parsed).
 ///
 /// The wire contract forces re-*evaluation* per chunk (a cursor-less HTTP
 /// server cannot resume), but nothing about HTTP forces re-*planning*: a
@@ -188,56 +192,68 @@ pub trait Endpoint {
 /// entry.
 #[derive(Default)]
 struct PlanCache {
-    plans: Mutex<HashMap<String, CachedPlan>>,
+    plans: Mutex<PlanMap>,
 }
 
-/// One cached plan plus the dataset fingerprint it was optimized under.
-struct CachedPlan {
-    stats_generation: u64,
-    prepared: Arc<PreparedQuery>,
-}
+/// Query text → (stats generation it was optimized under, plan).
+type PlanMap = HashMap<String, (u64, Arc<PreparedQuery>)>;
 
 /// Entries kept in the plan cache before it is cleared wholesale (pagination
 /// workloads reuse a handful of texts; precision eviction isn't worth it).
 const PLAN_CACHE_CAP: usize = 256;
 
 impl PlanCache {
-    fn get_or_prepare(&self, engine: &Engine, sparql: &str) -> Result<Arc<PreparedQuery>> {
-        let generation = engine.dataset().stats_generation();
-        let mut plans = self.plans.lock().expect("plan cache poisoned");
-        if let Some(entry) = plans.get(sparql) {
-            if entry.stats_generation == generation {
-                return Ok(Arc::clone(&entry.prepared));
+    /// The map, recovering poison: entries are inserted whole and nothing
+    /// runs under the lock but map operations, so a poisoned map is intact.
+    fn lock(&self) -> MutexGuard<'_, PlanMap> {
+        self.plans.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The plan cached for `key` under `generation`, or the one `prepare`
+    /// builds. `prepare` (parse/compile + optimize) runs outside the lock,
+    /// so readers re-preparing after a publish do not queue behind one
+    /// another; a concurrent duplicate preparation is harmless (last insert
+    /// wins, the plans are equivalent).
+    fn get_or_prepare(
+        &self,
+        key: &str,
+        generation: u64,
+        prepare: impl FnOnce() -> Result<PreparedQuery>,
+    ) -> Result<Arc<PreparedQuery>> {
+        if let Some((stamped, prepared)) = self.lock().get(key) {
+            if *stamped == generation {
+                return Ok(Arc::clone(prepared));
             }
             // Stale: the dataset's statistics-relevant state moved since
             // this plan was optimized. Fall through and re-prepare.
         }
-        let prepared = Arc::new(
-            engine
-                .prepare(sparql)
-                .map_err(|e| FrameError::Endpoint(e.to_string()))?,
-        );
+        let prepared = Arc::new(prepare()?);
+        let mut plans = self.lock();
         if plans.len() >= PLAN_CACHE_CAP {
             plans.clear();
         }
-        plans.insert(
-            sparql.to_string(),
-            CachedPlan {
-                stats_generation: generation,
-                prepared: Arc::clone(&prepared),
-            },
-        );
+        plans.insert(key.to_string(), (generation, Arc::clone(&prepared)));
         Ok(prepared)
     }
 
     /// The cached plan for a query text, if any (observability for tests).
-    fn get(&self, sparql: &str) -> Option<Arc<PreparedQuery>> {
-        self.plans
-            .lock()
-            .expect("plan cache poisoned")
-            .get(sparql)
-            .map(|e| Arc::clone(&e.prepared))
+    fn get(&self, key: &str) -> Option<Arc<PreparedQuery>> {
+        self.lock().get(key).map(|(_, p)| Arc::clone(p))
     }
+
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// The prepared plan for SPARQL text `engine` parses, through `plans` (both
+/// endpoints' raw-SPARQL surface).
+fn prepare_cached(plans: &PlanCache, engine: &Engine, sparql: &str) -> Result<Arc<PreparedQuery>> {
+    plans.get_or_prepare(sparql, engine.dataset().stats_generation(), || {
+        engine
+            .prepare(sparql)
+            .map_err(|e| FrameError::Endpoint(e.to_string()))
+    })
 }
 
 /// An endpoint backed by the in-process SPARQL engine.
@@ -263,7 +279,6 @@ impl InProcessEndpoint {
                 optimize: config.optimize,
                 eval_mode: config.eval_mode,
                 budget: config.budget.clone(),
-                ..EngineConfig::new()
             },
         );
         InProcessEndpoint {
@@ -309,7 +324,7 @@ impl InProcessEndpoint {
 
     /// Prepared plans currently cached (observability for tests/benches).
     pub fn cached_plans(&self) -> usize {
-        self.plans.plans.lock().expect("plan cache poisoned").len()
+        self.plans.len()
     }
 
     /// The cached prepared plan for a query text, if present (observability
@@ -330,7 +345,7 @@ impl InProcessEndpoint {
         // Plan once per query text; evaluate per chunk (the HTTP model).
         // Paging inside the engine means evaluation stops when the chunk is
         // full and only shipped rows materialize terms.
-        let prepared = self.plans.get_or_prepare(&self.engine, sparql)?;
+        let prepared = prepare_cached(&self.plans, &self.engine, sparql)?;
         let (mut table, _) = self
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))
@@ -546,6 +561,50 @@ mod tests {
             fresh_stats.rows_scanned,
             stale_stats.rows_scanned
         );
+    }
+
+    #[test]
+    fn plan_cache_survives_a_panicking_prepare_and_a_poisoned_lock() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let engine = Engine::new(dataset());
+        let cache = PlanCache::default();
+        let text = "SELECT * WHERE { ?s <http://x/p> ?o }";
+        let generation = engine.dataset().stats_generation();
+        let prepare = || {
+            engine
+                .prepare(text)
+                .map_err(|e| FrameError::Endpoint(e.to_string()))
+        };
+
+        // A panic inside `prepare` happens outside the lock: nothing is
+        // inserted, nothing is poisoned, and the same key prepares next time.
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            cache.get_or_prepare(text, generation, || panic!("prepare blew up"))
+        }));
+        assert!(panicked.is_err());
+        assert!(!cache.plans.is_poisoned());
+        assert_eq!(cache.len(), 0);
+        let first = cache.get_or_prepare(text, generation, prepare).unwrap();
+        assert_eq!(cache.len(), 1);
+
+        // Even a poisoned mutex (a panic while the guard is held) is
+        // recovered by every accessor, and the entry is still served.
+        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+            let _guard = cache.lock();
+            panic!("panic under the plan-cache lock");
+        }));
+        assert!(poisoned.is_err());
+        assert!(cache.plans.is_poisoned());
+        let again = cache
+            .get_or_prepare(text, generation, || panic!("cached: must not re-prepare"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(cache.get(text).is_some());
+        assert_eq!(cache.len(), 1);
+        // A generation move re-prepares through the recovered lock.
+        let fresh = cache.get_or_prepare(text, generation + 1, prepare).unwrap();
+        assert!(!Arc::ptr_eq(&first, &fresh));
+        assert_eq!(cache.len(), 1, "entry replaced, not duplicated");
     }
 
     #[test]

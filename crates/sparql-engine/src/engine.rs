@@ -61,38 +61,18 @@ pub enum EvalMode {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Enable the optimizer (BGP reordering and join-shape planning, TopK
-    /// fusion, and — gated by the flags below — FILTER pushdown and merge
-    /// joins). Disabling it models an engine that takes queries literally
-    /// (the ablation experiments' baseline and the tests' plan oracle).
+    /// Enable the optimizer: BGP reordering and join-shape planning, TopK
+    /// fusion, FILTER pushdown and the order-aware rewrites (merge joins,
+    /// merge left joins, sorted DISTINCT, the GROUP BY order annotation).
+    /// All are pure physical rewrites — the result bag is the same either
+    /// way — and each order-aware operator re-checks its sortedness claim
+    /// at run time, demoting itself to the hash path when it fails, so this
+    /// is the one ablation handle: disabling it models an engine that takes
+    /// queries literally (the ablation experiments' baseline and the tests'
+    /// plan oracle).
     pub optimize: bool,
     /// Evaluator selection (columnar unless testing against an oracle).
     pub eval_mode: EvalMode,
-    /// Sink single-variable FILTER conjuncts into the BGP extension loop
-    /// (no effect with `optimize` off). Pure physical rewrite; results are
-    /// identical either way.
-    pub filter_pushdown: bool,
-    /// Rewrite inner hash joins into merge joins when interesting-order
-    /// tracking proves both inputs sorted on the join key (no effect with
-    /// `optimize` off). Pure physical rewrite.
-    pub merge_joins: bool,
-    /// Rewrite left (OPTIONAL) hash joins into merge left joins under the
-    /// same condition (no effect with `optimize` off). Pure physical
-    /// rewrite: unmatched left rows are emitted in place either way.
-    pub merge_left_joins: bool,
-    /// Deduplicate DISTINCT by linear run detection when the input arrives
-    /// sorted on a sequence covering every output column (no effect with
-    /// `optimize` off; columnar evaluator only). Pure physical rewrite.
-    pub sorted_distinct: bool,
-    /// Annotate GROUP BY with the input's sort order when the grouping keys
-    /// are a prefix of it (no effect with `optimize` off). Grouping hashes
-    /// either way; a claim that holds at run time is counted in
-    /// [`ExecStats::sorted_groups`].
-    pub sorted_group_by: bool,
-    /// Sort `ORDER BY ?var` by the dataset's cached term-rank permutation
-    /// instead of materializing per-row key terms (columnar evaluator
-    /// only). Pure physical rewrite.
-    pub rank_order_by: bool,
     /// Resource limits enforced cooperatively during evaluation (all axes
     /// optional; the default is unlimited, which keeps the meter to a single
     /// branch per check). Violations surface as
@@ -110,12 +90,6 @@ impl EngineConfig {
         EngineConfig {
             optimize: true,
             eval_mode: EvalMode::Columnar,
-            filter_pushdown: true,
-            merge_joins: true,
-            merge_left_joins: true,
-            sorted_distinct: true,
-            sorted_group_by: true,
-            rank_order_by: true,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -275,13 +249,7 @@ impl Engine {
     /// involved). Applies the same optimizer pass string queries get.
     pub fn prepare_plan(&self, mut plan: Plan, from: Vec<String>) -> PreparedQuery {
         if self.config.optimize {
-            let mut optimizer = Optimizer::new(&self.dataset, &from)
-                .with_filter_pushdown(self.config.filter_pushdown)
-                .with_merge_joins(self.config.merge_joins)
-                .with_merge_left_joins(self.config.merge_left_joins)
-                .with_sorted_distinct(self.config.sorted_distinct)
-                .with_sorted_group_by(self.config.sorted_group_by);
-            optimizer.optimize(&mut plan);
+            Optimizer::new(&self.dataset, &from).optimize(&mut plan);
         }
         PreparedQuery { plan, from }
     }
@@ -394,7 +362,6 @@ impl Engine {
         // itself has no work left to charge.
         let meter = BudgetMeter::new(&self.config.budget);
         let mut evaluator = Evaluator::new(&self.dataset, prepared.from.clone());
-        evaluator.set_rank_sort(self.config.rank_order_by);
         evaluator.set_budget(&self.config.budget);
         let mut source = pipeline::build(&evaluator, &prepared.plan)?;
         if let Some((offset, limit)) = page {

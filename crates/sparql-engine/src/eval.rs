@@ -79,9 +79,6 @@ pub struct Evaluator<'a> {
     join_candidates: u64,
     sorted_distincts: u64,
     sorted_groups: u64,
-    /// `ORDER BY ?var` via the dataset's cached term-rank permutation
-    /// (disable to measure the term-materializing sort it replaces).
-    rank_sort: bool,
     /// Reused row buffer for expression contexts (the only place the
     /// columnar layout is transposed back to a row).
     scratch: Vec<Option<TermId>>,
@@ -103,7 +100,6 @@ impl<'a> Evaluator<'a> {
             join_candidates: 0,
             sorted_distincts: 0,
             sorted_groups: 0,
-            rank_sort: true,
             scratch: Vec::new(),
         }
     }
@@ -152,12 +148,6 @@ impl<'a> Evaluator<'a> {
     /// their whole input. A counter only: grouping always hashes.
     pub fn sorted_groups(&self) -> u64 {
         self.sorted_groups
-    }
-
-    /// Toggle the term-rank `ORDER BY` fast path (on by default; the bench
-    /// turns it off to measure the PR 4 baseline behavior).
-    pub fn set_rank_sort(&mut self, on: bool) {
-        self.rank_sort = on;
     }
 
     /// Install a resource budget. The meter (and its deadline clock) is
@@ -380,15 +370,16 @@ impl<'a> Evaluator<'a> {
     /// materializes a key term. Returns the row permutation (bounded to the
     /// top `k` when given), or `None` when any key is a computed
     /// expression, any value lies outside the rank snapshot (query-local
-    /// overflow terms), or the fast path is disabled — callers then fall
-    /// back to the term-keyed sort, which produces the identical order.
+    /// overflow terms), or the rank cache is cold and the input too small
+    /// to pay for building it — callers then fall back to the term-keyed
+    /// sort, which produces the identical order.
     fn rank_sort_perm(
         &self,
         table: &IdTable,
         keys: &[OrderKey],
         k: Option<usize>,
     ) -> Option<Vec<u32>> {
-        if !self.rank_sort || keys.is_empty() {
+        if keys.is_empty() {
             return None;
         }
         // Every key must be a plain variable (absent variables sort as

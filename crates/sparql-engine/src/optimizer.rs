@@ -41,10 +41,12 @@
 //!      a BGP sorted on `[?a, ?b]` serves `GROUP BY ?a` and
 //!      `DISTINCT ?a ?b` alike.
 //!
-//! Passes 2 and 3 are pure physical rewrites: results are identical with
-//! them on or off (property-tested), only the work done changes. Every
-//! order claim is re-verified at run time by the columnar evaluator (one
-//! linear pass) with a hash fallback, so this analysis only has to be
+//! Passes 2 and 3 are pure physical rewrites: results are identical to
+//! the unoptimized plan's (property-tested against `optimize: false` and
+//! the oracle), only the work done changes. Every order claim is
+//! re-verified at run time by the columnar evaluator (one linear pass),
+//! which demotes the operator to its hash path when the claim fails — the
+//! only off-switch a rewrite has — so this analysis only has to be
 //! precise, not paranoid.
 
 use std::collections::{HashMap, HashSet};
@@ -65,11 +67,6 @@ const BOUND_MARK: TermId = TermId(0);
 pub struct Optimizer<'a> {
     dataset: &'a Dataset,
     default_graphs: &'a [String],
-    filter_pushdown: bool,
-    merge_joins: bool,
-    merge_left_joins: bool,
-    sorted_distinct: bool,
-    sorted_group_by: bool,
     /// Per-query cache of graph statistics handles (the dataset's accessor
     /// is generation-checked and lock-guarded; fetch each graph's snapshot
     /// once per optimization).
@@ -77,60 +74,20 @@ pub struct Optimizer<'a> {
 }
 
 impl<'a> Optimizer<'a> {
-    /// Create an optimizer for a dataset (all rewrite passes enabled).
+    /// Create an optimizer for a dataset.
     pub fn new(dataset: &'a Dataset, default_graphs: &'a [String]) -> Self {
         Optimizer {
             dataset,
             default_graphs,
-            filter_pushdown: true,
-            merge_joins: true,
-            merge_left_joins: true,
-            sorted_distinct: true,
-            sorted_group_by: true,
             stats_cache: HashMap::new(),
         }
     }
 
-    /// Enable or disable the FILTER-pushdown pass.
-    pub fn with_filter_pushdown(mut self, on: bool) -> Self {
-        self.filter_pushdown = on;
-        self
-    }
-
-    /// Enable or disable the inner-join merge rewrite.
-    pub fn with_merge_joins(mut self, on: bool) -> Self {
-        self.merge_joins = on;
-        self
-    }
-
-    /// Enable or disable the left-join merge rewrite.
-    pub fn with_merge_left_joins(mut self, on: bool) -> Self {
-        self.merge_left_joins = on;
-        self
-    }
-
-    /// Enable or disable the sorted-DISTINCT rewrite.
-    pub fn with_sorted_distinct(mut self, on: bool) -> Self {
-        self.sorted_distinct = on;
-        self
-    }
-
-    /// Enable or disable the sorted-GROUP BY rewrite.
-    pub fn with_sorted_group_by(mut self, on: bool) -> Self {
-        self.sorted_group_by = on;
-        self
-    }
-
-    /// Optimize a plan in place (all configured passes).
+    /// Optimize a plan in place (all three passes).
     pub fn optimize(&mut self, plan: &mut Plan) {
         self.reorder(plan);
-        if self.filter_pushdown {
-            push_filters(plan);
-        }
-        if self.merge_joins || self.merge_left_joins || self.sorted_distinct || self.sorted_group_by
-        {
-            self.plan_order_rewrites(plan);
-        }
+        push_filters(plan);
+        self.plan_order_rewrites(plan);
     }
 
     /// Pass 1: statistics-driven BGP reordering + TopK fusion.
@@ -263,11 +220,10 @@ impl<'a> Optimizer<'a> {
             Plan::Join(a, b) => {
                 let left_order = self.plan_order_rewrites(a);
                 let right_order = self.plan_order_rewrites(b);
-                let mergeable = self.merge_joins
-                    && matches!(
-                        (left_order.first(), right_order.first()),
-                        (Some(l), Some(r)) if l == r
-                    );
+                let mergeable = matches!(
+                    (left_order.first(), right_order.first()),
+                    (Some(l), Some(r)) if l == r
+                );
                 if mergeable {
                     let key = left_order[0].clone();
                     // Rebuild the node as a merge join; the boxes move over.
@@ -293,11 +249,10 @@ impl<'a> Optimizer<'a> {
                 // OPTIONAL semantics: the merge walks left rows in order
                 // and emits the no-match row at the same position the hash
                 // join would.
-                let mergeable = self.merge_left_joins
-                    && matches!(
-                        (left_order.first(), right_order.first()),
-                        (Some(l), Some(r)) if l == r
-                    );
+                let mergeable = matches!(
+                    (left_order.first(), right_order.first()),
+                    (Some(l), Some(r)) if l == r
+                );
                 if mergeable {
                     let key = left_order[0].clone();
                     if let Plan::LeftJoin(left, right) = std::mem::replace(plan, Plan::Unit) {
@@ -319,7 +274,7 @@ impl<'a> Optimizer<'a> {
                 // order survives — and when one is known, the evaluator can
                 // dedup by run detection (it checks coverage of the output
                 // schema and actual sortedness itself).
-                if self.sorted_distinct && !order.is_empty() {
+                if !order.is_empty() {
                     if let Plan::Distinct(input) = std::mem::replace(plan, Plan::Unit) {
                         *plan = Plan::SortedDistinct {
                             order: order.clone(),
@@ -360,7 +315,7 @@ impl<'a> Optimizer<'a> {
             } => {
                 let input_order = self.plan_order_rewrites(input);
                 sorted_on.clear();
-                if self.sorted_group_by && !keys.is_empty() {
+                if !keys.is_empty() {
                     // The keys must be exactly a *prefix* of the input
                     // order, set-wise: rows equal on an order prefix are
                     // adjacent, so run boundaries on the prefix columns are
@@ -1437,18 +1392,8 @@ mod tests {
             other => panic!("expected merge left join, got {other:?}"),
         }
 
-        // Toggled off: the left join stays a hash join.
-        let mut opt = Optimizer::new(&ds, &graphs).with_merge_left_joins(false);
-        let mut plan = Plan::LeftJoin(
-            Box::new(side("http://x/award", "http://x/oscar")),
-            Box::new(side("http://x/inCountry", "http://x/usa")),
-        );
-        opt.optimize(&mut plan);
-        assert!(matches!(&plan, Plan::LeftJoin(..)), "toggle off: {plan:?}");
-
         // Unsorted right side (subject-bound shape leads with the object
         // variable): no rewrite.
-        let mut opt = Optimizer::new(&ds, &graphs);
         let unsorted = Plan::Bgp {
             patterns: vec![TriplePattern::new(
                 var("e"),
@@ -1491,12 +1436,6 @@ mod tests {
             Plan::SortedDistinct { order, .. } => assert_eq!(order, &["l", "e"]),
             other => panic!("expected sorted distinct, got {other:?}"),
         }
-        // Toggled off: plain Distinct survives.
-        let mut plan = Plan::Distinct(Box::new(bgp()));
-        Optimizer::new(&ds, &graphs)
-            .with_sorted_distinct(false)
-            .optimize(&mut plan);
-        assert!(matches!(&plan, Plan::Distinct(..)));
 
         // GROUP BY the *leading* order var: keys are an order prefix.
         let group = |keys: Vec<&str>| Plan::Group {
@@ -1524,15 +1463,6 @@ mod tests {
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
         match &plan {
             Plan::Group { sorted_on, .. } => assert!(sorted_on.is_empty(), "{sorted_on:?}"),
-            other => panic!("{other:?}"),
-        }
-        // Toggled off: no annotation even for a perfect prefix.
-        let mut plan = group(vec!["l"]);
-        Optimizer::new(&ds, &graphs)
-            .with_sorted_group_by(false)
-            .optimize(&mut plan);
-        match &plan {
-            Plan::Group { sorted_on, .. } => assert!(sorted_on.is_empty()),
             other => panic!("{other:?}"),
         }
     }

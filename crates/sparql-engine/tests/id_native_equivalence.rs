@@ -486,6 +486,30 @@ fn assert_all_paths_agree(ds: Arc<Dataset>, optimize: bool, label: &str) {
     }
 }
 
+/// Run `q` on the default legs (`optimize: true`: every rewrite) and on the
+/// literal legs (`optimize: false`: no rewrite, hash operators only) and
+/// demand one bag on all six, plus — per plan — exact scan parity between
+/// the executor at both pull sizes and the oracle, which hash-joins the
+/// rewritten nodes. Returns the unshared scan work of the (default, literal)
+/// plan; the two differ — that is the point of the rewrites.
+fn assert_rewrites_preserve_results(ds: &Arc<Dataset>, q: &str, label: &str) -> (u64, u64) {
+    let on = run_all(&legs(Arc::clone(ds), true), q, label);
+    let off = run_all(&legs(Arc::clone(ds), false), q, label);
+    for (plan, group) in [("default", &on), ("literal", &off)] {
+        for (name, table, scanned) in group.iter() {
+            assert_eq!(
+                &on[0].1, table,
+                "rewrites changed results on {name}, {plan} plan ({label}) for:\n{q}"
+            );
+            assert_eq!(
+                group[0].2, *scanned,
+                "work metric diverges on {name}, {plan} plan ({label}) for:\n{q}"
+            );
+        }
+    }
+    (on[0].2, off[0].2)
+}
+
 #[test]
 fn all_three_evaluators_agree_on_compacted_graphs() {
     assert_all_paths_agree(dataset(true), true, "compacted");
@@ -547,33 +571,39 @@ fn outer_join_shapes_are_keyed_on_every_bound_variable() {
 
 #[test]
 fn pushdown_and_merge_rewrites_preserve_results() {
-    // The two physical rewrites on vs off, across both storage layouts and
-    // all three legs: identical bags everywhere (scan counts differ —
-    // that is the point of the rewrites).
+    // Every rewrite on (the default engine) vs none (`optimize: false`),
+    // across both storage layouts, both pull sizes and the oracle:
+    // identical bags everywhere (scan counts differ between the two plans
+    // — that is the point of the rewrites — never between evaluators).
     for compacted in [true, false] {
         let ds = dataset(compacted);
-        let plain = Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                filter_pushdown: false,
-                merge_joins: false,
-                rank_order_by: false,
-                ..EngineConfig::new()
-            },
-        );
-        let rewriting = legs(Arc::clone(&ds), true);
+        let label = format!("compacted={compacted}");
         for q in queries() {
-            let (mut base, _) = plain
-                .execute_with_stats(&q)
-                .unwrap_or_else(|e| panic!("plain engine failed: {e}\n{q}"));
-            base.canonicalize();
-            for (name, t, _) in run_all(&rewriting, &q, "rewrites on") {
-                assert_eq!(
-                    base, t,
-                    "rewrites changed results on {name} (compacted={compacted}) for:\n{q}"
-                );
-            }
+            assert_rewrites_preserve_results(&ds, &q, &label);
         }
+    }
+}
+
+/// Two single-pattern groups that both scan sorted on `?x`: the shape the
+/// merge-join rewrite exists for.
+fn star_join_query() -> String {
+    format!(
+        "{PREFIXES}SELECT ?x FROM <http://dbpedia.org> WHERE {{ \
+           {{ ?x dbpp:birthPlace dbpr:United_States }} \
+           {{ ?x dbpp:academyAward dbpr:Oscar }} }}"
+    )
+}
+
+/// Whether some BGP of `plan` carries a pushed-down filter.
+fn has_pushed_filter(plan: &Plan) -> bool {
+    match plan {
+        Plan::Bgp { filters, .. } => !filters.is_empty(),
+        Plan::Project(_, p) | Plan::Filter(_, p) => has_pushed_filter(p),
+        Plan::Join(a, b)
+        | Plan::MergeJoin {
+            left: a, right: b, ..
+        } => has_pushed_filter(a) || has_pushed_filter(b),
+        _ => false,
     }
 }
 
@@ -582,45 +612,37 @@ fn merge_join_fires_and_pushdown_cuts_scans() {
     for compacted in [true, false] {
         let ds = dataset(compacted);
         let engine = Engine::new(Arc::clone(&ds));
+        let label = format!("compacted={compacted}");
 
         // The star join runs as a real merge join (counter, not just plan
         // shape) on slab-resident *and* delta-resident storage.
-        let star = format!(
-            "{PREFIXES}SELECT ?x FROM <http://dbpedia.org> WHERE {{ \
-               {{ ?x dbpp:birthPlace dbpr:United_States }} \
-               {{ ?x dbpp:academyAward dbpr:Oscar }} }}"
-        );
+        let star = star_join_query();
         let (t, stats) = engine.execute_with_stats(&star).unwrap();
         assert_eq!(t.len(), 1, "only actor1 is US-born with an award");
         assert!(
             stats.merge_joins > 0,
-            "merge join must fire (compacted={compacted}): {stats:?}"
+            "merge join must fire ({label}): {stats:?}"
         );
+        assert_rewrites_preserve_results(&ds, &star, &label);
 
-        // Pushdown strictly reduces the scan work: the birthPlace pattern
-        // binds ?c first, so UK-born rows die before the starring scan.
+        // The filter sinks into the BGP, and the plan scans strictly less
+        // than the literal one: the birthPlace pattern binds ?c first, so
+        // UK-born rows die before the starring scan.
         let filtered = format!(
             "{PREFIXES}SELECT ?actor FROM <http://dbpedia.org> WHERE {{ \
                ?movie dbpp:starring ?actor . ?actor dbpp:birthPlace ?c \
                FILTER ( ?c = dbpr:United_States ) }}"
         );
-        let no_pushdown = Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                filter_pushdown: false,
-                ..EngineConfig::new()
-            },
-        );
-        let (mut a, s_on) = engine.execute_with_stats(&filtered).unwrap();
-        let (mut b, s_off) = no_pushdown.execute_with_stats(&filtered).unwrap();
-        a.canonicalize();
-        b.canonicalize();
-        assert_eq!(a, b);
+        let prepared = engine.prepare(&filtered).unwrap();
         assert!(
-            s_on.rows_scanned < s_off.rows_scanned,
-            "pushdown must scan strictly less: {} vs {}",
-            s_on.rows_scanned,
-            s_off.rows_scanned
+            has_pushed_filter(prepared.plan()),
+            "filter must sink into its BGP ({label}):\n{}",
+            prepared.explain()
+        );
+        let (pushed, literal) = assert_rewrites_preserve_results(&ds, &filtered, &label);
+        assert!(
+            pushed < literal,
+            "pushdown must scan strictly less than the literal plan: {pushed} vs {literal}"
         );
     }
 }
@@ -693,11 +715,13 @@ fn value_join_bgps_split_and_cut_scans() {
 
 #[test]
 fn order_aware_rewrites_fire_and_agree_per_toggle() {
-    // For each of the three new rewrites: the counter fires (>0) on a query
-    // shaped for it, on slab-resident *and* delta-resident storage, and
-    // toggling just that rewrite off yields identical results with *exactly*
-    // the same `rows_scanned` (these rewrites change join/dedup/group
-    // strategy, never scan work).
+    // For each of the four order-aware rewrites: the counter fires (>0) on
+    // a query shaped for it, on slab-resident *and* delta-resident storage,
+    // at both pull sizes; the literal plan (`optimize: false`, the one
+    // off-switch) fires none of them; and default ≡ literal ≡ oracle as
+    // bags, the default plan never scanning more (these rewrites change
+    // join/dedup/group strategy, never scan work).
+    let star_q = star_join_query();
     let optional_q = format!(
         "{PREFIXES}SELECT ?actor ?l FROM <http://dbpedia.org> WHERE {{ \
            ?actor dbpp:birthPlace dbpr:United_States \
@@ -712,62 +736,37 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
         "{PREFIXES}SELECT ?actor (COUNT(?movie) AS ?n) FROM <http://dbpedia.org> \
          WHERE {{ ?movie dbpp:starring ?actor }} GROUP BY ?actor"
     );
-    type CounterFn = Box<dyn Fn(&sparql_engine::ExecStats) -> u64>;
+    type Counter = fn(&ExecStats) -> u64;
+    let cases: [(&str, &str, Counter); 4] = [
+        ("merge_joins", &star_q, |s| s.merge_joins),
+        ("merge_left_joins", &optional_q, |s| s.merge_left_joins),
+        ("sorted_distincts", &distinct_q, |s| s.sorted_distincts),
+        ("sorted_groups", &group_q, |s| s.sorted_groups),
+    ];
     for compacted in [true, false] {
         let ds = dataset(compacted);
-        let on = Engine::new(Arc::clone(&ds));
-
-        let cases: [(&str, &str, CounterFn, EngineConfig); 3] = [
-            (
-                "merge_left_joins",
-                optional_q.as_str(),
-                Box::new(|s| s.merge_left_joins),
-                EngineConfig {
-                    merge_left_joins: false,
-                    ..EngineConfig::new()
-                },
-            ),
-            (
-                "sorted_distinct",
-                distinct_q.as_str(),
-                Box::new(|s| s.sorted_distincts),
-                EngineConfig {
-                    sorted_distinct: false,
-                    ..EngineConfig::new()
-                },
-            ),
-            (
-                "sorted_group_by",
-                group_q.as_str(),
-                Box::new(|s| s.sorted_groups),
-                EngineConfig {
-                    sorted_group_by: false,
-                    ..EngineConfig::new()
-                },
-            ),
-        ];
-        for (name, query, counter, off_config) in cases {
-            let (mut with, s_on) = on.execute_with_stats(query).unwrap();
+        let label = format!("compacted={compacted}");
+        let on = legs(Arc::clone(&ds), true);
+        let literal = legs(Arc::clone(&ds), false);
+        for (name, query, counter) in cases {
+            for (rewriting, plain) in on[..2].iter().zip(&literal[..2]) {
+                let (_, s_on) = rewriting.run(query).unwrap();
+                assert!(
+                    counter(&s_on) > 0,
+                    "{name} must fire on {} ({label}): {s_on:?}\n{query}",
+                    rewriting.name
+                );
+                let (_, s_off) = plain.run(query).unwrap();
+                assert_eq!(
+                    counter(&s_off),
+                    0,
+                    "{name} must not fire on the literal plan ({label})"
+                );
+            }
+            let (scanned, literal_scanned) = assert_rewrites_preserve_results(&ds, query, &label);
             assert!(
-                counter(&s_on) > 0,
-                "{name} must fire (compacted={compacted}): {s_on:?}\n{query}"
-            );
-            let off = Engine::with_config(Arc::clone(&ds), off_config);
-            let (mut without, s_off) = off.execute_with_stats(query).unwrap();
-            assert_eq!(
-                counter(&s_off),
-                0,
-                "{name} must not fire when toggled off (compacted={compacted})"
-            );
-            with.canonicalize();
-            without.canonicalize();
-            assert_eq!(
-                with, without,
-                "{name} changed results (compacted={compacted}) for:\n{query}"
-            );
-            assert_eq!(
-                s_on.rows_scanned, s_off.rows_scanned,
-                "{name} changed scan work (compacted={compacted}) for:\n{query}"
+                scanned <= literal_scanned,
+                "{name} added scan work ({label}): {scanned} vs {literal_scanned}\n{query}"
             );
         }
     }
@@ -944,26 +943,9 @@ proptest! {
     ) {
         let ds = build_two_graph_dataset(&triples);
         let q = render_query_with_filters(&patterns, &conds);
-        let pushdown = Engine::new(Arc::clone(&ds));
-        let plain = Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                filter_pushdown: false,
-                merge_joins: false,
-                ..EngineConfig::new()
-            },
-        );
-        let (mut a, _) = pushdown.execute_with_stats(&q).unwrap();
-        let (mut b, _) = plain.execute_with_stats(&q).unwrap();
-        a.canonicalize();
-        b.canonicalize();
-        prop_assert_eq!(&a, &b, "pushdown changed results: {}", q);
-        // And the rewritten plan still holds exact cross-evaluator parity.
-        let results = run_all(&legs(ds, true), &q, "pushdown on");
-        for pair in results.windows(2) {
-            prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
-            prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
-        }
+        // Default (filters pushed, joins merged) ≡ literal plan ≡ oracle
+        // as bags, with exact cross-evaluator scan parity on each plan.
+        assert_rewrites_preserve_results(&ds, &q, "random filtered BGP");
     }
 
     #[test]
@@ -975,11 +957,12 @@ proptest! {
         // Mirrors `pushdown_agrees_with_no_pushdown_on_random_filtered_bgps`
         // for the order-aware DISTINCT/GROUP BY/LeftJoin rewrites: random
         // BGPs (graph `a` compacted, graph `b` delta-resident) wrapped in
-        // DISTINCT and in GROUP BY, executed with the sorted fast paths on
-        // vs off — identical bags — and with exact result + `rows_scanned`
-        // parity across all three legs on the rewritten plans. SUM and MIN
-        // ride along over a neighbouring variable: IRIs, so every group's
-        // numeric accumulator is demoted at its first bound value.
+        // DISTINCT and in GROUP BY, executed on the default plan (sorted
+        // fast paths) and the literal one (hash paths) — identical bags —
+        // with exact result + scan parity across all three legs on each
+        // plan. SUM and MIN ride along over a neighbouring variable: IRIs,
+        // so every group's numeric accumulator is demoted at its first
+        // bound value.
         let ds = build_two_graph_dataset(&triples);
         let body = render_query(&patterns);
         let pattern_block = body.strip_prefix("SELECT * ").unwrap();
@@ -989,29 +972,8 @@ proptest! {
             "SELECT ?v{group_var} (COUNT(*) AS ?n) (SUM(?v{agg_var}) AS ?sum) \
              (MIN(?v{agg_var}) AS ?min) {pattern_block} GROUP BY ?v{group_var}"
         );
-        let sorted = Engine::new(Arc::clone(&ds));
-        let hashed = Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                sorted_distinct: false,
-                sorted_group_by: false,
-                merge_left_joins: false,
-                ..EngineConfig::new()
-            },
-        );
         for q in [&distinct_q, &group_q] {
-            let (mut a, s_a) = sorted.execute_with_stats(q).unwrap();
-            let (mut b, s_b) = hashed.execute_with_stats(q).unwrap();
-            a.canonicalize();
-            b.canonicalize();
-            prop_assert_eq!(&a, &b, "sorted fast path changed results: {}", q);
-            prop_assert_eq!(s_a.rows_scanned, s_b.rows_scanned, "scan work drifted: {}", q);
-            // Cross-evaluator parity on the rewritten plan.
-            let results = run_all(&legs(Arc::clone(&ds), true), q, "sorted paths on");
-            for pair in results.windows(2) {
-                prop_assert_eq!(&pair[0].1, &pair[1].1, "{} vs {}: {}", pair[0].0, pair[1].0, q);
-                prop_assert_eq!(pair[0].2, pair[1].2, "{} vs {}: {}", pair[0].0, pair[1].0, q);
-            }
+            assert_rewrites_preserve_results(&ds, q, "random DISTINCT / GROUP BY");
         }
     }
 

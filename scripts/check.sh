@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 verification in one command: formatting, lints, the full test
-# suite, and a small-scale smoke run of the two workspace bench binaries
-# (which exercises dataset generation, both execution paths, and the JSON
-# writers end to end).
+# suite, and a small-scale smoke run of two workspace bench binaries:
+# `ablation` (dataset generation, the wire and embedded execution paths, the
+# naive generator and the budget meter end to end) and `concurrent_bench`
+# (the serving layer and its JSON writer).
 #
 # Usage: scripts/check.sh [--no-bench]
 #
-# The bench smoke runs at --scale 64 (seconds, not minutes). The benches
-# overwrite BENCH_eval.json / BENCH_concurrent.json with small-scale numbers,
-# so the script snapshots the working-tree versions first and restores
-# them afterwards — uncommitted full-scale results survive the gate.
+# The bench smoke runs at scale 64 (seconds, not minutes). concurrent_bench
+# overwrites BENCH_concurrent.json with small-scale numbers, so the script
+# snapshots the working-tree version first and restores it afterwards —
+# uncommitted full-scale results survive the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,14 +80,14 @@ cargo test -q -p bench --test serving_resilience overload_sheds_typed_retryable_
 if [[ "$run_bench" == 1 ]]; then
     snapshot=$(mktemp -d)
     trap 'rm -rf "$snapshot"' EXIT
-    cp BENCH_eval.json BENCH_concurrent.json "$snapshot"/ 2>/dev/null || true
-    echo "==> eval_bench smoke (--scale 64)"
-    cargo run --release -p bench --bin eval_bench -- --scale 64
+    cp BENCH_concurrent.json "$snapshot"/ 2>/dev/null || true
+    echo "==> ablation smoke (scale 64, 1 run)"
+    cargo run --release -p bench --bin ablation -- 64 1
     echo "==> concurrent_bench smoke (--scale 64)"
     cargo run --release -p bench --bin concurrent_bench -- --scale 64
-    # Restore the pre-run results files (working tree, not HEAD — do not
+    # Restore the pre-run results file (working tree, not HEAD — do not
     # clobber uncommitted full-scale measurements).
-    cp "$snapshot"/BENCH_eval.json "$snapshot"/BENCH_concurrent.json . 2>/dev/null || true
+    cp "$snapshot"/BENCH_concurrent.json . 2>/dev/null || true
 fi
 
 echo "==> all checks passed"
