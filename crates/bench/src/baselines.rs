@@ -175,9 +175,8 @@ mod tests {
         let endpoint = data::build_endpoint(std::sync::Arc::clone(&ds));
         let f = frame();
         let a = rdfframes(&f, &endpoint).unwrap();
-        let nt = rdf_model::ntriples::write_document(
-            ds.graph(data::uris::DBPEDIA).unwrap().iter_triples(),
-        );
+        let nt =
+            rdf_model::ntriples::write_document(ds.graph_triples(data::uris::DBPEDIA).unwrap());
         let e = rdflib_plus_df(&f, &nt).unwrap();
         compare_unordered(&a, &e).unwrap();
     }

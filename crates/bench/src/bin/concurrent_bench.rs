@@ -202,11 +202,8 @@ const TAX_READERS: usize = 2;
 fn seed_durable(scale: usize, config: ServingConfig) -> DurableSnapshotServer {
     let server = DurableSnapshotServer::open(Arc::new(MemVfs::new()) as Arc<dyn Vfs>, config)
         .expect("open durable server");
-    let ds = data::build_dataset(scale);
-    for uri in ds.graph_uris() {
-        server
-            .insert_graph(uri, ds.graph(uri).unwrap())
-            .expect("seed graph");
+    for (uri, graph) in data::build_graphs(scale) {
+        server.insert_graph(uri, &graph).expect("seed graph");
     }
     server.checkpoint().expect("seed checkpoint");
     server

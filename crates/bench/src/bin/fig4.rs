@@ -22,9 +22,8 @@ fn main() {
 
     // Serialize the graphs once (the paper's baselines read a pre-dumped
     // .nt file; producing it is setup, parsing it is measured).
-    let dbpedia_nt =
-        ntriples::write_document(ds.graph(data::uris::DBPEDIA).unwrap().iter_triples());
-    let dblp_nt = ntriples::write_document(ds.graph(data::uris::DBLP).unwrap().iter_triples());
+    let dbpedia_nt = ntriples::write_document(ds.graph_triples(data::uris::DBPEDIA).unwrap());
+    let dblp_nt = ntriples::write_document(ds.graph_triples(data::uris::DBLP).unwrap());
 
     let studies = [
         (

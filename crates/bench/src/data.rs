@@ -5,7 +5,7 @@ use std::sync::Arc;
 use kg_datagen::{
     generate_dblp, generate_dbpedia, generate_yago, DblpConfig, DbpediaConfig, YagoConfig,
 };
-use rdf_model::Dataset;
+use rdf_model::{Dataset, Graph};
 use rdfframes_core::{EndpointConfig, InProcessEndpoint, KnowledgeGraph};
 
 /// Graph URIs used throughout the experiments.
@@ -18,22 +18,32 @@ pub mod uris {
     pub const YAGO: &str = "http://yago-knowledge.org";
 }
 
-/// Build the full experiment dataset (all three graphs) at a given DBpedia
-/// scale (DBLP papers = 2× scale to mirror the paper's relative sizes).
+/// Generate the three experiment graphs as stand-alone builders, in the
+/// order [`build_dataset`] inserts them, at a given DBpedia scale (DBLP
+/// papers = 2× scale to mirror the paper's relative sizes).
+pub fn build_graphs(scale: usize) -> [(&'static str, Graph); 3] {
+    [
+        (
+            uris::DBPEDIA,
+            generate_dbpedia(&DbpediaConfig::with_scale(scale)),
+        ),
+        (
+            uris::DBLP,
+            generate_dblp(&DblpConfig::with_papers(scale * 2)),
+        ),
+        (
+            uris::YAGO,
+            generate_yago(&YagoConfig::for_dbpedia_scale(scale)),
+        ),
+    ]
+}
+
+/// Build the full experiment dataset (all three graphs) at a given scale.
 pub fn build_dataset(scale: usize) -> Arc<Dataset> {
     let mut ds = Dataset::new();
-    ds.insert_graph(
-        uris::DBPEDIA,
-        generate_dbpedia(&DbpediaConfig::with_scale(scale)),
-    );
-    ds.insert_graph(
-        uris::DBLP,
-        generate_dblp(&DblpConfig::with_papers(scale * 2)),
-    );
-    ds.insert_graph(
-        uris::YAGO,
-        generate_yago(&YagoConfig::for_dbpedia_scale(scale)),
-    );
+    for (uri, graph) in build_graphs(scale) {
+        ds.insert_graph(uri, graph);
+    }
     Arc::new(ds)
 }
 

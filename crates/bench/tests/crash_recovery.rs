@@ -74,19 +74,11 @@ fn split_graph(uri: &'static str, full: &Graph, threshold: usize) -> (Op, Op, Op
 /// checkpoints interleaved at awkward places (right after a WAL-heavy
 /// stretch, right before more appends land on top of a fresh snapshot).
 fn workload_ops(scale: usize) -> Vec<Op> {
-    let ds = data::build_dataset(scale);
+    let [(_, dbpedia), (_, dblp), (_, yago)] = data::build_graphs(scale);
     // Different thresholds per graph: slab-heavy, mixed, delta-resident.
-    let (i1, a1, b1) = split_graph(
-        data::uris::DBPEDIA,
-        ds.graph(data::uris::DBPEDIA).unwrap(),
-        64,
-    );
-    let (i2, a2, b2) = split_graph(data::uris::DBLP, ds.graph(data::uris::DBLP).unwrap(), 512);
-    let (i3, a3, b3) = split_graph(
-        data::uris::YAGO,
-        ds.graph(data::uris::YAGO).unwrap(),
-        1 << 20,
-    );
+    let (i1, a1, b1) = split_graph(data::uris::DBPEDIA, &dbpedia, 64);
+    let (i2, a2, b2) = split_graph(data::uris::DBLP, &dblp, 512);
+    let (i3, a3, b3) = split_graph(data::uris::YAGO, &yago, 1 << 20);
     vec![
         i1,
         a1,
@@ -153,7 +145,7 @@ fn oracle_at(ops: &[Op], gen: u64) -> Store {
 }
 
 /// Physical equality: recovered state must be *identical* to the oracle —
-/// same slabs, same deltas, same interners, same generation counters —
+/// same slabs, same deltas, same interner, same generation counters —
 /// not merely set-equal. This is what makes scan-cost parity possible.
 fn assert_physically_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     if a.stats_generation() != b.stats_generation() {
@@ -169,18 +161,25 @@ fn assert_physically_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     }
     for uri in uris {
         let (ga, gb) = (a.graph(uri).unwrap(), b.graph(uri).unwrap());
-        if ga.spo_slab() != gb.spo_slab() {
+        if (ga.spo_slab(), ga.pos_slab(), ga.osp_slab())
+            != (gb.spo_slab(), gb.pos_slab(), gb.osp_slab())
+        {
             return Err(format!("{uri}: slabs differ"));
         }
         if ga.delta_ids().collect::<Vec<_>>() != gb.delta_ids().collect::<Vec<_>>() {
             return Err(format!("{uri}: deltas differ"));
         }
+        if ga.delta_threshold() != gb.delta_threshold() {
+            return Err(format!("{uri}: delta thresholds differ"));
+        }
         if ga.compaction_generation() != gb.compaction_generation() {
             return Err(format!("{uri}: compaction generations differ"));
         }
-        if ga.interner().len() != gb.interner().len() {
-            return Err(format!("{uri}: graph interners differ"));
-        }
+    }
+    // The slabs above hold ids of this one dictionary: same terms under
+    // the same ids, or equal slabs would mean different triples.
+    if !a.interner().iter().eq(b.interner().iter()) {
+        return Err("interners differ".into());
     }
     Ok(())
 }

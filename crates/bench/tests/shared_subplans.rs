@@ -233,14 +233,74 @@ fn explain_shows_the_dag() {
 // ---------------------------------------------------------------------------
 
 /// Draws decisions from a proptest-generated byte tape (zeros once it runs
-/// out, so every tape is a valid plan and shrinking stays meaningful).
-struct Tape<'a>(std::slice::Iter<'a, u8>);
+/// out, so every tape is a valid plan and shrinking stays meaningful). The
+/// first draw picks the graph every leaf of the plan reads.
+struct Tape<'a> {
+    bytes: std::slice::Iter<'a, u8>,
+    vocab: &'static Vocab,
+}
 
-impl Tape<'_> {
+impl<'a> Tape<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        let mut tape = Tape {
+            bytes: bytes.iter(),
+            vocab: &VOCABS[0],
+        };
+        tape.vocab = &VOCABS[tape.pick(VOCABS.len())];
+        tape
+    }
+
     fn pick(&mut self, n: usize) -> usize {
-        *self.0.next().unwrap_or(&0) as usize % n
+        *self.bytes.next().unwrap_or(&0) as usize % n
     }
 }
+
+/// The five predicates the leaves draw from, per graph: four on the entity
+/// every leaf binds as `?movie` (films in DBpedia, papers in DBLP, actors in
+/// YAGO) and one on the first one's objects. DBpedia is inserted first,
+/// DBLP and YAGO after it, so two of the three run on a re-keyed index.
+struct Vocab {
+    from: &'static str,
+    /// `?movie P ?actor`, `?movie P ?genre`, `?movie P ?country`,
+    /// `?movie P ?language`, `?actor P ?place` (the last has no match in
+    /// DBLP or YAGO, whose objects are never subjects: an empty leaf).
+    predicates: [&'static str; 5],
+}
+
+const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
+
+static VOCABS: [Vocab; 3] = [
+    Vocab {
+        from: data::uris::DBPEDIA,
+        predicates: [
+            "http://dbpedia.org/property/starring",
+            "http://dbpedia.org/ontology/genre",
+            "http://dbpedia.org/property/country",
+            "http://dbpedia.org/property/language",
+            "http://dbpedia.org/property/birthPlace",
+        ],
+    },
+    Vocab {
+        from: data::uris::DBLP,
+        predicates: [
+            "http://purl.org/dc/elements/1.1/creator",
+            "http://swrc.ontoware.org/ontology#series",
+            "http://purl.org/dc/terms/issued",
+            "http://purl.org/dc/elements/1.1/title",
+            RDF_TYPE,
+        ],
+    },
+    Vocab {
+        from: data::uris::YAGO,
+        predicates: [
+            "http://yago-knowledge.org/resource/actedIn",
+            RDF_TYPE,
+            "http://yago-knowledge.org/resource/isCitizenOf",
+            RDF_TYPE,
+            "http://yago-knowledge.org/resource/actedIn",
+        ],
+    },
+];
 
 fn var(v: &str) -> PatternTerm {
     PatternTerm::Var(v.into())
@@ -258,14 +318,14 @@ fn bgp(patterns: Vec<TriplePattern>) -> Plan {
     }
 }
 
-/// A leaf over the film vocabulary; all of them bind `?movie`.
+/// A leaf over the drawn graph's vocabulary; all of them bind `?movie`.
 fn leaf(tape: &mut Tape) -> Plan {
-    const P: &str = "http://dbpedia.org/property/";
-    let starring = triple("movie", &format!("{P}starring"), "actor");
-    let genre = triple("movie", "http://dbpedia.org/ontology/genre", "genre");
-    let country = triple("movie", &format!("{P}country"), "country");
-    let language = triple("movie", &format!("{P}language"), "language");
-    let born = triple("actor", &format!("{P}birthPlace"), "place");
+    let [starring, genre, country, language, born] = tape.vocab.predicates;
+    let starring = triple("movie", starring, "actor");
+    let genre = triple("movie", genre, "genre");
+    let country = triple("movie", country, "country");
+    let language = triple("movie", language, "language");
+    let born = triple("actor", born, "place");
     match tape.pick(6) {
         0 => bgp(vec![starring]),
         1 => bgp(vec![genre]),
@@ -395,8 +455,9 @@ proptest! {
             static DATASET: Arc<Dataset> = data::build_dataset(24);
         }
         let ds = DATASET.with(Arc::clone);
-        let from = vec![data::uris::DBPEDIA.to_string()];
-        let plan = plan_with_repeats(&mut Tape(tape.iter()));
+        let mut tape = Tape::new(&tape);
+        let from = vec![tape.vocab.from.to_string()];
+        let plan = plan_with_repeats(&mut tape);
 
         let columnar = engine(&ds, EngineConfig::new());
         let prepared = columnar.prepare_plan(plan, from);

@@ -42,17 +42,18 @@ fn delta_resident_copy(ds: &Arc<Dataset>) -> Arc<Dataset> {
     let uris: Vec<String> = ds.graph_uris().map(str::to_owned).collect();
     let mut out = Dataset::new();
     for uri in uris {
-        let src = ds.graph(&uri).expect("graph listed but missing");
         let mut g = Graph::with_delta_threshold(usize::MAX);
-        for t in src.iter_triples() {
+        for t in ds.graph_triples(&uri).expect("graph listed but missing") {
             g.insert(&t);
         }
+        // `insert_graph` would compact; this entry point keeps the delta.
+        out.insert_graph_uncompacted(&uri, g);
+        let inside = out.graph(&uri).unwrap();
         assert_eq!(
-            g.delta_len(),
-            src.len(),
-            "layout setup: delta must hold every triple of {uri}"
+            (inside.delta_len(), inside.len()),
+            (ds.graph(&uri).unwrap().len(), inside.len()),
+            "layout setup: the delta inside the dataset must hold every triple of {uri}"
         );
-        out.insert_graph(uri, g);
     }
     Arc::new(out)
 }

@@ -1,120 +1,49 @@
-//! Named-graph dataset with a dataset-wide term id space.
+//! Named-graph dataset: one term dictionary, one id-only index per graph.
 //!
 //! The paper's queries address graphs by URI (`FROM <http://dbpedia.org>`,
 //! cross-graph joins between DBpedia and YAGO). A [`Dataset`] maps graph URIs
-//! to independent [`Graph`] stores.
+//! to [`TripleIndex`]es that all index ids of **one** [`Interner`] — the
+//! dataset's. Ids are therefore canonical across the whole dataset: two ids
+//! are equal iff the terms are equal, no matter which graphs they were
+//! scanned from, which lets joins, DISTINCT, and GROUP BY hash plain
+//! integers instead of strings; every term is stored once; a scan emits
+//! exactly the ids the query operators consume; and every graph's slabs are
+//! sorted by the same id order, so a scan of *any* graph yields columns in
+//! ascending dataset id — the property the optimizer's interesting-order
+//! tracking (merge joins, sorted DISTINCT) builds on.
 //!
-//! Each [`Graph`] interns terms into its own dense local id space. So that a
-//! query evaluator can keep *every* intermediate binding as a `u32` — even
-//! across graphs — the dataset additionally maintains a **shared interner**:
-//! when a graph is inserted, all of its terms are interned into the dataset
-//! interner and a bidirectional local↔global id translation ([`GraphIdMap`])
-//! is recorded. Global ids are therefore canonical across the whole dataset:
-//! two ids are equal iff the terms are equal, no matter which graphs they
-//! were scanned from, which lets joins, DISTINCT, and GROUP BY hash plain
-//! integers instead of strings.
+//! A graph enters as a stand-alone [`Graph`] builder with its own
+//! dictionary: [`Dataset::insert_graph`] interns the builder's terms here,
+//! re-keys its index through the resulting translation and drops the
+//! builder's dictionary. [`Dataset::append_triples`] interns straight into
+//! the dataset.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::graph::{Graph, GraphStats};
-use crate::hash::FxHashMap;
+use crate::graph::{resolve_triples, Graph, GraphStats, TripleIndex};
 use crate::interner::{Interner, TermId};
 use crate::term::{Term, Triple};
 
-/// Bidirectional translation between one graph's local [`TermId`]s and the
-/// dataset-wide global id space.
-#[derive(Debug, Default, Clone)]
-pub struct GraphIdMap {
-    /// `to_global[local.index()]` is the global id of the local term.
-    to_global: Vec<TermId>,
-    /// Global id → local id, for binding query constants / bound variables
-    /// back into a graph's index space.
-    from_global: FxHashMap<TermId, TermId>,
-    /// Set once some local→global translation broke strict ascent (a term
-    /// of this graph was already interned globally by an earlier graph).
-    /// While unset, local id order and global id order coincide, so index
-    /// scans — which emit triples in local id order — produce columns
-    /// sorted by *global* id, the property the query optimizer's
-    /// interesting-order tracking (and thus merge joins) relies on.
-    non_monotone: bool,
-}
-
-impl GraphIdMap {
-    fn build(graph: &Graph, interner: &mut Interner) -> Self {
-        let mut map = GraphIdMap::default();
-        map.extend_from(graph, interner);
-        map
-    }
-
-    /// Intern any graph-local terms past the end of this map into the
-    /// dataset interner and record their translations. Local ids are dense
-    /// and append-only, so this is an incremental suffix walk — the
-    /// mutation path ([`Dataset::append_triples`]) calls it instead of
-    /// rebuilding the whole map.
-    ///
-    /// Monotonicity bookkeeping: comparing each new global against
-    /// `to_global.last()` is a *complete* check, not a sample — while the
-    /// map is monotone the last entry is its maximum, so `global <= last`
-    /// holds iff the extension breaks strict ascent (and once broken the
-    /// flag latches). Property-tested against ground truth under arbitrary
-    /// append interleavings in `tests/proptest_model.rs`
-    /// (`order_preservation_flag_is_truthful_under_appends`).
-    fn extend_from(&mut self, graph: &Graph, interner: &mut Interner) {
-        let graph_interner = graph.interner();
-        let known = self.to_global.len();
-        if known == graph_interner.len() {
-            return;
-        }
-        self.to_global.reserve(graph_interner.len() - known);
-        for (local, term) in graph_interner.iter().skip(known) {
-            let global = interner.intern(term.clone());
-            debug_assert_eq!(self.to_global.len(), local.index());
-            if self.to_global.last().is_some_and(|&prev| global <= prev) {
-                self.non_monotone = true;
-            }
-            self.to_global.push(global);
-            self.from_global.insert(global, local);
-        }
-    }
-
-    /// True while the local→global translation is strictly increasing, i.e.
-    /// scans in local id order yield globally-sorted ids. Holds for the
-    /// first graph inserted into a fresh dataset (the common single-graph
-    /// workload) and breaks as soon as a later graph shares terms with an
-    /// earlier one.
-    #[inline]
-    pub fn order_preserving(&self) -> bool {
-        !self.non_monotone
-    }
-
-    /// Translate a local id to its global id.
-    ///
-    /// # Panics
-    /// Panics if `local` did not come from the mapped graph.
-    #[inline]
-    pub fn to_global(&self, local: TermId) -> TermId {
-        self.to_global[local.index()]
-    }
-
-    /// Translate a global id to this graph's local id, `None` when the term
-    /// does not occur in the graph.
-    #[inline]
-    pub fn to_local(&self, global: TermId) -> Option<TermId> {
-        self.from_global.get(&global).copied()
-    }
-}
-
 /// A cached statistics snapshot plus the graph compaction generation it was
 /// taken at. The generation is the staleness witness: whenever the graph's
-/// delta merges into the slabs (any path — explicit [`Graph::compact`] or
-/// the threshold-triggered auto-merge inside [`Graph::insert`]), the
-/// generation bumps and the next [`Dataset::graph_stats`] read rebuilds the
+/// delta merges into the slabs (any path — explicit [`TripleIndex::compact`]
+/// or the threshold-triggered auto-merge inside an insert), the generation
+/// bumps and the next [`Dataset::graph_stats`] read rebuilds the
 /// snapshot. Between merges stats lag by at most the live delta size.
 #[derive(Debug, Clone)]
 struct StatsEntry {
     generation: u64,
     stats: Arc<GraphStats>,
+}
+
+impl StatsEntry {
+    fn of(index: &TripleIndex) -> Self {
+        StatsEntry {
+            generation: index.compaction_generation(),
+            stats: Arc::new(index.stats()),
+        }
+    }
 }
 
 /// Dictionary-rank permutation over a dataset interner snapshot: maps each
@@ -148,34 +77,37 @@ impl TermRanks {
     }
 }
 
-/// A collection of named graphs sharing one global term id space.
+/// A collection of named graphs indexing one shared term dictionary.
 #[derive(Debug, Default)]
 pub struct Dataset {
-    graphs: BTreeMap<String, Arc<Graph>>,
+    graphs: BTreeMap<String, Arc<TripleIndex>>,
     interner: Interner,
-    id_maps: BTreeMap<String, Arc<GraphIdMap>>,
     /// Optimizer statistics, snapshotted at graph insert. Reads go through
     /// [`Dataset::graph_stats`], which compares the cached compaction
     /// generation against the graph's and lazily rebuilds after any
     /// delta→slab merge — including threshold-triggered auto-merges that
-    /// happen deep inside [`Graph::insert`], which no caller observes.
+    /// happen deep inside an append, which no caller observes.
     stats: RwLock<BTreeMap<String, StatsEntry>>,
-    /// Lazily built dictionary-rank permutation over the shared interner
-    /// (see [`Dataset::term_ranks`]); invalidated by interner growth.
+    /// Lazily built dictionary-rank permutation over the interner (see
+    /// [`Dataset::term_ranks`]); invalidated by interner growth.
     ranks: RwLock<Option<Arc<TermRanks>>>,
     /// Count of graph mutations (inserts, replacements, append batches) —
     /// the staleness witness behind [`Dataset::stats_generation`].
     mutations: u64,
 }
 
+// `stats` and `ranks` are caches that rebuild on demand and are only ever
+// replaced whole, so a guard recovered from a poisoned lock (a reader thread
+// panicked while holding it) is as good as a clean one.
 impl Clone for Dataset {
     fn clone(&self) -> Self {
+        let stats = self.stats.read().unwrap_or_else(PoisonError::into_inner);
+        let ranks = self.ranks.read().unwrap_or_else(PoisonError::into_inner);
         Dataset {
             graphs: self.graphs.clone(),
             interner: self.interner.clone(),
-            id_maps: self.id_maps.clone(),
-            stats: RwLock::new(self.stats.read().expect("stats lock").clone()),
-            ranks: RwLock::new(self.ranks.read().expect("ranks lock").clone()),
+            stats: RwLock::new(stats.clone()),
+            ranks: RwLock::new(ranks.clone()),
             mutations: self.mutations,
         }
     }
@@ -199,16 +131,14 @@ impl Dataset {
         crate::persist::Store::open_path(dir)
     }
 
-    /// Install a restored interner (snapshot recovery only). The dataset
-    /// must still be empty: graphs inserted afterwards re-intern their terms
-    /// against this table and hit the persisted ids exactly, which is what
-    /// keeps recovered id maps identical to the originals.
-    pub(crate) fn restore_interner(&mut self, interner: Interner) {
-        debug_assert!(
-            self.graphs.is_empty() && self.interner.is_empty(),
-            "restore_interner requires an empty dataset"
-        );
-        self.interner = interner;
+    /// A dataset over a restored dictionary (snapshot recovery only); the
+    /// decoder then [installs](Dataset::install) each graph's index as
+    /// stored — the persisted slabs already hold this dictionary's ids.
+    pub(crate) fn with_interner(interner: Interner) -> Self {
+        Dataset {
+            interner,
+            ..Self::default()
+        }
     }
 
     /// Overwrite the mutation counter (snapshot/WAL recovery only): a
@@ -221,62 +151,79 @@ impl Dataset {
 
     /// Insert (or replace) a named graph.
     ///
-    /// The graph is [compacted](Graph::compact) first: datasets freeze their
-    /// graphs behind `Arc`s, so query-time scans should run on pure slab
-    /// ranges with an empty delta.
+    /// The builder is [compacted](TripleIndex::compact) first: datasets
+    /// freeze their graphs behind `Arc`s, so query-time scans should run on
+    /// pure slab ranges with an empty delta.
     pub fn insert_graph(&mut self, uri: impl Into<String>, mut graph: Graph) {
         graph.compact();
-        self.insert_shared(uri, Arc::new(graph));
+        self.insert_graph_uncompacted(uri, graph);
     }
 
-    /// Insert a pre-shared graph handle (as-is: a shared graph cannot be
-    /// compacted here, so its delta — if any — stays live and scans merge
-    /// it on the fly).
-    pub fn insert_shared(&mut self, uri: impl Into<String>, graph: Arc<Graph>) {
-        let uri = uri.into();
-        self.mutations += 1;
-        let map = GraphIdMap::build(&graph, &mut self.interner);
-        self.id_maps.insert(uri.clone(), Arc::new(map));
-        self.stats.get_mut().expect("stats lock").insert(
-            uri.clone(),
-            StatsEntry {
-                generation: graph.compaction_generation(),
-                stats: Arc::new(graph.stats()),
-            },
-        );
-        self.graphs.insert(uri, graph);
-    }
-
-    /// Append triples to a graph already in the dataset, keeping the whole
-    /// derived state consistent: newly seen terms are interned and added to
-    /// the graph's local↔global id translation incrementally. Statistics
-    /// are *not* recomputed eagerly here — [`Dataset::graph_stats`] detects
-    /// any delta→slab merge the burst triggered (via the graph's compaction
-    /// generation) and rebuilds lazily on the next optimizer read, so a
-    /// bulk-load of many batches pays for at most one stats pass per
-    /// query-after-merge instead of one per batch. Between merges the stats
-    /// lag by at most the live delta size, which the threshold bounds.
+    /// [`Dataset::insert_graph`] without the compaction: the builder's
+    /// slab/delta split, threshold and compaction generation carry over, so
+    /// a delta — if any — stays live and scans merge it on the fly. WAL
+    /// replay relies on this (the split is a deterministic function of the
+    /// logged record), and so do the suites that exercise the overlay.
     ///
-    /// Copy-on-write: if the graph `Arc` is shared outside the dataset, the
-    /// dataset's copy is cloned first and external handles stop observing
-    /// the appends.
+    /// Every term of the builder's dictionary is interned here in the
+    /// builder's id order, a new one as a copy that shares nothing with the
+    /// builder; the index is re-keyed through the resulting translation and
+    /// re-sorted; the builder's dictionary is dropped. Sharing the builder's
+    /// strings (`Term::clone`) would save the copy, but leave the dataset's
+    /// strings scattered through the builder's otherwise freed region:
+    /// thousands of free fragments between live strings, which every later
+    /// small allocation of the process is then carved from (measured on the
+    /// paged wire path: +10 % on decoding identical bytes). Copied, the
+    /// dataset is compact and the builder's memory comes back whole.
+    pub fn insert_graph_uncompacted(&mut self, uri: impl Into<String>, graph: Graph) {
+        let (terms, mut index) = graph.into_parts();
+        self.interner.reserve(terms.len());
+        let map: Vec<TermId> = terms
+            .iter()
+            .map(|(_, term)| self.interner.intern_unshared(term))
+            .collect();
+        drop(terms);
+        index.rekey(&map);
+        self.install(uri.into(), index);
+    }
+
+    /// Install an index that already holds this dataset's ids.
+    pub(crate) fn install(&mut self, uri: String, index: TripleIndex) {
+        self.mutations += 1;
+        self.graphs.insert(uri.clone(), Arc::new(index));
+        self.refresh_stats(&uri);
+    }
+
+    /// Append triples to a graph already in the dataset: terms are interned
+    /// straight into the dataset's dictionary and the ids inserted into the
+    /// graph's index. Statistics are *not* recomputed eagerly here —
+    /// [`Dataset::graph_stats`] detects any delta→slab merge the burst
+    /// triggered (via the index's compaction generation) and rebuilds
+    /// lazily on the next optimizer read, so a bulk-load of many batches
+    /// pays for at most one stats pass per query-after-merge instead of one
+    /// per batch. Between merges the stats lag by at most the live delta
+    /// size, which the threshold bounds.
+    ///
+    /// Copy-on-write: if the index `Arc` is shared (a cloned dataset, a
+    /// handle from [`Dataset::graph`]), the dataset's copy is cloned first
+    /// and the other holders stop observing the appends.
     ///
     /// Returns the number of *new* triples, or `None` for an unknown graph.
     pub fn append_triples<I>(&mut self, uri: &str, triples: I) -> Option<usize>
     where
         I: IntoIterator<Item = Triple>,
     {
-        let graph_arc = self.graphs.get_mut(uri)?;
+        let index = Arc::make_mut(self.graphs.get_mut(uri)?);
         self.mutations += 1;
-        let graph = Arc::make_mut(graph_arc);
         let mut added = 0usize;
         for t in triples {
-            if graph.insert(&t) {
+            let s = self.interner.intern(t.subject);
+            let p = self.interner.intern(t.predicate);
+            let o = self.interner.intern(t.object);
+            if index.insert_ids(s, p, o) {
                 added += 1;
             }
         }
-        let map = Arc::make_mut(self.id_maps.get_mut(uri).expect("id map tracks graph"));
-        map.extend_from(graph, &mut self.interner);
         Some(added)
     }
 
@@ -285,68 +232,63 @@ impl Dataset {
     /// the generation-keyed lazy refresh deliberately ignores. Returns
     /// `false` for an unknown graph.
     pub fn refresh_stats(&mut self, uri: &str) -> bool {
-        let Some(graph) = self.graphs.get(uri) else {
+        let Some(index) = self.graphs.get(uri) else {
             return false;
-        };
-        let entry = StatsEntry {
-            generation: graph.compaction_generation(),
-            stats: Arc::new(graph.stats()),
         };
         self.stats
             .get_mut()
-            .expect("stats lock")
-            .insert(uri.to_string(), entry);
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(uri.to_string(), StatsEntry::of(index));
         true
     }
 
-    /// Fetch a graph by URI.
-    pub fn graph(&self, uri: &str) -> Option<&Arc<Graph>> {
+    /// Fetch a graph's index by URI. Its ids are this dataset's:
+    /// [`Dataset::resolve`] / [`Dataset::lookup`] translate them.
+    pub fn graph(&self, uri: &str) -> Option<&Arc<TripleIndex>> {
         self.graphs.get(uri)
     }
 
-    /// The local↔global id translation for a graph.
-    pub fn id_map(&self, uri: &str) -> Option<&Arc<GraphIdMap>> {
-        self.id_maps.get(uri)
+    /// A graph's triples as concrete terms, in SPO (dataset id) order
+    /// (allocates per triple; intended for serialization, not evaluation).
+    pub fn graph_triples(&self, uri: &str) -> Option<impl Iterator<Item = Triple> + '_> {
+        let index = self.graphs.get(uri)?;
+        Some(resolve_triples(&self.interner, index))
     }
 
-    /// Cached optimizer statistics for a graph. Self-healing: the cached
-    /// snapshot carries the compaction generation it was taken at, and a
-    /// read that observes a newer generation — i.e. the graph's delta has
-    /// merged into the slabs since, whether through an explicit
-    /// [`Graph::compact`] or the threshold auto-merge inside
-    /// [`Graph::insert`] — rebuilds the snapshot before returning. Callers
+    /// Cached optimizer statistics for a graph, keyed by dataset id.
+    /// Self-healing: the cached snapshot carries the compaction generation
+    /// it was taken at, and a read that observes a newer generation — i.e.
+    /// the graph's delta has merged into the slabs since, whether through an
+    /// explicit [`TripleIndex::compact`] or the threshold auto-merge inside
+    /// an append — rebuilds the snapshot before returning. Callers
     /// therefore never see stats staler than the live (threshold-bounded)
     /// delta, without having to track generations themselves.
     pub fn graph_stats(&self, uri: &str) -> Option<Arc<GraphStats>> {
-        let graph = self.graphs.get(uri)?;
-        let generation = graph.compaction_generation();
+        let index = self.graphs.get(uri)?;
         {
-            let stats = self.stats.read().expect("stats lock");
+            let stats = self.stats.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(entry) = stats.get(uri) {
-                if entry.generation == generation {
+                if entry.generation == index.compaction_generation() {
                     return Some(Arc::clone(&entry.stats));
                 }
             }
         }
         // Stale (or missing) snapshot: rebuild outside the read lock. A
         // racing reader may rebuild too; the write is idempotent.
-        let entry = StatsEntry {
-            generation,
-            stats: Arc::new(graph.stats()),
-        };
+        let entry = StatsEntry::of(index);
         let stats = Arc::clone(&entry.stats);
         self.stats
             .write()
-            .expect("stats lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(uri.to_string(), entry);
         Some(stats)
     }
 
     /// Monotonic witness of every dataset state a statistics-driven query
     /// plan depends on: bumped by each [`Dataset::insert_graph`] /
-    /// [`Dataset::insert_shared`] (including replacements) and each
-    /// [`Dataset::append_triples`] batch — the only paths that can mutate
-    /// a dataset's graphs, since graph handles are frozen behind `Arc`s.
+    /// [`Dataset::insert_graph_uncompacted`] (including replacements) and
+    /// each [`Dataset::append_triples`] batch — the only paths that can
+    /// mutate a dataset's graphs, since indexes are frozen behind `Arc`s.
     /// Two equal generations therefore guarantee the optimizer would
     /// produce the same plan; plan caches stamp their entries with this
     /// and re-optimize on mismatch. A bump whose appends still sit in an
@@ -362,7 +304,7 @@ impl Dataset {
     /// performs — e.g. a 10-row `ORDER BY` is cheaper to sort on terms than
     /// to amortize a million-term rank build against.
     pub fn cached_term_ranks(&self) -> Option<Arc<TermRanks>> {
-        let cached = self.ranks.read().expect("ranks lock");
+        let cached = self.ranks.read().unwrap_or_else(PoisonError::into_inner);
         cached
             .as_ref()
             .filter(|r| r.len() == self.interner.len())
@@ -377,7 +319,7 @@ impl Dataset {
     pub fn term_ranks(&self) -> Arc<TermRanks> {
         let len = self.interner.len();
         {
-            let cached = self.ranks.read().expect("ranks lock");
+            let cached = self.ranks.read().unwrap_or_else(PoisonError::into_inner);
             if let Some(r) = cached.as_ref() {
                 if r.len() == len {
                     return Arc::clone(r);
@@ -407,7 +349,7 @@ impl Dataset {
             ranks[id.index()] = rank;
         }
         let built = Arc::new(TermRanks { ranks });
-        *self.ranks.write().expect("ranks lock") = Some(Arc::clone(&built));
+        *self.ranks.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::clone(&built));
         built
     }
 
@@ -500,33 +442,41 @@ mod tests {
         ds.insert_graph("http://ga", a);
         ds.insert_graph("http://gb", b);
 
-        // The shared term has one global id reachable from both graphs.
-        let global = ds.lookup(&shared).expect("shared term interned");
-        let map_a = ds.id_map("http://ga").unwrap();
-        let map_b = ds.id_map("http://gb").unwrap();
-        let local_a = ds.graph("http://ga").unwrap().term_id(&shared).unwrap();
-        let local_b = ds.graph("http://gb").unwrap().term_id(&shared).unwrap();
-        assert_eq!(map_a.to_global(local_a), global);
-        assert_eq!(map_b.to_global(local_b), global);
-        assert_eq!(map_a.to_local(global), Some(local_a));
-        assert_eq!(map_b.to_local(global), Some(local_b));
+        // Four distinct terms, each stored once; the shared term has one id
+        // and both graphs' indexes hold exactly that id.
+        assert_eq!(ds.interner().len(), 4);
+        let id = ds.lookup(&shared).expect("shared term interned");
+        let (ga, gb) = (
+            ds.graph("http://ga").unwrap(),
+            ds.graph("http://gb").unwrap(),
+        );
+        assert_eq!(ga.count_pattern(None, None, Some(id)), 1);
+        assert_eq!(gb.count_pattern(Some(id), None, None), 1);
 
-        // Terms absent from a graph translate to None.
-        let only_b_global = ds.lookup(&only_b).unwrap();
-        assert_eq!(map_a.to_local(only_b_global), None);
-        assert_eq!(ds.resolve(only_b_global), &only_b);
+        // A term a graph never mentions is an empty range in every position.
+        let only_b_id = ds.lookup(&only_b).unwrap();
+        assert_eq!(ds.resolve(only_b_id), &only_b);
+        for mask in 1..8u8 {
+            let pick = |bit: u8| (mask & bit != 0).then_some(only_b_id);
+            assert_eq!(ga.count_pattern(pick(4), pick(2), pick(1)), 0);
+        }
+        let back: Vec<Triple> = ds.graph_triples("http://gb").unwrap().collect();
+        assert_eq!(back, vec![Triple::new(shared, p, only_b)]);
     }
 
     fn t(s: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri("http://x/p"), Term::iri(o))
     }
 
+    /// The one term ↔ id map left is the dataset's interner: an append
+    /// extends it by exactly the terms it has not seen.
     #[test]
     fn append_triples_extends_id_map_incrementally() {
         let mut g = Graph::new();
         g.insert(&t("http://x/s0", "http://x/o0"));
         let mut ds = Dataset::new();
         ds.insert_graph("http://g", g);
+        let before = ds.interner().len();
 
         let added = ds
             .append_triples(
@@ -539,28 +489,23 @@ mod tests {
             .unwrap();
         assert_eq!(added, 1);
         assert_eq!(ds.graph("http://g").unwrap().len(), 2);
+        assert_eq!(ds.interner().len(), before + 2);
 
-        // The new term has a global id and a working round trip.
-        let global = ds.lookup(&Term::iri("http://x/s1")).expect("interned");
-        let map = ds.id_map("http://g").unwrap();
-        let local = ds
-            .graph("http://g")
-            .unwrap()
-            .term_id(&Term::iri("http://x/s1"))
-            .unwrap();
-        assert_eq!(map.to_global(local), global);
-        assert_eq!(map.to_local(global), Some(local));
+        // The new term has an id the graph's index holds.
+        let id = ds.lookup(&Term::iri("http://x/s1")).expect("interned");
+        assert_eq!(id.index(), before);
+        let index = ds.graph("http://g").unwrap();
+        assert_eq!(index.count_pattern(Some(id), None, None), 1);
         assert!(ds.append_triples("http://missing", vec![]).is_none());
     }
 
     #[test]
     fn stats_refresh_when_delta_merges() {
-        // Threshold 4 → the graph keeps a live delta inside the dataset
-        // (insert_shared does not compact).
+        // Threshold 4 → the graph keeps a live delta inside the dataset.
         let mut g = Graph::with_delta_threshold(4);
         g.insert(&t("http://x/s0", "http://x/o0"));
         let mut ds = Dataset::new();
-        ds.insert_shared("http://g", Arc::new(g));
+        ds.insert_graph_uncompacted("http://g", g);
         assert_eq!(ds.graph_stats("http://g").unwrap().triples, 1);
 
         // Two appends: delta at 3, no merge yet → snapshot stays stale.
@@ -586,8 +531,7 @@ mod tests {
         let stats = ds.graph_stats("http://g").unwrap();
         assert_eq!(stats.triples, 4);
         let p = ds.lookup(&Term::iri("http://x/p")).unwrap();
-        let local_p = ds.id_map("http://g").unwrap().to_local(p).unwrap();
-        assert_eq!(stats.predicates[&local_p].count, 4);
+        assert_eq!(stats.predicates[&p].count, 4);
 
         // Explicit refresh picks up un-merged rows on demand.
         ds.append_triples("http://g", vec![t("http://x/s4", "http://x/o4")])
@@ -607,7 +551,7 @@ mod tests {
         let mut g = Graph::with_delta_threshold(4);
         g.insert(&t("http://x/s0", "http://x/o0"));
         let mut ds = Dataset::new();
-        ds.insert_shared("http://g", Arc::new(g));
+        ds.insert_graph_uncompacted("http://g", g);
         assert_eq!(ds.graph_stats("http://g").unwrap().triples, 1);
 
         // Below the threshold: no merge, snapshot intentionally lags.
@@ -629,29 +573,80 @@ mod tests {
         let stats = ds.graph_stats("http://g").unwrap();
         assert_eq!(stats.triples, 4, "read-time refresh must self-heal");
         let p = ds.lookup(&Term::iri("http://x/p")).unwrap();
-        let local_p = ds.id_map("http://g").unwrap().to_local(p).unwrap();
-        assert_eq!(stats.predicates[&local_p].count, 4);
+        assert_eq!(stats.predicates[&p].count, 4);
+    }
+
+    /// All three orderings of a graph strictly ascending in dataset ids.
+    fn assert_sorted_by_dataset_id(ds: &Dataset, uri: &str) {
+        let g = ds.graph(uri).unwrap();
+        for slab in [g.spo_slab(), g.pos_slab(), g.osp_slab()] {
+            assert!(slab.windows(2).all(|w| w[0] < w[1]), "{uri}: {slab:?}");
+        }
+        let all: Vec<_> = g.iter_ids().collect();
+        assert!(all.windows(2).all(|w| w[0] < w[1]), "{uri}: {all:?}");
     }
 
     #[test]
-    fn id_map_order_preservation_tracking() {
-        // First graph into a fresh dataset: global ids are assigned in
-        // local id order, so the translation is monotone.
+    fn later_graphs_are_rekeyed_into_dataset_id_order() {
         let mut g1 = Graph::new();
         g1.insert(&t("http://x/s0", "http://x/o0"));
         g1.insert(&t("http://x/s1", "http://x/o1"));
         let mut ds = Dataset::new();
         ds.insert_graph("http://a", g1);
-        assert!(ds.id_map("http://a").unwrap().order_preserving());
 
-        // Second graph shares terms already interned globally: its local
-        // order no longer matches global order.
+        // The second builder meets its terms in an order that disagrees
+        // with the ids the dataset already gave them: builder order is
+        // (z-first-local, p, o0, s0, o9), dataset order puts s0, p, o0 first.
         let mut g2 = Graph::new();
         g2.insert(&t("http://x/z-first-local", "http://x/o0"));
         g2.insert(&t("http://x/s0", "http://x/o9"));
+        let builder_order: Vec<Triple> = g2.iter_triples().collect();
         ds.insert_graph("http://b", g2);
-        assert!(ds.id_map("http://a").unwrap().order_preserving());
-        assert!(!ds.id_map("http://b").unwrap().order_preserving());
+
+        assert_sorted_by_dataset_id(&ds, "http://a");
+        assert_sorted_by_dataset_id(&ds, "http://b");
+        // Same triples, now led by the low (earlier-interned) subject.
+        let rekeyed: Vec<Triple> = ds.graph_triples("http://b").unwrap().collect();
+        assert_eq!(rekeyed.len(), 2);
+        assert_eq!(rekeyed[0], builder_order[1]);
+        assert_eq!(rekeyed[1], builder_order[0]);
+    }
+
+    #[test]
+    fn uncompacted_insert_rekeys_the_delta_too() {
+        let mut g1 = Graph::new();
+        g1.insert(&t("http://x/s0", "http://x/o0"));
+        let mut ds = Dataset::new();
+        ds.insert_graph("http://a", g1);
+
+        // Half slab, half delta, in a builder whose ids disagree with the
+        // dataset's; the split, threshold and generation must carry over.
+        let mut g2 = Graph::with_delta_threshold(100);
+        g2.insert(&t("http://x/z", "http://x/o0"));
+        g2.insert(&t("http://x/y", "http://x/o0"));
+        g2.compact();
+        g2.insert(&t("http://x/s0", "http://x/z"));
+        let expect: Vec<Triple> = {
+            let mut v: Vec<Triple> = g2.iter_triples().collect();
+            v.sort_by_key(|t| t.to_string());
+            v
+        };
+        ds.insert_graph_uncompacted("http://b", g2);
+        let g = ds.graph("http://b").unwrap();
+        assert_eq!((g.len(), g.delta_len()), (3, 1));
+        assert_eq!(g.delta_threshold(), 100);
+        assert_eq!(g.compaction_generation(), 1);
+        assert_sorted_by_dataset_id(&ds, "http://b");
+        let mut got: Vec<Triple> = ds.graph_triples("http://b").unwrap().collect();
+        got.sort_by_key(|t| t.to_string());
+        assert_eq!(got, expect);
+        // Every access path sees the delta triple under its dataset ids.
+        let (s0, z) = (
+            ds.lookup(&Term::iri("http://x/s0")).unwrap(),
+            ds.lookup(&Term::iri("http://x/z")).unwrap(),
+        );
+        assert_eq!(g.count_pattern(Some(s0), None, Some(z)), 1);
+        assert_eq!(g.count_pattern(None, None, Some(z)), 1);
     }
 
     #[test]
@@ -692,51 +687,42 @@ mod tests {
     }
 
     #[test]
-    fn append_of_out_of_order_term_flips_order_preservation() {
-        // Regression for the incremental id-map extension: graph A is
-        // order-preserving until an append introduces a term whose global
-        // id (assigned earlier, via graph B) is smaller than A's current
-        // maximum. `extend_from` must flip the flag — a stale `true` would
-        // let the optimizer plan merge joins whose sortedness precondition
-        // is false (the run-time check would save correctness but silently
-        // eat the rewrite on every query).
+    fn append_of_an_already_interned_low_id_keeps_every_ordering_sorted() {
+        // Graph A's ids are all below graph B's; an append to B that
+        // mentions one of A's terms puts a *low* id into B's delta. Scans
+        // of B must still come out in ascending dataset id, before and
+        // after the delta merges — there is no flag to flip any more.
         let mut a = Graph::new();
         a.insert(&t("http://x/a0", "http://x/oa0"));
         a.insert(&t("http://x/a1", "http://x/oa1"));
         let mut ds = Dataset::new();
         ds.insert_graph("http://a", a);
-        // B's fresh terms get globals past all of A's.
         let mut b = Graph::new();
         b.insert(&t("http://x/b0", "http://x/ob0"));
         ds.insert_graph("http://b", b);
-        assert!(ds.id_map("http://a").unwrap().order_preserving());
 
-        // An order-compatible append (all-new terms intern past A's max, in
-        // local order) must NOT flip the flag.
-        ds.append_triples("http://a", vec![t("http://x/a2", "http://x/oa2")])
-            .unwrap();
-        assert!(ds.id_map("http://a").unwrap().order_preserving());
-
-        // Append to A a triple whose subject is brand new (global past
-        // everything) and whose object is B's term (small global): the
-        // suffix walk sees ascending-then-descending globals and must mark
-        // the map non-monotone.
         ds.append_triples(
-            "http://a",
-            vec![Triple::new(
-                Term::iri("http://x/a3"),
-                Term::iri("http://x/p"),
-                Term::iri("http://x/b0"),
-            )],
+            "http://b",
+            vec![
+                t("http://x/b1", "http://x/a0"),
+                t("http://x/a1", "http://x/b0"),
+            ],
         )
         .unwrap();
-        let map = ds.id_map("http://a").unwrap();
-        assert!(
-            !map.order_preserving(),
-            "append broke local→global monotonicity; the flag must flip"
-        );
-        // The map itself really is non-monotone (the flag tells the truth).
-        assert!(map.to_global.windows(2).any(|w| w[1] <= w[0]));
+        let low = ds.lookup(&Term::iri("http://x/a0")).unwrap();
+        let high = ds.lookup(&Term::iri("http://x/b1")).unwrap();
+        assert!(low < high);
+        assert_eq!(ds.graph("http://b").unwrap().delta_len(), 2);
+        assert_sorted_by_dataset_id(&ds, "http://b");
+        let before: Vec<_> = ds.graph("http://b").unwrap().iter_ids().collect();
+
+        let mut compacted = ds.graph("http://b").unwrap().as_ref().clone();
+        compacted.compact();
+        assert_eq!(compacted.delta_len(), 0);
+        assert_eq!(compacted.iter_ids().collect::<Vec<_>>(), before);
+        // No term was interned twice on the way: a0, a1, oa0, oa1, p, b0,
+        // ob0 and b1.
+        assert_eq!(ds.interner().len(), 8);
     }
 
     #[test]
@@ -780,14 +766,72 @@ mod tests {
     fn append_is_copy_on_write_for_shared_graphs() {
         let mut g = Graph::new();
         g.insert(&t("http://x/s0", "http://x/o0"));
-        let shared = Arc::new(g);
         let mut ds = Dataset::new();
-        ds.insert_shared("http://g", Arc::clone(&shared));
+        ds.insert_graph("http://g", g);
+        let shared = Arc::clone(ds.graph("http://g").unwrap());
+        let epoch = ds.clone();
         ds.append_triples("http://g", vec![t("http://x/s1", "http://x/o1")])
             .unwrap();
-        // The dataset's copy grew; the external handle did not.
+        // The dataset's copy grew; the handle and the older clone did not.
         assert_eq!(ds.graph("http://g").unwrap().len(), 2);
         assert_eq!(shared.len(), 1);
+        assert_eq!(epoch.graph("http://g").unwrap().len(), 1);
+        assert!(epoch.lookup(&Term::iri("http://x/s1")).is_none());
+    }
+
+    #[test]
+    fn poisoned_cache_locks_are_recovered_not_propagated() {
+        let mut g = Graph::with_delta_threshold(2);
+        g.insert(&t("http://x/s0", "http://x/o0"));
+        let mut ds = Dataset::new();
+        ds.insert_graph("http://g", g);
+        ds.term_ranks();
+
+        // A thread dies holding each cache's write guard.
+        let poison = |ds: &Dataset| {
+            std::thread::scope(|scope| {
+                let stats = scope.spawn(|| {
+                    let _guard = ds.stats.write().unwrap();
+                    panic!("poison stats");
+                });
+                let ranks = scope.spawn(|| {
+                    let _guard = ds.ranks.write().unwrap();
+                    panic!("poison ranks");
+                });
+                assert!(stats.join().is_err() && ranks.join().is_err());
+            });
+            assert!(ds.stats.is_poisoned() && ds.ranks.is_poisoned());
+        };
+        poison(&ds);
+
+        // Read.
+        assert_eq!(ds.graph_stats("http://g").unwrap().triples, 1);
+        assert_eq!(ds.cached_term_ranks().unwrap().len(), ds.interner().len());
+        assert_eq!(ds.term_ranks().len(), ds.interner().len());
+        // Clone (the clone's locks are fresh).
+        let copy = ds.clone();
+        assert!(!copy.stats.is_poisoned() && !copy.ranks.is_poisoned());
+        assert_eq!(copy.graph_stats("http://g").unwrap().triples, 1);
+        // Append across a merge: both caches go stale and rebuild through
+        // the still-poisoned locks.
+        ds.append_triples(
+            "http://g",
+            vec![
+                t("http://x/s1", "http://x/o1"),
+                t("http://x/s2", "http://x/o2"),
+            ],
+        )
+        .unwrap();
+        assert!(ds.cached_term_ranks().is_none());
+        assert_eq!(ds.graph_stats("http://g").unwrap().triples, 3);
+        assert_eq!(ds.term_ranks().len(), ds.interner().len());
+        // Rebuild on demand, and replace the graph.
+        ds.append_triples("http://g", vec![t("http://x/s3", "http://x/o3")])
+            .unwrap();
+        assert!(ds.refresh_stats("http://g"));
+        assert_eq!(ds.graph_stats("http://g").unwrap().triples, 4);
+        ds.insert_graph("http://g", Graph::new());
+        assert_eq!(ds.graph_stats("http://g").unwrap().triples, 0);
     }
 
     #[test]
@@ -809,14 +853,12 @@ mod tests {
             Term::integer(2),
         ));
         ds.insert_graph("http://g", g2);
-        // The global interner is append-only: ids survive replacement.
+        // The interner is append-only: ids survive replacement, and the
+        // replacement's index holds them.
         assert_eq!(ds.lookup(&Term::iri("http://x/s")), Some(old));
-        let map = ds.id_map("http://g").unwrap();
-        let local = ds
-            .graph("http://g")
-            .unwrap()
-            .term_id(&Term::iri("http://x/s"))
-            .unwrap();
-        assert_eq!(map.to_global(local), old);
+        let index = ds.graph("http://g").unwrap();
+        assert_eq!(index.count_pattern(Some(old), None, None), 1);
+        let two = ds.lookup(&Term::integer(2)).unwrap();
+        assert!(index.iter_ids().all(|(s, _, o)| s == old && o == two));
     }
 }

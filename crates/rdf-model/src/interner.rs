@@ -46,9 +46,22 @@ impl Interner {
     /// wrapped in an `Arc` shared by both directions of the map, so each
     /// distinct term is stored once.
     pub fn intern(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.ids.get(&term) {
-            return id;
+        match self.ids.get(&term) {
+            Some(&id) => id,
+            None => self.push(term),
         }
+    }
+
+    /// [`Interner::intern`] by reference; a term not seen before is stored
+    /// as a copy that [shares nothing](Term::unshared) with `term`.
+    pub(crate) fn intern_unshared(&mut self, term: &Term) -> TermId {
+        match self.ids.get(term) {
+            Some(&id) => id,
+            None => self.push(term.unshared()),
+        }
+    }
+
+    fn push(&mut self, term: Term) -> TermId {
         let id = TermId(
             u32::try_from(self.terms.len()).expect("interner overflow: more than 2^32 terms"),
         );
@@ -56,6 +69,13 @@ impl Interner {
         self.terms.push(Arc::clone(&shared));
         self.ids.insert(shared, id);
         id
+    }
+
+    /// Make room for `additional` more terms (one table growth instead of a
+    /// rehash of every stored term at each doubling).
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.terms.reserve(additional);
+        self.ids.reserve(additional);
     }
 
     /// Rebuild an interner from its persisted id-ordered term table. Ids are
@@ -139,6 +159,51 @@ mod tests {
         let plain = i.intern(Term::string("x"));
         let tagged = i.intern(Term::Literal(Literal::lang_string("x", "en")));
         assert_ne!(plain, tagged);
+    }
+
+    #[test]
+    fn intern_unshared_copies_a_new_term_and_only_a_new_term() {
+        use crate::term::Literal;
+        let mut i = Interner::new();
+        let terms = [
+            Term::iri("http://x/a"),
+            Term::blank("b0"),
+            Term::Literal(Literal::lang_string("hallo", "de")),
+            Term::integer(7),
+        ];
+        for t in &terms {
+            let id = i.intern_unshared(t);
+            let stored = i.resolve(id);
+            assert_eq!(stored, t);
+            // Same value, no allocation in common with the caller's term.
+            let strings = |t: &Term| -> Vec<*const u8> {
+                match t {
+                    Term::Iri(s) | Term::Blank(s) => vec![s.as_ptr()],
+                    Term::Literal(l) => {
+                        [Some(&l.lexical), l.language.as_ref(), l.datatype.as_ref()]
+                            .into_iter()
+                            .flatten()
+                            .map(|s| s.as_ptr())
+                            .collect()
+                    }
+                }
+            };
+            let (ours, theirs) = (strings(stored), strings(t));
+            assert_eq!(ours.len(), theirs.len());
+            assert!(
+                ours.iter().all(|p| !theirs.contains(p)),
+                "{t} shares a string"
+            );
+            if let (Term::Literal(a), Term::Literal(b)) = (stored, t) {
+                assert_eq!(a.parsed, b.parsed);
+            }
+            // A second sighting is a hit: same id, nothing stored.
+            assert_eq!(i.intern_unshared(t), id);
+            assert_eq!(i.intern(t.clone()), id);
+        }
+        assert_eq!(i.len(), terms.len());
+        i.reserve(100);
+        assert_eq!(i.intern(Term::iri("http://x/later")).index(), terms.len());
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! - [`term`]: RDF terms — IRIs, literals (with XSD value typing), blank nodes.
 //! - [`interner`]: bidirectional term ↔ integer-id interning so the store and
 //!   the SPARQL engine can work on `u32` ids in hot paths.
-//! - [`graph`]: an indexed triple store with SPO/POS/OSP orderings supporting
-//!   all eight triple-pattern access paths.
+//! - [`graph`]: [`TripleIndex`], an id-only triple store with SPO/POS/OSP
+//!   orderings supporting all eight triple-pattern access paths, and
+//!   [`Graph`], the stand-alone builder (a dictionary plus such an index)
+//!   that generators and parsers fill.
 //! - [`dataset`]: named-graph container (the paper queries DBpedia, DBLP and
-//!   YAGO graphs identified by graph URIs) maintaining a dataset-wide shared
-//!   interner with per-graph local↔global id translation, so cross-graph
-//!   query evaluation can join on integer ids.
+//!   YAGO graphs identified by graph URIs): **one** interner, and one
+//!   `TripleIndex` per graph keyed by its ids — every term stored once, and
+//!   cross-graph query evaluation joins on the very ids the scans emit.
 //! - [`ntriples`]: N-Triples parser and serializer (stands in for rdflib in
 //!   the "rdflib + pandas" baseline).
 //! - [`persist`]: durable, crash-consistent dataset storage — checksummed
@@ -32,9 +34,9 @@ pub mod prefix;
 pub mod term;
 pub mod vocab;
 
-pub use dataset::{Dataset, GraphIdMap, TermRanks};
+pub use dataset::{Dataset, TermRanks};
 pub use error::{ModelError, Result};
-pub use graph::{Graph, GraphStats, ScanPos};
+pub use graph::{Graph, GraphStats, ScanPos, TripleIndex};
 pub use interner::{Interner, TermId};
 pub use persist::{RecoveryReport, StorageError, Store};
 pub use prefix::PrefixMap;

@@ -3,18 +3,17 @@
 //! # Layout
 //!
 //! ```text
-//! snapshot := magic "RDFSNAP1"            (8 bytes)
+//! snapshot := magic "RDFSNAP2"            (8 bytes)
 //!             body_crc                    (u32 LE, CRC-32/IEEE of body)
 //!             body
-//! body     := uvarint version (= 1)
+//! body     := uvarint version (= 2)
 //!             uvarint stats_generation
-//!             section<terms>              (dataset interner, id order)
+//!             section<terms>              (the one interner, id order)
 //!             uvarint graph_count
 //!             graph*                      (sorted by URI)
 //! graph    := string uri
 //!             uvarint delta_threshold
 //!             uvarint compaction_generation
-//!             section<terms>              (graph-local interner, id order)
 //!             index                       (SPO slab)
 //!             index                       (POS slab)
 //!             index                       (OSP slab)
@@ -25,6 +24,11 @@
 //!             block_payload*              (concatenated)
 //! block_header := min_s min_p min_o count payload_len crc   (6 × u32 LE)
 //! ```
+//!
+//! Every id in a graph — slab, block header or delta — is an index into the
+//! body's one term table; a graph carries no dictionary of its own (revision
+//! 1 stored one per graph, and its files are refused by magic as
+//! [`StorageError::UnsupportedVersion`]`(1)`).
 //!
 //! Block headers are a flat array of fixed-size records sorted by their
 //! `min` triple — exactly the shape a pager needs to `partition_point` to
@@ -46,24 +50,24 @@
 //! [`Literal::typed`], so value semantics survive the round trip.
 //!
 //! Determinism: every container serialized here iterates in a canonical
-//! order (interners in id order, graphs in URI order, slabs as stored), so
+//! order (the interner in id order, graphs in URI order, slabs as stored), so
 //! encoding the same logical dataset twice yields identical bytes — the
 //! property behind the "snapshot of a snapshot is byte-identical"
 //! guarantee.
 
-use std::sync::Arc;
-
 use crate::dataset::Dataset;
-use crate::graph::Graph;
+use crate::graph::TripleIndex;
 use crate::interner::{Interner, TermId};
 use crate::term::{Literal, Term};
 
 use super::StorageError;
 
 /// File magic: 8 bytes, format name + major layout revision.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RDFSNAP1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RDFSNAP2";
+/// Magic of the retired revision 1 (a term table per graph).
+const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"RDFSNAP1";
 /// Body version written by this encoder.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 /// Triples per index block.
 const BLOCK_TRIPLES: usize = 1024;
 /// Bytes per index block header (6 × u32 LE).
@@ -530,11 +534,10 @@ fn decode_index(
 // ---------------------------------------------------------------------------
 // Graph + dataset codec.
 
-fn encode_graph(out: &mut Vec<u8>, uri: &str, graph: &Graph) {
+fn encode_graph(out: &mut Vec<u8>, uri: &str, graph: &TripleIndex) {
     put_str(out, uri);
     put_uvarint(out, graph.delta_threshold() as u64);
     put_uvarint(out, graph.compaction_generation());
-    put_section(out, &encode_interner(graph.interner()));
     encode_index(out, graph.spo_slab());
     encode_index(out, graph.pos_slab());
     encode_index(out, graph.osp_slab());
@@ -545,12 +548,10 @@ fn encode_graph(out: &mut Vec<u8>, uri: &str, graph: &Graph) {
     put_section(out, &payload);
 }
 
-fn decode_graph(r: &mut Reader<'_>) -> Result<(String, Graph), StorageError> {
+fn decode_graph(r: &mut Reader<'_>, max_id: u64) -> Result<(String, TripleIndex), StorageError> {
     let uri = r.str()?.to_string();
     let delta_threshold = r.uvarint()? as usize;
     let compactions = r.uvarint()?;
-    let interner = decode_interner(r, "graph interner")?;
-    let max_id = interner.len() as u64;
     let spo = decode_index(r, "spo index", max_id)?;
     let pos = decode_index(r, "pos index", max_id)?;
     let osp = decode_index(r, "osp index", max_id)?;
@@ -584,7 +585,7 @@ fn decode_graph(r: &mut Reader<'_>) -> Result<(String, Graph), StorageError> {
     }
     Ok((
         uri,
-        Graph::from_parts(interner, spo, pos, osp, delta, delta_threshold, compactions),
+        TripleIndex::from_parts(spo, pos, osp, delta, delta_threshold, compactions),
     ))
 }
 
@@ -614,6 +615,9 @@ pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
 pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, StorageError> {
     let mut r = Reader::new(bytes, "snapshot header");
     let magic = r.take(SNAPSHOT_MAGIC.len())?;
+    if magic == SNAPSHOT_MAGIC_V1 {
+        return Err(StorageError::UnsupportedVersion(1));
+    }
     if magic != SNAPSHOT_MAGIC {
         return Err(StorageError::Corrupt {
             section: "snapshot header",
@@ -642,22 +646,19 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, StorageError> {
             detail: format!("graph count {graph_count} exceeds payload"),
         });
     }
-    let mut dataset = Dataset::new();
-    // Interner first: graph insertion re-interns every graph-local term and
-    // must hit the persisted global ids, reproducing the original id maps
-    // (including their order-preservation flags) exactly.
-    dataset.restore_interner(interner);
+    let max_id = interner.len() as u64;
+    let mut dataset = Dataset::with_interner(interner);
     for _ in 0..graph_count {
-        let (uri, graph) = decode_graph(&mut r)?;
+        let (uri, graph) = decode_graph(&mut r, max_id)?;
         if dataset.graph(&uri).is_some() {
             return Err(StorageError::Corrupt {
                 section: "graph",
                 detail: format!("duplicate graph {uri}"),
             });
         }
-        // insert_shared keeps the restored slab/delta split as-is (no
-        // compaction), preserving delta-resident graphs bit-for-bit.
-        dataset.insert_shared(uri, Arc::new(graph));
+        // Installed as stored: the slabs already hold this interner's ids,
+        // and the slab/delta split survives bit-for-bit (no compaction).
+        dataset.install(uri, graph);
     }
     if !r.is_empty() {
         return Err(StorageError::Corrupt {
@@ -672,6 +673,7 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, StorageError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Graph;
     use crate::term::Triple;
 
     #[test]
@@ -741,7 +743,7 @@ mod tests {
         ));
         let mut ds = Dataset::new();
         ds.insert_graph("http://a", g);
-        ds.insert_shared("http://b", Arc::new(delta_resident));
+        ds.insert_graph_uncompacted("http://b", delta_resident);
         ds.append_triples(
             "http://a",
             vec![Triple::new(
@@ -768,19 +770,33 @@ mod tests {
             let a = ds.graph(uri).unwrap();
             let b = back.graph(uri).unwrap();
             assert_eq!(a.spo_slab(), b.spo_slab());
+            assert_eq!(a.pos_slab(), b.pos_slab());
+            assert_eq!(a.osp_slab(), b.osp_slab());
             assert_eq!(
                 a.delta_ids().collect::<Vec<_>>(),
                 b.delta_ids().collect::<Vec<_>>()
             );
             assert_eq!(a.delta_threshold(), b.delta_threshold());
             assert_eq!(a.compaction_generation(), b.compaction_generation());
-            assert_eq!(
-                ds.id_map(uri).unwrap().order_preserving(),
-                back.id_map(uri).unwrap().order_preserving()
-            );
         }
+        assert!(ds.interner().iter().eq(back.interner().iter()));
         // Snapshot of the snapshot: byte-identical.
         assert_eq!(encode_dataset(&back), bytes);
+    }
+
+    #[test]
+    fn a_revision_1_file_is_refused_by_magic() {
+        // Whatever follows the old magic — nothing, garbage, or a
+        // well-formed revision-2 body — the answer is the typed error.
+        let good = encode_dataset(&sample_dataset());
+        let mut relabelled = good.clone();
+        relabelled[..8].copy_from_slice(b"RDFSNAP1");
+        for bytes in [&b"RDFSNAP1"[..], b"RDFSNAP1\xff\xff\xff", &relabelled] {
+            assert_eq!(
+                decode_dataset(bytes).err(),
+                Some(StorageError::UnsupportedVersion(1))
+            );
+        }
     }
 
     #[test]

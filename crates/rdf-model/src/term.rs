@@ -307,6 +307,22 @@ pub enum Term {
 }
 
 impl Term {
+    /// A copy that shares no allocation with `self` ([`Clone`] shares the
+    /// strings).
+    pub(crate) fn unshared(&self) -> Term {
+        let copy = |s: &Arc<str>| Arc::<str>::from(&**s);
+        match self {
+            Term::Iri(s) => Term::Iri(copy(s)),
+            Term::Blank(s) => Term::Blank(copy(s)),
+            Term::Literal(l) => Term::Literal(Literal {
+                lexical: copy(&l.lexical),
+                language: l.language.as_ref().map(copy),
+                datatype: l.datatype.as_ref().map(copy),
+                parsed: l.parsed,
+            }),
+        }
+    }
+
     /// IRI constructor.
     pub fn iri(s: impl Into<Arc<str>>) -> Self {
         Term::Iri(s.into())

@@ -188,50 +188,124 @@ proptest! {
     }
 
     #[test]
-    fn order_preservation_flag_is_truthful_under_appends(
+    fn dataset_graphs_match_the_model_sorted_by_dataset_id_with_terms_stored_once(
         initial_a in proptest::collection::vec(triple_strategy(), 1..10),
         initial_b in proptest::collection::vec(triple_strategy(), 1..10),
         batches in proptest::collection::vec(
             proptest::collection::vec(triple_strategy(), 1..5), 0..6),
         targets in proptest::collection::vec(any::<bool>(), 6),
+        // Per graph: builder threshold (small ones leave part of the
+        // builder in its slabs) and whether the insert compacts.
+        thresholds in proptest::collection::vec(1usize..8, 2),
+        compacted in proptest::collection::vec(any::<bool>(), 2),
     ) {
-        // Audit property for `GraphIdMap::extend_from`: after ANY sequence
-        // of appends to either of two overlapping graphs, each graph's
-        // `order_preserving()` must equal the ground truth "the local→global
-        // translation is strictly increasing" — i.e. "index scans emit
-        // globally-sorted ids". A stale `true` would let the optimizer plan
-        // merge joins whose precondition is false; a spurious `false` would
-        // silently disable the rewrite forever.
+        // Two graphs drawn from one small vocabulary, so they overlap: the
+        // second builder's id order disagrees with the ids the dataset gave
+        // the shared terms, and appends to either graph pull in ids the
+        // other one introduced. After every step each graph must (1) hold
+        // exactly the model's triples, (2) have all three orderings — slab
+        // and merged scan — strictly ascending in *dataset* id, and the
+        // dataset must (3) have interned every term exactly once.
         let mut ds = rdf_model::Dataset::new();
-        let mut ga = Graph::new();
-        for t in &initial_a {
-            ga.insert(t);
-        }
-        let mut gb = Graph::new();
-        for t in &initial_b {
-            gb.insert(t);
-        }
-        ds.insert_graph("http://a", ga);
-        ds.insert_graph("http://b", gb);
-        for (i, batch) in batches.iter().enumerate() {
-            let uri = if targets[i] { "http://a" } else { "http://b" };
-            ds.append_triples(uri, batch.clone()).unwrap();
-        }
-        for uri in ["http://a", "http://b"] {
-            let graph = ds.graph(uri).unwrap();
-            let map = ds.id_map(uri).unwrap();
-            let mut globals: Vec<rdf_model::TermId> = Vec::new();
-            for (local, _) in graph.interner().iter() {
-                globals.push(map.to_global(local));
+        let uris = ["http://a", "http://b"];
+        let mut model: [Vec<Triple>; 2] = [Vec::new(), Vec::new()];
+        let check = |ds: &rdf_model::Dataset, model: &[Vec<Triple>; 2]| -> Result<(), String> {
+            let mut terms: Vec<&Term> = Vec::new();
+            for (g, uri) in uris.iter().enumerate() {
+                let Some(index) = ds.graph(uri) else { continue };
+                let mut expect: Vec<String> = model[g].iter().map(|t| t.to_string()).collect();
+                expect.sort();
+                expect.dedup();
+                let mut got: Vec<String> =
+                    ds.graph_triples(uri).unwrap().map(|t| t.to_string()).collect();
+                got.sort();
+                if got != expect {
+                    return Err(format!("{uri}: contents diverge from the model"));
+                }
+                for (name, slab) in [
+                    ("spo", index.spo_slab()),
+                    ("pos", index.pos_slab()),
+                    ("osp", index.osp_slab()),
+                ] {
+                    if !slab.windows(2).all(|w| w[0] < w[1]) {
+                        return Err(format!("{uri}: {name} slab not strictly ascending"));
+                    }
+                    if slab.len() + index.delta_len() != index.len() {
+                        return Err(format!("{uri}: {name} slab + delta != len"));
+                    }
+                }
+                // Merged scans per access path: ascending in the scanned
+                // index's own key order.
+                let spo: Vec<_> = index.match_pattern(None, None, None).collect();
+                if !spo.windows(2).all(|w| w[0] < w[1]) {
+                    return Err(format!("{uri}: full scan not in dataset-id order"));
+                }
+                for &(s, p, o) in &spo {
+                    let by_p: Vec<_> = index
+                        .match_pattern(None, Some(p), None)
+                        .map(|(s, _, o)| (o, s))
+                        .collect();
+                    let by_o: Vec<_> = index
+                        .match_pattern(None, None, Some(o))
+                        .map(|(s, p, _)| (s, p))
+                        .collect();
+                    if !by_p.windows(2).all(|w| w[0] < w[1])
+                        || !by_o.windows(2).all(|w| w[0] < w[1])
+                        || !by_p.contains(&(o, s))
+                        || !by_o.contains(&(s, p))
+                    {
+                        return Err(format!("{uri}: POS/OSP scan out of dataset-id order"));
+                    }
+                }
+                for t in &model[g] {
+                    terms.extend([&t.subject, &t.predicate, &t.object]);
+                }
             }
-            let truly_monotone = globals.windows(2).all(|w| w[0] < w[1]);
-            prop_assert_eq!(
-                map.order_preserving(),
-                truly_monotone,
-                "flag lies for {} (globals: {:?})",
-                uri,
-                globals
-            );
+            // Every term once: the interner holds exactly the distinct
+            // terms ever inserted, each resolving back to itself.
+            terms.sort_by_key(|t| t.to_string());
+            terms.dedup();
+            if ds.interner().len() != terms.len() {
+                return Err(format!(
+                    "interner holds {} terms, the graphs mention {}",
+                    ds.interner().len(),
+                    terms.len()
+                ));
+            }
+            for t in terms {
+                match ds.lookup(t) {
+                    Some(id) if ds.resolve(id) == t => {}
+                    other => return Err(format!("{t} resolves to {other:?}")),
+                }
+            }
+            Ok(())
+        };
+        for (g, initial) in [&initial_a, &initial_b].into_iter().enumerate() {
+            let mut builder = Graph::with_delta_threshold(thresholds[g]);
+            for t in initial {
+                builder.insert(t);
+            }
+            model[g].extend(initial.iter().cloned());
+            if compacted[g] {
+                ds.insert_graph(uris[g], builder);
+                prop_assert_eq!(ds.graph(uris[g]).unwrap().delta_len(), 0);
+            } else {
+                let split = (builder.len(), builder.delta_len());
+                ds.insert_graph_uncompacted(uris[g], builder);
+                let inside = ds.graph(uris[g]).unwrap();
+                prop_assert_eq!((inside.len(), inside.delta_len()), split);
+            }
+            if let Err(e) = check(&ds, &model) {
+                prop_assert!(false, "after inserting {}: {}", uris[g], e);
+            }
+        }
+        for (i, batch) in batches.iter().enumerate() {
+            let g = usize::from(!targets[i]);
+            ds.append_triples(uris[g], batch.clone()).unwrap();
+            model[g].extend(batch.iter().cloned());
+            if let Err(e) = check(&ds, &model) {
+                prop_assert!(false, "after append {} to {}: {}", i, uris[g], e);
+            }
         }
     }
 

@@ -18,12 +18,16 @@
 //!   never contend with each other and only overlap a writer for the
 //!   instant of the pointer swap.
 //! * [`SnapshotServer::update`] is the **write path**: serialized by a
-//!   writer mutex, it clones the current dataset (cheap — graphs are
-//!   copy-on-write behind `Arc`s), applies the mutation, rebuilds both
-//!   endpoints over the new dataset *outside* any lock readers hold, and
-//!   publishes the finished epoch with a single pointer swap. In-flight
-//!   queries keep their old snapshot alive through their own `Arc` and
-//!   drain naturally.
+//!   writer mutex, it clones the current dataset, applies the mutation,
+//!   rebuilds both endpoints over the new dataset *outside* any lock
+//!   readers hold, and publishes the finished epoch with a single pointer
+//!   swap. In-flight queries keep their old snapshot alive through their
+//!   own `Arc` and drain naturally. What a publish copies: the clone takes the one
+//!   interner whole (its `Vec<Arc<Term>>` and hash map — O(distinct terms),
+//!   the terms themselves shared) and an `Arc` per graph; the first append
+//!   then copies the touched graph's index (three slabs + delta) because
+//!   the previous epoch still holds it. Untouched graphs stay shared, and
+//!   there is no per-graph dictionary or id translation to copy.
 //!
 //! Plan caches carry across epochs: the rebuilt endpoints share the
 //! previous epoch's caches (see [`EmbeddedEndpoint::with_dataset`]), and

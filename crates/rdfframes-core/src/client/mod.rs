@@ -500,7 +500,7 @@ mod tests {
             g.insert(&T::new(rare(i), p_rare.clone(), Term::integer(i as i64)));
         }
         let mut ds = Dataset::new();
-        ds.insert_shared("http://g", Arc::new(g));
+        ds.insert_graph_uncompacted("http://g", g);
         let mut ep = InProcessEndpoint::new(Arc::new(ds));
 
         let q = "SELECT ?s ?a ?b FROM <http://g> WHERE { \

@@ -9,7 +9,7 @@
 //! the operators one by one.
 
 use dataframe::{Cell, DataFrame, RowView};
-use rdf_model::{Dataset, Graph, Term};
+use rdf_model::{Dataset, Term};
 use sparql_engine::regex_lite::Regex;
 
 use crate::api::conditions::{CmpOp, Condition, Value};
@@ -40,10 +40,11 @@ fn resolve_term(frame: &RDFFrame, written: &str) -> Result<Term> {
     Ok(Term::iri(iri))
 }
 
-/// Evaluate one triple pattern into a dataframe of its variable columns.
+/// Evaluate one triple pattern over the frame's graph in `dataset` into a
+/// dataframe of its variable columns.
 pub fn pattern_frame(
     frame: &RDFFrame,
-    graph: &Graph,
+    dataset: &Dataset,
     subject: &Node,
     predicate: &Node,
     object: &Node,
@@ -62,9 +63,13 @@ pub fn pattern_frame(
             Node::Term(t) => Ok(Some(resolve_term(frame, t)?)),
         }
     };
+    let uri = frame.graph().uri();
+    let graph = dataset
+        .graph(uri)
+        .ok_or_else(|| FrameError::Endpoint(format!("no graph {uri}")))?;
     let (cs, cp, co) = (resolve(subject)?, resolve(predicate)?, resolve(object)?);
-    let ids = |t: &Option<Term>| t.as_ref().map(|t| graph.term_id(t));
-    // A constant absent from the graph matches nothing.
+    let ids = |t: &Option<Term>| t.as_ref().map(|t| dataset.lookup(t));
+    // A constant the dataset never interned matches nothing.
     let (is_, ip, io) = (ids(&cs), ids(&cp), ids(&co));
     let mut df = DataFrame::new(columns.clone());
     if matches!(is_, Some(None)) || matches!(ip, Some(None)) || matches!(io, Some(None)) {
@@ -76,7 +81,7 @@ pub fn pattern_frame(
         for (n, id) in [(subject, s), (predicate, p), (object, o)] {
             if let Node::Var(v) = n {
                 let idx = columns.iter().position(|c| c == v).expect("column");
-                let cell = term_to_cell(graph.term(id));
+                let cell = term_to_cell(dataset.resolve(id));
                 match &row[idx] {
                     Some(existing) => ok &= *existing == cell,
                     None => row[idx] = Some(cell),
@@ -376,13 +381,6 @@ impl<'a> DatasetResolver<'a> {
     pub fn new(dataset: &'a Dataset) -> Self {
         DatasetResolver { dataset }
     }
-
-    fn graph_of(&self, frame: &RDFFrame) -> Result<std::sync::Arc<Graph>> {
-        self.dataset
-            .graph(frame.graph().uri())
-            .cloned()
-            .ok_or_else(|| FrameError::Endpoint(format!("no graph {}", frame.graph().uri())))
-    }
 }
 
 impl FrameResolver for DatasetResolver<'_> {
@@ -397,8 +395,7 @@ impl FrameResolver for DatasetResolver<'_> {
         predicate: &Node,
         object: &Node,
     ) -> Result<DataFrame> {
-        let graph = self.graph_of(frame)?;
-        pattern_frame(frame, &graph, subject, predicate, object)
+        pattern_frame(frame, self.dataset, subject, predicate, object)
     }
 }
 
@@ -584,7 +581,7 @@ pub fn compare_unordered(a: &DataFrame, b: &DataFrame) -> std::result::Result<()
 mod tests {
     use super::*;
     use crate::api::KnowledgeGraph;
-    use rdf_model::Triple;
+    use rdf_model::{Graph, Triple};
     use std::sync::Arc;
 
     fn dataset() -> (Arc<Dataset>, KnowledgeGraph) {

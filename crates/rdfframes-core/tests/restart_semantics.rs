@@ -102,10 +102,20 @@ fn wal_only_restart_matches_checkpointed_restart() {
     let ga = from_wal.dataset().graph("http://g").unwrap();
     let gb = from_snap.dataset().graph("http://g").unwrap();
     assert_eq!(ga.spo_slab(), gb.spo_slab());
+    assert_eq!(ga.pos_slab(), gb.pos_slab());
+    assert_eq!(ga.osp_slab(), gb.osp_slab());
     assert_eq!(
         ga.delta_ids().collect::<Vec<_>>(),
         gb.delta_ids().collect::<Vec<_>>()
     );
+    assert_eq!(ga.compaction_generation(), gb.compaction_generation());
+    // Equal slabs mean equal triples only under one dictionary: the same
+    // terms under the same ids on both sides.
+    let (ia, ib) = (
+        from_wal.dataset().interner(),
+        from_snap.dataset().interner(),
+    );
+    assert!(ia.iter().eq(ib.iter()));
 }
 
 #[test]

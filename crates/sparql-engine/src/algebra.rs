@@ -12,6 +12,8 @@ use crate::ast::{
     TriplePattern,
 };
 use crate::error::{EngineError, Result};
+use rdf_model::{Dataset, TripleIndex};
+use std::sync::Arc;
 
 /// Which graph a BGP is matched against.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -20,6 +22,33 @@ pub enum GraphRef {
     Default,
     /// An explicit `GRAPH <uri>` context.
     Named(String),
+}
+
+impl GraphRef {
+    /// The graphs a BGP over this reference scans, in scan order — one rule
+    /// for the optimizer, the executor and the oracle: a named graph is
+    /// itself; the default graph is the query's `FROM` list or, without one,
+    /// the union of every graph in the dataset.
+    pub(crate) fn uris<'a>(&'a self, dataset: &'a Dataset, from: &'a [String]) -> Vec<&'a str> {
+        match self {
+            GraphRef::Named(uri) => vec![uri],
+            GraphRef::Default if from.is_empty() => dataset.graph_uris().collect(),
+            GraphRef::Default => from.iter().map(String::as_str).collect(),
+        }
+    }
+
+    /// The indexes behind [`GraphRef::uris`]; an unknown graph is an error.
+    pub(crate) fn resolve(
+        &self,
+        dataset: &Dataset,
+        from: &[String],
+    ) -> Result<Vec<Arc<TripleIndex>>> {
+        let index = |uri: &str| {
+            let found = dataset.graph(uri).cloned();
+            found.ok_or_else(|| EngineError::UnknownGraph(uri.to_string()))
+        };
+        self.uris(dataset, from).into_iter().map(index).collect()
+    }
 }
 
 /// One aggregate computed by a [`Plan::Group`] node.

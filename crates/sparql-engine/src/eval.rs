@@ -11,7 +11,7 @@
 //! counters) and the batch kernels they call.
 //!
 //! - **BGP extension** (the pipeline's `BgpOp`) walks the store's
-//!   sorted-slab access paths ([`rdf_model::Graph`]) and appends match
+//!   sorted-slab access paths ([`rdf_model::TripleIndex`]) and appends match
 //!   results into *column buffers* (a gather-index vector plus one value
 //!   vector per newly-bound variable). No per-row `Vec` is ever allocated;
 //!   previously-bound columns are carried forward with a single contiguous
@@ -43,7 +43,7 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use rdf_model::{Dataset, Graph, GraphIdMap, Term, TermId};
+use rdf_model::{Dataset, Term, TermId, TripleIndex};
 
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{AggOp, Expr, OrderKey, PatternTerm, TriplePattern};
@@ -156,34 +156,6 @@ impl<'a> Evaluator<'a> {
         self.meter = BudgetMeter::new(budget);
     }
 
-    fn resolve_graphs(&self, graph: &GraphRef) -> Result<Vec<(Arc<Graph>, Arc<GraphIdMap>)>> {
-        let uris: Vec<&str> = match graph {
-            GraphRef::Default => {
-                if self.default_graphs.is_empty() {
-                    // No FROM clause: the default graph is the union of all
-                    // graphs in the dataset.
-                    self.dataset.graph_uris().collect()
-                } else {
-                    self.default_graphs.iter().map(String::as_str).collect()
-                }
-            }
-            GraphRef::Named(uri) => vec![uri.as_str()],
-        };
-        let mut graphs = Vec::with_capacity(uris.len());
-        for uri in uris {
-            let g = self
-                .dataset
-                .graph(uri)
-                .ok_or_else(|| EngineError::UnknownGraph(uri.to_string()))?;
-            let map = self
-                .dataset
-                .id_map(uri)
-                .ok_or_else(|| EngineError::UnknownGraph(uri.to_string()))?;
-            graphs.push((Arc::clone(g), Arc::clone(map)));
-        }
-        Ok(graphs)
-    }
-
     /// Borrow the evaluator's term pool (the embedded cursor resolves
     /// result ids through it while handing batches out).
     pub(crate) fn pool(&self) -> &TermPool<'a> {
@@ -283,25 +255,6 @@ impl<'a> Evaluator<'a> {
         let (var, konst, negate) = id_equality_shape(expr)?;
         let col = t.column_index(var)?;
         Some((col, self.pool.lookup(konst), negate))
-    }
-
-    /// Pattern-level slot for one position: a constant bound to its local id
-    /// (`None` when the constant is absent from the graph) or a variable's
-    /// column index.
-    fn pattern_slot(
-        dataset: &Dataset,
-        term: &PatternTerm,
-        map: &GraphIdMap,
-        var_idx: &HashMap<&str, usize>,
-    ) -> Option<Slot> {
-        match term {
-            PatternTerm::Var(v) => Some(Slot::Var(var_idx[v.as_str()])),
-            PatternTerm::Const(term) => {
-                let global = dataset.lookup(term)?;
-                let local = map.to_local(global)?;
-                Some(Slot::Bound(local))
-            }
-        }
     }
 
     /// Compute the ORDER BY key terms for every row (the materialization
@@ -476,8 +429,9 @@ fn compare_keyed(keys: &[OrderKey], a: &KeyedRow, b: &KeyedRow) -> Ordering {
 }
 
 /// Pattern-level binding of one triple position.
+#[derive(Clone, Copy)]
 enum Slot {
-    /// Constant, resolved to the graph's local id.
+    /// Constant, resolved to its dataset id.
     Bound(TermId),
     /// Variable at this column index (bound-ness is uniform per pattern).
     Var(usize),

@@ -401,19 +401,20 @@ impl<'e> Operator<'e> for UnitOp {
 // BGP
 // ---------------------------------------------------------------------------
 
-/// Suspension point of a level's scan: which `(graph, pattern)` entry, and
-/// where inside its index range (`None` = restart the entry from its
-/// beginning — only produced transiently by [`BgpOp::extend_level`]).
+/// Suspension point of a level's scan: which graph, and where inside its
+/// index range (`None` = restart the graph from the range's beginning — only
+/// produced transiently by [`BgpOp::extend_level`]).
 struct Scan {
-    entry: usize,
+    graph: usize,
     at: Option<ScanPos>,
 }
 
 /// One BGP pattern's streaming extension state.
 struct Level<'e> {
-    /// `(graph index, resolved slots)` per graph where every constant
-    /// resolved; a graph missing a constant contributes no matches.
-    pats: Vec<(usize, [Slot; 3])>,
+    /// The pattern's resolved slots, the same for every graph (ids are the
+    /// dataset's); `None` when a constant is interned nowhere, so the
+    /// pattern matches nothing.
+    slots: Option<[Slot; 3]>,
     /// Columns this pattern newly binds, one per value slot.
     free_cols: Vec<usize>,
     /// `(slot, position)` — which triple position binds each slot.
@@ -448,7 +449,7 @@ struct Level<'e> {
 /// any batch size.
 struct BgpOp<'e> {
     vars: Vec<String>,
-    graphs: Vec<(Arc<Graph>, Arc<GraphIdMap>)>,
+    graphs: Vec<Arc<TripleIndex>>,
     levels: Vec<Level<'e>>,
     /// Empty-pattern BGP: the identity row, emitted once.
     identity_emitted: bool,
@@ -461,7 +462,7 @@ impl<'e> BgpOp<'e> {
         graph: &GraphRef,
         filters: &'e [PushedFilter],
     ) -> Result<Self> {
-        let graphs = ev.resolve_graphs(graph)?;
+        let graphs = graph.resolve(ev.dataset, &ev.default_graphs)?;
 
         // Variable schema in first-mention order.
         let mut vars: Vec<String> = Vec::new();
@@ -494,16 +495,19 @@ impl<'e> BgpOp<'e> {
         let mut bound = vec![false; width];
         let mut levels: Vec<Level<'e>> = Vec::with_capacity(patterns.len());
         for (pi, pattern) in patterns.iter().enumerate() {
-            let pats: Vec<(usize, [Slot; 3])> = graphs
-                .iter()
-                .enumerate()
-                .filter_map(|(gix, (_, map))| {
-                    let s = Evaluator::pattern_slot(ev.dataset, &pattern.subject, map, &var_idx)?;
-                    let p = Evaluator::pattern_slot(ev.dataset, &pattern.predicate, map, &var_idx)?;
-                    let o = Evaluator::pattern_slot(ev.dataset, &pattern.object, map, &var_idx)?;
-                    Some((gix, [s, p, o]))
-                })
-                .collect();
+            // A constant resolves once, to its dataset id (`None`: interned
+            // nowhere); a variable to its column.
+            let slot = |term: &PatternTerm| match term {
+                PatternTerm::Var(v) => Some(Slot::Var(var_idx[v.as_str()])),
+                PatternTerm::Const(c) => ev.dataset.lookup(c).map(Slot::Bound),
+            };
+            let slots = (|| {
+                Some([
+                    slot(&pattern.subject)?,
+                    slot(&pattern.predicate)?,
+                    slot(&pattern.object)?,
+                ])
+            })();
 
             let terms = [&pattern.subject, &pattern.predicate, &pattern.object];
             let mut free_cols: Vec<usize> = Vec::new();
@@ -538,7 +542,7 @@ impl<'e> BgpOp<'e> {
 
             let n_slots = free_cols.len();
             levels.push(Level {
-                pats,
+                slots,
                 free_cols,
                 primaries,
                 dup_checks,
@@ -588,7 +592,7 @@ impl<'e> BgpOp<'e> {
     fn extend_level(&mut self, ev: &mut Evaluator<'e>, k: usize, target: usize) -> Result<()> {
         let BgpOp { graphs, levels, .. } = self;
         let Level {
-            pats,
+            slots,
             dup_checks,
             primaries,
             checks,
@@ -605,10 +609,14 @@ impl<'e> BgpOp<'e> {
         let pool = &ev.pool;
         let caches = &mut ev.caches;
         let meter = &mut ev.meter;
+        let Some(slots) = *slots else {
+            *pos = len;
+            return Ok(());
+        };
         while *pos < len {
             let i = *pos;
-            let (start_entry, mut resume_at) = match scan.take() {
-                Some(s) => (s.entry, s.at),
+            let (start_graph, mut resume_at) = match scan.take() {
+                Some(s) => (s.graph, s.at),
                 None => {
                     if src.len() >= target {
                         return Ok(());
@@ -616,49 +624,31 @@ impl<'e> BgpOp<'e> {
                     (0, None)
                 }
             };
-            for (entry, (gix, slots)) in pats.iter().enumerate().skip(start_entry) {
-                let (g, map) = &graphs[*gix];
+            // Refine slots against row `i`. A value a graph never mentions
+            // (another graph's term, a query-local one) is an empty range
+            // there: nothing visited, nothing matched.
+            let refined = slots.map(|slot| match slot {
+                Slot::Bound(id) => Some(id),
+                Slot::Var(col) if bound[col] => Some(cur[col].ids()[i]),
+                Slot::Var(_) => None,
+            });
+            let row = i as u32;
+            for (graph, g) in graphs.iter().enumerate().skip(start_graph) {
                 let at = resume_at.take();
-                // Refine slots against row `i` (a bound variable with no local
-                // id in this graph can match nothing here).
-                let mut refined = [None; 3];
-                let mut ok = true;
-                for (ppos, slot) in slots.iter().enumerate() {
-                    refined[ppos] = match slot {
-                        Slot::Bound(local) => Some(*local),
-                        Slot::Var(col) if bound[*col] => match map.to_local(cur[*col].ids()[i]) {
-                            Some(local) => Some(local),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        },
-                        Slot::Var(_) => None,
-                    };
-                }
-                if !ok {
-                    continue;
-                }
-                let row = i as u32;
-                let map_ref = map.as_ref();
                 let (visited, stopped) =
                     g.for_each_match_from(refined[0], refined[1], refined[2], at, |ms, mp, mo| {
                         let m = [ms, mp, mo];
                         if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
                             return src.len() < target;
                         }
-                        let mut globals = [TermId(0); 3];
-                        for &(slot, ppos) in primaries.iter() {
-                            globals[slot] = map_ref.to_global(m[ppos]);
-                        }
                         for (slot, pe) in checks.iter_mut() {
-                            if !pe.test(globals[*slot], pool, caches) {
+                            if !pe.test(m[primaries[*slot].1], pool, caches) {
                                 return src.len() < target;
                             }
                         }
                         src.push(row);
-                        for &(slot, _) in primaries.iter() {
-                            vals[slot].push(globals[slot]);
+                        for &(slot, ppos) in primaries.iter() {
+                            vals[slot].push(m[ppos]);
                         }
                         src.len() < target
                     });
@@ -671,7 +661,7 @@ impl<'e> BgpOp<'e> {
                     meter.charge_intermediate(src.len() as u64, bytes)?;
                 }
                 if let Some(p) = stopped {
-                    *scan = Some(Scan { entry, at: Some(p) });
+                    *scan = Some(Scan { graph, at: Some(p) });
                     return Ok(());
                 }
             }

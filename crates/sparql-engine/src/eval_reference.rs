@@ -15,14 +15,13 @@
 //! Select it with [`crate::engine::EvalMode::TermReference`].
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
-use rdf_model::{Dataset, Graph, Term, TermId};
+use rdf_model::{Dataset, Term, TermId, TripleIndex};
 
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{OrderKey, PatternTerm, TriplePattern};
 use crate::budget::{BudgetMeter, QueryBudget};
-use crate::error::{EngineError, Result};
+use crate::error::Result;
 use crate::expr::{ebv, eval_expr, eval_single_var_filter, AggState, EvalCaches, RowCtx};
 use crate::results::SolutionTable;
 
@@ -214,30 +213,6 @@ impl<'a> ReferenceEvaluator<'a> {
         }
     }
 
-    fn resolve_graphs(&self, graph: &GraphRef) -> Result<Vec<Arc<Graph>>> {
-        let uris: Vec<&str> = match graph {
-            GraphRef::Default => {
-                if self.default_graphs.is_empty() {
-                    // No FROM clause: the default graph is the union of all
-                    // graphs in the dataset.
-                    self.dataset.graph_uris().collect()
-                } else {
-                    self.default_graphs.iter().map(String::as_str).collect()
-                }
-            }
-            GraphRef::Named(uri) => vec![uri.as_str()],
-        };
-        let mut graphs = Vec::with_capacity(uris.len());
-        for uri in uris {
-            let g = self
-                .dataset
-                .graph(uri)
-                .ok_or_else(|| EngineError::UnknownGraph(uri.to_string()))?;
-            graphs.push(Arc::clone(g));
-        }
-        Ok(graphs)
-    }
-
     /// Index-nested-loop evaluation of a BGP in pattern order. Pushed
     /// filters cull the row set right after the pattern that binds their
     /// variable (same attachment rule as the id-native evaluators, so the
@@ -249,7 +224,7 @@ impl<'a> ReferenceEvaluator<'a> {
         graph: &GraphRef,
         filters: &[PushedFilter],
     ) -> Result<SolutionTable> {
-        let graphs = self.resolve_graphs(graph)?;
+        let graphs = graph.resolve(self.dataset, &self.default_graphs)?;
 
         // Variable schema in first-mention order.
         let mut vars: Vec<String> = Vec::new();
@@ -315,13 +290,15 @@ impl<'a> ReferenceEvaluator<'a> {
     /// budget meter per input row.
     fn extend_row_with_pattern(
         &mut self,
-        graph: &Graph,
+        graph: &TripleIndex,
         pattern: &TriplePattern,
         row: &[Option<Term>],
         var_idx: &HashMap<&str, usize>,
         out: &mut Vec<Vec<Option<Term>>>,
     ) -> u64 {
-        // Resolve each position: bound (graph TermId) or free (column index).
+        // Resolve each position: bound (dataset TermId), free (column index),
+        // or a term the dataset never interned (matches nothing anywhere).
+        let dataset = self.dataset;
         enum Slot {
             Bound(TermId),
             Free(usize),
@@ -332,17 +309,11 @@ impl<'a> ReferenceEvaluator<'a> {
                 PatternTerm::Var(v) => {
                     let idx = var_idx[v.as_str()];
                     match &row[idx] {
-                        Some(term) => match graph.term_id(term) {
-                            Some(id) => Slot::Bound(id),
-                            None => Slot::Absent,
-                        },
+                        Some(term) => dataset.lookup(term).map_or(Slot::Absent, Slot::Bound),
                         None => Slot::Free(idx),
                     }
                 }
-                PatternTerm::Const(term) => match graph.term_id(term) {
-                    Some(id) => Slot::Bound(id),
-                    None => Slot::Absent,
-                },
+                PatternTerm::Const(term) => dataset.lookup(term).map_or(Slot::Absent, Slot::Bound),
             }
         };
         let s = resolve(&pattern.subject);
@@ -358,7 +329,7 @@ impl<'a> ReferenceEvaluator<'a> {
         let (sb, pb, ob) = (pick(&s), pick(&p), pick(&o));
         let assign = |slot: &Slot, id: TermId, new_row: &mut Vec<Option<Term>>| {
             if let Slot::Free(idx) = slot {
-                let term = graph.term(id).clone();
+                let term = dataset.resolve(id).clone();
                 match &new_row[*idx] {
                     // Same variable twice in one pattern (?x ?p ?x):
                     // later occurrences must agree.

@@ -137,16 +137,10 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// The graphs a BGP will actually scan, mirroring the evaluators'
-    /// resolution: an empty `FROM` list means the whole dataset.
+    /// The graphs a BGP will actually scan ([`GraphRef::uris`]).
     fn effective_graphs(&self, graph: &GraphRef) -> Vec<String> {
-        match graph {
-            GraphRef::Named(uri) => vec![uri.clone()],
-            GraphRef::Default if self.default_graphs.is_empty() => {
-                self.dataset.graph_uris().map(str::to_string).collect()
-            }
-            GraphRef::Default => self.default_graphs.to_vec(),
-        }
+        let uris = graph.uris(self.dataset, self.default_graphs);
+        uris.into_iter().map(str::to_string).collect()
     }
 
     fn stats_for(&mut self, uri: &str) -> Option<Arc<GraphStats>> {
@@ -166,30 +160,34 @@ impl<'a> Optimizer<'a> {
         bound: &HashSet<String>,
         uris: &[String],
     ) -> f64 {
-        let resolve = |dataset: &Dataset, uri: &str, t: &PatternTerm| -> Option<Option<TermId>> {
-            // Outer None = constant not in graph (pattern matches nothing);
-            // inner None = unbound position.
-            match t {
-                PatternTerm::Var(v) => {
-                    if bound.contains(v) {
-                        Some(Some(BOUND_MARK))
-                    } else {
-                        Some(None)
-                    }
-                }
-                PatternTerm::Const(term) => {
-                    dataset.graph(uri).and_then(|g| g.term_id(term)).map(Some)
-                }
-            }
-        };
+        let dataset = self.dataset;
         let mut total = 0.0;
         for uri in uris {
-            let (s, p, o) = (
-                resolve(self.dataset, uri, &pattern.subject),
-                resolve(self.dataset, uri, &pattern.predicate),
-                resolve(self.dataset, uri, &pattern.object),
-            );
-            let (Some(s), Some(p), Some(o)) = (s, p, o) else {
+            let Some(index) = dataset.graph(uri) else {
+                continue;
+            };
+            // Outer None = the graph has no triple with this constant in
+            // this position (an empty slab range: the pattern matches
+            // nothing here); inner None = unbound position. A predicate
+            // needs no probe — the statistics are keyed by predicate and
+            // answer 0 for one they never saw.
+            let resolve = |pos: usize, t: &PatternTerm| -> Option<Option<TermId>> {
+                match t {
+                    PatternTerm::Var(v) if bound.contains(v) => Some(Some(BOUND_MARK)),
+                    PatternTerm::Var(_) => Some(None),
+                    PatternTerm::Const(term) => {
+                        let mut probe = [None; 3];
+                        probe[pos] = Some(dataset.lookup(term)?);
+                        (pos == 1 || index.count_pattern(probe[0], probe[1], probe[2]) > 0)
+                            .then_some(probe[pos])
+                    }
+                }
+            };
+            let (Some(s), Some(p), Some(o)) = (
+                resolve(0, &pattern.subject),
+                resolve(1, &pattern.predicate),
+                resolve(2, &pattern.object),
+            ) else {
                 continue; // constant absent from this graph: contributes 0
             };
             if let Some(stats) = self.stats_for(uri) {
@@ -359,25 +357,15 @@ impl<'a> Optimizer<'a> {
     /// extend rows in ascending input-row order, so the first scan's order
     /// survives as the output's primary (prefix) order.
     ///
-    /// Valid only when the BGP scans a single graph whose local→global id
-    /// translation is order-preserving ([`rdf_model::GraphIdMap`]): slabs
-    /// deliver triples sorted by *local* id, and a monotone map carries
-    /// that to the global ids stored in the output columns. (Delta-resident
-    /// triples merge in the same local order, so storage state is
-    /// irrelevant.) The evaluator re-verifies sortedness at run time before
-    /// committing to a merge, so this analysis only has to be precise, not
-    /// paranoid.
+    /// Valid when the BGP scans a single graph: every graph's slabs (and
+    /// the delta merged into them) are sorted by dataset id, the very ids
+    /// stored in the output columns, so storage state and insertion order
+    /// are irrelevant. The evaluator re-verifies sortedness at run time
+    /// before committing to a merge, so this analysis only has to be
+    /// precise, not paranoid.
     fn bgp_order(&mut self, patterns: &[TriplePattern], graph: &GraphRef) -> Vec<String> {
-        let uris = self.effective_graphs(graph);
-        let [uri] = uris.as_slice() else {
+        if self.effective_graphs(graph).len() != 1 {
             return Vec::new(); // multi-graph scans interleave per row
-        };
-        let order_preserving = self
-            .dataset
-            .id_map(uri)
-            .is_some_and(|map| map.order_preserving());
-        if !order_preserving {
-            return Vec::new();
         }
         let Some(first) = patterns.first() else {
             return Vec::new();
@@ -395,11 +383,11 @@ impl<'a> Optimizer<'a> {
         }
         // The store itself says which position order its chosen index
         // emits for this bound-ness shape (kept adjacent to
-        // `Graph::access_path` and property-tested there, so this cannot
-        // silently drift from scan reality).
+        // `TripleIndex::access_path` and property-tested there, so this
+        // cannot silently drift from scan reality).
         let terms = [&first.subject, &first.predicate, &first.object];
         let bound = |t: &PatternTerm| matches!(t, PatternTerm::Const(_));
-        rdf_model::Graph::scan_free_order(bound(terms[0]), bound(terms[1]), bound(terms[2]))
+        rdf_model::TripleIndex::scan_free_order(bound(terms[0]), bound(terms[1]), bound(terms[2]))
             .iter()
             .map(|&pos| {
                 terms[pos]
@@ -1075,7 +1063,7 @@ mod tests {
         let graphs = vec!["http://g".to_string()];
         let mut opt = Optimizer::new(&ds, &graphs);
         // Both sides: (?e <p> <o>) shapes — POS with (p, o) bound scans in
-        // subject order, and the single graph's id map is monotone, so both
+        // subject order — by dataset id, the ids the outputs carry — so both
         // outputs are sorted on ?e.
         let side = |p: &str, o: &str, v: &str| Plan::Bgp {
             patterns: vec![TriplePattern::new(
@@ -1515,10 +1503,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_join_requires_order_preserving_id_map() {
-        // Two graphs sharing terms: the second graph's map is non-monotone,
-        // so its scans are not globally sorted and the rewrite must not
-        // fire for BGPs over it.
+    fn merge_join_is_planned_over_the_second_inserted_graph() {
+        // Two graphs sharing terms. The second builder met v2 before e1/e2,
+        // the dataset had interned them the other way round; its index was
+        // re-keyed into dataset id order, so its scans are as sorted as the
+        // first graph's and the rewrite fires for BGPs over it.
         let mut g1 = Graph::new();
         g1.insert(&Triple::new(
             iri("http://x/e1"),
@@ -1531,7 +1520,6 @@ mod tests {
             iri("http://x/v2"),
         ));
         let mut g2 = Graph::new();
-        // Interns v2 before e1/e2 → local order diverges from global.
         g2.insert(&Triple::new(
             iri("http://x/v2"),
             iri("http://x/q"),
@@ -1545,10 +1533,8 @@ mod tests {
         let mut ds = Dataset::new();
         ds.insert_graph("http://a", g1);
         ds.insert_graph("http://b", g2);
-        assert!(!ds.id_map("http://b").unwrap().order_preserving());
 
         let graphs = vec!["http://b".to_string()];
-        let mut opt = Optimizer::new(&ds, &graphs);
         let side = |o: &str| Plan::Bgp {
             patterns: vec![TriplePattern::new(
                 var("s"),
@@ -1559,21 +1545,30 @@ mod tests {
             filters: Vec::new(),
         };
         let mut plan = Plan::Join(Box::new(side("http://x/e1")), Box::new(side("http://x/e2")));
-        opt.optimize(&mut plan);
+        Optimizer::new(&ds, &graphs).optimize(&mut plan);
         assert!(
-            matches!(&plan, Plan::Join(..)),
-            "non-monotone map must block the merge rewrite: {plan:?}"
+            matches!(&plan, Plan::MergeJoin { key, .. } if key == "s"),
+            "second graph is sorted by dataset id like the first: {plan:?}"
         );
+        let mut plan = Plan::LeftJoin(Box::new(side("http://x/e1")), Box::new(side("http://x/e2")));
+        Optimizer::new(&ds, &graphs).optimize(&mut plan);
+        assert!(matches!(&plan, Plan::MergeLeftJoin { .. }), "{plan:?}");
     }
 
     #[test]
-    fn append_that_breaks_id_order_stops_merge_join_planning() {
-        // Regression for the incremental id-map extension: planning merge
-        // joins over a graph is only sound while its map is monotone. An
-        // append that pulls in a term another graph interned earlier breaks
-        // monotonicity; `GraphIdMap::extend_from` must flip the flag so the
-        // optimizer stops planning merges (a stale flag would plan them,
-        // and the run-time check would silently eat the rewrite forever).
+    fn append_of_a_low_id_keeps_merge_join_planning() {
+        // Graph B's ids all lie above graph A's. An append to B that pulls
+        // in one of A's terms puts a low id into B's delta; B's scans stay
+        // sorted by dataset id, so merge joins over B are planned before
+        // and after (there used to be a per-graph flag this flipped).
+        let mut a = Graph::new();
+        a.insert(&Triple::new(
+            iri("http://y/s"),
+            iri("http://y/q"),
+            iri("http://y/o"),
+        ));
+        let mut ds = Dataset::new();
+        ds.insert_graph("http://a", a);
         let mut g = Graph::new();
         for i in 0..3 {
             g.insert(&Triple::new(
@@ -1582,48 +1577,28 @@ mod tests {
                 iri(&format!("http://x/v{i}")),
             ));
         }
-        let mut ds = Dataset::new();
-        ds.insert_graph("http://a", g);
-        // A second graph interns a fresh term the append will reuse.
-        let mut other = Graph::new();
-        other.insert(&Triple::new(
-            iri("http://y/s"),
-            iri("http://y/q"),
-            iri("http://y/o"),
-        ));
-        ds.insert_graph("http://b", other);
+        ds.insert_graph("http://b", g);
 
-        let graphs = vec!["http://a".to_string()];
-        let side = |o: &str| {
-            Plan::Join(
-                Box::new(Plan::Bgp {
-                    patterns: vec![TriplePattern::new(var("s"), konst("http://x/p"), konst(o))],
-                    graph: GraphRef::Default,
-                    filters: Vec::new(),
-                }),
-                Box::new(Plan::Bgp {
-                    patterns: vec![TriplePattern::new(
-                        var("s"),
-                        konst("http://x/p"),
-                        konst("http://x/v1"),
-                    )],
-                    graph: GraphRef::Default,
-                    filters: Vec::new(),
-                }),
-            )
+        let graphs = vec!["http://b".to_string()];
+        let bgp = |o: &str| {
+            Box::new(Plan::Bgp {
+                patterns: vec![TriplePattern::new(var("s"), konst("http://x/p"), konst(o))],
+                graph: GraphRef::Default,
+                filters: Vec::new(),
+            })
         };
+        let planned = |ds: &Dataset, o: &str| {
+            let mut plan = Plan::Join(bgp(o), bgp("http://x/v1"));
+            Optimizer::new(ds, &graphs).optimize(&mut plan);
+            plan
+        };
+        assert!(matches!(
+            planned(&ds, "http://x/v0"),
+            Plan::MergeJoin { .. }
+        ));
 
-        let mut plan = side("http://x/v0");
-        Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        assert!(
-            matches!(&plan, Plan::MergeJoin { .. }),
-            "monotone map: merge join planned ({plan:?})"
-        );
-
-        // Append a triple whose object is graph B's term: its global id is
-        // below A's maximum, so A's scans are no longer globally sorted.
         ds.append_triples(
-            "http://a",
+            "http://b",
             vec![Triple::new(
                 iri("http://x/e9"),
                 iri("http://x/p"),
@@ -1631,13 +1606,67 @@ mod tests {
             )],
         )
         .unwrap();
-        assert!(!ds.id_map("http://a").unwrap().order_preserving());
-        let mut plan = side("http://x/v0");
-        Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        assert!(
-            matches!(&plan, Plan::Join(..)),
-            "non-monotone map after append: merge join must not be planned ({plan:?})"
-        );
+        assert!(ds.lookup(&iri("http://y/o")) < ds.lookup(&iri("http://x/e0")));
+        for o in ["http://x/v0", "http://y/o"] {
+            let plan = planned(&ds, o);
+            assert!(matches!(&plan, Plan::MergeJoin { .. }), "{o}: {plan:?}");
+        }
+    }
+
+    #[test]
+    fn a_constant_only_another_graph_mentions_estimates_zero_in_every_position() {
+        // `http://y/only-a` has a dataset id, but graph B's slabs never
+        // mention it: each position's probe is an empty range, so the
+        // pattern contributes exactly 0 — as a constant the dataset never
+        // interned does.
+        let mut a = Graph::new();
+        a.insert(&Triple::new(
+            iri("http://y/only-a"),
+            iri("http://y/only-a"),
+            iri("http://y/only-a"),
+        ));
+        let mut b = Graph::new();
+        b.insert(&Triple::new(
+            iri("http://x/s"),
+            iri("http://x/p"),
+            iri("http://x/o"),
+        ));
+        let mut ds = Dataset::new();
+        ds.insert_graph("http://a", a);
+        ds.insert_graph("http://b", b);
+        assert!(ds.lookup(&iri("http://y/only-a")).is_some());
+
+        let uris = vec!["http://b".to_string()];
+        let none = HashSet::new();
+        let mut opt = Optimizer::new(&ds, &uris);
+        for absent in ["http://y/only-a", "http://y/interned-nowhere"] {
+            let here = [
+                konst("http://x/s"),
+                konst("http://x/p"),
+                konst("http://x/o"),
+            ];
+            for pos in 0..3 {
+                for fill_vars in [false, true] {
+                    let mut terms: Vec<PatternTerm> = if fill_vars {
+                        vec![var("a"), var("b"), var("c")]
+                    } else {
+                        here.to_vec()
+                    };
+                    terms[pos] = konst(absent);
+                    let [s, p, o]: [PatternTerm; 3] = terms.try_into().unwrap();
+                    let pattern = TriplePattern::new(s, p, o);
+                    assert_eq!(
+                        opt.estimate_pattern(&pattern, &none, &uris),
+                        0.0,
+                        "{absent} at position {pos}: {pattern:?}"
+                    );
+                }
+            }
+        }
+        // Over both graphs only A contributes.
+        let both = vec!["http://a".to_string(), "http://b".to_string()];
+        let pattern = TriplePattern::new(konst("http://y/only-a"), var("p"), var("o"));
+        assert!(Optimizer::new(&ds, &both).estimate_pattern(&pattern, &none, &both) > 0.0);
     }
 
     #[test]

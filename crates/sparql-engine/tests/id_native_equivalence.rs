@@ -9,9 +9,10 @@
 //! executor changes the row representation and when work happens, not the
 //! access-path order. The whole matrix additionally runs against both
 //! storage states of the graphs (compacted slabs via `Dataset::insert_graph`
-//! and delta-resident via `Dataset::insert_shared`), so slab scans, delta
-//! scans, and merged scans all feed every leg. A proptest further checks that terms projected
-//! out of id-native joins round-trip through the dataset's shared interner.
+//! and delta-resident via `Dataset::insert_graph_uncompacted`), so slab
+//! scans, delta scans, and merged scans all feed every leg. A proptest
+//! further checks that terms projected out of id-native joins round-trip
+//! through the dataset's interner.
 
 use std::sync::Arc;
 
@@ -133,24 +134,45 @@ fn film_graph() -> Graph {
 }
 
 /// Build the three-graph dataset in either storage state: `compacted` uses
-/// `insert_graph` (slab-resident), otherwise `insert_shared` hands over the
-/// graphs as-is so every triple stays in the mutable delta and all scans
-/// take the slab+delta merge path.
+/// `insert_graph` (slab-resident), otherwise `insert_graph_uncompacted`
+/// hands over the graphs as-is so every triple stays in the mutable delta
+/// and all scans take the slab+delta merge path.
 fn dataset(compacted: bool) -> Arc<Dataset> {
-    let mut ds = Dataset::new();
-    if compacted {
-        ds.insert_graph("http://dbpedia.org", movie_graph());
-        ds.insert_graph("http://yago-knowledge.org", yago_graph());
-        ds.insert_graph("http://films.org", film_graph());
-    } else {
-        let (movies, films) = (movie_graph(), film_graph());
-        assert!(movies.delta_len() > 0, "test graph should stay in delta");
-        assert!(films.delta_len() > 0, "test graph should stay in delta");
-        ds.insert_shared("http://dbpedia.org", Arc::new(movies));
-        ds.insert_shared("http://yago-knowledge.org", Arc::new(yago_graph()));
-        ds.insert_shared("http://films.org", Arc::new(films));
+    Arc::new(dataset_in_order(compacted, false))
+}
+
+/// [`dataset`] with a choice of where DBpedia is inserted: first (its
+/// builder's id order *is* the dataset's), or last, after the YAGO graph
+/// that shares two of its actors — so the DBpedia index is re-keyed out of
+/// builder order and its queried terms get ids on both sides of the others'.
+fn dataset_in_order(compacted: bool, dbpedia_last: bool) -> Dataset {
+    let mut named = vec![
+        ("http://dbpedia.org", movie_graph()),
+        ("http://yago-knowledge.org", yago_graph()),
+        ("http://films.org", film_graph()),
+    ];
+    if dbpedia_last {
+        named.rotate_left(1);
     }
-    Arc::new(ds)
+    let mut ds = Dataset::new();
+    for (uri, graph) in named {
+        if compacted {
+            ds.insert_graph(uri, graph);
+        } else {
+            if uri != "http://yago-knowledge.org" {
+                assert!(graph.delta_len() > 16, "test graph should stay in delta");
+            }
+            ds.insert_graph_uncompacted(uri, graph);
+        }
+    }
+    if dbpedia_last {
+        let id = |t: &str| ds.lookup(&iri(t)).unwrap();
+        assert!(
+            id("http://dbpedia.org/resource/actor3") < id("http://dbpedia.org/property/birthPlace"),
+            "layout setup: builder order and dataset order must disagree"
+        );
+    }
+    ds
 }
 
 const PREFIXES: &str = "PREFIX dbpp: <http://dbpedia.org/property/>\n\
@@ -743,9 +765,52 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
         ("sorted_distincts", &distinct_q, |s| s.sorted_distincts),
         ("sorted_groups", &group_q, |s| s.sorted_groups),
     ];
-    for compacted in [true, false] {
-        let ds = dataset(compacted);
-        let label = format!("compacted={compacted}");
+    // Storage layouts × where the queried graph sits in the dataset's id
+    // space: inserted first; inserted last (re-keyed out of builder order);
+    // and inserted last, then appended to with triples whose subject is a
+    // term only YAGO had mentioned — an id below every DBpedia term but
+    // `actor1`, now sitting in the delta of every scan the merge operators
+    // consume. Every graph is
+    // sorted by dataset id, so the same counters must fire in all of them.
+    let low_id_append = |compacted| {
+        let mut ds = dataset_in_order(compacted, true);
+        let low = iri("http://yago/movieY");
+        assert!(ds.lookup(&low) < ds.lookup(&iri("http://dbpedia.org/resource/actor3")));
+        let dbp = |local: &str| iri(&format!("http://dbpedia.org/{local}"));
+        let added = ds.append_triples(
+            "http://dbpedia.org",
+            vec![
+                Triple::new(
+                    low.clone(),
+                    dbp("property/birthPlace"),
+                    dbp("resource/United_States"),
+                ),
+                Triple::new(
+                    low.clone(),
+                    dbp("property/academyAward"),
+                    dbp("resource/Oscar"),
+                ),
+                Triple::new(dbp("resource/low_movie"), dbp("property/starring"), low),
+            ],
+        );
+        assert_eq!(added, Some(3));
+        assert!(ds.graph("http://dbpedia.org").unwrap().delta_len() >= 3);
+        ds
+    };
+    let layouts = [true, false].into_iter().flat_map(|compacted| {
+        [
+            (format!("compacted={compacted}"), dataset(compacted)),
+            (
+                format!("compacted={compacted}, dbpedia last"),
+                Arc::new(dataset_in_order(compacted, true)),
+            ),
+            (
+                format!("compacted={compacted}, dbpedia last + low-id append"),
+                Arc::new(low_id_append(compacted)),
+            ),
+        ]
+    });
+    for (label, ds) in layouts {
         let on = legs(Arc::clone(&ds), true);
         let literal = legs(Arc::clone(&ds), false);
         for (name, query, counter) in cases {
@@ -768,6 +833,45 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
                 scanned <= literal_scanned,
                 "{name} added scan work ({label}): {scanned} vs {literal_scanned}\n{query}"
             );
+        }
+    }
+}
+
+#[test]
+fn a_term_only_another_graph_mentions_is_an_empty_range_not_a_lookup_miss() {
+    // `http://yago/movieY` and `http://yago/actedIn` have dataset ids but
+    // the DBpedia index never mentions them. Used over DBpedia — as a
+    // constant in each position, and as a variable bound by a YAGO scan —
+    // they must read zero index entries there and match nothing, on every
+    // leg, both plans, both layouts and either insertion order.
+    let constant = [
+        "<http://yago/movieY> ?p ?o",
+        "?s <http://yago/actedIn> ?o",
+        "?s ?p <http://yago/movieY>",
+        "<http://yago/movieY> <http://dbpedia.org/property/starring> ?o",
+        "?s <http://dbpedia.org/property/starring> <http://yago/movieY>",
+    ];
+    let bound = "SELECT * FROM <http://yago-knowledge.org> FROM <http://dbpedia.org> \
+                 WHERE { ?a <http://yago/actedIn> ?m . ?m ?p ?o }";
+    for (compacted, dbpedia_last) in [(true, false), (false, false), (true, true), (false, true)] {
+        let ds = Arc::new(dataset_in_order(compacted, dbpedia_last));
+        let label = format!("compacted={compacted}, dbpedia_last={dbpedia_last}");
+        for optimize in [true, false] {
+            let legs = legs(Arc::clone(&ds), optimize);
+            for pattern in constant {
+                let q = format!("SELECT * FROM <http://dbpedia.org> WHERE {{ {pattern} }}");
+                for (name, table, scanned) in run_all(&legs, &q, &label) {
+                    assert_eq!(table.len(), 0, "{name} ({label}): {q}");
+                    assert_eq!(scanned, 0, "{name} ({label}) read index entries for: {q}");
+                }
+            }
+            // One BGP over both graphs: the first pattern reads YAGO's two
+            // triples and an empty DBpedia range; extending each ?m (a
+            // subject of neither graph) reads nothing in either.
+            for (name, table, scanned) in run_all(&legs, bound, &label) {
+                assert_eq!(table.len(), 0, "{name} ({label})");
+                assert_eq!(scanned, 2, "{name} ({label})");
+            }
         }
     }
 }
@@ -840,7 +944,7 @@ fn build_two_graph_dataset(triples: &[(u8, u8, u8)]) -> Arc<Dataset> {
     }
     let mut ds = Dataset::new();
     ds.insert_graph("http://test/a", g1);
-    ds.insert_shared("http://test/b", Arc::new(g2));
+    ds.insert_graph_uncompacted("http://test/b", g2);
     Arc::new(ds)
 }
 
@@ -1006,7 +1110,7 @@ proptest! {
         if layout {
             ds.insert_graph("http://test/g", g);
         } else {
-            ds.insert_shared("http://test/g", Arc::new(g));
+            ds.insert_graph_uncompacted("http://test/g", g);
         }
         let ds = Arc::new(ds);
 

@@ -21,17 +21,72 @@ fn triple_strategy() -> impl Strategy<Value = (u8, u8, u8)> {
     (0u8..6, 0u8..3, 0u8..6)
 }
 
-fn build_graph(triples: &[(u8, u8, u8)]) -> Arc<Dataset> {
-    let mut g = Graph::new();
-    for (s, p, o) in triples {
-        g.insert(&Triple::new(
-            Term::iri(format!("http://test/s{s}")),
-            Term::iri(format!("http://test/p{p}")),
-            Term::iri(format!("http://test/o{o}")),
-        ));
-    }
+/// Where the queried graph sits in the dataset: inserted before, between or
+/// after two decoy graphs (so its builder's id order agrees with the
+/// dataset's, or not), and slab- or delta-resident.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    position: usize,
+    delta_resident: bool,
+}
+
+fn layout_strategy() -> impl Strategy<Value = Layout> {
+    (0usize..3, any::<bool>()).prop_map(|(position, delta_resident)| Layout {
+        position,
+        delta_resident,
+    })
+}
+
+/// The queried graph among two decoys that share some of its terms — in the
+/// same position and in others — and add a few of their own. No query names
+/// the decoys, so none of their triples may ever show up in a result.
+fn build_graph(triples: &[(u8, u8, u8)], layout: Layout) -> Arc<Dataset> {
+    let row = |s: &str, p: &str, o: &str| {
+        let term = |name: &str| Term::iri(format!("http://test/{name}"));
+        Triple::new(term(s), term(p), term(o))
+    };
+    let queried = triples
+        .iter()
+        .map(|(s, p, o)| row(&format!("s{s}"), &format!("p{p}"), &format!("o{o}")))
+        .collect();
+    let mut named: Vec<(&str, Vec<Triple>)> = vec![
+        (
+            "http://decoy/0",
+            vec![
+                row("s5", "p2", "o5"),
+                row("o3", "p0", "s1"),
+                row("d0", "p1", "o0"),
+            ],
+        ),
+        (
+            "http://decoy/1",
+            vec![
+                row("s0", "p1", "o0"),
+                row("s3", "d1", "d2"),
+                row("p2", "o4", "s2"),
+            ],
+        ),
+    ];
+    named.insert(layout.position, (GRAPH_URI, queried));
     let mut ds = Dataset::new();
-    ds.insert_graph(GRAPH_URI, g);
+    for (uri, rows) in named {
+        let mut g = Graph::with_delta_threshold(usize::MAX);
+        for t in &rows {
+            g.insert(t);
+        }
+        if layout.delta_resident {
+            ds.insert_graph_uncompacted(uri, g);
+        } else {
+            ds.insert_graph(uri, g);
+        }
+    }
+    let inside = ds.graph(GRAPH_URI).unwrap();
+    let expect_delta = if layout.delta_resident {
+        inside.len()
+    } else {
+        0
+    };
+    assert_eq!(inside.delta_len(), expect_delta, "layout setup");
     Arc::new(ds)
 }
 
@@ -138,9 +193,10 @@ proptest! {
     #[test]
     fn bgp_matches_brute_force(
         triples in proptest::collection::vec(triple_strategy(), 1..25),
+        layout in layout_strategy(),
         patterns in proptest::collection::vec(pattern_strategy(), 1..4),
     ) {
-        let ds = build_graph(&triples);
+        let ds = build_graph(&triples, layout);
         let engine = Engine::new(ds);
         let q = render_query(&patterns);
         let table = engine.execute(&q).unwrap();
@@ -165,9 +221,10 @@ proptest! {
     #[test]
     fn optimizer_is_semantics_preserving(
         triples in proptest::collection::vec(triple_strategy(), 1..30),
+        layout in layout_strategy(),
         patterns in proptest::collection::vec(pattern_strategy(), 1..5),
     ) {
-        let ds = build_graph(&triples);
+        let ds = build_graph(&triples, layout);
         let q = render_query(&patterns);
         let on = Engine::new(Arc::clone(&ds)).execute(&q).unwrap();
         let off = Engine::with_config(ds, EngineConfig { optimize: false, ..EngineConfig::new() })
@@ -179,9 +236,10 @@ proptest! {
     #[test]
     fn distinct_is_support_of_bag(
         triples in proptest::collection::vec(triple_strategy(), 1..25),
+        layout in layout_strategy(),
         patterns in proptest::collection::vec(pattern_strategy(), 1..3),
     ) {
-        let ds = build_graph(&triples);
+        let ds = build_graph(&triples, layout);
         let engine = Engine::new(ds);
         let q = render_query(&patterns);
         let bag = engine.execute(&q).unwrap();
@@ -195,10 +253,11 @@ proptest! {
     #[test]
     fn limit_offset_slice_consistently(
         triples in proptest::collection::vec(triple_strategy(), 1..25),
+        layout in layout_strategy(),
         limit in 1usize..10,
         offset in 0usize..10,
     ) {
-        let ds = build_graph(&triples);
+        let ds = build_graph(&triples, layout);
         let engine = Engine::new(ds);
         // ORDER BY makes the slice deterministic.
         let all = engine
@@ -220,9 +279,10 @@ proptest! {
     #[test]
     fn count_star_equals_row_count(
         triples in proptest::collection::vec(triple_strategy(), 1..25),
+        layout in layout_strategy(),
         patterns in proptest::collection::vec(pattern_strategy(), 1..3),
     ) {
-        let ds = build_graph(&triples);
+        let ds = build_graph(&triples, layout);
         let engine = Engine::new(ds);
         let q = render_query(&patterns);
         let rows = engine.execute(&q).unwrap().len() as i64;

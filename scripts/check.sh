@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification in one command: formatting, lints, the full test
-# suite, and a small-scale smoke run of two workspace bench binaries:
+# Tier-1 verification in one command: formatting, lints, a build of the
+# out-of-workspace benchmark package, the full test suite, and a
+# small-scale smoke run of two workspace bench binaries:
 # `ablation` (dataset generation, the wire and embedded execution paths, the
 # naive generator and the budget meter end to end) and `concurrent_bench`
 # (the serving layer and its JSON writer).
@@ -25,6 +26,24 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+# The benchmark package sits outside the workspace (BENCHMARK.json runs it
+# from its own manifest) and is frozen, so nothing above compiles it. Build
+# it before the long suites: an API break in a crate it depends on then
+# fails here in seconds, not after two full test runs.
+#
+# Cargo prunes an orphaned entry from benchmark/Cargo.lock on every run
+# there; the file is frozen too, so put it back after each such step (also
+# when the step fails).
+in_benchmark() {
+    local status=0
+    cargo "$@" --offline --manifest-path benchmark/Cargo.toml || status=$?
+    git checkout -q -- benchmark/Cargo.lock
+    return "$status"
+}
+
+echo "==> cargo build (benchmark package)"
+in_benchmark build --release
+
 echo "==> cargo test"
 cargo test -q
 
@@ -36,12 +55,11 @@ cargo test -q
 echo "==> cargo test (RDFFRAMES_BATCH_ROWS=7)"
 RDFFRAMES_BATCH_ROWS=7 cargo test -q
 
-# The benchmark package sits outside the workspace (BENCHMARK.json runs it
-# from its own manifest), so the root `cargo test` never reaches its tests:
+# The root `cargo test` never reaches the benchmark package's own tests:
 # argument parsing, the metric tables, and a scale-64 smoke of all six
 # workloads checked against `evaluate_reference`.
 echo "==> cargo test (benchmark package)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+in_benchmark test -q
 
 # Budget-meter arithmetic is saturating by contract; run the enforcement
 # suite under the dev profile (debug assertions ON, so any overflow in
