@@ -8,7 +8,9 @@
 //! that is not already an `Arc` of the dataset's — and the frame it returns
 //! holds at most eight bytes per cell (a doubled `Vec<u32>`) plus its
 //! dictionary. A row-major frame (one `Vec` per row, a 24-byte `Cell` per
-//! cell) fails both bounds; the counts repeat exactly from run to run.
+//! cell) fails both bounds; the counts repeat exactly from run to run. The
+//! wire path's frame is held to a count of its own: fewer dictionary entries
+//! than rows.
 //!
 //! This binary installs its own counting allocator, which is why it is one
 //! `#[test]`: nothing else may allocate while a window is open.
@@ -20,8 +22,9 @@ use std::sync::Arc;
 
 use bench::{casestudies, data, queries};
 use dataframe::Cell;
+use rdfframes_core::exec::Executor;
 use rdfframes_core::model::{generator, render};
-use rdfframes_core::{EmbeddedEndpoint, RDFFrame};
+use rdfframes_core::{EmbeddedEndpoint, InProcessEndpoint, RDFFrame};
 
 const SCALE: usize = 64;
 /// Small enough that every frame here takes several batches.
@@ -157,5 +160,23 @@ fn embedded_frames_allocate_per_distinct_term_not_per_cell() {
         .find(|q| q.id == "Q9")
         .expect("Q9 in the catalogue");
     check("Q9", &q9.frame, &endpoint);
-    check("cs3", &casestudies::kg_embedding(), &endpoint);
+    let cs3 = casestudies::kg_embedding();
+    check("cs3", &cs3, &endpoint);
+
+    // The wire path has no ids to memoize on, but a decoded page shares one
+    // string per distinct value and the append dedups on that: fewer
+    // dictionary entries than rows, where an entry per cell is 3 x rows + 1.
+    let embedded = Executor::new().execute(&cs3, &endpoint).unwrap();
+    for page in [100, usize::MAX] {
+        let wire = Executor::with_page_size(page)
+            .execute(&cs3, &InProcessEndpoint::new(Arc::clone(&ds)))
+            .unwrap();
+        assert_eq!(wire, embedded);
+        assert!(
+            wire.dictionary().len() < wire.len(),
+            "cs3 over the wire, pages of {page}: {} entries for {} rows",
+            wire.dictionary().len(),
+            wire.len()
+        );
+    }
 }

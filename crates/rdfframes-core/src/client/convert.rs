@@ -11,11 +11,18 @@
 //!   4-byte code, and the memo grows with the ids seen, never with the
 //!   dataset's interner;
 //! - the row converters ([`table_to_dataframe`], [`append_table`]) over
-//!   term-materialized [`SolutionTable`]s — the wire path — intern every
-//!   cell as it comes. A decoded page has no ids, only strings from outside,
-//!   and finding repeats means hashing each one with a keyed hash: measured
-//!   on `paper_wire_xml`, a value-keyed memo cost more than the whole of the
-//!   append it replaced (`BENCH_columnar_frame.json`).
+//!   term-materialized [`SolutionTable`]s — the wire path — memoize, per
+//!   page, by *identity*: the address of the shared string a cell is made
+//!   from plus the arm of [`term_to_cell`] that makes it. A decoded page has
+//!   no ids, but its decoder looked every raw value up before allocating
+//!   (`client/memo.rs`), so equal values of a page already share one
+//!   string and comparing addresses finds them without hashing a byte of
+//!   outside text. (Hashing the strings again here, after decode, cost more
+//!   than the whole append — `BENCH_columnar_frame.json`; the decoder is
+//!   where a value-keyed lookup pays, `BENCH_wire_codec.json`.) A table
+//!   whose terms share nothing — built by hand, or by the reference
+//!   interpreter — gets one entry per cell, as before; either way the frame
+//!   compares equal.
 
 use dataframe::{AppendError, Cell, DataFrame};
 use rdf_model::hash::FxHashMap;
@@ -111,13 +118,43 @@ fn append_rows(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
     if let Some(row) = table.rows.iter().find(|r| r.len() != width) {
         return Err(ragged_row(row.len(), width));
     }
+    // The table is borrowed for the whole call, so every string in it stays
+    // alive and no address is reused: equal identities are equal cells.
+    // Sized up front for a distinct value per row, which saves a full page
+    // its dozen rehashes (15 % of the append on `paper_wire_xml`).
+    let mut memo: FxHashMap<(*const u8, u8), u32> = FxHashMap::default();
+    memo.reserve(table.rows.len());
     let mut block: Vec<Vec<u32>> = vec![Vec::with_capacity(table.rows.len()); width];
     for row in &table.rows {
         for (codes, term) in block.iter_mut().zip(row) {
-            codes.push(term.as_ref().map_or(0, |t| df.intern(term_to_cell(t))));
+            codes.push(term.as_ref().map_or(0, |t| {
+                *memo
+                    .entry(cell_identity(t))
+                    .or_insert_with(|| df.intern(term_to_cell(t)))
+            }));
         }
     }
     df.append(table.rows.len(), &block).map_err(bad_block)
+}
+
+/// What decides [`term_to_cell`]'s answer without reading the string: the
+/// address of the one shared string the cell is made from, and which arm
+/// makes it (a plain `"5"` and `"5"^^xsd:integer` may share their lexical
+/// form and are still two cells).
+fn cell_identity(term: &Term) -> (*const u8, u8) {
+    match term {
+        Term::Iri(i) => (i.as_ptr(), 0),
+        Term::Blank(b) => (b.as_ptr(), 1),
+        Term::Literal(l) => {
+            let arm = match l.parsed {
+                TypedValue::Integer(_) => 2,
+                TypedValue::Double(_) => 3,
+                TypedValue::Boolean(_) => 4,
+                _ => 5,
+            };
+            (l.lexical.as_ptr(), arm)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -177,6 +214,85 @@ mod tests {
             append_table(&mut df, &t2),
             Err(FrameError::Transport(_))
         ));
+    }
+
+    #[test]
+    fn one_lexical_form_under_two_datatypes_is_two_cells() {
+        // The append memo goes by string address; these two terms share the
+        // address of "5" and must still not share a dictionary entry.
+        let five: std::sync::Arc<str> = "5".into();
+        let integer = Term::Literal(Literal::typed(five.clone(), rdf_model::vocab::xsd::INTEGER));
+        let plain = Term::string(five);
+        let table = SolutionTable {
+            vars: vec!["a".into(), "b".into()],
+            rows: vec![
+                vec![Some(integer.clone()), Some(plain.clone())],
+                vec![Some(plain), Some(integer)],
+            ],
+        };
+        let df = table_to_dataframe(&table).unwrap();
+        assert_eq!(df.dictionary().len(), 3, "null, 5 and \"5\"");
+        for (row, a, b) in [
+            (0, Cell::Int(5), Cell::str("5")),
+            (1, Cell::str("5"), Cell::Int(5)),
+        ] {
+            assert_eq!(df.get(row, "a"), Some(&a));
+            assert_eq!(df.get(row, "b"), Some(&b));
+        }
+    }
+
+    #[test]
+    fn a_sharing_page_and_its_unshared_copy_give_equal_frames() {
+        use crate::client::xml;
+        let terms = [
+            Term::iri("http://x/a"),
+            Term::blank("a"),
+            Term::string("http://x/a"),
+            Term::string("a"),
+            Term::integer(7),
+            Term::string("7"),
+            Term::Literal(Literal::double(7.0)),
+            Term::Literal(Literal::boolean(true)),
+            Term::Literal(Literal::lang_string("a", "en")),
+            Term::Literal(Literal::date_time("2020-01-01T00:00:00")),
+        ];
+        let mut table = SolutionTable::with_vars(vec!["x".into(), "y".into()]);
+        for i in 0..40 {
+            let x = terms[i % terms.len()].clone();
+            let y = (i % 3 > 0).then(|| terms[i * 7 % terms.len()].clone());
+            table.rows.push(vec![Some(x), y]);
+        }
+        // Decoded: every repeat shares its first occurrence's strings.
+        let shared = xml::decode(&xml::encode(&table)).unwrap();
+        // Rebuilt through the public constructors: no two terms share any.
+        let fresh = |s: &str| std::sync::Arc::<str>::from(s);
+        let rebuild = |t: &Term| match t {
+            Term::Iri(i) => Term::iri(fresh(i)),
+            Term::Blank(b) => Term::blank(fresh(b)),
+            Term::Literal(l) => Term::Literal(match (&l.language, &l.datatype) {
+                (Some(lang), _) => Literal::lang_string(fresh(&l.lexical), fresh(lang)),
+                (None, Some(dt)) => Literal::typed(fresh(&l.lexical), fresh(dt)),
+                (None, None) => Literal::string(fresh(&l.lexical)),
+            }),
+        };
+        let mut unshared = SolutionTable::with_vars(shared.vars.clone());
+        for row in &shared.rows {
+            unshared
+                .rows
+                .push(row.iter().map(|c| c.as_ref().map(rebuild)).collect());
+        }
+        assert_eq!(shared, unshared);
+
+        let (a, b) = (
+            table_to_dataframe(&shared).unwrap(),
+            table_to_dataframe(&unshared).unwrap(),
+        );
+        assert_eq!(a, b);
+        assert_eq!(a, table_to_dataframe(&table).unwrap());
+        // Sharing is what the dictionary dedups on: one entry per distinct
+        // term of the page against one per bound cell.
+        assert_eq!(a.dictionary().len(), terms.len() + 1);
+        assert!(b.dictionary().len() > 40);
     }
 
     #[test]

@@ -13,6 +13,7 @@ pub mod concurrent;
 pub mod convert;
 pub mod embedded;
 pub mod faulty;
+mod memo;
 pub mod serving;
 pub mod wire;
 pub mod xml;
@@ -346,27 +347,30 @@ impl InProcessEndpoint {
         // Paging inside the engine means evaluation stops when the chunk is
         // full and only shipped rows materialize terms.
         let prepared = prepare_cached(&self.plans, &self.engine, sparql)?;
-        let (mut table, _) = self
+        let (table, _) = self
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))
             .map_err(engine_error)?;
         self.stats
             .rows_returned
             .fetch_add(table.rows.len() as u64, Ordering::Relaxed);
+        // The server's table is dropped once encoded: only the bytes cross
+        // to the client side, which decodes them into a table of its own.
         match self.config.wire {
-            WireFormat::None => {}
+            WireFormat::None => Ok(table),
             WireFormat::Tsv => {
                 let encoded = wire::encode(&table);
-                table = wire::decode(&encoded)
-                    .ok_or_else(|| FrameError::Transport("TSV round trip failed".into()))?;
+                drop(table);
+                wire::decode(&encoded)
+                    .ok_or_else(|| FrameError::Transport("TSV round trip failed".into()))
             }
             WireFormat::Xml => {
                 let encoded = xml::encode(&table);
-                table = xml::decode(&encoded)
-                    .ok_or_else(|| FrameError::Transport("XML round trip failed".into()))?;
+                drop(table);
+                xml::decode(&encoded)
+                    .ok_or_else(|| FrameError::Transport("XML round trip failed".into()))
             }
         }
-        Ok(table)
     }
 }
 

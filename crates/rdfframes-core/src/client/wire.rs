@@ -7,9 +7,17 @@
 //! performs* an encode/decode round trip per chunk (SPARQL-TSV-style)
 //! instead of pretending transfer is free.
 
+use std::borrow::Cow;
+
 use rdf_model::term::Literal;
 use rdf_model::Term;
 use sparql_engine::SolutionTable;
+
+use super::memo::TermMemo;
+
+/// A line that stands for a row with nothing to print — no column, or one
+/// unbound cell: an empty line is indistinguishable from "no row".
+const BLANK_ROW: &str = "\u{2}";
 
 /// Encode a solution table as SPARQL-TSV (terms in N-Triples syntax,
 /// columns tab-separated, unbound cells empty).
@@ -24,10 +32,8 @@ pub fn encode(table: &SolutionTable) -> String {
     }
     out.push('\n');
     for row in &table.rows {
-        if row.is_empty() {
-            // Zero-column rows (the unit table) need an explicit marker:
-            // an empty line is indistinguishable from "no row".
-            out.push('\u{2}');
+        if matches!(row.as_slice(), [] | [None]) {
+            out.push_str(BLANK_ROW);
         }
         for (i, cell) in row.iter().enumerate() {
             if i > 0 {
@@ -62,12 +68,13 @@ pub fn decode(text: &str) -> Option<SolutionTable> {
     };
     let mut table = SolutionTable::with_vars(vars);
     let width = table.vars.len();
+    let mut memo = TermMemo::default();
     for line in lines {
         if line.is_empty() {
             continue;
         }
-        if line == "\u{2}" {
-            table.rows.push(Vec::new());
+        if line == BLANK_ROW && width <= 1 {
+            table.rows.push(vec![None; width]);
             continue;
         }
         let mut row = Vec::with_capacity(width);
@@ -75,7 +82,7 @@ pub fn decode(text: &str) -> Option<SolutionTable> {
             if field.is_empty() {
                 row.push(None);
             } else {
-                row.push(Some(decode_term(field)?));
+                row.push(Some(memo.term(field, decode_term)?));
             }
         }
         if row.len() != width {
@@ -87,52 +94,16 @@ pub fn decode(text: &str) -> Option<SolutionTable> {
 }
 
 fn decode_term(field: &str) -> Option<Term> {
-    let bytes = field.as_bytes();
-    match bytes.first()? {
-        b'<' => {
-            let inner = field.strip_prefix('<')?.strip_suffix('>')?;
-            Some(Term::iri(inner.to_string()))
-        }
-        b'_' => {
-            let label = field.strip_prefix("_:")?;
-            Some(Term::blank(label.to_string()))
-        }
+    match field.as_bytes().first()? {
+        b'<' => Some(Term::iri(field.strip_prefix('<')?.strip_suffix('>')?)),
+        b'_' => Some(Term::blank(field.strip_prefix("_:")?)),
         b'"' => {
-            // Find the closing quote, honoring escapes.
-            let rest = &field[1..];
-            let mut lexical = String::with_capacity(rest.len());
-            let mut chars = rest.chars();
-            let mut tail = String::new();
-            let mut closed = false;
-            while let Some(c) = chars.next() {
-                match c {
-                    '\\' => match chars.next()? {
-                        'n' => lexical.push('\n'),
-                        'r' => lexical.push('\r'),
-                        't' => lexical.push('\t'),
-                        '"' => lexical.push('"'),
-                        '\\' => lexical.push('\\'),
-                        other => lexical.push(other),
-                    },
-                    '"' => {
-                        closed = true;
-                        tail = chars.collect();
-                        break;
-                    }
-                    other => lexical.push(other),
-                }
-            }
-            if !closed {
-                return None;
-            }
+            let (lexical, tail) = decode_quoted(&field[1..])?;
             if let Some(lang) = tail.strip_prefix('@') {
-                Some(Term::Literal(Literal::lang_string(
-                    lexical,
-                    lang.to_string(),
-                )))
+                Some(Term::Literal(Literal::lang_string(lexical, lang)))
             } else if let Some(dt) = tail.strip_prefix("^^") {
                 let dt = dt.strip_prefix('<')?.strip_suffix('>')?;
-                Some(Term::Literal(Literal::typed(lexical, dt.to_string())))
+                Some(Term::Literal(Literal::typed(lexical, dt)))
             } else if tail.is_empty() {
                 Some(Term::string(lexical))
             } else {
@@ -141,6 +112,31 @@ fn decode_term(field: &str) -> Option<Term> {
         }
         _ => None,
     }
+}
+
+/// The lexical form up to the closing quote (honoring escapes; borrowed when
+/// there are none) and what follows the quote. `None` if it never closes.
+fn decode_quoted(rest: &str) -> Option<(Cow<'_, str>, &str)> {
+    let stop = rest.find(['"', '\\'])?;
+    if rest.as_bytes()[stop] == b'"' {
+        return Some((Cow::Borrowed(&rest[..stop]), &rest[stop + 1..]));
+    }
+    let mut lexical = String::with_capacity(rest.len());
+    lexical.push_str(&rest[..stop]);
+    let mut chars = rest[stop..].chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => lexical.push(match chars.next()? {
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                other => other,
+            }),
+            '"' => return Some((Cow::Owned(lexical), chars.as_str())),
+            other => lexical.push(other),
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -6,23 +6,40 @@
 //! proportional to shipped data volume — the effect that dominates the
 //! paper's client-side baselines.
 
+use std::borrow::Cow;
+
 use rdf_model::term::Literal;
 use rdf_model::Term;
 use sparql_engine::SolutionTable;
 
+use super::memo::TermMemo;
+
+/// Append `s` with the four markup characters as entities: whole runs
+/// between them are copied, not pushed char by char (they are all ASCII, so
+/// every cut is a char boundary).
 fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            other => out.push(other),
-        }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        out.push_str(entity);
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
 }
 
-fn unescape(s: &str) -> String {
+/// Inverse of [`escape_into`]; borrows when there is nothing to replace. An
+/// `&` that starts none of the four entities stands for itself.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(idx) = rest.find('&') {
@@ -43,26 +60,38 @@ fn unescape(s: &str) -> String {
         rest = &tail[len..];
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
 }
+
+const VARIABLE: &str = "<variable name=\"";
+const BINDING: &str = "<binding name=\"";
 
 /// Encode a solution table in the SPARQL XML Results Format.
 pub fn encode(table: &SolutionTable) -> String {
     let mut out = String::with_capacity(table.rows.len() * 96 + 256);
     out.push_str("<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n<head>");
     for v in &table.vars {
-        out.push_str("<variable name=\"");
+        out.push_str(VARIABLE);
         escape_into(v, &mut out);
         out.push_str("\"/>");
     }
     out.push_str("</head>\n<results>\n");
+    // Each column's opening tag, escaped once instead of once per cell.
+    let bindings: Vec<String> = table
+        .vars
+        .iter()
+        .map(|v| {
+            let mut open = String::from(BINDING);
+            escape_into(v, &mut open);
+            open.push_str("\">");
+            open
+        })
+        .collect();
     for row in &table.rows {
         out.push_str("<result>");
-        for (v, cell) in table.vars.iter().zip(row) {
+        for (binding, cell) in bindings.iter().zip(row) {
             let Some(term) = cell else { continue };
-            out.push_str("<binding name=\"");
-            escape_into(v, &mut out);
-            out.push_str("\">");
+            out.push_str(binding);
             match term {
                 Term::Iri(iri) => {
                     out.push_str("<uri>");
@@ -98,86 +127,133 @@ pub fn encode(table: &SolutionTable) -> String {
     out
 }
 
+/// `s` from its next `<` on; `None` when no tag is left.
+fn next_tag(s: &str) -> Option<&str> {
+    Some(&s[s.find('<')?..])
+}
+
 /// Parse a SPARQL XML results document back into a solution table.
+///
+/// One forward scan: the header's names are sliced, then the results block
+/// is walked tag to tag (anything that is not a tag this format uses is
+/// stepped over), so no byte is searched twice and nothing is sliced ahead.
+/// A document that ends before `</results>` — a truncated body — is rejected.
 pub fn decode(text: &str) -> Option<SolutionTable> {
-    // Header.
     let head_start = text.find("<head>")? + "<head>".len();
     let head_end = head_start + text[head_start..].find("</head>")?;
-    let head = &text[head_start..head_end];
-    let mut vars = Vec::new();
-    let mut rest = head;
-    while let Some(at) = rest.find("<variable name=\"") {
-        let after = &rest[at + "<variable name=\"".len()..];
+    // The names as shipped: a binding names its column in the same escaped
+    // form, so rows are matched against these without unescaping anything.
+    let mut raw_vars = Vec::new();
+    let mut rest = &text[head_start..head_end];
+    while let Some(at) = rest.find(VARIABLE) {
+        let after = &rest[at + VARIABLE.len()..];
         let q = after.find('"')?;
-        vars.push(unescape(&after[..q]));
+        raw_vars.push(&after[..q]);
         rest = &after[q..];
     }
-
-    // Results block, sliced once.
-    let results_start = head_end + text[head_end..].find("<results>")? + "<results>".len();
-    let results_end = results_start + text[results_start..].find("</results>")?;
-    let mut body = &text[results_start..results_end];
-
+    let vars = raw_vars.iter().map(|v| unescape(v).into_owned()).collect();
     let mut table = SolutionTable::with_vars(vars);
-    let width = table.vars.len();
-    while let Some(at) = body.find("<result>") {
-        let after = &body[at + "<result>".len()..];
-        let close = after.find("</result>")?;
-        let result = &after[..close];
-        body = &after[close + "</result>".len()..];
 
-        let mut row: Vec<Option<Term>> = vec![None; width];
-        let mut cursor = result;
-        while let Some(b) = cursor.find("<binding name=\"") {
-            let after = &cursor[b + "<binding name=\"".len()..];
-            let q = after.find('"')?;
-            let name = unescape(&after[..q]);
-            let after = &after[q..];
-            let gt = after.find('>')?;
-            let content_and_rest = &after[gt + 1..];
-            let bind_end = content_and_rest.find("</binding>")?;
-            let content = &content_and_rest[..bind_end];
-            cursor = &content_and_rest[bind_end + "</binding>".len()..];
-
-            let term = decode_binding(content)?;
-            let idx = table.vars.iter().position(|v| *v == name)?;
-            row[idx] = Some(term);
-        }
-        table.rows.push(row);
-    }
-    Some(table)
-}
-
-fn decode_binding(content: &str) -> Option<Term> {
-    if let Some(rest) = content.strip_prefix("<uri>") {
-        let inner = rest.strip_suffix("</uri>")?;
-        return Some(Term::iri(unescape(inner)));
-    }
-    if let Some(rest) = content.strip_prefix("<bnode>") {
-        let inner = rest.strip_suffix("</bnode>")?;
-        return Some(Term::blank(unescape(inner)));
-    }
-    if let Some(rest) = content.strip_prefix("<literal") {
-        let gt = rest.find('>')?;
-        let attrs = &rest[..gt];
-        let body = rest[gt + 1..].strip_suffix("</literal>")?;
-        let body = unescape(body);
-        return if let Some(lang) = attr_value(attrs, "xml:lang") {
-            Some(Term::Literal(Literal::lang_string(body, unescape(&lang))))
-        } else if let Some(dt) = attr_value(attrs, "datatype") {
-            Some(Term::Literal(Literal::typed(body, unescape(&dt))))
+    let mut memo = TermMemo::default();
+    let mut rest = &text[head_end..];
+    rest = &rest[rest.find("<results>")? + "<results>".len()..];
+    loop {
+        rest = next_tag(rest)?;
+        if let Some(result) = rest.strip_prefix("<result>") {
+            let (row, after) = decode_result(result, &raw_vars, &table.vars, &mut memo)?;
+            table.rows.push(row);
+            rest = after;
+        } else if rest.starts_with("</results>") {
+            return Some(table);
         } else {
-            Some(Term::string(body))
-        };
+            rest = &rest[1..];
+        }
     }
-    None
 }
 
-fn attr_value(attrs: &str, name: &str) -> Option<String> {
-    let marker = format!("{name}=\"");
-    let start = attrs.find(&marker)? + marker.len();
-    let end = attrs[start..].find('"')? + start;
-    Some(attrs[start..end].to_string())
+/// One row — the text after `<result>` up to and including `</result>` —
+/// and what follows it.
+fn decode_result<'a>(
+    mut rest: &'a str,
+    raw_vars: &[&str],
+    vars: &[String],
+    memo: &mut TermMemo<'a>,
+) -> Option<(Vec<Option<Term>>, &'a str)> {
+    let mut row = vec![None; vars.len()];
+    // The column after the last one bound: where an encoder that writes
+    // bindings in header order puts the next one.
+    let mut expected = 0;
+    loop {
+        rest = next_tag(rest)?;
+        if let Some(after) = rest.strip_prefix("</result>") {
+            return Some((row, after));
+        }
+        let Some(after) = rest.strip_prefix(BINDING) else {
+            rest = &rest[1..];
+            continue;
+        };
+        let name = &after[..after.find('"')?];
+        let after = &after[name.len()..];
+        let (term, after) = decode_binding(&after[after.find('>')? + 1..], memo)?;
+        let column = if raw_vars.get(expected) == Some(&name) {
+            expected
+        } else {
+            // Out of header order, or (the fallback) escaped differently
+            // from the header's spelling of the same name.
+            raw_vars.iter().position(|v| *v == name).or_else(|| {
+                let name = unescape(name);
+                vars.iter().position(|v| *v == name)
+            })?
+        };
+        row[column] = Some(term);
+        expected = column + 1;
+        rest = after;
+    }
+}
+
+/// A binding's content — `<uri>…</uri>`, `<bnode>…</bnode>` or
+/// `<literal …>…</literal>`, then `</binding>` — and what follows it. The
+/// content slice determines the term, so it is the memo's key and a repeat
+/// is never parsed.
+fn decode_binding<'a>(content: &'a str, memo: &mut TermMemo<'a>) -> Option<(Term, &'a str)> {
+    let close = if content.starts_with("<uri>") {
+        "</uri>"
+    } else if content.starts_with("<bnode>") {
+        "</bnode>"
+    } else if content.starts_with("<literal") {
+        "</literal>"
+    } else {
+        return None;
+    };
+    let text_start = content.find('>')? + 1;
+    let text_end = text_start + content[text_start..].find('<')?;
+    let after = content[text_end..].strip_prefix(close)?;
+    let term = memo.term(&content[..content.len() - after.len()], |content| {
+        let text = unescape(&content[text_start..text_end]);
+        Some(match close {
+            "</uri>" => Term::iri(text),
+            "</bnode>" => Term::blank(text),
+            _ => {
+                let attrs = &content["<literal".len()..text_start - 1];
+                if let Some(lang) = attr_value(attrs, "xml:lang=\"") {
+                    Term::Literal(Literal::lang_string(text, unescape(lang)))
+                } else if let Some(dt) = attr_value(attrs, "datatype=\"") {
+                    Term::Literal(Literal::typed(text, unescape(dt)))
+                } else {
+                    Term::string(text)
+                }
+            }
+        })
+    })?;
+    Some((term, after.strip_prefix("</binding>")?))
+}
+
+/// The value following `marker` (an attribute name with its `="`) in a tag's
+/// attribute run, up to the closing quote.
+fn attr_value<'a>(attrs: &'a str, marker: &str) -> Option<&'a str> {
+    let start = attrs.find(marker)? + marker.len();
+    let end = start + attrs[start..].find('"')?;
+    Some(&attrs[start..end])
 }
 
 #[cfg(test)]

@@ -301,6 +301,8 @@ impl Executor {
         let first = self.chunk_with_retry(endpoint, sparql, 0, page, &mut rng)?;
         let short = first.len() < page;
         let mut df = table_to_dataframe(&first)?;
+        // The page is in the frame; free it before the next one is fetched.
+        drop(first);
         if short {
             return Ok(PartialFrame {
                 frame: df,

@@ -1,0 +1,292 @@
+//! The wire codecs as functions of bytes: `decode(encode(t)) == t` for
+//! generated tables full of the characters each format has to escape, and
+//! `decode` of damaged documents — truncated anywhere, bytes flipped or
+//! inserted — never panics and never returns a ragged table.
+//!
+//! `corrupt_wire.rs` drives a fixed list of bad bodies through the whole
+//! client stack; this file widens the input space of the two decoders
+//! themselves.
+
+use proptest::prelude::*;
+use rdf_model::vocab::xsd;
+use rdf_model::{Literal, Term};
+use rdfframes_core::client::{wire, xml};
+use sparql_engine::SolutionTable;
+
+/// Pieces a hostile value is assembled from: the XML markup characters, text
+/// that looks like an entity, a CDATA end, this format's own closing tags,
+/// the TSV delimiters' neighbours, multi-byte UTF-8.
+const PIECES: [&str; 20] = [
+    "&",
+    "<",
+    ">",
+    "\"",
+    "'",
+    "&amp;",
+    "&lt;b&gt;",
+    "&#38;",
+    "]]>",
+    "</literal>",
+    "</binding></result>",
+    "\\",
+    "\\n",
+    "^^",
+    "@en",
+    "\u{2}",
+    "é中♥",
+    " ",
+    "a",
+    "http://x/y?q=1&r=2#z",
+];
+
+/// A value with no tab or newline: usable anywhere, also where TSV has no
+/// escape (IRIs, labels, tags, variable names).
+fn token() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..PIECES.len(), 0..4)
+        .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+}
+
+/// A lexical form: a token with raw tabs, newlines and carriage returns.
+fn text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![
+            token(),
+            Just("\t".to_string()),
+            Just("\n".to_string()),
+            Just("\r".to_string())
+        ],
+        0..3,
+    )
+    .prop_map(|parts| parts.concat())
+}
+
+fn term() -> impl Strategy<Value = Term> {
+    let datatype = prop_oneof![
+        Just(xsd::INTEGER.to_string()),
+        Just(xsd::DOUBLE.to_string()),
+        Just(xsd::BOOLEAN.to_string()),
+        Just(xsd::DATE_TIME.to_string()),
+        token(),
+    ];
+    prop_oneof![
+        token().prop_map(Term::iri),
+        token().prop_map(Term::blank),
+        text().prop_map(Term::string),
+        (text(), token()).prop_map(|(s, lang)| Term::Literal(Literal::lang_string(s, lang))),
+        (text(), datatype).prop_map(|(s, dt)| Term::Literal(Literal::typed(s, dt))),
+        (-3i64..4).prop_map(Term::integer),
+        Just(Term::Literal(Literal::double(2.5))),
+        Just(Term::Literal(Literal::boolean(true))),
+    ]
+}
+
+/// Tables of 0–4 columns and 0–6 rows; names are distinct (an index suffix)
+/// and otherwise hostile; a third of the cells are unbound, and a small pool
+/// of terms makes values repeat within a table, as pages do.
+fn table() -> impl Strategy<Value = SolutionTable> {
+    (
+        proptest::collection::vec(token(), 0..5),
+        proptest::collection::vec(term(), 1..6),
+        proptest::collection::vec(proptest::collection::vec(0usize..100, 4), 0..7),
+    )
+        .prop_map(|(names, pool, picks)| {
+            let vars: Vec<String> = (names.iter().enumerate())
+                .map(|(i, n)| format!("{n}{i}"))
+                .collect();
+            let rows = (picks.iter())
+                .map(|row| {
+                    (row[..vars.len()].iter())
+                        .map(|&k| (k % 3 > 0).then(|| pool[k % pool.len()].clone()))
+                        .collect()
+                })
+                .collect();
+            SolutionTable { vars, rows }
+        })
+}
+
+/// Equal as tables and in what `==` does not see (a literal's parsed value).
+fn same(a: &SolutionTable, b: &SolutionTable) -> bool {
+    a == b && format!("{a:?}") == format!("{b:?}")
+}
+
+fn rectangular(t: &SolutionTable) -> bool {
+    t.rows.iter().all(|r| r.len() == t.vars.len())
+}
+
+fn small() -> SolutionTable {
+    SolutionTable {
+        vars: vec!["s".into(), "a&b".into(), "n".into()],
+        rows: vec![
+            vec![
+                Some(Term::iri("http://x/a?q=1&r=2")),
+                Some(Term::Literal(Literal::lang_string("héllo <\"w\">", "en"))),
+                Some(Term::integer(5)),
+            ],
+            vec![Some(Term::blank("b0")), None, Some(Term::string("5"))],
+            vec![None, Some(Term::string("tab\there ]]> &amp;")), None],
+        ],
+    }
+}
+
+const SMALL_XML: &str = "<?xml version=\"1.0\"?>\n\
+<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n\
+<head><variable name=\"s\"/><variable name=\"a&amp;b\"/><variable name=\"n\"/></head>\n\
+<results>\n\
+<result><binding name=\"s\"><uri>http://x/a?q=1&amp;r=2</uri></binding>\
+<binding name=\"a&amp;b\"><literal xml:lang=\"en\">héllo &lt;&quot;w&quot;&gt;</literal></binding>\
+<binding name=\"n\"><literal datatype=\"http://www.w3.org/2001/XMLSchema#integer\">5</literal></binding></result>\n\
+<result><binding name=\"s\"><bnode>b0</bnode></binding>\
+<binding name=\"n\"><literal>5</literal></binding></result>\n\
+<result><binding name=\"a&amp;b\"><literal>tab\there ]]&gt; &amp;amp;</literal></binding></result>\n\
+</results>\n\
+</sparql>\n";
+
+const SMALL_TSV: &str = "?s\t?a&b\t?n\n\
+<http://x/a?q=1&r=2>\t\"héllo <\\\"w\\\">\"@en\t\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>\n\
+_:b0\t\t\"5\"\n\
+\t\"tab\\there ]]> &amp;\"\t\n";
+
+#[test]
+fn encoders_write_exactly_these_bytes() {
+    assert_eq!(xml::encode(&small()), SMALL_XML);
+    assert_eq!(wire::encode(&small()), SMALL_TSV);
+    assert!(same(&xml::decode(SMALL_XML).unwrap(), &small()));
+    assert!(same(&wire::decode(SMALL_TSV).unwrap(), &small()));
+}
+
+#[test]
+fn rows_with_nothing_to_print_survive_tsv() {
+    // An empty line is "no row", so the unit row and a lone unbound cell
+    // are shipped as a marker line.
+    for table in [
+        SolutionTable::unit(),
+        SolutionTable {
+            vars: vec!["a".into()],
+            rows: vec![vec![None], vec![Some(Term::integer(1))], vec![None]],
+        },
+    ] {
+        assert_eq!(wire::decode(&wire::encode(&table)).unwrap(), table);
+        assert_eq!(xml::decode(&xml::encode(&table)).unwrap(), table);
+    }
+    // The marker under a wider header is a malformed field, not a short row.
+    assert!(wire::decode("?a\t?b\n\u{2}\n").is_none());
+}
+
+#[test]
+fn a_name_spelled_differently_from_the_header_still_finds_its_column() {
+    // The header writes a bare `&`, the binding the entity; bindings arrive
+    // out of header order.
+    let doc = "<head><variable name=\"p&q\"/><variable name=\"z\"/></head><results>\
+               <result><binding name=\"z\"><literal>1</literal></binding>\
+               <binding name=\"p&amp;q\"><literal>2</literal></binding></result></results>";
+    let table = xml::decode(doc).unwrap();
+    assert_eq!(table.vars, ["p&q", "z"]);
+    assert_eq!(
+        table.rows,
+        [[Some(Term::string("2")), Some(Term::string("1"))]]
+    );
+}
+
+/// `corrupt_wire.rs::corrupt_bodies()`, with what the decoders said at the
+/// commit before the one-pass rewrite: (body, XML rejected, TSV rejected).
+/// A rejection must stay a rejection.
+const CORRUPT: [(&str, bool, bool); 12] = [
+    ("", true, false),
+    ("<?xml version=\"1.0\"?>", true, false),
+    ("<sparql><head>", true, false),
+    ("<sparql><head></head><results><result>", true, false),
+    (
+        "<head></head><results><result><binding name=\"s\"><uri>http://x</uri>",
+        true,
+        false,
+    ),
+    (
+        "<head><variable name=\"s\"/></head><results><result>\
+         <binding name=\"s\"><uri>http://x</binding></result></results>",
+        true,
+        false,
+    ),
+    (
+        "<head><variable name=\"s\"/></head><results><result>\
+         <binding name=\"UNDECLARED\"><uri>http://x</uri></binding></result></results>",
+        true,
+        false,
+    ),
+    (
+        "<head><variable name=\"s\"/></head><results>\
+         <result><binding name=\"s\"><literal datatype=\"oops>x</literal></binding></result></results>",
+        false,
+        false,
+    ),
+    ("?s\nnot-a-term\n", true, true),
+    ("?s\n\"unterminated\n", true, true),
+    ("?s\n\"abc\\\n", true, true),
+    ("?s\n<http://x/a>\t<http://x/b>\n", true, true),
+];
+
+#[test]
+fn bodies_rejected_before_the_rewrite_are_still_rejected() {
+    for (body, xml_rejected, tsv_rejected) in CORRUPT {
+        let (x, t) = (xml::decode(body), wire::decode(body));
+        assert!(!xml_rejected || x.is_none(), "XML accepts {body:?}");
+        assert!(!tsv_rejected || t.is_none(), "TSV accepts {body:?}");
+        assert!(x.iter().chain(&t).all(rectangular), "{body:?}");
+    }
+}
+
+#[test]
+fn truncated_documents_are_rejected_or_rectangular() {
+    let (x, t) = (xml::encode(&small()), wire::encode(&small()));
+    let end_of_results = x.find("</results>").unwrap() + "</results>".len();
+    for cut in (0..x.len()).filter(|&i| x.is_char_boundary(i)) {
+        match xml::decode(&x[..cut]) {
+            // Everything up to `</results>` arrived: the whole table did.
+            Some(table) => assert!(cut >= end_of_results && same(&table, &small()), "{cut}"),
+            None => assert!(cut < end_of_results, "{cut}"),
+        }
+        let _ = wire::decode(&x[..cut]);
+    }
+    for cut in (0..t.len()).filter(|&i| t.is_char_boundary(i)) {
+        // A TSV prefix may well be a document; it must be a rectangular one.
+        assert!(wire::decode(&t[..cut]).iter().all(rectangular), "{cut}");
+        let _ = xml::decode(&t[..cut]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn xml_round_trips(t in table()) {
+        let decoded = xml::decode(&xml::encode(&t));
+        prop_assert!(decoded.as_ref().is_some_and(|d| same(d, &t)), "{t:?}\n-> {decoded:?}");
+    }
+
+    #[test]
+    fn tsv_round_trips(t in table()) {
+        let decoded = wire::decode(&wire::encode(&t));
+        prop_assert!(decoded.as_ref().is_some_and(|d| same(d, &t)), "{t:?}\n-> {decoded:?}");
+    }
+
+    #[test]
+    fn damaged_documents_never_panic_and_never_decode_ragged(
+        t in table(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<bool>()), 1..4),
+    ) {
+        for doc in [xml::encode(&t), wire::encode(&t)] {
+            let mut bytes = doc.into_bytes();
+            for &(at, byte, insert) in &edits {
+                let at = at % bytes.len();
+                if insert {
+                    bytes.insert(at, byte);
+                } else {
+                    bytes[at] ^= byte | 1;
+                }
+            }
+            let damaged = String::from_utf8_lossy(&bytes);
+            for decoded in [xml::decode(&damaged), wire::decode(&damaged)] {
+                prop_assert!(decoded.iter().all(rectangular), "{damaged:?} -> {decoded:?}");
+            }
+        }
+    }
+}

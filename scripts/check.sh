@@ -71,10 +71,11 @@ cargo test -q -p sparql-engine --test budget_enforcement
 
 # Fixed-seed chaos smoke: the paper workload through a fault-injecting
 # endpoint — retried runs must be byte-identical, give-ups typed, partial
-# results whole-chunk prefixes.
+# results whole-chunk prefixes — and the wire codecs over generated tables
+# and damaged documents (round trip, no panic, no ragged table).
 echo "==> chaos smoke (fixed seed)"
 cargo test -q -p bench --test chaos_suite
-cargo test -q -p rdfframes-core --test chaos_retry --test corrupt_wire
+cargo test -q -p rdfframes-core --test chaos_retry --test corrupt_wire --test wire_codec
 
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
