@@ -31,14 +31,31 @@
 //!
 //! Each ordering is split into two parts:
 //!
-//! - a **frozen slab**: a sorted `Vec<(TermId, TermId, TermId)>`. Range
-//!   lookups are two `partition_point` binary searches followed by a linear
-//!   walk over contiguous memory — no pointer chasing, no tree nodes, and
-//!   the prefetcher sees a plain array.
+//! - a **frozen slab**: a sorted `Vec<(TermId, TermId, TermId)>`. A range
+//!   lookup locates its start, gallops to its end and walks contiguous
+//!   memory — no pointer chasing, no tree nodes, and the prefetcher sees a
+//!   plain array.
 //! - a **delta buffer**: a `BTreeSet` in the same ordering holding triples
 //!   inserted since the last compaction. Scans merge the slab slice with the
 //!   delta range on the fly (both are sorted, so the merge is linear and
 //!   preserves global index order).
+//!
+//! # Seeking scans
+//!
+//! An index nested loop probes one pattern once per input row, and its
+//! input usually arrives sorted on the probed column, so consecutive probes
+//! ask for the same range or one a little further on. A probe that passes a
+//! [`SeekHint`] to [`TripleIndex::for_each_match_from`] therefore *seeks*:
+//! when its range starts at or above the previous one, the start is found by
+//! galloping forward from the previous start (doubling steps, then a binary
+//! search of the last bracket — `O(log d)` for a range `d` entries on, one
+//! compare for a repeated key); otherwise, and for hint-less calls, it is
+//! one binary search over the slab. The end of a range always gallops from
+//! its start, since a range holds a few entries. Every scan — visitor,
+//! iterator, count — locates its slab range through this one routine, and a
+//! delta-resident ordering seeks its slab part the same way while its delta
+//! part is a `BTreeSet` range. The hint changes how a range is found, never
+//! what a scan visits.
 //!
 //! # Compaction contract
 //!
@@ -74,6 +91,21 @@ type Key = (TermId, TermId, TermId);
 /// same pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanPos(Key);
+
+/// Opaque memory of where a [`TripleIndex::for_each_match_from`] scan last
+/// located its slab range, so the next probe can seek forward from there
+/// instead of searching the whole slab (see the module docs). A caller
+/// probing one index with ascending keys keeps one hint per index and passes
+/// it to every call; `SeekHint::default()` means "no memory" and costs a
+/// plain binary search.
+///
+/// A hint never changes what a scan returns, only how the range is found:
+/// it is used only when the slab entry just before the remembered position
+/// is below the new range (one compare certifies it), so a hint from a
+/// descending probe, another ordering, another index or an index mutated
+/// since falls back to the full search.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SeekHint(Option<usize>);
 
 /// Strict successor of a key in lexicographic order (`None` past the end).
 #[inline]
@@ -164,56 +196,68 @@ struct Index {
     delta: BTreeSet<Key>,
 }
 
+/// `from + slab[from..].partition_point(pred)` for a `pred` that holds on a
+/// prefix of the slab, found by galloping: probe `from`, `from + 1`,
+/// `from + 3`, `from + 7`, … until `pred` fails or the slab ends, then
+/// binary-search the last bracket. A boundary `d` entries past `from` costs
+/// `O(log d)` compares whatever the slab's length, so a short forward seek
+/// is a handful of compares and a boundary at `from` exactly one.
+#[inline]
+fn gallop(slab: &[Key], from: usize, pred: impl Fn(&Key) -> bool) -> usize {
+    // `pred` holds on `slab[from..base]`; the next probe is `base + step - 1`.
+    let mut base = from;
+    let mut step = 1;
+    while base + step <= slab.len() && pred(&slab[base + step - 1]) {
+        base += step;
+        step *= 2;
+    }
+    let bracket_end = (base + step - 1).min(slab.len());
+    base + slab[base..bracket_end].partition_point(pred)
+}
+
 impl Index {
-    /// The contiguous slab range whose entries fall in `[lo, hi]`.
+    /// The contiguous slab range whose entries fall in `[lo, hi]`, and the
+    /// one range-location routine every scan shares. The start seeks
+    /// forward from `hint` when the entry before the hinted position is
+    /// below `lo` (so nothing at or above `lo` lies before it), and is one
+    /// binary search otherwise; the end always gallops from the start, as
+    /// a range holds a few entries. `hint` is left at the range's start.
     #[inline]
-    fn slab_range(&self, lo: Key, hi: Key) -> &[Key] {
-        let start = self.slab.partition_point(|&t| t < lo);
-        let end = start + self.slab[start..].partition_point(|&t| t <= hi);
-        &self.slab[start..end]
+    fn slab_range(&self, lo: Key, hi: Key, hint: &mut SeekHint) -> &[Key] {
+        let slab = &self.slab[..];
+        let start = match hint.0 {
+            Some(at) if at <= slab.len() && at.checked_sub(1).is_none_or(|b| slab[b] < lo) => {
+                gallop(slab, at, |&t| t < lo)
+            }
+            _ => slab.partition_point(|&t| t < lo),
+        };
+        *hint = SeekHint(Some(start));
+        &slab[start..gallop(slab, start, |&t| t <= hi)]
     }
 
     fn contains(&self, key: Key) -> bool {
         self.slab.binary_search(&key).is_ok() || self.delta.contains(&key)
     }
 
-    /// Visit every entry in `[lo, hi]` in index order, merging the slab
-    /// slice with the delta range (both sorted; entries are disjoint).
-    fn for_each_in<F: FnMut(Key)>(&self, lo: Key, hi: Key, mut f: F) -> u64 {
-        let slab = self.slab_range(lo, hi);
-        if self.delta.is_empty() {
-            // Fast path: pure contiguous scan.
-            for &k in slab {
-                f(k);
-            }
-            return slab.len() as u64;
-        }
-        // One canonical merge: the visitor path drives the same iterator
-        // `match_pattern` exposes, so the tie-break can never diverge.
-        let mut n = 0;
-        for k in self.range_iter(lo, hi) {
-            n += 1;
-            f(k);
-        }
-        n
-    }
-
-    /// Like [`Index::for_each_in`], but the visitor can stop the scan early
-    /// by returning `false`. Returns the number of entries visited (the
-    /// stopping entry counts — it was handed to `f`) plus the key the scan
-    /// stopped *at*, or `None` when the range was exhausted. Resuming from
-    /// the successor of the returned key visits every remaining entry
+    /// Visit the entries in `[lo, hi]` in index order, merging the slab
+    /// slice with the delta range (both sorted; entries are disjoint), until
+    /// the visitor returns `false`. Returns the number of entries visited
+    /// (the stopping entry counts — it was handed to `f`) plus the key the
+    /// scan stopped *at*, or `None` when the range was exhausted. Resuming
+    /// from the successor of the returned key visits every remaining entry
     /// exactly once, so the total visited across suspensions equals one
-    /// uninterrupted [`Index::for_each_in`] pass.
-    fn for_each_in_until<F: FnMut(Key) -> bool>(
+    /// uninterrupted pass.
+    #[inline]
+    fn for_each_in<F: FnMut(Key) -> bool>(
         &self,
         lo: Key,
         hi: Key,
+        hint: &mut SeekHint,
         mut f: F,
     ) -> (u64, Option<Key>) {
         if self.delta.is_empty() {
             // Fast path: pure contiguous scan.
-            let slab = self.slab_range(lo, hi);
+            let slab = self.slab_range(lo, hi, hint);
             for (i, &k) in slab.iter().enumerate() {
                 if !f(k) {
                     return (i as u64 + 1, Some(k));
@@ -221,8 +265,10 @@ impl Index {
             }
             return (slab.len() as u64, None);
         }
+        // One canonical merge: the visitor path drives the same iterator
+        // `match_pattern` exposes, so the tie-break can never diverge.
         let mut n = 0;
-        for k in self.range_iter(lo, hi) {
+        for k in self.range_iter(lo, hi, hint) {
             n += 1;
             if !f(k) {
                 return (n, Some(k));
@@ -233,9 +279,9 @@ impl Index {
 
     /// Iterator form of [`Index::for_each_in`] (allocation is confined to
     /// the boxed iterator the caller already pays for).
-    fn range_iter(&self, lo: Key, hi: Key) -> MergeIter<'_> {
+    fn range_iter(&self, lo: Key, hi: Key, hint: &mut SeekHint) -> MergeIter<'_> {
         MergeIter {
-            slab: self.slab_range(lo, hi).iter(),
+            slab: self.slab_range(lo, hi, hint).iter(),
             slab_peek: None,
             delta: self.delta.range(lo..=hi),
             delta_peek: None,
@@ -548,7 +594,11 @@ impl TripleIndex {
         o: Option<TermId>,
     ) -> Box<dyn Iterator<Item = (TermId, TermId, TermId)> + 'a> {
         let (index, lo, hi, project) = self.access_path(s, p, o);
-        Box::new(index.range_iter(lo, hi).map(project))
+        Box::new(
+            index
+                .range_iter(lo, hi, &mut SeekHint::default())
+                .map(project),
+        )
     }
 
     /// Visit every match of a triple pattern without allocating an iterator
@@ -563,17 +613,25 @@ impl TripleIndex {
         o: Option<TermId>,
         mut f: F,
     ) -> u64 {
-        let (index, lo, hi, project) = self.access_path(s, p, o);
-        index.for_each_in(lo, hi, |k| {
-            let (s, p, o) = project(k);
+        let hint = &mut SeekHint::default();
+        self.for_each_match_from(s, p, o, None, hint, |s, p, o| {
             f(s, p, o);
+            true
         })
+        .0
     }
 
-    /// Resumable form of [`TripleIndex::for_each_match`]: visit matches in index
-    /// order starting *after* `resume` (a [`ScanPos`] returned by a previous
-    /// suspension; `None` starts from the beginning), stopping early when
-    /// the visitor returns `false`.
+    /// Resumable, seeking form of [`TripleIndex::for_each_match`]: visit
+    /// matches in index order starting *after* `resume` (a [`ScanPos`]
+    /// returned by a previous suspension; `None` starts from the beginning),
+    /// stopping early when the visitor returns `false`.
+    ///
+    /// `hint` remembers where the previous call located its slab range:
+    /// a probe whose range starts at or above the previous one (the next
+    /// key of a sorted input, the same key again, or a resumed scan) gallops
+    /// forward from there instead of searching the whole slab. Pass one hint
+    /// per index across a sequence of probes, or `&mut SeekHint::default()`
+    /// for a one-off scan; results never depend on it.
     ///
     /// Returns `(visited, pos)`: `visited` counts index entries handed to
     /// the visitor in this call, and `pos` is `Some` when the visitor
@@ -588,6 +646,7 @@ impl TripleIndex {
         p: Option<TermId>,
         o: Option<TermId>,
         resume: Option<ScanPos>,
+        hint: &mut SeekHint,
         mut f: F,
     ) -> (u64, Option<ScanPos>) {
         let (index, lo, hi, project) = self.access_path(s, p, o);
@@ -601,7 +660,7 @@ impl TripleIndex {
             },
             None => lo,
         };
-        let (visited, stopped) = index.for_each_in_until(lo, hi, |k| {
+        let (visited, stopped) = index.for_each_in(lo, hi, hint, |k| {
             let (s, p, o) = project(k);
             f(s, p, o)
         });
@@ -611,16 +670,18 @@ impl TripleIndex {
     /// Exact (not estimated) number of matches for a pattern.
     pub fn count_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         let (index, lo, hi, _) = self.access_path(s, p, o);
+        let slab = index.slab_range(lo, hi, &mut SeekHint::default()).len();
         if index.delta.is_empty() {
-            index.slab_range(lo, hi).len()
+            slab
         } else {
-            index.slab_range(lo, hi).len() + index.delta.range(lo..=hi).count()
+            slab + index.delta.range(lo..=hi).count()
         }
     }
 
     /// Iterate all triples as id tuples in SPO order.
     pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        self.spo.range_iter((MIN, MIN, MIN), (MAX, MAX, MAX))
+        self.spo
+            .range_iter((MIN, MIN, MIN), (MAX, MAX, MAX), &mut SeekHint::default())
     }
 
     /// Build a statistics snapshot for the optimizer in two sequential
@@ -629,7 +690,15 @@ impl TripleIndex {
     /// (subject, predicate) pair.
     pub fn stats(&self) -> GraphStats {
         let all = |index: &Index, f: &mut dyn FnMut(Key)| {
-            index.for_each_in((MIN, MIN, MIN), (MAX, MAX, MAX), f);
+            index.for_each_in(
+                (MIN, MIN, MIN),
+                (MAX, MAX, MAX),
+                &mut SeekHint::default(),
+                |k| {
+                    f(k);
+                    true
+                },
+            );
         };
         let mut predicates: FxHashMap<TermId, PredicateStats> = FxHashMap::default();
         let mut run = None;
@@ -658,7 +727,7 @@ impl TripleIndex {
     pub fn predicates(&self) -> impl Iterator<Item = TermId> + '_ {
         let mut last: Option<TermId> = None;
         self.pos
-            .range_iter((MIN, MIN, MIN), (MAX, MAX, MAX))
+            .range_iter((MIN, MIN, MIN), (MAX, MAX, MAX), &mut SeekHint::default())
             .filter_map(move |(p, _, _)| {
                 if last == Some(p) {
                     None
@@ -815,11 +884,13 @@ mod tests {
                             let mut pos = None;
                             loop {
                                 let mut left = stride;
-                                let (n, next) = g.for_each_match_from(s, p, o, pos, |a, b, c| {
-                                    seen.push((a, b, c));
-                                    left -= 1;
-                                    left > 0
-                                });
+                                let hint = &mut SeekHint::default();
+                                let (n, next) =
+                                    g.for_each_match_from(s, p, o, pos, hint, |a, b, c| {
+                                        seen.push((a, b, c));
+                                        left -= 1;
+                                        left > 0
+                                    });
                                 total += n;
                                 match next {
                                     Some(_) => pos = next,
@@ -830,6 +901,66 @@ mod tests {
                             assert_eq!(total, full_n, "stride {stride} changed the work count");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    fn key(a: u32) -> Key {
+        (TermId(a), MIN, MIN)
+    }
+
+    #[test]
+    fn gallop_agrees_with_partition_point_at_the_edges() {
+        let reference = |slab: &[Key], from: usize, pred: &dyn Fn(&Key) -> bool| {
+            from + slab[from..].partition_point(pred)
+        };
+        let empty: Vec<Key> = Vec::new();
+        assert_eq!(gallop(&empty, 0, |_| true), 0, "empty slab");
+        assert_eq!(gallop(&empty, 0, |_| false), 0, "empty slab");
+        let single = vec![key(5)];
+        for pivot in [4, 5, 6] {
+            let below = |k: &Key| *k < key(pivot);
+            assert_eq!(gallop(&single, 0, below), reference(&single, 0, &below));
+            assert_eq!(gallop(&single, 1, below), 1, "from == len");
+        }
+        for len in [1usize, 2, 3, 7, 8, 9, 64, 100] {
+            let slab: Vec<Key> = (0..len as u32).map(|i| key(2 * i)).collect();
+            for from in 0..=len {
+                assert_eq!(gallop(&slab, from, |_| true), len, "true everywhere");
+                assert_eq!(gallop(&slab, from, |_| false), from, "true nowhere");
+                for pivot in 0..=2 * len as u32 + 1 {
+                    let below = |k: &Key| *k < key(pivot);
+                    assert_eq!(
+                        gallop(&slab, from, below),
+                        reference(&slab, from, &below),
+                        "len {len}, from {from}, pivot {pivot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stale_or_foreign_hints_never_change_a_scan() {
+        // A hint left by a later range, another ordering or another index
+        // must fall back to the full search, never skip entries.
+        for g in [sample(), sample_compacted(), sample_half_compacted()] {
+            let ids: Vec<Option<TermId>> = ["s1", "s2", "p1", "p2", "o1", "o2", "o3"]
+                .iter()
+                .map(|n| g.term_id(&Term::iri(format!("http://x/{n}"))))
+                .collect();
+            let mut hint = SeekHint(Some(usize::MAX));
+            for &s in ids.iter().rev().chain([&None]) {
+                for &o in ids.iter().chain([&None]) {
+                    let mut fresh = Vec::new();
+                    let fresh_n = g.for_each_match(s, None, o, |a, b, c| fresh.push((a, b, c)));
+                    let mut seen = Vec::new();
+                    let (n, _) = g.for_each_match_from(s, None, o, None, &mut hint, |a, b, c| {
+                        seen.push((a, b, c));
+                        true
+                    });
+                    assert_eq!((seen, n), (fresh, fresh_n));
                 }
             }
         }

@@ -36,7 +36,7 @@ pub mod vocab;
 
 pub use dataset::{Dataset, TermRanks};
 pub use error::{ModelError, Result};
-pub use graph::{Graph, GraphStats, ScanPos, TripleIndex};
+pub use graph::{Graph, GraphStats, ScanPos, SeekHint, TripleIndex};
 pub use interner::{Interner, TermId};
 pub use persist::{RecoveryReport, StorageError, Store};
 pub use prefix::PrefixMap;

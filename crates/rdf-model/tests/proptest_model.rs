@@ -56,8 +56,167 @@ fn storage_op_strategy() -> impl Strategy<Value = StorageOp> {
     ]
 }
 
+/// A triple over a small vocabulary (ten nodes, three predicates), so
+/// patterns share keys and probes land inside, between and beyond ranges.
+fn dense_triple_strategy() -> impl Strategy<Value = Triple> {
+    (0u32..10, 0u32..3, 0u32..10).prop_map(|(s, p, o)| {
+        Triple::new(
+            Term::iri(format!("http://e/{s}")),
+            Term::iri(format!("http://e/p{p}")),
+            Term::iri(format!("http://e/{o}")),
+        )
+    })
+}
+
+/// A run of probes sharing one bound-ness shape: probe `i` moves position
+/// `vary` of `base` by `i × step` in direction `dir` (0 = repeat, 1 = up,
+/// 2 = down), and suspends every `stride` matches (0 = never).
+#[derive(Debug, Clone)]
+struct ProbeRun {
+    mask: u8,
+    base: [u32; 3],
+    vary: usize,
+    dir: u8,
+    step: u32,
+    len: usize,
+    strides: Vec<usize>,
+}
+
+/// A probe's bound id: 0..=15 covers every id of the dense vocabulary and a
+/// few past its high end; `u32::MAX` sits past the end of every ordering
+/// (resuming after it overflows the key space).
+fn probe_value() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..16, 0u32..16, 0u32..16, Just(u32::MAX)]
+}
+
+fn probe_run_strategy() -> impl Strategy<Value = ProbeRun> {
+    (
+        0u8..8,
+        (probe_value(), probe_value(), probe_value()),
+        0usize..3,
+        0u8..3,
+        (1u32..4, 1usize..9),
+        proptest::collection::vec(0usize..4, 8),
+    )
+        .prop_map(
+            |(mask, (a, b, c), vary, dir, (step, len), strides)| ProbeRun {
+                mask,
+                base: [a, b, c],
+                vary,
+                dir,
+                step,
+                len,
+                strides,
+            },
+        )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn seeking_scans_match_fresh_scans_and_the_model(
+        triples in proptest::collection::vec(dense_triple_strategy(), 0..48),
+        threshold in prop_oneof![Just(1usize), Just(4usize), Just(usize::MAX)],
+        compact_after in 0usize..64,
+        compact_end in any::<bool>(),
+        runs in proptest::collection::vec(probe_run_strategy(), 1..12),
+    ) {
+        // One hint serves a whole sequence of probes — ascending runs,
+        // repeats, descents, keys past both ends, all eight shapes, and
+        // suspend/resume chains — over slab-only, delta-only and mixed
+        // layouts. Each call must equal the same call with a fresh hint
+        // (matches, order, visited, stop point), each chain must concatenate
+        // to one uninterrupted `for_each_match`, and that pass must equal
+        // the model's matches sorted in the shape's scan order.
+        use rdf_model::{SeekHint, TermId, TripleIndex};
+        let mut g = Graph::with_delta_threshold(threshold);
+        let mut model = Vec::new();
+        for (i, t) in triples.iter().enumerate() {
+            if g.insert(t) {
+                model.push((
+                    g.term_id(&t.subject).unwrap(),
+                    g.term_id(&t.predicate).unwrap(),
+                    g.term_id(&t.object).unwrap(),
+                ));
+            }
+            if i == compact_after {
+                g.compact();
+            }
+        }
+        if compact_end {
+            g.compact();
+        }
+        let mut hint = SeekHint::default();
+        for run in &runs {
+            for i in 0..run.len {
+                let mut vals = run.base;
+                let moved = (i as u32).saturating_mul(run.step);
+                vals[run.vary] = match run.dir {
+                    0 => vals[run.vary],
+                    1 => vals[run.vary].saturating_add(moved),
+                    _ => vals[run.vary].saturating_sub(moved),
+                };
+                let [s, p, o] = [4u8, 2, 1].map(|bit| run.mask & bit != 0);
+                let (qs, qp, qo) = (
+                    s.then_some(TermId(vals[0])),
+                    p.then_some(TermId(vals[1])),
+                    o.then_some(TermId(vals[2])),
+                );
+
+                let mut expect: Vec<_> = model
+                    .iter()
+                    .filter(|&&(ms, mp, mo)| {
+                        qs.is_none_or(|v| v == ms)
+                            && qp.is_none_or(|v| v == mp)
+                            && qo.is_none_or(|v| v == mo)
+                    })
+                    .copied()
+                    .collect();
+                let order = TripleIndex::scan_free_order(s, p, o);
+                expect.sort_by_key(|&(ms, mp, mo)| {
+                    order.iter().map(|&k| [ms, mp, mo][k]).collect::<Vec<_>>()
+                });
+                let mut fresh = Vec::new();
+                let fresh_n = g.for_each_match(qs, qp, qo, |a, b, c| fresh.push((a, b, c)));
+                prop_assert_eq!(&fresh, &expect, "vs model, run {:?} probe {}", run, i);
+                prop_assert_eq!(fresh_n as usize, fresh.len());
+
+                let stride = run.strides[i % run.strides.len()];
+                let visit = |seen: &mut Vec<_>, left: &mut usize, a, b, c| {
+                    seen.push((a, b, c));
+                    *left = left.saturating_sub(1);
+                    stride == 0 || *left > 0
+                };
+                let (mut chained, mut total, mut pos) = (Vec::new(), 0u64, None);
+                loop {
+                    let (mut seen, mut left) = (Vec::new(), stride);
+                    let (n, next) = g.for_each_match_from(qs, qp, qo, pos, &mut hint, |a, b, c| {
+                        visit(&mut seen, &mut left, a, b, c)
+                    });
+                    let (mut seen_fresh, mut left) = (Vec::new(), stride);
+                    let fresh_hint = &mut SeekHint::default();
+                    let (n_fresh, next_fresh) =
+                        g.for_each_match_from(qs, qp, qo, pos, fresh_hint, |a, b, c| {
+                            visit(&mut seen_fresh, &mut left, a, b, c)
+                        });
+                    prop_assert_eq!(
+                        (&seen, n, next),
+                        (&seen_fresh, n_fresh, next_fresh),
+                        "hinted vs fresh call, run {:?} probe {}", run, i
+                    );
+                    chained.extend(seen);
+                    total += n;
+                    match next {
+                        Some(_) => pos = next,
+                        None => break,
+                    }
+                }
+                prop_assert_eq!(&chained, &fresh, "suspended chain, run {:?} probe {}", run, i);
+                prop_assert_eq!(total, fresh_n, "chain visited, run {:?} probe {}", run, i);
+            }
+        }
+    }
 
     #[test]
     fn ntriples_roundtrip(triples in proptest::collection::vec(triple_strategy(), 0..20)) {

@@ -31,7 +31,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use rdf_model::ScanPos;
+use rdf_model::{ScanPos, SeekHint};
 
 use super::*;
 
@@ -431,6 +431,10 @@ struct Level<'e> {
     pos: usize,
     /// In-flight suspended scan within row `pos`.
     scan: Option<Scan>,
+    /// Where this level's previous probe found its range, one per graph: a
+    /// level's input is usually sorted on the probed column, so the next
+    /// probe seeks forward from there.
+    hints: Vec<SeekHint>,
     /// Match gather indexes (global row numbers into `input`).
     src: Vec<u32>,
     /// New-binding value vectors, one per slot.
@@ -510,35 +514,37 @@ impl<'e> BgpOp<'e> {
             })();
 
             let terms = [&pattern.subject, &pattern.predicate, &pattern.object];
+            let input_bound = bound.clone();
+            let mut routed = std::mem::take(&mut pattern_filters[pi]);
             let mut free_cols: Vec<usize> = Vec::new();
             let mut primaries: Vec<(usize, usize)> = Vec::new();
             let mut dup_checks: Vec<(usize, usize)> = Vec::new();
+            let mut checks: Vec<(usize, PushedEval<'e>)> = Vec::new();
             for (pos, term) in terms.iter().enumerate() {
                 if let PatternTerm::Var(v) = term {
                     let col = var_idx[v.as_str()];
-                    if bound[col] {
+                    if input_bound[col] {
                         continue;
                     }
                     match free_cols.iter().position(|&c| c == col) {
                         Some(slot) => dup_checks.push((primaries[slot].1, pos)),
                         None => {
+                            // A filter is attached to the first pattern
+                            // mentioning its variable, which is where the
+                            // variable becomes bound: give it this slot.
                             let slot = free_cols.len();
                             free_cols.push(col);
                             primaries.push((slot, pos));
+                            bound[col] = true;
+                            checks.extend(
+                                routed
+                                    .extract_if(.., |(c, _)| *c == col)
+                                    .map(|(_, pe)| (slot, pe)),
+                            );
                         }
                     }
                 }
             }
-            let checks: Vec<(usize, PushedEval<'e>)> = std::mem::take(&mut pattern_filters[pi])
-                .into_iter()
-                .map(|(col, pe)| {
-                    let slot = free_cols
-                        .iter()
-                        .position(|c| *c == col)
-                        .expect("filter var is newly bound at its attachment pattern");
-                    (slot, pe)
-                })
-                .collect();
 
             let n_slots = free_cols.len();
             levels.push(Level {
@@ -547,18 +553,16 @@ impl<'e> BgpOp<'e> {
                 primaries,
                 dup_checks,
                 checks,
-                bound: bound.clone(),
+                bound: input_bound,
                 input: IdTable::with_vars(vars.clone()),
                 pos: 0,
                 scan: None,
+                hints: vec![SeekHint::default(); graphs.len()],
                 src: Vec::new(),
                 vals: (0..n_slots).map(|_| Vec::new()).collect(),
                 staged: None,
                 upstream_done: false,
             });
-            for lvl in levels.last().unwrap().free_cols.clone() {
-                bound[lvl] = true;
-            }
         }
         drop(var_idx);
 
@@ -602,6 +606,7 @@ impl<'e> BgpOp<'e> {
             bound,
             pos,
             scan,
+            hints,
             ..
         } = &mut levels[k];
         let cur = input.columns();
@@ -633,25 +638,30 @@ impl<'e> BgpOp<'e> {
                 Slot::Var(_) => None,
             });
             let row = i as u32;
-            for (graph, g) in graphs.iter().enumerate().skip(start_graph) {
+            for ((graph, g), hint) in graphs
+                .iter()
+                .enumerate()
+                .zip(hints.iter_mut())
+                .skip(start_graph)
+            {
                 let at = resume_at.take();
-                let (visited, stopped) =
-                    g.for_each_match_from(refined[0], refined[1], refined[2], at, |ms, mp, mo| {
-                        let m = [ms, mp, mo];
-                        if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
+                let [s, p, o] = refined;
+                let (visited, stopped) = g.for_each_match_from(s, p, o, at, hint, |ms, mp, mo| {
+                    let m = [ms, mp, mo];
+                    if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
+                        return src.len() < target;
+                    }
+                    for (slot, pe) in checks.iter_mut() {
+                        if !pe.test(m[primaries[*slot].1], pool, caches) {
                             return src.len() < target;
                         }
-                        for (slot, pe) in checks.iter_mut() {
-                            if !pe.test(m[primaries[*slot].1], pool, caches) {
-                                return src.len() < target;
-                            }
-                        }
-                        src.push(row);
-                        for &(slot, ppos) in primaries.iter() {
-                            vals[slot].push(m[ppos]);
-                        }
-                        src.len() < target
-                    });
+                    }
+                    src.push(row);
+                    for &(slot, ppos) in primaries.iter() {
+                        vals[slot].push(m[ppos]);
+                    }
+                    src.len() < target
+                });
                 ev.rows_scanned += visited;
                 if meter.charge_scan(visited)? {
                     let bytes = (src.len() as u64).saturating_mul(4).saturating_add(

@@ -352,6 +352,75 @@ fn join_candidates_do_not_depend_on_batching() {
     }
 }
 
+#[test]
+fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
+    // A two-graph default graph — `a` in frozen slabs, `b` half slab, half
+    // delta (as a WAL-replayed graph is) — and a literal BGP whose second
+    // level probes `?x q ?z` once per row of `?x p ?y`. Those rows arrive in
+    // POS order (by ?y, then ?x; graph `a`'s, then `b`'s), so the probed ?x
+    // climbs within a ?y run and drops at every run and graph boundary, and
+    // every probe visits both graphs in turn. At any pull size the bag and
+    // the scan count must be the oracle's: a hint carried from one graph to
+    // the other, or trusted after a descent, would skip entries.
+    let build = |subjects: std::ops::Range<usize>, ys: usize, threshold: usize| {
+        let iri = |name: String| Term::iri(format!("http://x/{name}"));
+        let mut g = Graph::with_delta_threshold(threshold);
+        for i in subjects {
+            let s = iri(format!("s{i}"));
+            g.insert(&Triple::new(
+                s.clone(),
+                iri("p".into()),
+                iri(format!("y{}", i % ys)),
+            ));
+            if i % 2 == 0 {
+                g.insert(&Triple::new(s, iri("q".into()), iri(format!("z{}", i % 3))));
+            }
+        }
+        g
+    };
+    let mut a = build(0..60, 7, usize::MAX);
+    a.compact();
+    let b = build(30..90, 5, 16);
+    assert!(b.delta_len() > 0 && b.delta_len() < b.len(), "layout setup");
+    let mut ds = Dataset::new();
+    ds.insert_graph("http://a", a);
+    ds.insert_graph_uncompacted("http://b", b);
+    let ds = Arc::new(ds);
+
+    let q = "SELECT * FROM <http://a> FROM <http://b> \
+             WHERE { ?x <http://x/p> ?y . ?x <http://x/q> ?z }";
+    let literal = |eval_mode| {
+        Engine::with_config(
+            Arc::clone(&ds),
+            EngineConfig {
+                optimize: false,
+                eval_mode,
+                ..EngineConfig::new()
+            },
+        )
+    };
+    let bag = |rows: Vec<Vec<Option<Term>>>| {
+        let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    };
+    let (oracle, oracle_stats) = literal(EvalMode::TermReference)
+        .execute_with_stats(q)
+        .unwrap();
+    let expected = bag(oracle.rows);
+    assert!(expected.len() > 30, "the probes must find matches");
+    let engine = literal(EvalMode::Columnar);
+    for batch in [1, 7, usize::MAX] {
+        let (rows, stats) = drain(&engine, q, batch);
+        assert_eq!(bag(rows), expected, "batch {batch}");
+        assert_eq!(
+            stats.rows_scanned + stats.shared_scans,
+            oracle_stats.rows_scanned,
+            "batch {batch}"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The two kernels that live in the operators
 // ---------------------------------------------------------------------------

@@ -77,6 +77,16 @@ echo "==> chaos smoke (fixed seed)"
 cargo test -q -p bench --test chaos_suite
 cargo test -q -p rdfframes-core --test chaos_retry --test corrupt_wire --test wire_codec
 
+# Fixed-seed seek property: one `SeekHint` reused across ascending,
+# repeated, descending and out-of-range probes of every bound-ness shape,
+# with suspend/resume chains, over slab, delta and mixed layouts — each
+# call equal to a hint-less scan and to the model — plus the engine-level
+# hazard (one hint per graph of a two-graph default graph, descending
+# probes) against the oracle.
+echo "==> seeking scans (fixed seed)"
+cargo test -q -p rdf-model --test proptest_model seeking_scans_match_fresh_scans_and_the_model
+cargo test -q -p sparql-engine --test streaming_pipeline seeking_probes_keep_one_hint_per_graph
+
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
 # checked for full Q1–Q19 result/row-scan parity against an in-memory
