@@ -7,7 +7,7 @@ use std::ops::{Index, Range};
 
 use crate::cell::Cell;
 use crate::groupby::GroupBy;
-use crate::join::{join_frames, JoinType};
+use crate::join::{join_frames, JoinError, JoinType};
 
 /// A named-column table of [`Cell`]s.
 ///
@@ -401,14 +401,15 @@ impl DataFrame {
         out
     }
 
-    /// Hash join with another frame on one column from each side.
+    /// Hash join with another frame on one column from each side; a key
+    /// name either frame lacks is a [`JoinError`].
     pub fn join(
         &self,
         other: &DataFrame,
         left_on: &str,
         right_on: &str,
         how: JoinType,
-    ) -> DataFrame {
+    ) -> Result<DataFrame, JoinError> {
         join_frames(self, other, left_on, right_on, how)
     }
 

@@ -1,8 +1,29 @@
 //! Hash joins between dataframes.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use crate::frame::{canonical, merged_dict, DataFrame};
+
+/// Why [`join_frames`] refused: a key column the frame does not have.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JoinError {
+    /// `left_on` names no column of the left frame.
+    UnknownLeftColumn(String),
+    /// `right_on` names no column of the right frame.
+    UnknownRightColumn(String),
+}
+
+impl fmt::Display for JoinError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JoinError::UnknownLeftColumn(c) => write!(f, "unknown left join column {c}"),
+            JoinError::UnknownRightColumn(c) => write!(f, "unknown right join column {c}"),
+        }
+    }
+}
+
+impl std::error::Error for JoinError {}
 
 /// Join types matching the RDFFrames API (`Z`, `⟕`, `⟖`, `⟗`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,7 +38,8 @@ pub enum JoinType {
     Outer,
 }
 
-/// Hash join `left` and `right` on one key column from each side.
+/// Hash join `left` and `right` on one key column from each side; a key
+/// name either frame lacks is a [`JoinError`].
 ///
 /// The output key column takes the *left* column's name; other columns keep
 /// their names, with a `_right` suffix appended on collision (pandas-style
@@ -36,13 +58,13 @@ pub fn join_frames(
     left_on: &str,
     right_on: &str,
     how: JoinType,
-) -> DataFrame {
+) -> Result<DataFrame, JoinError> {
     let li = left
         .column_index(left_on)
-        .unwrap_or_else(|| panic!("unknown left join column {left_on}"));
+        .ok_or_else(|| JoinError::UnknownLeftColumn(left_on.to_string()))?;
     let ri = right
         .column_index(right_on)
-        .unwrap_or_else(|| panic!("unknown right join column {right_on}"));
+        .ok_or_else(|| JoinError::UnknownRightColumn(right_on.to_string()))?;
 
     // Output schema: all left columns, then right columns except the key.
     let mut columns: Vec<String> = left.columns().to_vec();
@@ -144,18 +166,51 @@ pub fn join_frames(
         let column = r_rows.iter().map(|r| r.map_or(0, |r| right_code(src, r)));
         codes.push(column.collect());
     }
-    DataFrame {
+    Ok(DataFrame {
         columns,
         dict,
         codes,
         len: l_rows.len(),
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::Cell;
+
+    /// The join of two frames that have their key columns.
+    fn join_frames(l: &DataFrame, r: &DataFrame, lo: &str, ro: &str, how: JoinType) -> DataFrame {
+        super::join_frames(l, r, lo, ro, how).expect("both key columns exist")
+    }
+
+    #[test]
+    fn unknown_key_columns_are_errors_not_panics() {
+        for how in [
+            JoinType::Inner,
+            JoinType::Left,
+            JoinType::Right,
+            JoinType::Outer,
+        ] {
+            assert_eq!(
+                super::join_frames(&left(), &right(), "nope", "actor", how),
+                Err(JoinError::UnknownLeftColumn("nope".into()))
+            );
+            assert_eq!(
+                left().join(&right(), "actor", "count_", how),
+                Err(JoinError::UnknownRightColumn("count_".into()))
+            );
+            // A column of the other side is still unknown to this one.
+            assert_eq!(
+                super::join_frames(&left(), &right(), "count", "country", how),
+                Err(JoinError::UnknownLeftColumn("count".into()))
+            );
+        }
+        assert_eq!(
+            JoinError::UnknownRightColumn("x".into()).to_string(),
+            "unknown right join column x"
+        );
+    }
 
     fn left() -> DataFrame {
         let mut df = DataFrame::new(vec!["actor".into(), "country".into()]);

@@ -28,4 +28,4 @@ pub use cell::Cell;
 pub use describe::{describe, describe_table, ColumnSummary};
 pub use frame::{AppendError, DataFrame, RowView, Rows};
 pub use groupby::AggFn;
-pub use join::JoinType;
+pub use join::{JoinError, JoinType};

@@ -11,7 +11,7 @@
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use dataframe::{AggFn, Cell, DataFrame, JoinType};
+use dataframe::{AggFn, Cell, DataFrame, JoinError, JoinType};
 use proptest::prelude::*;
 
 fn cell_strategy() -> impl Strategy<Value = Cell> {
@@ -383,7 +383,7 @@ proptest! {
         let mut r = right.clone();
         r.rename("c0", "k");
         r.rename("c1", "v");
-        let joined = l.join(&r, "k", "k", JoinType::Inner);
+        let joined = l.join(&r, "k", "k", JoinType::Inner).unwrap();
         // Expected count: sum over keys of left_count * right_count.
         let mut expected = 0usize;
         for lr in l.rows() {
@@ -406,10 +406,10 @@ proptest! {
         let mut r = right.clone();
         r.rename("c0", "k");
         r.rename("c1", "rv");
-        let outer = l.join(&r, "k", "k", JoinType::Outer);
-        let inner = l.join(&r, "k", "k", JoinType::Inner);
-        let left_join = l.join(&r, "k", "k", JoinType::Left);
-        let right_join = l.join(&r, "k", "k", JoinType::Right);
+        let outer = l.join(&r, "k", "k", JoinType::Outer).unwrap();
+        let inner = l.join(&r, "k", "k", JoinType::Inner).unwrap();
+        let left_join = l.join(&r, "k", "k", JoinType::Left).unwrap();
+        let right_join = l.join(&r, "k", "k", JoinType::Right).unwrap();
         // |outer| = |left| + |right| - |inner| (classic inclusion).
         prop_assert_eq!(
             outer.len() + inner.len(),
@@ -525,14 +525,23 @@ proptest! {
         // Both orders: whichever side is smaller becomes the build side.
         for how in JOIN_TYPES {
             prop_assert_eq!(
-                Model::of(&a.join(&b, "c0", "c0", how)).show(),
+                Model::of(&a.join(&b, "c0", "c0", how).unwrap()).show(),
                 ma.join(&mb, how).show(),
                 "{how:?}, {} x {} rows", a.len(), b.len()
             );
             prop_assert_eq!(
-                Model::of(&b.join(&a, "c0", "c0", how)).show(),
+                Model::of(&b.join(&a, "c0", "c0", how).unwrap()).show(),
                 mb.join(&ma, how).show(),
                 "{how:?}, {} x {} rows", b.len(), a.len()
+            );
+            // `c2` is a column of `a` only: unknown on either side of `b`.
+            prop_assert_eq!(
+                a.join(&b, "c2", "c2", how),
+                Err(JoinError::UnknownRightColumn("c2".into()))
+            );
+            prop_assert_eq!(
+                b.join(&a, "c2", "c0", how),
+                Err(JoinError::UnknownLeftColumn("c2".into()))
             );
         }
     }

@@ -503,6 +503,12 @@ impl<'c> ColumnBatch<'c> {
         self.table.col(col).is_present(row)
     }
 
+    /// True when every row of column `col` is bound (one pass over the
+    /// bitmap's words): the caller may then skip [`ColumnBatch::is_present`].
+    pub fn all_present(&self, col: usize) -> bool {
+        self.table.col(col).all_present()
+    }
+
     /// Checked cell read (batch-relative row).
     pub fn get(&self, col: usize, row: usize) -> Option<TermId> {
         debug_assert!(row < self.len);

@@ -53,7 +53,7 @@ use crate::expr::{
     ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRowCtx, NumericAccum, PushedEval,
 };
 use crate::pool::TermPool;
-use crate::results::{Column, IdTable};
+use crate::results::{Column, IdTable, NO_MATCH};
 
 mod join_index;
 pub(crate) mod pipeline;
@@ -443,9 +443,6 @@ enum JoinKind {
     Left,
 }
 
-/// Marker for "left row had no match" in the pair list of a left join.
-const NO_MATCH: u32 = u32::MAX;
-
 /// Join-shape setup shared by the hash and merge join implementations —
 /// the shared-variable column indexes, the output schema, and the per-pair
 /// compatibility check — so the two paths cannot drift apart (the merge
@@ -541,56 +538,48 @@ fn lex_cmp_prev(t: &IdTable, cols: &[usize], i: usize) -> Ordering {
 }
 
 /// Emit join output columns by gathering over a `(left row, right row)`
-/// pair list (`NO_MATCH` right = unmatched left row of a left join).
+/// pair list (`NO_MATCH` right = unmatched left row of a left join). A
+/// shared column takes the left value when present, else the right side's:
+/// a bulk gather from the left when the left column is fully bound, cell by
+/// cell only when it is not.
 fn assemble_join(
     left: &IdTable,
     right: &IdTable,
     out_vars: Vec<String>,
     pairs: &[(u32, u32)],
 ) -> IdTable {
-    let mut cols: Vec<Column> = Vec::with_capacity(out_vars.len());
-    for v in &out_vars {
-        let mut col = Column::with_capacity(pairs.len());
-        match (left.column_index(v), right.column_index(v)) {
-            (Some(lc), Some(rc)) => {
-                // Shared: left value when present, else the right side's.
+    let lefts = pairs.iter().map(|p| p.0);
+    let rights = pairs.iter().map(|p| p.1);
+    let cols = out_vars
+        .iter()
+        .map(|v| match (left.column_index(v), right.column_index(v)) {
+            (Some(lc), Some(rc)) if !left.col(lc).all_present() => {
+                let mut col = Column::with_capacity(pairs.len());
                 for &(li, ri) in pairs {
-                    let value = match left.get(li as usize, lc) {
-                        Some(x) => Some(x),
+                    col.push(match left.get(li as usize, lc) {
                         None if ri != NO_MATCH => right.get(ri as usize, rc),
-                        None => None,
-                    };
-                    col.push(value);
-                }
-            }
-            (Some(lc), None) => {
-                for &(li, _) in pairs {
-                    col.push(left.get(li as usize, lc));
-                }
-            }
-            (None, Some(rc)) => {
-                for &(_, ri) in pairs {
-                    col.push(if ri == NO_MATCH {
-                        None
-                    } else {
-                        right.get(ri as usize, rc)
+                        value => value,
                     });
                 }
+                col
             }
+            (Some(lc), _) => left.col(lc).gather(lefts.clone()),
+            (None, Some(rc)) => right.col(rc).gather(rights.clone()),
             (None, None) => unreachable!("out var comes from one side"),
-        }
-        cols.push(col);
-    }
-    let rows = pairs.len();
-    IdTable::from_columns(out_vars, cols, rows)
+        })
+        .collect();
+    IdTable::from_columns(out_vars, cols, pairs.len())
 }
 
 #[cfg(test)]
 mod tests {
     //! The operators' semantics on hand-built tables, at every pull size
     //! (`pipeline::tests::BATCHES`): joins against the nested-loop
-    //! definition, union, DISTINCT's order claim, and the numeric
-    //! accumulators against [`AggState`].
+    //! definition, union, DISTINCT's order claim, the numeric accumulators
+    //! against [`AggState`], and the bulk column kernels against one `push`
+    //! per cell.
+
+    use proptest::prelude::*;
 
     use super::join_index::tests::nested_loop_pairs;
     use super::pipeline::tests::{drain, source, BATCHES};
@@ -884,6 +873,154 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// Column lengths around the bitmap's word edges.
+    const EDGE_LENS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+
+    /// An edge length for `pick < 8`, else `random`.
+    fn pick_len(pick: usize, random: usize) -> usize {
+        EDGE_LENS.get(pick).copied().unwrap_or(random)
+    }
+
+    /// The per-cell definition every column kernel is held to: one `push`
+    /// per slot.
+    fn pushed(cells: impl IntoIterator<Item = Option<TermId>>) -> Column {
+        let mut c = Column::default();
+        for v in cells {
+            c.push(v);
+        }
+        c
+    }
+
+    /// `len` slots with ids `cells[i] >> 1` (so `TermId(0)` is a real id)
+    /// bound by `mode`: all, none, by `cells[i]`'s low bit, or only in the
+    /// last bitmap word.
+    fn column(len: usize, mode: u8, cells: &[u32]) -> Column {
+        let tail = len.saturating_sub(1) / 64 * 64;
+        pushed((0..len).map(|i| {
+            let v = cells[i % cells.len()];
+            let bound = match mode {
+                0 => true,
+                1 => false,
+                2 => v & 1 == 0,
+                _ => i >= tail,
+            };
+            bound.then_some(TermId(v >> 1))
+        }))
+    }
+
+    /// `len` gather indices into `rows` rows, duplicates everywhere, about a
+    /// tenth `NO_MATCH` when `unmatched` (all of them when `rows` is 0).
+    fn indices(len: usize, rows: usize, unmatched: bool, picks: &[u32]) -> Vec<u32> {
+        (0..len)
+            .map(|k| match picks[k % picks.len()] {
+                p if rows == 0 || (unmatched && p % 10 == 0) => NO_MATCH,
+                p => p % rows as u32,
+            })
+            .collect()
+    }
+
+    /// The bitmap layout the kernels keep: one word per started 64 slots,
+    /// no bit set past `len`, and — for a freshly built column — no spare
+    /// words allocated.
+    fn well_formed(c: &Column, fresh: bool) -> std::result::Result<(), String> {
+        let words = c.len().div_ceil(64);
+        prop_assert_eq!(c.bitmap().len(), words);
+        if !c.len().is_multiple_of(64) {
+            prop_assert_eq!(c.bitmap()[words - 1] >> (c.len() % 64), 0, "bits past len");
+        }
+        if fresh {
+            prop_assert_eq!(c.bitmap().capacity(), words, "spare bitmap capacity");
+        }
+        Ok(())
+    }
+
+    /// `kernel == model`, byte estimates included, and a well-formed bitmap.
+    fn same(kernel: &Column, model: &Column, fresh: bool) -> std::result::Result<(), String> {
+        prop_assert_eq!(kernel, model);
+        prop_assert_eq!(kernel.estimated_bytes(), model.estimated_bytes());
+        well_formed(kernel, fresh)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// `from_ids`, `gather`, `filter_mask` and `assemble_join` build the
+        /// column one `push` per cell would, at every length around a word
+        /// edge and every presence shape.
+        #[test]
+        fn column_kernels_match_their_per_cell_definitions(
+            lens in (0usize..12, 0usize..300, 0usize..12, 0usize..300),
+            modes in (0u8..4, 0u8..4, 0u8..4, 0u8..3),
+            cells in proptest::collection::vec(0u32..16, 1..300),
+            picks in proptest::collection::vec(0u32..1000, 1..300),
+        ) {
+            let (len, idx_len) = (pick_len(lens.0, lens.1), pick_len(lens.2, lens.3));
+            let src = column(len, modes.0, &cells);
+            prop_assert_eq!(&pushed((0..len).map(|i| src.get(i))), &src);
+
+            let ids: Vec<TermId> = src.ids().to_vec();
+            same(&Column::from_ids(ids.clone()), &pushed(ids.into_iter().map(Some)), true)?;
+
+            for unmatched in [false, true] {
+                let idx = indices(idx_len, len, unmatched, &picks);
+                let model = pushed(idx.iter().map(|&i| match i {
+                    NO_MATCH => None,
+                    i => src.get(i as usize),
+                }));
+                same(&src.gather(idx.iter().copied()), &model, true)?;
+            }
+
+            let keep: Vec<bool> = (0..len)
+                .map(|i| match modes.3 {
+                    0 => true,
+                    1 => false,
+                    _ => picks[i % picks.len()] % 3 != 0,
+                })
+                .collect();
+            let mut filtered = src.clone();
+            filtered.filter_mask(&keep);
+            let kept = (0..len).filter(|&i| keep[i]).map(|i| src.get(i));
+            same(&filtered, &pushed(kept), false)?;
+            prop_assert!(filtered.bitmap().capacity() <= src.bitmap().capacity());
+
+            // Join output: `s` shared (its left side bound by `modes.1`,
+            // right by `modes.2`), `l` left-only, `r` right-only; the pair
+            // list has duplicates on both sides and, for a left join,
+            // unmatched left rows.
+            let right_len = pick_len(lens.2, lens.3);
+            let left = IdTable::from_columns(
+                vec!["s".into(), "l".into()],
+                vec![column(len, modes.1, &cells), src.clone()],
+                len,
+            );
+            let right = IdTable::from_columns(
+                vec!["r".into(), "s".into()],
+                vec![column(right_len, modes.0, &picks), column(right_len, modes.2, &picks)],
+                right_len,
+            );
+            let out_vars: Vec<String> = ["s", "l", "r"].map(String::from).to_vec();
+            for unmatched in [false, true] {
+                let lefts = indices(if len == 0 { 0 } else { idx_len }, len, false, &cells);
+                let rights = indices(lefts.len(), right_len, unmatched, &picks);
+                let pairs: Vec<(u32, u32)> = lefts.into_iter().zip(rights).collect();
+                let mut model = IdTable::with_vars(out_vars.clone());
+                for &(li, ri) in &pairs {
+                    let row = out_vars.iter().map(|v| {
+                        let l = left.column_index(v).and_then(|c| left.get(li as usize, c));
+                        let r = right.column_index(v).filter(|_| ri != NO_MATCH);
+                        l.or_else(|| r.and_then(|c| right.get(ri as usize, c)))
+                    });
+                    model.push_row(&row.collect::<Vec<_>>());
+                }
+                let got = assemble_join(&left, &right, out_vars.clone(), &pairs);
+                prop_assert_eq!(got.len(), model.len());
+                for c in 0..out_vars.len() {
+                    same(got.col(c), model.col(c), true)?;
                 }
             }
         }

@@ -693,9 +693,7 @@ impl<'e> BgpOp<'e> {
         let mut cols: Vec<Column> = Vec::with_capacity(vars.len());
         for (col, cur_col) in lvl.input.columns().iter().enumerate() {
             if lvl.bound[col] {
-                let mut out = Column::with_capacity(total);
-                out.gather_from(cur_col, &lvl.src);
-                cols.push(out);
+                cols.push(cur_col.gather(lvl.src.iter().copied()));
             } else if let Some(slot) = lvl.free_cols.iter().position(|&c| c == col) {
                 cols.push(Column::from_ids(std::mem::take(&mut lvl.vals[slot])));
             } else {
@@ -1028,8 +1026,9 @@ impl<'e> Operator<'e> for JoinOp<'e> {
 // Union
 // ---------------------------------------------------------------------------
 
-/// Bag union: stream the left input, then the right, aligning each batch
-/// to the combined schema column by column.
+/// Bag union: stream the left input, then the right, moving each batch's
+/// columns into the combined schema (a projection: whole columns move, a
+/// variable the branch lacks becomes an absent column).
 pub(super) struct UnionOp<'e> {
     left: BoxOp<'e>,
     right: BoxOp<'e>,
@@ -1052,27 +1051,6 @@ impl<'e> UnionOp<'e> {
             left_done: false,
         }
     }
-
-    fn align(&self, t: IdTable) -> IdTable {
-        if t.vars == self.vars {
-            return t;
-        }
-        let rows = t.len();
-        let mut cols = Vec::with_capacity(self.vars.len());
-        for v in &self.vars {
-            match t.column_index(v) {
-                Some(c) => {
-                    let mut col = Column::with_capacity(rows);
-                    for i in 0..rows {
-                        col.push(t.get(i, c));
-                    }
-                    cols.push(col);
-                }
-                None => cols.push(Column::absent(rows)),
-            }
-        }
-        IdTable::from_columns(self.vars.clone(), cols, rows)
-    }
 }
 
 impl<'e> Operator<'e> for UnionOp<'e> {
@@ -1083,14 +1061,12 @@ impl<'e> Operator<'e> for UnionOp<'e> {
     fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
         if !self.left_done {
             if let Some(t) = self.left.next_batch(ev, batch_rows)? {
-                return Ok(Some(self.align(t)));
+                return Ok(Some(project_table(&self.vars, t)));
             }
             self.left_done = true;
         }
-        match self.right.next_batch(ev, batch_rows)? {
-            Some(t) => Ok(Some(self.align(t))),
-            None => Ok(None),
-        }
+        let batch = self.right.next_batch(ev, batch_rows)?;
+        Ok(batch.map(|t| project_table(&self.vars, t)))
     }
 
     fn live_size(&self) -> (u64, u64) {

@@ -13,6 +13,15 @@
 //! - [`SolutionTable`] is the *public* boundary type of the string path:
 //!   cells are owned [`Term`] values, decoded exactly once when a query
 //!   finishes (or a page of it is shipped).
+//!
+//! Columns move in bulk: [`Column::from_ids`] takes a value vector whole,
+//! [`Column::gather`] copies an index list's ids in one pass (join output,
+//! a BGP level's carried columns, row permutations) and
+//! [`Column::filter_mask`] compacts in place. Ids are copied blind — an
+//! absent slot already holds the `TermId(0)` filler — and a source that is
+//! [`Column::all_present`] (one pass over its words) yields all-ones bitmap
+//! words; only a partly bound one moves bit by bit. A bitmap holds
+//! `len.div_ceil(64)` words and no bit past `len`, which `Eq` relies on.
 
 use rdf_model::{Term, TermId};
 
@@ -31,6 +40,10 @@ pub fn slice_rows<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
 
 /// Filler stored in absent slots so equal tables compare equal bit-for-bit.
 const ABSENT: TermId = TermId(0);
+
+/// Gather index meaning "no source row" (a left join's unmatched left row):
+/// [`Column::gather`] emits an absent slot for it.
+pub(crate) const NO_MATCH: u32 = u32::MAX;
 
 /// One column of optional [`TermId`]s: dense id vector + presence bitmap.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -58,12 +71,22 @@ impl Column {
 
     /// A fully-present column owning `ids`.
     pub fn from_ids(ids: Vec<TermId>) -> Self {
-        let len = ids.len();
-        let mut present = vec![!0u64; len / 64];
+        let mut c = Column {
+            present: Vec::with_capacity(ids.len().div_ceil(64)),
+            ids,
+        };
+        c.mark_all_present();
+        c
+    }
+
+    /// Fill an empty bitmap with all-ones words for the current length,
+    /// tail bits zero.
+    fn mark_all_present(&mut self) {
+        let len = self.ids.len();
+        self.present.resize(len / 64, !0);
         if !len.is_multiple_of(64) {
-            present.push((1u64 << (len % 64)) - 1);
+            self.present.push((1u64 << (len % 64)) - 1);
         }
-        Column { ids, present }
     }
 
     /// Number of slots.
@@ -129,24 +152,51 @@ impl Column {
         true
     }
 
-    /// Append `src[i]` for every index in `idx` (presence-preserving gather).
-    pub fn gather_from(&mut self, src: &Column, idx: &[u32]) {
-        self.ids.reserve(idx.len());
-        for &i in idx {
-            self.push(src.get(i as usize));
+    /// The column `[self[i] for i in idx]` (duplicates allowed; a `NO_MATCH`
+    /// index yields an absent slot): ids copied blind, all-ones bitmap words
+    /// from an [`Column::all_present`] source, bit by bit otherwise.
+    pub fn gather(&self, idx: impl ExactSizeIterator<Item = u32> + Clone) -> Column {
+        let mut out = Column::with_capacity(idx.len());
+        let mut unmatched = false;
+        out.ids.extend(idx.clone().map(|i| match i {
+            NO_MATCH => {
+                unmatched = true;
+                ABSENT
+            }
+            i => self.ids[i as usize],
+        }));
+        if !unmatched && self.all_present() {
+            out.mark_all_present();
+            return out;
         }
-    }
-
-    /// Keep only slots whose mask bit is `true` (in order).
-    pub fn filter_mask(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.ids.len());
-        let mut out = Column::with_capacity(self.ids.len());
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                out.push(self.get(i));
+        for (k, i) in idx.enumerate() {
+            if k % 64 == 0 {
+                out.present.push(0);
+            }
+            if i != NO_MATCH && self.is_present(i as usize) {
+                out.present[k / 64] |= 1 << (k % 64);
             }
         }
-        *self = out;
+        out
+    }
+
+    /// Keep only slots whose mask bit is `true` (in order), compacting in
+    /// place: slot `w ≤ r` is written after slot `r` was read. An
+    /// all-present bitmap stays all ones and is only truncated.
+    pub fn filter_mask(&mut self, keep: &[bool]) {
+        debug_assert_eq!(keep.len(), self.ids.len());
+        let dense = self.all_present();
+        let mut w = 0;
+        for r in (0..keep.len()).filter(|&r| keep[r]) {
+            self.ids[w] = self.ids[r];
+            if !dense {
+                let bit = u64::from(self.is_present(r)) << (w % 64);
+                let word = &mut self.present[w / 64];
+                *word = *word & !(1 << (w % 64)) | bit;
+            }
+            w += 1;
+        }
+        self.truncate(w);
     }
 
     /// Encode slot `i` for hashing: 0 = unbound, otherwise id + 1.
@@ -284,11 +334,7 @@ impl IdTable {
         let cols = self
             .cols
             .iter()
-            .map(|c| {
-                let mut out = Column::with_capacity(idx.len());
-                out.gather_from(c, idx);
-                out
-            })
+            .map(|c| c.gather(idx.iter().copied()))
             .collect();
         IdTable {
             vars: self.vars.clone(),
@@ -458,6 +504,14 @@ impl SolutionTable {
 mod tests {
     use super::*;
 
+    impl Column {
+        /// The presence bitmap itself, capacity included (the kernel tests
+        /// check its layout).
+        pub(crate) fn bitmap(&self) -> &Vec<u64> {
+            &self.present
+        }
+    }
+
     #[test]
     fn unit_and_empty() {
         let u = SolutionTable::unit();
@@ -532,12 +586,12 @@ mod tests {
         c.push(Some(TermId(1)));
         c.push(None);
         c.push(Some(TermId(3)));
-        let mut g = Column::default();
-        g.gather_from(&c, &[2, 0, 1, 2]);
+        let g = c.gather([2, 0, 1, 2, NO_MATCH].into_iter());
         assert_eq!(g.get(0), Some(TermId(3)));
         assert_eq!(g.get(1), Some(TermId(1)));
         assert_eq!(g.get(2), None);
         assert_eq!(g.get(3), Some(TermId(3)));
+        assert_eq!(g.get(4), None);
         c.filter_mask(&[true, false, true]);
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(1), Some(TermId(3)));

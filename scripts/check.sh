@@ -87,6 +87,15 @@ echo "==> seeking scans (fixed seed)"
 cargo test -q -p rdf-model --test proptest_model seeking_scans_match_fresh_scans_and_the_model
 cargo test -q -p sparql-engine --test streaming_pipeline seeking_probes_keep_one_hint_per_graph
 
+# Fixed-seed bulk-column property: `from_ids`, `gather`, `filter_mask` and
+# join assembly against one `push` per cell, at lengths around the bitmap's
+# word edges, every presence shape, duplicate and `NO_MATCH` indices — plus
+# the converter's run-cache hazard (the dataset's `TermId(0)` next to
+# unbound cells, runs across batch edges) at four batch sizes.
+echo "==> bulk column kernels (fixed seed)"
+cargo test -q -p sparql-engine --lib column_kernels_match_their_per_cell_definitions
+cargo test -q -p rdfframes-core --lib the_run_cache_never_answers_for_an_absent_slot
+
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
 # checked for full Q1–Q19 result/row-scan parity against an in-memory
