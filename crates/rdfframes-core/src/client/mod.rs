@@ -353,7 +353,7 @@ impl InProcessEndpoint {
             .map_err(engine_error)?;
         self.stats
             .rows_returned
-            .fetch_add(table.rows.len() as u64, Ordering::Relaxed);
+            .fetch_add(table.len() as u64, Ordering::Relaxed);
         // The server's table is dropped once encoded: only the bytes cross
         // to the client side, which decodes them into a table of its own.
         match self.config.wire {
@@ -459,8 +459,8 @@ mod tests {
         for offset in [10, 11, 1000, usize::MAX] {
             let via_wire = wire.query_chunk(q, offset, 4).unwrap();
             let via_embedded = embedded.query_chunk(q, offset, 4).unwrap();
-            assert!(via_wire.rows.is_empty(), "offset {offset}");
-            assert_eq!(via_wire.vars, vec!["s", "o"]);
+            assert!(via_wire.is_empty(), "offset {offset}");
+            assert_eq!(via_wire.vars(), ["s", "o"]);
             assert_eq!(via_wire, via_embedded, "paths disagree at offset {offset}");
         }
         // The page straddling the end is the same partial chunk on both.
@@ -638,6 +638,6 @@ mod tests {
         assert_eq!(ep.cached_plans(), 2);
         // The cached plan still pages correctly.
         assert_eq!(c1.len() + c2.len() + c3.len(), 10);
-        assert_ne!(c1.rows, c2.rows);
+        assert!(c1.rows().ne(c2.rows()));
     }
 }

@@ -5,7 +5,9 @@
 //! of the paper's measurements — the client-side baselines ship far more
 //! rows than RDFFrames does — so the in-process endpoint *actually
 //! performs* an encode/decode round trip per chunk (SPARQL-TSV-style)
-//! instead of pretending transfer is free.
+//! instead of pretending transfer is free. As in [`super::xml`], the bytes
+//! are per cell and the work per distinct value: each dictionary entry is
+//! formatted once, and each distinct field parsed once.
 
 use std::borrow::Cow;
 
@@ -13,17 +15,22 @@ use rdf_model::term::Literal;
 use rdf_model::Term;
 use sparql_engine::SolutionTable;
 
-use super::memo::TermMemo;
+use super::memo::{CodeMemo, Fragments};
 
 /// A line that stands for a row with nothing to print — no column, or one
 /// unbound cell: an empty line is indistinguishable from "no row".
 const BLANK_ROW: &str = "\u{2}";
 
 /// Encode a solution table as SPARQL-TSV (terms in N-Triples syntax,
-/// columns tab-separated, unbound cells empty).
+/// columns tab-separated, unbound cells empty). Each dictionary entry is
+/// formatted once ([`Fragments`]); a row copies its cells' text.
 pub fn encode(table: &SolutionTable) -> String {
-    let mut out = String::with_capacity(table.rows.len() * 32 + 64);
-    for (i, v) in table.vars.iter().enumerate() {
+    let fragments = Fragments::new(table.dictionary(), |term, out| {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{term}");
+    });
+    let mut out = String::with_capacity(table.len() * 32 + 64);
+    for (i, v) in table.vars().iter().enumerate() {
         if i > 0 {
             out.push('\t');
         }
@@ -31,30 +38,24 @@ pub fn encode(table: &SolutionTable) -> String {
         out.push_str(v);
     }
     out.push('\n');
-    for row in &table.rows {
-        if matches!(row.as_slice(), [] | [None]) {
+    let columns = table.code_columns();
+    for row in 0..table.len() {
+        if columns.len() <= 1 && columns.iter().all(|c| c[row] == 0) {
             out.push_str(BLANK_ROW);
         }
-        for (i, cell) in row.iter().enumerate() {
+        for (i, codes) in columns.iter().enumerate() {
             if i > 0 {
                 out.push('\t');
             }
-            if let Some(term) = cell {
-                encode_term(term, &mut out);
-            }
+            out.push_str(fragments.get(codes[row]));
         }
         out.push('\n');
     }
     out
 }
 
-fn encode_term(term: &Term, out: &mut String) {
-    use std::fmt::Write as _;
-    let _ = write!(out, "{term}");
-}
-
-/// Decode a SPARQL-TSV document back into a solution table. Returns `None`
-/// on malformed input.
+/// Decode a SPARQL-TSV document back into a solution table, one term per
+/// distinct field ([`CodeMemo`]). Returns `None` on malformed input.
 pub fn decode(text: &str) -> Option<SolutionTable> {
     let mut lines = text.split('\n');
     let header = lines.next()?;
@@ -66,31 +67,33 @@ pub fn decode(text: &str) -> Option<SolutionTable> {
             .map(|v| v.strip_prefix('?').unwrap_or(v).to_string())
             .collect()
     };
-    let mut table = SolutionTable::with_vars(vars);
-    let width = table.vars.len();
-    let mut memo = TermMemo::default();
+    let width = vars.len();
+    let mut memo = CodeMemo::default();
+    let mut codes: Vec<Vec<u32>> = vec![Vec::new(); width];
+    let mut len = 0;
     for line in lines {
         if line.is_empty() {
             continue;
         }
+        len += 1;
         if line == BLANK_ROW && width <= 1 {
-            table.rows.push(vec![None; width]);
+            codes.iter_mut().for_each(|column| column.push(0));
             continue;
         }
-        let mut row = Vec::with_capacity(width);
-        for field in line.split('\t') {
-            if field.is_empty() {
-                row.push(None);
+        let mut fields = line.split('\t');
+        for column in &mut codes {
+            let field = fields.next()?;
+            column.push(if field.is_empty() {
+                0
             } else {
-                row.push(Some(memo.term(field, decode_term)?));
-            }
+                memo.code(field, decode_term)?
+            });
         }
-        if row.len() != width {
+        if fields.next().is_some() {
             return None;
         }
-        table.rows.push(row);
     }
-    Some(table)
+    SolutionTable::from_columns(vars, memo.terms, codes, len)
 }
 
 fn decode_term(field: &str) -> Option<Term> {
@@ -145,17 +148,18 @@ mod tests {
     use rdf_model::Literal;
 
     fn sample() -> SolutionTable {
-        SolutionTable {
-            vars: vec!["a".into(), "b".into(), "c".into()],
-            rows: vec![
-                vec![Some(Term::iri("http://x/s")), Some(Term::integer(42)), None],
-                vec![
-                    Some(Term::string("tab\there \"quoted\"")),
-                    Some(Term::Literal(Literal::lang_string("hallo", "de"))),
-                    Some(Term::blank("b0")),
-                ],
+        let mut t = SolutionTable::with_vars(vec!["a".into(), "b".into(), "c".into()]);
+        for row in [
+            vec![Some(Term::iri("http://x/s")), Some(Term::integer(42)), None],
+            vec![
+                Some(Term::string("tab\there \"quoted\"")),
+                Some(Term::Literal(Literal::lang_string("hallo", "de"))),
+                Some(Term::blank("b0")),
             ],
+        ] {
+            t.push_row(row).unwrap();
         }
+        t
     }
 
     #[test]

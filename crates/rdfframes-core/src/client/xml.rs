@@ -4,7 +4,9 @@
 //! this format by default, so the simulated endpoint can optionally perform
 //! a *real* XML encode/parse round trip per chunk. This makes transfer cost
 //! proportional to shipped data volume — the effect that dominates the
-//! paper's client-side baselines.
+//! paper's client-side baselines. The bytes are per cell, the work per
+//! distinct value: [`encode`] escapes each dictionary entry once and copies
+//! its fragment per cell, [`decode`] parses each distinct binding once.
 
 use std::borrow::Cow;
 
@@ -12,7 +14,7 @@ use rdf_model::term::Literal;
 use rdf_model::Term;
 use sparql_engine::SolutionTable;
 
-use super::memo::TermMemo;
+use super::memo::{CodeMemo, Fragments};
 
 /// Append `s` with the four markup characters as entities: whole runs
 /// between them are copied, not pushed char by char (they are all ASCII, so
@@ -67,19 +69,16 @@ const VARIABLE: &str = "<variable name=\"";
 const BINDING: &str = "<binding name=\"";
 
 /// Encode a solution table in the SPARQL XML Results Format.
+/// A bound cell is its column's opening tag and its entry's fragment
+/// (`<uri>…</uri></binding>` and the like); the body is sized before it is
+/// written.
 pub fn encode(table: &SolutionTable) -> String {
-    let mut out = String::with_capacity(table.rows.len() * 96 + 256);
-    out.push_str("<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n<head>");
-    for v in &table.vars {
-        out.push_str(VARIABLE);
-        escape_into(v, &mut out);
-        out.push_str("\"/>");
-    }
-    out.push_str("</head>\n<results>\n");
+    let fragments = Fragments::new(table.dictionary(), |term, out| {
+        encode_term(term, out);
+        out.push_str("</binding>");
+    });
     // Each column's opening tag, escaped once instead of once per cell.
-    let bindings: Vec<String> = table
-        .vars
-        .iter()
+    let bindings: Vec<String> = (table.vars().iter())
         .map(|v| {
             let mut open = String::from(BINDING);
             escape_into(v, &mut open);
@@ -87,44 +86,69 @@ pub fn encode(table: &SolutionTable) -> String {
             open
         })
         .collect();
-    for row in &table.rows {
+    let columns = table.code_columns();
+    let cells: usize = (columns.iter().zip(&bindings))
+        .flat_map(|(codes, open)| codes.iter().filter(|&&c| c != 0).map(|&c| (c, open.len())))
+        .map(|(c, open)| open + fragments.get(c).len())
+        .sum();
+    let mut out = String::from(
+        "<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n<head>",
+    );
+    for v in table.vars() {
+        out.push_str(VARIABLE);
+        escape_into(v, &mut out);
+        out.push_str("\"/>");
+    }
+    out.push_str("</head>\n<results>\n");
+    out.reserve_exact(cells + table.len() * ROW_TAGS + FOOTER.len());
+    for row in 0..table.len() {
         out.push_str("<result>");
-        for (binding, cell) in bindings.iter().zip(row) {
-            let Some(term) = cell else { continue };
-            out.push_str(binding);
-            match term {
-                Term::Iri(iri) => {
-                    out.push_str("<uri>");
-                    escape_into(iri, &mut out);
-                    out.push_str("</uri>");
-                }
-                Term::Blank(b) => {
-                    out.push_str("<bnode>");
-                    escape_into(b, &mut out);
-                    out.push_str("</bnode>");
-                }
-                Term::Literal(l) => {
-                    if let Some(lang) = &l.language {
-                        out.push_str("<literal xml:lang=\"");
-                        escape_into(lang, &mut out);
-                        out.push_str("\">");
-                    } else if let Some(dt) = &l.datatype {
-                        out.push_str("<literal datatype=\"");
-                        escape_into(dt, &mut out);
-                        out.push_str("\">");
-                    } else {
-                        out.push_str("<literal>");
-                    }
-                    escape_into(&l.lexical, &mut out);
-                    out.push_str("</literal>");
-                }
+        for (open, codes) in bindings.iter().zip(columns) {
+            if codes[row] != 0 {
+                out.push_str(open);
+                out.push_str(fragments.get(codes[row]));
             }
-            out.push_str("</binding>");
         }
         out.push_str("</result>\n");
     }
-    out.push_str("</results>\n</sparql>\n");
+    out.push_str(FOOTER);
     out
+}
+
+/// `<result>` and `</result>\n`: what every row costs on top of its cells.
+const ROW_TAGS: usize = "<result></result>\n".len();
+const FOOTER: &str = "</results>\n</sparql>\n";
+
+/// One term's binding content: `<uri>…</uri>`, `<bnode>…</bnode>` or
+/// `<literal …>…</literal>`.
+fn encode_term(term: &Term, out: &mut String) {
+    match term {
+        Term::Iri(iri) => {
+            out.push_str("<uri>");
+            escape_into(iri, out);
+            out.push_str("</uri>");
+        }
+        Term::Blank(b) => {
+            out.push_str("<bnode>");
+            escape_into(b, out);
+            out.push_str("</bnode>");
+        }
+        Term::Literal(l) => {
+            if let Some(lang) = &l.language {
+                out.push_str("<literal xml:lang=\"");
+                escape_into(lang, out);
+                out.push_str("\">");
+            } else if let Some(dt) = &l.datatype {
+                out.push_str("<literal datatype=\"");
+                escape_into(dt, out);
+                out.push_str("\">");
+            } else {
+                out.push_str("<literal>");
+            }
+            escape_into(&l.lexical, out);
+            out.push_str("</literal>");
+        }
+    }
 }
 
 /// `s` from its next `<` on; `None` when no tag is left.
@@ -137,7 +161,8 @@ fn next_tag(s: &str) -> Option<&str> {
 /// One forward scan: the header's names are sliced, then the results block
 /// is walked tag to tag (anything that is not a tag this format uses is
 /// stepped over), so no byte is searched twice and nothing is sliced ahead.
-/// A document that ends before `</results>` — a truncated body — is rejected.
+/// A document that ends before `</results>` — a truncated body — is
+/// rejected, and so is a result that binds one variable twice.
 pub fn decode(text: &str) -> Option<SolutionTable> {
     let head_start = text.find("<head>")? + "<head>".len();
     let head_end = head_start + text[head_start..].find("</head>")?;
@@ -151,20 +176,21 @@ pub fn decode(text: &str) -> Option<SolutionTable> {
         raw_vars.push(&after[..q]);
         rest = &after[q..];
     }
-    let vars = raw_vars.iter().map(|v| unescape(v).into_owned()).collect();
-    let mut table = SolutionTable::with_vars(vars);
+    let vars: Vec<String> = raw_vars.iter().map(|v| unescape(v).into_owned()).collect();
 
-    let mut memo = TermMemo::default();
+    let mut memo = CodeMemo::default();
+    let mut codes = vec![Vec::new(); vars.len()];
+    let mut len = 0;
     let mut rest = &text[head_end..];
     rest = &rest[rest.find("<results>")? + "<results>".len()..];
     loop {
         rest = next_tag(rest)?;
         if let Some(result) = rest.strip_prefix("<result>") {
-            let (row, after) = decode_result(result, &raw_vars, &table.vars, &mut memo)?;
-            table.rows.push(row);
-            rest = after;
+            codes.iter_mut().for_each(|column| column.push(0));
+            rest = decode_result(result, &raw_vars, &vars, &mut codes, &mut memo)?;
+            len += 1;
         } else if rest.starts_with("</results>") {
-            return Some(table);
+            return SolutionTable::from_columns(vars, memo.terms, codes, len);
         } else {
             rest = &rest[1..];
         }
@@ -172,21 +198,21 @@ pub fn decode(text: &str) -> Option<SolutionTable> {
 }
 
 /// One row — the text after `<result>` up to and including `</result>` —
-/// and what follows it.
+/// written into the last slot of each code column, and what follows it.
 fn decode_result<'a>(
     mut rest: &'a str,
     raw_vars: &[&str],
     vars: &[String],
-    memo: &mut TermMemo<'a>,
-) -> Option<(Vec<Option<Term>>, &'a str)> {
-    let mut row = vec![None; vars.len()];
+    codes: &mut [Vec<u32>],
+    memo: &mut CodeMemo<'a>,
+) -> Option<&'a str> {
     // The column after the last one bound: where an encoder that writes
     // bindings in header order puts the next one.
     let mut expected = 0;
     loop {
         rest = next_tag(rest)?;
         if let Some(after) = rest.strip_prefix("</result>") {
-            return Some((row, after));
+            return Some(after);
         }
         let Some(after) = rest.strip_prefix(BINDING) else {
             rest = &rest[1..];
@@ -194,7 +220,7 @@ fn decode_result<'a>(
         };
         let name = &after[..after.find('"')?];
         let after = &after[name.len()..];
-        let (term, after) = decode_binding(&after[after.find('>')? + 1..], memo)?;
+        let (code, after) = decode_binding(&after[after.find('>')? + 1..], memo)?;
         let column = if raw_vars.get(expected) == Some(&name) {
             expected
         } else {
@@ -205,17 +231,23 @@ fn decode_result<'a>(
                 vars.iter().position(|v| *v == name)
             })?
         };
-        row[column] = Some(term);
+        // One binding per variable and result: a second would silently
+        // drop the first.
+        let slot = codes[column].last_mut()?;
+        if *slot != 0 {
+            return None;
+        }
+        *slot = code;
         expected = column + 1;
         rest = after;
     }
 }
 
 /// A binding's content — `<uri>…</uri>`, `<bnode>…</bnode>` or
-/// `<literal …>…</literal>`, then `</binding>` — and what follows it. The
-/// content slice determines the term, so it is the memo's key and a repeat
-/// is never parsed.
-fn decode_binding<'a>(content: &'a str, memo: &mut TermMemo<'a>) -> Option<(Term, &'a str)> {
+/// `<literal …>…</literal>`, then `</binding>` — as a dictionary code, and
+/// what follows it. The content slice determines the term, so it is the
+/// memo's key and a repeat is never parsed.
+fn decode_binding<'a>(content: &'a str, memo: &mut CodeMemo<'a>) -> Option<(u32, &'a str)> {
     let close = if content.starts_with("<uri>") {
         "</uri>"
     } else if content.starts_with("<bnode>") {
@@ -228,7 +260,7 @@ fn decode_binding<'a>(content: &'a str, memo: &mut TermMemo<'a>) -> Option<(Term
     let text_start = content.find('>')? + 1;
     let text_end = text_start + content[text_start..].find('<')?;
     let after = content[text_end..].strip_prefix(close)?;
-    let term = memo.term(&content[..content.len() - after.len()], |content| {
+    let code = memo.code(&content[..content.len() - after.len()], |content| {
         let text = unescape(&content[text_start..text_end]);
         Some(match close {
             "</uri>" => Term::iri(text),
@@ -245,7 +277,7 @@ fn decode_binding<'a>(content: &'a str, memo: &mut TermMemo<'a>) -> Option<(Term
             }
         })
     })?;
-    Some((term, after.strip_prefix("</binding>")?))
+    Some((code, after.strip_prefix("</binding>")?))
 }
 
 /// The value following `marker` (an attribute name with its `="`) in a tag's
@@ -260,10 +292,18 @@ fn attr_value<'a>(attrs: &'a str, marker: &str) -> Option<&'a str> {
 mod tests {
     use super::*;
 
+    fn table(vars: &[&str], rows: Vec<Vec<Option<Term>>>) -> SolutionTable {
+        let mut t = SolutionTable::with_vars(vars.iter().map(|v| v.to_string()).collect());
+        for row in rows {
+            t.push_row(row).unwrap();
+        }
+        t
+    }
+
     fn sample() -> SolutionTable {
-        SolutionTable {
-            vars: vec!["s".into(), "label".into(), "n".into()],
-            rows: vec![
+        table(
+            &["s", "label", "n"],
+            vec![
                 vec![
                     Some(Term::iri("http://x/a?q=1&r=2")),
                     Some(Term::Literal(Literal::lang_string("héllo <world>", "en"))),
@@ -271,7 +311,7 @@ mod tests {
                 ],
                 vec![Some(Term::blank("b0")), None, None],
             ],
-        }
+        )
     }
 
     #[test]
@@ -289,8 +329,7 @@ mod tests {
 
     #[test]
     fn escaping() {
-        let mut t = SolutionTable::with_vars(vec!["v".into()]);
-        t.rows.push(vec![Some(Term::string("a & b < c > d \" e"))]);
+        let t = table(&["v"], vec![vec![Some(Term::string("a & b < c > d \" e"))]]);
         assert_eq!(decode(&encode(&t)).unwrap(), t);
     }
 

@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use rdf_model::vocab::xsd;
 use rdf_model::{Literal, Term};
+use rdfframes_core::client::convert::table_to_dataframe;
 use rdfframes_core::client::{wire, xml};
 use sparql_engine::SolutionTable;
 
@@ -82,26 +83,61 @@ fn term() -> impl Strategy<Value = Term> {
 
 /// Tables of 0–4 columns and 0–6 rows; names are distinct (an index suffix)
 /// and otherwise hostile; a third of the cells are unbound, and a small pool
-/// of terms makes values repeat within a table, as pages do.
+/// of terms makes values repeat within a table, as pages do. Half are pushed
+/// row by row (one dictionary entry per bound cell), half built by hand over
+/// a dictionary that holds the pool reversed, then again in order (every
+/// term twice, each cell picking one of its two codes), then an entry
+/// nothing references.
 fn table() -> impl Strategy<Value = SolutionTable> {
     (
         proptest::collection::vec(token(), 0..5),
         proptest::collection::vec(term(), 1..6),
         proptest::collection::vec(proptest::collection::vec(0usize..100, 4), 0..7),
+        any::<bool>(),
     )
-        .prop_map(|(names, pool, picks)| {
+        .prop_map(|(names, pool, picks, by_hand)| {
             let vars: Vec<String> = (names.iter().enumerate())
                 .map(|(i, n)| format!("{n}{i}"))
                 .collect();
-            let rows = (picks.iter())
-                .map(|row| {
-                    (row[..vars.len()].iter())
-                        .map(|&k| (k % 3 > 0).then(|| pool[k % pool.len()].clone()))
+            let n = pool.len();
+            if !by_hand {
+                let rows = (picks.iter())
+                    .map(|row| {
+                        (row[..vars.len()].iter())
+                            .map(|&k| (k % 3 > 0).then(|| pool[k % n].clone()))
+                            .collect()
+                    })
+                    .collect();
+                return pushed(vars, rows);
+            }
+            let mut dict: Vec<Term> = pool.iter().rev().chain(&pool).cloned().collect();
+            dict.push(Term::iri("http://x/unreferenced"));
+            let codes = (0..vars.len())
+                .map(|c| {
+                    (picks.iter())
+                        .map(|row| match (row[c] % 3, row[c] % n) {
+                            (0, _) => 0,
+                            (1, i) => (n - i) as u32,
+                            (_, i) => (n + i + 1) as u32,
+                        })
                         .collect()
                 })
                 .collect();
-            SolutionTable { vars, rows }
+            SolutionTable::from_columns(vars, dict, codes, picks.len()).unwrap()
         })
+}
+
+/// A table pushed row by row.
+fn pushed(vars: Vec<String>, rows: Vec<Vec<Option<Term>>>) -> SolutionTable {
+    let mut t = SolutionTable::with_vars(vars);
+    for row in rows {
+        t.push_row(row).unwrap();
+    }
+    t
+}
+
+fn names(vars: &[&str]) -> Vec<String> {
+    vars.iter().map(|v| v.to_string()).collect()
 }
 
 /// Equal as tables and in what `==` does not see (a literal's parsed value).
@@ -110,13 +146,13 @@ fn same(a: &SolutionTable, b: &SolutionTable) -> bool {
 }
 
 fn rectangular(t: &SolutionTable) -> bool {
-    t.rows.iter().all(|r| r.len() == t.vars.len())
+    t.code_columns().len() == t.vars().len() && t.code_columns().iter().all(|c| c.len() == t.len())
 }
 
 fn small() -> SolutionTable {
-    SolutionTable {
-        vars: vec!["s".into(), "a&b".into(), "n".into()],
-        rows: vec![
+    pushed(
+        names(&["s", "a&b", "n"]),
+        vec![
             vec![
                 Some(Term::iri("http://x/a?q=1&r=2")),
                 Some(Term::Literal(Literal::lang_string("héllo <\"w\">", "en"))),
@@ -125,7 +161,7 @@ fn small() -> SolutionTable {
             vec![Some(Term::blank("b0")), None, Some(Term::string("5"))],
             vec![None, Some(Term::string("tab\there ]]> &amp;")), None],
         ],
-    }
+    )
 }
 
 const SMALL_XML: &str = "<?xml version=\"1.0\"?>\n\
@@ -160,10 +196,10 @@ fn rows_with_nothing_to_print_survive_tsv() {
     // are shipped as a marker line.
     for table in [
         SolutionTable::unit(),
-        SolutionTable {
-            vars: vec!["a".into()],
-            rows: vec![vec![None], vec![Some(Term::integer(1))], vec![None]],
-        },
+        pushed(
+            names(&["a"]),
+            vec![vec![None], vec![Some(Term::integer(1))], vec![None]],
+        ),
     ] {
         assert_eq!(wire::decode(&wire::encode(&table)).unwrap(), table);
         assert_eq!(xml::decode(&xml::encode(&table)).unwrap(), table);
@@ -180,11 +216,54 @@ fn a_name_spelled_differently_from_the_header_still_finds_its_column() {
                <result><binding name=\"z\"><literal>1</literal></binding>\
                <binding name=\"p&amp;q\"><literal>2</literal></binding></result></results>";
     let table = xml::decode(doc).unwrap();
-    assert_eq!(table.vars, ["p&q", "z"]);
+    assert_eq!(table.vars(), ["p&q", "z"]);
     assert_eq!(
-        table.rows,
+        table.rows().map(|r| r.to_vec()).collect::<Vec<_>>(),
         [[Some(Term::string("2")), Some(Term::string("1"))]]
     );
+}
+
+#[test]
+fn a_variable_bound_twice_in_one_result_is_rejected() {
+    // SPARQL XML binds a variable at most once per result; a second binding
+    // would silently replace the first, so the body is refused (and the
+    // client, seeing a transport error, asks again).
+    let body = |second: &str| {
+        format!(
+            "<head><variable name=\"s\"/><variable name=\"o\"/></head><results>\
+             <result><binding name=\"s\"><uri>http://x/a</uri></binding>\
+             <binding name=\"{second}\"><uri>http://x/b</uri></binding></result></results>"
+        )
+    };
+    assert!(xml::decode(&body("o")).is_some());
+    assert!(xml::decode(&body("s")).is_none());
+}
+
+#[test]
+fn one_term_spelled_two_ways_is_two_entries_of_one_value() {
+    // `>` may be shipped bare or as `&gt;` in XML, and any character may be
+    // backslash-escaped in TSV: two raw slices, two dictionary entries, one
+    // term — and a table equal to the one that stores it once.
+    let want = SolutionTable::from_columns(
+        names(&["a"]),
+        vec![Term::string("x>b")],
+        vec![vec![1, 1]],
+        2,
+    )
+    .unwrap();
+    let xml_body = "<head><variable name=\"a\"/></head><results>\
+                    <result><binding name=\"a\"><literal>x&gt;b</literal></binding></result>\
+                    <result><binding name=\"a\"><literal>x>b</literal></binding></result></results>";
+    let tsv_body = "?a\n\"x>b\"\n\"x>\\b\"\n";
+    for decoded in [xml::decode(xml_body), wire::decode(tsv_body)] {
+        let decoded = decoded.unwrap();
+        assert_eq!(decoded.dictionary().len(), 2);
+        assert!(same(&decoded, &want), "{decoded:?}");
+        assert_eq!(
+            table_to_dataframe(&decoded).unwrap(),
+            table_to_dataframe(&want).unwrap()
+        );
+    }
 }
 
 /// `corrupt_wire.rs::corrupt_bodies()`, with what the decoders said at the

@@ -23,7 +23,8 @@
 //! operator pipeline ([`crate::eval`]), which works on `u32`
 //! [`rdf_model::TermId`]s in struct-of-arrays batches. `execute*` is that
 //! cursor drained in one unbounded pull (a page: pulled `limit` rows at a
-//! time behind a slice) with the ids decoded to terms at the end. The seed
+//! time behind a slice), its ids mapped to dictionary codes by
+//! [`CodeRemap`] — one term per distinct id. The seed
 //! term-materialized evaluator stays selectable as the differential-testing
 //! oracle and benchmark baseline ([`EvalMode::TermReference`],
 //! [`crate::eval_reference`]); it produces identical bags and, counting
@@ -32,6 +33,7 @@
 
 use std::sync::Arc;
 
+use rdf_model::hash::FxHashMap;
 use rdf_model::{Dataset, Term, TermId};
 
 use crate::algebra::{translate_query, Plan};
@@ -299,23 +301,21 @@ impl Engine {
                 let pull = page.map_or(usize::MAX, |(_, limit)| limit);
                 let mut cursor = self.open(prepared, page, pull)?;
                 let mut table = SolutionTable::with_vars(cursor.vars().to_vec());
+                let mut remap = CodeRemap::new(table.codes.len());
                 while let Some(batch) = cursor.next_batch()? {
-                    let width = batch.vars().len();
-                    table.rows.extend((0..batch.len).map(|row| {
-                        (0..width)
-                            .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
-                            .collect()
-                    }));
+                    let dict = &mut table.dict;
+                    remap.extend(&batch, &mut table.codes, |term| {
+                        dict.push(term.clone());
+                        dict.len() as u32
+                    });
+                    table.len += batch.len;
                 }
                 Ok((table, cursor.stats()))
             }
             EvalMode::TermReference => {
                 let mut evaluator = ReferenceEvaluator::new(&self.dataset, prepared.from.clone());
                 evaluator.set_budget(&self.config.budget);
-                let mut table = evaluator.eval(&prepared.plan)?;
-                if let Some((offset, limit)) = page {
-                    crate::results::slice_rows(&mut table.rows, offset, Some(limit));
-                }
+                let table = evaluator.eval(&prepared.plan, page)?;
                 let stats = ExecStats {
                     rows_scanned: evaluator.rows_scanned(),
                     ..ExecStats::default()
@@ -491,8 +491,7 @@ impl<'c> ColumnBatch<'c> {
     }
 
     /// The raw id slice of column `col` for this batch's rows. Absent slots
-    /// hold a zero filler — pair with [`ColumnBatch::is_present`], or use
-    /// [`ColumnBatch::get`] for the checked view.
+    /// hold a zero filler — pair with [`ColumnBatch::is_present`].
     pub fn column_ids(&self, col: usize) -> &[TermId] {
         self.table.col(col).ids()
     }
@@ -509,15 +508,71 @@ impl<'c> ColumnBatch<'c> {
         self.table.col(col).all_present()
     }
 
-    /// Checked cell read (batch-relative row).
-    pub fn get(&self, col: usize, row: usize) -> Option<TermId> {
-        debug_assert!(row < self.len);
-        self.table.get(row, col)
-    }
-
     /// Resolve an id from any of this batch's columns.
     pub fn resolve(&self, id: TermId) -> &'c Term {
         self.pool.resolve(id)
+    }
+}
+
+/// The one id → code kernel behind both result layouts: a page's
+/// [`SolutionTable`] (a new entry is a [`Term`] clone) and the embedded
+/// DataFrame (an interned cell). An id gets one code for the whole result,
+/// so a term is materialized once per *distinct* id; code 0 is unbound.
+///
+/// In front of the `TermId → code` memo each column keeps a run cache, its
+/// last `(id, code)` pair across batches: sorted and grouped columns repeat
+/// an id row after row (≈ 77 % of q9's present cells), and a repeat costs a
+/// compare instead of a hash. Presence is tested once per column and batch
+/// when the column is fully bound, and the cache answers for present cells
+/// only: an absent slot holds `TermId(0)`, also the dataset's first term. A
+/// dense `Vec<u32>` indexed by `TermId` measured slower (its lookups
+/// scatter over the interner) and costs 4 bytes per interned term.
+pub struct CodeRemap {
+    memo: FxHashMap<TermId, u32>,
+    last: Vec<Option<(TermId, u32)>>,
+}
+
+impl CodeRemap {
+    /// A remap for a result of `width` columns.
+    pub fn new(width: usize) -> Self {
+        CodeRemap {
+            memo: FxHashMap::default(),
+            last: vec![None; width],
+        }
+    }
+
+    /// Append column `c` of `batch` to `columns[c]` as codes. `entry` is
+    /// called once per id not seen before, with the term it resolves to, and
+    /// returns the code that id is given (never 0).
+    pub fn extend<'c>(
+        &mut self,
+        batch: &ColumnBatch<'c>,
+        columns: &mut [Vec<u32>],
+        mut entry: impl FnMut(&'c Term) -> u32,
+    ) {
+        let memo = &mut self.memo;
+        for (c, (codes, last)) in columns.iter_mut().zip(&mut self.last).enumerate() {
+            let mut code_of = |id: TermId| match *last {
+                Some((prev, code)) if prev == id => code,
+                _ => {
+                    let code = *memo.entry(id).or_insert_with(|| entry(batch.resolve(id)));
+                    *last = Some((id, code));
+                    code
+                }
+            };
+            let ids = batch.column_ids(c).iter();
+            if batch.all_present(c) {
+                codes.extend(ids.map(|&id| code_of(id)));
+            } else {
+                codes.extend(ids.enumerate().map(|(i, &id)| {
+                    if batch.is_present(c, i) {
+                        code_of(id)
+                    } else {
+                        0
+                    }
+                }));
+            }
+        }
     }
 }
 
@@ -550,10 +605,8 @@ mod tests {
         let (p2, _) = engine.execute_prepared(&prepared, Some((4, 4))).unwrap();
         let (p3, _) = engine.execute_prepared(&prepared, Some((8, 4))).unwrap();
         assert_eq!(all.len(), 10);
-        let mut stitched = p1.rows.clone();
-        stitched.extend(p2.rows.clone());
-        stitched.extend(p3.rows.clone());
-        assert_eq!(stitched, all.rows);
+        let stitched = [&p1, &p2, &p3].into_iter().flat_map(|p| p.rows());
+        assert!(all.rows().eq(stitched));
         // Same rows as the one-shot string path.
         let direct = engine.execute(q).unwrap();
         assert_eq!(direct, all);
@@ -575,8 +628,8 @@ mod tests {
             );
             for (offset, limit) in [(10, 4), (11, 4), (usize::MAX, 4), (usize::MAX, usize::MAX)] {
                 let (page, _) = engine.execute_page(q, offset, limit).unwrap();
-                assert_eq!(page.vars, vec!["s", "o"], "{eval_mode:?}");
-                assert!(page.rows.is_empty(), "{eval_mode:?} offset={offset}");
+                assert_eq!(page.vars(), ["s", "o"], "{eval_mode:?}");
+                assert!(page.is_empty(), "{eval_mode:?} offset={offset}");
             }
             // Boundary page ending exactly at the result edge.
             let (page, _) = engine.execute_page(q, 8, usize::MAX).unwrap();
@@ -612,7 +665,7 @@ mod tests {
 
         for (batch_rows, sizes) in [(4, vec![4, 4, 2]), (1, vec![1; 10]), (usize::MAX, vec![10])] {
             let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
-            assert_eq!(cursor.vars(), expected.vars.as_slice());
+            assert_eq!(cursor.vars(), expected.vars());
             let mut rebuilt: Vec<Vec<Option<Term>>> = Vec::new();
             let mut batch_sizes = Vec::new();
             while let Some(batch) = cursor.next_batch().unwrap() {
@@ -621,13 +674,20 @@ mod tests {
                 for row in 0..batch.len {
                     rebuilt.push(
                         (0..batch.vars().len())
-                            .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
+                            .map(|c| {
+                                batch
+                                    .is_present(c, row)
+                                    .then(|| batch.resolve(batch.column_ids(c)[row]).clone())
+                            })
                             .collect(),
                     );
                 }
             }
             assert_eq!(batch_sizes, sizes, "batch_rows={batch_rows}");
-            assert_eq!(rebuilt, expected.rows, "batch_rows={batch_rows}");
+            assert!(
+                expected.rows().map(|r| r.to_vec()).eq(rebuilt),
+                "batch_rows={batch_rows}"
+            );
             // Work metric matches the string path (read after draining:
             // the cursor scans as batches are pulled).
             assert_eq!(cursor.rows_scanned(), stats.rows_scanned);
@@ -643,8 +703,10 @@ mod tests {
         let prepared = engine.prepare(q).unwrap();
         let mut cursor = engine.cursor(&prepared, 16).unwrap();
         let batch = cursor.next_batch().unwrap().unwrap();
-        let id = batch.get(0, 0).expect("aggregate value bound");
+        assert!(batch.is_present(0, 0), "aggregate value bound");
+        let id = batch.column_ids(0)[0];
         let term = batch.resolve(id).clone();
-        assert_eq!(term, engine.execute(q).unwrap().rows[0][0].clone().unwrap());
+        let table = engine.execute(q).unwrap();
+        assert!(table.column("m").unwrap().eq([Some(&term)]));
     }
 }

@@ -21,9 +21,9 @@ use rdf_model::{Dataset, Term, TermId, TripleIndex};
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{OrderKey, PatternTerm, TriplePattern};
 use crate::budget::{BudgetMeter, QueryBudget};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::expr::{ebv, eval_expr, eval_single_var_filter, AggState, EvalCaches, RowCtx};
-use crate::results::SolutionTable;
+use crate::results::{SolutionTable, WidthError};
 
 /// Term-materialized plan evaluator bound to a dataset.
 pub struct ReferenceEvaluator<'a> {
@@ -42,6 +42,38 @@ pub struct ReferenceEvaluator<'a> {
 #[inline]
 fn term_table_bytes(rows: usize, width: usize) -> u64 {
     (rows as u64).saturating_mul((width as u64).saturating_mul(64).saturating_add(24))
+}
+
+/// The oracle's working set: rows of owned terms parallel to `vars`.
+#[derive(Debug, Default)]
+struct RowTable {
+    vars: Vec<String>,
+    rows: Vec<Vec<Option<Term>>>,
+}
+
+impl RowTable {
+    fn with_vars(vars: Vec<String>) -> Self {
+        RowTable {
+            vars,
+            rows: Vec::new(),
+        }
+    }
+
+    fn column_index(&self, name: &str) -> Option<usize> {
+        self.vars.iter().position(|v| v == name)
+    }
+}
+
+/// Keep rows `[offset, offset+limit)` in place (`None` limit = to the end),
+/// clamping both bounds to the table.
+fn slice_rows<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
+    let start = offset.min(rows.len());
+    let end = match limit {
+        Some(l) => start.saturating_add(l).min(rows.len()),
+        None => rows.len(),
+    };
+    rows.drain(..start);
+    rows.truncate(end - start);
 }
 
 impl<'a> ReferenceEvaluator<'a> {
@@ -68,13 +100,25 @@ impl<'a> ReferenceEvaluator<'a> {
         self.rows_scanned
     }
 
-    /// Evaluate a plan to a solution table.
-    ///
-    /// This is both the public entry point and the internal recursion, so
-    /// it doubles as the budget chokepoint: every operator's output has its
-    /// row count and estimated footprint checked here; BGP extension,
-    /// joins, and grouping carry in-loop checks of their own.
-    pub fn eval(&mut self, plan: &Plan) -> Result<SolutionTable> {
+    /// Evaluate a plan to a solution table, only rows
+    /// `[offset, offset+limit)` of it when `page` is given.
+    pub fn eval(&mut self, plan: &Plan, page: Option<(usize, usize)>) -> Result<SolutionTable> {
+        let mut t = self.eval_rows(plan)?;
+        if let Some((offset, limit)) = page {
+            slice_rows(&mut t.rows, offset, Some(limit));
+        }
+        let mut table = SolutionTable::with_vars(t.vars);
+        let width = |e: WidthError| EngineError::Semantic(e.to_string());
+        for row in t.rows {
+            table.push_row(row).map_err(width)?;
+        }
+        Ok(table)
+    }
+
+    /// The recursion, and the budget chokepoint: every operator's output
+    /// has its row count and estimated footprint checked here; BGP
+    /// extension, joins, and grouping carry in-loop checks of their own.
+    fn eval_rows(&mut self, plan: &Plan) -> Result<RowTable> {
         let t = self.eval_node(plan)?;
         self.meter.charge_intermediate(
             t.rows.len() as u64,
@@ -83,9 +127,12 @@ impl<'a> ReferenceEvaluator<'a> {
         Ok(t)
     }
 
-    fn eval_node(&mut self, plan: &Plan) -> Result<SolutionTable> {
+    fn eval_node(&mut self, plan: &Plan) -> Result<RowTable> {
         match plan {
-            Plan::Unit => Ok(SolutionTable::unit()),
+            Plan::Unit => Ok(RowTable {
+                vars: Vec::new(),
+                rows: vec![Vec::new()],
+            }),
             Plan::Bgp {
                 patterns,
                 graph,
@@ -98,25 +145,25 @@ impl<'a> ReferenceEvaluator<'a> {
             | Plan::MergeJoin {
                 left: a, right: b, ..
             } => {
-                let left = self.eval(a)?;
-                let right = self.eval(b)?;
+                let left = self.eval_rows(a)?;
+                let right = self.eval_rows(b)?;
                 join(left, right, JoinKind::Inner, &mut self.meter)
             }
             Plan::LeftJoin(a, b)
             | Plan::MergeLeftJoin {
                 left: a, right: b, ..
             } => {
-                let left = self.eval(a)?;
-                let right = self.eval(b)?;
+                let left = self.eval_rows(a)?;
+                let right = self.eval_rows(b)?;
                 join(left, right, JoinKind::Left, &mut self.meter)
             }
             Plan::Union(a, b) => {
-                let left = self.eval(a)?;
-                let right = self.eval(b)?;
+                let left = self.eval_rows(a)?;
+                let right = self.eval_rows(b)?;
                 Ok(union(left, right))
             }
             Plan::Filter(expr, p) => {
-                let mut t = self.eval(p)?;
+                let mut t = self.eval_rows(p)?;
                 let vars = t.vars.clone();
                 let caches = &mut self.caches;
                 t.rows.retain(|row| {
@@ -129,7 +176,7 @@ impl<'a> ReferenceEvaluator<'a> {
                 Ok(t)
             }
             Plan::Extend(var, expr, p) => {
-                let mut t = self.eval(p)?;
+                let mut t = self.eval_rows(p)?;
                 let existing = t.column_index(var);
                 let vars_snapshot = t.vars.clone();
                 let mut new_column = Vec::with_capacity(t.rows.len());
@@ -159,13 +206,13 @@ impl<'a> ReferenceEvaluator<'a> {
             Plan::Group {
                 keys, aggs, input, ..
             } => {
-                let t = self.eval(input)?;
+                let t = self.eval_rows(input)?;
                 self.eval_group(keys, aggs, t)
             }
             Plan::Project(vars, p) => {
-                let t = self.eval(p)?;
+                let t = self.eval_rows(p)?;
                 let indices: Vec<Option<usize>> = vars.iter().map(|v| t.column_index(v)).collect();
-                let mut out = SolutionTable::with_vars(vars.clone());
+                let mut out = RowTable::with_vars(vars.clone());
                 out.rows = t
                     .rows
                     .into_iter()
@@ -180,20 +227,20 @@ impl<'a> ReferenceEvaluator<'a> {
             }
             // Sorted DISTINCT is the same keep-first bag; hash it here.
             Plan::Distinct(p) | Plan::SortedDistinct { input: p, .. } => {
-                let mut t = self.eval(p)?;
+                let mut t = self.eval_rows(p)?;
                 let mut seen: HashSet<Vec<Option<Term>>> = HashSet::with_capacity(t.rows.len());
                 t.rows.retain(|row| seen.insert(row.clone()));
                 Ok(t)
             }
             Plan::OrderBy(keys, p) => {
-                let mut t = self.eval(p)?;
+                let mut t = self.eval_rows(p)?;
                 self.sort_rows(&mut t, keys);
                 Ok(t)
             }
             // The optimizer may fuse Slice∘OrderBy into TopK; the reference
             // evaluator keeps the unfused semantics: full sort, then cut.
             Plan::TopK { keys, k, input } => {
-                let mut t = self.eval(input)?;
+                let mut t = self.eval_rows(input)?;
                 self.sort_rows(&mut t, keys);
                 t.rows.truncate(*k);
                 Ok(t)
@@ -203,11 +250,11 @@ impl<'a> ReferenceEvaluator<'a> {
                 offset,
                 input,
             } => {
-                let mut t = self.eval(input)?;
+                let mut t = self.eval_rows(input)?;
                 // Shared clamped slice: `offset > len` yields an empty
                 // table, and `offset + limit` saturates instead of
                 // overflowing on adversarial LIMIT/OFFSET values.
-                crate::results::slice_rows(&mut t.rows, *offset, *limit);
+                slice_rows(&mut t.rows, *offset, *limit);
                 Ok(t)
             }
         }
@@ -223,7 +270,7 @@ impl<'a> ReferenceEvaluator<'a> {
         patterns: &[TriplePattern],
         graph: &GraphRef,
         filters: &[PushedFilter],
-    ) -> Result<SolutionTable> {
+    ) -> Result<RowTable> {
         let graphs = graph.resolve(self.dataset, &self.default_graphs)?;
 
         // Variable schema in first-mention order.
@@ -282,7 +329,7 @@ impl<'a> ReferenceEvaluator<'a> {
                 });
             }
         }
-        Ok(SolutionTable { vars, rows })
+        Ok(RowTable { vars, rows })
     }
 
     /// Returns the number of index entries this pattern's scans visited
@@ -363,8 +410,8 @@ impl<'a> ReferenceEvaluator<'a> {
         &mut self,
         keys: &[String],
         aggs: &[AggSpec],
-        input: SolutionTable,
-    ) -> Result<SolutionTable> {
+        input: RowTable,
+    ) -> Result<RowTable> {
         let key_indices: Vec<Option<usize>> = keys.iter().map(|k| input.column_index(k)).collect();
         let vars_snapshot = input.vars.clone();
 
@@ -425,7 +472,7 @@ impl<'a> ReferenceEvaluator<'a> {
 
         let mut out_vars: Vec<String> = keys.to_vec();
         out_vars.extend(aggs.iter().map(|a| a.output.clone()));
-        let mut out = SolutionTable::with_vars(out_vars);
+        let mut out = RowTable::with_vars(out_vars);
         for (key, states) in groups {
             let mut row = key;
             for state in states {
@@ -436,7 +483,7 @@ impl<'a> ReferenceEvaluator<'a> {
         Ok(out)
     }
 
-    fn sort_rows(&mut self, table: &mut SolutionTable, keys: &[OrderKey]) {
+    fn sort_rows(&mut self, table: &mut RowTable, keys: &[OrderKey]) {
         type KeyedRow = (Vec<Option<Term>>, Vec<Option<Term>>);
         let vars = table.vars.clone();
         // Precompute sort keys (expressions may be non-trivial).
@@ -497,11 +544,11 @@ enum JoinKind {
 /// through, so both probe strategies check them against the budget between
 /// left rows (overshoot bounded by one left row's candidates).
 fn join(
-    left: SolutionTable,
-    right: SolutionTable,
+    left: RowTable,
+    right: RowTable,
     kind: JoinKind,
     meter: &mut BudgetMeter,
-) -> Result<SolutionTable> {
+) -> Result<RowTable> {
     let shared: Vec<String> = left
         .vars
         .iter()
@@ -527,7 +574,7 @@ fn join(
         .collect();
 
     let always_bound =
-        |table: &SolutionTable, idx: usize| -> bool { table.rows.iter().all(|r| r[idx].is_some()) };
+        |table: &RowTable, idx: usize| -> bool { table.rows.iter().all(|r| r[idx].is_some()) };
     // Positions (within `shared`) usable as hash key.
     let key_positions: Vec<usize> = (0..shared.len())
         .filter(|&k| always_bound(&left, l_idx[k]) && always_bound(&right, r_idx[k]))
@@ -544,7 +591,7 @@ fn join(
                 .expect("right var in out")
         })
         .collect();
-    let mut out = SolutionTable::with_vars(out_vars);
+    let mut out = RowTable::with_vars(out_vars);
 
     let merge = |l_row: &[Option<Term>], r_row: &[Option<Term>]| -> Vec<Option<Term>> {
         let mut row = l_row.to_vec();
@@ -627,7 +674,7 @@ fn join(
 }
 
 /// Bag union with schema alignment.
-fn union(left: SolutionTable, right: SolutionTable) -> SolutionTable {
+fn union(left: RowTable, right: RowTable) -> RowTable {
     let mut vars = left.vars.clone();
     for v in &right.vars {
         if !vars.contains(v) {
@@ -640,7 +687,7 @@ fn union(left: SolutionTable, right: SolutionTable) -> SolutionTable {
         .map(|v| vars.iter().position(|x| x == v).expect("var present"))
         .collect();
     let width = vars.len();
-    let mut out = SolutionTable::with_vars(vars);
+    let mut out = RowTable::with_vars(vars);
     for mut row in left.rows {
         row.resize(width, None);
         out.rows.push(row);
@@ -659,8 +706,8 @@ fn union(left: SolutionTable, right: SolutionTable) -> SolutionTable {
 mod tests {
     use super::*;
 
-    fn tbl(vars: &[&str], rows: Vec<Vec<Option<Term>>>) -> SolutionTable {
-        SolutionTable {
+    fn tbl(vars: &[&str], rows: Vec<Vec<Option<Term>>>) -> RowTable {
+        RowTable {
             vars: vars.iter().map(|s| s.to_string()).collect(),
             rows,
         }
@@ -724,5 +771,15 @@ mod tests {
         let j = join(a, b, JoinKind::Inner, &mut BudgetMeter::unlimited()).unwrap();
         // 2 × 2 duplicates → 4 rows.
         assert_eq!(j.rows.len(), 4);
+    }
+
+    #[test]
+    fn out_of_range_slices_clamp_to_empty() {
+        let mut rows = vec![1, 2, 3];
+        slice_rows(&mut rows, 7, Some(usize::MAX));
+        assert!(rows.is_empty());
+        let mut rows = vec![1, 2, 3];
+        slice_rows(&mut rows, 1, Some(usize::MAX));
+        assert_eq!(rows, vec![2, 3]);
     }
 }

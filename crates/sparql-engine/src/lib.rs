@@ -56,7 +56,7 @@ mod sse;
 
 pub use budget::{BudgetMeter, QueryBudget, ResourceKind};
 pub use engine::{
-    ColumnBatch, Engine, EngineConfig, EvalMode, ExecStats, PreparedQuery, QueryCursor,
+    CodeRemap, ColumnBatch, Engine, EngineConfig, EvalMode, ExecStats, PreparedQuery, QueryCursor,
 };
 pub use error::{EngineError, Result};
-pub use results::SolutionTable;
+pub use results::{SolutionRow, SolutionTable, WidthError};

@@ -10,9 +10,12 @@
 //!   buffers instead of allocating a `Vec` per row. Every batch an operator
 //!   hands on is one; it leaves the engine only wrapped in a
 //!   [`crate::engine::ColumnBatch`].
-//! - [`SolutionTable`] is the *public* boundary type of the string path:
-//!   cells are owned [`Term`] values, decoded exactly once when a query
-//!   finishes (or a page of it is shipped).
+//! - [`SolutionTable`] is the *public* boundary type, in the client
+//!   DataFrame's layout: a dictionary of [`Term`]s and a `u32` code column
+//!   per variable. Filled by [`crate::engine::CodeRemap`], the kernel the
+//!   embedded converter runs too, a page holds one term per *distinct* id,
+//!   and the wire codecs work once per entry. Rows are views; equality is
+//!   by value, whatever the dictionary's order or duplicates.
 //!
 //! Columns move in bulk: [`Column::from_ids`] takes a value vector whole,
 //! [`Column::gather`] copies an index list's ids in one pass (join output,
@@ -23,20 +26,10 @@
 //! words; only a partly bound one moves bit by bit. A bitmap holds
 //! `len.div_ceil(64)` words and no bit past `len`, which `Eq` relies on.
 
-use rdf_model::{Term, TermId};
+use std::cmp::Ordering;
+use std::fmt;
 
-/// Keep rows `[offset, offset+limit)` in place (`None` limit = to the end),
-/// clamping both bounds to the table. Shared by `LIMIT`/`OFFSET` evaluation
-/// and the engine's paging boundary.
-pub fn slice_rows<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
-    let start = offset.min(rows.len());
-    let end = match limit {
-        Some(l) => start.saturating_add(l).min(rows.len()),
-        None => rows.len(),
-    };
-    rows.drain(..start);
-    rows.truncate(end - start);
-}
+use rdf_model::{Term, TermId};
 
 /// Filler stored in absent slots so equal tables compare equal bit-for-bit.
 const ABSENT: TermId = TermId(0);
@@ -411,43 +404,90 @@ impl IdTable {
     }
 }
 
-/// A solution table: named columns over rows of optional terms (`None` =
-/// unbound). This is the engine's public result type; the evaluator works on
-/// [`IdTable`]s internally and materializes terms only when producing one of
-/// these.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A row of `got` cells refused by a table of `want` columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WidthError {
+    pub got: usize,
+    pub want: usize,
+}
+
+impl fmt::Display for WidthError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "a row of {} cells for {} columns", self.got, self.want)
+    }
+}
+
+impl std::error::Error for WidthError {}
+
+/// A solution table — the engine's public result type — in the DataFrame's
+/// layout: a dictionary of terms and one `u32` code column per variable,
+/// code 0 unbound and code `c` entry `c - 1`. Every constructor checks the
+/// shape, so a table is rectangular and its codes resolve. Entries may
+/// repeat or go unreferenced: `==` compares resolved values row by row.
+#[derive(Clone, Default)]
 pub struct SolutionTable {
-    /// Column (variable) names.
-    pub vars: Vec<String>,
-    /// Rows; each row is parallel to `vars`.
-    pub rows: Vec<Vec<Option<Term>>>,
+    vars: Vec<String>,
+    pub(crate) dict: Vec<Term>,
+    pub(crate) codes: Vec<Vec<u32>>,
+    /// Row count; explicit because a zero-column table still has one.
+    pub(crate) len: usize,
 }
 
 impl SolutionTable {
     /// Empty table with a schema.
     pub fn with_vars(vars: Vec<String>) -> Self {
         SolutionTable {
+            codes: vec![Vec::new(); vars.len()],
             vars,
-            rows: Vec::new(),
+            dict: Vec::new(),
+            len: 0,
         }
     }
 
     /// The unit table: no columns, one empty row (join identity).
     pub fn unit() -> Self {
         SolutionTable {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
+            len: 1,
+            ..SolutionTable::default()
         }
+    }
+
+    /// A table of `len` rows from a dictionary and one code column per
+    /// variable; `None` unless every column holds `len` codes the
+    /// dictionary resolves.
+    pub fn from_columns(
+        vars: Vec<String>,
+        dict: Vec<Term>,
+        codes: Vec<Vec<u32>>,
+        len: usize,
+    ) -> Option<Self> {
+        let fits = |c: &Vec<u32>| c.len() == len && c.iter().all(|&k| k as usize <= dict.len());
+        (codes.len() == vars.len() && codes.iter().all(fits)).then_some(SolutionTable {
+            vars,
+            dict,
+            codes,
+            len,
+        })
+    }
+
+    /// Column (variable) names.
+    pub fn vars(&self) -> &[String] {
+        &self.vars
+    }
+
+    /// The names, to rename in place.
+    pub fn vars_mut(&mut self) -> &mut [String] {
+        &mut self.vars
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Index of a column by name.
@@ -455,48 +495,109 @@ impl SolutionTable {
         self.vars.iter().position(|v| v == name)
     }
 
+    /// The terms the codes index.
+    pub fn dictionary(&self) -> &[Term] {
+        &self.dict
+    }
+
+    /// One code column per variable, each [`SolutionTable::len`] long.
+    pub fn code_columns(&self) -> &[Vec<u32>] {
+        &self.codes
+    }
+
+    fn term(&self, code: u32) -> Option<&Term> {
+        code.checked_sub(1).map(|i| &self.dict[i as usize])
+    }
+
     /// Iterate the values of one column.
     pub fn column(&self, name: &str) -> Option<impl Iterator<Item = Option<&Term>>> {
         let idx = self.column_index(name)?;
-        Some(self.rows.iter().map(move |r| r[idx].as_ref()))
+        Some(self.codes[idx].iter().map(|&c| self.term(c)))
     }
 
-    /// Render as a compact TSV-ish string (tests / debugging).
-    pub fn to_tsv(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.vars.join("\t"));
-        for row in &self.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|c| match c {
-                    Some(t) => t.to_string(),
-                    None => String::new(),
-                })
-                .collect();
-            let _ = writeln!(out, "{}", cells.join("\t"));
+    /// The rows, in order, as borrowed views.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = SolutionRow<'_>> + Clone {
+        (0..self.len).map(move |row| SolutionRow { table: self, row })
+    }
+
+    /// Append one row parallel to `vars`, each bound cell a new dictionary
+    /// entry (nothing is looked up).
+    pub fn push_row(&mut self, row: Vec<Option<Term>>) -> Result<(), WidthError> {
+        let want = self.codes.len();
+        if row.len() != want {
+            return Err(WidthError {
+                got: row.len(),
+                want,
+            });
         }
-        out
+        for (col, cell) in self.codes.iter_mut().zip(row) {
+            col.push(cell.map_or(0, |term| {
+                self.dict.push(term);
+                self.dict.len() as u32
+            }));
+        }
+        self.len += 1;
+        Ok(())
     }
 
-    /// Sort rows lexicographically (for order-insensitive comparisons in
-    /// tests and result checksums).
+    /// Sort rows lexicographically by value (order-insensitive comparisons
+    /// in tests and result checksums) by permuting the code columns.
     pub fn canonicalize(&mut self) {
-        let order = |a: &Vec<Option<Term>>, b: &Vec<Option<Term>>| {
-            for (x, y) in a.iter().zip(b.iter()) {
-                let ord = match (x, y) {
-                    (None, None) => std::cmp::Ordering::Equal,
-                    (None, Some(_)) => std::cmp::Ordering::Less,
-                    (Some(_), None) => std::cmp::Ordering::Greater,
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_by(|&a, &b| {
+            (self.codes.iter())
+                .map(|col| match (self.term(col[a]), self.term(col[b])) {
                     (Some(x), Some(y)) => x.order_cmp(y),
-                };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        };
-        self.rows.sort_by(order);
+                    (x, y) => x.is_some().cmp(&y.is_some()),
+                })
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        });
+        for col in &mut self.codes {
+            *col = order.iter().map(|&r| col[r]).collect();
+        }
+    }
+}
+
+impl PartialEq for SolutionTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars == other.vars && self.len == other.len && self.rows().eq(other.rows())
+    }
+}
+
+impl fmt::Debug for SolutionTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows: Vec<_> = self.rows().map(|r| r.to_vec()).collect();
+        f.debug_struct("SolutionTable")
+            .field("vars", &self.vars)
+            .field("rows", &rows)
+            .finish()
+    }
+}
+
+/// A borrowed view of one row of a [`SolutionTable`].
+#[derive(Clone, Copy)]
+pub struct SolutionRow<'a> {
+    table: &'a SolutionTable,
+    row: usize,
+}
+
+impl<'a> SolutionRow<'a> {
+    /// The row's cells in column order (`None` = unbound).
+    pub fn iter(&self) -> impl Iterator<Item = Option<&'a Term>> + 'a {
+        let SolutionRow { table, row } = *self;
+        table.codes.iter().map(move |col| table.term(col[row]))
+    }
+
+    /// The row's cells, cloned.
+    pub fn to_vec(&self) -> Vec<Option<Term>> {
+        self.iter().map(Option::<&Term>::cloned).collect()
+    }
+}
+
+impl PartialEq for SolutionRow<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -516,7 +617,7 @@ mod tests {
     fn unit_and_empty() {
         let u = SolutionTable::unit();
         assert_eq!(u.len(), 1);
-        assert!(u.vars.is_empty());
+        assert!(u.vars().is_empty());
         let e = SolutionTable::with_vars(vec!["x".into()]);
         assert!(e.is_empty());
     }
@@ -524,23 +625,38 @@ mod tests {
     #[test]
     fn column_access() {
         let mut t = SolutionTable::with_vars(vec!["a".into(), "b".into()]);
-        t.rows.push(vec![Some(Term::integer(1)), None]);
-        t.rows
-            .push(vec![Some(Term::integer(2)), Some(Term::string("x"))]);
+        t.push_row(vec![Some(Term::integer(1)), None]).unwrap();
+        t.push_row(vec![Some(Term::integer(2)), Some(Term::string("x"))])
+            .unwrap();
         let a: Vec<_> = t.column("a").unwrap().collect();
-        assert_eq!(a.len(), 2);
+        assert_eq!(a, [Some(&Term::integer(1)), Some(&Term::integer(2))]);
         assert!(t.column("missing").is_none());
     }
 
     #[test]
     fn canonicalize_sorts() {
         let mut t = SolutionTable::with_vars(vec!["a".into()]);
-        t.rows.push(vec![Some(Term::integer(2))]);
-        t.rows.push(vec![None]);
-        t.rows.push(vec![Some(Term::integer(1))]);
+        for v in [Some(Term::integer(2)), None, Some(Term::integer(1))] {
+            t.push_row(vec![v]).unwrap();
+        }
         t.canonicalize();
-        assert_eq!(t.rows[0], vec![None]);
-        assert_eq!(t.rows[1], vec![Some(Term::integer(1))]);
+        let rows: Vec<_> = t.rows().map(|r| r.to_vec()).collect();
+        assert_eq!(rows[0], vec![None]);
+        assert_eq!(rows[1], vec![Some(Term::integer(1))]);
+    }
+
+    #[test]
+    fn from_columns_refuses_a_bad_shape() {
+        let table = |codes: Vec<Vec<u32>>, len| {
+            SolutionTable::from_columns(vec!["a".into()], vec![Term::integer(1)], codes, len)
+        };
+        assert!(table(vec![vec![1, 0]], 2).is_some());
+        assert!(table(vec![], 0).is_none(), "no column for a variable");
+        assert!(table(vec![vec![1]], 2).is_none(), "a short column");
+        assert!(
+            table(vec![vec![2]], 1).is_none(),
+            "a code past the dictionary"
+        );
     }
 
     #[test]
@@ -633,12 +749,6 @@ mod tests {
         oob.slice(usize::MAX, Some(usize::MAX));
         assert_eq!(oob.len(), 0);
         assert_eq!(oob.vars, g.vars);
-        let mut rows = vec![1, 2, 3];
-        slice_rows(&mut rows, 7, Some(usize::MAX));
-        assert!(rows.is_empty());
-        let mut rows = vec![1, 2, 3];
-        slice_rows(&mut rows, 1, Some(usize::MAX));
-        assert_eq!(rows, vec![2, 3]);
 
         let mut t2 = IdTable::with_vars(vec!["a".into()]);
         t2.push_row(&[Some(TermId(1))]);

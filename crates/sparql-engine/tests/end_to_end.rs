@@ -64,7 +64,7 @@ fn basic_bgp() {
          WHERE {{ ?movie dbpp:starring ?actor }}"
     );
     let t = e.execute(&q).unwrap();
-    assert_eq!(t.vars, vec!["movie", "actor"]);
+    assert_eq!(t.vars(), ["movie", "actor"]);
     assert_eq!(t.len(), 6);
 }
 
@@ -93,9 +93,8 @@ fn group_by_having() {
     );
     let t = e.execute(&q).unwrap();
     assert_eq!(t.len(), 2); // actor1 (3), actor3 (2)
-    let n_idx = t.column_index("n").unwrap();
-    for row in &t.rows {
-        let n = row[n_idx].as_ref().unwrap();
+    for n in t.column("n").unwrap() {
+        let n = n.unwrap();
         assert!(matches!(n, Term::Literal(l) if l.as_f64().unwrap() >= 2.0));
     }
 }
@@ -110,8 +109,7 @@ fn optional_keeps_unmatched() {
     );
     let t = e.execute(&q).unwrap();
     assert_eq!(t.len(), 3);
-    let aw = t.column_index("aw").unwrap();
-    let bound = t.rows.iter().filter(|r| r[aw].is_some()).count();
+    let bound = t.column("aw").unwrap().filter(Option::is_some).count();
     assert_eq!(bound, 1);
 }
 
@@ -143,15 +141,10 @@ fn subquery_with_aggregation() {
     let t = e.execute(&q).unwrap();
     // Only actor1 is prolific-American: 3 movies × 1 award = 3 rows.
     assert_eq!(t.len(), 3);
-    let actor = t.column_index("actor").unwrap();
-    for row in &t.rows {
-        assert_eq!(
-            row[actor].as_ref().unwrap(),
-            &iri("http://dbpedia.org/resource/actor1")
-        );
+    for actor in t.column("actor").unwrap() {
+        assert_eq!(actor.unwrap(), &iri("http://dbpedia.org/resource/actor1"));
     }
-    let award = t.column_index("award").unwrap();
-    assert!(t.rows.iter().all(|r| r[award].is_some()));
+    assert!(t.column("award").unwrap().all(|a| a.is_some()));
 }
 
 #[test]
@@ -163,9 +156,12 @@ fn order_limit_offset() {
     );
     let t = e.execute(&q).unwrap();
     assert_eq!(t.len(), 2);
-    let m0 = t.rows[0][0].as_ref().unwrap().str_value().to_string();
-    let m1 = t.rows[1][0].as_ref().unwrap().str_value().to_string();
-    assert!(m0 < m1);
+    let movies: Vec<_> = t
+        .column("movie")
+        .unwrap()
+        .map(|m| m.unwrap().str_value())
+        .collect();
+    assert!(movies[0] < movies[1]);
 }
 
 #[test]
@@ -203,8 +199,7 @@ fn is_iri_filter() {
     let e = Engine::new(Arc::new(ds));
     let q = "SELECT * FROM <http://dbpedia.org> WHERE { ?s ?p ?o . FILTER ( isIRI(?o) ) }";
     let t = e.execute(q).unwrap();
-    let o = t.column_index("o").unwrap();
-    assert!(t.rows.iter().all(|r| r[o].as_ref().unwrap().is_iri()));
+    assert!(t.column("o").unwrap().all(|o| o.unwrap().is_iri()));
     assert_eq!(t.len(), 10); // all but the one literal label triple
 }
 
@@ -280,7 +275,7 @@ fn aggregate_without_group_by() {
     );
     let t = e.execute(&q).unwrap();
     assert_eq!(t.len(), 1);
-    assert_eq!(t.rows[0][0], Some(Term::integer(6)));
+    assert!(t.column("n").unwrap().eq([Some(&Term::integer(6))]));
 }
 
 #[test]
@@ -289,7 +284,8 @@ fn count_star_on_empty_is_zero() {
     let q = "SELECT (COUNT(*) AS ?n) FROM <http://dbpedia.org> \
              WHERE { ?x <http://nothing/here> ?y }";
     let t = e.execute(q).unwrap();
-    assert_eq!(t.rows, vec![vec![Some(Term::integer(0))]]);
+    assert_eq!(t.len(), 1);
+    assert!(t.column("n").unwrap().eq([Some(&Term::integer(0))]));
 }
 
 #[test]

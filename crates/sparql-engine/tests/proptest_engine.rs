@@ -171,12 +171,12 @@ fn brute_force(triples: &[(u8, u8, u8)], patterns: &[(Pos, Pos, Pos)]) -> Vec<Ha
 }
 
 fn canonical_rows(table: &SolutionTable) -> Vec<Vec<String>> {
-    let mut order: Vec<usize> = (0..table.vars.len()).collect();
-    order.sort_by(|&a, &b| table.vars[a].cmp(&table.vars[b]));
+    let mut order: Vec<usize> = (0..table.vars().len()).collect();
+    order.sort_by(|&a, &b| table.vars()[a].cmp(&table.vars()[b]));
     let mut rows: Vec<Vec<String>> = table
-        .rows
-        .iter()
+        .rows()
         .map(|r| {
+            let r = r.to_vec();
             order
                 .iter()
                 .map(|&i| r[i].as_ref().map(|t| t.to_string()).unwrap_or_default())
@@ -271,9 +271,10 @@ proptest! {
                  LIMIT {limit} OFFSET {offset}"
             ))
             .unwrap();
-        let lo = offset.min(all.rows.len());
-        let hi = (offset + limit).min(all.rows.len());
-        prop_assert_eq!(&sliced.rows[..], &all.rows[lo..hi]);
+        let lo = offset.min(all.len());
+        let hi = (offset + limit).min(all.len());
+        prop_assert_eq!(sliced.len(), hi - lo);
+        prop_assert!(sliced.rows().eq(all.rows().skip(lo).take(hi - lo)));
     }
 
     #[test]
@@ -288,6 +289,6 @@ proptest! {
         let rows = engine.execute(&q).unwrap().len() as i64;
         let count_q = q.replacen("SELECT *", "SELECT (COUNT(*) AS ?n)", 1);
         let counted = engine.execute(&count_q).unwrap();
-        prop_assert_eq!(counted.rows[0][0].clone(), Some(Term::integer(rows)));
+        prop_assert!(counted.column("n").unwrap().eq([Some(&Term::integer(rows))]));
     }
 }

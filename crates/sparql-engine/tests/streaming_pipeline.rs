@@ -25,7 +25,7 @@ use sparql_engine::algebra::{GraphRef, Plan};
 use sparql_engine::ast::{PatternTerm, TriplePattern};
 use sparql_engine::{
     Engine, EngineConfig, EngineError, EvalMode, ExecStats, PreparedQuery, QueryBudget,
-    ResourceKind,
+    ResourceKind, SolutionTable,
 };
 
 const GRAPH: &str = "http://g";
@@ -88,7 +88,11 @@ fn drain_prepared(
         for row in 0..batch.len {
             rows.push(
                 (0..batch.vars().len())
-                    .map(|c| batch.get(c, row).map(|id| batch.resolve(id).clone()))
+                    .map(|c| {
+                        batch
+                            .is_present(c, row)
+                            .then(|| batch.resolve(batch.column_ids(c)[row]).clone())
+                    })
                     .collect(),
             );
         }
@@ -407,7 +411,7 @@ fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
     let (oracle, oracle_stats) = literal(EvalMode::TermReference)
         .execute_with_stats(q)
         .unwrap();
-    let expected = bag(oracle.rows);
+    let expected = bag(rows_of(&oracle));
     assert!(expected.len() > 30, "the probes must find matches");
     let engine = literal(EvalMode::Columnar);
     for batch in [1, 7, usize::MAX] {
@@ -468,7 +472,11 @@ fn reference_rows(ds: &Arc<Dataset>, plan: &Plan) -> Vec<Vec<Option<Term>>> {
         },
     );
     let prepared = oracle.prepare_plan(plan.clone(), Vec::new());
-    oracle.execute_prepared(&prepared, None).unwrap().0.rows
+    rows_of(&oracle.execute_prepared(&prepared, None).unwrap().0)
+}
+
+fn rows_of(table: &SolutionTable) -> Vec<Vec<Option<Term>>> {
+    table.rows().map(|r| r.to_vec()).collect()
 }
 
 #[test]
@@ -583,10 +591,10 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
                 ..EngineConfig::new()
             },
         );
-        let expected = oracle.execute(&q).unwrap().rows;
+        let expected = rows_of(&oracle.execute(&q).unwrap());
         assert!(!expected.is_empty());
         let engine = engine(&ds, QueryBudget::unlimited());
-        assert_eq!(engine.execute(&q).unwrap().rows, expected, "{q}");
+        assert_eq!(rows_of(&engine.execute(&q).unwrap()), expected, "{q}");
         for batch in BATCHES {
             let (rows, _) = drain(&engine, &q, batch);
             assert_eq!(rows, expected, "batch {batch}: {q}");

@@ -96,6 +96,18 @@ echo "==> bulk column kernels (fixed seed)"
 cargo test -q -p sparql-engine --lib column_kernels_match_their_per_cell_definitions
 cargo test -q -p rdfframes-core --lib the_run_cache_never_answers_for_an_absent_slot
 
+# Fixed-seed solution-table property: one row model as a table pushed row
+# by row, drained from id batches through the shared remap kernel (batch 1,
+# 3, unbounded, and `execute_prepared`), and built by hand over a permuted
+# dictionary with duplicate and unreferenced entries — equal exactly when
+# the models are, read back and sorted as the model, a wrong-width row
+# refused with the table untouched. Then the wire encoders' bytes for all
+# 22 paper frames, whole and paged, against hashes pinned before the
+# dictionary-coded table.
+echo "==> solution table layout (fixed seed)"
+cargo test -q -p sparql-engine --test solution_table
+cargo test -q -p bench --test pinned_encodings
+
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
 # checked for full Q1–Q19 result/row-scan parity against an in-memory
