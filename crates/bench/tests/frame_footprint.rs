@@ -114,7 +114,7 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
         .collect();
     assert_eq!(
         df.dictionary().len(),
-        exact.len() + 1,
+        exact.len(),
         "{id}: one entry per term"
     );
 
@@ -165,7 +165,7 @@ fn embedded_frames_allocate_per_distinct_term_not_per_cell() {
 
     // The wire path has no ids to memoize on, but a decoded page shares one
     // string per distinct value and the append dedups on that: fewer
-    // dictionary entries than rows, where an entry per cell is 3 x rows + 1.
+    // dictionary entries than rows, where an entry per cell is 3 x rows.
     let embedded = Executor::new().execute(&cs3, &endpoint).unwrap();
     for page in [100, usize::MAX] {
         let wire = Executor::with_page_size(page)

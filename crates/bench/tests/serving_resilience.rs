@@ -28,7 +28,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use bench::{data, queries};
@@ -375,6 +375,10 @@ fn crash_under_racing_readers_lands_on_a_committed_epoch() {
         // nothing, so deregistering afterwards cannot race a reader.
         let committed: Mutex<BTreeSet<u64>> = Mutex::new(BTreeSet::from([0]));
         let stop = AtomicBool::new(false);
+        // The three readers and the writer start together, and each reader
+        // reads once before it first looks at `stop`: the race happens by
+        // construction, however the threads are scheduled.
+        let start = Barrier::new(4);
         let mut last_ok_gen = 0;
 
         std::thread::scope(|scope| {
@@ -383,7 +387,8 @@ fn crash_under_racing_readers_lands_on_a_committed_epoch() {
                 readers.push(scope.spawn(|| {
                     let mut last_epoch = 0u64;
                     let mut reads = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    start.wait();
+                    loop {
                         let snap = server.snapshot();
                         assert!(snap.epoch() >= last_epoch, "epochs went backwards");
                         last_epoch = snap.epoch();
@@ -396,12 +401,15 @@ fn crash_under_racing_readers_lands_on_a_committed_epoch() {
                         // or fail typed — never panic, never see torn data.
                         let _ = Executor::new().execute(&probe, snap.embedded());
                         reads += 1;
+                        if stop.load(Ordering::Relaxed) {
+                            break reads;
+                        }
                     }
-                    reads
                 }));
             }
 
             let mut expected = server.snapshot().generation();
+            start.wait();
             for op in &ops {
                 if !matches!(op, Op::Checkpoint) {
                     expected += 1;

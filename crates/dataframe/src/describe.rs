@@ -114,9 +114,12 @@ mod tests {
 
     fn sample() -> DataFrame {
         let mut df = DataFrame::new(vec!["id".into(), "n".into(), "tag".into()]);
-        df.push_row(vec![Cell::uri("a"), Cell::Int(10), Cell::str("x")]);
-        df.push_row(vec![Cell::uri("b"), Cell::Int(20), Cell::Null]);
-        df.push_row(vec![Cell::uri("a"), Cell::Float(30.0), Cell::str("y")]);
+        df.push_row(vec![Cell::uri("a"), Cell::Int(10), Cell::str("x")])
+            .unwrap();
+        df.push_row(vec![Cell::uri("b"), Cell::Int(20), Cell::Null])
+            .unwrap();
+        df.push_row(vec![Cell::uri("a"), Cell::Float(30.0), Cell::str("y")])
+            .unwrap();
         df
     }
 

@@ -1,97 +1,53 @@
-//! The [`DataFrame`] type: column-major dictionary-coded storage, the append
-//! interface that fills it, and the row-level operators over it.
+//! The [`DataFrame`] type: a [`Coded`] table of [`Cell`]s, the `&Cell` row
+//! views over it, and the row-level operators.
 
-use std::collections::{HashMap, HashSet};
-use std::fmt;
-use std::ops::{Index, Range};
+use std::cmp::Ordering;
+use std::collections::HashSet;
+use std::ops::{Deref, DerefMut, Index, Range};
 
 use crate::cell::Cell;
+use crate::coded::{canonical, Coded, WidthError};
 use crate::groupby::GroupBy;
 use crate::join::{join_frames, JoinError, JoinType};
 
+/// What an empty cell reads as.
+static NULL: Cell = Cell::Null;
+
+fn or_null(cell: Option<&Cell>) -> &Cell {
+    cell.unwrap_or(&NULL)
+}
+
 /// A named-column table of [`Cell`]s.
 ///
-/// Storage is column-major and dictionary-coded: each column is a `Vec<u32>`
-/// of codes into one frame-wide dictionary of cells, so a value that repeats
-/// costs four bytes per occurrence and no `Arc` traffic. Code 0 is
-/// `Cell::Null` and nothing else is ([`DataFrame::intern`] sends every null
-/// there). Apart from that the dictionary is *not* duplicate-free —
-/// [`DataFrame::push_row`] interns without looking, and a producer's memo may
-/// hold two codes for equal cells (`Int(3)` / `Float(3.0)`) — so whatever
-/// compares values compares **cells**, once per dictionary entry (see
-/// [`canonical`]), and only then works on `u32`s.
-#[derive(Clone)]
-pub struct DataFrame {
-    pub(crate) columns: Vec<String>,
-    pub(crate) dict: Vec<Cell>,
-    pub(crate) codes: Vec<Vec<u32>>,
-    /// Row count; explicit because a zero-column frame still has one.
-    pub(crate) len: usize,
-}
+/// Storage is a [`Coded`] table: each column is a `Vec<u32>` of codes into
+/// one frame-wide dictionary of cells, so a value that repeats costs four
+/// bytes per occurrence and no `Arc` traffic. Code 0 is `Cell::Null` and
+/// has no entry; no entry is `Cell::Null` ([`DataFrame::intern`] and
+/// [`DataFrame::push_row`] send every null to code 0). The coded table's
+/// read side (`len`, `dictionary`, `code_columns`, …) and its
+/// [`Coded::append`] / [`Coded::fill`] are reached through `Deref`.
+#[derive(Clone, Default, PartialEq, Debug)]
+pub struct DataFrame(pub(crate) Coded<Cell>);
 
-/// Why [`DataFrame::append`] refused a block. The block was checked before
-/// anything was written, so the frame's rows are as they were.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AppendError {
-    /// The block has `got` columns, the frame `want`.
-    ColumnCount { got: usize, want: usize },
-    /// Column `column` of the block holds `got` codes for `want` rows.
-    ColumnLength {
-        column: usize,
-        got: usize,
-        want: usize,
-    },
-    /// Column `column` of the block holds a code the dictionary lacks.
-    UnknownCode { column: usize, code: u32 },
-}
+impl Deref for DataFrame {
+    type Target = Coded<Cell>;
 
-impl fmt::Display for AppendError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AppendError::ColumnCount { got, want } => {
-                write!(f, "block of {got} columns for a frame of {want}")
-            }
-            AppendError::ColumnLength { column, got, want } => {
-                write!(f, "column {column} holds {got} codes for {want} rows")
-            }
-            AppendError::UnknownCode { column, code } => {
-                write!(f, "column {column}: code {code} is not in the dictionary")
-            }
-        }
+    fn deref(&self) -> &Coded<Cell> {
+        &self.0
     }
 }
 
-impl std::error::Error for AppendError {}
-
-/// One id per *distinct* cell over all of `dicts`: `canonical(..)[d][code]`
-/// agree for two entries — of one dictionary or of two — exactly when their
-/// cells are equal, and are 0 exactly for null. This is the one place
-/// equality, `distinct`, joins and group-by hash a cell; rows are then
-/// compared as integers.
-pub(crate) fn canonical(dicts: &[&[Cell]]) -> Vec<Vec<u32>> {
-    let mut ids: HashMap<&Cell, u32> = HashMap::from([(&Cell::Null, 0)]);
-    dicts
-        .iter()
-        .map(|dict| {
-            dict.iter()
-                .map(|cell| {
-                    let next = ids.len() as u32;
-                    *ids.entry(cell).or_insert(next)
-                })
-                .collect()
-        })
-        .collect()
+impl DerefMut for DataFrame {
+    fn deref_mut(&mut self) -> &mut Coded<Cell> {
+        &mut self.0
+    }
 }
 
-/// `left`'s dictionary followed by `right`'s (minus its null), and the map
-/// from `right`'s codes to their place in it.
-pub(crate) fn merged_dict(left: &DataFrame, right: &DataFrame) -> (Vec<Cell>, impl Fn(u32) -> u32) {
-    let mut dict = Vec::with_capacity(left.dict.len() + right.dict.len() - 1);
-    dict.extend_from_slice(&left.dict);
-    dict.extend_from_slice(&right.dict[1..]);
-    u32::try_from(dict.len()).expect("fewer than 2^32 dictionary entries");
-    let offset = (left.dict.len() - 1) as u32;
-    (dict, move |code| if code == 0 { 0 } else { code + offset })
+/// A frame over a coded table none of whose entries is `Cell::Null`.
+impl From<Coded<Cell>> for DataFrame {
+    fn from(table: Coded<Cell>) -> Self {
+        DataFrame(table)
+    }
 }
 
 /// A borrowed view of one row: cells by position (`row[i]`) or by name.
@@ -113,16 +69,13 @@ impl<'a> RowView<'a> {
     /// # Panics
     /// Panics if `col` is not a column position.
     pub fn cell(&self, col: usize) -> &'a Cell {
-        self.frame.cell(self.row, col)
+        or_null(self.frame.value(self.frame.codes[col][self.row]))
     }
 
     /// The row's cells in column order.
     pub fn iter(&self) -> impl Iterator<Item = &'a Cell> + 'a {
         let RowView { frame, row } = *self;
-        frame
-            .codes
-            .iter()
-            .map(move |c| &frame.dict[c[row] as usize])
+        (frame.codes.iter()).map(move |c| or_null(frame.value(c[row])))
     }
 
     /// The row's cells, cloned.
@@ -145,8 +98,8 @@ impl PartialEq for RowView<'_> {
     }
 }
 
-impl fmt::Debug for RowView<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl std::fmt::Debug for RowView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
@@ -185,17 +138,12 @@ impl ExactSizeIterator for Rows<'_> {}
 impl DataFrame {
     /// Empty frame with the given column names.
     pub fn new(columns: Vec<String>) -> Self {
-        DataFrame {
-            codes: vec![Vec::new(); columns.len()],
-            columns,
-            dict: vec![Cell::Null],
-            len: 0,
-        }
+        DataFrame(Coded::new(columns))
     }
 
     /// Column names.
     pub fn columns(&self) -> &[String] {
-        &self.columns
+        self.names()
     }
 
     /// Rows (read-only).
@@ -215,115 +163,49 @@ impl DataFrame {
         RowView { frame: self, row }
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the frame has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Index of a column.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c == name)
-    }
-
-    /// The cells the columns' codes index. Entry 0 is `Cell::Null`.
-    pub fn dictionary(&self) -> &[Cell] {
-        &self.dict
-    }
-
-    /// Add `cell` to the dictionary and return its code, for a later
-    /// [`DataFrame::append`]. Nothing is looked up (except that a null is
-    /// always code 0): a producer that wants repeated values to share one
-    /// entry remembers the codes it was given, keyed by whatever identifies
-    /// a value on its side.
+    /// [`Coded::intern`], except that a null is always code 0.
     pub fn intern(&mut self, cell: Cell) -> u32 {
         if cell.is_null() {
             return 0;
         }
-        let code = u32::try_from(self.dict.len()).expect("fewer than 2^32 dictionary entries");
-        self.dict.push(cell);
-        code
+        self.0.intern(cell)
     }
 
-    /// Append `rows` rows given as one slice of dictionary codes per column —
-    /// the one way rows enter a frame. The block is checked first, so an
-    /// error leaves the frame as it was.
-    pub fn append(&mut self, rows: usize, block: &[Vec<u32>]) -> Result<(), AppendError> {
-        if block.len() != self.codes.len() {
-            return Err(AppendError::ColumnCount {
-                got: block.len(),
-                want: self.codes.len(),
-            });
-        }
-        for (column, codes) in block.iter().enumerate() {
-            if codes.len() != rows {
-                return Err(AppendError::ColumnLength {
-                    column,
-                    got: codes.len(),
-                    want: rows,
-                });
-            }
-            // Only the largest code matters: one branch-free pass (0 is null).
-            let code = codes.iter().copied().max().unwrap_or(0);
-            if code as usize >= self.dict.len() {
-                return Err(AppendError::UnknownCode { column, code });
-            }
-        }
-        for (col, codes) in self.codes.iter_mut().zip(block) {
-            col.extend_from_slice(codes);
-        }
-        self.len += rows;
-        Ok(())
-    }
-
-    /// Append a row, interning every cell as a new dictionary entry.
-    ///
-    /// # Panics
-    /// Panics if the row width doesn't match the column count.
-    pub fn push_row(&mut self, row: Vec<Cell>) {
-        assert_eq!(row.len(), self.columns.len(), "row width != column count");
-        for (c, cell) in row.into_iter().enumerate() {
-            let code = self.intern(cell);
-            self.codes[c].push(code);
-        }
-        self.len += 1;
-    }
-
-    fn cell(&self, row: usize, col: usize) -> &Cell {
-        &self.dict[self.codes[col][row] as usize]
+    /// Append a row, interning every non-null cell as a new entry.
+    pub fn push_row(&mut self, row: Vec<Cell>) -> Result<(), WidthError> {
+        (self.0).push_row(
+            row.into_iter()
+                .map(|c| (!c.is_null()).then_some(c))
+                .collect(),
+        )
     }
 
     /// A cell by row/column name.
     pub fn get(&self, row: usize, column: &str) -> Option<&Cell> {
-        let c = self.column_index(column)?;
-        (row < self.len).then(|| self.cell(row, c))
+        (row < self.len)
+            .then(|| self.row(row).get(column))
+            .flatten()
     }
 
     /// Iterate one column's cells.
     pub fn column(&self, name: &str) -> Option<impl Iterator<Item = &Cell>> {
-        let idx = self.column_index(name)?;
-        Some(self.codes[idx].iter().map(|&c| &self.dict[c as usize]))
+        Some(self.0.column(name)?.map(or_null))
     }
 
     /// Rows `rows` of columns `cols` (`None`: a column of nulls) under the
     /// names `columns` — the gather every subsetting operator is. Only the
     /// dictionary entries still referenced are carried over.
-    fn gather(
+    pub(crate) fn gather(
         &self,
         columns: Vec<String>,
         cols: &[Option<usize>],
         rows: impl Iterator<Item = usize> + Clone,
     ) -> DataFrame {
         let len = rows.clone().count();
-        let mut dict = vec![Cell::Null];
+        let mut out = Coded::new(columns);
         // New code per old code; 0 = not carried over yet (or null).
-        let mut remap = vec![0u32; self.dict.len()];
-        let codes = cols
-            .iter()
+        let mut remap = vec![0u32; self.dict.len() + 1];
+        out.codes = (cols.iter())
             .map(|src| {
                 let Some(src) = src else {
                     return vec![0; len];
@@ -333,26 +215,28 @@ impl DataFrame {
                     .map(|r| {
                         let old = col[r] as usize;
                         if old != 0 && remap[old] == 0 {
-                            remap[old] = dict.len() as u32;
-                            dict.push(self.dict[old].clone());
+                            remap[old] = out.intern(self.dict[old - 1].clone());
                         }
                         remap[old]
                     })
                     .collect()
             })
             .collect();
-        DataFrame {
-            columns,
-            dict,
-            codes,
-            len,
-        }
+        out.len = len;
+        DataFrame(out)
     }
 
     /// All columns of the given rows.
     fn take(&self, rows: impl Iterator<Item = usize> + Clone) -> DataFrame {
-        let all: Vec<Option<usize>> = (0..self.columns.len()).map(Some).collect();
-        self.gather(self.columns.clone(), &all, rows)
+        let all: Vec<Option<usize>> = (0..self.names.len()).map(Some).collect();
+        self.gather(self.names.clone(), &all, rows)
+    }
+
+    /// Add a column holding `cells`, one per row.
+    pub(crate) fn push_column(&mut self, name: &str, cells: impl Iterator<Item = Cell>) {
+        let codes = cells.map(|cell| self.intern(cell)).collect();
+        self.0.names.push(name.to_string());
+        self.0.codes.push(codes);
     }
 
     /// Keep rows satisfying `predicate`.
@@ -385,7 +269,7 @@ impl DataFrame {
     /// Rename a column in place. No-op if absent.
     pub fn rename(&mut self, from: &str, to: &str) {
         if let Some(i) = self.column_index(from) {
-            self.columns[i] = to.to_string();
+            self.names_mut()[i] = to.to_string();
         }
     }
 
@@ -395,9 +279,7 @@ impl DataFrame {
         F: FnMut(RowView<'_>) -> Cell,
     {
         let mut out = self.clone();
-        out.columns.push(name.to_string());
-        let column = (0..self.len).map(|r| out.intern(f(self.row(r)))).collect();
-        out.codes.push(column);
+        out.push_column(name, (0..self.len).map(|r| f(self.row(r))));
         out
     }
 
@@ -424,18 +306,23 @@ impl DataFrame {
             .iter()
             .filter_map(|(name, asc)| self.column_index(name).map(|i| (i, *asc)))
             .collect();
-        let mut order: Vec<usize> = (0..self.len).collect();
-        order.sort_by(|&a, &b| {
-            for &(idx, asc) in &indices {
-                let ord = self.cell(a, idx).total_cmp(self.cell(b, idx));
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
+        let mut out = self.clone();
+        out.sort_rows(|a, b| {
+            let ord = |&(idx, asc): &(usize, bool)| {
+                let ord = or_null(a.get(idx)).total_cmp(or_null(b.get(idx)));
+                if asc {
+                    ord
+                } else {
+                    ord.reverse()
                 }
-            }
-            std::cmp::Ordering::Equal
+            };
+            indices
+                .iter()
+                .map(ord)
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
         });
-        self.take(order.iter().copied())
+        out
     }
 
     /// First `k` rows starting at `offset`.
@@ -463,18 +350,17 @@ impl DataFrame {
 
     /// Vertically concatenate, aligning columns by name (missing → null).
     pub fn concat(&self, other: &DataFrame) -> DataFrame {
-        let mut columns = self.columns.clone();
-        for c in &other.columns {
+        let mut columns = self.names.clone();
+        for c in &other.names {
             if !columns.contains(c) {
                 columns.push(c.clone());
             }
         }
-        let (dict, shifted) = merged_dict(self, other);
-        let len = self.len + other.len;
-        let codes = columns
-            .iter()
+        let (mut out, shifted) = merged(columns, self, other);
+        out.len = self.len + other.len;
+        out.codes = (out.names.iter())
             .map(|name| {
-                let mut col = Vec::with_capacity(len);
+                let mut col = Vec::with_capacity(out.len);
                 if let Some(i) = self.column_index(name) {
                     col.extend_from_slice(&self.codes[i]);
                 }
@@ -482,61 +368,45 @@ impl DataFrame {
                 if let Some(i) = other.column_index(name) {
                     col.extend(other.codes[i].iter().map(|&c| shifted(c)));
                 }
-                col.resize(len, 0);
+                col.resize(out.len, 0);
                 col
             })
             .collect();
-        DataFrame {
-            columns,
-            dict,
-            codes,
-            len,
-        }
+        DataFrame(out)
     }
 }
 
-impl Default for DataFrame {
-    fn default() -> Self {
-        DataFrame::new(Vec::new())
-    }
-}
-
-/// Same column names and, position by position, equal cells — whatever codes
-/// the two frames hold them under.
-impl PartialEq for DataFrame {
-    fn eq(&self, other: &Self) -> bool {
-        if self.columns != other.columns || self.len != other.len {
-            return false;
-        }
-        let canon = canonical(&[&self.dict, &other.dict]);
-        self.codes.iter().zip(&other.codes).all(|(a, b)| {
-            a.iter()
-                .zip(b)
-                .all(|(&x, &y)| canon[0][x as usize] == canon[1][y as usize])
-        })
-    }
-}
-
-/// Prints rows of cells, not codes: this is what a failed `assert_eq!` of two
-/// frames shows.
-impl fmt::Debug for DataFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DataFrame")
-            .field("columns", &self.columns)
-            .field("rows", &self.rows().iter().collect::<Vec<_>>())
-            .finish()
-    }
+/// A table named `names` (its code columns still to fill) whose dictionary
+/// is `left`'s followed by `right`'s, and the map from `right`'s codes to
+/// their place in it.
+pub(crate) fn merged(
+    names: Vec<String>,
+    left: &DataFrame,
+    right: &DataFrame,
+) -> (Coded<Cell>, impl Fn(u32) -> u32) {
+    let mut dict = Vec::with_capacity(left.dict.len() + right.dict.len());
+    dict.extend_from_slice(&left.dict);
+    let mut out = Coded::parts(names, dict, Vec::new(), 0);
+    right.dict.iter().for_each(|cell| {
+        out.intern(cell.clone());
+    });
+    let offset = left.dict.len() as u32;
+    (out, move |code| if code == 0 { 0 } else { code + offset })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coded::AppendError;
 
     fn sample() -> DataFrame {
         let mut df = DataFrame::new(vec!["actor".into(), "movies".into(), "country".into()]);
-        df.push_row(vec![Cell::uri("a1"), Cell::Int(30), Cell::str("US")]);
-        df.push_row(vec![Cell::uri("a2"), Cell::Int(5), Cell::str("US")]);
-        df.push_row(vec![Cell::uri("a3"), Cell::Int(12), Cell::str("UK")]);
+        df.push_row(vec![Cell::uri("a1"), Cell::Int(30), Cell::str("US")])
+            .unwrap();
+        df.push_row(vec![Cell::uri("a2"), Cell::Int(5), Cell::str("US")])
+            .unwrap();
+        df.push_row(vec![Cell::uri("a3"), Cell::Int(12), Cell::str("UK")])
+            .unwrap();
         df
     }
 
@@ -594,9 +464,9 @@ mod tests {
     #[test]
     fn concat_aligns_columns() {
         let mut a = DataFrame::new(vec!["x".into()]);
-        a.push_row(vec![Cell::Int(1)]);
+        a.push_row(vec![Cell::Int(1)]).unwrap();
         let mut b = DataFrame::new(vec!["y".into()]);
-        b.push_row(vec![Cell::Int(2)]);
+        b.push_row(vec![Cell::Int(2)]).unwrap();
         let c = a.concat(&b);
         assert_eq!(c.columns(), &["x", "y"]);
         assert_eq!(c.row(0).to_vec(), vec![Cell::Int(1), Cell::Null]);
@@ -621,7 +491,7 @@ mod tests {
         df.append(2, &[vec![one, one], vec![x, 0]]).unwrap();
         assert_eq!(df.row(0).to_vec(), vec![Cell::Int(1), Cell::str("x")]);
         assert_eq!(df.row(1).to_vec(), vec![Cell::Int(1), Cell::Null]);
-        assert_eq!(df.dictionary().len(), 3);
+        assert_eq!(df.dictionary().len(), 2);
         assert_eq!(
             df.append(1, &[vec![one]]),
             Err(AppendError::ColumnCount { got: 1, want: 2 })
@@ -646,17 +516,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "row width")]
-    fn push_row_width_checked() {
-        let mut df = DataFrame::new(vec!["a".into()]);
-        df.push_row(vec![Cell::Int(1), Cell::Int(2)]);
-    }
-
-    #[test]
     fn drop_nulls() {
         let mut df = DataFrame::new(vec!["g".into()]);
-        df.push_row(vec![Cell::Null]);
-        df.push_row(vec![Cell::str("x")]);
+        df.push_row(vec![Cell::Null]).unwrap();
+        df.push_row(vec![Cell::str("x")]).unwrap();
         assert_eq!(df.drop_nulls("g").len(), 1);
     }
 }

@@ -4,7 +4,8 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::cell::Cell;
-use crate::frame::{canonical, DataFrame};
+use crate::coded::canonical;
+use crate::frame::DataFrame;
 
 /// Aggregation functions (mirrors the RDFFrames aggregate set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,10 +48,8 @@ struct State<'a> {
 }
 
 impl<'a> State<'a> {
-    fn push(&mut self, cell: &'a Cell, id: u32, wants_distinct: bool) {
-        if cell.is_null() {
-            return;
-        }
+    fn push(&mut self, cell: Option<&'a Cell>, id: u32, wants_distinct: bool) {
+        let Some(cell) = cell else { return };
         self.count += 1;
         if wants_distinct {
             self.distinct.insert(id);
@@ -139,28 +138,22 @@ impl<'a> GroupBy<'a> {
             });
             for (si, (f, _, _)) in specs.iter().enumerate() {
                 if let Some(idx) = src_idx[si] {
-                    let code = frame.codes[idx][r] as usize;
+                    let code = frame.codes[idx][r];
                     let wants_distinct = matches!(f, AggFn::CountDistinct);
-                    groups[g].1[si].push(&frame.dict[code], canon[code], wants_distinct);
+                    groups[g].1[si].push(frame.value(code), canon[code as usize], wants_distinct);
                 }
             }
         }
 
-        let mut columns = self.keys.clone();
-        columns.extend(specs.iter().map(|(_, _, out)| out.to_string()));
-        let mut out = DataFrame::new(columns);
-        for (first, states) in groups {
-            let mut row: Vec<Cell> = key_idx
-                .iter()
-                .map(|i| i.map_or(Cell::Null, |i| frame.row(first).cell(i).clone()))
-                .collect();
-            row.extend(
-                states
-                    .into_iter()
-                    .zip(specs)
-                    .map(|(s, (f, _, _))| s.finish(*f)),
-            );
-            out.push_row(row);
+        // Key columns: each group's first row; then one column per spec.
+        let firsts: Vec<usize> = groups.iter().map(|(first, _)| *first).collect();
+        let mut out = frame.gather(self.keys.clone(), &key_idx, firsts.into_iter());
+        let mut states: Vec<_> = groups.into_iter().map(|(_, s)| s.into_iter()).collect();
+        for (f, _, name) in specs {
+            let finished = states
+                .iter_mut()
+                .map(|s| s.next().map_or(Cell::Null, |s| s.finish(*f)));
+            out.push_column(name, finished);
         }
         out
     }
@@ -178,7 +171,8 @@ mod tests {
             ("a1", "m2", 30), // duplicate row (bag semantics)
             ("a2", "m3", 5),
         ] {
-            df.push_row(vec![Cell::uri(a), Cell::uri(m), Cell::Int(g)]);
+            df.push_row(vec![Cell::uri(a), Cell::uri(m), Cell::Int(g)])
+                .unwrap();
         }
         df
     }
@@ -214,8 +208,8 @@ mod tests {
     #[test]
     fn nulls_ignored() {
         let mut df = DataFrame::new(vec!["k".into(), "v".into()]);
-        df.push_row(vec![Cell::Int(1), Cell::Null]);
-        df.push_row(vec![Cell::Int(1), Cell::Int(5)]);
+        df.push_row(vec![Cell::Int(1), Cell::Null]).unwrap();
+        df.push_row(vec![Cell::Int(1), Cell::Int(5)]).unwrap();
         let g = df
             .group_by(&["k"])
             .agg(&[(AggFn::Count, "v", "n"), (AggFn::Sum, "v", "s")]);
@@ -226,9 +220,12 @@ mod tests {
     #[test]
     fn multi_key_grouping() {
         let mut df = DataFrame::new(vec!["a".into(), "b".into(), "v".into()]);
-        df.push_row(vec![Cell::Int(1), Cell::Int(1), Cell::Int(10)]);
-        df.push_row(vec![Cell::Int(1), Cell::Int(2), Cell::Int(20)]);
-        df.push_row(vec![Cell::Int(1), Cell::Int(1), Cell::Int(30)]);
+        df.push_row(vec![Cell::Int(1), Cell::Int(1), Cell::Int(10)])
+            .unwrap();
+        df.push_row(vec![Cell::Int(1), Cell::Int(2), Cell::Int(20)])
+            .unwrap();
+        df.push_row(vec![Cell::Int(1), Cell::Int(1), Cell::Int(30)])
+            .unwrap();
         let g = df.group_by(&["a", "b"]).agg(&[(AggFn::Sum, "v", "s")]);
         assert_eq!(g.len(), 2);
         assert_eq!(g.get(0, "s"), Some(&Cell::Int(40)));

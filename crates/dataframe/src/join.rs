@@ -3,7 +3,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::frame::{canonical, merged_dict, DataFrame};
+use crate::coded::canonical;
+use crate::frame::{merged, DataFrame};
 
 /// Why [`join_frames`] refused: a key column the frame does not have.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,12 +147,11 @@ pub fn join_frames(
         }
     }
 
-    let (dict, shifted) = merged_dict(left, right);
+    let (mut out, shifted) = merged(columns, left, right);
     let right_code = |col: usize, r: usize| shifted(right.codes[col][r]);
-    let mut codes: Vec<Vec<u32>> = Vec::with_capacity(columns.len());
     for (c, col) in left.codes.iter().enumerate() {
         let pairs = l_rows.iter().zip(&r_rows);
-        codes.push(
+        out.codes.push(
             pairs
                 .map(|pair| match pair {
                     (Some(l), _) => col[*l],
@@ -164,14 +164,10 @@ pub fn join_frames(
     }
     for &src in &right_cols {
         let column = r_rows.iter().map(|r| r.map_or(0, |r| right_code(src, r)));
-        codes.push(column.collect());
+        out.codes.push(column.collect());
     }
-    Ok(DataFrame {
-        columns,
-        dict,
-        codes,
-        len: l_rows.len(),
-    })
+    out.len = l_rows.len();
+    Ok(DataFrame(out))
 }
 
 #[cfg(test)]
@@ -214,16 +210,16 @@ mod tests {
 
     fn left() -> DataFrame {
         let mut df = DataFrame::new(vec!["actor".into(), "country".into()]);
-        df.push_row(vec![Cell::uri("a1"), Cell::str("US")]);
-        df.push_row(vec![Cell::uri("a2"), Cell::str("UK")]);
-        df.push_row(vec![Cell::uri("a3"), Cell::str("US")]);
+        df.push_row(vec![Cell::uri("a1"), Cell::str("US")]).unwrap();
+        df.push_row(vec![Cell::uri("a2"), Cell::str("UK")]).unwrap();
+        df.push_row(vec![Cell::uri("a3"), Cell::str("US")]).unwrap();
         df
     }
 
     fn right() -> DataFrame {
         let mut df = DataFrame::new(vec!["actor".into(), "count".into()]);
-        df.push_row(vec![Cell::uri("a1"), Cell::Int(30)]);
-        df.push_row(vec![Cell::uri("a4"), Cell::Int(7)]);
+        df.push_row(vec![Cell::uri("a1"), Cell::Int(30)]).unwrap();
+        df.push_row(vec![Cell::uri("a4"), Cell::Int(7)]).unwrap();
         df
     }
 
@@ -265,11 +261,11 @@ mod tests {
     #[test]
     fn duplicate_keys_multiply() {
         let mut l = DataFrame::new(vec!["k".into()]);
-        l.push_row(vec![Cell::Int(1)]);
-        l.push_row(vec![Cell::Int(1)]);
+        l.push_row(vec![Cell::Int(1)]).unwrap();
+        l.push_row(vec![Cell::Int(1)]).unwrap();
         let mut r = DataFrame::new(vec!["k".into(), "v".into()]);
-        r.push_row(vec![Cell::Int(1), Cell::str("x")]);
-        r.push_row(vec![Cell::Int(1), Cell::str("y")]);
+        r.push_row(vec![Cell::Int(1), Cell::str("x")]).unwrap();
+        r.push_row(vec![Cell::Int(1), Cell::str("y")]).unwrap();
         let j = join_frames(&l, &r, "k", "k", JoinType::Inner);
         assert_eq!(j.len(), 4);
     }
@@ -277,9 +273,9 @@ mod tests {
     #[test]
     fn null_keys_do_not_match() {
         let mut l = DataFrame::new(vec!["k".into()]);
-        l.push_row(vec![Cell::Null]);
+        l.push_row(vec![Cell::Null]).unwrap();
         let mut r = DataFrame::new(vec!["k".into()]);
-        r.push_row(vec![Cell::Null]);
+        r.push_row(vec![Cell::Null]).unwrap();
         assert_eq!(join_frames(&l, &r, "k", "k", JoinType::Inner).len(), 0);
         assert_eq!(join_frames(&l, &r, "k", "k", JoinType::Outer).len(), 2);
     }
@@ -287,9 +283,9 @@ mod tests {
     #[test]
     fn name_collision_gets_suffix() {
         let mut l = DataFrame::new(vec!["k".into(), "v".into()]);
-        l.push_row(vec![Cell::Int(1), Cell::str("l")]);
+        l.push_row(vec![Cell::Int(1), Cell::str("l")]).unwrap();
         let mut r = DataFrame::new(vec!["k".into(), "v".into()]);
-        r.push_row(vec![Cell::Int(1), Cell::str("r")]);
+        r.push_row(vec![Cell::Int(1), Cell::str("r")]).unwrap();
         let j = join_frames(&l, &r, "k", "k", JoinType::Inner);
         assert_eq!(j.columns(), &["k", "v", "v_right"]);
     }
@@ -299,11 +295,11 @@ mod tests {
         // left (1 row) < right (3 rows): the index is built on the left and
         // probed with the right; results must match the classic orientation.
         let mut l = DataFrame::new(vec!["k".into(), "lv".into()]);
-        l.push_row(vec![Cell::Int(1), Cell::str("a")]);
+        l.push_row(vec![Cell::Int(1), Cell::str("a")]).unwrap();
         let mut r = DataFrame::new(vec!["k".into(), "rv".into()]);
-        r.push_row(vec![Cell::Int(1), Cell::str("x")]);
-        r.push_row(vec![Cell::Int(1), Cell::str("y")]);
-        r.push_row(vec![Cell::Int(2), Cell::str("z")]);
+        r.push_row(vec![Cell::Int(1), Cell::str("x")]).unwrap();
+        r.push_row(vec![Cell::Int(1), Cell::str("y")]).unwrap();
+        r.push_row(vec![Cell::Int(2), Cell::str("z")]).unwrap();
 
         let inner = join_frames(&l, &r, "k", "k", JoinType::Inner);
         assert_eq!(inner.len(), 2);
@@ -329,9 +325,9 @@ mod tests {
     #[test]
     fn different_key_names() {
         let mut l = DataFrame::new(vec!["a".into()]);
-        l.push_row(vec![Cell::Int(1)]);
+        l.push_row(vec![Cell::Int(1)]).unwrap();
         let mut r = DataFrame::new(vec!["b".into(), "v".into()]);
-        r.push_row(vec![Cell::Int(1), Cell::str("x")]);
+        r.push_row(vec![Cell::Int(1), Cell::str("x")]).unwrap();
         let j = join_frames(&l, &r, "a", "b", JoinType::Inner);
         assert_eq!(j.columns(), &["a", "v"]);
         assert_eq!(j.len(), 1);

@@ -8,16 +8,19 @@
 //! joins (inner/left/right/full outer), hash group-by with aggregation,
 //! sorting, slicing, and CSV I/O.
 //!
-//! A [`DataFrame`] is column-major and dictionary-coded: one frame-wide
-//! dictionary of [`Cell`]s (code 0 = null) and one `Vec<u32>` of codes per
-//! column, read back through borrowed [`RowView`]s. Rows enter through one
-//! interface — [`DataFrame::intern`] a cell, [`DataFrame::append`] a block of
-//! code columns ([`DataFrame::push_row`] is its one-row form) — and every
-//! operator is a gather over codes; [`DataFrame`] says who shares entries.
+//! A [`DataFrame`] is a [`Coded`] table of [`Cell`]s: column-major and
+//! dictionary-coded, one frame-wide dictionary of cells and one `Vec<u32>`
+//! of codes per column, where code 0 is null *with no entry* and code `c`
+//! is entry `c - 1`. The engine's result pages are the same [`Coded`] type
+//! over terms. Rows enter through one checked interface — `intern` a value,
+//! `append` a block of code columns or `fill` them in place (`push_row` is
+//! the one-row form) — are read back through borrowed [`RowView`]s, and
+//! every operator is a gather over codes.
 
 #![forbid(unsafe_code)]
 
 pub mod cell;
+pub mod coded;
 pub mod csv;
 pub mod describe;
 pub mod frame;
@@ -25,7 +28,8 @@ pub mod groupby;
 pub mod join;
 
 pub use cell::Cell;
+pub use coded::{AppendError, Coded, Row, WidthError};
 pub use describe::{describe, describe_table, ColumnSummary};
-pub use frame::{AppendError, DataFrame, RowView, Rows};
+pub use frame::{DataFrame, RowView, Rows};
 pub use groupby::AggFn;
 pub use join::{JoinError, JoinType};

@@ -1,23 +1,22 @@
 //! Conversion between engine results and dataframes.
 //!
-//! A [`DataFrame`] stores one dictionary of cells and `u32` codes per
-//! column, a [`SolutionTable`] the same layout over terms, so both
+//! A [`DataFrame`] and a [`SolutionTable`] are one type, a
+//! [`dataframe::Coded`] table, over cells and over terms, so both
 //! converters convert once per *distinct* value and copy codes:
 //!
-//! - [`cursor_to_dataframe`] (the embedded path) runs the engine's one
-//!   id → code kernel, [`CodeRemap`], interning a cell where
-//!   `execute_prepared` clones a term;
+//! - [`cursor_to_dataframe`] (the embedded path) is the engine's one drain
+//!   loop, [`QueryCursor::drain`], making a cell where `execute_prepared`
+//!   clones a term;
 //! - [`table_to_dataframe`] / [`append_table`] (the wire path) convert each
-//!   dictionary entry once and copy the code columns through that remap in
-//!   one [`DataFrame::append`]. The page's builder already deduplicated it
-//!   (the executor by id, the decoders by raw slice), which retires the
-//!   per-page memo keyed by string address; and a table is rectangular by
+//!   dictionary entry once and write the code columns through that remap in
+//!   place. The page's builder already deduplicated it (the executor by id,
+//!   the decoders by raw slice), and a table is rectangular by
 //!   construction, so nothing is checked per row.
 
 use dataframe::{AppendError, Cell, DataFrame};
 use rdf_model::term::TypedValue;
 use rdf_model::Term;
-use sparql_engine::{CodeRemap, QueryCursor, SolutionTable};
+use sparql_engine::{QueryCursor, SolutionTable};
 
 use crate::client::engine_error;
 use crate::error::{FrameError, Result};
@@ -52,15 +51,8 @@ fn bad_block(e: AppendError) -> FrameError {
 /// columns straight to dictionary codes (no intermediate [`SolutionTable`],
 /// no per-cell term materialization, nothing allocated per row or per cell).
 pub fn cursor_to_dataframe(cursor: &mut QueryCursor<'_>) -> Result<DataFrame> {
-    let mut df = DataFrame::new(cursor.vars().to_vec());
-    let mut remap = CodeRemap::new(df.columns().len());
-    let mut block: Vec<Vec<u32>> = vec![Vec::new(); df.columns().len()];
-    while let Some(batch) = cursor.next_batch().map_err(engine_error)? {
-        block.iter_mut().for_each(Vec::clear);
-        remap.extend(&batch, &mut block, |term| df.intern(term_to_cell(term)));
-        df.append(batch.len, &block).map_err(bad_block)?;
-    }
-    Ok(df)
+    let table = cursor.drain(term_to_cell).map_err(engine_error)?;
+    Ok(table.into())
 }
 
 /// Append a solution table's rows to an existing dataframe with the same
@@ -79,21 +71,17 @@ pub fn append_table(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
     append_rows(df, table)
 }
 
-/// The caller matched the frame's columns to the table's, so the append
-/// cannot refuse the block after its cells were interned.
+/// One cell per dictionary entry, then the code columns through that
+/// remap, in place. A refused fill takes its entries back with it.
 fn append_rows(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
-    let remap: Vec<u32> = std::iter::once(0)
-        .chain(
-            table
-                .dictionary()
-                .iter()
-                .map(|t| df.intern(term_to_cell(t))),
-        )
-        .collect();
-    let block: Vec<Vec<u32>> = (table.code_columns().iter())
-        .map(|codes| codes.iter().map(|&c| remap[c as usize]).collect())
-        .collect();
-    df.append(table.len(), &block).map_err(bad_block)
+    let fill = |codes: &mut [Vec<u32>], intern: &mut dyn FnMut(Cell) -> u32| {
+        let cells = table.dictionary().iter().map(|t| intern(term_to_cell(t)));
+        let remap: Vec<u32> = std::iter::once(0).chain(cells).collect();
+        for (col, src) in codes.iter_mut().zip(table.code_columns()) {
+            col.extend(src.iter().map(|&c| remap[c as usize]));
+        }
+    };
+    df.fill(table.len(), fill).map_err(bad_block)
 }
 
 #[cfg(test)]
@@ -169,7 +157,7 @@ mod tests {
         )
         .unwrap();
         let df = table_to_dataframe(&table).unwrap();
-        assert_eq!(df.dictionary().len(), 3, "null, 5 and \"5\"");
+        assert_eq!(df.dictionary().len(), 2, "5 and \"5\"");
         for (row, a, b) in [
             (0, Cell::Int(5), Cell::str("5")),
             (1, Cell::str("5"), Cell::Int(5)),
@@ -216,7 +204,7 @@ mod tests {
         assert_eq!(a, b);
         // The frame's dictionary is the table's: one entry per distinct
         // term of the page against one per bound cell.
-        assert_eq!(a.dictionary().len(), terms.len() + 1);
+        assert_eq!(a.dictionary().len(), terms.len());
         assert!(b.dictionary().len() > 40);
     }
 

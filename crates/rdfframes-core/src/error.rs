@@ -77,5 +77,13 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// A row of the wrong width: a bug in whoever built it, reported instead of
+/// panicking.
+impl From<dataframe::WidthError> for FrameError {
+    fn from(e: dataframe::WidthError) -> Self {
+        FrameError::InvalidSequence(e.to_string())
+    }
+}
+
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, FrameError>;

@@ -89,7 +89,7 @@ pub fn pattern_frame(
             }
         }
         if ok {
-            df.push_row(row.into_iter().map(|c| c.expect("var bound")).collect());
+            df.push_row(row.into_iter().map(|c| c.expect("var bound")).collect())?;
         }
     }
     Ok(df)
@@ -104,11 +104,11 @@ pub fn pattern_frame(
 /// UNION-of-two-OPTIONALs SPARQL computes. Under bag semantics this yields
 /// matched rows twice (once per branch) — a deliberate fidelity choice so
 /// the oracle matches the system being reproduced.
-pub fn compat_join(left: &DataFrame, right: &DataFrame, how: JoinType) -> DataFrame {
+pub fn compat_join(left: &DataFrame, right: &DataFrame, how: JoinType) -> Result<DataFrame> {
     if matches!(how, JoinType::Outer) {
-        let b1 = compat_join(left, right, JoinType::Left);
-        let b2 = compat_join(right, left, JoinType::Left);
-        return b1.concat(&b2);
+        let b1 = compat_join(left, right, JoinType::Left)?;
+        let b2 = compat_join(right, left, JoinType::Left)?;
+        return Ok(b1.concat(&b2));
     }
     if matches!(how, JoinType::Right) {
         // D1 ⟖ D2 = D2 ⟕ D1 (the generator swaps operands the same way).
@@ -159,58 +159,38 @@ pub fn compat_join(left: &DataFrame, right: &DataFrame, how: JoinType) -> DataFr
         row
     };
 
-    // Hash path: shared columns that are non-null in *every* row of both
-    // sides form the hash key (pandas merges hash the same way); remaining
-    // shared columns are checked per candidate with null-compatible
-    // semantics. Falls back to nested loop when no such column exists.
+    // Shared columns that are non-null in *every* row of both sides form
+    // the hash key (pandas merges hash the same way; with none, every right
+    // row shares the empty key); the other shared columns are checked per
+    // candidate with null-compatible semantics.
     let all_bound = |df: &DataFrame, idx: usize| df.rows().iter().all(|r| !r[idx].is_null());
     let key_positions: Vec<usize> = (0..shared.len())
         .filter(|&k| all_bound(left, l_idx[k]) && all_bound(right, r_idx[k]))
         .collect();
 
-    if !key_positions.is_empty() || shared.is_empty() {
-        let mut index: std::collections::HashMap<Vec<&Cell>, Vec<usize>> =
-            std::collections::HashMap::with_capacity(right.len());
-        for (ri, r) in right.rows().iter().enumerate() {
-            let key: Vec<&Cell> = key_positions.iter().map(|&k| r.cell(r_idx[k])).collect();
-            index.entry(key).or_default().push(ri);
-        }
-        for l in left.rows() {
-            let key: Vec<&Cell> = key_positions.iter().map(|&k| l.cell(l_idx[k])).collect();
-            let mut matched = false;
-            if let Some(candidates) = index.get(&key) {
-                for &ri in candidates {
-                    let r = right.row(ri);
-                    if compatible(l, r) {
-                        out.push_row(merge(l, r));
-                        matched = true;
-                    }
-                }
-            }
-            if !matched && matches!(how, JoinType::Left) {
-                let mut row = l.to_vec();
-                row.resize(width, Cell::Null);
-                out.push_row(row);
-            }
-        }
-        return out;
+    let mut index: std::collections::HashMap<Vec<&Cell>, Vec<usize>> =
+        std::collections::HashMap::with_capacity(right.len());
+    for (ri, r) in right.rows().iter().enumerate() {
+        let key: Vec<&Cell> = key_positions.iter().map(|&k| r.cell(r_idx[k])).collect();
+        index.entry(key).or_default().push(ri);
     }
-
     for l in left.rows() {
+        let key: Vec<&Cell> = key_positions.iter().map(|&k| l.cell(l_idx[k])).collect();
         let mut matched = false;
-        for r in right.rows() {
+        for &ri in index.get(&key).into_iter().flatten() {
+            let r = right.row(ri);
             if compatible(l, r) {
-                out.push_row(merge(l, r));
+                out.push_row(merge(l, r))?;
                 matched = true;
             }
         }
         if !matched && matches!(how, JoinType::Left) {
             let mut row = l.to_vec();
             row.resize(width, Cell::Null);
-            out.push_row(row);
+            out.push_row(row)?;
         }
     }
-    out
+    Ok(out)
 }
 
 fn value_to_cell(frame: &RDFFrame, v: &Value) -> Result<Cell> {
@@ -446,7 +426,7 @@ pub fn apply_operators<R: FrameResolver + ?Sized>(
                 } else {
                     JoinType::Inner
                 };
-                df = compat_join(&df, &pat, how);
+                df = compat_join(&df, &pat, how)?;
             }
             Operator::Filter { column, conditions } => {
                 let idx = df
@@ -460,13 +440,8 @@ pub fn apply_operators<R: FrameResolver + ?Sized>(
                     }
                     keep.push(ok);
                 }
-                let mut filtered = DataFrame::new(df.columns().to_vec());
-                for (row, k) in df.rows().iter().zip(keep) {
-                    if k {
-                        filtered.push_row(row.to_vec());
-                    }
-                }
-                df = filtered;
+                let mut keep = keep.into_iter();
+                df = df.filter(|_| keep.next().unwrap_or(false));
             }
             Operator::FilterRaw(_) => {
                 return Err(FrameError::InvalidSequence(
@@ -503,7 +478,7 @@ pub fn apply_operators<R: FrameResolver + ?Sized>(
                 df = df.group_by(&key_refs).agg(&spec_refs);
                 if keys.is_empty() && df.is_empty() {
                     // SPARQL's implicit single group over zero rows.
-                    df.push_row(vec![Cell::Int(0); df.columns().len()]);
+                    df.push_row(vec![Cell::Int(0); df.columns().len()])?;
                 }
             }
             Operator::Join {
@@ -517,7 +492,7 @@ pub fn apply_operators<R: FrameResolver + ?Sized>(
                 let join_name = new_col.clone().unwrap_or_else(|| col.clone());
                 df.rename(col, &join_name);
                 right.rename(col2, &join_name);
-                df = compat_join(&df, &right, *jtype);
+                df = compat_join(&df, &right, *jtype)?;
             }
             Operator::Sort(keys) => {
                 let refs: Vec<(&str, bool)> = keys
@@ -645,12 +620,12 @@ mod tests {
     #[test]
     fn compare_detects_differences() {
         let mut a = DataFrame::new(vec!["x".into()]);
-        a.push_row(vec![Cell::Int(1)]);
+        a.push_row(vec![Cell::Int(1)]).unwrap();
         let mut b = DataFrame::new(vec!["x".into()]);
-        b.push_row(vec![Cell::Int(2)]);
+        b.push_row(vec![Cell::Int(2)]).unwrap();
         assert!(compare_unordered(&a, &b).is_err());
         let mut c = DataFrame::new(vec!["y".into()]);
-        c.push_row(vec![Cell::Int(1)]);
+        c.push_row(vec![Cell::Int(1)]).unwrap();
         assert!(compare_unordered(&a, &c).is_err());
         assert!(compare_unordered(&a, &a).is_ok());
     }

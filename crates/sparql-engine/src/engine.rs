@@ -33,12 +33,13 @@
 
 use std::sync::Arc;
 
+use dataframe::Coded;
 use rdf_model::hash::FxHashMap;
 use rdf_model::{Dataset, Term, TermId};
 
 use crate::algebra::{translate_query, Plan};
 use crate::budget::{BudgetMeter, QueryBudget};
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::eval::pipeline::{self, BoxOp};
 use crate::eval::Evaluator;
 use crate::eval_reference::ReferenceEvaluator;
@@ -300,16 +301,7 @@ impl Engine {
             EvalMode::Columnar => {
                 let pull = page.map_or(usize::MAX, |(_, limit)| limit);
                 let mut cursor = self.open(prepared, page, pull)?;
-                let mut table = SolutionTable::with_vars(cursor.vars().to_vec());
-                let mut remap = CodeRemap::new(table.codes.len());
-                while let Some(batch) = cursor.next_batch()? {
-                    let dict = &mut table.dict;
-                    remap.extend(&batch, &mut table.codes, |term| {
-                        dict.push(term.clone());
-                        dict.len() as u32
-                    });
-                    table.len += batch.len;
-                }
+                let table = SolutionTable(cursor.drain(Term::clone)?);
                 Ok((table, cursor.stats()))
             }
             EvalMode::TermReference => {
@@ -433,6 +425,23 @@ impl QueryCursor<'_> {
         }
     }
 
+    /// Drain the rest of the result into a coded table — the one loop
+    /// behind a page ([`Engine::execute_prepared`], `entry` a [`Term`]
+    /// clone) and the embedded DataFrame (a cell): [`CodeRemap`] fills the
+    /// code columns in place, batch by batch, and `entry` makes each
+    /// distinct id's dictionary entry once.
+    pub fn drain<T>(&mut self, mut entry: impl FnMut(&Term) -> T) -> Result<Coded<T>> {
+        let mut table = Coded::new(self.vars.clone());
+        let mut remap = CodeRemap::new(self.vars.len());
+        while let Some(batch) = self.next_batch()? {
+            let fill = |codes: &mut [Vec<u32>], intern: &mut dyn FnMut(T) -> u32| {
+                remap.extend(&batch, codes, |term| intern(entry(term)));
+            };
+            (table.fill(batch.len, fill)).map_err(|e| EngineError::Semantic(e.to_string()))?;
+        }
+        Ok(table)
+    }
+
     /// Resolve any id appearing in this cursor's columns.
     pub fn resolve(&self, id: TermId) -> &Term {
         self.evaluator.pool().resolve(id)
@@ -514,10 +523,10 @@ impl<'c> ColumnBatch<'c> {
     }
 }
 
-/// The one id → code kernel behind both result layouts: a page's
+/// The one id → code kernel, driven by [`QueryCursor::drain`] for a page's
 /// [`SolutionTable`] (a new entry is a [`Term`] clone) and the embedded
-/// DataFrame (an interned cell). An id gets one code for the whole result,
-/// so a term is materialized once per *distinct* id; code 0 is unbound.
+/// DataFrame (a cell). An id gets one code for the whole result, so a term
+/// is materialized once per *distinct* id; code 0 is unbound.
 ///
 /// In front of the `TermId → code` memo each column keeps a run cache, its
 /// last `(id, code)` pair across batches: sorted and grouped columns repeat

@@ -23,7 +23,8 @@ use crate::ast::{OrderKey, PatternTerm, TriplePattern};
 use crate::budget::{BudgetMeter, QueryBudget};
 use crate::error::{EngineError, Result};
 use crate::expr::{ebv, eval_expr, eval_single_var_filter, AggState, EvalCaches, RowCtx};
-use crate::results::{SolutionTable, WidthError};
+use crate::results::SolutionTable;
+use crate::WidthError;
 
 /// Term-materialized plan evaluator bound to a dataset.
 pub struct ReferenceEvaluator<'a> {

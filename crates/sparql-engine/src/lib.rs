@@ -55,8 +55,9 @@ pub mod results;
 mod sse;
 
 pub use budget::{BudgetMeter, QueryBudget, ResourceKind};
+pub use dataframe::{AppendError, WidthError};
 pub use engine::{
     CodeRemap, ColumnBatch, Engine, EngineConfig, EvalMode, ExecStats, PreparedQuery, QueryCursor,
 };
 pub use error::{EngineError, Result};
-pub use results::{SolutionRow, SolutionTable, WidthError};
+pub use results::{SolutionRow, SolutionTable};

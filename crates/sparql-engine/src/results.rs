@@ -1,6 +1,4 @@
-//! Query result representations.
-//!
-//! Two layouts exist on purpose:
+//! Query result representations:
 //!
 //! - [`IdTable`] is the executor's *internal* representation: a
 //!   struct-of-arrays table with one dense `Vec<TermId>` per variable column
@@ -10,11 +8,11 @@
 //!   buffers instead of allocating a `Vec` per row. Every batch an operator
 //!   hands on is one; it leaves the engine only wrapped in a
 //!   [`crate::engine::ColumnBatch`].
-//! - [`SolutionTable`] is the *public* boundary type, in the client
-//!   DataFrame's layout: a dictionary of [`Term`]s and a `u32` code column
-//!   per variable. Filled by [`crate::engine::CodeRemap`], the kernel the
-//!   embedded converter runs too, a page holds one term per *distinct* id,
-//!   and the wire codecs work once per entry. Rows are views; equality is
+//! - [`SolutionTable`] is the *public* boundary type: the client's coded
+//!   table, [`dataframe::Coded`], over [`Term`]s — the DataFrame is the same
+//!   type over cells. [`crate::QueryCursor::drain`] fills either through
+//!   [`crate::engine::CodeRemap`], so a page holds one term per *distinct*
+//!   id and the wire codecs work once per entry. Rows are views; equality is
 //!   by value, whatever the dictionary's order or duplicates.
 //!
 //! Columns move in bulk: [`Column::from_ids`] takes a value vector whole,
@@ -27,8 +25,9 @@
 //! `len.div_ceil(64)` words and no bit past `len`, which `Eq` relies on.
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::ops::{Deref, DerefMut};
 
+use dataframe::{Coded, Row};
 use rdf_model::{Term, TermId};
 
 /// Filler stored in absent slots so equal tables compare equal bit-for-bit.
@@ -404,52 +403,26 @@ impl IdTable {
     }
 }
 
-/// A row of `got` cells refused by a table of `want` columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WidthError {
-    pub got: usize,
-    pub want: usize,
-}
+/// A solution table — the engine's public result type: a [`Coded`] table
+/// of terms named by the query's variables, code 0 unbound. Every
+/// constructor checks the shape, so a table is rectangular and its codes
+/// resolve; entries may repeat or go unreferenced, and `==` compares values.
+/// The coded table's API is reached through `Deref`.
+#[derive(Clone, Default, PartialEq, Debug)]
+pub struct SolutionTable(pub(crate) Coded<Term>);
 
-impl fmt::Display for WidthError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "a row of {} cells for {} columns", self.got, self.want)
-    }
-}
-
-impl std::error::Error for WidthError {}
-
-/// A solution table — the engine's public result type — in the DataFrame's
-/// layout: a dictionary of terms and one `u32` code column per variable,
-/// code 0 unbound and code `c` entry `c - 1`. Every constructor checks the
-/// shape, so a table is rectangular and its codes resolve. Entries may
-/// repeat or go unreferenced: `==` compares resolved values row by row.
-#[derive(Clone, Default)]
-pub struct SolutionTable {
-    vars: Vec<String>,
-    pub(crate) dict: Vec<Term>,
-    pub(crate) codes: Vec<Vec<u32>>,
-    /// Row count; explicit because a zero-column table still has one.
-    pub(crate) len: usize,
-}
+/// A borrowed view of one row of a [`SolutionTable`].
+pub type SolutionRow<'a> = Row<'a, Term>;
 
 impl SolutionTable {
     /// Empty table with a schema.
     pub fn with_vars(vars: Vec<String>) -> Self {
-        SolutionTable {
-            codes: vec![Vec::new(); vars.len()],
-            vars,
-            dict: Vec::new(),
-            len: 0,
-        }
+        SolutionTable(Coded::new(vars))
     }
 
     /// The unit table: no columns, one empty row (join identity).
     pub fn unit() -> Self {
-        SolutionTable {
-            len: 1,
-            ..SolutionTable::default()
-        }
+        SolutionTable(Coded::unit())
     }
 
     /// A table of `len` rows from a dictionary and one code column per
@@ -461,143 +434,47 @@ impl SolutionTable {
         codes: Vec<Vec<u32>>,
         len: usize,
     ) -> Option<Self> {
-        let fits = |c: &Vec<u32>| c.len() == len && c.iter().all(|&k| k as usize <= dict.len());
-        (codes.len() == vars.len() && codes.iter().all(fits)).then_some(SolutionTable {
-            vars,
-            dict,
-            codes,
-            len,
-        })
+        Coded::from_columns(vars, dict, codes, len)
+            .ok()
+            .map(SolutionTable)
     }
 
     /// Column (variable) names.
     pub fn vars(&self) -> &[String] {
-        &self.vars
+        self.names()
     }
 
     /// The names, to rename in place.
     pub fn vars_mut(&mut self) -> &mut [String] {
-        &mut self.vars
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Index of a column by name.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.vars.iter().position(|v| v == name)
-    }
-
-    /// The terms the codes index.
-    pub fn dictionary(&self) -> &[Term] {
-        &self.dict
-    }
-
-    /// One code column per variable, each [`SolutionTable::len`] long.
-    pub fn code_columns(&self) -> &[Vec<u32>] {
-        &self.codes
-    }
-
-    fn term(&self, code: u32) -> Option<&Term> {
-        code.checked_sub(1).map(|i| &self.dict[i as usize])
-    }
-
-    /// Iterate the values of one column.
-    pub fn column(&self, name: &str) -> Option<impl Iterator<Item = Option<&Term>>> {
-        let idx = self.column_index(name)?;
-        Some(self.codes[idx].iter().map(|&c| self.term(c)))
-    }
-
-    /// The rows, in order, as borrowed views.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = SolutionRow<'_>> + Clone {
-        (0..self.len).map(move |row| SolutionRow { table: self, row })
-    }
-
-    /// Append one row parallel to `vars`, each bound cell a new dictionary
-    /// entry (nothing is looked up).
-    pub fn push_row(&mut self, row: Vec<Option<Term>>) -> Result<(), WidthError> {
-        let want = self.codes.len();
-        if row.len() != want {
-            return Err(WidthError {
-                got: row.len(),
-                want,
-            });
-        }
-        for (col, cell) in self.codes.iter_mut().zip(row) {
-            col.push(cell.map_or(0, |term| {
-                self.dict.push(term);
-                self.dict.len() as u32
-            }));
-        }
-        self.len += 1;
-        Ok(())
+        self.names_mut()
     }
 
     /// Sort rows lexicographically by value (order-insensitive comparisons
-    /// in tests and result checksums) by permuting the code columns.
+    /// in tests and result checksums), unbound first.
     pub fn canonicalize(&mut self) {
-        let mut order: Vec<usize> = (0..self.len).collect();
-        order.sort_by(|&a, &b| {
-            (self.codes.iter())
-                .map(|col| match (self.term(col[a]), self.term(col[b])) {
+        self.sort_rows(|a, b| {
+            (a.iter().zip(b.iter()))
+                .map(|pair| match pair {
                     (Some(x), Some(y)) => x.order_cmp(y),
                     (x, y) => x.is_some().cmp(&y.is_some()),
                 })
                 .find(|o| o.is_ne())
                 .unwrap_or(Ordering::Equal)
         });
-        for col in &mut self.codes {
-            *col = order.iter().map(|&r| col[r]).collect();
-        }
     }
 }
 
-impl PartialEq for SolutionTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars && self.len == other.len && self.rows().eq(other.rows())
+impl Deref for SolutionTable {
+    type Target = Coded<Term>;
+
+    fn deref(&self) -> &Coded<Term> {
+        &self.0
     }
 }
 
-impl fmt::Debug for SolutionTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let rows: Vec<_> = self.rows().map(|r| r.to_vec()).collect();
-        f.debug_struct("SolutionTable")
-            .field("vars", &self.vars)
-            .field("rows", &rows)
-            .finish()
-    }
-}
-
-/// A borrowed view of one row of a [`SolutionTable`].
-#[derive(Clone, Copy)]
-pub struct SolutionRow<'a> {
-    table: &'a SolutionTable,
-    row: usize,
-}
-
-impl<'a> SolutionRow<'a> {
-    /// The row's cells in column order (`None` = unbound).
-    pub fn iter(&self) -> impl Iterator<Item = Option<&'a Term>> + 'a {
-        let SolutionRow { table, row } = *self;
-        table.codes.iter().map(move |col| table.term(col[row]))
-    }
-
-    /// The row's cells, cloned.
-    pub fn to_vec(&self) -> Vec<Option<Term>> {
-        self.iter().map(Option::<&Term>::cloned).collect()
-    }
-}
-
-impl PartialEq for SolutionRow<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
+impl DerefMut for SolutionTable {
+    fn deref_mut(&mut self) -> &mut Coded<Term> {
+        &mut self.0
     }
 }
 

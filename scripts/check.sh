@@ -101,11 +101,14 @@ cargo test -q -p rdfframes-core --lib the_run_cache_never_answers_for_an_absent_
 # 3, unbounded, and `execute_prepared`), and built by hand over a permuted
 # dictionary with duplicate and unreferenced entries — equal exactly when
 # the models are, read back and sorted as the model, a wrong-width row
-# refused with the table untouched. Then the wire encoders' bytes for all
-# 22 paper frames, whole and paged, against hashes pinned before the
-# dictionary-coded table.
+# refused with the table untouched. The table is `dataframe::Coded`, so the
+# dataframe crate's tests run here too: the shared shape check's unit test
+# (every refusal typed, the table left as it was) and `proptest_frame`.
+# Then the wire encoders' bytes for all 22 paper frames, whole and paged,
+# against hashes pinned before the dictionary-coded table.
 echo "==> solution table layout (fixed seed)"
 cargo test -q -p sparql-engine --test solution_table
+cargo test -q -p dataframe
 cargo test -q -p bench --test pinned_encodings
 
 # Crash-recovery smoke: the paper workload (scale 64) committed through
