@@ -3,7 +3,7 @@
 //! The embedded execution path (query model → engine plan → columnar
 //! cursor → typed DataFrame, no SPARQL text anywhere) must be perfectly
 //! interchangeable with the paper-faithful wire path (render → parse →
-//! evaluate per page → XML/TSV round trip → per-cell decode). This suite
+//! evaluate per page → XML round trip → per-cell decode). This suite
 //! drives every example workload — the 15 synthetic queries of Table 2 and
 //! the three case studies — through both and asserts:
 //!
@@ -12,14 +12,14 @@
 //!    same `FROM` list. This is the strongest guarantee: after the shared
 //!    optimizer pass both paths execute the identical plan.
 //! 2. **DataFrame identity**: both paths produce the *same* DataFrame —
-//!    schema, row order, cell types and values — against the XML wire
-//!    format (and TSV for the case studies).
+//!    schema, row order, cell types and values.
 //! 3. **Work parity**: `rows_scanned` and `shared_scans` on the embedded
 //!    cursor — at its default batch size and drained in one unbounded pull
 //!    alike — equal the engine's counts for the rendered text (pagination
 //!    permitting — the wire side is checked to have served a single chunk),
-//!    and their sum equals the `rows_scanned` of the `TermReference` oracle,
-//!    which evaluates every occurrence of a repeated subplan.
+//!    and their sum equals the `rows_scanned` of the oracle
+//!    (`eval_reference::execute`), which evaluates every occurrence of a
+//!    repeated subplan.
 
 use std::sync::Arc;
 
@@ -28,25 +28,15 @@ use bench::data;
 use bench::queries;
 use rdf_model::Dataset;
 use rdfframes_core::model::{compile, generator, render};
-use rdfframes_core::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint, RDFFrame, WireFormat};
+use rdfframes_core::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint, RDFFrame};
 use sparql_engine::algebra::translate_query;
+use sparql_engine::eval_reference;
 use sparql_engine::parser::parse_query;
-use sparql_engine::{Engine, EngineConfig, EvalMode};
 
 const SCALE: usize = 150;
 
-fn wire_endpoint(ds: Arc<Dataset>, wire: WireFormat) -> InProcessEndpoint {
-    InProcessEndpoint::with_config(
-        ds,
-        EndpointConfig {
-            wire,
-            ..Default::default()
-        },
-    )
-}
-
 /// Assert all three equivalence layers for one frame.
-fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFormat) {
+fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>) {
     // 1. Plan mirror.
     let model = generator::build_query_model(frame)
         .unwrap_or_else(|e| panic!("{id}: model generation failed: {e}"));
@@ -64,7 +54,7 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
 
     // 2. Identical DataFrames end to end.
     let embedded = EmbeddedEndpoint::new(Arc::clone(ds));
-    let wire_ep = wire_endpoint(Arc::clone(ds), wire);
+    let wire_ep = InProcessEndpoint::new(Arc::clone(ds));
     let scanned_before = (embedded.rows_scanned(), embedded.shared_scans());
     let df_embedded = frame
         .execute(&embedded)
@@ -74,7 +64,7 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
         .unwrap_or_else(|e| panic!("{id}: wire execution failed: {e}"));
     assert_eq!(
         df_embedded, df_wire,
-        "{id}: embedded and wire dataframes differ ({wire:?} wire format)"
+        "{id}: embedded and wire dataframes differ"
     );
     assert!(
         !df_embedded.is_empty(),
@@ -103,8 +93,8 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
     // model re-evaluates per page, which multiplies the wire side's work by
     // the page count).
     if wire_ep.stats().requests() == 1 {
-        let (_, stats) = wire_ep
-            .engine()
+        let engine = wire_ep.engine();
+        let (_, stats) = engine
             .execute_with_stats(&sparql)
             .unwrap_or_else(|e| panic!("{id}: direct engine execution failed: {e}"));
         assert_eq!(
@@ -115,15 +105,9 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
             scanned.1, stats.shared_scans,
             "{id}: embedded cursor replayed a different number of index entries"
         );
-        let oracle = Engine::with_config(
-            Arc::clone(ds),
-            EngineConfig {
-                eval_mode: EvalMode::TermReference,
-                ..EngineConfig::new()
-            },
-        );
-        let (_, unshared) = oracle
-            .execute_with_stats(&sparql)
+        let (_, unshared) = engine
+            .prepare(&sparql)
+            .and_then(|prepared| eval_reference::execute(engine, &prepared, None))
             .unwrap_or_else(|e| panic!("{id}: oracle execution failed: {e}"));
         assert_eq!(
             stats.unshared_scans(),
@@ -137,10 +121,11 @@ fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>, wire: WireFo
 fn synthetic_workload_embedded_matches_xml_wire() {
     let ds = data::build_dataset(SCALE);
     for def in queries::all_queries() {
-        assert_equivalent(def.id, &def.frame, &ds, WireFormat::Xml);
+        assert_equivalent(def.id, &def.frame, &ds);
     }
 }
 
+/// The case studies, embedded against the XML wire path.
 #[test]
 fn case_studies_embedded_matches_both_wire_formats() {
     let ds = data::build_dataset(SCALE);
@@ -157,8 +142,7 @@ fn case_studies_embedded_matches_both_wire_formats() {
         ("cs3_kg_embedding", casestudies::kg_embedding()),
     ];
     for (id, frame) in &cases {
-        assert_equivalent(id, frame, &ds, WireFormat::Xml);
-        assert_equivalent(id, frame, &ds, WireFormat::Tsv);
+        assert_equivalent(id, frame, &ds);
     }
 }
 
@@ -173,7 +157,6 @@ fn pagination_does_not_break_equivalence() {
         Arc::clone(&ds),
         EndpointConfig {
             max_rows_per_request: 500,
-            wire: WireFormat::Xml,
             ..Default::default()
         },
     );
@@ -201,7 +184,7 @@ fn float_columns_round_trip_identically() {
         .avg("runtime", "mean_runtime");
 
     let embedded = EmbeddedEndpoint::new(Arc::clone(&ds));
-    let wire_ep = wire_endpoint(Arc::clone(&ds), WireFormat::Xml);
+    let wire_ep = InProcessEndpoint::new(Arc::clone(&ds));
     let df_embedded = frame.execute(&embedded).unwrap();
     let df_wire = frame.execute(&wire_ep).unwrap();
     assert_eq!(df_embedded, df_wire);

@@ -10,8 +10,8 @@
 //!    paper's workload `rows_scanned` must equal the sum over the *distinct*
 //!    BGPs of the plan of the scans each takes on its own, and
 //!    `rows_scanned + shared_scans` the sum over *all* BGP occurrences —
-//!    which is also what the `TermReference` oracle, evaluating every
-//!    occurrence, reports. cs1 reads at most 0.4 × of what it used to; a
+//!    which is also what the oracle (`eval_reference::execute`), evaluating
+//!    every occurrence, reports. cs1 reads at most 0.4 × of what it used to; a
 //!    frame without a repeated subtree reads exactly what it used to.
 //! 2. **Plan snapshots.** `PreparedQuery::explain()` shows the DAG: cs1 has
 //!    four shared nodes read nine times, Q1 none.
@@ -33,21 +33,17 @@ use rdfframes_core::model::{compile, generator};
 use rdfframes_core::RDFFrame;
 use sparql_engine::algebra::{AggSpec, GraphRef, Plan};
 use sparql_engine::ast::{AggOp, CmpOp, Expr, OrderKey, PatternTerm, TriplePattern};
-use sparql_engine::{Engine, EngineConfig, EvalMode, ExecStats, PreparedQuery};
+use sparql_engine::{
+    eval_reference, Engine, EngineConfig, ExecStats, PreparedQuery, SolutionTable,
+};
 
 fn engine(ds: &Arc<Dataset>, config: EngineConfig) -> Engine {
     Engine::with_config(Arc::clone(ds), config)
 }
 
 /// The oracle: evaluates every occurrence of every subplan.
-fn reference(ds: &Arc<Dataset>) -> Engine {
-    engine(
-        ds,
-        EngineConfig {
-            eval_mode: EvalMode::TermReference,
-            ..EngineConfig::new()
-        },
-    )
+fn reference(engine: &Engine, prepared: &PreparedQuery) -> (SolutionTable, ExecStats) {
+    eval_reference::execute(engine, prepared, None).unwrap()
 }
 
 fn prepare(engine: &Engine, frame: &RDFFrame) -> PreparedQuery {
@@ -103,7 +99,6 @@ fn bgps(plan: &Plan) -> Vec<&Plan> {
 /// whose plan has a shared subplan.
 fn assert_scan_identities(ds: &Arc<Dataset>, frames: Vec<(String, RDFFrame)>) -> Vec<String> {
     let columnar = engine(ds, EngineConfig::new());
-    let oracle = reference(ds);
     // Runs a BGP of the optimized plan exactly as it stands.
     let literal = engine(
         ds,
@@ -138,7 +133,7 @@ fn assert_scan_identities(ds: &Arc<Dataset>, frames: Vec<(String, RDFFrame)>) ->
             unshared_scans,
             "{id}: scans read + scans replayed"
         );
-        let (_, unshared) = oracle.execute_prepared(&prepared, None).unwrap();
+        let (_, unshared) = reference(&columnar, &prepared);
         assert_eq!(unshared.rows_scanned, unshared_scans, "{id}: oracle");
         for batch in [7, 256, usize::MAX] {
             let (_, streamed) = drain(&columnar, &prepared, batch);
@@ -474,7 +469,7 @@ proptest! {
         // `execute`'s one unbounded pull leaves an input unread that the
         // slice above it never asks for.
         let early_exit = has_limit(prepared.plan());
-        let (expected, unshared) = reference(&ds).execute_prepared(&prepared, None).unwrap();
+        let (expected, unshared) = reference(&columnar, &prepared);
         let (table, stats) = columnar.execute_prepared(&prepared, None).unwrap();
         prop_assert_eq!(&table, &expected, "rows or order differ for\n{}", &explain);
         if early_exit {

@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn the_run_cache_never_answers_for_an_absent_slot() {
         use rdf_model::{Dataset, Graph, Triple};
-        use sparql_engine::{Engine, EngineConfig, EvalMode};
+        use sparql_engine::{eval_reference, Engine};
         use std::sync::Arc;
 
         // `v` is the dataset's first interned term, TermId(0) — the id an
@@ -247,16 +247,7 @@ mod tests {
         let hazards = o.windows(2).filter(|p| *p[0] == v_cell && p[1].is_null());
         assert!(hazards.count() > ROWS / 10, "v next to unbound cells");
 
-        let oracle = Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                eval_mode: EvalMode::TermReference,
-                ..EngineConfig::new()
-            },
-        );
-        let (mut expected, _) = oracle
-            .execute_prepared(&oracle.prepare(query).unwrap(), None)
-            .unwrap();
+        let (mut expected, _) = eval_reference::execute(&engine, &prepared, None).unwrap();
         table.canonicalize();
         expected.canonicalize();
         assert_eq!(table, expected);

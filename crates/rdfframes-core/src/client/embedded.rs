@@ -5,7 +5,7 @@
 //! [`InProcessEndpoint`](crate::client::InProcessEndpoint)'s HTTP-faithful
 //! contract. Where the wire path renders the query model to SPARQL text,
 //! re-parses and re-evaluates it per page, and round-trips every result
-//! chunk through an XML/TSV encoding, the embedded path:
+//! chunk through the XML results encoding, the embedded path:
 //!
 //! 1. compiles the [`QueryModel`] straight into the engine's plan algebra
 //!    ([`crate::model::compile`]),
@@ -74,9 +74,9 @@ impl EmbeddedEndpoint {
         Self::with_engine_config(dataset, EngineConfig::new())
     }
 
-    /// Embedded endpoint with an explicit engine configuration (the
-    /// embedded cursor always evaluates columnar; `eval_mode` only affects
-    /// the raw-SPARQL [`Endpoint::query_chunk`] surface).
+    /// Embedded endpoint with an explicit engine configuration (its
+    /// `optimize` and `budget` govern the cursor and the raw-SPARQL
+    /// [`Endpoint::query_chunk`] surface alike).
     pub fn with_engine_config(dataset: Arc<Dataset>, config: EngineConfig) -> Self {
         EmbeddedEndpoint {
             engine: Engine::with_config(dataset, config),

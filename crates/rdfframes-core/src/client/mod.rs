@@ -6,16 +6,15 @@
 //! `query_chunk(sparql, offset, limit)` returns at most `limit` rows
 //! starting at `offset`, *re-executing the query per request* like a
 //! cursor-less HTTP endpoint does. [`InProcessEndpoint`] implements it over
-//! the [`sparql_engine`] crate (our Virtuoso stand-in), optionally charging
-//! a simulated per-request overhead.
+//! the [`sparql_engine`] crate (our Virtuoso stand-in), round-tripping
+//! every chunk through the SPARQL XML results format ([`xml`]) and
+//! optionally charging a simulated per-request overhead.
 
 pub mod concurrent;
 pub mod convert;
 pub mod embedded;
 pub mod faulty;
-mod memo;
 pub mod serving;
-pub mod wire;
 pub mod xml;
 
 use std::collections::HashMap;
@@ -25,9 +24,7 @@ use std::time::Duration;
 
 use dataframe::DataFrame;
 use rdf_model::Dataset;
-use sparql_engine::{
-    Engine, EngineConfig, EngineError, EvalMode, PreparedQuery, QueryBudget, SolutionTable,
-};
+use sparql_engine::{Engine, EngineConfig, EngineError, PreparedQuery, QueryBudget, SolutionTable};
 
 use crate::error::{FrameError, Result};
 use crate::model::QueryModel;
@@ -66,9 +63,6 @@ pub struct EndpointConfig {
     pub request_overhead: Duration,
     /// Enable the engine's query optimizer.
     pub optimize: bool,
-    /// Which engine evaluator serves requests (columnar unless testing
-    /// against an oracle).
-    pub eval_mode: EvalMode,
     /// Result-format round trip performed on every chunk (models the
     /// SPARQL-over-HTTP result encoding the paper's setup pays for).
     pub wire: WireFormat,
@@ -78,13 +72,11 @@ pub struct EndpointConfig {
     pub budget: QueryBudget,
 }
 
-/// Result serialization performed by the simulated endpoint.
+/// Result serialization performed by the simulated endpoint. There is one
+/// codec; the enum (and [`EndpointConfig::wire`]) remain only because
+/// callers still name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFormat {
-    /// No serialization (pure in-process; fastest, least faithful).
-    None,
-    /// Tab-separated values (SPARQL TSV results).
-    Tsv,
     /// SPARQL Query Results XML Format — what SPARQLWrapper, the client
     /// library the paper uses, receives by default.
     Xml,
@@ -96,7 +88,6 @@ impl Default for EndpointConfig {
             max_rows_per_request: 100_000,
             request_overhead: Duration::ZERO,
             optimize: true,
-            eval_mode: EvalMode::default(),
             wire: WireFormat::Xml,
             budget: QueryBudget::unlimited(),
         }
@@ -278,7 +269,6 @@ impl InProcessEndpoint {
             dataset,
             EngineConfig {
                 optimize: config.optimize,
-                eval_mode: config.eval_mode,
                 budget: config.budget.clone(),
             },
         );
@@ -356,21 +346,9 @@ impl InProcessEndpoint {
             .fetch_add(table.len() as u64, Ordering::Relaxed);
         // The server's table is dropped once encoded: only the bytes cross
         // to the client side, which decodes them into a table of its own.
-        match self.config.wire {
-            WireFormat::None => Ok(table),
-            WireFormat::Tsv => {
-                let encoded = wire::encode(&table);
-                drop(table);
-                wire::decode(&encoded)
-                    .ok_or_else(|| FrameError::Transport("TSV round trip failed".into()))
-            }
-            WireFormat::Xml => {
-                let encoded = xml::encode(&table);
-                drop(table);
-                xml::decode(&encoded)
-                    .ok_or_else(|| FrameError::Transport("XML round trip failed".into()))
-            }
-        }
+        let encoded = xml::encode(&table);
+        drop(table);
+        xml::decode(&encoded).ok_or_else(|| FrameError::Transport("XML round trip failed".into()))
     }
 }
 

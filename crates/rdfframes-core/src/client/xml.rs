@@ -1,20 +1,81 @@
-//! SPARQL Query Results XML Format encoding.
+//! SPARQL Query Results XML Format encoding: the one wire codec.
 //!
 //! The paper's client stack (SPARQLWrapper over HTTP) receives results in
-//! this format by default, so the simulated endpoint can optionally perform
-//! a *real* XML encode/parse round trip per chunk. This makes transfer cost
+//! this format by default, so the simulated endpoint performs a *real* XML
+//! encode/parse round trip per chunk. This makes transfer cost
 //! proportional to shipped data volume — the effect that dominates the
 //! paper's client-side baselines. The bytes are per cell, the work per
-//! distinct value: [`encode`] escapes each dictionary entry once and copies
-//! its fragment per cell, [`decode`] parses each distinct binding once.
+//! distinct value: [`encode`] escapes each dictionary entry once
+//! ([`Fragments`]) and copies its fragment per cell, [`decode`] parses each
+//! distinct binding once ([`CodeMemo`]).
 
 use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use rdf_model::term::Literal;
 use rdf_model::Term;
 use sparql_engine::SolutionTable;
 
-use super::memo::{CodeMemo, Fragments};
+/// Each dictionary entry's binding content and `</binding>` in one
+/// buffer, with an offset table: code `c`'s text is
+/// `text[ends[c - 1]..ends[c]]`, code 0's is empty.
+struct Fragments {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Fragments {
+    /// Write each of `dictionary`'s terms once.
+    fn new(dictionary: &[Term]) -> Self {
+        let mut text = String::new();
+        let mut ends = Vec::with_capacity(dictionary.len() + 1);
+        ends.push(0);
+        for term in dictionary {
+            encode_term(term, &mut text);
+            text.push_str("</binding>");
+            ends.push(text.len());
+        }
+        Fragments { text, ends }
+    }
+
+    /// The text of a code of the table the fragments came from.
+    fn get(&self, code: u32) -> &str {
+        let code = code as usize;
+        &self.text[self.ends[code.saturating_sub(1)]..self.ends[code]]
+    }
+}
+
+/// Raw binding content → its code in the page's dictionary `terms`, for
+/// one decode call (never longer than the text it borrows).
+///
+/// A result page repeats most of its values (88 % of cs3's cells), and the
+/// raw slice a value was shipped as determines the term. So the decoder
+/// looks the slice up first and gets a dictionary *code*: a repeat costs
+/// one hash and four bytes, and only a new slice is parsed into a [`Term`].
+/// The keys are bytes from outside the process, so the map keeps std's
+/// keyed hasher (an attacker who picks the values must not pick the
+/// collisions).
+#[derive(Default)]
+struct CodeMemo<'a> {
+    seen: HashMap<&'a str, u32>,
+    terms: Vec<Term>,
+}
+
+impl<'a> CodeMemo<'a> {
+    /// The code of the term `raw` stands for: the one given at its first
+    /// occurrence, or a new entry `decode(raw)` (nothing is remembered when
+    /// it fails).
+    fn code(&mut self, raw: &'a str, decode: impl FnOnce(&'a str) -> Option<Term>) -> Option<u32> {
+        match self.seen.entry(raw) {
+            Entry::Occupied(hit) => Some(*hit.get()),
+            Entry::Vacant(slot) => {
+                self.terms.push(decode(raw)?);
+                Some(*slot.insert(self.terms.len() as u32))
+            }
+        }
+    }
+}
 
 /// Append `s` with the four markup characters as entities: whole runs
 /// between them are copied, not pushed char by char (they are all ASCII, so
@@ -73,10 +134,7 @@ const BINDING: &str = "<binding name=\"";
 /// (`<uri>…</uri></binding>` and the like); the body is sized before it is
 /// written.
 pub fn encode(table: &SolutionTable) -> String {
-    let fragments = Fragments::new(table.dictionary(), |term, out| {
-        encode_term(term, out);
-        out.push_str("</binding>");
-    });
+    let fragments = Fragments::new(table.dictionary());
     // Each column's opening tag, escaped once instead of once per cell.
     let bindings: Vec<String> = (table.vars().iter())
         .map(|v| {

@@ -28,6 +28,7 @@ use std::time::Duration;
 use dataframe::DataFrame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sparql_engine::SolutionTable;
 
 use crate::api::rdfframe::RDFFrame;
 use crate::client::convert::{append_table, table_to_dataframe};
@@ -298,7 +299,7 @@ impl Executor {
 
         // First chunk: nothing assembled yet, so an unrecoverable failure
         // here is a plain error.
-        let first = self.chunk_with_retry(endpoint, sparql, 0, page, &mut rng)?;
+        let first = self.fetch(endpoint, sparql, 0, page, &mut rng, Ok)?;
         let short = first.len() < page;
         let mut df = table_to_dataframe(&first)?;
         // The page is in the frame; free it before the next one is fetched.
@@ -325,26 +326,16 @@ impl Executor {
             // Fetch *and append* under one retry budget: schema drift only
             // shows when the chunk's header meets the accumulated frame's,
             // and re-requesting the chunk is the fix for that too.
-            let mut tries = 0u32;
-            let appended = loop {
-                tries += 1;
-                let outcome = endpoint
-                    .query_chunk(sparql, offset, page)
-                    .and_then(|chunk| append_table(&mut df, &chunk).map(|()| chunk.len()));
-                match outcome {
-                    Ok(n) => break n,
-                    Err(e)
-                        if tries < self.retry.max_attempts.max(1) && (self.retry.retry_on)(&e) =>
-                    {
-                        self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                        self.sleep_backoff(tries, &mut rng)
-                    }
-                    Err(error) => {
-                        return Ok(PartialFrame {
-                            frame: df,
-                            completeness: Completeness::Partial { error },
-                        })
-                    }
+            let appended = self.fetch(endpoint, sparql, offset, page, &mut rng, |chunk| {
+                append_table(&mut df, &chunk).map(|()| chunk.len())
+            });
+            let appended = match appended {
+                Ok(n) => n,
+                Err(error) => {
+                    return Ok(PartialFrame {
+                        frame: df,
+                        completeness: Completeness::Partial { error },
+                    })
                 }
             };
             if appended < page {
@@ -383,25 +374,40 @@ impl Executor {
         None
     }
 
-    /// One chunk request under the retry policy (no append).
-    fn chunk_with_retry<E: Endpoint + ?Sized>(
+    /// Request rows `[offset, offset+page)` and hand the chunk to `take`,
+    /// re-requesting under the retry policy while either step fails
+    /// retryably. A chunk longer than the `page` asked for is a transport
+    /// fault: keeping it would duplicate its extra rows when the next
+    /// request, at `offset + page`, returns them again.
+    fn fetch<E: Endpoint + ?Sized, T>(
         &self,
         endpoint: &E,
         sparql: &str,
         offset: usize,
         page: usize,
         rng: &mut StdRng,
-    ) -> Result<sparql_engine::SolutionTable> {
+        mut take: impl FnMut(SolutionTable) -> Result<T>,
+    ) -> Result<T> {
         let mut tries = 0u32;
         loop {
             tries += 1;
-            match endpoint.query_chunk(sparql, offset, page) {
-                Ok(t) => return Ok(t),
+            let outcome = endpoint
+                .query_chunk(sparql, offset, page)
+                .and_then(|chunk| {
+                    if chunk.len() > page {
+                        return Err(FrameError::Transport(format!(
+                            "{} rows returned for a page of {page}",
+                            chunk.len()
+                        )));
+                    }
+                    take(chunk)
+                });
+            match outcome {
                 Err(e) if tries < self.retry.max_attempts.max(1) && (self.retry.retry_on)(&e) => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
                     self.sleep_backoff(tries, rng)
                 }
-                Err(e) => return Err(e),
+                outcome => return outcome,
             }
         }
     }

@@ -18,7 +18,7 @@ use rdfframes_core::client::{
 };
 use rdfframes_core::exec::{Completeness, Executor, RetryPolicy};
 use rdfframes_core::FrameError;
-use sparql_engine::{EvalMode, QueryBudget};
+use sparql_engine::{eval_reference, EngineError, QueryBudget, ResourceKind};
 
 fn dataset(n: usize) -> Arc<Dataset> {
     let mut g = Graph::new();
@@ -224,26 +224,41 @@ fn run_partial_with_no_assembled_rows_is_an_error() {
 fn budget_trips_propagate_through_wire_path_on_every_evaluator() {
     let cross = "SELECT ?a ?b ?c ?d FROM <http://g> WHERE { \
                  ?a <http://x/starring> ?b . ?c <http://x/starring> ?d }";
-    for eval_mode in [EvalMode::Columnar, EvalMode::TermReference] {
-        let ep = InProcessEndpoint::with_config(
-            dataset(4000),
-            EndpointConfig {
-                eval_mode,
-                budget: QueryBudget::unlimited().with_max_intermediate_rows(50_000),
-                ..Default::default()
-            },
-        );
-        let err = Executor::new().run(cross, &ep).unwrap_err();
-        assert!(
-            matches!(err, FrameError::ResourceExhausted(_)),
-            "{eval_mode:?}: {err:?}"
-        );
-        // Budget exhaustion is deterministic — the policy must not retry it.
-        assert!(!err.is_retryable());
-        // The failed request was still accounted, on both counters.
-        assert_eq!(ep.stats().requests(), 1);
-        assert_eq!(ep.stats().errors(), 1);
-    }
+    let ep = InProcessEndpoint::with_config(
+        dataset(4000),
+        EndpointConfig {
+            budget: QueryBudget::unlimited().with_max_intermediate_rows(50_000),
+            ..Default::default()
+        },
+    );
+    let err = Executor::new().run(cross, &ep).unwrap_err();
+    let FrameError::ResourceExhausted(detail) = &err else {
+        panic!("{err:?}")
+    };
+    assert!(
+        detail.starts_with("intermediate rows limit 50000 "),
+        "{detail}"
+    );
+    // Budget exhaustion is deterministic — the policy must not retry it.
+    assert!(!err.is_retryable());
+    // The failed request was still accounted, on both counters.
+    assert_eq!(ep.stats().requests(), 1);
+    assert_eq!(ep.stats().errors(), 1);
+    // The oracle on the endpoint's engine, under the same budget, trips the
+    // same axis at the same limit.
+    let engine = ep.engine();
+    let oracle = eval_reference::execute(engine, &engine.prepare(cross).unwrap(), None);
+    assert!(
+        matches!(
+            oracle,
+            Err(EngineError::ResourceExhausted {
+                resource: ResourceKind::IntermediateRows,
+                limit: 50_000,
+                ..
+            })
+        ),
+        "{oracle:?}"
+    );
 }
 
 #[test]

@@ -1,22 +1,21 @@
-//! The wire codecs as functions of bytes: `decode(encode(t)) == t` for
-//! generated tables full of the characters each format has to escape, and
-//! `decode` of damaged documents — truncated anywhere, bytes flipped or
-//! inserted — never panics and never returns a ragged table.
+//! The wire codec as functions of bytes: `decode(encode(t)) == t` for
+//! generated tables full of the characters XML has to escape, and `decode`
+//! of damaged documents — truncated anywhere, bytes flipped or inserted —
+//! never panics and never returns a ragged table.
 //!
 //! `corrupt_wire.rs` drives a fixed list of bad bodies through the whole
-//! client stack; this file widens the input space of the two decoders
-//! themselves.
+//! client stack; this file widens the input space of the decoder itself.
 
 use proptest::prelude::*;
 use rdf_model::vocab::xsd;
 use rdf_model::{Literal, Term};
 use rdfframes_core::client::convert::table_to_dataframe;
-use rdfframes_core::client::{wire, xml};
+use rdfframes_core::client::xml;
 use sparql_engine::SolutionTable;
 
 /// Pieces a hostile value is assembled from: the XML markup characters, text
 /// that looks like an entity, a CDATA end, this format's own closing tags,
-/// the TSV delimiters' neighbours, multi-byte UTF-8.
+/// N-Triples escapes and suffixes, multi-byte UTF-8.
 const PIECES: [&str; 20] = [
     "&",
     "<",
@@ -40,8 +39,8 @@ const PIECES: [&str; 20] = [
     "http://x/y?q=1&r=2#z",
 ];
 
-/// A value with no tab or newline: usable anywhere, also where TSV has no
-/// escape (IRIs, labels, tags, variable names).
+/// A value with no tab or newline: usable anywhere (IRIs, labels, tags,
+/// variable names).
 fn token() -> impl Strategy<Value = String> {
     proptest::collection::vec(0..PIECES.len(), 0..4)
         .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
@@ -177,6 +176,8 @@ const SMALL_XML: &str = "<?xml version=\"1.0\"?>\n\
 </results>\n\
 </sparql>\n";
 
+/// `small()` as a SPARQL-TSV body: a document in another format, which the
+/// XML decoder must refuse at every truncation without panicking.
 const SMALL_TSV: &str = "?s\t?a&b\t?n\n\
 <http://x/a?q=1&r=2>\t\"héllo <\\\"w\\\">\"@en\t\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>\n\
 _:b0\t\t\"5\"\n\
@@ -185,15 +186,13 @@ _:b0\t\t\"5\"\n\
 #[test]
 fn encoders_write_exactly_these_bytes() {
     assert_eq!(xml::encode(&small()), SMALL_XML);
-    assert_eq!(wire::encode(&small()), SMALL_TSV);
     assert!(same(&xml::decode(SMALL_XML).unwrap(), &small()));
-    assert!(same(&wire::decode(SMALL_TSV).unwrap(), &small()));
 }
 
 #[test]
-fn rows_with_nothing_to_print_survive_tsv() {
-    // An empty line is "no row", so the unit row and a lone unbound cell
-    // are shipped as a marker line.
+fn rows_with_nothing_to_print_survive_the_round_trip() {
+    // The unit row and a lone unbound cell are a `<result>` with no
+    // binding.
     for table in [
         SolutionTable::unit(),
         pushed(
@@ -201,11 +200,8 @@ fn rows_with_nothing_to_print_survive_tsv() {
             vec![vec![None], vec![Some(Term::integer(1))], vec![None]],
         ),
     ] {
-        assert_eq!(wire::decode(&wire::encode(&table)).unwrap(), table);
         assert_eq!(xml::decode(&xml::encode(&table)).unwrap(), table);
     }
-    // The marker under a wider header is a malformed field, not a short row.
-    assert!(wire::decode("?a\t?b\n\u{2}\n").is_none());
 }
 
 #[test]
@@ -241,9 +237,8 @@ fn a_variable_bound_twice_in_one_result_is_rejected() {
 
 #[test]
 fn one_term_spelled_two_ways_is_two_entries_of_one_value() {
-    // `>` may be shipped bare or as `&gt;` in XML, and any character may be
-    // backslash-escaped in TSV: two raw slices, two dictionary entries, one
-    // term — and a table equal to the one that stores it once.
+    // `>` may be shipped bare or as `&gt;`: two raw slices, two dictionary
+    // entries, one term — and a table equal to the one that stores it once.
     let want = SolutionTable::from_columns(
         names(&["a"]),
         vec![Term::string("x>b")],
@@ -254,68 +249,60 @@ fn one_term_spelled_two_ways_is_two_entries_of_one_value() {
     let xml_body = "<head><variable name=\"a\"/></head><results>\
                     <result><binding name=\"a\"><literal>x&gt;b</literal></binding></result>\
                     <result><binding name=\"a\"><literal>x>b</literal></binding></result></results>";
-    let tsv_body = "?a\n\"x>b\"\n\"x>\\b\"\n";
-    for decoded in [xml::decode(xml_body), wire::decode(tsv_body)] {
-        let decoded = decoded.unwrap();
-        assert_eq!(decoded.dictionary().len(), 2);
-        assert!(same(&decoded, &want), "{decoded:?}");
-        assert_eq!(
-            table_to_dataframe(&decoded).unwrap(),
-            table_to_dataframe(&want).unwrap()
-        );
-    }
+    let decoded = xml::decode(xml_body).unwrap();
+    assert_eq!(decoded.dictionary().len(), 2);
+    assert!(same(&decoded, &want), "{decoded:?}");
+    assert_eq!(
+        table_to_dataframe(&decoded).unwrap(),
+        table_to_dataframe(&want).unwrap()
+    );
 }
 
-/// `corrupt_wire.rs::corrupt_bodies()`, with what the decoders said at the
-/// commit before the one-pass rewrite: (body, XML rejected, TSV rejected).
-/// A rejection must stay a rejection.
-const CORRUPT: [(&str, bool, bool); 12] = [
-    ("", true, false),
-    ("<?xml version=\"1.0\"?>", true, false),
-    ("<sparql><head>", true, false),
-    ("<sparql><head></head><results><result>", true, false),
+/// `corrupt_wire.rs::corrupt_bodies()`, with what the decoder said at the
+/// commit before the one-pass rewrite: (body, XML rejected). A rejection
+/// must stay a rejection.
+const CORRUPT: [(&str, bool); 12] = [
+    ("", true),
+    ("<?xml version=\"1.0\"?>", true),
+    ("<sparql><head>", true),
+    ("<sparql><head></head><results><result>", true),
     (
         "<head></head><results><result><binding name=\"s\"><uri>http://x</uri>",
         true,
-        false,
     ),
     (
         "<head><variable name=\"s\"/></head><results><result>\
          <binding name=\"s\"><uri>http://x</binding></result></results>",
         true,
-        false,
     ),
     (
         "<head><variable name=\"s\"/></head><results><result>\
          <binding name=\"UNDECLARED\"><uri>http://x</uri></binding></result></results>",
         true,
-        false,
     ),
     (
         "<head><variable name=\"s\"/></head><results>\
          <result><binding name=\"s\"><literal datatype=\"oops>x</literal></binding></result></results>",
         false,
-        false,
     ),
-    ("?s\nnot-a-term\n", true, true),
-    ("?s\n\"unterminated\n", true, true),
-    ("?s\n\"abc\\\n", true, true),
-    ("?s\n<http://x/a>\t<http://x/b>\n", true, true),
+    ("?s\nnot-a-term\n", true),
+    ("?s\n\"unterminated\n", true),
+    ("?s\n\"abc\\\n", true),
+    ("?s\n<http://x/a>\t<http://x/b>\n", true),
 ];
 
 #[test]
 fn bodies_rejected_before_the_rewrite_are_still_rejected() {
-    for (body, xml_rejected, tsv_rejected) in CORRUPT {
-        let (x, t) = (xml::decode(body), wire::decode(body));
+    for (body, xml_rejected) in CORRUPT {
+        let x = xml::decode(body);
         assert!(!xml_rejected || x.is_none(), "XML accepts {body:?}");
-        assert!(!tsv_rejected || t.is_none(), "TSV accepts {body:?}");
-        assert!(x.iter().chain(&t).all(rectangular), "{body:?}");
+        assert!(x.iter().all(rectangular), "{body:?}");
     }
 }
 
 #[test]
 fn truncated_documents_are_rejected_or_rectangular() {
-    let (x, t) = (xml::encode(&small()), wire::encode(&small()));
+    let x = xml::encode(&small());
     let end_of_results = x.find("</results>").unwrap() + "</results>".len();
     for cut in (0..x.len()).filter(|&i| x.is_char_boundary(i)) {
         match xml::decode(&x[..cut]) {
@@ -323,12 +310,9 @@ fn truncated_documents_are_rejected_or_rectangular() {
             Some(table) => assert!(cut >= end_of_results && same(&table, &small()), "{cut}"),
             None => assert!(cut < end_of_results, "{cut}"),
         }
-        let _ = wire::decode(&x[..cut]);
     }
-    for cut in (0..t.len()).filter(|&i| t.is_char_boundary(i)) {
-        // A TSV prefix may well be a document; it must be a rectangular one.
-        assert!(wire::decode(&t[..cut]).iter().all(rectangular), "{cut}");
-        let _ = xml::decode(&t[..cut]);
+    for cut in (0..SMALL_TSV.len()).filter(|&i| SMALL_TSV.is_char_boundary(i)) {
+        let _ = xml::decode(&SMALL_TSV[..cut]);
     }
 }
 
@@ -342,30 +326,21 @@ proptest! {
     }
 
     #[test]
-    fn tsv_round_trips(t in table()) {
-        let decoded = wire::decode(&wire::encode(&t));
-        prop_assert!(decoded.as_ref().is_some_and(|d| same(d, &t)), "{t:?}\n-> {decoded:?}");
-    }
-
-    #[test]
     fn damaged_documents_never_panic_and_never_decode_ragged(
         t in table(),
         edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<bool>()), 1..4),
     ) {
-        for doc in [xml::encode(&t), wire::encode(&t)] {
-            let mut bytes = doc.into_bytes();
-            for &(at, byte, insert) in &edits {
-                let at = at % bytes.len();
-                if insert {
-                    bytes.insert(at, byte);
-                } else {
-                    bytes[at] ^= byte | 1;
-                }
-            }
-            let damaged = String::from_utf8_lossy(&bytes);
-            for decoded in [xml::decode(&damaged), wire::decode(&damaged)] {
-                prop_assert!(decoded.iter().all(rectangular), "{damaged:?} -> {decoded:?}");
+        let mut bytes = xml::encode(&t).into_bytes();
+        for &(at, byte, insert) in &edits {
+            let at = at % bytes.len();
+            if insert {
+                bytes.insert(at, byte);
+            } else {
+                bytes[at] ^= byte | 1;
             }
         }
+        let damaged = String::from_utf8_lossy(&bytes);
+        let decoded = xml::decode(&damaged);
+        prop_assert!(decoded.iter().all(rectangular), "{damaged:?} -> {decoded:?}");
     }
 }

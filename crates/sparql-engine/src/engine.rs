@@ -25,11 +25,11 @@
 //! cursor drained in one unbounded pull (a page: pulled `limit` rows at a
 //! time behind a slice), its ids mapped to dictionary codes by
 //! [`CodeRemap`] — one term per distinct id. The seed
-//! term-materialized evaluator stays selectable as the differential-testing
-//! oracle and benchmark baseline ([`EvalMode::TermReference`],
-//! [`crate::eval_reference`]); it produces identical bags and, counting
-//! every occurrence of a subplan the executor evaluates once, identical
-//! `rows_scanned` work counts.
+//! term-materialized evaluator is not an engine mode: it is the
+//! differential-testing oracle, called directly as
+//! [`crate::eval_reference::execute`] on an engine and a prepared query. It
+//! produces identical bags and, counting every occurrence of a subplan the
+//! executor evaluates once, identical `rows_scanned` work counts.
 
 use std::sync::Arc;
 
@@ -42,24 +42,10 @@ use crate::budget::{BudgetMeter, QueryBudget};
 use crate::error::{EngineError, Result};
 use crate::eval::pipeline::{self, BoxOp};
 use crate::eval::Evaluator;
-use crate::eval_reference::ReferenceEvaluator;
 use crate::optimizer::Optimizer;
 use crate::parser::parse_query;
 use crate::pool::TermPool;
 use crate::results::{IdTable, SolutionTable};
-
-/// Which evaluator executes plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Columnar id-native operator pipeline (struct-of-arrays
-    /// [`crate::results::IdTable`] batches, vectorized BGP extension and
-    /// joins): the default, and what [`Engine::cursor`] always runs.
-    #[default]
-    Columnar,
-    /// The seed term-materialized evaluator, kept as the correctness oracle
-    /// and perf baseline.
-    TermReference,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -74,8 +60,6 @@ pub struct EngineConfig {
     /// queries literally (the ablation experiments' baseline and the tests'
     /// plan oracle).
     pub optimize: bool,
-    /// Evaluator selection (columnar unless testing against an oracle).
-    pub eval_mode: EvalMode,
     /// Resource limits enforced cooperatively during evaluation (all axes
     /// optional; the default is unlimited, which keeps the meter to a single
     /// branch per check). Violations surface as
@@ -87,12 +71,10 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The default configuration: optimizer on (all rewrites), columnar
-    /// evaluation.
+    /// The default configuration: optimizer on (all rewrites), no budget.
     pub fn new() -> Self {
         EngineConfig {
             optimize: true,
-            eval_mode: EvalMode::Columnar,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -206,7 +188,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Engine with the default configuration (optimizer on, columnar).
+    /// Engine with the default configuration (optimizer on, no budget).
     pub fn new(dataset: Arc<Dataset>) -> Self {
         Engine {
             dataset,
@@ -288,33 +270,19 @@ impl Engine {
     /// pagination model); the saving over [`Engine::execute_page`] is the
     /// parse + translate + optimize front half.
     ///
-    /// The columnar arm is [`Engine::cursor`]'s pipeline, drained: in one
-    /// unbounded pull without a page — every operator then makes a single
-    /// pass over its whole input — and `limit` rows at a time with one, so
-    /// that a full page ends the evaluation early.
+    /// This is [`Engine::cursor`]'s pipeline, drained: in one unbounded
+    /// pull without a page — every operator then makes a single pass over
+    /// its whole input — and `limit` rows at a time with one, so that a
+    /// full page ends the evaluation early.
     pub fn execute_prepared(
         &self,
         prepared: &PreparedQuery,
         page: Option<(usize, usize)>,
     ) -> Result<(SolutionTable, ExecStats)> {
-        match self.config.eval_mode {
-            EvalMode::Columnar => {
-                let pull = page.map_or(usize::MAX, |(_, limit)| limit);
-                let mut cursor = self.open(prepared, page, pull)?;
-                let table = SolutionTable(cursor.drain(Term::clone)?);
-                Ok((table, cursor.stats()))
-            }
-            EvalMode::TermReference => {
-                let mut evaluator = ReferenceEvaluator::new(&self.dataset, prepared.from.clone());
-                evaluator.set_budget(&self.config.budget);
-                let table = evaluator.eval(&prepared.plan, page)?;
-                let stats = ExecStats {
-                    rows_scanned: evaluator.rows_scanned(),
-                    ..ExecStats::default()
-                };
-                Ok((table, stats))
-            }
-        }
+        let pull = page.map_or(usize::MAX, |(_, limit)| limit);
+        let mut cursor = self.open(prepared, page, pull)?;
+        let table = SolutionTable(cursor.drain(Term::clone)?);
+        Ok((table, cursor.stats()))
     }
 
     /// Open a [`QueryCursor`] over a prepared query, yielding the result as
@@ -328,10 +296,6 @@ impl Engine {
     /// own state, and a `LIMIT` stops pulling (and therefore scanning) as
     /// soon as it is satisfied. Batches concatenate to the same bytes in the
     /// same order whatever `batch_rows` is.
-    ///
-    /// The cursor always runs the columnar executor — the id-table layout
-    /// *is* the interface — regardless of the configured [`EvalMode`] (the
-    /// oracle mode exists for differential testing of the string path).
     pub fn cursor<'a>(
         &'a self,
         prepared: &'a PreparedQuery,
@@ -626,40 +590,45 @@ mod tests {
         // `offset > len` (and saturating offset+limit arithmetic) must
         // yield an empty table — never a panic or a debug overflow — on
         // both evaluators, through both the page API and query text.
+        type Page = fn(&Engine, &str, usize, usize) -> Result<(SolutionTable, ExecStats)>;
+        let evaluators: [(&str, Page); 2] = [
+            ("executor", |e, q, offset, limit| {
+                e.execute_page(q, offset, limit)
+            }),
+            ("oracle", |e, q, offset, limit| {
+                crate::eval_reference::execute(e, &e.prepare(q)?, Some((offset, limit)))
+            }),
+        ];
         let q = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o } ORDER BY ?o";
-        for eval_mode in [EvalMode::Columnar, EvalMode::TermReference] {
-            let engine = Engine::with_config(
-                dataset(),
-                EngineConfig {
-                    eval_mode,
-                    ..EngineConfig::new()
-                },
-            );
+        let engine = Engine::new(dataset());
+        for (name, page_of) in evaluators {
             for (offset, limit) in [(10, 4), (11, 4), (usize::MAX, 4), (usize::MAX, usize::MAX)] {
-                let (page, _) = engine.execute_page(q, offset, limit).unwrap();
-                assert_eq!(page.vars(), ["s", "o"], "{eval_mode:?}");
-                assert!(page.is_empty(), "{eval_mode:?} offset={offset}");
+                let (page, _) = page_of(&engine, q, offset, limit).unwrap();
+                assert_eq!(page.vars(), ["s", "o"], "{name}");
+                assert!(page.is_empty(), "{name} offset={offset}");
             }
             // Boundary page ending exactly at the result edge.
-            let (page, _) = engine.execute_page(q, 8, usize::MAX).unwrap();
-            assert_eq!(page.len(), 2, "{eval_mode:?}");
-            // Adversarial Slice built programmatically (the embedded
-            // compile path accepts arbitrary usize limits — query text
-            // cannot express them, the parser caps literals at i64).
-            // Regression: the reference evaluator used to compute
-            // offset+limit unclamped, overflowing in debug builds.
-            let prepared = engine.prepare(q).unwrap();
-            let sliced = engine.prepare_plan(
-                Plan::Slice {
-                    limit: Some(usize::MAX),
-                    offset: 1,
-                    input: Box::new(prepared.plan().clone()),
-                },
-                prepared.from_graphs().to_vec(),
-            );
-            let (t, _) = engine.execute_prepared(&sliced, None).unwrap();
-            assert_eq!(t.len(), 9, "{eval_mode:?}");
+            let (page, _) = page_of(&engine, q, 8, usize::MAX).unwrap();
+            assert_eq!(page.len(), 2, "{name}");
         }
+        // Adversarial Slice built programmatically (the embedded compile
+        // path accepts arbitrary usize limits — query text cannot express
+        // them, the parser caps literals at i64). Regression: the reference
+        // evaluator used to compute offset+limit unclamped, overflowing in
+        // debug builds.
+        let prepared = engine.prepare(q).unwrap();
+        let sliced = engine.prepare_plan(
+            Plan::Slice {
+                limit: Some(usize::MAX),
+                offset: 1,
+                input: Box::new(prepared.plan().clone()),
+            },
+            prepared.from_graphs().to_vec(),
+        );
+        let (t, _) = engine.execute_prepared(&sliced, None).unwrap();
+        assert_eq!(t.len(), 9, "executor");
+        let (t, _) = crate::eval_reference::execute(&engine, &sliced, None).unwrap();
+        assert_eq!(t.len(), 9, "oracle");
     }
 
     #[test]

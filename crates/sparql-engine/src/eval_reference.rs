@@ -12,7 +12,8 @@
 //! is a left outer join, `UNION` is bag union with schema alignment, and
 //! grouping hashes on key tuples.
 //!
-//! Select it with [`crate::engine::EvalMode::TermReference`].
+//! It is not an engine mode: a differential test calls [`execute`] on the
+//! engine and prepared query it holds the executor to.
 
 use std::collections::{HashMap, HashSet};
 
@@ -20,14 +21,41 @@ use rdf_model::{Dataset, Term, TermId, TripleIndex};
 
 use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{OrderKey, PatternTerm, TriplePattern};
-use crate::budget::{BudgetMeter, QueryBudget};
+use crate::budget::BudgetMeter;
+use crate::engine::{Engine, ExecStats, PreparedQuery};
 use crate::error::{EngineError, Result};
 use crate::expr::{ebv, eval_expr, eval_single_var_filter, AggState, EvalCaches, RowCtx};
 use crate::results::SolutionTable;
 use crate::WidthError;
 
+/// Evaluate `prepared` — only rows `[offset, offset+limit)` of it when
+/// `page` is given — on `engine`'s dataset under `engine`'s budget, whose
+/// deadline clock starts here. The stats hold `rows_scanned` alone: the
+/// oracle evaluates every occurrence of a repeated subplan, so that is the
+/// executor's [`ExecStats::unshared_scans`], and nothing else it counts
+/// exists here.
+pub fn execute(
+    engine: &Engine,
+    prepared: &PreparedQuery,
+    page: Option<(usize, usize)>,
+) -> Result<(SolutionTable, ExecStats)> {
+    let mut evaluator = ReferenceEvaluator {
+        dataset: engine.dataset(),
+        default_graphs: prepared.from_graphs().to_vec(),
+        caches: EvalCaches::new(),
+        rows_scanned: 0,
+        meter: BudgetMeter::new(&engine.config().budget),
+    };
+    let table = evaluator.eval(prepared.plan(), page)?;
+    let stats = ExecStats {
+        rows_scanned: evaluator.rows_scanned,
+        ..ExecStats::default()
+    };
+    Ok((table, stats))
+}
+
 /// Term-materialized plan evaluator bound to a dataset.
-pub struct ReferenceEvaluator<'a> {
+struct ReferenceEvaluator<'a> {
     dataset: &'a Dataset,
     default_graphs: Vec<String>,
     caches: EvalCaches,
@@ -77,33 +105,10 @@ fn slice_rows<T>(rows: &mut Vec<T>, offset: usize, limit: Option<usize>) {
     rows.truncate(end - start);
 }
 
-impl<'a> ReferenceEvaluator<'a> {
-    /// Create an evaluator. `default_graphs` resolves [`GraphRef::Default`].
-    pub fn new(dataset: &'a Dataset, default_graphs: Vec<String>) -> Self {
-        ReferenceEvaluator {
-            dataset,
-            default_graphs,
-            caches: EvalCaches::new(),
-            rows_scanned: 0,
-            meter: BudgetMeter::unlimited(),
-        }
-    }
-
-    /// Install a resource budget. The meter (and its deadline clock) is
-    /// created here, so call this right before evaluation starts.
-    pub fn set_budget(&mut self, budget: &QueryBudget) {
-        self.meter = BudgetMeter::new(budget);
-    }
-
-    /// Total index entries scanned so far (a deterministic work metric used
-    /// by benchmarks alongside wall-clock time).
-    pub fn rows_scanned(&self) -> u64 {
-        self.rows_scanned
-    }
-
+impl ReferenceEvaluator<'_> {
     /// Evaluate a plan to a solution table, only rows
     /// `[offset, offset+limit)` of it when `page` is given.
-    pub fn eval(&mut self, plan: &Plan, page: Option<(usize, usize)>) -> Result<SolutionTable> {
+    fn eval(&mut self, plan: &Plan, page: Option<(usize, usize)>) -> Result<SolutionTable> {
         let mut t = self.eval_rows(plan)?;
         if let Some((offset, limit)) = page {
             slice_rows(&mut t.rows, offset, Some(limit));
@@ -550,47 +555,19 @@ fn join(
     kind: JoinKind,
     meter: &mut BudgetMeter,
 ) -> Result<RowTable> {
-    let shared: Vec<String> = left
-        .vars
-        .iter()
-        .filter(|v| right.vars.contains(v))
-        .cloned()
+    // (left column, right column) of each shared variable.
+    let shared: Vec<(usize, usize)> = (left.vars.iter())
+        .filter_map(|v| Some((left.column_index(v)?, right.column_index(v)?)))
         .collect();
-
-    let mut out_vars = left.vars.clone();
-    for v in &right.vars {
-        if !out_vars.contains(v) {
-            out_vars.push(v.clone());
-        }
-    }
+    let (out_vars, right_targets) = merged_vars(&left.vars, &right.vars);
     let width = out_vars.len();
-
-    let l_idx: Vec<usize> = shared
-        .iter()
-        .map(|v| left.column_index(v).expect("shared var in left"))
-        .collect();
-    let r_idx: Vec<usize> = shared
-        .iter()
-        .map(|v| right.column_index(v).expect("shared var in right"))
-        .collect();
 
     let always_bound =
         |table: &RowTable, idx: usize| -> bool { table.rows.iter().all(|r| r[idx].is_some()) };
-    // Positions (within `shared`) usable as hash key.
-    let key_positions: Vec<usize> = (0..shared.len())
-        .filter(|&k| always_bound(&left, l_idx[k]) && always_bound(&right, r_idx[k]))
-        .collect();
-
-    // Precompute merge schema: for each right column, its target index in out.
-    let right_targets: Vec<usize> = right
-        .vars
-        .iter()
-        .map(|v| {
-            out_vars
-                .iter()
-                .position(|x| x == v)
-                .expect("right var in out")
-        })
+    // The shared columns usable as hash key: bound on every row of both
+    // sides, so a key never holds an unbound cell.
+    let keys: Vec<(usize, usize)> = (shared.iter().copied())
+        .filter(|&(l, r)| always_bound(&left, l) && always_bound(&right, r))
         .collect();
     let mut out = RowTable::with_vars(out_vars);
 
@@ -605,8 +582,8 @@ fn join(
         row
     };
     let compatible = |l_row: &[Option<Term>], r_row: &[Option<Term>]| -> bool {
-        for k in 0..shared.len() {
-            if let (Some(a), Some(b)) = (&l_row[l_idx[k]], &r_row[r_idx[k]]) {
+        for &(l, r) in &shared {
+            if let (Some(a), Some(b)) = (&l_row[l], &r_row[r]) {
                 if a != b {
                     return false;
                 }
@@ -615,21 +592,15 @@ fn join(
         true
     };
 
-    if !key_positions.is_empty() || shared.is_empty() {
+    if !keys.is_empty() || shared.is_empty() {
         // Build hash index on the right side.
-        let mut table: HashMap<Vec<&Term>, Vec<usize>> = HashMap::new();
+        let mut table: HashMap<Vec<&Option<Term>>, Vec<usize>> = HashMap::new();
         for (ri, r_row) in right.rows.iter().enumerate() {
-            let key: Vec<&Term> = key_positions
-                .iter()
-                .map(|&k| r_row[r_idx[k]].as_ref().expect("always bound"))
-                .collect();
+            let key = keys.iter().map(|&(_, r)| &r_row[r]).collect();
             table.entry(key).or_default().push(ri);
         }
         for l_row in &left.rows {
-            let key: Vec<&Term> = key_positions
-                .iter()
-                .map(|&k| l_row[l_idx[k]].as_ref().expect("always bound"))
-                .collect();
+            let key: Vec<&Option<Term>> = keys.iter().map(|&(l, _)| &l_row[l]).collect();
             let mut matched = false;
             if let Some(candidates) = table.get(&key) {
                 for &ri in candidates {
@@ -674,19 +645,24 @@ fn join(
     Ok(out)
 }
 
+/// `left`'s variables followed by those of `right` it lacks, and where each
+/// of `right`'s columns lands among them.
+fn merged_vars(left: &[String], right: &[String]) -> (Vec<String>, Vec<usize>) {
+    let mut vars = left.to_vec();
+    let targets = (right.iter())
+        .map(|v| {
+            vars.iter().position(|x| x == v).unwrap_or_else(|| {
+                vars.push(v.clone());
+                vars.len() - 1
+            })
+        })
+        .collect();
+    (vars, targets)
+}
+
 /// Bag union with schema alignment.
 fn union(left: RowTable, right: RowTable) -> RowTable {
-    let mut vars = left.vars.clone();
-    for v in &right.vars {
-        if !vars.contains(v) {
-            vars.push(v.clone());
-        }
-    }
-    let map_right: Vec<usize> = right
-        .vars
-        .iter()
-        .map(|v| vars.iter().position(|x| x == v).expect("var present"))
-        .collect();
+    let (vars, map_right) = merged_vars(&left.vars, &right.vars);
     let width = vars.len();
     let mut out = RowTable::with_vars(vars);
     for mut row in left.rows {

@@ -29,9 +29,10 @@
 //! and when a result is decoded — see [`eval`] and [`pool`]. There is one
 //! executor, a pull-based operator pipeline that [`engine::Engine::execute`]
 //! drains in one pull and [`engine::Engine::cursor`] batch by batch, and one
-//! oracle, the seed term-materialized evaluator ([`eval_reference`],
-//! [`engine::EvalMode::TermReference`]), kept for differential testing and
-//! as a benchmarking baseline. The two agree on results *and* on scan work:
+//! oracle, the seed term-materialized evaluator, kept for differential
+//! testing: not an engine mode, but one function,
+//! [`eval_reference::execute`], that a test calls on an engine and a
+//! prepared query. The two agree on results *and* on scan work:
 //! the oracle evaluates every occurrence of a repeated subplan, the executor
 //! evaluates it once, and its `rows_scanned + shared_scans` is exactly the
 //! oracle's `rows_scanned`.
@@ -57,7 +58,7 @@ mod sse;
 pub use budget::{BudgetMeter, QueryBudget, ResourceKind};
 pub use dataframe::{AppendError, WidthError};
 pub use engine::{
-    CodeRemap, ColumnBatch, Engine, EngineConfig, EvalMode, ExecStats, PreparedQuery, QueryCursor,
+    CodeRemap, ColumnBatch, Engine, EngineConfig, ExecStats, PreparedQuery, QueryCursor,
 };
 pub use error::{EngineError, Result};
 pub use results::{SolutionRow, SolutionTable};

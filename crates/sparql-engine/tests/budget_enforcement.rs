@@ -10,7 +10,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rdf_model::{Dataset, Graph, Term, Triple};
-use sparql_engine::{Engine, EngineConfig, EngineError, EvalMode, QueryBudget, ResourceKind};
+use sparql_engine::{
+    eval_reference, Engine, EngineConfig, EngineError, ExecStats, QueryBudget, ResourceKind,
+    SolutionTable,
+};
 
 const GRAPH: &str = "http://g";
 
@@ -32,18 +35,26 @@ fn dataset(n: usize) -> Arc<Dataset> {
 const CROSS_JOIN: &str = "SELECT ?a ?b ?c ?d FROM <http://g> WHERE { \
      ?a <http://x/p> ?b . ?c <http://x/p> ?d }";
 
-fn engine(ds: &Arc<Dataset>, eval_mode: EvalMode, budget: QueryBudget) -> Engine {
+fn engine(ds: &Arc<Dataset>, budget: QueryBudget) -> Engine {
     Engine::with_config(
         Arc::clone(ds),
         EngineConfig {
-            eval_mode,
             budget,
             ..EngineConfig::new()
         },
     )
 }
 
-const ALL_MODES: [EvalMode; 2] = [EvalMode::Columnar, EvalMode::TermReference];
+/// One evaluator's way of running query text on an engine, under the
+/// engine's budget.
+type Run = fn(&Engine, &str) -> sparql_engine::Result<(SolutionTable, ExecStats)>;
+
+/// The oracle on the engine's prepared plan.
+fn oracle(engine: &Engine, q: &str) -> sparql_engine::Result<(SolutionTable, ExecStats)> {
+    eval_reference::execute(engine, &engine.prepare(q)?, None)
+}
+
+const ALL_MODES: [(&str, Run); 2] = [("executor", Engine::execute_with_stats), ("oracle", oracle)];
 
 #[test]
 fn runaway_cross_join_trips_every_axis_on_every_evaluator() {
@@ -69,25 +80,23 @@ fn runaway_cross_join_trips_every_axis_on_every_evaluator() {
             ResourceKind::Deadline,
         ),
     ];
-    for mode in ALL_MODES {
+    for (mode, run) in ALL_MODES {
         for (budget, expected) in &axes {
-            let engine = engine(&ds, mode, budget.clone());
-            let err = engine
-                .execute(CROSS_JOIN)
-                .expect_err("runaway query must not complete");
+            let engine = engine(&ds, budget.clone());
+            let err = run(&engine, CROSS_JOIN).expect_err("runaway query must not complete");
             match err {
                 EngineError::ResourceExhausted {
                     resource,
                     limit,
                     observed,
                 } => {
-                    assert_eq!(resource, *expected, "{mode:?}");
+                    assert_eq!(resource, *expected, "{mode}");
                     // Bounded overshoot: observed exceeds the limit by at
                     // most the work between two cooperative check points,
                     // never by the whole N² result.
-                    assert!(observed >= limit, "{mode:?} {resource}");
+                    assert!(observed >= limit, "{mode} {resource}");
                 }
-                other => panic!("{mode:?}: expected ResourceExhausted, got {other:?}"),
+                other => panic!("{mode}: expected ResourceExhausted, got {other:?}"),
             }
         }
     }
@@ -100,19 +109,15 @@ fn overshoot_is_bounded_not_result_sized() {
     // full evaluation scans >1M entries, while the limit of 10k plus one
     // row's worth (≤ ~2k) stays far below that.
     let ds = dataset(1000);
-    for mode in ALL_MODES {
-        let engine = engine(
-            &ds,
-            mode,
-            QueryBudget::unlimited().with_max_rows_scanned(10_000),
-        );
-        let err = engine.execute(CROSS_JOIN).unwrap_err();
+    for (mode, run) in ALL_MODES {
+        let engine = engine(&ds, QueryBudget::unlimited().with_max_rows_scanned(10_000));
+        let err = run(&engine, CROSS_JOIN).unwrap_err();
         let EngineError::ResourceExhausted { observed, .. } = err else {
-            panic!("{mode:?}: expected ResourceExhausted")
+            panic!("{mode}: expected ResourceExhausted")
         };
         assert!(
             observed < 20_000,
-            "{mode:?}: overshoot {observed} is not bounded"
+            "{mode}: overshoot {observed} is not bounded"
         );
     }
 }
@@ -123,21 +128,20 @@ fn budgets_present_but_not_hit_change_nothing() {
     // rows_scanned as the unlimited run, on every evaluator.
     let ds = dataset(64);
     let q = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o } ORDER BY ?o";
-    for mode in ALL_MODES {
-        let unlimited = engine(&ds, mode, QueryBudget::unlimited());
+    for (mode, run) in ALL_MODES {
+        let unlimited = engine(&ds, QueryBudget::unlimited());
         let generous = engine(
             &ds,
-            mode,
             QueryBudget::unlimited()
                 .with_max_rows_scanned(u64::MAX / 2)
                 .with_max_intermediate_rows(u64::MAX / 2)
                 .with_max_memory_bytes(u64::MAX / 2)
                 .with_deadline(Duration::from_secs(3600)),
         );
-        let (t_off, s_off) = unlimited.execute_with_stats(q).unwrap();
-        let (t_on, s_on) = generous.execute_with_stats(q).unwrap();
-        assert_eq!(t_off, t_on, "{mode:?}");
-        assert_eq!(s_off.rows_scanned, s_on.rows_scanned, "{mode:?}");
+        let (t_off, s_off) = run(&unlimited, q).unwrap();
+        let (t_on, s_on) = run(&generous, q).unwrap();
+        assert_eq!(t_off, t_on, "{mode}");
+        assert_eq!(s_off.rows_scanned, s_on.rows_scanned, "{mode}");
     }
 }
 
@@ -148,7 +152,6 @@ fn error_is_value_not_panic_and_engine_stays_usable() {
     let ds = dataset(2000);
     let engine = engine(
         &ds,
-        EvalMode::Columnar,
         QueryBudget::unlimited().with_max_intermediate_rows(10_000),
     );
     assert!(engine.execute(CROSS_JOIN).is_err());
@@ -162,7 +165,7 @@ fn cursor_path_enforces_budgets() {
     let budget = QueryBudget::unlimited().with_max_intermediate_rows(50_000);
     // `execute` pulls the whole result in one piece: it trips with the
     // typed error.
-    let streaming = engine(&ds, EvalMode::Columnar, budget);
+    let streaming = engine(&ds, budget);
     assert!(matches!(
         streaming.execute(CROSS_JOIN),
         Err(EngineError::ResourceExhausted {
@@ -202,7 +205,6 @@ fn cursor_path_enforces_budgets() {
     let small = dataset(10);
     let deadline = engine(
         &small,
-        EvalMode::Columnar,
         QueryBudget::unlimited().with_deadline(Duration::ZERO),
     );
     let q = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o }";
@@ -228,18 +230,14 @@ fn grouping_and_ordinary_joins_are_metered_too() {
     let ds = dataset(2000);
     let q = "SELECT ?b (COUNT(?d) AS ?n) FROM <http://g> WHERE { \
              ?a <http://x/p> ?b . ?c <http://x/p> ?d } GROUP BY ?b";
-    for mode in ALL_MODES {
+    for (mode, run) in ALL_MODES {
         let engine = engine(
             &ds,
-            mode,
             QueryBudget::unlimited().with_max_intermediate_rows(20_000),
         );
         assert!(
-            matches!(
-                engine.execute(q),
-                Err(EngineError::ResourceExhausted { .. })
-            ),
-            "{mode:?}"
+            matches!(run(&engine, q), Err(EngineError::ResourceExhausted { .. })),
+            "{mode}"
         );
     }
 }
@@ -307,7 +305,7 @@ fn drain_cursor(
 #[test]
 fn a_replay_is_free_on_the_scan_axis() {
     let ds = outer_join_dataset(600);
-    let free = engine(&ds, EvalMode::Columnar, QueryBudget::unlimited());
+    let free = engine(&ds, QueryBudget::unlimited());
     let prepared = free.prepare(OUTER_JOIN).unwrap();
     let explain = prepared.explain();
     assert_eq!(explain.matches("(shared #").count(), 2, "{explain}");
@@ -321,7 +319,7 @@ fn a_replay_is_free_on_the_scan_axis() {
     // The budget charges what is read: the shared plan completes under a
     // cap of exactly its own `rows_scanned`, in one pull and batch by batch …
     let exact = QueryBudget::unlimited().with_max_rows_scanned(stats.rows_scanned);
-    let capped = engine(&ds, EvalMode::Columnar, exact.clone());
+    let capped = engine(&ds, exact.clone());
     assert_eq!(capped.execute(OUTER_JOIN).unwrap().len(), 900);
     let (rows, streamed) = drain_cursor(&capped, OUTER_JOIN, 64).unwrap();
     assert_eq!(
@@ -329,13 +327,10 @@ fn a_replay_is_free_on_the_scan_axis() {
         (900, 900, 1500)
     );
     // … which evaluating every occurrence does not fit under …
-    let oracle = EvalMode::TermReference;
-    let (_, unshared) = engine(&ds, oracle, QueryBudget::unlimited())
-        .execute_with_stats(OUTER_JOIN)
-        .unwrap();
+    let (_, unshared) = oracle(&engine(&ds, QueryBudget::unlimited()), OUTER_JOIN).unwrap();
     assert_eq!(unshared.rows_scanned, stats.unshared_scans());
     assert!(matches!(
-        engine(&ds, oracle, exact.clone()).execute(OUTER_JOIN),
+        oracle(&engine(&ds, exact.clone()), OUTER_JOIN),
         Err(EngineError::ResourceExhausted {
             resource: ResourceKind::RowsScanned,
             ..
@@ -343,7 +338,7 @@ fn a_replay_is_free_on_the_scan_axis() {
     ));
     // … and one entry less still stops the shared plan, typed.
     let short = QueryBudget::unlimited().with_max_rows_scanned(stats.rows_scanned - 1);
-    let starved = engine(&ds, EvalMode::Columnar, short);
+    let starved = engine(&ds, short);
     let expected = EngineError::ResourceExhausted {
         resource: ResourceKind::RowsScanned,
         limit: stats.rows_scanned - 1,
@@ -364,7 +359,7 @@ fn a_spool_s_retention_is_charged_to_the_memory_axis() {
     let ds = outer_join_dataset(2000);
     let q = "SELECT * FROM <http://g> WHERE { \
              { ?s <http://x/p> ?v } UNION { ?s <http://x/p> ?v } }";
-    let free = engine(&ds, EvalMode::Columnar, QueryBudget::unlimited());
+    let free = engine(&ds, QueryBudget::unlimited());
     let (rows, stats) = drain_cursor(&free, q, 64).unwrap();
     assert_eq!(
         (rows, stats.rows_scanned, stats.shared_scans),
@@ -379,7 +374,7 @@ fn a_spool_s_retention_is_charged_to_the_memory_axis() {
 
     // A cap a batch fits under many times over and the retention does not.
     let budget = QueryBudget::unlimited().with_max_memory_bytes(2000 * 2 * 4 / 2);
-    let capped = engine(&ds, EvalMode::Columnar, budget);
+    let capped = engine(&ds, budget);
     let (first, again) = drain_cursor(&capped, q, 64).unwrap_err();
     assert!(
         matches!(
@@ -410,7 +405,7 @@ fn a_reader_parked_under_a_limit_does_not_starve_its_sibling() {
     let q = "SELECT * FROM <http://g> WHERE { \
              { SELECT ?s ?v WHERE { ?s <http://x/p> ?v } LIMIT 3 } UNION \
              { ?s <http://x/p> ?v } }";
-    let engine = engine(&ds, EvalMode::Columnar, QueryBudget::unlimited());
+    let engine = engine(&ds, QueryBudget::unlimited());
     let explain = engine.prepare(q).unwrap().explain();
     assert_eq!(explain.matches("(ref #0)").count(), 1, "{explain}");
     let expected = engine.execute(q).unwrap();

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rdf_model::{Dataset, Graph, Literal, Term, Triple};
 use sparql_engine::algebra::Plan;
-use sparql_engine::{Engine, EngineConfig, EvalMode, ExecStats, SolutionTable};
+use sparql_engine::{eval_reference, Engine, EngineConfig, ExecStats, SolutionTable};
 
 fn iri(s: &str) -> Term {
     Term::iri(s.to_string())
@@ -422,18 +422,32 @@ fn dbpedia_queries() -> Vec<String> {
     ]
 }
 
-/// One way of running a query: an engine and, for the cursor leg, the batch
-/// size its result is pulled in (`None`: `execute`, one unbounded pull).
+/// One way of running a query: an engine and how it evaluates.
 struct Leg {
     name: &'static str,
     engine: Engine,
-    batch: Option<usize>,
+    how: How,
+}
+
+/// How a leg evaluates a query.
+#[derive(Clone, Copy)]
+enum How {
+    /// `execute`: the executor in one unbounded pull.
+    OnePull,
+    /// The executor's cursor, pulled this many rows at a time.
+    Batches(usize),
+    /// The oracle, `eval_reference::execute`.
+    Oracle,
 }
 
 impl Leg {
     fn run(&self, q: &str) -> sparql_engine::Result<(SolutionTable, ExecStats)> {
-        let Some(batch) = self.batch else {
-            return self.engine.execute_with_stats(q);
+        let batch = match self.how {
+            How::OnePull => return self.engine.execute_with_stats(q),
+            How::Oracle => {
+                return eval_reference::execute(&self.engine, &self.engine.prepare(q)?, None)
+            }
+            How::Batches(batch) => batch,
         };
         let prepared = self.engine.prepare(q)?;
         let mut cursor = self.engine.cursor(&prepared, batch)?;
@@ -457,22 +471,21 @@ impl Leg {
 /// in one unbounded pull, the executor drained in batches of 7, the oracle.
 fn legs(ds: Arc<Dataset>, optimize: bool) -> Vec<Leg> {
     [
-        ("columnar, one pull", EvalMode::Columnar, None),
-        ("columnar, batches of 7", EvalMode::Columnar, Some(7)),
-        ("reference", EvalMode::TermReference, None),
+        ("columnar, one pull", How::OnePull),
+        ("columnar, batches of 7", How::Batches(7)),
+        ("reference", How::Oracle),
     ]
     .into_iter()
-    .map(|(name, eval_mode, batch)| Leg {
+    .map(|(name, how)| Leg {
         name,
         engine: Engine::with_config(
             Arc::clone(&ds),
             EngineConfig {
                 optimize,
-                eval_mode,
                 ..EngineConfig::new()
             },
         ),
-        batch,
+        how,
     })
     .collect()
 }

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use rdf_model::{Dataset, Graph, Term, Triple};
-use sparql_engine::{Engine, EngineConfig, EvalMode};
+use sparql_engine::{eval_reference, Engine, EngineConfig, ExecStats, Result, SolutionTable};
 
 fn iri(s: &str) -> Term {
     Term::iri(s.to_string())
@@ -63,33 +63,38 @@ const MISORDERED: &str = "SELECT ?e ?l ?c FROM <http://g> WHERE { \
      ?e <http://x/inCountry> ?c . \
      ?e <http://x/award> <http://x/oscar> }";
 
-fn engine(ds: &Arc<Dataset>, optimize: bool, eval_mode: EvalMode) -> Engine {
+fn engine(ds: &Arc<Dataset>, optimize: bool) -> Engine {
     Engine::with_config(
         Arc::clone(ds),
         EngineConfig {
             optimize,
-            eval_mode,
             ..EngineConfig::new()
         },
     )
 }
 
-const MODES: [EvalMode; 2] = [EvalMode::Columnar, EvalMode::TermReference];
+/// One evaluator's way of running query text on an engine.
+type Run = fn(&Engine, &str) -> Result<(SolutionTable, ExecStats)>;
+
+/// The oracle on the engine's prepared plan.
+fn oracle(engine: &Engine, q: &str) -> Result<(SolutionTable, ExecStats)> {
+    eval_reference::execute(engine, &engine.prepare(q)?, None)
+}
+
+const MODES: [(&str, Run); 2] = [("executor", Engine::execute_with_stats), ("oracle", oracle)];
 
 #[test]
 fn reordering_preserves_results_on_all_evaluators() {
     let ds = skewed_dataset();
     let mut canonical: Option<sparql_engine::SolutionTable> = None;
-    for mode in MODES {
+    for (mode, run) in MODES {
         for optimize in [true, false] {
-            let (mut t, _) = engine(&ds, optimize, mode)
-                .execute_with_stats(MISORDERED)
-                .unwrap();
+            let (mut t, _) = run(&engine(&ds, optimize), MISORDERED).unwrap();
             t.canonicalize();
             // e0..e2 hold awards but only even entities have inCountry.
             assert_eq!(t.len(), 2, "two awarded in-country entities expected");
             match &canonical {
-                Some(c) => assert_eq!(c, &t, "{mode:?} optimize={optimize}"),
+                Some(c) => assert_eq!(c, &t, "{mode} optimize={optimize}"),
                 None => canonical = Some(t),
             }
         }
@@ -99,18 +104,14 @@ fn reordering_preserves_results_on_all_evaluators() {
 #[test]
 fn reordering_scans_fewer_index_entries() {
     let ds = skewed_dataset();
-    for mode in MODES {
-        let (_, with_opt) = engine(&ds, true, mode)
-            .execute_with_stats(MISORDERED)
-            .unwrap();
-        let (_, without) = engine(&ds, false, mode)
-            .execute_with_stats(MISORDERED)
-            .unwrap();
+    for (mode, run) in MODES {
+        let (_, with_opt) = run(&engine(&ds, true), MISORDERED).unwrap();
+        let (_, without) = run(&engine(&ds, false), MISORDERED).unwrap();
         // Textual order scans the 2000-entry label index up front; the
         // stats-driven order starts from the 3 award triples.
         assert!(
             with_opt.rows_scanned * 10 <= without.rows_scanned,
-            "{mode:?}: expected ≥10× fewer scans, got {} vs {}",
+            "{mode}: expected ≥10× fewer scans, got {} vs {}",
             with_opt.rows_scanned,
             without.rows_scanned
         );
@@ -119,13 +120,7 @@ fn reordering_scans_fewer_index_entries() {
     // All evaluators agree on the reordered work metric exactly.
     let counts: Vec<u64> = MODES
         .iter()
-        .map(|&m| {
-            engine(&ds, true, m)
-                .execute_with_stats(MISORDERED)
-                .unwrap()
-                .1
-                .rows_scanned
-        })
+        .map(|(_, run)| run(&engine(&ds, true), MISORDERED).unwrap().1.rows_scanned)
         .collect();
     assert!(counts.windows(2).all(|w| w[0] == w[1]), "{counts:?}");
 }

@@ -24,7 +24,7 @@ use rdf_model::{Dataset, Graph, Term, Triple};
 use sparql_engine::algebra::{GraphRef, Plan};
 use sparql_engine::ast::{PatternTerm, TriplePattern};
 use sparql_engine::{
-    Engine, EngineConfig, EngineError, EvalMode, ExecStats, PreparedQuery, QueryBudget,
+    eval_reference, Engine, EngineConfig, EngineError, ExecStats, PreparedQuery, QueryBudget,
     ResourceKind, SolutionTable,
 };
 
@@ -393,27 +393,22 @@ fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
 
     let q = "SELECT * FROM <http://a> FROM <http://b> \
              WHERE { ?x <http://x/p> ?y . ?x <http://x/q> ?z }";
-    let literal = |eval_mode| {
-        Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                optimize: false,
-                eval_mode,
-                ..EngineConfig::new()
-            },
-        )
-    };
+    let engine = Engine::with_config(
+        Arc::clone(&ds),
+        EngineConfig {
+            optimize: false,
+            ..EngineConfig::new()
+        },
+    );
     let bag = |rows: Vec<Vec<Option<Term>>>| {
         let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
         rows.sort();
         rows
     };
-    let (oracle, oracle_stats) = literal(EvalMode::TermReference)
-        .execute_with_stats(q)
-        .unwrap();
+    let (oracle, oracle_stats) =
+        eval_reference::execute(&engine, &engine.prepare(q).unwrap(), None).unwrap();
     let expected = bag(rows_of(&oracle));
     assert!(expected.len() > 30, "the probes must find matches");
-    let engine = literal(EvalMode::Columnar);
     for batch in [1, 7, usize::MAX] {
         let (rows, stats) = drain(&engine, q, batch);
         assert_eq!(bag(rows), expected, "batch {batch}");
@@ -463,16 +458,16 @@ fn drain_plan(
 }
 
 fn reference_rows(ds: &Arc<Dataset>, plan: &Plan) -> Vec<Vec<Option<Term>>> {
-    let oracle = Engine::with_config(
+    let literal = Engine::with_config(
         Arc::clone(ds),
         EngineConfig {
             optimize: false,
-            eval_mode: EvalMode::TermReference,
             ..EngineConfig::new()
         },
     );
-    let prepared = oracle.prepare_plan(plan.clone(), Vec::new());
-    rows_of(&oracle.execute_prepared(&prepared, None).unwrap().0)
+    let prepared = literal.prepare_plan(plan.clone(), Vec::new());
+    let (table, _) = eval_reference::execute(&literal, &prepared, None).unwrap();
+    rows_of(&table)
 }
 
 fn rows_of(table: &SolutionTable) -> Vec<Vec<Option<Term>>> {
@@ -584,14 +579,9 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
              ?row <http://x/in> <http://x/clean> . ?row <http://x/v> ?v }}"
         ),
     ] {
-        let oracle = Engine::with_config(
-            Arc::clone(&ds),
-            EngineConfig {
-                eval_mode: EvalMode::TermReference,
-                ..EngineConfig::new()
-            },
-        );
-        let expected = rows_of(&oracle.execute(&q).unwrap());
+        let oracle = Engine::new(Arc::clone(&ds));
+        let prepared = oracle.prepare(&q).unwrap();
+        let expected = rows_of(&eval_reference::execute(&oracle, &prepared, None).unwrap().0);
         assert!(!expected.is_empty());
         let engine = engine(&ds, QueryBudget::unlimited());
         assert_eq!(rows_of(&engine.execute(&q).unwrap()), expected, "{q}");

@@ -71,8 +71,8 @@ cargo test -q -p sparql-engine --test budget_enforcement
 
 # Fixed-seed chaos smoke: the paper workload through a fault-injecting
 # endpoint — retried runs must be byte-identical, give-ups typed, partial
-# results whole-chunk prefixes — and the wire codecs over generated tables
-# and damaged documents (round trip, no panic, no ragged table).
+# results whole-chunk prefixes — and the one XML wire codec over generated
+# tables and damaged documents (round trip, no panic, no ragged table).
 echo "==> chaos smoke (fixed seed)"
 cargo test -q -p bench --test chaos_suite
 cargo test -q -p rdfframes-core --test chaos_retry --test corrupt_wire --test wire_codec
@@ -104,7 +104,7 @@ cargo test -q -p rdfframes-core --lib the_run_cache_never_answers_for_an_absent_
 # refused with the table untouched. The table is `dataframe::Coded`, so the
 # dataframe crate's tests run here too: the shared shape check's unit test
 # (every refusal typed, the table left as it was) and `proptest_frame`.
-# Then the wire encoders' bytes for all 22 paper frames, whole and paged,
+# Then the XML encoder's bytes for all 22 paper frames, whole and paged,
 # against hashes pinned before the dictionary-coded table.
 echo "==> solution table layout (fixed seed)"
 cargo test -q -p sparql-engine --test solution_table
@@ -129,6 +129,13 @@ cargo test -q -p rdfframes-core --test restart_semantics
 echo "==> serving-resilience smoke (crash-while-serving, scale 64 + overload)"
 cargo test -q -p bench --test serving_resilience scale_64_crash_while_serving_smoke_with_query_parity
 cargo test -q -p bench --test serving_resilience overload_sheds_typed_retryable_and_accepted_results_are_unaffected
+
+# Thread-racing suites under the release profile: interleavings that the
+# debug build's timing hides (a racing-readers test once failed 15 of 16
+# `--release` runs while passing in debug). Seconds once built.
+echo "==> thread-racing suites (--release)"
+cargo test --release -q -p bench --test serving_resilience
+cargo test --release -q -p rdfframes-core --test concurrent_serving
 
 if [[ "$run_bench" == 1 ]]; then
     snapshot=$(mktemp -d)
