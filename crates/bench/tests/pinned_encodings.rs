@@ -23,7 +23,9 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 /// `(id, XML, XML in pages)`, computed at the commit before the
-/// dictionary-coded table.
+/// dictionary-coded table. cs2 was re-pinned when filter-aware join
+/// ordering changed the row order of its un-ORDERed result (the same
+/// multiset of rows).
 const PINNED: [(&str, u64, u64); 22] = [
     ("Q1", 0x404c86c11e1a3adc, 0x404c86c11e1a3adc),
     ("Q2", 0xb67a5911205febf8, 0xb67a5911205febf8),
@@ -45,7 +47,7 @@ const PINNED: [(&str, u64, u64); 22] = [
     ("Q18", 0xe3cd0f097f93a985, 0x683bc7c0dcdc9fcb),
     ("Q19", 0x4ffd857c9e925a35, 0x4ffd857c9e925a35),
     ("cs1", 0x1e991267e4cce189, 0x549e8137ba32fe6c),
-    ("cs2", 0x57dad3581bbd3600, 0x57dad3581bbd3600),
+    ("cs2", 0xd630c031e8850550, 0xd630c031e8850550),
     ("cs3", 0x104fd0d7ef06a1a3, 0x76e860cbdb7307c4),
 ];
 

@@ -457,10 +457,27 @@ mod tests {
         ));
     }
 
+    /// The predicate of the first pattern of a prepared `Project(Bgp)`.
+    fn first_predicate(prepared: &sparql_engine::PreparedQuery) -> Term {
+        use sparql_engine::algebra::Plan;
+        let mut plan = prepared.plan();
+        loop {
+            match plan {
+                Plan::Bgp { patterns, .. } => {
+                    let sparql_engine::ast::PatternTerm::Const(t) = &patterns[0].predicate else {
+                        panic!("constant predicate expected")
+                    };
+                    return t.clone();
+                }
+                Plan::Project(_, p) => plan = p.as_ref(),
+                other => panic!("unexpected plan shape: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn plan_cache_reoptimizes_after_append_inverts_selectivities() {
         use rdf_model::Triple as T;
-        use sparql_engine::algebra::Plan;
 
         let common = |i: usize| Term::iri(format!("http://x/c{i}"));
         let rare = |i: usize| Term::iri(format!("http://x/r{i}"));
@@ -487,22 +504,6 @@ mod tests {
 
         let q = "SELECT ?s ?a ?b FROM <http://g> WHERE { \
                  ?s <http://x/common> ?a . ?s <http://x/rare> ?b }";
-        let first_predicate = |prepared: &sparql_engine::PreparedQuery| -> Term {
-            let mut plan = prepared.plan();
-            loop {
-                match plan {
-                    Plan::Bgp { patterns, .. } => {
-                        let sparql_engine::ast::PatternTerm::Const(t) = &patterns[0].predicate
-                        else {
-                            panic!("constant predicate expected")
-                        };
-                        return t.clone();
-                    }
-                    Plan::Project(_, p) => plan = p.as_ref(),
-                    other => panic!("unexpected plan shape: {other:?}"),
-                }
-            }
-        };
 
         // Cache the plan on the skewed graph: <rare> is selective → first.
         ep.query_chunk(q, 0, 100).unwrap();
@@ -540,6 +541,63 @@ mod tests {
         assert!(
             fresh_stats.rows_scanned < stale_stats.rows_scanned,
             "re-optimization must cut scan work: fresh {} vs stale {}",
+            fresh_stats.rows_scanned,
+            stale_stats.rows_scanned
+        );
+    }
+
+    #[test]
+    fn plan_cache_reorders_when_an_append_makes_the_in_constant_common() {
+        use rdf_model::Triple as T;
+
+        let p_country = Term::iri("http://x/country");
+        let p_genre = Term::iri("http://x/genre");
+        let (usa, fiji) = (Term::iri("http://x/usa"), Term::iri("http://x/fiji"));
+        let entity = |i: usize| Term::iri(format!("http://x/e{i}"));
+
+        // 40 `usa` and 2 `fiji` countries, 20 genres: `?c IN (fiji)` keeps
+        // 2 of 42 country rows, so the country pattern leads.
+        let mut g = Graph::with_delta_threshold(4);
+        for i in 0..42 {
+            let c = if i < 40 { &usa } else { &fiji };
+            g.insert(&T::new(entity(i), p_country.clone(), c.clone()));
+        }
+        for i in 0..20 {
+            g.insert(&T::new(entity(i), p_genre.clone(), Term::integer(i as i64)));
+        }
+        let mut ds = Dataset::new();
+        ds.insert_graph_uncompacted("http://g", g);
+        let mut ep = InProcessEndpoint::new(Arc::new(ds));
+
+        let q = "SELECT ?s ?c ?g FROM <http://g> WHERE { \
+                 ?s <http://x/genre> ?g . ?s <http://x/country> ?c \
+                 FILTER ( ?c IN (<http://x/fiji>) ) }";
+        ep.query_chunk(q, 0, 100).unwrap();
+        let stale = ep.cached_plan(q).expect("plan cached");
+        assert_eq!(first_predicate(&stale), p_country);
+
+        // 300 more `fiji` entities: the filter now keeps 302 of 342 rows,
+        // more than the 20 genre rows, so the genre pattern should lead.
+        let appended: Vec<T> = (100..400)
+            .map(|i| T::new(entity(i), p_country.clone(), fiji.clone()))
+            .collect();
+        let dataset = ep
+            .engine_mut()
+            .dataset_mut()
+            .expect("sole dataset reference");
+        assert_eq!(dataset.append_triples("http://g", appended).unwrap(), 300);
+
+        // The stats-generation stamp moved, so the cached plan is replaced,
+        // and the exact counts the new plan is charged are the new data's.
+        ep.query_chunk(q, 0, 100).unwrap();
+        assert_eq!(ep.cached_plans(), 1, "entry replaced, not duplicated");
+        let fresh = ep.cached_plan(q).expect("plan re-cached");
+        assert_eq!(first_predicate(&fresh), p_genre);
+        let (_, stale_stats) = ep.engine().execute_prepared(&stale, None).unwrap();
+        let (_, fresh_stats) = ep.engine().execute_prepared(&fresh, None).unwrap();
+        assert!(
+            fresh_stats.rows_scanned < stale_stats.rows_scanned,
+            "fresh {} vs stale {}",
             fresh_stats.rows_scanned,
             stale_stats.rows_scanned
         );

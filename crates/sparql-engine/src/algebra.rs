@@ -96,6 +96,11 @@ pub fn attach_filters<'f>(
     let mut per_pattern: Vec<Vec<(usize, &PushedFilter)>> =
         (0..patterns.len()).map(|_| Vec::new()).collect();
     for f in filters {
+        // Unreachable panic: pushdown (the optimizer's first pass) places a
+        // filter only in a BGP with a pattern mentioning its variable, and
+        // when planning later splits that BGP it hands the filter to a star
+        // that binds the variable. Nothing else in the workspace fills
+        // `filters`.
         let at = patterns
             .iter()
             .position(|p| p.variables().any(|v| v == f.var))

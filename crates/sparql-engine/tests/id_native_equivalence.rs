@@ -996,8 +996,9 @@ fn render_query_with_filters(patterns: &[(Pos, Pos, Pos)], conds: &[Cond]) -> St
 }
 
 /// One conjunct of a random FILTER: the pushable single-variable equality
-/// shape (sometimes over a variable the BGP does not bind, sometimes over a
-/// constant that exists nowhere) or a two-variable comparison that must
+/// and membership shapes (sometimes over a variable the BGP does not bind,
+/// sometimes over constants that exist nowhere) — the shapes the optimizer
+/// counts exactly to order the BGP — or a two-variable comparison that must
 /// stay above the BGP.
 #[derive(Debug, Clone)]
 enum Cond {
@@ -1006,6 +1007,13 @@ enum Cond {
         var: u8,
         kind: char,
         c: u8,
+        negate: bool,
+    },
+    /// `?v{var} [NOT] IN (<http://test/{kind}{c}>, …)`.
+    In {
+        var: u8,
+        kind: char,
+        cs: Vec<u8>,
         negate: bool,
     },
     /// `?v{a} = ?v{b}` — not single-variable, never pushed.
@@ -1024,6 +1032,19 @@ impl Cond {
                 "?v{var} {} <http://test/{kind}{c}>",
                 if *negate { "!=" } else { "=" }
             ),
+            Cond::In {
+                var,
+                kind,
+                cs,
+                negate,
+            } => {
+                let list: Vec<String> = cs
+                    .iter()
+                    .map(|c| format!("<http://test/{kind}{c}>"))
+                    .collect();
+                let op = if *negate { "NOT IN" } else { "IN" };
+                format!("?v{var} {op} ({})", list.join(", "))
+            }
             Cond::VarVar(a, b) => format!("?v{a} = ?v{b}"),
         }
     }
@@ -1037,6 +1058,18 @@ fn cond_strategy() -> impl Strategy<Value = Cond> {
             c,
             negate: neg == 1,
         }),
+        (
+            0u8..4,
+            0u8..3,
+            proptest::collection::vec(0u8..8, 1..4),
+            0u8..2
+        )
+            .prop_map(|(var, kind, cs, neg)| Cond::In {
+                var,
+                kind: ['s', 'p', 'o'][kind as usize],
+                cs,
+                negate: neg == 1,
+            }),
         (0u8..4, 0u8..4).prop_map(|(a, b)| Cond::VarVar(a, b)),
     ]
 }
