@@ -1,22 +1,24 @@
 //! Concurrent-serving benchmark.
 //!
-//! Two experiments over one synthetic dataset:
+//! Two experiments over one synthetic dataset, both on a
+//! [`DurableSnapshotServer`] over a `MemVfs`:
 //!
-//! 1. **Concurrent serving** — a [`SnapshotServer`] serves 1/2/4/8 reader
-//!    threads executing a one-hop RDFFrames query while a writer loops
-//!    `update()` (append one triple → publish a new epoch). Reported:
-//!    aggregate queries/s, per-query p50/p99 latency, and epochs published
-//!    during the window — readers never block on the writer beyond the
-//!    epoch pointer swap.
+//! 1. **Concurrent serving** — the server serves 1/2/4/8 reader threads
+//!    executing a one-hop RDFFrames query while a writer loops
+//!    `append_triples` (WAL-commit one triple → publish a new epoch; no
+//!    checkpoints). Reported: aggregate queries/s, per-query p50/p99
+//!    latency, and epochs published during the window — readers never
+//!    block on the writer beyond the epoch pointer swap.
 //!
-//! 2. **Durability tax** — the same readers-vs-writer race, with the
-//!    writer's publications running durability off (plain
-//!    [`SnapshotServer`]), WAL-commit-per-update, and WAL-per-update with
-//!    threshold-coalesced checkpoints ([`DurableSnapshotServer`] over a
-//!    `MemVfs`). Reported per mode: publish p50/p99, epochs, reader
+//! 2. **Durability tax** — the same readers-vs-writer race, with
+//!    WAL-commit-per-update and WAL-per-update plus threshold-coalesced
+//!    checkpoints. Reported per mode: publish p50/p99, epochs, reader
 //!    qps/p99, and the store's commit/checkpoint counters. The backing
 //!    store is in-memory, so the tax measured is WAL serialization and
 //!    checkpoint copying — real `fsync` cost comes on top of this floor.
+//!    There is no durability-off server any more; the last reading of the
+//!    `off` row (publish as a bare pointer swap) stays in the committed
+//!    `BENCH_concurrent.json` until the file is next regenerated.
 //!
 //! Results go to `BENCH_concurrent.json`.
 //!
@@ -30,7 +32,7 @@ use std::time::{Duration, Instant};
 use bench::data;
 use rdf_model::persist::{MemVfs, Vfs};
 use rdf_model::{Term, Triple};
-use rdfframes_core::{DurableSnapshotServer, ServingConfig, SnapshotServer};
+use rdfframes_core::{DurableSnapshotServer, ServingConfig};
 
 /// Reader thread counts swept in the concurrent-serving experiment.
 const READERS: [usize; 4] = [1, 2, 4, 8];
@@ -78,14 +80,14 @@ struct ServeOutcome {
     final_rows: usize,
 }
 
-/// Run `n_readers` query loops against a fresh [`SnapshotServer`] while one
-/// writer publishes append epochs as fast as it can.
+/// Run `n_readers` query loops against a fresh durable server (no
+/// checkpoints) while one writer publishes append epochs as fast as it can.
 fn serve(scale: usize, n_readers: usize) -> ServeOutcome {
-    let server = Arc::new(SnapshotServer::new(data::build_dataset(scale)));
+    let server = seed_durable(scale, None);
     // One-hop feature extraction: enough work to be a real query, cheap
     // enough that the window collects a meaningful latency sample.
     let frame = data::dbpedia_graph().feature_domain_range("dbpp:starring", "movie", "actor");
-    let epochs_before = server.epochs_published();
+    let epochs_before = server.stats().epochs_published;
     let stop = AtomicBool::new(false);
     let (latencies, writer_updates) = std::thread::scope(|scope| {
         let mut readers = Vec::new();
@@ -109,18 +111,8 @@ fn serve(scale: usize, n_readers: usize) -> ServeOutcome {
         let writer = scope.spawn(|| {
             let mut published = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                let n = published;
                 server
-                    .update(|ds| {
-                        ds.append_triples(
-                            data::uris::DBPEDIA,
-                            [Triple::new(
-                                Term::iri(format!("http://dbpedia.org/resource/NewMovie{n}")),
-                                Term::iri("http://dbpedia.org/property/starring"),
-                                Term::iri(format!("http://dbpedia.org/resource/NewActor{n}")),
-                            )],
-                        );
-                    })
+                    .append_triples(data::uris::DBPEDIA, vec![write_triple(published)])
                     .expect("publish failed");
                 published += 1;
             }
@@ -148,7 +140,7 @@ fn serve(scale: usize, n_readers: usize) -> ServeOutcome {
         qps: queries as f64 / SERVE_WINDOW.as_secs_f64(),
         p50: percentile(&sorted, 50.0),
         p99: percentile(&sorted, 99.0),
-        epochs: server.epochs_published() - epochs_before,
+        epochs: server.stats().epochs_published - epochs_before,
         final_rows,
     };
     // Sanity: one epoch per writer update call, no drift.
@@ -168,11 +160,7 @@ fn write_triple(n: u64) -> Triple {
 /// Writer-side durability swept by the durability-tax experiment.
 #[derive(Clone, Copy, PartialEq)]
 enum Durability {
-    /// Plain [`SnapshotServer`]: publish is a pointer swap, nothing survives
-    /// a crash.
-    Off,
-    /// [`DurableSnapshotServer`], WAL commit before every publish, no
-    /// checkpoints during the window.
+    /// WAL commit before every publish, no checkpoints during the window.
     WalEachUpdate,
     /// WAL commit per publish plus threshold-coalesced checkpoints.
     WalCheckpoint,
@@ -181,9 +169,16 @@ enum Durability {
 impl Durability {
     fn label(self) -> &'static str {
         match self {
-            Durability::Off => "off",
             Durability::WalEachUpdate => "wal_per_update",
             Durability::WalCheckpoint => "wal_checkpoint_coalesced",
+        }
+    }
+
+    /// The checkpoint threshold this mode serves with.
+    fn checkpoint_wal_bytes(self) -> Option<u64> {
+        match self {
+            Durability::WalEachUpdate => None,
+            Durability::WalCheckpoint => Some(COALESCE_WAL_BYTES),
         }
     }
 }
@@ -197,9 +192,14 @@ const COALESCE_WAL_BYTES: u64 = 1 << 10;
 /// Reader threads held constant across the durability sweep.
 const TAX_READERS: usize = 2;
 
-/// A durable server over `MemVfs`, seeded with the benchmark dataset and
-/// checkpointed so the measurement window starts from an empty WAL.
-fn seed_durable(scale: usize, config: ServingConfig) -> DurableSnapshotServer {
+/// A durable server over `MemVfs` checkpointing past `checkpoint_wal_bytes`,
+/// seeded with the benchmark dataset and checkpointed so the measurement
+/// window starts from an empty WAL.
+fn seed_durable(scale: usize, checkpoint_wal_bytes: Option<u64>) -> DurableSnapshotServer {
+    let config = ServingConfig {
+        checkpoint_wal_bytes,
+        ..ServingConfig::default()
+    };
     let server = DurableSnapshotServer::open(Arc::new(MemVfs::new()) as Arc<dyn Vfs>, config)
         .expect("open durable server");
     for (uri, graph) in data::build_graphs(scale) {
@@ -207,75 +207,6 @@ fn seed_durable(scale: usize, config: ServingConfig) -> DurableSnapshotServer {
     }
     server.checkpoint().expect("seed checkpoint");
     server
-}
-
-/// One serving surface for the durability sweep: same read path, different
-/// writer-side durability.
-enum TaxServer {
-    Plain(SnapshotServer),
-    Durable(Box<DurableSnapshotServer>),
-}
-
-impl TaxServer {
-    fn build(scale: usize, mode: Durability) -> TaxServer {
-        match mode {
-            Durability::Off => TaxServer::Plain(SnapshotServer::new(data::build_dataset(scale))),
-            Durability::WalEachUpdate => TaxServer::Durable(Box::new(seed_durable(
-                scale,
-                ServingConfig {
-                    checkpoint_wal_bytes: None,
-                    ..ServingConfig::default()
-                },
-            ))),
-            Durability::WalCheckpoint => TaxServer::Durable(Box::new(seed_durable(
-                scale,
-                ServingConfig {
-                    checkpoint_wal_bytes: Some(COALESCE_WAL_BYTES),
-                    ..ServingConfig::default()
-                },
-            ))),
-        }
-    }
-
-    fn snapshot(&self) -> Arc<rdfframes_core::EpochEndpoints> {
-        match self {
-            TaxServer::Plain(s) => s.snapshot(),
-            TaxServer::Durable(s) => s.snapshot(),
-        }
-    }
-
-    fn publish(&self, n: u64) {
-        match self {
-            TaxServer::Plain(s) => {
-                s.update(|ds| {
-                    ds.append_triples(data::uris::DBPEDIA, [write_triple(n)]);
-                })
-                .expect("publish failed");
-            }
-            TaxServer::Durable(s) => {
-                s.append_triples(data::uris::DBPEDIA, vec![write_triple(n)])
-                    .expect("publish failed");
-            }
-        }
-    }
-
-    fn epochs_published(&self) -> u64 {
-        match self {
-            TaxServer::Plain(s) => s.epochs_published(),
-            TaxServer::Durable(s) => s.stats().epochs_published,
-        }
-    }
-
-    /// `(wal_commits, checkpoints)` so far; zeros for the in-memory server.
-    fn store_counters(&self) -> (u64, u64) {
-        match self {
-            TaxServer::Plain(_) => (0, 0),
-            TaxServer::Durable(s) => {
-                let st = s.store_stats();
-                (st.commits, st.checkpoints)
-            }
-        }
-    }
 }
 
 struct TaxOutcome {
@@ -291,10 +222,9 @@ struct TaxOutcome {
 /// Durability-tax cell: readers race a writer whose publications run at the
 /// given durability level; both sides' latencies are sampled.
 fn serve_tax(scale: usize, mode: Durability) -> TaxOutcome {
-    let server = TaxServer::build(scale, mode);
+    let server = seed_durable(scale, mode.checkpoint_wal_bytes());
     let frame = data::dbpedia_graph().feature_domain_range("dbpp:starring", "movie", "actor");
-    let epochs_before = server.epochs_published();
-    let (commits_before, checkpoints_before) = server.store_counters();
+    let before = server.stats();
     let stop = AtomicBool::new(false);
     let (reader_lat, publish_lat) = std::thread::scope(|scope| {
         let mut readers = Vec::new();
@@ -316,7 +246,9 @@ fn serve_tax(scale: usize, mode: Durability) -> TaxOutcome {
             let mut published = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let start = Instant::now();
-                server.publish(published);
+                server
+                    .append_triples(data::uris::DBPEDIA, vec![write_triple(published)])
+                    .expect("publish failed");
                 lat.push(start.elapsed());
                 published += 1;
             }
@@ -334,8 +266,8 @@ fn serve_tax(scale: usize, mode: Durability) -> TaxOutcome {
     reader_sorted.sort();
     let mut publish_sorted = publish_lat;
     publish_sorted.sort();
-    let (commits_after, checkpoints_after) = server.store_counters();
-    let epochs = server.epochs_published() - epochs_before;
+    let after = server.stats();
+    let epochs = after.epochs_published - before.epochs_published;
     assert_eq!(epochs, publish_sorted.len() as u64, "epoch counter drifted");
     TaxOutcome {
         publish_p50: percentile(&publish_sorted, 50.0),
@@ -343,8 +275,8 @@ fn serve_tax(scale: usize, mode: Durability) -> TaxOutcome {
         epochs,
         reader_qps: reader_sorted.len() as f64 / SERVE_WINDOW.as_secs_f64(),
         reader_p99: percentile(&reader_sorted, 99.0),
-        wal_commits: commits_after - commits_before,
-        checkpoints: checkpoints_after - checkpoints_before,
+        wal_commits: after.wal_commits - before.wal_commits,
+        checkpoints: after.checkpoints - before.checkpoints,
     }
 }
 
@@ -420,11 +352,7 @@ fn main() {
         "commits",
         "ckpts"
     );
-    let modes = [
-        Durability::Off,
-        Durability::WalEachUpdate,
-        Durability::WalCheckpoint,
-    ];
+    let modes = [Durability::WalEachUpdate, Durability::WalCheckpoint];
     let _ = writeln!(json, "  \"durability_tax\": [");
     for (mi, &mode) in modes.iter().enumerate() {
         let out = serve_tax(scale, mode);

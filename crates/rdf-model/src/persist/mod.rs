@@ -2,7 +2,7 @@
 //!
 //! A [`Store`] is a [`Dataset`](crate::Dataset) backed by two files:
 //! a checksummed binary **snapshot** (the last checkpoint, see
-//! [`format`]) and an append-only **write-ahead log** of mutations since
+//! [`mod@format`]) and an append-only **write-ahead log** of mutations since
 //! (see [`wal`]). Mutations are logged before they are applied; opening a
 //! store replays the log over the snapshot and truncates any torn tail,
 //! recovering exactly the state at some committed prefix of the mutation

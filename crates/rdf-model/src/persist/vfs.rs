@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use super::StorageError;
 
@@ -208,7 +208,7 @@ impl MemVfs {
     /// not.
     pub fn reopen_from(other: &MemVfs) -> Self {
         let fresh = MemVfs::new();
-        *fresh.disk.lock().expect("disk lock") = other.disk.lock().expect("disk lock").clone();
+        *fresh.disk() = other.disk().clone();
         fresh
     }
 
@@ -217,7 +217,7 @@ impl MemVfs {
     /// Budgets count from this call onward; a disk that already crashed
     /// stays crashed.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        let mut st = self.state.lock().expect("state lock");
+        let mut st = self.state();
         st.write_budget = plan.crash_after_bytes;
         st.enospc_budget = plan.enospc_after_bytes;
         st.short_read_next = plan.short_read_next;
@@ -226,19 +226,19 @@ impl MemVfs {
     /// Total bytes applied to the disk image so far (fault-free dry runs
     /// use this to enumerate every possible crash point).
     pub fn bytes_written(&self) -> u64 {
-        self.state.lock().expect("state lock").bytes_written
+        self.state().bytes_written
     }
 
     /// Did the crash budget trip?
     pub fn crashed(&self) -> bool {
-        self.state.lock().expect("state lock").crashed
+        self.state().crashed
     }
 
     /// Flip one bit of a file at rest (corruption-at-rest injection;
     /// bypasses fault accounting). Returns `false` when the file is absent
     /// or shorter than `byte`.
     pub fn flip_bit(&self, name: &str, byte: usize, bit: u8) -> bool {
-        let mut disk = self.disk.lock().expect("disk lock");
+        let mut disk = self.disk();
         match disk.get_mut(name).and_then(|f| f.get_mut(byte)) {
             Some(b) => {
                 *b ^= 1 << (bit % 8);
@@ -250,13 +250,25 @@ impl MemVfs {
 
     /// Snapshot of the current disk image (file name → contents).
     pub fn disk_image(&self) -> BTreeMap<String, Vec<u8>> {
-        self.disk.lock().expect("disk lock").clone()
+        self.disk().clone()
+    }
+
+    /// The disk image, recovering poison: a holder that panicked left at
+    /// worst a torn file, which is the state recovery is built to read.
+    fn disk(&self) -> MutexGuard<'_, BTreeMap<String, Vec<u8>>> {
+        self.disk.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The fault state, recovering poison: its fields are independent
+    /// counters and flags, each valid on its own whatever a holder left.
+    fn state(&self) -> MutexGuard<'_, FaultState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Charge `want` bytes against the fault budgets. Returns how many
     /// bytes actually reach the disk plus the error to surface (if any).
     fn charge(&self, want: usize) -> (usize, Option<StorageError>) {
-        let mut st = self.state.lock().expect("state lock");
+        let mut st = self.state();
         if st.crashed {
             return (0, Some(StorageError::Crashed));
         }
@@ -283,7 +295,7 @@ impl MemVfs {
     }
 
     fn check_alive(&self) -> Result<(), StorageError> {
-        if self.state.lock().expect("state lock").crashed {
+        if self.state().crashed {
             Err(StorageError::Crashed)
         } else {
             Ok(())
@@ -294,13 +306,8 @@ impl MemVfs {
 impl Vfs for MemVfs {
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>, StorageError> {
         self.check_alive()?;
-        let limit = self
-            .state
-            .lock()
-            .expect("state lock")
-            .short_read_next
-            .take();
-        let disk = self.disk.lock().expect("disk lock");
+        let limit = self.state().short_read_next.take();
+        let disk = self.disk();
         Ok(disk.get(name).map(|f| match limit {
             Some(n) => f[..n.min(f.len())].to_vec(),
             None => f.clone(),
@@ -312,7 +319,7 @@ impl Vfs for MemVfs {
         if applied > 0 || err.is_none() {
             // Create-or-truncate happens before the torn payload lands —
             // exactly the worst case a crash mid-rewrite produces.
-            let mut disk = self.disk.lock().expect("disk lock");
+            let mut disk = self.disk();
             disk.insert(name.to_string(), data[..applied].to_vec());
         }
         match err {
@@ -324,7 +331,7 @@ impl Vfs for MemVfs {
     fn append(&self, name: &str, data: &[u8]) -> Result<(), StorageError> {
         let (applied, err) = self.charge(data.len());
         if applied > 0 || err.is_none() {
-            let mut disk = self.disk.lock().expect("disk lock");
+            let mut disk = self.disk();
             disk.entry(name.to_string())
                 .or_default()
                 .extend_from_slice(&data[..applied]);
@@ -338,7 +345,7 @@ impl Vfs for MemVfs {
     fn rename(&self, from: &str, to: &str) -> Result<(), StorageError> {
         // Atomic: either it happened or it did not — no torn middle state.
         self.check_alive()?;
-        let mut disk = self.disk.lock().expect("disk lock");
+        let mut disk = self.disk();
         match disk.remove(from) {
             Some(contents) => {
                 disk.insert(to.to_string(), contents);
@@ -353,7 +360,7 @@ impl Vfs for MemVfs {
 
     fn truncate(&self, name: &str, len: u64) -> Result<(), StorageError> {
         self.check_alive()?;
-        let mut disk = self.disk.lock().expect("disk lock");
+        let mut disk = self.disk();
         match disk.get_mut(name) {
             Some(f) => {
                 f.truncate(len as usize);
@@ -368,13 +375,13 @@ impl Vfs for MemVfs {
 
     fn remove(&self, name: &str) -> Result<(), StorageError> {
         self.check_alive()?;
-        self.disk.lock().expect("disk lock").remove(name);
+        self.disk().remove(name);
         Ok(())
     }
 
     fn len(&self, name: &str) -> Result<Option<u64>, StorageError> {
         self.check_alive()?;
-        let disk = self.disk.lock().expect("disk lock");
+        let disk = self.disk();
         Ok(disk.get(name).map(|f| f.len() as u64))
     }
 }

@@ -102,8 +102,8 @@ impl EmbeddedEndpoint {
     /// A new endpoint over `dataset` that keeps this endpoint's engine
     /// configuration and batch size and **shares** its statistics, scan
     /// counters, and both plan caches (Arc-cloned).
-    /// [`SnapshotServer`](crate::client::SnapshotServer) uses this to
-    /// publish dataset epochs: every cached plan is stamped with the
+    /// [`DurableSnapshotServer`](crate::client::DurableSnapshotServer) uses
+    /// this to publish dataset epochs: every cached plan is stamped with the
     /// stats generation it was optimized under, so queries against the new
     /// snapshot re-optimize exactly when the statistics moved and reuse the
     /// plan otherwise.

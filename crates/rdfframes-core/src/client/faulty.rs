@@ -29,7 +29,8 @@
 //! The decorator never fabricates result rows: a request either fails, is
 //! delayed, or returns the wrapped endpoint's genuine answer (possibly with
 //! a renamed header). [`Endpoint::execute_model`] is deliberately *not*
-//! forwarded, so an `Executor` driving a wrapped [`EmbeddedEndpoint`] still
+//! forwarded, so an `Executor` driving a wrapped
+//! [`EmbeddedEndpoint`](crate::client::EmbeddedEndpoint) still
 //! exercises the wire path the faults are designed for.
 
 use std::collections::VecDeque;

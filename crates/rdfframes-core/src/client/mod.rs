@@ -10,7 +10,6 @@
 //! every chunk through the SPARQL XML results format ([`xml`]) and
 //! optionally charging a simulated per-request overhead.
 
-pub mod concurrent;
 pub mod convert;
 pub mod embedded;
 pub mod faulty;
@@ -29,12 +28,11 @@ use sparql_engine::{Engine, EngineConfig, EngineError, PreparedQuery, QueryBudge
 use crate::error::{FrameError, Result};
 use crate::model::QueryModel;
 
-pub use concurrent::{EpochEndpoints, SnapshotServer};
 pub use embedded::EmbeddedEndpoint;
 pub use faulty::{Fault, FaultyEndpoint};
 pub use serving::{
-    AdmissionGovernor, AdmissionPermit, DurableSnapshotServer, QueryClass, ServerStats,
-    ServingConfig,
+    AdmissionGovernor, AdmissionPermit, DurableSnapshotServer, EpochEndpoints, QueryClass,
+    ServerStats, ServingConfig,
 };
 
 /// Map an engine-side failure onto the client error taxonomy: budget trips
@@ -287,10 +285,10 @@ impl InProcessEndpoint {
 
     /// A new endpoint over `dataset` that keeps this endpoint's
     /// configuration and **shares** its statistics and plan cache
-    /// (Arc-cloned). [`SnapshotServer`](crate::client::SnapshotServer) uses
-    /// this to publish dataset epochs: cached plans carry the
-    /// stats-generation stamp they were optimized under, so queries against
-    /// the new snapshot re-optimize exactly when the statistics moved.
+    /// (Arc-cloned). [`DurableSnapshotServer`] uses this to publish dataset
+    /// epochs: cached plans carry the stats-generation stamp they were
+    /// optimized under, so queries against the new snapshot re-optimize
+    /// exactly when the statistics moved.
     pub fn with_dataset(&self, dataset: Arc<Dataset>) -> Self {
         InProcessEndpoint {
             engine: Engine::with_config(dataset, self.engine.config().clone()),

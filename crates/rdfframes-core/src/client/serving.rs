@@ -1,11 +1,40 @@
-//! Durable, overload-resilient serving: the front door that fuses the
-//! epoch-snapshot read path with WAL-backed storage and admission control.
+//! Durable, overload-resilient serving: the one front door that answers
+//! queries over immutable dataset epochs while WAL-backed writers publish
+//! the next one.
 //!
-//! [`SnapshotServer`] (PR 10) gives lock-free epoch reads and
-//! [`rdf_model::persist::Store`] (PR 9) gives crash-consistent durability,
-//! but on their own a "served" update lives only in memory and the front
-//! door accepts unbounded concurrent work. [`DurableSnapshotServer`] wires
-//! both together and adds a governor in front:
+//! The paper's deployment story is a live endpoint (Virtuoso) that keeps
+//! answering exploratory RDFFrames queries while the knowledge graph is
+//! being updated. [`DurableSnapshotServer`] reproduces that contract
+//! in-process: an epoch scheme for readers, [`rdf_model::persist::Store`]
+//! for crash-consistent writes, and a governor in front.
+//!
+//! # Epochs
+//!
+//! * A **snapshot** ([`EpochEndpoints`]) bundles one immutable
+//!   `Arc<Dataset>` with an [`EmbeddedEndpoint`] and an
+//!   [`InProcessEndpoint`] built over it. Everything a reader touches hangs
+//!   off that one `Arc`, so a query admitted against epoch *N* runs against
+//!   epoch *N*'s data from first scan to last decode — it can never observe
+//!   half of an update ("torn" reads are structurally impossible, not just
+//!   avoided).
+//! * [`DurableSnapshotServer::snapshot`] is the **read path**: a
+//!   shared-lock acquire and an `Arc` clone, nothing else. Readers never
+//!   contend with each other and only overlap a writer for the instant of
+//!   the pointer swap.
+//! * The **write path** runs under the store mutex, the one writer lock:
+//!   commit, rebuild both endpoints over the store's new dataset *outside*
+//!   any lock readers hold, then publish the finished epoch with a single
+//!   pointer swap. In-flight queries keep their old snapshot alive through
+//!   their own `Arc` and drain naturally. A publish copies the interner's
+//!   index (O(distinct terms)) and the touched graph's slabs; untouched
+//!   graphs stay shared.
+//!
+//! Plan caches carry across epochs: the rebuilt endpoints share the
+//! previous epoch's caches (see [`EmbeddedEndpoint::with_dataset`]), and
+//! every cached plan is stamped with the [`Dataset::stats_generation`] it
+//! was optimized under. A published mutation bumps the generation, so the
+//! first execution of each query on the new epoch re-optimizes against
+//! fresh statistics while untouched epochs keep serving cached plans.
 //!
 //! # Durability before publish
 //!
@@ -20,11 +49,11 @@
 //! epoch, the caller gets a typed [`FrameError::Mutation`], and restart
 //! recovery lands on exactly the committed prefix.
 //!
-//! Checkpointing is threshold-triggered ([`ServingConfig::
-//! checkpoint_wal_bytes`]) and runs *after* the publish, while readers
-//! serve the new epoch: a checkpoint failure after a successful commit
-//! loses nothing (old snapshot + full WAL still cover every committed
-//! mutation) and is only counted, not surfaced.
+//! Checkpointing is threshold-triggered
+//! ([`ServingConfig::checkpoint_wal_bytes`]) and runs *after* the publish,
+//! while readers serve the new epoch: a checkpoint failure after a
+//! successful commit loses nothing (old snapshot + full WAL still cover
+//! every committed mutation) and is only counted, not surfaced.
 //!
 //! # Admission control and the degradation ladder
 //!
@@ -51,22 +80,19 @@
 //! Shedding happens before a query touches any snapshot, so shed queries
 //! cannot corrupt accepted ones; accepted queries run against one
 //! immutable epoch end to end and return results identical to an unloaded
-//! run. Everything is observable through [`ServerStats`], whose admission
-//! counters reconcile (`admitted + shed == submitted`,
-//! `timed_out <= admitted`).
+//! run. Everything is observable through [`ServerStats`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use dataframe::DataFrame;
 use rdf_model::persist::{RecoveryReport, Store, StoreStats, Vfs};
-use rdf_model::{Graph, Triple};
+use rdf_model::{Dataset, Graph, Triple};
 use sparql_engine::{EngineConfig, QueryBudget};
 
 use crate::api::RDFFrame;
-use crate::client::concurrent::{EpochEndpoints, SnapshotServer};
-use crate::client::EndpointConfig;
+use crate::client::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint};
 use crate::error::{FrameError, Result};
 use crate::exec::{Completeness, Executor, PartialFrame};
 use crate::model::{generator, render};
@@ -76,13 +102,6 @@ use crate::model::{generator, render};
 /// [`FrameError::Mutation`] says.
 fn storage_error(e: rdf_model::persist::StorageError) -> FrameError {
     FrameError::Mutation(e.to_string())
-}
-
-/// Did this error come from the deadline axis of the engine budget?
-/// (The engine's `ResourceKind::Deadline` displays as "deadline (ms)",
-/// preserved through [`FrameError::ResourceExhausted`]'s detail.)
-fn is_deadline_trip(e: &FrameError) -> bool {
-    matches!(e, FrameError::ResourceExhausted(detail) if detail.contains("deadline"))
 }
 
 /// Which front-door surface a query arrives on — the shedding ladder
@@ -141,11 +160,14 @@ impl Default for ServingConfig {
     }
 }
 
-/// One snapshot of the server's observability counters.
+/// The server's observability counters, as read by
+/// [`DurableSnapshotServer::stats`].
 ///
-/// The admission triple always reconciles: `admitted + shed == submitted`
-/// (every submission is decided exactly once), and `timed_out <= admitted`
-/// (only an admitted query can trip its deadline).
+/// Every submission is decided exactly once and only an admitted query can
+/// trip its deadline, so `admitted + shed == submitted` and
+/// `timed_out <= admitted` hold whenever no admission is in progress. The
+/// counters are loaded one by one and `submitted` is bumped before the
+/// decision, so a read that races an admission may see `submitted` ahead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Queries that reached the front door.
@@ -163,7 +185,8 @@ pub struct ServerStats {
     /// Threshold-triggered checkpoints that failed (nothing lost — the old
     /// snapshot plus the full WAL still cover every commit).
     pub checkpoint_failures: u64,
-    /// Epochs published, counting the one recovery served first.
+    /// Epochs published, counting the one recovery served first — always
+    /// `snapshot().epoch() + 1`.
     pub epochs_published: u64,
 }
 
@@ -301,15 +324,68 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// A [`SnapshotServer`] whose mutations are durable before they are
-/// visible and whose query front door is governed. See the module docs for
-/// the protocol and the degradation ladder.
+/// One published epoch: an immutable dataset snapshot plus the two endpoint
+/// flavors serving it. Cloned `Arc`s of this struct are what readers hold;
+/// an epoch stays fully usable for as long as any reader keeps it alive,
+/// even after newer epochs are published.
+pub struct EpochEndpoints {
+    epoch: u64,
+    generation: u64,
+    dataset: Arc<Dataset>,
+    embedded: EmbeddedEndpoint,
+    wire: InProcessEndpoint,
+}
+
+impl std::fmt::Debug for EpochEndpoints {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EpochEndpoints")
+            .field("epoch", &self.epoch)
+            .field("generation", &self.generation)
+            .finish_non_exhaustive()
+    }
+}
+
+impl EpochEndpoints {
+    /// Monotone publish counter (the state recovery served first is
+    /// epoch 0).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The dataset's [`Dataset::stats_generation`] at publish time — the
+    /// same stamp the plan caches validate against.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// The immutable dataset this epoch serves.
+    pub fn dataset(&self) -> &Arc<Dataset> {
+        &self.dataset
+    }
+
+    /// The embedded (columnar, no-wire) endpoint over this epoch.
+    pub fn embedded(&self) -> &EmbeddedEndpoint {
+        &self.embedded
+    }
+
+    /// The wire-faithful (paginated, XML round-trip) endpoint over this
+    /// epoch.
+    pub fn wire(&self) -> &InProcessEndpoint {
+        &self.wire
+    }
+}
+
+/// Serves immutable dataset epochs to concurrent readers; mutations are
+/// durable before they are visible and the query front door is governed.
+/// See the module docs for the protocol and the degradation ladder.
 pub struct DurableSnapshotServer {
-    /// The durable source of truth. Mutations lock it exclusively; the
-    /// read path never touches it (readers hold epoch snapshots).
+    /// The durable source of truth and the one writer lock: every mutation
+    /// commits and publishes while holding it. The read path never touches
+    /// it (readers hold epoch snapshots).
     store: Mutex<Store>,
-    /// Epoch publication machinery; serves `store`'s canonical datasets.
-    inner: SnapshotServer,
+    /// The currently published epoch. Readers take the lock shared for one
+    /// `Arc` clone; a publish takes it exclusively for one pointer swap.
+    current: RwLock<Arc<EpochEndpoints>>,
     governor: AdmissionGovernor,
     checkpoint_wal_bytes: Option<u64>,
     /// Cross-chunk wire degradation knobs (see [`ServingConfig`]).
@@ -343,8 +419,14 @@ impl DurableSnapshotServer {
             engine_config.budget = with_deadline(engine_config.budget, deadline);
             endpoint_config.budget = with_deadline(endpoint_config.budget, deadline);
         }
-        let inner =
-            SnapshotServer::with_configs(store.shared_dataset(), engine_config, endpoint_config);
+        let dataset = store.shared_dataset();
+        let first = EpochEndpoints {
+            epoch: 0,
+            generation: dataset.stats_generation(),
+            embedded: EmbeddedEndpoint::with_engine_config(Arc::clone(&dataset), engine_config),
+            wire: InProcessEndpoint::with_config(Arc::clone(&dataset), endpoint_config),
+            dataset,
+        };
         DurableSnapshotServer {
             governor: AdmissionGovernor::new(&config),
             checkpoint_wal_bytes: config.checkpoint_wal_bytes,
@@ -353,7 +435,7 @@ impl DurableSnapshotServer {
             checkpoint_failures: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
             store: Mutex::new(store),
-            inner,
+            current: RwLock::new(Arc::new(first)),
         }
     }
 
@@ -390,12 +472,30 @@ impl DurableSnapshotServer {
     /// mutation succeeded; the failure is counted and the store's own
     /// poisoning (if any) surfaces on the next mutation.
     fn publish_and_maybe_checkpoint(&self, store: &mut Store) -> Arc<EpochEndpoints> {
-        let published = self.inner.publish_dataset(store.shared_dataset());
+        let published = self.publish(store);
         if let Some(threshold) = self.checkpoint_wal_bytes {
             if store.wal_len() > threshold && store.checkpoint().is_err() {
                 self.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
             }
         }
+        published
+    }
+
+    /// Publish `store`'s dataset as the next epoch: rebuild both endpoints
+    /// over it (sharing the previous epoch's plan caches), then swap the
+    /// epoch pointer. Taking the `&Store` means the caller holds the store
+    /// mutex, which is what serializes publishes.
+    fn publish(&self, store: &Store) -> Arc<EpochEndpoints> {
+        let next = store.shared_dataset();
+        let base = self.snapshot();
+        let published = Arc::new(EpochEndpoints {
+            epoch: base.epoch + 1,
+            generation: next.stats_generation(),
+            embedded: base.embedded.with_dataset(Arc::clone(&next)),
+            wire: base.wire.with_dataset(Arc::clone(&next)),
+            dataset: next,
+        });
+        *self.current.write().unwrap_or_else(|p| p.into_inner()) = Arc::clone(&published);
         published
     }
 
@@ -409,8 +509,13 @@ impl DurableSnapshotServer {
     /// admission — the governed surface is
     /// [`DurableSnapshotServer::execute`] /
     /// [`DurableSnapshotServer::execute_wire`].
+    ///
+    /// Poison-proof: the protected state is a plain `Arc`, swapped
+    /// atomically under the lock — a panic elsewhere can never leave it
+    /// half-written, so a poisoned lock is recovered rather than propagated
+    /// and the last published epoch keeps serving.
     pub fn snapshot(&self) -> Arc<EpochEndpoints> {
-        self.inner.snapshot()
+        Arc::clone(&self.current.read().unwrap_or_else(|p| p.into_inner()))
     }
 
     /// Execute a frame on the embedded path under admission control.
@@ -419,12 +524,10 @@ impl DurableSnapshotServer {
     /// [`FrameError::ResourceExhausted`] and counts as timed out.
     pub fn execute(&self, frame: &RDFFrame) -> Result<DataFrame> {
         let _permit = self.governor.admit(QueryClass::Embedded)?;
-        let snap = self.inner.snapshot();
+        let snap = self.snapshot();
         let result = Executor::new().execute(frame, snap.embedded());
         if let Err(e) = &result {
-            if is_deadline_trip(e) {
-                self.timed_out.fetch_add(1, Ordering::Relaxed);
-            }
+            self.count_timeout(e);
         }
         result
     }
@@ -438,27 +541,32 @@ impl DurableSnapshotServer {
     /// intact prefix with [`Completeness::Partial`].
     pub fn execute_wire(&self, frame: &RDFFrame) -> Result<PartialFrame> {
         let _permit = self.governor.admit(QueryClass::Wire)?;
-        let snap = self.inner.snapshot();
+        let snap = self.snapshot();
         let model = generator::build_query_model(frame)?;
         let sparql = render::render(&model);
         let mut executor = Executor::new();
         executor.wire_deadline = self.query_deadline;
         executor.wire_row_cap = self.max_wire_result_rows;
         let result = executor.run_partial(&sparql, snap.wire());
-        match &result {
-            Ok(partial) => {
-                if let Completeness::Partial { error } = &partial.completeness {
-                    if is_deadline_trip(error) {
-                        self.timed_out.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(e) if is_deadline_trip(e) => {
-                self.timed_out.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {}
+        if let Ok(PartialFrame {
+            completeness: Completeness::Partial { error },
+            ..
+        })
+        | Err(error) = &result
+        {
+            self.count_timeout(error);
         }
         result
+    }
+
+    /// Count `e` as timed out when it came from the deadline axis of the
+    /// engine budget (the engine's `ResourceKind::Deadline` displays as
+    /// "deadline (ms)", preserved through [`FrameError::ResourceExhausted`]'s
+    /// detail).
+    fn count_timeout(&self, e: &FrameError) {
+        if matches!(e, FrameError::ResourceExhausted(detail) if detail.contains("deadline")) {
+            self.timed_out.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The admission governor — exposed so load tests can saturate the
@@ -484,7 +592,9 @@ impl DurableSnapshotServer {
         self.lock_store().wal_len()
     }
 
-    /// One consistent snapshot of the serving counters.
+    /// The serving counters, each loaded on its own: the admission triple
+    /// reconciles only when no admission is in progress (see
+    /// [`ServerStats`]).
     pub fn stats(&self) -> ServerStats {
         let store = self.lock_store().stats();
         ServerStats {
@@ -495,7 +605,7 @@ impl DurableSnapshotServer {
             wal_commits: store.commits,
             checkpoints: store.checkpoints,
             checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
-            epochs_published: self.inner.epochs_published(),
+            epochs_published: self.snapshot().epoch() + 1,
         }
     }
 }
@@ -520,6 +630,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<DurableSnapshotServer>();
         assert_send_sync::<AdmissionGovernor>();
+        assert_send_sync::<EpochEndpoints>();
     };
 
     fn triple(i: usize) -> Triple {
@@ -567,6 +678,70 @@ mod tests {
         assert_eq!(reopened.snapshot().generation(), committed_gen);
         assert_eq!(reopened.execute(&frame()).unwrap().len(), 11);
         assert_eq!(reopened.store_stats().recoveries, 1);
+    }
+
+    fn seeded(n: usize) -> DurableSnapshotServer {
+        let server =
+            DurableSnapshotServer::open(Arc::new(MemVfs::new()), ServingConfig::default()).unwrap();
+        server.insert_graph("http://g", &graph(n)).unwrap();
+        server
+    }
+
+    #[test]
+    fn update_publishes_new_epoch_old_snapshot_stays_usable() {
+        let server = seeded(10);
+        let before = server.snapshot();
+        assert_eq!(frame().execute(before.embedded()).unwrap().len(), 10);
+
+        let after = server
+            .append_triples("http://g", vec![triple(100)])
+            .unwrap();
+        assert_eq!(after.epoch(), before.epoch() + 1);
+        assert!(after.generation() > before.generation());
+        assert_eq!(server.stats().epochs_published, after.epoch() + 1);
+
+        // The old handle still serves the old data; the new one sees the
+        // appended triple; both agree with a fresh snapshot().
+        assert_eq!(frame().execute(before.embedded()).unwrap().len(), 10);
+        assert_eq!(frame().execute(after.embedded()).unwrap().len(), 11);
+        assert_eq!(server.snapshot().epoch(), after.epoch());
+    }
+
+    #[test]
+    fn plan_cache_reoptimizes_on_generation_change_only() {
+        let server = seeded(25);
+        let f = frame();
+        let snap0 = server.snapshot();
+        f.execute(snap0.embedded()).unwrap();
+        let model = crate::model::generator::build_query_model(&f).unwrap();
+        let plan0 = snap0.embedded().cached_model_plan(&model).unwrap();
+
+        // Same epoch, second execution: cache hit, same Arc.
+        f.execute(snap0.embedded()).unwrap();
+        let plan0_again = snap0.embedded().cached_model_plan(&model).unwrap();
+        assert!(Arc::ptr_eq(&plan0, &plan0_again));
+
+        // A published append bumps the generation: the shared cache entry
+        // goes stale and the next execution on the new epoch re-optimizes.
+        let snap1 = server
+            .append_triples("http://g", vec![triple(300)])
+            .unwrap();
+        f.execute(snap1.embedded()).unwrap();
+        let plan1 = snap1.embedded().cached_model_plan(&model).unwrap();
+        assert!(!Arc::ptr_eq(&plan0, &plan1));
+    }
+
+    #[test]
+    fn wire_and_embedded_agree_within_an_epoch() {
+        let server = seeded(25);
+        server
+            .append_triples("http://g", vec![triple(200), triple(201)])
+            .unwrap();
+        let snap = server.snapshot();
+        let via_embedded = frame().execute(snap.embedded()).unwrap();
+        let via_wire = frame().execute(snap.wire()).unwrap();
+        assert_eq!(via_embedded, via_wire);
+        assert_eq!(via_embedded.len(), 27);
     }
 
     #[test]

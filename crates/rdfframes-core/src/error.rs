@@ -40,9 +40,8 @@ pub enum FrameError {
     /// queueing unboundedly or hanging.
     Overloaded(String),
     /// A server-side mutation failed before it was published: the
-    /// write-ahead commit errored (disk fault, poisoned store) or the
-    /// mutation closure panicked. The last published epoch keeps serving;
-    /// nothing was partially applied.
+    /// write-ahead commit errored (disk fault, poisoned store). The last
+    /// published epoch keeps serving; nothing was partially applied.
     Mutation(String),
 }
 

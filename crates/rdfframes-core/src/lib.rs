@@ -50,7 +50,7 @@ pub use api::{AggFunc, Direction, JoinType, KnowledgeGraph, RDFFrame, SortOrder}
 pub use client::{
     AdmissionGovernor, AdmissionPermit, DurableSnapshotServer, EmbeddedEndpoint, Endpoint,
     EndpointConfig, EndpointStats, EpochEndpoints, Fault, FaultyEndpoint, InProcessEndpoint,
-    QueryClass, ServerStats, ServingConfig, SnapshotServer, WireFormat,
+    QueryClass, ServerStats, ServingConfig, WireFormat,
 };
 pub use error::{FrameError, Result};
 pub use exec::{Completeness, Executor, ExecutorStats, PartialFrame, RetryPolicy};

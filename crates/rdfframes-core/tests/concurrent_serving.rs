@@ -2,58 +2,68 @@
 //! observe a torn dataset, no matter how aggressively a writer publishes.
 //!
 //! The torn-read detector works by construction: every writer update
-//! appends **one matched pair** of triples — one to each of two graphs —
-//! inside a single epoch publication. A reader counts both graphs through
-//! one snapshot handle; if snapshots were ever assembled from mixed epochs
-//! (or a query could see a half-applied update), the two counts would
-//! disagree. Equality on every read, across thousands of reads racing
-//! hundreds of publications, is the invariant.
+//! appends **one batch** to one graph holding a matched pair,
+//! `(s_i p_a o_i)` and `(s_i p_b o_i)`, and publishes it as one epoch. A
+//! reader counts both predicates through one snapshot handle and checks
+//! two things: the counts are equal (no half-applied batch), and they equal
+//! `SEED_ROWS + (epoch − first_epoch)` (the data is exactly the epoch the
+//! handle claims, not a neighbour's). Both on every read, across thousands
+//! of reads racing hundreds of durable publications, is the invariant.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use rdf_model::{Dataset, Graph, Term, Triple};
-use rdfframes_core::{KnowledgeGraph, SnapshotServer};
+use rdf_model::persist::MemVfs;
+use rdf_model::{Graph, Term, Triple};
+use rdfframes_core::{DurableSnapshotServer, EpochEndpoints, KnowledgeGraph, ServingConfig};
 
-const GRAPH_A: &str = "http://a";
-const GRAPH_B: &str = "http://b";
+const GRAPH: &str = "http://g";
+const P_A: &str = "http://x/pa";
+const P_B: &str = "http://x/pb";
 const SEED_ROWS: usize = 300;
 
-fn pair(graph: &str, i: usize) -> Triple {
-    Triple::new(
-        Term::iri(format!("{graph}/s{i}")),
-        Term::iri("http://x/p"),
-        Term::iri(format!("{graph}/o{i}")),
-    )
+/// The matched pair appended for row `i`.
+fn pair(i: usize) -> Vec<Triple> {
+    [P_A, P_B]
+        .into_iter()
+        .map(|p| {
+            Triple::new(
+                Term::iri(format!("{GRAPH}/s{i}")),
+                Term::iri(p),
+                Term::iri(format!("{GRAPH}/o{i}")),
+            )
+        })
+        .collect()
 }
 
-fn dataset() -> Arc<Dataset> {
-    let mut ds = Dataset::new();
-    for uri in [GRAPH_A, GRAPH_B] {
-        let mut g = Graph::new();
-        for i in 0..SEED_ROWS {
-            g.insert(&pair(uri, i));
-        }
-        ds.insert_graph(uri, g);
+/// A durable server over an in-memory disk, seeded with `SEED_ROWS` pairs.
+fn seeded_server() -> DurableSnapshotServer {
+    let server = DurableSnapshotServer::open(Arc::new(MemVfs::new()), ServingConfig::default())
+        .expect("open server");
+    let mut g = Graph::new();
+    for t in (0..SEED_ROWS).flat_map(pair) {
+        g.insert(&t);
     }
-    Arc::new(ds)
+    server.insert_graph(GRAPH, &g).expect("seed graph");
+    server
 }
 
-fn scan_frame(graph: &str) -> rdfframes_core::RDFFrame {
-    KnowledgeGraph::new(graph).feature_domain_range("<http://x/p>", "s", "o")
+fn scan_frame(predicate: &str) -> rdfframes_core::RDFFrame {
+    KnowledgeGraph::new(GRAPH).feature_domain_range(&format!("<{predicate}>"), "s", "o")
 }
 
-/// Rows of graph `graph` visible through `snap`, via a real query.
-fn visible_rows(snap: &rdfframes_core::EpochEndpoints, graph: &str) -> i64 {
-    scan_frame(graph)
+/// Triples with `predicate` visible through `snap`, via a real query.
+fn visible_rows(snap: &EpochEndpoints, predicate: &str) -> usize {
+    scan_frame(predicate)
         .execute(snap.embedded())
         .expect("scan query failed")
-        .len() as i64
+        .len()
 }
 
 #[test]
 fn readers_never_observe_torn_epochs() {
-    let server = Arc::new(SnapshotServer::new(dataset()));
+    let server = seeded_server();
+    let first_epoch = server.snapshot().epoch();
     let stop = AtomicBool::new(false);
     const UPDATES: usize = 200;
     const READERS: usize = 4;
@@ -63,7 +73,7 @@ fn readers_never_observe_torn_epochs() {
         for _ in 0..READERS {
             readers.push(scope.spawn(|| {
                 let mut reads = 0u64;
-                let mut last_epoch = 0u64;
+                let mut last_epoch = first_epoch;
                 while !stop.load(Ordering::Relaxed) {
                     let snap = server.snapshot();
                     assert!(
@@ -71,29 +81,28 @@ fn readers_never_observe_torn_epochs() {
                         "published epochs went backwards"
                     );
                     last_epoch = snap.epoch();
-                    let a = visible_rows(&snap, GRAPH_A);
-                    let b = visible_rows(&snap, GRAPH_B);
-                    // Both graphs grow in lockstep within one epoch; a
-                    // mismatch means this snapshot mixed two epochs.
+                    let a = visible_rows(&snap, P_A);
+                    let b = visible_rows(&snap, P_B);
+                    // Both halves of a batch land in one epoch; a mismatch
+                    // means this snapshot saw half an update.
                     assert_eq!(a, b, "torn read at epoch {}", snap.epoch());
-                    assert!(a >= SEED_ROWS as i64);
+                    // One batch per epoch: the rows must be exactly the
+                    // epoch's, not a neighbour epoch's.
+                    let expected = SEED_ROWS + (snap.epoch() - first_epoch) as usize;
+                    assert_eq!(a, expected, "epoch {} serves other data", snap.epoch());
                     reads += 1;
                 }
                 reads
             }));
         }
 
-        // The writer appends the matched pair and publishes, as fast as it
-        // can, UPDATES times.
+        // The writer commits and publishes one pair per update, as fast as
+        // it can, UPDATES times.
         for u in 0..UPDATES {
             let published = server
-                .update(|ds| {
-                    let i = SEED_ROWS + u;
-                    assert_eq!(ds.append_triples(GRAPH_A, [pair(GRAPH_A, i)]), Some(1));
-                    assert_eq!(ds.append_triples(GRAPH_B, [pair(GRAPH_B, i)]), Some(1));
-                })
+                .append_triples(GRAPH, pair(SEED_ROWS + u))
                 .expect("publish failed");
-            assert_eq!(published.epoch(), (u + 1) as u64);
+            assert_eq!(published.epoch(), first_epoch + (u + 1) as u64);
         }
         stop.store(true, Ordering::Relaxed);
 
@@ -105,17 +114,23 @@ fn readers_never_observe_torn_epochs() {
     });
 
     // All epochs drained: the final snapshot sees every appended pair.
-    assert_eq!(server.epochs_published(), UPDATES as u64 + 1);
+    let stats = server.stats();
+    assert_eq!(stats.epochs_published, first_epoch + UPDATES as u64 + 1);
+    assert_eq!(
+        stats.wal_commits,
+        UPDATES as u64 + 1,
+        "seed + one per update"
+    );
     let last = server.snapshot();
-    assert_eq!(last.epoch(), UPDATES as u64);
-    assert_eq!(visible_rows(&last, GRAPH_A), (SEED_ROWS + UPDATES) as i64);
-    assert_eq!(visible_rows(&last, GRAPH_B), (SEED_ROWS + UPDATES) as i64);
+    assert_eq!(last.epoch(), first_epoch + UPDATES as u64);
+    assert_eq!(visible_rows(&last, P_A), SEED_ROWS + UPDATES);
+    assert_eq!(visible_rows(&last, P_B), SEED_ROWS + UPDATES);
 }
 
 #[test]
 fn plan_cache_survives_epochs_and_reoptimizes_per_generation() {
-    let server = SnapshotServer::new(dataset());
-    let frame = scan_frame(GRAPH_A);
+    let server = seeded_server();
+    let frame = scan_frame(P_A);
     let model = rdfframes_core::model::generator::build_query_model(&frame).unwrap();
 
     let snap0 = server.snapshot();
@@ -131,11 +146,7 @@ fn plan_cache_survives_epochs_and_reoptimizes_per_generation() {
 
     // The published epoch shares the cache but carries a new statistics
     // generation: first use re-optimizes (new plan object), then sticks.
-    let snap1 = server
-        .update(|ds| {
-            ds.append_triples(GRAPH_A, [pair(GRAPH_A, SEED_ROWS)]);
-        })
-        .unwrap();
+    let snap1 = server.append_triples(GRAPH, pair(SEED_ROWS)).unwrap();
     assert!(snap1.generation() > snap0.generation());
     frame.execute(snap1.embedded()).unwrap();
     let plan_epoch1 = snap1.embedded().cached_model_plan(&model).unwrap();
@@ -152,18 +163,16 @@ fn plan_cache_survives_epochs_and_reoptimizes_per_generation() {
 
 #[test]
 fn old_snapshots_serve_unchanged_while_new_ones_advance() {
-    let server = SnapshotServer::new(dataset());
+    let server = seeded_server();
     let old = server.snapshot();
-    let before = visible_rows(&old, GRAPH_A);
+    let before = visible_rows(&old, P_A);
     for u in 0..10 {
-        server
-            .update(|ds| {
-                let i = SEED_ROWS + u;
-                ds.append_triples(GRAPH_A, [pair(GRAPH_A, i)]);
-            })
-            .unwrap();
+        let published = server.append_triples(GRAPH, pair(SEED_ROWS + u)).unwrap();
+        assert_eq!(published.epoch(), old.epoch() + u as u64 + 1);
+        assert!(published.generation() > old.generation());
+        assert_eq!(server.stats().epochs_published, published.epoch() + 1);
         // The retained handle is frozen at its epoch's contents.
-        assert_eq!(visible_rows(&old, GRAPH_A), before);
+        assert_eq!(visible_rows(&old, P_A), before);
     }
-    assert_eq!(visible_rows(&server.snapshot(), GRAPH_A), before + 10);
+    assert_eq!(visible_rows(&server.snapshot(), P_A), before + 10);
 }

@@ -7,7 +7,7 @@ use rand::Rng;
 use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 
-/// Length specification for [`vec`]: an exact size or a half-open range.
+/// Length specification for [`vec()`]: an exact size or a half-open range.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     lo: usize,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification in one command: formatting, lints, a build of the
-# out-of-workspace benchmark package, the full test suite, and a
-# small-scale smoke run of two workspace bench binaries:
+# Tier-1 verification in one command: formatting, lints, doc links, a
+# build of the out-of-workspace benchmark package, the full test suite, and
+# a small-scale smoke run of two workspace bench binaries:
 # `ablation` (dataset generation, the wire and embedded execution paths, the
 # naive generator and the budget meter end to end) and `concurrent_bench`
 # (the serving layer and its JSON writer).
@@ -25,6 +25,12 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
+
+# Intra-doc links must resolve, so a renamed or deleted public item cannot
+# leave a dangling [`link`] behind. (A public doc linking to a private item
+# only warns; that is not gated here.)
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 # The benchmark package sits outside the workspace (BENCHMARK.json runs it
 # from its own manifest) and is frozen, so nothing above compiles it. Build
