@@ -1,16 +1,15 @@
 //! Embedded-vs-wire differential suite.
 //!
-//! The embedded execution path (query model → engine plan → columnar
-//! cursor → typed DataFrame, no SPARQL text anywhere) must be perfectly
-//! interchangeable with the paper-faithful wire path (render → parse →
-//! evaluate per page → XML round trip → per-cell decode). This suite
+//! The embedded execution path (query model → rendered SPARQL → cached
+//! prepared plan → columnar cursor → typed DataFrame, evaluated once) must
+//! be perfectly interchangeable with the paper-faithful wire path (render →
+//! parse → evaluate per page → XML round trip → per-cell decode). This suite
 //! drives every example workload — the 15 synthetic queries of Table 2 and
 //! the three case studies — through both and asserts:
 //!
-//! 1. **Plan mirror**: the direct compiler produces a plan *structurally
-//!    equal* to `translate(parse(render(model)))`, pre-optimizer, plus the
-//!    same `FROM` list. This is the strongest guarantee: after the shared
-//!    optimizer pass both paths execute the identical plan.
+//! 1. **One plan**: the prepared plan the `EmbeddedEndpoint` caches for the
+//!    model equals `Engine::prepare(render(model))` on an engine with the
+//!    same configuration — optimized plan and `FROM` list alike.
 //! 2. **DataFrame identity**: both paths produce the *same* DataFrame —
 //!    schema, row order, cell types and values.
 //! 3. **Work parity**: `rows_scanned` and `shared_scans` on the embedded
@@ -27,38 +26,38 @@ use bench::casestudies::{self, CaseParams};
 use bench::data;
 use bench::queries;
 use rdf_model::Dataset;
-use rdfframes_core::model::{compile, generator, render};
+use rdfframes_core::model::{generator, render};
 use rdfframes_core::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint, RDFFrame};
-use sparql_engine::algebra::translate_query;
-use sparql_engine::eval_reference;
-use sparql_engine::parser::parse_query;
+use sparql_engine::{eval_reference, Engine};
 
 const SCALE: usize = 150;
 
 /// Assert all three equivalence layers for one frame.
 fn assert_equivalent(id: &str, frame: &RDFFrame, ds: &Arc<Dataset>) {
-    // 1. Plan mirror.
     let model = generator::build_query_model(frame)
         .unwrap_or_else(|e| panic!("{id}: model generation failed: {e}"));
-    let compiled = compile::compile(&model)
-        .unwrap_or_else(|e| panic!("{id}: embedded compilation failed: {e}"));
     let sparql = render::render(&model);
-    let parsed = parse_query(&sparql)
-        .unwrap_or_else(|e| panic!("{id}: render produced unparseable SPARQL: {e}\n{sparql}"));
-    let via_text = translate_query(&parsed).unwrap();
-    assert_eq!(
-        compiled.plan, via_text,
-        "{id}: compiled plan diverges from render→parse→translate\n{sparql}"
-    );
-    assert_eq!(compiled.from, parsed.from, "{id}: FROM lists diverge");
-
-    // 2. Identical DataFrames end to end.
     let embedded = EmbeddedEndpoint::new(Arc::clone(ds));
     let wire_ep = InProcessEndpoint::new(Arc::clone(ds));
     let scanned_before = (embedded.rows_scanned(), embedded.shared_scans());
     let df_embedded = frame
         .execute(&embedded)
         .unwrap_or_else(|e| panic!("{id}: embedded execution failed: {e}"));
+
+    // 1. One plan: what the endpoint cached is what the engine prepares
+    // from the rendered text.
+    let cached = embedded
+        .cached_model_plan(&model)
+        .unwrap_or_else(|| panic!("{id}: the embedded execution cached no plan"));
+    let via_text = Engine::with_config(Arc::clone(ds), embedded.engine().config().clone())
+        .prepare(&sparql)
+        .unwrap_or_else(|e| panic!("{id}: render produced unparseable SPARQL: {e}\n{sparql}"));
+    assert_eq!(
+        *cached, via_text,
+        "{id}: cached plan diverges from Engine::prepare(render(model))\n{sparql}"
+    );
+
+    // 2. Identical DataFrames end to end.
     let df_wire = frame
         .execute(&wire_ep)
         .unwrap_or_else(|e| panic!("{id}: wire execution failed: {e}"));

@@ -1,16 +1,17 @@
 //! The embedded execution endpoint: frame → plan → DataFrame with no
-//! string round trip.
+//! result round trip.
 //!
 //! [`EmbeddedEndpoint`] is the in-process alternative to
 //! [`InProcessEndpoint`](crate::client::InProcessEndpoint)'s HTTP-faithful
-//! contract. Where the wire path renders the query model to SPARQL text,
-//! re-parses and re-evaluates it per page, and round-trips every result
-//! chunk through the XML results encoding, the embedded path:
+//! contract. Where the wire path re-evaluates the rendered SPARQL text per
+//! page and round-trips every result chunk through the XML results
+//! encoding, the embedded path:
 //!
-//! 1. compiles the [`QueryModel`] straight into the engine's plan algebra
-//!    ([`crate::model::compile`]),
-//! 2. runs the shared optimizer pass and evaluates **once**
-//!    ([`sparql_engine::Engine::cursor`]),
+//! 1. renders the [`QueryModel`] to SPARQL text and prepares it with
+//!    [`Engine::prepare`] (parse, translate, optimize) — once per text and
+//!    statistics generation, through the endpoint's one plan cache, which
+//!    the raw-SPARQL surface shares,
+//! 2. evaluates **once** ([`sparql_engine::Engine::cursor`]),
 //! 3. maps the columnar `TermId` result batches straight to the dataframe's
 //!    dictionary codes, decoding each distinct term a single time
 //!    ([`crate::client::convert::cursor_to_dataframe`]).
@@ -29,8 +30,7 @@ use sparql_engine::{Engine, EngineConfig, ExecStats, PreparedQuery, SolutionTabl
 
 use crate::client::convert::cursor_to_dataframe;
 use crate::client::{engine_error, prepare_cached, Endpoint, EndpointStats, PlanCache};
-use crate::error::Result;
-use crate::model::compile::compile;
+use crate::error::{FrameError, Result};
 use crate::model::{render, QueryModel};
 
 /// Rows per cursor batch handed from the engine to the column builders.
@@ -65,7 +65,6 @@ pub struct EmbeddedEndpoint {
     stats: Arc<EndpointStats>,
     scans: Arc<ScanCounters>,
     plans: Arc<PlanCache>,
-    model_plans: Arc<PlanCache>,
 }
 
 impl EmbeddedEndpoint {
@@ -84,7 +83,6 @@ impl EmbeddedEndpoint {
             stats: Arc::new(EndpointStats::default()),
             scans: Arc::new(ScanCounters::default()),
             plans: Arc::new(PlanCache::default()),
-            model_plans: Arc::new(PlanCache::default()),
         }
     }
 
@@ -101,7 +99,7 @@ impl EmbeddedEndpoint {
 
     /// A new endpoint over `dataset` that keeps this endpoint's engine
     /// configuration and batch size and **shares** its statistics, scan
-    /// counters, and both plan caches (Arc-cloned).
+    /// counters, and plan cache (Arc-cloned).
     /// [`DurableSnapshotServer`](crate::client::DurableSnapshotServer) uses
     /// this to publish dataset epochs: every cached plan is stamped with the
     /// stats generation it was optimized under, so queries against the new
@@ -114,15 +112,13 @@ impl EmbeddedEndpoint {
             stats: Arc::clone(&self.stats),
             scans: Arc::clone(&self.scans),
             plans: Arc::clone(&self.plans),
-            model_plans: Arc::clone(&self.model_plans),
         }
     }
 
     /// Mutable engine access — the ingestion path for a live endpoint
-    /// (`engine_mut().dataset_mut()` to append triples). Cached plans on
-    /// both surfaces (raw-SPARQL and model) notice the resulting
-    /// [`rdf_model::Dataset::stats_generation`] change and re-optimize on
-    /// their next use.
+    /// (`engine_mut().dataset_mut()` to append triples). Cached plans notice
+    /// the resulting [`rdf_model::Dataset::stats_generation`] change and
+    /// re-optimize on their next use.
     pub fn engine_mut(&mut self) -> &mut Engine {
         &mut self.engine
     }
@@ -156,7 +152,7 @@ impl EmbeddedEndpoint {
             .fetch_add(stats.shared_scans, Ordering::Relaxed);
     }
 
-    /// Compile, optimize, evaluate, and decode a query model.
+    /// Prepare (cached), evaluate, and decode a query model.
     pub fn execute_model_direct(&self, model: &QueryModel) -> Result<DataFrame> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let result = self.execute_model_inner(model);
@@ -169,7 +165,7 @@ impl EmbeddedEndpoint {
     /// The raw-SPARQL request body ([`Endpoint::query_chunk`] charges the
     /// request/error counters around it, mirroring the wire endpoint).
     fn serve_chunk(&self, sparql: &str, offset: usize, limit: usize) -> Result<SolutionTable> {
-        let prepared = prepare_cached(&self.plans, &self.engine, sparql)?;
+        let prepared = prepare_cached(&self.plans, &self.engine, sparql, FrameError::Endpoint)?;
         let (table, stats) = self
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))
@@ -204,29 +200,22 @@ impl EmbeddedEndpoint {
         Ok(df)
     }
 
-    /// The prepared (compiled + optimized) plan for `model`, cached by
-    /// rendered query text and re-optimized when the dataset's statistics
-    /// generation moves. Repeated executions of the same model — the
-    /// benchmark loop, a dashboard refresh — skip compile *and* optimize.
+    /// The prepared plan for `model`: its rendered text through
+    /// [`Engine::prepare`], cached under that text (the same entry a
+    /// [`Endpoint::query_chunk`] of the text uses) and re-optimized when the
+    /// dataset's statistics generation moves. Repeated executions of the
+    /// same model — the benchmark loop, a dashboard refresh — skip parse,
+    /// translate *and* optimize. Text the parser rejects is a
+    /// [`FrameError::Compile`], as from [`crate::model::compile::compile`].
     fn model_plan(&self, model: &QueryModel) -> Result<Arc<PreparedQuery>> {
-        // The rendered text is purely an identity key — it is never parsed.
-        let key = render::render(model);
-        let generation = self.engine.dataset().stats_generation();
-        self.model_plans.get_or_prepare(&key, generation, || {
-            let compiled = compile(model)?;
-            Ok(self.engine.prepare_plan(compiled.plan, compiled.from))
-        })
-    }
-
-    /// Model plans currently cached (observability for tests/benches).
-    pub fn cached_model_plans(&self) -> usize {
-        self.model_plans.len()
+        let sparql = render::render(model);
+        prepare_cached(&self.plans, &self.engine, &sparql, FrameError::Compile)
     }
 
     /// The cached prepared plan for a model, if present (observability for
     /// tests — e.g. asserting that an append re-optimized the plan).
     pub fn cached_model_plan(&self, model: &QueryModel) -> Option<Arc<PreparedQuery>> {
-        self.model_plans.get(&render::render(model))
+        self.plans.get(&render::render(model))
     }
 }
 
@@ -318,6 +307,23 @@ mod tests {
         let t2 = embedded.query_chunk(q, 10, 10).unwrap();
         assert_eq!(t2.len(), 10);
         assert_ne!(t, t2);
+    }
+
+    #[test]
+    fn a_model_and_its_rendered_text_share_one_cached_plan() {
+        let embedded = EmbeddedEndpoint::new(dataset());
+        let model = crate::model::generator::build_query_model(&frame()).unwrap();
+        let t = embedded
+            .query_chunk(&render::render(&model), 0, 10)
+            .unwrap();
+        assert_eq!(t.len(), 10);
+        let planned = embedded
+            .cached_model_plan(&model)
+            .expect("the raw-SPARQL request planned the model's text");
+        let df = embedded.execute_model_direct(&model).unwrap();
+        assert_eq!(df.len(), 25);
+        let reused = embedded.cached_model_plan(&model).unwrap();
+        assert!(Arc::ptr_eq(&planned, &reused), "the model re-planned");
     }
 
     #[test]

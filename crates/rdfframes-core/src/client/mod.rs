@@ -151,8 +151,8 @@ pub trait Endpoint {
     /// The server's page-size cap.
     fn max_rows_per_request(&self) -> usize;
 
-    /// Embedded fast path: execute a query model directly, bypassing SPARQL
-    /// rendering, result pagination, and wire decoding. `None` (the
+    /// Embedded fast path: execute a query model in process, bypassing
+    /// result pagination and wire decoding. `None` (the
     /// default) means "this endpoint only speaks SPARQL text" and the
     /// [`Executor`](crate::exec::Executor) falls back to the wire path;
     /// [`EmbeddedEndpoint`] overrides it.
@@ -162,10 +162,10 @@ pub trait Endpoint {
 }
 
 /// Cached prepared plans by query text, shared across endpoint clones and
-/// epochs. Both endpoints key it by SPARQL text: the wire surface by the
-/// text it was sent, [`EmbeddedEndpoint`]'s model surface by the model's
-/// rendered text (an identity key only — that plan is compiled directly and
-/// the text never parsed).
+/// epochs. Every entry is the plan [`Engine::prepare`] made of its key: the
+/// text a raw-SPARQL request sent, or — on [`EmbeddedEndpoint`]'s model
+/// surface — the model's rendered text, so a model and its rendered text
+/// share one entry.
 ///
 /// The wire contract forces re-*evaluation* per chunk (a cursor-less HTTP
 /// server cannot resume), but nothing about HTTP forces re-*planning*: a
@@ -200,7 +200,7 @@ impl PlanCache {
     }
 
     /// The plan cached for `key` under `generation`, or the one `prepare`
-    /// builds. `prepare` (parse/compile + optimize) runs outside the lock,
+    /// builds. `prepare` (parse, translate, optimize) runs outside the lock,
     /// so readers re-preparing after a publish do not queue behind one
     /// another; a concurrent duplicate preparation is harmless (last insert
     /// wins, the plans are equivalent).
@@ -236,13 +236,17 @@ impl PlanCache {
     }
 }
 
-/// The prepared plan for SPARQL text `engine` parses, through `plans` (both
-/// endpoints' raw-SPARQL surface).
-fn prepare_cached(plans: &PlanCache, engine: &Engine, sparql: &str) -> Result<Arc<PreparedQuery>> {
+/// The prepared plan for SPARQL text `engine` parses, through `plans`;
+/// `error` types a rejection (an endpoint error for text a client sent, a
+/// compile error for a model's rendered text).
+fn prepare_cached(
+    plans: &PlanCache,
+    engine: &Engine,
+    sparql: &str,
+    error: fn(String) -> FrameError,
+) -> Result<Arc<PreparedQuery>> {
     plans.get_or_prepare(sparql, engine.dataset().stats_generation(), || {
-        engine
-            .prepare(sparql)
-            .map_err(|e| FrameError::Endpoint(e.to_string()))
+        engine.prepare(sparql).map_err(|e| error(e.to_string()))
     })
 }
 
@@ -334,7 +338,7 @@ impl InProcessEndpoint {
         // Plan once per query text; evaluate per chunk (the HTTP model).
         // Paging inside the engine means evaluation stops when the chunk is
         // full and only shipped rows materialize terms.
-        let prepared = prepare_cached(&self.plans, &self.engine, sparql)?;
+        let prepared = prepare_cached(&self.plans, &self.engine, sparql, FrameError::Endpoint)?;
         let (table, _) = self
             .engine
             .execute_prepared(&prepared, Some((offset, limit)))

@@ -30,8 +30,9 @@ pub enum FrameError {
     ResourceExhausted(String),
     /// Prefix expansion failed.
     Prefix(String),
-    /// The query model could not be compiled directly to an engine plan
-    /// (embedded execution path).
+    /// The query model's rendered SPARQL could not be parsed or translated
+    /// to an engine plan ([`crate::model::compile`], and the embedded
+    /// execution path).
     Compile(String),
     /// The server's admission controller shed this query: every execution
     /// slot was busy and the bounded wait queue was full (or the query

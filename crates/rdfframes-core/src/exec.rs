@@ -6,8 +6,8 @@
 //! - **embedded** — the endpoint implements
 //!   [`Endpoint::execute_model`] (see
 //!   [`EmbeddedEndpoint`](crate::client::EmbeddedEndpoint)): the model
-//!   compiles straight into the engine's plan algebra and the result comes
-//!   back as typed columns. No SPARQL text, no pagination, no wire format.
+//!   plans its rendered SPARQL once (cached) and the result comes back as
+//!   typed columns. No pagination, no wire format.
 //! - **wire** — everything else: render the model to SPARQL and do the
 //!   mechanics the paper lists in Section 4.3 — send the text, paginate
 //!   transparently (re-requesting chunk by chunk, since the SPARQL protocol

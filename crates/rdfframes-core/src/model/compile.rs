@@ -1,50 +1,25 @@
-//! Direct query-model → engine-plan compilation: the embedded half of the
-//! Translator.
+//! Query model → engine plan: the embedded path's view of the Translator.
 //!
-//! The paper's architecture renders every [`QueryModel`] to SPARQL text,
-//! ships it over (simulated) HTTP, and the engine re-parses it. When the
-//! engine lives in the same process that detour is pure overhead, so this
-//! module compiles the model **straight into the engine's
-//! [`Plan`] algebra** — no SPARQL string, no parser, no result
-//! re-serialization.
-//!
-//! The compiler is deliberately a *mirror* of `render → parse → translate`:
-//! for every model the generator produces, `compile(model).plan` is
-//! structurally equal to
-//! `translate_query(&parse_query(&render(model)))` — the same BGP grouping
-//! (including per-`GRAPH` chunking of cross-graph models), the same
-//! join/left-join/union shape, the same `Group → Filter(HAVING) → OrderBy →
-//! Project → Distinct → Slice` modifier spine, and the same `SELECT *`
-//! projection order. That equality is what makes the string renderer a
-//! differential oracle for the embedded path (and is asserted by the
-//! embedded-vs-wire test suite): after the shared optimizer pass, both
-//! paths execute identical plans and report identical `rows_scanned`.
-//!
-//! The one place strings survive is [`FilterSpec::Raw`] — the API's escape
-//! hatch is *defined* as raw SPARQL expression text, so it compiles through
-//! the engine's expression parser
-//! ([`sparql_engine::parser::parse_expression_with_prefixes`]).
+//! There is one translator. [`compile`] renders the [`QueryModel`] to
+//! SPARQL text ([`render`]) and reads that text with the engine's own
+//! `parse_query → translate_query`, so the plan the embedded path runs is
+//! the plan the wire path runs by construction, and every input check
+//! (literal positions, the `a` keyword, unknown prefixes, raw filter text)
+//! lives once, in the parser. The embedded endpoint itself goes through
+//! [`sparql_engine::Engine::prepare`] on the same rendered text, which is
+//! also its plan-cache key.
 
-use std::collections::BTreeSet;
+use sparql_engine::algebra::{translate_query, Plan};
+use sparql_engine::parser::parse_query;
 
-use rdf_model::term::Literal;
-use rdf_model::{vocab, PrefixMap, Term};
-use sparql_engine::algebra::{AggSpec as PlanAgg, GraphRef, Plan};
-use sparql_engine::ast::{
-    AggOp, CmpOp as AstCmpOp, Expr, Func, OrderKey, PatternTerm, TriplePattern,
-};
-use sparql_engine::parser::parse_expression_with_prefixes;
-
-use crate::api::conditions::{CmpOp, Condition, Value};
-use crate::api::operators::{AggFunc, Node, SortOrder};
 use crate::error::{FrameError, Result};
 
-use super::{FilterSpec, QueryModel, TriplePat};
+use super::{render::render, QueryModel};
 
-/// A query model compiled to an (unoptimized) engine plan plus the `FROM`
-/// graph list that resolves [`GraphRef::Default`] BGPs. Feed it to
-/// [`sparql_engine::Engine::prepare_plan`] to get the optimizer pass the
-/// string path gets.
+/// A query model translated to an (unoptimized) engine plan plus the `FROM`
+/// graph list that resolves [`GraphRef::Default`](sparql_engine::algebra::GraphRef::Default)
+/// BGPs. Feed it to [`sparql_engine::Engine::prepare_plan`] for the
+/// optimizer pass.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledQuery {
     /// The translated logical plan (pre-optimizer).
@@ -54,680 +29,31 @@ pub struct CompiledQuery {
     pub from: Vec<String>,
 }
 
-/// Compile a query model directly to the engine algebra.
+/// Translate a query model to the engine algebra: render, parse, translate.
+/// A model the parser or translator rejects is a [`FrameError::Compile`].
 pub fn compile(model: &QueryModel) -> Result<CompiledQuery> {
-    let mut graphs = BTreeSet::new();
-    collect_graphs(model, &mut graphs);
-    let multi_graph = graphs.len() > 1;
-
-    // Only the outermost model's prefixes are in scope, exactly as the
-    // renderer declares only them; the engine parser layers them over the
-    // standard defaults, so we do too.
-    let mut prefixes = PrefixMap::with_defaults();
-    for (p, ns) in &model.prefixes {
-        prefixes.declare(p, ns);
-    }
-
-    let cx = Compiler {
-        multi_graph,
-        prefixes,
-    };
-    let plan = cx.compile_select(model)?;
-    let from = if multi_graph {
-        Vec::new()
-    } else {
-        model.graphs.clone()
-    };
-    Ok(CompiledQuery { plan, from })
-}
-
-fn collect_graphs(m: &QueryModel, out: &mut BTreeSet<String>) {
-    for t in &m.triples {
-        out.insert(t.graph.clone());
-    }
-    for ob in &m.optionals {
-        for t in &ob.triples {
-            out.insert(t.graph.clone());
-        }
-    }
-    for sub in m
-        .subqueries
-        .iter()
-        .chain(&m.optional_subqueries)
-        .chain(&m.unions)
-    {
-        collect_graphs(sub, out);
-    }
-}
-
-/// Where a term constant appears in a triple pattern — the SPARQL grammar
-/// allows literals only in the object position, and the `a` keyword only as
-/// predicate; the compiler enforces the same rules the parser would.
-#[derive(Clone, Copy, PartialEq)]
-enum TriplePos {
-    Subject,
-    Predicate,
-    Object,
-}
-
-struct Compiler {
-    multi_graph: bool,
-    prefixes: PrefixMap,
-}
-
-impl Compiler {
-    // ---- query level ---------------------------------------------------
-
-    /// Compile one (sub)query model: body + the spec-ordered modifier spine
-    /// `Group → Filter(HAVING)* → OrderBy → Project → Distinct → Slice`.
-    fn compile_select(&self, m: &QueryModel) -> Result<Plan> {
-        let mut plan = self.compile_body(m)?;
-
-        // The projection list exactly as the renderer would emit it.
-        let select_names: Vec<String> = if m.select.is_empty() {
-            if m.is_grouped() {
-                let mut names = m.group_by.clone();
-                names.extend(m.aggregates.iter().map(|a| a.alias.clone()));
-                names
-            } else {
-                Vec::new()
-            }
-        } else {
-            m.select.clone()
-        };
-
-        let is_agg_alias = |name: &String| m.aggregates.iter().any(|a| &a.alias == name);
-        // Mirrors `SelectQuery::is_aggregated` on the rendered text: GROUP
-        // BY present, HAVING present, or an aggregate item in SELECT.
-        let aggregated =
-            !m.group_by.is_empty() || !m.having.is_empty() || select_names.iter().any(is_agg_alias);
-
-        if aggregated {
-            // Aggregates surface in SELECT order (translation pulls them out
-            // of the projection items); HAVING reuses an identical aggregate
-            // when one exists, otherwise appends a fresh `__aggN` output —
-            // both exactly as `algebra::extract_aggregates` does.
-            let mut aggs: Vec<PlanAgg> = Vec::new();
-            for name in &select_names {
-                if let Some(spec) = m.aggregates.iter().find(|a| &a.alias == name) {
-                    aggs.push(PlanAgg {
-                        op: agg_op(spec.func),
-                        distinct: spec.distinct,
-                        expr: Some(Expr::Var(spec.src.clone())),
-                        output: spec.alias.clone(),
-                    });
-                }
-            }
-            let mut counter = 0usize;
-            let mut having_filters: Vec<Expr> = Vec::new();
-            for h in &m.having {
-                having_filters.push(self.having_expr(m, h, &mut aggs, &mut counter)?);
-            }
-            plan = Plan::Group {
-                keys: m.group_by.clone(),
-                aggs,
-                input: Box::new(plan),
-                sorted_on: Vec::new(),
-            };
-            for h in having_filters {
-                plan = Plan::Filter(h, Box::new(plan));
-            }
-        }
-
-        if !m.order_by.is_empty() {
-            let keys = m
-                .order_by
-                .iter()
-                .map(|(col, ord)| OrderKey {
-                    expr: Expr::Var(col.clone()),
-                    ascending: matches!(ord, SortOrder::Asc),
-                })
-                .collect();
-            plan = Plan::OrderBy(keys, Box::new(plan));
-        }
-
-        let projected = if select_names.is_empty() {
-            self.star_vars(m)
-        } else {
-            select_names
-        };
-        plan = Plan::Project(projected, Box::new(plan));
-
-        if m.distinct {
-            plan = Plan::Distinct(Box::new(plan));
-        }
-        if m.limit.is_some() || m.offset.is_some() {
-            plan = Plan::Slice {
-                limit: m.limit,
-                offset: m.offset.unwrap_or(0),
-                input: Box::new(plan),
-            };
-        }
-        Ok(plan)
-    }
-
-    /// The variables a rendered `SELECT *` resolves to: the pattern's
-    /// in-scope variables in body order (triples → subqueries → unions →
-    /// optional subqueries → optional blocks), subqueries contributing only
-    /// their projections — the same walk the parser's `in_scope_vars` does
-    /// over the rendered text.
-    fn star_vars(&self, m: &QueryModel) -> Vec<String> {
-        let mut out = Vec::new();
-        self.collect_body_vars(m, &mut out);
-        out
-    }
-
-    fn collect_body_vars(&self, m: &QueryModel, out: &mut Vec<String>) {
-        fn push(out: &mut Vec<String>, v: &str) {
-            if !out.iter().any(|x| x == v) {
-                out.push(v.to_string());
-            }
-        }
-        let push_triple = |t: &TriplePat, out: &mut Vec<String>| {
-            for n in [&t.subject, &t.predicate, &t.object] {
-                if let Node::Var(v) = n {
-                    push(out, v);
-                }
-            }
-        };
-        for t in &m.triples {
-            push_triple(t, out);
-        }
-        for sub in &m.subqueries {
-            for v in self.projected_names(sub) {
-                push(out, &v);
-            }
-        }
-        for branch in &m.unions {
-            if Self::renders_as_subselect(branch) {
-                for v in self.projected_names(branch) {
-                    push(out, &v);
-                }
-            } else {
-                self.collect_body_vars(branch, out);
-            }
-        }
-        for sub in &m.optional_subqueries {
-            for v in self.projected_names(sub) {
-                push(out, &v);
-            }
-        }
-        for ob in &m.optionals {
-            for t in &ob.triples {
-                push_triple(t, out);
-            }
-        }
-    }
-
-    /// The names a nested model projects (its explicit/grouped projection,
-    /// or its star expansion).
-    fn projected_names(&self, m: &QueryModel) -> Vec<String> {
-        if !m.select.is_empty() {
-            return m.select.clone();
-        }
-        if m.is_grouped() {
-            let mut names = m.group_by.clone();
-            names.extend(m.aggregates.iter().map(|a| a.alias.clone()));
-            return names;
-        }
-        self.star_vars(m)
-    }
-
-    /// A HAVING constraint as a filter expression over the Group output.
-    ///
-    /// The renderer substitutes the aggregate *expression* for the alias;
-    /// parsing then re-extracts it, reusing an existing identical aggregate
-    /// (same op, DISTINCT, source) or minting a fresh `__aggN` column. This
-    /// reproduces that dance without the text.
-    fn having_expr(
-        &self,
-        m: &QueryModel,
-        spec: &FilterSpec,
-        aggs: &mut Vec<PlanAgg>,
-        counter: &mut usize,
-    ) -> Result<Expr> {
-        match spec {
-            FilterSpec::Col { column, conditions } => {
-                let lhs_var = match m.aggregates.iter().find(|a| &a.alias == column) {
-                    Some(agg_spec) => {
-                        let op = agg_op(agg_spec.func);
-                        let expr = Some(Expr::Var(agg_spec.src.clone()));
-                        match aggs.iter().find(|a| {
-                            a.op == op && a.distinct == agg_spec.distinct && a.expr == expr
-                        }) {
-                            Some(existing) => existing.output.clone(),
-                            None => {
-                                let name = format!("__agg{counter}");
-                                *counter += 1;
-                                aggs.push(PlanAgg {
-                                    op,
-                                    distinct: agg_spec.distinct,
-                                    expr,
-                                    output: name.clone(),
-                                });
-                                name
-                            }
-                        }
-                    }
-                    None => column.clone(),
-                };
-                self.conditions_expr(Expr::Var(lhs_var), conditions)
-            }
-            FilterSpec::Raw(raw) => {
-                let expr = parse_expression_with_prefixes(raw, &self.prefixes)
-                    .map_err(|e| FrameError::Compile(format!("raw HAVING `{raw}`: {e}")))?;
-                if expr.has_aggregate() {
-                    // The generator never emits raw HAVING text containing
-                    // aggregates; supporting it would mean re-running the
-                    // engine's aggregate extraction here. Fail loudly
-                    // instead of diverging silently from the wire path.
-                    return Err(FrameError::Compile(format!(
-                        "raw HAVING with aggregate expressions is not supported \
-                         by the embedded path: {raw}"
-                    )));
-                }
-                Ok(expr)
-            }
-        }
-    }
-
-    // ---- body level ----------------------------------------------------
-
-    /// Compile the graph-pattern body of a model in render order:
-    /// triples (one BGP, or per-`GRAPH` chunks for cross-graph models) →
-    /// subqueries (joins) → unions (join) → optional subqueries (left
-    /// joins) → optional blocks (left joins) → group filters.
-    fn compile_body(&self, m: &QueryModel) -> Result<Plan> {
-        let mut plan = self.triples_plan(&m.triples)?;
-
-        for sub in &m.subqueries {
-            plan = join(plan, self.compile_select(sub)?);
-        }
-
-        if !m.unions.is_empty() {
-            let mut branches = m.unions.iter();
-            let first = branches.next().expect("non-empty unions");
-            let mut u = self.compile_union_branch(first)?;
-            for branch in branches {
-                u = Plan::Union(Box::new(u), Box::new(self.compile_union_branch(branch)?));
-            }
-            plan = join(plan, u);
-        }
-
-        for sub in &m.optional_subqueries {
-            plan = Plan::LeftJoin(Box::new(plan), Box::new(self.compile_select(sub)?));
-        }
-
-        for ob in &m.optionals {
-            let mut right = self.triples_plan(&ob.triples)?;
-            for f in &ob.filters {
-                right = Plan::Filter(self.filter_expr(f)?, Box::new(right));
-            }
-            plan = Plan::LeftJoin(Box::new(plan), Box::new(right));
-        }
-
-        for f in &m.filters {
-            plan = Plan::Filter(self.filter_expr(f)?, Box::new(plan));
-        }
-        Ok(plan)
-    }
-
-    /// A union branch renders as a nested SELECT when it carries its own
-    /// projection/aggregation/modifiers, otherwise as a plain body.
-    fn renders_as_subselect(branch: &QueryModel) -> bool {
-        branch.is_grouped() || !branch.select.is_empty() || branch.has_modifiers()
-    }
-
-    fn compile_union_branch(&self, branch: &QueryModel) -> Result<Plan> {
-        if Self::renders_as_subselect(branch) {
-            self.compile_select(branch)
-        } else {
-            self.compile_body(branch)
-        }
-    }
-
-    /// Triples as BGPs. Single-graph models put every pattern in one
-    /// default-graph BGP; cross-graph models chunk *consecutive* same-graph
-    /// runs into separate named-graph BGPs — the same grouping the renderer
-    /// produces with `GRAPH <g> { ... }` blocks, which matters because the
-    /// optimizer reorders patterns only within one BGP.
-    fn triples_plan(&self, triples: &[TriplePat]) -> Result<Plan> {
-        if triples.is_empty() {
-            return Ok(Plan::Unit);
-        }
-        if !self.multi_graph {
-            let patterns = triples
-                .iter()
-                .map(|t| self.triple_pattern(t))
-                .collect::<Result<Vec<_>>>()?;
-            return Ok(Plan::Bgp {
-                patterns,
-                graph: GraphRef::Default,
-                filters: Vec::new(),
-            });
-        }
-        let mut plan = Plan::Unit;
-        let mut i = 0;
-        while i < triples.len() {
-            let g = &triples[i].graph;
-            let mut j = i;
-            let mut patterns = Vec::new();
-            while j < triples.len() && &triples[j].graph == g {
-                patterns.push(self.triple_pattern(&triples[j])?);
-                j += 1;
-            }
-            plan = join(
-                plan,
-                Plan::Bgp {
-                    patterns,
-                    graph: GraphRef::Named(g.clone()),
-                    filters: Vec::new(),
-                },
-            );
-            i = j;
-        }
-        Ok(plan)
-    }
-
-    fn triple_pattern(&self, t: &TriplePat) -> Result<TriplePattern> {
-        Ok(TriplePattern::new(
-            self.pattern_term(&t.subject, TriplePos::Subject)?,
-            self.pattern_term(&t.predicate, TriplePos::Predicate)?,
-            self.pattern_term(&t.object, TriplePos::Object)?,
-        ))
-    }
-
-    fn pattern_term(&self, node: &Node, pos: TriplePos) -> Result<PatternTerm> {
-        match node {
-            Node::Var(v) => Ok(PatternTerm::Var(v.clone())),
-            Node::Term(t) => Ok(PatternTerm::Const(self.term_const(t, pos)?)),
-        }
-    }
-
-    /// A constant written in API syntax, resolved to a concrete term under
-    /// the same rules the renderer + lexer + parser apply to it.
-    fn term_const(&self, t: &str, pos: TriplePos) -> Result<Term> {
-        let err = |msg: &str| FrameError::Compile(format!("term `{t}`: {msg}"));
-        if let Some(rest) = t.strip_prefix('<') {
-            let iri = rest
-                .strip_suffix('>')
-                .ok_or_else(|| err("unterminated <iri>"))?;
-            return Ok(Term::iri(iri.to_string()));
-        }
-        if t.starts_with('"') {
-            if pos != TriplePos::Object {
-                return Err(err("literals are only allowed in the object position"));
-            }
-            return self.quoted_literal(t);
-        }
-        if t.starts_with("http://") || t.starts_with("https://") || t.starts_with("urn:") {
-            return Ok(Term::iri(t.to_string()));
-        }
-        if t.parse::<f64>().is_ok() {
-            // render_term emits the number bare; the lexer only accepts an
-            // unsigned form, and only where literals may appear.
-            if pos != TriplePos::Object {
-                return Err(err("numbers are only allowed in the object position"));
-            }
-            if !t.as_bytes().first().is_some_and(|b| b.is_ascii_digit()) {
-                return Err(err("signed numeric literals are not valid SPARQL tokens"));
-            }
-            return number_term(t).map_err(|m| err(&m));
-        }
-        if t == "a" {
-            return if pos == TriplePos::Predicate {
-                Ok(Term::iri(vocab::rdf::TYPE))
-            } else {
-                Err(err("`a` is only valid as a predicate"))
-            };
-        }
-        if t.eq_ignore_ascii_case("true") || t.eq_ignore_ascii_case("false") {
-            return if pos == TriplePos::Object {
-                Ok(Term::Literal(Literal::boolean(
-                    t.eq_ignore_ascii_case("true"),
-                )))
-            } else {
-                Err(err("booleans are only allowed in the object position"))
-            };
-        }
-        // CURIE.
-        match t.split_once(':') {
-            Some((prefix, local)) => match self.prefixes.namespace(prefix) {
-                Some(ns) => Ok(Term::iri(format!("{ns}{local}"))),
-                None => Err(FrameError::Compile(format!(
-                    "unknown prefix `{prefix}:` in `{t}`"
-                ))),
-            },
-            None => Err(err("not a variable, IRI, CURIE, or literal")),
-        }
-    }
-
-    /// A quoted literal written as the user passed it (`"x"`, `"x"@en`,
-    /// `"5"^^xsd:int`), with the lexer's escape rules.
-    fn quoted_literal(&self, t: &str) -> Result<Term> {
-        let err = |msg: &str| FrameError::Compile(format!("literal `{t}`: {msg}"));
-        let rest = &t[1..];
-        let mut lexical = String::with_capacity(rest.len());
-        let mut chars = rest.chars();
-        let mut tail = String::new();
-        let mut closed = false;
-        while let Some(c) = chars.next() {
-            match c {
-                '\\' => match chars.next() {
-                    Some('"') => lexical.push('"'),
-                    Some('\'') => lexical.push('\''),
-                    Some('\\') => lexical.push('\\'),
-                    Some('n') => lexical.push('\n'),
-                    Some('r') => lexical.push('\r'),
-                    Some('t') => lexical.push('\t'),
-                    other => {
-                        return Err(err(&format!("bad escape \\{}", other.unwrap_or(' '))));
-                    }
-                },
-                '"' => {
-                    closed = true;
-                    tail = chars.collect();
-                    break;
-                }
-                other => lexical.push(other),
-            }
-        }
-        if !closed {
-            return Err(err("unterminated string"));
-        }
-        if tail.is_empty() {
-            return Ok(Term::string(lexical));
-        }
-        if let Some(lang) = tail.strip_prefix('@') {
-            return Ok(Term::Literal(Literal::lang_string(
-                lexical,
-                lang.to_string(),
-            )));
-        }
-        if let Some(dt) = tail.strip_prefix("^^") {
-            let iri = if let Some(inner) = dt.strip_prefix('<') {
-                inner
-                    .strip_suffix('>')
-                    .ok_or_else(|| err("unterminated datatype IRI"))?
-                    .to_string()
-            } else {
-                match dt.split_once(':') {
-                    Some((prefix, local)) => match self.prefixes.namespace(prefix) {
-                        Some(ns) => format!("{ns}{local}"),
-                        None => return Err(err(&format!("unknown datatype prefix `{prefix}:`"))),
-                    },
-                    None => return Err(err("bad datatype")),
-                }
-            };
-            return Ok(Term::Literal(Literal::typed(lexical, iri)));
-        }
-        Err(err("trailing content after closing quote"))
-    }
-
-    // ---- filters -------------------------------------------------------
-
-    fn filter_expr(&self, f: &FilterSpec) -> Result<Expr> {
-        match f {
-            FilterSpec::Col { column, conditions } => {
-                self.conditions_expr(Expr::Var(column.clone()), conditions)
-            }
-            FilterSpec::Raw(raw) => parse_expression_with_prefixes(raw, &self.prefixes)
-                .map_err(|e| FrameError::Compile(format!("raw filter `{raw}`: {e}"))),
-        }
-    }
-
-    /// A conjunction of conditions over one left-hand side, left-associated
-    /// exactly as the rendered `c1 && c2 && c3` parses.
-    fn conditions_expr(&self, lhs: Expr, conditions: &[Condition]) -> Result<Expr> {
-        let mut it = conditions.iter();
-        let first = it
-            .next()
-            .ok_or_else(|| FrameError::Compile("empty condition list".into()))?;
-        let mut expr = self.condition_expr(first, &lhs)?;
-        for c in it {
-            expr = Expr::And(Box::new(expr), Box::new(self.condition_expr(c, &lhs)?));
-        }
-        Ok(expr)
-    }
-
-    fn condition_expr(&self, cond: &Condition, lhs: &Expr) -> Result<Expr> {
-        let lhs = || Box::new(lhs.clone());
-        Ok(match cond {
-            Condition::Cmp(op, v) => Expr::Cmp(cmp_op(*op), lhs(), Box::new(self.value_expr(v)?)),
-            Condition::IsUri => Expr::Call(Func::IsIri, vec![*lhs()]),
-            Condition::IsLiteral => Expr::Call(Func::IsLiteral, vec![*lhs()]),
-            Condition::IsBlank => Expr::Call(Func::IsBlank, vec![*lhs()]),
-            Condition::Bound => Expr::Call(Func::Bound, vec![*lhs()]),
-            Condition::NotBound => Expr::Not(Box::new(Expr::Call(Func::Bound, vec![*lhs()]))),
-            Condition::Regex { pattern, flags } => {
-                let mut args = vec![
-                    Expr::Call(Func::Str, vec![*lhs()]),
-                    Expr::Const(Term::string(pattern.clone())),
-                ];
-                if !flags.is_empty() {
-                    args.push(Expr::Const(Term::string(flags.clone())));
-                }
-                Expr::Call(Func::Regex, args)
-            }
-            Condition::In(values) => Expr::In {
-                expr: lhs(),
-                list: values
-                    .iter()
-                    .map(|v| self.value_expr(v))
-                    .collect::<Result<Vec<_>>>()?,
-                negated: false,
-            },
-            Condition::NotIn(values) => Expr::In {
-                expr: lhs(),
-                list: values
-                    .iter()
-                    .map(|v| self.value_expr(v))
-                    .collect::<Result<Vec<_>>>()?,
-                negated: true,
-            },
-            Condition::YearCmp(op, year) => Expr::Cmp(
-                cmp_op(*op),
-                Box::new(Expr::Call(
-                    Func::Year,
-                    vec![Expr::Call(
-                        Func::Cast(vocab::xsd::DATE_TIME.to_string()),
-                        vec![*lhs()],
-                    )],
-                )),
-                Box::new(Expr::Const(Term::integer(*year))),
-            ),
-        })
-    }
-
-    /// A condition value as the expression the rendered token parses to.
-    fn value_expr(&self, v: &Value) -> Result<Expr> {
-        match v {
-            Value::Number(n) => {
-                // The lexer has no signed number tokens; `-3` parses as
-                // unary minus over `3` and a leading `+` is consumed by
-                // `parse_unary`.
-                if let Some(rest) = n.strip_prefix('-') {
-                    return Ok(Expr::Neg(Box::new(Expr::Const(
-                        number_term(rest).map_err(FrameError::Compile)?,
-                    ))));
-                }
-                let rest = n.strip_prefix('+').unwrap_or(n);
-                Ok(Expr::Const(number_term(rest).map_err(FrameError::Compile)?))
-            }
-            Value::String(s) => Ok(Expr::Const(Term::string(s.clone()))),
-            Value::Iri(i) => {
-                // Mirrors `Value::render`: absolute http(s) IRIs get angle
-                // brackets, everything else is treated as a CURIE.
-                if i.starts_with("http://") || i.starts_with("https://") {
-                    return Ok(Expr::Const(Term::iri(i.clone())));
-                }
-                match i.split_once(':') {
-                    Some((prefix, local)) => match self.prefixes.namespace(prefix) {
-                        Some(ns) => Ok(Expr::Const(Term::iri(format!("{ns}{local}")))),
-                        None => Err(FrameError::Compile(format!(
-                            "unknown prefix `{prefix}:` in condition value `{i}`"
-                        ))),
-                    },
-                    None => Err(FrameError::Compile(format!(
-                        "condition value `{i}` is neither a number, string, IRI, nor CURIE"
-                    ))),
-                }
-            }
-        }
-    }
-}
-
-/// Join with unit elision, matching `Plan::join` in the algebra translator.
-fn join(a: Plan, b: Plan) -> Plan {
-    match (a, b) {
-        (Plan::Unit, p) | (p, Plan::Unit) => p,
-        (a, b) => Plan::Join(Box::new(a), Box::new(b)),
-    }
-}
-
-/// A bare numeric token: integer unless it carries a decimal point or
-/// exponent (the lexer's `Integer` / `Decimal` split).
-fn number_term(text: &str) -> std::result::Result<Term, String> {
-    if text.contains(['.', 'e', 'E']) {
-        text.parse::<f64>()
-            .map(|d| Term::Literal(Literal::double(d)))
-            .map_err(|_| format!("bad number `{text}`"))
-    } else {
-        text.parse::<i64>()
-            .map(Term::integer)
-            .map_err(|_| format!("bad number `{text}`"))
-    }
-}
-
-fn agg_op(f: AggFunc) -> AggOp {
-    match f {
-        AggFunc::Count => AggOp::Count,
-        AggFunc::Sum => AggOp::Sum,
-        AggFunc::Avg => AggOp::Avg,
-        AggFunc::Min => AggOp::Min,
-        AggFunc::Max => AggOp::Max,
-        AggFunc::Sample => AggOp::Sample,
-    }
-}
-
-fn cmp_op(op: CmpOp) -> AstCmpOp {
-    match op {
-        CmpOp::Eq => AstCmpOp::Eq,
-        CmpOp::Neq => AstCmpOp::Neq,
-        CmpOp::Lt => AstCmpOp::Lt,
-        CmpOp::Le => AstCmpOp::Le,
-        CmpOp::Gt => AstCmpOp::Gt,
-        CmpOp::Ge => AstCmpOp::Ge,
-    }
+    let sparql = render(model);
+    let compile_error = |e: sparql_engine::EngineError| FrameError::Compile(e.to_string());
+    let parsed = parse_query(&sparql).map_err(compile_error)?;
+    let plan = translate_query(&parsed).map_err(compile_error)?;
+    Ok(CompiledQuery {
+        plan,
+        from: parsed.from,
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use rdf_model::term::Literal;
+    use rdf_model::{vocab, Dataset, Graph, Term};
+    use sparql_engine::ast::PatternTerm;
+
     use super::*;
-    use crate::api::{JoinType, KnowledgeGraph};
-    use crate::model::{generator, render};
-    use sparql_engine::algebra::translate_query;
-    use sparql_engine::parser::parse_query;
+    use crate::api::{JoinType, KnowledgeGraph, RDFFrame, SortOrder};
+    use crate::model::generator;
+    use crate::EmbeddedEndpoint;
 
     fn graph() -> KnowledgeGraph {
         KnowledgeGraph::new("http://dbpedia.org")
@@ -736,20 +62,26 @@ mod tests {
             .with_prefix("dbpr", "http://dbpedia.org/resource/")
     }
 
-    /// The compiler's contract: structural equality with the string path,
-    /// pre-optimizer.
-    fn assert_mirrors(frame: &crate::api::RDFFrame) {
+    /// `compile`'s contract: its plan, once optimized with
+    /// [`sparql_engine::Engine::prepare_plan`], is the plan the embedded
+    /// endpoint prepared from the rendered text and runs for the model.
+    fn assert_mirrors(frame: &RDFFrame) {
         let model = generator::build_query_model(frame).unwrap();
         let compiled = compile(&model).unwrap();
-        let sparql = render::render(&model);
-        let parsed = parse_query(&sparql)
-            .unwrap_or_else(|e| panic!("render produced unparseable SPARQL: {e}\n{sparql}"));
-        let via_text = translate_query(&parsed).unwrap();
+        let mut ds = Dataset::new();
+        ds.insert_graph("http://dbpedia.org", Graph::new());
+        ds.insert_graph("http://yago-knowledge.org", Graph::new());
+        let endpoint = EmbeddedEndpoint::new(Arc::new(ds));
+        endpoint.execute_model_direct(&model).unwrap();
+        let cached = endpoint
+            .cached_model_plan(&model)
+            .expect("the embedded execution cached no plan");
         assert_eq!(
-            compiled.plan, via_text,
-            "compiled plan diverges from render→parse→translate for:\n{sparql}"
+            *cached,
+            endpoint.engine().prepare_plan(compiled.plan, compiled.from),
+            "compile diverges from the embedded text path for:\n{}",
+            render(&model)
         );
-        assert_eq!(compiled.from, parsed.from, "FROM lists diverge:\n{sparql}");
     }
 
     #[test]
@@ -797,12 +129,7 @@ mod tests {
             "actor",
             JoinType::Outer,
         ));
-        assert_mirrors(
-            &movies
-                .clone()
-                .sort(&[("movie", crate::api::SortOrder::Desc)])
-                .head(10),
-        );
+        assert_mirrors(&movies.clone().sort(&[("movie", SortOrder::Desc)]).head(10));
         assert_mirrors(&movies.select_cols(&["actor"]));
     }
 
@@ -860,25 +187,67 @@ mod tests {
         ));
     }
 
+    /// SPARQL's term positions, enforced once — by the parser reading the
+    /// rendered text — for `compile` and the embedded endpoint alike.
     #[test]
     fn literal_positions_enforced() {
-        let cx = Compiler {
-            multi_graph: false,
-            prefixes: PrefixMap::with_defaults(),
-        };
-        assert!(cx.term_const("42", TriplePos::Object).is_ok());
-        assert!(cx.term_const("42", TriplePos::Subject).is_err());
-        assert!(cx.term_const("a", TriplePos::Predicate).is_ok());
-        assert!(cx.term_const("a", TriplePos::Object).is_err());
-        assert!(cx.term_const("true", TriplePos::Object).is_ok());
-        assert_eq!(
-            cx.term_const("\"hi\"@en", TriplePos::Object).unwrap(),
-            Term::Literal(Literal::lang_string("hi", "en"))
-        );
-        assert_eq!(
-            cx.term_const("\"5\"^^xsd:integer", TriplePos::Object)
-                .unwrap(),
-            Term::Literal(Literal::typed("5", vocab::xsd::INTEGER))
-        );
+        let g = KnowledgeGraph::new("http://g").with_prefix("x", "http://x/");
+        let endpoint = EmbeddedEndpoint::new(Arc::new(Dataset::new()));
+        let rejected = [
+            ("\"lit\"", "x:p", "?o"),
+            ("42", "x:p", "?o"),
+            ("true", "x:p", "?o"),
+            ("?s", "\"lit\"", "?o"),
+            ("a", "x:p", "?o"),
+            ("?s", "x:p", "a"),
+            ("?s", "x:p", "-5"),
+        ];
+        for (s, p, o) in rejected {
+            let model = generator::build_query_model(&g.seed(s, p, o)).unwrap();
+            assert!(
+                matches!(compile(&model), Err(FrameError::Compile(_))),
+                "{s} {p} {o}: {:?}",
+                compile(&model)
+            );
+            assert!(
+                matches!(
+                    endpoint.execute_model_direct(&model),
+                    Err(FrameError::Compile(_))
+                ),
+                "{s} {p} {o}: the embedded endpoint must refuse it too"
+            );
+        }
+
+        let accepted = [
+            (
+                "?s",
+                "x:p",
+                "\"hi\"@en",
+                Term::Literal(Literal::lang_string("hi", "en")),
+            ),
+            (
+                "?s",
+                "x:p",
+                "\"5\"^^xsd:integer",
+                Term::Literal(Literal::typed("5", vocab::xsd::INTEGER)),
+            ),
+            ("?s", "x:p", "42", Term::integer(42)),
+            ("?s", "x:p", "true", Term::Literal(Literal::boolean(true))),
+            ("?s", "a", "x:T", Term::iri("http://x/T")),
+        ];
+        for (s, p, o, want) in accepted {
+            let model = generator::build_query_model(&g.seed(s, p, o)).unwrap();
+            let Plan::Project(_, input) = compile(&model).unwrap().plan else {
+                panic!("{s} {p} {o}: expected a projection");
+            };
+            let Plan::Bgp { patterns, .. } = *input else {
+                panic!("{s} {p} {o}: expected one BGP");
+            };
+            assert_eq!(patterns[0].object, PatternTerm::Const(want), "{s} {p} {o}");
+            if p == "a" {
+                let rdf_type = PatternTerm::Const(Term::iri(vocab::rdf::TYPE));
+                assert_eq!(patterns[0].predicate, rdf_type);
+            }
+        }
     }
 }

@@ -347,22 +347,43 @@ mod tests {
         assert!(!q.contains("FROM"), "{q}");
     }
 
+    /// Renders to SPARQL that parses and translates: every shape the
+    /// generator produces, and the condition vocabulary, through the
+    /// engine's `parse_query → translate_query` — the one translator the
+    /// wire and embedded paths share.
     #[test]
     fn generated_sparql_parses_in_engine() {
-        // Every shape we generate must be valid for the SPARQL engine.
-        let g = graph();
+        let g = graph().with_prefix("dbpo", "http://dbpedia.org/ontology/");
         let movies = g.feature_domain_range("dbpp:starring", "movie", "actor");
+        let runtimes = movies.clone().expand("movie", "dbpp:runtime", "rt");
+        let yago = KnowledgeGraph::new("http://yago-knowledge.org")
+            .with_prefix("y", "http://yago-knowledge.org/resource/");
         let frames = vec![
             movies.clone(),
-            movies.clone().filter("actor", &["isURI"]),
             movies
                 .clone()
-                .expand_optional("movie", "dbpp:genre", "genre"),
+                .expand("actor", "dbpp:birthPlace", "country")
+                .filter("country", &["=dbpr:United_States"]),
+            // Optional, union, sort, head, projection.
+            movies
+                .clone()
+                .expand_optional("movie", "dbpo:genre", "genre"),
+            movies.clone().join(
+                &g.feature_domain_range("dbpp:academyAward", "actor", "award"),
+                "actor",
+                crate::api::JoinType::Outer,
+            ),
+            movies
+                .clone()
+                .sort(&[("movie", crate::api::SortOrder::Desc)])
+                .head(10),
+            movies.clone().select_cols(&["actor"]),
+            // Grouped HAVING, and a nested subquery after a group.
             movies
                 .clone()
                 .group_by(&["actor"])
-                .count("movie", "n", true)
-                .filter("n", &[">=5"]),
+                .count("movie", "movie_count", true)
+                .filter("movie_count", &[">=50"]),
             movies
                 .clone()
                 .group_by(&["actor"])
@@ -376,20 +397,41 @@ mod tests {
                 "actor",
                 crate::api::JoinType::Inner,
             ),
+            // Cross-graph join.
             movies.clone().join(
-                &g.feature_domain_range("dbpp:academyAward", "actor", "award"),
+                &yago.seed("?actor", "rdf:type", "y:Actor"),
                 "actor",
-                crate::api::JoinType::Outer,
+                crate::api::JoinType::Inner,
             ),
+            // The condition vocabulary.
+            movies.clone().filter("actor", &["isURI"]),
+            movies.clone().filter("actor", &["regex(\"Smith\", \"i\")"]),
             movies
                 .clone()
-                .sort(&[("movie", crate::api::SortOrder::Desc)])
-                .head(10),
+                .filter("actor", &["In(dbpr:A, dbpr:B)", "NotIn(dbpr:C)"]),
+            movies.clone().filter("movie", &["!=dbpr:Some_Movie"]),
+            runtimes.clone().filter("rt", &[">=100", "<250"]),
+            movies
+                .clone()
+                .expand("movie", "dbpp:released", "date")
+                .filter("date", &["year>=2005"]),
+            movies
+                .clone()
+                .filter_raw("year(xsd:dateTime(?movie)) >= 2005 || isIRI(?actor)"),
+            // Names outside ASCII.
+            movies
+                .expand("actor", "dbpp:birthPlace", "lieu_né")
+                .filter("lieu_né", &["=dbpr:Zürich"]),
+            // Negative and float values.
+            runtimes.clone().filter("rt", &[">=-10"]),
+            runtimes.filter("rt", &["<99.5"]),
         ];
         for f in frames {
             let q = f.to_sparql();
-            sparql_engine::parser::parse_query(&q)
+            let parsed = sparql_engine::parser::parse_query(&q)
                 .unwrap_or_else(|e| panic!("engine rejected generated query:\n{q}\n{e}"));
+            sparql_engine::algebra::translate_query(&parsed)
+                .unwrap_or_else(|e| panic!("engine could not translate:\n{q}\n{e}"));
         }
     }
 }

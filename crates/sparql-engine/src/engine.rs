@@ -5,17 +5,15 @@
 //!
 //! Two execution surfaces exist on top of that pipeline:
 //!
-//! - **String queries**: [`Engine::execute`] / [`Engine::execute_page`]
-//!   parse and plan per call — the HTTP-faithful contract the paper's
-//!   endpoint simulation needs. [`Engine::prepare`] factors the parse +
-//!   translate + optimize front half into a reusable [`PreparedQuery`] so a
-//!   paginating endpoint stops re-planning the same text per chunk
-//!   (re-*evaluation* per chunk remains, as a cursor-less HTTP server
-//!   requires — but a page stops evaluating once it is full).
-//! - **Embedded plans**: [`Engine::prepare_plan`] accepts an
-//!   already-compiled [`Plan`] (no SPARQL text anywhere), and
-//!   [`Engine::cursor`] evaluates a prepared query *once* and yields the
-//!   result as columnar [`TermId`] batches ([`QueryCursor`] /
+//! - **Pages**: [`Engine::execute`] / [`Engine::execute_page`] parse and
+//!   plan per call — the HTTP-faithful contract the paper's endpoint
+//!   simulation needs. [`Engine::prepare`] factors the parse + translate +
+//!   optimize front half into a reusable [`PreparedQuery`] so a paginating
+//!   endpoint stops re-planning the same text per chunk (re-*evaluation*
+//!   per chunk remains, as a cursor-less HTTP server requires — but a page
+//!   stops evaluating once it is full).
+//! - **Cursors**: [`Engine::cursor`] evaluates a prepared query *once* and
+//!   yields the result as columnar [`TermId`] batches ([`QueryCursor`] /
 //!   [`ColumnBatch`]) instead of a fully `Term`-materialized table — the
 //!   in-process fast path for clients that consume columns.
 //!
@@ -151,8 +149,7 @@ impl ExecStats {
 /// lives in per-call evaluators).
 ///
 /// Produced by [`Engine::prepare`] (from SPARQL text) or
-/// [`Engine::prepare_plan`] (from a directly-compiled [`Plan`], bypassing
-/// strings entirely).
+/// [`Engine::prepare_plan`] (from an already-translated [`Plan`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedQuery {
     plan: Plan,
@@ -229,9 +226,9 @@ impl Engine {
         Ok(self.prepare_plan(plan, parsed.from))
     }
 
-    /// Prepare an already-translated plan (the embedded path: the plan was
-    /// compiled straight from a client-side query model, no SPARQL text
-    /// involved). Applies the same optimizer pass string queries get.
+    /// The optimizer half of [`Engine::prepare`], for a plan already
+    /// translated (or built by hand, as tests and the benchmark's per-layer
+    /// replay do).
     pub fn prepare_plan(&self, mut plan: Plan, from: Vec<String>) -> PreparedQuery {
         if self.config.optimize {
             Optimizer::new(&self.dataset, &from).optimize(&mut plan);

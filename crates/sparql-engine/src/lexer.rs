@@ -99,6 +99,16 @@ fn is_pn_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-'
 }
 
+/// The byte offset where the run of characters `keep` accepts, starting at
+/// byte `start`, ends. Steps whole characters, so the offset is always a
+/// character boundary (a byte-wise walk stops inside a multi-byte one).
+fn scan(input: &str, start: usize, keep: impl Fn(char) -> bool) -> usize {
+    input[start..]
+        .char_indices()
+        .find(|&(_, c)| !keep(c))
+        .map_or(input.len(), |(k, _)| start + k)
+}
+
 fn err(position: usize, message: impl Into<String>) -> EngineError {
     EngineError::Parse {
         position,
@@ -122,8 +132,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
         };
     }
 
-    while i < n {
-        let c = bytes[i] as char;
+    while let Some(c) = input[i..].chars().next() {
         match c {
             ' ' | '\t' | '\r' | '\n' => i += 1,
             '#' => {
@@ -256,10 +265,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             '?' | '$' => {
                 let start = i + 1;
-                let mut j = start;
-                while j < n && is_pn_char(bytes[j] as char) {
-                    j += 1;
-                }
+                let j = scan(input, start, is_pn_char);
                 if j == start {
                     return Err(err(i, "empty variable name"));
                 }
@@ -317,11 +323,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 // Language tag directly attached?
                 if i < n && bytes[i] == b'@' {
                     let start = i + 1;
-                    let mut k = start;
-                    while k < n && ((bytes[k] as char).is_ascii_alphanumeric() || bytes[k] == b'-')
-                    {
-                        k += 1;
-                    }
+                    let k = scan(input, start, |c| c.is_ascii_alphanumeric() || c == '-');
                     if k == start {
                         return Err(err(i, "empty language tag"));
                     }
@@ -331,10 +333,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             '_' if i + 1 < n && bytes[i + 1] == b':' => {
                 let start = i + 2;
-                let mut j = start;
-                while j < n && is_pn_char(bytes[j] as char) {
-                    j += 1;
-                }
+                let j = scan(input, start, is_pn_char);
                 push!(TokenKind::BlankLabel(input[start..j].to_string()), i);
                 i = j;
             }
@@ -378,18 +377,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             }
             c if c.is_alphabetic() || c == '_' => {
                 let start = i;
-                let mut j = i;
-                while j < n && is_pn_char(bytes[j] as char) {
-                    j += 1;
-                }
+                let j = scan(input, start, is_pn_char);
                 // Prefixed name?  word ':' local
                 if j < n && bytes[j] == b':' {
                     let prefix = input[start..j].to_string();
                     let lstart = j + 1;
-                    let mut k = lstart;
-                    while k < n && (is_pn_char(bytes[k] as char) || bytes[k] == b'.') {
-                        k += 1;
-                    }
+                    let mut k = scan(input, lstart, |c| is_pn_char(c) || c == '.');
                     // A trailing '.' belongs to the sentence, not the name.
                     while k > lstart && bytes[k - 1] == b'.' {
                         k -= 1;
@@ -410,10 +403,7 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
             ':' => {
                 // Default-prefix name `:local`.
                 let lstart = i + 1;
-                let mut k = lstart;
-                while k < n && is_pn_char(bytes[k] as char) {
-                    k += 1;
-                }
+                let k = scan(input, lstart, is_pn_char);
                 push!(
                     TokenKind::PName(String::new(), input[lstart..k].to_string()),
                     i
@@ -447,6 +437,18 @@ mod tests {
         assert_eq!(ks[3], TokenKind::LBrace);
         assert_eq!(ks[5], TokenKind::A);
         assert_eq!(ks[6], TokenKind::IriRef("http://x/T".into()));
+    }
+
+    #[test]
+    fn non_ascii_names_lex_whole_characters() {
+        let ks = kinds("?café x:Café _:é");
+        assert_eq!(ks[0], TokenKind::Var("café".into()));
+        assert_eq!(ks[1], TokenKind::PName("x".into(), "Café".into()));
+        assert_eq!(ks[2], TokenKind::BlankLabel("é".into()));
+        assert_eq!(kinds("é")[0], TokenKind::Word("é".to_ascii_uppercase()));
+        for bad in ["?s ©", "1e\u{FFFD}", "?s\u{FFFD}", "\"a\"@\u{FFFD}"] {
+            assert!(tokenize(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -27,30 +27,6 @@ pub fn parse_query(input: &str) -> Result<SelectQuery> {
     Ok(q)
 }
 
-/// Parse a standalone SPARQL boolean/value expression (as written inside
-/// `FILTER ( ... )`) against an explicit prefix map.
-///
-/// This is the one string entry point the embedded execution path keeps:
-/// RDFFrames' `filter_raw` escape hatch hands the engine raw SPARQL
-/// expression text, which compiles through here instead of a full
-/// query-render/parse round trip. The default `rdf:`/`rdfs:`/`xsd:`
-/// prefixes are always in scope, exactly as in [`parse_query`].
-pub fn parse_expression_with_prefixes(input: &str, prefixes: &PrefixMap) -> Result<Expr> {
-    let tokens = tokenize(input)?;
-    let mut map = PrefixMap::with_defaults();
-    for (p, ns) in prefixes.iter() {
-        map.declare(p, ns);
-    }
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        prefixes: map,
-    };
-    let expr = p.parse_expr()?;
-    p.expect_eof()?;
-    Ok(expr)
-}
-
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -336,11 +312,9 @@ impl Parser {
                             branches.push(self.parse_ggp()?);
                         }
                         elems.push(PatternElem::Union(branches));
-                    } else if first.elems.len() == 1
-                        && matches!(first.elems[0], PatternElem::SubSelect(_))
-                    {
+                    } else if let [PatternElem::SubSelect(_)] = first.elems.as_slice() {
                         // `{ SELECT ... }` is a subquery, not a group.
-                        elems.push(first.elems.into_iter().next().expect("one elem"));
+                        elems.extend(first.elems);
                     } else {
                         elems.push(PatternElem::Group(first));
                     }

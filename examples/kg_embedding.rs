@@ -50,8 +50,8 @@ fn main() {
         wire_time.as_secs_f64() * 1e3
     );
 
-    // The same frame on the embedded path: no SPARQL text, no pagination,
-    // no XML — one columnar evaluation decoded once per distinct term.
+    // The same frame on the embedded path: no pagination, no XML — one
+    // columnar evaluation decoded once per distinct term.
     let embedded = EmbeddedEndpoint::new(Arc::clone(&dataset));
     let embedded_start = Instant::now();
     let df_embedded = triples.execute(&embedded).expect("embedded query failed");

@@ -83,6 +83,14 @@ echo "==> chaos smoke (fixed seed)"
 cargo test -q -p bench --test chaos_suite
 cargo test -q -p rdfframes-core --test chaos_retry --test corrupt_wire --test wire_codec
 
+# Fixed-seed parser robustness: the parser is the one gate between a query
+# model and a plan (the embedded path plans the rendered text too). The 22
+# paper frames' SPARQL, cut at every character and damaged by seeded
+# one-byte edits, must parse and translate to `Ok` or a typed `Err`, never
+# a panic.
+echo "==> parser robustness (fixed seed)"
+cargo test -q -p bench --test parser_robustness
+
 # Fixed-seed seek property: one `SeekHint` reused across ascending,
 # repeated, descending and out-of-range probes of every bound-ness shape,
 # with suspend/resume chains, over slab, delta and mixed layouts — each
