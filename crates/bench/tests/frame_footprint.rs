@@ -4,13 +4,14 @@
 //! dictionary entry per *distinct* term and a `u32` code per cell. So around
 //! `EmbeddedEndpoint::execute_model_direct` nothing may allocate per row or
 //! per cell — beyond what draining the same cursor allocates on its own, only
-//! the (doubling) code columns, dictionary and id memo, and a decoded term
-//! that is not already an `Arc` of the dataset's — and the frame it returns
-//! holds at most eight bytes per cell (a doubled `Vec<u32>`) plus its
+//! each batch's exact-size block of code columns, their one join into the
+//! frame's columns, the dictionary and id memo, and a decoded term that is
+//! not already an `Arc` of the dataset's — and the frame it returns holds
+//! four bytes per cell (every code column's capacity is its length) plus its
 //! dictionary. A row-major frame (one `Vec` per row, a 24-byte `Cell` per
-//! cell) fails both bounds; the counts repeat exactly from run to run. The
-//! wire path's frame is held to a count of its own: fewer dictionary entries
-//! than rows.
+//! cell) fails both bounds, and so do code columns grown by doubling; the
+//! counts repeat exactly from run to run. The wire path's frame is held to a
+//! count of its own: fewer dictionary entries than rows.
 //!
 //! This binary installs its own counting allocator, which is why it is one
 //! `#[test]`: nothing else may allocate while a window is open.
@@ -29,9 +30,11 @@ use rdfframes_core::{EmbeddedEndpoint, InProcessEndpoint, RDFFrame};
 const SCALE: usize = 64;
 /// Small enough that every frame here takes several batches.
 const BATCH_ROWS: usize = 64;
-/// Allocations allowed per column per doubling of the row count: the code
-/// column and the per-batch block each grow by doubling. (The dictionary and
-/// the id memo grow the same way, inside the allowance for distinct terms.)
+/// Allocations allowed per column per doubling of the row count. A code
+/// column is allocated once per batch (its block) and once more for the
+/// join of the blocks; at this scale and batch size that fits the allowance
+/// doubling columns were held to. (The dictionary and the id memo grow by
+/// doubling, inside the allowance for distinct terms.)
 const PER_DOUBLING: usize = 2;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -127,13 +130,21 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
         exact.len()
     );
 
+    for (c, codes) in df.code_columns().iter().enumerate() {
+        assert_eq!(
+            (codes.capacity(), codes.len()),
+            (rows, rows),
+            "{id}: slack in code column {c}"
+        );
+    }
+
     let strings: usize = (df.dictionary().iter())
         .map(|c| match c {
             Cell::Uri(s) | Cell::Str(s) => s.len(),
             _ => 0,
         })
         .sum();
-    let allowed = 8 * rows * columns + 64 * df.dictionary().len() + strings;
+    let allowed = 4 * rows * columns + 64 * df.dictionary().len() + strings;
     assert!(
         live <= allowed,
         "{id}: the frame holds {live} bytes for {rows} x {columns} cells and {} entries \

@@ -217,12 +217,31 @@ impl<T> Coded<T> {
         Ok(())
     }
 
-    /// Append `rows` rows given as one slice of codes per column, checked
-    /// before anything is written.
-    pub fn append(&mut self, rows: usize, block: &[Vec<u32>]) -> Result<(), AppendError> {
-        self.check(rows, block.iter().map(Vec::as_slice))?;
-        for (col, codes) in self.codes.iter_mut().zip(block) {
-            col.extend_from_slice(codes);
+    /// Append whole blocks, each `(rows, one code column per name)`, every
+    /// block checked before anything is written. A lone block lands in an
+    /// empty table by move; otherwise each column is reserved exactly once
+    /// and filled block by block, each block's column freed as soon as it is
+    /// copied, so the peak is the result plus one column. Into an empty
+    /// table, each column ends with capacity equal to its length (a moved
+    /// block's columns keep theirs).
+    pub fn append_blocks(
+        &mut self,
+        mut blocks: Vec<(usize, Vec<Vec<u32>>)>,
+    ) -> Result<(), AppendError> {
+        for (rows, block) in &blocks {
+            self.check(*rows, block.iter().map(Vec::as_slice))?;
+        }
+        let rows: usize = blocks.iter().map(|(rows, _)| rows).sum();
+        match blocks.as_mut_slice() {
+            [(_, block)] if self.len == 0 => self.codes = std::mem::take(block),
+            _ => {
+                for (c, col) in self.codes.iter_mut().enumerate() {
+                    col.reserve_exact(rows);
+                    for (_, block) in &mut blocks {
+                        col.extend_from_slice(&std::mem::take(&mut block[c]));
+                    }
+                }
+            }
         }
         self.len += rows;
         Ok(())
@@ -230,7 +249,7 @@ impl<T> Coded<T> {
 
     /// Append `rows` rows in place: `fill` pushes onto the code columns and
     /// interns entries as it goes. What it added is then checked like an
-    /// [`Coded::append`] block, and a refused fill is truncated away with
+    /// [`Coded::append_blocks`] block, and a refused fill is truncated away with
     /// its entries.
     pub fn fill(
         &mut self,
@@ -350,7 +369,8 @@ mod tests {
         let mut t = Coded::new(vec!["a".into(), "b".into()]);
         t.push_row(vec![Some("x".into()), None]).unwrap();
         let y = t.intern("y".into());
-        t.append(2, &[vec![y, 1], vec![0, y]]).unwrap();
+        t.append_blocks(vec![(2, vec![vec![y, 1], vec![0, y]])])
+            .unwrap();
         t
     }
 
@@ -368,12 +388,15 @@ mod tests {
             u.push_row(vec![Some("z".into())]),
             Err(WidthError { got: 1, want: 2 })
         );
+        // Each refused block follows a good one, which must not land
+        // either: every block is checked before anything is written.
+        let blocks = |bad| vec![(1, vec![vec![1], vec![2]]), bad];
         assert_eq!(
-            u.append(1, &[vec![1]]),
+            u.append_blocks(blocks((1, vec![vec![1]]))),
             Err(AppendError::ColumnCount { got: 1, want: 2 })
         );
         assert_eq!(
-            u.append(2, &[vec![1, 1], vec![1]]),
+            u.append_blocks(blocks((2, vec![vec![1, 1], vec![1]]))),
             Err(AppendError::ColumnLength {
                 column: 1,
                 got: 1,
@@ -381,7 +404,7 @@ mod tests {
             })
         );
         assert_eq!(
-            u.append(1, &[vec![1], vec![3]]),
+            u.append_blocks(blocks((1, vec![vec![1], vec![3]]))),
             Err(AppendError::UnknownCode { column: 1, code: 3 })
         );
         // An in-place fill that interns an entry and leaves one column short
@@ -422,9 +445,58 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_block_moves_and_many_blocks_equal_as_many_fills() {
+        let names = vec!["a".to_string(), "b".to_string()];
+        let blocks = vec![
+            (3, vec![vec![1, 2, 0], vec![2, 2, 1]]),
+            (0, vec![vec![], vec![]]),
+            (2, vec![vec![0, 1], vec![3, 0]]),
+        ];
+        let dict = ["x", "y", "z"].map(String::from).to_vec();
+
+        let mut filled = Coded::new(names.clone());
+        dict.iter().for_each(|v| _ = filled.intern(v.clone()));
+        for (rows, block) in &blocks {
+            filled
+                .fill(*rows, |codes, _| {
+                    for (col, src) in codes.iter_mut().zip(block) {
+                        col.extend_from_slice(src);
+                    }
+                })
+                .unwrap();
+        }
+
+        let mut joined = Coded::new(names.clone());
+        dict.iter().for_each(|v| _ = joined.intern(v.clone()));
+        joined.append_blocks(blocks.clone()).unwrap();
+        assert_eq!(joined, filled);
+        assert_eq!(joined.code_columns(), filled.code_columns());
+        assert!(joined
+            .code_columns()
+            .iter()
+            .all(|c| c.capacity() == c.len()));
+
+        // Onto rows already there: the same as filling them after.
+        joined.append_blocks(blocks.clone()).unwrap();
+        assert_eq!(joined.len(), 10);
+        assert!(joined.rows().skip(5).eq(filled.rows()));
+
+        // A lone block into an empty table keeps its buffers.
+        let mut moved = Coded::new(names);
+        dict.iter().for_each(|v| _ = moved.intern(v.clone()));
+        let block = blocks[0].1.clone();
+        let buffers: Vec<*const u32> = block.iter().map(|c| c.as_ptr()).collect();
+        moved.append_blocks(vec![(3, block)]).unwrap();
+        let kept: Vec<*const u32> = moved.code_columns().iter().map(|c| c.as_ptr()).collect();
+        assert_eq!(kept, buffers);
+        assert_eq!(moved.len(), 3);
+        assert!(moved.rows().eq(filled.rows().take(3)));
+    }
+
+    #[test]
     fn a_zero_column_table_keeps_its_row_count() {
         let mut t: Coded<String> = Coded::new(Vec::new());
-        t.append(3, &[]).unwrap();
+        t.append_blocks(vec![(3, vec![])]).unwrap();
         t.push_row(Vec::new()).unwrap();
         t.fill(2, |_, _| {}).unwrap();
         assert_eq!((t.len(), t.rows().count()), (6, 6));

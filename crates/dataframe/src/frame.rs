@@ -25,7 +25,7 @@ fn or_null(cell: Option<&Cell>) -> &Cell {
 /// has no entry; no entry is `Cell::Null` ([`DataFrame::intern`] and
 /// [`DataFrame::push_row`] send every null to code 0). The coded table's
 /// read side (`len`, `dictionary`, `code_columns`, …) and its
-/// [`Coded::append`] / [`Coded::fill`] are reached through `Deref`.
+/// [`Coded::append_blocks`] / [`Coded::fill`] are reached through `Deref`.
 #[derive(Clone, Default, PartialEq, Debug)]
 pub struct DataFrame(pub(crate) Coded<Cell>);
 
@@ -488,16 +488,17 @@ mod tests {
         let mut df = DataFrame::new(vec!["a".into(), "b".into()]);
         let (one, x) = (df.intern(Cell::Int(1)), df.intern(Cell::str("x")));
         assert_eq!(df.intern(Cell::Null), 0);
-        df.append(2, &[vec![one, one], vec![x, 0]]).unwrap();
+        df.append_blocks(vec![(2, vec![vec![one, one], vec![x, 0]])])
+            .unwrap();
         assert_eq!(df.row(0).to_vec(), vec![Cell::Int(1), Cell::str("x")]);
         assert_eq!(df.row(1).to_vec(), vec![Cell::Int(1), Cell::Null]);
         assert_eq!(df.dictionary().len(), 2);
         assert_eq!(
-            df.append(1, &[vec![one]]),
+            df.append_blocks(vec![(1, vec![vec![one]])]),
             Err(AppendError::ColumnCount { got: 1, want: 2 })
         );
         assert_eq!(
-            df.append(2, &[vec![one, one], vec![x]]),
+            df.append_blocks(vec![(2, vec![vec![one, one], vec![x]])]),
             Err(AppendError::ColumnLength {
                 column: 1,
                 got: 1,
@@ -505,13 +506,13 @@ mod tests {
             })
         );
         assert_eq!(
-            df.append(1, &[vec![one], vec![7]]),
+            df.append_blocks(vec![(1, vec![vec![one], vec![7]])]),
             Err(AppendError::UnknownCode { column: 1, code: 7 })
         );
         assert_eq!(df.len(), 2);
         // A zero-column frame carries its row count.
         let mut unit = DataFrame::new(vec![]);
-        unit.append(3, &[]).unwrap();
+        unit.append_blocks(vec![(3, vec![])]).unwrap();
         assert_eq!((unit.len(), unit.rows().iter().count()), (3, 3));
     }
 

@@ -13,7 +13,7 @@
 //! of codes per column, where code 0 is null *with no entry* and code `c`
 //! is entry `c - 1`. The engine's result pages are the same [`Coded`] type
 //! over terms. Rows enter through one checked interface — `intern` a value,
-//! `append` a block of code columns or `fill` them in place (`push_row` is
+//! `append_blocks` of code columns or `fill` them in place (`push_row` is
 //! the one-row form) — are read back through borrowed [`RowView`]s, and
 //! every operator is a gather over codes.
 

@@ -56,7 +56,7 @@ fn build(how: usize, cols: usize, rows: &[Vec<Cell>]) -> DataFrame {
                     page.iter().map(code).collect()
                 })
                 .collect();
-            df.append(page.len(), &block).expect("well-formed block");
+            (df.append_blocks(vec![(page.len(), block)])).expect("well-formed block");
         };
     match how {
         // Every cell its own dictionary entry.

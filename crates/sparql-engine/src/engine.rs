@@ -85,7 +85,7 @@ impl Default for EngineConfig {
 }
 
 /// Execution statistics for one query.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Index entries actually read during evaluation — what
     /// [`QueryBudget::max_rows_scanned`] charges. The columnar evaluator
@@ -339,7 +339,7 @@ impl Engine {
 /// Owns the evaluator (and therefore the term pool that can resolve every
 /// id the query produces — dataset-global ids and query-local overflow ids
 /// from computed expressions alike) plus the operator pipeline the batches
-/// are pulled from.
+/// are pulled from, released as soon as it is exhausted.
 /// [`QueryCursor::next_batch`] yields the result in `batch_rows`-bounded
 /// [`ColumnBatch`]es; consumers build typed columns without ever seeing a
 /// row-materialized [`Term`] table.
@@ -388,18 +388,24 @@ impl QueryCursor<'_> {
 
     /// Drain the rest of the result into a coded table — the one loop
     /// behind a page ([`Engine::execute_prepared`], `entry` a [`Term`]
-    /// clone) and the embedded DataFrame (a cell): [`CodeRemap`] fills the
-    /// code columns in place, batch by batch, and `entry` makes each
-    /// distinct id's dictionary entry once.
+    /// clone) and the embedded DataFrame (a cell). [`CodeRemap`] writes
+    /// each batch's codes into a block of its own, every column grown once
+    /// to the batch's length, while `entry` makes each distinct id's
+    /// dictionary entry once, straight into the table. The blocks are
+    /// joined by [`Coded::append_blocks`] after the last batch, when the
+    /// exhausted pipeline's state is already freed: every code column ends
+    /// with capacity equal to its length.
     pub fn drain<T>(&mut self, mut entry: impl FnMut(&Term) -> T) -> Result<Coded<T>> {
+        let width = self.vars.len();
         let mut table = Coded::new(self.vars.clone());
-        let mut remap = CodeRemap::new(self.vars.len());
+        let mut remap = CodeRemap::new(width);
+        let mut blocks = Vec::new();
         while let Some(batch) = self.next_batch()? {
-            let fill = |codes: &mut [Vec<u32>], intern: &mut dyn FnMut(T) -> u32| {
-                remap.extend(&batch, codes, |term| intern(entry(term)));
-            };
-            (table.fill(batch.len, fill)).map_err(|e| EngineError::Semantic(e.to_string()))?;
+            let mut block = vec![Vec::new(); width];
+            remap.extend(&batch, &mut block, |term| table.intern(entry(term)));
+            blocks.push((batch.len, block));
         }
+        (table.append_blocks(blocks)).map_err(|e| EngineError::Semantic(e.to_string()))?;
         Ok(table)
     }
 
@@ -429,7 +435,13 @@ impl QueryCursor<'_> {
         self.peak_live_bytes = self
             .peak_live_bytes
             .max(live_bytes.saturating_add(out_bytes));
-        let Some(table) = out else { return Ok(None) };
+        let Some(table) = out else {
+            // Exhausted: free the operators' state (join build sides,
+            // spools, breaker tables) now rather than with the cursor. The
+            // counters live on the evaluator and here, not in the tree.
+            self.source = pipeline::exhausted();
+            return Ok(None);
+        };
         let start = self.emitted;
         let len = table.len();
         self.emitted += len;
@@ -667,6 +679,35 @@ mod tests {
             // the cursor scans as batches are pulled).
             assert_eq!(cursor.rows_scanned(), stats.rows_scanned);
             assert_eq!(cursor.stats().batches_emitted, sizes.len() as u64);
+        }
+    }
+
+    #[test]
+    fn drained_tables_are_exact_whatever_the_batch_size() {
+        let engine = Engine::new(dataset());
+        // A join (a build side to release), an OPTIONAL (unbound cells)
+        // and 45 rows.
+        let q = "SELECT ?s ?o ?t ?u FROM <http://g> WHERE { ?s <http://x/p> ?o . \
+                 ?t <http://x/p> ?u FILTER(?o < ?u) OPTIONAL { ?s <http://x/q> ?none } }";
+        let prepared = engine.prepare(q).unwrap();
+        let (expected, _) = engine.execute_prepared(&prepared, None).unwrap();
+        assert_eq!(expected.len(), 45);
+        for batch_rows in [1, 3, 7, 64, usize::MAX] {
+            let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
+            let table = cursor.drain(Term::clone).unwrap();
+            assert_eq!(table, *expected, "batch_rows={batch_rows}");
+            let exact = |c: &Vec<u32>| c.capacity() == c.len();
+            assert!(
+                table.code_columns().iter().all(exact),
+                "batch_rows={batch_rows}"
+            );
+            // Exhausted: the released pipeline stays dry, and the release
+            // changed no counter.
+            let stats = cursor.stats();
+            assert!(cursor.next_batch().unwrap().is_none());
+            assert!(cursor.next_batch().unwrap().is_none());
+            assert_eq!(cursor.stats(), stats, "batch_rows={batch_rows}");
+            assert!(stats.peak_live_bytes > 0);
         }
     }
 

@@ -80,6 +80,12 @@ pub(crate) fn paged<'e>(input: BoxOp<'e>, offset: usize, limit: usize) -> BoxOp<
     Box::new(SliceOp::new(input, offset, Some(limit)))
 }
 
+/// A pipeline that is already exhausted: what a drained cursor keeps in
+/// place of the operator tree it has released.
+pub(crate) fn exhausted<'e>() -> BoxOp<'e> {
+    Box::new(UnitOp { done: true })
+}
+
 struct Builder<'a, 'e> {
     ev: &'a Evaluator<'e>,
     shared: Shared,
@@ -196,30 +202,35 @@ impl<'e> Builder<'_, 'e> {
 /// pipeline is dropped; the siblings still receive the full stream.
 struct Spool<'e> {
     vars: Vec<String>,
-    /// Dropped as soon as it is exhausted or has failed.
-    source: Option<BoxOp<'e>>,
+    source: Source<'e>,
     /// A pull is `None` for the exhausting one, so the scans it took are
     /// replayed like any other's.
     pulls: Replay<Option<IdTable>>,
+}
+
+/// A spool's source operator, dropped as soon as it is exhausted or has
+/// failed.
+enum Source<'e> {
+    Live(BoxOp<'e>),
+    Dry,
     /// The source's error, latched: every reader's next pull returns it, so
     /// none mistakes a failed stream for a short one.
-    failed: Option<EngineError>,
+    Failed(EngineError),
 }
 
 impl<'e> Spool<'e> {
     fn new(source: BoxOp<'e>, readers: usize) -> Self {
         Spool {
             vars: source.vars().to_vec(),
-            source: Some(source),
+            source: Source::Live(source),
             pulls: Replay::new(readers),
-            failed: None,
         }
     }
 
     /// Pull `i` for one reader: replayed if some reader already took it
     /// from the source, pulled from the source otherwise.
     fn pull(&mut self, i: usize, ev: &mut Evaluator<'e>, n: usize) -> Result<Option<IdTable>> {
-        if let Some(e) = &self.failed {
+        if let Source::Failed(e) = &self.source {
             return Err(e.clone());
         }
         if i < self.pulls.len() {
@@ -227,37 +238,43 @@ impl<'e> Spool<'e> {
             ev.shared_scans += scans;
             return Ok(batch);
         }
-        let pulled = self.pull_source(ev, n);
+        // Only a reader past the exhausting pull finds the source dry, and
+        // its stream has ended.
+        let Source::Live(source) = &mut self.source else {
+            return Ok(None);
+        };
+        let pulled = Self::pull_source(source, &mut self.pulls, ev, n);
         match &pulled {
             Ok(Some(_)) => {}
-            Ok(None) => self.source = None,
-            Err(e) => {
-                self.failed = Some(e.clone());
-                self.source = None;
-            }
+            Ok(None) => self.source = Source::Dry,
+            Err(e) => self.source = Source::Failed(e.clone()),
         }
         pulled
     }
 
-    fn pull_source(&mut self, ev: &mut Evaluator<'e>, n: usize) -> Result<Option<IdTable>> {
-        let source = self
-            .source
-            .as_mut()
-            .expect("a reader past the exhausting pull never pulls again");
+    fn pull_source(
+        source: &mut BoxOp<'e>,
+        pulls: &mut Replay<Option<IdTable>>,
+        ev: &mut Evaluator<'e>,
+        n: usize,
+    ) -> Result<Option<IdTable>> {
         let before = ev.rows_scanned + ev.shared_scans;
         let batch = source.next_batch(ev, n)?;
         let scans = ev.rows_scanned + ev.shared_scans - before;
         let size = batch
             .as_ref()
             .map_or((0, 0), |t| (t.len() as u64, t.estimated_bytes()));
-        let own = self.pulls.push(batch, scans, size);
-        let (rows, bytes) = self.pulls.retained();
+        let own = pulls.push(batch, scans, size);
+        let (rows, bytes) = pulls.retained();
         ev.meter.charge_intermediate(rows, bytes)?;
         Ok(own)
     }
 
     fn live_size(&self) -> (u64, u64) {
-        let source = self.source.as_ref().map_or((0, 0), |s| s.live_size());
+        let source = match &self.source {
+            Source::Live(s) => s.live_size(),
+            Source::Dry | Source::Failed(_) => (0, 0),
+        };
         add2(source, self.pulls.retained())
     }
 }
@@ -839,7 +856,15 @@ pub(super) struct JoinOp<'e> {
     kind: JoinKind,
     merge_key: Option<&'e str>,
     shape: JoinShape,
-    right_table: Option<IdTable>,
+    /// The build side, once materialized (on the first pull).
+    build: Option<Build>,
+    done: bool,
+}
+
+/// A join's materialized build side, the probe strategy it is in, and the
+/// left batch probing it.
+struct Build {
+    table: IdTable,
     /// `Some` while the merge-join claim survives; demoted to `None` (hash
     /// probing) the moment a left batch refutes it.
     merge: Option<MergeState>,
@@ -848,7 +873,6 @@ pub(super) struct JoinOp<'e> {
     /// mask.
     index: Option<JoinIndex>,
     probing: Option<Probing>,
-    done: bool,
 }
 
 impl<'e> JoinOp<'e> {
@@ -865,10 +889,7 @@ impl<'e> JoinOp<'e> {
             kind,
             merge_key,
             shape,
-            right_table: None,
-            merge: None,
-            index: None,
-            probing: None,
+            build: None,
             done: false,
         }
     }
@@ -876,7 +897,7 @@ impl<'e> JoinOp<'e> {
     /// Drain and materialize the build (right) side, then check the
     /// merge-join claim's right half (key column fully bound and
     /// non-decreasing — one linear pass, far cheaper than a hash build).
-    fn build_side(&mut self, ev: &mut Evaluator<'e>, target: usize) -> Result<()> {
+    fn build_side(&mut self, ev: &mut Evaluator<'e>, target: usize) -> Result<Build> {
         let mut acc = IdTable::with_vars(self.right.vars().to_vec());
         while let Some(b) = self.right.next_batch(ev, target)? {
             acc.append(&b);
@@ -887,24 +908,34 @@ impl<'e> JoinOp<'e> {
             let l_key = self.left.vars().iter().position(|v| v == key)?;
             Some((l_key, acc.column_index(key)?))
         });
-        if let Some((l_key, r_key)) = keys.filter(|&(_, rc)| sorted_key(acc.col(rc))) {
-            self.merge = Some(MergeState {
+        let merge = keys
+            .filter(|&(_, rc)| sorted_key(acc.col(rc)))
+            .map(|(l_key, r_key)| MergeState {
                 l_key,
                 r_key,
                 run: 0,
                 prev: None,
             });
-        }
-        self.right_table = Some(acc);
-        Ok(())
+        Ok(Build {
+            table: acc,
+            merge,
+            index: None,
+            probing: None,
+        })
     }
+}
 
+impl Build {
     /// Start probing a fresh left batch: check the left half of the merge
     /// claim batch-incrementally (demoting to hash probing for good when it
     /// fails) and make sure the hash index covers the batch's presence
     /// masks, charging the index's size to the budget.
-    fn start_probing(&mut self, batch: IdTable, meter: &mut BudgetMeter) -> Result<()> {
-        let right = self.right_table.as_ref().expect("build side materialized");
+    fn start_probing(
+        &mut self,
+        batch: IdTable,
+        shape: &JoinShape,
+        meter: &mut BudgetMeter,
+    ) -> Result<()> {
         let claim_holds = self.merge.as_mut().is_some_and(|ms| {
             let col = batch.col(ms.l_key);
             let sorted = sorted_key(col) && ms.prev.is_none_or(|p| p <= col.ids()[0]);
@@ -914,10 +945,8 @@ impl<'e> JoinOp<'e> {
         let mut masks = None;
         if !claim_holds {
             self.merge = None;
-            let index = self
-                .index
-                .get_or_insert_with(|| JoinIndex::new(right, &self.shape));
-            masks = Some(index.prepare(&batch, right, &self.shape));
+            let index = (self.index).get_or_insert_with(|| JoinIndex::new(&self.table, shape));
+            masks = Some(index.prepare(&batch, &self.table, shape));
             meter.charge_intermediate(0, index.estimated_bytes())?;
         }
         self.probing = Some(Probing {
@@ -929,6 +958,61 @@ impl<'e> JoinOp<'e> {
         });
         Ok(())
     }
+
+    /// The next output window of the left batch being probed, matching it
+    /// only as far as the window needs; `None` (and the batch released)
+    /// once it is used up, or when no batch is probing.
+    fn next_window(
+        &mut self,
+        shape: &JoinShape,
+        kind: JoinKind,
+        target: usize,
+        ev: &mut Evaluator<'_>,
+    ) -> Result<Option<IdTable>> {
+        let Some(p) = &mut self.probing else {
+            return Ok(None);
+        };
+        let right = &self.table;
+        if p.pairs.len() - p.emitted < target && p.next_left < p.batch.len() {
+            p.pairs.drain(..p.emitted);
+            p.emitted = 0;
+            let sides = Sides {
+                shape,
+                left: &p.batch,
+                right,
+                kind,
+            };
+            let (rest, meter) = (p.next_left..p.batch.len(), &mut ev.meter);
+            let (next, tested) = match (&p.masks, &self.index, &mut self.merge) {
+                (Some(masks), Some(index), _) => {
+                    let lookups = index.candidates(masks, &p.batch, &shape.l_idx);
+                    sides.probe(rest, target, &mut p.pairs, meter, lookups)?
+                }
+                (None, _, Some(ms)) => {
+                    let lk = p.batch.col(ms.l_key).ids();
+                    let key_run = merge_candidates(lk, right.col(ms.r_key).ids(), &mut ms.run);
+                    sides.probe(rest, target, &mut p.pairs, meter, key_run)?
+                }
+                // `start_probing` gives a batch masks exactly when it drops
+                // the merge claim, and builds the index first.
+                _ => unreachable!("a batch probes by hash with masks or by merge run"),
+            };
+            p.next_left = next;
+            ev.join_candidates += tested;
+        }
+        if p.emitted == p.pairs.len() {
+            self.probing = None;
+            return Ok(None);
+        }
+        let end = p.emitted.saturating_add(target).min(p.pairs.len());
+        let window = &p.pairs[p.emitted..end];
+        p.emitted = end;
+        let out = assemble_join(&p.batch, right, shape.out_vars.clone(), window);
+        if end == p.pairs.len() && p.next_left == p.batch.len() {
+            self.probing = None; // batch finished: release it now
+        }
+        Ok(Some(out))
+    }
 }
 
 impl<'e> Operator<'e> for JoinOp<'e> {
@@ -939,61 +1023,27 @@ impl<'e> Operator<'e> for JoinOp<'e> {
     fn next_batch(&mut self, ev: &mut Evaluator<'e>, batch_rows: usize) -> Result<Option<IdTable>> {
         let target = batch_rows.max(1);
         loop {
-            if let Some(p) = &mut self.probing {
-                let right = self.right_table.as_ref().expect("build side materialized");
-                if p.pairs.len() - p.emitted < target && p.next_left < p.batch.len() {
-                    p.pairs.drain(..p.emitted);
-                    p.emitted = 0;
-                    let sides = Sides {
-                        shape: &self.shape,
-                        left: &p.batch,
-                        right,
-                        kind: self.kind,
-                    };
-                    let (rest, meter) = (p.next_left..p.batch.len(), &mut ev.meter);
-                    let (next, tested) = match (&p.masks, &mut self.merge) {
-                        (Some(masks), _) => {
-                            let index = self.index.as_ref().expect("index prepared");
-                            let lookups = index.candidates(masks, &p.batch, &self.shape.l_idx);
-                            sides.probe(rest, target, &mut p.pairs, meter, lookups)?
-                        }
-                        (None, Some(ms)) => {
-                            let lk = p.batch.col(ms.l_key).ids();
-                            let key_run =
-                                merge_candidates(lk, right.col(ms.r_key).ids(), &mut ms.run);
-                            sides.probe(rest, target, &mut p.pairs, meter, key_run)?
-                        }
-                        (None, None) => unreachable!("a batch without masks holds the merge claim"),
-                    };
-                    p.next_left = next;
-                    ev.join_candidates += tested;
-                }
-                if p.emitted < p.pairs.len() {
-                    let end = p.emitted.saturating_add(target).min(p.pairs.len());
-                    let window = &p.pairs[p.emitted..end];
-                    p.emitted = end;
-                    let out = assemble_join(&p.batch, right, self.shape.out_vars.clone(), window);
-                    if end == p.pairs.len() && p.next_left == p.batch.len() {
-                        self.probing = None; // batch finished: release it now
-                    }
+            if let Some(b) = &mut self.build {
+                if let Some(out) = b.next_window(&self.shape, self.kind, target, ev)? {
                     return Ok(Some(out));
                 }
-                self.probing = None;
             }
             if self.done {
                 return Ok(None);
             }
-            if self.right_table.is_none() {
-                self.build_side(ev, target)?;
-            }
+            let build = match self.build.take() {
+                Some(build) => build,
+                None => self.build_side(ev, target)?,
+            };
+            let build = self.build.insert(build);
             match self.left.next_batch(ev, target)? {
-                Some(batch) => self.start_probing(batch, &mut ev.meter)?,
+                Some(batch) => build.start_probing(batch, &self.shape, &mut ev.meter)?,
                 None => {
                     self.done = true;
                     // The rewrite counter records a merge join that held its
                     // claim over the *entire* left input, whatever the pull
                     // size cut it into.
-                    if self.merge_key.is_some() && self.merge.is_some() {
+                    if build.merge.is_some() {
                         match self.kind {
                             JoinKind::Inner => ev.merge_joins += 1,
                             JoinKind::Left => ev.merge_left_joins += 1,
@@ -1007,13 +1057,12 @@ impl<'e> Operator<'e> for JoinOp<'e> {
 
     fn live_size(&self) -> (u64, u64) {
         let mut acc = add2(self.left.live_size(), self.right.live_size());
-        if let Some(r) = &self.right_table {
-            acc = add2(acc, (r.len() as u64, r.estimated_bytes()));
-        }
-        if let Some(index) = &self.index {
+        let Some(b) = &self.build else { return acc };
+        acc = add2(acc, (b.table.len() as u64, b.table.estimated_bytes()));
+        if let Some(index) = &b.index {
             acc = add2(acc, (0, index.estimated_bytes()));
         }
-        if let Some(p) = &self.probing {
+        if let Some(p) = &b.probing {
             let pending = (p.pairs.len() - p.emitted) as u64;
             acc = add2(acc, (p.batch.len() as u64, p.batch.estimated_bytes()));
             acc = add2(acc, (pending, p.pairs.len() as u64 * 8));
@@ -1273,6 +1322,8 @@ impl Accum {
             let acc = std::mem::replace(acc, NumericAccum::new(false));
             *self = Accum::Terms(Box::new(acc.demote(op, pool)));
         }
+        // `fresh_accums` makes a NumericCol accumulator Numeric, and the
+        // branch above either returns or turns it into Terms.
         let Accum::Terms(state) = self else {
             unreachable!("a NumericCol accumulator is Numeric or Terms")
         };
@@ -1323,7 +1374,7 @@ impl<'e> GroupOp<'e> {
             .iter()
             .map(|spec| match &spec.expr {
                 None => AggPlan::Star,
-                Some(Expr::Var(v)) => match child.iter().position(|c| c == v) {
+                Some(expr @ Expr::Var(v)) => match child.iter().position(|c| c == v) {
                     Some(idx) => match spec.op {
                         AggOp::Count => AggPlan::CountCol {
                             idx,
@@ -1336,7 +1387,7 @@ impl<'e> GroupOp<'e> {
                     },
                     // Variable absent from the input: the general path
                     // produces the op's empty/unbound result.
-                    None => AggPlan::General(spec.expr.as_ref().unwrap()),
+                    None => AggPlan::General(expr),
                 },
                 Some(e) => AggPlan::General(e),
             })
@@ -1489,6 +1540,8 @@ impl<'e> GroupOp<'e> {
                             *first = batch.get(i, *idx);
                         }
                     }
+                    // `fresh_accums` pairs each plan with exactly these
+                    // accumulators, and only NumericCol's changes kind.
                     _ => unreachable!("accumulator/plan shape mismatch"),
                 }
             }
@@ -1630,6 +1683,8 @@ impl Seen {
             Seen::Many(seen) => (0..t.len())
                 .map(|i| seen.insert(t.columns().iter().map(|c| c.hash_code(i)).collect()))
                 .collect(),
+            // `keep_first` returns under a holding claim and replaces
+            // `Runs` with a hashed set before its first call here.
             Seen::Runs { .. } => unreachable!("hashing starts once the claim is gone"),
         }
     }
@@ -1955,7 +2010,8 @@ pub(super) mod tests {
         let mut ev = Evaluator::new(&ds, Vec::new());
         let mut op = JoinOp::new(source(&left), source(&right), JoinKind::Inner, None);
         op.next_batch(&mut ev, 4).unwrap().expect("rows join");
-        let index_bytes = op.index.as_ref().expect("hash probing").estimated_bytes();
+        let index = op.build.as_ref().and_then(|b| b.index.as_ref());
+        let index_bytes = index.expect("hash probing").estimated_bytes();
         let table_bytes = right.estimated_bytes();
         assert!(op.live_size().1 >= table_bytes + index_bytes);
 
@@ -2122,7 +2178,10 @@ pub(super) mod tests {
             assert_eq!(r.next_batch(&mut ev, 8), Err(boom.clone()));
             assert_eq!(r.next_batch(&mut ev, 8), Err(boom.clone()));
         }
-        assert!(readers[0].spool.borrow().source.is_none());
+        assert!(matches!(
+            readers[0].spool.borrow().source,
+            Source::Failed(_)
+        ));
     }
 
     proptest! {

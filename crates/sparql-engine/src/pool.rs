@@ -9,21 +9,17 @@
 //! preserving the invariant that two ids are equal iff their terms are equal
 //! (a computed term equal to a stored term resolves to the stored id).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use rdf_model::{Interner, Term, TermId};
 
 /// Dataset interner + query-local overflow for computed terms.
 ///
-/// Like [`Interner`], each overflow term is stored once behind an
-/// `Arc<Term>` shared by the id→term table and the term→id map.
+/// The overflow is an [`Interner`] of its own whose ids are offset by the
+/// dataset interner's length, so the two id ranges never meet.
 #[derive(Debug)]
 pub struct TermPool<'a> {
     base: &'a Interner,
     base_len: usize,
-    extra: Vec<Arc<Term>>,
-    extra_ids: HashMap<Arc<Term>, TermId>,
+    extra: Interner,
 }
 
 impl<'a> TermPool<'a> {
@@ -32,8 +28,7 @@ impl<'a> TermPool<'a> {
         TermPool {
             base,
             base_len: base.len(),
-            extra: Vec::new(),
-            extra_ids: HashMap::new(),
+            extra: Interner::new(),
         }
     }
 
@@ -43,10 +38,9 @@ impl<'a> TermPool<'a> {
     /// Panics if the id came from neither the base interner nor this pool.
     #[inline]
     pub fn resolve(&self, id: TermId) -> &Term {
-        if id.index() < self.base_len {
-            self.base.resolve(id)
-        } else {
-            self.extra[id.index() - self.base_len].as_ref()
+        match id.index().checked_sub(self.base_len) {
+            None => self.base.resolve(id),
+            Some(local) => self.extra.resolve(TermId(local as u32)),
         }
     }
 
@@ -56,24 +50,19 @@ impl<'a> TermPool<'a> {
         if let Some(id) = self.base.get(&term) {
             return id;
         }
-        if let Some(&id) = self.extra_ids.get(&term) {
-            return id;
-        }
-        let id = TermId(
-            u32::try_from(self.base_len + self.extra.len())
-                .expect("term pool overflow: more than 2^32 terms"),
-        );
-        let shared = Arc::new(term);
-        self.extra.push(Arc::clone(&shared));
-        self.extra_ids.insert(shared, id);
-        id
+        let local = self.extra.intern(term);
+        self.global(local)
     }
 
     /// Id for a term without interning (`None` if unseen).
     pub fn lookup(&self, term: &Term) -> Option<TermId> {
-        self.base
-            .get(term)
-            .or_else(|| self.extra_ids.get(term).copied())
+        (self.base.get(term)).or_else(|| self.extra.get(term).map(|local| self.global(local)))
+    }
+
+    /// The pool id of an overflow id.
+    fn global(&self, local: TermId) -> TermId {
+        let id = u32::try_from(self.base_len + local.index());
+        TermId(id.expect("term pool overflow: more than 2^32 terms"))
     }
 }
 
