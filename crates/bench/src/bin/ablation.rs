@@ -33,7 +33,10 @@ fn main() {
     let off = InProcessEndpoint::with_config(
         Arc::clone(&ds),
         EndpointConfig {
-            optimize: false,
+            engine: EngineConfig {
+                optimize: false,
+                ..EngineConfig::new()
+            },
             ..Default::default()
         },
     );

@@ -524,10 +524,10 @@ mod tests {
     #[test]
     fn all_queries_generate_parseable_sparql() {
         for def in all_queries() {
-            let optimized = def.frame.to_sparql();
+            let optimized = def.frame.to_sparql().unwrap();
             sparql_engine::parser::parse_query(&optimized)
                 .unwrap_or_else(|e| panic!("{} optimized rejected: {e}\n{optimized}", def.id));
-            let naive = def.frame.to_naive_sparql();
+            let naive = def.frame.to_naive_sparql().unwrap();
             sparql_engine::parser::parse_query(&naive)
                 .unwrap_or_else(|e| panic!("{} naive rejected: {e}\n{naive}", def.id));
             sparql_engine::parser::parse_query(&def.expert)

@@ -141,7 +141,7 @@ fn faults_past_the_retry_limit_keep_the_intact_prefix() {
         .into_iter()
         .find(|q| q.id == "Q16")
         .expect("sort-heavy Q16 in workload");
-    let sparql = q.frame.to_sparql();
+    let sparql = q.frame.to_sparql().unwrap();
     let clean = endpoint(&ds);
     let executor = Executor::new().with_retry(RetryPolicy::fast(2));
     let expected = executor.run(&sparql, &clean).unwrap();

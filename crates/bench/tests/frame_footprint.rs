@@ -6,7 +6,8 @@
 //! per cell — beyond what draining the same cursor allocates on its own, only
 //! each batch's exact-size block of code columns, their one join into the
 //! frame's columns, the dictionary and id memo, and a decoded term that is
-//! not already an `Arc` of the dataset's — and the frame it returns holds
+//! not already an `Arc` of the dataset's (see [`drain_allowance`], which
+//! counts them) — and the frame it returns holds
 //! four bytes per cell (every code column's capacity is its length) plus its
 //! dictionary. A row-major frame (one `Vec` per row, a 24-byte `Cell` per
 //! cell) fails both bounds, and so do code columns grown by doubling; the
@@ -30,12 +31,35 @@ use rdfframes_core::{EmbeddedEndpoint, InProcessEndpoint, RDFFrame};
 const SCALE: usize = 64;
 /// Small enough that every frame here takes several batches.
 const BATCH_ROWS: usize = 64;
-/// Allocations allowed per column per doubling of the row count. A code
-/// column is allocated once per batch (its block) and once more for the
-/// join of the blocks; at this scale and batch size that fits the allowance
-/// doubling columns were held to. (The dictionary and the id memo grow by
-/// doubling, inside the allowance for distinct terms.)
-const PER_DOUBLING: usize = 2;
+
+/// Allocations a container growing by doubling makes to reach `n` entries
+/// (at most: it starts at a capacity of one or more).
+fn doublings(n: usize) -> usize {
+    n.max(1).ilog2() as usize + 1
+}
+
+/// What `QueryCursor::drain` may allocate on top of draining the same
+/// cursor, for a frame of `columns` columns drained in `batches` batches
+/// with `entries` dictionary entries of which `decoded` allocate a cell of
+/// their own (a blank node's label; every other term's cell shares the
+/// dataset's `Arc` or is a number):
+///
+/// - per batch, its block: one list of columns, then one exact-size code
+///   column per column;
+/// - per column, the one join of its blocks;
+/// - growth by doubling of the dictionary, of the id → code memo and of
+///   the list of blocks;
+/// - once, the frame's column names (the list and one string per column),
+///   its list of code columns and the memo's last-code-per-column list.
+///
+/// Nothing in it grows with the rows or cells but the batches.
+fn drain_allowance(columns: usize, batches: usize, entries: usize, decoded: usize) -> usize {
+    let blocks = batches * (1 + columns);
+    let joins = columns;
+    let growth = 2 * doublings(entries) + doublings(batches);
+    let fixed = (1 + columns) + 1 + 1;
+    blocks + joins + growth + fixed + decoded
+}
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
@@ -90,14 +114,15 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
 
     // What an execution allocates without building a frame: the cache key
     // and the pipeline's own state and batches.
-    let (drained, pipeline, _) = counted(|| {
+    let ((drained, batches), pipeline, _) = counted(|| {
         let _key = render::render(&model);
         let mut cursor = endpoint.engine().cursor(&prepared, BATCH_ROWS).unwrap();
-        let mut rows = 0;
+        let (mut rows, mut batches) = (0, 0);
         while let Some(batch) = cursor.next_batch().unwrap() {
             rows += batch.len;
+            batches += 1;
         }
-        rows
+        (rows, batches)
     });
 
     let (df, allocations, live) = counted(|| endpoint.execute_model_direct(&model).unwrap());
@@ -121,14 +146,24 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
         "{id}: one entry per term"
     );
 
-    let doublings = rows.ilog2() as usize + 1;
-    let allowed = pipeline + exact.len() + PER_DOUBLING * columns * doublings;
-    assert!(
-        allocations <= allowed,
-        "{id}: {allocations} allocations for {rows} x {columns} cells of {} terms \
-         (drain alone {pipeline}, allowed {allowed})",
+    let decoded = (df.dictionary().iter())
+        .filter(|c| matches!(c, Cell::Uri(s) if s.starts_with("_:")))
+        .count();
+    let allowed = pipeline + drain_allowance(columns, batches, exact.len(), decoded);
+    println!(
+        "{id}: {allocations} allocations, {allowed} allowed ({rows} x {columns} cells, \
+         {batches} batches, {} terms)",
         exact.len()
     );
+    assert!(
+        allocations <= allowed,
+        "{id}: {allocations} allocations for {rows} x {columns} cells of {} terms in \
+         {batches} batches (drain alone {pipeline}, allowed {allowed})",
+        exact.len()
+    );
+    // The allowance has less slack than a row count: an allocation per row
+    // (let alone per cell) cannot hide in it.
+    assert!(allowed - allocations < rows, "{id}: allowance too loose");
 
     for (c, codes) in df.code_columns().iter().enumerate() {
         assert_eq!(

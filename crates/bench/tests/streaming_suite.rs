@@ -35,19 +35,18 @@ fn endpoint(ds: &Arc<Dataset>, batch_rows: usize) -> EmbeddedEndpoint {
     EmbeddedEndpoint::new(Arc::clone(ds)).with_batch_rows(batch_rows)
 }
 
-/// Rebuild every graph with auto-compaction disabled so all triples sit
-/// in the mutable delta overlay instead of frozen slabs — resumable
-/// scans must behave identically over both layouts.
+/// Rebuild every graph as an empty install plus one append of all its
+/// triples, so (each graph being smaller than the merge threshold) all
+/// triples sit in the mutable delta overlay instead of frozen slabs —
+/// resumable scans must behave identically over both layouts. Statistics
+/// count the delta, so the optimizer sees what the compacted copy shows it.
 fn delta_resident_copy(ds: &Arc<Dataset>) -> Arc<Dataset> {
     let uris: Vec<String> = ds.graph_uris().map(str::to_owned).collect();
     let mut out = Dataset::new();
     for uri in uris {
-        let mut g = Graph::with_delta_threshold(usize::MAX);
-        for t in ds.graph_triples(&uri).expect("graph listed but missing") {
-            g.insert(&t);
-        }
-        // `insert_graph` would compact; this entry point keeps the delta.
-        out.insert_graph_uncompacted(&uri, g);
+        let triples = ds.graph_triples(&uri).expect("graph listed but missing");
+        out.insert_graph(&uri, Graph::new());
+        out.append_triples(&uri, triples).unwrap();
         let inside = out.graph(&uri).unwrap();
         assert_eq!(
             (inside.delta_len(), inside.len()),

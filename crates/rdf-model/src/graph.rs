@@ -59,16 +59,17 @@
 //!
 //! # Compaction contract
 //!
-//! [`TripleIndex::compact`] drains the delta into the slabs (an `O(n)`
-//! two-way merge per ordering). Inserts trigger it automatically once the
-//! delta reaches [`TripleIndex::DEFAULT_DELTA_THRESHOLD`] entries, so bulk
-//! loads stay `O(n · n/threshold)` instead of `O(n²)`;
-//! [`crate::Dataset::insert_graph`] compacts every builder it takes, so
-//! query-time scans on dataset graphs normally see an empty delta and
-//! degenerate to pure slab slices. Compaction never changes observable
-//! contents or scan order — `match_pattern`, `for_each_match`, `iter_ids`,
-//! `len`, and `stats` return identical results before and after
-//! (property-tested in `tests/proptest_model.rs`).
+//! The delta is only where appends wait for the next merge.
+//! [`TripleIndex::compact`] drains it into the slabs (an `O(n)` two-way
+//! merge per ordering), and an insert triggers that automatically once the
+//! delta reaches [`TripleIndex::DELTA_THRESHOLD`] entries, so bulk loads
+//! stay `O(n · n/threshold)` instead of `O(n²)`.
+//! [`crate::Dataset::insert_graph`] compacts every builder it takes, so a
+//! dataset graph's delta holds exactly the triples appended since its last
+//! merge — fewer than the threshold. Compaction never
+//! changes observable contents or scan order — `match_pattern`,
+//! `for_each_match`, `iter_ids`, `len`, and `stats` return identical
+//! results before and after (property-tested in `tests/proptest_model.rs`).
 //!
 //! The index also derives per-predicate statistics used by the SPARQL
 //! optimizer for join reordering.
@@ -122,7 +123,7 @@ fn key_successor((a, b, c): Key) -> Option<Key> {
 }
 
 /// Per-predicate statistics for cardinality estimation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PredicateStats {
     /// Total triples with this predicate.
     pub count: usize,
@@ -133,7 +134,7 @@ pub struct PredicateStats {
 }
 
 /// Snapshot of graph-level statistics (exposed to the query optimizer).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphStats {
     /// Total triple count.
     pub triples: usize,
@@ -368,41 +369,16 @@ impl Iterator for MergeIter<'_> {
 /// The id-only triple store: three slab + delta orderings over [`TermId`]s
 /// from a dictionary it does not own. See the module docs for the storage
 /// design and the compaction contract.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TripleIndex {
     spo: Index,
     pos: Index,
     osp: Index,
-    delta_threshold: usize,
-    /// Times a non-empty delta has merged into the slabs. Consumers caching
-    /// derived data (e.g. [`crate::Dataset`]'s optimizer statistics) compare
-    /// generations to decide when a refresh is due — the delta stays small
-    /// by construction, so "stale until the next merge" bounds the error.
-    compactions: u64,
-}
-
-impl Default for TripleIndex {
-    fn default() -> Self {
-        Self::with_delta_threshold(Self::DEFAULT_DELTA_THRESHOLD)
-    }
 }
 
 impl TripleIndex {
     /// Delta size at which an insert triggers automatic compaction.
-    pub const DEFAULT_DELTA_THRESHOLD: usize = 8192;
-
-    /// Empty index with a custom auto-compaction threshold (tests use small
-    /// thresholds to exercise slab/delta interleavings; `usize::MAX`
-    /// disables auto-compaction entirely).
-    pub fn with_delta_threshold(threshold: usize) -> Self {
-        TripleIndex {
-            spo: Index::default(),
-            pos: Index::default(),
-            osp: Index::default(),
-            delta_threshold: threshold.max(1),
-            compactions: 0,
-        }
-    }
+    pub const DELTA_THRESHOLD: usize = 8192;
 
     /// Number of triples.
     pub fn len(&self) -> usize {
@@ -418,12 +394,6 @@ impl TripleIndex {
     /// [`TripleIndex::compact`]).
     pub fn delta_len(&self) -> usize {
         self.spo.delta.len()
-    }
-
-    /// The configured auto-compaction threshold ([`usize::MAX`] when
-    /// auto-compaction is disabled).
-    pub fn delta_threshold(&self) -> usize {
-        self.delta_threshold
     }
 
     /// Read-only view of the frozen SPO slab — the exact sorted array the
@@ -449,18 +419,16 @@ impl TripleIndex {
     }
 
     /// Reassemble an index from persisted parts without triggering any
-    /// compaction: the three slabs are installed as-is, the SPO-order delta
-    /// is replicated into POS/OSP order by permutation, and the compaction
-    /// generation is restored verbatim. The caller (the snapshot decoder)
-    /// is responsible for slab sortedness and slab/delta disjointness —
-    /// both are verified during decode before this runs.
+    /// compaction: the three slabs are installed as-is and the SPO-order
+    /// delta is replicated into POS/OSP order by permutation. The caller
+    /// (the snapshot decoder) is responsible for slab sortedness and
+    /// slab/delta disjointness — both are verified during decode before
+    /// this runs.
     pub(crate) fn from_parts(
         spo_slab: Vec<Key>,
         pos_slab: Vec<Key>,
         osp_slab: Vec<Key>,
         spo_delta: Vec<Key>,
-        delta_threshold: usize,
-        compactions: u64,
     ) -> TripleIndex {
         let pos_delta: BTreeSet<Key> = spo_delta.iter().map(|&(s, p, o)| (p, o, s)).collect();
         let osp_delta: BTreeSet<Key> = spo_delta.iter().map(|&(s, p, o)| (o, s, p)).collect();
@@ -477,27 +445,19 @@ impl TripleIndex {
                 slab: osp_slab,
                 delta: osp_delta,
             },
-            delta_threshold: delta_threshold.max(1),
-            compactions,
         }
     }
 
-    /// Move the index into another id space: every id `i` becomes
-    /// `map[i.index()]`, the slabs are re-sorted in place and the deltas
-    /// rebuilt, so the slab/delta split, the threshold and the compaction
-    /// generation carry over. `map` must be injective and cover every id
-    /// the index holds.
+    /// Move a compacted index into another id space: every id `i` becomes
+    /// `map[i.index()]` and the slabs are re-sorted in place. `map` must be
+    /// injective and cover every id the index holds.
     pub(crate) fn rekey(&mut self, map: &[TermId]) {
+        debug_assert_eq!(self.delta_len(), 0, "rekey runs on a compacted index");
         for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
-            let to = |(a, b, c): Key| (map[a.index()], map[b.index()], map[c.index()]);
-            for key in &mut index.slab {
-                *key = to(*key);
+            for (a, b, c) in &mut index.slab {
+                (*a, *b, *c) = (map[a.index()], map[b.index()], map[c.index()]);
             }
             index.slab.sort_unstable();
-            index.delta = std::mem::take(&mut index.delta)
-                .into_iter()
-                .map(to)
-                .collect();
         }
     }
 
@@ -509,7 +469,7 @@ impl TripleIndex {
         self.spo.delta.insert((s, p, o));
         self.pos.delta.insert((p, o, s));
         self.osp.delta.insert((o, s, p));
-        if self.spo.delta.len() >= self.delta_threshold {
+        if self.spo.delta.len() >= Self::DELTA_THRESHOLD {
             self.compact();
         }
         true
@@ -522,18 +482,9 @@ impl TripleIndex {
             // The three deltas mirror each other; nothing to merge.
             return;
         }
-        self.compactions += 1;
         self.spo.compact();
         self.pos.compact();
         self.osp.compact();
-    }
-
-    /// How many times a non-empty delta has merged into the slabs (both
-    /// explicit [`TripleIndex::compact`] calls and threshold-triggered automatic
-    /// merges). Monotone; equal generations mean the slab contents are
-    /// unchanged since the generation was observed.
-    pub fn compaction_generation(&self) -> u64 {
-        self.compactions
     }
 
     /// Index, bounds, and match→(s,p,o) projection for a pattern shape.
@@ -767,15 +718,6 @@ impl Graph {
     /// Empty graph.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty graph with a custom auto-compaction threshold (see
-    /// [`TripleIndex::with_delta_threshold`]).
-    pub fn with_delta_threshold(threshold: usize) -> Self {
-        Graph {
-            interner: Interner::new(),
-            index: TripleIndex::with_delta_threshold(threshold),
-        }
     }
 
     /// Split into dictionary and index (the dataset re-keys the index and
@@ -1043,13 +985,18 @@ mod tests {
 
     #[test]
     fn auto_compaction_at_threshold() {
-        let mut g = Graph::with_delta_threshold(4);
-        for i in 0..10 {
+        let n = TripleIndex::DELTA_THRESHOLD + 10;
+        let mut g = Graph::new();
+        for i in 0..n {
             g.insert(&t(&format!("http://x/s{i}"), "http://x/p", "http://x/o"));
+            if i + 1 == TripleIndex::DELTA_THRESHOLD {
+                assert_eq!(g.delta_len(), 0, "the insert reaching the threshold merges");
+            }
         }
-        assert_eq!(g.len(), 10);
-        assert!(g.delta_len() < 4, "delta must stay below the threshold");
-        assert_eq!(g.count_pattern(None, None, None), 10);
+        assert_eq!(g.len(), n);
+        assert_eq!(g.delta_len(), 10, "only the inserts since the merge wait");
+        assert_eq!(g.spo_slab().len(), TripleIndex::DELTA_THRESHOLD);
+        assert_eq!(g.count_pattern(None, None, None), n);
     }
 
     #[test]

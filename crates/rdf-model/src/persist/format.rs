@@ -3,17 +3,15 @@
 //! # Layout
 //!
 //! ```text
-//! snapshot := magic "RDFSNAP2"            (8 bytes)
+//! snapshot := magic "RDFSNAP3"            (8 bytes)
 //!             body_crc                    (u32 LE, CRC-32/IEEE of body)
 //!             body
-//! body     := uvarint version (= 2)
+//! body     := uvarint version (= 3)
 //!             uvarint stats_generation
 //!             section<terms>              (the one interner, id order)
 //!             uvarint graph_count
 //!             graph*                      (sorted by URI)
 //! graph    := string uri
-//!             uvarint delta_threshold
-//!             uvarint compaction_generation
 //!             index                       (SPO slab)
 //!             index                       (POS slab)
 //!             index                       (OSP slab)
@@ -26,9 +24,11 @@
 //! ```
 //!
 //! Every id in a graph — slab, block header or delta — is an index into the
-//! body's one term table; a graph carries no dictionary of its own (revision
-//! 1 stored one per graph, and its files are refused by magic as
-//! [`StorageError::UnsupportedVersion`]`(1)`).
+//! body's one term table; a graph carries no dictionary of its own, and no
+//! storage settings: the delta is only where appends wait for the next
+//! merge, so the delta section holds the triples appended since the graph's
+//! last merge. Every other revision is refused by magic: `RDFSNAP<n>` for
+//! `n ≠ 3` is [`StorageError::UnsupportedVersion`]`(n)`.
 //!
 //! Block headers are a flat array of fixed-size records sorted by their
 //! `min` triple — exactly the shape a pager needs to `partition_point` to
@@ -63,11 +63,9 @@ use crate::term::{Literal, Term};
 use super::StorageError;
 
 /// File magic: 8 bytes, format name + major layout revision.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RDFSNAP2";
-/// Magic of the retired revision 1 (a term table per graph).
-const SNAPSHOT_MAGIC_V1: &[u8; 8] = b"RDFSNAP1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RDFSNAP3";
 /// Body version written by this encoder.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 /// Triples per index block.
 const BLOCK_TRIPLES: usize = 1024;
 /// Bytes per index block header (6 × u32 LE).
@@ -131,6 +129,24 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// The error for a file whose magic is not the one this build writes:
+/// another revision of the same format — `name` followed by decimal digits,
+/// as in `RDFSNAP2` or `RDFWAL01` — is [`StorageError::UnsupportedVersion`]
+/// of that number; anything else is corruption.
+pub(crate) fn wrong_magic(magic: &[u8], name: &str, section: &'static str) -> StorageError {
+    let revision = magic
+        .strip_prefix(name.as_bytes())
+        .filter(|digits| digits.iter().all(u8::is_ascii_digit))
+        .and_then(|digits| std::str::from_utf8(digits).ok()?.parse().ok());
+    match revision {
+        Some(n) => StorageError::UnsupportedVersion(n),
+        None => StorageError::Corrupt {
+            section,
+            detail: "bad magic".into(),
+        },
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -536,8 +552,6 @@ fn decode_index(
 
 fn encode_graph(out: &mut Vec<u8>, uri: &str, graph: &TripleIndex) {
     put_str(out, uri);
-    put_uvarint(out, graph.delta_threshold() as u64);
-    put_uvarint(out, graph.compaction_generation());
     encode_index(out, graph.spo_slab());
     encode_index(out, graph.pos_slab());
     encode_index(out, graph.osp_slab());
@@ -550,8 +564,6 @@ fn encode_graph(out: &mut Vec<u8>, uri: &str, graph: &TripleIndex) {
 
 fn decode_graph(r: &mut Reader<'_>, max_id: u64) -> Result<(String, TripleIndex), StorageError> {
     let uri = r.str()?.to_string();
-    let delta_threshold = r.uvarint()? as usize;
-    let compactions = r.uvarint()?;
     let spo = decode_index(r, "spo index", max_id)?;
     let pos = decode_index(r, "pos index", max_id)?;
     let osp = decode_index(r, "osp index", max_id)?;
@@ -583,10 +595,7 @@ fn decode_graph(r: &mut Reader<'_>, max_id: u64) -> Result<(String, TripleIndex)
             detail: "delta overlaps slab".into(),
         });
     }
-    Ok((
-        uri,
-        TripleIndex::from_parts(spo, pos, osp, delta, delta_threshold, compactions),
-    ))
+    Ok((uri, TripleIndex::from_parts(spo, pos, osp, delta)))
 }
 
 /// Serialize a dataset into snapshot bytes (deterministic: same logical
@@ -615,14 +624,8 @@ pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
 pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, StorageError> {
     let mut r = Reader::new(bytes, "snapshot header");
     let magic = r.take(SNAPSHOT_MAGIC.len())?;
-    if magic == SNAPSHOT_MAGIC_V1 {
-        return Err(StorageError::UnsupportedVersion(1));
-    }
     if magic != SNAPSHOT_MAGIC {
-        return Err(StorageError::Corrupt {
-            section: "snapshot header",
-            detail: "bad magic".into(),
-        });
+        return Err(wrong_magic(magic, "RDFSNAP", "snapshot header"));
     }
     let body_crc = r.u32_le()?;
     let body = r.take(r.remaining())?;
@@ -657,7 +660,8 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, StorageError> {
             });
         }
         // Installed as stored: the slabs already hold this interner's ids,
-        // and the slab/delta split survives bit-for-bit (no compaction).
+        // and the appends still waiting in the delta stay there (no
+        // compaction), so the split survives bit-for-bit.
         dataset.install(uri, graph);
     }
     if !r.is_empty() {
@@ -726,8 +730,10 @@ mod tests {
         }
     }
 
+    /// Graph `a` is mostly slab with one appended triple in its delta;
+    /// graph `b` was installed empty, so its one triple is delta-resident.
     fn sample_dataset() -> Dataset {
-        let mut g = Graph::with_delta_threshold(4);
+        let mut g = Graph::new();
         for i in 0..10 {
             g.insert(&Triple::new(
                 Term::iri(format!("http://x/s{i}")),
@@ -735,15 +741,18 @@ mod tests {
                 Term::integer(i),
             ));
         }
-        let mut delta_resident = Graph::with_delta_threshold(100);
-        delta_resident.insert(&Triple::new(
-            Term::iri("http://x/s1"),
-            Term::iri("http://x/q"),
-            Term::string("in the delta"),
-        ));
         let mut ds = Dataset::new();
         ds.insert_graph("http://a", g);
-        ds.insert_graph_uncompacted("http://b", delta_resident);
+        ds.insert_graph("http://b", Graph::new());
+        ds.append_triples(
+            "http://b",
+            vec![Triple::new(
+                Term::iri("http://x/s1"),
+                Term::iri("http://x/q"),
+                Term::string("in the delta"),
+            )],
+        )
+        .unwrap();
         ds.append_triples(
             "http://a",
             vec![Triple::new(
@@ -753,6 +762,8 @@ mod tests {
             )],
         )
         .unwrap();
+        assert_eq!(ds.graph("http://a").unwrap().delta_len(), 1);
+        assert_eq!(ds.graph("http://b").unwrap().delta_len(), 1);
         ds
     }
 
@@ -776,8 +787,6 @@ mod tests {
                 a.delta_ids().collect::<Vec<_>>(),
                 b.delta_ids().collect::<Vec<_>>()
             );
-            assert_eq!(a.delta_threshold(), b.delta_threshold());
-            assert_eq!(a.compaction_generation(), b.compaction_generation());
         }
         assert!(ds.interner().iter().eq(back.interner().iter()));
         // Snapshot of the snapshot: byte-identical.
@@ -786,16 +795,36 @@ mod tests {
 
     #[test]
     fn a_revision_1_file_is_refused_by_magic() {
-        // Whatever follows the old magic — nothing, garbage, or a
-        // well-formed revision-2 body — the answer is the typed error.
+        // Whatever follows an old magic — nothing, garbage, or a
+        // well-formed current body — the answer is the typed error naming
+        // the revision: 1 (a dictionary per graph) and 2 (a merge threshold
+        // and counter per graph) alike.
         let good = encode_dataset(&sample_dataset());
-        let mut relabelled = good.clone();
-        relabelled[..8].copy_from_slice(b"RDFSNAP1");
-        for bytes in [&b"RDFSNAP1"[..], b"RDFSNAP1\xff\xff\xff", &relabelled] {
-            assert_eq!(
-                decode_dataset(bytes).err(),
-                Some(StorageError::UnsupportedVersion(1))
-            );
+        for (magic, revision) in [(b"RDFSNAP1", 1), (b"RDFSNAP2", 2)] {
+            let mut relabelled = good.clone();
+            relabelled[..8].copy_from_slice(magic);
+            let mut garbage = magic.to_vec();
+            garbage.extend_from_slice(b"\xff\xff\xff");
+            for bytes in [&magic[..], &garbage, &relabelled] {
+                assert_eq!(
+                    decode_dataset(bytes).err(),
+                    Some(StorageError::UnsupportedVersion(revision))
+                );
+            }
+        }
+        // The WAL refuses its old revision the same way.
+        let mut old_wal = b"RDFWAL01".to_vec();
+        old_wal.extend_from_slice(&good[8..]);
+        assert_eq!(
+            super::super::wal::scan(&old_wal).err(),
+            Some(StorageError::UnsupportedVersion(1))
+        );
+        // Not this format's magic at all is corruption, not a revision.
+        for bytes in [&b"RDFSNAPX"[..], b"RDFSNAP-", b"GARBAGE3"] {
+            assert!(matches!(
+                decode_dataset(bytes),
+                Err(StorageError::Corrupt { .. })
+            ));
         }
     }
 

@@ -48,8 +48,9 @@ pub enum StorageError {
         /// What was wrong with it.
         detail: String,
     },
-    /// The snapshot was written by a format revision this build does not
-    /// read.
+    /// The snapshot or write-ahead log was written by a format revision
+    /// this build does not read (the number is the revision its magic
+    /// names).
     UnsupportedVersion(u64),
     /// A mutation targeted a graph the dataset does not contain.
     UnknownGraph(String),
@@ -68,7 +69,7 @@ impl std::fmt::Display for StorageError {
                 write!(f, "corrupt {section}: {detail}")
             }
             StorageError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v}")
+                write!(f, "unsupported storage format revision {v}")
             }
             StorageError::UnknownGraph(uri) => write!(f, "unknown graph: {uri}"),
             StorageError::Poisoned => {

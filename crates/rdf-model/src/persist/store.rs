@@ -34,11 +34,12 @@
 //! # Canonical mutation order
 //!
 //! [`Store::insert_graph`] does *not* install the caller's graph object;
-//! it logs the graph's triples in canonical (`iter_triples`, SPO) order
-//! plus its delta threshold, then applies *the record* — rebuilding the
-//! graph by inserting in logged order. Live state is therefore always
-//! byte-identical to replayed state (same interning order, same
-//! slab/delta split, same auto-compaction points), which is what lets the
+//! it logs the graph's triples in canonical (`iter_triples`, SPO) order,
+//! then applies *the record* — rebuilding the graph by inserting in logged
+//! order and installing it through [`Dataset::insert_graph`], which
+//! compacts. Live state is therefore always byte-identical to replayed
+//! state (same interning order, an empty delta after every install, the
+//! same appends waiting in it after every append), which is what lets the
 //! recovery tests demand exact equality — down to scan-cost counters —
 //! rather than mere set-equality.
 
@@ -190,20 +191,12 @@ impl Store {
                 }
                 dataset.set_stats_generation(gen);
             }
-            WalRecord::InsertGraph {
-                gen,
-                uri,
-                delta_threshold,
-                triples,
-            } => {
-                let mut graph = Graph::with_delta_threshold(delta_threshold as usize);
+            WalRecord::InsertGraph { gen, uri, triples } => {
+                let mut graph = Graph::new();
                 for t in &triples {
                     graph.insert(t);
                 }
-                // No final compact: the slab/delta split is a deterministic
-                // function of (triples, order, threshold), identical on
-                // every application of this record.
-                dataset.insert_graph_uncompacted(uri, graph);
+                dataset.insert_graph(uri, graph);
                 dataset.set_stats_generation(gen);
             }
         }
@@ -238,13 +231,12 @@ impl Store {
     }
 
     /// Durably insert (or replace) a named graph. The graph's triples are
-    /// logged in canonical SPO order together with its delta threshold;
-    /// the installed graph is rebuilt from the log record.
+    /// logged in canonical SPO order; the installed graph is rebuilt from
+    /// the log record and compacted.
     pub fn insert_graph(&mut self, uri: &str, graph: &Graph) -> Result<(), StorageError> {
         let rec = WalRecord::InsertGraph {
             gen: self.dataset.stats_generation() + 1,
             uri: uri.to_string(),
-            delta_threshold: graph.delta_threshold() as u64,
             triples: graph.iter_triples().collect(),
         };
         self.commit(rec)
@@ -330,6 +322,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::TripleIndex;
     use crate::persist::vfs::{FaultPlan, MemVfs};
     use crate::term::Term;
 
@@ -389,11 +382,12 @@ mod tests {
     fn live_state_equals_replayed_state_exactly() {
         let vfs = Arc::new(MemVfs::new());
         let mut store = Store::open(vfs.clone()).unwrap();
-        // Low threshold so auto-compaction fires mid-rebuild.
+        // A builder left half in its delta: the install compacts it.
         store
             .insert_graph("http://g", &{
-                let mut g = Graph::with_delta_threshold(4);
-                for i in 0..20 {
+                let mut g = small_graph(10);
+                g.compact();
+                for i in 10..20 {
                     g.insert(&triple(i));
                 }
                 g
@@ -402,15 +396,32 @@ mod tests {
         store
             .append_triples("http://g", (20..30).map(triple).collect())
             .unwrap();
+        let a = store.dataset().graph("http://g").unwrap();
+        assert_eq!(a.spo_slab().len(), 20, "the installed graph is all slab");
+        assert_eq!(a.delta_len(), 10, "the append waits in the delta");
+        // A second batch straddles the merge threshold: the delta merges
+        // mid-append and the batch's last 10 triples wait in the new one.
+        // Replay must merge at the same triple.
+        let end = 30 + TripleIndex::DELTA_THRESHOLD as i64;
+        store
+            .append_triples("http://g", (30..end).map(triple).collect())
+            .unwrap();
         let store2 = Store::open(Arc::new(MemVfs::reopen_from(&vfs))).unwrap();
         let a = store.dataset().graph("http://g").unwrap();
         let b = store2.dataset().graph("http://g").unwrap();
+        assert_eq!(a.spo_slab().len(), 20 + TripleIndex::DELTA_THRESHOLD);
+        assert_eq!(a.delta_len(), 10, "the merge happened mid-batch");
         assert_eq!(a.spo_slab(), b.spo_slab());
+        assert_eq!(a.pos_slab(), b.pos_slab());
+        assert_eq!(a.osp_slab(), b.osp_slab());
         assert_eq!(
             a.delta_ids().collect::<Vec<_>>(),
             b.delta_ids().collect::<Vec<_>>()
         );
-        assert_eq!(a.compaction_generation(), b.compaction_generation());
+        assert_eq!(
+            store.dataset().graph_stats("http://g"),
+            store2.dataset().graph_stats("http://g")
+        );
         let (ia, ib) = (store.dataset().interner(), store2.dataset().interner());
         assert!(ia.iter().eq(ib.iter()), "same terms under the same ids");
     }

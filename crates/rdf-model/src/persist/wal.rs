@@ -3,7 +3,7 @@
 //! # Framing
 //!
 //! ```text
-//! wal    := magic "RDFWAL01"          (8 bytes)
+//! wal    := magic "RDFWAL02"          (8 bytes)
 //!           frame*
 //! frame  := payload_len (u32 LE)
 //!           payload_crc (u32 LE, CRC-32/IEEE)
@@ -13,7 +13,11 @@
 //! Each frame holds one [`WalRecord`] — a mutation batch stamped with the
 //! `stats_generation` the dataset reaches once the batch applies. Records
 //! are written *before* the in-memory mutation (write-ahead), so a frame's
-//! presence proves intent; its CRC proves completeness.
+//! presence proves intent; its CRC proves completeness. A record carries
+//! triples only: an `InsertGraph` replays through
+//! [`crate::Dataset::insert_graph`], which compacts, exactly as the live
+//! commit did. A log of another revision (`RDFWAL<n>`, `n ≠ 2`) is refused
+//! as [`StorageError::UnsupportedVersion`]`(n)`.
 //!
 //! # Torn tails and prefix consistency
 //!
@@ -24,16 +28,16 @@
 //! the tear itself is discarded. A torn *file header* (fewer than 8 bytes)
 //! means the store crashed while creating the log before any record could
 //! exist, so it recovers as empty. A full-length header that isn't the
-//! magic is not a tear — it's corruption, and surfaces as a typed error
-//! rather than silent data loss.
+//! magic is not a tear — it's another revision or corruption, and surfaces
+//! as a typed error rather than silent data loss.
 
 use crate::term::Triple;
 
-use super::format::{put_term, put_uvarint, read_term, Reader};
+use super::format::{put_term, put_uvarint, read_term, wrong_magic, Reader};
 use super::StorageError;
 
 /// File magic for the write-ahead log.
-pub const WAL_MAGIC: &[u8; 8] = b"RDFWAL01";
+pub const WAL_MAGIC: &[u8; 8] = b"RDFWAL02";
 
 const REC_APPEND: u8 = 0;
 const REC_INSERT_GRAPH: u8 = 1;
@@ -58,8 +62,6 @@ pub enum WalRecord {
         gen: u64,
         /// Graph URI.
         uri: String,
-        /// Delta threshold the rebuilt graph must use.
-        delta_threshold: u64,
         /// The graph's triples in `iter_triples` (SPO) order.
         triples: Vec<Triple>,
     },
@@ -77,20 +79,12 @@ impl WalRecord {
         let mut out = Vec::new();
         let (tag, gen, uri, triples) = match self {
             WalRecord::AppendTriples { gen, uri, triples } => (REC_APPEND, *gen, uri, triples),
-            WalRecord::InsertGraph {
-                gen, uri, triples, ..
-            } => (REC_INSERT_GRAPH, *gen, uri, triples),
+            WalRecord::InsertGraph { gen, uri, triples } => (REC_INSERT_GRAPH, *gen, uri, triples),
         };
         out.push(tag);
         put_uvarint(&mut out, gen);
         put_uvarint(&mut out, uri.len() as u64);
         out.extend_from_slice(uri.as_bytes());
-        if let WalRecord::InsertGraph {
-            delta_threshold, ..
-        } = self
-        {
-            put_uvarint(&mut out, *delta_threshold);
-        }
         put_uvarint(&mut out, triples.len() as u64);
         for t in triples {
             put_term(&mut out, &t.subject);
@@ -121,11 +115,6 @@ impl WalRecord {
                 detail: "invalid UTF-8 in graph URI".into(),
             })?
             .to_string();
-        let delta_threshold = if tag == REC_INSERT_GRAPH {
-            r.uvarint()?
-        } else {
-            0
-        };
         let count = r.uvarint()? as usize;
         if count > r.remaining() / 3 + 1 {
             return Err(StorageError::Corrupt {
@@ -152,12 +141,7 @@ impl WalRecord {
         }
         match tag {
             REC_APPEND => Ok(WalRecord::AppendTriples { gen, uri, triples }),
-            REC_INSERT_GRAPH => Ok(WalRecord::InsertGraph {
-                gen,
-                uri,
-                delta_threshold,
-                triples,
-            }),
+            REC_INSERT_GRAPH => Ok(WalRecord::InsertGraph { gen, uri, triples }),
             other => Err(StorageError::Corrupt {
                 section: "wal record",
                 detail: format!("unknown record tag {other}"),
@@ -183,7 +167,8 @@ pub struct WalScan {
 ///
 /// Torn tails (incomplete final frame) are expected after a crash and are
 /// reported, not errored. A present-but-wrong magic *is* an error: the
-/// file exists and is whole enough to judge, and it is not our log.
+/// file exists and is whole enough to judge, and it is not a log this
+/// build reads (another revision, or not a log at all).
 pub fn scan(bytes: &[u8]) -> Result<WalScan, StorageError> {
     if bytes.len() < WAL_MAGIC.len() {
         // Torn during initial header write: no frame can exist yet.
@@ -193,11 +178,9 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, StorageError> {
             torn_bytes: bytes.len() as u64,
         });
     }
-    if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(StorageError::Corrupt {
-            section: "wal header",
-            detail: "bad magic".into(),
-        });
+    let magic = &bytes[..WAL_MAGIC.len()];
+    if magic != WAL_MAGIC {
+        return Err(wrong_magic(magic, "RDFWAL", "wal header"));
     }
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
@@ -265,7 +248,6 @@ mod tests {
             WalRecord::InsertGraph {
                 gen: 2,
                 uri: "http://h".into(),
-                delta_threshold: 8192,
                 triples: vec![Triple::new(
                     Term::iri("http://x/a"),
                     Term::iri("http://x/b"),

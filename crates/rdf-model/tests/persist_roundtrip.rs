@@ -63,12 +63,6 @@ fn assert_datasets_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
         if ga.delta_ids().collect::<Vec<_>>() != gb.delta_ids().collect::<Vec<_>>() {
             return Err(format!("{uri}: deltas differ"));
         }
-        if ga.delta_threshold() != gb.delta_threshold() {
-            return Err(format!("{uri}: thresholds differ"));
-        }
-        if ga.compaction_generation() != gb.compaction_generation() {
-            return Err(format!("{uri}: compaction generations differ"));
-        }
     }
     // One dictionary, compared term by term under its ids.
     if !a.interner().iter().eq(b.interner().iter()) {
@@ -87,29 +81,30 @@ proptest! {
     fn snapshot_roundtrip_preserves_everything(
         base in vec((0u32..40, 0u32..6, 0u32..60, 0u8..6), 0..120),
         appends in vec((0u32..40, 0u32..6, 0u32..60, 0u8..6), 0..40),
-        threshold in 1usize..32,
+        split in 0usize..48,
         graph_count in 1usize..4,
-        uncompacted in proptest::prelude::any::<bool>(),
     ) {
         let mut ds = Dataset::new();
         for g in 0..graph_count {
             let uri = format!("http://graphs/{g}");
-            let mut graph = Graph::with_delta_threshold(threshold);
-            for (i, &(s, p, o, kind)) in base.iter().enumerate() {
-                if i % graph_count == g {
-                    graph.insert(&triple(s, p, o, kind));
-                }
-            }
+            let mine: Vec<Triple> = base
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i % graph_count == g)
+                .map(|(_, &(s, p, o, kind))| triple(s, p, o, kind))
+                .collect();
             // The graphs share subjects and predicates, so every one after
-            // the first is re-keyed out of its builder's id order.
-            // insert_graph compacts (pure slab; the last graph still gets a
-            // delta via the appends below); the uncompacted entry point
-            // carries whatever split the threshold left.
-            if uncompacted {
-                ds.insert_graph_uncompacted(uri, graph);
-            } else {
-                ds.insert_graph(uri, graph);
+            // the first is re-keyed out of its builder's id order. The
+            // install compacts; the graph's triples past `split` are
+            // appended after it and wait in the delta, so a graph is all
+            // slab, mixed, or (split 0) wholly delta-resident.
+            let (slab, delta) = mine.split_at(split.min(mine.len()));
+            let mut graph = Graph::new();
+            for t in slab {
+                graph.insert(t);
             }
+            ds.insert_graph(uri.clone(), graph);
+            ds.append_triples(&uri, delta.to_vec());
         }
         // Always keep one graph empty to exercise the empty-slab path.
         ds.insert_graph("http://graphs/empty", Graph::new());
@@ -150,18 +145,30 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 fn a_revision_1_snapshot_is_a_typed_error_at_open() {
     use rdf_model::persist::{MemVfs, StorageError, Store, Vfs, SNAPSHOT_FILE};
     use std::sync::Arc;
-    // Revision 1 kept a term table per graph; nothing reads it any more.
-    // Opening a store over such a file must refuse by magic — whatever the
-    // bytes after it — and never panic or come up empty.
-    for tail in [&b""[..], b"\x00\x00\x00\x00\x01\x00", &[0xff; 64]] {
-        let vfs = Arc::new(MemVfs::new());
-        let mut file = b"RDFSNAP1".to_vec();
-        file.extend_from_slice(tail);
-        vfs.write(SNAPSHOT_FILE, &file).unwrap();
-        assert_eq!(
-            Store::open(vfs).err(),
-            Some(StorageError::UnsupportedVersion(1))
-        );
+    // Revision 1 kept a term table per graph, snapshot revision 2 and WAL
+    // revision 1 a merge threshold (and the snapshot a merge counter) per
+    // graph; nothing reads them any more. Opening a store over such a file
+    // must refuse by magic — whatever the bytes after it — and never panic
+    // or come up empty.
+    use rdf_model::persist::WAL_FILE;
+    let old = [
+        (SNAPSHOT_FILE, b"RDFSNAP1", 1),
+        (SNAPSHOT_FILE, b"RDFSNAP2", 2),
+        (WAL_FILE, b"RDFWAL01", 1),
+    ];
+    for (file_name, magic, revision) in old {
+        for tail in [&b""[..], b"\x00\x00\x00\x00\x01\x00", &[0xff; 64]] {
+            let vfs = Arc::new(MemVfs::new());
+            let mut file = magic.to_vec();
+            file.extend_from_slice(tail);
+            vfs.write(file_name, &file).unwrap();
+            assert_eq!(
+                Store::open(vfs).err(),
+                Some(StorageError::UnsupportedVersion(revision)),
+                "{file_name} under {}",
+                String::from_utf8_lossy(magic)
+            );
+        }
     }
 }
 
@@ -192,7 +199,7 @@ fn reopen_after_clean_close_is_byte_stable() {
     let dir = scratch_dir("stable");
     {
         let mut store = Dataset::open(&dir).unwrap();
-        let mut g = Graph::with_delta_threshold(4);
+        let mut g = Graph::new();
         for i in 0..25 {
             g.insert(&triple(i, i % 3, i * 7, (i % 6) as u8));
         }

@@ -117,7 +117,8 @@ proptest! {
     #[test]
     fn seeking_scans_match_fresh_scans_and_the_model(
         triples in proptest::collection::vec(dense_triple_strategy(), 0..48),
-        threshold in prop_oneof![Just(1usize), Just(4usize), Just(usize::MAX)],
+        // Merge whenever the delta holds one triple, four, or never.
+        merge_at in prop_oneof![Just(1usize), Just(4usize), Just(usize::MAX)],
         compact_after in 0usize..64,
         compact_end in any::<bool>(),
         runs in proptest::collection::vec(probe_run_strategy(), 1..12),
@@ -130,7 +131,7 @@ proptest! {
         // to one uninterrupted `for_each_match`, and that pass must equal
         // the model's matches sorted in the shape's scan order.
         use rdf_model::{SeekHint, TermId, TripleIndex};
-        let mut g = Graph::with_delta_threshold(threshold);
+        let mut g = Graph::new();
         let mut model = Vec::new();
         for (i, t) in triples.iter().enumerate() {
             if g.insert(t) {
@@ -140,7 +141,7 @@ proptest! {
                     g.term_id(&t.object).unwrap(),
                 ));
             }
-            if i == compact_after {
+            if g.delta_len() >= merge_at || i == compact_after {
                 g.compact();
             }
         }
@@ -280,12 +281,12 @@ proptest! {
     #[test]
     fn interleaved_inserts_and_compactions_match_naive_model(
         ops in proptest::collection::vec(storage_op_strategy(), 1..60),
-        // Tiny auto-compaction threshold so slab merges happen mid-stream
-        // even without explicit Compact ops.
+        // A tiny merge threshold, applied by hand, so slab merges happen
+        // mid-stream even without explicit Compact ops.
         threshold in 2usize..6,
     ) {
         // Model: a plain Vec of id triples, deduplicated, sorted on demand.
-        let mut g = Graph::with_delta_threshold(threshold);
+        let mut g = Graph::new();
         let mut model: Vec<(rdf_model::TermId, rdf_model::TermId, rdf_model::TermId)> = Vec::new();
         for op in &ops {
             match op {
@@ -299,6 +300,9 @@ proptest! {
                     prop_assert_eq!(inserted, !model.contains(&ids));
                     if inserted {
                         model.push(ids);
+                    }
+                    if g.delta_len() >= threshold {
+                        g.compact();
                     }
                 }
                 StorageOp::Compact => g.compact(),
@@ -353,10 +357,10 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(triple_strategy(), 1..5), 0..6),
         targets in proptest::collection::vec(any::<bool>(), 6),
-        // Per graph: builder threshold (small ones leave part of the
-        // builder in its slabs) and whether the insert compacts.
-        thresholds in proptest::collection::vec(1usize..8, 2),
-        compacted in proptest::collection::vec(any::<bool>(), 2),
+        // Per graph: how many of its initial triples the installed builder
+        // holds; the rest are appended right after the install and wait in
+        // the delta (0: wholly delta-resident, ≥ 10: all slab).
+        splits in proptest::collection::vec(0usize..12, 2),
     ) {
         // Two graphs drawn from one small vocabulary, so they overlap: the
         // second builder's id order disagrees with the ids the dataset gave
@@ -440,20 +444,18 @@ proptest! {
             Ok(())
         };
         for (g, initial) in [&initial_a, &initial_b].into_iter().enumerate() {
-            let mut builder = Graph::with_delta_threshold(thresholds[g]);
-            for t in initial {
+            let (slab, delta) = initial.split_at(splits[g].min(initial.len()));
+            let mut builder = Graph::new();
+            for t in slab {
                 builder.insert(t);
             }
+            let installed = builder.len();
+            ds.insert_graph(uris[g], builder);
+            prop_assert_eq!(ds.graph(uris[g]).unwrap().delta_len(), 0);
+            let added = ds.append_triples(uris[g], delta.to_vec()).unwrap();
+            let inside = ds.graph(uris[g]).unwrap();
+            prop_assert_eq!((inside.len(), inside.delta_len()), (installed + added, added));
             model[g].extend(initial.iter().cloned());
-            if compacted[g] {
-                ds.insert_graph(uris[g], builder);
-                prop_assert_eq!(ds.graph(uris[g]).unwrap().delta_len(), 0);
-            } else {
-                let split = (builder.len(), builder.delta_len());
-                ds.insert_graph_uncompacted(uris[g], builder);
-                let inside = ds.graph(uris[g]).unwrap();
-                prop_assert_eq!((inside.len(), inside.delta_len()), split);
-            }
             if let Err(e) = check(&ds, &model) {
                 prop_assert!(false, "after inserting {}: {}", uris[g], e);
             }

@@ -155,7 +155,7 @@ mod tests {
         let g = KnowledgeGraph::new("http://dblp.l3s.de");
         let f = g.entities("swrc:InProceedings", "paper");
         assert_eq!(f.columns(), vec!["paper"]);
-        let sparql = f.to_sparql();
+        let sparql = f.to_sparql().unwrap();
         assert!(sparql.contains("rdf:type"), "{sparql}");
     }
 
@@ -176,7 +176,7 @@ mod tests {
     fn exploration_operators_generate_grouping() {
         let g = KnowledgeGraph::new("http://x");
         let classes = g.classes_and_frequencies();
-        let q = classes.to_sparql();
+        let q = classes.to_sparql().unwrap();
         assert!(q.contains("GROUP BY ?class"), "{q}");
         assert!(q.contains("COUNT"), "{q}");
         assert!(q.contains("ORDER BY"), "{q}");

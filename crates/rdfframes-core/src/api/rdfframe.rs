@@ -244,25 +244,16 @@ impl RDFFrame {
     // ---- query generation & execution ---------------------------------
 
     /// Generate the optimized SPARQL query for this frame (the paper's
-    /// Generator + Translator pipeline).
-    pub fn to_sparql(&self) -> String {
-        self.try_to_sparql().expect("query generation failed")
-    }
-
-    /// Fallible [`RDFFrame::to_sparql`].
-    pub fn try_to_sparql(&self) -> Result<String> {
+    /// Generator + Translator pipeline). A frame the generator cannot
+    /// translate is a typed error, never a panic.
+    pub fn to_sparql(&self) -> Result<String> {
         let model = generator::build_query_model(self)?;
         Ok(render::render(&model))
     }
 
     /// Generate the *naive* SPARQL query (one subquery per operator) — the
     /// "Naive Query Generation" baseline of Section 6.3.
-    pub fn to_naive_sparql(&self) -> String {
-        self.try_to_naive_sparql().expect("query generation failed")
-    }
-
-    /// Fallible [`RDFFrame::to_naive_sparql`].
-    pub fn try_to_naive_sparql(&self) -> Result<String> {
+    pub fn to_naive_sparql(&self) -> Result<String> {
         let model = crate::model::naive::build_naive_model(self)?;
         Ok(render::render(&model))
     }

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use dataframe::DataFrame;
 use rdf_model::Dataset;
-use sparql_engine::{Engine, EngineConfig, EngineError, PreparedQuery, QueryBudget, SolutionTable};
+use sparql_engine::{Engine, EngineConfig, EngineError, PreparedQuery, SolutionTable};
 
 use crate::error::{FrameError, Result};
 use crate::model::QueryModel;
@@ -59,15 +59,14 @@ pub struct EndpointConfig {
     /// Simulated per-request overhead (HTTP + serialization). Zero by
     /// default so unit tests are instant; benchmarks set a realistic value.
     pub request_overhead: Duration,
-    /// Enable the engine's query optimizer.
-    pub optimize: bool,
     /// Result-format round trip performed on every chunk (models the
     /// SPARQL-over-HTTP result encoding the paper's setup pays for).
     pub wire: WireFormat,
-    /// Server-side resource limits enforced during evaluation (Virtuoso's
-    /// query timeout / result cap family). Unlimited by default; violations
-    /// come back as [`FrameError::ResourceExhausted`].
-    pub budget: QueryBudget,
+    /// The server's engine: whether it optimizes, and the resource limits
+    /// enforced during evaluation (Virtuoso's query timeout / result cap
+    /// family; unlimited by default, violations come back as
+    /// [`FrameError::ResourceExhausted`]).
+    pub engine: EngineConfig,
 }
 
 /// Result serialization performed by the simulated endpoint. There is one
@@ -85,9 +84,8 @@ impl Default for EndpointConfig {
         EndpointConfig {
             max_rows_per_request: 100_000,
             request_overhead: Duration::ZERO,
-            optimize: true,
             wire: WireFormat::Xml,
-            budget: QueryBudget::unlimited(),
+            engine: EngineConfig::new(),
         }
     }
 }
@@ -267,15 +265,8 @@ impl InProcessEndpoint {
 
     /// Endpoint with explicit configuration.
     pub fn with_config(dataset: Arc<Dataset>, config: EndpointConfig) -> Self {
-        let engine = Engine::with_config(
-            dataset,
-            EngineConfig {
-                optimize: config.optimize,
-                budget: config.budget.clone(),
-            },
-        );
         InProcessEndpoint {
-            engine,
+            engine: Engine::with_config(dataset, config.engine.clone()),
             config,
             stats: Arc::new(EndpointStats::default()),
             plans: Arc::new(PlanCache::default()),
@@ -486,10 +477,8 @@ mod tests {
         let p_common = Term::iri("http://x/common");
         let p_rare = Term::iri("http://x/rare");
 
-        // Skewed small graph: <common> has 40 triples, <rare> has 2. A tiny
-        // delta threshold keeps the graph auto-merging inside the dataset,
-        // so appends refresh statistics without an explicit compact.
-        let mut g = Graph::with_delta_threshold(4);
+        // Skewed small graph: <common> has 40 triples, <rare> has 2.
+        let mut g = Graph::new();
         for i in 0..40 {
             g.insert(&T::new(
                 common(i),
@@ -501,7 +490,7 @@ mod tests {
             g.insert(&T::new(rare(i), p_rare.clone(), Term::integer(i as i64)));
         }
         let mut ds = Dataset::new();
-        ds.insert_graph_uncompacted("http://g", g);
+        ds.insert_graph("http://g", g);
         let mut ep = InProcessEndpoint::new(Arc::new(ds));
 
         let q = "SELECT ?s ?a ?b FROM <http://g> WHERE { \
@@ -513,7 +502,7 @@ mod tests {
         assert_eq!(first_predicate(&stale), p_rare);
 
         // Append enough <rare> triples (fresh subjects) to invert the
-        // selectivities; the threshold-triggered merges refresh stats.
+        // selectivities; they wait in the delta, and the stats count them.
         let appended: Vec<T> = (100..400)
             .map(|i| T::new(rare(i), p_rare.clone(), Term::integer(i as i64)))
             .collect();
@@ -524,6 +513,10 @@ mod tests {
             .append_triples("http://g", appended)
             .unwrap();
         assert_eq!(added, 300);
+        assert_eq!(
+            ep.engine().dataset().graph("http://g").unwrap().delta_len(),
+            300
+        );
 
         // The next chunk must NOT be served from the stale plan: the cache
         // detects the stats-generation change and re-optimizes.
@@ -559,7 +552,7 @@ mod tests {
 
         // 40 `usa` and 2 `fiji` countries, 20 genres: `?c IN (fiji)` keeps
         // 2 of 42 country rows, so the country pattern leads.
-        let mut g = Graph::with_delta_threshold(4);
+        let mut g = Graph::new();
         for i in 0..42 {
             let c = if i < 40 { &usa } else { &fiji };
             g.insert(&T::new(entity(i), p_country.clone(), c.clone()));
@@ -568,7 +561,7 @@ mod tests {
             g.insert(&T::new(entity(i), p_genre.clone(), Term::integer(i as i64)));
         }
         let mut ds = Dataset::new();
-        ds.insert_graph_uncompacted("http://g", g);
+        ds.insert_graph("http://g", g);
         let mut ep = InProcessEndpoint::new(Arc::new(ds));
 
         let q = "SELECT ?s ?c ?g FROM <http://g> WHERE { \

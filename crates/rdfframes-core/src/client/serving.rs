@@ -89,7 +89,7 @@ use std::time::{Duration, Instant};
 use dataframe::DataFrame;
 use rdf_model::persist::{RecoveryReport, Store, StoreStats, Vfs};
 use rdf_model::{Dataset, Graph, Triple};
-use sparql_engine::{EngineConfig, QueryBudget};
+use sparql_engine::QueryBudget;
 
 use crate::api::RDFFrame;
 use crate::client::{EmbeddedEndpoint, EndpointConfig, InProcessEndpoint};
@@ -125,8 +125,8 @@ pub struct ServingConfig {
     /// Longest an embedded-class query waits for a slot before it is shed.
     pub max_wait: Duration,
     /// Per-query execution deadline injected into the engine budget
-    /// (`None` = no deadline). Applies on top of any limits already in the
-    /// engine/endpoint configs' budgets; the wire path additionally
+    /// (`None` = no deadline). Applies on top of any limits already in
+    /// `endpoint_config.engine`'s budget; the wire path additionally
     /// enforces it cumulatively across pagination chunks, degrading to an
     /// intact prefix ([`crate::Completeness::Partial`]) when it expires
     /// between chunks.
@@ -136,9 +136,8 @@ pub struct ServingConfig {
     /// [`crate::Completeness::Partial`] (`None` = assemble everything).
     /// Bounds per-query work under overload without shedding the query.
     pub max_wire_result_rows: Option<u64>,
-    /// Engine configuration for the embedded endpoint of every epoch.
-    pub engine_config: EngineConfig,
-    /// Configuration for the wire endpoint of every epoch.
+    /// Configuration of every epoch's endpoints: the wire endpoint takes all
+    /// of it, the embedded endpoint its `engine`.
     pub endpoint_config: EndpointConfig,
     /// Checkpoint (snapshot + WAL reset) after a mutation leaves the WAL
     /// larger than this many bytes. `None` = only explicit checkpoints.
@@ -153,7 +152,6 @@ impl Default for ServingConfig {
             max_wait: Duration::from_millis(100),
             query_deadline: None,
             max_wire_result_rows: None,
-            engine_config: EngineConfig::new(),
             endpoint_config: EndpointConfig::default(),
             checkpoint_wal_bytes: Some(4 << 20),
         }
@@ -413,17 +411,18 @@ impl DurableSnapshotServer {
     }
 
     fn from_store(store: Store, config: ServingConfig) -> Self {
-        let mut engine_config = config.engine_config.clone();
         let mut endpoint_config = config.endpoint_config.clone();
         if let Some(deadline) = config.query_deadline {
-            engine_config.budget = with_deadline(engine_config.budget, deadline);
-            endpoint_config.budget = with_deadline(endpoint_config.budget, deadline);
+            endpoint_config.engine.budget = with_deadline(endpoint_config.engine.budget, deadline);
         }
         let dataset = store.shared_dataset();
         let first = EpochEndpoints {
             epoch: 0,
             generation: dataset.stats_generation(),
-            embedded: EmbeddedEndpoint::with_engine_config(Arc::clone(&dataset), engine_config),
+            embedded: EmbeddedEndpoint::with_engine_config(
+                Arc::clone(&dataset),
+                endpoint_config.engine.clone(),
+            ),
             wire: InProcessEndpoint::with_config(Arc::clone(&dataset), endpoint_config),
             dataset,
         };

@@ -258,7 +258,7 @@ impl Executor {
         frame: &RDFFrame,
         endpoint: &E,
     ) -> Result<DataFrame> {
-        let sparql = frame.try_to_naive_sparql()?;
+        let sparql = frame.to_naive_sparql()?;
         self.run(&sparql, endpoint)
     }
 

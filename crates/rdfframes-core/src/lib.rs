@@ -32,7 +32,7 @@
 //!     .group_by(&["actor"])
 //!     .count("movie", "movie_count", true)
 //!     .filter("movie_count", &[">=50"]);
-//! let sparql = prolific.to_sparql();
+//! let sparql = prolific.to_sparql().unwrap();
 //! assert!(sparql.contains("GROUP BY ?actor"));
 //! assert!(sparql.contains("HAVING"));
 //! ```

@@ -351,7 +351,7 @@ mod tests {
             .count("movie", "n", true)
             .filter("n", &[">=5"])
             .join(&movies, "actor", crate::api::JoinType::Inner);
-        let q = f.to_naive_sparql();
+        let q = f.to_naive_sparql().unwrap();
         sparql_engine::parser::parse_query(&q)
             .unwrap_or_else(|e| panic!("engine rejected naive query:\n{q}\n{e}"));
     }

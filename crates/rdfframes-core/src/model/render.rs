@@ -289,7 +289,7 @@ mod tests {
         let f = graph()
             .feature_domain_range("dbpp:starring", "movie", "actor")
             .filter("actor", &["isURI"]);
-        let q = f.to_sparql();
+        let q = f.to_sparql().unwrap();
         assert!(
             q.contains("PREFIX dbpp: <http://dbpedia.org/property/>"),
             "{q}"
@@ -306,7 +306,7 @@ mod tests {
             .group_by(&["actor"])
             .count("movie", "movie_count", true)
             .filter("movie_count", &[">=50"]);
-        let q = f.to_sparql();
+        let q = f.to_sparql().unwrap();
         assert!(
             q.contains("SELECT DISTINCT ?actor (COUNT(DISTINCT ?movie) AS ?movie_count)"),
             "{q}"
@@ -320,7 +320,7 @@ mod tests {
         let f = graph()
             .feature_domain_range("dbpp:starring", "movie", "actor")
             .expand_optional("movie", "dbpp:genre", "genre");
-        let q = f.to_sparql();
+        let q = f.to_sparql().unwrap();
         assert!(q.contains("OPTIONAL {"), "{q}");
         assert!(q.contains("?movie dbpp:genre ?genre ."), "{q}");
     }
@@ -341,7 +341,7 @@ mod tests {
         let a = dbp.feature_domain_range("dbpp:starring", "movie", "actor");
         let b = yago.seed("?actor", "rdf:type", "<http://yago/Actor>");
         let j = a.join(&b, "actor", crate::api::JoinType::Inner);
-        let q = j.to_sparql();
+        let q = j.to_sparql().unwrap();
         assert!(q.contains("GRAPH <http://dbpedia.org> {"), "{q}");
         assert!(q.contains("GRAPH <http://yago-knowledge.org> {"), "{q}");
         assert!(!q.contains("FROM"), "{q}");
@@ -427,7 +427,7 @@ mod tests {
             runtimes.filter("rt", &["<99.5"]),
         ];
         for f in frames {
-            let q = f.to_sparql();
+            let q = f.to_sparql().unwrap();
             let parsed = sparql_engine::parser::parse_query(&q)
                 .unwrap_or_else(|e| panic!("engine rejected generated query:\n{q}\n{e}"));
             sparql_engine::algebra::translate_query(&parsed)

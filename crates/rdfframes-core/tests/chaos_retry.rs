@@ -18,7 +18,7 @@ use rdfframes_core::client::{
 };
 use rdfframes_core::exec::{Completeness, Executor, RetryPolicy};
 use rdfframes_core::FrameError;
-use sparql_engine::{eval_reference, EngineError, QueryBudget, ResourceKind};
+use sparql_engine::{eval_reference, EngineConfig, EngineError, QueryBudget, ResourceKind};
 
 fn dataset(n: usize) -> Arc<Dataset> {
     let mut g = Graph::new();
@@ -153,7 +153,7 @@ proptest! {
         prop_assert!(embedded.rows_scanned() > 0);
         // The embedded cursor reports the same scan work the wire engine
         // does for the rendered text of the same model.
-        let (_, stats) = wire.engine().execute_with_stats(&frame.to_sparql()).unwrap();
+        let (_, stats) = wire.engine().execute_with_stats(&frame.to_sparql().unwrap()).unwrap();
         prop_assert_eq!(embedded.rows_scanned(), stats.rows_scanned);
     }
 }
@@ -227,7 +227,10 @@ fn budget_trips_propagate_through_wire_path_on_every_evaluator() {
     let ep = InProcessEndpoint::with_config(
         dataset(4000),
         EndpointConfig {
-            budget: QueryBudget::unlimited().with_max_intermediate_rows(50_000),
+            engine: EngineConfig {
+                budget: QueryBudget::unlimited().with_max_intermediate_rows(50_000),
+                ..EngineConfig::new()
+            },
             ..Default::default()
         },
     );
@@ -263,7 +266,6 @@ fn budget_trips_propagate_through_wire_path_on_every_evaluator() {
 
 #[test]
 fn budget_trips_propagate_through_embedded_path() {
-    use sparql_engine::EngineConfig;
     let ep = EmbeddedEndpoint::with_engine_config(
         dataset(4000),
         EngineConfig {

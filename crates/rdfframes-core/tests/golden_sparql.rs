@@ -21,7 +21,8 @@ fn squash(s: &str) -> String {
 fn table1_seed_projects_pattern_vars() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("?movie dbpp:starring ?actor ."), "{q}");
     assert!(q.contains("SELECT *"), "{q}");
 }
@@ -31,7 +32,8 @@ fn table1_expand_out_joins_triple() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
         .expand_dir("actor", "dbpp:birthPlace", "country", Direction::Out, false)
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("?actor dbpp:birthPlace ?country ."), "{q}");
     assert!(!q.contains("OPTIONAL"), "{q}");
 }
@@ -41,7 +43,8 @@ fn table1_expand_in_flips_subject_object() {
     let q = graph()
         .seed("?actor", "dbpp:birthPlace", "?c")
         .expand_dir("actor", "dbpp:starring", "movie", Direction::In, false)
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("?movie dbpp:starring ?actor ."), "{q}");
 }
 
@@ -50,7 +53,8 @@ fn table1_expand_optional_left_joins() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
         .expand_dir("actor", "dbpp:academyAward", "award", Direction::Out, true)
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     let sq = squash(&q);
     assert!(
         sq.contains("OPTIONAL { ?actor dbpp:academyAward ?award . }"),
@@ -63,7 +67,8 @@ fn table1_filter_renders_conditions() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
         .filter("actor", &["isURI"])
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("FILTER ( isIRI(?actor) )"), "{q}");
 }
 
@@ -72,7 +77,8 @@ fn table1_select_cols_projects() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
         .select_cols(&["movie"])
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("SELECT ?movie\n"), "{q}");
 }
 
@@ -81,7 +87,7 @@ fn table1_inner_join_merges_patterns() {
     let g = graph();
     let a = g.seed("?movie", "dbpp:starring", "?actor");
     let b = g.seed("?actor", "dbpp:birthPlace", "?c");
-    let q = a.join(&b, "actor", JoinType::Inner).to_sparql();
+    let q = a.join(&b, "actor", JoinType::Inner).to_sparql().unwrap();
     // Flat merge: both triples at the same level, no subquery.
     assert!(q.contains("?movie dbpp:starring ?actor ."), "{q}");
     assert!(q.contains("?actor dbpp:birthPlace ?c ."), "{q}");
@@ -96,7 +102,7 @@ fn table1_left_join_wraps_right_in_optional() {
     let g = graph();
     let a = g.seed("?movie", "dbpp:starring", "?actor");
     let b = g.seed("?actor", "dbpp:academyAward", "?aw");
-    let q = a.join(&b, "actor", JoinType::Left).to_sparql();
+    let q = a.join(&b, "actor", JoinType::Left).to_sparql().unwrap();
     let sq = squash(&q);
     assert!(
         sq.contains("OPTIONAL { ?actor dbpp:academyAward ?aw . }"),
@@ -109,7 +115,7 @@ fn table1_right_join_swaps_operands() {
     let g = graph();
     let a = g.seed("?movie", "dbpp:starring", "?actor");
     let b = g.seed("?actor", "dbpp:academyAward", "?aw");
-    let q = a.join(&b, "actor", JoinType::Right).to_sparql();
+    let q = a.join(&b, "actor", JoinType::Right).to_sparql().unwrap();
     let sq = squash(&q);
     // The left operand's pattern lands in the OPTIONAL block.
     assert!(
@@ -123,7 +129,7 @@ fn table1_full_outer_join_is_union_of_two_leftjoins() {
     let g = graph();
     let a = g.seed("?movie", "dbpp:starring", "?actor");
     let b = g.seed("?actor", "dbpp:academyAward", "?aw");
-    let q = a.join(&b, "actor", JoinType::Outer).to_sparql();
+    let q = a.join(&b, "actor", JoinType::Outer).to_sparql().unwrap();
     assert_eq!(q.matches("UNION").count(), 1, "{q}");
     assert_eq!(q.matches("OPTIONAL").count(), 2, "{q}");
 }
@@ -134,7 +140,8 @@ fn table1_groupby_aggregation_projects_keys_and_aggregate() {
         .seed("?movie", "dbpp:starring", "?actor")
         .group_by(&["actor"])
         .count("movie", "n", true)
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(
         q.contains("SELECT DISTINCT ?actor (COUNT(DISTINCT ?movie) AS ?n)"),
         "{q}"
@@ -147,7 +154,8 @@ fn table1_whole_frame_aggregate() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
         .aggregate(rdfframes_core::AggFunc::Count, "movie", "total")
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("(COUNT(?movie) AS ?total)"), "{q}");
     assert!(!q.contains("GROUP BY"), "{q}");
 }
@@ -161,7 +169,8 @@ fn sort_and_head_render_modifiers() {
             ("movie", rdfframes_core::SortOrder::Desc),
         ])
         .head_offset(10, 5)
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(q.contains("ORDER BY ASC(?actor) DESC(?movie)"), "{q}");
     assert!(q.contains("LIMIT 10"), "{q}");
     assert!(q.contains("OFFSET 5"), "{q}");
@@ -183,7 +192,8 @@ fn listing2_shape_single_nested_subquery() {
         .filter("movie_count", &[">=50"])
         .expand_dir("actor", "dbpp:starring", "movie", Direction::In, false)
         .expand_dir("actor", "dbpp:academyAward", "award", Direction::Out, true)
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert_eq!(q.matches("SELECT").count(), 2, "exactly one subquery:\n{q}");
     assert_eq!(q.matches("OPTIONAL").count(), 1, "{q}");
     assert!(q.contains("HAVING ( COUNT(DISTINCT ?movie) >= 50 )"), "{q}");
@@ -199,7 +209,8 @@ fn naive_translation_wraps_every_pattern() {
         .feature_domain_range("dbpp:starring", "movie", "actor")
         .expand("actor", "dbpp:birthPlace", "country")
         .filter("country", &["=dbpr:United_States"])
-        .to_naive_sparql();
+        .to_naive_sparql()
+        .unwrap();
     // Three subqueries: seed, expand, filter-with-repeated-pattern.
     assert_eq!(q.matches("SELECT").count(), 4, "{q}");
 }
@@ -209,7 +220,8 @@ fn generated_queries_declare_used_prefixes() {
     let q = graph()
         .seed("?movie", "dbpp:starring", "?actor")
         .filter("actor", &["=dbpr:X"])
-        .to_sparql();
+        .to_sparql()
+        .unwrap();
     assert!(
         q.contains("PREFIX dbpp: <http://dbpedia.org/property/>"),
         "{q}"
@@ -222,7 +234,7 @@ fn generated_queries_declare_used_prefixes() {
 
 #[test]
 fn from_clause_names_the_graph() {
-    let q = graph().seed("?s", "?p", "?o").to_sparql();
+    let q = graph().seed("?s", "?p", "?o").to_sparql().unwrap();
     assert!(q.contains("FROM <http://dbpedia.org>"), "{q}");
 }
 
@@ -231,7 +243,7 @@ fn cross_graph_join_uses_graph_blocks_not_from() {
     let yago = KnowledgeGraph::new("http://yago-knowledge.org");
     let a = graph().seed("?actor", "dbpp:birthPlace", "dbpr:United_States");
     let b = yago.seed("?actor", "rdf:type", "<http://yago/Actor>");
-    let q = a.join(&b, "actor", JoinType::Inner).to_sparql();
+    let q = a.join(&b, "actor", JoinType::Inner).to_sparql().unwrap();
     assert!(!q.contains("FROM"), "{q}");
     assert!(q.contains("GRAPH <http://dbpedia.org>"), "{q}");
     assert!(q.contains("GRAPH <http://yago-knowledge.org>"), "{q}");

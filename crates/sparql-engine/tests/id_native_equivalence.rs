@@ -8,9 +8,9 @@
 //! deterministic work metric (`rows_scanned`) must match exactly — the
 //! executor changes the row representation and when work happens, not the
 //! access-path order. The whole matrix additionally runs against both
-//! storage states of the graphs (compacted slabs via `Dataset::insert_graph`
-//! and delta-resident via `Dataset::insert_graph_uncompacted`), so slab
-//! scans, delta scans, and merged scans all feed every leg. A proptest
+//! storage states of the graphs (compacted slabs via `Dataset::insert_graph`,
+//! and delta-resident: installed empty, then every triple appended), so
+//! slab scans, delta scans, and merged scans all feed every leg. A proptest
 //! further checks that terms projected out of id-native joins round-trip
 //! through the dataset's interner.
 
@@ -111,7 +111,7 @@ fn yago_graph() -> Graph {
 /// variables `?g`/`?c` is estimated (and is) far cheaper as a hash join of
 /// two scans than as one nested loop, so the optimizer splits those BGPs.
 fn film_graph() -> Graph {
-    let mut g = Graph::with_delta_threshold(usize::MAX);
+    let mut g = Graph::new();
     for i in 0..60 {
         let film = iri(&format!("http://films.org/film{i}"));
         let mut add = |p: &str, o: String| {
@@ -134,9 +134,9 @@ fn film_graph() -> Graph {
 }
 
 /// Build the three-graph dataset in either storage state: `compacted` uses
-/// `insert_graph` (slab-resident), otherwise `insert_graph_uncompacted`
-/// hands over the graphs as-is so every triple stays in the mutable delta
-/// and all scans take the slab+delta merge path.
+/// `insert_graph` (slab-resident), otherwise [`install_in_delta`] leaves
+/// every triple in the mutable delta and all scans take the slab+delta
+/// merge path.
 fn dataset(compacted: bool) -> Arc<Dataset> {
     Arc::new(dataset_in_order(compacted, false))
 }
@@ -159,10 +159,13 @@ fn dataset_in_order(compacted: bool, dbpedia_last: bool) -> Dataset {
         if compacted {
             ds.insert_graph(uri, graph);
         } else {
-            if uri != "http://yago-knowledge.org" {
-                assert!(graph.delta_len() > 16, "test graph should stay in delta");
-            }
-            ds.insert_graph_uncompacted(uri, graph);
+            install_in_delta(&mut ds, uri, &graph);
+            let inside = ds.graph(uri).unwrap();
+            assert_eq!(
+                inside.delta_len(),
+                inside.len(),
+                "test graph should stay in delta"
+            );
         }
     }
     if dbpedia_last {
@@ -173,6 +176,15 @@ fn dataset_in_order(compacted: bool, dbpedia_last: bool) -> Dataset {
         );
     }
     ds
+}
+
+/// Install `graph` delta-resident, as live appends arrive: the graph goes in
+/// empty and its triples are appended, so every one of them waits in the
+/// delta (these graphs stay far below the merge threshold). Statistics count
+/// the delta, so the optimizer sees what a compacted install would show it.
+fn install_in_delta(ds: &mut Dataset, uri: &str, graph: &Graph) {
+    ds.insert_graph(uri, Graph::new());
+    ds.append_triples(uri, graph.iter_triples()).unwrap();
 }
 
 const PREFIXES: &str = "PREFIX dbpp: <http://dbpedia.org/property/>\n\
@@ -963,7 +975,7 @@ fn build_two_graph_dataset(triples: &[(u8, u8, u8)]) -> Arc<Dataset> {
     }
     let mut ds = Dataset::new();
     ds.insert_graph("http://test/a", g1);
-    ds.insert_graph_uncompacted("http://test/b", g2);
+    install_in_delta(&mut ds, "http://test/b", &g2);
     Arc::new(ds)
 }
 
@@ -1150,7 +1162,7 @@ proptest! {
         // on ≡ optimizer off ≡ the term reference as bags (a split BGP
         // emits hash-join order, the nested loop extension order), with
         // exact scan parity between the evaluators running the same plan.
-        let mut g = if layout { Graph::new() } else { Graph::with_delta_threshold(usize::MAX) };
+        let mut g = Graph::new();
         for (s, p, o) in &triples {
             g.insert(&Triple::new(
                 Term::iri(format!("http://test/s{s}")),
@@ -1162,7 +1174,7 @@ proptest! {
         if layout {
             ds.insert_graph("http://test/g", g);
         } else {
-            ds.insert_graph_uncompacted("http://test/g", g);
+            install_in_delta(&mut ds, "http://test/g", &g);
         }
         let ds = Arc::new(ds);
 

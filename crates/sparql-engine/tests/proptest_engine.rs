@@ -70,13 +70,16 @@ fn build_graph(triples: &[(u8, u8, u8)], layout: Layout) -> Arc<Dataset> {
     named.insert(layout.position, (GRAPH_URI, queried));
     let mut ds = Dataset::new();
     for (uri, rows) in named {
-        let mut g = Graph::with_delta_threshold(usize::MAX);
-        for t in &rows {
-            g.insert(t);
-        }
+        // A delta-resident graph is installed empty and appended to: the
+        // rows stay in its delta (far fewer than the merge threshold).
         if layout.delta_resident {
-            ds.insert_graph_uncompacted(uri, g);
+            ds.insert_graph(uri, Graph::new());
+            ds.append_triples(uri, rows).unwrap();
         } else {
+            let mut g = Graph::new();
+            for t in &rows {
+                g.insert(t);
+            }
             ds.insert_graph(uri, g);
         }
     }

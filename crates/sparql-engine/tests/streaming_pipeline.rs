@@ -35,27 +35,36 @@ const GRAPH: &str = "http://g";
 /// (the post-append layout) — scans and resume positions must behave
 /// identically over both.
 fn dataset(n: usize, delta_resident: bool) -> Arc<Dataset> {
-    let mut g = if delta_resident {
-        Graph::with_delta_threshold(usize::MAX)
-    } else {
-        Graph::new()
-    };
-    for i in 0..n {
-        g.insert(&Triple::new(
+    let triples = (0..n).map(|i| {
+        Triple::new(
             Term::iri(format!("http://x/s{i}")),
             Term::iri("http://x/p"),
             Term::iri(format!("http://x/o{}", i % 7)),
-        ));
-    }
-    if delta_resident {
-        assert_eq!(g.delta_len(), n, "layout setup: delta must hold all rows");
-    } else {
-        g.compact();
-        assert_eq!(g.delta_len(), 0, "layout setup: slabs must hold all rows");
-    }
+        )
+    });
+    Arc::new(install(triples, delta_resident))
+}
+
+/// A one-graph dataset holding `triples`: installed compact (all slab), or
+/// installed empty and appended to, so every triple waits in the delta
+/// (the callers stay below the merge threshold); its statistics count the
+/// delta, as a compact install's count the slabs.
+fn install(triples: impl IntoIterator<Item = Triple>, delta_resident: bool) -> Dataset {
     let mut ds = Dataset::new();
-    ds.insert_graph(GRAPH, g);
-    Arc::new(ds)
+    if delta_resident {
+        ds.insert_graph(GRAPH, Graph::new());
+        ds.append_triples(GRAPH, triples).unwrap();
+    } else {
+        let mut g = Graph::new();
+        for t in triples {
+            g.insert(&t);
+        }
+        ds.insert_graph(GRAPH, g);
+    }
+    let inside = ds.graph(GRAPH).unwrap();
+    let expect = if delta_resident { inside.len() } else { 0 };
+    assert_eq!(inside.delta_len(), expect, "layout setup");
+    ds
 }
 
 fn engine(ds: &Arc<Dataset>, budget: QueryBudget) -> Engine {
@@ -359,16 +368,16 @@ fn join_candidates_do_not_depend_on_batching() {
 #[test]
 fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
     // A two-graph default graph — `a` in frozen slabs, `b` half slab, half
-    // delta (as a WAL-replayed graph is) — and a literal BGP whose second
+    // delta (as a graph with recent appends is) — and a literal BGP whose second
     // level probes `?x q ?z` once per row of `?x p ?y`. Those rows arrive in
     // POS order (by ?y, then ?x; graph `a`'s, then `b`'s), so the probed ?x
     // climbs within a ?y run and drops at every run and graph boundary, and
     // every probe visits both graphs in turn. At any pull size the bag and
     // the scan count must be the oracle's: a hint carried from one graph to
     // the other, or trusted after a descent, would skip entries.
-    let build = |subjects: std::ops::Range<usize>, ys: usize, threshold: usize| {
+    let build = |subjects: std::ops::Range<usize>, ys: usize| {
         let iri = |name: String| Term::iri(format!("http://x/{name}"));
-        let mut g = Graph::with_delta_threshold(threshold);
+        let mut g = Graph::new();
         for i in subjects {
             let s = iri(format!("s{i}"));
             g.insert(&Triple::new(
@@ -382,13 +391,13 @@ fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
         }
         g
     };
-    let mut a = build(0..60, 7, usize::MAX);
-    a.compact();
-    let b = build(30..90, 5, 16);
-    assert!(b.delta_len() > 0 && b.delta_len() < b.len(), "layout setup");
     let mut ds = Dataset::new();
-    ds.insert_graph("http://a", a);
-    ds.insert_graph_uncompacted("http://b", b);
+    ds.insert_graph("http://a", build(0..60, 7));
+    ds.insert_graph("http://b", build(30..60, 5));
+    ds.append_triples("http://b", build(60..90, 5).iter_triples())
+        .unwrap();
+    let b = ds.graph("http://b").unwrap();
+    assert!(b.delta_len() > 0 && b.delta_len() < b.len(), "layout setup");
     let ds = Arc::new(ds);
 
     let q = "SELECT * FROM <http://a> FROM <http://b> \
@@ -631,24 +640,14 @@ fn pattern_text(p: &(Pos, Pos, Pos)) -> String {
 }
 
 fn build_graph(triples: &[(u8, u8, u8)], delta_resident: bool) -> Arc<Dataset> {
-    let mut g = if delta_resident {
-        Graph::with_delta_threshold(usize::MAX)
-    } else {
-        Graph::new()
-    };
-    for (s, p, o) in triples {
-        g.insert(&Triple::new(
+    let triples = triples.iter().map(|(s, p, o)| {
+        Triple::new(
             Term::iri(format!("http://x/s{s}")),
             Term::iri(format!("http://x/p{p}")),
             Term::iri(format!("http://x/o{o}")),
-        ));
-    }
-    if !delta_resident {
-        g.compact();
-    }
-    let mut ds = Dataset::new();
-    ds.insert_graph(GRAPH, g);
-    Arc::new(ds)
+        )
+    });
+    Arc::new(install(triples, delta_resident))
 }
 
 proptest! {

@@ -36,7 +36,7 @@ fn main() {
 
     // ---- the one-line data preparation (Listing 7) ---------------------
     let triples = graph.seed("?s", "?p", "?o").filter("o", &["isURI"]);
-    println!("--- generated SPARQL ---\n{}", triples.to_sparql());
+    println!("--- generated SPARQL ---\n{}", triples.to_sparql().unwrap());
 
     let wire_start = Instant::now();
     let df = Executor::with_page_size(10_000)

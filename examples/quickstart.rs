@@ -47,7 +47,10 @@ fn main() {
         .expand_dir("actor", "dbpp:academyAward", "award", Direction::Out, true);
 
     // 4. Inspect the single compact SPARQL query RDFFrames generated.
-    println!("\n--- generated SPARQL ---\n{}", result.to_sparql());
+    println!(
+        "\n--- generated SPARQL ---\n{}",
+        result.to_sparql().unwrap()
+    );
 
     // 5. Execute: one query, paginated transparently, returned as a dataframe.
     let df = result.execute(&endpoint).expect("query failed");

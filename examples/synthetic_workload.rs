@@ -16,7 +16,7 @@ fn main() {
     let endpoint = data::build_endpoint(ds);
 
     for def in queries::all_queries() {
-        let sparql = def.frame.to_sparql();
+        let sparql = def.frame.to_sparql().expect("query generation failed");
         let df = baselines::rdfframes(&def.frame, &endpoint).expect("query failed");
         println!(
             "{:<4} {:<62} | {:>4} SPARQL lines | {:>7} rows x {:>2} cols",

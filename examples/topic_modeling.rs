@@ -48,7 +48,7 @@ fn main() {
         .join(&thought_leaders, "author", JoinType::Inner)
         .select_cols(&["title"]);
 
-    println!("--- generated SPARQL ---\n{}", titles.to_sparql());
+    println!("--- generated SPARQL ---\n{}", titles.to_sparql().unwrap());
     let df = titles.execute(&endpoint).expect("query failed");
     println!("prepared dataframe: {} titles", df.len());
 

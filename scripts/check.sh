@@ -128,7 +128,12 @@ cargo test -q -p bench --test pinned_encodings
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
 # checked for full Q1–Q19 result/row-scan parity against an in-memory
-# oracle — plus the snapshot codec's round-trip proptests (fixed seeds).
+# oracle — plus the snapshot codec's round-trip proptests (fixed seeds),
+# the refusal of every older format revision by magic (snapshots
+# `RDFSNAP1`/`RDFSNAP2`, WAL `RDFWAL01`: the current `RDFSNAP3`/`RDFWAL02`
+# keep no merge threshold or counter), and the restart contract: every
+# installed graph is all slab live, after WAL replay and after checkpoint
+# + reopen, while appended batches keep their delta across a checkpoint.
 echo "==> crash-recovery smoke (fixed seed, scale 64)"
 cargo test -q -p bench --test crash_recovery scale_64_smoke_with_full_query_parity
 cargo test -q -p rdf-model --test persist_roundtrip

@@ -65,7 +65,7 @@ fn listing2(threshold: usize) -> String {
 #[test]
 fn generated_sparql_has_the_expert_shape() {
     let (_, graph) = setup();
-    let q = listing1(&graph, 50).to_sparql();
+    let q = listing1(&graph, 50).to_sparql().unwrap();
     assert!(q.contains("GROUP BY ?actor"), "{q}");
     assert!(q.contains("HAVING ( COUNT(DISTINCT ?movie) >= 50 )"), "{q}");
     assert!(q.contains("OPTIONAL"), "{q}");

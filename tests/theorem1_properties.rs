@@ -256,7 +256,7 @@ proptest! {
         let via_sparql = frame.execute(&endpoint).unwrap();
         let via_reference = evaluate_reference(&frame, &ds).unwrap();
         if let Err(e) = compare_unordered(&via_sparql, &via_reference) {
-            let q = frame.to_sparql();
+            let q = frame.to_sparql().unwrap();
             panic!("mismatch: {e}\nsteps: {steps:?}\nquery:\n{q}");
         }
     }
@@ -273,8 +273,8 @@ proptest! {
         let optimized = frame.execute(&endpoint).unwrap();
         let naive = frame.execute_naive(&endpoint).unwrap();
         if let Err(e) = compare_unordered(&optimized, &naive) {
-            let q1 = frame.to_sparql();
-            let q2 = frame.to_naive_sparql();
+            let q1 = frame.to_sparql().unwrap();
+            let q2 = frame.to_naive_sparql().unwrap();
             panic!("mismatch: {e}\nsteps: {steps:?}\noptimized:\n{q1}\nnaive:\n{q2}");
         }
     }
