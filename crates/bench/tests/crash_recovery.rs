@@ -21,7 +21,7 @@ use bench::{data, queries};
 use proptest::proptest;
 use proptest::test_runner::ProptestConfig;
 use rdf_model::persist::{FaultPlan, MemVfs, StorageError, Store};
-use rdf_model::{Dataset, Graph, Term, Triple, TripleIndex};
+use rdf_model::{Dataset, Graph, Triple};
 use rdfframes_core::{EmbeddedEndpoint, Executor};
 
 /// One step of the workload's mutation history.
@@ -48,8 +48,9 @@ impl Op {
 }
 
 /// Split one generated graph into an initial insert (`installed_tenths`
-/// of its triples, installed compact) plus two append batches that wait in
-/// the delta, so recovery has to reconstruct mixed slab/delta states.
+/// of its triples; none: the graph is installed empty) plus two append
+/// batches merged into its slabs, so recovery has to rebuild slabs that
+/// appends shaped, in the ids the appends interned.
 fn split_graph(uri: &'static str, full: &Graph, installed_tenths: usize) -> (Op, Op, Op) {
     let triples: Vec<Triple> = full.iter_triples().collect();
     let a = triples.len() * installed_tenths / 10;
@@ -71,30 +72,13 @@ fn split_graph(uri: &'static str, full: &Graph, installed_tenths: usize) -> (Op,
     )
 }
 
-/// `DELTA_THRESHOLD` triples of a predicate no query reads: appended to a
-/// graph whose delta is already non-empty, the batch fills the delta to the
-/// merge threshold part-way through, so the merge lands mid-append and the
-/// batch's tail waits in a new delta — a merge point recovery must
-/// reproduce exactly.
-fn threshold_crossing(uri: &'static str) -> Op {
-    let triples = (0..TripleIndex::DELTA_THRESHOLD)
-        .map(|i| {
-            Triple::new(
-                Term::iri(format!("http://example.org/filler/s{i}")),
-                Term::iri("http://example.org/filler/p"),
-                Term::integer(i as i64),
-            )
-        })
-        .collect();
-    Op::Append { uri, triples }
-}
-
 /// The canonical mutation history at a scale: three graph lifecycles with
 /// checkpoints interleaved at awkward places (right after a WAL-heavy
 /// stretch, right before more appends land on top of a fresh snapshot).
 fn workload_ops(scale: usize) -> Vec<Op> {
     let [(_, dbpedia), (_, dblp), (_, yago)] = data::build_graphs(scale);
-    // Different splits per graph: slab-heavy, mixed, delta-resident.
+    // Different splits per graph: mostly installed, half and half, and
+    // installed empty then appended.
     let (i1, a1, b1) = split_graph(data::uris::DBPEDIA, &dbpedia, 8);
     let (i2, a2, b2) = split_graph(data::uris::DBLP, &dblp, 4);
     let (i3, a3, b3) = split_graph(data::uris::YAGO, &yago, 0);
@@ -112,28 +96,6 @@ fn workload_ops(scale: usize) -> Vec<Op> {
         b3,
         Op::Checkpoint,
     ]
-}
-
-/// [`workload_ops`] plus, before its last append, a [`threshold_crossing`]
-/// append that merges DBLP's delta mid-batch while it is only in the WAL.
-/// Separate because the filler outweighs the scale-6 graphs many times
-/// over: the sampled crash points keep the lighter history.
-fn workload_ops_merging_mid_append(scale: usize) -> Vec<Op> {
-    let mut ops = workload_ops(scale);
-    ops.insert(ops.len() - 2, threshold_crossing(data::uris::DBLP));
-    assert_merged_mid_append(oracle_at(&ops, 10).dataset());
-    ops
-}
-
-/// After the threshold-crossing append, most of its batch is in DBLP's
-/// slabs and the rest waits in a delta below the threshold.
-fn assert_merged_mid_append(dataset: &Dataset) {
-    let dblp = dataset.graph(data::uris::DBLP).unwrap();
-    let (delta, slab) = (dblp.delta_len(), dblp.spo_slab().len());
-    assert!(
-        delta < TripleIndex::DELTA_THRESHOLD && slab > TripleIndex::DELTA_THRESHOLD,
-        "the threshold-crossing append did not merge: delta {delta}, slab {slab}"
-    );
 }
 
 /// Run the ops against a store on `vfs` until the first failure, returning
@@ -186,7 +148,7 @@ fn oracle_at(ops: &[Op], gen: u64) -> Store {
 }
 
 /// Physical equality: recovered state must be *identical* to the oracle —
-/// same slabs, same deltas, same interner, same generation counters —
+/// same three slabs per graph, same interner, same generation counters —
 /// not merely set-equal. This is what makes scan-cost parity possible.
 fn assert_physically_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     if a.stats_generation() != b.stats_generation() {
@@ -202,13 +164,8 @@ fn assert_physically_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     }
     for uri in uris {
         let (ga, gb) = (a.graph(uri).unwrap(), b.graph(uri).unwrap());
-        if (ga.spo_slab(), ga.pos_slab(), ga.osp_slab())
-            != (gb.spo_slab(), gb.pos_slab(), gb.osp_slab())
-        {
+        if ga != gb {
             return Err(format!("{uri}: slabs differ"));
-        }
-        if ga.delta_ids().collect::<Vec<_>>() != gb.delta_ids().collect::<Vec<_>>() {
-            return Err(format!("{uri}: deltas differ"));
         }
         if a.graph_stats(uri) != b.graph_stats(uri) {
             return Err(format!("{uri}: statistics differ"));
@@ -324,12 +281,13 @@ proptest! {
 /// of every checkpoint's rename becoming durable.
 #[test]
 fn boundary_crash_points() {
-    let ops = workload_ops_merging_mid_append(6);
+    let ops = workload_ops(6);
     let dry = Arc::new(MemVfs::new());
     run_until_failure(Arc::clone(&dry), &ops);
     let total = dry.bytes_written();
-    // `total - 1` is inside the last checkpoint: recovery replays the
-    // threshold-crossing append from the WAL.
+    // `total - 1` is inside the last checkpoint: recovery replays YAGO's
+    // install and the three appends after it from the WAL over the
+    // snapshot that holds the earlier appends.
     for point in [0, 1, 7, 8, 9, total / 2, total - 1, total, total + 1000] {
         check_crash_point(&ops, point, false).unwrap();
     }
@@ -339,9 +297,9 @@ fn boundary_crash_points() {
 /// Q1–Q19 parity including `rows_scanned`.
 #[test]
 fn scale_64_smoke_with_full_query_parity() {
-    let ops = workload_ops_merging_mid_append(64);
+    let ops = workload_ops(64);
     let dry = Arc::new(MemVfs::new());
-    assert_eq!(run_until_failure(Arc::clone(&dry), &ops), 10);
+    assert_eq!(run_until_failure(Arc::clone(&dry), &ops), 9);
     let total = dry.bytes_written();
     for point in [total / 5, total / 2, total - 1] {
         check_crash_point(&ops, point, true).unwrap();

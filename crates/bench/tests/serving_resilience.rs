@@ -70,10 +70,10 @@ impl Op {
 }
 
 /// Split one generated graph into an initial insert (`installed_tenths`
-/// of its triples, installed compact) plus two append batches that wait in
-/// the delta — same shape as the storage-layer crash suite, so recovery
-/// has to reconstruct mixed slab/delta states through the serving stack
-/// too.
+/// of its triples; none: the graph is installed empty) plus two append
+/// batches merged into its slabs — same shape as the storage-layer crash
+/// suite, so recovery has to rebuild slabs that appends shaped through the
+/// serving stack too.
 fn split_graph(uri: &'static str, full: &Graph, installed_tenths: usize) -> (Op, Op, Op) {
     let triples: Vec<Triple> = full.iter_triples().collect();
     let a = triples.len() * installed_tenths / 10;
@@ -97,7 +97,7 @@ fn split_graph(uri: &'static str, full: &Graph, installed_tenths: usize) -> (Op,
 
 fn workload_ops(scale: usize) -> Vec<Op> {
     let [(_, dbpedia), (_, dblp), (_, yago)] = data::build_graphs(scale);
-    // Slab-heavy, mixed, delta-resident.
+    // Mostly installed, half and half, installed empty then appended.
     let (i1, a1, b1) = split_graph(data::uris::DBPEDIA, &dbpedia, 8);
     let (i2, a2, b2) = split_graph(data::uris::DBLP, &dblp, 4);
     let (i3, a3, b3) = split_graph(data::uris::YAGO, &yago, 0);
@@ -173,7 +173,7 @@ fn oracle_at(ops: &[Op], gen: u64) -> Store {
     store
 }
 
-/// Physical equality: same slabs, same deltas, same interner, same
+/// Physical equality: same three slabs per graph, same interner, same
 /// generation counters — what makes scan-cost parity possible.
 fn assert_physically_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     if a.stats_generation() != b.stats_generation() {
@@ -189,13 +189,8 @@ fn assert_physically_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     }
     for uri in uris {
         let (ga, gb) = (a.graph(uri).unwrap(), b.graph(uri).unwrap());
-        if (ga.spo_slab(), ga.pos_slab(), ga.osp_slab())
-            != (gb.spo_slab(), gb.pos_slab(), gb.osp_slab())
-        {
+        if ga != gb {
             return Err(format!("{uri}: slabs differ"));
-        }
-        if ga.delta_ids().collect::<Vec<_>>() != gb.delta_ids().collect::<Vec<_>>() {
-            return Err(format!("{uri}: deltas differ"));
         }
         if a.graph_stats(uri) != b.graph_stats(uri) {
             return Err(format!("{uri}: statistics differ"));

@@ -149,14 +149,14 @@ mod tests {
 
     #[test]
     fn structure_is_dense_and_complete() {
-        let g = generate_dblp(&DblpConfig::tiny());
+        let (g, ds) = crate::installed(generate_dblp(&DblpConfig::tiny()));
         // Every paper has type, ≥1 creator, series, issued, title.
-        let type_id = g.term_id(&Term::iri(rdf::TYPE)).unwrap();
+        let type_id = ds.lookup(&Term::iri(rdf::TYPE)).unwrap();
         let papers = g.count_pattern(None, Some(type_id), None);
         assert_eq!(papers, 600);
         for pred in ["creator", "title"] {
-            let id = g
-                .term_id(&Term::iri(format!("{}{pred}", dblp::DC)))
+            let id = ds
+                .lookup(&Term::iri(format!("{}{pred}", dblp::DC)))
                 .unwrap();
             assert!(g.count_pattern(None, Some(id), None) >= 600, "{pred}");
         }
@@ -164,10 +164,10 @@ mod tests {
 
     #[test]
     fn vldb_and_sigmod_exist() {
-        let g = generate_dblp(&DblpConfig::tiny());
+        let (g, ds) = crate::installed(generate_dblp(&DblpConfig::tiny()));
         for conf in ["vldb", "sigmod"] {
             let t = Term::iri(format!("{}{conf}", dblp::CONF));
-            let id = g.term_id(&t).unwrap_or_else(|| panic!("{conf} missing"));
+            let id = ds.lookup(&t).unwrap_or_else(|| panic!("{conf} missing"));
             assert!(g.count_pattern(None, None, Some(id)) > 0);
         }
     }
@@ -178,12 +178,12 @@ mod tests {
             year_range: (2000, 2005),
             ..DblpConfig::tiny()
         };
-        let g = generate_dblp(&cfg);
-        let issued = g
-            .term_id(&Term::iri(format!("{}issued", dblp::DCTERM)))
+        let (g, ds) = crate::installed(generate_dblp(&cfg));
+        let issued = ds
+            .lookup(&Term::iri(format!("{}issued", dblp::DCTERM)))
             .unwrap();
         for (_, _, o) in g.match_pattern(None, Some(issued), None) {
-            let lit = g.term(o).as_literal().unwrap();
+            let lit = ds.resolve(o).as_literal().unwrap();
             let year: i64 = lit.lexical[..4].parse().unwrap();
             assert!((2000..=2005).contains(&year), "{}", lit.lexical);
         }
@@ -191,9 +191,9 @@ mod tests {
 
     #[test]
     fn author_productivity_skewed() {
-        let g = generate_dblp(&DblpConfig::tiny());
-        let creator = g
-            .term_id(&Term::iri(format!("{}creator", dblp::DC)))
+        let (g, ds) = crate::installed(generate_dblp(&DblpConfig::tiny()));
+        let creator = ds
+            .lookup(&Term::iri(format!("{}creator", dblp::DC)))
             .unwrap();
         let mut counts = std::collections::HashMap::new();
         for (_, _, o) in g.match_pattern(None, Some(creator), None) {

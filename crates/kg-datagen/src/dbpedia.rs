@@ -376,8 +376,8 @@ pub fn generate_dbpedia(config: &DbpediaConfig) -> Graph {
 mod tests {
     use super::*;
 
-    fn tiny() -> Graph {
-        generate_dbpedia(&DbpediaConfig::tiny())
+    fn tiny() -> (std::sync::Arc<rdf_model::TripleIndex>, rdf_model::Dataset) {
+        crate::installed(generate_dbpedia(&DbpediaConfig::tiny()))
     }
 
     #[test]
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn has_all_topic_predicates() {
-        let g = tiny();
+        let (g, ds) = tiny();
         for p in [
             "http://dbpedia.org/property/starring",
             "http://dbpedia.org/property/birthPlace",
@@ -402,8 +402,8 @@ mod tests {
             "http://dbpedia.org/ontology/author",
             "http://dbpedia.org/property/publisher",
         ] {
-            let id = g
-                .term_id(&Term::iri(p))
+            let id = ds
+                .lookup(&Term::iri(p))
                 .unwrap_or_else(|| panic!("missing {p}"));
             assert!(g.count_pattern(None, Some(id), None) > 0, "{p}");
         }
@@ -411,11 +411,11 @@ mod tests {
 
     #[test]
     fn genre_is_sparse() {
-        let g = tiny();
-        let genre = g
-            .term_id(&Term::iri("http://dbpedia.org/ontology/genre"))
+        let (g, ds) = tiny();
+        let genre = ds
+            .lookup(&Term::iri("http://dbpedia.org/ontology/genre"))
             .unwrap();
-        let label = g.term_id(&Term::iri(rdfs::LABEL)).unwrap();
+        let label = ds.lookup(&Term::iri(rdfs::LABEL)).unwrap();
         let genres = g.count_pattern(None, Some(genre), None);
         let labels = g.count_pattern(None, Some(label), None);
         assert!(genres * 2 < labels, "genre should be optional-sparse");
@@ -423,12 +423,12 @@ mod tests {
 
     #[test]
     fn starring_is_skewed() {
-        let g = generate_dbpedia(&DbpediaConfig {
+        let (g, ds) = crate::installed(generate_dbpedia(&DbpediaConfig {
             scale: 1000,
             ..Default::default()
-        });
-        let starring = g
-            .term_id(&Term::iri("http://dbpedia.org/property/starring"))
+        }));
+        let starring = ds
+            .lookup(&Term::iri("http://dbpedia.org/property/starring"))
             .unwrap();
         // Count movies per actor; the head actor should dominate the median.
         let mut counts = std::collections::HashMap::new();

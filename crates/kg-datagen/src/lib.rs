@@ -31,3 +31,14 @@ pub mod zipf;
 pub use dblp::{generate_dblp, DblpConfig};
 pub use dbpedia::{generate_dbpedia, DbpediaConfig};
 pub use yago::{generate_yago, YagoConfig};
+
+#[cfg(test)]
+/// A generated graph installed alone in a dataset, so a test can scan it:
+/// the graph's index, and the dataset that resolves its ids.
+fn installed(
+    graph: rdf_model::Graph,
+) -> (std::sync::Arc<rdf_model::TripleIndex>, rdf_model::Dataset) {
+    let mut ds = rdf_model::Dataset::new();
+    ds.insert_graph("http://test", graph);
+    (std::sync::Arc::clone(ds.graph("http://test").unwrap()), ds)
+}

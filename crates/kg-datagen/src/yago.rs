@@ -103,19 +103,20 @@ mod tests {
 
     #[test]
     fn shared_uris_match_dbpedia_namespace() {
-        let g = generate_yago(&YagoConfig {
+        let (g, ds) = crate::installed(generate_yago(&YagoConfig {
             shared_actors: 50,
             dbpedia_actors: 100,
             native_actors: 20,
             seed: 1,
-        });
+        }));
         let actor_class = Term::iri(format!("{}Actor", yago::RES));
-        let class_id = g.term_id(&actor_class).unwrap();
+        let class_id = ds.lookup(&actor_class).unwrap();
         let typed = g.count_pattern(None, None, Some(class_id));
         assert_eq!(typed, 70); // 50 shared + 20 native
                                // At least one shared actor keeps its DBpedia URI.
-        let shared = g
-            .iter_triples()
+        let shared = ds
+            .graph_triples("http://test")
+            .unwrap()
             .filter(|t| t.subject.str_value().starts_with(dbp::RES))
             .count();
         assert!(shared > 0);

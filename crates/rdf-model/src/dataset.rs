@@ -13,28 +13,27 @@
 //! tracking (merge joins, sorted DISTINCT) builds on.
 //!
 //! A graph enters as a stand-alone [`Graph`] builder with its own
-//! dictionary: [`Dataset::insert_graph`] compacts it, interns the builder's
-//! terms here, re-keys its index through the resulting translation and
-//! drops the builder's dictionary. That is the one install path — live
-//! inserts and WAL replay both take it — so a dataset graph's delta only
-//! ever holds what [`Dataset::append_triples`] (which interns straight into
-//! the dataset) added since the last merge.
+//! dictionary: [`Dataset::insert_graph`] interns the builder's terms here,
+//! re-keys its triples through the resulting translation, builds the
+//! graph's three slabs from them and drops the builder's dictionary. That
+//! is the one install path — live inserts and WAL replay both take it.
+//! [`Dataset::append_triples`] interns straight into the dataset and merges
+//! each batch into fresh slabs, so every graph has the one layout whatever
+//! built it.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use crate::graph::{resolve_triples, Graph, GraphStats, TripleIndex};
+use crate::graph::{resolve_triples, Graph, GraphStats, Key, TripleIndex};
 use crate::interner::{Interner, TermId};
 use crate::term::{Term, Triple};
 
 /// A cached statistics snapshot plus the graph length it was taken at.
-/// The snapshot counts the graph's whole contents, slabs and delta alike
-/// ([`TripleIndex::stats`]), so it is a function of the contents: a graph
-/// built live, replayed from the WAL or loaded from a snapshot plans alike,
-/// whatever its slab/delta split. The length is the staleness witness, and
-/// it needs no state of its own: an index only ever grows, so every append
-/// that adds a triple changes it (a merge moves triples but changes no
-/// contents), and a graph replacement installs a new index and refreshes
+/// The snapshot ([`TripleIndex::stats`]) is a function of the contents, so
+/// a graph built live, replayed from the WAL or loaded from a snapshot plans
+/// alike. The length is the staleness witness, and it needs no state of its
+/// own: an index only ever grows, so every append that adds a triple
+/// changes it, and a graph replacement installs a new index and refreshes
 /// its entry at once.
 #[derive(Debug, Clone)]
 struct StatsEntry {
@@ -135,8 +134,9 @@ impl Dataset {
     }
 
     /// A dataset over a restored dictionary (snapshot recovery only); the
-    /// decoder then [installs](Dataset::install) each graph's index as
-    /// stored — the persisted slabs already hold this dictionary's ids.
+    /// decoder then [installs](Dataset::install) each graph's index, built
+    /// from its persisted SPO slab, which already holds this dictionary's
+    /// ids.
     pub(crate) fn with_interner(interner: Interner) -> Self {
         Dataset {
             interner,
@@ -154,31 +154,31 @@ impl Dataset {
 
     /// Insert (or replace) a named graph.
     ///
-    /// The builder is [compacted](TripleIndex::compact) first, so the
-    /// installed graph's scans run on pure slab ranges with an empty delta
-    /// until something is appended to it.
-    ///
     /// Every term of the builder's dictionary is interned here in the
     /// builder's id order, a new one as a copy that shares nothing with the
-    /// builder; the index is re-keyed through the resulting translation and
-    /// re-sorted; the builder's dictionary is dropped. Sharing the builder's
+    /// builder; the triples are re-keyed through the resulting translation,
+    /// sorted, and built into the graph's index by its one constructor; the
+    /// builder's dictionary is dropped. Sharing the builder's
     /// strings (`Term::clone`) would save the copy, but leave the dataset's
     /// strings scattered through the builder's otherwise freed region:
     /// thousands of free fragments between live strings, which every later
     /// small allocation of the process is then carved from (measured on the
     /// paged wire path: +10 % on decoding identical bytes). Copied, the
     /// dataset is compact and the builder's memory comes back whole.
-    pub fn insert_graph(&mut self, uri: impl Into<String>, mut graph: Graph) {
-        graph.compact();
-        let (terms, mut index) = graph.into_parts();
+    pub fn insert_graph(&mut self, uri: impl Into<String>, graph: Graph) {
+        let (terms, triples) = graph.into_parts();
         self.interner.reserve(terms.len());
         let map: Vec<TermId> = terms
             .iter()
             .map(|(_, term)| self.interner.intern_unshared(term))
             .collect();
         drop(terms);
-        index.rekey(&map);
-        self.install(uri.into(), index);
+        let mut spo: Vec<Key> = triples
+            .into_iter()
+            .map(|(s, p, o)| (map[s.index()], map[p.index()], map[o.index()]))
+            .collect();
+        spo.sort_unstable();
+        self.install(uri.into(), TripleIndex::from_spo(spo));
     }
 
     /// Install an index that already holds this dataset's ids.
@@ -193,32 +193,38 @@ impl Dataset {
     }
 
     /// Append triples to a graph already in the dataset: terms are interned
-    /// straight into the dataset's dictionary and the ids inserted into the
-    /// graph's index. Statistics are *not* recomputed eagerly here —
+    /// straight into the dataset's dictionary, in batch order, and the
+    /// batch's new triples, sorted and de-duplicated, are merged into fresh
+    /// slabs that replace the graph's index. Statistics are *not*
+    /// recomputed eagerly here —
     /// [`Dataset::graph_stats`] sees the graph's new length and rebuilds
     /// lazily on the next optimizer read, so a bulk-load of many batches
     /// pays for one stats pass per query-after-append instead of one per
     /// batch.
     ///
-    /// Copy-on-write: if the index `Arc` is shared (a cloned dataset, a
-    /// handle from [`Dataset::graph`]), the dataset's copy is cloned first
-    /// and the other holders stop observing the appends.
+    /// The old index is never edited, so whoever else holds it (a cloned
+    /// dataset, a handle from [`Dataset::graph`]) keeps it unchanged.
     ///
     /// Returns the number of *new* triples, or `None` for an unknown graph.
     pub fn append_triples<I>(&mut self, uri: &str, triples: I) -> Option<usize>
     where
         I: IntoIterator<Item = Triple>,
     {
-        let index = Arc::make_mut(self.graphs.get_mut(uri)?);
+        let index = self.graphs.get_mut(uri)?;
         self.mutations += 1;
-        let mut added = 0usize;
+        let mut add: Vec<Key> = Vec::new();
         for t in triples {
             let s = self.interner.intern(t.subject);
             let p = self.interner.intern(t.predicate);
             let o = self.interner.intern(t.object);
-            if index.insert_ids(s, p, o) {
-                added += 1;
-            }
+            add.push((s, p, o));
+        }
+        add.sort_unstable();
+        add.dedup();
+        add.retain(|&key| !index.contains(key));
+        let added = add.len();
+        if added > 0 {
+            *index = Arc::new(index.merged(add));
         }
         Some(added)
     }
@@ -233,7 +239,7 @@ impl Dataset {
     /// (allocates per triple; intended for serialization, not evaluation).
     pub fn graph_triples(&self, uri: &str) -> Option<impl Iterator<Item = Triple> + '_> {
         let index = self.graphs.get(uri)?;
-        Some(resolve_triples(&self.interner, index))
+        Some(resolve_triples(&self.interner, index.iter_ids()))
     }
 
     /// Cached optimizer statistics for a graph's contents, keyed by dataset
@@ -353,6 +359,14 @@ impl Dataset {
     /// All graph URIs, sorted.
     pub fn graph_uris(&self) -> impl Iterator<Item = &str> {
         self.graphs.keys().map(String::as_str)
+    }
+
+    /// Every graph with its URI, sorted by URI (the snapshot encoder's
+    /// canonical order).
+    pub(crate) fn graphs(&self) -> impl Iterator<Item = (&str, &TripleIndex)> {
+        self.graphs
+            .iter()
+            .map(|(uri, index)| (uri.as_str(), &**index))
     }
 
     /// Number of named graphs.
@@ -486,85 +500,43 @@ mod tests {
 
     #[test]
     fn stats_refresh_when_delta_merges() {
-        // The installed graph is compact; appends wait in its delta, and
-        // the stats count them there.
+        // Each append merges its batch into the slabs; the next stats read
+        // sees the graph's new length and rebuilds, without any caller-side
+        // bookkeeping.
         let mut g = Graph::new();
         g.insert(&t("http://x/s0", "http://x/o0"));
         let mut ds = Dataset::new();
         ds.insert_graph("http://g", g);
-        assert_eq!(ds.graph("http://g").unwrap().delta_len(), 0);
         assert_eq!(ds.graph_stats("http://g").unwrap().triples, 1);
         let p = ds.lookup(&Term::iri("http://x/p")).unwrap();
 
         ds.append_triples("http://g", batch(1, 2)).unwrap();
-        assert_eq!(ds.graph("http://g").unwrap().delta_len(), 2);
         let stats = ds.graph_stats("http://g").unwrap();
-        assert_eq!(stats.triples, 3, "the delta counts");
+        assert_eq!(stats.triples, 3, "the append counts");
         assert_eq!(stats.predicates[&p].count, 3);
 
-        // A batch of nothing new keeps the snapshot.
+        // A batch of nothing new keeps the snapshot, and the index.
+        let index = Arc::clone(ds.graph("http://g").unwrap());
         ds.append_triples("http://g", batch(1, 2)).unwrap();
         assert!(Arc::ptr_eq(&stats, &ds.graph_stats("http://g").unwrap()));
+        assert!(Arc::ptr_eq(&index, ds.graph("http://g").unwrap()));
 
-        // Filling the delta to the threshold merges it; the contents, and
-        // so the stats, are what an unmerged graph would report.
-        let fill = TripleIndex::DELTA_THRESHOLD - 2;
-        ds.append_triples("http://g", batch(3, fill)).unwrap();
-        assert_eq!(ds.graph("http://g").unwrap().delta_len(), 0);
-        let merged = 3 + fill;
+        // A large batch: the stats are those of its merged contents.
+        ds.append_triples("http://g", batch(3, 5000)).unwrap();
         let stats = ds.graph_stats("http://g").unwrap();
-        assert_eq!(stats.triples, merged);
-        assert_eq!(stats.predicates[&p].count, merged);
+        assert_eq!(stats.triples, 5003);
+        assert_eq!(stats.predicates[&p].count, 5003);
         assert_eq!(*stats, ds.graph("http://g").unwrap().stats());
     }
 
-    #[test]
-    fn stats_self_heal_after_threshold_triggered_merge() {
-        // Regression: a threshold-triggered auto-merge happens *inside*
-        // `append_triples`, where no caller can observe it. `graph_stats`
-        // must see the graph's growth on its own and rebuild — without any
-        // caller-side bookkeeping — and a merge must not change them.
-        let mut g = Graph::new();
-        g.insert(&t("http://x/s0", "http://x/o0"));
-        let mut ds = Dataset::new();
-        ds.insert_graph("http://g", g);
-        assert_eq!(ds.graph_stats("http://g").unwrap().triples, 1);
-
-        ds.append_triples("http://g", batch(1, 1)).unwrap();
-        assert_eq!(ds.graph_stats("http://g").unwrap().triples, 2);
-
-        // Crossing the threshold merges the delta mid-append (one triple of
-        // the batch is left waiting); the very next read sees everything.
-        ds.append_triples("http://g", batch(2, TripleIndex::DELTA_THRESHOLD))
-            .unwrap();
-        let all = 2 + TripleIndex::DELTA_THRESHOLD;
-        let index = ds.graph("http://g").unwrap();
-        assert_eq!((index.len(), index.delta_len()), (all, 1));
-        let stats = ds.graph_stats("http://g").unwrap();
-        assert_eq!(stats.triples, all, "read-time refresh must self-heal");
-        let p = ds.lookup(&Term::iri("http://x/p")).unwrap();
-        assert_eq!(stats.predicates[&p].count, all);
-
-        // An explicit merge moves triples but leaves the snapshot valid.
-        let mut compacted = ds.clone();
-        let index = Arc::make_mut(compacted.graphs.get_mut("http://g").unwrap());
-        index.compact();
-        assert_eq!(index.delta_len(), 0);
-        assert!(Arc::ptr_eq(
-            &stats,
-            &compacted.graph_stats("http://g").unwrap()
-        ));
-        assert_eq!(*stats, compacted.graph("http://g").unwrap().stats());
-    }
-
-    /// All three orderings of a graph strictly ascending in dataset ids.
+    /// Every ordering of a graph strictly ascending in dataset ids: the
+    /// graph's index is what the one constructor builds from its SPO
+    /// triples, which it sorts into each ordering.
     fn assert_sorted_by_dataset_id(ds: &Dataset, uri: &str) {
         let g = ds.graph(uri).unwrap();
-        for slab in [g.spo_slab(), g.pos_slab(), g.osp_slab()] {
-            assert!(slab.windows(2).all(|w| w[0] < w[1]), "{uri}: {slab:?}");
-        }
         let all: Vec<_> = g.iter_ids().collect();
         assert!(all.windows(2).all(|w| w[0] < w[1]), "{uri}: {all:?}");
+        assert_eq!(**g, TripleIndex::from_spo(all), "{uri}");
     }
 
     #[test]
@@ -591,43 +563,16 @@ mod tests {
         assert_eq!(rekeyed.len(), 2);
         assert_eq!(rekeyed[0], builder_order[1]);
         assert_eq!(rekeyed[1], builder_order[0]);
-    }
-
-    #[test]
-    fn insert_graph_compacts_a_half_delta_builder() {
-        let mut g1 = Graph::new();
-        g1.insert(&t("http://x/s0", "http://x/o0"));
-        let mut ds = Dataset::new();
-        ds.insert_graph("http://a", g1);
-
-        // Half slab, half delta, in a builder whose ids disagree with the
-        // dataset's: the installed graph is all slab, in dataset ids.
-        let mut g2 = Graph::new();
-        g2.insert(&t("http://x/z", "http://x/o0"));
-        g2.insert(&t("http://x/y", "http://x/o0"));
-        g2.compact();
-        g2.insert(&t("http://x/s0", "http://x/z"));
-        assert_eq!(g2.delta_len(), 1);
-        let expect: Vec<Triple> = {
-            let mut v: Vec<Triple> = g2.iter_triples().collect();
-            v.sort_by_key(|t| t.to_string());
-            v
-        };
-        ds.insert_graph("http://b", g2);
+        // Every access path sees the triples under their dataset ids.
         let g = ds.graph("http://b").unwrap();
-        assert_eq!((g.len(), g.delta_len()), (3, 0));
-        assert_sorted_by_dataset_id(&ds, "http://b");
-        let mut got: Vec<Triple> = ds.graph_triples("http://b").unwrap().collect();
-        got.sort_by_key(|t| t.to_string());
-        assert_eq!(got, expect);
-        // Every access path sees the formerly delta-resident triple under
-        // its dataset ids.
-        let (s0, z) = (
+        let (s0, o0, o9) = (
             ds.lookup(&Term::iri("http://x/s0")).unwrap(),
-            ds.lookup(&Term::iri("http://x/z")).unwrap(),
+            ds.lookup(&Term::iri("http://x/o0")).unwrap(),
+            ds.lookup(&Term::iri("http://x/o9")).unwrap(),
         );
-        assert_eq!(g.count_pattern(Some(s0), None, Some(z)), 1);
-        assert_eq!(g.count_pattern(None, None, Some(z)), 1);
+        assert_eq!(g.count_pattern(Some(s0), None, Some(o9)), 1);
+        assert_eq!(g.count_pattern(None, None, Some(o0)), 1);
+        assert_eq!(g.count_pattern(Some(s0), None, None), 1);
     }
 
     #[test]
@@ -670,9 +615,8 @@ mod tests {
     #[test]
     fn append_of_an_already_interned_low_id_keeps_every_ordering_sorted() {
         // Graph A's ids are all below graph B's; an append to B that
-        // mentions one of A's terms puts a *low* id into B's delta. Scans
-        // of B must still come out in ascending dataset id, before and
-        // after the delta merges — there is no flag to flip any more.
+        // mentions one of A's terms merges a *low* id into B's slabs. Scans
+        // of B must still come out in ascending dataset id.
         let mut a = Graph::new();
         a.insert(&t("http://x/a0", "http://x/oa0"));
         a.insert(&t("http://x/a1", "http://x/oa1"));
@@ -693,14 +637,8 @@ mod tests {
         let low = ds.lookup(&Term::iri("http://x/a0")).unwrap();
         let high = ds.lookup(&Term::iri("http://x/b1")).unwrap();
         assert!(low < high);
-        assert_eq!(ds.graph("http://b").unwrap().delta_len(), 2);
+        assert_eq!(ds.graph("http://b").unwrap().len(), 3);
         assert_sorted_by_dataset_id(&ds, "http://b");
-        let before: Vec<_> = ds.graph("http://b").unwrap().iter_ids().collect();
-
-        let mut compacted = ds.graph("http://b").unwrap().as_ref().clone();
-        compacted.compact();
-        assert_eq!(compacted.delta_len(), 0);
-        assert_eq!(compacted.iter_ids().collect::<Vec<_>>(), before);
         // No term was interned twice on the way: a0, a1, oa0, oa1, p, b0,
         // ob0 and b1.
         assert_eq!(ds.interner().len(), 8);

@@ -1,4 +1,4 @@
-//! Indexed triple store: frozen sorted slabs + a small mutable delta.
+//! Indexed triple store: three sorted, exact-size slabs.
 //!
 //! Two types share this module:
 //!
@@ -7,12 +7,12 @@
 //!   the ids come from gives them meaning. A [`crate::Dataset`] keeps one
 //!   per named graph, keyed by the dataset's own ids, so every graph's scans
 //!   emit ascending *dataset* ids.
-//! - [`Graph`] — a stand-alone builder: its own [`Interner`] plus a
-//!   [`TripleIndex`] over that dictionary's ids (it derefs to the index, so
-//!   every id-level method is written once). Generators, the N-Triples
-//!   parser and tests fill one with [`Graph::insert`];
-//!   [`crate::Dataset::insert_graph`] then re-keys the index into the
-//!   dataset's id space and drops the builder's dictionary.
+//! - [`Graph`] — a stand-alone builder: its own [`Interner`] plus the set of
+//!   its triples over that dictionary's ids, in SPO order. Generators, the
+//!   N-Triples parser and tests fill one with [`Graph::insert`];
+//!   [`crate::Dataset::insert_graph`] then re-keys the triples into the
+//!   dataset's id space, indexes them and drops the builder's dictionary. A
+//!   builder has no scans: install it to query it.
 //!
 //! Triples are stored in three orderings (SPO, POS, OSP) so that every
 //! triple-pattern shape has a contiguous range scan:
@@ -27,18 +27,23 @@
 //! | o (and o, s)     | OSP   | (o, *, *)     |
 //! | none             | SPO   | full scan     |
 //!
-//! # Slab + delta layout
+//! # Layout
 //!
-//! Each ordering is split into two parts:
+//! Each ordering is one strictly ascending `Vec<(TermId, TermId, TermId)>`
+//! whose capacity is its length. A range lookup locates its start, gallops
+//! to its end and walks contiguous memory — no pointer chasing, no tree
+//! nodes, and the prefetcher sees a plain array.
 //!
-//! - a **frozen slab**: a sorted `Vec<(TermId, TermId, TermId)>`. A range
-//!   lookup locates its start, gallops to its end and walks contiguous
-//!   memory — no pointer chasing, no tree nodes, and the prefetcher sees a
-//!   plain array.
-//! - a **delta buffer**: a `BTreeSet` in the same ordering holding triples
-//!   inserted since the last compaction. Scans merge the slab slice with the
-//!   delta range on the fly (both are sorted, so the merge is linear and
-//!   preserves global index order).
+//! An index is never edited in place. Every one is built by one merge
+//! (`TripleIndex::merged`): the new triples, strictly ascending in SPO
+//! order, are permuted and sorted into each ordering and merged with that
+//! ordering's slab in one linear pass into a fresh slab. An install and a
+//! snapshot load merge into the empty index (`TripleIndex::from_spo`), an
+//! append into the graph's current one, so whoever still holds the old
+//! index — an earlier epoch, a running scan — keeps it unchanged. The
+//! three slabs are therefore a function of the contents: a graph installed
+//! in one piece and the same ids appended batch by batch hold equal slabs
+//! (property-tested in `tests/proptest_model.rs`).
 //!
 //! # Seeking scans
 //!
@@ -52,24 +57,8 @@
 //! compare for a repeated key); otherwise, and for hint-less calls, it is
 //! one binary search over the slab. The end of a range always gallops from
 //! its start, since a range holds a few entries. Every scan — visitor,
-//! iterator, count — locates its slab range through this one routine, and a
-//! delta-resident ordering seeks its slab part the same way while its delta
-//! part is a `BTreeSet` range. The hint changes how a range is found, never
-//! what a scan visits.
-//!
-//! # Compaction contract
-//!
-//! The delta is only where appends wait for the next merge.
-//! [`TripleIndex::compact`] drains it into the slabs (an `O(n)` two-way
-//! merge per ordering), and an insert triggers that automatically once the
-//! delta reaches [`TripleIndex::DELTA_THRESHOLD`] entries, so bulk loads
-//! stay `O(n · n/threshold)` instead of `O(n²)`.
-//! [`crate::Dataset::insert_graph`] compacts every builder it takes, so a
-//! dataset graph's delta holds exactly the triples appended since its last
-//! merge — fewer than the threshold. Compaction never
-//! changes observable contents or scan order — `match_pattern`,
-//! `for_each_match`, `iter_ids`, `len`, and `stats` return identical
-//! results before and after (property-tested in `tests/proptest_model.rs`).
+//! iterator, count — locates its range through this one routine. The hint
+//! changes how a range is found, never what a scan visits.
 //!
 //! The index also derives per-predicate statistics used by the SPARQL
 //! optimizer for join reordering.
@@ -84,7 +73,7 @@ const MIN: TermId = TermId(0);
 const MAX: TermId = TermId(u32::MAX);
 
 /// A triple of interned ids, in whatever ordering its index uses.
-type Key = (TermId, TermId, TermId);
+pub(crate) type Key = (TermId, TermId, TermId);
 
 /// Opaque suspension point of a [`TripleIndex::for_each_match_from`] scan: the raw
 /// index key (in the chosen index's own ordering, *not* (s, p, o)) the scan
@@ -190,13 +179,6 @@ impl GraphStats {
     }
 }
 
-/// One index ordering: frozen sorted slab + sorted delta overlay.
-#[derive(Debug, Default, Clone)]
-struct Index {
-    slab: Vec<Key>,
-    delta: BTreeSet<Key>,
-}
-
 /// `from + slab[from..].partition_point(pred)` for a `pred` that holds on a
 /// prefix of the slab, found by galloping: probe `from`, `from + 1`,
 /// `from + 3`, `from + 7`, … until `pred` fails or the slab ends, then
@@ -216,170 +198,70 @@ fn gallop(slab: &[Key], from: usize, pred: impl Fn(&Key) -> bool) -> usize {
     base + slab[base..bracket_end].partition_point(pred)
 }
 
-impl Index {
-    /// The contiguous slab range whose entries fall in `[lo, hi]`, and the
-    /// one range-location routine every scan shares. The start seeks
-    /// forward from `hint` when the entry before the hinted position is
-    /// below `lo` (so nothing at or above `lo` lies before it), and is one
-    /// binary search otherwise; the end always gallops from the start, as
-    /// a range holds a few entries. `hint` is left at the range's start.
-    #[inline]
-    fn slab_range(&self, lo: Key, hi: Key, hint: &mut SeekHint) -> &[Key] {
-        let slab = &self.slab[..];
-        let start = match hint.0 {
-            Some(at) if at <= slab.len() && at.checked_sub(1).is_none_or(|b| slab[b] < lo) => {
-                gallop(slab, at, |&t| t < lo)
-            }
-            _ => slab.partition_point(|&t| t < lo),
-        };
-        *hint = SeekHint(Some(start));
-        &slab[start..gallop(slab, start, |&t| t <= hi)]
-    }
-
-    fn contains(&self, key: Key) -> bool {
-        self.slab.binary_search(&key).is_ok() || self.delta.contains(&key)
-    }
-
-    /// Visit the entries in `[lo, hi]` in index order, merging the slab
-    /// slice with the delta range (both sorted; entries are disjoint), until
-    /// the visitor returns `false`. Returns the number of entries visited
-    /// (the stopping entry counts — it was handed to `f`) plus the key the
-    /// scan stopped *at*, or `None` when the range was exhausted. Resuming
-    /// from the successor of the returned key visits every remaining entry
-    /// exactly once, so the total visited across suspensions equals one
-    /// uninterrupted pass.
-    #[inline]
-    fn for_each_in<F: FnMut(Key) -> bool>(
-        &self,
-        lo: Key,
-        hi: Key,
-        hint: &mut SeekHint,
-        mut f: F,
-    ) -> (u64, Option<Key>) {
-        if self.delta.is_empty() {
-            // Fast path: pure contiguous scan.
-            let slab = self.slab_range(lo, hi, hint);
-            for (i, &k) in slab.iter().enumerate() {
-                if !f(k) {
-                    return (i as u64 + 1, Some(k));
-                }
-            }
-            return (slab.len() as u64, None);
+/// The contiguous slab range whose entries fall in `[lo, hi]`, and the one
+/// range-location routine every scan shares. The start seeks forward from
+/// `hint` when the entry before the hinted position is below `lo` (so
+/// nothing at or above `lo` lies before it), and is one binary search
+/// otherwise; the end always gallops from the start, as a range holds a few
+/// entries. `hint` is left at the range's start.
+#[inline]
+fn slab_range<'a>(slab: &'a [Key], lo: Key, hi: Key, hint: &mut SeekHint) -> &'a [Key] {
+    let start = match hint.0 {
+        Some(at) if at <= slab.len() && at.checked_sub(1).is_none_or(|b| slab[b] < lo) => {
+            gallop(slab, at, |&t| t < lo)
         }
-        // One canonical merge: the visitor path drives the same iterator
-        // `match_pattern` exposes, so the tie-break can never diverge.
-        let mut n = 0;
-        for k in self.range_iter(lo, hi, hint) {
-            n += 1;
-            if !f(k) {
-                return (n, Some(k));
-            }
-        }
-        (n, None)
-    }
-
-    /// Iterator form of [`Index::for_each_in`] (allocation is confined to
-    /// the boxed iterator the caller already pays for).
-    fn range_iter(&self, lo: Key, hi: Key, hint: &mut SeekHint) -> MergeIter<'_> {
-        MergeIter {
-            slab: self.slab_range(lo, hi, hint).iter(),
-            slab_peek: None,
-            delta: self.delta.range(lo..=hi),
-            delta_peek: None,
-        }
-    }
-
-    /// Merge the delta into the slab (two-way merge from the back, in
-    /// place). Afterwards the delta is empty.
-    fn compact(&mut self) {
-        if self.delta.is_empty() {
-            return;
-        }
-        let add: Vec<Key> = std::mem::take(&mut self.delta).into_iter().collect();
-        if self.slab.last().is_none_or(|&last| last < add[0]) {
-            // Append-only pattern (monotone ids during bulk load).
-            self.slab.extend(add);
-            return;
-        }
-        let old_len = self.slab.len();
-        self.slab.resize(old_len + add.len(), (MIN, MIN, MIN));
-        let mut write = self.slab.len();
-        let mut read = old_len;
-        let mut extra = add.len();
-        // Entries are disjoint (inserts check contains first), so a strict
-        // comparison is enough.
-        while extra > 0 {
-            write -= 1;
-            if read > 0 && self.slab[read - 1] > add[extra - 1] {
-                read -= 1;
-                self.slab[write] = self.slab[read];
-            } else {
-                extra -= 1;
-                self.slab[write] = add[extra];
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.slab.len() + self.delta.len()
-    }
+        _ => slab.partition_point(|&t| t < lo),
+    };
+    *hint = SeekHint(Some(start));
+    &slab[start..gallop(slab, start, |&t| t <= hi)]
 }
 
-/// Sorted two-way merge over a slab slice and a delta range.
-struct MergeIter<'a> {
-    slab: std::slice::Iter<'a, Key>,
-    slab_peek: Option<Key>,
-    delta: std::collections::btree_set::Range<'a, Key>,
-    delta_peek: Option<Key>,
-}
-
-impl Iterator for MergeIter<'_> {
-    type Item = Key;
-
-    fn next(&mut self) -> Option<Key> {
-        if self.slab_peek.is_none() {
-            self.slab_peek = self.slab.next().copied();
-        }
-        if self.delta_peek.is_none() {
-            self.delta_peek = self.delta.next().copied();
-        }
-        match (self.slab_peek, self.delta_peek) {
-            (Some(a), Some(b)) => {
-                if a <= b {
-                    self.slab_peek = None;
-                    Some(a)
-                } else {
-                    self.delta_peek = None;
-                    Some(b)
-                }
-            }
-            (Some(a), None) => {
-                self.slab_peek = None;
-                Some(a)
-            }
-            (None, Some(b)) => {
-                self.delta_peek = None;
-                Some(b)
-            }
-            (None, None) => None,
-        }
+/// `slab` and `add` — both strictly ascending, no key in both — as one
+/// strictly ascending slab whose capacity is its length, in one pass: each
+/// key of `add` binary-searches the rest of `slab`, and the run below it is
+/// copied whole.
+fn merge(slab: &[Key], mut add: Vec<Key>) -> Vec<Key> {
+    if slab.is_empty() {
+        add.shrink_to_fit();
+        return add;
     }
+    let mut out = Vec::with_capacity(slab.len() + add.len());
+    let mut rest = slab;
+    for key in add {
+        let below = rest.partition_point(|&k| k < key);
+        out.extend_from_slice(&rest[..below]);
+        out.push(key);
+        rest = &rest[below..];
+    }
+    out.extend_from_slice(rest);
+    debug_assert!(out.windows(2).all(|w| w[0] < w[1]), "merged keys overlap");
+    out
 }
 
-/// The id-only triple store: three slab + delta orderings over [`TermId`]s
-/// from a dictionary it does not own. See the module docs for the storage
-/// design and the compaction contract.
-#[derive(Debug, Clone, Default)]
+/// The slab a pattern shape scans, the bounds of its range there, and the
+/// projection of a slab key back to (s, p, o).
+type AccessPath<'a> = (&'a [Key], Key, Key, fn(Key) -> Key);
+
+fn spo_to_pos((s, p, o): Key) -> Key {
+    (p, o, s)
+}
+
+fn spo_to_osp((s, p, o): Key) -> Key {
+    (o, s, p)
+}
+
+/// The id-only triple store: three sorted, exact-size slabs over
+/// [`TermId`]s from a dictionary it does not own. See the module docs for
+/// the layout and how an index is built. Two indexes are `==` when their
+/// three slabs are.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TripleIndex {
-    spo: Index,
-    pos: Index,
-    osp: Index,
+    spo: Vec<Key>,
+    pos: Vec<Key>,
+    osp: Vec<Key>,
 }
 
 impl TripleIndex {
-    /// Delta size at which an insert triggers automatic compaction.
-    pub const DELTA_THRESHOLD: usize = 8192;
-
     /// Number of triples.
     pub fn len(&self) -> usize {
         self.spo.len()
@@ -387,114 +269,53 @@ impl TripleIndex {
 
     /// True when the index holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.len() == 0
+        self.spo.is_empty()
     }
 
-    /// Number of triples currently in the mutable delta (0 right after
-    /// [`TripleIndex::compact`]).
-    pub fn delta_len(&self) -> usize {
-        self.spo.delta.len()
+    /// The SPO slab — the exact sorted array the snapshot stores
+    /// block by block.
+    pub(crate) fn spo_slab(&self) -> &[Key] {
+        &self.spo
     }
 
-    /// Read-only view of the frozen SPO slab — the exact sorted array the
-    /// persistence layer serializes block-by-block (and a future pager maps).
-    pub fn spo_slab(&self) -> &[(TermId, TermId, TermId)] {
-        &self.spo.slab
+    /// The one constructor: an index over `spo`, which must be strictly
+    /// ascending; POS and OSP are derived from it by permuting and sorting.
+    pub(crate) fn from_spo(spo: Vec<Key>) -> TripleIndex {
+        TripleIndex::default().merged(spo)
     }
 
-    /// Iterate the delta-resident triples in SPO order (disjoint from
-    /// [`TripleIndex::spo_slab`]; slab ∪ delta is the full index).
-    pub fn delta_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        self.spo.delta.iter().copied()
-    }
-
-    /// The frozen POS slab (persistence internals and layout checks).
-    pub fn pos_slab(&self) -> &[(TermId, TermId, TermId)] {
-        &self.pos.slab
-    }
-
-    /// The frozen OSP slab (persistence internals and layout checks).
-    pub fn osp_slab(&self) -> &[(TermId, TermId, TermId)] {
-        &self.osp.slab
-    }
-
-    /// Reassemble an index from persisted parts without triggering any
-    /// compaction: the three slabs are installed as-is and the SPO-order
-    /// delta is replicated into POS/OSP order by permutation. The caller
-    /// (the snapshot decoder) is responsible for slab sortedness and
-    /// slab/delta disjointness — both are verified during decode before
-    /// this runs.
-    pub(crate) fn from_parts(
-        spo_slab: Vec<Key>,
-        pos_slab: Vec<Key>,
-        osp_slab: Vec<Key>,
-        spo_delta: Vec<Key>,
-    ) -> TripleIndex {
-        let pos_delta: BTreeSet<Key> = spo_delta.iter().map(|&(s, p, o)| (p, o, s)).collect();
-        let osp_delta: BTreeSet<Key> = spo_delta.iter().map(|&(s, p, o)| (o, s, p)).collect();
+    /// The one merge: this index plus `add` — strictly ascending SPO keys,
+    /// none of them already here — as a fresh index. `add` is permuted and
+    /// sorted into each ordering and merged with that ordering's slab in
+    /// one linear pass; `self` is left as it was.
+    pub(crate) fn merged(&self, add: Vec<Key>) -> TripleIndex {
+        debug_assert!(add.windows(2).all(|w| w[0] < w[1]), "unsorted keys");
+        let sorted = |permute: fn(Key) -> Key| {
+            let mut keys: Vec<Key> = add.iter().map(|&k| permute(k)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let (pos, osp) = (sorted(spo_to_pos), sorted(spo_to_osp));
         TripleIndex {
-            spo: Index {
-                slab: spo_slab,
-                delta: spo_delta.into_iter().collect(),
-            },
-            pos: Index {
-                slab: pos_slab,
-                delta: pos_delta,
-            },
-            osp: Index {
-                slab: osp_slab,
-                delta: osp_delta,
-            },
+            spo: merge(&self.spo, add),
+            pos: merge(&self.pos, pos),
+            osp: merge(&self.osp, osp),
         }
     }
 
-    /// Move a compacted index into another id space: every id `i` becomes
-    /// `map[i.index()]` and the slabs are re-sorted in place. `map` must be
-    /// injective and cover every id the index holds.
-    pub(crate) fn rekey(&mut self, map: &[TermId]) {
-        debug_assert_eq!(self.delta_len(), 0, "rekey runs on a compacted index");
-        for index in [&mut self.spo, &mut self.pos, &mut self.osp] {
-            for (a, b, c) in &mut index.slab {
-                (*a, *b, *c) = (map[a.index()], map[b.index()], map[c.index()]);
-            }
-            index.slab.sort_unstable();
-        }
+    /// True when the index holds the triple.
+    pub(crate) fn contains(&self, key: Key) -> bool {
+        self.spo.binary_search(&key).is_ok()
     }
 
-    /// Insert a triple of already-interned ids. Returns `true` if new.
-    pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
-        if self.spo.contains((s, p, o)) {
-            return false;
-        }
-        self.spo.delta.insert((s, p, o));
-        self.pos.delta.insert((p, o, s));
-        self.osp.delta.insert((o, s, p));
-        if self.spo.delta.len() >= Self::DELTA_THRESHOLD {
-            self.compact();
-        }
-        true
-    }
-
-    /// Merge the delta buffers into the frozen slabs. Idempotent; see the
-    /// module docs for the full contract.
-    pub fn compact(&mut self) {
-        if self.spo.delta.is_empty() {
-            // The three deltas mirror each other; nothing to merge.
-            return;
-        }
-        self.spo.compact();
-        self.pos.compact();
-        self.osp.compact();
-    }
-
-    /// Index, bounds, and match→(s,p,o) projection for a pattern shape.
+    /// Slab, bounds, and match→(s,p,o) projection for a pattern shape.
     #[inline]
     fn access_path(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
-    ) -> (&Index, Key, Key, fn(Key) -> Key) {
+    ) -> AccessPath<'_> {
         fn id_spo(k: Key) -> Key {
             k
         }
@@ -544,14 +365,10 @@ impl TripleIndex {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> Box<dyn Iterator<Item = (TermId, TermId, TermId)> + 'a> {
-        let (index, lo, hi, project) = self.access_path(s, p, o);
-        Box::new(
-            index
-                .range_iter(lo, hi, &mut SeekHint::default())
-                .map(project),
-        )
+        let (slab, lo, hi, project) = self.access_path(s, p, o);
+        let range = slab_range(slab, lo, hi, &mut SeekHint::default());
+        Box::new(range.iter().map(move |&k| project(k)))
     }
-
     /// Visit every match of a triple pattern without allocating an iterator
     /// (the boxed [`TripleIndex::match_pattern`] costs one heap allocation per
     /// call, which adds up in index-nested-loop evaluation where a pattern
@@ -600,7 +417,7 @@ impl TripleIndex {
         hint: &mut SeekHint,
         mut f: F,
     ) -> (u64, Option<ScanPos>) {
-        let (index, lo, hi, project) = self.access_path(s, p, o);
+        let (slab, lo, hi, project) = self.access_path(s, p, o);
         let lo = match resume {
             // Ranges are inclusive, so resuming means the strict successor
             // of the suspension key; `None` when that overflows past the
@@ -611,28 +428,25 @@ impl TripleIndex {
             },
             None => lo,
         };
-        let (visited, stopped) = index.for_each_in(lo, hi, hint, |k| {
+        let range = slab_range(slab, lo, hi, hint);
+        for (i, &k) in range.iter().enumerate() {
             let (s, p, o) = project(k);
-            f(s, p, o)
-        });
-        (visited, stopped.map(ScanPos))
+            if !f(s, p, o) {
+                return (i as u64 + 1, Some(ScanPos(k)));
+            }
+        }
+        (range.len() as u64, None)
     }
 
     /// Exact (not estimated) number of matches for a pattern.
     pub fn count_pattern(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        let (index, lo, hi, _) = self.access_path(s, p, o);
-        let slab = index.slab_range(lo, hi, &mut SeekHint::default()).len();
-        if index.delta.is_empty() {
-            slab
-        } else {
-            slab + index.delta.range(lo..=hi).count()
-        }
+        let (slab, lo, hi, _) = self.access_path(s, p, o);
+        slab_range(slab, lo, hi, &mut SeekHint::default()).len()
     }
 
     /// Iterate all triples as id tuples in SPO order.
     pub fn iter_ids(&self) -> impl Iterator<Item = (TermId, TermId, TermId)> + '_ {
-        self.spo
-            .range_iter((MIN, MIN, MIN), (MAX, MAX, MAX), &mut SeekHint::default())
+        self.spo.iter().copied()
     }
 
     /// Build a statistics snapshot for the optimizer in two sequential
@@ -640,34 +454,23 @@ impl TripleIndex {
     /// (predicate, object) pair as one run, SPO order each distinct
     /// (subject, predicate) pair.
     pub fn stats(&self) -> GraphStats {
-        let all = |index: &Index, f: &mut dyn FnMut(Key)| {
-            index.for_each_in(
-                (MIN, MIN, MIN),
-                (MAX, MAX, MAX),
-                &mut SeekHint::default(),
-                |k| {
-                    f(k);
-                    true
-                },
-            );
-        };
         let mut predicates: FxHashMap<TermId, PredicateStats> = FxHashMap::default();
         let mut run = None;
-        all(&self.pos, &mut |(p, o, _)| {
+        for &(p, o, _) in &self.pos {
             let st = predicates.entry(p).or_default();
             st.count += 1;
             if run != Some((p, o)) {
                 run = Some((p, o));
                 st.distinct_objects += 1;
             }
-        });
+        }
         let mut run = None;
-        all(&self.spo, &mut |(s, p, _)| {
+        for &(s, p, _) in &self.spo {
             if run != Some((s, p)) {
                 run = Some((s, p));
                 predicates.entry(p).or_default().distinct_subjects += 1;
             }
-        });
+        }
         GraphStats {
             triples: self.len(),
             predicates: predicates.into_iter().collect(),
@@ -677,41 +480,25 @@ impl TripleIndex {
     /// Distinct predicates in the index, ascending.
     pub fn predicates(&self) -> impl Iterator<Item = TermId> + '_ {
         let mut last: Option<TermId> = None;
-        self.pos
-            .range_iter((MIN, MIN, MIN), (MAX, MAX, MAX), &mut SeekHint::default())
-            .filter_map(move |(p, _, _)| {
-                if last == Some(p) {
-                    None
-                } else {
-                    last = Some(p);
-                    Some(p)
-                }
-            })
+        self.pos.iter().filter_map(move |&(p, _, _)| {
+            if last == Some(p) {
+                None
+            } else {
+                last = Some(p);
+                Some(p)
+            }
+        })
     }
 }
 
-/// A stand-alone RDF graph: a term dictionary plus a [`TripleIndex`] over
-/// its ids — the builder generators, parsers and tests fill before handing
-/// it to a [`crate::Dataset`]. Derefs to the index for every id-level
-/// method (`len`, `compact`, `match_pattern`, …).
+/// A stand-alone RDF graph: a term dictionary plus the set of its triples
+/// over that dictionary's ids, in SPO order — the builder generators,
+/// parsers and tests fill before handing it to a [`crate::Dataset`], which
+/// indexes it. A builder has no scans: install it to query it.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     interner: Interner,
-    index: TripleIndex,
-}
-
-impl std::ops::Deref for Graph {
-    type Target = TripleIndex;
-
-    fn deref(&self) -> &TripleIndex {
-        &self.index
-    }
-}
-
-impl std::ops::DerefMut for Graph {
-    fn deref_mut(&mut self) -> &mut TripleIndex {
-        &mut self.index
-    }
+    triples: BTreeSet<Key>,
 }
 
 impl Graph {
@@ -720,10 +507,20 @@ impl Graph {
         Self::default()
     }
 
-    /// Split into dictionary and index (the dataset re-keys the index and
-    /// drops the dictionary).
-    pub(crate) fn into_parts(self) -> (Interner, TripleIndex) {
-        (self.interner, self.index)
+    /// Number of triples.
+    pub fn len(&self) -> usize {
+        self.triples.len()
+    }
+
+    /// True when the graph holds no triples.
+    pub fn is_empty(&self) -> bool {
+        self.triples.is_empty()
+    }
+
+    /// Split into dictionary and triples (the dataset re-keys the triples
+    /// and drops the dictionary).
+    pub(crate) fn into_parts(self) -> (Interner, BTreeSet<Key>) {
+        (self.interner, self.triples)
     }
 
     /// Look up a term's id without interning.
@@ -741,23 +538,24 @@ impl Graph {
         let s = self.interner.intern(triple.subject.clone());
         let p = self.interner.intern(triple.predicate.clone());
         let o = self.interner.intern(triple.object.clone());
-        self.index.insert_ids(s, p, o)
+        self.triples.insert((s, p, o))
     }
 
-    /// Iterate all triples as concrete [`Triple`]s (allocates per triple;
-    /// intended for serialization, not evaluation).
+    /// Iterate all triples as concrete [`Triple`]s, in SPO order of the
+    /// builder's ids (allocates per triple; intended for serialization, not
+    /// evaluation).
     pub fn iter_triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        resolve_triples(&self.interner, &self.index)
+        resolve_triples(&self.interner, self.triples.iter().copied())
     }
 }
 
-/// Every triple of `index` as concrete terms of `interner`, in SPO order —
-/// one body for the builder's own dictionary and the dataset's.
+/// Id triples as concrete terms of `interner` — one body for the builder's
+/// own dictionary and the dataset's.
 pub(crate) fn resolve_triples<'a>(
     interner: &'a Interner,
-    index: &'a TripleIndex,
+    keys: impl Iterator<Item = Key> + 'a,
 ) -> impl Iterator<Item = Triple> + 'a {
-    index.iter_ids().map(move |(s, p, o)| {
+    keys.map(move |(s, p, o)| {
         Triple::new(
             interner.resolve(s).clone(),
             interner.resolve(p).clone(),
@@ -769,53 +567,61 @@ pub(crate) fn resolve_triples<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dataset;
+    use std::sync::Arc;
+
+    const G: &str = "http://x/g";
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
-        Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
+        let x = |n: &str| Term::iri(format!("http://x/{n}"));
+        Triple::new(x(s), x(p), x(o))
     }
 
-    fn sample() -> Graph {
-        let mut g = Graph::new();
-        g.insert(&t("http://x/s1", "http://x/p1", "http://x/o1"));
-        g.insert(&t("http://x/s1", "http://x/p1", "http://x/o2"));
-        g.insert(&t("http://x/s2", "http://x/p1", "http://x/o1"));
-        g.insert(&t("http://x/s2", "http://x/p2", "http://x/o3"));
-        g
+    fn sample() -> Vec<Triple> {
+        vec![
+            t("s1", "p1", "o1"),
+            t("s2", "p1", "o1"),
+            t("s1", "p1", "o2"),
+            t("s2", "p2", "o3"),
+        ]
     }
 
-    /// Same contents as [`sample`] but compacted midway, so half the
-    /// triples live in the slab and half in the delta (scans must merge).
-    fn sample_half_compacted() -> Graph {
-        let mut g = Graph::new();
-        g.insert(&t("http://x/s1", "http://x/p1", "http://x/o1"));
-        g.insert(&t("http://x/s2", "http://x/p1", "http://x/o1"));
-        g.compact();
-        g.insert(&t("http://x/s1", "http://x/p1", "http://x/o2"));
-        g.insert(&t("http://x/s2", "http://x/p2", "http://x/o3"));
-        assert_eq!(g.delta_len(), 2);
-        g
+    /// The sample in both layouts a dataset graph can be built in:
+    /// installed in one piece, and installed empty then appended in two
+    /// batches (the second merging between the first's entries).
+    fn layouts() -> [Dataset; 2] {
+        let mut builder = Graph::new();
+        for triple in sample() {
+            builder.insert(&triple);
+        }
+        let mut installed = Dataset::new();
+        installed.insert_graph(G, builder);
+        let mut appended = Dataset::new();
+        appended.insert_graph(G, Graph::new());
+        let mut triples = sample();
+        let second = triples.split_off(2);
+        appended.append_triples(G, triples).unwrap();
+        appended.append_triples(G, second).unwrap();
+        [installed, appended]
     }
 
-    /// Same contents as [`sample`] but fully compacted (pure slab scans).
-    fn sample_compacted() -> Graph {
-        let mut g = sample();
-        g.compact();
-        g
+    /// The graph's index and a lookup of `http://x/{name}`.
+    fn parts(ds: &Dataset) -> (&TripleIndex, impl Fn(&str) -> Option<TermId> + '_) {
+        let lookup = |name: &str| ds.lookup(&Term::iri(format!("http://x/{name}")));
+        (ds.graph(G).unwrap(), lookup)
     }
 
     #[test]
     fn resumable_scan_matches_uninterrupted_scan() {
-        // Every boundness shape × every storage layout × several suspension
+        // Every boundness shape × both layouts × several suspension
         // strides: chaining suspended scans must visit the same triples in
         // the same order, with the same total visited count, as one
         // uninterrupted `for_each_match` pass.
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
-            let s1 = g.term_id(&Term::iri("http://x/s1"));
-            let p1 = g.term_id(&Term::iri("http://x/p1"));
-            let o1 = g.term_id(&Term::iri("http://x/o1"));
-            for s in [None, s1] {
-                for p in [None, p1] {
-                    for o in [None, o1] {
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
+            for s in [None, id("s1")] {
+                for p in [None, id("p1")] {
+                    for o in [None, id("o1")] {
                         let mut full = Vec::new();
                         let full_n = g.for_each_match(s, p, o, |ms, mp, mo| {
                             full.push((ms, mp, mo));
@@ -887,10 +693,11 @@ mod tests {
     fn stale_or_foreign_hints_never_change_a_scan() {
         // A hint left by a later range, another ordering or another index
         // must fall back to the full search, never skip entries.
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
             let ids: Vec<Option<TermId>> = ["s1", "s2", "p1", "p2", "o1", "o2", "o3"]
                 .iter()
-                .map(|n| g.term_id(&Term::iri(format!("http://x/{n}"))))
+                .map(|n| id(n))
                 .collect();
             let mut hint = SeekHint(Some(usize::MAX));
             for &s in ids.iter().rev().chain([&None]) {
@@ -911,41 +718,39 @@ mod tests {
     #[test]
     fn insert_deduplicates() {
         let mut g = Graph::new();
-        assert!(g.insert(&t("http://x/a", "http://x/p", "http://x/b")));
-        assert!(!g.insert(&t("http://x/a", "http://x/p", "http://x/b")));
+        assert!(g.insert(&t("a", "p", "b")));
+        assert!(!g.insert(&t("a", "p", "b")));
         assert_eq!(g.len(), 1);
-        g.compact();
-        assert!(!g.insert(&t("http://x/a", "http://x/p", "http://x/b")));
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.delta_len(), 0);
+        let mut ds = Dataset::new();
+        ds.insert_graph(G, g);
+        let again = vec![t("a", "p", "b"), t("a", "p", "c"), t("a", "p", "c")];
+        assert_eq!(ds.append_triples(G, again), Some(1));
+        assert_eq!(ds.graph(G).unwrap().len(), 2);
     }
 
     #[test]
     fn all_eight_access_paths_agree() {
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
-            let s1 = g.term_id(&Term::iri("http://x/s1")).unwrap();
-            let p1 = g.term_id(&Term::iri("http://x/p1")).unwrap();
-            let o1 = g.term_id(&Term::iri("http://x/o1")).unwrap();
-            assert_eq!(g.count_pattern(Some(s1), Some(p1), Some(o1)), 1);
-            assert_eq!(g.count_pattern(Some(s1), Some(p1), None), 2);
-            assert_eq!(g.count_pattern(Some(s1), None, None), 2);
-            assert_eq!(g.count_pattern(Some(s1), None, Some(o1)), 1);
-            assert_eq!(g.count_pattern(None, Some(p1), Some(o1)), 2);
-            assert_eq!(g.count_pattern(None, Some(p1), None), 3);
-            assert_eq!(g.count_pattern(None, None, Some(o1)), 2);
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
+            let (s1, p1, o1) = (id("s1"), id("p1"), id("o1"));
+            assert_eq!(g.count_pattern(s1, p1, o1), 1);
+            assert_eq!(g.count_pattern(s1, p1, None), 2);
+            assert_eq!(g.count_pattern(s1, None, None), 2);
+            assert_eq!(g.count_pattern(s1, None, o1), 1);
+            assert_eq!(g.count_pattern(None, p1, o1), 2);
+            assert_eq!(g.count_pattern(None, p1, None), 3);
+            assert_eq!(g.count_pattern(None, None, o1), 2);
             assert_eq!(g.count_pattern(None, None, None), 4);
         }
     }
 
     #[test]
     fn for_each_match_agrees_with_match_pattern() {
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
-            let s1 = g.term_id(&Term::iri("http://x/s1"));
-            let p1 = g.term_id(&Term::iri("http://x/p1"));
-            let o1 = g.term_id(&Term::iri("http://x/o1"));
-            for s in [None, s1] {
-                for p in [None, p1] {
-                    for o in [None, o1] {
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
+            for s in [None, id("s1")] {
+                for p in [None, id("p1")] {
+                    for o in [None, id("o1")] {
                         let via_iter: Vec<_> = g.match_pattern(s, p, o).collect();
                         let mut via_visit = Vec::new();
                         let n = g.for_each_match(s, p, o, |ms, mp, mo| {
@@ -960,43 +765,35 @@ mod tests {
         }
     }
 
+    /// Half the graph installed whole (once called compacted), half
+    /// appended: the append merges into every ordering in order.
     #[test]
     fn half_compacted_scans_merge_in_order() {
-        let mut g = Graph::new();
-        g.insert(&t("http://x/s1", "http://x/p1", "http://x/o1"));
-        g.insert(&t("http://x/s2", "http://x/p1", "http://x/o1"));
-        g.compact();
-        // Interleaves before, between, and after the slab entries.
-        g.insert(&t("http://x/s1", "http://x/p1", "http://x/o0"));
-        g.insert(&t("http://x/s1", "http://x/p2", "http://x/o9"));
-        g.insert(&t("http://x/s3", "http://x/p1", "http://x/o1"));
-        assert_eq!(g.delta_len(), 3);
-        let all: Vec<_> = g.iter_ids().collect();
-        assert_eq!(all.len(), 5);
-        let mut sorted = all.clone();
-        sorted.sort();
-        assert_eq!(all, sorted, "merged scan must be in SPO order");
-        let mut compacted = g.clone();
-        compacted.compact();
-        assert_eq!(compacted.delta_len(), 0);
-        let after: Vec<_> = compacted.iter_ids().collect();
-        assert_eq!(all, after, "compaction must not change contents");
-    }
-
-    #[test]
-    fn auto_compaction_at_threshold() {
-        let n = TripleIndex::DELTA_THRESHOLD + 10;
-        let mut g = Graph::new();
-        for i in 0..n {
-            g.insert(&t(&format!("http://x/s{i}"), "http://x/p", "http://x/o"));
-            if i + 1 == TripleIndex::DELTA_THRESHOLD {
-                assert_eq!(g.delta_len(), 0, "the insert reaching the threshold merges");
-            }
+        let mut builder = Graph::new();
+        builder.insert(&t("s1", "p1", "o1"));
+        builder.insert(&t("s2", "p1", "o1"));
+        let mut ds = Dataset::new();
+        ds.insert_graph(G, builder);
+        let before = Arc::clone(ds.graph(G).unwrap());
+        // Lands before, between and after the installed entries of every
+        // ordering, and repeats one of them.
+        let batch = vec![
+            t("s3", "p1", "o1"),
+            t("s1", "p1", "o0"),
+            t("s1", "p2", "o9"),
+            t("s2", "p1", "o1"),
+        ];
+        assert_eq!(ds.append_triples(G, batch), Some(3));
+        let g = ds.graph(G).unwrap();
+        assert_eq!(g.len(), 5);
+        for slab in [&g.spo, &g.pos, &g.osp] {
+            assert!(slab.windows(2).all(|w| w[0] < w[1]), "{slab:?}");
+            assert_eq!(slab.capacity(), slab.len(), "exact size");
         }
-        assert_eq!(g.len(), n);
-        assert_eq!(g.delta_len(), 10, "only the inserts since the merge wait");
-        assert_eq!(g.spo_slab().len(), TripleIndex::DELTA_THRESHOLD);
-        assert_eq!(g.count_pattern(None, None, None), n);
+        // The merge builds what the one constructor builds over the same
+        // ids, and leaves the index it started from as it was.
+        assert_eq!(**g, TripleIndex::from_spo(g.iter_ids().collect()));
+        assert_eq!(before.len(), 2);
     }
 
     #[test]
@@ -1004,13 +801,11 @@ mod tests {
         // For every bound-ness shape, the matches projected onto the
         // claimed free-position sequence must come out lexicographically
         // non-decreasing — pinning `scan_free_order` to `access_path`.
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
-            let s1 = g.term_id(&Term::iri("http://x/s1"));
-            let p1 = g.term_id(&Term::iri("http://x/p1"));
-            let o1 = g.term_id(&Term::iri("http://x/o1"));
-            for s in [None, s1] {
-                for p in [None, p1] {
-                    for o in [None, o1] {
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
+            for s in [None, id("s1")] {
+                for p in [None, id("p1")] {
+                    for o in [None, id("o1")] {
                         let order =
                             TripleIndex::scan_free_order(s.is_some(), p.is_some(), o.is_some());
                         let keys: Vec<Vec<TermId>> = g
@@ -1035,8 +830,9 @@ mod tests {
 
     #[test]
     fn pattern_results_are_real_triples() {
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
-            let p1 = g.term_id(&Term::iri("http://x/p1")).unwrap();
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
+            let p1 = id("p1").unwrap();
             for (s, p, o) in g.match_pattern(None, Some(p1), None) {
                 assert_eq!(p, p1);
                 assert_eq!(g.count_pattern(Some(s), Some(p), Some(o)), 1);
@@ -1046,11 +842,11 @@ mod tests {
 
     #[test]
     fn stats_counts() {
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
+        for ds in layouts() {
+            let (g, id) = parts(&ds);
             let stats = g.stats();
             assert_eq!(stats.triples, 4);
-            let p1 = g.term_id(&Term::iri("http://x/p1")).unwrap();
-            let st = &stats.predicates[&p1];
+            let st = &stats.predicates[&id("p1").unwrap()];
             assert_eq!(st.count, 3);
             assert_eq!(st.distinct_subjects, 2);
             assert_eq!(st.distinct_objects, 2);
@@ -1059,27 +855,26 @@ mod tests {
 
     #[test]
     fn estimate_orders_selectivity() {
-        let g = sample();
+        let [ds, _] = layouts();
+        let (g, id) = parts(&ds);
         let stats = g.stats();
-        let p1 = g.term_id(&Term::iri("http://x/p1")).unwrap();
-        let s1 = g.term_id(&Term::iri("http://x/s1")).unwrap();
-        let unbound = stats.estimate(None, Some(p1), None);
-        let bound_s = stats.estimate(Some(s1), Some(p1), None);
+        let unbound = stats.estimate(None, id("p1"), None);
+        let bound_s = stats.estimate(id("s1"), id("p1"), None);
         assert!(bound_s < unbound);
         assert_eq!(stats.estimate(None, None, None), 4.0);
     }
 
     #[test]
     fn missing_predicate_estimates_zero() {
-        let g = sample();
-        let stats = g.stats();
+        let [ds, _] = layouts();
+        let stats = parts(&ds).0.stats();
         assert_eq!(stats.estimate(None, Some(TermId(9999)), None), 0.0);
     }
 
     #[test]
     fn predicates_are_distinct_and_sorted() {
-        for g in [sample(), sample_compacted(), sample_half_compacted()] {
-            let preds: Vec<_> = g.predicates().collect();
+        for ds in layouts() {
+            let preds: Vec<_> = parts(&ds).0.predicates().collect();
             assert_eq!(preds.len(), 2);
             let mut sorted = preds.clone();
             sorted.sort();

@@ -103,7 +103,7 @@ impl<'a> Cursor<'a> {
         std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("")
     }
 
-    fn parse_iri(&mut self) -> Result<Term> {
+    fn parse_iri(&mut self) -> Result<String> {
         self.expect(b'<')?;
         let start = self.pos;
         while let Some(b) = self.peek() {
@@ -113,7 +113,7 @@ impl<'a> Cursor<'a> {
                 if iri.is_empty() {
                     return Err(syntax(self.line, "empty IRI"));
                 }
-                return Ok(Term::iri(iri));
+                return Ok(iri);
             }
             self.pos += 1;
         }
@@ -214,10 +214,8 @@ impl<'a> Cursor<'a> {
             Some(b'^') => {
                 self.expect(b'^')?;
                 self.expect(b'^')?;
-                match self.parse_iri()? {
-                    Term::Iri(dt) => Ok(Term::Literal(Literal::typed(body, dt))),
-                    _ => unreachable!("parse_iri returns Iri"),
-                }
+                let datatype = self.parse_iri()?;
+                Ok(Term::Literal(Literal::typed(body, datatype)))
             }
             _ => Ok(Term::Literal(Literal::string(body))),
         }
@@ -226,7 +224,7 @@ impl<'a> Cursor<'a> {
     fn parse_term(&mut self, allow_literal: bool) -> Result<Term> {
         self.skip_ws();
         match self.peek() {
-            Some(b'<') => self.parse_iri(),
+            Some(b'<') => self.parse_iri().map(Term::iri),
             Some(b'_') => self.parse_blank(),
             Some(b'"') if allow_literal => self.parse_literal(),
             other => Err(syntax(

@@ -3,19 +3,16 @@
 //! # Layout
 //!
 //! ```text
-//! snapshot := magic "RDFSNAP3"            (8 bytes)
+//! snapshot := magic "RDFSNAP4"            (8 bytes)
 //!             body_crc                    (u32 LE, CRC-32/IEEE of body)
 //!             body
-//! body     := uvarint version (= 3)
+//! body     := uvarint version (= 4)
 //!             uvarint stats_generation
 //!             section<terms>              (the one interner, id order)
 //!             uvarint graph_count
 //!             graph*                      (sorted by URI)
 //! graph    := string uri
 //!             index                       (SPO slab)
-//!             index                       (POS slab)
-//!             index                       (OSP slab)
-//!             section<triples>            (SPO-order delta)
 //! index    := uvarint triple_count
 //!             uvarint block_count
 //!             block_header*               (fixed 24 bytes each, contiguous)
@@ -23,12 +20,14 @@
 //! block_header := min_s min_p min_o count payload_len crc   (6 × u32 LE)
 //! ```
 //!
-//! Every id in a graph — slab, block header or delta — is an index into the
-//! body's one term table; a graph carries no dictionary of its own, and no
-//! storage settings: the delta is only where appends wait for the next
-//! merge, so the delta section holds the triples appended since the graph's
-//! last merge. Every other revision is refused by magic: `RDFSNAP<n>` for
-//! `n ≠ 3` is [`StorageError::UnsupportedVersion`]`(n)`.
+//! Every id in a graph — slab entry or block header — is an index into the
+//! body's one term table; a graph carries no dictionary of its own and no
+//! storage settings. A graph is stored once, as its SPO slab: the decoder
+//! checks it strictly ascending and hands it to the index's one
+//! constructor, which derives POS and OSP by permuting and sorting it, so
+//! the three orderings of a loaded graph hold the same triples by
+//! construction. Every other revision is refused by magic: `RDFSNAP<n>` for
+//! `n ≠ 4` is [`StorageError::UnsupportedVersion`]`(n)`.
 //!
 //! Block headers are a flat array of fixed-size records sorted by their
 //! `min` triple — exactly the shape a pager needs to `partition_point` to
@@ -63,9 +62,9 @@ use crate::term::{Literal, Term};
 use super::StorageError;
 
 /// File magic: 8 bytes, format name + major layout revision.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RDFSNAP3";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"RDFSNAP4";
 /// Body version written by this encoder.
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 /// Triples per index block.
 const BLOCK_TRIPLES: usize = 1024;
 /// Bytes per index block header (6 × u32 LE).
@@ -553,49 +552,12 @@ fn decode_index(
 fn encode_graph(out: &mut Vec<u8>, uri: &str, graph: &TripleIndex) {
     put_str(out, uri);
     encode_index(out, graph.spo_slab());
-    encode_index(out, graph.pos_slab());
-    encode_index(out, graph.osp_slab());
-    let delta: Vec<Key> = graph.delta_ids().collect();
-    let mut payload = Vec::new();
-    put_uvarint(&mut payload, delta.len() as u64);
-    encode_triples_delta(&mut payload, &delta);
-    put_section(out, &payload);
 }
 
 fn decode_graph(r: &mut Reader<'_>, max_id: u64) -> Result<(String, TripleIndex), StorageError> {
     let uri = r.str()?.to_string();
     let spo = decode_index(r, "spo index", max_id)?;
-    let pos = decode_index(r, "pos index", max_id)?;
-    let osp = decode_index(r, "osp index", max_id)?;
-    if pos.len() != spo.len() || osp.len() != spo.len() {
-        return Err(StorageError::Corrupt {
-            section: "graph",
-            detail: "index lengths diverge".into(),
-        });
-    }
-    let mut delta_sec = read_section(r, "delta")?;
-    let delta_count = delta_sec.uvarint()? as usize;
-    let delta = decode_triples_delta(&mut delta_sec, delta_count, max_id)?;
-    if !delta_sec.is_empty() {
-        return Err(StorageError::Corrupt {
-            section: "delta",
-            detail: "trailing bytes after delta triples".into(),
-        });
-    }
-    if delta.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(StorageError::Corrupt {
-            section: "delta",
-            detail: "delta not strictly ascending".into(),
-        });
-    }
-    // Slab/delta disjointness: an overlap would double-count triples.
-    if delta.iter().any(|k| spo.binary_search(k).is_ok()) {
-        return Err(StorageError::Corrupt {
-            section: "delta",
-            detail: "delta overlaps slab".into(),
-        });
-    }
-    Ok((uri, TripleIndex::from_parts(spo, pos, osp, delta)))
+    Ok((uri, TripleIndex::from_spo(spo)))
 }
 
 /// Serialize a dataset into snapshot bytes (deterministic: same logical
@@ -605,10 +567,8 @@ pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
     put_uvarint(&mut body, SNAPSHOT_VERSION);
     put_uvarint(&mut body, dataset.stats_generation());
     put_section(&mut body, &encode_interner(dataset.interner()));
-    let uris: Vec<&str> = dataset.graph_uris().collect();
-    put_uvarint(&mut body, uris.len() as u64);
-    for uri in uris {
-        let graph = dataset.graph(uri).expect("graph_uris yields live graphs");
+    put_uvarint(&mut body, dataset.len() as u64);
+    for (uri, graph) in dataset.graphs() {
         encode_graph(&mut body, uri, graph);
     }
     let mut out = Vec::with_capacity(body.len() + 12);
@@ -659,9 +619,7 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, StorageError> {
                 detail: format!("duplicate graph {uri}"),
             });
         }
-        // Installed as stored: the slabs already hold this interner's ids,
-        // and the appends still waiting in the delta stay there (no
-        // compaction), so the split survives bit-for-bit.
+        // The slab already holds this interner's ids.
         dataset.install(uri, graph);
     }
     if !r.is_empty() {
@@ -730,8 +688,8 @@ mod tests {
         }
     }
 
-    /// Graph `a` is mostly slab with one appended triple in its delta;
-    /// graph `b` was installed empty, so its one triple is delta-resident.
+    /// Graph `a` was installed with ten triples and then appended one;
+    /// graph `b` was installed empty, so its one triple was appended.
     fn sample_dataset() -> Dataset {
         let mut g = Graph::new();
         for i in 0..10 {
@@ -749,7 +707,7 @@ mod tests {
             vec![Triple::new(
                 Term::iri("http://x/s1"),
                 Term::iri("http://x/q"),
-                Term::string("in the delta"),
+                Term::string("appended"),
             )],
         )
         .unwrap();
@@ -762,8 +720,6 @@ mod tests {
             )],
         )
         .unwrap();
-        assert_eq!(ds.graph("http://a").unwrap().delta_len(), 1);
-        assert_eq!(ds.graph("http://b").unwrap().delta_len(), 1);
         ds
     }
 
@@ -778,15 +734,8 @@ mod tests {
             ds.graph_uris().collect::<Vec<_>>()
         );
         for uri in ["http://a", "http://b"] {
-            let a = ds.graph(uri).unwrap();
-            let b = back.graph(uri).unwrap();
-            assert_eq!(a.spo_slab(), b.spo_slab());
-            assert_eq!(a.pos_slab(), b.pos_slab());
-            assert_eq!(a.osp_slab(), b.osp_slab());
-            assert_eq!(
-                a.delta_ids().collect::<Vec<_>>(),
-                b.delta_ids().collect::<Vec<_>>()
-            );
+            // All three slabs, not only the stored SPO one.
+            assert_eq!(ds.graph(uri), back.graph(uri));
         }
         assert!(ds.interner().iter().eq(back.interner().iter()));
         // Snapshot of the snapshot: byte-identical.
@@ -797,10 +746,11 @@ mod tests {
     fn a_revision_1_file_is_refused_by_magic() {
         // Whatever follows an old magic — nothing, garbage, or a
         // well-formed current body — the answer is the typed error naming
-        // the revision: 1 (a dictionary per graph) and 2 (a merge threshold
-        // and counter per graph) alike.
+        // the revision: 1 (a dictionary per graph), 2 (a merge threshold
+        // and counter per graph) and 3 (stored POS, OSP and delta sections)
+        // alike.
         let good = encode_dataset(&sample_dataset());
-        for (magic, revision) in [(b"RDFSNAP1", 1), (b"RDFSNAP2", 2)] {
+        for (magic, revision) in [(b"RDFSNAP1", 1), (b"RDFSNAP2", 2), (b"RDFSNAP3", 3)] {
             let mut relabelled = good.clone();
             relabelled[..8].copy_from_slice(magic);
             let mut garbage = magic.to_vec();
@@ -879,10 +829,7 @@ mod tests {
         ds.insert_graph("http://big", g);
         let bytes = encode_dataset(&ds);
         let back = decode_dataset(&bytes).unwrap();
-        let a = ds.graph("http://big").unwrap();
-        let b = back.graph("http://big").unwrap();
-        assert_eq!(a.spo_slab(), b.spo_slab());
-        assert_eq!(a.len(), b.len());
+        assert_eq!(ds.graph("http://big"), back.graph("http://big"));
         assert_eq!(encode_dataset(&back), bytes);
     }
 }

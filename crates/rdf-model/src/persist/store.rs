@@ -36,12 +36,11 @@
 //! [`Store::insert_graph`] does *not* install the caller's graph object;
 //! it logs the graph's triples in canonical (`iter_triples`, SPO) order,
 //! then applies *the record* — rebuilding the graph by inserting in logged
-//! order and installing it through [`Dataset::insert_graph`], which
-//! compacts. Live state is therefore always byte-identical to replayed
-//! state (same interning order, an empty delta after every install, the
-//! same appends waiting in it after every append), which is what lets the
-//! recovery tests demand exact equality — down to scan-cost counters —
-//! rather than mere set-equality.
+//! order and installing it through [`Dataset::insert_graph`]. Live state is
+//! therefore always byte-identical to replayed state (same interning order,
+//! and the same three slabs, which are a function of the contents), which
+//! is what lets the recovery tests demand exact equality — down to
+//! scan-cost counters — rather than mere set-equality.
 
 use std::sync::Arc;
 
@@ -232,7 +231,7 @@ impl Store {
 
     /// Durably insert (or replace) a named graph. The graph's triples are
     /// logged in canonical SPO order; the installed graph is rebuilt from
-    /// the log record and compacted.
+    /// the log record.
     pub fn insert_graph(&mut self, uri: &str, graph: &Graph) -> Result<(), StorageError> {
         let rec = WalRecord::InsertGraph {
             gen: self.dataset.stats_generation() + 1,
@@ -322,7 +321,6 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::TripleIndex;
     use crate::persist::vfs::{FaultPlan, MemVfs};
     use crate::term::Term;
 
@@ -382,42 +380,20 @@ mod tests {
     fn live_state_equals_replayed_state_exactly() {
         let vfs = Arc::new(MemVfs::new());
         let mut store = Store::open(vfs.clone()).unwrap();
-        // A builder left half in its delta: the install compacts it.
-        store
-            .insert_graph("http://g", &{
-                let mut g = small_graph(10);
-                g.compact();
-                for i in 10..20 {
-                    g.insert(&triple(i));
-                }
-                g
-            })
-            .unwrap();
+        store.insert_graph("http://g", &small_graph(20)).unwrap();
+        // Two appends, the second interning in reverse and repeating one
+        // triple: replay must intern alike and build the same slabs.
         store
             .append_triples("http://g", (20..30).map(triple).collect())
             .unwrap();
-        let a = store.dataset().graph("http://g").unwrap();
-        assert_eq!(a.spo_slab().len(), 20, "the installed graph is all slab");
-        assert_eq!(a.delta_len(), 10, "the append waits in the delta");
-        // A second batch straddles the merge threshold: the delta merges
-        // mid-append and the batch's last 10 triples wait in the new one.
-        // Replay must merge at the same triple.
-        let end = 30 + TripleIndex::DELTA_THRESHOLD as i64;
         store
-            .append_triples("http://g", (30..end).map(triple).collect())
+            .append_triples("http://g", (29..2000).rev().map(triple).collect())
             .unwrap();
         let store2 = Store::open(Arc::new(MemVfs::reopen_from(&vfs))).unwrap();
         let a = store.dataset().graph("http://g").unwrap();
         let b = store2.dataset().graph("http://g").unwrap();
-        assert_eq!(a.spo_slab().len(), 20 + TripleIndex::DELTA_THRESHOLD);
-        assert_eq!(a.delta_len(), 10, "the merge happened mid-batch");
-        assert_eq!(a.spo_slab(), b.spo_slab());
-        assert_eq!(a.pos_slab(), b.pos_slab());
-        assert_eq!(a.osp_slab(), b.osp_slab());
-        assert_eq!(
-            a.delta_ids().collect::<Vec<_>>(),
-            b.delta_ids().collect::<Vec<_>>()
-        );
+        assert_eq!(a.len(), 2000);
+        assert_eq!(a, b, "all three slabs");
         assert_eq!(
             store.dataset().graph_stats("http://g"),
             store2.dataset().graph_stats("http://g")

@@ -15,8 +15,8 @@
 //! are written *before* the in-memory mutation (write-ahead), so a frame's
 //! presence proves intent; its CRC proves completeness. A record carries
 //! triples only: an `InsertGraph` replays through
-//! [`crate::Dataset::insert_graph`], which compacts, exactly as the live
-//! commit did. A log of another revision (`RDFWAL<n>`, `n ≠ 2`) is refused
+//! [`crate::Dataset::insert_graph`] and an `AppendTriples` through
+//! [`crate::Dataset::append_triples`], exactly as the live commit did. A log of another revision (`RDFWAL<n>`, `n ≠ 2`) is refused
 //! as [`StorageError::UnsupportedVersion`]`(n)`.
 //!
 //! # Torn tails and prefix consistency

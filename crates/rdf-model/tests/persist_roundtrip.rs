@@ -1,6 +1,6 @@
-//! Snapshot round-trip properties: for arbitrary datasets — delta-resident
-//! graphs, freshly compacted graphs, empty graphs, huge literals —
-//! `decode(encode(ds))` reproduces the slabs, deltas, interner, and
+//! Snapshot round-trip properties: for arbitrary datasets — graphs built by
+//! appends, graphs installed whole, empty graphs, huge literals —
+//! `decode(encode(ds))` reproduces the three slabs, interner, and
 //! generation counters exactly, and a snapshot of the snapshot is
 //! byte-identical. Plus the `Dataset::open` contract on real directories:
 //! absent and empty paths yield fresh, usable stores.
@@ -55,13 +55,8 @@ fn assert_datasets_identical(a: &Dataset, b: &Dataset) -> Result<(), String> {
     }
     for uri in uris {
         let (ga, gb) = (a.graph(uri).unwrap(), b.graph(uri).unwrap());
-        if (ga.spo_slab(), ga.pos_slab(), ga.osp_slab())
-            != (gb.spo_slab(), gb.pos_slab(), gb.osp_slab())
-        {
+        if ga != gb {
             return Err(format!("{uri}: slabs differ"));
-        }
-        if ga.delta_ids().collect::<Vec<_>>() != gb.delta_ids().collect::<Vec<_>>() {
-            return Err(format!("{uri}: deltas differ"));
         }
     }
     // One dictionary, compared term by term under its ids.
@@ -95,16 +90,16 @@ proptest! {
                 .collect();
             // The graphs share subjects and predicates, so every one after
             // the first is re-keyed out of its builder's id order. The
-            // install compacts; the graph's triples past `split` are
-            // appended after it and wait in the delta, so a graph is all
-            // slab, mixed, or (split 0) wholly delta-resident.
-            let (slab, delta) = mine.split_at(split.min(mine.len()));
+            // graph's triples past `split` are appended after the install,
+            // so a graph is installed whole, in part, or (split 0) empty
+            // and then appended.
+            let (first, appended) = mine.split_at(split.min(mine.len()));
             let mut graph = Graph::new();
-            for t in slab {
+            for t in first {
                 graph.insert(t);
             }
             ds.insert_graph(uri.clone(), graph);
-            ds.append_triples(&uri, delta.to_vec());
+            ds.append_triples(&uri, appended.to_vec());
         }
         // Always keep one graph empty to exercise the empty-slab path.
         ds.insert_graph("http://graphs/empty", Graph::new());
@@ -147,13 +142,15 @@ fn a_revision_1_snapshot_is_a_typed_error_at_open() {
     use std::sync::Arc;
     // Revision 1 kept a term table per graph, snapshot revision 2 and WAL
     // revision 1 a merge threshold (and the snapshot a merge counter) per
-    // graph; nothing reads them any more. Opening a store over such a file
+    // graph, snapshot revision 3 stored POS, OSP and a delta next to SPO;
+    // nothing reads them any more. Opening a store over such a file
     // must refuse by magic — whatever the bytes after it — and never panic
     // or come up empty.
     use rdf_model::persist::WAL_FILE;
     let old = [
         (SNAPSHOT_FILE, b"RDFSNAP1", 1),
         (SNAPSHOT_FILE, b"RDFSNAP2", 2),
+        (SNAPSHOT_FILE, b"RDFSNAP3", 3),
         (WAL_FILE, b"RDFWAL01", 1),
     ];
     for (file_name, magic, revision) in old {

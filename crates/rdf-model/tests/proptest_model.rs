@@ -2,7 +2,7 @@
 //! arbitrary terms, and index consistency of the triple store.
 
 use proptest::prelude::*;
-use rdf_model::{ntriples, Graph, Literal, Term, Triple};
+use rdf_model::{ntriples, Dataset, Graph, Literal, Term, Triple};
 
 fn iri_strategy() -> impl Strategy<Value = Term> {
     "[a-z]{1,8}".prop_map(|s| Term::iri(format!("http://example.org/{s}")))
@@ -37,23 +37,25 @@ fn triple_strategy() -> impl Strategy<Value = Triple> {
         .prop_map(|(s, p, o)| Triple::new(s, p, o))
 }
 
-/// One step of the slab/delta storage model exercise.
-#[derive(Debug, Clone)]
-enum StorageOp {
-    Insert(Triple),
-    Compact,
-}
+const G: &str = "http://g";
 
-fn storage_op_strategy() -> impl Strategy<Value = StorageOp> {
-    // Unweighted arms (the offline proptest shim has no weight syntax):
-    // repeat the insert arm to keep compactions the rarer op.
-    prop_oneof![
-        triple_strategy().prop_map(StorageOp::Insert),
-        triple_strategy().prop_map(StorageOp::Insert),
-        triple_strategy().prop_map(StorageOp::Insert),
-        triple_strategy().prop_map(StorageOp::Insert),
-        Just(StorageOp::Compact),
-    ]
+/// A dataset holding one graph `G` built from `triples` the two ways a
+/// graph can be built: the first `installed` of them in one install (none:
+/// the graph is installed empty), the rest appended in batches of `batch`.
+/// Returns the dataset and each append's count of new triples.
+fn build(triples: &[Triple], installed: usize, batch: usize) -> (Dataset, Vec<usize>) {
+    let (first, rest) = triples.split_at(installed.min(triples.len()));
+    let mut builder = Graph::new();
+    for t in first {
+        builder.insert(t);
+    }
+    let mut ds = Dataset::new();
+    ds.insert_graph(G, builder);
+    let added = rest
+        .chunks(batch.max(1))
+        .map(|chunk| ds.append_triples(G, chunk.to_vec()).unwrap())
+        .collect();
+    (ds, added)
 }
 
 /// A triple over a small vocabulary (ten nodes, three predicates), so
@@ -117,37 +119,28 @@ proptest! {
     #[test]
     fn seeking_scans_match_fresh_scans_and_the_model(
         triples in proptest::collection::vec(dense_triple_strategy(), 0..48),
-        // Merge whenever the delta holds one triple, four, or never.
-        merge_at in prop_oneof![Just(1usize), Just(4usize), Just(usize::MAX)],
-        compact_after in 0usize..64,
-        compact_end in any::<bool>(),
+        // Installed whole, installed empty and appended, or in between.
+        installed in prop_oneof![Just(0usize), Just(64usize), 0usize..48],
+        batch in 1usize..8,
         runs in proptest::collection::vec(probe_run_strategy(), 1..12),
     ) {
         // One hint serves a whole sequence of probes — ascending runs,
         // repeats, descents, keys past both ends, all eight shapes, and
-        // suspend/resume chains — over slab-only, delta-only and mixed
-        // layouts. Each call must equal the same call with a fresh hint
-        // (matches, order, visited, stop point), each chain must concatenate
-        // to one uninterrupted `for_each_match`, and that pass must equal
-        // the model's matches sorted in the shape's scan order.
+        // suspend/resume chains — over graphs installed whole, built by
+        // appends, or both. Each call must equal the same call with a fresh
+        // hint (matches, order, visited, stop point), each chain must
+        // concatenate to one uninterrupted `for_each_match`, and that pass
+        // must equal the model's matches sorted in the shape's scan order.
         use rdf_model::{SeekHint, TermId, TripleIndex};
-        let mut g = Graph::new();
-        let mut model = Vec::new();
-        for (i, t) in triples.iter().enumerate() {
-            if g.insert(t) {
-                model.push((
-                    g.term_id(&t.subject).unwrap(),
-                    g.term_id(&t.predicate).unwrap(),
-                    g.term_id(&t.object).unwrap(),
-                ));
-            }
-            if g.delta_len() >= merge_at || i == compact_after {
-                g.compact();
-            }
-        }
-        if compact_end {
-            g.compact();
-        }
+        let (ds, _) = build(&triples, installed, batch);
+        let g = ds.graph(G).unwrap();
+        let id = |t: &Term| ds.lookup(t).unwrap();
+        let mut model: Vec<_> = triples
+            .iter()
+            .map(|t| (id(&t.subject), id(&t.predicate), id(&t.object)))
+            .collect();
+        model.sort();
+        model.dedup();
         let mut hint = SeekHint::default();
         for run in &runs {
             for i in 0..run.len {
@@ -235,12 +228,11 @@ proptest! {
 
     #[test]
     fn indexes_agree_on_every_access_path(
-        triples in proptest::collection::vec(triple_strategy(), 1..25)
+        triples in proptest::collection::vec(triple_strategy(), 1..25),
+        installed in 0usize..25,
     ) {
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let (ds, _) = build(&triples, installed, 3);
+        let g = ds.graph(G).unwrap();
         // For every stored triple, all bound/unbound pattern combinations
         // must find it.
         for (s, p, o) in g.iter_ids() {
@@ -258,12 +250,11 @@ proptest! {
 
     #[test]
     fn pattern_counts_are_consistent(
-        triples in proptest::collection::vec(triple_strategy(), 1..25)
+        triples in proptest::collection::vec(triple_strategy(), 1..25),
+        installed in 0usize..25,
     ) {
-        let mut g = Graph::new();
-        for t in &triples {
-            g.insert(t);
-        }
+        let (ds, _) = build(&triples, installed, 3);
+        let g = ds.graph(G).unwrap();
         // Sum of per-predicate counts equals total.
         let total: usize = g
             .predicates()
@@ -279,75 +270,49 @@ proptest! {
     }
 
     #[test]
-    fn interleaved_inserts_and_compactions_match_naive_model(
-        ops in proptest::collection::vec(storage_op_strategy(), 1..60),
-        // A tiny merge threshold, applied by hand, so slab merges happen
-        // mid-stream even without explicit Compact ops.
-        threshold in 2usize..6,
+    fn append_batches_build_the_slabs_one_install_builds(
+        triples in proptest::collection::vec(triple_strategy(), 0..40),
+        // Repeats, so batches meet triples already in the graph or earlier
+        // in the same batch.
+        repeats in proptest::collection::vec(0usize..40, 0..8),
+        installed in prop_oneof![Just(0usize), 0usize..12],
+        batch in 1usize..9,
     ) {
-        // Model: a plain Vec of id triples, deduplicated, sorted on demand.
-        let mut g = Graph::new();
-        let mut model: Vec<(rdf_model::TermId, rdf_model::TermId, rdf_model::TermId)> = Vec::new();
-        for op in &ops {
-            match op {
-                StorageOp::Insert(t) => {
-                    let inserted = g.insert(t);
-                    let ids = (
-                        g.term_id(&t.subject).unwrap(),
-                        g.term_id(&t.predicate).unwrap(),
-                        g.term_id(&t.object).unwrap(),
-                    );
-                    prop_assert_eq!(inserted, !model.contains(&ids));
-                    if inserted {
-                        model.push(ids);
-                    }
-                    if g.delta_len() >= threshold {
-                        g.compact();
-                    }
-                }
-                StorageOp::Compact => g.compact(),
-            }
-
-            // After every step the store must agree with the naive model on
-            // every access-path shape for a sample of bound values.
-            prop_assert_eq!(g.len(), model.len());
-            let mut sorted = model.clone();
-            sorted.sort();
-            let scanned: Vec<_> = g.iter_ids().collect();
-            prop_assert_eq!(&scanned, &sorted, "full scan must be sorted SPO");
-            if let Some(&(s, p, o)) = model.last() {
-                for mask in 0..8u8 {
-                    let qs = (mask & 4 != 0).then_some(s);
-                    let qp = (mask & 2 != 0).then_some(p);
-                    let qo = (mask & 1 != 0).then_some(o);
-                    let mut expect: Vec<_> = model
-                        .iter()
-                        .filter(|(ms, mp, mo)| {
-                            qs.is_none_or(|v| v == *ms)
-                                && qp.is_none_or(|v| v == *mp)
-                                && qo.is_none_or(|v| v == *mo)
-                        })
-                        .copied()
-                        .collect();
-                    expect.sort();
-                    let mut got: Vec<_> = g.match_pattern(qs, qp, qo).collect();
-                    let mut via_visit = Vec::new();
-                    let n = g.for_each_match(qs, qp, qo, |a, b, c| via_visit.push((a, b, c)));
-                    prop_assert_eq!(&got, &via_visit, "iterator and visitor disagree");
-                    prop_assert_eq!(n as usize, via_visit.len());
-                    prop_assert_eq!(g.count_pattern(qs, qp, qo), expect.len());
-                    got.sort();
-                    prop_assert_eq!(got, expect, "mask {:#05b}", mask);
-                }
+        // However a triple list is split into append batches, on a graph
+        // installed empty or part-filled, the three slabs are those one
+        // install of the whole list builds over the same ids, and the
+        // appends report exactly the distinct triples they added.
+        let mut triples = triples;
+        for &r in &repeats {
+            if let Some(t) = triples.get(r).cloned() {
+                triples.push(t);
             }
         }
+        let (mut ds, added) = build(&triples, installed, batch);
+        let distinct = |ts: &[Triple]| {
+            let mut keys: Vec<String> = ts.iter().map(|t| t.to_string()).collect();
+            keys.sort();
+            keys.dedup();
+            keys.len()
+        };
+        let first = installed.min(triples.len());
+        prop_assert_eq!(
+            added.iter().sum::<usize>(),
+            distinct(&triples) - distinct(&triples[..first]),
+            "append counts"
+        );
+        prop_assert_eq!(ds.graph(G).unwrap().len(), distinct(&triples));
 
-        // Final compaction drains the delta without changing contents.
-        let before: Vec<_> = g.iter_ids().collect();
-        g.compact();
-        prop_assert_eq!(g.delta_len(), 0);
-        let after: Vec<_> = g.iter_ids().collect();
-        prop_assert_eq!(before, after);
+        // Every term is interned already, so the install re-keys the
+        // builder onto the very ids the appends used.
+        let mut whole = Graph::new();
+        for t in &triples {
+            whole.insert(t);
+        }
+        let terms = ds.interner().len();
+        ds.insert_graph("http://whole", whole);
+        prop_assert_eq!(ds.interner().len(), terms, "the install interned a new term");
+        prop_assert_eq!(ds.graph(G), ds.graph("http://whole"), "the three slabs differ");
     }
 
     #[test]
@@ -358,16 +323,16 @@ proptest! {
             proptest::collection::vec(triple_strategy(), 1..5), 0..6),
         targets in proptest::collection::vec(any::<bool>(), 6),
         // Per graph: how many of its initial triples the installed builder
-        // holds; the rest are appended right after the install and wait in
-        // the delta (0: wholly delta-resident, ≥ 10: all slab).
+        // holds; the rest are appended right after the install (0: installed
+        // empty, ≥ 10: installed whole).
         splits in proptest::collection::vec(0usize..12, 2),
     ) {
         // Two graphs drawn from one small vocabulary, so they overlap: the
         // second builder's id order disagrees with the ids the dataset gave
         // the shared terms, and appends to either graph pull in ids the
         // other one introduced. After every step each graph must (1) hold
-        // exactly the model's triples, (2) have all three orderings — slab
-        // and merged scan — strictly ascending in *dataset* id, and the
+        // exactly the model's triples, (2) have all three orderings strictly
+        // ascending in *dataset* id, and the
         // dataset must (3) have interned every term exactly once.
         let mut ds = rdf_model::Dataset::new();
         let uris = ["http://a", "http://b"];
@@ -385,20 +350,8 @@ proptest! {
                 if got != expect {
                     return Err(format!("{uri}: contents diverge from the model"));
                 }
-                for (name, slab) in [
-                    ("spo", index.spo_slab()),
-                    ("pos", index.pos_slab()),
-                    ("osp", index.osp_slab()),
-                ] {
-                    if !slab.windows(2).all(|w| w[0] < w[1]) {
-                        return Err(format!("{uri}: {name} slab not strictly ascending"));
-                    }
-                    if slab.len() + index.delta_len() != index.len() {
-                        return Err(format!("{uri}: {name} slab + delta != len"));
-                    }
-                }
-                // Merged scans per access path: ascending in the scanned
-                // index's own key order.
+                // Scans per access path: ascending in the scanned index's
+                // own key order.
                 let spo: Vec<_> = index.match_pattern(None, None, None).collect();
                 if !spo.windows(2).all(|w| w[0] < w[1]) {
                     return Err(format!("{uri}: full scan not in dataset-id order"));
@@ -444,17 +397,15 @@ proptest! {
             Ok(())
         };
         for (g, initial) in [&initial_a, &initial_b].into_iter().enumerate() {
-            let (slab, delta) = initial.split_at(splits[g].min(initial.len()));
+            let (first, appended) = initial.split_at(splits[g].min(initial.len()));
             let mut builder = Graph::new();
-            for t in slab {
+            for t in first {
                 builder.insert(t);
             }
             let installed = builder.len();
             ds.insert_graph(uris[g], builder);
-            prop_assert_eq!(ds.graph(uris[g]).unwrap().delta_len(), 0);
-            let added = ds.append_triples(uris[g], delta.to_vec()).unwrap();
-            let inside = ds.graph(uris[g]).unwrap();
-            prop_assert_eq!((inside.len(), inside.delta_len()), (installed + added, added));
+            let added = ds.append_triples(uris[g], appended.to_vec()).unwrap();
+            prop_assert_eq!(ds.graph(uris[g]).unwrap().len(), installed + added);
             model[g].extend(initial.iter().cloned());
             if let Err(e) = check(&ds, &model) {
                 prop_assert!(false, "after inserting {}: {}", uris[g], e);

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use rdf_model::persist::{MemVfs, Store};
-use rdf_model::{Graph, Term, Triple, TripleIndex};
+use rdf_model::{Graph, Term, Triple};
 use rdfframes_core::{
     DurableSnapshotServer, EmbeddedEndpoint, Endpoint, Executor, InProcessEndpoint, KnowledgeGraph,
     ServingConfig,
@@ -102,14 +102,10 @@ fn wal_only_restart_matches_checkpointed_restart() {
         from_wal.dataset().stats_generation(),
         from_snap.dataset().stats_generation()
     );
-    let ga = from_wal.dataset().graph("http://g").unwrap();
-    let gb = from_snap.dataset().graph("http://g").unwrap();
-    assert_eq!(ga.spo_slab(), gb.spo_slab());
-    assert_eq!(ga.pos_slab(), gb.pos_slab());
-    assert_eq!(ga.osp_slab(), gb.osp_slab());
     assert_eq!(
-        ga.delta_ids().collect::<Vec<_>>(),
-        gb.delta_ids().collect::<Vec<_>>()
+        from_wal.dataset().graph("http://g"),
+        from_snap.dataset().graph("http://g"),
+        "all three slabs"
     );
     // Equal slabs mean equal triples only under one dictionary: the same
     // terms under the same ids on both sides.
@@ -321,13 +317,9 @@ fn reopen(vfs: &MemVfs) -> DurableSnapshotServer {
     open_server(&Arc::new(MemVfs::reopen_from(vfs)))
 }
 
-/// Graphs of 30, the merge threshold plus 5, and 1 triples — none a
-/// multiple of the threshold — inserted through a durable server.
-const SIZES: [(&str, usize); 3] = [
-    ("http://a", 30),
-    ("http://b", TripleIndex::DELTA_THRESHOLD + 5),
-    ("http://c", 1),
-];
+/// Graphs of 30, 2 050 (three snapshot blocks) and 1 triples, inserted
+/// through a durable server.
+const SIZES: [(&str, usize); 3] = [("http://a", 30), ("http://b", 2_050), ("http://c", 1)];
 
 fn installed_server(vfs: &Arc<MemVfs>) -> DurableSnapshotServer {
     let server = open_server(vfs);
@@ -341,54 +333,71 @@ fn installed_server(vfs: &Arc<MemVfs>) -> DurableSnapshotServer {
     server
 }
 
-#[test]
-fn installed_graphs_are_all_slab_live_replayed_and_recovered() {
-    let all_slab = |server: &DurableSnapshotServer, when: &str| {
-        let epoch = server.snapshot();
-        for (uri, n) in SIZES {
-            let g = epoch.dataset().graph(uri).unwrap();
-            assert_eq!((g.len(), g.delta_len()), (n, 0), "{uri} {when}");
-        }
-    };
-    let vfs = Arc::new(MemVfs::new());
-    let server = installed_server(&vfs);
-    all_slab(&server, "live");
-    let replayed = reopen(&vfs);
-    assert_eq!(replayed.recovery().replayed, SIZES.len());
-    all_slab(&replayed, "after WAL replay");
-    server.checkpoint().unwrap();
-    let recovered = reopen(&vfs);
-    assert!(recovered.recovery().snapshot_loaded);
-    assert_eq!(recovered.recovery().replayed, 0);
-    all_slab(&recovered, "after checkpoint and reopen");
+/// Every graph of `a` and `b` holds the same three slabs, and plans alike.
+fn assert_same_slabs(a: &DurableSnapshotServer, b: &DurableSnapshotServer, when: &str) {
+    let (a, b) = (a.snapshot(), b.snapshot());
+    for (uri, _) in SIZES {
+        let (ga, gb) = (a.dataset().graph(uri), b.dataset().graph(uri));
+        assert_eq!(ga, gb, "{uri} {when}");
+        let (sa, sb) = (a.dataset().graph_stats(uri), b.dataset().graph_stats(uri));
+        assert_eq!(sa, sb, "{uri} {when}");
+    }
+    assert!(a
+        .dataset()
+        .interner()
+        .iter()
+        .eq(b.dataset().interner().iter()));
 }
 
 #[test]
-fn appended_batches_wait_in_the_delta_across_checkpoint_and_reopen() {
+fn installed_graphs_are_all_slab_live_replayed_and_recovered() {
     let vfs = Arc::new(MemVfs::new());
     let server = installed_server(&vfs);
-    let epoch = server
-        .append_triples("http://a", (100..110).map(movie_triple).collect())
-        .unwrap();
-    let live = epoch.dataset().graph("http://a").unwrap();
-    let waiting: Vec<_> = live.delta_ids().collect();
-    assert_eq!((live.spo_slab().len(), waiting.len()), (30, 10));
+    for (uri, n) in SIZES {
+        assert_eq!(server.snapshot().dataset().graph(uri).unwrap().len(), n);
+    }
+    let replayed = reopen(&vfs);
+    assert_eq!(replayed.recovery().replayed, SIZES.len());
+    assert_same_slabs(&server, &replayed, "after WAL replay");
     server.checkpoint().unwrap();
-
     let recovered = reopen(&vfs);
     assert!(recovered.recovery().snapshot_loaded);
     assert_eq!(recovered.recovery().replayed, 0);
-    let epoch_after = recovered.snapshot();
-    let back = epoch_after.dataset().graph("http://a").unwrap();
-    assert_eq!(back.delta_ids().collect::<Vec<_>>(), waiting);
-    assert_eq!(back.spo_slab(), live.spo_slab());
-    assert_eq!(back.pos_slab(), live.pos_slab());
-    assert_eq!(back.osp_slab(), live.osp_slab());
-    // The optimizer's statistics describe the slabs, so the recovered
-    // graph plans as the live one does although it was loaded with its
-    // delta already full.
-    assert_eq!(
-        epoch_after.dataset().graph_stats("http://a"),
-        epoch.dataset().graph_stats("http://a")
-    );
+    assert_same_slabs(&server, &recovered, "after checkpoint and reopen");
+}
+
+#[test]
+fn appended_batches_recover_slab_for_slab_from_snapshot_and_wal() {
+    // Batches appended before a checkpoint, so the snapshot holds them, and
+    // one after, so only the WAL does. The second gives movies `b` already
+    // holds a new actor, so it merges between `b`'s installed entries; the
+    // last repeats ten of them.
+    let vfs = Arc::new(MemVfs::new());
+    let server = installed_server(&vfs);
+    let recast = |i: usize| {
+        Triple::new(
+            Term::iri(format!("http://x/movie{i}")),
+            Term::iri("http://x/starring"),
+            Term::iri(format!("http://x/extra{}", i % 3)),
+        )
+    };
+    server
+        .append_triples("http://a", (100..110).map(movie_triple).collect())
+        .unwrap();
+    server
+        .append_triples("http://b", (20..40).map(recast).collect())
+        .unwrap();
+    server.checkpoint().unwrap();
+    let recovered = reopen(&vfs);
+    assert!(recovered.recovery().snapshot_loaded);
+    assert_eq!(recovered.recovery().replayed, 0);
+    assert_same_slabs(&server, &recovered, "after checkpoint and reopen");
+
+    let epoch = server
+        .append_triples("http://b", (2_040..2_100).rev().map(movie_triple).collect())
+        .unwrap();
+    assert_eq!(epoch.dataset().graph("http://b").unwrap().len(), 2_120);
+    let replayed = reopen(&vfs);
+    assert_eq!(replayed.recovery().replayed, 1);
+    assert_same_slabs(&server, &replayed, "after snapshot load and WAL replay");
 }

@@ -410,10 +410,9 @@ impl<'a> Optimizer<'a> {
     /// extend rows in ascending input-row order, so the first scan's order
     /// survives as the output's primary (prefix) order.
     ///
-    /// Valid when the BGP scans a single graph: every graph's slabs (and
-    /// the delta merged into them) are sorted by dataset id, the very ids
-    /// stored in the output columns, so storage state and insertion order
-    /// are irrelevant. The evaluator re-verifies sortedness at run time
+    /// Valid when the BGP scans a single graph: every graph's slabs are
+    /// sorted by dataset id, the very ids stored in the output columns, so
+    /// how the graph was built and its insertion order are irrelevant. The evaluator re-verifies sortedness at run time
     /// before committing to a merge, so this analysis only has to be
     /// precise, not paranoid.
     fn bgp_order(&mut self, patterns: &[TriplePattern], graph: &GraphRef) -> Vec<String> {
@@ -1666,7 +1665,7 @@ mod tests {
     #[test]
     fn append_of_a_low_id_keeps_merge_join_planning() {
         // Graph B's ids all lie above graph A's. An append to B that pulls
-        // in one of A's terms puts a low id into B's delta; B's scans stay
+        // in one of A's terms merges a low id into B's slabs; B's scans stay
         // sorted by dataset id, so merge joins over B are planned before
         // and after (there used to be a per-graph flag this flipped).
         let mut a = Graph::new();

@@ -7,10 +7,11 @@
 //! oracle; results must be identical after `canonicalize()` and the
 //! deterministic work metric (`rows_scanned`) must match exactly — the
 //! executor changes the row representation and when work happens, not the
-//! access-path order. The whole matrix additionally runs against both
-//! storage states of the graphs (compacted slabs via `Dataset::insert_graph`,
-//! and delta-resident: installed empty, then every triple appended), so
-//! slab scans, delta scans, and merged scans all feed every leg. A proptest
+//! access-path order. The whole matrix additionally runs against both ways
+//! a graph is built (installed whole via `Dataset::insert_graph`, and
+//! installed empty, then every triple appended, which interns its terms in
+//! another order and merges them into the slabs), so both id orders feed
+//! every leg. A proptest
 //! further checks that terms projected out of id-native joins round-trip
 //! through the dataset's interner.
 
@@ -133,19 +134,18 @@ fn film_graph() -> Graph {
     g
 }
 
-/// Build the three-graph dataset in either storage state: `compacted` uses
-/// `insert_graph` (slab-resident), otherwise [`install_in_delta`] leaves
-/// every triple in the mutable delta and all scans take the slab+delta
-/// merge path.
-fn dataset(compacted: bool) -> Arc<Dataset> {
-    Arc::new(dataset_in_order(compacted, false))
+/// Build the three-graph dataset either way: `installed` uses
+/// `insert_graph`, otherwise [`install_by_appends`] installs each graph
+/// empty and appends its triples.
+fn dataset(installed: bool) -> Arc<Dataset> {
+    Arc::new(dataset_in_order(installed, false))
 }
 
 /// [`dataset`] with a choice of where DBpedia is inserted: first (its
 /// builder's id order *is* the dataset's), or last, after the YAGO graph
 /// that shares two of its actors — so the DBpedia index is re-keyed out of
 /// builder order and its queried terms get ids on both sides of the others'.
-fn dataset_in_order(compacted: bool, dbpedia_last: bool) -> Dataset {
+fn dataset_in_order(installed: bool, dbpedia_last: bool) -> Dataset {
     let mut named = vec![
         ("http://dbpedia.org", movie_graph()),
         ("http://yago-knowledge.org", yago_graph()),
@@ -156,16 +156,10 @@ fn dataset_in_order(compacted: bool, dbpedia_last: bool) -> Dataset {
     }
     let mut ds = Dataset::new();
     for (uri, graph) in named {
-        if compacted {
+        if installed {
             ds.insert_graph(uri, graph);
         } else {
-            install_in_delta(&mut ds, uri, &graph);
-            let inside = ds.graph(uri).unwrap();
-            assert_eq!(
-                inside.delta_len(),
-                inside.len(),
-                "test graph should stay in delta"
-            );
+            install_by_appends(&mut ds, uri, &graph);
         }
     }
     if dbpedia_last {
@@ -178,11 +172,10 @@ fn dataset_in_order(compacted: bool, dbpedia_last: bool) -> Dataset {
     ds
 }
 
-/// Install `graph` delta-resident, as live appends arrive: the graph goes in
-/// empty and its triples are appended, so every one of them waits in the
-/// delta (these graphs stay far below the merge threshold). Statistics count
-/// the delta, so the optimizer sees what a compacted install would show it.
-fn install_in_delta(ds: &mut Dataset, uri: &str, graph: &Graph) {
+/// Install `graph` as live appends arrive: the graph goes in empty and its
+/// triples are appended, so its terms are interned in the builder's SPO
+/// order rather than the builder's id order.
+fn install_by_appends(ds: &mut Dataset, uri: &str, graph: &Graph) {
     ds.insert_graph(uri, Graph::new());
     ds.append_triples(uri, graph.iter_triples()).unwrap();
 }
@@ -562,31 +555,33 @@ fn assert_rewrites_preserve_results(ds: &Arc<Dataset>, q: &str, label: &str) -> 
     (on[0].2, off[0].2)
 }
 
+// In these three names a "compacted" graph is one installed whole, an
+// "uncompacted" one a graph installed empty and built by appends.
 #[test]
 fn all_three_evaluators_agree_on_compacted_graphs() {
-    assert_all_paths_agree(dataset(true), true, "compacted");
+    assert_all_paths_agree(dataset(true), true, "installed");
 }
 
 #[test]
 fn all_three_evaluators_agree_on_uncompacted_graphs() {
-    assert_all_paths_agree(dataset(false), true, "uncompacted");
+    assert_all_paths_agree(dataset(false), true, "appended");
 }
 
 #[test]
 fn unoptimized_paths_also_agree() {
-    assert_all_paths_agree(dataset(true), false, "compacted, no optimizer");
-    assert_all_paths_agree(dataset(false), false, "uncompacted, no optimizer");
+    assert_all_paths_agree(dataset(true), false, "installed, no optimizer");
+    assert_all_paths_agree(dataset(false), false, "appended, no optimizer");
 }
 
 #[test]
 fn compacted_and_uncompacted_storage_agree() {
     // Same data, different physical layout: results and scan counts must be
     // layout-independent.
-    let compacted = Engine::new(dataset(true));
-    let delta = Engine::new(dataset(false));
+    let installed = Engine::new(dataset(true));
+    let appended = Engine::new(dataset(false));
     for q in queries() {
-        let (mut a, stats_a) = compacted.execute_with_stats(&q).unwrap();
-        let (mut b, stats_b) = delta.execute_with_stats(&q).unwrap();
+        let (mut a, stats_a) = installed.execute_with_stats(&q).unwrap();
+        let (mut b, stats_b) = appended.execute_with_stats(&q).unwrap();
         a.canonicalize();
         b.canonicalize();
         assert_eq!(a, b, "storage layouts diverge for:\n{q}");
@@ -602,14 +597,14 @@ fn outer_join_shapes_are_keyed_on_every_bound_variable() {
     // at all (120 × 30 pairs nested-loop); keyed per row on what the row
     // binds, each shape tests fewer than two candidates per result row — on
     // both layouts, and whatever the pull size.
-    for compacted in [true, false] {
-        let engine = Engine::new(dataset(compacted));
+    for installed in [true, false] {
+        let engine = Engine::new(dataset(installed));
         for q in outer_join_queries() {
             let (t, stats) = engine.execute_with_stats(&q).unwrap();
             assert!(!t.is_empty(), "{q}");
             assert!(
                 stats.join_candidates <= 2 * t.len() as u64,
-                "{} candidates for {} rows (compacted={compacted}):\n{q}",
+                "{} candidates for {} rows (installed={installed}):\n{q}",
                 stats.join_candidates,
                 t.len()
             );
@@ -627,9 +622,9 @@ fn pushdown_and_merge_rewrites_preserve_results() {
     // across both storage layouts, both pull sizes and the oracle:
     // identical bags everywhere (scan counts differ between the two plans
     // — that is the point of the rewrites — never between evaluators).
-    for compacted in [true, false] {
-        let ds = dataset(compacted);
-        let label = format!("compacted={compacted}");
+    for installed in [true, false] {
+        let ds = dataset(installed);
+        let label = format!("installed={installed}");
         for q in queries() {
             assert_rewrites_preserve_results(&ds, &q, &label);
         }
@@ -661,13 +656,13 @@ fn has_pushed_filter(plan: &Plan) -> bool {
 
 #[test]
 fn merge_join_fires_and_pushdown_cuts_scans() {
-    for compacted in [true, false] {
-        let ds = dataset(compacted);
+    for installed in [true, false] {
+        let ds = dataset(installed);
         let engine = Engine::new(Arc::clone(&ds));
-        let label = format!("compacted={compacted}");
+        let label = format!("installed={installed}");
 
         // The star join runs as a real merge join (counter, not just plan
-        // shape) on slab-resident *and* delta-resident storage.
+        // shape) on installed *and* appended graphs.
         let star = star_join_query();
         let (t, stats) = engine.execute_with_stats(&star).unwrap();
         assert_eq!(t.len(), 1, "only actor1 is US-born with an award");
@@ -729,8 +724,8 @@ fn value_join_bgps_split_and_cut_scans() {
     // The plan shape is the point of these queries: each one must actually
     // run as a join of per-star BGPs, scanning strictly less than the
     // literal (optimizer-off) nested loop over the same patterns.
-    for compacted in [true, false] {
-        let ds = dataset(compacted);
+    for installed in [true, false] {
+        let ds = dataset(installed);
         let on = Engine::new(Arc::clone(&ds));
         let literal = Engine::with_config(
             Arc::clone(&ds),
@@ -743,7 +738,7 @@ fn value_join_bgps_split_and_cut_scans() {
             let prepared = on.prepare(&q).unwrap();
             assert!(
                 joins_bgp_stars(prepared.plan()),
-                "value join must split (compacted={compacted}):\n{q}\n{:#?}",
+                "value join must split (installed={installed}):\n{q}\n{:#?}",
                 prepared.plan()
             );
             let (mut a, s_on) = on.execute_with_stats(&q).unwrap();
@@ -768,7 +763,7 @@ fn value_join_bgps_split_and_cut_scans() {
 #[test]
 fn order_aware_rewrites_fire_and_agree_per_toggle() {
     // For each of the four order-aware rewrites: the counter fires (>0) on
-    // a query shaped for it, on slab-resident *and* delta-resident storage,
+    // a query shaped for it, on installed *and* appended graphs,
     // at both pull sizes; the literal plan (`optimize: false`, the one
     // off-switch) fires none of them; and default ≡ literal ≡ oracle as
     // bags, the default plan never scanning more (these rewrites change
@@ -799,11 +794,11 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
     // space: inserted first; inserted last (re-keyed out of builder order);
     // and inserted last, then appended to with triples whose subject is a
     // term only YAGO had mentioned — an id below every DBpedia term but
-    // `actor1`, now sitting in the delta of every scan the merge operators
-    // consume. Every graph is
+    // `actor1`, now merged into every scan the merge operators consume.
+    // Every graph is
     // sorted by dataset id, so the same counters must fire in all of them.
-    let low_id_append = |compacted| {
-        let mut ds = dataset_in_order(compacted, true);
+    let low_id_append = |installed| {
+        let mut ds = dataset_in_order(installed, true);
         let low = iri("http://yago/movieY");
         assert!(ds.lookup(&low) < ds.lookup(&iri("http://dbpedia.org/resource/actor3")));
         let dbp = |local: &str| iri(&format!("http://dbpedia.org/{local}"));
@@ -824,19 +819,18 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
             ],
         );
         assert_eq!(added, Some(3));
-        assert!(ds.graph("http://dbpedia.org").unwrap().delta_len() >= 3);
         ds
     };
-    let layouts = [true, false].into_iter().flat_map(|compacted| {
+    let layouts = [true, false].into_iter().flat_map(|installed| {
         [
-            (format!("compacted={compacted}"), dataset(compacted)),
+            (format!("installed={installed}"), dataset(installed)),
             (
-                format!("compacted={compacted}, dbpedia last"),
-                Arc::new(dataset_in_order(compacted, true)),
+                format!("installed={installed}, dbpedia last"),
+                Arc::new(dataset_in_order(installed, true)),
             ),
             (
-                format!("compacted={compacted}, dbpedia last + low-id append"),
-                Arc::new(low_id_append(compacted)),
+                format!("installed={installed}, dbpedia last + low-id append"),
+                Arc::new(low_id_append(installed)),
             ),
         ]
     });
@@ -883,9 +877,9 @@ fn a_term_only_another_graph_mentions_is_an_empty_range_not_a_lookup_miss() {
     ];
     let bound = "SELECT * FROM <http://yago-knowledge.org> FROM <http://dbpedia.org> \
                  WHERE { ?a <http://yago/actedIn> ?m . ?m ?p ?o }";
-    for (compacted, dbpedia_last) in [(true, false), (false, false), (true, true), (false, true)] {
-        let ds = Arc::new(dataset_in_order(compacted, dbpedia_last));
-        let label = format!("compacted={compacted}, dbpedia_last={dbpedia_last}");
+    for (installed, dbpedia_last) in [(true, false), (false, false), (true, true), (false, true)] {
+        let ds = Arc::new(dataset_in_order(installed, dbpedia_last));
+        let label = format!("installed={installed}, dbpedia_last={dbpedia_last}");
         for optimize in [true, false] {
             let legs = legs(Arc::clone(&ds), optimize);
             for pattern in constant {
@@ -957,7 +951,7 @@ fn triple_strategy() -> impl Strategy<Value = (u8, u8, u8)> {
 
 /// Two overlapping graphs: triples split between them, shared terms appear
 /// in both, so joins routinely cross the graph boundary. Graph `a` is
-/// compacted; graph `b` stays delta-resident.
+/// installed whole; graph `b` is installed empty and appended.
 fn build_two_graph_dataset(triples: &[(u8, u8, u8)]) -> Arc<Dataset> {
     let mut g1 = Graph::new();
     let mut g2 = Graph::new();
@@ -975,7 +969,7 @@ fn build_two_graph_dataset(triples: &[(u8, u8, u8)]) -> Arc<Dataset> {
     }
     let mut ds = Dataset::new();
     ds.insert_graph("http://test/a", g1);
-    install_in_delta(&mut ds, "http://test/b", &g2);
+    install_by_appends(&mut ds, "http://test/b", &g2);
     Arc::new(ds)
 }
 
@@ -1124,7 +1118,7 @@ proptest! {
     ) {
         // Mirrors `pushdown_agrees_with_no_pushdown_on_random_filtered_bgps`
         // for the order-aware DISTINCT/GROUP BY/LeftJoin rewrites: random
-        // BGPs (graph `a` compacted, graph `b` delta-resident) wrapped in
+        // BGPs (graph `a` installed, graph `b` appended) wrapped in
         // DISTINCT and in GROUP BY, executed on the default plan (sorted
         // fast paths) and the literal one (hash paths) — identical bags —
         // with exact result + scan parity across all three legs on each
@@ -1174,7 +1168,7 @@ proptest! {
         if layout {
             ds.insert_graph("http://test/g", g);
         } else {
-            install_in_delta(&mut ds, "http://test/g", &g);
+            install_by_appends(&mut ds, "http://test/g", &g);
         }
         let ds = Arc::new(ds);
 

@@ -30,11 +30,10 @@ use sparql_engine::{
 
 const GRAPH: &str = "http://g";
 
-/// `n` triples `s{i} p o{i%7}`, either compacted into frozen slabs (the
-/// steady-state layout) or left entirely in the mutable delta overlay
-/// (the post-append layout) — scans and resume positions must behave
-/// identically over both.
-fn dataset(n: usize, delta_resident: bool) -> Arc<Dataset> {
+/// `n` triples `s{i} p o{i%7}`, either installed whole or installed empty
+/// and appended — scans and resume positions must behave identically over
+/// both.
+fn dataset(n: usize, appended: bool) -> Arc<Dataset> {
     let triples = (0..n).map(|i| {
         Triple::new(
             Term::iri(format!("http://x/s{i}")),
@@ -42,16 +41,15 @@ fn dataset(n: usize, delta_resident: bool) -> Arc<Dataset> {
             Term::iri(format!("http://x/o{}", i % 7)),
         )
     });
-    Arc::new(install(triples, delta_resident))
+    Arc::new(install(triples, appended))
 }
 
-/// A one-graph dataset holding `triples`: installed compact (all slab), or
-/// installed empty and appended to, so every triple waits in the delta
-/// (the callers stay below the merge threshold); its statistics count the
-/// delta, as a compact install's count the slabs.
-fn install(triples: impl IntoIterator<Item = Triple>, delta_resident: bool) -> Dataset {
+/// A one-graph dataset holding `triples`: installed whole, or installed
+/// empty and appended to, so its terms are interned in the triples' order
+/// instead of the builder's SPO order.
+fn install(triples: impl IntoIterator<Item = Triple>, appended: bool) -> Dataset {
     let mut ds = Dataset::new();
-    if delta_resident {
+    if appended {
         ds.insert_graph(GRAPH, Graph::new());
         ds.append_triples(GRAPH, triples).unwrap();
     } else {
@@ -61,9 +59,6 @@ fn install(triples: impl IntoIterator<Item = Triple>, delta_resident: bool) -> D
         }
         ds.insert_graph(GRAPH, g);
     }
-    let inside = ds.graph(GRAPH).unwrap();
-    let expect = if delta_resident { inside.len() } else { 0 };
-    assert_eq!(inside.delta_len(), expect, "layout setup");
     ds
 }
 
@@ -119,13 +114,13 @@ fn scans(stats: &ExecStats) -> (u64, u64) {
 fn limit_early_exit_reduces_scan_work_on_both_layouts() {
     const N: usize = 5000;
     let q = format!("SELECT ?s ?o FROM <{GRAPH}> WHERE {{ ?s <http://x/p> ?o }} LIMIT 10");
-    for delta_resident in [false, true] {
-        let ds = dataset(N, delta_resident);
+    for appended in [false, true] {
+        let ds = dataset(N, appended);
         let engine = engine(&ds, QueryBudget::unlimited());
         let (rows_s, stats_s) = drain(&engine, &q, 16);
         let (rows_m, stats_m) = drain(&engine, &q, usize::MAX);
         // Same ten rows, same order — the carve-out never changes results.
-        assert_eq!(rows_s, rows_m, "delta_resident={delta_resident}");
+        assert_eq!(rows_s, rows_m, "appended={appended}");
         assert_eq!(rows_s.len(), 10);
         // `execute` is the unbounded pull, to the entry.
         let (_, stats_e) = engine.execute_with_stats(&q).unwrap();
@@ -134,19 +129,19 @@ fn limit_early_exit_reduces_scan_work_on_both_layouts() {
         // a time, the slice stops pulling after one batch.
         assert!(
             stats_m.rows_scanned >= N as u64,
-            "delta_resident={delta_resident}: materializing scanned {}",
+            "appended={appended}: materializing scanned {}",
             stats_m.rows_scanned
         );
         assert!(
             stats_s.rows_scanned < stats_m.rows_scanned,
-            "delta_resident={delta_resident}: streaming must scan strictly less \
+            "appended={appended}: streaming must scan strictly less \
              ({} vs {})",
             stats_s.rows_scanned,
             stats_m.rows_scanned
         );
         assert!(
             stats_s.rows_scanned < 1000,
-            "delta_resident={delta_resident}: early exit barely helped: {}",
+            "appended={appended}: early exit barely helped: {}",
             stats_s.rows_scanned
         );
     }
@@ -272,7 +267,6 @@ fn film_dataset() -> Arc<Dataset> {
             add("director", format!("director{}", i % 5));
         }
     }
-    g.compact();
     let mut ds = Dataset::new();
     ds.insert_graph(GRAPH, g);
     Arc::new(ds)
@@ -367,8 +361,8 @@ fn join_candidates_do_not_depend_on_batching() {
 
 #[test]
 fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
-    // A two-graph default graph — `a` in frozen slabs, `b` half slab, half
-    // delta (as a graph with recent appends is) — and a literal BGP whose second
+    // A two-graph default graph — `a` installed whole, `b` installed in
+    // part and then appended to — and a literal BGP whose second
     // level probes `?x q ?z` once per row of `?x p ?y`. Those rows arrive in
     // POS order (by ?y, then ?x; graph `a`'s, then `b`'s), so the probed ?x
     // climbs within a ?y run and drops at every run and graph boundary, and
@@ -396,8 +390,7 @@ fn seeking_probes_keep_one_hint_per_graph_and_survive_descents() {
     ds.insert_graph("http://b", build(30..60, 5));
     ds.append_triples("http://b", build(60..90, 5).iter_triples())
         .unwrap();
-    let b = ds.graph("http://b").unwrap();
-    assert!(b.delta_len() > 0 && b.delta_len() < b.len(), "layout setup");
+    assert_eq!(ds.graph("http://b").unwrap().len(), 90, "layout setup");
     let ds = Arc::new(ds);
 
     let q = "SELECT * FROM <http://a> FROM <http://b> \
@@ -570,7 +563,6 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
             add(format!("{name}{at}"), values);
         }
     }
-    g.compact();
     let mut ds = Dataset::new();
     ds.insert_graph(GRAPH, g);
     let ds = Arc::new(ds);
@@ -639,7 +631,7 @@ fn pattern_text(p: &(Pos, Pos, Pos)) -> String {
     )
 }
 
-fn build_graph(triples: &[(u8, u8, u8)], delta_resident: bool) -> Arc<Dataset> {
+fn build_graph(triples: &[(u8, u8, u8)], appended: bool) -> Arc<Dataset> {
     let triples = triples.iter().map(|(s, p, o)| {
         Triple::new(
             Term::iri(format!("http://x/s{s}")),
@@ -647,14 +639,14 @@ fn build_graph(triples: &[(u8, u8, u8)], delta_resident: bool) -> Arc<Dataset> {
             Term::iri(format!("http://x/o{o}")),
         )
     });
-    Arc::new(install(triples, delta_resident))
+    Arc::new(install(triples, appended))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Random BGP (+ optional OPTIONAL tail, + optional GROUP BY head)
-    /// over a random graph in a random storage layout: a cursor at any
+    /// over a random graph, installed or appended: a cursor at any
     /// batch size must produce byte-identical rows in identical order with
     /// identical `rows_scanned` and `shared_scans` as the unbounded pull
     /// (none of these shapes has a LIMIT, so the carve-out is moot).
@@ -665,10 +657,10 @@ proptest! {
         tail in pattern_strategy(),
         with_optional in any::<bool>(),
         with_group in any::<bool>(),
-        delta_resident in any::<bool>(),
+        appended in any::<bool>(),
         batch_rows in 1usize..70,
     ) {
-        let ds = build_graph(&triples, delta_resident);
+        let ds = build_graph(&triples, appended);
         let mut body = String::new();
         for p in &patterns {
             body.push_str(&pattern_text(p));

@@ -47,6 +47,22 @@ in_benchmark() {
     return "$status"
 }
 
+# `cargo test <filter>` passes when the filter matches nothing, so a step
+# that selects tests by name would go on passing, running nothing, after a
+# rename. Run such steps through this, which also fails when no test ran.
+test_named() {
+    local out status=0
+    out=$(cargo test -q "$@" 2>&1) || status=$?
+    printf '%s\n' "$out"
+    if [[ "$status" != 0 ]]; then
+        return "$status"
+    fi
+    if ! grep -Eq 'test result: ok\. [1-9][0-9]* passed' <<<"$out"; then
+        echo "error: 'cargo test $*' selected no test" >&2
+        return 1
+    fi
+}
+
 echo "==> cargo build (benchmark package)"
 in_benchmark build --release
 
@@ -93,13 +109,14 @@ cargo test -q -p bench --test parser_robustness
 
 # Fixed-seed seek property: one `SeekHint` reused across ascending,
 # repeated, descending and out-of-range probes of every bound-ness shape,
-# with suspend/resume chains, over slab, delta and mixed layouts — each
-# call equal to a hint-less scan and to the model — plus the engine-level
-# hazard (one hint per graph of a two-graph default graph, descending
-# probes) against the oracle.
+# with suspend/resume chains, over graphs installed whole, installed empty
+# and appended in batches, or part of each — each call equal to a
+# hint-less scan and to the model — plus the engine-level hazard (one hint
+# per graph of a two-graph default graph, descending probes) against the
+# oracle.
 echo "==> seeking scans (fixed seed)"
-cargo test -q -p rdf-model --test proptest_model seeking_scans_match_fresh_scans_and_the_model
-cargo test -q -p sparql-engine --test streaming_pipeline seeking_probes_keep_one_hint_per_graph
+test_named -p rdf-model --test proptest_model seeking_scans_match_fresh_scans_and_the_model
+test_named -p sparql-engine --test streaming_pipeline seeking_probes_keep_one_hint_per_graph
 
 # Fixed-seed bulk-column property: `from_ids`, `gather`, `filter_mask` and
 # join assembly against one `push` per cell, at lengths around the bitmap's
@@ -107,8 +124,8 @@ cargo test -q -p sparql-engine --test streaming_pipeline seeking_probes_keep_one
 # the converter's run-cache hazard (the dataset's `TermId(0)` next to
 # unbound cells, runs across batch edges) at four batch sizes.
 echo "==> bulk column kernels (fixed seed)"
-cargo test -q -p sparql-engine --lib column_kernels_match_their_per_cell_definitions
-cargo test -q -p rdfframes-core --lib the_run_cache_never_answers_for_an_absent_slot
+test_named -p sparql-engine --lib column_kernels_match_their_per_cell_definitions
+test_named -p rdfframes-core --lib the_run_cache_never_answers_for_an_absent_slot
 
 # Fixed-seed solution-table property: one row model as a table pushed row
 # by row, drained from id batches through the shared remap kernel (batch 1,
@@ -128,14 +145,15 @@ cargo test -q -p bench --test pinned_encodings
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
 # checked for full Q1–Q19 result/row-scan parity against an in-memory
-# oracle — plus the snapshot codec's round-trip proptests (fixed seeds),
-# the refusal of every older format revision by magic (snapshots
-# `RDFSNAP1`/`RDFSNAP2`, WAL `RDFWAL01`: the current `RDFSNAP3`/`RDFWAL02`
-# keep no merge threshold or counter), and the restart contract: every
-# installed graph is all slab live, after WAL replay and after checkpoint
-# + reopen, while appended batches keep their delta across a checkpoint.
+# oracle, every graph's three slabs identical to the oracle's — plus the
+# snapshot codec's round-trip proptests (fixed seeds), the refusal of
+# every older format revision by magic (snapshots `RDFSNAP1`–`RDFSNAP3`,
+# WAL `RDFWAL01`: the current `RDFSNAP4` stores each graph's SPO slab
+# alone, `RDFWAL02` triples alone), and the restart contract: every graph
+# holds the same three slabs live, after WAL replay and after checkpoint
+# + reopen, with appended batches inside the snapshot and only in the WAL.
 echo "==> crash-recovery smoke (fixed seed, scale 64)"
-cargo test -q -p bench --test crash_recovery scale_64_smoke_with_full_query_parity
+test_named -p bench --test crash_recovery scale_64_smoke_with_full_query_parity
 cargo test -q -p rdf-model --test persist_roundtrip
 cargo test -q -p rdfframes-core --test restart_semantics
 
@@ -146,8 +164,8 @@ cargo test -q -p rdfframes-core --test restart_semantics
 # shed-vs-accepted counts (saturation pinned via governor permits, no
 # timing involved).
 echo "==> serving-resilience smoke (crash-while-serving, scale 64 + overload)"
-cargo test -q -p bench --test serving_resilience scale_64_crash_while_serving_smoke_with_query_parity
-cargo test -q -p bench --test serving_resilience overload_sheds_typed_retryable_and_accepted_results_are_unaffected
+test_named -p bench --test serving_resilience scale_64_crash_while_serving_smoke_with_query_parity
+test_named -p bench --test serving_resilience overload_sheds_typed_retryable_and_accepted_results_are_unaffected
 
 # Thread-racing suites under the release profile: interleavings that the
 # debug build's timing hides (a racing-readers test once failed 15 of 16
