@@ -116,12 +116,8 @@ pub fn sparql_plus_df(frame: &RDFFrame, endpoint: &InProcessEndpoint) -> Result<
             match c {
                 dataframe::Cell::Uri(u) => rdf_model::Term::iri(u.clone()),
                 dataframe::Cell::Int(i) => rdf_model::Term::integer(*i),
-                dataframe::Cell::Float(f) => {
-                    rdf_model::Term::Literal(rdf_model::Literal::double(*f))
-                }
-                dataframe::Cell::Bool(b) => {
-                    rdf_model::Term::Literal(rdf_model::Literal::boolean(*b))
-                }
+                dataframe::Cell::Float(f) => rdf_model::Term::from(rdf_model::Literal::double(*f)),
+                dataframe::Cell::Bool(b) => rdf_model::Term::from(rdf_model::Literal::boolean(*b)),
                 dataframe::Cell::Str(s) => rdf_model::Term::string(s.clone()),
                 dataframe::Cell::Null => rdf_model::Term::string(""),
             }

@@ -130,7 +130,7 @@ pub fn generate_dblp(config: &DblpConfig) -> Graph {
         g.insert(&Triple::new(
             paper.clone(),
             issued.clone(),
-            Term::Literal(Literal::typed(
+            Term::from(Literal::typed(
                 format!("{year}-{month:02}-01"),
                 xsd::DATE.to_string(),
             )),

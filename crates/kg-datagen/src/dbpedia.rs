@@ -243,7 +243,7 @@ pub fn generate_dbpedia(config: &DbpediaConfig) -> Graph {
         ctx.add(
             movie.clone(),
             &prop("runtime"),
-            Term::Literal(Literal::integer(runtime)),
+            Term::from(Literal::integer(runtime)),
         );
         if ctx.rng.gen_bool(0.5) {
             let story = ctx.rng.gen_range(0..n_actors);
@@ -301,7 +301,7 @@ pub fn generate_dbpedia(config: &DbpediaConfig) -> Graph {
         ctx.add(
             player.clone(),
             &prop("birthDate"),
-            Term::Literal(Literal::typed(
+            Term::from(Literal::typed(
                 format!("{year}-01-15"),
                 xsd::DATE.to_string(),
             )),

@@ -173,6 +173,7 @@ impl Dataset {
             .map(|(_, term)| self.interner.intern_unshared(term))
             .collect();
         drop(terms);
+        self.interner.shrink_to_fit();
         let mut spo: Vec<Key> = triples
             .into_iter()
             .map(|(s, p, o)| (map[s.index()], map[p.index()], map[o.index()]))

@@ -209,15 +209,15 @@ impl<'a> Cursor<'a> {
                     return Err(syntax(self.line, "empty language tag"));
                 }
                 let lang = self.str_from(start).to_string();
-                Ok(Term::Literal(Literal::lang_string(body, lang)))
+                Ok(Term::from(Literal::lang_string(body, lang)))
             }
             Some(b'^') => {
                 self.expect(b'^')?;
                 self.expect(b'^')?;
                 let datatype = self.parse_iri()?;
-                Ok(Term::Literal(Literal::typed(body, datatype)))
+                Ok(Term::from(Literal::typed(body, datatype)))
             }
-            _ => Ok(Term::Literal(Literal::string(body))),
+            _ => Ok(Term::from(Literal::string(body))),
         }
     }
 

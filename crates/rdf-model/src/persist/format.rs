@@ -332,18 +332,18 @@ pub fn put_term(out: &mut Vec<u8>, term: &Term) {
 pub fn read_term(r: &mut Reader<'_>) -> Result<Term, StorageError> {
     let tag = r.byte()?;
     match tag {
-        TAG_IRI => Ok(Term::iri(r.str()?.to_string())),
-        TAG_BLANK => Ok(Term::blank(r.str()?.to_string())),
-        TAG_PLAIN => Ok(Term::string(r.str()?.to_string())),
+        TAG_IRI => Ok(Term::iri(r.str()?)),
+        TAG_BLANK => Ok(Term::blank(r.str()?)),
+        TAG_PLAIN => Ok(Term::string(r.str()?)),
         TAG_LANG => {
-            let lexical = r.str()?.to_string();
-            let lang = r.str()?.to_string();
-            Ok(Term::Literal(Literal::lang_string(lexical, lang)))
+            let lexical = r.str()?;
+            let lang = r.str()?;
+            Ok(Term::from(Literal::lang_string(lexical, lang)))
         }
         TAG_TYPED => {
-            let lexical = r.str()?.to_string();
-            let dt = r.str()?.to_string();
-            Ok(Term::Literal(Literal::typed(lexical, dt)))
+            let lexical = r.str()?;
+            let dt = r.str()?;
+            Ok(Term::from(Literal::typed(lexical, dt)))
         }
         other => Err(r.corrupt(format!("unknown term tag {other}"))),
     }
@@ -669,9 +669,9 @@ mod tests {
             Term::iri("http://x/a"),
             Term::blank("b0"),
             Term::string("plain"),
-            Term::Literal(Literal::lang_string("hallo", "de")),
-            Term::Literal(Literal::typed("42", xsd::INTEGER)),
-            Term::Literal(Literal::typed("2010-01-01", xsd::DATE_TIME)),
+            Term::from(Literal::lang_string("hallo", "de")),
+            Term::from(Literal::typed("42", xsd::INTEGER)),
+            Term::from(Literal::typed("2010-01-01", xsd::DATE_TIME)),
             Term::string("weird \" \\ \n chars ☃"),
         ];
         for t in &terms {

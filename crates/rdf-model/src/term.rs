@@ -1,5 +1,12 @@
 //! RDF terms: IRIs, blank nodes, and literals with XSD value typing.
 //!
+//! A [`Term`] is a tag and one handle: an IRI or a blank node is an
+//! `Arc<str>`, a literal an `Arc<Literal>` (its lexical form, language tag
+//! and datatype strings and its parsed value behind one pointer). That
+//! keeps it at 24 bytes, which the dictionary pays once per distinct term
+//! (it stores terms by value, see [`crate::interner`]), and makes a clone
+//! a reference-count bump with no allocation.
+//!
 //! Literal comparison follows SPARQL operator semantics: numeric literals
 //! compare by value across numeric datatypes, `xsd:dateTime` by timestamp,
 //! strings lexically. [`Literal::parsed`] caches the typed value at
@@ -8,7 +15,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::vocab::xsd;
 
@@ -169,6 +176,18 @@ fn classify(lexical: &str, language: Option<&str>, datatype: Option<&str>) -> Ty
     }
 }
 
+// The datatype IRIs of the numeric and boolean constructors, one `Arc` each
+// for the process: a computed value (a `COUNT`, a `SUM`, a comparison)
+// allocates its lexical form and its literal block, not another copy of its
+// datatype IRI.
+static INTEGER: OnceLock<Arc<str>> = OnceLock::new();
+static DOUBLE: OnceLock<Arc<str>> = OnceLock::new();
+static BOOLEAN: OnceLock<Arc<str>> = OnceLock::new();
+
+fn shared(cell: &'static OnceLock<Arc<str>>, iri: &'static str) -> Arc<str> {
+    Arc::clone(cell.get_or_init(|| iri.into()))
+}
+
 impl Literal {
     /// Plain string literal.
     pub fn string(s: impl Into<Arc<str>>) -> Self {
@@ -196,7 +215,7 @@ impl Literal {
         Literal {
             lexical: v.to_string().into(),
             language: None,
-            datatype: Some(xsd::INTEGER.into()),
+            datatype: Some(shared(&INTEGER, xsd::INTEGER)),
             parsed: TypedValue::Integer(v),
         }
     }
@@ -206,7 +225,7 @@ impl Literal {
         Literal {
             lexical: v.to_string().into(),
             language: None,
-            datatype: Some(xsd::DOUBLE.into()),
+            datatype: Some(shared(&DOUBLE, xsd::DOUBLE)),
             parsed: TypedValue::Double(v),
         }
     }
@@ -216,7 +235,7 @@ impl Literal {
         Literal {
             lexical: if v { "true" } else { "false" }.into(),
             language: None,
-            datatype: Some(xsd::BOOLEAN.into()),
+            datatype: Some(shared(&BOOLEAN, xsd::BOOLEAN)),
             parsed: TypedValue::Boolean(v),
         }
     }
@@ -296,6 +315,10 @@ pub fn escape_literal(s: &str) -> Cow<'_, str> {
 }
 
 /// An RDF term: the node/edge label type of a knowledge graph.
+///
+/// Every variant is one pointer-sized handle (a [`Literal`]'s three strings
+/// and typed value sit behind one `Arc`), so a term is 24 bytes and
+/// [`Clone`] never allocates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Term {
     /// An IRI (URI) reference.
@@ -303,18 +326,30 @@ pub enum Term {
     /// A blank node with local label.
     Blank(Arc<str>),
     /// A literal value.
-    Literal(Literal),
+    Literal(Arc<Literal>),
+}
+
+// The dictionary stores its terms by value, one per distinct term, so this
+// size is a per-term cost of every dataset (the byte budget is derived in
+// `crates/bench/tests/dataset_footprint.rs`). A variant that grows the enum
+// fails here rather than in a heap census.
+const _: () = assert!(std::mem::size_of::<Term>() == 24);
+
+impl From<Literal> for Term {
+    fn from(literal: Literal) -> Self {
+        Term::Literal(Arc::new(literal))
+    }
 }
 
 impl Term {
     /// A copy that shares no allocation with `self` ([`Clone`] shares the
-    /// strings).
+    /// strings and a literal's `Arc<Literal>`).
     pub(crate) fn unshared(&self) -> Term {
         let copy = |s: &Arc<str>| Arc::<str>::from(&**s);
         match self {
             Term::Iri(s) => Term::Iri(copy(s)),
             Term::Blank(s) => Term::Blank(copy(s)),
-            Term::Literal(l) => Term::Literal(Literal {
+            Term::Literal(l) => Term::from(Literal {
                 lexical: copy(&l.lexical),
                 language: l.language.as_ref().map(copy),
                 datatype: l.datatype.as_ref().map(copy),
@@ -335,12 +370,12 @@ impl Term {
 
     /// Plain-string literal constructor.
     pub fn string(s: impl Into<Arc<str>>) -> Self {
-        Term::Literal(Literal::string(s))
+        Term::from(Literal::string(s))
     }
 
     /// Integer literal constructor.
     pub fn integer(v: i64) -> Self {
-        Term::Literal(Literal::integer(v))
+        Term::from(Literal::integer(v))
     }
 
     /// True if the term is an IRI.
@@ -522,17 +557,17 @@ mod tests {
     fn datetime_ordering() {
         let a = Literal::date_time("2005-06-01T00:00:00");
         let b = Literal::date_time("2010-06-01T00:00:00");
-        let ta = Term::Literal(a);
-        let tb = Term::Literal(b);
+        let ta = Term::from(a);
+        let tb = Term::from(b);
         assert_eq!(ta.value_cmp(&tb), Some(Ordering::Less));
     }
 
     #[test]
     fn cross_type_numeric_comparison() {
-        let i = Term::Literal(Literal::integer(3));
-        let d = Term::Literal(Literal::double(3.5));
+        let i = Term::from(Literal::integer(3));
+        let d = Term::from(Literal::double(3.5));
         assert_eq!(i.value_cmp(&d), Some(Ordering::Less));
-        assert_eq!(i.value_eq(&Term::Literal(Literal::double(3.0))), Some(true));
+        assert_eq!(i.value_eq(&Term::from(Literal::double(3.0))), Some(true));
     }
 
     #[test]
@@ -548,7 +583,7 @@ mod tests {
         assert_eq!(Term::blank("b0").to_string(), "_:b0");
         assert_eq!(Term::string("hi").to_string(), "\"hi\"");
         assert_eq!(
-            Term::Literal(Literal::lang_string("hi", "en")).to_string(),
+            Term::from(Literal::lang_string("hi", "en")).to_string(),
             "\"hi\"@en"
         );
         assert_eq!(

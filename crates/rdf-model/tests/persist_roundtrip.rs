@@ -18,7 +18,7 @@ fn term(kind: u8, idx: u32) -> Term {
         0 => Term::iri(format!("http://example.org/resource/{idx}")),
         1 => Term::blank(format!("b{idx}")),
         2 => Term::string(format!("plain value {idx}")),
-        3 => Term::Literal(rdf_model::Literal::lang_string(
+        3 => Term::from(rdf_model::Literal::lang_string(
             format!("wert {idx}"),
             if idx.is_multiple_of(2) { "de" } else { "en-GB" },
         )),

@@ -1,8 +1,12 @@
 //! Property-based tests for the RDF model: N-Triples round trips with
-//! arbitrary terms, and index consistency of the triple store.
+//! arbitrary terms, index consistency of the triple store, and the term
+//! dictionary against a map model.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
-use rdf_model::{ntriples, Dataset, Graph, Literal, Term, Triple};
+use rdf_model::vocab::xsd;
+use rdf_model::{ntriples, Dataset, Graph, Interner, Literal, Term, TermId, Triple};
 
 fn iri_strategy() -> impl Strategy<Value = Term> {
     "[a-z]{1,8}".prop_map(|s| Term::iri(format!("http://example.org/{s}")))
@@ -13,8 +17,8 @@ fn literal_strategy() -> impl Strategy<Value = Term> {
         // Plain strings incl. characters needing escapes.
         "[ -~]{0,12}".prop_map(Term::string),
         any::<i64>().prop_map(Term::integer),
-        any::<bool>().prop_map(|b| Term::Literal(Literal::boolean(b))),
-        ("[a-z]{1,6}", "[a-z]{2}").prop_map(|(s, l)| Term::Literal(Literal::lang_string(s, l))),
+        any::<bool>().prop_map(|b| Term::from(Literal::boolean(b))),
+        ("[a-z]{1,6}", "[a-z]{2}").prop_map(|(s, l)| Term::from(Literal::lang_string(s, l))),
         // Unicode content.
         "\\PC{0,8}".prop_map(Term::string),
     ]
@@ -113,8 +117,86 @@ fn probe_run_strategy() -> impl Strategy<Value = ProbeRun> {
         )
 }
 
+/// Term `n` of a universe whose neighbours are the pairs a dictionary must
+/// keep apart: the same text as an IRI, a blank node, a plain literal and a
+/// language-tagged one (`"x"` and `"x"@en`), and the same integer as
+/// `xsd:integer` with and without a leading zero (`"1"` and `"01"`, equal
+/// in value, distinct as terms).
+fn universe_term(n: u32) -> Term {
+    let k = n / 6;
+    match n % 6 {
+        0 => Term::iri(format!("http://x/{k}")),
+        1 => Term::blank(format!("{k}")),
+        2 => Term::string(format!("{k}")),
+        3 => Term::from(Literal::lang_string(format!("{k}"), "en")),
+        4 => Term::from(Literal::typed(format!("{k}"), xsd::INTEGER)),
+        _ => Term::from(Literal::typed(format!("0{k}"), xsd::INTEGER)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// Random `intern` / `get` / `resolve` sequences against a
+    /// `HashMap<Term, u32>` plus the terms in first-seen order. The id table
+    /// starts at 8 slots and doubles before it is 3/4 full (at 7, 13, 25 and
+    /// 49 terms), so a case that reaches 25 distinct terms has grown it at
+    /// least three times, each growth a rehash from the term table.
+    #[test]
+    fn interner_matches_a_map_model_through_table_growths(
+        ops in proptest::collection::vec((0u8..4, 0u32..600), 150..400),
+        dup in any::<u32>(),
+    ) {
+        let mut interner = Interner::new();
+        let mut model: HashMap<Term, u32> = HashMap::new();
+        let mut order: Vec<Term> = Vec::new();
+        for (op, n) in ops {
+            let term = universe_term(n);
+            match op {
+                // Interning is half the ops, so the dictionary grows.
+                0 | 1 => {
+                    let want = *model.entry(term.clone()).or_insert_with(|| {
+                        order.push(term.clone());
+                        order.len() as u32 - 1
+                    });
+                    prop_assert_eq!(interner.intern(term), TermId(want));
+                }
+                2 => prop_assert_eq!(interner.get(&term), model.get(&term).map(|&id| TermId(id))),
+                _ => {
+                    if !order.is_empty() {
+                        let id = n as usize % order.len();
+                        prop_assert_eq!(interner.resolve(TermId(id as u32)), &order[id]);
+                    }
+                }
+            }
+            prop_assert_eq!(interner.len(), order.len());
+        }
+        prop_assert!(order.len() >= 25, "only {} distinct terms", order.len());
+        // Dense ids, in first-seen order.
+        prop_assert!(interner.iter().map(|(id, t)| (id.0, t.clone())).eq(
+            order.iter().cloned().enumerate().map(|(i, t)| (i as u32, t))
+        ));
+
+        // Equal in value is not equal as a term.
+        let mut more = interner.clone();
+        let one = more.intern(Term::integer(1));
+        prop_assert_ne!(one, more.intern(Term::from(Literal::typed("01", xsd::INTEGER))));
+        let plain = more.intern(Term::string("x"));
+        prop_assert_ne!(plain, more.intern(Term::from(Literal::lang_string("x", "en"))));
+        prop_assert_eq!(more.intern(Term::integer(1)), one);
+
+        // A persisted term table rebuilds the same ids; one with a
+        // duplicate is refused.
+        let rebuilt = Interner::from_terms(order.clone()).expect("distinct terms");
+        prop_assert_eq!(rebuilt.len(), order.len());
+        for (i, t) in order.iter().enumerate() {
+            prop_assert_eq!(rebuilt.get(t), Some(TermId(i as u32)));
+        }
+        let mut twice = order.clone();
+        let copy = order[dup as usize % order.len()].clone();
+        twice.insert((dup / 7) as usize % (order.len() + 1), copy);
+        prop_assert!(Interner::from_terms(twice).is_none());
+    }
 
     #[test]
     fn seeking_scans_match_fresh_scans_and_the_model(

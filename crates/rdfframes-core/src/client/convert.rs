@@ -97,18 +97,18 @@ mod tests {
         );
         assert_eq!(term_to_cell(&Term::integer(5)), Cell::Int(5));
         assert_eq!(
-            term_to_cell(&Term::Literal(Literal::double(2.5))),
+            term_to_cell(&Term::from(Literal::double(2.5))),
             Cell::Float(2.5)
         );
         assert_eq!(
-            term_to_cell(&Term::Literal(Literal::boolean(true))),
+            term_to_cell(&Term::from(Literal::boolean(true))),
             Cell::Bool(true)
         );
         assert_eq!(term_to_cell(&Term::string("hi")), Cell::str("hi"));
         assert_eq!(term_to_cell(&Term::blank("b0")), Cell::uri("_:b0"));
         // Date-times keep their lexical form as strings.
         assert_eq!(
-            term_to_cell(&Term::Literal(Literal::date_time("2020-01-01T00:00:00"))),
+            term_to_cell(&Term::from(Literal::date_time("2020-01-01T00:00:00"))),
             Cell::str("2020-01-01T00:00:00")
         );
     }
@@ -147,7 +147,7 @@ mod tests {
         // Two dictionary entries that share the string "5" are two cells:
         // one per entry, each made by its own arm of `term_to_cell`.
         let five: std::sync::Arc<str> = "5".into();
-        let integer = Term::Literal(Literal::typed(five.clone(), rdf_model::vocab::xsd::INTEGER));
+        let integer = Term::from(Literal::typed(five.clone(), rdf_model::vocab::xsd::INTEGER));
         let plain = Term::string(five);
         let table = SolutionTable::from_columns(
             vec!["a".into(), "b".into()],
@@ -177,10 +177,10 @@ mod tests {
             Term::string("a"),
             Term::integer(7),
             Term::string("7"),
-            Term::Literal(Literal::double(7.0)),
-            Term::Literal(Literal::boolean(true)),
-            Term::Literal(Literal::lang_string("a", "en")),
-            Term::Literal(Literal::date_time("2020-01-01T00:00:00")),
+            Term::from(Literal::double(7.0)),
+            Term::from(Literal::boolean(true)),
+            Term::from(Literal::lang_string("a", "en")),
+            Term::from(Literal::date_time("2020-01-01T00:00:00")),
         ];
         let rows: Vec<Vec<Option<Term>>> = (0..40)
             .map(|i| {

@@ -326,9 +326,9 @@ fn decode_binding<'a>(content: &'a str, memo: &mut CodeMemo<'a>) -> Option<(u32,
             _ => {
                 let attrs = &content["<literal".len()..text_start - 1];
                 if let Some(lang) = attr_value(attrs, "xml:lang=\"") {
-                    Term::Literal(Literal::lang_string(text, unescape(lang)))
+                    Term::from(Literal::lang_string(text, unescape(lang)))
                 } else if let Some(dt) = attr_value(attrs, "datatype=\"") {
-                    Term::Literal(Literal::typed(text, unescape(dt)))
+                    Term::from(Literal::typed(text, unescape(dt)))
                 } else {
                     Term::string(text)
                 }
@@ -364,7 +364,7 @@ mod tests {
             vec![
                 vec![
                     Some(Term::iri("http://x/a?q=1&r=2")),
-                    Some(Term::Literal(Literal::lang_string("héllo <world>", "en"))),
+                    Some(Term::from(Literal::lang_string("héllo <world>", "en"))),
                     Some(Term::integer(5)),
                 ],
                 vec![Some(Term::blank("b0")), None, None],

@@ -223,16 +223,16 @@ mod tests {
                 "?s",
                 "x:p",
                 "\"hi\"@en",
-                Term::Literal(Literal::lang_string("hi", "en")),
+                Term::from(Literal::lang_string("hi", "en")),
             ),
             (
                 "?s",
                 "x:p",
                 "\"5\"^^xsd:integer",
-                Term::Literal(Literal::typed("5", vocab::xsd::INTEGER)),
+                Term::from(Literal::typed("5", vocab::xsd::INTEGER)),
             ),
             ("?s", "x:p", "42", Term::integer(42)),
-            ("?s", "x:p", "true", Term::Literal(Literal::boolean(true))),
+            ("?s", "x:p", "true", Term::from(Literal::boolean(true))),
             ("?s", "a", "x:T", Term::iri("http://x/T")),
         ];
         for (s, p, o, want) in accepted {

@@ -72,11 +72,11 @@ fn term() -> impl Strategy<Value = Term> {
         token().prop_map(Term::iri),
         token().prop_map(Term::blank),
         text().prop_map(Term::string),
-        (text(), token()).prop_map(|(s, lang)| Term::Literal(Literal::lang_string(s, lang))),
-        (text(), datatype).prop_map(|(s, dt)| Term::Literal(Literal::typed(s, dt))),
+        (text(), token()).prop_map(|(s, lang)| Term::from(Literal::lang_string(s, lang))),
+        (text(), datatype).prop_map(|(s, dt)| Term::from(Literal::typed(s, dt))),
         (-3i64..4).prop_map(Term::integer),
-        Just(Term::Literal(Literal::double(2.5))),
-        Just(Term::Literal(Literal::boolean(true))),
+        Just(Term::from(Literal::double(2.5))),
+        Just(Term::from(Literal::boolean(true))),
     ]
 }
 
@@ -154,7 +154,7 @@ fn small() -> SolutionTable {
         vec![
             vec![
                 Some(Term::iri("http://x/a?q=1&r=2")),
-                Some(Term::Literal(Literal::lang_string("héllo <\"w\">", "en"))),
+                Some(Term::from(Literal::lang_string("héllo <\"w\">", "en"))),
                 Some(Term::integer(5)),
             ],
             vec![Some(Term::blank("b0")), None, Some(Term::string("5"))],

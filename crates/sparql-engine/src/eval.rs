@@ -807,14 +807,14 @@ mod tests {
         let numbers = [
             Term::integer(5),
             Term::integer(5),
-            Term::Literal(Literal::double(2.5)),
+            Term::from(Literal::double(2.5)),
             Term::integer(-3),
-            Term::Literal(Literal::double(5.0)),
+            Term::from(Literal::double(5.0)),
         ];
         let intruders = [
             Some(Term::iri("http://x/not-a-number")),
             Some(Term::string("abc")),
-            Some(Term::Literal(Literal::double(f64::NAN))),
+            Some(Term::from(Literal::double(f64::NAN))),
             None, // unbound: contributes nothing, demotes nothing
         ];
         let ops = [AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max];

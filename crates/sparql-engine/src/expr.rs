@@ -113,8 +113,8 @@ pub fn eval_expr<B: Bindings>(expr: &Expr, ctx: B, caches: &mut EvalCaches) -> O
             let ea = eval_expr(a, ctx, caches).as_ref().and_then(ebv);
             let eb = eval_expr(b, ctx, caches).as_ref().and_then(ebv);
             match (ea, eb) {
-                (Some(false), _) | (_, Some(false)) => Some(Term::Literal(Literal::boolean(false))),
-                (Some(true), Some(true)) => Some(Term::Literal(Literal::boolean(true))),
+                (Some(false), _) | (_, Some(false)) => Some(Term::from(Literal::boolean(false))),
+                (Some(true), Some(true)) => Some(Term::from(Literal::boolean(true))),
                 _ => None,
             }
         }
@@ -122,14 +122,14 @@ pub fn eval_expr<B: Bindings>(expr: &Expr, ctx: B, caches: &mut EvalCaches) -> O
             let ea = eval_expr(a, ctx, caches).as_ref().and_then(ebv);
             let eb = eval_expr(b, ctx, caches).as_ref().and_then(ebv);
             match (ea, eb) {
-                (Some(true), _) | (_, Some(true)) => Some(Term::Literal(Literal::boolean(true))),
-                (Some(false), Some(false)) => Some(Term::Literal(Literal::boolean(false))),
+                (Some(true), _) | (_, Some(true)) => Some(Term::from(Literal::boolean(true))),
+                (Some(false), Some(false)) => Some(Term::from(Literal::boolean(false))),
                 _ => None,
             }
         }
         Expr::Not(a) => {
             let v = eval_expr(a, ctx, caches)?;
-            Some(Term::Literal(Literal::boolean(!ebv(&v)?)))
+            Some(Term::from(Literal::boolean(!ebv(&v)?)))
         }
         Expr::Cmp(op, a, b) => {
             let va = eval_expr(a, ctx, caches)?;
@@ -142,7 +142,7 @@ pub fn eval_expr<B: Bindings>(expr: &Expr, ctx: B, caches: &mut EvalCaches) -> O
                 CmpOp::Gt => va.value_cmp(&vb)? == std::cmp::Ordering::Greater,
                 CmpOp::Ge => va.value_cmp(&vb)? != std::cmp::Ordering::Less,
             };
-            Some(Term::Literal(Literal::boolean(result)))
+            Some(Term::from(Literal::boolean(result)))
         }
         Expr::Arith(op, a, b) => {
             let va = eval_expr(a, ctx, caches)?;
@@ -152,8 +152,8 @@ pub fn eval_expr<B: Bindings>(expr: &Expr, ctx: B, caches: &mut EvalCaches) -> O
         Expr::Neg(a) => {
             let v = eval_expr(a, ctx, caches)?;
             match v.as_literal()?.parsed {
-                TypedValue::Integer(i) => Some(Term::Literal(Literal::integer(-i))),
-                TypedValue::Double(d) => Some(Term::Literal(Literal::double(-d))),
+                TypedValue::Integer(i) => Some(Term::from(Literal::integer(-i))),
+                TypedValue::Double(d) => Some(Term::from(Literal::double(-d))),
                 _ => None,
             }
         }
@@ -172,7 +172,7 @@ pub fn eval_expr<B: Bindings>(expr: &Expr, ctx: B, caches: &mut EvalCaches) -> O
                     }
                 }
             }
-            Some(Term::Literal(Literal::boolean(found != *negated)))
+            Some(Term::from(Literal::boolean(found != *negated)))
         }
         Expr::Call(func, args) => eval_call(func, args, ctx, caches),
         // Aggregates are rewritten to column references by the algebra
@@ -201,10 +201,10 @@ fn arith(op: ArithOp, a: &Term, b: &Term) -> Option<Term> {
                 if y == 0 {
                     return None;
                 }
-                return Some(Term::Literal(Literal::double(xf / yf)));
+                return Some(Term::from(Literal::double(xf / yf)));
             }
         };
-        return r.map(|v| Term::Literal(Literal::integer(v)));
+        return r.map(|v| Term::from(Literal::integer(v)));
     }
     let x = a.as_literal()?.as_f64()?;
     let y = b.as_literal()?.as_f64()?;
@@ -219,7 +219,7 @@ fn arith(op: ArithOp, a: &Term, b: &Term) -> Option<Term> {
             x / y
         }
     };
-    Some(Term::Literal(Literal::double(r)))
+    Some(Term::from(Literal::double(r)))
 }
 
 fn eval_call<B: Bindings>(
@@ -232,7 +232,7 @@ fn eval_call<B: Bindings>(
         Func::Bound => {
             // BOUND takes a variable; unbound is a *value* here, not error.
             match args.first()? {
-                Expr::Var(v) => Some(Term::Literal(Literal::boolean(ctx.get(v).is_some()))),
+                Expr::Var(v) => Some(Term::from(Literal::boolean(ctx.get(v).is_some()))),
                 _ => None,
             }
         }
@@ -251,15 +251,15 @@ fn eval_call<B: Bindings>(
         }
         Func::IsIri => {
             let v = eval_expr(args.first()?, ctx, caches)?;
-            Some(Term::Literal(Literal::boolean(v.is_iri())))
+            Some(Term::from(Literal::boolean(v.is_iri())))
         }
         Func::IsLiteral => {
             let v = eval_expr(args.first()?, ctx, caches)?;
-            Some(Term::Literal(Literal::boolean(v.is_literal())))
+            Some(Term::from(Literal::boolean(v.is_literal())))
         }
         Func::IsBlank => {
             let v = eval_expr(args.first()?, ctx, caches)?;
-            Some(Term::Literal(Literal::boolean(v.is_blank())))
+            Some(Term::from(Literal::boolean(v.is_blank())))
         }
         Func::Regex => {
             let text = eval_expr(args.first()?, ctx, caches)?;
@@ -274,24 +274,28 @@ fn eval_call<B: Bindings>(
                 None => String::new(),
             };
             let re = caches.regex(&pattern, &flags)?;
-            Some(Term::Literal(Literal::boolean(re.is_match(&text))))
+            Some(Term::from(Literal::boolean(re.is_match(&text))))
         }
-        Func::Year | Func::Month | Func::Day => {
-            let v = eval_expr(args.first()?, ctx, caches)?;
-            let secs = date_seconds(&v)?;
-            let value = match func {
-                Func::Year => year_of_epoch(secs),
-                Func::Month => civil_of_epoch(secs).1,
-                Func::Day => civil_of_epoch(secs).2,
-                _ => unreachable!(),
-            };
-            Some(Term::integer(value))
-        }
+        Func::Year => date_part(args, ctx, caches, year_of_epoch),
+        Func::Month => date_part(args, ctx, caches, |secs| civil_of_epoch(secs).1),
+        Func::Day => date_part(args, ctx, caches, |secs| civil_of_epoch(secs).2),
         Func::Cast(datatype) => {
             let v = eval_expr(args.first()?, ctx, caches)?;
             cast(&v, datatype)
         }
     }
+}
+
+/// `YEAR` / `MONTH` / `DAY`: `part` of the first argument's point in time,
+/// as an integer.
+fn date_part<B: Bindings>(
+    args: &[Expr],
+    ctx: B,
+    caches: &mut EvalCaches,
+    part: fn(i64) -> i64,
+) -> Option<Term> {
+    let v = eval_expr(args.first()?, ctx, caches)?;
+    Some(Term::integer(part(date_seconds(&v)?)))
 }
 
 /// Interpret a term as a point in time (accepts `xsd:dateTime`, `xsd:date`,
@@ -352,7 +356,7 @@ fn cast(term: &Term, datatype: &str) -> Option<Term> {
     let target_is_stringy = datatype == xsd::STRING;
     match lit.parsed {
         TypedValue::String if !target_is_stringy => None,
-        _ => Some(Term::Literal(lit)),
+        _ => Some(Term::from(lit)),
     }
 }
 
@@ -402,8 +406,11 @@ impl AggState {
 
     /// Initialize with id-based DISTINCT: inputs are interned through the
     /// evaluator's [`TermPool`] (via [`AggState::push_pooled`]) and dedup
-    /// hashes `u32` ids instead of whole terms.
-    pub fn new_id_distinct(op: AggOp, distinct: bool) -> Self {
+    /// hashes `u32` ids instead of whole terms. Crate-private, like
+    /// [`NumericAccum::demote`], the other source of such a state: outside
+    /// this crate every `AggState` dedups terms, so [`AggState::push`] never
+    /// meets one.
+    pub(crate) fn new_id_distinct(op: AggOp, distinct: bool) -> Self {
         AggState {
             seen: distinct.then(|| Dedup::Ids(std::collections::HashSet::new())),
             ..Self::new(op, false)
@@ -423,7 +430,11 @@ impl AggState {
                 }
             }
             // An id-distinct state cannot dedup without the pool; silently
-            // over-counting would be a correctness bug, so fail loudly.
+            // over-counting would be a correctness bug, so fail loudly. Not
+            // reachable: only `new_id_distinct` and `NumericAccum::demote`
+            // (both crate-private) make one, and their one user, the
+            // pipeline's `GroupOp` (`Accum::Terms`), feeds it through
+            // `push_pooled` alone.
             Some(Dedup::Ids(_)) => {
                 panic!("id-distinct AggState must be fed through push_pooled")
             }
@@ -505,14 +516,14 @@ impl AggState {
                 if self.sum_is_integral {
                     Some(Term::integer(self.int_sum))
                 } else {
-                    Some(Term::Literal(Literal::double(self.sum)))
+                    Some(Term::from(Literal::double(self.sum)))
                 }
             }
             AggOp::Avg => {
                 if self.count == 0 {
                     Some(Term::integer(0))
                 } else {
-                    Some(Term::Literal(Literal::double(self.sum / self.count as f64)))
+                    Some(Term::from(Literal::double(self.sum / self.count as f64)))
                 }
             }
             AggOp::Min => self.min,
@@ -553,6 +564,9 @@ impl NumVal {
     fn cmp_sparql(self, other: NumVal) -> std::cmp::Ordering {
         match (self, other) {
             (NumVal::I(a), NumVal::I(b)) => a.cmp(&b),
+            // Not reachable: a `NumVal` is only made by `NumVal::of`, which
+            // refuses NaN, and an `i64` converts to a finite `f64`; two
+            // non-NaN floats always compare.
             _ => self
                 .as_f64()
                 .partial_cmp(&other.as_f64())
@@ -653,18 +667,23 @@ impl NumericAccum {
             AggOp::Sum => Some(if self.integral {
                 pool.intern(Term::integer(self.int_sum))
             } else {
-                pool.intern(Term::Literal(Literal::double(self.f_sum)))
+                pool.intern(Term::from(Literal::double(self.f_sum)))
             }),
             AggOp::Avg => Some(if self.count == 0 {
                 pool.intern(Term::integer(0))
             } else {
-                pool.intern(Term::Literal(Literal::double(
-                    self.f_sum / self.count as f64,
-                )))
+                pool.intern(Term::from(Literal::double(self.f_sum / self.count as f64)))
             }),
             AggOp::Min => self.min.map(|(id, _)| id),
             AggOp::Max => self.max.map(|(id, _)| id),
-            _ => unreachable!("NumericCol only plans SUM/AVG/MIN/MAX"),
+            // Not reachable: the one caller (`GroupOp::finish`) passes the
+            // op of the aggregate whose plan made this accumulator, and the
+            // planner makes `AggPlan::NumericCol` — the only plan
+            // `fresh_accums` gives a `NumericAccum` — for exactly the four
+            // ops above.
+            AggOp::Count | AggOp::Sample => {
+                unreachable!("NumericCol only plans SUM/AVG/MIN/MAX")
+            }
         }
     }
 }
@@ -829,7 +848,7 @@ mod tests {
         let bound_y = Expr::Call(Func::Bound, vec![Expr::Var("y".into())]);
         assert_eq!(
             eval_expr(&bound_y, ctx, &mut caches),
-            Some(Term::Literal(Literal::boolean(false)))
+            Some(Term::from(Literal::boolean(false)))
         );
     }
 
@@ -869,8 +888,8 @@ mod tests {
         let ctx = ctx_of(&vs, &row);
         let mut caches = EvalCaches::new();
         let err = Expr::Var("u".into()); // unbound → error
-        let f = Expr::Const(Term::Literal(Literal::boolean(false)));
-        let t = Expr::Const(Term::Literal(Literal::boolean(true)));
+        let f = Expr::Const(Term::from(Literal::boolean(false)));
+        let t = Expr::Const(Term::from(Literal::boolean(true)));
         // false && error = false
         let e = Expr::And(Box::new(f.clone()), Box::new(err.clone()));
         assert_eq!(
@@ -970,7 +989,7 @@ mod tests {
         let mut a = AggState::new(AggOp::Avg, false);
         a.push(Some(Term::integer(3)));
         a.push(Some(Term::integer(5)));
-        assert_eq!(a.finish(), Some(Term::Literal(Literal::double(4.0))));
+        assert_eq!(a.finish(), Some(Term::from(Literal::double(4.0))));
 
         let mut m = AggState::new(AggOp::Min, false);
         m.push(Some(Term::integer(5)));

@@ -428,13 +428,13 @@ impl Parser {
             }
             TokenKind::Integer(n) if allow_literal => Ok(PatternTerm::Const(Term::integer(n))),
             TokenKind::Decimal(d) if allow_literal => {
-                Ok(PatternTerm::Const(Term::Literal(Literal::double(d))))
+                Ok(PatternTerm::Const(Term::from(Literal::double(d))))
             }
             TokenKind::Word(w) if allow_literal && w == "TRUE" => {
-                Ok(PatternTerm::Const(Term::Literal(Literal::boolean(true))))
+                Ok(PatternTerm::Const(Term::from(Literal::boolean(true))))
             }
             TokenKind::Word(w) if allow_literal && w == "FALSE" => {
-                Ok(PatternTerm::Const(Term::Literal(Literal::boolean(false))))
+                Ok(PatternTerm::Const(Term::from(Literal::boolean(false))))
             }
             other => Err(self.err(format!("expected term, found {other:?}"))),
         }
@@ -445,7 +445,7 @@ impl Parser {
         match self.peek().clone() {
             TokenKind::LangTag(lang) => {
                 self.bump();
-                Ok(Term::Literal(Literal::lang_string(body, lang)))
+                Ok(Term::from(Literal::lang_string(body, lang)))
             }
             TokenKind::HatHat => {
                 self.bump();
@@ -454,7 +454,7 @@ impl Parser {
                     TokenKind::PName(p, l) => self.resolve_pname(&p, &l)?,
                     other => return Err(self.err(format!("expected datatype, got {other:?}"))),
                 };
-                Ok(Term::Literal(Literal::typed(body, dt)))
+                Ok(Term::from(Literal::typed(body, dt)))
             }
             _ => Ok(Term::string(body)),
         }
@@ -598,7 +598,7 @@ impl Parser {
             }
             TokenKind::Var(v) => Ok(Expr::Var(v)),
             TokenKind::Integer(n) => Ok(Expr::Const(Term::integer(n))),
-            TokenKind::Decimal(d) => Ok(Expr::Const(Term::Literal(Literal::double(d)))),
+            TokenKind::Decimal(d) => Ok(Expr::Const(Term::from(Literal::double(d)))),
             TokenKind::String(s) => Ok(Expr::Const(self.finish_literal(s)?)),
             TokenKind::IriRef(i) => self.maybe_cast_call(i),
             TokenKind::PName(p, l) => {
@@ -623,8 +623,8 @@ impl Parser {
 
     fn parse_word_primary(&mut self, word: &str) -> Result<Expr> {
         match word {
-            "TRUE" => return Ok(Expr::Const(Term::Literal(Literal::boolean(true)))),
-            "FALSE" => return Ok(Expr::Const(Term::Literal(Literal::boolean(false)))),
+            "TRUE" => return Ok(Expr::Const(Term::from(Literal::boolean(true)))),
+            "FALSE" => return Ok(Expr::Const(Term::from(Literal::boolean(false)))),
             _ => {}
         }
         if let Some(op) = match word {

@@ -192,7 +192,7 @@ fn is_iri_filter() {
     g.insert(&Triple::new(
         iri("http://dbpedia.org/resource/actor1"),
         iri("http://www.w3.org/2000/01/rdf-schema#label"),
-        Term::Literal(Literal::lang_string("Actor One", "en")),
+        Term::from(Literal::lang_string("Actor One", "en")),
     ));
     let mut ds = Dataset::new();
     ds.insert_graph("http://dbpedia.org", g);

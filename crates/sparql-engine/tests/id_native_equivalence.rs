@@ -66,7 +66,7 @@ fn movie_graph() -> Graph {
             g.insert(&Triple::new(
                 movie.clone(),
                 score.clone(),
-                Term::Literal(Literal::double(7.5 + m as f64)),
+                Term::from(Literal::double(7.5 + m as f64)),
             ));
             // Mixed types: integers for even movies, strings for odd ones.
             let note_val = if m % 2 == 0 {
@@ -86,7 +86,7 @@ fn movie_graph() -> Graph {
         g.insert(&Triple::new(
             a.clone(),
             iri("http://www.w3.org/2000/01/rdf-schema#label"),
-            Term::Literal(Literal::lang_string(format!("Actor {name}"), "en")),
+            Term::from(Literal::lang_string(format!("Actor {name}"), "en")),
         ));
     }
     g

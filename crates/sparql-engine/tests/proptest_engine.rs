@@ -11,7 +11,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rdf_model::{Dataset, Graph, Term, Triple};
+use rdf_model::vocab::xsd;
+use rdf_model::{Dataset, Graph, Interner, Literal, Term, TermId, Triple};
+use sparql_engine::pool::TermPool;
 use sparql_engine::{Engine, EngineConfig, SolutionTable};
 
 const GRAPH_URI: &str = "http://test";
@@ -179,6 +181,17 @@ fn canonical_rows(table: &SolutionTable) -> Vec<Vec<String>> {
     rows
 }
 
+/// Term `n` of a small universe in which `"k"^^xsd:integer` and
+/// `"0k"^^xsd:integer` (equal values, distinct terms) are neighbours.
+fn pool_term(n: u32) -> Term {
+    let k = n / 3;
+    match n % 3 {
+        0 => Term::iri(format!("http://x/{k}")),
+        1 => Term::integer(i64::from(k)),
+        _ => Term::from(Literal::typed(format!("0{k}"), xsd::INTEGER)),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -282,5 +295,38 @@ proptest! {
         let count_q = q.replacen("SELECT *", "SELECT (COUNT(*) AS ?n)", 1);
         let counted = engine.execute(&count_q).unwrap();
         prop_assert!(counted.column("n").unwrap().eq([Some(&Term::integer(rows))]));
+    }
+
+    /// A `TermPool` over a stored dictionary, fed computed terms: a term
+    /// equal to a stored one gets the stored id; any other gets an overflow
+    /// id at or past the dictionary's length, dense in first-seen order and
+    /// the same on every sighting — so the two id ranges never meet, and
+    /// every id resolves to its term.
+    #[test]
+    fn term_pool_overflow_ids_never_meet_base_ids(
+        stored in proptest::collection::vec(0u32..300, 0..120),
+        computed in proptest::collection::vec(0u32..300, 1..200),
+    ) {
+        let mut base = Interner::new();
+        for n in stored {
+            base.intern(pool_term(n));
+        }
+        let mut pool = TermPool::new(&base);
+        let mut overflow: HashMap<Term, TermId> = HashMap::new();
+        for n in computed {
+            let term = pool_term(n);
+            let id = pool.intern(term.clone());
+            match base.get(&term) {
+                Some(stored) => prop_assert_eq!(id, stored),
+                None => {
+                    let fresh = TermId((base.len() + overflow.len()) as u32);
+                    let want = *overflow.entry(term.clone()).or_insert(fresh);
+                    prop_assert_eq!(id, want);
+                    prop_assert!(id.index() >= base.len());
+                }
+            }
+            prop_assert_eq!(pool.resolve(id), &term);
+            prop_assert_eq!(pool.lookup(&term), Some(id));
+        }
     }
 }

@@ -31,10 +31,10 @@ fn pool() -> Vec<Term> {
         Term::string("b"),
         Term::integer(1),
         Term::integer(2),
-        Term::Literal(Literal::lang_string("a", "en")),
-        Term::Literal(Literal::double(2.5)),
-        Term::Literal(Literal::boolean(true)),
-        Term::Literal(Literal::date_time("2020-01-01T00:00:00")),
+        Term::from(Literal::lang_string("a", "en")),
+        Term::from(Literal::double(2.5)),
+        Term::from(Literal::boolean(true)),
+        Term::from(Literal::date_time("2020-01-01T00:00:00")),
     ]
 }
 

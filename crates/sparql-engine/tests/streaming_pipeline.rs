@@ -530,9 +530,9 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
     let numbers = || {
         vec![
             Some(Term::integer(5)),
-            Some(Term::Literal(rdf_model::Literal::double(2.5))),
+            Some(Term::from(rdf_model::Literal::double(2.5))),
             Some(Term::integer(-3)),
-            Some(Term::Literal(rdf_model::Literal::double(5.0))),
+            Some(Term::from(rdf_model::Literal::double(5.0))),
         ]
     };
     let intruders = [
@@ -540,7 +540,7 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
         ("string", Some(Term::string("abc"))),
         (
             "nan",
-            Some(Term::Literal(rdf_model::Literal::double(f64::NAN))),
+            Some(Term::from(rdf_model::Literal::double(f64::NAN))),
         ),
         ("unbound", None),
     ];

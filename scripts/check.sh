@@ -118,7 +118,19 @@ echo "==> seeking scans (fixed seed)"
 test_named -p rdf-model --test proptest_model seeking_scans_match_fresh_scans_and_the_model
 test_named -p sparql-engine --test streaming_pipeline seeking_probes_keep_one_hint_per_graph
 
-# Fixed-seed bulk-column property: `from_ids`, `gather`, `filter_mask` and
+# Dictionary byte budget: the three experiment graphs at scale 512,
+# installed, must hold a dictionary within the bytes its layout accounts
+# for term by term (a 24-byte term slot, each string's `Arc<str>` block,
+# each literal's `Arc<Literal>` block, the `u32` id table's share), and the
+# same bytes after a snapshot round trip; plus the interner against a map
+# model through several table growths, and the term pool's overflow ids
+# against the dictionary's.
+echo "==> dictionary byte budget (fixed seed)"
+test_named -p bench --test dataset_footprint dictionary_bytes_stay_within_the_layout_budget
+test_named -p rdf-model --test proptest_model interner_matches_a_map_model_through_table_growths
+test_named -p sparql-engine --test proptest_engine term_pool_overflow_ids_never_meet_base_ids
+
+# Fixed-seed bulk-column property:`from_ids`, `gather`, `filter_mask` and
 # join assembly against one `push` per cell, at lengths around the bitmap's
 # word edges, every presence shape, duplicate and `NO_MATCH` indices — plus
 # the converter's run-cache hazard (the dataset's `TermId(0)` next to
