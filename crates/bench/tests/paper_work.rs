@@ -180,12 +180,12 @@ const PINNED_64: [(&str, Work); 22] = [
     ("Q6", w(3, (19, 1216), (131, 5175), (19, 1216))),
     ("Q7", w(10, (10, 232), (10, 232), (10, 232))),
     ("Q8", w(0, (177, 2552), (1911, 65760), (177, 2552))),
-    ("Q9", w(533, (2630, 75248), (1516, 69980), (1030, 42708))),
+    ("Q9", w(533, (2582, 63432), (1516, 69980), (894, 30892))),
     ("Q10", w(15, (30, 842), (99, 842), (30, 842))),
     ("Q11", w(108, (172, 1976), (192, 4740), (172, 1976))),
     ("Q12", w(3, (13, 271), (13, 271), (13, 271))),
-    ("Q13", w(78, (861, 31116), (1320, 51492), (861, 31116))),
-    ("Q14", w(9, (548, 17236), (1586, 53636), (548, 17236))),
+    ("Q13", w(78, (582, 15584), (1320, 51492), (582, 15584))),
+    ("Q14", w(9, (197, 1704), (1586, 53636), (197, 1704))),
     ("Q15", w(5, (159, 3687), (637, 20607), (159, 3687))),
     ("Q16", w(295, (295, 2464), (295, 2464), (295, 2464))),
     ("Q17", w(9, (20, 108), (139, 120), (139, 120))),
@@ -205,12 +205,12 @@ const PINNED_512: [(&str, Work); 22] = [
     ("Q6", w(51, (264, 9056), (813, 32565), (264, 9056))),
     ("Q7", w(51, (51, 724), (51, 724), (51, 724))),
     ("Q8", w(10, (1303, 15840), (14875, 506188), (1303, 15840))),
-    ("Q9", w(8187, (7846, 459596), (11956, 662708), (7846, 459596))),
+    ("Q9", w(8187, (6646, 365348), (11956, 662708), (6646, 365348))),
     ("Q10", w(76, (152, 2092), (676, 2092), (152, 2092))),
     ("Q11", w(870, (1382, 15656), (1470, 36436), (1382, 15656))),
     ("Q12", w(3, (54, 271), (54, 271), (54, 271))),
-    ("Q13", w(499, (6474, 233964), (10317, 392764), (6474, 233964))),
-    ("Q14", w(39, (4108, 130604), (12337, 409736), (4108, 130604))),
+    ("Q13", w(499, (4199, 111808), (10317, 392764), (4199, 111808))),
+    ("Q14", w(39, (1328, 8444), (12337, 409736), (1328, 8444))),
     ("Q15", w(25, (381, 8415), (4390, 151339), (381, 8415))),
     ("Q16", w(2444, (2444, 20200), (2444, 20200), (2444, 20200))),
     ("Q17", w(59, (127, 544), (1092, 556), (1092, 556))),
@@ -230,12 +230,12 @@ const PINNED_4000: [(&str, Work); 22] = [
     ("Q6", w(120, (626, 20960), (6345, 246492), (626, 20960))),
     ("Q7", w(400, (400, 5464), (400, 5464), (400, 5464))),
     ("Q8", w(86, (10187, 114972), (116736, 4020820), (10187, 114972))),
-    ("Q9", w(337135, (60890, 12582772), (94312, 14214140), (60890, 12582772))),
+    ("Q9", w(337135, (51374, 11835308), (94312, 14214140), (51374, 11835308))),
     ("Q10", w(600, (1200, 8572), (5300, 8572), (1200, 8572))),
     ("Q11", w(6800, (10800, 122152), (11500, 287396), (10800, 122152))),
     ("Q12", w(20, (420, 1444), (420, 1444), (420, 1444))),
-    ("Q13", w(4053, (50983, 1853776), (81160, 3123292), (50983, 1853776))),
-    ("Q14", w(365, (32237, 1036084), (96763, 3251448), (32237, 1036084))),
+    ("Q13", w(4053, (33356, 886404), (81160, 3123292), (33356, 886404))),
+    ("Q14", w(365, (10624, 68712), (96763, 3251448), (10624, 68712))),
     ("Q15", w(172, (3114, 65268), (34476, 1199504), (3114, 65268))),
     ("Q16", w(19580, (19580, 161560), (19580, 161560), (19580, 161560))),
     ("Q17", w(428, (895, 3712), (8467, 3724), (8467, 3724))),

@@ -14,6 +14,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Multiplier from the FxHash scheme (a randomish odd 64-bit constant).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+/// How far [`FxHasher::finish`] rotates the last product left. A reader
+/// that wants the product's own bits back (the interner indexes by its high
+/// bits) rotates right by as much.
+pub(crate) const FINISH_ROTATION: u32 = 26;
+
 /// Wordwise multiply-rotate hasher. Not cryptographic; in-memory use only.
 #[derive(Default)]
 pub struct FxHasher {
@@ -65,7 +70,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(FINISH_ROTATION)
     }
 }
 
@@ -74,6 +79,9 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// Drop-in `HashMap` with the fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
+
+/// Drop-in `HashSet` with the fast hasher.
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {
@@ -91,6 +99,36 @@ mod tests {
         assert_ne!(hash_of(b"http://x/a"), hash_of(b"http://x/b"));
         // A prefix must not collide trivially with its extension.
         assert_ne!(hash_of(b"abc"), hash_of(b"abcd"));
+    }
+
+    /// hashbrown picks a bucket from the low bits of `finish()`: each key
+    /// family an executor table sees — plain ids, ids packed high, packed
+    /// pairs with either half fixed, ids spaced by a power of two — must
+    /// spread over them.
+    #[test]
+    fn packed_id_keys_spread_over_the_low_bits() {
+        const KEYS: u64 = 65_536;
+        type Family = (&'static str, fn(u64) -> u64);
+        let families: [Family; 5] = [
+            ("i", |i| i),
+            ("i << 32", |i| i << 32),
+            ("i << 32 | 7", |i| i << 32 | 7),
+            ("7 << 32 | i", |i| 7 << 32 | i),
+            ("i * 4096", |i| i * 4096),
+        ];
+        for (name, key) in families {
+            let mut seen = vec![false; 1 << 16];
+            for i in 0..KEYS {
+                let mut h = FxHasher::default();
+                h.write_u64(key(i));
+                seen[(h.finish() & 0xffff) as usize] = true;
+            }
+            let distinct = seen.iter().filter(|&&s| s).count() as u64;
+            assert!(
+                distinct * 2 >= KEYS,
+                "{name}: {distinct} distinct low-16-bit values over {KEYS} keys"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::hash::FxHasher;
+use crate::hash::{FxHasher, FINISH_ROTATION};
 use crate::term::Term;
 
 /// Dense identifier for an interned term.
@@ -63,10 +63,12 @@ pub struct Interner {
     slots: Vec<u32>,
 }
 
+/// The hasher's last product, before `finish`'s rotation: [`home`] and
+/// [`tag`] read its high bits, where the multiply mixed every input bit.
 fn hash_of(term: &Term) -> u64 {
     let mut hasher = FxHasher::default();
     term.hash(&mut hasher);
-    hasher.finish()
+    hasher.finish().rotate_right(FINISH_ROTATION)
 }
 
 /// The table size that holds `len` ids at most [`MAX_LOAD_PERCENT`] full:

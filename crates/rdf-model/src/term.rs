@@ -188,6 +188,22 @@ fn shared(cell: &'static OnceLock<Arc<str>>, iri: &'static str) -> Arc<str> {
     Arc::clone(cell.get_or_init(|| iri.into()))
 }
 
+/// `v` in decimal as an `Arc<str>`, formatted on the stack first so that the
+/// `Arc` block is the one allocation.
+fn integer_lexical(v: i64) -> Arc<str> {
+    use std::io::Write;
+    // `i64::MIN`, the longest, is 20 characters.
+    let mut buf = [0u8; 20];
+    let len = {
+        let mut rest = &mut buf[..];
+        // Unreachable panic: the buffer fits every `i64`.
+        write!(rest, "{v}").expect("an i64 fits 20 bytes");
+        20 - rest.len()
+    };
+    // Unreachable panic: `write!` of an integer emits ASCII digits and `-`.
+    Arc::from(std::str::from_utf8(&buf[..len]).expect("decimal digits are ASCII"))
+}
+
 impl Literal {
     /// Plain string literal.
     pub fn string(s: impl Into<Arc<str>>) -> Self {
@@ -213,7 +229,7 @@ impl Literal {
     /// `xsd:integer` literal.
     pub fn integer(v: i64) -> Self {
         Literal {
-            lexical: v.to_string().into(),
+            lexical: integer_lexical(v),
             language: None,
             datatype: Some(shared(&INTEGER, xsd::INTEGER)),
             parsed: TypedValue::Integer(v),
@@ -526,6 +542,15 @@ mod tests {
         assert_eq!(l.parsed, TypedValue::Integer(42));
         assert!(l.is_numeric());
         assert_eq!(l.as_f64(), Some(42.0));
+    }
+
+    #[test]
+    fn integer_lexical_form_is_the_decimal_string() {
+        for v in [0, -1, 7, 10, -10, i64::MIN, i64::MAX] {
+            let l = Literal::integer(v);
+            assert_eq!(&*l.lexical, v.to_string(), "{v}");
+            assert_eq!(l.parsed, TypedValue::Integer(v));
+        }
     }
 
     #[test]

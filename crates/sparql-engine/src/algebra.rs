@@ -162,6 +162,28 @@ pub enum Plan {
     },
     /// Left outer join (`OPTIONAL`).
     LeftJoin(Box<Plan>, Box<Plan>),
+    /// Left outer join (`OPTIONAL`) whose right side is the one triple
+    /// `pattern`, run by *binding*: each left row's values of the pattern's
+    /// key variables (those the left side binds) are substituted into it
+    /// and the store seeks just their matches, where a [`Plan::LeftJoin`]
+    /// builds a hash table over the pattern's whole extent. A left row with
+    /// the previous row's key reuses that row's matches. Never produced by
+    /// translation; the optimizer rewrites a `LeftJoin` whose right side is
+    /// a one-pattern BGP into this when binding is legal and estimated
+    /// cheaper. Rows and their order are the left join's; the executor's
+    /// bind level documents why.
+    BindLeftJoin {
+        /// Left (preserved) input; binds every key variable in every row.
+        left: Box<Plan>,
+        /// The right side's one triple pattern (boxed, so that the variant
+        /// is no larger than the others).
+        pattern: Box<TriplePattern>,
+        /// The graph the pattern is matched against.
+        graph: GraphRef,
+        /// The right side's pushed filters, each on a variable the left
+        /// side does not bind.
+        filters: Vec<PushedFilter>,
+    },
     /// Bag union.
     Union(Box<Plan>, Box<Plan>),
     /// Filter by effective boolean value.
@@ -229,6 +251,10 @@ pub enum Plan {
     },
 }
 
+// Every plan node is a `Box<Plan>` held for the whole execution, so a
+// variant that grows the enum grows every plan.
+const _: () = assert!(std::mem::size_of::<Plan>() <= 88);
+
 impl Plan {
     fn join(self, other: Plan) -> Plan {
         match (self, other) {
@@ -250,11 +276,12 @@ impl Plan {
             | Plan::Extend(_, _, p)
             | Plan::Project(_, p)
             | Plan::Distinct(p)
-            | Plan::OrderBy(_, p) => (Some(p), None),
-            Plan::Group { input, .. }
-            | Plan::SortedDistinct { input, .. }
-            | Plan::TopK { input, .. }
-            | Plan::Slice { input, .. } => (Some(input), None),
+            | Plan::OrderBy(_, p)
+            | Plan::BindLeftJoin { left: p, .. }
+            | Plan::Group { input: p, .. }
+            | Plan::SortedDistinct { input: p, .. }
+            | Plan::TopK { input: p, .. }
+            | Plan::Slice { input: p, .. } => (Some(p), None),
         };
         a.into_iter().chain(b)
     }
@@ -534,6 +561,20 @@ fn rebind_graph(plan: Plan, graph: &GraphRef) -> Plan {
             Box::new(rebind_graph(*a, graph)),
             Box::new(rebind_graph(*b, graph)),
         ),
+        Plan::BindLeftJoin {
+            left,
+            pattern,
+            graph: own,
+            filters,
+        } => Plan::BindLeftJoin {
+            left: Box::new(rebind_graph(*left, graph)),
+            pattern,
+            graph: match own {
+                GraphRef::Default => graph.clone(),
+                named => named,
+            },
+            filters,
+        },
         Plan::Union(a, b) => Plan::Union(
             Box::new(rebind_graph(*a, graph)),
             Box::new(rebind_graph(*b, graph)),

@@ -40,7 +40,7 @@
 //! the subplans this executor evaluates once are counted per occurrence.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use rdf_model::{Dataset, Term, TermId, TripleIndex};

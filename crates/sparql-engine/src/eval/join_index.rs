@@ -18,11 +18,10 @@
 //! one table over all shared variables, no per-row mask work and no merge:
 //! a plain multi-key hash join.
 
-use std::collections::HashMap;
 use std::hash::Hasher;
 use std::ops::Range;
 
-use rdf_model::hash::FxHasher;
+use rdf_model::hash::{FxHashMap, FxHasher};
 use rdf_model::TermId;
 
 use super::{JoinKind, JoinShape, NO_MATCH};
@@ -99,7 +98,7 @@ struct Table {
     /// The set bits of `key_mask`: positions within the shared variables.
     key: Vec<usize>,
     /// Key hash → first position in the group's `rows` carrying it.
-    heads: HashMap<u64, u32>,
+    heads: FxHashMap<u64, u32>,
     /// Position → next position with the same key hash, or [`END`].
     next: Vec<u32>,
 }
@@ -110,7 +109,7 @@ pub(super) struct JoinIndex {
     groups: Vec<Group>,
     tables: Vec<Table>,
     /// Probe-row presence mask → the table to look each group up in.
-    plans: HashMap<u64, Vec<usize>>,
+    plans: FxHashMap<u64, Vec<usize>>,
 }
 
 impl JoinIndex {
@@ -119,7 +118,7 @@ impl JoinIndex {
     pub(super) fn new(right: &IdTable, shape: &JoinShape) -> Self {
         let masks = RowMasks::of(right, &shape.r_idx);
         let mut groups: Vec<Group> = Vec::new();
-        let mut by_mask: HashMap<u64, usize> = HashMap::new();
+        let mut by_mask: FxHashMap<u64, usize> = FxHashMap::default();
         let mut cur = usize::MAX;
         for ri in 0..right.len() {
             let mask = masks.mask(right, ri);
@@ -137,7 +136,7 @@ impl JoinIndex {
         JoinIndex {
             groups,
             tables: Vec::new(),
-            plans: HashMap::new(),
+            plans: FxHashMap::default(),
         }
     }
 
@@ -183,7 +182,7 @@ impl JoinIndex {
         let key: Vec<usize> = (0..MAX_KEY_VARS)
             .filter(|k| key_mask >> k & 1 == 1)
             .collect();
-        let mut heads = HashMap::new();
+        let mut heads = FxHashMap::default();
         let mut next = vec![END; rows.len()];
         // Back to front, so each chain ends up ascending from its head.
         for pos in (0..rows.len()).rev() {

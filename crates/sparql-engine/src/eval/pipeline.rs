@@ -31,6 +31,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use rdf_model::hash::{FxHashMap, FxHashSet};
 use rdf_model::{ScanPos, SeekHint};
 
 use super::*;
@@ -122,7 +123,7 @@ impl<'e> Builder<'_, 'e> {
                 patterns,
                 graph,
                 filters,
-            } => Box::new(BgpOp::new(self.ev, patterns, graph, filters)?),
+            } => Box::new(BgpOp::new(self.ev, None, patterns, graph, filters)?),
             Plan::Join(a, b) => Box::new(JoinOp::new(
                 self.node(a)?,
                 self.node(b)?,
@@ -147,6 +148,16 @@ impl<'e> Builder<'_, 'e> {
                 JoinKind::Left,
                 Some(key),
             )),
+            Plan::BindLeftJoin {
+                left,
+                pattern,
+                graph,
+                filters,
+            } => {
+                let left = self.node(left)?;
+                let pattern = std::slice::from_ref(&**pattern);
+                Box::new(BgpOp::new(self.ev, Some(left), pattern, graph, filters)?)
+            }
             Plan::Union(a, b) => Box::new(UnionOp::new(self.node(a)?, self.node(b)?)),
             Plan::Filter(expr, p) => Box::new(FilterOp {
                 input: self.node(p)?,
@@ -442,7 +453,8 @@ struct Level<'e> {
     checks: Vec<(usize, PushedEval<'e>)>,
     /// Input-side bound-ness (vars bound by earlier levels).
     bound: Vec<bool>,
-    /// Current input batch from the previous level (full-width schema).
+    /// Current input batch from the previous level (full-width schema) or,
+    /// for a bind level, from the upstream operator (its schema).
     input: IdTable,
     /// Next input row to extend.
     pos: usize,
@@ -456,10 +468,66 @@ struct Level<'e> {
     src: Vec<u32>,
     /// New-binding value vectors, one per slot.
     vals: Vec<Vec<TermId>>,
+    /// `Some` on the one level of a [`Plan::BindLeftJoin`] (boxed: a BGP's
+    /// levels pay one pointer for it).
+    bind: Option<Box<Bind<'e>>>,
     /// Assembled output being windowed out.
     staged: Option<Staged>,
     /// Previous level exhausted.
     upstream_done: bool,
+}
+
+/// What makes a [`Level`] a bind left join's: its input comes from the left
+/// operator, rows without a match are kept, and a row with the previous
+/// row's key reuses that row's matches.
+///
+/// **Why the rows come out in the hash left join's order.** Per left row,
+/// [`JoinOp`] emits the compatible build rows in build order: the order in
+/// which the right side's one-pattern BGP scanned them, graph by graph, each
+/// graph's matches in the order of the slab its constants select. For one
+/// key value that is the key's matches, graph by graph, each in the
+/// build slab's order restricted to the key. The level emits, graph by
+/// graph, the matches of the slab its constants *and the key* select. Every
+/// slab is sorted lexicographically by dataset id, and within the matches of
+/// one key both slabs order the pattern's remaining free positions the same
+/// way: each is [`rdf_model::TripleIndex::scan_free_order`] of its
+/// bound-ness, and the optimizer binds only where the refined order is the
+/// build order with the key positions struck out (with a constant
+/// predicate, always: at most one position is left free, or the key is the
+/// subject and `(p, o)` or the object and `(s, p)` remain). Pushed filters
+/// test the new variables only, so both sides drop the same matches.
+/// Hence each left row gets the same matches in the same order, and an
+/// unmatched one the same single row with the new columns absent.
+struct Bind<'e> {
+    /// The left input, feeding the level.
+    upstream: BoxOp<'e>,
+    /// The refined slots of the last row whose scan finished; `None` while
+    /// a row's scan is in flight (or before the first).
+    last: Option<[Option<TermId>; 3]>,
+    /// How many matches that row accepted.
+    hits: usize,
+    /// Their values, one vector per slot (a pattern with no new variable
+    /// has none).
+    matches: Vec<Vec<TermId>>,
+    /// Positions in the level's `src` of rows emitted without a match.
+    misses: Vec<usize>,
+}
+
+impl Bind<'_> {
+    /// Emit input row `row` once, without a match: its new columns get the
+    /// absent filler, and `flush_level` clears their presence.
+    fn miss(&mut self, row: u32, src: &mut Vec<u32>, vals: &mut [Vec<TermId>]) {
+        self.misses.push(src.len());
+        src.push(row);
+        for v in vals.iter_mut() {
+            v.push(TermId(0));
+        }
+    }
+
+    fn live_bytes(&self) -> u64 {
+        let matches = self.matches.iter().map(|v| v.len() as u64 * 4).sum::<u64>();
+        matches.saturating_add(self.misses.len() as u64 * 8)
+    }
 }
 
 /// BGP: a cascade of [`Level`]s, one per pattern, each extending input
@@ -468,6 +536,14 @@ struct Level<'e> {
 /// per-level match-index order and every input row's scans are fully
 /// drained, so the concatenated output and the scan totals are identical at
 /// any batch size.
+///
+/// A [`Plan::BindLeftJoin`] is the same operator with one level, fed by the
+/// left input's operator instead of the identity row, and a [`Bind`]: its
+/// scan is this scan body, seeking with one [`SeekHint`] per graph. The key
+/// memo lives in the level, so it holds across batch boundaries and the
+/// scans do not depend on the batch size. A replayed key is pushed whole,
+/// so a batch of matches can overshoot the pull size by one key's matches
+/// (like the join's probe); the staged output is windowed to size.
 struct BgpOp<'e> {
     vars: Vec<String>,
     graphs: Vec<Arc<TripleIndex>>,
@@ -477,16 +553,21 @@ struct BgpOp<'e> {
 }
 
 impl<'e> BgpOp<'e> {
+    /// The BGP of `patterns` or, given an `upstream` operator, the bind left
+    /// join of its rows with the one pattern in `patterns`.
     fn new(
         ev: &Evaluator<'e>,
+        mut upstream: Option<BoxOp<'e>>,
         patterns: &'e [TriplePattern],
         graph: &GraphRef,
         filters: &'e [PushedFilter],
     ) -> Result<Self> {
         let graphs = graph.resolve(ev.dataset, &ev.default_graphs)?;
 
-        // Variable schema in first-mention order.
-        let mut vars: Vec<String> = Vec::new();
+        // Variable schema: the upstream's, then the patterns' in
+        // first-mention order.
+        let mut vars: Vec<String> = upstream.as_ref().map_or(Vec::new(), |u| u.vars().to_vec());
+        let carried = vars.len();
         for p in patterns {
             for v in p.variables() {
                 if !vars.iter().any(|x| x == v) {
@@ -513,7 +594,7 @@ impl<'e> BgpOp<'e> {
                 })
                 .collect();
 
-        let mut bound = vec![false; width];
+        let mut bound: Vec<bool> = (0..width).map(|col| col < carried).collect();
         let mut levels: Vec<Level<'e>> = Vec::with_capacity(patterns.len());
         for (pi, pattern) in patterns.iter().enumerate() {
             // A constant resolves once, to its dataset id (`None`: interned
@@ -562,6 +643,9 @@ impl<'e> BgpOp<'e> {
                     }
                 }
             }
+            // Only a bind level could leave one behind: the optimizer binds
+            // no pattern with a filter on a key variable.
+            debug_assert!(routed.is_empty(), "a pushed filter found no slot");
 
             let n_slots = free_cols.len();
             levels.push(Level {
@@ -577,15 +661,24 @@ impl<'e> BgpOp<'e> {
                 hints: vec![SeekHint::default(); graphs.len()],
                 src: Vec::new(),
                 vals: (0..n_slots).map(|_| Vec::new()).collect(),
+                bind: upstream.take().map(|upstream| {
+                    Box::new(Bind {
+                        upstream,
+                        last: None,
+                        hits: 0,
+                        matches: (0..n_slots).map(|_| Vec::new()).collect(),
+                        misses: Vec::new(),
+                    })
+                }),
                 staged: None,
                 upstream_done: false,
             });
         }
         drop(var_idx);
 
-        // Seed the first level with the BGP extension identity: one
-        // all-absent row (it has no upstream to pull it from).
-        if let Some(first) = levels.first_mut() {
+        // Without an upstream, seed the first level with the BGP extension
+        // identity: one all-absent row.
+        if let Some(first) = levels.first_mut().filter(|l| l.bind.is_none()) {
             first.input = IdTable::from_columns(
                 vars.clone(),
                 (0..width).map(|_| Column::absent(1)).collect(),
@@ -609,7 +702,9 @@ impl<'e> BgpOp<'e> {
     /// per scan segment. Resumable — the match visitor stops the index scan
     /// once `target` matches are buffered and records a [`ScanPos`] to resume
     /// from, so a batch never overshoots its size while every visited index
-    /// entry is still processed exactly once.
+    /// entry is still processed exactly once. A bind level also keeps each
+    /// row without a match (its new columns absent) and replays the previous
+    /// row's matches, scanning nothing, for a row with the same key.
     fn extend_level(&mut self, ev: &mut Evaluator<'e>, k: usize, target: usize) -> Result<()> {
         let BgpOp { graphs, levels, .. } = self;
         let Level {
@@ -624,6 +719,7 @@ impl<'e> BgpOp<'e> {
             pos,
             scan,
             hints,
+            bind,
             ..
         } = &mut levels[k];
         let cur = input.columns();
@@ -631,66 +727,100 @@ impl<'e> BgpOp<'e> {
         let pool = &ev.pool;
         let caches = &mut ev.caches;
         let meter = &mut ev.meter;
-        let Some(slots) = *slots else {
+        if slots.is_none() && bind.is_none() {
             *pos = len;
             return Ok(());
-        };
+        }
         while *pos < len {
             let i = *pos;
-            let (start_graph, mut resume_at) = match scan.take() {
-                Some(s) => (s.graph, s.at),
-                None => {
-                    if src.len() >= target {
-                        return Ok(());
-                    }
-                    (0, None)
-                }
-            };
+            let resumed = scan.take();
+            if resumed.is_none() && src.len() >= target {
+                return Ok(());
+            }
             // Refine slots against row `i`. A value a graph never mentions
             // (another graph's term, a query-local one) is an empty range
             // there: nothing visited, nothing matched.
-            let refined = slots.map(|slot| match slot {
-                Slot::Bound(id) => Some(id),
-                Slot::Var(col) if bound[col] => Some(cur[col].ids()[i]),
-                Slot::Var(_) => None,
+            let refined = slots.map(|slots| {
+                slots.map(|slot| match slot {
+                    Slot::Bound(id) => Some(id),
+                    Slot::Var(col) if bound[col] => {
+                        debug_assert!(cur[col].is_present(i), "a probed key is bound");
+                        Some(cur[col].ids()[i])
+                    }
+                    Slot::Var(_) => None,
+                })
             });
             let row = i as u32;
-            for ((graph, g), hint) in graphs
-                .iter()
-                .enumerate()
-                .zip(hints.iter_mut())
-                .skip(start_graph)
-            {
-                let at = resume_at.take();
-                let [s, p, o] = refined;
-                let (visited, stopped) = g.for_each_match_from(s, p, o, at, hint, |ms, mp, mo| {
-                    let m = [ms, mp, mo];
-                    if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
-                        return src.len() < target;
-                    }
-                    for (slot, pe) in checks.iter_mut() {
-                        if !pe.test(m[primaries[*slot].1], pool, caches) {
-                            return src.len() < target;
+            if let (None, Some(b)) = (&resumed, bind.as_mut()) {
+                if refined.is_some() && b.last == refined {
+                    for j in 0..b.hits {
+                        src.push(row);
+                        for (v, m) in vals.iter_mut().zip(&b.matches) {
+                            v.push(m[j]);
                         }
                     }
-                    src.push(row);
-                    for &(slot, ppos) in primaries.iter() {
-                        vals[slot].push(m[ppos]);
+                    if b.hits == 0 {
+                        b.miss(row, src, vals);
                     }
-                    src.len() < target
-                });
-                ev.rows_scanned += visited;
-                if meter.charge_scan(visited)? {
-                    let bytes = (src.len() as u64).saturating_mul(4).saturating_add(
-                        vals.iter()
-                            .fold(0u64, |a, v| a.saturating_add(v.len() as u64 * 4)),
-                    );
-                    meter.charge_intermediate(src.len() as u64, bytes)?;
+                    *pos += 1;
+                    continue;
                 }
-                if let Some(p) = stopped {
-                    *scan = Some(Scan { graph, at: Some(p) });
-                    return Ok(());
+                b.last = None;
+                b.hits = 0;
+                b.matches.iter_mut().for_each(Vec::clear);
+            }
+            if let Some(refined) = refined {
+                let (start_graph, mut resume_at) = resumed.map_or((0, None), |s| (s.graph, s.at));
+                for ((graph, g), hint) in graphs
+                    .iter()
+                    .enumerate()
+                    .zip(hints.iter_mut())
+                    .skip(start_graph)
+                {
+                    let at = resume_at.take();
+                    let [s, p, o] = refined;
+                    let (visited, stopped) =
+                        g.for_each_match_from(s, p, o, at, hint, |ms, mp, mo| {
+                            let m = [ms, mp, mo];
+                            if dup_checks.iter().any(|&(a, b)| m[a] != m[b]) {
+                                return src.len() < target;
+                            }
+                            for (slot, pe) in checks.iter_mut() {
+                                if !pe.test(m[primaries[*slot].1], pool, caches) {
+                                    return src.len() < target;
+                                }
+                            }
+                            src.push(row);
+                            for &(slot, ppos) in primaries.iter() {
+                                vals[slot].push(m[ppos]);
+                            }
+                            if let Some(b) = bind.as_mut() {
+                                b.hits += 1;
+                                for &(slot, ppos) in primaries.iter() {
+                                    b.matches[slot].push(m[ppos]);
+                                }
+                            }
+                            src.len() < target
+                        });
+                    ev.rows_scanned += visited;
+                    if meter.charge_scan(visited)? {
+                        let bytes = (src.len() as u64).saturating_mul(4).saturating_add(
+                            vals.iter()
+                                .fold(0u64, |a, v| a.saturating_add(v.len() as u64 * 4)),
+                        );
+                        meter.charge_intermediate(src.len() as u64, bytes)?;
+                    }
+                    if let Some(p) = stopped {
+                        *scan = Some(Scan { graph, at: Some(p) });
+                        return Ok(());
+                    }
                 }
+            }
+            if let Some(b) = bind.as_mut() {
+                if b.hits == 0 {
+                    b.miss(row, src, vals);
+                }
+                b.last = refined;
             }
             *pos += 1;
         }
@@ -699,31 +829,46 @@ impl<'e> BgpOp<'e> {
 
     /// Assemble the level's match buffers into a staged output table:
     /// carried columns gather contiguously, new columns take the value
-    /// vectors verbatim.
+    /// vectors verbatim (a bind level's unmatched rows absent there).
     fn flush_level(&mut self, ev: &mut Evaluator<'e>, k: usize) -> Result<()> {
         let BgpOp { vars, levels, .. } = self;
-        let lvl = &mut levels[k];
-        let total = lvl.src.len();
+        let Level {
+            input,
+            bound,
+            free_cols,
+            src,
+            vals,
+            bind,
+            staged,
+            ..
+        } = &mut levels[k];
+        let total = src.len();
         if total == 0 {
             return Ok(());
         }
+        let misses: &[usize] = bind.as_ref().map_or(&[], |b| &b.misses);
         let mut cols: Vec<Column> = Vec::with_capacity(vars.len());
-        for (col, cur_col) in lvl.input.columns().iter().enumerate() {
-            if lvl.bound[col] {
-                cols.push(cur_col.gather(lvl.src.iter().copied()));
-            } else if let Some(slot) = lvl.free_cols.iter().position(|&c| c == col) {
-                cols.push(Column::from_ids(std::mem::take(&mut lvl.vals[slot])));
+        for (col, &carried) in bound.iter().enumerate() {
+            if carried {
+                cols.push(input.col(col).gather(src.iter().copied()));
+            } else if let Some(slot) = free_cols.iter().position(|&c| c == col) {
+                let mut new = Column::from_ids(std::mem::take(&mut vals[slot]));
+                new.clear_slots(misses);
+                cols.push(new);
             } else {
                 cols.push(Column::absent(total));
             }
         }
-        lvl.src.clear();
+        src.clear();
+        if let Some(b) = bind {
+            b.misses.clear();
+        }
         let t = IdTable::from_columns(vars.clone(), cols, total);
         if ev.meter.is_active() {
             ev.meter
                 .charge_intermediate(t.len() as u64, t.estimated_bytes())?;
         }
-        lvl.staged = Some(Staged { table: t, off: 0 });
+        *staged = Some(Staged { table: t, off: 0 });
         Ok(())
     }
 
@@ -751,12 +896,24 @@ impl<'e> BgpOp<'e> {
                 if consumed || self.levels[k].src.len() >= target {
                     self.flush_level(ev, k)?;
                 }
+                if consumed && self.levels[k].bind.is_some() {
+                    // Like a join's probe batch, the left batch goes as soon
+                    // as it is extended.
+                    self.levels[k].input = IdTable::default();
+                }
                 continue;
             }
             if self.levels[k].upstream_done {
                 return Ok(None);
             }
-            match self.produce(ev, k - 1, target)? {
+            // Level 0 pulls only from a bind's upstream: otherwise it was
+            // seeded with the identity row and is already done.
+            let next = match (k, self.levels[0].bind.as_mut()) {
+                (0, Some(b)) => b.upstream.next_batch(ev, target)?,
+                (0, None) => None,
+                _ => self.produce(ev, k - 1, target)?,
+            };
+            match next {
                 Some(t) => {
                     let lvl = &mut self.levels[k];
                     lvl.input = t;
@@ -788,7 +945,7 @@ impl<'e> Operator<'e> for BgpOp<'e> {
     }
 
     fn live_size(&self) -> (u64, u64) {
-        let mut acc = (0u64, 0u64);
+        let mut acc = (0, 0);
         for lvl in &self.levels {
             acc = add2(acc, (lvl.input.len() as u64, lvl.input.estimated_bytes()));
             let buf_rows = lvl.src.len() as u64;
@@ -798,6 +955,10 @@ impl<'e> Operator<'e> for BgpOp<'e> {
                     .fold(0u64, |a, v| a.saturating_add(v.len() as u64 * 4)),
             );
             acc = add2(acc, (buf_rows, buf_bytes));
+            if let Some(b) = &lvl.bind {
+                acc = add2(acc, b.upstream.live_size());
+                acc = add2(acc, (0, b.live_bytes()));
+            }
             acc = add2(acc, staged_live(&lvl.staged));
         }
         acc
@@ -1303,7 +1464,7 @@ enum AggPlan<'e> {
 enum Accum {
     Terms(Box<AggState>),
     CountIds {
-        seen: Option<HashSet<TermId>>,
+        seen: Option<FxHashSet<TermId>>,
         count: usize,
     },
     Numeric(NumericAccum),
@@ -1332,8 +1493,8 @@ impl Accum {
 }
 
 enum GroupIndex {
-    One(HashMap<u64, usize>),
-    Many(HashMap<Vec<u64>, usize>),
+    One(FxHashMap<u64, usize>),
+    Many(FxHashMap<Vec<u64>, usize>),
 }
 
 /// GROUP BY: a pipeline breaker whose live state is the group table, not
@@ -1394,9 +1555,9 @@ impl<'e> GroupOp<'e> {
             .collect();
 
         let mut index = if key_indices.len() == 1 {
-            GroupIndex::One(HashMap::new())
+            GroupIndex::One(FxHashMap::default())
         } else {
-            GroupIndex::Many(HashMap::new())
+            GroupIndex::Many(FxHashMap::default())
         };
         let mut groups: Vec<(Vec<Option<TermId>>, Vec<Accum>)> = Vec::new();
         if keys.is_empty() {
@@ -1592,7 +1753,7 @@ fn fresh_accums(aggs: &[AggSpec], plans: &[AggPlan]) -> Vec<Accum> {
         .zip(plans)
         .map(|(a, plan)| match plan {
             AggPlan::CountCol { distinct, .. } => Accum::CountIds {
-                seen: distinct.then(HashSet::new),
+                seen: distinct.then(FxHashSet::default),
                 count: 0,
             },
             AggPlan::NumericCol { .. } => Accum::Numeric(NumericAccum::new(a.distinct)),
@@ -1644,17 +1805,17 @@ enum Seen {
         emitted: IdTable,
     },
     /// Single column: bare `u64` cell codes, no row keys.
-    One(HashSet<u64>),
-    Many(HashSet<Vec<u64>>),
+    One(FxHashSet<u64>),
+    Many(FxHashSet<Vec<u64>>),
 }
 
 impl Seen {
     /// An empty seen-set for rows `width` columns wide.
     fn hashed(width: usize) -> Seen {
         if width == 1 {
-            Seen::One(HashSet::new())
+            Seen::One(FxHashSet::default())
         } else {
-            Seen::Many(HashSet::new())
+            Seen::Many(FxHashSet::default())
         }
     }
 

@@ -135,6 +135,12 @@ fn digest<'p>(plan: &'p Plan, out: &mut Vec<Node<'p>>) -> u64 {
             graph,
             filters,
         } => (patterns, graph, filters).hash(&mut h),
+        Plan::BindLeftJoin {
+            pattern,
+            graph,
+            filters,
+            ..
+        } => (pattern, graph, filters).hash(&mut h),
         Plan::MergeJoin { key, .. } | Plan::MergeLeftJoin { key, .. } => key.hash(&mut h),
         Plan::Filter(expr, _) => expr.hash(&mut h),
         Plan::Extend(var, expr, _) => (var, expr).hash(&mut h),

@@ -163,6 +163,15 @@ impl ReferenceEvaluator<'_> {
                 let right = self.eval_rows(b)?;
                 join(left, right, JoinKind::Left, &mut self.meter)
             }
+            Plan::BindLeftJoin {
+                left,
+                pattern,
+                graph,
+                filters,
+            } => {
+                let left = self.eval_rows(left)?;
+                self.eval_bind_left_join(left, pattern, graph, filters)
+            }
             Plan::Union(a, b) => {
                 let left = self.eval_rows(a)?;
                 let right = self.eval_rows(b)?;
@@ -336,6 +345,85 @@ impl ReferenceEvaluator<'_> {
             }
         }
         Ok(RowTable { vars, rows })
+    }
+
+    /// [`Plan::BindLeftJoin`] by its definition: each left row extended by
+    /// the pattern's matches under the row's key values — every graph
+    /// scanned by the BGP's one-row extension step, pushed filters applied
+    /// as the BGP applies them — or kept once, unextended, when none
+    /// survive. A row whose key equals the previous row's takes that row's
+    /// matches without scanning, as the executor's bind level does, so the
+    /// two count the same `rows_scanned`.
+    fn eval_bind_left_join(
+        &mut self,
+        left: RowTable,
+        pattern: &TriplePattern,
+        graph: &GraphRef,
+        filters: &[PushedFilter],
+    ) -> Result<RowTable> {
+        let graphs = graph.resolve(self.dataset, &self.default_graphs)?;
+        let mut vars = left.vars.clone();
+        for v in pattern.variables() {
+            if !vars.iter().any(|x| x == v) {
+                vars.push(v.to_string());
+            }
+        }
+        let var_idx: HashMap<&str, usize> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.as_str(), i))
+            .collect();
+        let new_cols = left.vars.len()..vars.len();
+        let key_cols: Vec<usize> = (pattern.variables())
+            .filter_map(|v| left.column_index(v))
+            .collect();
+        let patterns = std::slice::from_ref(pattern);
+        let checks = crate::algebra::attach_filters(patterns, filters, |v| var_idx[v]);
+
+        let mut out = RowTable::with_vars(vars.clone());
+        let mut last_key: Option<Vec<Option<Term>>> = None;
+        // The new columns of each of the last key's matches.
+        let mut last_matches: Vec<Vec<Option<Term>>> = Vec::new();
+        for mut row in left.rows {
+            let key: Vec<Option<Term>> = key_cols.iter().map(|&c| row[c].clone()).collect();
+            if last_key.as_ref() != Some(&key) {
+                let mut wide = row.clone();
+                wide.resize(vars.len(), None);
+                let mut found = Vec::new();
+                let mut scanned = 0u64;
+                for g in &graphs {
+                    scanned +=
+                        self.extend_row_with_pattern(g, pattern, &wide, &var_idx, &mut found);
+                }
+                self.meter.charge_scan(scanned)?;
+                let caches = &mut self.caches;
+                found.retain(|r| {
+                    checks[0].iter().all(|(col, f)| match &r[*col] {
+                        Some(term) => eval_single_var_filter(&f.expr, &f.var, term, caches),
+                        None => false,
+                    })
+                });
+                last_matches = (found.into_iter())
+                    .map(|mut r| r.drain(new_cols.clone()).collect())
+                    .collect();
+                last_key = Some(key);
+            }
+            if last_matches.is_empty() {
+                row.resize(vars.len(), None);
+                out.rows.push(row);
+            } else {
+                for m in &last_matches {
+                    let mut extended = row.clone();
+                    extended.extend(m.iter().cloned());
+                    out.rows.push(extended);
+                }
+            }
+            self.meter.charge_intermediate(
+                out.rows.len() as u64,
+                term_table_bytes(out.rows.len(), vars.len()),
+            )?;
+        }
+        Ok(out)
     }
 
     /// Returns the number of index entries this pattern's scans visited

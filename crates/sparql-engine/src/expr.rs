@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use rdf_model::hash::{FxHashMap, FxHashSet};
 use rdf_model::term::{year_of_epoch, Literal, TypedValue};
 use rdf_model::vocab::xsd;
 use rdf_model::{Term, TermId};
@@ -370,7 +371,7 @@ fn cast(term: &Term, datatype: &str) -> Option<Term> {
 #[derive(Debug)]
 enum Dedup {
     Terms(std::collections::HashSet<Term>),
-    Ids(std::collections::HashSet<TermId>),
+    Ids(FxHashSet<TermId>),
 }
 
 /// Running state for one aggregate over one group.
@@ -412,7 +413,7 @@ impl AggState {
     /// meets one.
     pub(crate) fn new_id_distinct(op: AggOp, distinct: bool) -> Self {
         AggState {
-            seen: distinct.then(|| Dedup::Ids(std::collections::HashSet::new())),
+            seen: distinct.then(|| Dedup::Ids(FxHashSet::default())),
             ..Self::new(op, false)
         }
     }
@@ -584,7 +585,7 @@ impl NumVal {
 /// every push, the first value that is not a number costs nothing but a
 /// hand-over ([`NumericAccum::demote`]) — no precheck of the input needed.
 pub(crate) struct NumericAccum {
-    seen: Option<std::collections::HashSet<TermId>>,
+    seen: Option<FxHashSet<TermId>>,
     count: usize,
     int_sum: i64,
     f_sum: f64,
@@ -596,7 +597,7 @@ pub(crate) struct NumericAccum {
 impl NumericAccum {
     pub(crate) fn new(distinct: bool) -> Self {
         NumericAccum {
-            seen: distinct.then(std::collections::HashSet::new),
+            seen: distinct.then(FxHashSet::default),
             count: 0,
             int_sum: 0,
             f_sum: 0.0,
@@ -785,7 +786,7 @@ pub enum PushedEval<'e> {
         /// The one variable it references.
         var: &'e str,
         /// Candidate id → verdict memo.
-        memo: HashMap<TermId, bool>,
+        memo: FxHashMap<TermId, bool>,
     },
 }
 
@@ -802,7 +803,7 @@ impl<'e> PushedEval<'e> {
         PushedEval::General {
             expr,
             var,
-            memo: HashMap::new(),
+            memo: FxHashMap::default(),
         }
     }
 

@@ -45,6 +45,12 @@
 //!      a BGP sorted on `[?a, ?b]` serves `GROUP BY ?a` and
 //!      `DISTINCT ?a ?b` alike.
 //!
+//!    Pass 3 also turns an OPTIONAL whose right side is one triple pattern
+//!    into a [`Plan::BindLeftJoin`] when the left side's rows, each probing
+//!    the pattern for its key, are estimated to visit fewer index entries
+//!    than the pattern's extent, which the hash left join reads whole
+//!    ([`Optimizer::bind_key`]; it reads the left side's order too).
+//!
 //! Passes 1 and 3 are pure physical rewrites: results are identical to
 //! the unoptimized plan's (property-tested against `optimize: false` and
 //! the oracle), only the work done changes. Every order claim is
@@ -60,6 +66,7 @@ use rdf_model::{Dataset, GraphStats, Term, TermId};
 
 use crate::algebra::{GraphRef, Plan, PushedFilter};
 use crate::ast::{Expr, PatternTerm, TriplePattern};
+use crate::eval::share::Shared;
 use crate::expr::{id_equality_shape, single_filter_var};
 
 /// Placeholder id used to mark "this position will be bound at runtime" for
@@ -75,6 +82,10 @@ pub struct Optimizer<'a> {
     /// is generation-checked and lock-guarded; fetch each graph's snapshot
     /// once per optimization).
     stats_cache: HashMap<String, Option<Arc<GraphStats>>>,
+    /// The BGPs that are sharing classes of the plan pass 3 rewrites, as
+    /// pass 2 left it ([`shared_bgps`]): such an OPTIONAL side stays a hash
+    /// join's one build.
+    shared_bgps: Vec<Plan>,
 }
 
 impl<'a> Optimizer<'a> {
@@ -84,6 +95,7 @@ impl<'a> Optimizer<'a> {
             dataset,
             default_graphs,
             stats_cache: HashMap::new(),
+            shared_bgps: Vec::new(),
         }
     }
 
@@ -91,6 +103,8 @@ impl<'a> Optimizer<'a> {
     pub fn optimize(&mut self, plan: &mut Plan) {
         push_filters(plan);
         self.reorder(plan);
+        self.shared_bgps.clear();
+        shared_bgps(plan, &Shared::of(plan), &mut self.shared_bgps);
         self.plan_order_rewrites(plan);
     }
 
@@ -125,7 +139,9 @@ impl<'a> Optimizer<'a> {
             | Plan::Distinct(p)
             | Plan::SortedDistinct { input: p, .. }
             | Plan::OrderBy(_, p) => self.reorder(p),
-            Plan::Group { input, .. } => self.reorder(input),
+            Plan::Group { input, .. } | Plan::BindLeftJoin { left: input, .. } => {
+                self.reorder(input)
+            }
             Plan::TopK { input, .. } => self.reorder(input),
             Plan::Slice {
                 limit,
@@ -292,9 +308,27 @@ impl<'a> Optimizer<'a> {
                 self.plan_order_rewrites(right);
                 left_order
             }
+            // Each left row in input order, extended in place.
+            Plan::BindLeftJoin { left, .. } => self.plan_order_rewrites(left),
             Plan::LeftJoin(a, b) => {
                 let left_order = self.plan_order_rewrites(a);
                 let right_order = self.plan_order_rewrites(b);
+                if self.bind_key(a, b, &left_order) {
+                    if let Plan::Bgp {
+                        patterns,
+                        graph,
+                        filters,
+                    } = b.as_mut()
+                    {
+                        *plan = Plan::BindLeftJoin {
+                            left: std::mem::replace(a, Box::new(Plan::Unit)),
+                            pattern: Box::new(patterns.swap_remove(0)),
+                            graph: std::mem::replace(graph, GraphRef::Default),
+                            filters: std::mem::take(filters),
+                        };
+                        return left_order;
+                    }
+                }
                 // Left-major emission; unmatched left rows stay in place —
                 // which is exactly why the merge variant can preserve
                 // OPTIONAL semantics: the merge walks left rows in order
@@ -403,6 +437,132 @@ impl<'a> Optimizer<'a> {
                 Vec::new()
             }
         }
+    }
+
+    /// Whether `LeftJoin(left, right)` may run as a bind left join, and
+    /// is estimated cheaper so:
+    ///
+    /// - `right` is a one-pattern BGP that is no sharing class of the plan
+    ///   (`share.rs`): a shared side is computed once and replayed, which a
+    ///   per-row probe would undo.
+    /// - The pattern's *key* — its variables `left` can bind — is non-empty
+    ///   and bound in every left row ([`always_bound_vars`]). Its other
+    ///   variables are then new: compatibility is key equality, which the
+    ///   seek decides.
+    /// - No pushed filter tests a key variable.
+    /// - Binding keeps the hash join's row order: the order the probe's
+    ///   slab yields the free positions in is the build slab's with the key
+    ///   positions struck out (see the executor's bind level).
+    /// - The estimated left rows times the pattern's matches per key
+    ///   ([`GraphStats::estimate`]: `count / distinct_subjects` for a
+    ///   subject key) is below the pattern's extent. When `left_order`, the
+    ///   left side's order (pass 3), leads with a key variable, each key's
+    ///   matches are read once however many rows carry it, so binding never
+    ///   reads more than the extent. Otherwise a key can come back after
+    ///   other keys and be read again, and the estimate must clear the
+    ///   extent by [`BIND_MARGIN`].
+    fn bind_key(&mut self, left: &Plan, right: &Plan, left_order: &[String]) -> bool {
+        let Plan::Bgp {
+            patterns,
+            graph,
+            filters,
+        } = right
+        else {
+            return false;
+        };
+        let [pattern] = patterns.as_slice() else {
+            return false;
+        };
+        if self.shared_bgps.contains(right) {
+            return false;
+        }
+        let keys = pattern_keys(left, pattern);
+        let mut always = HashSet::new();
+        always_bound_vars(left, &mut always);
+        if keys.is_empty()
+            || !keys.iter().all(|v| always.contains(v.as_str()))
+            || filters.iter().any(|f| keys.contains(&f.var))
+        {
+            return false;
+        }
+        let terms = [&pattern.subject, &pattern.predicate, &pattern.object];
+        let is_const = |t: &PatternTerm| matches!(t, PatternTerm::Const(_));
+        let is_key = |t: &PatternTerm| t.as_var().is_some_and(|v| keys.contains(v));
+        let build = rdf_model::TripleIndex::scan_free_order(
+            is_const(terms[0]),
+            is_const(terms[1]),
+            is_const(terms[2]),
+        );
+        let probe = rdf_model::TripleIndex::scan_free_order(
+            is_const(terms[0]) || is_key(terms[0]),
+            is_const(terms[1]) || is_key(terms[1]),
+            is_const(terms[2]) || is_key(terms[2]),
+        );
+        if !build.iter().filter(|&&pos| !is_key(terms[pos])).eq(probe) {
+            return false;
+        }
+        let Some(rows) = self.estimate_rows(left) else {
+            return false;
+        };
+        let uris = self.effective_graphs(graph);
+        let per_key = self.estimate_pattern(pattern, &keys, &uris);
+        let extent = self.estimate_pattern(pattern, &HashSet::new(), &uris);
+        let sorted = left_order.first().is_some_and(|v| keys.contains(v));
+        let margin = if sorted { 1.0 } else { BIND_MARGIN };
+        rows * per_key * margin < extent
+    }
+
+    /// Estimated output rows of `plan`, where the estimators reach: a BGP's
+    /// greedy-order cardinality, an OPTIONAL of one pattern as its left
+    /// side times the matches per key (at least one), and what filters,
+    /// binds, projections, DISTINCT and ORDER BY keep of their input (at
+    /// most all of it). `None` for anything else.
+    fn estimate_rows(&mut self, plan: &Plan) -> Option<f64> {
+        Some(match plan {
+            Plan::Unit => 1.0,
+            Plan::Bgp {
+                patterns,
+                graph,
+                filters,
+            } => {
+                let uris = self.effective_graphs(graph);
+                let mut order = patterns.clone();
+                self.greedy_order(&mut order, &uris, filters).card
+            }
+            Plan::LeftJoin(left, right) | Plan::MergeLeftJoin { left, right, .. } => {
+                let Plan::Bgp {
+                    patterns, graph, ..
+                } = right.as_ref()
+                else {
+                    return None;
+                };
+                let [pattern] = patterns.as_slice() else {
+                    return None;
+                };
+                self.estimate_rows(left)? * self.fan_out(left, pattern, graph)
+            }
+            Plan::BindLeftJoin {
+                left,
+                pattern,
+                graph,
+                ..
+            } => self.estimate_rows(left)? * self.fan_out(left, pattern, graph),
+            Plan::Filter(_, p)
+            | Plan::Extend(_, _, p)
+            | Plan::Project(_, p)
+            | Plan::Distinct(p)
+            | Plan::SortedDistinct { input: p, .. }
+            | Plan::OrderBy(_, p) => self.estimate_rows(p)?,
+            _ => return None,
+        })
+    }
+
+    /// The rows an OPTIONAL of `pattern` makes of each row of `left`: the
+    /// estimated matches per key, and at least the row itself.
+    fn fan_out(&mut self, left: &Plan, pattern: &TriplePattern, graph: &GraphRef) -> f64 {
+        let keys = pattern_keys(left, pattern);
+        let uris = self.effective_graphs(graph);
+        self.estimate_pattern(pattern, &keys, &uris).max(1.0)
     }
 
     /// The variable sequence a BGP's output is sorted by: the free-variable
@@ -611,6 +771,16 @@ impl<'a> Optimizer<'a> {
 /// so near-ties stay left-deep.
 const BUSHY_MARGIN: f64 = 2.0;
 
+/// How many times below the extent [`Optimizer::bind_key`] wants the
+/// estimated probes of an OPTIONAL whose left side is not sorted on the key.
+/// There a key can recur after other keys and be read again, and a star's
+/// estimated rows are a product of per-pattern selectivities that can fall
+/// well short: Q1's basketball-player star at scale 64 is estimated at 1.5
+/// rows and has 10, over a handful of teams, so binding its team attributes
+/// would read each team's entries several times where the hash join reads
+/// the 2–3 entry extents once. A constant on purpose, like [`BUSHY_MARGIN`].
+const BIND_MARGIN: f64 = 4.0;
+
 /// The share of rows [`Optimizer::greedy_order`] assumes a pushed filter
 /// keeps when the store cannot count it exactly: a literal constant (SPARQL
 /// `=` on literals is value equality, which no id probe answers), a range,
@@ -751,6 +921,31 @@ fn optional_attaches(vars: &HashSet<&str>, host: &Plan, other: &Plan) -> bool {
     shared.peek().is_some() && shared.all(|v| host_bound.contains(v))
 }
 
+/// Collect, by value, each BGP of `plan` that `shared` makes a sharing
+/// class. By value because `shared` names only the occurrences it visits: one
+/// inside a repeat of a larger class is not among them, yet it must be
+/// planned as the occurrence it equals, or the two copies of the larger
+/// class would differ and stop being shared.
+fn shared_bgps(plan: &Plan, shared: &Shared, out: &mut Vec<Plan>) {
+    if matches!(plan, Plan::Bgp { .. }) && shared.class(plan).is_some() && !out.contains(plan) {
+        out.push(plan.clone());
+    }
+    for child in plan.children() {
+        shared_bgps(child, shared, out);
+    }
+}
+
+/// The key of an OPTIONAL of `pattern` on `left`: the pattern's variables
+/// that `left` can bind.
+fn pattern_keys(left: &Plan, pattern: &TriplePattern) -> HashSet<String> {
+    let mut left_vars = HashSet::new();
+    output_vars(left, &mut left_vars);
+    (pattern.variables())
+        .filter(|v| left_vars.contains(v))
+        .map(str::to_string)
+        .collect()
+}
+
 /// The output schema of `plan`, as a set.
 fn output_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
     match plan {
@@ -774,6 +969,10 @@ fn output_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
             output_vars(p, out);
             out.insert(var);
         }
+        Plan::BindLeftJoin { left, pattern, .. } => {
+            output_vars(left, out);
+            out.extend(pattern.variables());
+        }
         Plan::Group { keys, aggs, .. } => {
             out.extend(keys.iter().map(String::as_str));
             out.extend(aggs.iter().map(|a| a.output.as_str()));
@@ -796,9 +995,10 @@ fn always_bound_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
             always_bound_vars(left, out);
             always_bound_vars(right, out);
         }
-        Plan::LeftJoin(a, _) | Plan::MergeLeftJoin { left: a, .. } | Plan::Filter(_, a) => {
-            always_bound_vars(a, out)
-        }
+        Plan::LeftJoin(a, _)
+        | Plan::MergeLeftJoin { left: a, .. }
+        | Plan::BindLeftJoin { left: a, .. }
+        | Plan::Filter(_, a) => always_bound_vars(a, out),
         _ => {}
     }
 }
@@ -822,9 +1022,10 @@ fn push_filters(plan: &mut Plan) {
         | Plan::Distinct(p)
         | Plan::SortedDistinct { input: p, .. }
         | Plan::OrderBy(_, p) => push_filters(p),
-        Plan::Group { input, .. } | Plan::TopK { input, .. } | Plan::Slice { input, .. } => {
-            push_filters(input)
-        }
+        Plan::Group { input, .. }
+        | Plan::TopK { input, .. }
+        | Plan::Slice { input, .. }
+        | Plan::BindLeftJoin { left: input, .. } => push_filters(input),
         Plan::Bgp { .. } | Plan::Unit => {}
         Plan::Filter(expr, input) => {
             push_filters(input);
@@ -897,7 +1098,9 @@ fn try_push(plan: &mut Plan, var: &str, conjunct: &Expr) -> bool {
         }
         // Left joins (merge or hash): *left* side only — an absorbed filter
         // on the optional side would resurrect rows it should kill.
-        Plan::LeftJoin(a, _) | Plan::MergeLeftJoin { left: a, .. } => try_push(a, var, conjunct),
+        Plan::LeftJoin(a, _)
+        | Plan::MergeLeftJoin { left: a, .. }
+        | Plan::BindLeftJoin { left: a, .. } => try_push(a, var, conjunct),
         Plan::Filter(_, p) => try_push(p, var, conjunct),
         Plan::Extend(bound, _, p) if bound != var => try_push(p, var, conjunct),
         _ => false,
@@ -1376,6 +1579,105 @@ mod tests {
         }
     }
 
+    /// Q13's shape over the film dataset: a selective film star sorted on
+    /// `?m` (34 rows) and three OPTIONALs on `?m`, each over an extent of
+    /// 100 to 400 entries.
+    fn selective_star() -> Plan {
+        bgp(vec![
+            tp("m", "type", konst("http://x/Film")),
+            tp("m", "genre", konst("http://x/genre0")),
+            tp("m", "country", konst("http://x/country0")),
+            tp("m", "starring", var("a")),
+        ])
+    }
+
+    fn optimized(plan: Plan) -> Plan {
+        let ds = film_dataset();
+        let graphs = vec!["http://g".to_string()];
+        let mut plan = plan;
+        Optimizer::new(&ds, &graphs).optimize(&mut plan);
+        plan
+    }
+
+    fn left_join(left: Plan, right: Plan) -> Plan {
+        Plan::LeftJoin(Box::new(left), Box::new(right))
+    }
+
+    #[test]
+    fn optionals_on_a_selective_star_bind() {
+        let mut plan = selective_star();
+        for (p, v) in [("director", "d"), ("genre", "g"), ("starring", "s")] {
+            plan = left_join(plan, bgp(vec![tp("m", p, var(v))]));
+        }
+        let plan = optimized(plan);
+        let sse = plan.to_sse();
+        assert!(sse.starts_with("(bindleftjoin"), "{sse}");
+        assert!(sse.contains("(triple ?m <http://x/director> ?d)"), "{sse}");
+        let mut node = &plan;
+        for p in ["starring", "genre", "director"] {
+            let Plan::BindLeftJoin { left, pattern, .. } = node else {
+                panic!("expected a bind left join on {p}, got {node:?}");
+            };
+            assert_eq!(pattern.predicate, konst(&format!("http://x/{p}")));
+            node = left;
+        }
+        assert!(matches!(node, Plan::Bgp { .. }), "{node:?}");
+    }
+
+    #[test]
+    fn bind_left_join_is_refused_where_it_could_change_the_rows_or_the_work() {
+        let bound = |plan: &Plan| matches!(plan, Plan::BindLeftJoin { .. });
+        let director = || bgp(vec![tp("m", "director", var("d"))]);
+        let with_director = || left_join(selective_star(), director());
+
+        // The key `?d` is bound only where the director OPTIONAL matched.
+        let plan = optimized(left_join(
+            with_director(),
+            bgp(vec![tp("d", "label", var("l"))]),
+        ));
+        assert!(!bound(&plan), "maybe-unbound key: {plan:?}");
+
+        // `?m` is always bound, but the left side may bind `?d` too.
+        let country = |v: &str| bgp(vec![tp("m", "country", var(v))]);
+        let plan = optimized(left_join(with_director(), country("c")));
+        assert!(bound(&plan), "fresh variable: {plan:?}");
+        let plan = optimized(left_join(with_director(), country("d")));
+        assert!(!bound(&plan), "variable bound on the left: {plan:?}");
+
+        // The optional side is also read elsewhere in the plan: it stays
+        // one shared evaluation.
+        let plan = optimized(Plan::Union(Box::new(with_director()), Box::new(director())));
+        let Plan::Union(left, _) = &plan else {
+            panic!("{plan:?}");
+        };
+        assert!(!bound(left), "shared side: {plan:?}");
+        assert!(bound(&optimized(with_director())), "unshared side");
+        // Twice more, inside a repeated subtree, whose second copy the
+        // sharing classes do not visit: both copies stay alike.
+        let twice = Plan::Union(Box::new(with_director()), Box::new(with_director()));
+        let plan = optimized(Plan::Union(Box::new(twice), Box::new(director())));
+        let Plan::Union(twice, _) = &plan else {
+            panic!("{plan:?}");
+        };
+        let Plan::Union(first, second) = twice.as_ref() else {
+            panic!("{plan:?}");
+        };
+        assert!(
+            !bound(first) && !bound(second),
+            "repeated shared side: {plan:?}"
+        );
+
+        // Two patterns on the optional side.
+        let plan = optimized(left_join(
+            selective_star(),
+            bgp(vec![
+                tp("m", "director", var("d")),
+                tp("m", "genre", var("g")),
+            ]),
+        ));
+        assert!(!bound(&plan), "two-pattern side: {plan:?}");
+    }
+
     #[test]
     fn optional_sinking_is_refused_when_it_could_change_the_result() {
         let a = || Box::new(bgp(film_star("film1", "actor1")));
@@ -1488,8 +1790,9 @@ mod tests {
         }
 
         // Unsorted right side (subject-bound shape leads with the object
-        // variable): no rewrite.
-        let unsorted = Plan::Bgp {
+        // variable): no merge. Two award rows probing the 1 000 labels
+        // bind instead.
+        let labels = || Plan::Bgp {
             patterns: vec![TriplePattern::new(
                 var("e"),
                 konst("http://x/label"),
@@ -1500,12 +1803,29 @@ mod tests {
         };
         let mut plan = Plan::LeftJoin(
             Box::new(side("http://x/award", "http://x/oscar")),
-            Box::new(unsorted),
+            Box::new(labels()),
         );
         opt.optimize(&mut plan);
         assert!(
-            matches!(&plan, Plan::LeftJoin(..)),
+            matches!(&plan, Plan::BindLeftJoin { .. }),
             "unsorted side: {plan:?}"
+        );
+        // The other way round neither input is sorted on ?e, and 1 000 label
+        // rows probing the two awards would not pay: no rewrite.
+        let awards = Plan::Bgp {
+            patterns: vec![TriplePattern::new(
+                var("e"),
+                konst("http://x/award"),
+                var("a"),
+            )],
+            graph: GraphRef::Default,
+            filters: Vec::new(),
+        };
+        let mut plan = Plan::LeftJoin(Box::new(labels()), Box::new(awards));
+        opt.optimize(&mut plan);
+        assert!(
+            matches!(&plan, Plan::LeftJoin(..)),
+            "unsorted sides: {plan:?}"
         );
     }
 
@@ -1657,7 +1977,21 @@ mod tests {
             matches!(&plan, Plan::MergeJoin { key, .. } if key == "s"),
             "second graph is sorted by dataset id like the first: {plan:?}"
         );
-        let mut plan = Plan::LeftJoin(Box::new(side("http://x/e1")), Box::new(side("http://x/e2")));
+        // Two patterns on the optional side, so that it is not bound: the
+        // more selective one leads its BGP, which is sorted on ?s.
+        let optional = Plan::Bgp {
+            patterns: vec![
+                TriplePattern::new(var("s"), konst("http://x/q"), var("o")),
+                TriplePattern::new(
+                    var("s"),
+                    konst("http://x/q"),
+                    PatternTerm::Const(iri("http://x/e2")),
+                ),
+            ],
+            graph: GraphRef::Default,
+            filters: Vec::new(),
+        };
+        let mut plan = Plan::LeftJoin(Box::new(side("http://x/e1")), Box::new(optional));
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
         assert!(matches!(&plan, Plan::MergeLeftJoin { .. }), "{plan:?}");
     }

@@ -172,6 +172,14 @@ impl Column {
         out
     }
 
+    /// Make the slots at `rows` absent (ids reset to the filler).
+    pub(crate) fn clear_slots(&mut self, rows: &[usize]) {
+        for &i in rows {
+            self.ids[i] = ABSENT;
+            self.present[i / 64] &= !(1 << (i % 64));
+        }
+    }
+
     /// Keep only slots whose mask bit is `true` (in order), compacting in
     /// place: slot `w ≤ r` is written after slot `r` was read. An
     /// all-present bitmap stays all ones and is only truncated.

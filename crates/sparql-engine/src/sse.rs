@@ -9,8 +9,8 @@
 
 use std::fmt::{self, Display, Write};
 
-use crate::algebra::{GraphRef, Plan};
-use crate::ast::{AggOp, ArithOp, CmpOp, Expr, Func, OrderKey, PatternTerm};
+use crate::algebra::{GraphRef, Plan, PushedFilter};
+use crate::ast::{AggOp, ArithOp, CmpOp, Expr, Func, OrderKey, PatternTerm, TriplePattern};
 use crate::eval::share::Shared;
 
 impl Plan {
@@ -56,20 +56,19 @@ fn write_operator(
             filters,
         } => {
             out.push_str("bgp");
-            if let GraphRef::Named(uri) = graph {
-                let _ = write!(out, " :graph <{uri}>");
-            }
-            for p in patterns {
-                let [s, p, o] = [&p.subject, &p.predicate, &p.object].map(Sse);
-                let _ = write!(out, "\n{indent}  (triple {s} {p} {o})");
-            }
-            for f in filters {
-                let _ = write!(out, "\n{indent}  (filter {})", Sse(&f.expr));
-            }
+            write_graph(out, graph);
+            write_triples(out, &indent, patterns, filters);
             Ok(())
         }
         Plan::Join(..) => write!(out, "join"),
         Plan::LeftJoin(..) => write!(out, "leftjoin"),
+        // The bound pattern follows the left input: read top to bottom, the
+        // node is "each row of this, extended by matches of that".
+        Plan::BindLeftJoin { graph, .. } => {
+            out.push_str("bindleftjoin");
+            write_graph(out, graph);
+            Ok(())
+        }
         Plan::MergeJoin { key, .. } => write!(out, "mergejoin ?{key}"),
         Plan::MergeLeftJoin { key, .. } => write!(out, "mergeleftjoin ?{key}"),
         Plan::Union(..) => write!(out, "union"),
@@ -108,7 +107,35 @@ fn write_operator(
         out.push('\n');
         write_node(out, child, depth + 1, shared, printed);
     }
+    if let Plan::BindLeftJoin {
+        pattern, filters, ..
+    } = plan
+    {
+        write_triples(out, &indent, std::slice::from_ref(pattern), filters);
+    }
     out.push(')');
+}
+
+fn write_graph(out: &mut String, graph: &GraphRef) {
+    if let GraphRef::Named(uri) = graph {
+        let _ = write!(out, " :graph <{uri}>");
+    }
+}
+
+/// A BGP's patterns and pushed filters, one per line below a node header.
+fn write_triples(
+    out: &mut String,
+    indent: &str,
+    patterns: &[TriplePattern],
+    filters: &[PushedFilter],
+) {
+    for p in patterns {
+        let [s, p, o] = [&p.subject, &p.predicate, &p.object].map(Sse);
+        let _ = write!(out, "\n{indent}  (triple {s} {p} {o})");
+    }
+    for f in filters {
+        let _ = write!(out, "\n{indent}  (filter {})", Sse(&f.expr));
+    }
 }
 
 fn write_aggregate(

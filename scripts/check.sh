@@ -130,6 +130,19 @@ test_named -p bench --test dataset_footprint dictionary_bytes_stay_within_the_la
 test_named -p rdf-model --test proptest_model interner_matches_a_map_model_through_table_growths
 test_named -p sparql-engine --test proptest_engine term_pool_overflow_ids_never_meet_base_ids
 
+# Bind left joins: generated OPTIONAL queries (selective and unselective
+# left sides, sorted and repeated keys, the key subject- or object-side, one
+# graph or three, installed whole or appended) — every plan the optimizer
+# binds gives its hash-join twin's row sequence with no more scans, and the
+# executor the oracle's rows and `rows_scanned` at batch 1 / 7 / 16 384;
+# the optimizer's rewrite on a Q13-shaped plan and its refusals; and the
+# operator tables' hasher spreading packed id keys over the low bits.
+echo "==> bind left joins and the operator hasher (fixed seed)"
+test_named -p sparql-engine --test proptest_engine bind_left_joins_keep_the_hash_join_rows_and_the_oracle_scans
+test_named -p sparql-engine --lib optionals_on_a_selective_star_bind
+test_named -p sparql-engine --lib bind_left_join_is_refused_where_it_could_change_the_rows_or_the_work
+test_named -p rdf-model --lib packed_id_keys_spread_over_the_low_bits
+
 # Fixed-seed bulk-column property:`from_ids`, `gather`, `filter_mask` and
 # join assembly against one `push` per cell, at lengths around the bitmap's
 # word edges, every presence shape, duplicate and `NO_MATCH` indices — plus
