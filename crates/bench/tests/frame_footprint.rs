@@ -1,18 +1,20 @@
 //! What an embedded result costs in allocations and bytes, counted, not timed.
 //!
-//! `cursor_to_dataframe` fills a column-major, dictionary-coded frame: one
-//! dictionary entry per *distinct* term and a `u32` code per cell. So around
+//! `cursor_to_dataframe` drains a dictionary-coded frame: one dictionary
+//! entry per *distinct* term and a `u32` code per cell, held as a list of
+//! row blocks, one per drained batch. So around
 //! `EmbeddedEndpoint::execute_model_direct` nothing may allocate per row or
 //! per cell — beyond what draining the same cursor allocates on its own, only
-//! each batch's exact-size block of code columns, their one join into the
-//! frame's columns, the dictionary and id memo, and a decoded term that is
-//! not already an `Arc` of the dataset's (see [`drain_allowance`], which
-//! counts them) — and the frame it returns holds
-//! four bytes per cell (every code column's capacity is its length) plus its
-//! dictionary. A row-major frame (one `Vec` per row, a 24-byte `Cell` per
-//! cell) fails both bounds, and so do code columns grown by doubling; the
-//! counts repeat exactly from run to run. The wire path's frame is held to a
-//! count of its own: fewer dictionary entries than rows.
+//! each batch's exact-size block of code columns (moved into the frame, never
+//! copied), the frame's list of blocks, the dictionary and id memo, and a
+//! decoded term that is not already an `Arc` of the dataset's (see
+//! [`drain_allowance`], which counts them) — and the frame it returns holds
+//! four bytes per cell (every block's code columns are exact, and the
+//! blocks' rows add up to the frame's) plus its dictionary. A row-major
+//! frame (one `Vec` per row, a 24-byte `Cell` per cell) fails both bounds,
+//! and so do code columns grown by doubling or copied into fresh ones after
+//! the drain; the counts repeat exactly from run to run. The wire path's
+//! frame is held to a count of its own: fewer dictionary entries than rows.
 //!
 //! This binary installs its own counting allocator, which is why it is one
 //! `#[test]`: nothing else may allocate while a window is open.
@@ -39,26 +41,32 @@ fn doublings(n: usize) -> usize {
 }
 
 /// What `QueryCursor::drain` may allocate on top of draining the same
-/// cursor, for a frame of `columns` columns drained in `batches` batches
-/// with `entries` dictionary entries of which `decoded` allocate a cell of
+/// cursor, for a frame of `columns` columns drained in `batches` batches,
+/// `short` of them under four rows, with `entries` dictionary entries of which `decoded` allocate a cell of
 /// their own (a blank node's label; every other term's cell shares the
 /// dataset's `Arc` or is a number):
 ///
 /// - per batch, its block: one list of columns, then one exact-size code
-///   column per column;
-/// - per column, the one join of its blocks;
+///   column per column — the frame keeps the block as it is; a short
+///   batch's columns are each shrunk once more to fit, since no allocation
+///   holds fewer than four codes;
 /// - growth by doubling of the dictionary, of the id → code memo and of
-///   the list of blocks;
-/// - once, the frame's column names (the list and one string per column),
-///   its list of code columns and the memo's last-code-per-column list.
+///   the frame's list of blocks (one entry per batch);
+/// - once, the frame's column names (the list and one string per column)
+///   and the memo's last-code-per-column list.
 ///
 /// Nothing in it grows with the rows or cells but the batches.
-fn drain_allowance(columns: usize, batches: usize, entries: usize, decoded: usize) -> usize {
-    let blocks = batches * (1 + columns);
-    let joins = columns;
+fn drain_allowance(
+    columns: usize,
+    batches: usize,
+    short: usize,
+    entries: usize,
+    decoded: usize,
+) -> usize {
+    let blocks = batches * (1 + columns) + short * columns;
     let growth = 2 * doublings(entries) + doublings(batches);
-    let fixed = (1 + columns) + 1 + 1;
-    blocks + joins + growth + fixed + decoded
+    let fixed = (1 + columns) + 1;
+    blocks + growth + fixed + decoded
 }
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
@@ -114,15 +122,16 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
 
     // What an execution allocates without building a frame: the cache key
     // and the pipeline's own state and batches.
-    let ((drained, batches), pipeline, _) = counted(|| {
+    let ((drained, batches, short), pipeline, _) = counted(|| {
         let _key = render::render(&model);
         let mut cursor = endpoint.engine().cursor(&prepared, BATCH_ROWS).unwrap();
-        let (mut rows, mut batches) = (0, 0);
+        let (mut rows, mut batches, mut short) = (0, 0, 0);
         while let Some(batch) = cursor.next_batch().unwrap() {
             rows += batch.len;
             batches += 1;
+            short += usize::from(batch.len < 4);
         }
-        (rows, batches)
+        (rows, batches, short)
     });
 
     let (df, allocations, live) = counted(|| endpoint.execute_model_direct(&model).unwrap());
@@ -149,7 +158,7 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
     let decoded = (df.dictionary().iter())
         .filter(|c| matches!(c, Cell::Uri(s) if s.starts_with("_:")))
         .count();
-    let allowed = pipeline + drain_allowance(columns, batches, exact.len(), decoded);
+    let allowed = pipeline + drain_allowance(columns, batches, short, exact.len(), decoded);
     println!(
         "{id}: {allocations} allocations, {allowed} allowed ({rows} x {columns} cells, \
          {batches} batches, {} terms)",
@@ -165,13 +174,19 @@ fn check(id: &str, frame: &RDFFrame, endpoint: &EmbeddedEndpoint) {
     // (let alone per cell) cannot hide in it.
     assert!(allowed - allocations < rows, "{id}: allowance too loose");
 
-    for (c, codes) in df.code_columns().iter().enumerate() {
-        assert_eq!(
-            (codes.capacity(), codes.len()),
-            (rows, rows),
-            "{id}: slack in code column {c}"
-        );
+    // The drained batches are the frame: one exact block each.
+    assert_eq!(df.blocks().len(), batches, "{id}: one block per batch");
+    for (b, block) in df.blocks().iter().enumerate() {
+        for (c, codes) in block.codes().iter().enumerate() {
+            assert_eq!(
+                (codes.capacity(), codes.len()),
+                (block.rows(), block.rows()),
+                "{id}: slack in code column {c} of block {b}"
+            );
+        }
     }
+    let summed: usize = df.blocks().iter().map(|b| b.rows()).sum();
+    assert_eq!(summed, rows, "{id}: the blocks' rows");
 
     let strings: usize = (df.dictionary().iter())
         .map(|c| match c {

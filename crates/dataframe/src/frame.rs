@@ -1,12 +1,13 @@
 //! The [`DataFrame`] type: a [`Coded`] table of [`Cell`]s, the `&Cell` row
-//! views over it, and the row-level operators.
+//! views over it, and the row-level operators. Each operator reads its
+//! input block by block and writes its output as one block.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::ops::{Deref, DerefMut, Index, Range};
+use std::ops::{Deref, DerefMut, Index};
 
 use crate::cell::Cell;
-use crate::coded::{canonical, Coded, WidthError};
+use crate::coded::{self, canonical, Coded, Row, WidthError};
 use crate::groupby::GroupBy;
 use crate::join::{join_frames, JoinError, JoinType};
 
@@ -19,13 +20,14 @@ fn or_null(cell: Option<&Cell>) -> &Cell {
 
 /// A named-column table of [`Cell`]s.
 ///
-/// Storage is a [`Coded`] table: each column is a `Vec<u32>` of codes into
-/// one frame-wide dictionary of cells, so a value that repeats costs four
-/// bytes per occurrence and no `Arc` traffic. Code 0 is `Cell::Null` and
-/// has no entry; no entry is `Cell::Null` ([`DataFrame::intern`] and
-/// [`DataFrame::push_row`] send every null to code 0). The coded table's
-/// read side (`len`, `dictionary`, `code_columns`, …) and its
-/// [`Coded::append_blocks`] / [`Coded::fill`] are reached through `Deref`.
+/// Storage is a [`Coded`] table: a list of row blocks, each holding one
+/// `Vec<u32>` of codes per column into one frame-wide dictionary of cells,
+/// so a value that repeats costs four bytes per occurrence and no `Arc`
+/// traffic. Code 0 is `Cell::Null` and has no entry; no entry is
+/// `Cell::Null` ([`DataFrame::intern`] and [`DataFrame::push_row`] send
+/// every null to code 0). The coded table's read side (`len`,
+/// `dictionary`, `blocks`, `column_codes`, …) and its
+/// [`Coded::push_block`] / [`Coded::fill`] are reached through `Deref`.
 #[derive(Clone, Default, PartialEq, Debug)]
 pub struct DataFrame(pub(crate) Coded<Cell>);
 
@@ -51,16 +53,14 @@ impl From<Coded<Cell>> for DataFrame {
 }
 
 /// A borrowed view of one row: cells by position (`row[i]`) or by name.
+/// It holds its block's columns, so a cell is one index, not a search.
 #[derive(Clone, Copy)]
-pub struct RowView<'a> {
-    frame: &'a DataFrame,
-    row: usize,
-}
+pub struct RowView<'a>(Row<'a, Cell>);
 
 impl<'a> RowView<'a> {
     /// Cell by column name.
     pub fn get(&self, name: &str) -> Option<&'a Cell> {
-        Some(self.cell(self.frame.column_index(name)?))
+        Some(self.cell(self.0.table.column_index(name)?))
     }
 
     /// Cell by column position, borrowed from the frame (`row[i]` borrows
@@ -69,13 +69,12 @@ impl<'a> RowView<'a> {
     /// # Panics
     /// Panics if `col` is not a column position.
     pub fn cell(&self, col: usize) -> &'a Cell {
-        or_null(self.frame.value(self.frame.codes[col][self.row]))
+        or_null(self.0.get(col))
     }
 
     /// The row's cells in column order.
     pub fn iter(&self) -> impl Iterator<Item = &'a Cell> + 'a {
-        let RowView { frame, row } = *self;
-        (frame.codes.iter()).map(move |c| or_null(frame.value(c[row])))
+        self.0.iter().map(or_null)
     }
 
     /// The row's cells, cloned.
@@ -108,10 +107,7 @@ impl std::fmt::Debug for RowView<'_> {
 /// the frame and allocates nothing. `rows().len()` and `rows().iter()` read
 /// as they would on a slice of rows.
 #[derive(Debug, Clone)]
-pub struct Rows<'a> {
-    frame: &'a DataFrame,
-    rows: Range<usize>,
-}
+pub struct Rows<'a>(coded::Rows<'a, Cell>);
 
 impl<'a> Rows<'a> {
     /// The rows not yet taken, again.
@@ -124,12 +120,15 @@ impl<'a> Iterator for Rows<'a> {
     type Item = RowView<'a>;
 
     fn next(&mut self) -> Option<RowView<'a>> {
-        let frame = self.frame;
-        self.rows.next().map(|row| RowView { frame, row })
+        self.0.next().map(RowView)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.rows.size_hint()
+        self.0.size_hint()
+    }
+
+    fn fold<B, F: FnMut(B, RowView<'a>) -> B>(self, init: B, mut f: F) -> B {
+        self.0.fold(init, |acc, row| f(acc, RowView(row)))
     }
 }
 
@@ -148,19 +147,15 @@ impl DataFrame {
 
     /// Rows (read-only).
     pub fn rows(&self) -> Rows<'_> {
-        Rows {
-            frame: self,
-            rows: 0..self.len,
-        }
+        Rows(self.0.rows())
     }
 
-    /// One row.
+    /// One row: a binary search over the block ends.
     ///
     /// # Panics
     /// Panics if `row >= self.len()`.
     pub fn row(&self, row: usize) -> RowView<'_> {
-        assert!(row < self.len, "row {row} of a {}-row frame", self.len);
-        RowView { frame: self, row }
+        RowView(self.0.row(row))
     }
 
     /// [`Coded::intern`], except that a null is always code 0.
@@ -192,28 +187,28 @@ impl DataFrame {
         Some(self.0.column(name)?.map(or_null))
     }
 
-    /// Rows `rows` of columns `cols` (`None`: a column of nulls) under the
-    /// names `columns` — the gather every subsetting operator is. Only the
-    /// dictionary entries still referenced are carried over.
-    pub(crate) fn gather(
-        &self,
+    /// The rows `rows` (of this frame) of columns `cols` (`None`: a column
+    /// of nulls) under the names `columns`, as one block — the gather every
+    /// subsetting operator is. Only the dictionary entries still referenced
+    /// are carried over.
+    pub(crate) fn gather<'a>(
+        &'a self,
         columns: Vec<String>,
         cols: &[Option<usize>],
-        rows: impl Iterator<Item = usize> + Clone,
+        rows: impl Iterator<Item = Row<'a, Cell>> + Clone,
     ) -> DataFrame {
         let len = rows.clone().count();
         let mut out = Coded::new(columns);
         // New code per old code; 0 = not carried over yet (or null).
         let mut remap = vec![0u32; self.dict.len() + 1];
-        out.codes = (cols.iter())
+        let codes = (cols.iter())
             .map(|src| {
-                let Some(src) = src else {
+                let Some(src) = *src else {
                     return vec![0; len];
                 };
-                let col = &self.codes[*src];
                 rows.clone()
                     .map(|r| {
-                        let old = col[r] as usize;
+                        let old = r.code(src) as usize;
                         if old != 0 && remap[old] == 0 {
                             remap[old] = out.intern(self.dict[old - 1].clone());
                         }
@@ -222,21 +217,20 @@ impl DataFrame {
                     .collect()
             })
             .collect();
-        out.len = len;
+        out.put_block(len, codes);
         DataFrame(out)
     }
 
     /// All columns of the given rows.
-    fn take(&self, rows: impl Iterator<Item = usize> + Clone) -> DataFrame {
+    fn take<'a>(&'a self, rows: impl Iterator<Item = Row<'a, Cell>> + Clone) -> DataFrame {
         let all: Vec<Option<usize>> = (0..self.names.len()).map(Some).collect();
         self.gather(self.names.clone(), &all, rows)
     }
 
-    /// Add a column holding `cells`, one per row.
+    /// Add a column holding `cells`, one per row, block by block.
     pub(crate) fn push_column(&mut self, name: &str, cells: impl Iterator<Item = Cell>) {
         let codes = cells.map(|cell| self.intern(cell)).collect();
-        self.0.names.push(name.to_string());
-        self.0.codes.push(codes);
+        self.0.push_column(name.to_string(), codes);
     }
 
     /// Keep rows satisfying `predicate`.
@@ -244,7 +238,7 @@ impl DataFrame {
     where
         F: FnMut(RowView<'_>) -> bool,
     {
-        let keep: Vec<usize> = (0..self.len).filter(|&r| predicate(self.row(r))).collect();
+        let keep: Vec<Row<'_, Cell>> = self.0.rows().filter(|&r| predicate(RowView(r))).collect();
         self.take(keep.iter().copied())
     }
 
@@ -263,7 +257,7 @@ impl DataFrame {
     pub fn select(&self, keep: &[&str]) -> DataFrame {
         let indices: Vec<Option<usize>> = keep.iter().map(|c| self.column_index(c)).collect();
         let names = keep.iter().map(|s| s.to_string()).collect();
-        self.gather(names, &indices, 0..self.len)
+        self.gather(names, &indices, self.0.rows())
     }
 
     /// Rename a column in place. No-op if absent.
@@ -274,12 +268,12 @@ impl DataFrame {
     }
 
     /// Add a column computed from each row.
-    pub fn with_column<F>(&self, name: &str, mut f: F) -> DataFrame
+    pub fn with_column<F>(&self, name: &str, f: F) -> DataFrame
     where
         F: FnMut(RowView<'_>) -> Cell,
     {
         let mut out = self.clone();
-        out.push_column(name, (0..self.len).map(|r| f(self.row(r))));
+        out.push_column(name, self.rows().map(f));
         out
     }
 
@@ -327,16 +321,17 @@ impl DataFrame {
 
     /// First `k` rows starting at `offset`.
     pub fn head(&self, k: usize, offset: usize) -> DataFrame {
-        self.take(offset.min(self.len)..offset.saturating_add(k).min(self.len))
+        self.take(self.0.rows().skip(offset).take(k))
     }
 
     /// Drop duplicate rows (keep first occurrence).
     pub fn distinct(&self) -> DataFrame {
         let canon = &canonical(&[&self.dict])[0];
         let mut seen = HashSet::with_capacity(self.len);
-        let keep: Vec<usize> = (0..self.len)
-            .filter(|&r| {
-                let key: Vec<u32> = self.codes.iter().map(|c| canon[c[r] as usize]).collect();
+        let width = self.names.len();
+        let keep: Vec<Row<'_, Cell>> = (self.0.rows())
+            .filter(|r| {
+                let key: Vec<u32> = (0..width).map(|c| canon[r.code(c) as usize]).collect();
                 seen.insert(key)
             })
             .collect();
@@ -357,26 +352,27 @@ impl DataFrame {
             }
         }
         let (mut out, shifted) = merged(columns, self, other);
-        out.len = self.len + other.len;
-        out.codes = (out.names.iter())
+        let len = self.len + other.len;
+        let codes = (out.names.iter())
             .map(|name| {
-                let mut col = Vec::with_capacity(out.len);
+                let mut col = Vec::with_capacity(len);
                 if let Some(i) = self.column_index(name) {
-                    col.extend_from_slice(&self.codes[i]);
+                    col.extend(self.column_codes(i));
                 }
                 col.resize(self.len, 0);
                 if let Some(i) = other.column_index(name) {
-                    col.extend(other.codes[i].iter().map(|&c| shifted(c)));
+                    col.extend(other.column_codes(i).map(&shifted));
                 }
-                col.resize(out.len, 0);
+                col.resize(len, 0);
                 col
             })
             .collect();
+        out.put_block(len, codes);
         DataFrame(out)
     }
 }
 
-/// A table named `names` (its code columns still to fill) whose dictionary
+/// A table named `names` (its one block still to put) whose dictionary
 /// is `left`'s followed by `right`'s, and the map from `right`'s codes to
 /// their place in it.
 pub(crate) fn merged(
@@ -386,7 +382,7 @@ pub(crate) fn merged(
 ) -> (Coded<Cell>, impl Fn(u32) -> u32) {
     let mut dict = Vec::with_capacity(left.dict.len() + right.dict.len());
     dict.extend_from_slice(&left.dict);
-    let mut out = Coded::parts(names, dict, Vec::new(), 0);
+    let mut out = Coded::parts(names, dict);
     right.dict.iter().for_each(|cell| {
         out.intern(cell.clone());
     });
@@ -488,17 +484,16 @@ mod tests {
         let mut df = DataFrame::new(vec!["a".into(), "b".into()]);
         let (one, x) = (df.intern(Cell::Int(1)), df.intern(Cell::str("x")));
         assert_eq!(df.intern(Cell::Null), 0);
-        df.append_blocks(vec![(2, vec![vec![one, one], vec![x, 0]])])
-            .unwrap();
+        df.push_block(2, vec![vec![one, one], vec![x, 0]]).unwrap();
         assert_eq!(df.row(0).to_vec(), vec![Cell::Int(1), Cell::str("x")]);
         assert_eq!(df.row(1).to_vec(), vec![Cell::Int(1), Cell::Null]);
         assert_eq!(df.dictionary().len(), 2);
         assert_eq!(
-            df.append_blocks(vec![(1, vec![vec![one]])]),
+            df.push_block(1, vec![vec![one]]),
             Err(AppendError::ColumnCount { got: 1, want: 2 })
         );
         assert_eq!(
-            df.append_blocks(vec![(2, vec![vec![one, one], vec![x]])]),
+            df.push_block(2, vec![vec![one, one], vec![x]]),
             Err(AppendError::ColumnLength {
                 column: 1,
                 got: 1,
@@ -506,13 +501,13 @@ mod tests {
             })
         );
         assert_eq!(
-            df.append_blocks(vec![(1, vec![vec![one], vec![7]])]),
+            df.push_block(1, vec![vec![one], vec![7]]),
             Err(AppendError::UnknownCode { column: 1, code: 7 })
         );
         assert_eq!(df.len(), 2);
         // A zero-column frame carries its row count.
         let mut unit = DataFrame::new(vec![]);
-        unit.append_blocks(vec![(3, vec![])]).unwrap();
+        unit.push_block(3, vec![]).unwrap();
         assert_eq!((unit.len(), unit.rows().iter().count()), (3, 3));
     }
 

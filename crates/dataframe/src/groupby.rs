@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use crate::cell::Cell;
-use crate::coded::canonical;
+use crate::coded::{canonical, Row};
 use crate::frame::DataFrame;
 
 /// Aggregation functions (mirrors the RDFFrames aggregate set).
@@ -126,19 +126,19 @@ impl<'a> GroupBy<'a> {
         // row and one state per spec, in order of first appearance.
         let canon = &canonical(&[&frame.dict])[0];
         let mut group_of: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut groups: Vec<(usize, Vec<State<'a>>)> = Vec::new();
-        for r in 0..frame.len {
+        let mut groups: Vec<(Row<'a, Cell>, Vec<State<'a>>)> = Vec::new();
+        for row in frame.0.rows() {
             let key: Vec<u32> = key_idx
                 .iter()
-                .map(|i| i.map_or(0, |i| canon[frame.codes[i][r] as usize]))
+                .map(|i| i.map_or(0, |i| canon[row.code(i) as usize]))
                 .collect();
             let g = *group_of.entry(key).or_insert_with(|| {
-                groups.push((r, specs.iter().map(|_| State::default()).collect()));
+                groups.push((row, specs.iter().map(|_| State::default()).collect()));
                 groups.len() - 1
             });
             for (si, (f, _, _)) in specs.iter().enumerate() {
                 if let Some(idx) = src_idx[si] {
-                    let code = frame.codes[idx][r];
+                    let code = row.code(idx);
                     let wants_distinct = matches!(f, AggFn::CountDistinct);
                     groups[g].1[si].push(frame.value(code), canon[code as usize], wants_distinct);
                 }
@@ -146,7 +146,7 @@ impl<'a> GroupBy<'a> {
         }
 
         // Key columns: each group's first row; then one column per spec.
-        let firsts: Vec<usize> = groups.iter().map(|(first, _)| *first).collect();
+        let firsts: Vec<Row<'a, Cell>> = groups.iter().map(|(first, _)| *first).collect();
         let mut out = frame.gather(self.keys.clone(), &key_idx, firsts.into_iter());
         let mut states: Vec<_> = groups.into_iter().map(|(_, s)| s.into_iter()).collect();
         for (f, _, name) in specs {

@@ -50,9 +50,10 @@ pub enum JoinType {
 /// larger, so index construction cost tracks `min(|L|, |R|)`. Output row
 /// order follows the probe side; the joined bag is identical either way.
 ///
-/// Keys are compared as cells — once per dictionary entry, through
-/// [`canonical`] — and the rows are then matched and gathered as codes: the
-/// output's dictionary is the left one followed by the right one.
+/// Keys are compared as cells — once per dictionary entry, through the
+/// crate's canonical ids — and the rows are then matched and gathered as
+/// codes into one block: the output's dictionary is the left one followed by
+/// the right one.
 pub fn join_frames(
     left: &DataFrame,
     right: &DataFrame,
@@ -86,10 +87,14 @@ pub fn join_frames(
     // classic build-right orientation). Null keys are never indexed. One
     // swap-aware loop serves both orientations: the outer-join rules stay
     // phrased in left/right terms, only build/probe flip.
+    let (l_keys, r_keys): (Vec<u32>, Vec<u32>) = (
+        left.column_codes(li).collect(),
+        right.column_codes(ri).collect(),
+    );
     let canon = canonical(&[&left.dict, &right.dict]);
     let build_right = right.len() <= left.len();
     let ((build, build_ids), (probe, probe_ids)) = {
-        let (l, r) = ((&left.codes[li], &canon[0]), (&right.codes[ri], &canon[1]));
+        let (l, r) = ((&l_keys, &canon[0]), (&r_keys, &canon[1]));
         if build_right {
             (r, l)
         } else {
@@ -147,26 +152,28 @@ pub fn join_frames(
         }
     }
 
+    // Each output row finds its left and right rows once (a search over
+    // the block ends) and writes all its columns.
     let (mut out, shifted) = merged(columns, left, right);
-    let right_code = |col: usize, r: usize| shifted(right.codes[col][r]);
-    for (c, col) in left.codes.iter().enumerate() {
-        let pairs = l_rows.iter().zip(&r_rows);
-        out.codes.push(
-            pairs
-                .map(|pair| match pair {
-                    (Some(l), _) => col[*l],
-                    // Right-only row: the key column takes the right key.
-                    (None, Some(r)) if c == li => right_code(ri, *r),
-                    _ => 0,
-                })
-                .collect(),
-        );
+    let width = left.names.len();
+    let mut codes: Vec<Vec<u32>> = (0..width + right_cols.len())
+        .map(|_| Vec::with_capacity(l_rows.len()))
+        .collect();
+    for (l, r) in l_rows.iter().zip(&r_rows) {
+        let (l, r) = (l.map(|l| left.0.row(l)), r.map(|r| right.0.row(r)));
+        for (c, col) in codes[..width].iter_mut().enumerate() {
+            col.push(match (l, r) {
+                (Some(l), _) => l.code(c),
+                // Right-only row: the key column takes the right key.
+                (None, Some(r)) if c == li => shifted(r.code(ri)),
+                _ => 0,
+            });
+        }
+        for (col, &src) in codes[width..].iter_mut().zip(&right_cols) {
+            col.push(r.map_or(0, |r| shifted(r.code(src))));
+        }
     }
-    for &src in &right_cols {
-        let column = r_rows.iter().map(|r| r.map_or(0, |r| right_code(src, r)));
-        out.codes.push(column.collect());
-    }
-    out.len = l_rows.len();
+    out.put_block(l_rows.len(), codes);
     Ok(DataFrame(out))
 }
 

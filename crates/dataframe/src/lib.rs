@@ -8,14 +8,16 @@
 //! joins (inner/left/right/full outer), hash group-by with aggregation,
 //! sorting, slicing, and CSV I/O.
 //!
-//! A [`DataFrame`] is a [`Coded`] table of [`Cell`]s: column-major and
-//! dictionary-coded, one frame-wide dictionary of cells and one `Vec<u32>`
-//! of codes per column, where code 0 is null *with no entry* and code `c`
-//! is entry `c - 1`. The engine's result pages are the same [`Coded`] type
-//! over terms. Rows enter through one checked interface — `intern` a value,
-//! `append_blocks` of code columns or `fill` them in place (`push_row` is
-//! the one-row form) — are read back through borrowed [`RowView`]s, and
-//! every operator is a gather over codes.
+//! A [`DataFrame`] is a [`Coded`] table of [`Cell`]s: dictionary-coded and
+//! column-major within row [`Block`]s, one frame-wide dictionary of cells
+//! and, per block, one `Vec<u32>` of codes per column, where code 0 is null
+//! *with no entry* and code `c` is entry `c - 1`. The engine's result pages
+//! are the same [`Coded`] type over terms, and a drained query result is
+//! its batches' blocks, moved in. Rows enter through one checked
+//! interface — `intern` a value, then `push_block` a block of code columns
+//! or `fill` one in place (`push_row` is the one-row form) — are read back
+//! through borrowed [`RowView`]s, and every operator is a gather over codes
+//! into one block.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +30,7 @@ pub mod groupby;
 pub mod join;
 
 pub use cell::Cell;
-pub use coded::{AppendError, Coded, Row, WidthError};
+pub use coded::{AppendError, Block, Coded, Row, WidthError};
 pub use describe::{describe, describe_table, ColumnSummary};
 pub use frame::{DataFrame, RowView, Rows};
 pub use groupby::AggFn;

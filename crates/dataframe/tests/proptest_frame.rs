@@ -7,6 +7,8 @@
 //! row-major implementation the columnar one replaced. Random frames are
 //! built three ways (see [`build`]) so the operators meet dictionaries with
 //! no sharing, with repeated codes, and with distinct codes for equal cells.
+//! One more property cuts a frame into row blocks of random sizes (see
+//! [`split`]): every reader and operator must see the one-block frame.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -56,7 +58,7 @@ fn build(how: usize, cols: usize, rows: &[Vec<Cell>]) -> DataFrame {
                     page.iter().map(code).collect()
                 })
                 .collect();
-            (df.append_blocks(vec![(page.len(), block)])).expect("well-formed block");
+            (df.push_block(page.len(), block)).expect("well-formed block");
         };
     match how {
         // Every cell its own dictionary entry.
@@ -77,6 +79,34 @@ fn build(how: usize, cols: usize, rows: &[Vec<Cell>]) -> DataFrame {
         }
     }
     df
+}
+
+/// A frame operator over this frame and a second one.
+type BinaryOp<'a> = dyn Fn(&DataFrame, &DataFrame) -> DataFrame + 'a;
+
+/// The rows of `df` (at most one block) again, cut into blocks of `sizes`
+/// rows taken in turn, the last one whatever is left, over the same
+/// dictionary and codes: only the block edges differ.
+fn split(df: &DataFrame, sizes: &[usize]) -> DataFrame {
+    let mut out = DataFrame::new(df.columns().to_vec());
+    df.dictionary()
+        .iter()
+        .for_each(|c| _ = out.intern(c.clone()));
+    let codes: Vec<Vec<u32>> = (0..df.columns().len())
+        .map(|c| df.column_codes(c).collect())
+        .collect();
+    let (mut at, mut sizes) = (0, sizes.iter().cycle());
+    while at < df.len() {
+        let rows = (*sizes.next().expect("sizes")).min(df.len() - at);
+        let block = codes
+            .iter()
+            .map(|col| col[at..at + rows].to_vec())
+            .collect();
+        out.push_block(rows, block)
+            .expect("a cut of a well-formed block");
+        at += rows;
+    }
+    out
 }
 
 fn frame_strategy(cols: usize, max_rows: usize) -> impl Strategy<Value = DataFrame> {
@@ -560,6 +590,87 @@ proptest! {
                 m.agg(keys, &specs).show(),
                 "keys {keys:?}"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    #[test]
+    fn a_frame_cut_into_blocks_reads_and_operates_as_one_block(
+        rows in rows_strategy(3, 20),
+        other in rows_strategy(2, 10),
+        sizes in proptest::collection::vec(1usize..5, 1..6),
+        threshold in 0i64..6,
+        k in 0usize..25,
+        off in 0usize..25,
+    ) {
+        let (one, b) = (build(1, 3, &rows), build(1, 2, &other));
+        prop_assert!(one.blocks().len() <= 1);
+        // Ragged blocks, then one row per block.
+        for (df, b_cut) in [
+            (split(&one, &sizes), split(&b, &sizes)),
+            (split(&one, &[1]), split(&b, &[1])),
+        ] {
+            let cuts: Vec<usize> = df.blocks().iter().map(|x| x.rows()).collect();
+            prop_assert!(cuts.iter().all(|&n| n > 0));
+            prop_assert_eq!(cuts.iter().sum::<usize>(), one.len());
+            prop_assert_eq!(Model::of(&df).show(), Model::of(&one).show());
+            prop_assert_eq!(&df, &one);
+            prop_assert_eq!(&one, &df);
+            for r in 0..one.len() {
+                prop_assert_eq!(df.row(r), one.row(r));
+                for name in ["c0", "c1", "c2", "nope"] {
+                    prop_assert_eq!(df.get(r, name), one.get(r, name));
+                }
+            }
+            prop_assert_eq!(df.get(one.len(), "c0"), None);
+            // The walk by `next`, by `fold` and from a skip read the same rows.
+            let want = Model::of(&one).rows;
+            let mut folded = Vec::new();
+            df.rows().for_each(|r| folded.push(r.to_vec()));
+            prop_assert_eq!(&folded, &want);
+            for skip in [0, 1, off] {
+                let mut rest = Vec::new();
+                df.rows().skip(skip).for_each(|r| rest.push(r.to_vec()));
+                prop_assert_eq!(&rest[..], &want[skip.min(want.len())..]);
+                prop_assert_eq!(df.rows().skip(skip).count(), want.len().saturating_sub(skip));
+            }
+            for name in ["c0", "c1", "c2", "nope"] {
+                let column = |d: &DataFrame| d.column(name).map(|c| c.cloned().collect::<Vec<_>>());
+                prop_assert_eq!(column(&df), column(&one));
+            }
+
+            // Every operator gives, cell for cell, what it gives on one block.
+            let big = |c: &Cell| c.as_f64().is_some_and(|v| v >= threshold as f64);
+            let keys = [("c1", true), ("c0", false)];
+            let ops: [(&str, &BinaryOp<'_>); 9] = [
+                ("filter", &|d, _| d.filter(|r| big(&r[0]) || r.get("c2").is_some_and(Cell::is_uri))),
+                ("select", &|d, _| d.select(&["c2", "nope", "c0"])),
+                ("sort_by", &|d, _| d.sort_by(&keys)),
+                ("head", &|d, _| d.head(k, off)),
+                ("distinct", &|d, _| d.distinct()),
+                ("drop_nulls", &|d, _| d.drop_nulls("c1")),
+                ("concat", &|d, e| d.concat(e).concat(d)),
+                ("group_by", &|d, _| {
+                    d.group_by(&["c0"]).agg(&[(AggFn::Count, "c1", "n"), (AggFn::Max, "c2", "m")])
+                }),
+                ("with_column", &|d, _| d.with_column("x", |r| r[1].clone())),
+            ];
+            for (name, op) in ops {
+                let (got, want) = (op(&df, &b_cut), op(&one, &b));
+                prop_assert_eq!(Model::of(&got).show(), Model::of(&want).show(), "{}", name);
+            }
+            for how in JOIN_TYPES {
+                let pairs = [
+                    (df.join(&b_cut, "c0", "c0", how), one.join(&b, "c0", "c0", how)),
+                    (b_cut.join(&df, "c0", "c0", how), b.join(&one, "c0", "c0", how)),
+                ];
+                for (got, want) in pairs {
+                    prop_assert_eq!(Model::of(&got.unwrap()).show(), Model::of(&want.unwrap()).show());
+                }
+            }
         }
     }
 }

@@ -6,12 +6,12 @@
 //!
 //! - [`cursor_to_dataframe`] (the embedded path) is the engine's one drain
 //!   loop, [`QueryCursor::drain`], making a cell where `execute_prepared`
-//!   clones a term;
+//!   clones a term; the frame is the drained batches' blocks, moved in;
 //! - [`table_to_dataframe`] / [`append_table`] (the wire path) convert each
-//!   dictionary entry once and write the code columns through that remap in
-//!   place. The page's builder already deduplicated it (the executor by id,
-//!   the decoders by raw slice), and a table is rectangular by
-//!   construction, so nothing is checked per row.
+//!   dictionary entry once and write the page's code columns through that
+//!   remap into one fresh, exact block. The page's builder already
+//!   deduplicated it (the executor by id, the decoders by raw slice), and a
+//!   table is rectangular by construction, so nothing is checked per row.
 
 use dataframe::{AppendError, Cell, DataFrame};
 use rdf_model::term::TypedValue;
@@ -72,13 +72,16 @@ pub fn append_table(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
 }
 
 /// One cell per dictionary entry, then the code columns through that
-/// remap, in place. A refused fill takes its entries back with it.
+/// remap into the frame's next block. A refused fill takes its entries back
+/// with it.
 fn append_rows(df: &mut DataFrame, table: &SolutionTable) -> Result<()> {
     let fill = |codes: &mut [Vec<u32>], intern: &mut dyn FnMut(Cell) -> u32| {
         let cells = table.dictionary().iter().map(|t| intern(term_to_cell(t)));
         let remap: Vec<u32> = std::iter::once(0).chain(cells).collect();
-        for (col, src) in codes.iter_mut().zip(table.code_columns()) {
-            col.extend(src.iter().map(|&c| remap[c as usize]));
+        for (c, col) in codes.iter_mut().enumerate() {
+            for block in table.blocks() {
+                col.extend(block.codes()[c].iter().map(|&c| remap[c as usize]));
+            }
         }
     };
     df.fill(table.len(), fill).map_err(bad_block)

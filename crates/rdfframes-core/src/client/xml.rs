@@ -5,9 +5,10 @@
 //! encode/parse round trip per chunk. This makes transfer cost
 //! proportional to shipped data volume — the effect that dominates the
 //! paper's client-side baselines. The bytes are per cell, the work per
-//! distinct value: [`encode`] escapes each dictionary entry once
-//! ([`Fragments`]) and copies its fragment per cell, [`decode`] parses each
-//! distinct binding once ([`CodeMemo`]).
+//! distinct value: [`encode`] escapes each dictionary entry once (into one
+//! buffer of fragments) and copies its fragment per cell, block by block of
+//! the table's rows; [`decode`] parses each distinct binding once (a memo
+//! from raw slice to code).
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -144,8 +145,8 @@ pub fn encode(table: &SolutionTable) -> String {
             open
         })
         .collect();
-    let columns = table.code_columns();
-    let cells: usize = (columns.iter().zip(&bindings))
+    let cells: usize = (table.blocks().iter())
+        .flat_map(|block| block.codes().iter().zip(&bindings))
         .flat_map(|(codes, open)| codes.iter().filter(|&&c| c != 0).map(|&c| (c, open.len())))
         .map(|(c, open)| open + fragments.get(c).len())
         .sum();
@@ -159,15 +160,17 @@ pub fn encode(table: &SolutionTable) -> String {
     }
     out.push_str("</head>\n<results>\n");
     out.reserve_exact(cells + table.len() * ROW_TAGS + FOOTER.len());
-    for row in 0..table.len() {
-        out.push_str("<result>");
-        for (open, codes) in bindings.iter().zip(columns) {
-            if codes[row] != 0 {
-                out.push_str(open);
-                out.push_str(fragments.get(codes[row]));
+    for block in table.blocks() {
+        for row in 0..block.rows() {
+            out.push_str("<result>");
+            for (open, codes) in bindings.iter().zip(block.codes()) {
+                if codes[row] != 0 {
+                    out.push_str(open);
+                    out.push_str(fragments.get(codes[row]));
+                }
             }
+            out.push_str("</result>\n");
         }
-        out.push_str("</result>\n");
     }
     out.push_str(FOOTER);
     out

@@ -145,7 +145,10 @@ fn same(a: &SolutionTable, b: &SolutionTable) -> bool {
 }
 
 fn rectangular(t: &SolutionTable) -> bool {
-    t.code_columns().len() == t.vars().len() && t.code_columns().iter().all(|c| c.len() == t.len())
+    let blocks = t.blocks();
+    (blocks.iter())
+        .all(|b| b.codes().len() == t.vars().len() && b.codes().iter().all(|c| c.len() == b.rows()))
+        && blocks.iter().map(|b| b.rows()).sum::<usize>() == t.len()
 }
 
 fn small() -> SolutionTable {

@@ -391,21 +391,23 @@ impl QueryCursor<'_> {
     /// clone) and the embedded DataFrame (a cell). [`CodeRemap`] writes
     /// each batch's codes into a block of its own, every column grown once
     /// to the batch's length, while `entry` makes each distinct id's
-    /// dictionary entry once, straight into the table. The blocks are
-    /// joined by [`Coded::append_blocks`] after the last batch, when the
-    /// exhausted pipeline's state is already freed: every code column ends
-    /// with capacity equal to its length.
+    /// dictionary entry once, straight into the table; the block then
+    /// becomes the table's next one by move ([`Coded::push_block`]). The
+    /// table is its batches' blocks, so nothing is left to do after the last
+    /// batch, and every code column's capacity is its length.
     pub fn drain<T>(&mut self, mut entry: impl FnMut(&Term) -> T) -> Result<Coded<T>> {
         let width = self.vars.len();
         let mut table = Coded::new(self.vars.clone());
         let mut remap = CodeRemap::new(width);
-        let mut blocks = Vec::new();
         while let Some(batch) = self.next_batch()? {
             let mut block = vec![Vec::new(); width];
             remap.extend(&batch, &mut block, |term| table.intern(entry(term)));
-            blocks.push((batch.len, block));
+            // A column's one `extend` allocates exactly, except that no
+            // allocation holds fewer than four codes.
+            block.iter_mut().for_each(Vec::shrink_to_fit);
+            (table.push_block(batch.len, block))
+                .map_err(|e| EngineError::Semantic(e.to_string()))?;
         }
-        (table.append_blocks(blocks)).map_err(|e| EngineError::Semantic(e.to_string()))?;
         Ok(table)
     }
 
@@ -696,11 +698,17 @@ mod tests {
             let mut cursor = engine.cursor(&prepared, batch_rows).unwrap();
             let table = cursor.drain(Term::clone).unwrap();
             assert_eq!(table, *expected, "batch_rows={batch_rows}");
+            // One exact block per non-empty batch, moved in.
             let exact = |c: &Vec<u32>| c.capacity() == c.len();
+            let blocks = table.blocks();
             assert!(
-                table.code_columns().iter().all(exact),
+                blocks.iter().all(|b| b.codes().iter().all(exact)),
                 "batch_rows={batch_rows}"
             );
+            let rows = blocks.iter().map(|b| b.rows()).sum::<usize>();
+            assert_eq!(rows, table.len(), "batch_rows={batch_rows}");
+            let batches = cursor.stats().batches_emitted;
+            assert_eq!(blocks.len() as u64, batches, "batch_rows={batch_rows}");
             // Exhausted: the released pipeline stays dry, and the release
             // changed no counter.
             let stats = cursor.stats();

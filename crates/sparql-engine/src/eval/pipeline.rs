@@ -896,9 +896,9 @@ impl<'e> BgpOp<'e> {
                 if consumed || self.levels[k].src.len() >= target {
                     self.flush_level(ev, k)?;
                 }
-                if consumed && self.levels[k].bind.is_some() {
-                    // Like a join's probe batch, the left batch goes as soon
-                    // as it is extended.
+                if consumed {
+                    // Like a join's probe batch, a level's input batch goes
+                    // as soon as it is extended and flushed.
                     self.levels[k].input = IdTable::default();
                 }
                 continue;

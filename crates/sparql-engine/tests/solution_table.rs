@@ -267,7 +267,7 @@ proptest! {
                     Err(WidthError { got: bad, want: width })
                 );
                 prop_assert_eq!(refused.dictionary(), t.dictionary());
-                prop_assert_eq!(refused.code_columns(), t.code_columns());
+                prop_assert_eq!(refused.blocks(), t.blocks());
                 prop_assert_eq!(refused.len(), t.len());
             }
         }

@@ -32,6 +32,13 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "==> cargo doc (broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
+# The crates whose public docs link to no private item are held to it: a
+# public doc there may not point at what a reader of the docs cannot open.
+# (The other crates still have such links, so the step names these two.)
+echo "==> cargo doc (dataframe, rdfframes-core: private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::private_intra_doc_links" \
+    cargo doc -p dataframe -p rdfframes-core --no-deps --offline
+
 # The benchmark package sits outside the workspace (BENCHMARK.json runs it
 # from its own manifest) and is frozen, so nothing above compiles it. Build
 # it before the long suites: an API break in a crate it depends on then
@@ -166,6 +173,17 @@ echo "==> solution table layout (fixed seed)"
 cargo test -q -p sparql-engine --test solution_table
 cargo test -q -p dataframe
 cargo test -q -p bench --test pinned_encodings
+
+# Block-coded tables: a frame cut into row blocks of random sizes (one
+# row each, ragged) reads and operates exactly as the same rows in one
+# block; `push_block` refuses every bad shape with the table unchanged, and
+# every pushed block keeps its buffers; an embedded frame is its drained
+# batches' exact blocks, with no allocation beyond the drain's counted
+# allowance.
+echo "==> block-coded tables (fixed seed)"
+test_named -p dataframe --test proptest_frame a_frame_cut_into_blocks_reads_and_operates_as_one_block
+test_named -p dataframe --lib coded::tests::
+test_named -p bench --test frame_footprint embedded_frames_allocate_per_distinct_term_not_per_cell
 
 # Crash-recovery smoke: the paper workload (scale 64) committed through
 # the durable store, crashed at fixed fault points, recovered, and
