@@ -16,7 +16,8 @@
 //!    every occurrence, reports. cs1 reads at most 0.4 × of what it used to; a
 //!    frame without a repeated subtree reads exactly what it used to.
 //! 2. **Plan snapshots.** `PreparedQuery::explain()` shows the DAG: cs1 has
-//!    four shared nodes read nine times, Q1 none.
+//!    four shared nodes read nine times, Q1 none. Every paper frame's
+//!    optimized plan at scale 64 is pinned, one file per frame.
 //! 3. **Differential property.** Random plans over the DBpedia vocabulary
 //!    with a random subtree repeated two to four times — under joins,
 //!    OPTIONALs, UNIONs, GROUP BY, DISTINCT, ORDER BY and LIMIT, nested in
@@ -239,6 +240,66 @@ fn explain_shows_the_dag() {
     let q1 = prepare(&engine, &q1.frame).explain();
     assert_eq!(q1, Q1_SSE.trim_end(), "Q1:\n{q1}");
     assert_eq!(shared_and_refs(&q1), (0, 0));
+}
+
+/// The optimized plan of every paper frame at scale 64, one file each
+/// (`snapshots/<id>_scale64.sse`, the id lower-cased): a change to any
+/// optimizer pass that moves a node, a join form or an annotation shows
+/// here as a diff of the frame's file.
+const PAPER_SSE: [(&str, &str); 22] = [
+    ("cs1", CS1_SSE),
+    ("cs2", include_str!("snapshots/cs2_scale64.sse")),
+    ("cs3", include_str!("snapshots/cs3_scale64.sse")),
+    ("Q1", Q1_SSE),
+    ("Q2", include_str!("snapshots/q2_scale64.sse")),
+    ("Q3", include_str!("snapshots/q3_scale64.sse")),
+    ("Q4", include_str!("snapshots/q4_scale64.sse")),
+    ("Q5", include_str!("snapshots/q5_scale64.sse")),
+    ("Q6", include_str!("snapshots/q6_scale64.sse")),
+    ("Q7", include_str!("snapshots/q7_scale64.sse")),
+    ("Q8", include_str!("snapshots/q8_scale64.sse")),
+    ("Q9", include_str!("snapshots/q9_scale64.sse")),
+    ("Q10", include_str!("snapshots/q10_scale64.sse")),
+    ("Q11", include_str!("snapshots/q11_scale64.sse")),
+    ("Q12", include_str!("snapshots/q12_scale64.sse")),
+    ("Q13", include_str!("snapshots/q13_scale64.sse")),
+    ("Q14", include_str!("snapshots/q14_scale64.sse")),
+    ("Q15", include_str!("snapshots/q15_scale64.sse")),
+    ("Q16", include_str!("snapshots/q16_scale64.sse")),
+    ("Q17", include_str!("snapshots/q17_scale64.sse")),
+    ("Q18", include_str!("snapshots/q18_scale64.sse")),
+    ("Q19", include_str!("snapshots/q19_scale64.sse")),
+];
+
+#[test]
+fn every_paper_frame_plans_as_its_snapshot() {
+    const SCALE: usize = 64;
+    let ds = data::build_dataset(SCALE);
+    let engine = engine(&ds, EngineConfig::new());
+    let p = CaseParams::for_scale(SCALE);
+    let mut frames: Vec<(String, RDFFrame)> = vec![
+        (
+            "cs1".into(),
+            casestudies::movie_genre_classification(p.prolific),
+        ),
+        (
+            "cs2".into(),
+            casestudies::topic_modeling(p.since_year, p.threshold, p.recent_year),
+        ),
+        ("cs3".into(), casestudies::kg_embedding()),
+    ];
+    frames.extend(
+        queries::all_queries()
+            .into_iter()
+            .map(|def| (def.id.to_string(), def.frame)),
+    );
+    let ids: Vec<&str> = frames.iter().map(|(id, _)| id.as_str()).collect();
+    let pinned: Vec<&str> = PAPER_SSE.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, pinned, "one snapshot per paper frame");
+    for ((id, frame), (_, expected)) in frames.iter().zip(PAPER_SSE) {
+        let explain = prepare(&engine, frame).explain();
+        assert_eq!(explain, expected.trim_end(), "{id}:\n{explain}");
+    }
 }
 
 // ---------------------------------------------------------------------------
