@@ -25,15 +25,13 @@ fn prepare(engine: &Engine, frame: &RDFFrame) -> PreparedQuery {
 
 /// The counters that measure work done (the `peak_live_*` and
 /// `batches_emitted` fields describe how it was scheduled).
-fn work(stats: &ExecStats) -> [u64; 7] {
+fn work(stats: &ExecStats) -> [u64; 5] {
     [
         stats.rows_scanned,
         stats.shared_scans,
         stats.join_candidates,
         stats.merge_joins,
         stats.merge_left_joins,
-        stats.sorted_distincts,
-        stats.sorted_groups,
     ]
 }
 
@@ -57,7 +55,7 @@ fn execute_does_the_work_of_a_drained_cursor_at_any_batch_size() {
             .into_iter()
             .map(|def| (def.id.to_string(), def.frame)),
     );
-    let mut totals = [0u64; 7];
+    let mut totals = [0u64; 5];
     for (id, frame) in &frames {
         let prepared = prepare(&engine, frame);
         let (table, stats) = engine.execute_prepared(&prepared, None).unwrap();
@@ -78,11 +76,8 @@ fn execute_does_the_work_of_a_drained_cursor_at_any_batch_size() {
             *total += n;
         }
     }
-    // The workload exercises every counter compared above but one: no paper
-    // frame ends in a DISTINCT over a sorted scan.
-    let [.., sorted_distincts, _] = totals;
-    assert_eq!(sorted_distincts, 0);
-    assert_eq!(totals.iter().filter(|&&n| n > 0).count(), 6, "{totals:?}");
+    // The workload exercises every counter compared above.
+    assert!(totals.iter().all(|&n| n > 0), "{totals:?}");
 }
 
 #[test]

@@ -420,7 +420,6 @@ fn count_movies(input: Plan, key: &str) -> Plan {
             output: "n".into(),
         }],
         input: Box::new(input),
-        sorted_on: Vec::new(),
     }
 }
 

@@ -10,7 +10,7 @@
 //! exactly the ids the query operators consume; and every graph's slabs are
 //! sorted by the same id order, so a scan of *any* graph yields columns in
 //! ascending dataset id — the property the optimizer's interesting-order
-//! tracking (merge joins, sorted DISTINCT) builds on.
+//! tracking (merge joins) builds on.
 //!
 //! A graph enters as a stand-alone [`Graph`] builder with its own
 //! dictionary: [`Dataset::insert_graph`] interns the builder's terms here,

@@ -340,7 +340,7 @@ impl TripleIndex {
     /// The order in which a scan emits its *free* positions (0 = subject,
     /// 1 = predicate, 2 = object) for a given bound-ness shape — the suffix
     /// of the chosen index's ordering after the bound prefix. Kept adjacent
-    /// to [`TripleIndex::access_path`] (one row per arm, property-tested in this
+    /// to `TripleIndex::access_path` (one row per arm, property-tested in this
     /// module) so the two tables cannot drift: the query optimizer's
     /// interesting-order tracking uses this to know which variable sequence
     /// a slab scan yields sorted.

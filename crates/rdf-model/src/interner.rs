@@ -13,8 +13,8 @@
 //!   allocates nothing.
 //! - `slots` is an open-addressing table of ids: a power-of-two number of
 //!   `u32`s, probed linearly from the term's [`FxHasher`] hash and never
-//!   more than [`MAX_LOAD_PERCENT`] full. A slot is [`EMPTY`] or an id in
-//!   its low bits under a [`tag`] of the id's hash in the bits an id never
+//!   more than `MAX_LOAD_PERCENT` full. A slot is `EMPTY` or an id in
+//!   its low bits under a `tag` of the id's hash in the bits an id never
 //!   needs, so a probe compares with `terms[id]` only where the tag
 //!   matches. The table holds no terms and no whole hashes: a growth
 //!   rehashes from `terms`.

@@ -198,34 +198,11 @@ pub enum Plan {
         aggs: Vec<AggSpec>,
         /// Input plan.
         input: Box<Plan>,
-        /// Sort-order prefix of the input that covers exactly the grouping
-        /// keys (ascending global [`rdf_model::TermId`] order). Empty
-        /// straight out of translation; the optimizer fills it when
-        /// interesting-order tracking proves the input sorted with the keys
-        /// as a prefix. Purely informational today: the columnar evaluator
-        /// verifies the claim at run time and counts it
-        /// (`ExecStats::sorted_groups`) but groups by hashing either way —
-        /// run detection measured no faster.
-        sorted_on: Vec<String>,
     },
     /// Projection to the named columns.
     Project(Vec<String>, Box<Plan>),
     /// Duplicate elimination (keeps first occurrence).
     Distinct(Box<Plan>),
-    /// Duplicate elimination over an input the optimizer proved sorted on
-    /// `order` (the input's full interesting-order sequence). Never produced
-    /// by translation. The columnar evaluator deduplicates by linear run
-    /// detection over raw id column slices when `order` covers every output
-    /// column (verified at run time together with sortedness, batch by
-    /// batch; it switches to hashing, for good, the moment either fails).
-    /// Keeps first occurrences in input order, exactly like
-    /// [`Plan::Distinct`], which the reference evaluator runs it as.
-    SortedDistinct {
-        /// The variable sequence the input is sorted by.
-        order: Vec<String>,
-        /// Input plan.
-        input: Box<Plan>,
-    },
     /// Sorting.
     OrderBy(Vec<OrderKey>, Box<Plan>),
     /// Bounded sorting: the first `k` rows of the ORDER BY order. Never
@@ -279,7 +256,6 @@ impl Plan {
             | Plan::OrderBy(_, p)
             | Plan::BindLeftJoin { left: p, .. }
             | Plan::Group { input: p, .. }
-            | Plan::SortedDistinct { input: p, .. }
             | Plan::TopK { input: p, .. }
             | Plan::Slice { input: p, .. } => (Some(p), None),
         };
@@ -333,7 +309,6 @@ pub fn translate_query(query: &SelectQuery) -> Result<Plan> {
             keys: query.group_by.clone(),
             aggs,
             input: Box::new(plan),
-            sorted_on: Vec::new(),
         };
     } else {
         if !query.having.is_empty() {
@@ -581,23 +556,13 @@ fn rebind_graph(plan: Plan, graph: &GraphRef) -> Plan {
         ),
         Plan::Filter(e, p) => Plan::Filter(e, Box::new(rebind_graph(*p, graph))),
         Plan::Extend(v, e, p) => Plan::Extend(v, e, Box::new(rebind_graph(*p, graph))),
-        Plan::Group {
-            keys,
-            aggs,
-            input,
-            sorted_on,
-        } => Plan::Group {
+        Plan::Group { keys, aggs, input } => Plan::Group {
             keys,
             aggs,
             input: Box::new(rebind_graph(*input, graph)),
-            sorted_on,
         },
         Plan::Project(vars, p) => Plan::Project(vars, Box::new(rebind_graph(*p, graph))),
         Plan::Distinct(p) => Plan::Distinct(Box::new(rebind_graph(*p, graph))),
-        Plan::SortedDistinct { order, input } => Plan::SortedDistinct {
-            order,
-            input: Box::new(rebind_graph(*input, graph)),
-        },
         Plan::OrderBy(keys, p) => Plan::OrderBy(keys, Box::new(rebind_graph(*p, graph))),
         Plan::TopK { keys, k, input } => Plan::TopK {
             keys,

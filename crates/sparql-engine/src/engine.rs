@@ -49,11 +49,11 @@ use crate::results::{IdTable, SolutionTable};
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Enable the optimizer: BGP reordering and join-shape planning, TopK
-    /// fusion, FILTER pushdown and the order-aware rewrites (merge joins,
-    /// merge left joins, sorted DISTINCT, the GROUP BY order annotation).
-    /// All are pure physical rewrites — the result bag is the same either
-    /// way — and each order-aware operator re-checks its sortedness claim
-    /// at run time, demoting itself to the hash path when it fails, so this
+    /// fusion, FILTER pushdown, bind left joins and the order-aware
+    /// rewrites (merge joins, merge left joins). All are pure physical
+    /// rewrites — the result bag is the same either way — and each merge
+    /// re-checks its sortedness claim at run time, demoting itself to the
+    /// hash path when it fails, so this
     /// is the one ablation handle: disabling it models an engine that takes
     /// queries literally (the ablation experiments' baseline and the tests'
     /// plan oracle).
@@ -113,22 +113,24 @@ pub struct ExecStats {
     /// too little. Counts executions, so a join inside a shared subplan
     /// contributes its candidates once.
     pub join_candidates: u64,
-    /// DISTINCT operators that deduplicated by linear run detection over
-    /// sorted input instead of hashing (columnar evaluator only; counts
-    /// executions, like `merge_joins`).
+    /// Always 0: nothing sets it, because DISTINCT always hashes. The field
+    /// stays only because the benchmark package reports it as its
+    /// `pipeline.sorted_distincts` metric; both go together.
     pub sorted_distincts: u64,
-    /// GROUP BY operators whose input did arrive sorted with the grouping
-    /// keys as an order prefix, as the optimizer claimed (columnar evaluator
-    /// only; counts executions, like `merge_joins`). Informational: grouping
-    /// hashes either way.
+    /// Always 0: nothing sets it, because GROUP BY always hashes. Kept, like
+    /// [`ExecStats::sorted_distincts`], for the benchmark's
+    /// `pipeline.sorted_groups` metric.
     pub sorted_groups: u64,
     /// Peak rows simultaneously live across the operator pipeline (operator
     /// state plus the batch being emitted), sampled after every batch:
     /// O(batch size + breaker state) for a cursor, the whole result for
-    /// `execute*`'s one unbounded pull. Zero for the oracle.
+    /// `execute*`'s one unbounded pull. Zero for the oracle. State that an
+    /// operator takes and releases inside one pull is not seen: a query
+    /// whose BGP levels drop each input batch once extended can read 0 here
+    /// although they held rows during the pull.
     pub peak_live_rows: u64,
-    /// Peak estimated heap bytes simultaneously live (same sampling as
-    /// [`ExecStats::peak_live_rows`]).
+    /// Peak estimated heap bytes simultaneously live (same sampling, and
+    /// the same blind spot, as [`ExecStats::peak_live_rows`]).
     pub peak_live_bytes: u64,
     /// Batches the pipeline handed out (one for an unpaged `execute*` with
     /// a non-empty result; zero for the oracle).
@@ -378,8 +380,8 @@ impl QueryCursor<'_> {
             merge_joins: self.evaluator.merge_joins(),
             merge_left_joins: self.evaluator.merge_left_joins(),
             join_candidates: self.evaluator.join_candidates(),
-            sorted_distincts: self.evaluator.sorted_distincts(),
-            sorted_groups: self.evaluator.sorted_groups(),
+            sorted_distincts: 0,
+            sorted_groups: 0,
             peak_live_rows: self.peak_live_rows,
             peak_live_bytes: self.peak_live_bytes,
             batches_emitted: self.batches_emitted,

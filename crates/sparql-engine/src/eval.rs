@@ -3,7 +3,7 @@
 //! Implements the SPARQL multiset semantics of the paper's Section 5.2 over
 //! the struct-of-arrays [`IdTable`]: one dense `Vec<TermId>` per variable
 //! column plus a presence bitmap, instead of a `Vec<Option<TermId>>` per
-//! row. There is one executor: [`pipeline`] compiles a plan into pull-based
+//! row. There is one executor: `pipeline` compiles a plan into pull-based
 //! operators, and every entry point of [`crate::engine::Engine`] drains that
 //! pipeline — `execute*` with one unbounded pull, a cursor batch by batch.
 //! This module holds what the operators share: the execution context
@@ -20,15 +20,15 @@
 //!   (`join_index`: presence groups found by bitmap popcount, keys hashed
 //!   off raw `&[TermId]` column slices) or walk a sorted key run, and emit
 //!   output columns by gathering over the matched pair list
-//!   ([`JoinShape`], [`assemble_join`]).
-//! - **Filter / extend / project** ([`Evaluator::filter_table`],
-//!   [`Evaluator::extend_table`], [`project_table`]) are row-independent
+//!   (`JoinShape`, `assemble_join`).
+//! - **Filter / extend / project** (`Evaluator::filter_table`,
+//!   `Evaluator::extend_table`, `project_table`) are row-independent
 //!   bodies applied per batch; **ORDER BY / top-k**
-//!   ([`Evaluator::sort_rows`], [`Evaluator::top_k`]) sort by the dataset's
+//!   (`Evaluator::sort_rows`, `Evaluator::top_k`) sort by the dataset's
 //!   term-rank permutation when every key is a plain variable.
 //! - **Aggregates** run id-native where the shape allows: `COUNT[DISTINCT]`
 //!   over a column counts ids; `MIN`/`MAX`/`SUM`/`AVG` over a column
-//!   accumulate parsed `i64`/`f64` values per group ([`NumericAccum`])
+//!   accumulate parsed `i64`/`f64` values per group (`NumericAccum`)
 //!   without materializing a single [`Term`] per row, and hand the group
 //!   over to the term-based [`AggState`] the moment a value turns out not
 //!   to be a number.
@@ -63,7 +63,7 @@ use join_index::{merge_candidates, JoinIndex, RowMasks, Sides};
 use share::{Replay, Shared};
 
 /// Execution context of one query over one dataset: what every operator of
-/// the [`pipeline`] reads and updates while the plan runs.
+/// the `pipeline` reads and updates while the plan runs.
 pub struct Evaluator<'a> {
     dataset: &'a Dataset,
     default_graphs: Vec<String>,
@@ -77,8 +77,6 @@ pub struct Evaluator<'a> {
     merge_joins: u64,
     merge_left_joins: u64,
     join_candidates: u64,
-    sorted_distincts: u64,
-    sorted_groups: u64,
     /// Reused row buffer for expression contexts (the only place the
     /// columnar layout is transposed back to a row).
     scratch: Vec<Option<TermId>>,
@@ -98,8 +96,6 @@ impl<'a> Evaluator<'a> {
             merge_joins: 0,
             merge_left_joins: 0,
             join_candidates: 0,
-            sorted_distincts: 0,
-            sorted_groups: 0,
             scratch: Vec::new(),
         }
     }
@@ -131,23 +127,11 @@ impl<'a> Evaluator<'a> {
         self.merge_left_joins
     }
 
-    /// Candidate pairs the joins tested with [`JoinShape::compatible`] so
+    /// Candidate pairs the joins tested with `JoinShape::compatible` so
     /// far — index lookups and merge runs alike (an exact work count: what a
     /// join costs beyond reading its inputs and writing its output).
     pub fn join_candidates(&self) -> u64 {
         self.join_candidates
-    }
-
-    /// Number of [`Plan::SortedDistinct`] nodes that deduplicated their
-    /// whole input by run detection, never hashing a row.
-    pub fn sorted_distincts(&self) -> u64 {
-        self.sorted_distincts
-    }
-
-    /// Number of [`Plan::Group`] nodes whose `sorted_on` claim held over
-    /// their whole input. A counter only: grouping always hashes.
-    pub fn sorted_groups(&self) -> u64 {
-        self.sorted_groups
     }
 
     /// Install a resource budget. The meter (and its deadline clock) is
@@ -522,21 +506,6 @@ fn project_table(vars: &[String], t: IdTable) -> IdTable {
     IdTable::from_columns(vars.to_vec(), out_cols, rows)
 }
 
-/// Compare rows `i-1` and `i` lexicographically on `cols` by raw id (the
-/// one comparator behind every run-time sortedness check and run
-/// detection — callers must have verified the columns fully bound).
-#[inline]
-fn lex_cmp_prev(t: &IdTable, cols: &[usize], i: usize) -> Ordering {
-    for &c in cols {
-        let ids = t.col(c).ids();
-        let ord = ids[i - 1].cmp(&ids[i]);
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
 /// Emit join output columns by gathering over a `(left row, right row)`
 /// pair list (`NO_MATCH` right = unmatched left row of a left join). A
 /// shared column takes the left value when present, else the right side's:
@@ -734,25 +703,23 @@ mod tests {
         assert_eq!(join_op(&unsorted, &right, JoinKind::Left, Some("x")).2, 0);
     }
 
-    /// `DistinctOp` over `t` under the claim "sorted on `order`": the output
-    /// (which must not depend on the pull size) and whether the claim held.
-    fn sorted_distinct(t: &IdTable, order: &[String]) -> (Vec<Vec<Option<TermId>>>, bool) {
+    /// `DistinctOp` over `t`: the output, which must not depend on the
+    /// pull size.
+    fn distinct(t: &IdTable) -> Vec<Vec<Option<TermId>>> {
         let ds = Dataset::new();
         let mut outcomes = Vec::new();
         for batch in BATCHES {
             let mut ev = Evaluator::new(&ds, Vec::new());
-            let mut op = DistinctOp::new(source(t), Some(order));
-            let out = drain(&mut op, &mut ev, batch);
-            outcomes.push((rows_of(&out), ev.sorted_distincts == 1));
+            let mut op = DistinctOp::new(source(t));
+            outcomes.push(rows_of(&drain(&mut op, &mut ev, batch)));
         }
         assert!(outcomes.iter().all(|o| *o == outcomes[0]), "{outcomes:?}");
         outcomes.swap_remove(0)
     }
 
     #[test]
-    fn sorted_distinct_mask_checks_its_claims() {
-        let order: Vec<String> = vec!["a".into(), "b".into()];
-        // Sorted with duplicates: run detection keeps first occurrences.
+    fn distinct_keeps_first_occurrences_at_every_pull_size() {
+        // Sorted with duplicates.
         let t = tbl(
             &["a", "b"],
             vec![
@@ -764,10 +731,10 @@ mod tests {
             ],
         );
         let kept = vec![vec![i(1), i(5)], vec![i(1), i(6)], vec![i(2), i(3)]];
-        assert_eq!(sorted_distinct(&t, &order), (kept.clone(), true));
-        // Out of order from the fourth row on — after run detection has
-        // already let rows through: the claim is refuted, and the hash set
-        // that takes over knows those rows (exact keep-first bag).
+        assert_eq!(distinct(&t), kept);
+        // Out of order, a duplicate arriving batches after its first
+        // occurrence: still dropped, and the first occurrences keep their
+        // input order.
         let late = tbl(
             &["a", "b"],
             vec![
@@ -782,19 +749,19 @@ mod tests {
         );
         let mut late_kept = kept.clone();
         late_kept.push(vec![i(0), i(9)]);
-        assert_eq!(sorted_distinct(&late, &order), (late_kept, false));
-        // A column the order does not cover: never claimed.
-        let extra = tbl(&["a", "c"], vec![vec![i(1), i(1)], vec![i(1), i(2)]]);
-        assert_eq!(sorted_distinct(&extra, &order), (rows_of(&extra), false));
-        // An unbound slot in an order column: refuted.
-        let unbound = tbl(&["a", "b"], vec![vec![i(1), None], vec![i(1), None]]);
-        assert_eq!(
-            sorted_distinct(&unbound, &order),
-            (vec![vec![i(1), None]], false)
+        assert_eq!(distinct(&late), late_kept);
+        // One column: rows equal on it are duplicates.
+        let one = tbl(&["a"], vec![vec![i(2)], vec![i(1)], vec![i(2)]]);
+        assert_eq!(distinct(&one), vec![vec![i(2)], vec![i(1)]]);
+        // An unbound slot equals another unbound slot, and differs from
+        // every bound one.
+        let unbound = tbl(
+            &["a", "b"],
+            vec![vec![i(1), None], vec![i(1), None], vec![i(1), i(0)]],
         );
-        // Empty input is trivially sorted.
+        assert_eq!(distinct(&unbound), vec![vec![i(1), None], vec![i(1), i(0)]]);
         let empty = tbl(&["a", "b"], vec![]);
-        assert_eq!(sorted_distinct(&empty, &order), (vec![], true));
+        assert_eq!(distinct(&empty), Vec::<Vec<Option<TermId>>>::new());
     }
 
     #[test]
@@ -854,7 +821,7 @@ mod tests {
                         let v = v.clone().map(|t| ev.pool.intern(t));
                         input.push_row(&[i(*g), v]);
                     }
-                    let mut op = GroupOp::new(source(&input), keys, &aggs, &[]);
+                    let mut op = GroupOp::new(source(&input), keys, &aggs);
                     let out = drain(&mut op, &mut ev, batch);
                     let groups: &[u32] = if keys.is_empty() { &[0] } else { &[1, 2] };
                     assert_eq!(out.len(), groups.len());

@@ -11,9 +11,9 @@
 //! the emitted batches is byte-identical for every pull size, and so are the
 //! work counters of a fully drained plan: `rows_scanned` and `shared_scans`
 //! (a subplan that occurs more than once runs once, behind a [`Spool`]),
-//! `join_candidates`, and the rewrite counters (`merge_joins`,
-//! `sorted_distincts`, `sorted_groups`), because every sortedness claim is
-//! verified incrementally (batch-local checks plus run boundaries).
+//! `join_candidates`, and the merge counters (`merge_joins`,
+//! `merge_left_joins`), because every sortedness claim is verified
+//! incrementally (batch-local checks plus run boundaries).
 //!
 //! Streaming operators (BGP extension, join probe, filter/extend/project,
 //! union, slice) keep live state bounded by the pull size; pipeline breakers
@@ -164,20 +164,14 @@ impl<'e> Builder<'_, 'e> {
                 expr,
             }),
             Plan::Extend(var, expr, p) => Box::new(ExtendOp::new(self.node(p)?, var, expr)),
-            Plan::Group {
-                keys,
-                aggs,
-                input,
-                sorted_on,
-            } => Box::new(GroupOp::new(self.node(input)?, keys, aggs, sorted_on)),
+            Plan::Group { keys, aggs, input } => {
+                Box::new(GroupOp::new(self.node(input)?, keys, aggs))
+            }
             Plan::Project(vars, p) => Box::new(ProjectOp {
                 input: self.node(p)?,
                 vars: vars.clone(),
             }),
-            Plan::Distinct(p) => Box::new(DistinctOp::new(self.node(p)?, None)),
-            Plan::SortedDistinct { order, input } => {
-                Box::new(DistinctOp::new(self.node(input)?, Some(order)))
-            }
+            Plan::Distinct(p) => Box::new(DistinctOp::new(self.node(p)?)),
             Plan::OrderBy(keys, p) => Box::new(SortOp::new(self.node(p)?, keys, None)),
             Plan::TopK { keys, k, input } => {
                 Box::new(SortOp::new(self.node(input)?, keys, Some(*k)))
@@ -1386,63 +1380,6 @@ impl<'e> Operator<'e> for ProjectOp<'e> {
 // Grouping
 // ---------------------------------------------------------------------------
 
-/// A sortedness claim tracked incrementally across batches. Every claim is
-/// re-verified here, never trusted: the claimed columns must be fully bound
-/// and the rows lexicographically non-decreasing on them, across batch edges
-/// too (`prev` carries the last row's key over). Its owner drops it the
-/// moment a batch refutes it.
-struct SortedClaim {
-    cols: Vec<usize>,
-    prev: Option<Vec<TermId>>,
-}
-
-impl SortedClaim {
-    /// A claim on `order`, or `None` when it names a variable that is not a
-    /// column of `schema`.
-    fn new(order: &[String], schema: &[String]) -> Option<Self> {
-        let cols: Option<Vec<usize>> = order
-            .iter()
-            .map(|v| schema.iter().position(|c| c == v))
-            .collect();
-        Some(SortedClaim {
-            cols: cols?,
-            prev: None,
-        })
-    }
-
-    /// Verify the next batch, telling `run_start` for each of its rows
-    /// whether it begins a new run (differs from the row before it on the
-    /// claimed columns) — one fused pass, the whole of run-detection
-    /// DISTINCT. Returns whether the claim still holds; a batch that refutes
-    /// it has reported some prefix of its rows.
-    fn check(&mut self, batch: &IdTable, mut run_start: impl FnMut(bool)) -> bool {
-        let cols = &self.cols;
-        if batch.is_empty() {
-            return true;
-        }
-        if !cols.iter().all(|&c| batch.col(c).all_present()) {
-            return false;
-        }
-        for i in 0..batch.len() {
-            let ord = match (i, &self.prev) {
-                (0, None) => Ordering::Less,
-                (0, Some(prev)) => {
-                    let first = cols.iter().map(|&c| batch.col(c).ids()[0]);
-                    prev.iter().copied().cmp(first)
-                }
-                _ => lex_cmp_prev(batch, cols, i),
-            };
-            if ord == Ordering::Greater {
-                return false;
-            }
-            run_start(ord == Ordering::Less);
-        }
-        let last = batch.len() - 1;
-        self.prev = Some(cols.iter().map(|&c| batch.col(c).ids()[last]).collect());
-        true
-    }
-}
-
 /// Per-aggregate plan, id-native where the shape allows:
 ///
 /// - `COUNT[ DISTINCT](?v)` counts ids straight off the column.
@@ -1502,8 +1439,7 @@ enum GroupIndex {
 /// and the output is emitted only at input exhaustion, in first-occurrence
 /// order. The group index hashes `u64`-encoded cells (bijective), never
 /// terms; the common single-key case hashes one `u64` with no per-row
-/// allocation. A `sorted_on` claim is verified only to count it
-/// (`sorted_groups`): run detection measured no faster than the hash index.
+/// allocation.
 pub(super) struct GroupOp<'e> {
     input: BoxOp<'e>,
     keys: &'e [String],
@@ -1513,19 +1449,13 @@ pub(super) struct GroupOp<'e> {
     plans: Vec<AggPlan<'e>>,
     index: GroupIndex,
     groups: Vec<(Vec<Option<TermId>>, Vec<Accum>)>,
-    claim: Option<SortedClaim>,
     group_bytes: u64,
     staged: Option<Staged>,
     drained: bool,
 }
 
 impl<'e> GroupOp<'e> {
-    pub(super) fn new(
-        input: BoxOp<'e>,
-        keys: &'e [String],
-        aggs: &'e [AggSpec],
-        sorted_on: &'e [String],
-    ) -> Self {
+    pub(super) fn new(input: BoxOp<'e>, keys: &'e [String], aggs: &'e [AggSpec]) -> Self {
         let child = input.vars();
         let key_indices: Vec<Option<usize>> = keys
             .iter()
@@ -1568,16 +1498,6 @@ impl<'e> GroupOp<'e> {
             groups.push((Vec::new(), fresh_accums(aggs, &plans)));
         }
 
-        // Static half of the `sorted_on` claim (the batch-local half runs
-        // per batch): annotation present, set-equal to the keys, and every
-        // claimed column exists in the input schema.
-        let eligible = !sorted_on.is_empty()
-            && keys.iter().all(|k| sorted_on.contains(k))
-            && sorted_on.iter().all(|v| keys.contains(v));
-        let claim = eligible
-            .then(|| SortedClaim::new(sorted_on, child))
-            .flatten();
-
         let mut vars: Vec<String> = keys.to_vec();
         vars.extend(aggs.iter().map(|a| a.output.clone()));
         // Rough per-group footprint (key ids + accumulator state) for the
@@ -1594,7 +1514,6 @@ impl<'e> GroupOp<'e> {
             plans,
             index,
             groups,
-            claim,
             group_bytes,
             staged: None,
             drained: false,
@@ -1603,9 +1522,6 @@ impl<'e> GroupOp<'e> {
 
     /// Fold one input batch into the group table.
     fn accumulate(&mut self, ev: &mut Evaluator<'e>, batch: &IdTable) -> Result<()> {
-        if self.claim.as_mut().is_some_and(|c| !c.check(batch, |_| {})) {
-            self.claim = None;
-        }
         let GroupOp {
             aggs,
             key_indices,
@@ -1714,9 +1630,6 @@ impl<'e> GroupOp<'e> {
     /// are computed terms; interning them keeps the columns id-native for
     /// downstream operators.
     fn finish(&mut self, ev: &mut Evaluator<'e>) -> Result<()> {
-        if self.claim.is_some() {
-            ev.sorted_groups += 1;
-        }
         let groups = std::mem::take(&mut self.groups);
         let n_groups = groups.len();
         let mut key_cols: Vec<Column> = (0..self.keys.len())
@@ -1793,37 +1706,19 @@ impl<'e> Operator<'e> for GroupOp<'e> {
 // Distinct
 // ---------------------------------------------------------------------------
 
-/// What a [`DistinctOp`] has let through so far — its accumulating state.
+/// What a [`DistinctOp`] has let through so far — its accumulating state:
+/// the `u64` cell codes of every row kept.
 enum Seen {
-    /// The order claim holds: the input arrives sorted on a sequence
-    /// covering every column, so a row is new exactly when it differs from
-    /// its predecessor and nothing is hashed. The emitted rows are kept as
-    /// id columns (4 bytes a cell) for one reason: should a later batch
-    /// refute the claim, they are what the hash set is built from.
-    Runs {
-        claim: SortedClaim,
-        emitted: IdTable,
-    },
     /// Single column: bare `u64` cell codes, no row keys.
     One(FxHashSet<u64>),
     Many(FxHashSet<Vec<u64>>),
 }
 
 impl Seen {
-    /// An empty seen-set for rows `width` columns wide.
-    fn hashed(width: usize) -> Seen {
-        if width == 1 {
-            Seen::One(FxHashSet::default())
-        } else {
-            Seen::Many(FxHashSet::default())
-        }
-    }
-
     /// `(rows, estimated bytes)` of the state — the one figure both the
     /// budget is charged and `peak_live_bytes` reports.
     fn size(&self, width: usize) -> (u64, u64) {
         match self {
-            Seen::Runs { emitted, .. } => (emitted.len() as u64, emitted.estimated_bytes()),
             Seen::One(seen) => (seen.len() as u64, seen.len() as u64 * 8),
             Seen::Many(seen) => {
                 let rows = seen.len() as u64;
@@ -1833,7 +1728,7 @@ impl Seen {
     }
 
     /// Keep-first mask of `t` against everything seen before it.
-    fn hash_mask(&mut self, t: &IdTable) -> Vec<bool> {
+    fn mask(&mut self, t: &IdTable) -> Vec<bool> {
         match self {
             Seen::One(seen) => {
                 let col = t.col(0);
@@ -1844,19 +1739,13 @@ impl Seen {
             Seen::Many(seen) => (0..t.len())
                 .map(|i| seen.insert(t.columns().iter().map(|c| c.hash_code(i)).collect()))
                 .collect(),
-            // `keep_first` returns under a holding claim and replaces
-            // `Runs` with a hashed set before its first call here.
-            Seen::Runs { .. } => unreachable!("hashing starts once the claim is gone"),
         }
     }
 }
 
-/// DISTINCT (plain and order-claimed): keeps first occurrences across
-/// batches, by run detection while a [`Plan::SortedDistinct`]'s claim holds
-/// and through a persistent seen-set otherwise. Both emit the identical
-/// keep-first bag, so a claim refuted mid-stream — the rows emitted so far
-/// are then exactly the distinct rows seen so far, and seed the set — is
-/// invisible downstream.
+/// DISTINCT: keeps first occurrences across batches through a persistent
+/// seen-set, so each batch leaves with the rows no earlier batch let
+/// through, in input order.
 pub(super) struct DistinctOp<'e> {
     input: BoxOp<'e>,
     seen: Seen,
@@ -1864,47 +1753,17 @@ pub(super) struct DistinctOp<'e> {
 }
 
 impl<'e> DistinctOp<'e> {
-    pub(super) fn new(input: BoxOp<'e>, order: Option<&'e [String]>) -> Self {
-        let child = input.vars();
-        // Static half of the order claim: every order var is a column and
-        // every column is covered by the order — otherwise order-equal rows
-        // could still differ and run detection would over-delete.
-        // (Duplicate-named columns are clones by construction, so name
-        // coverage is column coverage.)
-        let claim = order
-            .filter(|order| child.iter().all(|v| order.contains(v)))
-            .and_then(|order| SortedClaim::new(order, child));
-        let seen = match claim {
-            Some(claim) => Seen::Runs {
-                claim,
-                emitted: IdTable::with_vars(child.to_vec()),
-            },
-            None => Seen::hashed(child.len()),
+    pub(super) fn new(input: BoxOp<'e>) -> Self {
+        let seen = if input.vars().len() == 1 {
+            Seen::One(FxHashSet::default())
+        } else {
+            Seen::Many(FxHashSet::default())
         };
         DistinctOp {
             input,
             seen,
             done: false,
         }
-    }
-
-    /// Drop the rows of `t` already let through; remember the rest.
-    fn keep_first(&mut self, t: &mut IdTable) {
-        if let Seen::Runs { claim, emitted } = &mut self.seen {
-            let mut keep = Vec::with_capacity(t.len());
-            if claim.check(t, |run_start| keep.push(run_start)) {
-                t.filter_mask(&keep);
-                emitted.append(t);
-                return;
-            }
-            // Refuted: from here on, hash — starting with this batch, none
-            // of which has been let through yet.
-            let emitted = std::mem::take(emitted);
-            self.seen = Seen::hashed(t.vars.len());
-            self.seen.hash_mask(&emitted);
-        }
-        let keep = self.seen.hash_mask(t);
-        t.filter_mask(&keep);
     }
 }
 
@@ -1921,13 +1780,11 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
             match self.input.next_batch(ev, batch_rows)? {
                 None => {
                     self.done = true;
-                    if matches!(self.seen, Seen::Runs { .. }) {
-                        ev.sorted_distincts += 1;
-                    }
                     return Ok(None);
                 }
                 Some(mut t) => {
-                    self.keep_first(&mut t);
+                    let keep = self.seen.mask(&t);
+                    t.filter_mask(&keep);
                     let (rows, bytes) = self.seen.size(t.vars.len());
                     ev.meter.charge_intermediate(rows, bytes)?;
                     if !t.is_empty() {
@@ -2203,9 +2060,9 @@ pub(super) mod tests {
 
     #[test]
     fn distinct_state_has_one_size_for_live_bytes_and_the_memory_budget() {
-        // 400 distinct rows, 1 / 3 / 5 columns wide, fed unsorted (hash set)
-        // and sorted under a claim (retained id columns): what `live_size`
-        // reports is what the budget is charged, to the byte.
+        // 400 distinct rows, 1 / 3 / 5 columns wide, fed unsorted and
+        // sorted: what `live_size` reports is what the budget is charged, to
+        // the byte.
         let ds = Dataset::new();
         for width in [1usize, 3, 5] {
             let vars: Vec<String> = (0..width).map(|c| format!("v{c}")).collect();
@@ -2214,24 +2071,23 @@ pub(super) mod tests {
                 sorted.push_row(&vec![Some(TermId(r)); width]);
             }
             let reversed: Vec<u32> = (0..400).rev().collect();
-            for (input, order) in [(sorted.gather_rows(&reversed), None), (sorted, Some(&vars))] {
+            for input in [sorted.gather_rows(&reversed), sorted] {
                 let mut ev = Evaluator::new(&ds, Vec::new());
-                let mut op = DistinctOp::new(source(&input), order.map(|o| o.as_slice()));
+                let mut op = DistinctOp::new(source(&input));
                 assert_eq!(drain(&mut op, &mut ev, 64), input);
-                assert_eq!(ev.sorted_distincts, order.is_some() as u64);
                 let (rows, bytes) = op.live_size();
-                let expected = match order {
-                    None => 400 * 8 * width as u64,
-                    Some(_) => input.estimated_bytes(),
-                };
-                assert_eq!((rows, bytes), (400, expected), "width {width}");
+                assert_eq!(
+                    (rows, bytes),
+                    (400, 400 * 8 * width as u64),
+                    "width {width}"
+                );
 
                 // One byte short of that trips the memory axis on the last
                 // batch; the exact figure lets the operator finish.
                 for (cap, fits) in [(bytes - 1, false), (bytes, true)] {
                     let mut ev = Evaluator::new(&ds, Vec::new());
                     ev.set_budget(&QueryBudget::unlimited().with_max_memory_bytes(cap));
-                    let mut op = DistinctOp::new(source(&input), order.map(|o| o.as_slice()));
+                    let mut op = DistinctOp::new(source(&input));
                     let mut outcome = Ok(());
                     while outcome.is_ok() {
                         match op.next_batch(&mut ev, 64) {

@@ -144,14 +144,8 @@ fn digest<'p>(plan: &'p Plan, out: &mut Vec<Node<'p>>) -> u64 {
         Plan::MergeJoin { key, .. } | Plan::MergeLeftJoin { key, .. } => key.hash(&mut h),
         Plan::Filter(expr, _) => expr.hash(&mut h),
         Plan::Extend(var, expr, _) => (var, expr).hash(&mut h),
-        Plan::Group {
-            keys,
-            aggs,
-            sorted_on,
-            ..
-        } => (keys, aggs, sorted_on).hash(&mut h),
+        Plan::Group { keys, aggs, .. } => (keys, aggs).hash(&mut h),
         Plan::Project(vars, _) => vars.hash(&mut h),
-        Plan::SortedDistinct { order, .. } => order.hash(&mut h),
         Plan::OrderBy(keys, _) => keys.hash(&mut h),
         Plan::TopK { keys, k, .. } => (keys, k).hash(&mut h),
         Plan::Slice { limit, offset, .. } => (limit, offset).hash(&mut h),

@@ -217,10 +217,7 @@ impl ReferenceEvaluator<'_> {
                 }
                 Ok(t)
             }
-            // `sorted_on` is a columnar-evaluator hint; hash-group here.
-            Plan::Group {
-                keys, aggs, input, ..
-            } => {
+            Plan::Group { keys, aggs, input } => {
                 let t = self.eval_rows(input)?;
                 self.eval_group(keys, aggs, t)
             }
@@ -240,8 +237,7 @@ impl ReferenceEvaluator<'_> {
                     .collect();
                 Ok(out)
             }
-            // Sorted DISTINCT is the same keep-first bag; hash it here.
-            Plan::Distinct(p) | Plan::SortedDistinct { input: p, .. } => {
+            Plan::Distinct(p) => {
                 let mut t = self.eval_rows(p)?;
                 let mut seen: HashSet<Vec<Option<Term>>> = HashSet::with_capacity(t.rows.len());
                 t.rows.retain(|row| seen.insert(row.clone()));

@@ -445,7 +445,7 @@ impl AggState {
     }
 
     /// Feed one value, deduplicating through `pool` when this state was
-    /// built with [`AggState::new_id_distinct`] (falls back to term hashing
+    /// built with `AggState::new_id_distinct` (falls back to term hashing
     /// for the [`AggState::new`] flavor, so callers need not branch).
     pub fn push_pooled(&mut self, value: Option<Term>, pool: &mut TermPool) {
         let Some(v) = value else { return };

@@ -14,50 +14,43 @@
 //!    and fuses `Slice ∘ OrderBy` into bounded [`Plan::TopK`]. It reads the
 //!    filters pass 1 pushed: the pattern that first binds a filtered
 //!    variable is charged the conjunct's selectivity
-//!    ([`Optimizer::filter_selectivity`]), so a selective `IN` leads the
+//!    (`Optimizer::filter_selectivity`), so a selective `IN` leads the
 //!    order instead of being tested wherever its variable happens to get
 //!    bound. This mirrors what production RDF engines do with flat
 //!    queries — and what they *cannot* do across subquery boundaries,
 //!    which is why the paper's naive one-subquery-per-operator generation
 //!    is slow. It also picks the join *shape*: a BGP whose subject stars
 //!    touch only through value variables is split into hash-joined
-//!    per-star BGPs when the statistics say so ([`Optimizer::plan_bgp`]),
+//!    per-star BGPs when the statistics say so (`Optimizer::plan_bgp`),
 //!    and an OPTIONAL sitting on an inner join sinks onto the one input it
-//!    extends ([`sink_optional`]). Both keep the result *bag*; row order of
+//!    extends (`sink_optional`). Both keep the result *bag*; row order of
 //!    an un-ORDERed result may differ from the literal plan's.
-//! 3. **Interesting-order tracking + order-aware rewrites** computes,
-//!    bottom-up, the *full* variable sequence each node's output is sorted
-//!    by (ascending global id order — see [`Optimizer::bgp_order`] for
-//!    where order originates) and spends it four ways:
+//! 3. **Order and estimate tracking** is one bottom-up walk
+//!    (`Optimizer::plan_order_rewrites`). It computes the *full* variable
+//!    sequence each node's output is sorted by (ascending global id order —
+//!    see `Optimizer::bgp_order` for where order originates; DISTINCT
+//!    passes its input's order up, a GROUP BY whose keys are set-wise a
+//!    prefix of its input's order emits that prefix) and, along the left
+//!    side an OPTIONAL asks about, the estimated rows. It spends them on
+//!    two rewrites:
 //!
-//!    - [`Plan::Join`] → [`Plan::MergeJoin`] when both inputs arrive
-//!      sorted on the same leading shared variable;
-//!    - [`Plan::LeftJoin`] → [`Plan::MergeLeftJoin`] under the same
-//!      condition (the merge emits unmatched left rows in place, exactly
-//!      like the hash left join);
-//!    - [`Plan::Distinct`] → [`Plan::SortedDistinct`] annotated with the
-//!      input's order sequence, so the evaluator can deduplicate by run
-//!      detection when the sequence covers every output column;
-//!    - [`Plan::Group`] gets its `sorted_on` field filled when the
-//!      grouping keys are exactly a *prefix* of the input order (in any
-//!      key order — prefix equality is set-wise), so grouping degenerates
-//!      to run detection. This is where secondary sort orders pay off:
-//!      a BGP sorted on `[?a, ?b]` serves `GROUP BY ?a` and
-//!      `DISTINCT ?a ?b` alike.
-//!
-//!    Pass 3 also turns an OPTIONAL whose right side is one triple pattern
-//!    into a [`Plan::BindLeftJoin`] when the left side's rows, each probing
-//!    the pattern for its key, are estimated to visit fewer index entries
-//!    than the pattern's extent, which the hash left join reads whole
-//!    ([`Optimizer::bind_key`]; it reads the left side's order too).
+//!    - [`Plan::Join`] → [`Plan::MergeJoin`], and [`Plan::LeftJoin`] →
+//!      [`Plan::MergeLeftJoin`], when both inputs arrive sorted on the same
+//!      leading shared variable (the merge emits unmatched left rows in
+//!      place, exactly like the hash left join);
+//!    - an OPTIONAL whose right side is one triple pattern →
+//!      [`Plan::BindLeftJoin`], when the left side's estimated rows, each
+//!      probing the pattern for its key, are estimated to visit fewer index
+//!      entries than the pattern's extent, which the hash left join reads
+//!      whole (`Optimizer::bind_key`; it reads the left side's order
+//!      too).
 //!
 //! Passes 1 and 3 are pure physical rewrites: results are identical to
 //! the unoptimized plan's (property-tested against `optimize: false` and
 //! the oracle), only the work done changes. Every order claim is
-//! re-verified at run time by the columnar evaluator (one linear pass),
-//! which demotes the operator to its hash path when the claim fails — the
-//! only off-switch a rewrite has — so this analysis only has to be
-//! precise, not paranoid.
+//! re-verified at run time by the merge (one linear pass), which demotes
+//! the join to its hash path when the claim fails — the only off-switch a
+//! rewrite has — so this analysis only has to be precise, not paranoid.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -105,7 +98,7 @@ impl<'a> Optimizer<'a> {
         self.reorder(plan);
         self.shared_bgps.clear();
         shared_bgps(plan, &Shared::of(plan), &mut self.shared_bgps);
-        self.plan_order_rewrites(plan);
+        self.plan_order_rewrites(plan, false);
     }
 
     /// Pass 2: statistics-driven BGP reordering + TopK fusion.
@@ -137,7 +130,6 @@ impl<'a> Optimizer<'a> {
             | Plan::Extend(_, _, p)
             | Plan::Project(_, p)
             | Plan::Distinct(p)
-            | Plan::SortedDistinct { input: p, .. }
             | Plan::OrderBy(_, p) => self.reorder(p),
             Plan::Group { input, .. } | Plan::BindLeftJoin { left: input, .. } => {
                 self.reorder(input)
@@ -266,33 +258,48 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Pass 3: bottom-up interesting-order tracking; spends the orders on
-    /// merge joins (inner and left) and sorted DISTINCT/GROUP BY. Returns
-    /// the variable sequence this node's output is sorted by (ascending
-    /// global id; `[]` = unknown/unsorted). Every propagated order variable
-    /// is always-bound in its node's output (orders originate from
-    /// BGP-bound columns and only flow through operators that carry those
-    /// columns unchanged); the evaluator re-verifies boundness and
-    /// sortedness at run time before committing to any order-based
-    /// execution.
-    fn plan_order_rewrites(&mut self, plan: &mut Plan) -> Vec<String> {
+    /// Pass 3: one bottom-up walk that rewrites joins by what it learns of
+    /// each node's output. Returns two facts about `plan`:
+    ///
+    /// - the variable sequence its output is sorted by (ascending global
+    ///   id; `[]` = unknown/unsorted), spent on merge joins, inner and left.
+    ///   Every propagated order variable is always-bound in its node's
+    ///   output (orders originate from BGP-bound columns and only flow
+    ///   through operators that carry those columns unchanged), and the
+    ///   evaluator re-verifies boundness and sortedness at run time before
+    ///   committing to a merge;
+    /// - when `want_rows`, its estimated rows ([`Optimizer::bind_key`]
+    ///   reads them of an OPTIONAL's left side): a BGP's greedy-order
+    ///   cardinality, an OPTIONAL of one pattern as its left side's rows
+    ///   times the matches per key (at least one), and what filters, binds,
+    ///   projections, DISTINCT and ORDER BY keep of their input (at most all
+    ///   of it). `None` for anything else, and whenever not asked for. Only
+    ///   a left spine an OPTIONAL asks about is estimated, so each BGP is
+    ///   costed at most once.
+    fn plan_order_rewrites(
+        &mut self,
+        plan: &mut Plan,
+        want_rows: bool,
+    ) -> (Vec<String>, Option<f64>) {
         match plan {
-            Plan::Unit => Vec::new(),
+            Plan::Unit => (Vec::new(), want_rows.then_some(1.0)),
             Plan::Bgp {
-                patterns, graph, ..
+                patterns,
+                graph,
+                filters,
             } => {
-                let graph = graph.clone();
-                self.bgp_order(patterns, &graph)
+                let order = self.bgp_order(patterns, graph);
+                let rows = want_rows.then(|| {
+                    let uris = self.effective_graphs(graph);
+                    self.greedy_order(&mut patterns.clone(), &uris, filters)
+                        .card
+                });
+                (order, rows)
             }
             Plan::Join(a, b) => {
-                let left_order = self.plan_order_rewrites(a);
-                let right_order = self.plan_order_rewrites(b);
-                let mergeable = matches!(
-                    (left_order.first(), right_order.first()),
-                    (Some(l), Some(r)) if l == r
-                );
-                if mergeable {
-                    let key = left_order[0].clone();
+                let (left_order, _) = self.plan_order_rewrites(a, false);
+                let (right_order, _) = self.plan_order_rewrites(b, false);
+                if let Some(key) = merge_key(&left_order, &right_order) {
                     // Rebuild the node as a merge join; the boxes move over.
                     if let Plan::Join(left, right) = std::mem::replace(plan, Plan::Unit) {
                         *plan = Plan::MergeJoin { left, right, key };
@@ -301,19 +308,42 @@ impl<'a> Optimizer<'a> {
                 // Both join flavors emit pairs left-major (each left row in
                 // input order, its matches in right-row order), so the
                 // left input's order survives.
-                left_order
+                (left_order, None)
             }
-            Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
-                let left_order = self.plan_order_rewrites(left);
-                self.plan_order_rewrites(right);
-                left_order
+            Plan::MergeJoin { left, right, .. } => {
+                let (left_order, _) = self.plan_order_rewrites(left, false);
+                self.plan_order_rewrites(right, false);
+                (left_order, None)
+            }
+            Plan::MergeLeftJoin { left, right, .. } => {
+                let want_left = want_rows && one_pattern(right).is_some();
+                let (left_order, left_rows) = self.plan_order_rewrites(left, want_left);
+                self.plan_order_rewrites(right, false);
+                let rows = self.optional_rows(left, left_rows, right);
+                (left_order, rows)
             }
             // Each left row in input order, extended in place.
-            Plan::BindLeftJoin { left, .. } => self.plan_order_rewrites(left),
+            Plan::BindLeftJoin {
+                left,
+                pattern,
+                graph,
+                ..
+            } => {
+                let (left_order, left_rows) = self.plan_order_rewrites(left, want_rows);
+                let rows = left_rows.map(|rows| rows * self.fan_out(left, pattern, graph));
+                (left_order, rows)
+            }
             Plan::LeftJoin(a, b) => {
-                let left_order = self.plan_order_rewrites(a);
-                let right_order = self.plan_order_rewrites(b);
-                if self.bind_key(a, b, &left_order) {
+                // A one-pattern side may bind, which needs the left rows.
+                let want_left = one_pattern(b).is_some();
+                let (left_order, left_rows) = self.plan_order_rewrites(a, want_left);
+                let (right_order, _) = self.plan_order_rewrites(b, false);
+                let rows = if want_rows {
+                    self.optional_rows(a, left_rows, b)
+                } else {
+                    None
+                };
+                if self.bind_key(a, b, &left_order, left_rows) {
                     if let Plan::Bgp {
                         patterns,
                         graph,
@@ -326,7 +356,7 @@ impl<'a> Optimizer<'a> {
                             graph: std::mem::replace(graph, GraphRef::Default),
                             filters: std::mem::take(filters),
                         };
-                        return left_order;
+                        return (left_order, rows);
                     }
                 }
                 // Left-major emission; unmatched left rows stay in place —
@@ -334,107 +364,68 @@ impl<'a> Optimizer<'a> {
                 // OPTIONAL semantics: the merge walks left rows in order
                 // and emits the no-match row at the same position the hash
                 // join would.
-                let mergeable = matches!(
-                    (left_order.first(), right_order.first()),
-                    (Some(l), Some(r)) if l == r
-                );
-                if mergeable {
-                    let key = left_order[0].clone();
+                if let Some(key) = merge_key(&left_order, &right_order) {
                     if let Plan::LeftJoin(left, right) = std::mem::replace(plan, Plan::Unit) {
                         *plan = Plan::MergeLeftJoin { left, right, key };
                     }
                 }
-                left_order
+                (left_order, rows)
             }
             Plan::Union(a, b) => {
-                self.plan_order_rewrites(a);
-                self.plan_order_rewrites(b);
-                Vec::new() // concatenation interleaves nothing — but the
-                           // boundary between the halves breaks sortedness
+                self.plan_order_rewrites(a, false);
+                self.plan_order_rewrites(b, false);
+                // The boundary between the halves breaks sortedness.
+                (Vec::new(), None)
             }
-            Plan::Filter(_, p) => self.plan_order_rewrites(p),
-            Plan::Distinct(p) => {
-                let order = self.plan_order_rewrites(p);
-                // Dedup keeps first occurrences in input order, so the
-                // order survives — and when one is known, the evaluator can
-                // dedup by run detection (it checks coverage of the output
-                // schema and actual sortedness itself).
-                if !order.is_empty() {
-                    if let Plan::Distinct(input) = std::mem::replace(plan, Plan::Unit) {
-                        *plan = Plan::SortedDistinct {
-                            order: order.clone(),
-                            input,
-                        };
-                    }
-                }
-                order
-            }
-            Plan::SortedDistinct { order, input } => {
-                // Already rewritten (re-optimization): refresh the claim.
-                let fresh = self.plan_order_rewrites(input);
-                *order = fresh.clone();
-                fresh
-            }
+            // Dedup keeps first occurrences in input order, so the order
+            // survives.
+            Plan::Filter(_, p) | Plan::Distinct(p) => self.plan_order_rewrites(p, want_rows),
             Plan::Extend(var, _, p) => {
-                let mut order = self.plan_order_rewrites(p);
+                let (mut order, rows) = self.plan_order_rewrites(p, want_rows);
                 // Rebinding an order variable overwrites the sorted column.
                 if let Some(i) = order.iter().position(|v| v == var) {
                     order.truncate(i);
                 }
-                order
+                (order, rows)
             }
             Plan::Project(vars, p) => {
-                let mut order = self.plan_order_rewrites(p);
+                let (mut order, rows) = self.plan_order_rewrites(p, want_rows);
                 // Only the prefix that survives projection stays meaningful.
                 if let Some(i) = order.iter().position(|v| !vars.contains(v)) {
                     order.truncate(i);
                 }
-                order
+                (order, rows)
             }
-            Plan::Slice { input, .. } => self.plan_order_rewrites(input),
-            Plan::Group {
-                keys,
-                input,
-                sorted_on,
-                ..
-            } => {
-                let input_order = self.plan_order_rewrites(input);
-                sorted_on.clear();
-                if !keys.is_empty() {
-                    // The keys must be exactly a *prefix* of the input
-                    // order, set-wise: rows equal on an order prefix are
-                    // adjacent, so run boundaries on the prefix columns are
-                    // group boundaries. Key order within the prefix is
-                    // irrelevant (equality is symmetric); duplicate keys
-                    // (GROUP BY ?a ?a) collapse.
-                    let mut distinct_keys: Vec<&String> = Vec::new();
-                    for k in keys.iter() {
-                        if !distinct_keys.contains(&k) {
-                            distinct_keys.push(k);
-                        }
-                    }
-                    let n = distinct_keys.len();
-                    if n <= input_order.len()
-                        && distinct_keys.iter().all(|k| input_order[..n].contains(k))
-                    {
-                        *sorted_on = input_order[..n].to_vec();
+            Plan::Slice { input, .. } => (self.plan_order_rewrites(input, false).0, None),
+            Plan::Group { keys, input, .. } => {
+                let (input_order, _) = self.plan_order_rewrites(input, false);
+                // Groups are emitted in first-occurrence order. When the
+                // keys are exactly a prefix of the input order, set-wise
+                // (key order within the prefix is irrelevant, a repeated
+                // key collapses), rows equal on the prefix are adjacent, and
+                // first-occurrence order is ascending prefix order.
+                let mut distinct: Vec<&String> = Vec::new();
+                for k in keys.iter() {
+                    if !distinct.contains(&k) {
+                        distinct.push(k);
                     }
                 }
-                // Groups are emitted in first-occurrence order; over an
-                // input sorted on the key prefix that *is* ascending prefix
-                // order, so the annotation doubles as the output order.
-                // (If the run-time check falls back to hashing, any
-                // consumer of this claim re-verifies at run time too.)
-                sorted_on.clone()
+                let n = distinct.len();
+                let prefix = n > 0
+                    && n <= input_order.len()
+                    && distinct.iter().all(|k| input_order[..n].contains(k));
+                let order = if prefix {
+                    input_order[..n].to_vec()
+                } else {
+                    Vec::new()
+                };
+                (order, None)
             }
             // ORDER BY sorts by *term* order, which is not global-id order.
-            Plan::OrderBy(_, p) => {
-                self.plan_order_rewrites(p);
-                Vec::new()
-            }
+            Plan::OrderBy(_, p) => (Vec::new(), self.plan_order_rewrites(p, want_rows).1),
             Plan::TopK { input, .. } => {
-                self.plan_order_rewrites(input);
-                Vec::new()
+                self.plan_order_rewrites(input, false);
+                (Vec::new(), None)
             }
         }
     }
@@ -461,7 +452,13 @@ impl<'a> Optimizer<'a> {
     ///   reads more than the extent. Otherwise a key can come back after
     ///   other keys and be read again, and the estimate must clear the
     ///   extent by [`BIND_MARGIN`].
-    fn bind_key(&mut self, left: &Plan, right: &Plan, left_order: &[String]) -> bool {
+    fn bind_key(
+        &mut self,
+        left: &Plan,
+        right: &Plan,
+        left_order: &[String],
+        left_rows: Option<f64>,
+    ) -> bool {
         let Plan::Bgp {
             patterns,
             graph,
@@ -501,7 +498,7 @@ impl<'a> Optimizer<'a> {
         if !build.iter().filter(|&&pos| !is_key(terms[pos])).eq(probe) {
             return false;
         }
-        let Some(rows) = self.estimate_rows(left) else {
+        let Some(rows) = left_rows else {
             return false;
         };
         let uris = self.effective_graphs(graph);
@@ -512,49 +509,12 @@ impl<'a> Optimizer<'a> {
         rows * per_key * margin < extent
     }
 
-    /// Estimated output rows of `plan`, where the estimators reach: a BGP's
-    /// greedy-order cardinality, an OPTIONAL of one pattern as its left
-    /// side times the matches per key (at least one), and what filters,
-    /// binds, projections, DISTINCT and ORDER BY keep of their input (at
-    /// most all of it). `None` for anything else.
-    fn estimate_rows(&mut self, plan: &Plan) -> Option<f64> {
-        Some(match plan {
-            Plan::Unit => 1.0,
-            Plan::Bgp {
-                patterns,
-                graph,
-                filters,
-            } => {
-                let uris = self.effective_graphs(graph);
-                let mut order = patterns.clone();
-                self.greedy_order(&mut order, &uris, filters).card
-            }
-            Plan::LeftJoin(left, right) | Plan::MergeLeftJoin { left, right, .. } => {
-                let Plan::Bgp {
-                    patterns, graph, ..
-                } = right.as_ref()
-                else {
-                    return None;
-                };
-                let [pattern] = patterns.as_slice() else {
-                    return None;
-                };
-                self.estimate_rows(left)? * self.fan_out(left, pattern, graph)
-            }
-            Plan::BindLeftJoin {
-                left,
-                pattern,
-                graph,
-                ..
-            } => self.estimate_rows(left)? * self.fan_out(left, pattern, graph),
-            Plan::Filter(_, p)
-            | Plan::Extend(_, _, p)
-            | Plan::Project(_, p)
-            | Plan::Distinct(p)
-            | Plan::SortedDistinct { input: p, .. }
-            | Plan::OrderBy(_, p) => self.estimate_rows(p)?,
-            _ => return None,
-        })
+    /// The estimated rows of `LeftJoin(left, right)`, given `left_rows`:
+    /// when `right` is one pattern, each left row times its
+    /// [`Optimizer::fan_out`]; `None` otherwise.
+    fn optional_rows(&mut self, left: &Plan, left_rows: Option<f64>, right: &Plan) -> Option<f64> {
+        let (pattern, graph) = one_pattern(right)?;
+        Some(left_rows? * self.fan_out(left, pattern, graph))
     }
 
     /// The rows an OPTIONAL of `pattern` makes of each row of `left`: the
@@ -572,9 +532,9 @@ impl<'a> Optimizer<'a> {
     ///
     /// Valid when the BGP scans a single graph: every graph's slabs are
     /// sorted by dataset id, the very ids stored in the output columns, so
-    /// how the graph was built and its insertion order are irrelevant. The evaluator re-verifies sortedness at run time
-    /// before committing to a merge, so this analysis only has to be
-    /// precise, not paranoid.
+    /// how the graph was built and its insertion order are irrelevant. The
+    /// evaluator re-verifies sortedness at run time before committing to a
+    /// merge, so this analysis only has to be precise, not paranoid.
     fn bgp_order(&mut self, patterns: &[TriplePattern], graph: &GraphRef) -> Vec<String> {
         if self.effective_graphs(graph).len() != 1 {
             return Vec::new(); // multi-graph scans interleave per row
@@ -935,6 +895,29 @@ fn shared_bgps(plan: &Plan, shared: &Shared, out: &mut Vec<Plan>) {
     }
 }
 
+/// The pattern and graph of `plan` when it is a BGP of one pattern: an
+/// OPTIONAL side that may bind, and whose fan-out pass 3 estimates.
+fn one_pattern(plan: &Plan) -> Option<(&TriplePattern, &GraphRef)> {
+    match plan {
+        Plan::Bgp {
+            patterns, graph, ..
+        } => match patterns.as_slice() {
+            [pattern] => Some((pattern, graph)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// The key a merge join of inputs sorted on `left` and `right` runs on:
+/// their shared leading variable.
+fn merge_key(left: &[String], right: &[String]) -> Option<String> {
+    match (left.first(), right.first()) {
+        (Some(l), Some(r)) if l == r => Some(l.clone()),
+        _ => None,
+    }
+}
+
 /// The key of an OPTIONAL of `pattern` on `left`: the pattern's variables
 /// that `left` can bind.
 fn pattern_keys(left: &Plan, pattern: &TriplePattern) -> HashSet<String> {
@@ -961,7 +944,6 @@ fn output_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
         }
         Plan::Filter(_, p)
         | Plan::Distinct(p)
-        | Plan::SortedDistinct { input: p, .. }
         | Plan::OrderBy(_, p)
         | Plan::TopK { input: p, .. }
         | Plan::Slice { input: p, .. } => output_vars(p, out),
@@ -1017,11 +999,9 @@ fn push_filters(plan: &mut Plan) {
             push_filters(left);
             push_filters(right);
         }
-        Plan::Extend(_, _, p)
-        | Plan::Project(_, p)
-        | Plan::Distinct(p)
-        | Plan::SortedDistinct { input: p, .. }
-        | Plan::OrderBy(_, p) => push_filters(p),
+        Plan::Extend(_, _, p) | Plan::Project(_, p) | Plan::Distinct(p) | Plan::OrderBy(_, p) => {
+            push_filters(p)
+        }
         Plan::Group { input, .. }
         | Plan::TopK { input, .. }
         | Plan::Slice { input, .. }
@@ -1830,55 +1810,62 @@ mod tests {
     }
 
     #[test]
-    fn sorted_distinct_and_group_annotations() {
-        let ds = build_dataset();
+    fn group_by_and_distinct_pass_their_order_to_a_merge_join() {
+        use crate::algebra::AggSpec;
+        use crate::ast::AggOp;
+        let ds = Arc::new(film_dataset());
         let graphs = vec!["http://g".to_string()];
-        // (?e <label> ?l): predicate-bound POS scan → order [?l, ?e].
-        let bgp = || Plan::Bgp {
-            patterns: vec![TriplePattern::new(
-                var("e"),
-                konst("http://x/label"),
-                var("l"),
-            )],
-            graph: GraphRef::Default,
-            filters: Vec::new(),
+        // (?m <p> <o>): a POS scan with (p, o) bound, sorted on ?m.
+        let films = |p: &str, o: &str| bgp(vec![tp("m", p, konst(&format!("http://x/{o}")))]);
+        // GROUP BY ?m over a scan sorted on ?m (the genre leads the greedy
+        // order): the groups come out in ?m order.
+        let group = Plan::Group {
+            keys: vec!["m".into()],
+            aggs: vec![AggSpec {
+                op: AggOp::Count,
+                distinct: false,
+                expr: Some(Expr::Var("a".into())),
+                output: "n".into(),
+            }],
+            input: Box::new(bgp(vec![
+                tp("m", "starring", var("a")),
+                tp("m", "genre", konst("http://x/genre0")),
+            ])),
         };
-
-        // DISTINCT over a sorted input is annotated with the full sequence.
-        let mut plan = Plan::Distinct(Box::new(bgp()));
-        Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        match &plan {
-            Plan::SortedDistinct { order, .. } => assert_eq!(order, &["l", "e"]),
-            other => panic!("expected sorted distinct, got {other:?}"),
-        }
-
-        // GROUP BY the *leading* order var: keys are an order prefix.
-        let group = |keys: Vec<&str>| Plan::Group {
-            keys: keys.into_iter().map(str::to_string).collect(),
-            aggs: Vec::new(),
-            input: Box::new(bgp()),
-            sorted_on: Vec::new(),
-        };
-        let mut plan = group(vec!["l"]);
-        Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        match &plan {
-            Plan::Group { sorted_on, .. } => assert_eq!(sorted_on, &["l"]),
-            other => panic!("{other:?}"),
-        }
-        // Both order vars, written in *reverse* key order: still a prefix
-        // (set-wise), so the annotation carries the order sequence.
-        let mut plan = group(vec!["e", "l"]);
-        Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        match &plan {
-            Plan::Group { sorted_on, .. } => assert_eq!(sorted_on, &["l", "e"]),
-            other => panic!("{other:?}"),
-        }
-        // GROUP BY the secondary var alone: not a prefix → no annotation.
-        let mut plan = group(vec!["e"]);
-        Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        match &plan {
-            Plan::Group { sorted_on, .. } => assert!(sorted_on.is_empty(), "{sorted_on:?}"),
-            other => panic!("{other:?}"),
+        // DISTINCT ?m over a scan sorted on ?m keeps first occurrences, in
+        // ?m order.
+        let distinct = Plan::Distinct(Box::new(Plan::Project(
+            vec!["m".into()],
+            Box::new(films("genre", "genre1")),
+        )));
+        let literal = crate::Engine::with_config(
+            Arc::clone(&ds),
+            crate::EngineConfig {
+                optimize: false,
+                ..crate::EngineConfig::new()
+            },
+        );
+        let engine = crate::Engine::new(Arc::clone(&ds));
+        for (name, side) in [("group", group), ("distinct", distinct)] {
+            let join = Plan::Join(Box::new(side), Box::new(films("country", "country0")));
+            let mut plan = join.clone();
+            Optimizer::new(&ds, &graphs).optimize(&mut plan);
+            assert!(
+                matches!(&plan, Plan::MergeJoin { key, .. } if key == "m"),
+                "{name}: {plan:?}"
+            );
+            let prepared = engine.prepare_plan(join.clone(), graphs.clone());
+            let (mut rows, stats) = engine.execute_prepared(&prepared, None).unwrap();
+            assert_eq!(stats.merge_joins, 1, "{name}: the merge ran throughout");
+            assert!(!rows.is_empty(), "{name}: an empty join proves nothing");
+            // The literal plan keeps the written pattern order, so its groups
+            // come in another order: compare bags.
+            let hashed = literal.prepare_plan(join, graphs.clone());
+            let (mut expected, hashed) = literal.execute_prepared(&hashed, None).unwrap();
+            assert_eq!(hashed.merge_joins, 0, "{name}");
+            rows.canonicalize();
+            expected.canonicalize();
+            assert_eq!(rows, expected, "{name}: the hash join's rows");
         }
     }
 

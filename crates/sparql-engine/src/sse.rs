@@ -74,12 +74,7 @@ fn write_operator(
         Plan::Union(..) => write!(out, "union"),
         Plan::Filter(expr, _) => write!(out, "filter {}", Sse(expr)),
         Plan::Extend(var, expr, _) => write!(out, "extend ?{var} {}", Sse(expr)),
-        Plan::Group {
-            keys,
-            aggs,
-            sorted_on,
-            ..
-        } => {
+        Plan::Group { keys, aggs, .. } => {
             let _ = write!(out, "group {} (", Vars(keys));
             for (i, a) in aggs.iter().enumerate() {
                 let sep = if i == 0 { "" } else { " " };
@@ -88,14 +83,10 @@ fn write_operator(
                 out.push(')');
             }
             out.push(')');
-            match sorted_on.is_empty() {
-                true => Ok(()),
-                false => write!(out, " :sorted-on {}", Vars(sorted_on)),
-            }
+            Ok(())
         }
         Plan::Project(vars, _) => write!(out, "project {}", Vars(vars)),
         Plan::Distinct(_) => write!(out, "distinct"),
-        Plan::SortedDistinct { order, .. } => write!(out, "distinct :sorted-on {}", Vars(order)),
         Plan::OrderBy(keys, _) => write!(out, "order {}", Keys(keys)),
         Plan::TopK { keys, k, .. } => write!(out, "top {k} {}", Keys(keys)),
         Plan::Slice { limit, offset, .. } => match limit {

@@ -400,28 +400,26 @@ fn dbpedia_queries() -> Vec<String> {
              OPTIONAL { ?actor dbpp:academyAward dbpr:Oscar . \
                         ?actor <http://www.w3.org/2000/01/rdf-schema#label> ?l } }"),
         // DISTINCT whose projected columns are exactly the BGP's sort
-        // sequence ([?actor, ?movie] off the POS starring scan): dedup by
-        // run detection.
+        // sequence ([?actor, ?movie] off the POS starring scan).
         q(
             "SELECT DISTINCT ?actor ?movie FROM <http://dbpedia.org> WHERE { \
              ?movie dbpp:starring ?actor }",
         ),
-        // GROUP BY on the leading order variable: grouping by run
-        // detection (keys are an order prefix).
+        // GROUP BY on the leading order variable (keys are an order
+        // prefix).
         q(
             "SELECT ?actor (COUNT(?movie) AS ?n) (MIN(?movie) AS ?first) \
            FROM <http://dbpedia.org> WHERE { ?movie dbpp:starring ?actor } \
            GROUP BY ?actor",
         ),
         // GROUP BY on a non-prefix variable (?movie is the *secondary*
-        // order): must keep hashing, identically everywhere.
+        // order).
         q(
             "SELECT ?movie (COUNT(?actor) AS ?n) FROM <http://dbpedia.org> \
            WHERE { ?movie dbpp:starring ?actor } GROUP BY ?movie",
         ),
         // DISTINCT over a projection that drops the secondary order column
-        // (?actor): the surviving [?c] prefix still covers the schema, so
-        // run detection works on the single remaining sorted column.
+        // (?actor): the surviving [?c] prefix still covers the schema.
         q("SELECT DISTINCT ?c FROM <http://dbpedia.org> WHERE { \
              ?actor dbpp:birthPlace ?c . ?movie dbpp:starring ?actor }"),
     ]
@@ -762,12 +760,12 @@ fn value_join_bgps_split_and_cut_scans() {
 
 #[test]
 fn order_aware_rewrites_fire_and_agree_per_toggle() {
-    // For each of the four order-aware rewrites: the counter fires (>0) on
+    // For each of the two order-aware rewrites: the counter fires (>0) on
     // a query shaped for it, on installed *and* appended graphs,
     // at both pull sizes; the literal plan (`optimize: false`, the one
     // off-switch) fires none of them; and default ≡ literal ≡ oracle as
     // bags, the default plan never scanning more (these rewrites change
-    // join/dedup/group strategy, never scan work).
+    // join strategy, never scan work).
     let star_q = star_join_query();
     let optional_q = format!(
         "{PREFIXES}SELECT ?actor ?l FROM <http://dbpedia.org> WHERE {{ \
@@ -775,20 +773,10 @@ fn order_aware_rewrites_fire_and_agree_per_toggle() {
            OPTIONAL {{ ?actor dbpp:academyAward dbpr:Oscar . \
                        ?actor <http://www.w3.org/2000/01/rdf-schema#label> ?l }} }}"
     );
-    let distinct_q = format!(
-        "{PREFIXES}SELECT DISTINCT ?actor ?movie FROM <http://dbpedia.org> \
-         WHERE {{ ?movie dbpp:starring ?actor }}"
-    );
-    let group_q = format!(
-        "{PREFIXES}SELECT ?actor (COUNT(?movie) AS ?n) FROM <http://dbpedia.org> \
-         WHERE {{ ?movie dbpp:starring ?actor }} GROUP BY ?actor"
-    );
     type Counter = fn(&ExecStats) -> u64;
-    let cases: [(&str, &str, Counter); 4] = [
+    let cases: [(&str, &str, Counter); 2] = [
         ("merge_joins", &star_q, |s| s.merge_joins),
         ("merge_left_joins", &optional_q, |s| s.merge_left_joins),
-        ("sorted_distincts", &distinct_q, |s| s.sorted_distincts),
-        ("sorted_groups", &group_q, |s| s.sorted_groups),
     ];
     // Storage layouts × where the queried graph sits in the dataset's id
     // space: inserted first; inserted last (re-keyed out of builder order);
@@ -1117,12 +1105,12 @@ proptest! {
         group_var in 0u8..4,
     ) {
         // Mirrors `pushdown_agrees_with_no_pushdown_on_random_filtered_bgps`
-        // for the order-aware DISTINCT/GROUP BY/LeftJoin rewrites: random
-        // BGPs (graph `a` installed, graph `b` appended) wrapped in
-        // DISTINCT and in GROUP BY, executed on the default plan (sorted
-        // fast paths) and the literal one (hash paths) — identical bags —
-        // with exact result + scan parity across all three legs on each
-        // plan. SUM and MIN ride along over a neighbouring variable: IRIs,
+        // for DISTINCT and GROUP BY over inputs the default plan orders:
+        // random BGPs (graph `a` installed, graph `b` appended) wrapped in
+        // DISTINCT and in GROUP BY, executed on the default plan (greedy
+        // pattern order, so often sorted input) and the literal one —
+        // identical bags — with exact result + scan parity across all three
+        // legs on each plan. SUM and MIN ride along over a neighbouring variable: IRIs,
         // so every group's numeric accumulator is demoted at its first
         // bound value.
         let ds = build_two_graph_dataset(&triples);

@@ -1,6 +1,6 @@
 //! Pipeline satellites: LIMIT early exit, bounded live memory, budget
 //! semantics, telemetry, the two kernels that live in the operators
-//! (run-detection DISTINCT, id-native numeric aggregates) — plus a property
+//! (keep-first DISTINCT, id-native numeric aggregates) — plus a property
 //! test that random BGP/OPTIONAL/GROUP BY shapes come out byte-identical at
 //! random batch sizes.
 //!
@@ -477,46 +477,20 @@ fn rows_of(table: &SolutionTable) -> Vec<Vec<Option<Term>>> {
 }
 
 #[test]
-fn a_false_sorted_distinct_claim_still_yields_the_keep_first_bag() {
-    // `?s p ?o` twice over: the POS scan hands out (o, s) in id order, the
-    // union repeats it — sorted on [o, s] for the first 500 rows, out of
-    // order (and all duplicates) from row 501 on. A plan that claims the
-    // union sorted is wrong only after run detection has let 500 rows
-    // through; the hash set that takes over must know every one of them.
+fn distinct_drops_duplicates_that_arrive_many_batches_later() {
+    // `?s p ?o` twice over: the union repeats the scan, so each of its
+    // last 500 rows duplicates one the seen-set took in up to 500 rows (and
+    // as many batches) before. The keep-first bag is the first scan, in
+    // scan order, at every pull size.
     let ds = dataset(500, false);
     let one = || scan(var("s"), "p", var("o"));
-    let order = vec!["o".to_string(), "s".to_string()];
-    let lying = Plan::SortedDistinct {
-        order: order.clone(),
-        input: Box::new(Plan::Union(Box::new(one()), Box::new(one()))),
-    };
-    let expected = reference_rows(&ds, &lying);
+    let twice = Plan::Distinct(Box::new(Plan::Union(Box::new(one()), Box::new(one()))));
+    let expected = reference_rows(&ds, &twice);
+    assert_eq!(expected, reference_rows(&ds, &one()));
     assert_eq!(expected.len(), 500);
     for batch in BATCHES {
-        let (rows, stats) = drain_plan(&ds, &lying, batch);
+        let (rows, _) = drain_plan(&ds, &twice, batch);
         assert_eq!(rows, expected, "batch {batch}");
-        assert_eq!(stats.sorted_distincts, 0, "batch {batch}");
-    }
-
-    // The same claim over one scan is true: counted, same rows, and the
-    // state kept is id columns — below the hash set's u64-per-cell keys.
-    let honest = Plan::SortedDistinct {
-        order,
-        input: Box::new(one()),
-    };
-    let hashing = Plan::Distinct(Box::new(one()));
-    for batch in BATCHES {
-        let (rows, stats) = drain_plan(&ds, &honest, batch);
-        let (hashed_rows, hashed) = drain_plan(&ds, &hashing, batch);
-        assert_eq!(rows, expected, "batch {batch}");
-        assert_eq!(hashed_rows, expected, "batch {batch}");
-        assert_eq!((stats.sorted_distincts, hashed.sorted_distincts), (1, 0));
-        assert!(
-            stats.peak_live_bytes < hashed.peak_live_bytes,
-            "batch {batch}: {} vs {}",
-            stats.peak_live_bytes,
-            hashed.peak_live_bytes
-        );
     }
 }
 

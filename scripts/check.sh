@@ -27,17 +27,11 @@ echo "==> cargo clippy (workspace, -D warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
 # Intra-doc links must resolve, so a renamed or deleted public item cannot
-# leave a dangling [`link`] behind. (A public doc linking to a private item
-# only warns; that is not gated here.)
-echo "==> cargo doc (broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
-
-# The crates whose public docs link to no private item are held to it: a
-# public doc there may not point at what a reader of the docs cannot open.
-# (The other crates still have such links, so the step names these two.)
-echo "==> cargo doc (dataframe, rdfframes-core: private intra-doc links are errors)"
-RUSTDOCFLAGS="-D rustdoc::private_intra_doc_links" \
-    cargo doc -p dataframe -p rdfframes-core --no-deps --offline
+# leave a dangling [`link`] behind; and a public doc may not link to a
+# private item, which a reader of the docs cannot open.
+echo "==> cargo doc (broken and private intra-doc links are errors)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
 
 # The benchmark package sits outside the workspace (BENCHMARK.json runs it
 # from its own manifest) and is frozen, so nothing above compiles it. Build
