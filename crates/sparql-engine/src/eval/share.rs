@@ -287,7 +287,7 @@ mod tests {
 
     use super::*;
     use crate::algebra::GraphRef;
-    use crate::ast::{PatternTerm, TriplePattern};
+    use crate::ast::{Expr, OrderKey, PatternTerm, TriplePattern};
     use rdf_model::Term;
 
     fn bgp(pred: &str) -> Plan {
@@ -304,6 +304,34 @@ mod tests {
 
     fn join(a: Plan, b: Plan) -> Plan {
         Plan::Join(Box::new(a), Box::new(b))
+    }
+
+    /// A join on `merge_on` when it is given, else a hash join.
+    fn join_on(a: Plan, b: Plan, merge_on: Option<&str>) -> Plan {
+        match merge_on {
+            Some(key) => Plan::MergeJoin {
+                left: Box::new(a),
+                right: Box::new(b),
+                key: key.into(),
+            },
+            None => join(a, b),
+        }
+    }
+
+    /// A sort on `?s`, bounded to its first `top` rows when that is given.
+    fn order(p: Plan, top: Option<usize>) -> Plan {
+        let keys = vec![OrderKey {
+            expr: Expr::Var("s".into()),
+            ascending: true,
+        }];
+        match top {
+            Some(k) => Plan::TopK {
+                keys,
+                k,
+                input: Box::new(p),
+            },
+            None => Plan::OrderBy(keys, Box::new(p)),
+        }
     }
 
     fn union(a: Plan, b: Plan) -> Plan {
@@ -380,6 +408,45 @@ mod tests {
             occurrences(&plan),
             vec![(0, 3), (1, 2), (0, 3), (0, 3), (1, 2)]
         );
+    }
+
+    #[test]
+    fn a_merge_key_or_a_sort_bound_makes_another_class() {
+        // A merge join and its hash twin over the same inputs: unequal, and
+        // neither is a class — only the inputs they both read repeat.
+        let (merge, hash) = (
+            join_on(bgp("a"), bgp("b"), Some("s")),
+            join_on(bgp("a"), bgp("b"), None),
+        );
+        assert_ne!(merge, hash);
+        let plan = union(merge.clone(), hash.clone());
+        assert_eq!(occurrences(&plan), vec![(0, 2), (1, 2), (0, 2), (1, 2)]);
+        assert_eq!(Shared::of(&plan).class(nodes(&plan)[1]), None);
+        // Two identical merge joins are one class.
+        let plan = union(merge.clone(), merge.clone());
+        assert_eq!(occurrences(&plan), vec![(0, 2), (0, 2)]);
+        // Two hash twins after the merge join are one class too: the digest
+        // tells them from it, or they would collide with it and go
+        // unshared (leaving `a` and `b` three readers each).
+        let plan = union(merge, union(hash.clone(), hash));
+        let pairs = vec![(0, 2), (1, 2), (2, 2), (0, 2), (1, 2), (2, 2)];
+        assert_eq!(occurrences(&plan), pairs);
+
+        // The same for a top-k sort against a full sort, and against one
+        // with another bound.
+        let top = order(bgp("a"), Some(3));
+        for other in [order(bgp("a"), None), order(bgp("a"), Some(4))] {
+            assert_ne!(top, other);
+            let plan = union(top.clone(), other);
+            assert_eq!(occurrences(&plan), vec![(0, 2), (0, 2)]);
+            assert_eq!(Shared::of(&plan).class(nodes(&plan)[1]), None);
+        }
+        let plan = union(top.clone(), top.clone());
+        assert_eq!(occurrences(&plan), vec![(0, 2), (0, 2)]);
+        assert_eq!(Shared::of(&plan).class(nodes(&plan)[1]), Some(0));
+        let full = order(bgp("a"), None);
+        let plan = union(top, union(full.clone(), full));
+        assert_eq!(occurrences(&plan), vec![(0, 2), (1, 2), (0, 2), (1, 2)]);
     }
 
     #[test]

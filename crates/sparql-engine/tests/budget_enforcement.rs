@@ -417,3 +417,43 @@ fn a_reader_parked_under_a_limit_does_not_starve_its_sibling() {
     assert!(stats.shared_scans < 500, "{}", stats.shared_scans);
     assert!(stats.peak_live_rows >= 496, "{}", stats.peak_live_rows);
 }
+
+#[test]
+fn a_top_k_sort_holds_bounded_state_where_a_full_sort_trips() {
+    // `ORDER BY … LIMIT 3` runs as a bounded sort: it compacts its
+    // accumulator to the best 3 rows whenever it reaches
+    // 3 + max(3, 8192) = 8195 rows, so it never holds more than that plus
+    // one input batch. 40 000 rows under a 20 000-row cap, pulled 1024 rows
+    // at a time (one unbounded pull would hand the sort all of its input at
+    // once): the bounded sort completes, the full sort of the same rows
+    // must trip.
+    const ROWS: usize = 40_000;
+    const CAP: u64 = 20_000;
+    const BATCH: usize = 1024;
+    assert!(((3 + 8192 + BATCH) as u64) < CAP && CAP < ROWS as u64);
+    let ds = dataset(ROWS);
+    let sorted = "SELECT ?s ?o FROM <http://g> WHERE { ?s <http://x/p> ?o } ORDER BY ?o";
+    let top = format!("{sorted} LIMIT 3");
+    let capped = engine(
+        &ds,
+        QueryBudget::unlimited().with_max_intermediate_rows(CAP),
+    );
+
+    let (rows, stats) = drain_cursor(&capped, &top, BATCH).unwrap();
+    assert_eq!((rows, stats.rows_scanned), (3, ROWS as u64));
+    let expected = engine(&ds, QueryBudget::unlimited()).execute(&top).unwrap();
+    let column: Vec<_> = expected.column("o").unwrap().map(|t| t.cloned()).collect();
+    assert_eq!(column, [0, 1, 2].map(|i| Some(Term::integer(i))));
+
+    let (first, _) = drain_cursor(&capped, sorted, BATCH).unwrap_err();
+    assert!(
+        matches!(
+            first,
+            EngineError::ResourceExhausted {
+                resource: ResourceKind::IntermediateRows,
+                ..
+            }
+        ),
+        "{first:?}"
+    );
+}
