@@ -442,8 +442,8 @@ pub fn all_queries() -> Vec<QueryDef> {
     ));
 
     // Q16: sort-heavy — every starring pair, fully ordered. Exercises the
-    // engine's term-rank ORDER BY (plain variables, no LIMIT, so nothing
-    // fuses to TopK and the whole result sorts).
+    // engine's term-rank ORDER BY (plain variables, no LIMIT, so the sort
+    // is not bounded and the whole result sorts).
     out.push(q(
         "Q16",
         "All starring pairs sorted by actor then movie",

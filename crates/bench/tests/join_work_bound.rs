@@ -40,12 +40,10 @@ fn join_rows(literal: &Engine, from: &[String], plan: &Plan) -> u64 {
     };
     let below: u64 = plan.children().map(|c| join_rows(literal, from, c)).sum();
     match plan {
-        Plan::Join(l, r)
-        | Plan::LeftJoin(l, r)
-        | Plan::MergeJoin {
+        Plan::Join {
             left: l, right: r, ..
         }
-        | Plan::MergeLeftJoin {
+        | Plan::LeftJoin {
             left: l, right: r, ..
         } => rows(l) + rows(r) + rows(plan) + below,
         _ => below,

@@ -428,7 +428,28 @@ fn order_by_movie(input: Plan) -> Plan {
         expr: Expr::Var(v.into()),
         ascending: true,
     };
-    Plan::OrderBy(vec![key("movie"), key("n")], Box::new(input))
+    Plan::OrderBy {
+        keys: vec![key("movie"), key("n")],
+        top: None,
+        input: Box::new(input),
+    }
+}
+
+/// An inner join, or a left join when `optional`.
+fn join(left: Plan, right: Plan, optional: bool) -> Plan {
+    let (left, right, merge_on) = (Box::new(left), Box::new(right), None);
+    match optional {
+        false => Plan::Join {
+            left,
+            right,
+            merge_on,
+        },
+        true => Plan::LeftJoin {
+            left,
+            right,
+            merge_on,
+        },
+    }
 }
 
 /// A small subtree that still binds `?movie` (the one variable every
@@ -439,8 +460,8 @@ fn subtree(tape: &mut Tape, depth: usize) -> Plan {
     }
     let a = subtree(tape, depth - 1);
     match tape.pick(6) {
-        0 => Plan::Join(Box::new(a), Box::new(leaf(tape))),
-        1 => Plan::LeftJoin(Box::new(a), Box::new(leaf(tape))),
+        0 => join(a, leaf(tape), false),
+        1 => join(a, leaf(tape), true),
         2 => Plan::Distinct(Box::new(Plan::Project(vec!["movie".into()], Box::new(a)))),
         3 => count_movies(a, "movie"),
         4 => Plan::Filter(
@@ -479,25 +500,25 @@ fn plan_with_repeats(tape: &mut Tape) -> Plan {
     // is read once more from outside it: a class nested in a class.
     let nested = tape.pick(2) == 1;
     let repeated = match nested {
-        true => Plan::LeftJoin(Box::new(leaf(tape)), Box::new(inner.clone())),
+        true => join(leaf(tape), inner.clone(), true),
         false => inner.clone(),
     };
     let mut plan = match tape.pick(3) {
         // The only two consumers are the two sides of one join.
-        0 => Plan::Join(Box::new(repeated.clone()), Box::new(repeated.clone())),
+        0 => join(repeated.clone(), repeated.clone(), false),
         _ => repeated.clone(),
     };
     for _ in 0..1 + tape.pick(3) {
-        let other = Box::new(reader(tape, &repeated));
+        let other = reader(tape, &repeated);
         plan = match tape.pick(4) {
-            0 => Plan::Join(Box::new(plan), other),
-            1 => Plan::LeftJoin(Box::new(plan), other),
-            2 => Plan::Union(other, Box::new(plan)),
-            _ => Plan::Union(Box::new(plan), other),
+            0 => join(plan, other, false),
+            1 => join(plan, other, true),
+            2 => Plan::Union(Box::new(other), Box::new(plan)),
+            _ => Plan::Union(Box::new(plan), Box::new(other)),
         };
     }
     if nested {
-        plan = Plan::Join(Box::new(plan), Box::new(inner));
+        plan = join(plan, inner, false);
     }
     match tape.pick(5) {
         0 => Plan::Distinct(Box::new(plan)),
@@ -513,7 +534,8 @@ fn plan_with_repeats(tape: &mut Tape) -> Plan {
 }
 
 fn has_limit(plan: &Plan) -> bool {
-    matches!(plan, Plan::Slice { .. } | Plan::TopK { .. }) || plan.children().any(has_limit)
+    let bounded = matches!(plan, Plan::OrderBy { top: Some(_), .. });
+    bounded || matches!(plan, Plan::Slice { .. }) || plan.children().any(has_limit)
 }
 
 proptest! {

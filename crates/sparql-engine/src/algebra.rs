@@ -126,42 +126,32 @@ pub enum Plan {
         filters: Vec<PushedFilter>,
     },
     /// Inner join.
-    Join(Box<Plan>, Box<Plan>),
-    /// Inner join whose inputs are both known to arrive sorted on `key`
-    /// (ascending global [`rdf_model::TermId`] order, always bound). Never
-    /// produced by translation; the optimizer rewrites [`Plan::Join`] into
-    /// this when interesting-order tracking proves both sides sorted, and
-    /// the columnar evaluator runs a linear merge over the key column
-    /// slices instead of building a hash table (with a defensive run-time
-    /// sortedness check that falls back to the hash join). The reference
-    /// evaluator treats it exactly as [`Plan::Join`]; the merge emits pairs
-    /// in the same left-major order the hash join does, so the evaluators
-    /// stay row-for-row identical.
-    MergeJoin {
-        /// Left input (sorted on `key`).
+    Join {
+        /// Left input.
         left: Box<Plan>,
-        /// Right input (sorted on `key`).
+        /// Right input.
         right: Box<Plan>,
-        /// The shared join variable both inputs are sorted by.
-        key: String,
+        /// The variable both inputs are known to arrive sorted on
+        /// (ascending global [`rdf_model::TermId`] order, always bound), so
+        /// that the executor merges the key columns instead of building a
+        /// hash table. `None` out of translation; the optimizer's pass 3 sets
+        /// it. The merge emits the hash join's rows in the hash join's
+        /// left-major order, and verifies sortedness as it goes, falling
+        /// back to the hash join where a claim fails: the annotation changes
+        /// the work, never the rows or their order.
+        merge_on: Option<String>,
     },
-    /// Left outer join (`OPTIONAL`) whose inputs are both known to arrive
-    /// sorted on `key` (same contract as [`Plan::MergeJoin`]). Never
-    /// produced by translation; the optimizer rewrites [`Plan::LeftJoin`]
-    /// into this, and the columnar evaluator runs a linear merge that emits
-    /// unmatched left rows in place — exactly the hash left join's pair
-    /// order — with the same run-time sortedness check + hash fallback.
-    /// The reference evaluator treats it exactly as [`Plan::LeftJoin`].
-    MergeLeftJoin {
-        /// Left (preserved) input, sorted on `key`.
+    /// Left outer join (`OPTIONAL`). `merge_on` as for [`Plan::Join`]; the
+    /// merge emits each unmatched left row in place, where the hash left
+    /// join does.
+    LeftJoin {
+        /// Left (preserved) input.
         left: Box<Plan>,
-        /// Right (optional) input, sorted on `key`.
+        /// Right (optional) input.
         right: Box<Plan>,
-        /// The shared join variable both inputs are sorted by.
-        key: String,
+        /// The variable both inputs arrive sorted on, if known.
+        merge_on: Option<String>,
     },
-    /// Left outer join (`OPTIONAL`).
-    LeftJoin(Box<Plan>, Box<Plan>),
     /// Left outer join (`OPTIONAL`) whose right side is the one triple
     /// `pattern`, run by *binding*: each left row's values of the pattern's
     /// key variables (those the left side binds) are substituted into it
@@ -204,16 +194,14 @@ pub enum Plan {
     /// Duplicate elimination (keeps first occurrence).
     Distinct(Box<Plan>),
     /// Sorting.
-    OrderBy(Vec<OrderKey>, Box<Plan>),
-    /// Bounded sorting: the first `k` rows of the ORDER BY order. Never
-    /// produced by translation; the optimizer fuses `Slice { limit }` over
-    /// `OrderBy` into this so the evaluator can select top-k instead of
-    /// fully sorting.
-    TopK {
+    OrderBy {
         /// Sort keys.
         keys: Vec<OrderKey>,
-        /// Number of rows to keep (`limit + offset` of the enclosing slice).
-        k: usize,
+        /// Only the first `top` rows of the order are kept (`limit + offset`
+        /// of the enclosing slice), so the executor may select them instead
+        /// of sorting everything. `None` out of translation; the optimizer's
+        /// pass 2 sets it.
+        top: Option<usize>,
         /// Input plan.
         input: Box<Plan>,
     },
@@ -236,7 +224,11 @@ impl Plan {
     fn join(self, other: Plan) -> Plan {
         match (self, other) {
             (Plan::Unit, p) | (p, Plan::Unit) => p,
-            (a, b) => Plan::Join(Box::new(a), Box::new(b)),
+            (a, b) => Plan::Join {
+                left: Box::new(a),
+                right: Box::new(b),
+                merge_on: None,
+            },
         }
     }
 
@@ -245,18 +237,36 @@ impl Plan {
     pub fn children(&self) -> impl Iterator<Item = &Plan> {
         let (a, b): (Option<&Plan>, Option<&Plan>) = match self {
             Plan::Unit | Plan::Bgp { .. } => (None, None),
-            Plan::Join(a, b) | Plan::LeftJoin(a, b) | Plan::Union(a, b) => (Some(a), Some(b)),
-            Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
-                (Some(left), Some(right))
-            }
+            Plan::Join { left, right, .. }
+            | Plan::LeftJoin { left, right, .. }
+            | Plan::Union(left, right) => (Some(left), Some(right)),
             Plan::Filter(_, p)
             | Plan::Extend(_, _, p)
             | Plan::Project(_, p)
             | Plan::Distinct(p)
-            | Plan::OrderBy(_, p)
+            | Plan::OrderBy { input: p, .. }
             | Plan::BindLeftJoin { left: p, .. }
             | Plan::Group { input: p, .. }
-            | Plan::TopK { input: p, .. }
+            | Plan::Slice { input: p, .. } => (Some(p), None),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// [`Plan::children`], mutably: the walks that treat every node alike
+    /// (graph rebinding, the optimizer's passes 1 and 2) list no variant.
+    pub(crate) fn children_mut(&mut self) -> impl Iterator<Item = &mut Plan> {
+        let (a, b): (Option<&mut Plan>, Option<&mut Plan>) = match self {
+            Plan::Unit | Plan::Bgp { .. } => (None, None),
+            Plan::Join { left, right, .. }
+            | Plan::LeftJoin { left, right, .. }
+            | Plan::Union(left, right) => (Some(left), Some(right)),
+            Plan::Filter(_, p)
+            | Plan::Extend(_, _, p)
+            | Plan::Project(_, p)
+            | Plan::Distinct(p)
+            | Plan::OrderBy { input: p, .. }
+            | Plan::BindLeftJoin { left: p, .. }
+            | Plan::Group { input: p, .. }
             | Plan::Slice { input: p, .. } => (Some(p), None),
         };
         a.into_iter().chain(b)
@@ -332,7 +342,11 @@ pub fn translate_query(query: &SelectQuery) -> Result<Plan> {
         plan = Plan::Extend(alias, expr, Box::new(plan));
     }
     if !query.order_by.is_empty() {
-        plan = Plan::OrderBy(query.order_by.clone(), Box::new(plan));
+        plan = Plan::OrderBy {
+            keys: query.order_by.clone(),
+            top: None,
+            input: Box::new(plan),
+        };
     }
     let projected = query.projected_vars();
     plan = Plan::Project(projected, Box::new(plan));
@@ -443,7 +457,11 @@ pub fn translate_ggp(group: &GroupGraphPattern, graph: &GraphRef) -> Result<Plan
             PatternElem::Optional(inner) => {
                 plan = flush(plan, &mut bgp, graph);
                 let right = translate_ggp(inner, graph)?;
-                plan = Plan::LeftJoin(Box::new(plan), Box::new(right));
+                plan = Plan::LeftJoin {
+                    left: Box::new(plan),
+                    right: Box::new(right),
+                    merge_on: None,
+                };
             }
             PatternElem::Union(branches) => {
                 plan = flush(plan, &mut bgp, graph);
@@ -493,91 +511,20 @@ pub fn translate_ggp(group: &GroupGraphPattern, graph: &GraphRef) -> Result<Plan
 
 /// Translate a subquery whose BGPs should match a specific named graph.
 fn translate_subquery_in_graph(q: &SelectQuery, graph: &GraphRef) -> Result<Plan> {
-    let plan = translate_query(q)?;
-    Ok(rebind_graph(plan, graph))
+    let mut plan = translate_query(q)?;
+    rebind_graph(&mut plan, graph);
+    Ok(plan)
 }
 
-fn rebind_graph(plan: Plan, graph: &GraphRef) -> Plan {
-    match plan {
-        Plan::Bgp {
-            patterns,
-            graph: GraphRef::Default,
-            filters,
-        } => Plan::Bgp {
-            patterns,
-            graph: graph.clone(),
-            filters,
-        },
-        Plan::Bgp {
-            patterns,
-            graph,
-            filters,
-        } => Plan::Bgp {
-            patterns,
-            graph,
-            filters,
-        },
-        Plan::Unit => Plan::Unit,
-        Plan::Join(a, b) => Plan::Join(
-            Box::new(rebind_graph(*a, graph)),
-            Box::new(rebind_graph(*b, graph)),
-        ),
-        Plan::MergeJoin { left, right, key } => Plan::MergeJoin {
-            left: Box::new(rebind_graph(*left, graph)),
-            right: Box::new(rebind_graph(*right, graph)),
-            key,
-        },
-        Plan::MergeLeftJoin { left, right, key } => Plan::MergeLeftJoin {
-            left: Box::new(rebind_graph(*left, graph)),
-            right: Box::new(rebind_graph(*right, graph)),
-            key,
-        },
-        Plan::LeftJoin(a, b) => Plan::LeftJoin(
-            Box::new(rebind_graph(*a, graph)),
-            Box::new(rebind_graph(*b, graph)),
-        ),
-        Plan::BindLeftJoin {
-            left,
-            pattern,
-            graph: own,
-            filters,
-        } => Plan::BindLeftJoin {
-            left: Box::new(rebind_graph(*left, graph)),
-            pattern,
-            graph: match own {
-                GraphRef::Default => graph.clone(),
-                named => named,
-            },
-            filters,
-        },
-        Plan::Union(a, b) => Plan::Union(
-            Box::new(rebind_graph(*a, graph)),
-            Box::new(rebind_graph(*b, graph)),
-        ),
-        Plan::Filter(e, p) => Plan::Filter(e, Box::new(rebind_graph(*p, graph))),
-        Plan::Extend(v, e, p) => Plan::Extend(v, e, Box::new(rebind_graph(*p, graph))),
-        Plan::Group { keys, aggs, input } => Plan::Group {
-            keys,
-            aggs,
-            input: Box::new(rebind_graph(*input, graph)),
-        },
-        Plan::Project(vars, p) => Plan::Project(vars, Box::new(rebind_graph(*p, graph))),
-        Plan::Distinct(p) => Plan::Distinct(Box::new(rebind_graph(*p, graph))),
-        Plan::OrderBy(keys, p) => Plan::OrderBy(keys, Box::new(rebind_graph(*p, graph))),
-        Plan::TopK { keys, k, input } => Plan::TopK {
-            keys,
-            k,
-            input: Box::new(rebind_graph(*input, graph)),
-        },
-        Plan::Slice {
-            limit,
-            offset,
-            input,
-        } => Plan::Slice {
-            limit,
-            offset,
-            input: Box::new(rebind_graph(*input, graph)),
-        },
+/// Point every default-graph BGP of `plan` at `graph`.
+fn rebind_graph(plan: &mut Plan, graph: &GraphRef) {
+    if let Plan::Bgp { graph: own, .. } | Plan::BindLeftJoin { graph: own, .. } = plan {
+        if *own == GraphRef::Default {
+            *own = graph.clone();
+        }
+    }
+    for child in plan.children_mut() {
+        rebind_graph(child, graph);
     }
 }
 
@@ -624,7 +571,7 @@ mod tests {
             ],
         };
         let plan = translate_ggp(&g, &GraphRef::Default).unwrap();
-        assert!(matches!(plan, Plan::LeftJoin(..)));
+        assert!(matches!(plan, Plan::LeftJoin { merge_on: None, .. }));
     }
 
     #[test]

@@ -48,15 +48,14 @@ use crate::results::{IdTable, SolutionTable};
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Enable the optimizer: BGP reordering and join-shape planning, TopK
-    /// fusion, FILTER pushdown, bind left joins and the order-aware
-    /// rewrites (merge joins, merge left joins). All are pure physical
-    /// rewrites — the result bag is the same either way — and each merge
-    /// re-checks its sortedness claim at run time, demoting itself to the
-    /// hash path when it fails, so this
-    /// is the one ablation handle: disabling it models an engine that takes
-    /// queries literally (the ablation experiments' baseline and the tests'
-    /// plan oracle).
+    /// Enable the optimizer: BGP reordering and join-shape planning, the
+    /// `top` bound of a sort under a LIMIT, FILTER pushdown, bind left joins
+    /// and the merge keys (`merge_on`) of inner and left joins. All are pure
+    /// physical rewrites — the result bag is the same either way — and each
+    /// merge re-checks its sortedness claim at run time, demoting itself to
+    /// the hash path when it fails, so this is the one ablation handle:
+    /// disabling it models an engine that takes queries literally (the
+    /// ablation experiments' baseline and the tests' plan oracle).
     pub optimize: bool,
     /// Resource limits enforced cooperatively during evaluation (all axes
     /// optional; the default is unlimited, which keeps the meter to a single

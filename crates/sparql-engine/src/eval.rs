@@ -114,15 +114,16 @@ impl<'a> Evaluator<'a> {
         self.shared_scans
     }
 
-    /// Number of [`Plan::MergeJoin`] nodes that ran as merge joins from
-    /// their first left row to their last (the run-time sortedness check
-    /// never failed; 0 means every join hashed at least part of its input).
+    /// Number of [`Plan::Join`] nodes with a merge key (`merge_on`) that
+    /// ran as merge joins from their first left row to their last (the
+    /// run-time sortedness check never failed; 0 means every join hashed at
+    /// least part of its input).
     pub fn merge_joins(&self) -> u64 {
         self.merge_joins
     }
 
-    /// Number of [`Plan::MergeLeftJoin`] nodes that ran as merge left joins
-    /// throughout (same rule as [`Evaluator::merge_joins`]).
+    /// Number of [`Plan::LeftJoin`] nodes with a merge key that ran as merge
+    /// left joins throughout (same rule as [`Evaluator::merge_joins`]).
     pub fn merge_left_joins(&self) -> u64 {
         self.merge_left_joins
     }

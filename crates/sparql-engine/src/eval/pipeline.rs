@@ -124,29 +124,25 @@ impl<'e> Builder<'_, 'e> {
                 graph,
                 filters,
             } => Box::new(BgpOp::new(self.ev, None, patterns, graph, filters)?),
-            Plan::Join(a, b) => Box::new(JoinOp::new(
-                self.node(a)?,
-                self.node(b)?,
-                JoinKind::Inner,
-                None,
-            )),
-            Plan::LeftJoin(a, b) => Box::new(JoinOp::new(
-                self.node(a)?,
-                self.node(b)?,
-                JoinKind::Left,
-                None,
-            )),
-            Plan::MergeJoin { left, right, key } => Box::new(JoinOp::new(
+            Plan::Join {
+                left,
+                right,
+                merge_on,
+            } => Box::new(JoinOp::new(
                 self.node(left)?,
                 self.node(right)?,
                 JoinKind::Inner,
-                Some(key),
+                merge_on.as_deref(),
             )),
-            Plan::MergeLeftJoin { left, right, key } => Box::new(JoinOp::new(
+            Plan::LeftJoin {
+                left,
+                right,
+                merge_on,
+            } => Box::new(JoinOp::new(
                 self.node(left)?,
                 self.node(right)?,
                 JoinKind::Left,
-                Some(key),
+                merge_on.as_deref(),
             )),
             Plan::BindLeftJoin {
                 left,
@@ -172,9 +168,8 @@ impl<'e> Builder<'_, 'e> {
                 vars: vars.clone(),
             }),
             Plan::Distinct(p) => Box::new(DistinctOp::new(self.node(p)?)),
-            Plan::OrderBy(keys, p) => Box::new(SortOp::new(self.node(p)?, keys, None)),
-            Plan::TopK { keys, k, input } => {
-                Box::new(SortOp::new(self.node(input)?, keys, Some(*k)))
+            Plan::OrderBy { keys, top, input } => {
+                Box::new(SortOp::new(self.node(input)?, keys, *top))
             }
             Plan::Slice {
                 limit,
@@ -1804,15 +1799,17 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
 }
 
 // ---------------------------------------------------------------------------
-// Sort / TopK (pipeline breakers)
+// Sort (a pipeline breaker)
 // ---------------------------------------------------------------------------
 
-/// ORDER BY (full sort) and TopK (bounded sort): materialize only their
-/// own input, charging the accumulation against the budget as it grows.
-/// TopK additionally compacts periodically — `top_k` of a prefix keeps
-/// exactly the rows that can still reach the final top `k` and preserves
-/// arrival order among key-equal survivors, so compaction is invisible in
-/// the final result.
+/// One [`Plan::OrderBy`]: a full sort, or with `top: Some(k)` a bounded
+/// one. Either materializes only its own input, charging the accumulation
+/// against the budget as it grows. A bounded sort also compacts whenever
+/// the accumulation reaches `compact_at(k)` rows — `top_k` of a prefix
+/// keeps exactly the rows that can still reach the final top `k` and
+/// preserves arrival order among key-equal survivors, so compaction is
+/// invisible in the final result — and so never holds more than
+/// `compact_at(k)` rows plus one input batch.
 struct SortOp<'e> {
     input: BoxOp<'e>,
     keys: &'e [OrderKey],

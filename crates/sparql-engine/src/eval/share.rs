@@ -129,7 +129,8 @@ fn digest<'p>(plan: &'p Plan, out: &mut Vec<Node<'p>>) -> u64 {
     std::mem::discriminant(plan).hash(&mut h);
     match plan {
         Plan::Unit => return at as u64,
-        Plan::Join(..) | Plan::LeftJoin(..) | Plan::Union(..) | Plan::Distinct(_) => {}
+        Plan::Union(..) | Plan::Distinct(_) => {}
+        Plan::Join { merge_on, .. } | Plan::LeftJoin { merge_on, .. } => merge_on.hash(&mut h),
         Plan::Bgp {
             patterns,
             graph,
@@ -141,13 +142,11 @@ fn digest<'p>(plan: &'p Plan, out: &mut Vec<Node<'p>>) -> u64 {
             filters,
             ..
         } => (pattern, graph, filters).hash(&mut h),
-        Plan::MergeJoin { key, .. } | Plan::MergeLeftJoin { key, .. } => key.hash(&mut h),
         Plan::Filter(expr, _) => expr.hash(&mut h),
         Plan::Extend(var, expr, _) => (var, expr).hash(&mut h),
         Plan::Group { keys, aggs, .. } => (keys, aggs).hash(&mut h),
         Plan::Project(vars, _) => vars.hash(&mut h),
-        Plan::OrderBy(keys, _) => keys.hash(&mut h),
-        Plan::TopK { keys, k, .. } => (keys, k).hash(&mut h),
+        Plan::OrderBy { keys, top, .. } => (keys, top).hash(&mut h),
         Plan::Slice { limit, offset, .. } => (limit, offset).hash(&mut h),
     }
     for child in plan.children() {
@@ -303,18 +302,15 @@ mod tests {
     }
 
     fn join(a: Plan, b: Plan) -> Plan {
-        Plan::Join(Box::new(a), Box::new(b))
+        join_on(a, b, None)
     }
 
     /// A join on `merge_on` when it is given, else a hash join.
     fn join_on(a: Plan, b: Plan, merge_on: Option<&str>) -> Plan {
-        match merge_on {
-            Some(key) => Plan::MergeJoin {
-                left: Box::new(a),
-                right: Box::new(b),
-                key: key.into(),
-            },
-            None => join(a, b),
+        Plan::Join {
+            left: Box::new(a),
+            right: Box::new(b),
+            merge_on: merge_on.map(Into::into),
         }
     }
 
@@ -324,13 +320,10 @@ mod tests {
             expr: Expr::Var("s".into()),
             ascending: true,
         }];
-        match top {
-            Some(k) => Plan::TopK {
-                keys,
-                k,
-                input: Box::new(p),
-            },
-            None => Plan::OrderBy(keys, Box::new(p)),
+        Plan::OrderBy {
+            keys,
+            top,
+            input: Box::new(p),
         }
     }
 

@@ -14,6 +14,60 @@
 //!
 //! It is not an engine mode: a differential test calls [`execute`] on the
 //! engine and prepared query it holds the executor to.
+//!
+//! # The contract
+//!
+//! What the executor is held to, one rule per [`Plan`] node. The judgment
+//! `Γ ⊢ P ⇓ (V, R)` reads "under `Γ`, plan `P` evaluates to the columns `V`
+//! and the rows `R`": `Γ` is the dataset, the query's `FROM` graphs and the
+//! budget; `R` is a bag *in an order*, and the order is part of the
+//! contract (the differential suites compare rows position by position).
+//! A row `μ` maps some of `V` to terms; `μ₀` binds nothing; `μ ~ ν` when
+//! the two agree on every variable both bind, and `μ ∪ ν` is then their
+//! merge. `[… | μ ∈ R, ν ∈ S]` lists in `R`'s order and, per `μ`, in `S`'s
+//! (left-major); `++` concatenates; `V ⊕ W` is `V` then the names of `W`
+//! not in `V`. `scan(G, t, μ)` lists the matches of pattern `t` with `μ`
+//! substituted in each graph of `G` (`GraphRef::uris`) in turn, in index
+//! order; each entry it visits counts once in `rows_scanned`.
+//!
+//! ```text
+//! Unit       Γ ⊢ Unit ⇓ ([], [μ₀])
+//! Bgp        R₀ = [μ₀],  Rᵢ = [μ ∪ ν | μ ∈ Rᵢ₋₁, ν ∈ scan(G, tᵢ, μ), F at i pass]
+//!            ⟹  Γ ⊢ Bgp{t₁…tₙ, G, F} ⇓ (vars(t₁…tₙ), Rₙ)
+//!            (variables in first-mention order; a pushed filter fires at
+//!            the first pattern binding its variable: `attach_filters`)
+//! Join       Γ ⊢ A ⇓ (V, R)   Γ ⊢ B ⇓ (W, S)
+//!            ⟹  Γ ⊢ Join{A, B, m} ⇓ (V ⊕ W, [μ ∪ ν | μ ∈ R, ν ∈ S, μ ~ ν])
+//! LeftJoin   as Join, each μ with no compatible ν kept once, in place:
+//!            ⟹  Γ ⊢ LeftJoin{A, B, m} ⇓ (V ⊕ W, [ext(μ) | μ ∈ R]),
+//!            ext(μ) = [μ ∪ ν | ν ∈ S, μ ~ ν], or [μ] when that is empty
+//! BindLeft   Γ ⊢ A ⇓ (V, R)  ⟹  Γ ⊢ BindLeftJoin{A, t, G, F} ⇓ the rows of
+//!            LeftJoin{A, Bgp{t, G, F}}; S per μ is scan(G, t, μ) under F,
+//!            not scanned again when μ's key equals the previous row's
+//! Union      Γ ⊢ A ⇓ (V, R)   Γ ⊢ B ⇓ (W, S)  ⟹  Union(A, B) ⇓ (V ⊕ W, R ++ S)
+//! Filter     Γ ⊢ P ⇓ (V, R)  ⟹  (V, [μ ∈ R | ebv(⟦e⟧μ) = true])   (error: false)
+//! Extend     Γ ⊢ P ⇓ (V, R)  ⟹  (V ⊕ [x], [μ[x ↦ ⟦e⟧μ] | μ ∈ R])
+//!            (an error leaves x unbound; a bound x is overwritten)
+//! Group      Γ ⊢ P ⇓ (V, R)  ⟹  (K ++ outputs, one row per distinct K-tuple
+//!            of R in first-occurrence order, each aggregate folded over its
+//!            rows in R's order; no keys: exactly one row, even for R = [])
+//! Project    Γ ⊢ P ⇓ (V, R)  ⟹  (X, [μ|X | μ ∈ R])
+//! Distinct   Γ ⊢ P ⇓ (V, R)  ⟹  (V, R with each row kept at its first occurrence)
+//! OrderBy    Γ ⊢ P ⇓ (V, R)  ⟹  Γ ⊢ OrderBy{K, None, P} ⇓ (V, sort_K(R)),
+//!                               Γ ⊢ OrderBy{K, Some(k), P} ⇓ (V, take_k(sort_K(R)))
+//! Slice      Γ ⊢ P ⇓ (V, R)  ⟹  (V, take_l(drop_o(R)))   (no limit: drop_o(R))
+//! ```
+//!
+//! `sort_K` is stable: it compares the keys in turn, each by term order
+//! with unbound first, reversed when descending, and keeps input order
+//! among ties. Two annotations the optimizer sets appear in no premise:
+//! a join's `merge_on` changes neither the bag nor the row order (the merge
+//! emits the hash join's rows in the hash join's order), and a sort's
+//! `top: Some(k)` gives exactly the first `k` rows of the full sort. So a
+//! plan and its literal twin — every `merge_on` and `top` cleared, the
+//! slice above each bounded sort kept — evaluate to the same `(V, R)`.
+//! Every node's output is charged to the budget here; the BGP, join, bind
+//! and group rules also charge as they go.
 
 use std::collections::{HashMap, HashSet};
 
@@ -144,23 +198,16 @@ impl ReferenceEvaluator<'_> {
                 graph,
                 filters,
             } => self.eval_bgp(patterns, graph, filters),
-            // The merge-join rewrites are columnar-evaluator
-            // specializations; the oracle hash-joins them (identical rows
-            // in identical order).
-            Plan::Join(a, b)
-            | Plan::MergeJoin {
-                left: a, right: b, ..
-            } => {
-                let left = self.eval_rows(a)?;
-                let right = self.eval_rows(b)?;
+            // A merge key is a columnar-executor annotation; the oracle
+            // hash-joins either way (identical rows in identical order).
+            Plan::Join { left, right, .. } => {
+                let left = self.eval_rows(left)?;
+                let right = self.eval_rows(right)?;
                 join(left, right, JoinKind::Inner, &mut self.meter)
             }
-            Plan::LeftJoin(a, b)
-            | Plan::MergeLeftJoin {
-                left: a, right: b, ..
-            } => {
-                let left = self.eval_rows(a)?;
-                let right = self.eval_rows(b)?;
+            Plan::LeftJoin { left, right, .. } => {
+                let left = self.eval_rows(left)?;
+                let right = self.eval_rows(right)?;
                 join(left, right, JoinKind::Left, &mut self.meter)
             }
             Plan::BindLeftJoin {
@@ -243,17 +290,13 @@ impl ReferenceEvaluator<'_> {
                 t.rows.retain(|row| seen.insert(row.clone()));
                 Ok(t)
             }
-            Plan::OrderBy(keys, p) => {
-                let mut t = self.eval_rows(p)?;
-                self.sort_rows(&mut t, keys);
-                Ok(t)
-            }
-            // The optimizer may fuse Slice∘OrderBy into TopK; the reference
-            // evaluator keeps the unfused semantics: full sort, then cut.
-            Plan::TopK { keys, k, input } => {
+            // A bounded sort is the full sort, then the cut.
+            Plan::OrderBy { keys, top, input } => {
                 let mut t = self.eval_rows(input)?;
                 self.sort_rows(&mut t, keys);
-                t.rows.truncate(*k);
+                if let Some(k) = top {
+                    t.rows.truncate(*k);
+                }
                 Ok(t)
             }
             Plan::Slice {

@@ -11,12 +11,12 @@
 //! 2. **BGP planning** permutes the triple patterns inside each basic
 //!    graph pattern greedily by estimated cardinality, propagating which
 //!    variables are bound by earlier patterns (index-nested-loop order),
-//!    and fuses `Slice ∘ OrderBy` into bounded [`Plan::TopK`]. It reads the
-//!    filters pass 1 pushed: the pattern that first binds a filtered
-//!    variable is charged the conjunct's selectivity
-//!    (`Optimizer::filter_selectivity`), so a selective `IN` leads the
-//!    order instead of being tested wherever its variable happens to get
-//!    bound. This mirrors what production RDF engines do with flat
+//!    and bounds an `OrderBy` under a `Slice` to the rows the slice can
+//!    show (its `top`). It reads the filters pass 1 pushed: the pattern
+//!    that first binds a filtered variable is charged the conjunct's
+//!    selectivity (`Optimizer::filter_selectivity`), so a selective `IN`
+//!    leads the order instead of being tested wherever its variable happens
+//!    to get bound. This mirrors what production RDF engines do with flat
 //!    queries — and what they *cannot* do across subquery boundaries,
 //!    which is why the paper's naive one-subquery-per-operator generation
 //!    is slow. It also picks the join *shape*: a BGP whose subject stars
@@ -34,10 +34,10 @@
 //!    side an OPTIONAL asks about, the estimated rows. It spends them on
 //!    two rewrites:
 //!
-//!    - [`Plan::Join`] → [`Plan::MergeJoin`], and [`Plan::LeftJoin`] →
-//!      [`Plan::MergeLeftJoin`], when both inputs arrive sorted on the same
-//!      leading shared variable (the merge emits unmatched left rows in
-//!      place, exactly like the hash left join);
+//!    - a merge key (`merge_on`) on a [`Plan::Join`] or [`Plan::LeftJoin`]
+//!      whose inputs both arrive sorted on the same leading shared variable
+//!      (the merge emits unmatched left rows in place, exactly like the
+//!      hash left join);
 //!    - an OPTIONAL whose right side is one triple pattern →
 //!      [`Plan::BindLeftJoin`], when the left side's estimated rows, each
 //!      probing the pattern for its key, are estimated to visit fewer index
@@ -101,7 +101,8 @@ impl<'a> Optimizer<'a> {
         self.plan_order_rewrites(plan, false);
     }
 
-    /// Pass 2: statistics-driven BGP reordering + TopK fusion.
+    /// Pass 2: statistics-driven BGP reordering, join shapes and sort
+    /// bounds, inputs before the node itself (but a sort's bound first).
     fn reorder(&mut self, plan: &mut Plan) {
         match plan {
             Plan::Bgp {
@@ -112,41 +113,19 @@ impl<'a> Optimizer<'a> {
                 if let Some(split) = self.plan_bgp(patterns, graph, filters) {
                     *plan = split;
                 }
+                return;
             }
-            Plan::Join(a, b) | Plan::Union(a, b) => {
-                self.reorder(a);
-                self.reorder(b);
-            }
-            Plan::LeftJoin(a, b) => {
-                self.reorder(a);
-                self.reorder(b);
-                sink_optional(plan);
-            }
-            Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
-                self.reorder(left);
-                self.reorder(right);
-            }
-            Plan::Filter(_, p)
-            | Plan::Extend(_, _, p)
-            | Plan::Project(_, p)
-            | Plan::Distinct(p)
-            | Plan::OrderBy(_, p) => self.reorder(p),
-            Plan::Group { input, .. } | Plan::BindLeftJoin { left: input, .. } => {
-                self.reorder(input)
-            }
-            Plan::TopK { input, .. } => self.reorder(input),
             Plan::Slice {
-                limit,
+                limit: Some(limit),
                 offset,
                 input,
-            } => {
-                if let Some(l) = limit {
-                    fuse_order_by_limit(input, l.saturating_add(*offset));
-                }
-                self.reorder(input);
-            }
-            Plan::Unit => {}
+            } => fuse_order_by_limit(input, limit.saturating_add(*offset)),
+            _ => {}
         }
+        for child in plan.children_mut() {
+            self.reorder(child);
+        }
+        sink_optional(plan);
     }
 
     /// The graphs a BGP will actually scan ([`GraphRef::uris`]).
@@ -296,31 +275,18 @@ impl<'a> Optimizer<'a> {
                 });
                 (order, rows)
             }
-            Plan::Join(a, b) => {
-                let (left_order, _) = self.plan_order_rewrites(a, false);
-                let (right_order, _) = self.plan_order_rewrites(b, false);
-                if let Some(key) = merge_key(&left_order, &right_order) {
-                    // Rebuild the node as a merge join; the boxes move over.
-                    if let Plan::Join(left, right) = std::mem::replace(plan, Plan::Unit) {
-                        *plan = Plan::MergeJoin { left, right, key };
-                    }
-                }
+            Plan::Join {
+                left,
+                right,
+                merge_on,
+            } => {
+                let (left_order, _) = self.plan_order_rewrites(left, false);
+                let (right_order, _) = self.plan_order_rewrites(right, false);
+                *merge_on = merge_key(&left_order, &right_order);
                 // Both join flavors emit pairs left-major (each left row in
                 // input order, its matches in right-row order), so the
                 // left input's order survives.
                 (left_order, None)
-            }
-            Plan::MergeJoin { left, right, .. } => {
-                let (left_order, _) = self.plan_order_rewrites(left, false);
-                self.plan_order_rewrites(right, false);
-                (left_order, None)
-            }
-            Plan::MergeLeftJoin { left, right, .. } => {
-                let want_left = want_rows && one_pattern(right).is_some();
-                let (left_order, left_rows) = self.plan_order_rewrites(left, want_left);
-                self.plan_order_rewrites(right, false);
-                let rows = self.optional_rows(left, left_rows, right);
-                (left_order, rows)
             }
             // Each left row in input order, extended in place.
             Plan::BindLeftJoin {
@@ -333,25 +299,29 @@ impl<'a> Optimizer<'a> {
                 let rows = left_rows.map(|rows| rows * self.fan_out(left, pattern, graph));
                 (left_order, rows)
             }
-            Plan::LeftJoin(a, b) => {
+            Plan::LeftJoin {
+                left,
+                right,
+                merge_on,
+            } => {
                 // A one-pattern side may bind, which needs the left rows.
-                let want_left = one_pattern(b).is_some();
-                let (left_order, left_rows) = self.plan_order_rewrites(a, want_left);
-                let (right_order, _) = self.plan_order_rewrites(b, false);
+                let want_left = one_pattern(right).is_some();
+                let (left_order, left_rows) = self.plan_order_rewrites(left, want_left);
+                let (right_order, _) = self.plan_order_rewrites(right, false);
                 let rows = if want_rows {
-                    self.optional_rows(a, left_rows, b)
+                    self.optional_rows(left, left_rows, right)
                 } else {
                     None
                 };
-                if self.bind_key(a, b, &left_order, left_rows) {
+                if self.bind_key(left, right, &left_order, left_rows) {
                     if let Plan::Bgp {
                         patterns,
                         graph,
                         filters,
-                    } = b.as_mut()
+                    } = right.as_mut()
                     {
                         *plan = Plan::BindLeftJoin {
-                            left: std::mem::replace(a, Box::new(Plan::Unit)),
+                            left: std::mem::replace(left, Box::new(Plan::Unit)),
                             pattern: Box::new(patterns.swap_remove(0)),
                             graph: std::mem::replace(graph, GraphRef::Default),
                             filters: std::mem::take(filters),
@@ -360,15 +330,10 @@ impl<'a> Optimizer<'a> {
                     }
                 }
                 // Left-major emission; unmatched left rows stay in place —
-                // which is exactly why the merge variant can preserve
-                // OPTIONAL semantics: the merge walks left rows in order
-                // and emits the no-match row at the same position the hash
-                // join would.
-                if let Some(key) = merge_key(&left_order, &right_order) {
-                    if let Plan::LeftJoin(left, right) = std::mem::replace(plan, Plan::Unit) {
-                        *plan = Plan::MergeLeftJoin { left, right, key };
-                    }
-                }
+                // which is exactly why a merge preserves OPTIONAL semantics:
+                // it walks left rows in order and emits the no-match row at
+                // the same position the hash join would.
+                *merge_on = merge_key(&left_order, &right_order);
                 (left_order, rows)
             }
             Plan::Union(a, b) => {
@@ -421,11 +386,11 @@ impl<'a> Optimizer<'a> {
                 };
                 (order, None)
             }
-            // ORDER BY sorts by *term* order, which is not global-id order.
-            Plan::OrderBy(_, p) => (Vec::new(), self.plan_order_rewrites(p, want_rows).1),
-            Plan::TopK { input, .. } => {
-                self.plan_order_rewrites(input, false);
-                (Vec::new(), None)
+            // ORDER BY sorts by *term* order, which is not global-id order;
+            // a bounded sort keeps `top` rows, which nothing estimates.
+            Plan::OrderBy { top, input, .. } => {
+                let rows = self.plan_order_rewrites(input, want_rows && top.is_none());
+                (Vec::new(), rows.1)
             }
         }
     }
@@ -653,7 +618,11 @@ impl<'a> Optimizer<'a> {
             };
             plan = Some(match plan {
                 None => bgp,
-                Some(left) => Plan::Join(Box::new(left), Box::new(bgp)),
+                Some(left) => Plan::Join {
+                    left: Box::new(left),
+                    right: Box::new(bgp),
+                    merge_on: None,
+                },
             });
         }
         plan
@@ -840,10 +809,18 @@ fn value_join_components(patterns: &[TriplePattern]) -> Vec<Vec<usize>> {
 /// with a joined row are exactly those compatible with its host half, and
 /// both shapes produce the same bag.
 fn sink_optional(plan: &mut Plan) {
-    let Plan::LeftJoin(join, optional) = plan else {
+    let Plan::LeftJoin {
+        left: join,
+        right: optional,
+        ..
+    } = plan
+    else {
         return;
     };
-    let Plan::Join(a, b) = join.as_mut() else {
+    let Plan::Join {
+        left: a, right: b, ..
+    } = join.as_mut()
+    else {
         return;
     };
     let mut vars = HashSet::new();
@@ -859,7 +836,11 @@ fn sink_optional(plan: &mut Plan) {
     // join takes the left join's place.
     let optional = std::mem::replace(optional, Box::new(Plan::Unit));
     let extended = std::mem::replace(host, Box::new(Plan::Unit));
-    **host = Plan::LeftJoin(extended, optional);
+    **host = Plan::LeftJoin {
+        left: extended,
+        right: optional,
+        merge_on: None,
+    };
     // The host may itself be a join (three stars): keep sinking.
     sink_optional(host);
     let join = std::mem::replace(join.as_mut(), Plan::Unit);
@@ -929,37 +910,25 @@ fn pattern_keys(left: &Plan, pattern: &TriplePattern) -> HashSet<String> {
         .collect()
 }
 
-/// The output schema of `plan`, as a set.
+/// The output schema of `plan`, as a set: what its inputs output, plus
+/// what the node binds itself — except that a GROUP BY or a projection
+/// outputs its own columns alone.
 fn output_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
     match plan {
-        Plan::Unit => {}
         Plan::Bgp { patterns, .. } => out.extend(patterns.iter().flat_map(|p| p.variables())),
-        Plan::Join(a, b) | Plan::LeftJoin(a, b) | Plan::Union(a, b) => {
-            output_vars(a, out);
-            output_vars(b, out);
-        }
-        Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
-            output_vars(left, out);
-            output_vars(right, out);
-        }
-        Plan::Filter(_, p)
-        | Plan::Distinct(p)
-        | Plan::OrderBy(_, p)
-        | Plan::TopK { input: p, .. }
-        | Plan::Slice { input: p, .. } => output_vars(p, out),
-        Plan::Extend(var, _, p) => {
-            output_vars(p, out);
+        Plan::BindLeftJoin { pattern, .. } => out.extend(pattern.variables()),
+        Plan::Extend(var, ..) => {
             out.insert(var);
-        }
-        Plan::BindLeftJoin { left, pattern, .. } => {
-            output_vars(left, out);
-            out.extend(pattern.variables());
         }
         Plan::Group { keys, aggs, .. } => {
             out.extend(keys.iter().map(String::as_str));
-            out.extend(aggs.iter().map(|a| a.output.as_str()));
+            return out.extend(aggs.iter().map(|a| a.output.as_str()));
         }
-        Plan::Project(vars, _) => out.extend(vars.iter().map(String::as_str)),
+        Plan::Project(vars, _) => return out.extend(vars.iter().map(String::as_str)),
+        _ => {}
+    }
+    for child in plan.children() {
+        output_vars(child, out);
     }
 }
 
@@ -969,16 +938,11 @@ fn output_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
 fn always_bound_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
     match plan {
         Plan::Bgp { patterns, .. } => out.extend(patterns.iter().flat_map(|p| p.variables())),
-        Plan::Join(a, b) => {
-            always_bound_vars(a, out);
-            always_bound_vars(b, out);
-        }
-        Plan::MergeJoin { left, right, .. } => {
+        Plan::Join { left, right, .. } => {
             always_bound_vars(left, out);
             always_bound_vars(right, out);
         }
-        Plan::LeftJoin(a, _)
-        | Plan::MergeLeftJoin { left: a, .. }
+        Plan::LeftJoin { left: a, .. }
         | Plan::BindLeftJoin { left: a, .. }
         | Plan::Filter(_, a) => always_bound_vars(a, out),
         _ => {}
@@ -990,46 +954,31 @@ fn always_bound_vars<'p>(plan: &'p Plan, out: &mut HashSet<&'p str>) {
 /// reference several variables, or contain aggregates) stay in a residual
 /// `Filter`; a fully-absorbed filter node disappears.
 fn push_filters(plan: &mut Plan) {
-    match plan {
-        Plan::Join(a, b) | Plan::LeftJoin(a, b) | Plan::Union(a, b) => {
-            push_filters(a);
-            push_filters(b);
-        }
-        Plan::MergeJoin { left, right, .. } | Plan::MergeLeftJoin { left, right, .. } => {
-            push_filters(left);
-            push_filters(right);
-        }
-        Plan::Extend(_, _, p) | Plan::Project(_, p) | Plan::Distinct(p) | Plan::OrderBy(_, p) => {
-            push_filters(p)
-        }
-        Plan::Group { input, .. }
-        | Plan::TopK { input, .. }
-        | Plan::Slice { input, .. }
-        | Plan::BindLeftJoin { left: input, .. } => push_filters(input),
-        Plan::Bgp { .. } | Plan::Unit => {}
-        Plan::Filter(expr, input) => {
-            push_filters(input);
-            let mut conjuncts = Vec::new();
-            split_and(expr, &mut conjuncts);
-            let total = conjuncts.len();
-            let mut residual: Vec<Expr> = Vec::new();
-            for conjunct in conjuncts {
-                let pushed = single_filter_var(&conjunct)
-                    .is_some_and(|var| try_push(input, &var, &conjunct));
-                if !pushed {
-                    residual.push(conjunct);
-                }
-            }
-            if residual.is_empty() {
-                // Every conjunct was absorbed: the filter node dissolves.
-                let input = std::mem::replace(input.as_mut(), Plan::Unit);
-                *plan = input;
-            } else if residual.len() < total {
-                *expr = rejoin_and(residual);
-            }
-            // else: nothing moved, leave the expression tree untouched.
+    for child in plan.children_mut() {
+        push_filters(child);
+    }
+    let Plan::Filter(expr, input) = plan else {
+        return;
+    };
+    let mut conjuncts = Vec::new();
+    split_and(expr, &mut conjuncts);
+    let total = conjuncts.len();
+    let mut residual: Vec<Expr> = Vec::new();
+    for conjunct in conjuncts {
+        let pushed =
+            single_filter_var(&conjunct).is_some_and(|var| try_push(input, &var, &conjunct));
+        if !pushed {
+            residual.push(conjunct);
         }
     }
+    if residual.is_empty() {
+        // Every conjunct was absorbed: the filter node dissolves.
+        let input = std::mem::replace(input.as_mut(), Plan::Unit);
+        *plan = input;
+    } else if residual.len() < total {
+        *expr = rejoin_and(residual);
+    }
+    // else: nothing moved, leave the expression tree untouched.
 }
 
 /// Flatten an `&&` tree into its conjuncts (source order preserved).
@@ -1072,36 +1021,30 @@ fn try_push(plan: &mut Plan, var: &str, conjunct: &Expr) -> bool {
             true
         }
         Plan::Bgp { .. } => false,
-        Plan::Join(a, b) => try_push(a, var, conjunct) || try_push(b, var, conjunct),
-        Plan::MergeJoin { left, right, .. } => {
+        Plan::Join { left, right, .. } => {
             try_push(left, var, conjunct) || try_push(right, var, conjunct)
         }
-        // Left joins (merge or hash): *left* side only — an absorbed filter
-        // on the optional side would resurrect rows it should kill.
-        Plan::LeftJoin(a, _)
-        | Plan::MergeLeftJoin { left: a, .. }
-        | Plan::BindLeftJoin { left: a, .. } => try_push(a, var, conjunct),
+        // Left joins (merge, hash or bind): *left* side only — an absorbed
+        // filter on the optional side would resurrect rows it should kill.
+        Plan::LeftJoin { left: a, .. } | Plan::BindLeftJoin { left: a, .. } => {
+            try_push(a, var, conjunct)
+        }
         Plan::Filter(_, p) => try_push(p, var, conjunct),
         Plan::Extend(bound, _, p) if bound != var => try_push(p, var, conjunct),
         _ => false,
     }
 }
 
-/// Fuse `Slice { limit } ∘ [Project…] ∘ OrderBy` into a bounded
-/// [`Plan::TopK`] with `k = limit + offset`: only the first `k` rows of the
-/// sort order are ever observable through the slice, so the evaluator can
-/// select top-k instead of fully sorting. The rewrite looks through
-/// `Project` (order- and cardinality-preserving) but deliberately **not**
-/// through `Distinct`, which must deduplicate *before* the cut.
+/// Bound the `OrderBy` under `Slice { limit } ∘ [Project…]` to its first
+/// `top = limit + offset` rows: only those are ever observable through the
+/// slice, so the evaluator can select top-k instead of fully sorting. The
+/// rewrite looks through `Project` (order- and cardinality-preserving) but
+/// deliberately **not** through `Distinct`, which must deduplicate *before*
+/// the cut.
 fn fuse_order_by_limit(node: &mut Plan, k: usize) {
     match node {
         Plan::Project(_, inner) => fuse_order_by_limit(inner, k),
-        Plan::OrderBy(..) => {
-            // Take ownership of the OrderBy to rebuild it as TopK.
-            if let Plan::OrderBy(keys, input) = std::mem::replace(node, Plan::Unit) {
-                *node = Plan::TopK { keys, k, input };
-            }
-        }
+        Plan::OrderBy { top, .. } => *top = Some(k),
         _ => {}
     }
 }
@@ -1140,6 +1083,30 @@ mod tests {
 
     fn var(v: &str) -> PatternTerm {
         PatternTerm::Var(v.to_string())
+    }
+
+    fn join(left: Plan, right: Plan) -> Plan {
+        Plan::Join {
+            left: Box::new(left),
+            right: Box::new(right),
+            merge_on: None,
+        }
+    }
+
+    fn left_join(left: Plan, right: Plan) -> Plan {
+        Plan::LeftJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            merge_on: None,
+        }
+    }
+
+    fn order_by(keys: Vec<crate::ast::OrderKey>, input: Plan) -> Plan {
+        Plan::OrderBy {
+            keys,
+            top: None,
+            input: Box::new(input),
+        }
     }
 
     fn konst(s: &str) -> PatternTerm {
@@ -1203,13 +1170,14 @@ mod tests {
             expr: Expr::Var("l".into()),
             ascending: true,
         }];
-        // Slice(limit 2, offset 1) ∘ Project ∘ OrderBy → TopK with k = 3.
+        // Slice(limit 2, offset 1) ∘ Project ∘ OrderBy → OrderBy with
+        // top = 3.
         let mut plan = Plan::Slice {
             limit: Some(2),
             offset: 1,
             input: Box::new(Plan::Project(
                 vec!["l".into()],
-                Box::new(Plan::OrderBy(keys.clone(), Box::new(bgp.clone()))),
+                Box::new(order_by(keys.clone(), bgp.clone())),
             )),
         };
         opt.optimize(&mut plan);
@@ -1220,8 +1188,8 @@ mod tests {
             panic!("project survives: {input:?}")
         };
         assert!(
-            matches!(&**inner, Plan::TopK { k: 3, .. }),
-            "expected TopK, got {inner:?}"
+            matches!(&**inner, Plan::OrderBy { top: Some(3), .. }),
+            "expected a top-3 sort, got {inner:?}"
         );
 
         // Distinct between Slice and OrderBy blocks the fusion: the cut
@@ -1229,14 +1197,14 @@ mod tests {
         let mut plan = Plan::Slice {
             limit: Some(2),
             offset: 0,
-            input: Box::new(Plan::Distinct(Box::new(Plan::OrderBy(keys, Box::new(bgp))))),
+            input: Box::new(Plan::Distinct(Box::new(order_by(keys, bgp)))),
         };
         opt.optimize(&mut plan);
         let Plan::Slice { input, .. } = &plan else {
             panic!("slice survives: {plan:?}")
         };
         assert!(
-            matches!(&**input, Plan::Distinct(inner) if matches!(&**inner, Plan::OrderBy(..))),
+            matches!(&**input, Plan::Distinct(inner) if matches!(&**inner, Plan::OrderBy { top: None, .. })),
             "distinct must not fuse: {input:?}"
         );
     }
@@ -1335,16 +1303,13 @@ mod tests {
             Box::new(Expr::Var("a".into())),
             Box::new(Expr::Const(iri("http://x/oscar"))),
         );
-        let mut plan = Plan::Filter(
-            cond.clone(),
-            Box::new(Plan::LeftJoin(Box::new(left), Box::new(right))),
-        );
+        let mut plan = Plan::Filter(cond.clone(), Box::new(left_join(left, right)));
         opt.optimize(&mut plan);
         let Plan::Filter(expr, input) = &plan else {
             panic!("filter must stay above the left join: {plan:?}")
         };
         assert_eq!(expr, &cond);
-        assert!(matches!(&**input, Plan::LeftJoin(..)));
+        assert!(matches!(&**input, Plan::LeftJoin { merge_on: None, .. }));
     }
 
     #[test]
@@ -1371,14 +1336,17 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::Join(
-            Box::new(side("http://x/award", "http://x/oscar", "l1")),
-            Box::new(side("http://x/inCountry", "http://x/usa", "l2")),
+        let mut plan = join(
+            side("http://x/award", "http://x/oscar", "l1"),
+            side("http://x/inCountry", "http://x/usa", "l2"),
         );
         let before = plan.clone();
         opt.optimize(&mut plan);
         match &plan {
-            Plan::MergeJoin { key, .. } => assert_eq!(key, "e"),
+            Plan::Join {
+                merge_on: Some(key),
+                ..
+            } => assert_eq!(key, "e"),
             other => panic!("expected merge join, got {other:?}\nfrom {before:?}"),
         }
 
@@ -1393,13 +1361,13 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::Join(
-            Box::new(side("http://x/award", "http://x/oscar", "l1")),
-            Box::new(unsorted_side),
+        let mut plan = join(
+            side("http://x/award", "http://x/oscar", "l1"),
+            unsorted_side,
         );
         opt.optimize(&mut plan);
         assert!(
-            matches!(&plan, Plan::Join(..)),
+            matches!(&plan, Plan::Join { merge_on: None, .. }),
             "object-leading order must not merge on ?e: {plan:?}"
         );
     }
@@ -1469,7 +1437,7 @@ mod tests {
         patterns.extend(film_star("film2", "actor2"));
         let mut plan = bgp(patterns);
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        let Plan::Join(left, right) = &plan else {
+        let Plan::Join { left, right, .. } = &plan else {
             panic!("expected a join of two stars, got {plan:?}")
         };
         // Each child holds exactly one film's patterns; the stars touch
@@ -1535,23 +1503,25 @@ mod tests {
     fn optionals_sink_below_the_value_join_onto_their_star() {
         let ds = film_dataset();
         let graphs = vec!["http://g".to_string()];
-        let director = |film: &str, d: &str| Box::new(bgp(vec![tp(film, "director", var(d))]));
+        let director = |film: &str, d: &str| bgp(vec![tp(film, "director", var(d))]);
         let mut patterns = film_star("film1", "actor1");
         patterns.extend(film_star("film2", "actor2"));
         // The Q9 plan: both OPTIONALs on top of the flattened BGP.
-        let mut plan = Plan::LeftJoin(
-            Box::new(Plan::LeftJoin(
-                Box::new(bgp(patterns)),
-                director("film1", "director1"),
-            )),
+        let mut plan = left_join(
+            left_join(bgp(patterns), director("film1", "director1")),
             director("film2", "director2"),
         );
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        let Plan::Join(left, right) = &plan else {
+        let Plan::Join { left, right, .. } = &plan else {
             panic!("expected the join on top, got {plan:?}")
         };
         for (side, film, d) in [(left, "film1", "director1"), (right, "film2", "director2")] {
-            let Plan::LeftJoin(star, optional) = &**side else {
+            let Plan::LeftJoin {
+                left: star,
+                right: optional,
+                ..
+            } = &**side
+            else {
                 panic!("expected an OPTIONAL per star, got {side:?}")
             };
             assert!(bgp_vars(star).contains(film), "{side:?}");
@@ -1577,10 +1547,6 @@ mod tests {
         let mut plan = plan;
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
         plan
-    }
-
-    fn left_join(left: Plan, right: Plan) -> Plan {
-        Plan::LeftJoin(Box::new(left), Box::new(right))
     }
 
     #[test]
@@ -1660,8 +1626,8 @@ mod tests {
 
     #[test]
     fn optional_sinking_is_refused_when_it_could_change_the_result() {
-        let a = || Box::new(bgp(film_star("film1", "actor1")));
-        let b = || Box::new(bgp(film_star("film2", "actor2")));
+        let a = || bgp(film_star("film1", "actor1"));
+        let b = || bgp(film_star("film2", "actor2"));
         let refused = |mut plan: Plan, why: &str| {
             let before = plan.clone();
             sink_optional(&mut plan);
@@ -1669,52 +1635,50 @@ mod tests {
         };
         // C mentions variables of both join inputs.
         refused(
-            Plan::LeftJoin(
-                Box::new(Plan::Join(a(), b())),
-                Box::new(bgp(vec![tp("film1", "remakeOf", var("film2"))])),
+            left_join(
+                join(a(), b()),
+                bgp(vec![tp("film1", "remakeOf", var("film2"))]),
             ),
             "an OPTIONAL spanning both sides must stay above the join",
         );
         // C introduces ?actor2, which B also binds: below the join it
         // would be matched against A alone.
         refused(
-            Plan::LeftJoin(
-                Box::new(Plan::Join(a(), b())),
-                Box::new(bgp(vec![tp("film1", "starring", var("actor2"))])),
+            left_join(
+                join(a(), b()),
+                bgp(vec![tp("film1", "starring", var("actor2"))]),
             ),
             "a variable shared with the other side blocks the sink",
         );
         // The variable C shares with its host comes from an OPTIONAL
         // (possibly unbound in A's rows).
-        let host_with_optional = Box::new(Plan::LeftJoin(
-            a(),
-            Box::new(bgp(vec![tp("film1", "director", var("director1"))])),
-        ));
+        let host_with_optional =
+            left_join(a(), bgp(vec![tp("film1", "director", var("director1"))]));
         refused(
-            Plan::LeftJoin(
-                Box::new(Plan::Join(host_with_optional, b())),
-                Box::new(bgp(vec![tp("director1", "birthPlace", var("place"))])),
+            left_join(
+                join(host_with_optional, b()),
+                bgp(vec![tp("director1", "birthPlace", var("place"))]),
             ),
             "a possibly-unbound shared variable blocks the sink",
         );
         // … or from a UNION.
-        let host_union = Box::new(Plan::Union(a(), a()));
+        let host_union = Plan::Union(Box::new(a()), Box::new(a()));
         refused(
-            Plan::LeftJoin(
-                Box::new(Plan::Join(host_union, b())),
-                Box::new(bgp(vec![tp("film1", "director", var("director1"))])),
+            left_join(
+                join(host_union, b()),
+                bgp(vec![tp("film1", "director", var("director1"))]),
             ),
             "a UNION host proves nothing bound",
         );
         // The legal case, for contrast — onto the right input this time.
-        let mut plan = Plan::LeftJoin(
-            Box::new(Plan::Join(a(), b())),
-            Box::new(bgp(vec![tp("film2", "director", var("director2"))])),
+        let mut plan = left_join(
+            join(a(), b()),
+            bgp(vec![tp("film2", "director", var("director2"))]),
         );
         sink_optional(&mut plan);
         assert!(
-            matches!(&plan, Plan::Join(l, r)
-                if matches!(&**l, Plan::Bgp { .. }) && matches!(&**r, Plan::LeftJoin(..))),
+            matches!(&plan, Plan::Join { left, right, .. }
+                if matches!(&**left, Plan::Bgp { .. }) && matches!(&**right, Plan::LeftJoin { .. })),
             "{plan:?}"
         );
     }
@@ -1759,13 +1723,16 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::LeftJoin(
-            Box::new(side("http://x/award", "http://x/oscar")),
-            Box::new(side("http://x/inCountry", "http://x/usa")),
+        let mut plan = left_join(
+            side("http://x/award", "http://x/oscar"),
+            side("http://x/inCountry", "http://x/usa"),
         );
         opt.optimize(&mut plan);
         match &plan {
-            Plan::MergeLeftJoin { key, .. } => assert_eq!(key, "e"),
+            Plan::LeftJoin {
+                merge_on: Some(key),
+                ..
+            } => assert_eq!(key, "e"),
             other => panic!("expected merge left join, got {other:?}"),
         }
 
@@ -1781,10 +1748,7 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::LeftJoin(
-            Box::new(side("http://x/award", "http://x/oscar")),
-            Box::new(labels()),
-        );
+        let mut plan = left_join(side("http://x/award", "http://x/oscar"), labels());
         opt.optimize(&mut plan);
         assert!(
             matches!(&plan, Plan::BindLeftJoin { .. }),
@@ -1801,10 +1765,10 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::LeftJoin(Box::new(labels()), Box::new(awards));
+        let mut plan = left_join(labels(), awards);
         opt.optimize(&mut plan);
         assert!(
-            matches!(&plan, Plan::LeftJoin(..)),
+            matches!(&plan, Plan::LeftJoin { merge_on: None, .. }),
             "unsorted sides: {plan:?}"
         );
     }
@@ -1847,20 +1811,20 @@ mod tests {
         );
         let engine = crate::Engine::new(Arc::clone(&ds));
         for (name, side) in [("group", group), ("distinct", distinct)] {
-            let join = Plan::Join(Box::new(side), Box::new(films("country", "country0")));
-            let mut plan = join.clone();
+            let written = join(side, films("country", "country0"));
+            let mut plan = written.clone();
             Optimizer::new(&ds, &graphs).optimize(&mut plan);
             assert!(
-                matches!(&plan, Plan::MergeJoin { key, .. } if key == "m"),
+                matches!(&plan, Plan::Join { merge_on: Some(key), .. } if key == "m"),
                 "{name}: {plan:?}"
             );
-            let prepared = engine.prepare_plan(join.clone(), graphs.clone());
+            let prepared = engine.prepare_plan(written.clone(), graphs.clone());
             let (mut rows, stats) = engine.execute_prepared(&prepared, None).unwrap();
             assert_eq!(stats.merge_joins, 1, "{name}: the merge ran throughout");
             assert!(!rows.is_empty(), "{name}: an empty join proves nothing");
             // The literal plan keeps the written pattern order, so its groups
             // come in another order: compare bags.
-            let hashed = literal.prepare_plan(join, graphs.clone());
+            let hashed = literal.prepare_plan(written, graphs.clone());
             let (mut expected, hashed) = literal.execute_prepared(&hashed, None).unwrap();
             assert_eq!(hashed.merge_joins, 0, "{name}");
             rows.canonicalize();
@@ -1898,14 +1862,14 @@ mod tests {
         );
         let mut plan = Plan::Filter(
             cond.clone(),
-            Box::new(Plan::MergeLeftJoin {
+            Box::new(Plan::LeftJoin {
                 left: Box::new(side("http://x/award", "http://x/oscar", None)),
                 right: Box::new(side(
                     "http://x/inCountry",
                     "http://x/usa",
                     Some(("http://x/award", "a")),
                 )),
-                key: "e".into(),
+                merge_on: Some("e".into()),
             }),
         );
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
@@ -1913,7 +1877,13 @@ mod tests {
             panic!("filter must stay above the merge left join: {plan:?}")
         };
         assert_eq!(expr, &cond);
-        assert!(matches!(&**input, Plan::MergeLeftJoin { .. }));
+        assert!(matches!(
+            &**input,
+            Plan::LeftJoin {
+                merge_on: Some(_),
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -1958,10 +1928,10 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::Join(Box::new(side("http://x/e1")), Box::new(side("http://x/e2")));
+        let mut plan = join(side("http://x/e1"), side("http://x/e2"));
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
         assert!(
-            matches!(&plan, Plan::MergeJoin { key, .. } if key == "s"),
+            matches!(&plan, Plan::Join { merge_on: Some(key), .. } if key == "s"),
             "second graph is sorted by dataset id like the first: {plan:?}"
         );
         // Two patterns on the optional side, so that it is not bound: the
@@ -1978,9 +1948,18 @@ mod tests {
             graph: GraphRef::Default,
             filters: Vec::new(),
         };
-        let mut plan = Plan::LeftJoin(Box::new(side("http://x/e1")), Box::new(optional));
+        let mut plan = left_join(side("http://x/e1"), optional);
         Optimizer::new(&ds, &graphs).optimize(&mut plan);
-        assert!(matches!(&plan, Plan::MergeLeftJoin { .. }), "{plan:?}");
+        assert!(
+            matches!(
+                &plan,
+                Plan::LeftJoin {
+                    merge_on: Some(_),
+                    ..
+                }
+            ),
+            "{plan:?}"
+        );
     }
 
     #[test]
@@ -2008,21 +1987,22 @@ mod tests {
         ds.insert_graph("http://b", g);
 
         let graphs = vec!["http://b".to_string()];
-        let bgp = |o: &str| {
-            Box::new(Plan::Bgp {
-                patterns: vec![TriplePattern::new(var("s"), konst("http://x/p"), konst(o))],
-                graph: GraphRef::Default,
-                filters: Vec::new(),
-            })
+        let bgp = |o: &str| Plan::Bgp {
+            patterns: vec![TriplePattern::new(var("s"), konst("http://x/p"), konst(o))],
+            graph: GraphRef::Default,
+            filters: Vec::new(),
         };
         let planned = |ds: &Dataset, o: &str| {
-            let mut plan = Plan::Join(bgp(o), bgp("http://x/v1"));
+            let mut plan = join(bgp(o), bgp("http://x/v1"));
             Optimizer::new(ds, &graphs).optimize(&mut plan);
             plan
         };
         assert!(matches!(
             planned(&ds, "http://x/v0"),
-            Plan::MergeJoin { .. }
+            Plan::Join {
+                merge_on: Some(_),
+                ..
+            }
         ));
 
         ds.append_triples(
@@ -2037,7 +2017,16 @@ mod tests {
         assert!(ds.lookup(&iri("http://y/o")) < ds.lookup(&iri("http://x/e0")));
         for o in ["http://x/v0", "http://y/o"] {
             let plan = planned(&ds, o);
-            assert!(matches!(&plan, Plan::MergeJoin { .. }), "{o}: {plan:?}");
+            assert!(
+                matches!(
+                    &plan,
+                    Plan::Join {
+                        merge_on: Some(_),
+                        ..
+                    }
+                ),
+                "{o}: {plan:?}"
+            );
         }
     }
 

@@ -60,8 +60,8 @@ fn write_operator(
             write_triples(out, &indent, patterns, filters);
             Ok(())
         }
-        Plan::Join(..) => write!(out, "join"),
-        Plan::LeftJoin(..) => write!(out, "leftjoin"),
+        Plan::Join { merge_on, .. } => write_join(out, "join", merge_on),
+        Plan::LeftJoin { merge_on, .. } => write_join(out, "leftjoin", merge_on),
         // The bound pattern follows the left input: read top to bottom, the
         // node is "each row of this, extended by matches of that".
         Plan::BindLeftJoin { graph, .. } => {
@@ -69,8 +69,6 @@ fn write_operator(
             write_graph(out, graph);
             Ok(())
         }
-        Plan::MergeJoin { key, .. } => write!(out, "mergejoin ?{key}"),
-        Plan::MergeLeftJoin { key, .. } => write!(out, "mergeleftjoin ?{key}"),
         Plan::Union(..) => write!(out, "union"),
         Plan::Filter(expr, _) => write!(out, "filter {}", Sse(expr)),
         Plan::Extend(var, expr, _) => write!(out, "extend ?{var} {}", Sse(expr)),
@@ -87,8 +85,10 @@ fn write_operator(
         }
         Plan::Project(vars, _) => write!(out, "project {}", Vars(vars)),
         Plan::Distinct(_) => write!(out, "distinct"),
-        Plan::OrderBy(keys, _) => write!(out, "order {}", Keys(keys)),
-        Plan::TopK { keys, k, .. } => write!(out, "top {k} {}", Keys(keys)),
+        Plan::OrderBy { keys, top, .. } => match top {
+            Some(k) => write!(out, "top {k} {}", Keys(keys)),
+            None => write!(out, "order {}", Keys(keys)),
+        },
         Plan::Slice { limit, offset, .. } => match limit {
             Some(limit) => write!(out, "slice {offset} {limit}"),
             None => write!(out, "slice {offset} _"),
@@ -105,6 +105,15 @@ fn write_operator(
         write_triples(out, &indent, std::slice::from_ref(pattern), filters);
     }
     out.push(')');
+}
+
+/// A join's head: `join` / `leftjoin`, or `mergejoin ?k` / `mergeleftjoin
+/// ?k` when it has a merge key.
+fn write_join(out: &mut String, kind: &str, merge_on: &Option<String>) -> fmt::Result {
+    match merge_on {
+        Some(key) => write!(out, "merge{kind} ?{key}"),
+        None => write!(out, "{kind}"),
+    }
 }
 
 fn write_graph(out: &mut String, graph: &GraphRef) {

@@ -319,7 +319,7 @@ fn dbpedia_queries() -> Vec<String> {
             "SELECT ?movie (1 AS ?one) FROM <http://dbpedia.org> WHERE { \
              ?movie dbpp:starring ?actor . BIND ( 1 AS ?one ) }",
         ),
-        // ORDER BY + LIMIT exercises the TopK fusion on the id-native paths
+        // ORDER BY + LIMIT exercises the bounded sort on the id-native paths
         // (and plain sort+truncate on the reference path).
         q("SELECT ?movie ?actor FROM <http://dbpedia.org> \
            WHERE { ?movie dbpp:starring ?actor } ORDER BY ?actor ?movie LIMIT 3"),
@@ -644,8 +644,7 @@ fn has_pushed_filter(plan: &Plan) -> bool {
     match plan {
         Plan::Bgp { filters, .. } => !filters.is_empty(),
         Plan::Project(_, p) | Plan::Filter(_, p) => has_pushed_filter(p),
-        Plan::Join(a, b)
-        | Plan::MergeJoin {
+        Plan::Join {
             left: a, right: b, ..
         } => has_pushed_filter(a) || has_pushed_filter(b),
         _ => false,
@@ -699,17 +698,19 @@ fn joins_bgp_stars(plan: &Plan) -> bool {
     fn star(p: &Plan) -> bool {
         match p {
             Plan::Bgp { .. } => true,
-            Plan::LeftJoin(host, _) => star(host),
-            Plan::Join(a, b)
-            | Plan::MergeJoin {
+            Plan::LeftJoin {
+                left: host,
+                merge_on: None,
+                ..
+            } => star(host),
+            Plan::Join {
                 left: a, right: b, ..
             } => star(a) && star(b),
             _ => false,
         }
     }
     match plan {
-        Plan::Join(a, b)
-        | Plan::MergeJoin {
+        Plan::Join {
             left: a, right: b, ..
         } => star(a) && star(b),
         Plan::Project(_, p) | Plan::Filter(_, p) => joins_bgp_stars(p),

@@ -314,21 +314,33 @@ fn unbind(plan: &Plan) -> Plan {
             pattern,
             graph,
             filters,
-        } => Plan::LeftJoin(
-            un(left),
-            Box::new(Plan::Bgp {
+        } => Plan::LeftJoin {
+            left: un(left),
+            right: Box::new(Plan::Bgp {
                 patterns: vec![(**pattern).clone()],
                 graph: graph.clone(),
                 filters: filters.clone(),
             }),
-        ),
-        Plan::LeftJoin(a, b) => Plan::LeftJoin(un(a), un(b)),
-        Plan::MergeLeftJoin { left, right, key } => Plan::MergeLeftJoin {
+            merge_on: None,
+        },
+        Plan::LeftJoin {
+            left,
+            right,
+            merge_on,
+        } => Plan::LeftJoin {
             left: un(left),
             right: un(right),
-            key: key.clone(),
+            merge_on: merge_on.clone(),
         },
-        Plan::Join(a, b) => Plan::Join(un(a), un(b)),
+        Plan::Join {
+            left,
+            right,
+            merge_on,
+        } => Plan::Join {
+            left: un(left),
+            right: un(right),
+            merge_on: merge_on.clone(),
+        },
         Plan::Filter(e, p) => Plan::Filter(e.clone(), un(p)),
         Plan::Project(vars, p) => Plan::Project(vars.clone(), un(p)),
         other => other.clone(),

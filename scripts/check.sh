@@ -144,6 +144,20 @@ test_named -p sparql-engine --lib optionals_on_a_selective_star_bind
 test_named -p sparql-engine --lib bind_left_join_is_refused_where_it_could_change_the_rows_or_the_work
 test_named -p rdf-model --lib packed_id_keys_spread_over_the_low_bits
 
+# One plan node per operator: a merge key (`merge_on`) and a sort bound
+# (`top`) are fields of `Join` / `LeftJoin` / `OrderBy`, not node kinds of
+# their own. The 22 paper frames must plan as their snapshots (a set field
+# prints as `mergejoin ?k`, `mergeleftjoin ?k` or `top k`); a merge join
+# and its hash twin, or a top-k and a full sort, must be different sharing
+# classes; a slice must bound the sort under it; and the bounded sort must
+# keep its compacted state under a row cap a full sort of the same rows
+# trips.
+echo "==> one node per operator"
+test_named -p bench --test shared_subplans every_paper_frame_plans_as_its_snapshot
+test_named -p sparql-engine --lib a_merge_key_or_a_sort_bound_makes_another_class
+test_named -p sparql-engine --lib slice_over_order_by_fuses_to_top_k
+test_named -p sparql-engine --test budget_enforcement a_top_k_sort_holds_bounded_state_where_a_full_sort_trips
+
 # Fixed-seed bulk-column property:`from_ids`, `gather`, `filter_mask` and
 # join assembly against one `push` per cell, at lengths around the bitmap's
 # word edges, every presence shape, duplicate and `NO_MATCH` indices — plus
