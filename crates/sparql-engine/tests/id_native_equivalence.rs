@@ -365,6 +365,35 @@ fn dbpedia_queries() -> Vec<String> {
             "SELECT (SUM(?r) AS ?s) (MIN(?r) AS ?lo) FROM <http://dbpedia.org> \
            WHERE { ?x <http://nothing/here> ?r }",
         ),
+        // SAMPLE over a column, grouped and ungrouped: the first bound value
+        // in row order, on every path.
+        q(
+            "SELECT ?actor (SAMPLE(?r) AS ?any) FROM <http://dbpedia.org> WHERE { \
+             ?movie dbpp:starring ?actor . ?movie dbpp:rating ?r } \
+           GROUP BY ?actor ORDER BY ?actor",
+        ),
+        q(
+            "SELECT (SAMPLE(?r) AS ?any) (COUNT(?r) AS ?n) FROM <http://dbpedia.org> \
+           WHERE { ?movie dbpp:rating ?r }",
+        ),
+        // SAMPLE DISTINCT over the mixed numeric/string column.
+        q(
+            "SELECT (SAMPLE(DISTINCT ?v) AS ?any) FROM <http://dbpedia.org> \
+           WHERE { ?movie dbpp:note ?v }",
+        ),
+        // Aggregates over a variable the group input never binds: every
+        // group sums nothing and counts nothing.
+        q(
+            "SELECT ?actor (SUM(?nowhere) AS ?s) (COUNT(?nowhere) AS ?n) \
+           FROM <http://dbpedia.org> WHERE { ?movie dbpp:starring ?actor } \
+           GROUP BY ?actor ORDER BY ?actor",
+        ),
+        // MIN DISTINCT over a column of duplicated values.
+        q(
+            "SELECT ?actor (MIN(DISTINCT ?r) AS ?lo) FROM <http://dbpedia.org> WHERE { \
+             ?movie dbpp:starring ?actor . ?movie dbpp:rating ?r } \
+           GROUP BY ?actor ORDER BY ?actor",
+        ),
         // --- merge joins & FILTER pushdown ------------------------------
         // Star join of two (?x <p> <o>) groups: both sides scan POS with a
         // bound (p, o) prefix, so both arrive sorted on ?x and the

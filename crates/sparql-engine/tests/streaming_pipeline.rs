@@ -543,7 +543,8 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
 
     let aggs = "(MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SUM(?v) AS ?sum) (AVG(?v) AS ?avg) \
                 (MIN(DISTINCT ?v) AS ?dlo) (MAX(DISTINCT ?v) AS ?dhi) \
-                (SUM(DISTINCT ?v) AS ?dsum) (AVG(DISTINCT ?v) AS ?davg)";
+                (SUM(DISTINCT ?v) AS ?dsum) (AVG(DISTINCT ?v) AS ?davg) \
+                (SAMPLE(?v) AS ?any) (COUNT(DISTINCT ?v) AS ?dn)";
     let body = "?row <http://x/in> ?g OPTIONAL { ?row <http://x/v> ?v }";
     for q in [
         format!("SELECT ?g {aggs} FROM <{GRAPH}> WHERE {{ {body} }} GROUP BY ?g"),
