@@ -23,15 +23,12 @@
 //!   (`JoinShape`, `assemble_join`).
 //! - **Filter / extend / project** (`Evaluator::filter_table`,
 //!   `Evaluator::extend_table`, `project_table`) are row-independent
-//!   bodies applied per batch; **ORDER BY / top-k**
-//!   (`Evaluator::sort_rows`, `Evaluator::top_k`) sort by the dataset's
-//!   term-rank permutation when every key is a plain variable.
-//! - **Aggregates** run id-native where the shape allows: `COUNT[DISTINCT]`
-//!   over a column counts ids; `MIN`/`MAX`/`SUM`/`AVG` over a column
-//!   accumulate parsed `i64`/`f64` values per group (`NumericAccum`)
-//!   without materializing a single [`Term`] per row, and hand the group
-//!   over to the term-based [`AggState`] the moment a value turns out not
-//!   to be a number.
+//!   bodies applied per batch; **ORDER BY**, full or top-k
+//!   (`Evaluator::sort`), sorts by the dataset's term-rank permutation when
+//!   every key is a plain variable.
+//! - **Aggregates**: `COUNT[DISTINCT]` over a column counts ids; every other
+//!   aggregate feeds the oracle's own [`AggState`] one computed term per
+//!   row.
 //!
 //! Terms are materialized only at expression/sort boundaries (through a
 //! reused scratch row) and when a result is decoded. The seed
@@ -49,9 +46,7 @@ use crate::algebra::{AggSpec, GraphRef, Plan, PushedFilter};
 use crate::ast::{AggOp, Expr, OrderKey, PatternTerm, TriplePattern};
 use crate::budget::{BudgetMeter, QueryBudget};
 use crate::error::{EngineError, Result};
-use crate::expr::{
-    ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRowCtx, NumericAccum, PushedEval,
-};
+use crate::expr::{ebv, eval_expr, id_equality_shape, AggState, EvalCaches, IdRowCtx, PushedEval};
 use crate::pool::TermPool;
 use crate::results::{Column, IdTable, NO_MATCH};
 
@@ -266,36 +261,27 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    fn sort_rows(&mut self, table: &mut IdTable, keys: &[OrderKey]) {
-        if let Some(perm) = self.rank_sort_perm(table, keys, None) {
-            *table = table.gather_rows(&perm);
-            return;
-        }
-        let mut keyed = self.keyed_rows(table, keys);
-        // (key, seq) is a total order equal to a stable sort on key alone.
-        keyed.sort_unstable_by(|a, b| compare_keyed(keys, a, b));
-        let perm: Vec<u32> = keyed.into_iter().map(|(_, i)| i as u32).collect();
-        *table = table.gather_rows(&perm);
-    }
-
-    /// Bounded ORDER BY: select the first `k` rows of the sorted order
-    /// without fully sorting the input (`Slice ∘ OrderBy` fusion). Produces
-    /// exactly the rows a stable full sort followed by `truncate(k)` would.
-    fn top_k(&mut self, table: &mut IdTable, keys: &[OrderKey], k: usize) {
-        if k == 0 {
+    /// ORDER BY: a stable sort of `table` on `keys`, or with `top: Some(k)`
+    /// its first `k` rows, selected without fully sorting the input
+    /// (`Slice ∘ OrderBy` fusion) — exactly the rows a stable full sort
+    /// followed by `truncate(k)` would give.
+    fn sort(&mut self, table: &mut IdTable, keys: &[OrderKey], top: Option<usize>) {
+        if top == Some(0) {
+            // Before either kernel: both select around row `k - 1`.
             *table = table.gather_rows(&[]);
             return;
         }
-        if let Some(perm) = self.rank_sort_perm(table, keys, Some(k)) {
+        if let Some(perm) = self.rank_sort_perm(table, keys, top) {
             *table = table.gather_rows(&perm);
             return;
         }
         let mut keyed = self.keyed_rows(table, keys);
-        if keyed.len() > k {
+        if let Some(k) = top.filter(|&k| keyed.len() > k) {
             // O(n) partition around the k-th row, then sort only the prefix.
             keyed.select_nth_unstable_by(k - 1, |a, b| compare_keyed(keys, a, b));
             keyed.truncate(k);
         }
+        // (key, seq) is a total order equal to a stable sort on key alone.
         keyed.sort_unstable_by(|a, b| compare_keyed(keys, a, b));
         let perm: Vec<u32> = keyed.into_iter().map(|(_, i)| i as u32).collect();
         *table = table.gather_rows(&perm);
@@ -545,7 +531,7 @@ fn assemble_join(
 mod tests {
     //! The operators' semantics on hand-built tables, at every pull size
     //! (`pipeline::tests::BATCHES`): joins against the nested-loop
-    //! definition, union, DISTINCT's order claim, the numeric accumulators
+    //! definition, union, DISTINCT's order claim, grouping's aggregates
     //! against [`AggState`], and the bulk column kernels against one `push`
     //! per cell.
 
@@ -766,12 +752,11 @@ mod tests {
     }
 
     #[test]
-    fn numeric_accum_matches_agg_state() {
-        // SUM/AVG/MIN/MAX over mixed int/double values, with and without
-        // DISTINCT, must agree with the term-based AggState — also when the
+    fn group_op_aggregates_match_agg_state_at_every_pull_size() {
+        // Every aggregate over mixed int/double values, with and without
+        // DISTINCT, must agree with AggState fed row by row — also when the
         // column stops being numeric at the first, a middle or the last row
-        // of a group (which is then demoted, alone, mid-stream), grouped and
-        // ungrouped, whatever the pull size.
+        // of a group, grouped and ungrouped, whatever the pull size.
         let numbers = [
             Term::integer(5),
             Term::integer(5),
@@ -783,9 +768,16 @@ mod tests {
             Some(Term::iri("http://x/not-a-number")),
             Some(Term::string("abc")),
             Some(Term::from(Literal::double(f64::NAN))),
-            None, // unbound: contributes nothing, demotes nothing
+            None, // unbound: contributes nothing
         ];
-        let ops = [AggOp::Sum, AggOp::Avg, AggOp::Min, AggOp::Max];
+        let ops = [
+            AggOp::Sum,
+            AggOp::Avg,
+            AggOp::Min,
+            AggOp::Max,
+            AggOp::Sample,
+            AggOp::Count,
+        ];
         let aggs: Vec<AggSpec> = ops
             .iter()
             .flat_map(|&op| [false, true].map(|distinct| (op, distinct)))

@@ -1375,21 +1375,13 @@ impl<'e> Operator<'e> for ProjectOp<'e> {
 // Grouping
 // ---------------------------------------------------------------------------
 
-/// Per-aggregate plan, id-native where the shape allows:
-///
-/// - `COUNT[ DISTINCT](?v)` counts ids straight off the column.
-/// - `SUM/AVG/MIN/MAX(?v)` accumulates parsed `i64`/`f64` per group without
-///   materializing a term per row, until a group meets a bound value that is
-///   not a (non-NaN) numeric literal — that group alone is handed over to
-///   the general term path ([`NumericAccum::demote`]).
-/// - `SAMPLE(?v)` takes the first bound id.
-/// - Everything else evaluates the expression per row (the materialization
-///   boundary for aggregates); DISTINCT dedups on pool ids.
+/// Per-aggregate plan: `COUNT[ DISTINCT](?v)` over a column counts ids
+/// straight off it; every other aggregate evaluates its expression per row
+/// (the materialization boundary for aggregates) into the oracle's own
+/// [`AggState`].
 enum AggPlan<'e> {
     Star,
     CountCol { idx: usize, distinct: bool },
-    NumericCol { idx: usize },
-    SampleCol { idx: usize },
     General(&'e Expr),
 }
 
@@ -1399,29 +1391,6 @@ enum Accum {
         seen: Option<FxHashSet<TermId>>,
         count: usize,
     },
-    Numeric(NumericAccum),
-    First(Option<TermId>),
-}
-
-impl Accum {
-    /// Feed one bound value of a [`AggPlan::NumericCol`] aggregate: into the
-    /// numeric accumulator while this group's values are numbers, into the
-    /// [`AggState`] it was demoted to from the first one that is not.
-    fn push_col(&mut self, id: TermId, op: AggOp, pool: &mut TermPool) {
-        if let Accum::Numeric(acc) = self {
-            if acc.push(id, pool.resolve(id)) {
-                return;
-            }
-            let acc = std::mem::replace(acc, NumericAccum::new(false));
-            *self = Accum::Terms(Box::new(acc.demote(op, pool)));
-        }
-        // `fresh_accums` makes a NumericCol accumulator Numeric, and the
-        // branch above either returns or turns it into Terms.
-        let Accum::Terms(state) = self else {
-            unreachable!("a NumericCol accumulator is Numeric or Terms")
-        };
-        state.push_pooled(Some(pool.resolve(id).clone()), pool);
-    }
 }
 
 enum GroupIndex {
@@ -1458,24 +1427,25 @@ impl<'e> GroupOp<'e> {
             .collect();
         let plans: Vec<AggPlan<'e>> = aggs
             .iter()
-            .map(|spec| match &spec.expr {
-                None => AggPlan::Star,
-                Some(expr @ Expr::Var(v)) => match child.iter().position(|c| c == v) {
-                    Some(idx) => match spec.op {
-                        AggOp::Count => AggPlan::CountCol {
-                            idx,
-                            distinct: spec.distinct,
-                        },
-                        AggOp::Sample => AggPlan::SampleCol { idx },
-                        AggOp::Sum | AggOp::Avg | AggOp::Min | AggOp::Max => {
-                            AggPlan::NumericCol { idx }
-                        }
+            .map(|spec| {
+                let Some(expr) = &spec.expr else {
+                    return AggPlan::Star;
+                };
+                let col = match expr {
+                    Expr::Var(v) if matches!(spec.op, AggOp::Count) => {
+                        child.iter().position(|c| c == v)
+                    }
+                    _ => None,
+                };
+                match col {
+                    Some(idx) => AggPlan::CountCol {
+                        idx,
+                        distinct: spec.distinct,
                     },
-                    // Variable absent from the input: the general path
-                    // produces the op's empty/unbound result.
+                    // Another op, a computed expression, or a variable absent
+                    // from the input (which the general path never sees bound).
                     None => AggPlan::General(expr),
-                },
-                Some(e) => AggPlan::General(e),
+                }
             })
             .collect();
 
@@ -1574,7 +1544,7 @@ impl<'e> GroupOp<'e> {
                     gi
                 }
             };
-            for ((accum, plan), spec) in groups[gi].1.iter_mut().zip(plans.iter()).zip(*aggs) {
+            for (accum, plan) in groups[gi].1.iter_mut().zip(plans.iter()) {
                 match (accum, plan) {
                     (Accum::Terms(state), AggPlan::Star) => state.push_star(),
                     (Accum::Terms(state), AggPlan::General(e)) => {
@@ -1588,7 +1558,7 @@ impl<'e> GroupOp<'e> {
                             };
                             eval_expr(e, ctx, &mut ev.caches)
                         };
-                        state.push_pooled(value, &mut ev.pool);
+                        state.push(value);
                     }
                     (Accum::CountIds { seen, count }, AggPlan::CountCol { idx, .. }) => {
                         if let Some(id) = batch.get(i, *idx) {
@@ -1602,18 +1572,8 @@ impl<'e> GroupOp<'e> {
                             }
                         }
                     }
-                    (accum, AggPlan::NumericCol { idx }) => {
-                        if let Some(id) = batch.get(i, *idx) {
-                            accum.push_col(id, spec.op, &mut ev.pool);
-                        }
-                    }
-                    (Accum::First(first), AggPlan::SampleCol { idx }) => {
-                        if first.is_none() {
-                            *first = batch.get(i, *idx);
-                        }
-                    }
                     // `fresh_accums` pairs each plan with exactly these
-                    // accumulators, and only NumericCol's changes kind.
+                    // accumulators.
                     _ => unreachable!("accumulator/plan shape mismatch"),
                 }
             }
@@ -1637,14 +1597,12 @@ impl<'e> GroupOp<'e> {
             for (col, v) in key_cols.iter_mut().zip(key) {
                 col.push(v);
             }
-            for ((col, accum), spec) in agg_cols.iter_mut().zip(accums).zip(self.aggs) {
+            for (col, accum) in agg_cols.iter_mut().zip(accums) {
                 let value: Option<TermId> = match accum {
                     Accum::Terms(state) => state.finish().map(|t| ev.pool.intern(t)),
                     Accum::CountIds { count, .. } => {
                         Some(ev.pool.intern(Term::integer(count as i64)))
                     }
-                    Accum::Numeric(acc) => acc.finish(spec.op, &mut ev.pool),
-                    Accum::First(id) => id,
                 };
                 col.push(value);
             }
@@ -1664,9 +1622,7 @@ fn fresh_accums(aggs: &[AggSpec], plans: &[AggPlan]) -> Vec<Accum> {
                 seen: distinct.then(FxHashSet::default),
                 count: 0,
             },
-            AggPlan::NumericCol { .. } => Accum::Numeric(NumericAccum::new(a.distinct)),
-            AggPlan::SampleCol { .. } => Accum::First(None),
-            _ => Accum::Terms(Box::new(AggState::new_id_distinct(a.op, a.distinct))),
+            _ => Accum::Terms(Box::new(AggState::new(a.op, a.distinct))),
         })
         .collect()
 }
@@ -1805,7 +1761,7 @@ impl<'e> Operator<'e> for DistinctOp<'e> {
 /// One [`Plan::OrderBy`]: a full sort, or with `top: Some(k)` a bounded
 /// one. Either materializes only its own input, charging the accumulation
 /// against the budget as it grows. A bounded sort also compacts whenever
-/// the accumulation reaches `compact_at(k)` rows — `top_k` of a prefix
+/// the accumulation reaches `compact_at(k)` rows — the top `k` of a prefix
 /// keeps exactly the rows that can still reach the final top `k` and
 /// preserves arrival order among key-equal survivors, so compaction is
 /// invisible in the final result — and so never holds more than
@@ -1853,16 +1809,13 @@ impl<'e> Operator<'e> for SortOp<'e> {
                     .charge_intermediate(self.acc.len() as u64, self.acc.estimated_bytes())?;
                 if let Some(k) = self.k {
                     if self.acc.len() >= Self::compact_at(k) {
-                        ev.top_k(&mut self.acc, self.keys, k);
+                        ev.sort(&mut self.acc, self.keys, Some(k));
                     }
                 }
             }
             self.drained = true;
             let mut acc = std::mem::take(&mut self.acc);
-            match self.k {
-                Some(k) => ev.top_k(&mut acc, self.keys, k),
-                None => ev.sort_rows(&mut acc, self.keys),
-            }
+            ev.sort(&mut acc, self.keys, self.k);
             self.staged = Some(Staged { table: acc, off: 0 });
         }
         Ok(take_window(&mut self.staged, target))

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use rdf_model::hash::{FxHashMap, FxHashSet};
+use rdf_model::hash::FxHashMap;
 use rdf_model::term::{year_of_epoch, Literal, TypedValue};
 use rdf_model::vocab::xsd;
 use rdf_model::{Term, TermId};
@@ -361,25 +361,12 @@ fn cast(term: &Term, datatype: &str) -> Option<Term> {
     }
 }
 
-/// DISTINCT dedup strategy for [`AggState`].
-///
-/// The term-materialized reference evaluator hashes whole [`Term`]s; the
-/// id-native executor interns each computed aggregate input through its
-/// [`TermPool`] and dedups on `u32` [`TermId`]s instead (the pool guarantees
-/// two ids are equal iff the terms are equal, so the bags are identical —
-/// only the hashing cost changes).
-#[derive(Debug)]
-enum Dedup {
-    Terms(std::collections::HashSet<Term>),
-    Ids(FxHashSet<TermId>),
-}
-
 /// Running state for one aggregate over one group.
 #[derive(Debug)]
 pub struct AggState {
     op: AggOp,
     /// `Some` when DISTINCT: the set of values already counted.
-    seen: Option<Dedup>,
+    seen: Option<std::collections::HashSet<Term>>,
     count: usize,
     sum: f64,
     sum_is_integral: bool,
@@ -390,11 +377,11 @@ pub struct AggState {
 }
 
 impl AggState {
-    /// Initialize for an aggregate op (term-hashing DISTINCT).
+    /// Initialize for an aggregate op.
     pub fn new(op: AggOp, distinct: bool) -> Self {
         AggState {
             op,
-            seen: distinct.then(|| Dedup::Terms(std::collections::HashSet::new())),
+            seen: distinct.then(std::collections::HashSet::new),
             count: 0,
             sum: 0.0,
             sum_is_integral: true,
@@ -405,70 +392,15 @@ impl AggState {
         }
     }
 
-    /// Initialize with id-based DISTINCT: inputs are interned through the
-    /// evaluator's [`TermPool`] (via [`AggState::push_pooled`]) and dedup
-    /// hashes `u32` ids instead of whole terms. Crate-private, like
-    /// [`NumericAccum::demote`], the other source of such a state: outside
-    /// this crate every `AggState` dedups terms, so [`AggState::push`] never
-    /// meets one.
-    pub(crate) fn new_id_distinct(op: AggOp, distinct: bool) -> Self {
-        AggState {
-            seen: distinct.then(|| Dedup::Ids(FxHashSet::default())),
-            ..Self::new(op, false)
-        }
-    }
-
     /// Feed one value. `None` (unbound/error) contributes nothing, matching
     /// SPARQL aggregate semantics.
     pub fn push(&mut self, value: Option<Term>) {
         let Some(v) = value else { return };
-        // (Not a match guard: dedup insertion needs the mutable binding.)
-        #[allow(clippy::collapsible_match)]
-        match &mut self.seen {
-            Some(Dedup::Terms(seen)) => {
-                if !seen.insert(v.clone()) {
-                    return;
-                }
+        if let Some(seen) = &mut self.seen {
+            if !seen.insert(v.clone()) {
+                return;
             }
-            // An id-distinct state cannot dedup without the pool; silently
-            // over-counting would be a correctness bug, so fail loudly. Not
-            // reachable: only `new_id_distinct` and `NumericAccum::demote`
-            // (both crate-private) make one, and their one user, the
-            // pipeline's `GroupOp` (`Accum::Terms`), feeds it through
-            // `push_pooled` alone.
-            Some(Dedup::Ids(_)) => {
-                panic!("id-distinct AggState must be fed through push_pooled")
-            }
-            None => {}
         }
-        self.accumulate(v);
-    }
-
-    /// Feed one value, deduplicating through `pool` when this state was
-    /// built with `AggState::new_id_distinct` (falls back to term hashing
-    /// for the [`AggState::new`] flavor, so callers need not branch).
-    pub fn push_pooled(&mut self, value: Option<Term>, pool: &mut TermPool) {
-        let Some(v) = value else { return };
-        // (Not a match guard: dedup insertion needs the mutable binding.)
-        #[allow(clippy::collapsible_match)]
-        match &mut self.seen {
-            Some(Dedup::Ids(seen)) => {
-                let id = pool.intern(v.clone());
-                if !seen.insert(id) {
-                    return;
-                }
-            }
-            Some(Dedup::Terms(seen)) => {
-                if !seen.insert(v.clone()) {
-                    return;
-                }
-            }
-            None => {}
-        }
-        self.accumulate(v);
-    }
-
-    fn accumulate(&mut self, v: Term) {
         self.count += 1;
         if let Some(l) = v.as_literal() {
             match l.parsed {
@@ -530,161 +462,6 @@ impl AggState {
             AggOp::Min => self.min,
             AggOp::Max => self.max,
             AggOp::Sample => self.sample,
-        }
-    }
-}
-
-/// A numeric value as SPARQL compares it: `i64` when both sides are
-/// integers, `f64` otherwise. Never NaN ([`NumVal::of`]).
-#[derive(Debug, Clone, Copy)]
-enum NumVal {
-    I(i64),
-    D(f64),
-}
-
-impl NumVal {
-    /// The value of a numeric literal; `None` for every other term and for
-    /// NaN, whose SPARQL ordering falls back to lexical comparison.
-    fn of(term: &Term) -> Option<NumVal> {
-        match term.as_literal()?.parsed {
-            TypedValue::Integer(i) => Some(NumVal::I(i)),
-            TypedValue::Double(d) if !d.is_nan() => Some(NumVal::D(d)),
-            _ => None,
-        }
-    }
-
-    fn as_f64(self) -> f64 {
-        match self {
-            NumVal::I(i) => i as f64,
-            NumVal::D(d) => d,
-        }
-    }
-
-    /// SPARQL numeric comparison (mirrors `Term::value_cmp` on two numeric
-    /// literals, which `order_cmp` delegates to).
-    fn cmp_sparql(self, other: NumVal) -> std::cmp::Ordering {
-        match (self, other) {
-            (NumVal::I(a), NumVal::I(b)) => a.cmp(&b),
-            // Not reachable: a `NumVal` is only made by `NumVal::of`, which
-            // refuses NaN, and an `i64` converts to a finite `f64`; two
-            // non-NaN floats always compare.
-            _ => self
-                .as_f64()
-                .partial_cmp(&other.as_f64())
-                .expect("NumVal is never NaN"),
-        }
-    }
-}
-
-/// Id-native accumulator for `SUM`/`AVG`/`MIN`/`MAX` over a column, for as
-/// long as a group's bound values are numeric literals. Mirrors
-/// [`AggState`]'s arithmetic exactly (wrapping integer sum, `f64` shadow sum
-/// in row order, first-wins ties for MIN/MAX) but never materializes a term:
-/// MIN/MAX track the winning *id*, which downstream operators and the final
-/// projection resolve like any other binding. Because the two agree after
-/// every push, the first value that is not a number costs nothing but a
-/// hand-over ([`NumericAccum::demote`]) — no precheck of the input needed.
-pub(crate) struct NumericAccum {
-    seen: Option<FxHashSet<TermId>>,
-    count: usize,
-    int_sum: i64,
-    f_sum: f64,
-    integral: bool,
-    min: Option<(TermId, NumVal)>,
-    max: Option<(TermId, NumVal)>,
-}
-
-impl NumericAccum {
-    pub(crate) fn new(distinct: bool) -> Self {
-        NumericAccum {
-            seen: distinct.then(FxHashSet::default),
-            count: 0,
-            int_sum: 0,
-            f_sum: 0.0,
-            integral: true,
-            min: None,
-            max: None,
-        }
-    }
-
-    /// Feed one bound value, `id` resolving to `term`. Returns `false`,
-    /// having changed nothing, when it is not a number this accumulator can
-    /// take — the caller's cue to [`NumericAccum::demote`].
-    pub(crate) fn push(&mut self, id: TermId, term: &Term) -> bool {
-        let Some(v) = NumVal::of(term) else {
-            return false;
-        };
-        if let Some(seen) = &mut self.seen {
-            if !seen.insert(id) {
-                return true;
-            }
-        }
-        self.count += 1;
-        match v {
-            NumVal::I(i) => {
-                self.int_sum = self.int_sum.wrapping_add(i);
-                self.f_sum += i as f64;
-            }
-            NumVal::D(d) => {
-                self.integral = false;
-                self.f_sum += d;
-            }
-        }
-        if self
-            .min
-            .is_none_or(|(_, m)| v.cmp_sparql(m) == std::cmp::Ordering::Less)
-        {
-            self.min = Some((id, v));
-        }
-        if self
-            .max
-            .is_none_or(|(_, m)| v.cmp_sparql(m) == std::cmp::Ordering::Greater)
-        {
-            self.max = Some((id, v));
-        }
-        true
-    }
-
-    /// The [`AggState`] that was fed the same values, field for field (its
-    /// `sample` aside, which none of the four ops reads): it carries on from
-    /// here through [`AggState::push_pooled`].
-    pub(crate) fn demote(self, op: AggOp, pool: &TermPool) -> AggState {
-        let term = |m: Option<(TermId, NumVal)>| m.map(|(id, _)| pool.resolve(id).clone());
-        AggState {
-            op,
-            seen: self.seen.map(Dedup::Ids),
-            count: self.count,
-            sum: self.f_sum,
-            sum_is_integral: self.integral,
-            int_sum: self.int_sum,
-            min: term(self.min),
-            max: term(self.max),
-            sample: None,
-        }
-    }
-
-    pub(crate) fn finish(self, op: AggOp, pool: &mut TermPool) -> Option<TermId> {
-        match op {
-            AggOp::Sum => Some(if self.integral {
-                pool.intern(Term::integer(self.int_sum))
-            } else {
-                pool.intern(Term::from(Literal::double(self.f_sum)))
-            }),
-            AggOp::Avg => Some(if self.count == 0 {
-                pool.intern(Term::integer(0))
-            } else {
-                pool.intern(Term::from(Literal::double(self.f_sum / self.count as f64)))
-            }),
-            AggOp::Min => self.min.map(|(id, _)| id),
-            AggOp::Max => self.max.map(|(id, _)| id),
-            // Not reachable: the one caller (`GroupOp::finish`) passes the
-            // op of the aggregate whose plan made this accumulator, and the
-            // planner makes `AggPlan::NumericCol` — the only plan
-            // `fresh_accums` gives a `NumericAccum` — for exactly the four
-            // ops above.
-            AggOp::Count | AggOp::Sample => {
-                unreachable!("NumericCol only plans SUM/AVG/MIN/MAX")
-            }
         }
     }
 }

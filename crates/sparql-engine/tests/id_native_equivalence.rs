@@ -28,7 +28,7 @@ fn iri(s: &str) -> Term {
 
 /// The movie graph of the end-to-end suite, extended with numeric literal
 /// properties (integer ratings, double scores, and a mixed-typed `note`
-/// column that must force the term-based aggregation fallback).
+/// column of integers and strings).
 fn movie_graph() -> Graph {
     let mut g = Graph::new();
     let starring = iri("http://dbpedia.org/property/starring");
@@ -55,7 +55,7 @@ fn movie_graph() -> Graph {
         for m in 0..movies {
             let movie = iri(&format!("http://dbpedia.org/resource/{name}_movie{m}"));
             g.insert(&Triple::new(movie.clone(), starring.clone(), a.clone()));
-            // Integer rating (id-native numeric aggregation), double score
+            // Integer rating (numeric aggregation), double score
             // (mixed int/double comparisons), duplicated values across
             // movies so DISTINCT aggregation differs from plain.
             g.insert(&Triple::new(
@@ -326,14 +326,14 @@ fn dbpedia_queries() -> Vec<String> {
         q("SELECT ?movie FROM <http://dbpedia.org> \
            WHERE { ?movie dbpp:starring ?actor } ORDER BY ?movie LIMIT 100"),
         // --- aggregate-heavy shapes -------------------------------------
-        // Integer column: the columnar evaluator's id-native numeric path.
+        // Integer column: COUNT counts ids, the rest run AggState.
         q("SELECT ?actor (SUM(?r) AS ?total) (AVG(?r) AS ?avg) \
            (MIN(?r) AS ?lo) (MAX(?r) AS ?hi) (COUNT(?r) AS ?n) \
            FROM <http://dbpedia.org> WHERE { \
              ?movie dbpp:starring ?actor . ?movie dbpp:rating ?r } \
            GROUP BY ?actor ORDER BY ?actor"),
         // DISTINCT over duplicated numeric values (SUM/AVG change, MIN/MAX
-        // don't; dedup is on ids for the id-native paths).
+        // don't).
         q(
             "SELECT ?actor (SUM(DISTINCT ?r) AS ?total) (AVG(DISTINCT ?r) AS ?avg) \
            FROM <http://dbpedia.org> WHERE { \
@@ -344,14 +344,14 @@ fn dbpedia_queries() -> Vec<String> {
         q("SELECT (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (SUM(?v) AS ?s) \
            FROM <http://dbpedia.org> WHERE { \
              { ?movie dbpp:rating ?v } UNION { ?movie dbpp:score ?v } }"),
-        // Mixed numeric/string column: must fall back to term aggregation
+        // Mixed numeric/string column: MIN/MAX compare across types
         // identically on every path.
         q(
             "SELECT (MIN(?v) AS ?lo) (MAX(?v) AS ?hi) (COUNT(DISTINCT ?v) AS ?n) \
            FROM <http://dbpedia.org> WHERE { ?movie dbpp:note ?v }",
         ),
-        // COUNT DISTINCT of a *computed* expression: inputs intern through
-        // the TermPool and dedup on ids in the id-native paths.
+        // COUNT DISTINCT of a *computed* expression: the executor dedups the
+        // computed terms, as the oracle does.
         q("SELECT ?actor (COUNT(DISTINCT str(?movie)) AS ?n) \
            FROM <http://dbpedia.org> WHERE { ?movie dbpp:starring ?actor } \
            GROUP BY ?actor ORDER BY ?actor"),
@@ -1140,9 +1140,8 @@ proptest! {
         // DISTINCT and in GROUP BY, executed on the default plan (greedy
         // pattern order, so often sorted input) and the literal one —
         // identical bags — with exact result + scan parity across all three
-        // legs on each plan. SUM and MIN ride along over a neighbouring variable: IRIs,
-        // so every group's numeric accumulator is demoted at its first
-        // bound value.
+        // legs on each plan. SUM and MIN ride along over a neighbouring
+        // variable, whose values are IRIs.
         let ds = build_two_graph_dataset(&triples);
         let body = render_query(&patterns);
         let pattern_block = body.strip_prefix("SELECT * ").unwrap();

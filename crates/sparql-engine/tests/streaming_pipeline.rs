@@ -1,6 +1,6 @@
 //! Pipeline satellites: LIMIT early exit, bounded live memory, budget
 //! semantics, telemetry, the two kernels that live in the operators
-//! (keep-first DISTINCT, id-native numeric aggregates) — plus a property
+//! (keep-first DISTINCT, grouping's aggregates) — plus a property
 //! test that random BGP/OPTIONAL/GROUP BY shapes come out byte-identical at
 //! random batch sizes.
 //!
@@ -549,7 +549,7 @@ fn numeric_aggregates_survive_a_column_that_stops_being_numeric() {
     for q in [
         format!("SELECT ?g {aggs} FROM <{GRAPH}> WHERE {{ {body} }} GROUP BY ?g"),
         format!("SELECT {aggs} FROM <{GRAPH}> WHERE {{ {body} }}"),
-        // All-numeric, ungrouped: no group is ever demoted.
+        // All-numeric, ungrouped.
         format!(
             "SELECT {aggs} FROM <{GRAPH}> WHERE {{ \
              ?row <http://x/in> <http://x/clean> . ?row <http://x/v> ?v }}"

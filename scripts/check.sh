@@ -158,6 +158,17 @@ test_named -p sparql-engine --lib a_merge_key_or_a_sort_bound_makes_another_clas
 test_named -p sparql-engine --lib slice_over_order_by_fuses_to_top_k
 test_named -p sparql-engine --test budget_enforcement a_top_k_sort_holds_bounded_state_where_a_full_sort_trips
 
+# One aggregate state: GROUP BY counts ids for COUNT and feeds every other
+# aggregate to the oracle's `AggState`. The operator against `AggState` for
+# every op, DISTINCT or not, with non-numeric intruders at every pull size;
+# the same through the engine against the oracle; the hash grouping paths
+# on random BGPs; and the one sort kernel's bounded state under a row cap.
+echo "==> one aggregate state"
+test_named -p sparql-engine --lib group_op_aggregates_match_agg_state_at_every_pull_size
+test_named -p sparql-engine --test streaming_pipeline numeric_aggregates_survive_a_column_that_stops_being_numeric
+test_named -p sparql-engine --test id_native_equivalence sorted_dedup_and_grouping_agree_with_hash_paths_on_random_bgps
+test_named -p sparql-engine --test budget_enforcement a_top_k_sort_holds_bounded_state_where_a_full_sort_trips
+
 # Fixed-seed bulk-column property:`from_ids`, `gather`, `filter_mask` and
 # join assembly against one `push` per cell, at lengths around the bitmap's
 # word edges, every presence shape, duplicate and `NO_MATCH` indices — plus
